@@ -18,8 +18,8 @@ At the sizes where the serial seed engine is still practical (1k, 10k)
 the same pre-materialized update batches are replayed through the
 object-path :class:`~repro.core.engine.ContinuousJoinEngine` group
 commit, so the speedup column compares identical work.  At n=100k a
-4-shard columnar-worker cell (``shard_engine="columnar"``) runs beside
-the serial columnar engine for the sharded speedup column.
+4-shard cell (every shard a columnar engine) runs beside the serial
+columnar engine for the sharded speedup column.
 
 Acceptance floors (the script exits non-zero when missed):
 
@@ -226,7 +226,7 @@ def run_sharded_columnar(n: int, steps: int, shards: int, workers: int) -> dict:
 
     arrays = workload(n)
     scenario = arrays.to_scenario()
-    config = JoinConfig(t_m=T_M, shard_engine="columnar")
+    config = JoinConfig(t_m=T_M)
     t0 = monotonic_clock()
     engine = ShardedJoinEngine(
         scenario.set_a,

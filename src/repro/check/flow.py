@@ -8,7 +8,7 @@ AST — there are no duplicated op lists or code tables to drift.
 
 Protocol completeness (``RC101``–``RC107``)
     The declared command vocabulary (:mod:`repro.par.protocol`), the
-    worker dispatch (``execute`` / ``apply_shard_ops``), the emission
+    worker dispatch (``execute``), the emission
     sites in the sharded engine and supervisor, the op-log
     ``mutating`` flags, the checkpoint blob's produced/consumed keys,
     and the fault-spec grammar must all agree.
@@ -152,7 +152,7 @@ def _dispatch_arms(
     return opvar, arms
 
 
-def _engine_class_name(func: ast.FunctionDef) -> Optional[str]:
+def _dispatch_engine_name(func: ast.FunctionDef) -> Optional[str]:
     """Class named by the registry param's ``Dict[int, <Class>]``."""
     if not func.args.args:
         return None
@@ -192,7 +192,7 @@ def _docstring_ids(tree: ast.Module) -> Set[int]:
 def _emitted_ops(
     table: SymbolTable, mod: ModuleInfo
 ) -> Dict[str, ast.AST]:
-    """Command/shard ops this module emits: first elements of tuple
+    """Command ops this module emits: first elements of tuple
     literals plus first arguments of ``_fan_all``/``_run_everywhere``.
 
     The tuple-literal op slot must be a *name* resolving to a string:
@@ -342,37 +342,9 @@ def _check_protocol(
                 wrk.where(if_node),
             ))
 
-    # Shard sub-ops: same cross-check against apply_shard_ops.
-    shard_ops_val = table.resolve_name(proto, "SHARD_OPS")
-    shard_ops: Set[str] = (
-        set(shard_ops_val) if isinstance(shard_ops_val, tuple) else set()
-    )
-    shard_arms: Dict[str, ast.If] = {}
-    shard_dispatch = wrk.functions.get("apply_shard_ops")
-    if shard_dispatch is not None:
-        extracted = _dispatch_arms(table, wrk, shard_dispatch)
-        if extracted is not None:
-            _var, shard_arms = extracted
-        for op in sorted(shard_ops):
-            if op not in shard_arms:
-                findings.append(Finding(
-                    "RC101",
-                    f"shard sub-op {op!r} has no dispatch arm in "
-                    f"apply_shard_ops()",
-                    wrk.where(shard_dispatch),
-                ))
-        for op, if_node in shard_arms.items():
-            if op not in shard_ops:
-                findings.append(Finding(
-                    "RC102",
-                    f"apply_shard_ops() arm for {op!r} but the sub-op "
-                    f"is not declared in SHARD_OPS",
-                    wrk.where(if_node),
-                ))
-
     # RC103: inferred-mutating arms must be flagged mutating.
     engine_methods: Dict[str, ast.FunctionDef] = {}
-    class_name = _engine_class_name(execute)
+    class_name = _dispatch_engine_name(execute)
     if class_name is not None:
         info = table.find_class(class_name)
         if info is not None:
@@ -398,7 +370,7 @@ def _check_protocol(
         if mod is None:
             continue
         for op, node in _emitted_ops(table, mod).items():
-            if op in arms or op in shard_arms:
+            if op in arms:
                 continue
             findings.append(Finding(
                 "RC101",
@@ -478,7 +450,7 @@ def _check_protocol(
 
     # RC106: the protocol consumers may not spell op names as bare
     # string literals (dict keys and docstrings are data, not commands).
-    vocab = set(specs) | shard_ops
+    vocab = set(specs)
     for mod_suffix in ("par.worker", "par.supervisor", "par.sharded"):
         mod = table.find(mod_suffix)
         if mod is None:

@@ -812,10 +812,9 @@ def check_column_result_store(
 def sanitize_columnar_engine(engine) -> List[Finding]:
     """Check everything a columnar engine maintains.
 
-    Both column stores (SC601–SC603) plus the result-store invariants —
-    SC301–SC305 when the engine keeps per-pair interval lists,
-    SC801–SC803 when it keeps interval planes — with the same
-    Theorem-1/2 interval bound the object engine is audited against:
+    Both column stores (SC601–SC603) plus the interval-plane
+    result-store invariants (SC801–SC803), with the same Theorem-1/2
+    interval bound the object engine is audited against:
     per-object anchors are the reference times (TC) or their bucket
     ends (MTB), straight from the live ``tref`` column.
     """
@@ -834,14 +833,7 @@ def sanitize_columnar_engine(engine) -> List[Finding]:
         else:
             ends = store.tref[: store.n].tolist()
         anchors.update(zip(oids, ends))
-    # Duck-typed layout dispatch (this module never imports repro.core):
-    # the SoA store is the one with cached pair-run boundaries.
-    checker = (
-        check_column_result_store
-        if hasattr(engine.store, "_run_starts")
-        else check_result_store
-    )
-    findings.extend(checker(
+    findings.extend(check_column_result_store(
         engine.store,
         t_m=engine.config.t_m,
         anchors=anchors,

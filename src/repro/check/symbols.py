@@ -302,7 +302,7 @@ class MutationIndex:
     2. a store into a subscript of the dispatch registry parameter
        (``engines[sid] = …``);
     3. recursion through functions defined in the *same module* as the
-       dispatcher (``apply_shard_ops``, ``_prune``, …);
+       dispatcher (``restore_engine``, ``_prune``, …);
     4. one hop into a method of the engine class (resolved from the
        registry parameter's ``Dict[int, <EngineClass>]`` annotation),
        where a ``self.<attr>`` store or a seed-named call is evidence.

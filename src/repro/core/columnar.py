@@ -34,7 +34,7 @@ seed engine across the full maintenance matrix.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import Iterable, Mapping, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -42,9 +42,15 @@ from ..geometry.kernels import SWEEP_JOIN_CHUNK, KineticBatch, batch_sweep_join
 from ..metrics import CostSnapshot, CostTracker
 from ..obs import NULL_SPAN, ObsRecorder
 from ..objects import MovingObject
-from .columns import ColumnStore, ObjectsView, UpdateColumns, columns_from_objects
+from .columns import (
+    ColumnStore,
+    ObjectsView,
+    UpdateColumns,
+    columns_from_objects,
+    pack_updates,
+)
 from .config import JoinConfig
-from .result import ColumnResultStore, JoinResultStore
+from .result import ColumnResultStore
 
 __all__ = ["ColumnarJoinEngine", "COLUMNAR_ALGORITHMS"]
 
@@ -97,14 +103,8 @@ class ColumnarJoinEngine:
         self.now = float(start_time)
         self.start_time = float(start_time)
         self.tracker = CostTracker()
-        #: The maintained answer — SoA interval planes by default, the
-        #: per-pair list store under ``result_store="pairs"`` (the
-        #: oracle/ablation path).  Bit-identical either way.
-        self.store = (
-            ColumnResultStore()
-            if self.config.result_store == "columns"
-            else JoinResultStore()
-        )
+        #: The maintained answer, as sorted ``(a, b, lo, hi)`` planes.
+        self.store = ColumnResultStore()
         #: Attached :class:`~repro.deltas.DeltaLedger` when
         #: ``config.deltas`` is on; delta extraction rides the store's
         #: ``add_batch`` hot loop as plain scalar records.
@@ -174,8 +174,7 @@ class ColumnarJoinEngine:
         if t < self.now:
             raise ValueError(f"time went backwards: {t} < {self.now}")
         # Canonicalize deferred store mutations before the ledger clock
-        # moves, so every delta event lands in the tick that caused it
-        # (no-op on the list store).
+        # moves, so every delta event lands in the tick that caused it.
         self.store.flush()
         self.now = t
         if self.ledger is not None:
@@ -201,23 +200,15 @@ class ColumnarJoinEngine:
         strictly same-tick; feed historical batches to the object
         engine instead).
         """
-        upd_a: List[MovingObject] = []
-        upd_b: List[MovingObject] = []
-        for obj in batch:
-            if obj.oid in self.columns_a:
-                upd_a.append(obj)
-            elif obj.oid in self.columns_b:
-                upd_b.append(obj)
-            else:
-                raise KeyError(f"unknown object id {obj.oid}")
+        upd_a, upd_b = pack_updates(batch, self.columns_a, self.columns_b)
         admissions = list(admit)
         adm_a = [o for o, ds in admissions if ds == "a"]
         adm_b = [o for o, ds in admissions if ds == "b"]
         if len(adm_a) + len(adm_b) != len(admissions):
             raise ValueError("admission datasets must be 'a' or 'b'")
         self.apply_update_columns(
-            columns_from_objects(upd_a),
-            columns_from_objects(upd_b),
+            upd_a,
+            upd_b,
             admit_a=columns_from_objects(adm_a) if adm_a else None,
             admit_b=columns_from_objects(adm_b) if adm_b else None,
             evict=evict,
@@ -244,12 +235,11 @@ class ColumnarJoinEngine:
         ``_IntervalStrategy.on_update_batch`` for the argument).
         """
         t = self.now
-        self._check_batch(upd_a, t)
-        self._check_batch(upd_b, t)
-        if admit_a is not None:
-            self._check_batch(admit_a, t)
-        if admit_b is not None:
-            self._check_batch(admit_b, t)
+        # Strict same-tick contract (cf. the object engine's batchable
+        # check, which falls back to a serial loop instead).
+        for cols in (upd_a, upd_b, admit_a, admit_b):
+            if cols is not None:
+                cols.check_tick(t)
         n_ops = (
             len(upd_a)
             + len(upd_b)
@@ -332,12 +322,9 @@ class ColumnarJoinEngine:
 
     def _region_oids(self, region) -> Set[int]:
         """Object ids whose bounding box intersects ``region`` right now."""
-        found: Set[int] = set()
-        for view in (self.objects_a, self.objects_b):
-            for obj in view.values():
-                if obj.mbr_at(self.now).intersects(region):
-                    found.add(obj.oid)
-        return found
+        return set(self.columns_a.oids_in(region, self.now).tolist()) | set(
+            self.columns_b.oids_in(region, self.now).tolist()
+        )
 
     def export_obs(self, path, meta=None):
         """Export the recording to JSON; requires ``config.obs``."""
@@ -472,17 +459,6 @@ class ColumnarJoinEngine:
         if adm is not None and len(adm):
             rows = np.concatenate([rows, cols.add(adm)])
         return rows
-
-    def _check_batch(self, cols: UpdateColumns, t: float) -> None:
-        k = len(cols)
-        if k == 0:
-            return
-        # Strict same-tick contract (cf. the object engine's batchable
-        # check, which falls back to a serial loop instead).
-        if not np.all(cols.tref == t):  # noqa: RC001
-            raise ValueError("columnar updates must carry t_ref == engine.now")
-        if np.unique(cols.oid).shape[0] != k:
-            raise ValueError("duplicate object ids in one update batch")
 
     def _span(self, name: str, **tags):
         """A distinct phase span, or a no-op when recording is off.

@@ -24,7 +24,7 @@ columns is bit-identical to a batch packed fresh from the objects.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Mapping, Sequence
+from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -36,6 +36,7 @@ __all__ = [
     "UpdateColumns",
     "ObjectsView",
     "columns_from_objects",
+    "pack_updates",
     "merge_interval_planes",
 ]
 
@@ -160,6 +161,27 @@ class UpdateColumns:
         """Pack a sequence of objects (order preserved)."""
         return columns_from_objects(objs)
 
+    def check_tick(self, t: float) -> None:
+        """Raise unless this is a valid same-tick group-commit batch:
+        every row referenced at ``t`` and no object id twice."""
+        if len(self) == 0:
+            return
+        if not np.all(self.tref == t):  # noqa: RC001
+            raise ValueError("columnar updates must carry t_ref == engine.now")
+        if np.unique(self.oid).shape[0] != len(self):
+            raise ValueError("duplicate object ids in one update batch")
+
+    def take(self, index: np.ndarray) -> "UpdateColumns":
+        """The rows selected by a boolean mask or index array (copied)."""
+        return UpdateColumns(
+            self.oid[index],
+            self.mlo[:, index],
+            self.mhi[:, index],
+            self.vlo[:, index],
+            self.vhi[:, index],
+            self.tref[index],
+        )
+
     def objects(self) -> List[MovingObject]:
         """Materialize the batch as :class:`MovingObject` instances."""
         return [
@@ -200,6 +222,23 @@ def columns_from_objects(objs: Sequence[MovingObject]) -> UpdateColumns:
             out.vlo[d, i] = kb.vbr.lo(d)
             out.vhi[d, i] = kb.vbr.hi(d)
     return out
+
+
+def pack_updates(
+    batch: Iterable[MovingObject], columns_a: "ColumnStore", columns_b: "ColumnStore"
+) -> Tuple[UpdateColumns, UpdateColumns]:
+    """Split an object batch by the dataset holding each id and pack
+    both halves (batch order kept); an unknown id is a ``KeyError``."""
+    upd_a: List[MovingObject] = []
+    upd_b: List[MovingObject] = []
+    for obj in batch:
+        if obj.oid in columns_a:
+            upd_a.append(obj)
+        elif obj.oid in columns_b:
+            upd_b.append(obj)
+        else:
+            raise KeyError(f"unknown object id {obj.oid}")
+    return columns_from_objects(upd_a), columns_from_objects(upd_b)
 
 
 class ColumnStore:
@@ -321,9 +360,12 @@ class ColumnStore:
         """Row indices for a batch of ids (raises on unknown ids)."""
         row_of = self._row_of
         oid_list = oids.tolist() if isinstance(oids, np.ndarray) else list(oids)
-        return np.fromiter(
-            (row_of[o] for o in oid_list), dtype=np.int64, count=len(oid_list)
-        )
+        try:
+            return np.fromiter(
+                (row_of[o] for o in oid_list), dtype=np.int64, count=len(oid_list)
+            )
+        except KeyError as exc:
+            raise KeyError(f"unknown object id {exc.args[0]}") from None
 
     def __contains__(self, oid: int) -> bool:
         return oid in self._row_of
@@ -368,6 +410,41 @@ class ColumnStore:
             self.slo[:, rows],
             self.shi[:, rows],
         )
+
+    def columns(self) -> UpdateColumns:
+        """The live rows, in row order, as an owned column batch.
+
+        ``ColumnStore.from_columns(store.columns())`` reproduces the
+        store plane for plane (the shift planes are recomputed with the
+        insert path's own expression), so this is the picklable form a
+        dataset crosses a process boundary or lands on pages in.
+        """
+        n = self.n
+        return UpdateColumns(
+            self.oid[:n].copy(),
+            self.mlo[:, :n].copy(),
+            self.mhi[:, :n].copy(),
+            self.vlo[:, :n].copy(),
+            self.vhi[:, :n].copy(),
+            self.tref[:n].copy(),
+        )
+
+    def oids_in(self, region: Box, now: float) -> np.ndarray:
+        """Ids of the rows whose box at ``now`` intersects ``region``.
+
+        The closed-box test of :meth:`Box.intersects` on bounds
+        evaluated as ``lo + v * (now - tref)`` — the expression (and
+        rounding) of :meth:`KineticBox.at` — so a box that merely
+        touches the region is in or out exactly as the per-object test
+        decides.
+        """
+        n = self.n
+        dt = now - self.tref[:n]
+        hit = np.ones(n, dtype=bool)
+        for d in range(NDIMS):
+            hit &= self.mlo[d, :n] + self.vlo[d, :n] * dt <= region.hi(d)
+            hit &= region.lo(d) <= self.mhi[d, :n] + self.vhi[d, :n] * dt
+        return self.oid[:n][hit]
 
     def bucket_keys(self, bucket_length: float) -> np.ndarray:
         """MTB bucket key of every live row (``floor(tref / length)``).

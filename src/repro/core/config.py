@@ -52,21 +52,6 @@ class JoinConfig:
     #: descent per dataset).  Results are bit-exact either way; off
     #: forces the per-update serial loop for ablations.
     batch_updates: bool = True
-    #: Result-store layout used by :class:`~repro.core.columnar.
-    #: ColumnarJoinEngine`: ``"columns"`` keeps the answer as sorted
-    #: ``(a, b, lo, hi)`` interval planes
-    #: (:class:`~repro.core.result.ColumnResultStore`), ``"pairs"`` as
-    #: per-pair ``TimeInterval`` lists
-    #: (:class:`~repro.core.result.JoinResultStore`).  Store-identical
-    #: either way (the differential suite proves it); ``"pairs"`` is the
-    #: ablation/oracle path.  The object engine always uses ``"pairs"``.
-    result_store: str = "columns"
-    #: Engine class the sharded engine builds per shard: ``"object"``
-    #: (the seed :class:`~repro.core.engine.ContinuousJoinEngine`) or
-    #: ``"columnar"`` (:class:`~repro.core.columnar.ColumnarJoinEngine`,
-    #: vectorized maintenance inside every shard).  Merged results are
-    #: identical either way.
-    shard_engine: str = "object"
     #: Extra sanity checking inside the engine (slow; used by tests).
     validate: bool = field(default=False, compare=False)
     #: Run the :mod:`repro.check` invariant sanitizer after every
@@ -132,14 +117,6 @@ class JoinConfig:
             raise ValueError("checkpoint_interval must be >= 1")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
-        if self.result_store not in ("columns", "pairs"):
-            raise ValueError(
-                f"result_store must be 'columns' or 'pairs', got {self.result_store!r}"
-            )
-        if self.shard_engine not in ("object", "columnar"):
-            raise ValueError(
-                f"shard_engine must be 'object' or 'columnar', got {self.shard_engine!r}"
-            )
 
     @property
     def effective_horizon(self) -> float:

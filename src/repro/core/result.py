@@ -734,6 +734,16 @@ class ColumnResultStore:
             zip(self._a[starts].tolist(), self._b[starts].tolist())
         )
 
+    def planes(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The whole store as its canonical ``(a, b, lo, hi)`` planes.
+
+        Sorted by ``(a, b, lo)``, merged and disjoint per pair — the
+        array form of :meth:`interval_rows`, and what ``add_batch`` on
+        an empty store turns back into the same planes.
+        """
+        self.flush()
+        return self._a, self._b, self._lo, self._hi
+
     def interval_rows(self) -> Dict[PairKey, Tuple[Tuple[float, float], ...]]:
         """The whole store as exact ``pair → ((start, end), …)`` rows."""
         self.flush()

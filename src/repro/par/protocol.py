@@ -14,8 +14,6 @@ vocabulary is declared once, here, and everything else derives from it:
   exactly the mutating ops.
 * :data:`MUTATING_OPS` / :data:`BASE_OPS` — derived sets, never
   hand-maintained lists.
-* :data:`SHARD_OPS` — the membership sub-ops carried inside one
-  ``OP_OPS`` batch.
 * :func:`known_fault_ops` — the op names a fault spec may filter on
   (every command op plus the parent-side :data:`REPLY_DROP_OP`).
 
@@ -35,7 +33,6 @@ __all__ = [
     "OPS",
     "MUTATING_OPS",
     "BASE_OPS",
-    "SHARD_OPS",
     "REPLY_DROP_OP",
     "known_fault_ops",
     "OP_BUILD",
@@ -51,9 +48,6 @@ __all__ = [
     "OP_OBS",
     "OP_CHECKPOINT",
     "OP_DELTAS",
-    "SHARD_OP_UPDATE",
-    "SHARD_OP_ADMIT",
-    "SHARD_OP_EVICT",
 ]
 
 # -- command ops -------------------------------------------------------
@@ -110,7 +104,7 @@ COMMANDS = {
     ),
     OP_OPS: CommandSpec(
         OP_OPS, n_args=1, mutating=True,
-        doc="group-commit one membership-resolved update batch",
+        doc="group-commit one membership-resolved column batch",
     ),
     OP_PAIRS_AT: CommandSpec(
         OP_PAIRS_AT, n_args=1, mutating=False,
@@ -118,7 +112,7 @@ COMMANDS = {
     ),
     OP_STORE_DUMP: CommandSpec(
         OP_STORE_DUMP, n_args=0, mutating=False,
-        doc="dump the result store as exact interval rows",
+        doc="dump the result store as its (a, b, lo, hi) planes",
     ),
     OP_OBJECTS: CommandSpec(
         OP_OBJECTS, n_args=0, mutating=False,
@@ -157,14 +151,6 @@ MUTATING_OPS = frozenset(
 #: Ops that (re)create a shard engine and therefore reset the replay
 #: base: everything logged before them is obsolete.
 BASE_OPS = frozenset({OP_BUILD, OP_RESTORE})
-
-# -- membership sub-ops (the payload of one OP_OPS batch) --------------
-SHARD_OP_UPDATE = "update"
-SHARD_OP_ADMIT = "admit"
-SHARD_OP_EVICT = "evict"
-
-#: Sub-ops :func:`repro.par.worker.apply_shard_ops` understands.
-SHARD_OPS = (SHARD_OP_UPDATE, SHARD_OP_ADMIT, SHARD_OP_EVICT)
 
 #: Pseudo-op the supervisor's parent-side ``drop`` fault matches on
 #: (a reply is a whole batch, not any single command).

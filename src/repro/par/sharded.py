@@ -2,9 +2,13 @@
 
 :class:`ShardedJoinEngine` splits both datasets into ``K`` spatial
 stripes (:class:`~repro.par.partition.StripePartition`); each shard
-owns a full, independent :class:`~repro.core.engine.ContinuousJoinEngine`
-— its own trees/MTB forest, result store, buffer and cost tracker —
-over the subset of objects whose *swept halo* touches the stripe.
+owns a full, independent :class:`~repro.core.columnar.ColumnarJoinEngine`
+— its own column stores, result store and cost tracker — over the
+subset of objects whose *swept halo* touches the stripe.  The parent
+keeps both datasets as :class:`~repro.core.columns.ColumnStore` planes
+too, so a tick is routed, shipped, checkpointed and merged as arrays;
+the byte format of everything crossing the shard boundary belongs to
+:mod:`repro.par.worker`.
 
 Ghost-region correctness
 ------------------------
@@ -37,18 +41,18 @@ into in-process execution instead of failing the join.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 import numpy as np
 
+from ..core.columns import ColumnStore, ObjectsView, UpdateColumns, pack_updates
 from ..core.config import JoinConfig
-from ..geometry import Box
-from ..geometry.plane_sweep import sweep_bounds
+from ..core.result import ColumnResultStore
+from ..deltas import ShardDeltaMerger
 from ..metrics import CostSnapshot
 from ..objects import MovingObject
 from . import worker
 from .partition import StripePartition
-from ..deltas import ShardDeltaMerger
 from .protocol import (
     OP_BUILD,
     OP_COST,
@@ -61,9 +65,6 @@ from .protocol import (
     OP_PRUNE,
     OP_STORE_DUMP,
     OP_TICK,
-    SHARD_OP_ADMIT,
-    SHARD_OP_EVICT,
-    SHARD_OP_UPDATE,
 )
 from .supervisor import ShardSupervisor, SupervisorStats
 
@@ -117,17 +118,23 @@ class ShardedJoinEngine:
         self.now = float(start_time)
         self.start_time = float(start_time)
         self.workers = int(workers)
-        self.objects_a: Dict[int, MovingObject] = {o.oid: o for o in objects_a}
-        self.objects_b: Dict[int, MovingObject] = {o.oid: o for o in objects_b}
-        overlap = self.objects_a.keys() & self.objects_b.keys()
+        set_a, set_b = list(objects_a), list(objects_b)
+        self.columns_a = ColumnStore.from_objects(set_a)
+        self.columns_b = ColumnStore.from_objects(set_b)
+        overlap = set(self.columns_a.oids.tolist()) & set(
+            self.columns_b.oids.tolist()
+        )
         if overlap:
             raise ValueError(
                 f"object ids shared across datasets: {sorted(overlap)[:5]}"
             )
-        everything = list(self.objects_a.values()) + list(self.objects_b.values())
-        self.partition = StripePartition.fit(everything, shards, axis)
-        self._members: Dict[int, Tuple[int, ...]] = {
-            obj.oid: self.membership(obj) for obj in everything
+        self.partition = StripePartition.fit(set_a + set_b, shards, axis)
+        #: Per dataset: the registry plus the ``(first, last)`` stripe
+        #: of every row's halo (row-aligned; the parent never removes a
+        #: row, so rows are stable for the engine's life).
+        self._sides: Dict[str, Tuple[ColumnStore, np.ndarray, np.ndarray]] = {
+            name: (cols, *self._route_columns(cols.batch()))
+            for name, cols in (("a", self.columns_a), ("b", self.columns_b))
         }
         self.update_count = 0
         self.initial_join_cost: Optional[CostSnapshot] = None
@@ -158,15 +165,16 @@ class ShardedJoinEngine:
             self._backend = _SerialBackend()
         self._closed = False
         builds: "OrderedDict[int, List[Tuple]]" = OrderedDict()
+        whole = [
+            (cols.columns(), first, last) for cols, first, last in self._sides.values()
+        ]
         for sid in shard_ids:
-            subset_a = [
-                o for o in self.objects_a.values() if sid in self._members[o.oid]
-            ]
-            subset_b = [
-                o for o in self.objects_b.values() if sid in self._members[o.oid]
+            subsets = [
+                cols.take((first <= sid) & (sid <= last))
+                for cols, first, last in whole
             ]
             spec = worker.build_spec(
-                subset_a, subset_b, algorithm, self.config, self.start_time
+                *subsets, algorithm, self.config, self.start_time
             )
             builds[sid] = [(OP_BUILD, sid, spec)]
         built = self._backend.run(builds)
@@ -193,15 +201,23 @@ class ShardedJoinEngine:
             return 2.0 * t_m + self.config.bucket_length
         return 2.0 * t_m
 
-    def membership(self, obj: MovingObject) -> Tuple[int, ...]:
+    @property
+    def objects_a(self) -> Mapping[int, MovingObject]:
+        """Dataset A as a lazy ``oid -> MovingObject`` mapping view."""
+        return ObjectsView(self.columns_a)
+
+    @property
+    def objects_b(self) -> Mapping[int, MovingObject]:
+        """Dataset B as a lazy ``oid -> MovingObject`` mapping view."""
+        return ObjectsView(self.columns_b)
+
+    def members_of(self, oid: int) -> Tuple[int, ...]:
         """Every shard whose stripe the object's halo sweeps."""
-        lo, hi = sweep_bounds(
-            obj.kbox,
-            self.partition.axis,
-            obj.t_ref,
-            obj.t_ref + self.ghost_horizon,
-        )
-        return self.partition.shards_for_span(lo, hi)
+        for cols, first, last in self._sides.values():
+            if oid in cols:
+                row = cols.row_of(oid)
+                return tuple(range(int(first[row]), int(last[row]) + 1))
+        raise KeyError(f"unknown object id {oid}")
 
     # ------------------------------------------------------------------
     # Engine API (mirrors ContinuousJoinEngine)
@@ -231,24 +247,29 @@ class ShardedJoinEngine:
         self.apply_updates([obj])
 
     def apply_updates(self, batch: Iterable[MovingObject]) -> None:
-        """Fan one same-timestamp batch out to the member shards.
+        """Object-batch shim over :meth:`apply_update_columns`."""
+        self.apply_update_columns(
+            *pack_updates(batch, self.columns_a, self.columns_b)
+        )
 
-        Per object, shards in both the old and new membership get an
-        ``update``; shards the halo grew into get an ``admit`` (index
-        insert + probe — a new arrival has no stale pairs there);
-        shards it left get an ``evict`` (index delete + pair removal —
-        surviving pairs still live in every shard holding both
-        endpoints, with identical intervals).
+    def apply_update_columns(
+        self, upd_a: UpdateColumns, upd_b: UpdateColumns
+    ) -> None:
+        """Fan one same-timestamp column batch out to the member shards.
+
+        ``upd_a`` / ``upd_b`` are :class:`~repro.core.columns.
+        UpdateColumns` batches of already-registered objects (``vlo ==
+        vhi`` — object batches, not aggregated node bounds) referenced
+        at the engine clock, each id at most once: the columnar
+        engine's same-tick rule, checked here for the whole batch
+        before anything changes.
         """
-        ops = self._route_updates(batch)
-        self._commit_ops(ops)
+        self._commit_ops(self._route(upd_a, upd_b, self.now))
 
-    def _commit_ops(self, ops: "OrderedDict[int, List[Tuple]]") -> None:
-        """Ship routed per-shard op batches; pull deltas in the same trip."""
+    def _commit_ops(self, payloads: "OrderedDict[int, Tuple]") -> None:
+        """Ship routed per-shard payloads; pull deltas in the same trip."""
         cmds = OrderedDict(
-            (sid, [(OP_OPS, sid, shard_ops)])
-            for sid, shard_ops in ops.items()
-            if shard_ops
+            (sid, [(OP_OPS, sid, payload)]) for sid, payload in payloads.items()
         )
         if self._merger is not None:
             for sid, shard_cmds in cmds.items():
@@ -270,15 +291,17 @@ class ShardedJoinEngine:
         """
         if t < self.now:
             raise ValueError(f"time went backwards: {t} < {self.now}")
+        payloads = self._route(
+            *pack_updates(batch, self.columns_a, self.columns_b), t
+        )
         self.now = t
         if self._merger is not None:
             self._merger.advance(t)
-        ops = self._route_updates(batch)
         cmds: "OrderedDict[int, List[Tuple]]" = OrderedDict()
         for sid in range(self.n_shards):
             shard_cmds: List[Tuple] = [(OP_TICK, sid, t)]
-            if ops[sid]:
-                shard_cmds.append((OP_OPS, sid, ops[sid]))
+            if sid in payloads:
+                shard_cmds.append((OP_OPS, sid, payloads[sid]))
             shard_cmds.append((OP_PAIRS_AT, sid, t))
             if self._merger is not None:
                 shard_cmds.append((OP_DELTAS, sid, t))
@@ -294,68 +317,63 @@ class ShardedJoinEngine:
             answer |= res[answer_idx]
         return answer
 
-    def apply_update_columns(self, upd_a, upd_b) -> None:
-        """Column-batch group commit: the array-native update path.
+    def _route(
+        self, upd_a: UpdateColumns, upd_b: UpdateColumns, t: float
+    ) -> "OrderedDict[int, Tuple]":
+        """Resolve one batch at tick ``t`` into per-shard ``OP_OPS``
+        payloads, updating the registries and halo memberships.
 
-        ``upd_a`` / ``upd_b`` are :class:`~repro.core.columns.
-        UpdateColumns` batches of already-registered objects (``vlo ==
-        vhi`` — object batches, not aggregated node bounds).  Halo
-        sweeps and stripe routing run vectorized over the whole batch
-        (:meth:`StripePartition.spans_to_shards`), then each shard is
-        shipped exactly the row slice it owns; routing decisions are
-        bit-identical to :meth:`apply_updates` on the same objects.
+        Per row, shards in both the old and new membership get it as
+        an update; shards the halo grew into get an admission (column
+        insert + probe — a new arrival has no stale pairs there);
+        shards it left get an eviction (row + pair removal — surviving
+        pairs still live in every shard holding both endpoints, with
+        identical intervals).  Each payload is the argument tuple
+        ``(upd_a, upd_b, admit_a, admit_b, evict)`` of the shard
+        engine's ``apply_update_columns``, rows in batch order; shards
+        the batch does not touch get none.
+
+        The whole batch is validated (known ids, unique ids, ``tref ==
+        t``) and routed before any state is written, so a rejected
+        batch leaves parent and shards exactly as they were.
         """
-        ops: "OrderedDict[int, List[Tuple]]" = OrderedDict(
-            (sid, []) for sid in range(self.n_shards)
-        )
-        for upd, registry, dataset in (
-            (upd_a, self.objects_a, "a"),
-            (upd_b, self.objects_b, "b"),
+        routed = []
+        for upd, (cols, first, last) in zip((upd_a, upd_b), self._sides.values()):
+            upd.check_tick(t)
+            rows = cols.rows_of(upd.oid)
+            routed.append(
+                (upd, rows, (first[rows], last[rows]), self._route_columns(upd))
+            )
+        payloads: "OrderedDict[int, Tuple]" = OrderedDict()
+        for sid in range(self.n_shards):
+            keep, admit, evict = [], [], []
+            for upd, _rows, old, new in routed:
+                old_in = (old[0] <= sid) & (sid <= old[1])
+                new_in = (new[0] <= sid) & (sid <= new[1])
+                keep.append(upd.take(new_in & old_in))
+                admit.append(upd.take(new_in & ~old_in))
+                evict.append(upd.oid[old_in & ~new_in])
+            payload = (*keep, *admit, np.concatenate(evict))
+            if any(len(part) for part in payload):
+                payloads[sid] = payload
+        # Nothing above wrote anything; nothing below can fail.
+        for (upd, rows, _old, new), (cols, first, last) in zip(
+            routed, self._sides.values()
         ):
-            k = len(upd)
-            if not k:
-                continue
-            first, last = self._route_columns(upd)
-            first_l, last_l = first.tolist(), last.tolist()
-            oids = upd.oid.tolist()
-            xlo, ylo = upd.mlo[0].tolist(), upd.mlo[1].tolist()
-            xhi, yhi = upd.mhi[0].tolist(), upd.mhi[1].tolist()
-            vx, vy = upd.vlo[0].tolist(), upd.vlo[1].tolist()
-            trefs = upd.tref.tolist()
-            for i in range(k):
-                oid = oids[i]
-                if oid not in registry:
-                    raise KeyError(f"unknown object id {oid}")
-                obj = MovingObject(
-                    oid,
-                    Box(xlo[i], xhi[i], ylo[i], yhi[i]),
-                    vx[i],
-                    vy[i],
-                    t_ref=trefs[i],
-                )
-                registry[oid] = obj
-                old = self._members[oid]
-                new = tuple(range(first_l[i], last_l[i] + 1))
-                self._members[oid] = new
-                for sid in old:
-                    if sid not in new:
-                        ops[sid].append((SHARD_OP_EVICT, oid))
-                for sid in new:
-                    if sid in old:
-                        ops[sid].append((SHARD_OP_UPDATE, obj))
-                    else:
-                        ops[sid].append((SHARD_OP_ADMIT, obj, dataset))
-                self.update_count += 1
-        self._commit_ops(ops)
+            cols.set_rows(rows, upd)
+            first[rows], last[rows] = new
+        self.update_count += len(upd_a) + len(upd_b)
+        return payloads
 
     def _route_columns(self, upd) -> Tuple[np.ndarray, np.ndarray]:
         """Vectorized halo membership of one column batch.
 
-        Mirrors :meth:`membership` term for term: the swept extent of
-        each row over ``[tref, tref + ghost_horizon]`` along the
-        partition axis, routed through the stripe cuts.  The ``dt``
-        terms reproduce the scalar expression (including its rounding)
-        so the two paths never disagree on a boundary row.
+        The swept extent of each row over ``[tref, tref +
+        ghost_horizon]`` along the partition axis, routed through the
+        stripe cuts.  The ``dt`` terms reproduce the scalar
+        :func:`~repro.geometry.plane_sweep.sweep_bounds` expression
+        (including its rounding) the SC402 sanitizer recomputes
+        membership with, so the two never disagree on a boundary row.
         """
         axis = self.partition.axis
         horizon = self.ghost_horizon
@@ -366,37 +384,6 @@ class ShardedJoinEngine:
         lb = np.minimum(mlo + vlo * 0.0, mlo + vlo * dt1)
         ub = np.maximum(mhi + vhi * 0.0, mhi + vhi * dt1)
         return self.partition.spans_to_shards(lb, ub)
-
-    def _route_updates(
-        self, batch: Iterable[MovingObject]
-    ) -> "OrderedDict[int, List[Tuple]]":
-        """Resolve one same-timestamp batch into per-shard op lists,
-        updating the object registries and halo memberships."""
-        ops: "OrderedDict[int, List[Tuple]]" = OrderedDict(
-            (sid, []) for sid in range(self.n_shards)
-        )
-        for obj in batch:
-            if obj.oid in self.objects_a:
-                dataset = "a"
-                self.objects_a[obj.oid] = obj
-            elif obj.oid in self.objects_b:
-                dataset = "b"
-                self.objects_b[obj.oid] = obj
-            else:
-                raise KeyError(f"unknown object id {obj.oid}")
-            old = self._members[obj.oid]
-            new = self.membership(obj)
-            self._members[obj.oid] = new
-            for sid in old:
-                if sid not in new:
-                    ops[sid].append((SHARD_OP_EVICT, obj.oid))
-            for sid in new:
-                if sid in old:
-                    ops[sid].append((SHARD_OP_UPDATE, obj))
-                else:
-                    ops[sid].append((SHARD_OP_ADMIT, obj, dataset))
-            self.update_count += 1
-        return ops
 
     def result_at(self, t: Optional[float] = None) -> Set[PairKey]:
         """Union of the shard answers (each shard reports exact pairs)."""
@@ -479,35 +466,32 @@ class ShardedJoinEngine:
 
     def _region_oids(self, region) -> Set[int]:
         """Object ids whose bounding box intersects ``region`` right now."""
-        found: Set[int] = set()
-        for registry in (self.objects_a, self.objects_b):
-            for obj in registry.values():
-                if obj.mbr_at(self.now).intersects(region):
-                    found.add(obj.oid)
-        return found
+        return set(self.columns_a.oids_in(region, self.now).tolist()) | set(
+            self.columns_b.oids_in(region, self.now).tolist()
+        )
 
     # ------------------------------------------------------------------
     # Rollups
     # ------------------------------------------------------------------
     def store_dumps(self) -> Dict[int, List[Tuple]]:
-        """Per-shard result-store contents (exact interval endpoints)."""
-        return self._fan_all(OP_STORE_DUMP)
+        """Per-shard result-store contents as ``(key, ((start, end), …))``
+        rows (exact interval endpoints)."""
+        return {
+            sid: list(_store_of(planes).interval_rows().items())
+            for sid, planes in self._fan_all(OP_STORE_DUMP).items()
+        }
 
-    def merged_store(self):
-        """One :class:`~repro.core.result.JoinResultStore` equal to the
-        serial engine's: the duplicate-free union of the shard stores."""
-        from ..core.result import JoinResultStore
-        from ..geometry import TimeInterval
-        from ..join import JoinTriple
+    def merged_store(self) -> ColumnResultStore:
+        """One :class:`~repro.core.result.ColumnResultStore` equal to the
+        serial engine's: the duplicate-free union of the shard stores.
 
-        store = JoinResultStore()
-        for rows in self.store_dumps().values():
-            for key, intervals in rows:
-                if key in store:
-                    continue  # every co-located copy is bit-identical
-                for start, end in intervals:
-                    store.add(JoinTriple(key[0], key[1], TimeInterval(start, end)))
-        return store
+        The shard planes are concatenated and re-added in one batch.
+        Every co-located copy of a pair carries a bit-identical interval
+        list (see the module docstring), and the store's merge collapses
+        identical rows into one, so duplicates drop out in the flush.
+        """
+        planes = zip(*self._fan_all(OP_STORE_DUMP).values())
+        return _store_of(np.concatenate(plane) for plane in planes)
 
     def cost_rollup(self) -> CostSnapshot:
         """Sum of the per-shard cumulative cost counters.
@@ -568,15 +552,23 @@ class ShardedJoinEngine:
         contents = self._fan_all(OP_OBJECTS)
         dumps = self.store_dumps()
         objects = []
-        for dataset, registry in (("a", self.objects_a), ("b", self.objects_b)):
-            for oid in sorted(registry):
-                obj = registry[oid]
+        for dataset, (cols, first, last) in self._sides.items():
+            n = len(cols)
+            # KineticBox.params() order: mbr bounds, vbr bounds, t_ref.
+            params = np.stack(
+                [cols.mlo[0, :n], cols.mhi[0, :n], cols.mlo[1, :n], cols.mhi[1, :n],
+                 cols.vlo[0, :n], cols.vhi[0, :n], cols.vlo[1, :n], cols.vhi[1, :n],
+                 cols.tref[:n]],
+                axis=1,
+            ).tolist()
+            oids = cols.oids.tolist()
+            for row in np.argsort(cols.oids).tolist():
                 objects.append(
                     {
-                        "oid": oid,
+                        "oid": oids[row],
                         "dataset": dataset,
-                        "params": list(obj.kbox.params()),
-                        "members": list(self._members[oid]),
+                        "params": params[row],
+                        "members": list(range(int(first[row]), int(last[row]) + 1)),
                     }
                 )
         supervisor_state = (
@@ -658,9 +650,16 @@ class ShardedJoinEngine:
         return (
             f"ShardedJoinEngine(algorithm={self.algorithm!r}, "
             f"K={self.n_shards}, workers={self.workers}, "
-            f"|A|={len(self.objects_a)}, |B|={len(self.objects_b)}, "
+            f"|A|={len(self.columns_a)}, |B|={len(self.columns_b)}, "
             f"now={self.now:g})"
         )
+
+
+def _store_of(planes) -> ColumnResultStore:
+    """A result store holding ``(a, b, lo, hi)`` interval planes."""
+    store = ColumnResultStore()
+    store.add_batch(*planes)
+    return store
 
 
 def _sum_costs(snapshots: Iterable[CostSnapshot]) -> CostSnapshot:

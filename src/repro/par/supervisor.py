@@ -15,8 +15,9 @@ supervision loop:
 * **Recovery** — shard state is rebuilt deterministically.  The
   supervisor remembers, per shard, a *replay base* (initially the
   shard's build spec; later a checkpoint blob serialized by the worker
-  — engine rebuild spec plus result-store dump) and a bounded op log
-  of every state-mutating command acknowledged since that base.  The
+  — the shard's column planes as a rebuild spec plus its result-store
+  planes, :data:`~repro.par.worker.CHECKPOINT_FORMAT`) and a bounded op
+  log of every state-mutating command acknowledged since that base.  The
   paper's TC maintenance is deterministic given the update stream, so
   ``base + log`` replayed into a fresh process reproduces the exact
   pre-crash shard state — proven store-identical by the differential

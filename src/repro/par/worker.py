@@ -9,17 +9,23 @@ both paths share one command semantics.
 
 Commands are plain tuples ``(op, shard_id, *args)``; results are plain
 picklable values (tuples, dicts, :class:`~repro.metrics.CostSnapshot`).
+
+What crosses the shard boundary is column planes, and this module owns
+that format: a build spec and a checkpoint carry each dataset as
+:class:`~repro.core.columns.UpdateColumns`, an ``OP_OPS`` payload is the
+argument tuple of :meth:`ColumnarJoinEngine.apply_update_columns`
+(``(upd_a, upd_b, admit_a, admit_b, evict)`` column slices), and a store
+dump is the result store's ``(a, b, lo, hi)`` planes.  No
+:class:`~repro.objects.MovingObject` is built on either side of the pipe.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core.columnar import ColumnarJoinEngine
 from ..core.config import JoinConfig
-from ..core.engine import ContinuousJoinEngine
 from ..faults import FaultPlan
-from ..objects import MovingObject
 from .protocol import (
     COMMANDS,
     OP_BUILD,
@@ -35,16 +41,12 @@ from .protocol import (
     OP_RESTORE,
     OP_STORE_DUMP,
     OP_TICK,
-    SHARD_OP_ADMIT,
-    SHARD_OP_EVICT,
-    SHARD_OP_UPDATE,
 )
 
 __all__ = [
     "build_spec",
     "execute",
     "run_commands",
-    "apply_shard_ops",
     "serve",
     "make_checkpoint",
     "restore_engine",
@@ -52,90 +54,29 @@ __all__ = [
     "CHECKPOINT_FORMAT",
 ]
 
-#: Version tag of the picklable checkpoint blob.  ``/2`` switched the
-#: blob from a positional tuple to explicit dict keys so producers and
-#: consumers can be cross-checked statically (RC104); ``/3`` added the
-#: ``delta_seed`` key — the open tick's netted delta events — so a
-#: restored shard's delta ledger resumes exactly-once mid-tick; ``/4``
-#: added the ``engine`` key (``"object"`` | ``"columnar"``) so restore
-#: rebuilds the same engine class the shard was running
-#: (``JoinConfig.shard_engine``).
-CHECKPOINT_FORMAT = "repro.par.ckpt/4"
-
-#: Either engine class a shard may run (``JoinConfig.shard_engine``).
-ShardEngine = Union[ContinuousJoinEngine, ColumnarJoinEngine]
+#: Version tag of the picklable checkpoint blob — the only one
+#: :func:`restore_engine` accepts.  ``/5`` carries the shard as arrays:
+#: each dataset's column planes in row order inside ``spec`` and the
+#: result store's ``(a, b, lo, hi)`` planes under ``store``.
+CHECKPOINT_FORMAT = "repro.par.ckpt/5"
 
 #: Per-process registry of shard engines (pool workers only).
-_ENGINES: Dict[int, ShardEngine] = {}
-
-
-def _engine_class(config: JoinConfig):
-    """The engine class ``config.shard_engine`` selects."""
-    return (
-        ColumnarJoinEngine
-        if config.shard_engine == "columnar"
-        else ContinuousJoinEngine
-    )
-
-
-def _engine_kind(engine: ShardEngine) -> str:
-    """The ``shard_engine`` tag of a live engine (checkpoint key)."""
-    return "columnar" if isinstance(engine, ColumnarJoinEngine) else "object"
-
-
-def _result_store(engine: ShardEngine):
-    """The engine's result store, independent of engine layout.
-
-    The columnar engine exposes it as ``engine.store``; the object
-    engine keeps it behind the strategy.  Explicit ``None`` test — an
-    empty store is falsy, so ``or``-chaining would misroute it.
-    """
-    store = getattr(engine, "store", None)
-    return engine._strategy.store if store is None else store
+_ENGINES: Dict[int, ColumnarJoinEngine] = {}
 
 
 def build_spec(
-    objects_a: Sequence[MovingObject],
-    objects_b: Sequence[MovingObject],
-    algorithm: str,
-    config: JoinConfig,
-    start_time: float,
+    columns_a, columns_b, algorithm: str, config: JoinConfig, start_time: float
 ) -> Tuple:
-    """The picklable recipe from which a shard engine is built."""
-    return (list(objects_a), list(objects_b), algorithm, config, start_time)
+    """The picklable recipe from which a shard engine is built.
 
-
-def apply_shard_ops(engine: ShardEngine, ops: Sequence[Tuple]) -> None:
-    """Apply one tick's membership-resolved op batch to a shard engine.
-
-    ``ops`` mixes ``("update", obj)`` for objects staying resident,
-    ``("admit", obj, dataset)`` for objects whose halo grew into the
-    shard, and ``("evict", oid)`` for halos that left; the whole batch
-    group-commits through
-    :meth:`~repro.core.engine.ContinuousJoinEngine.apply_updates`.
+    Each dataset may come in any form :class:`ColumnarJoinEngine`
+    accepts; the sharded engine and checkpoints ship
+    :class:`~repro.core.columns.UpdateColumns`.
     """
-    updates: List[MovingObject] = []
-    admissions: List[Tuple[MovingObject, str]] = []
-    evictions: List[int] = []
-    for op in ops:
-        kind = op[0]
-        if kind == SHARD_OP_UPDATE:
-            updates.append(op[1])
-        elif kind == SHARD_OP_ADMIT:
-            admissions.append((op[1], op[2]))
-        elif kind == SHARD_OP_EVICT:
-            evictions.append(op[1])
-        else:
-            raise ValueError(f"unknown shard op {kind!r}")
-    engine.apply_updates(updates, admit=admissions, evict=evictions)
+    return (columns_a, columns_b, algorithm, config, start_time)
 
 
-def _dump_store(engine: ShardEngine) -> List[Tuple]:
-    """The result store as ``(key, ((start, end), …))`` rows."""
-    return list(_result_store(engine).interval_rows().items())
-
-
-def _pull_deltas(engine: ShardEngine, t: float) -> Tuple:
+def _pull_deltas(engine: ColumnarJoinEngine, t: float) -> Tuple:
     """The shard's cumulative netted delta events at tick ``t``.
 
     Non-mutating and therefore never op-logged: the parent may re-pull
@@ -143,14 +84,12 @@ def _pull_deltas(engine: ShardEngine, t: float) -> Tuple:
     the tick (the merge layer ingests it with replacement semantics).
     Empty when the shard keeps no ledger (``config.deltas`` off).
     """
-    ledger = getattr(engine, "ledger", None)
-    if ledger is None:
+    if engine.ledger is None:
         return ()
-    with engine._span("engine.deltas", t=t):
-        return tuple(ledger.events_at(t))
+    return tuple(engine.deltas(t))
 
 
-def _open_delta_events(engine: ShardEngine) -> Tuple:
+def _open_delta_events(engine: ColumnarJoinEngine) -> Tuple:
     """Plain-tuple ``(sign, a, b, start, end)`` rows of the open tick.
 
     Checkpoint payload: a checkpoint can land mid-tick (between
@@ -158,42 +97,37 @@ def _open_delta_events(engine: ShardEngine) -> Tuple:
     rounds *after* it — seeding the restored ledger with these rows
     makes its open-tick net equal the original net-from-tick-start.
     """
-    ledger = getattr(engine, "ledger", None)
-    if ledger is None:
+    if engine.ledger is None:
         return ()
     return tuple(
         (ev.sign, ev.a_oid, ev.b_oid, ev.start, ev.end)
-        for ev in ledger.events_at(engine.now)
+        for ev in engine.ledger.events_at(engine.now)
     )
 
 
-def make_checkpoint(engine: ShardEngine) -> Dict:
+def make_checkpoint(engine: ColumnarJoinEngine) -> Dict:
     """Serialize a shard engine into a picklable recovery blob.
 
-    The blob is the *rebuild recipe*, not the structure: the engine's
-    current objects as a build spec referenced at ``engine.now`` plus
-    the exact result-store rows.  A fresh engine built from the spec
-    has the same future behaviour (index shape may differ; search
-    answers are shape-independent) and re-adding the dumped rows
-    reproduces the store bit-for-bit — so checkpoint + op-log replay
-    lands on the exact pre-crash state.  The ``engine`` key records
-    which engine class was running, so a columnar shard restores as a
-    columnar shard even under a config whose default differs.
+    Nothing but arrays and scalars: both datasets' live column planes
+    in row order as a build spec referenced at ``engine.now``, the
+    result store's canonical interval planes, the update counter and
+    the open tick's delta rows.  A fresh engine built from the spec is
+    plane-identical to this one and re-adding the store planes
+    reproduces the store bit-for-bit, so checkpoint + op-log replay
+    lands on the exact pre-crash state.
     """
-    spec = build_spec(
-        list(engine.objects_a.values()),
-        list(engine.objects_b.values()),
-        engine.algorithm,
-        engine.config,
-        engine.now,
-    )
     return {
         "format": CHECKPOINT_FORMAT,
-        "spec": spec,
-        "rows": _dump_store(engine),
+        "spec": build_spec(
+            engine.columns_a.columns(),
+            engine.columns_b.columns(),
+            engine.algorithm,
+            engine.config,
+            engine.now,
+        ),
+        "store": engine.store.planes(),
         "update_count": engine.update_count,
         "delta_seed": _open_delta_events(engine),
-        "engine": _engine_kind(engine),
     }
 
 
@@ -209,57 +143,42 @@ def checkpoint_spec(blob: Dict) -> Tuple:
     return _checked_blob(blob)["spec"]
 
 
-def restore_engine(blob: Dict) -> ShardEngine:
+def restore_engine(blob: Dict) -> ColumnarJoinEngine:
     """Rebuild a shard engine from a checkpoint blob.
 
-    The ``engine`` tag picks the class; the store re-add is one
-    :meth:`~repro.core.result.JoinResultStore.add_batch` over the
-    dumped rows — already canonical (sorted, merged, disjoint), so both
-    store layouts land on the exact pre-checkpoint planes/lists.
+    Through the public constructor and one
+    :meth:`~repro.core.result.ColumnResultStore.add_batch` over the
+    dumped planes — already canonical (sorted, merged, disjoint), so
+    the flush lands on the exact pre-checkpoint planes while every row
+    still passes the store's own validation.
     """
     blob = _checked_blob(blob)
-    rows = blob["rows"]
-    update_count = blob["update_count"]
-    seed = blob["delta_seed"]
-    objects_a, objects_b, algorithm, config, start_time = blob["spec"]
-    cls = ColumnarJoinEngine if blob["engine"] == "columnar" else ContinuousJoinEngine
-    engine = cls(
-        objects_a,
-        objects_b,
+    columns_a, columns_b, algorithm, config, start_time = blob["spec"]
+    engine = ColumnarJoinEngine(
+        columns_a,
+        columns_b,
         algorithm=algorithm,
         config=config,
         start_time=start_time,
     )
-    store = _result_store(engine)
     # Detach any fresh ledger while the dump is re-added: re-adding
     # history must not re-emit it as delta events.
     if engine.ledger is not None:
-        store.attach_ledger(None)
-    flat_a: List[int] = []
-    flat_b: List[int] = []
-    flat_lo: List[float] = []
-    flat_hi: List[float] = []
-    for key, intervals in rows:
-        for start, end in intervals:
-            flat_a.append(key[0])
-            flat_b.append(key[1])
-            flat_lo.append(start)
-            flat_hi.append(end)
-    if flat_a:
-        store.add_batch(flat_a, flat_b, flat_lo, flat_hi)
+        engine.store.attach_ledger(None)
+    engine.store.add_batch(*blob["store"])
     if engine.ledger is not None:
-        _reseed_ledger(engine, store, rows, seed)
-    engine.update_count = update_count
+        _reseed_ledger(engine, blob["delta_seed"])
+    engine.update_count = blob["update_count"]
     engine._sanitize()
     return engine
 
 
-def _reseed_ledger(engine: ShardEngine, store, rows, seed) -> None:
+def _reseed_ledger(engine: ColumnarJoinEngine, seed) -> None:
     """Re-arm a restored engine's delta ledger, exactly-once.
 
-    The checkpoint rows are the store *at checkpoint time* = the
+    The restored store is the store *at checkpoint time* = the
     tick-start state plus the seeded open-tick events.  Inverting the
-    seed against the rows recovers the tick-start state, which becomes
+    seed against its rows recovers the tick-start state, which becomes
     the fresh ledger's baseline; re-recording the seed then makes
     ``events_at(open tick)`` equal the original net-from-tick-start, so
     replayed rounds extend the net instead of restarting it and the
@@ -268,19 +187,19 @@ def _reseed_ledger(engine: ShardEngine, store, rows, seed) -> None:
     """
     from ..deltas import DeltaLedger, DeltaView
 
-    view = DeltaView({key: intervals for key, intervals in rows})
+    view = DeltaView(engine.store.interval_rows())
     for sign, a, b, start, end in seed:
         view.apply_row(-sign, a, b, start, end)
     fresh = DeltaLedger(engine.now, baseline=view.rows())
     for sign, a, b, start, end in seed:
         fresh.record(sign, a, b, start, end)
     engine.ledger = fresh
-    store.attach_ledger(fresh)
+    engine.store.attach_ledger(fresh)
 
 
-def _prune(engine: ShardEngine) -> List[Tuple[int, int]]:
+def _prune(engine: ColumnarJoinEngine) -> List[Tuple[int, int]]:
     """Prune expired intervals; returns the pair keys fully dropped."""
-    store = _result_store(engine)
+    store = engine.store
     before = store.pair_keys()
     engine.prune_expired()
     after = set(store.pair_keys())
@@ -288,7 +207,7 @@ def _prune(engine: ShardEngine) -> List[Tuple[int, int]]:
 
 
 def execute(
-    engines: Dict[int, ShardEngine], cmds: Sequence[Tuple]
+    engines: Dict[int, ColumnarJoinEngine], cmds: Sequence[Tuple]
 ) -> List[Any]:
     """Run a command batch against a registry; one result per command.
 
@@ -309,10 +228,10 @@ def execute(
                 f"got {len(cmd) - 2}"
             )
         if op == OP_BUILD:
-            objects_a, objects_b, algorithm, config, start_time = cmd[2]
-            engines[sid] = _engine_class(config)(
-                objects_a,
-                objects_b,
+            columns_a, columns_b, algorithm, config, start_time = cmd[2]
+            engines[sid] = ColumnarJoinEngine(
+                columns_a,
+                columns_b,
                 algorithm=algorithm,
                 config=config,
                 start_time=start_time,
@@ -330,17 +249,18 @@ def execute(
             engine.tick(cmd[2])
             out.append(None)
         elif op == OP_OPS:
-            apply_shard_ops(engine, cmd[2])
+            # (upd_a, upd_b, admit_a, admit_b, evict) column slices.
+            engine.apply_update_columns(*cmd[2])
             out.append(None)
         elif op == OP_PAIRS_AT:
             out.append(engine.result_at(cmd[2]))
         elif op == OP_STORE_DUMP:
-            out.append(_dump_store(engine))
+            out.append(engine.store.planes())
         elif op == OP_OBJECTS:
             out.append(
                 (
-                    sorted(engine.objects_a),
-                    sorted(engine.objects_b),
+                    sorted(engine.columns_a.oids.tolist()),
+                    sorted(engine.columns_b.oids.tolist()),
                 )
             )
         elif op == OP_PRUNE:

@@ -22,9 +22,9 @@ Stream versions: version-2 streams (magic ``RPROCOL2``) carry a version
 byte, the exact column-payload length, and a CRC32 of the payload,
 verified on load — a truncated chain or a flipped bit raises
 :class:`~repro.storage.disk.CorruptPageError` instead of decoding
-garbage.  Legacy version-1 streams (magic ``RPROCOLS``, header only)
-stay loadable; new page chains are always written as version 2.  All
-three versions decode through one reader, :func:`read_column_stream`.
+garbage.  Both live formats (this and the version-3 slab image below)
+decode through one reader, :func:`read_column_stream`; any other magic
+is refused.
 
 Memory-mapped slabs (version 3): :func:`save_columns_file` writes a
 flat ``RPROCOL3`` file — a CRC-checked header, a per-slab CRC table,
@@ -61,10 +61,8 @@ __all__ = [
     "MappedColumns",
 ]
 
-_MAGIC_V1 = b"RPROCOLS"
 _MAGIC_V2 = b"RPROCOL2"
 _MAGIC_V3 = b"RPROCOL3"
-_HEAD_V1 = struct.Struct("<8sqq")  # magic, n rows, ndims
 _HEAD_V2 = struct.Struct("<8sBqqqI")  # magic, version, n, ndims, len, crc
 _HEAD_V3 = struct.Struct("<8sBqq")  # magic, version, n, ndims
 _VERSION = 2
@@ -72,7 +70,7 @@ _VERSION_V3 = 3
 _NEXT = struct.Struct("<q")
 _END = -1
 
-#: Slab order shared by every stream version: ``oid``, ``tref``, then
+#: Slab order shared by both formats: ``oid``, ``tref``, then
 #: each bound plane dimension-major (``mlo[0], mlo[1], mhi[0], …``).
 _N_SLABS = 2 + 4 * NDIMS
 _SLAB_NAMES = tuple(
@@ -108,10 +106,8 @@ def read_column_stream(stream: bytes):
     """Decode any column-stream version into ``UpdateColumns``.
 
     The one reader every load path funnels through: checksummed
-    version-2 streams, legacy version-1 streams (header without
-    integrity fields, but still length-checked against the declared row
-    count), and flat version-3 slab images (header + per-slab CRCs, as
-    written by :func:`save_columns_file`).
+    version-2 streams and flat version-3 slab images (header +
+    per-slab CRCs, as written by :func:`save_columns_file`).
     """
     from ..core.columns import UpdateColumns
 
@@ -131,17 +127,6 @@ def read_column_stream(stream: bytes):
         if zlib.crc32(payload) != crc:
             raise CorruptPageError("column stream failed its CRC32 check")
         pos = _HEAD_V2.size
-    elif magic == _MAGIC_V1:
-        if len(stream) < _HEAD_V1.size:
-            raise CorruptPageError("column stream header truncated")
-        _, n, ndims = _HEAD_V1.unpack_from(stream, 0)
-        pos = _HEAD_V1.size
-        need = _N_SLABS * 8 * n
-        if len(stream) - pos < need:
-            raise CorruptPageError(
-                f"column stream truncated: expected {need} payload "
-                f"bytes, found {len(stream) - pos}"
-            )
     elif magic == _MAGIC_V3:
         n, ndims, crcs = _parse_v3_header(stream)
         pos = _V3_HEADER_SIZE
@@ -230,18 +215,7 @@ def save_column_store(disk, store) -> int:
     on-page format minimal and the recomputation bit-exact by
     construction.
     """
-    from ..core.columns import UpdateColumns
-
-    n = len(store)
-    cols = UpdateColumns(
-        oid=np.ascontiguousarray(store.oid[:n]),
-        mlo=np.ascontiguousarray(store.mlo[:, :n]),
-        mhi=np.ascontiguousarray(store.mhi[:, :n]),
-        vlo=np.ascontiguousarray(store.vlo[:, :n]),
-        vhi=np.ascontiguousarray(store.vhi[:, :n]),
-        tref=np.ascontiguousarray(store.tref[:n]),
-    )
-    return save_columns(disk, cols)
+    return save_columns(disk, store.columns())
 
 
 def load_column_store(disk, root: int):
@@ -447,8 +421,8 @@ def map_columns(path) -> Union[MappedColumns, "object"]:
     """Open a persisted column file for reading, version-dispatched.
 
     ``RPROCOL3`` slab images come back as :class:`MappedColumns`
-    (zero-copy, lazily verified).  Legacy ``RPROCOLS``/``RPROCOL2``
-    stream files have no aligned slab layout to map, so they are
+    (zero-copy, lazily verified).  ``RPROCOL2`` stream files have no
+    aligned slab layout to map, so they are
     materialized through :func:`read_column_stream` into
     ``UpdateColumns`` — same reader path as the page chains, same
     result columns, just without the mmap economics.
@@ -457,7 +431,7 @@ def map_columns(path) -> Union[MappedColumns, "object"]:
         magic = fh.read(8)
         if magic == _MAGIC_V3:
             pass
-        elif magic in (_MAGIC_V1, _MAGIC_V2):
+        elif magic == _MAGIC_V2:
             return read_column_stream(magic + fh.read())
         else:
             raise ValueError("not a column-page stream")

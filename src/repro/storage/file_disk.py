@@ -11,15 +11,13 @@ free-list head) followed by data pages at offset
 ``HEADER + page_id * page_size``.  Freed pages are chained through
 their first 8 bytes.
 
-Format versions
----------------
-Version 2 files (magic ``RPRODSK2``) frame every data page as
-``length, crc32, payload`` and verify the checksum on each
+Page framing
+------------
+Files carry the magic ``RPRODSK2`` and frame every data page as
+``length, crc32, payload``; the checksum is verified on each
 :meth:`~FileDiskManager.read_page`, raising
 :class:`~repro.storage.disk.CorruptPageError` on a flipped bit or a
-truncated page.  Version 1 files (magic ``RPRODISK``, length-only
-framing) remain fully readable and writable — the version is detected
-from the magic on open, and new files are always created as version 2.
+truncated page.  Any other magic is refused on open.
 """
 
 from __future__ import annotations
@@ -34,11 +32,9 @@ from .disk import DEFAULT_PAGE_SIZE, CorruptPageError, PageError
 
 __all__ = ["FileDiskManager"]
 
-_MAGIC_V1 = b"RPRODISK"
-_MAGIC_V2 = b"RPRODSK2"
+_MAGIC = b"RPRODSK2"
 _HEADER = struct.Struct("<8sqqq")  # magic, page_size, next_id, free_head
-_PAGE_V1 = struct.Struct("<i")  # payload length
-_PAGE_V2 = struct.Struct("<iI")  # payload length, crc32(payload)
+_PAGE = struct.Struct("<iI")  # payload length, crc32(payload)
 _FREE_LINK = struct.Struct("<q")
 _NO_FREE = -1
 
@@ -60,13 +56,16 @@ class FileDiskManager:
     b'durable'
     """
 
+    #: The one on-disk format this class reads and writes.
+    format_version = 2
+
     def __init__(
         self,
         path: str,
         page_size: int = DEFAULT_PAGE_SIZE,
         tracker: Optional[CostTracker] = None,
     ):
-        if page_size <= _PAGE_V2.size:
+        if page_size <= _PAGE.size:
             raise ValueError("page_size too small")
         self.path = path
         self.tracker = tracker if tracker is not None else CostTracker()
@@ -80,7 +79,6 @@ class FileDiskManager:
                 )
         else:
             self.page_size = page_size
-            self.format_version = 2
             self._next_id = 0
             self._free_head = _NO_FREE
             self._store_header()
@@ -106,7 +104,7 @@ class FileDiskManager:
             self._next_id += 1
         # Clear the page so a recycled slot never exposes a stale free
         # link as its framing header (all-zero framing decodes as the
-        # empty payload in both versions: crc32(b"") == 0).
+        # empty payload: crc32(b"") == 0).
         self._write_raw(pid, b"")
         self._allocated.add(pid)
         self._store_header()
@@ -123,21 +121,18 @@ class FileDiskManager:
         self._check(page_id)
         self.tracker.count_read()
         data = self._read_raw(page_id)
-        if self.format_version >= 2:
-            length, crc = _PAGE_V2.unpack_from(data, 0)
-            if length < 0 or length > self.page_size - _PAGE_V2.size:
-                raise CorruptPageError(
-                    f"{self.path}: page {page_id} has invalid payload "
-                    f"length {length}"
-                )
-            payload = bytes(data[_PAGE_V2.size : _PAGE_V2.size + length])
-            if zlib.crc32(payload) != crc:
-                raise CorruptPageError(
-                    f"{self.path}: page {page_id} failed its CRC32 check"
-                )
-            return payload
-        length = _PAGE_V1.unpack_from(data, 0)[0]
-        return bytes(data[_PAGE_V1.size : _PAGE_V1.size + length])
+        length, crc = _PAGE.unpack_from(data, 0)
+        if length < 0 or length > self.usable_page_size:
+            raise CorruptPageError(
+                f"{self.path}: page {page_id} has invalid payload "
+                f"length {length}"
+            )
+        payload = bytes(data[_PAGE.size : _PAGE.size + length])
+        if zlib.crc32(payload) != crc:
+            raise CorruptPageError(
+                f"{self.path}: page {page_id} failed its CRC32 check"
+            )
+        return payload
 
     def write_page(self, page_id: int, data: bytes) -> None:
         self._check(page_id)
@@ -147,11 +142,7 @@ class FileDiskManager:
                 f"{self.usable_page_size}"
             )
         self.tracker.count_write()
-        if self.format_version >= 2:
-            framed = _PAGE_V2.pack(len(data), zlib.crc32(data)) + data
-        else:
-            framed = _PAGE_V1.pack(len(data)) + data
-        self._write_raw(page_id, framed)
+        self._write_raw(page_id, _PAGE.pack(len(data), zlib.crc32(data)) + data)
 
     @property
     def num_pages(self) -> int:
@@ -160,8 +151,7 @@ class FileDiskManager:
     @property
     def usable_page_size(self) -> int:
         """Payload bytes one page can hold after framing overhead."""
-        frame = _PAGE_V2.size if self.format_version >= 2 else _PAGE_V1.size
-        return self.page_size - frame
+        return self.page_size - _PAGE.size
 
     def is_allocated(self, page_id: int) -> bool:
         return page_id in self._allocated
@@ -201,10 +191,9 @@ class FileDiskManager:
             raise PageError(f"page {page_id} is not allocated")
 
     def _store_header(self) -> None:
-        magic = _MAGIC_V2 if self.format_version >= 2 else _MAGIC_V1
         self._file.seek(0)
         self._file.write(
-            _HEADER.pack(magic, self.page_size, self._next_id, self._free_head)
+            _HEADER.pack(_MAGIC, self.page_size, self._next_id, self._free_head)
         )
 
     def _load_header(self) -> None:
@@ -212,11 +201,7 @@ class FileDiskManager:
         magic, page_size, next_id, free_head = _HEADER.unpack(
             self._file.read(_HEADER.size)
         )
-        if magic == _MAGIC_V2:
-            self.format_version = 2
-        elif magic == _MAGIC_V1:
-            self.format_version = 1
-        else:
+        if magic != _MAGIC:
             raise PageError(f"{self.path} is not a repro page file")
         self.page_size = page_size
         self._next_id = next_id

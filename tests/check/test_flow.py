@@ -26,8 +26,6 @@ PROTOCOL = """
     OP_TICK = "tick"
     OP_PAIRS = "pairs_at"
 
-    SHARD_OP_UPDATE = "update"
-    SHARD_OPS = (SHARD_OP_UPDATE,)
     REPLY_DROP_OP = "reply"
 
 
@@ -49,7 +47,7 @@ PROTOCOL = """
 WORKER = """
     from typing import Dict, List
 
-    from .protocol import OP_BUILD, OP_PAIRS, OP_TICK, SHARD_OP_UPDATE
+    from .protocol import OP_BUILD, OP_PAIRS, OP_TICK
 
 
     class Engine:
@@ -65,25 +63,19 @@ WORKER = """
 
 
     def make_checkpoint(engine):
-        return {"format": "ckpt/1", "spec": engine.now, "rows": []}
+        return {"format": "ckpt/1", "spec": engine.now, "store": []}
 
 
     def restore_engine(blob):
         if blob.get("format") != "ckpt/1":
             raise ValueError("format")
         engine = build_engine(blob["spec"])
-        engine.rows = blob["rows"]
+        engine.store = blob["store"]
         return engine
 
 
     def checkpoint_spec(blob):
         return blob["spec"]
-
-
-    def apply_shard_ops(engine, shard_ops):
-        for kind, payload in shard_ops:
-            if kind == SHARD_OP_UPDATE:
-                engine.tick(payload)
 
 
     def execute(registry: Dict[int, Engine], cmds: List):
@@ -106,7 +98,7 @@ WORKER = """
 """
 
 SHARDED = """
-    from .protocol import OP_BUILD, OP_PAIRS, OP_TICK, SHARD_OP_UPDATE
+    from .protocol import OP_BUILD, OP_PAIRS, OP_TICK
 
 
     class ShardedEngine:
@@ -116,10 +108,9 @@ SHARDED = """
         def build(self, spec):
             return [(OP_BUILD, 0, spec)]
 
-        def step(self, t, obj):
+        def step(self, t):
             cmds = [(OP_TICK, 0, t), (OP_PAIRS, 0, t)]
-            shard_ops = [(SHARD_OP_UPDATE, obj)]
-            return cmds, shard_ops
+            return cmds
 """
 
 # Fixture fault kinds deliberately collide with nothing real: the flow
@@ -252,11 +243,6 @@ class TestProtocolFlow:
         found = flow(tmp_path, {"pkg/par/protocol.py": slim})
         assert codes(found) == {"RC102"}
 
-    def test_undeclared_shard_arm_is_rc102(self, tmp_path):
-        slim = PROTOCOL.replace("SHARD_OPS = (SHARD_OP_UPDATE,)", "SHARD_OPS = ()")
-        found = flow(tmp_path, {"pkg/par/protocol.py": slim})
-        assert codes(found) == {"RC102"}
-
     def test_unflagged_mutating_arm_is_rc103(self, tmp_path):
         unflagged = PROTOCOL.replace(
             "OP_TICK: CommandSpec(OP_TICK, n_args=1, mutating=True),",
@@ -276,13 +262,13 @@ class TestProtocolFlow:
 
     def test_checkpoint_key_mismatch_is_rc104(self, tmp_path):
         skewed = WORKER.replace(
-            'engine.rows = blob["rows"]', 'engine.rows = blob["rows_v2"]'
+            'engine.store = blob["store"]', 'engine.store = blob["store_v2"]'
         )
         found = flow(tmp_path, {"pkg/par/worker.py": skewed})
         assert codes(found) == {"RC104"}
         messages = " ".join(f.message for f in found)
-        assert "rows_v2" in messages  # consumed but never produced
-        assert "'rows'" in messages  # produced but never consumed
+        assert "store_v2" in messages  # consumed but never produced
+        assert "'store'" in messages  # produced but never consumed
 
     def test_unknown_fault_op_is_rc105(self, tmp_path):
         chaos = FAULTS.replace("zap:op=tick", "zap:op=tik")
@@ -307,9 +293,9 @@ class TestProtocolFlow:
 
     def test_op_literal_as_dict_key_is_data_not_a_finding(self, tmp_path):
         tagged = SHARDED.replace(
-            "shard_ops = [(SHARD_OP_UPDATE, obj)]",
-            "shard_ops = [(SHARD_OP_UPDATE, obj)]\n"
-            '            stats = {"tick": t}',
+            "return cmds",
+            'stats = {"tick": t}\n'
+            "            return cmds",
         )
         assert flow(tmp_path, {"pkg/par/sharded.py": tagged}) == []
 
@@ -454,8 +440,8 @@ class TestSymbolTable:
 
     def test_registry_tuples_fold(self, tmp_path):
         table = SymbolTable.build(write_tree(tmp_path))
-        proto = table.find("par.protocol")
-        assert table.resolve_name(proto, "SHARD_OPS") == ("update",)
+        faults = table.find("faults")
+        assert table.resolve_name(faults, "WORKER_KINDS") == ("zap", "stall")
 
     def test_broken_files_are_skipped(self, tmp_path):
         root = write_tree(tmp_path, {"pkg/extra.py": "def broken(:\n"})

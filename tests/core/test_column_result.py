@@ -16,6 +16,7 @@ import pytest
 from repro.core import (
     COLUMNAR_ALGORITHMS,
     ColumnarJoinEngine,
+    ContinuousJoinEngine,
     JoinConfig,
 )
 from repro.core.result import ColumnResultStore, JoinResultStore
@@ -40,15 +41,17 @@ def dump(store):
     )
 
 
-def drive(algorithm, *, result_store, sanitize=False, deltas=False, seed=31):
-    config = JoinConfig(
-        t_m=T_M, result_store=result_store, sanitize=sanitize, deltas=deltas
-    )
+def drive(algorithm, *, engine_cls, sanitize=False, deltas=False, seed=31):
+    """One engine over the workload; the tree engine is the pairs-store
+    side (it keeps a ``JoinResultStore``), the columnar engine the
+    planes side.  Both are fed the same object batches."""
+    config = JoinConfig(t_m=T_M, sanitize=sanitize, deltas=deltas)
     arr = make_workload_arrays(
         N, "uniform", max_speed=3.0, object_size_pct=1.5, t_m=T_M, seed=seed
     )
-    engine = ColumnarJoinEngine(
-        arr.columns_a(), arr.columns_b(), algorithm=algorithm, config=config
+    scenario = arr.to_scenario()
+    engine = engine_cls(
+        scenario.set_a, scenario.set_b, algorithm=algorithm, config=config
     )
     engine.run_initial_join()
     stream = VectorUpdateStream(arr, seed=seed + 5)
@@ -56,8 +59,12 @@ def drive(algorithm, *, result_store, sanitize=False, deltas=False, seed=31):
         t = float(step)
         engine.tick(t)
         upd_a, upd_b = stream.updates_at(t)
-        engine.apply_update_columns(upd_a, upd_b)
+        engine.apply_updates(upd_a.objects() + upd_b.objects())
     return engine
+
+
+def pairs_store(tree_engine):
+    return tree_engine._strategy.store
 
 
 # ----------------------------------------------------------------------
@@ -67,17 +74,17 @@ class TestEngineIdentity:
     @pytest.mark.parametrize("algorithm", COLUMNAR_ALGORITHMS)
     @pytest.mark.parametrize("sanitize", [False, True])
     def test_store_identical_over_matrix(self, algorithm, sanitize):
-        pairs = drive(algorithm, result_store="pairs", sanitize=sanitize)
-        cols = drive(algorithm, result_store="columns", sanitize=sanitize)
-        assert isinstance(pairs.store, JoinResultStore)
+        pairs = drive(algorithm, engine_cls=ContinuousJoinEngine, sanitize=sanitize)
+        cols = drive(algorithm, engine_cls=ColumnarJoinEngine, sanitize=sanitize)
+        assert isinstance(pairs_store(pairs), JoinResultStore)
         assert isinstance(cols.store, ColumnResultStore)
-        assert dump(pairs.store) == dump(cols.store)
+        assert dump(pairs_store(pairs)) == dump(cols.store)
         assert len(cols.store) > 0  # the identity is not vacuous
 
     @pytest.mark.parametrize("algorithm", COLUMNAR_ALGORITHMS)
     def test_delta_streams_identical(self, algorithm):
-        pairs = drive(algorithm, result_store="pairs", deltas=True)
-        cols = drive(algorithm, result_store="columns", deltas=True)
+        pairs = drive(algorithm, engine_cls=ContinuousJoinEngine, deltas=True)
+        cols = drive(algorithm, engine_cls=ColumnarJoinEngine, deltas=True)
         assert pairs.ledger.ticks() == cols.ledger.ticks()
         for t in pairs.ledger.ticks():
             assert pairs.ledger.events_at(t) == cols.ledger.events_at(t), t
@@ -92,8 +99,9 @@ class TestEngineIdentity:
         assert isinstance(engine.store, ColumnResultStore)
 
     def test_result_store_knob_validated(self):
-        with pytest.raises(ValueError, match="result_store"):
-            JoinConfig(t_m=T_M, result_store="rows")
+        """The knob is gone: no spelling of it selects a store layout."""
+        with pytest.raises(TypeError, match="result_store"):
+            JoinConfig(t_m=T_M, result_store="pairs")
 
 
 # ----------------------------------------------------------------------

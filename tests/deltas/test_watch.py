@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import ContinuousJoinEngine, JoinConfig
+from repro.core import ColumnarJoinEngine, ContinuousJoinEngine, JoinConfig
 from repro.deltas import DeltaSubscription
 from repro.geometry import Box
+from repro.par import ShardedJoinEngine
 
 from .conftest import T_M, delta_batches, delta_workload
 
@@ -124,6 +125,59 @@ class TestFilters:
         )
         union = engine.watch(region=EVERYWHERE).current_pairs()
         assert union == set(store.interval_rows())
+
+
+class TestRegionResolvers:
+    """The columnar and sharded engines resolve a region through one
+    vectorized ``ColumnStore.oids_in``; the tree engine's per-object
+    ``mbr_at(now).intersects(region)`` loop is the reference."""
+
+    def engines(self):
+        scenario = delta_workload()
+        config = JoinConfig(t_m=T_M, node_capacity=8, deltas=True)
+        engines = [
+            ContinuousJoinEngine(scenario.set_a, scenario.set_b, "mtb", config),
+            ColumnarJoinEngine(scenario.set_a, scenario.set_b, "mtb", config),
+            ShardedJoinEngine(scenario.set_a, scenario.set_b, "mtb", config, shards=2),
+        ]
+        for engine in engines:
+            engine.run_initial_join()
+        for t, batch in delta_batches(scenario, t_end=3.0):
+            for engine in engines:
+                engine.tick(t)
+                engine.apply_updates(batch)
+        return engines
+
+    def test_touching_straddling_and_empty_regions_agree(self):
+        tree, columnar, sharded = self.engines()
+        now = tree.now
+        # A moved object, so `lo + v * (now - tref)` has rounding to match.
+        probe = next(
+            obj for obj in tree.objects_a.values()
+            if obj.t_ref < now and obj.velocity != (0.0, 0.0)
+        )
+        box = probe.mbr_at(now)
+        x_lo, x_hi, y_lo, y_hi = box.bounds
+        eps = 1e-9
+        regions = {
+            # shares exactly one edge / one corner with the probe's box
+            "touching-edge": Box(x_hi, x_hi + 5.0, y_lo, y_hi),
+            "touching-corner": Box(x_lo - 5.0, x_lo, y_lo - 5.0, y_lo),
+            # the same regions pulled a hair away: must drop the probe
+            "off-edge": Box(x_hi + eps, x_hi + 5.0, y_lo, y_hi),
+            "off-corner": Box(x_lo - 5.0, x_lo - eps, y_lo - 5.0, y_lo - eps),
+            "straddling": Box(x_lo - 40.0, x_hi + 40.0, y_lo - 40.0, y_hi + 40.0),
+            "inside": Box(x_lo + eps, x_hi - eps, y_lo + eps, y_hi - eps),
+            "empty": Box(1e6, 1e6 + 1, 1e6, 1e6 + 1),
+            "everywhere": EVERYWHERE,
+        }
+        for name, region in regions.items():
+            want = tree._region_oids(region)
+            assert columnar._region_oids(region) == want, name
+            assert sharded._region_oids(region) == want, name
+            assert (probe.oid in want) == (not name.startswith(("off", "empty"))), name
+        assert len(tree._region_oids(regions["straddling"])) > 1
+        sharded.close()
 
 
 class TestApiEdges:

@@ -230,12 +230,12 @@ def test_sharded_engine_matches_serial(shards, workers):
         for t, batch in stream.by_timestamp(t_start=1.0, t_end=5.0):
             serial.tick(t)
             sharded.tick(t)
-            before = {o.oid: sharded._members[o.oid] for o in batch}
+            before = {o.oid: sharded.members_of(o.oid) for o in batch}
             for obj in batch:
                 serial.apply_update(obj)
             sharded.apply_updates(batch)
             crossings += sum(
-                1 for o in batch if sharded._members[o.oid] != before[o.oid]
+                1 for o in batch if sharded.members_of(o.oid) != before[o.oid]
             )
             assert sharded.result_at(t) == serial.result_at(t), (shards, t)
             assert snapshot(sharded.merged_store()) == \

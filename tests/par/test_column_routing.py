@@ -1,9 +1,11 @@
 """Column routing in the sharded engine: vectorized, bit-identical.
 
 ``spans_to_shards`` must mirror the scalar ``shards_for_span`` decision
-for decision, and ``apply_update_columns`` must land every shard in the
-exact same state the object-path ``apply_updates`` would — same members,
-same per-shard stores, same interval endpoints.
+for decision, ``apply_updates(objects)`` is a packing shim over
+``apply_update_columns`` and must land parent and shards in the exact
+same end state — same registries, same members, same per-shard stores,
+same interval endpoints — and what crosses the shard boundary is column
+slices, never objects.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.core import JoinConfig
+from repro.core.columns import UpdateColumns
 from repro.geometry import INF
 from repro.par import ShardedJoinEngine, StripePartition
 from repro.workloads import VectorUpdateStream, make_workload_arrays
@@ -102,8 +105,69 @@ def test_column_path_matches_object_path_per_shard(algorithm):
     for sid in col_dumps:
         assert sorted(col_dumps[sid]) == sorted(obj_dumps[sid]), f"shard {sid}"
     assert col_engine.update_count == obj_engine.update_count > 0
+    for side in ("columns_a", "columns_b"):
+        got, want = getattr(obj_engine, side), getattr(col_engine, side)
+        assert got.oids.tolist() == want.oids.tolist()
+        for oid in want.oids.tolist():
+            assert got.get(oid) == want.get(oid)
+            assert obj_engine.members_of(oid) == col_engine.members_of(oid)
     col_engine.close()
     obj_engine.close()
+
+
+def test_ops_payload_is_column_slices(monkeypatch):
+    """Every ``OP_OPS`` command carries the argument tuple of the shard
+    engine's ``apply_update_columns``: four ``UpdateColumns`` slices and
+    an int64 eviction array that partition the batch by halo change."""
+    arr = arrays()
+    scenario = arr.to_scenario()
+    engine = ShardedJoinEngine(
+        scenario.set_a, scenario.set_b, algorithm="tc",
+        config=JoinConfig(t_m=T_M), shards=4,
+    )
+    engine.run_initial_join()
+    sent = []
+    run = engine._backend.run
+
+    def spy(cmds_by_shard):
+        sent.extend(cmd for cmds in cmds_by_shard.values() for cmd in cmds)
+        return run(cmds_by_shard)
+
+    monkeypatch.setattr(engine._backend, "run", spy)
+    stream = VectorUpdateStream(arr, seed=21)
+    kinds = [0, 0, 0]  # rows shipped as update / admission / eviction
+    for step in range(1, 11):
+        t = float(step)
+        engine.tick(t)
+        upd_a, upd_b = stream.updates_at(t)
+        before = {
+            oid: engine.members_of(oid)
+            for oid in upd_a.oid.tolist() + upd_b.oid.tolist()
+        }
+        del sent[:]
+        engine.apply_update_columns(upd_a, upd_b)
+        ops = [cmd for cmd in sent if cmd[0] == "ops"]
+        assert ops and all(len(cmd) == 3 for cmd in ops)
+        for _op, sid, payload in ops:
+            keep_a, keep_b, admit_a, admit_b, evict = payload
+            for cols in (keep_a, keep_b, admit_a, admit_b):
+                assert isinstance(cols, UpdateColumns)
+            assert evict.dtype == np.int64
+            for oid in keep_a.oid.tolist() + keep_b.oid.tolist():
+                assert sid in before[oid] and sid in engine.members_of(oid)
+            for oid in admit_a.oid.tolist() + admit_b.oid.tolist():
+                assert sid not in before[oid] and sid in engine.members_of(oid)
+            for oid in evict.tolist():
+                assert sid in before[oid] and sid not in engine.members_of(oid)
+            kinds[0] += len(keep_a) + len(keep_b)
+            kinds[1] += len(admit_a) + len(admit_b)
+            kinds[2] += len(evict)
+        shipped = sum(
+            len(p[0]) + len(p[1]) + len(p[2]) + len(p[3]) for _o, _s, p in ops
+        )
+        assert shipped == sum(len(engine.members_of(oid)) for oid in before)
+    assert all(kinds), f"update/admit/evict not all exercised: {kinds}"
+    engine.close()
 
 
 def test_column_path_unknown_oid_rejected():

@@ -1,15 +1,17 @@
-"""Columnar shard workers: bit-exactness and fault recovery.
+"""Columnar shard workers: bit-exactness, fault recovery, ``ckpt/5``.
 
-``JoinConfig(shard_engine="columnar")`` routes every per-shard engine
-onto :class:`~repro.core.columnar.ColumnarJoinEngine` (with its
-column result store).  The routing must be an implementation detail:
-for every shard/worker combination the merged store is bit-identical
-to the serial columnar engine's — including across worker crashes,
-where the ``ckpt/4`` blob must rebuild the columnar engine class and
+Every per-shard engine is a :class:`~repro.core.columnar.
+ColumnarJoinEngine` (with its column result store) and everything that
+crosses the shard boundary is column planes.  That must stay an
+implementation detail: for every shard/worker combination the merged
+store is bit-identical to the serial tree engine's — including across
+worker crashes, where the ``ckpt/5`` blob must rebuild the engine and
 its planes exactly.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -18,24 +20,9 @@ from repro.core import ColumnarJoinEngine, ContinuousJoinEngine, JoinConfig
 from repro.core.result import ColumnResultStore
 from repro.par import ShardedJoinEngine
 from repro.par import worker
-from repro.workloads import UpdateStream, make_workload
+from repro.workloads import UpdateStream
 
-T_M = 8.0
-STEPS = 5
-
-
-def snapshot(store):
-    """Exact (unrounded) store contents, order-normalized."""
-    return sorted(
-        (key, tuple((iv.start, iv.end) for iv in intervals))
-        for key, intervals in store._pairs.items()
-    )
-
-
-def scenario_for(seed: int, n: int = 40):
-    return make_workload(
-        n, "uniform", max_speed=3.0, object_size_pct=0.8, t_m=T_M, seed=seed
-    )
+from .test_sharded import STEPS, T_M, scenario_for, snapshot
 
 
 def drive_both(shards, workers, seed=19, faults=None, **config_kwargs):
@@ -50,8 +37,7 @@ def drive_both(shards, workers, seed=19, faults=None, **config_kwargs):
         config_kwargs.setdefault("shard_timeout", 10.0)
         config_kwargs.setdefault("shard_heartbeat", 0.01)
     config = JoinConfig(
-        t_m=T_M, node_capacity=8, shard_engine="columnar",
-        faults=faults, **config_kwargs
+        t_m=T_M, node_capacity=8, faults=faults, **config_kwargs
     )
     sharded = ShardedJoinEngine(
         scenario.set_a, scenario.set_b, "mtb", config,
@@ -101,11 +87,10 @@ class TestBitExactness:
 
     def test_deltas_flow_from_columnar_shards(self):
         scenario = scenario_for(23)
-        config = JoinConfig(t_m=T_M, node_capacity=8, deltas=True,
-                            shard_engine="columnar")
+        config = JoinConfig(t_m=T_M, node_capacity=8, deltas=True)
         serial = ColumnarJoinEngine(
             scenario.set_a, scenario.set_b, algorithm="mtb",
-            config=JoinConfig(t_m=T_M, node_capacity=8, deltas=True),
+            config=config,
         )
         serial.run_initial_join()
         sharded = ShardedJoinEngine(
@@ -137,37 +122,69 @@ class TestFaultRecovery:
 
 
 class TestCheckpointBlob:
-    def build(self):
-        scenario = scenario_for(11, n=24)
-        config = JoinConfig(t_m=T_M, node_capacity=8, shard_engine="columnar")
+    def build(self, deltas=False):
+        # Dense enough that the store under checkpoint is non-empty.
+        scenario = scenario_for(11, n=24, object_size_pct=3.0)
+        config = JoinConfig(t_m=T_M, node_capacity=8, deltas=deltas)
         registry = {}
         spec = worker.build_spec(
             scenario.set_a, scenario.set_b, "mtb", config, 0.0
         )
         worker.execute(registry, [("build", 0, spec), ("initial_join", 0)])
+        assert len(registry[0].store) > 0
         return registry
 
     def test_blob_declares_columnar_engine(self):
+        """``ckpt/5`` has no engine tag: a columnar shard is the only
+        kind there is, and that is what a blob restores to."""
         registry = self.build()
         assert isinstance(registry[0], ColumnarJoinEngine)
         blob = worker.make_checkpoint(registry[0])
-        assert blob["format"] == "repro.par.ckpt/4"
-        assert blob["engine"] == "columnar"
+        assert blob["format"] == "repro.par.ckpt/5"
+        assert "engine" not in blob
+        assert isinstance(worker.restore_engine(blob), ColumnarJoinEngine)
+
+    def test_blob_leaves_are_arrays_and_scalars(self):
+        """No ``MovingObject``, ``TimeInterval`` or per-pair dict: a
+        checkpoint is planes, scalars, the config and delta-seed rows."""
+        registry = self.build(deltas=True)
+        blob = worker.make_checkpoint(registry[0])
+        # Mid-tick checkpoint: the initial join's adds are the open net.
+        assert blob["delta_seed"]
+
+        def leaves(value):
+            if dataclasses.is_dataclass(value) and not isinstance(value, JoinConfig):
+                value = [getattr(value, f.name) for f in dataclasses.fields(value)]
+            if isinstance(value, dict):
+                value = list(value.values())
+            if isinstance(value, (list, tuple)):
+                for item in value:
+                    yield from leaves(item)
+            else:
+                yield value
+
+        kinds = {type(leaf) for leaf in leaves(blob)}
+        assert kinds <= {np.ndarray, str, int, float, JoinConfig}, kinds
+        cols_a, cols_b = blob["spec"][:2]
+        assert cols_a.oid.tolist() == registry[0].columns_a.oids.tolist()
+        assert len(blob["store"]) == 4
 
     def test_restore_is_plane_identical(self):
         registry = self.build()
         engine = registry[0]
         engine.tick(1.0)
         restored = worker.restore_engine(worker.make_checkpoint(engine))
-        assert isinstance(restored, ColumnarJoinEngine)
         assert isinstance(restored.store, ColumnResultStore)
-        assert worker._dump_store(restored) == worker._dump_store(engine)
-        restored.store.flush()
-        engine.store.flush()
-        for plane in ("_a", "_b", "_lo", "_hi"):
-            got = getattr(restored.store, plane)[: restored.store._n]
-            want = getattr(engine.store, plane)[: engine.store._n]
-            assert np.array_equal(got, want), plane
+        for got, want in zip(restored.store.planes(), engine.store.planes()):
+            assert np.array_equal(got, want)
+        for side in ("columns_a", "columns_b"):
+            got, want = getattr(restored, side), getattr(engine, side)
+            assert len(got) == len(want)
+            for plane in ("oid", "tref", "mlo", "mhi", "vlo", "vhi", "slo", "shi"):
+                assert np.array_equal(
+                    getattr(got, plane)[..., : len(got)],
+                    getattr(want, plane)[..., : len(want)],
+                ), (side, plane)
 
     def test_restored_engine_evolves_like_the_original(self):
         registry = self.build()
@@ -175,10 +192,9 @@ class TestCheckpointBlob:
         for step in (1.0, 2.0):
             for reg in (registry, twin):
                 worker.execute(reg, [("tick", 0, step), ("prune", 0)])
-            assert worker.execute(twin, [("store_dump", 0)]) == worker.execute(
-                registry, [("store_dump", 0)]
-            )
+            assert twin[0].store.interval_rows() == registry[0].store.interval_rows()
 
     def test_shard_engine_knob_validated(self):
-        with pytest.raises(ValueError, match="shard_engine"):
-            JoinConfig(t_m=T_M, shard_engine="vector")
+        """The knob is gone: no spelling of it selects an engine class."""
+        with pytest.raises(TypeError, match="shard_engine"):
+            JoinConfig(t_m=T_M, shard_engine="columnar")

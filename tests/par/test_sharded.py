@@ -9,15 +9,22 @@ boundaries and get admitted to / evicted from shards mid-run.
 from __future__ import annotations
 
 import json
+import pickle
 
+import numpy as np
 import pytest
 
 from repro.check import InvariantViolation, check_sharded_state
 from repro.core import ContinuousJoinEngine, JoinConfig
 from repro.geometry import Box
 from repro.objects import MovingObject
-from repro.par import SHARDABLE_ALGORITHMS, ShardedJoinEngine
-from repro.workloads import UpdateStream, make_workload
+from repro.par import SHARDABLE_ALGORITHMS, ShardedJoinEngine, worker
+from repro.workloads import (
+    UpdateStream,
+    VectorUpdateStream,
+    make_workload,
+    make_workload_arrays,
+)
 
 T_M = 8.0
 STEPS = 5
@@ -31,9 +38,10 @@ def snapshot(store):
     )
 
 
-def scenario_for(seed: int, n: int = 40):
+def scenario_for(seed: int, n: int = 40, object_size_pct: float = 0.8):
     return make_workload(
-        n, "uniform", max_speed=3.0, object_size_pct=0.8, t_m=T_M, seed=seed
+        n, "uniform", max_speed=3.0, object_size_pct=object_size_pct,
+        t_m=T_M, seed=seed,
     )
 
 
@@ -63,12 +71,12 @@ def drive_both(algorithm, shards, workers, seed=19, sanitize=False):
     for t, batch in stream.by_timestamp(t_start=1.0, t_end=float(STEPS)):
         serial.tick(t)
         sharded.tick(t)
-        before = {obj.oid: sharded._members[obj.oid] for obj in batch}
+        before = {obj.oid: sharded.members_of(obj.oid) for obj in batch}
         for obj in batch:
             serial.apply_update(obj)
         sharded.apply_updates(batch)
         membership_changes += sum(
-            1 for obj in batch if sharded._members[obj.oid] != before[obj.oid]
+            1 for obj in batch if sharded.members_of(obj.oid) != before[obj.oid]
         )
         want = serial.result_at(t)
         assert sharded.result_at(t) == want, (algorithm, shards, workers, t)
@@ -180,6 +188,118 @@ class TestConstruction:
             engine.apply_update(MovingObject(9999, Box(0, 1, 0, 1), 0, 0, 0.0))
 
 
+class TestRejectedBatch:
+    """A batch the engine refuses must leave parent and shards exactly
+    as they were — no half-applied registry, membership or op log."""
+
+    @staticmethod
+    def state(engine):
+        return (
+            engine.columns_a.columns(),
+            engine.columns_b.columns(),
+            [engine.members_of(oid) for oid in sorted(engine.objects_a)],
+            [engine.members_of(oid) for oid in sorted(engine.objects_b)],
+            engine.update_count,
+            engine.merged_store().interval_rows(),
+            None if engine.supervisor is None else {
+                sid: len(log) for sid, log in engine.supervisor._oplog.items()
+            },
+        )
+
+    @staticmethod
+    def assert_unchanged(before, after):
+        for got, want in zip(after[:2], before[:2]):
+            for plane in ("oid", "mlo", "mhi", "vlo", "vhi", "tref"):
+                assert np.array_equal(getattr(got, plane), getattr(want, plane))
+        assert after[2:] == before[2:]
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_rejections_change_nothing(self, workers):
+        scenario = scenario_for(19, object_size_pct=3.0)
+        config = JoinConfig(
+            t_m=T_M, shard_timeout=10.0, shard_heartbeat=0.01,
+            checkpoint_interval=100,
+        )
+        with ShardedJoinEngine(
+            scenario.set_a, scenario.set_b, "mtb", config,
+            shards=2, workers=workers,
+        ) as engine:
+            engine.run_initial_join()
+            engine.tick(1.0)
+            # `known` jumps across the space, so applying it would
+            # change its registry row, its halo and several shards.
+            known = scenario.set_a[0].updated(
+                1.0, Box(900.0, 905.0, 900.0, 905.0), vx=1.0, vy=-1.0
+            )
+            other = scenario.set_a[1].updated(1.0, vx=0.5, vy=0.5)
+            stale = scenario.set_a[2].updated(0.5)
+            unknown = MovingObject(9999, Box(0, 1, 0, 1), 0.0, 0.0, 1.0)
+            before = self.state(engine)
+            assert before[5], "vacuous: the merged store is empty"
+            for batch, error in (
+                ([known, unknown], KeyError),   # unknown id after a valid row
+                ([known, other, known], ValueError),  # duplicate id
+                ([known, stale], ValueError),   # t_ref != now
+            ):
+                with pytest.raises(error):
+                    engine.apply_updates(batch)
+                self.assert_unchanged(before, self.state(engine))
+                with pytest.raises(error):
+                    engine.step(2.0, batch)
+                assert engine.now == 1.0
+                self.assert_unchanged(before, self.state(engine))
+            # The engine still works, and the accepted batch does land.
+            engine.apply_updates([known, other])
+            assert engine.update_count == before[4] + 2
+            engine.validate()
+
+
+class TestNoObjectsOnTheTickPath:
+    """The sharded tick path is arrays end to end: no ``MovingObject``
+    is constructed routing, shipping, checkpointing, merging or polling."""
+
+    @pytest.fixture()
+    def constructions(self, monkeypatch):
+        calls = []
+        original = MovingObject.__init__
+
+        def counting(self, *args, **kwargs):
+            calls.append(1)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(MovingObject, "__init__", counting)
+        return calls
+
+    def test_zero_constructions(self, constructions):
+        arr = make_workload_arrays(
+            60, "uniform", max_speed=3.0, object_size_pct=3.0, t_m=T_M, seed=13
+        )
+        scenario = arr.to_scenario()
+        engine = ShardedJoinEngine(
+            scenario.set_a, scenario.set_b, "mtb",
+            JoinConfig(t_m=T_M, deltas=True), shards=2, workers=0,
+        )
+        engine.run_initial_join()
+        watch = engine.watch(region=Box(0.0, 600.0, 0.0, 600.0))
+        stream = VectorUpdateStream(arr, seed=21)
+        del constructions[:]  # building the scenario made objects; ticks must not
+        for step in (1.0, 2.0, 3.0):
+            upd_a, upd_b = stream.updates_at(step)
+            engine.tick(step)
+            engine.apply_update_columns(upd_a, upd_b)
+            assert engine.result_at(step)
+        assert constructions == []
+        for shard in engine._backend.engines.values():
+            blob = pickle.loads(pickle.dumps(worker.make_checkpoint(shard)))
+            restored = worker.restore_engine(blob)
+            assert restored.store.interval_rows() == shard.store.interval_rows()
+        assert constructions == []
+        assert len(engine.merged_store()) > 0
+        assert watch.poll()
+        assert constructions == []
+        engine.close()
+
+
 class TestRollups:
     def test_cost_rollup_sums_shard_costs(self):
         scenario = scenario_for(7)
@@ -268,6 +388,7 @@ class TestExportAndSanitizer:
         assert codes == {"SC403"}
 
     def test_validate_raises_on_live_corruption(self, colocated):
-        colocated._members[1] = (0,)
+        _cols, _first, last = colocated._sides["a"]
+        last[0] = 0  # object 1's halo now claims to stop at stripe 0
         with pytest.raises(InvariantViolation):
             colocated.validate()

@@ -1,4 +1,4 @@
-"""CRC32 page integrity: corruption is detected, legacy formats load."""
+"""CRC32 page integrity: corruption is detected, old formats are refused."""
 
 from __future__ import annotations
 
@@ -41,10 +41,10 @@ def page_offset(page_size: int, page_id: int) -> int:
     return _HEADER.size + page_id * page_size
 
 
-def write_legacy_v1(path: str, page_size: int, payloads) -> None:
-    """Synthesize a version-1 file (magic ``RPRODISK``, length-only)."""
+def write_page_file(path: str, magic: bytes, page_size: int, payloads) -> None:
+    """Synthesize a length-only-framed page file under ``magic``."""
     with open(path, "wb") as f:
-        f.write(_HEADER.pack(b"RPRODISK", page_size, len(payloads), -1))
+        f.write(_HEADER.pack(magic, page_size, len(payloads), -1))
         for data in payloads:
             framed = struct.pack("<i", len(data)) + data
             f.write(framed.ljust(page_size, b"\x00"))
@@ -94,22 +94,13 @@ class TestFileDiskChecksums:
             reopened.read_page(pid)
         reopened.close()
 
-    def test_legacy_v1_file_loads_and_writes(self, path):
-        write_legacy_v1(path, 128, [b"hello", b"world"])
-        disk = FileDiskManager(path)
-        assert disk.format_version == 1
-        assert disk.usable_page_size == 128 - 4
-        assert disk.read_page(0) == b"hello"
-        assert disk.read_page(1) == b"world"
-        # Writes to a legacy file keep the legacy framing (no CRC),
-        # so the file stays consistent with its declared version.
-        pid = disk.allocate()
-        disk.write_page(pid, b"x" * disk.usable_page_size)
-        disk.close()
-        reopened = FileDiskManager(path)
-        assert reopened.format_version == 1
-        assert reopened.read_page(pid) == b"x" * (128 - 4)
-        reopened.close()
+    @pytest.mark.parametrize("magic", [b"RPRODISK", b"NOTMAGIC"])
+    def test_v1_magic_refused(self, path, magic):
+        """The version-1 reader is gone: a well-formed ``RPRODISK`` file
+        gets the same typed refusal as any unknown magic."""
+        write_page_file(path, magic, 128, [b"hello", b"world"])
+        with pytest.raises(PageError, match="not a repro page file"):
+            FileDiskManager(path)
 
     def test_recycled_page_reads_empty(self, path):
         disk = FileDiskManager(path, page_size=128)
@@ -149,14 +140,6 @@ class TestColumnStreamChecksums:
         stream[column_pages._HEAD_V2.size + 11] ^= 0x20
         with pytest.raises(CorruptPageError, match="CRC32"):
             column_pages._decode(bytes(stream))
-
-    def test_legacy_v1_stream_decodes(self):
-        cols = some_columns(n=25)
-        payload = column_pages._encode(cols)[column_pages._HEAD_V2.size :]
-        legacy = (
-            column_pages._HEAD_V1.pack(b"RPROCOLS", len(cols), 2) + payload
-        )
-        assert_columns_equal(column_pages._decode(legacy), cols)
 
     def test_unsupported_version_rejected(self):
         cols = some_columns(n=5)

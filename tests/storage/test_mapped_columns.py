@@ -1,5 +1,5 @@
 """Memory-mapped column slabs: RPROCOL3 round trips, lazy integrity,
-and legacy streams loading through the unified reader path."""
+and RPROCOL2 streams loading through the unified reader path."""
 
 from __future__ import annotations
 
@@ -14,30 +14,12 @@ from repro.storage import (
     read_column_stream,
     save_columns_file,
 )
-from repro.storage.column_pages import (
-    _HEAD_V1,
-    _MAGIC_V1,
-    _N_SLABS,
-    _V3_HEADER_SIZE,
-    _encode,
-)
+from repro.storage.column_pages import _N_SLABS, _V3_HEADER_SIZE, _encode
 from repro.workloads import make_workload
 
 
 def some_columns(n=150, seed=3):
     return columns_from_objects(make_workload(n, "uniform", seed=seed).set_a)
-
-
-def encode_v1(cols) -> bytes:
-    """A legacy version-1 stream (header without integrity fields)."""
-    parts = [
-        np.ascontiguousarray(cols.oid, dtype="<i8").tobytes(),
-        np.ascontiguousarray(cols.tref, dtype="<f8").tobytes(),
-    ]
-    for column in (cols.mlo, cols.mhi, cols.vlo, cols.vhi):
-        for dim in range(column.shape[0]):
-            parts.append(np.ascontiguousarray(column[dim], dtype="<f8").tobytes())
-    return _HEAD_V1.pack(_MAGIC_V1, len(cols), cols.mlo.shape[0]) + b"".join(parts)
 
 
 def assert_columns_equal(got, want):
@@ -172,11 +154,6 @@ class TestIntegrity:
         with pytest.raises(CorruptPageError, match="truncated"):
             read_column_stream(stream[: len(stream) - 8])
 
-    def test_v1_truncation_caught(self):
-        stream = encode_v1(some_columns())
-        with pytest.raises(CorruptPageError, match="truncated"):
-            read_column_stream(stream[: len(stream) - 8])
-
     def test_unknown_magic_rejected(self, tmp_path):
         path = tmp_path / "bogus.rcol3"
         path.write_bytes(b"NOTMAGIC" + b"\x00" * 64)
@@ -185,9 +162,22 @@ class TestIntegrity:
         with pytest.raises(ValueError, match="column-page stream"):
             read_column_stream(path.read_bytes())
 
+    @pytest.mark.parametrize("reader", ["read_column_stream", "map_columns"])
+    def test_v1_magic_refused(self, tmp_path, reader):
+        """The version-1 reader is gone: ``RPROCOLS`` in front of
+        otherwise well-formed column bytes is as unknown as any magic."""
+        stream = b"RPROCOLS" + _encode(some_columns())[8:]
+        with pytest.raises(ValueError, match="column-page stream"):
+            if reader == "map_columns":
+                path = tmp_path / "old.rcols"
+                path.write_bytes(stream)
+                map_columns(path)
+            else:
+                read_column_stream(stream)
+
 
 # ----------------------------------------------------------------------
-# Legacy formats through the new reader path
+# Stream files through the mapped-file entry point
 # ----------------------------------------------------------------------
 class TestLegacyStreams:
     def test_v2_file_materializes_via_map_columns(self, tmp_path):
@@ -197,15 +187,3 @@ class TestLegacyStreams:
         back = map_columns(path)  # UpdateColumns, not MappedColumns
         assert not isinstance(back, MappedColumns)
         assert_columns_equal(back, cols)
-
-    def test_v1_file_materializes_via_map_columns(self, tmp_path):
-        cols = some_columns()
-        path = tmp_path / "legacy.rcols"
-        path.write_bytes(encode_v1(cols))
-        back = map_columns(path)
-        assert not isinstance(back, MappedColumns)
-        assert_columns_equal(back, cols)
-
-    def test_v1_stream_via_unified_reader(self):
-        cols = some_columns()
-        assert_columns_equal(read_column_stream(encode_v1(cols)), cols)
