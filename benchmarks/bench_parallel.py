@@ -6,8 +6,8 @@ same-timestamp update batch per tick — through four engine
 configurations and writes the measurements to ``BENCH_parallel.json``
 at the repo root:
 
-- ``serial``        one :meth:`apply_update` call per object
-  (``batch_updates=False``), the seed engine's per-update path;
+- ``serial``        one :meth:`apply_update` call per object, the seed
+  engine's per-update path;
 - ``batched``       the same engine group-committing each tick's batch
   through :meth:`apply_updates`;
 - ``sharded K/0``   :class:`~repro.par.ShardedJoinEngine`, K shards
@@ -64,7 +64,7 @@ def make_ticks(scenario):
 
 
 def run_serial(scenario, ticks) -> float:
-    config = JoinConfig(t_m=T_M, batch_updates=False)
+    config = JoinConfig(t_m=T_M)
     engine = ContinuousJoinEngine.create(
         scenario.set_a, scenario.set_b, algorithm=ALGORITHM, config=config
     )

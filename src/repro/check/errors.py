@@ -63,9 +63,7 @@ by :mod:`repro.check.flow`):
 ``RC105``  fault spec names an unknown fault kind or command op
 ``RC106``  bare op-name string literal outside ``par/protocol.py``
 ``RC107``  worker dispatch present without a protocol module
-``RC201``  kernel facade/NumPy signature drift
 ``RC202``  tolerance constant not sourced from ``geometry.constants``
-``RC203``  kernel variant missing or wired to the facade out of order
 ``RC211``  duplicate or retired-and-reused error code
 ``RC212``  code raised in source but unregistered / undocumented
 ``RC213``  registered code never referenced by a detection test
@@ -105,14 +103,15 @@ LINT_CODES = ("RC000", "RC001", "RC002", "RC003", "RC004", "RC005", "RC006")
 
 FLOW_CODES = (
     "RC101", "RC102", "RC103", "RC104", "RC105", "RC106", "RC107",
-    "RC201", "RC202", "RC203",
+    "RC202",
     "RC211", "RC212", "RC213",
 )
 
 #: Codes permanently removed from the live registries.  Never reuse a
 #: retired code for a new check — historical findings and docs keep
 #: their meaning.  Enforced statically by the flow lint (``RC211``).
-RETIRED_CODES = ()
+#: ``RC201``/``RC203``: compiled-kernel facade signature drift / wiring.
+RETIRED_CODES = ("RC201", "RC203")
 
 
 @dataclass(frozen=True)

@@ -13,11 +13,10 @@ Protocol completeness (``RC101``–``RC107``)
     ``mutating`` flags, the checkpoint blob's produced/consumed keys,
     and the fault-spec grammar must all agree.
 
-Kernel-triple parity (``RC201``–``RC203``)
-    The scalar pair-test path, the NumPy kernels, and the compiled
-    facade must keep matching signatures, source their tolerances from
-    ``geometry/constants.py`` (generalizing ``RC006`` over the whole
-    triple), and wire the compiled bodies to the facade in field order.
+Kernel-pair tolerance parity (``RC202``)
+    The scalar pair-test path and the NumPy kernels must source their
+    tolerances from ``geometry/constants.py`` (generalizing ``RC006``
+    over both tiers).  ``RC201``/``RC203`` are retired.
 
 Registry consistency (``RC211``–``RC213``)
     Every ``SC``/``RC`` code is unique and never recycled from
@@ -36,9 +35,7 @@ Code table
 ``RC105``  fault spec names an unknown fault kind or command op
 ``RC106``  bare op-name string literal outside ``par/protocol.py``
 ``RC107``  worker dispatch present without a protocol module
-``RC201``  kernel facade/NumPy signature drift
 ``RC202``  tolerance constant not sourced from ``geometry.constants``
-``RC203``  kernel variant missing or wired to the facade out of order
 ``RC211``  duplicate or retired-and-reused error code
 ``RC212``  code raised in source but unregistered / undocumented
 ``RC213``  registered code never referenced by a detection test
@@ -68,10 +65,6 @@ from .symbols import (
 )
 
 __all__ = ["check_flow", "flow_paths"]
-
-#: Trailing parameters a NumPy kernel may carry beyond its facade
-#: signature (batching/instrumentation knobs the compiled path lacks).
-ALLOWED_EXTRA_PARAMS = frozenset({"backend", "counter", "chunk", "dim"})
 
 _CODE_RE = re.compile(r"^(SC|RC)\d{3}$")
 _FAULT_ENTRY_RE = re.compile(
@@ -476,19 +469,18 @@ def _check_protocol(
 
 
 # ----------------------------------------------------------------------
-# Kernel-triple parity (RC201-RC203)
+# Kernel-pair tolerance parity (RC202)
 # ----------------------------------------------------------------------
 def _check_kernels(table: SymbolTable) -> List[Finding]:
     findings: List[Finding] = []
     constants = table.find("geometry.constants")
     kernels = table.find("geometry.kernels")
-    compiled = table.find("geometry.compiled")
     scalar = table.find("geometry.intersection")
-    triple = [m for m in (scalar, kernels, compiled) if m is not None]
+    pair = [m for m in (scalar, kernels) if m is not None]
 
-    # RC202: every triple member imports the shared constants and
-    # re-inlines none of their values.
-    if constants is not None and triple:
+    # RC202: both tiers import the shared constants and re-inline none
+    # of their values.
+    if constants is not None and pair:
         values = set()
         for name, expr in constants.assigns.items():
             if name.startswith("_"):
@@ -496,7 +488,7 @@ def _check_kernels(table: SymbolTable) -> List[Finding]:
             val = table.const_eval(constants, expr)
             if isinstance(val, float) and abs(val) not in (0.0, 1.0):
                 values.add(val)
-        for mod in triple:
+        for mod in pair:
             imports_constants = any(
                 table.find(src) is constants
                 for src, _orig in mod.imports.values()
@@ -505,7 +497,7 @@ def _check_kernels(table: SymbolTable) -> List[Finding]:
                 findings.append(Finding(
                     "RC202",
                     f"{mod.name} must import its tolerances from "
-                    f"{constants.name} (kernel-triple drift guard)",
+                    f"{constants.name} (kernel-pair drift guard)",
                     f"{mod.path}:1",
                 ))
             for node in ast.walk(mod.tree):
@@ -519,88 +511,6 @@ def _check_kernels(table: SymbolTable) -> List[Finding]:
                         f"inline tolerance literal {node.value!r} "
                         f"duplicates a {constants.name} constant",
                         f"{mod.path}:{node.lineno}",
-                    ))
-
-    # RC201/RC203: facade methods vs NumPy kernels, and wiring order.
-    if compiled is None or kernels is None:
-        return findings
-    backend = compiled.classes.get("CompiledBackend")
-    if backend is None:
-        for info in compiled.classes.values():
-            if "__init__" in info.methods:
-                backend = info
-                break
-    if backend is None:
-        return findings
-    for mname, method in backend.methods.items():
-        if mname.startswith("_"):
-            continue
-        target = (
-            kernels.functions.get("batch_" + mname)
-            or kernels.functions.get("_" + mname)
-            or kernels.functions.get(mname)
-        )
-        if target is None:
-            findings.append(Finding(
-                "RC203",
-                f"facade method {mname}() has no NumPy kernel variant "
-                f"(looked for batch_{mname}/_{mname}/{mname} in "
-                f"{kernels.name})",
-                compiled.where(method),
-            ))
-            continue
-        fparams = [a.arg for a in method.args.args][1:]
-        kparams = [a.arg for a in target.args.args]
-        if kparams[: len(fparams)] != fparams:
-            findings.append(Finding(
-                "RC201",
-                f"signature drift: {mname}({', '.join(fparams)}) vs "
-                f"{target.name}({', '.join(kparams)})",
-                compiled.where(method),
-            ))
-            continue
-        extra = [
-            p for p in kparams[len(fparams):] if p not in ALLOWED_EXTRA_PARAMS
-        ]
-        if extra:
-            findings.append(Finding(
-                "RC201",
-                f"{target.name}() carries unexpected extra parameter(s) "
-                f"{', '.join(extra)} beyond the facade signature",
-                kernels.where(target),
-            ))
-    init = backend.methods.get("__init__")
-    if init is not None:
-        stems = [
-            (a.arg[:-3] if a.arg.endswith("_fn") else a.arg)
-            for a in init.args.args[1:]
-        ]
-        for node in ast.walk(compiled.tree):
-            if not (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Name)
-                and node.func.id == backend.name
-            ):
-                continue
-            for i, arg in enumerate(node.args):
-                if i >= len(stems):
-                    break
-                leaf = arg
-                while isinstance(leaf, ast.Call) and len(leaf.args) == 1:
-                    leaf = leaf.args[0]
-                if isinstance(leaf, ast.Name):
-                    impl = leaf.id
-                elif isinstance(leaf, ast.Attribute):
-                    impl = leaf.attr
-                else:
-                    continue
-                if stems[i] not in impl:
-                    findings.append(Finding(
-                        "RC203",
-                        f"{backend.name}(...) argument {i} is {impl!r} "
-                        f"but the field there is {stems[i]!r} — kernel "
-                        f"variants wired out of order",
-                        compiled.where(node),
                     ))
     return findings
 

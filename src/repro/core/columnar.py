@@ -46,6 +46,7 @@ from .columns import (
     ColumnStore,
     ObjectsView,
     UpdateColumns,
+    check_planes,
     columns_from_objects,
     pack_updates,
 )
@@ -65,6 +66,7 @@ Dataset = Union[ColumnStore, UpdateColumns, Iterable[MovingObject]]
 
 def _as_store(objects: Dataset) -> ColumnStore:
     if isinstance(objects, ColumnStore):
+        check_planes(objects.batch())
         return objects
     if isinstance(objects, UpdateColumns):
         return ColumnStore.from_columns(objects)
@@ -115,12 +117,6 @@ class ColumnarJoinEngine:
             self.ledger = DeltaLedger(self.now)
             self.store.attach_ledger(self.ledger)
         self.obs: Optional[ObsRecorder] = None
-        self._backend = None
-        if self.config.compile_kernels:
-            from ..geometry import compiled
-
-            # None when Numba is absent: the documented silent fallback.
-            self._backend = compiled.get_backend()
         with self.tracker.timed():
             self.columns_a = _as_store(objects_a)
             self.columns_b = _as_store(objects_b)
@@ -435,7 +431,6 @@ class ColumnarJoinEngine:
             t1,
             counter=counter,
             chunk=SWEEP_JOIN_CHUNK,
-            backend=self._backend,
         )
         # Whole-batch counter attribution: one increment per sweep, not
         # one per candidate pair.

@@ -35,6 +35,7 @@ __all__ = [
     "ColumnStore",
     "UpdateColumns",
     "ObjectsView",
+    "check_planes",
     "columns_from_objects",
     "pack_updates",
     "merge_interval_planes",
@@ -163,9 +164,11 @@ class UpdateColumns:
 
     def check_tick(self, t: float) -> None:
         """Raise unless this is a valid same-tick group-commit batch:
-        every row referenced at ``t`` and no object id twice."""
+        finite ordered bounds (:func:`check_planes`), every row
+        referenced at ``t`` and no object id twice."""
         if len(self) == 0:
             return
+        check_planes(self)
         if not np.all(self.tref == t):  # noqa: RC001
             raise ValueError("columnar updates must carry t_ref == engine.now")
         if np.unique(self.oid).shape[0] != len(self):
@@ -199,6 +202,23 @@ class UpdateColumns:
             )
             for i in range(len(self))
         ]
+
+
+def check_planes(cols) -> None:
+    """Raise ``ValueError`` unless every ``mlo/mhi/vlo/vhi/tref`` entry
+    of ``cols`` (an :class:`UpdateColumns` or a :class:`KineticBatch`
+    view) is finite and no lower bound exceeds its upper bound.
+
+    The ingest gate of the columnar path: a NaN or infinity would flow
+    into the sweep's ``argsort``/``searchsorted`` and yield an arbitrary
+    answer instead of an error (:class:`~repro.geometry.Box` rejects
+    inverted bounds on the object path but lets non-finite ones pass).
+    """
+    for name in ("mlo", "mhi", "vlo", "vhi", "tref"):
+        if not np.isfinite(getattr(cols, name)).all():
+            raise ValueError(f"non-finite value in column {name!r}")
+    if (cols.mlo > cols.mhi).any() or (cols.vlo > cols.vhi).any():
+        raise ValueError("inverted bounds: lower bound above upper bound")
 
 
 def columns_from_objects(objs: Sequence[MovingObject]) -> UpdateColumns:
@@ -286,14 +306,13 @@ class ColumnStore:
     @classmethod
     def from_objects(cls, objs: Iterable[MovingObject]) -> "ColumnStore":
         """Build a store holding every object of the iterable."""
-        cols = columns_from_objects(list(objs))
-        store = cls(capacity=len(cols))
-        store.add(cols)
-        return store
+        return cls.from_columns(columns_from_objects(list(objs)))
 
     @classmethod
     def from_columns(cls, cols: UpdateColumns) -> "ColumnStore":
-        """Build a store from a pre-packed column batch."""
+        """Build a store from a pre-packed column batch (refused by
+        :func:`check_planes` when non-finite or inverted)."""
+        check_planes(cols)
         store = cls(capacity=len(cols))
         store.add(cols)
         return store

@@ -38,20 +38,9 @@ class JoinConfig:
     horizon: Optional[float] = None
     #: Route pair tests through the vectorized NumPy kernels
     #: (:mod:`repro.geometry.kernels`).  Identical results either way;
-    #: off forces the scalar reference path for ablations.
+    #: off forces the scalar reference path the parity suites compare
+    #: against.
     use_kernels: bool = True
-    #: Route the columnar engine's hottest kernels (pair test, sweep
-    #: bounds, insertion costs) through the optional Numba backend
-    #: (:mod:`repro.geometry.compiled`).  The NumPy path is the
-    #: bit-exact oracle, so results are identical either way; silently
-    #: falls back to NumPy when Numba is not installed.  Also forced on
-    #: by the ``REPRO_COMPILE=1`` environment variable.
-    compile_kernels: bool = False
-    #: Let :meth:`ContinuousJoinEngine.apply_updates` group-commit a
-    #: same-timestamp batch (bulk index maintenance + one shared probe
-    #: descent per dataset).  Results are bit-exact either way; off
-    #: forces the per-update serial loop for ablations.
-    batch_updates: bool = True
     #: Extra sanity checking inside the engine (slow; used by tests).
     validate: bool = field(default=False, compare=False)
     #: Run the :mod:`repro.check` invariant sanitizer after every
@@ -95,10 +84,6 @@ class JoinConfig:
             object.__setattr__(self, "sanitize", True)
         if not self.obs and os.environ.get("REPRO_OBS", "") not in ("", "0"):
             object.__setattr__(self, "obs", True)
-        if not self.compile_kernels and os.environ.get(
-            "REPRO_COMPILE", ""
-        ) not in ("", "0"):
-            object.__setattr__(self, "compile_kernels", True)
         if not self.deltas and os.environ.get("REPRO_DELTAS", "") not in ("", "0"):
             object.__setattr__(self, "deltas", True)
         if self.space_size <= 0:

@@ -190,10 +190,9 @@ class ContinuousJoinEngine:
         ``admit`` adds brand-new ``(object, dataset)`` members and
         ``evict`` removes objects entirely (index + result store);
         both exist for the sharded engine's ghost-region churn.  The
-        batch falls back to the serial per-update loop when
-        ``config.batch_updates`` is off, the strategy keeps no interval
-        store (ETP), an oid repeats, or reference times disagree with
-        the engine clock.
+        batch falls back to the serial per-update loop when the
+        strategy keeps no interval store (ETP), an oid repeats, or
+        reference times disagree with the engine clock.
         """
         updates = list(batch)
         admissions = list(admit)
@@ -206,8 +205,7 @@ class ContinuousJoinEngine:
             )
         t = self.now
         batchable = (
-            self.config.batch_updates
-            and hasattr(self._strategy, "on_update_batch")
+            hasattr(self._strategy, "on_update_batch")
             and len(set(oids)) == len(oids)
             # Exact same-tick check on purpose: anything else falls back
             # to the (equally correct) serial loop.
@@ -425,7 +423,6 @@ def _new_tree(engine: ContinuousJoinEngine) -> TPRStarTree:
         node_capacity=engine.config.node_capacity,
         horizon=engine.config.effective_horizon,
         use_kernels=engine.config.use_kernels,
-        compile_kernels=engine.config.compile_kernels,
     )
 
 
@@ -437,7 +434,6 @@ def _new_forest(engine: ContinuousJoinEngine) -> MTBTree:
         buckets_per_tm=engine.config.buckets_per_tm,
         node_capacity=engine.config.node_capacity,
         use_kernels=engine.config.use_kernels,
-        compile_kernels=engine.config.compile_kernels,
     )
 
 

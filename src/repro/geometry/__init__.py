@@ -13,7 +13,6 @@ from .intersection import (
 )
 from .kinetic import KineticBox
 from .kernels import (
-    HAVE_NUMPY,
     KineticBatch,
     batch_all_pairs_intersection,
     batch_filter_against,
@@ -44,7 +43,6 @@ __all__ = [
     "all_pairs_intersection",
     "select_sweep_dimension",
     "sweep_bounds",
-    "HAVE_NUMPY",
     "KineticBatch",
     "batch_intersection_intervals",
     "batch_filter_against",

@@ -22,30 +22,23 @@ The kernels are *bit-identical* to the scalar path, not merely close:
   exact and order-independent, so the sequential scalar clamps and the
   broadcast kernel clamps agree to the last bit.
 
-The scalar implementations stay in place as the verification oracle and
-as the fallback when NumPy is unavailable (``HAVE_NUMPY`` is ``False``
-and every consumer silently takes its scalar path).
+The scalar implementations stay in place as the reference the parity
+suites compare against; these kernels are the only production path, and
+consumers choose between the two by input size alone.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .box import NDIMS
 from .constants import PAIR_TEST_EPS as _EPS
 from .interval import INF, TimeInterval
 from .kinetic import KineticBox
 
-try:  # pragma: no cover - exercised implicitly by every kernel test
-    import numpy as np
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - the image bakes numpy in
-    np = None  # type: ignore[assignment]
-    HAVE_NUMPY = False
-
 __all__ = [
-    "HAVE_NUMPY",
     "PROBE_BATCH_MIN",
     "KineticBatch",
     "batch_intersection_intervals",
@@ -359,7 +352,6 @@ def batch_sweep_join(
     dim: Optional[int] = None,
     counter: Optional[List[int]] = None,
     chunk: int = SWEEP_JOIN_CHUNK,
-    backend: Optional[object] = None,
 ) -> Tuple["np.ndarray", "np.ndarray", "np.ndarray", "np.ndarray"]:
     """Arrays-out plane-sweep join: the whole-dataset probe primitive.
 
@@ -371,11 +363,6 @@ def batch_sweep_join(
     segments are flushed through the pair-window kernel every ``chunk``
     pairs, so peak memory stays bounded for dataset-scale sweeps
     (100k × 100k) where materializing all candidates at once would not.
-
-    ``backend`` optionally supplies compiled kernels (an object with
-    ``pair_windows`` / ``sweep_bounds`` matching the module functions,
-    see :mod:`repro.geometry.compiled`); ``None`` runs the NumPy oracle
-    path.
     """
     if t1 < t0:
         raise ValueError("t_end must be >= t_start")
@@ -389,10 +376,8 @@ def batch_sweep_join(
         return empty
     if dim is None:
         dim = batch_select_sweep_dimension(batch_a, batch_b)
-    bounds = batch_sweep_bounds if backend is None else backend.sweep_bounds
-    windows = _pair_windows if backend is None else backend.pair_windows
-    lb_a, ub_a = bounds(batch_a, dim, t0, t1)
-    lb_b, ub_b = bounds(batch_b, dim, t0, t1)
+    lb_a, ub_a = batch_sweep_bounds(batch_a, dim, t0, t1)
+    lb_b, ub_b = batch_sweep_bounds(batch_b, dim, t0, t1)
     order_a = np.argsort(lb_a, kind="stable")
     order_b = np.argsort(lb_b, kind="stable")
     lba, uba = lb_a[order_a], ub_a[order_a]
@@ -422,8 +407,6 @@ def batch_sweep_join(
     cum = np.cumsum(counts)
     total = int(cum[-1]) if counts.size else 0
     if total == 0:
-        if counter is not None:
-            counter[0] += 0
         return empty
     seg_off = cum - counts
     out_a: List = []
@@ -451,7 +434,7 @@ def batch_sweep_join(
         # (clipped in-bounds) and select per row.
         idx_a = np.where(from_b, order_a[np.minimum(pos, m - 1)], pivot)
         idx_b = np.where(from_b, pivot, order_b[np.minimum(pos, n - 1)])
-        lo, hi, ok = windows(batch_a, idx_a, batch_b, idx_b, t0, t1)
+        lo, hi, ok = _pair_windows(batch_a, idx_a, batch_b, idx_b, t0, t1)
         sel = np.nonzero(ok)[0]
         out_a.append(idx_a[sel])
         out_b.append(idx_b[sel])
@@ -565,7 +548,6 @@ def batch_insertion_costs(
     objs_batch: KineticBatch,
     t0: float,
     t1: float,
-    backend: Optional[object] = None,
 ) -> Tuple["np.ndarray", "np.ndarray"]:
     """The TPR choose-subtree cost grid for a whole batch of inserts.
 
@@ -575,12 +557,8 @@ def batch_insertion_costs(
     :meth:`TPRTree._choose_child`) and ``areas[i]`` is entry ``i``'s
     own integrated area (the tie-break key).  One call replaces
     ``n_entries * n_objs`` scalar ``integrated_union_enlargement``
-    evaluations at the node being descended.  ``backend`` optionally
-    supplies the compiled kernel (see :mod:`repro.geometry.compiled`);
-    its output is bit-identical.
+    evaluations at the node being descended.
     """
-    if backend is not None:
-        return backend.insertion_costs(entries_batch, objs_batch, t0, t1)
     horizon = t1 - t0
     areas = batch_integrated_areas(entries_batch, t0, t1)
     # Union bound at t0, per dimension: position min/max at t0 with

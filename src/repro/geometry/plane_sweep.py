@@ -83,7 +83,7 @@ def ps_intersection(
     t1: float,
     dim: Optional[int] = None,
     counter: Optional[List[int]] = None,
-    use_kernels: Optional[bool] = None,
+    use_kernels: bool = True,
 ) -> List[Tuple[int, int, TimeInterval]]:
     """All intersecting pairs between two sets of moving rectangles.
 
@@ -93,11 +93,11 @@ def ps_intersection(
     ``counter`` is given, ``counter[0]`` is incremented once per exact
     pair test performed — benchmarks use this to report CPU work.
 
-    ``use_kernels`` picks the implementation: ``True`` routes through
-    the vectorized :mod:`repro.geometry.kernels` batch sweep, ``False``
-    forces the scalar reference path, and ``None`` (default) uses the
-    kernels whenever NumPy is available.  Both paths return identical
-    triples (the kernels are bit-exact against the scalar oracle).
+    ``use_kernels`` picks the implementation: ``True`` (default) routes
+    through the vectorized :mod:`repro.geometry.kernels` batch sweep,
+    ``False`` runs the scalar reference path.  Both paths return
+    identical triples (the kernels are bit-exact against the scalar
+    oracle).
 
     The sweep runs both sorted sequences in ``lb`` order; for the item
     with the globally smallest ``lb`` it scans the other sequence while
@@ -106,9 +106,7 @@ def ps_intersection(
     """
     if t1 < t0:
         raise ValueError("t_end must be >= t_start")
-    if use_kernels is None:
-        use_kernels = kernels.HAVE_NUMPY
-    if use_kernels and kernels.HAVE_NUMPY:
+    if use_kernels:
         return kernels.batch_ps_intersection(
             kernels.KineticBatch.from_boxes(list(boxes_a)),
             kernels.KineticBatch.from_boxes(list(boxes_b)),
@@ -162,19 +160,17 @@ def all_pairs_intersection(
     t0: float,
     t1: float = INF,
     counter: Optional[List[int]] = None,
-    use_kernels: Optional[bool] = None,
+    use_kernels: bool = True,
 ) -> List[Tuple[int, int, TimeInterval]]:
     """Nested-loop reference: every pair tested exactly once.
 
     Used where plane sweep cannot run (unbounded window) and as the
     oracle against which :func:`ps_intersection` is verified.  With
-    ``use_kernels`` (default: on when NumPy is available) the full
+    ``use_kernels`` (the default) the full
     ``M × N`` constraint grid is evaluated as one broadcast kernel call
     instead of a Python double loop; results are identical either way.
     """
-    if use_kernels is None:
-        use_kernels = kernels.HAVE_NUMPY
-    if use_kernels and kernels.HAVE_NUMPY:
+    if use_kernels:
         return kernels.batch_all_pairs_intersection(
             kernels.KineticBatch.from_boxes(list(boxes_a)),
             kernels.KineticBatch.from_boxes(list(boxes_b)),

@@ -37,7 +37,6 @@ def bulk_load(
     fill_factor: float = 0.82,
     tree_class: type = TPRStarTree,
     use_kernels: bool = True,
-    compile_kernels: bool = False,
 ) -> TPRTree:
     """Build a packed TPR*-tree over ``objects`` as of time ``t0``.
 
@@ -55,7 +54,7 @@ def bulk_load(
         raise ValueError("fill_factor must be in (0.1, 1.0]")
     tree = tree_class(
         storage=storage, node_capacity=node_capacity, horizon=horizon,
-        use_kernels=use_kernels, compile_kernels=compile_kernels,
+        use_kernels=use_kernels,
     )
     if not objects:
         return tree

@@ -46,9 +46,6 @@ class MTBTree:
     use_kernels:
         Forwarded to every bucket tree: vectorized search pair tests
         (identical results, fewer Python-level calls).
-    compile_kernels:
-        Forwarded to every bucket tree: compiled choose-subtree cost
-        grids when Numba is present (bit-identical results).
     """
 
     def __init__(
@@ -59,7 +56,6 @@ class MTBTree:
         node_capacity: int = DEFAULT_NODE_CAPACITY,
         tree_factory: Callable[..., TPRTree] = TPRStarTree,
         use_kernels: bool = True,
-        compile_kernels: bool = False,
     ):
         if t_m <= 0:
             raise ValueError("t_m must be positive")
@@ -70,7 +66,6 @@ class MTBTree:
         self.storage = storage if storage is not None else TreeStorage()
         self.node_capacity = node_capacity
         self.use_kernels = use_kernels
-        self.compile_kernels = compile_kernels
         self._tree_factory = tree_factory
         self._trees: Dict[int, TPRTree] = {}
         self.objects = ObjectTable()
@@ -172,7 +167,6 @@ class MTBTree:
                         horizon=self.t_m,
                         tree_class=self._tree_factory,
                         use_kernels=self.use_kernels,
-                        compile_kernels=self.compile_kernels,
                     )
                 else:
                     self._tree_for(key).insert_batch(group, t_now)
@@ -218,7 +212,6 @@ class MTBTree:
                 node_capacity=self.node_capacity,
                 horizon=self.t_m,
                 use_kernels=self.use_kernels,
-                compile_kernels=self.compile_kernels,
             )
             self._trees[key] = tree
         return tree

@@ -22,7 +22,7 @@ from __future__ import annotations
 import os
 from typing import Optional, Type
 
-from ..geometry import KineticBox, kernels
+from ..geometry import KineticBox
 from ..objects import MovingObject
 from ..storage import BufferPool, FileDiskManager, StructReader, StructWriter
 from .codec import NodeCodec
@@ -126,7 +126,7 @@ def load_tree(
     tree.node_capacity = capacity
     tree.horizon = horizon
     tree.min_fill = max(1, int(capacity * 0.4))
-    tree.use_kernels = kernels.HAVE_NUMPY
+    tree.use_kernels = True
     from .object_table import ObjectTable
 
     tree.objects = ObjectTable()

@@ -59,13 +59,8 @@ class TPRTree:
     use_kernels:
         Route :meth:`search` pair tests through the vectorized NumPy
         kernels (one call per node instead of one per entry).  Results
-        are identical to the scalar path; the flag exists for ablation
-        and as a fallback when NumPy is missing.
-    compile_kernels:
-        Route the batched choose-subtree cost grids through the
-        optional Numba backend (:mod:`repro.geometry.compiled`).
-        Bit-identical outputs; silently stays on NumPy when Numba is
-        absent.
+        are identical to the scalar path; the off side is the
+        reference the parity suites compare against.
     """
 
     #: Subclasses may enable R*-style forced reinsertion.
@@ -78,7 +73,6 @@ class TPRTree:
         horizon: float = DEFAULT_HORIZON,
         min_fill_ratio: float = 0.4,
         use_kernels: bool = True,
-        compile_kernels: bool = False,
     ):
         self.storage = storage if storage is not None else TreeStorage()
         max_cap = self.storage.max_node_capacity()
@@ -94,14 +88,7 @@ class TPRTree:
             raise ValueError("horizon must be positive")
         self.node_capacity = node_capacity
         self.horizon = float(horizon)
-        self.use_kernels = bool(use_kernels) and kernels.HAVE_NUMPY
-        self.compile_kernels = bool(compile_kernels)
-        self._backend = None
-        if self.compile_kernels:
-            from ..geometry import compiled
-
-            # None when Numba is absent: the documented silent fallback.
-            self._backend = compiled.get_backend()
+        self.use_kernels = bool(use_kernels)
         self.min_fill = max(1, int(node_capacity * min_fill_ratio))
         self.objects = ObjectTable()
         root = self.storage.new_node(level=0)
@@ -286,7 +273,6 @@ class TPRTree:
                 obatch.compress(active),
                 t_now,
                 t_end,
-                backend=self._backend,
             )
             chosen = np.empty(len(active), dtype=np.intp)
             for col in range(len(active)):

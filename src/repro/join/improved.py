@@ -107,7 +107,7 @@ class _JoinContext:
 
     def __init__(self, t_run: float, use_kernels: bool):
         self.t_run = t_run
-        self.use_kernels = use_kernels and kernels.HAVE_NUMPY
+        self.use_kernels = use_kernels
         self._bounds: dict = {}
         self._batches: dict = {}
 

@@ -73,3 +73,29 @@ def sanitized(monkeypatch: pytest.MonkeyPatch) -> None:
     after every build/tick/update.
     """
     monkeypatch.setenv("REPRO_SANITIZE", "1")
+
+
+def _nan_position(cols, row: int) -> None:
+    cols.mlo[1, row] = float("nan")
+
+
+def _inf_velocity(cols, row: int) -> None:
+    cols.vhi[0, row] = float("inf")
+
+
+def _nan_tref(cols, row: int) -> None:
+    cols.tref[row] = float("nan")
+
+
+def _inverted_box(cols, row: int) -> None:
+    cols.mlo[0, row] = cols.mhi[0, row] + 1.0
+
+
+#: Hostile edits of one row of an ``UpdateColumns`` batch; the columnar
+#: ingest gate (``check_planes``) must refuse every one of them.
+HOSTILE_COLUMN_EDITS = {
+    "nan-position": _nan_position,
+    "inf-velocity": _inf_velocity,
+    "nan-tref": _nan_tref,
+    "inverted-box": _inverted_box,
+}

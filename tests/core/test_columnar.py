@@ -19,12 +19,15 @@ from repro.core import (
     JoinConfig,
     SimulationDriver,
 )
+from repro.core.columns import ColumnStore, UpdateColumns, columns_from_objects
 from repro.workloads import (
     UpdateStream,
     VectorUpdateStream,
     make_workload,
     make_workload_arrays,
 )
+
+from ..conftest import HOSTILE_COLUMN_EDITS
 
 T_M = 12.0
 N = 60
@@ -96,15 +99,6 @@ def test_store_identical_across_distributions(algorithm, distribution):
         distribution=distribution,
     )
     assert dump(seed_engine._strategy.store) == dump(col_engine.store)
-
-
-def test_compile_kernels_flag_falls_back_cleanly():
-    """Without Numba the flag must be a silent no-op, results unchanged."""
-    _, plain = drive_both("mtb", JoinConfig(t_m=T_M), JoinConfig(t_m=T_M))
-    _, flagged = drive_both(
-        "mtb", JoinConfig(t_m=T_M), JoinConfig(t_m=T_M, compile_kernels=True)
-    )
-    assert dump(plain.store) == dump(flagged.store)
 
 
 @pytest.mark.parametrize("shards", [1, 4])
@@ -212,6 +206,52 @@ def test_historical_batch_rejected():
     stale = scenario.set_a[0]  # t_ref == 0.0 != engine.now
     with pytest.raises(ValueError, match="t_ref"):
         engine.apply_updates([stale])
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE_COLUMN_EDITS))
+def test_hostile_columns_rejected_state_unchanged(case):
+    """NaN / inf / inverted input is refused at the ingest gate, before
+    anything is written — never joined into an arbitrary answer."""
+    scenario = scenario_pair()
+    engine = ColumnarJoinEngine(
+        scenario.set_a, scenario.set_b, algorithm="tc", config=JoinConfig(t_m=T_M)
+    )
+    engine.run_initial_join()
+    engine.tick(1.0)
+
+    def state():
+        return (
+            [
+                getattr(cols.columns(), plane).tolist()
+                for cols in (engine.columns_a, engine.columns_b)
+                for plane in ("oid", "mlo", "mhi", "vlo", "vhi", "tref")
+            ],
+            engine.update_count,
+            engine.store.interval_rows(),
+        )
+
+    before = state()
+    assert before[2], "vacuous: the store is empty"
+    bad = columns_from_objects(
+        [obj.updated(1.0, vx=1.0, vy=-1.0) for obj in scenario.set_a[:3]]
+    )
+    HOSTILE_COLUMN_EDITS[case](bad, 1)
+    with pytest.raises(ValueError):
+        engine.apply_update_columns(bad, UpdateColumns.empty())
+    assert state() == before
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("case", sorted(HOSTILE_COLUMN_EDITS))
+def test_constructor_rejects_hostile_dataset(case):
+    scenario = scenario_pair()
+    bad = columns_from_objects(scenario.set_a)
+    HOSTILE_COLUMN_EDITS[case](bad, 5)
+    adopted = ColumnStore()
+    adopted.add(bad)  # the raw append path does not validate
+    for dataset in (bad, adopted):
+        with pytest.raises(ValueError):
+            ColumnarJoinEngine(dataset, scenario.set_b, "tc", JoinConfig(t_m=T_M))
 
 
 def test_prune_expired_matches_store_semantics():

@@ -1,5 +1,7 @@
 """Tests for JoinConfig validation and derived values."""
 
+import dataclasses
+
 import pytest
 
 from repro.core import JoinConfig
@@ -41,3 +43,15 @@ class TestJoinConfig:
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
             JoinConfig(**kwargs)
+
+    def test_removed_knobs_are_gone(self, monkeypatch):
+        """No option or environment variable selects a kernel backend
+        or an update loop any more."""
+        with pytest.raises(TypeError):
+            JoinConfig(compile_kernels=True)
+        with pytest.raises(TypeError):
+            JoinConfig(batch_updates=False)
+        plain = dataclasses.asdict(JoinConfig())
+        monkeypatch.setenv("REPRO_COMPILE", "1")
+        assert dataclasses.asdict(JoinConfig()) == plain
+        assert len(plain) == 17

@@ -19,7 +19,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geometry import (
-    HAVE_NUMPY,
     INF,
     Box,
     KineticBatch,
@@ -38,8 +37,6 @@ from repro.geometry import (
 )
 
 from ..conftest import random_kbox
-
-pytestmark = pytest.mark.skipif(not HAVE_NUMPY, reason="kernels need numpy")
 
 # Finite values spanning magnitudes down to subnormals — the regime
 # where different float associations actually diverge.

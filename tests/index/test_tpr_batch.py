@@ -184,7 +184,6 @@ class TestForestBulkDelete:
         forest.validate(12.0)
 
 
-@pytest.mark.skipif(not kernels.HAVE_NUMPY, reason="requires NumPy")
 class TestInsertionCostKernel:
     def test_matches_scalar_integrals(self):
         rng = random.Random(41)

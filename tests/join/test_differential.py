@@ -185,8 +185,7 @@ def test_group_commit_matches_per_update_loop(dist, algorithm):
     )
     config = JoinConfig(t_m=8.0, sanitize=True)
     serial = ContinuousJoinEngine(
-        scenario.set_a, scenario.set_b, algorithm,
-        JoinConfig(t_m=8.0, sanitize=True, batch_updates=False),
+        scenario.set_a, scenario.set_b, algorithm, config
     )
     batched = ContinuousJoinEngine(
         scenario.set_a, scenario.set_b, algorithm, config

@@ -16,6 +16,7 @@ import pytest
 
 from repro.check import InvariantViolation, check_sharded_state
 from repro.core import ContinuousJoinEngine, JoinConfig
+from repro.core.columns import UpdateColumns, columns_from_objects
 from repro.geometry import Box
 from repro.objects import MovingObject
 from repro.par import SHARDABLE_ALGORITHMS, ShardedJoinEngine, worker
@@ -25,6 +26,8 @@ from repro.workloads import (
     make_workload,
     make_workload_arrays,
 )
+
+from ..conftest import HOSTILE_COLUMN_EDITS
 
 T_M = 8.0
 STEPS = 5
@@ -248,10 +251,35 @@ class TestRejectedBatch:
                     engine.step(2.0, batch)
                 assert engine.now == 1.0
                 self.assert_unchanged(before, self.state(engine))
+            # Hostile values: refused whole by the same pre-write gate.
+            for case, corrupt in sorted(HOSTILE_COLUMN_EDITS.items()):
+                bad = columns_from_objects([known, other])
+                corrupt(bad, 1)
+                with pytest.raises(ValueError):
+                    engine.apply_update_columns(bad, UpdateColumns.empty())
+                self.assert_unchanged(before, self.state(engine))
+            with pytest.raises(ValueError):
+                engine.step(2.0, [known, other.updated(1.0, vx=float("inf"))])
+            assert engine.now == 1.0
+            self.assert_unchanged(before, self.state(engine))
             # The engine still works, and the accepted batch does land.
             engine.apply_updates([known, other])
             assert engine.update_count == before[4] + 2
             engine.validate()
+
+
+    @pytest.mark.parametrize("hostile", [
+        MovingObject(7001, Box(float("nan"), 1.0, 0.0, 1.0), 0.0, 0.0, 0.0),
+        MovingObject(7001, Box(0.0, 1.0, 0.0, 1.0), 0.0, float("-inf"), 0.0),
+        MovingObject(7001, Box(0.0, 1.0, 0.0, 1.0), 0.0, 0.0, float("nan")),
+    ], ids=["nan-position", "inf-velocity", "nan-tref"])
+    def test_constructor_rejects_hostile_dataset(self, hostile):
+        scenario = scenario_for(19)
+        with pytest.raises(ValueError):
+            ShardedJoinEngine(
+                scenario.set_a, scenario.set_b + [hostile], "mtb",
+                JoinConfig(t_m=T_M), shards=2, workers=0,
+            )
 
 
 class TestNoObjectsOnTheTickPath:
