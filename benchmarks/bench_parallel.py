@@ -1,21 +1,19 @@
-"""Maintenance-tick throughput: serial vs group-commit vs sharded.
+"""Maintenance-tick throughput: serial tree engine vs sharded.
 
 Standalone script (not a pytest-benchmark figure): drives the same
 Figure-13-style maintenance workload — N objects per side, one
-same-timestamp update batch per tick — through four engine
+same-timestamp update batch per tick — through three engine
 configurations and writes the measurements to ``BENCH_parallel.json``
 at the repo root:
 
-- ``serial``        one :meth:`apply_update` call per object, the seed
-  engine's per-update path;
-- ``batched``       the same engine group-committing each tick's batch
-  through :meth:`apply_updates`;
+- ``serial``        one :meth:`apply_update` call per object, the tree
+  engine's (only) maintenance path;
 - ``sharded K/0``   :class:`~repro.par.ShardedJoinEngine`, K shards
   executed in-process;
 - ``sharded K/W``   the same, fanned out to W pipe-connected worker
   processes via the fused :meth:`~repro.par.ShardedJoinEngine.step`.
 
-All four produce bit-exact answers (enforced by the differential suite
+All three produce bit-exact answers (enforced by the differential suite
 in ``tests/join/test_differential.py`` and ``tests/par``); this script
 measures only throughput.  Configurations are timed in interleaved
 rounds (every mode once per round, best-of across rounds) so drift in
@@ -25,10 +23,9 @@ Run with::
 
     PYTHONPATH=src python benchmarks/bench_parallel.py
 
-Acceptance floors (the parallel-engine PR criterion): the batched
-group-commit path must reach >= 1.5x the serial per-update throughput,
-and the sharded engine at 4 workers / 4 shards >= 2x.  The script
-exits non-zero if either floor is missed.
+Acceptance floor (the parallel-engine PR criterion): the sharded engine
+at 4 workers / 4 shards must reach >= 2x the serial per-update
+throughput.  The script exits non-zero if the floor is missed.
 """
 
 from __future__ import annotations
@@ -53,7 +50,6 @@ SHARDS = 4
 WORKERS = 4
 ROUNDS = 4
 
-BATCHED_FLOOR = 1.5
 SHARDED_FLOOR = 2.0
 
 
@@ -74,20 +70,6 @@ def run_serial(scenario, ticks) -> float:
         engine.tick(t)
         for obj in batch:
             engine.apply_update(obj)
-        engine.result_at(t)
-    return monotonic_clock() - start
-
-
-def run_batched(scenario, ticks) -> float:
-    config = JoinConfig(t_m=T_M)
-    engine = ContinuousJoinEngine.create(
-        scenario.set_a, scenario.set_b, algorithm=ALGORITHM, config=config
-    )
-    engine.run_initial_join()
-    start = monotonic_clock()
-    for t, batch in ticks:
-        engine.tick(t)
-        engine.apply_updates(batch)
         engine.result_at(t)
     return monotonic_clock() - start
 
@@ -127,7 +109,6 @@ def main() -> int:
 
     modes = {
         "serial": lambda: run_serial(scenario, ticks),
-        "batched": lambda: run_batched(scenario, ticks),
         f"sharded {SHARDS}/0": lambda: run_sharded(scenario, ticks, 0),
         f"sharded {SHARDS}/{WORKERS}": lambda: run_sharded(
             scenario, ticks, WORKERS
@@ -157,11 +138,6 @@ def main() -> int:
 
     by_mode = {row["mode"]: row for row in rows}
     failures = []
-    batched_speedup = by_mode["batched"]["speedup_vs_serial"]
-    if batched_speedup < BATCHED_FLOOR:
-        failures.append(
-            f"batched group-commit {batched_speedup:.2f}x < {BATCHED_FLOOR}x"
-        )
     sharded_key = f"sharded {SHARDS}/{WORKERS}"
     sharded_speedup = by_mode[sharded_key]["speedup_vs_serial"]
     if sharded_speedup < SHARDED_FLOOR:
@@ -171,8 +147,7 @@ def main() -> int:
     out.write_text(
         json.dumps(
             {
-                "description": "maintenance-tick throughput, serial vs "
-                "group-commit vs sharded",
+                "description": "maintenance-tick throughput, serial vs sharded",
                 "workload": {
                     "n_per_side": N_PER_SIDE,
                     "steps": STEPS,
@@ -186,10 +161,7 @@ def main() -> int:
                 "shards": SHARDS,
                 "workers": WORKERS,
                 "rounds": ROUNDS,
-                "floors": {
-                    "batched": BATCHED_FLOOR,
-                    "sharded": SHARDED_FLOOR,
-                },
+                "floors": {"sharded": SHARDED_FLOOR},
                 "results": rows,
                 "passed": not failures,
             },
@@ -202,10 +174,7 @@ def main() -> int:
         for failure in failures:
             print(f"FAIL: {failure}")
         return 1
-    print(
-        f"floors met: batched >= {BATCHED_FLOOR}x, "
-        f"sharded {SHARDS}/{WORKERS} >= {SHARDED_FLOOR}x"
-    )
+    print(f"floor met: sharded {SHARDS}/{WORKERS} >= {SHARDED_FLOOR}x")
     return 0
 
 

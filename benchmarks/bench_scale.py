@@ -16,8 +16,8 @@ report ``store_mb``, the result store's own resident bytes via
 
 At the sizes where the serial seed engine is still practical (1k, 10k)
 the same pre-materialized update batches are replayed through the
-object-path :class:`~repro.core.engine.ContinuousJoinEngine` group
-commit, so the speedup column compares identical work.  At n=100k a
+tree engine (:class:`~repro.core.engine.ContinuousJoinEngine`, one
+object at a time), so the speedup column compares identical work.  At n=100k a
 4-shard cell (every shard a columnar engine) runs beside the serial
 columnar engine for the sharded speedup column.
 
@@ -178,7 +178,7 @@ def run_columnar(n: int, steps: int) -> dict:
 
 
 def run_seed_baseline(n: int, steps: int) -> dict:
-    """The object-path group commit replaying the *same* update batches."""
+    """The tree engine's per-update loop replaying the *same* update batches."""
     arrays = workload(n)
     scenario = arrays.to_scenario()
     stream = VectorUpdateStream(arrays, seed=SEED + 1)

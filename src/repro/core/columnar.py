@@ -223,16 +223,20 @@ class ColumnarJoinEngine:
     ) -> None:
         """Apply one same-timestamp batch as column writes plus sweeps.
 
-        Mirrors the object engine's group commit phase for phase —
-        evictions, column writes (the index maintenance of this engine),
-        store invalidation, then one probe pass per changed side against
-        the other dataset's final state — so the resulting store is
-        bit-identical to the serial per-update loop (see
-        ``_IntervalStrategy.on_update_batch`` for the argument).
+        The group commit: evictions, column writes (the index
+        maintenance of this engine), store invalidation, then one probe
+        pass per changed side against the other dataset's *final* state.
+        The resulting store is bit-identical to the tree engine's
+        per-update loop over the same objects in any order.  Probes only
+        read the other dataset's index, so probing every changed object
+        after all writes sees exactly the motions a serial interleaving
+        ends with; a pair updated from both sides gets the same interval
+        from either probe (both windows start at ``t``), and re-adding
+        an identical interval is a no-op merge.
         """
         t = self.now
-        # Strict same-tick contract (cf. the object engine's batchable
-        # check, which falls back to a serial loop instead).
+        # Strict same-tick contract: the order-independence argument
+        # above needs every probe window to start at ``t``.
         for cols in (upd_a, upd_b, admit_a, admit_b):
             if cols is not None:
                 cols.check_tick(t)

@@ -19,7 +19,7 @@ strategy must keep equal to the brute-force answer at all times.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Set, Tuple
 
 from ..geometry import INF
 from ..index import MTBTree, TPRStarTree, TreeStorage
@@ -29,7 +29,6 @@ from ..join import (
     influence_scan,
     mtb_join,
     mtb_join_object,
-    mtb_join_objects,
     naive_join,
     tc_join,
     tp_join,
@@ -37,6 +36,7 @@ from ..join import (
 from ..metrics import CostSnapshot, CostTracker
 from ..obs import NULL_SPAN, ObsRecorder
 from ..objects import MovingObject
+from .columns import check_planes, columns_from_objects
 from .config import JoinConfig
 from .result import JoinResultStore
 
@@ -45,6 +45,13 @@ __all__ = ["ContinuousJoinEngine", "ALGORITHMS"]
 PairKey = Tuple[int, int]
 
 ALGORITHMS = ("naive", "etp", "tc", "mtb")
+
+
+def _check_objects(objs: Sequence[MovingObject]) -> None:
+    """The tree engine's ingest gate: refuse a NaN/inf MBR, velocity or
+    ``t_ref`` (and inverted bounds) with ``ValueError`` before any write
+    — the columnar engine's rule, :func:`~.columns.check_planes`."""
+    check_planes(columns_from_objects(objs))
 
 
 class ContinuousJoinEngine:
@@ -70,6 +77,8 @@ class ContinuousJoinEngine:
         overlap = self.objects_a.keys() & self.objects_b.keys()
         if overlap:
             raise ValueError(f"object ids shared across datasets: {sorted(overlap)[:5]}")
+        _check_objects(list(self.objects_a.values()))
+        _check_objects(list(self.objects_b.values()))
         self.storage = TreeStorage(
             page_size=self.config.page_size,
             buffer_pages=self.config.buffer_pages,
@@ -156,19 +165,12 @@ class ContinuousJoinEngine:
         """Process one object update at the current timestamp.
 
         The object's dataset is inferred from its id; its stored motion
-        is replaced and the maintained answer repaired.
+        is replaced and the maintained answer repaired.  An unknown id
+        (``KeyError``) or a NaN/inf/inverted motion (``ValueError``) is
+        refused before anything is written.
         """
-        if obj.oid in self.objects_a:
-            dataset = "a"
-            self.objects_a[obj.oid] = obj
-        elif obj.oid in self.objects_b:
-            dataset = "b"
-            self.objects_b[obj.oid] = obj
-        else:
-            raise KeyError(f"unknown object id {obj.oid}")
-        self.update_count += 1
-        with self.tracker.timed(), self._span("engine.update", t=self.now):
-            self._strategy.on_update(obj, dataset, self.now)
+        _check_objects([obj])
+        self._update(obj, self._dataset_of(obj.oid))
         self._sanitize()
 
     def apply_updates(
@@ -178,134 +180,111 @@ class ContinuousJoinEngine:
         admit: Sequence[Tuple[MovingObject, str]] = (),
         evict: Sequence[int] = (),
     ) -> None:
-        """Group-commit a same-timestamp batch of object updates.
+        """Apply a batch of object updates, one object at a time.
 
-        Equivalent to calling :meth:`apply_update` once per object (in
-        any order) — the maintained answer is bit-exact either way —
-        but the whole batch shares its index maintenance (bulk bucket
-        loading in the MTB forest) and its probe passes (one
-        multi-query :meth:`~repro.index.tpr.TPRTree.search_batch`
-        descent per dataset instead of one tree walk per object).
-
+        Evictions run first, then one update per object of ``batch`` in
+        order (an oid may repeat), then the admissions — the paper's
+        per-update maintenance (§IV), so every index access is charged
+        exactly as an explicit :meth:`apply_update` loop charges it.
         ``admit`` adds brand-new ``(object, dataset)`` members and
-        ``evict`` removes objects entirely (index + result store);
-        both exist for the sharded engine's ghost-region churn.  The
-        batch falls back to the serial per-update loop when the
-        strategy keeps no interval store (ETP), an oid repeats, or
-        reference times disagree with the engine clock.
+        ``evict`` removes objects entirely (index + result store).
+
+        The whole batch is resolved before the first write: an unknown
+        or twice-evicted id (``KeyError``), an already-present or
+        twice-admitted object, an id both evicted and updated/admitted,
+        or a NaN/inf/inverted motion (``ValueError``) refuses the batch
+        and leaves object tables, indexes, store and ``update_count``
+        untouched.
         """
         updates = list(batch)
         admissions = list(admit)
         evictions = list(evict)
-        oids = [o.oid for o in updates] + [o.oid for o, _ds in admissions]
-        clashes = set(evictions) & set(oids)
+        newcomers = [obj for obj, _ds in admissions]
+        admitted = [obj.oid for obj in newcomers]
+        clashes = set(evictions) & ({obj.oid for obj in updates} | set(admitted))
         if clashes:
             raise ValueError(
                 f"objects both evicted and updated/admitted: {sorted(clashes)[:5]}"
             )
-        t = self.now
-        batchable = (
-            hasattr(self._strategy, "on_update_batch")
-            and len(set(oids)) == len(oids)
-            # Exact same-tick check on purpose: anything else falls back
-            # to the (equally correct) serial loop.
-            and all(o.t_ref == t for o in updates)  # noqa: RC001
-            and all(o.t_ref == t for o, _ds in admissions)  # noqa: RC001
-        )
-        if not batchable:
-            for oid in evictions:
-                self.evict_object(oid)
-            for obj in updates:
-                self.apply_update(obj)
-            for obj, dataset in admissions:
-                self.admit_object(obj, dataset)
-            return
-        upd_a: List[MovingObject] = []
-        upd_b: List[MovingObject] = []
-        for obj in updates:
-            if obj.oid in self.objects_a:
-                self.objects_a[obj.oid] = obj
-                upd_a.append(obj)
-            elif obj.oid in self.objects_b:
-                self.objects_b[obj.oid] = obj
-                upd_b.append(obj)
-            else:
-                raise KeyError(f"unknown object id {obj.oid}")
-        resolved_evictions: List[Tuple[int, str]] = []
-        for oid in evictions:
-            if oid in self.objects_a:
-                del self.objects_a[oid]
-                resolved_evictions.append((oid, "a"))
-            elif oid in self.objects_b:
-                del self.objects_b[oid]
-                resolved_evictions.append((oid, "b"))
-            else:
-                raise KeyError(f"unknown object id {oid}")
-        adm_a: List[MovingObject] = []
-        adm_b: List[MovingObject] = []
+        _check_objects(updates + newcomers)
+        if len(set(evictions)) != len(evictions):
+            raise KeyError("object id evicted twice in one batch")
+        if len(set(admitted)) != len(admitted):
+            raise ValueError("object admitted twice in one batch")
+        if evictions:
+            self._require_hook("on_evict")
+        evicted = [(oid, self._dataset_of(oid)) for oid in evictions]
+        updated = [(obj, self._dataset_of(obj.oid)) for obj in updates]
         for obj, dataset in admissions:
-            if obj.oid in self.objects_a or obj.oid in self.objects_b:
-                raise ValueError(f"object {obj.oid} already present")
-            if dataset == "a":
-                self.objects_a[obj.oid] = obj
-                adm_a.append(obj)
-            elif dataset == "b":
-                self.objects_b[obj.oid] = obj
-                adm_b.append(obj)
-            else:
-                raise ValueError(f"unknown dataset {dataset!r}")
-        self.update_count += len(updates)
-        n_ops = len(updates) + len(admissions) + len(evictions)
-        with self.tracker.timed(), self._span("engine.update_batch", t=t, n=n_ops):
-            self._strategy.on_update_batch(
-                upd_a, upd_b, adm_a, adm_b, resolved_evictions, t
-            )
+            self._check_admission(obj, dataset)
+        for oid, dataset in evicted:
+            self._evict(oid, dataset)
+        for obj, dataset in updated:
+            self._update(obj, dataset)
+        for obj, dataset in admissions:
+            self._admit(obj, dataset)
         self._sanitize()
 
     def admit_object(self, obj: MovingObject, dataset: str) -> None:
         """Add a brand-new object to dataset ``"a"`` or ``"b"``.
 
         Unlike :meth:`apply_update` the object has no stored pairs to
-        invalidate — the index insert plus one probe suffices.  Used by
-        the sharded engine when an object's halo grows into a shard.
+        invalidate — the index insert plus one probe suffices.  The
+        per-object reference for the columnar engine's ghost admissions.
         """
-        if dataset not in ("a", "b"):
-            raise ValueError(f"unknown dataset {dataset!r}")
-        if obj.oid in self.objects_a or obj.oid in self.objects_b:
-            raise ValueError(f"object {obj.oid} already present")
-        on_admit = getattr(self._strategy, "on_admit", None)
-        if on_admit is None:
-            raise ValueError(
-                f"algorithm {self.algorithm!r} does not support admissions"
-            )
-        (self.objects_a if dataset == "a" else self.objects_b)[obj.oid] = obj
-        with self.tracker.timed(), self._span("engine.admit", t=self.now):
-            on_admit(obj, dataset, self.now)
+        _check_objects([obj])
+        self._check_admission(obj, dataset)
+        self._admit(obj, dataset)
         self._sanitize()
 
     def evict_object(self, oid: int) -> None:
         """Remove an object entirely (index entry and stored pairs).
 
-        Used by the sharded engine when an object's halo leaves a
-        shard; the surviving pairs live on in the shards still holding
-        both endpoints.
+        The per-object reference for the columnar engine's ghost
+        evictions.
         """
-        on_evict = getattr(self._strategy, "on_evict", None)
-        if on_evict is None:
-            raise ValueError(
-                f"algorithm {self.algorithm!r} does not support evictions"
-            )
-        if oid in self.objects_a:
-            dataset = "a"
-            del self.objects_a[oid]
-        elif oid in self.objects_b:
-            dataset = "b"
-            del self.objects_b[oid]
-        else:
-            raise KeyError(f"unknown object id {oid}")
-        with self.tracker.timed(), self._span("engine.evict", t=self.now):
-            on_evict(oid, dataset, self.now)
+        self._require_hook("on_evict")
+        self._evict(oid, self._dataset_of(oid))
         self._sanitize()
+
+    # -- resolution (reads only), then the three per-object writes -----
+    def _dataset_of(self, oid: int) -> str:
+        if oid in self.objects_a:
+            return "a"
+        if oid in self.objects_b:
+            return "b"
+        raise KeyError(f"unknown object id {oid}")
+
+    def _require_hook(self, name: str) -> None:
+        """ETP keeps no interval store and has no admit/evict hooks."""
+        if not hasattr(self._strategy, name):
+            raise ValueError(f"algorithm {self.algorithm!r} does not support {name}")
+
+    def _check_admission(self, obj: MovingObject, dataset: str) -> None:
+        if dataset not in ("a", "b"):
+            raise ValueError(f"unknown dataset {dataset!r}")
+        if obj.oid in self.objects_a or obj.oid in self.objects_b:
+            raise ValueError(f"object {obj.oid} already present")
+        self._require_hook("on_admit")
+
+    def _registry(self, dataset: str) -> Dict[int, MovingObject]:
+        return self.objects_a if dataset == "a" else self.objects_b
+
+    def _update(self, obj: MovingObject, dataset: str) -> None:
+        self._registry(dataset)[obj.oid] = obj
+        self.update_count += 1
+        with self.tracker.timed(), self._span("engine.update", t=self.now):
+            self._strategy.on_update(obj, dataset, self.now)
+
+    def _admit(self, obj: MovingObject, dataset: str) -> None:
+        self._registry(dataset)[obj.oid] = obj
+        with self.tracker.timed(), self._span("engine.admit", t=self.now):
+            self._strategy.on_admit(obj, dataset, self.now)
+
+    def _evict(self, oid: int, dataset: str) -> None:
+        del self._registry(dataset)[oid]
+        with self.tracker.timed(), self._span("engine.evict", t=self.now):
+            self._strategy.on_evict(oid, dataset, self.now)
 
     def result_at(self, t: Optional[float] = None) -> Set[PairKey]:
         """Currently intersecting ``(a_oid, b_oid)`` pairs at time ``t``."""
@@ -458,62 +437,17 @@ class _IntervalStrategy:
     def result_at(self, t: float) -> Set[PairKey]:
         return self.store.pairs_at(t)
 
-    # -- group-commit plumbing -----------------------------------------
-    # Subclasses provide _index(dataset) plus _probe_batch(objs, ds, t);
-    # tree-backed strategies inherit _replace_batch, the MTB forest
-    # overrides it with bulk bucket loading.
+    # Subclasses provide _index(dataset) and _probe(obj, dataset, t):
+    # the time-constrained search of the *other* dataset's index.
 
-    def _replace_batch(
-        self,
-        dataset: str,
-        updates: List[MovingObject],
-        admissions: List[MovingObject],
-        t: float,
-    ) -> None:
-        tree = self._index(dataset)
-        tree.delete_batch([obj.oid for obj in updates], t)
-        tree.insert_batch(updates + admissions, t)
-
-    def _evict_batch(self, dataset: str, oids: List[int], t: float) -> None:
-        self._index(dataset).delete_batch(oids, t)
-
-    def on_update_batch(
-        self,
-        upd_a: List[MovingObject],
-        upd_b: List[MovingObject],
-        adm_a: List[MovingObject],
-        adm_b: List[MovingObject],
-        evictions: List[Tuple[int, str]],
-        t: float,
-    ) -> None:
-        """Apply a same-timestamp batch; bit-exact vs the serial loop.
-
-        Probes only touch the *other* dataset's index, so running all
-        index maintenance first and then probing every changed object
-        against the final index state reproduces exactly the store a
-        serial interleaving ends with: a pair updated from both sides
-        yields the same interval from either probe (both windows start
-        at ``t``), and re-adding an identical interval is a no-op merge.
-        """
-        evict_by_ds: Dict[str, List[int]] = {"a": [], "b": []}
-        for oid, dataset in evictions:
-            evict_by_ds[dataset].append(oid)
-            self.store.remove_object(oid)
-        for dataset, oids in evict_by_ds.items():
-            if oids:
-                self._evict_batch(dataset, oids, t)
-        self._replace_batch("a", upd_a, adm_a, t)
-        self._replace_batch("b", upd_b, adm_b, t)
-        for obj in upd_a:
-            self.store.remove_object(obj.oid)
-        for obj in upd_b:
-            self.store.remove_object(obj.oid)
-        self.store.add_all(iter(self._probe_batch(upd_a + adm_a, "a", t)))
-        self.store.add_all(iter(self._probe_batch(upd_b + adm_b, "b", t)))
+    def on_update(self, obj: MovingObject, dataset: str, t: float) -> None:
+        self._index(dataset).update(obj, t)
+        self.store.remove_object(obj.oid)
+        self.store.add_all(self._oriented(self._probe(obj, dataset, t), dataset))
 
     def on_admit(self, obj: MovingObject, dataset: str, t: float) -> None:
         self._index(dataset).insert(obj, t)
-        self.store.add_all(iter(self._probe_batch([obj], dataset, t)))
+        self.store.add_all(self._oriented(self._probe(obj, dataset, t), dataset))
 
     def on_evict(self, oid: int, dataset: str, t: float) -> None:
         self._index(dataset).delete(oid, t)
@@ -535,32 +469,15 @@ class _NaiveStrategy(_IntervalStrategy):
     def initial_join(self, t0: float) -> None:
         self.store.add_all(iter(naive_join(self.tree_a, self.tree_b, t0, INF)))
 
-    def on_update(self, obj: MovingObject, dataset: str, t: float) -> None:
-        own, other = (
-            (self.tree_a, self.tree_b) if dataset == "a" else (self.tree_b, self.tree_a)
-        )
-        own.update(obj, t)
-        self.store.remove_object(obj.oid)
-        triples = [
-            JoinTriple(obj.oid, other_oid, interval)
-            for other_oid, interval in other.search(obj.kbox, t, INF)
-        ]
-        self.store.add_all(iter(self._oriented(triples, dataset)))
-
     def _index(self, dataset: str):
         return self.tree_a if dataset == "a" else self.tree_b
 
-    def _probe_batch(self, objs, dataset: str, t: float):
-        if not objs:
-            return []
+    def _probe(self, obj: MovingObject, dataset: str, t: float):
         other = self.tree_b if dataset == "a" else self.tree_a
-        found = other.search_batch([o.kbox for o in objs], t, INF)
-        triples = [
+        return [
             JoinTriple(obj.oid, other_oid, interval)
-            for obj, hits in zip(objs, found)
-            for other_oid, interval in hits
+            for other_oid, interval in other.search(obj.kbox, t, INF)
         ]
-        return list(self._oriented(triples, dataset))
 
 
 class _TCStrategy(_IntervalStrategy):
@@ -587,35 +504,16 @@ class _TCStrategy(_IntervalStrategy):
         )
         self.store.add_all(iter(triples))
 
-    def on_update(self, obj: MovingObject, dataset: str, t: float) -> None:
-        own, other = (
-            (self.tree_a, self.tree_b) if dataset == "a" else (self.tree_b, self.tree_a)
-        )
-        own.update(obj, t)
-        self.store.remove_object(obj.oid)
-        t_end = t + self.engine.config.t_m
-        triples = [
-            JoinTriple(obj.oid, other_oid, interval)
-            for other_oid, interval in other.search(obj.kbox, t, t_end)
-        ]
-        self.store.add_all(iter(self._oriented(triples, dataset)))
-
     def _index(self, dataset: str):
         return self.tree_a if dataset == "a" else self.tree_b
 
-    def _probe_batch(self, objs, dataset: str, t: float):
-        if not objs:
-            return []
+    def _probe(self, obj: MovingObject, dataset: str, t: float):
         other = self.tree_b if dataset == "a" else self.tree_a
-        found = other.search_batch(
-            [o.kbox for o in objs], t, t + self.engine.config.t_m
-        )
-        triples = [
+        t_end = t + self.engine.config.t_m
+        return [
             JoinTriple(obj.oid, other_oid, interval)
-            for obj, hits in zip(objs, found)
-            for other_oid, interval in hits
+            for other_oid, interval in other.search(obj.kbox, t, t_end)
         ]
-        return list(self._oriented(triples, dataset))
 
 
 class _MTBStrategy(_IntervalStrategy):
@@ -643,36 +541,12 @@ class _MTBStrategy(_IntervalStrategy):
         triples = mtb_join(self.forest_a, self.forest_b, t0, self.techniques)
         self.store.add_all(iter(triples))
 
-    def on_update(self, obj: MovingObject, dataset: str, t: float) -> None:
-        own, other = (
-            (self.forest_a, self.forest_b)
-            if dataset == "a"
-            else (self.forest_b, self.forest_a)
-        )
-        own.update(obj, t)
-        self.store.remove_object(obj.oid)
-        triples = mtb_join_object(other, obj.kbox, obj.oid, t)
-        self.store.add_all(iter(self._oriented(triples, dataset)))
-
     def _index(self, dataset: str):
         return self.forest_a if dataset == "a" else self.forest_b
 
-    def _replace_batch(self, dataset, updates, admissions, t):
-        # Same-tick updates all land in the current time bucket, so the
-        # forest can STR-pack a fresh bucket tree in one pass.
-        forest = self._index(dataset)
-        forest.bulk_delete([obj.oid for obj in updates], t)
-        forest.bulk_insert(updates + admissions, t)
-
-    def _evict_batch(self, dataset, oids, t):
-        self._index(dataset).bulk_delete(oids, t)
-
-    def _probe_batch(self, objs, dataset: str, t: float):
-        if not objs:
-            return []
+    def _probe(self, obj: MovingObject, dataset: str, t: float):
         other = self.forest_b if dataset == "a" else self.forest_a
-        triples = mtb_join_objects(other, [(o.oid, o.kbox) for o in objs], t)
-        return list(self._oriented(triples, dataset))
+        return mtb_join_object(other, obj.kbox, obj.oid, t)
 
 
 class _ETPStrategy:

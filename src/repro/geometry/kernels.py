@@ -49,8 +49,6 @@ __all__ = [
     "batch_ps_intersection",
     "batch_sweep_join",
     "batch_all_pairs_intersection",
-    "batch_integrated_areas",
-    "batch_insertion_costs",
 ]
 
 #: Flat ``KineticBox.params()`` layout: 4 MBR + 4 VBR bounds + t_ref.
@@ -508,72 +506,3 @@ def batch_all_pairs_intersection(
         (int(i), int(j), TimeInterval(s, e))
         for i, j, s, e in zip(ii.tolist(), jj.tolist(), starts, ends)
     ]
-
-
-def _integral_from_widths(w0x, mx, w0y, my, horizon: float):
-    """Closed-form ``integral of (w0x + mx*s)(w0y + my*s) ds`` over
-    ``s in [0, horizon]``, elementwise over any broadcastable shape.
-
-    Valid when both extents stay non-negative on the window, which
-    every box bound the index builds guarantees: ``vbr.hi >= vbr.lo``
-    per dimension, so extents never shrink after their reference time.
-    """
-    return (
-        w0x * w0y * horizon
-        + (w0x * my + w0y * mx) * (horizon * horizon) / 2.0
-        + mx * my * (horizon * horizon * horizon) / 3.0
-    )
-
-
-def batch_integrated_areas(
-    batch: KineticBatch, t0: float, t1: float
-) -> "np.ndarray":
-    """Integrated area of each box over ``[t0, t1]`` as one vector.
-
-    Mirrors :meth:`KineticBox.integrated_area` for the non-shrinking
-    boxes the TPR-tree maintains (the scalar method's zero-extent
-    clamping never binds for ``t0 >= t_ref`` when velocity bounds are
-    ordered, so the unclamped quadratic integral is the same value).
-    """
-    horizon = t1 - t0
-    w0x = (batch.shi[0] + batch.vhi[0] * t0) - (batch.slo[0] + batch.vlo[0] * t0)
-    w0y = (batch.shi[1] + batch.vhi[1] * t0) - (batch.slo[1] + batch.vlo[1] * t0)
-    mx = batch.vhi[0] - batch.vlo[0]
-    my = batch.vhi[1] - batch.vlo[1]
-    return _integral_from_widths(w0x, mx, w0y, my, horizon)
-
-
-def batch_insertion_costs(
-    entries_batch: KineticBatch,
-    objs_batch: KineticBatch,
-    t0: float,
-    t1: float,
-) -> Tuple["np.ndarray", "np.ndarray"]:
-    """The TPR choose-subtree cost grid for a whole batch of inserts.
-
-    Returns ``(enlargements, areas)`` where ``enlargements[i, j]`` is
-    the integrated enlargement of entry ``i``'s bound when extended to
-    also cover object ``j`` over ``[t0, t1]`` (the primary key of
-    :meth:`TPRTree._choose_child`) and ``areas[i]`` is entry ``i``'s
-    own integrated area (the tie-break key).  One call replaces
-    ``n_entries * n_objs`` scalar ``integrated_union_enlargement``
-    evaluations at the node being descended.
-    """
-    horizon = t1 - t0
-    areas = batch_integrated_areas(entries_batch, t0, t1)
-    # Union bound at t0, per dimension: position min/max at t0 with
-    # velocity min/max — exactly KineticBox.union_at(t0, [entry, obj]).
-    u_w0 = []
-    u_m = []
-    for d in range(NDIMS):
-        e_lo = (entries_batch.slo[d] + entries_batch.vlo[d] * t0)[:, None]
-        e_hi = (entries_batch.shi[d] + entries_batch.vhi[d] * t0)[:, None]
-        o_lo = (objs_batch.slo[d] + objs_batch.vlo[d] * t0)[None, :]
-        o_hi = (objs_batch.shi[d] + objs_batch.vhi[d] * t0)[None, :]
-        u_w0.append(np.maximum(e_hi, o_hi) - np.minimum(e_lo, o_lo))
-        u_m.append(
-            np.maximum(entries_batch.vhi[d][:, None], objs_batch.vhi[d][None, :])
-            - np.minimum(entries_batch.vlo[d][:, None], objs_batch.vlo[d][None, :])
-        )
-    union_areas = _integral_from_widths(u_w0[0], u_m[0], u_w0[1], u_m[1], horizon)
-    return union_areas - areas[:, None], areas

@@ -17,7 +17,7 @@ within ``T_M``, so trees older than that drain and are dropped.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..obs import tracker_span
 from ..objects import MovingObject
@@ -104,74 +104,12 @@ class MTBTree:
                 self._drop_tree(key)
         return obj
 
-    def bulk_delete(
-        self, oids: Sequence[int], t_now: float
-    ) -> List[MovingObject]:
-        """Remove many objects at once, one batched pass per bucket.
-
-        Object ids are grouped by their resident bucket and each group
-        goes through the tree's deferred-condense
-        :meth:`~repro.index.tpr.TPRTree.delete_batch`; trees emptied by
-        the batch are dropped, exactly as per-object deletion would.
-        """
-        removed: List[MovingObject] = []
-        with tracker_span(self.storage.tracker, "mtb.bulk_delete"):
-            groups: Dict[int, List[int]] = {}
-            for oid in oids:
-                obj, key = self.objects.pop(oid)
-                assert key is not None
-                groups.setdefault(key, []).append(oid)
-                removed.append(obj)
-            for key, group in groups.items():
-                tree = self._trees[key]
-                tree.delete_batch(group, t_now)
-                if not len(tree):
-                    self._drop_tree(key)
-        return removed
-
     def update(self, obj: MovingObject, t_now: float) -> MovingObject:
         """Move an object from its old bucket to the current one."""
         with tracker_span(self.storage.tracker, "mtb.update"):
             old = self.delete(obj.oid, t_now)
             self.insert(obj, t_now)
         return old
-
-    def bulk_insert(self, objs: List[MovingObject], t_now: float) -> None:
-        """Insert many new objects at once, STR-packing fresh buckets.
-
-        Objects are grouped by their update-time bucket.  A group whose
-        bucket tree does not exist yet — the common group-commit case,
-        where a tick's whole batch lands in the just-opened current
-        bucket — is built in one :func:`~repro.index.bulk.bulk_load`
-        STR pass instead of one choose-subtree descent per object;
-        groups targeting a populated tree go through the tree's guided
-        :meth:`~repro.index.tpr.TPRTree.insert_batch` (one vectorized
-        cost grid per visited node).  Resulting forest contents are
-        identical either way.
-        """
-        from .bulk import bulk_load
-
-        groups: Dict[int, List[MovingObject]] = {}
-        for obj in objs:
-            if obj.oid in self.objects:
-                raise ValueError(f"object {obj.oid} already present")
-            groups.setdefault(self.bucket_key(obj.t_ref), []).append(obj)
-        with tracker_span(self.storage.tracker, "mtb.bulk_insert"):
-            for key, group in groups.items():
-                if key not in self._trees and len(group) > 1:
-                    self._trees[key] = bulk_load(
-                        group,
-                        t0=t_now,
-                        storage=self.storage,
-                        node_capacity=self.node_capacity,
-                        horizon=self.t_m,
-                        tree_class=self._tree_factory,
-                        use_kernels=self.use_kernels,
-                    )
-                else:
-                    self._tree_for(key).insert_batch(group, t_now)
-                for obj in group:
-                    self.objects.put(obj, key)
 
     # ------------------------------------------------------------------
     # Introspection

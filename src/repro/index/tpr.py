@@ -14,7 +14,7 @@ forced reinsertion and a richer split cost on top of this class.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..geometry import INF, KineticBox, TimeInterval, intersection_interval, kernels
 from ..geometry.constants import CONTAIN_EPS as _CONTAIN_EPS
@@ -25,20 +25,10 @@ from .node import Node
 from .object_table import ObjectTable
 from .store import TreeStorage
 
-__all__ = [
-    "TPRTree",
-    "DEFAULT_NODE_CAPACITY",
-    "DEFAULT_HORIZON",
-    "INSERT_BATCH_MIN",
-]
+__all__ = ["TPRTree", "DEFAULT_NODE_CAPACITY", "DEFAULT_HORIZON"]
 
 DEFAULT_NODE_CAPACITY = 30
 DEFAULT_HORIZON = 60.0
-
-#: Minimum batch size for the shared-descent group insert to beat the
-#: per-object loop (one cost-grid kernel call per visited node has to
-#: amortize the SoA pack of that node's entries).
-INSERT_BATCH_MIN = 4
 
 
 class TPRTree:
@@ -112,300 +102,12 @@ class TPRTree:
             self.objects.put(obj)
             self._insert_entry(Entry(obj.kbox, obj.oid), 0, t_now, set())
 
-    def insert_batch(self, objs: Sequence[MovingObject], t_now: float) -> None:
-        """Insert many objects as of ``t_now`` in one guided pass.
-
-        Choose-subtree decisions for the whole batch are computed
-        against the pre-batch node bounds with one vectorized
-        :func:`~repro.geometry.kernels.batch_insertion_costs` grid per
-        visited internal node, instead of one scalar enlargement
-        integral per (entry, object).  Entries are then installed one
-        at a time along their recorded page-id route, reusing the
-        standard overflow/split/bound-tightening machinery, so every
-        structural invariant of :meth:`insert` holds afterwards.
-
-        The resulting tree may *route* objects differently than a
-        sequential insert loop would (decisions do not see earlier
-        batch members' bound enlargements), which changes tree shape
-        only — search answers are independent of shape.
-        """
-        objs = list(objs)
-        seen: Set[int] = set()
-        for obj in objs:
-            if obj.oid in self.objects or obj.oid in seen:
-                raise ValueError(f"object {obj.oid} already present")
-            seen.add(obj.oid)
-        if (
-            not self.use_kernels
-            or len(objs) < INSERT_BATCH_MIN
-            or self.height == 1
-        ):
-            for obj in objs:
-                self.insert(obj, t_now)
-            return
-        with tracker_span(self.storage.tracker, "tpr.insert_batch"):
-            for obj in objs:
-                self.objects.put(obj)
-            self._install_batch(
-                [Entry(obj.kbox, obj.oid) for obj in objs], t_now
-            )
-
-    def _install_batch(self, entries: Sequence[Entry], t_now: float) -> None:
-        """Install leaf entries along shared vectorized-descent routes.
-
-        Entries sharing a route land on their leaf together, and the
-        ancestor bound-tightening that :meth:`_insert_entry` pays per
-        object runs once per touched node in a deferred bottom-up pass
-        (the insert-side mirror of :meth:`delete_batch`'s condense).
-        All reads go through a per-batch page cache so exactly one
-        live instance per page is mutated.  Any structural event — a
-        leaf filling up, or a route invalidated by an earlier split —
-        first flushes the pending tightenings, then falls back to the
-        standard :meth:`_insert_entry` machinery, so ancestor bounds
-        are conservative whenever splits or R* reinserts look at them.
-        """
-        routes = self._route_batch([entry.kbox for entry in entries], t_now)
-        groups: Dict[Tuple[int, ...], List[Entry]] = {}
-        for entry, route in zip(entries, routes):
-            groups.setdefault(tuple(route), []).append(entry)
-
-        cache: Dict[int, Node] = {}
-
-        def load(page_id: int) -> Node:
-            node = cache.get(page_id)
-            if node is None:
-                node = self.read_node(page_id)
-                cache[page_id] = node
-            return node
-
-        touched: List[List[Tuple[Node, Optional[int]]]] = []
-
-        def flush() -> None:
-            self._tighten_paths(touched, t_now)
-            touched.clear()
-            cache.clear()
-
-        for route, group in groups.items():
-            path = self._walk_route(route, load)
-            if path is None:
-                # A split during this batch moved the routed child (or
-                # grew the root); fall back to full descents.
-                flush()
-                for entry in group:
-                    self._insert_entry(entry, 0, t_now, set())
-                continue
-            leaf = path[-1][0]
-            room = self.node_capacity - len(leaf.entries)
-            fits, spill = group[:room], group[room:]
-            if fits:
-                leaf.entries.extend(fits)
-                self.storage.write_node(leaf)
-                touched.append(path)
-            if spill:
-                # The next entry overflows the leaf: bounds must be
-                # consistent before split/reinsert machinery runs.
-                flush()
-                leaf.entries.append(spill[0])
-                self.storage.write_node(leaf)
-                self._propagate_up(list(path[:-1]), leaf, t_now, set())
-                for entry in spill[1:]:
-                    self._insert_entry(entry, 0, t_now, set())
-        flush()
-
-    def _walk_route(
-        self, route: Sequence[int], read
-    ) -> Optional[List[Tuple[Node, Optional[int]]]]:
-        """Root-to-leaf frames for a page-id route; ``None`` when the
-        route no longer matches the tree (caller re-descends)."""
-        path: List[Tuple[Node, Optional[int]]] = []
-        node = read(self.root_id)
-        for ref in route:
-            if node.is_leaf:
-                return None
-            idx = next(
-                (i for i, e in enumerate(node.entries) if e.ref == ref), None
-            )
-            if idx is None:
-                return None
-            path.append((node, idx))
-            node = read(ref)
-        if not node.is_leaf:
-            return None
-        path.append((node, None))
-        return path
-
-    def _tighten_paths(
-        self, paths: List[List[Tuple[Node, Optional[int]]]], t_now: float
-    ) -> None:
-        """One bottom-up bound-tightening pass over freshly filled paths."""
-        frames: Dict[int, Tuple[Node, Node]] = {}
-        for path in paths:
-            for depth in range(len(path) - 1, 0, -1):
-                node = path[depth][0]
-                if node.page_id not in frames:
-                    frames[node.page_id] = (node, path[depth - 1][0])
-        # Children before parents, so a parent re-bounds over
-        # already-tightened child bounds.
-        for node, parent in sorted(
-            frames.values(), key=lambda frame: frame[0].level
-        ):
-            idx = parent.find_ref(node.page_id)
-            assert idx is not None, "structural change without flush"
-            parent.entries[idx].kbox = node.bound_at(t_now)
-            self.storage.write_node(parent)
-
-    def _route_batch(
-        self, kboxes: Sequence[KineticBox], t_now: float
-    ) -> List[List[int]]:
-        """Leaf routes (page-id chains) for a batch, one grid per node."""
-        np = kernels.np
-        t_end = t_now + self.horizon
-        obatch = kernels.KineticBatch.from_boxes(kboxes)
-        routes: List[List[int]] = [[] for _ in kboxes]
-        stack: List[Tuple[int, "np.ndarray"]] = [
-            (self.root_id, np.arange(len(kboxes)))
-        ]
-        while stack:
-            page_id, active = stack.pop()
-            node = self.read_node(page_id)
-            enlargements, areas = kernels.batch_insertion_costs(
-                kernels.KineticBatch.from_entries(node.entries),
-                obatch.compress(active),
-                t_now,
-                t_end,
-            )
-            chosen = np.empty(len(active), dtype=np.intp)
-            for col in range(len(active)):
-                column = enlargements[:, col]
-                ties = np.nonzero(column == column.min())[0]
-                # argmin is first-occurrence, matching _choose_child's
-                # strict-< scan for both keys of the lexicographic cost.
-                best = ties[np.argmin(areas[ties])] if len(ties) > 1 else ties[0]
-                chosen[col] = best
-                routes[int(active[col])].append(node.entries[int(best)].ref)
-            if node.level > 1:
-                for child_pos in np.unique(chosen):
-                    stack.append((
-                        node.entries[int(child_pos)].ref,
-                        active[chosen == child_pos],
-                    ))
-        return routes
-
     def delete(self, oid: int, t_now: float) -> MovingObject:
         """Remove an object; returns the stored version."""
         with tracker_span(self.storage.tracker, "tpr.delete"):
             obj, _tag = self.objects.pop(oid)
             self._delete_entry(obj, t_now)
         return obj
-
-    def delete_batch(
-        self, oids: Sequence[int], t_now: float
-    ) -> List[MovingObject]:
-        """Remove many objects as of ``t_now`` with one CondenseTree pass.
-
-        Entries are located and removed first — path finds share a
-        per-batch page cache, so every node is materialized exactly
-        once for the whole batch — and the bound-tightening / underflow
-        walk then visits each touched node once, bottom-up, instead of
-        once per deleted object.  Underflow is resolved against the
-        batch-final occupancy, so the tree *shape* can differ from
-        sequential deletion (a node that dips below ``min_fill``
-        transiently is not dissolved); the structural invariants and
-        all search answers are the same either way.
-        """
-        oids = list(oids)
-        if len(oids) < 2:
-            return [self.delete(oid, t_now) for oid in oids]
-        removed: List[MovingObject] = []
-        with tracker_span(self.storage.tracker, "tpr.delete_batch"):
-            cache: Dict[int, Node] = {}
-
-            def load(page_id: int) -> Node:
-                node = cache.get(page_id)
-                if node is None:
-                    node = self.read_node(page_id)
-                    cache[page_id] = node
-                return node
-
-            touched: Dict[int, List[Tuple[Node, Optional[int]]]] = {}
-            for oid in oids:
-                obj, _tag = self.objects.pop(oid)
-                removed.append(obj)
-                path = self._find_leaf_path(obj, t_now, read=load)
-                if path is None:
-                    self.guided_delete_misses += 1
-                    path = self._find_leaf_path_exhaustive(oid, read=load)
-                    if path is None:
-                        raise KeyError(f"object {oid} not found in tree")
-                leaf = path[-1][0]
-                idx = leaf.find_ref(oid)
-                assert idx is not None
-                del leaf.entries[idx]
-                self.storage.write_node(leaf)
-                touched[leaf.page_id] = path
-            self._condense_batch(list(touched.values()), t_now)
-        return removed
-
-    def _condense_batch(
-        self, paths: List[List[Tuple[Node, Optional[int]]]], t_now: float
-    ) -> None:
-        """CondenseTree over several leaf paths at once: every touched
-        node is dissolved or re-bounded exactly once, deepest first."""
-        frames: Dict[int, Tuple[Node, Node]] = {}
-        for path in paths:
-            for depth in range(len(path) - 1, 0, -1):
-                node = path[depth][0]
-                if node.page_id not in frames:
-                    frames[node.page_id] = (node, path[depth - 1][0])
-        orphans: List[Tuple[Entry, int]] = []
-        # Children before parents, so a parent sees its final occupancy
-        # (child dissolutions remove entries from it) and re-bounds over
-        # already-tightened child bounds.
-        for node, parent in sorted(
-            frames.values(), key=lambda frame: frame[0].level
-        ):
-            idx = parent.find_ref(node.page_id)
-            assert idx is not None, "parent processed before child"
-            if len(node.entries) < self.min_fill:
-                del parent.entries[idx]
-                orphans.extend((entry, node.level) for entry in node.entries)
-                self.storage.free_node(node)
-            else:
-                parent.entries[idx].kbox = node.bound_at(t_now)
-                self.storage.write_node(node)
-            self.storage.write_node(parent)
-        root = self.read_node(self.root_id)
-        if not root.is_leaf and not root.entries:
-            # The batch dissolved every subtree under the root — a state
-            # sequential deletion never reaches (orphan reinsertion
-            # refills the root between deletes).  Restart the tree at
-            # the tallest orphaned subtrees and insert the rest into it.
-            self.storage.free_node(root)
-            top = max((level for _entry, level in orphans), default=0)
-            new_root = self.storage.new_node(top)
-            self.storage.write_node(new_root)
-            self.root_id = new_root.page_id
-            self.height = top + 1
-            for entry, level in sorted(orphans, key=lambda o: -o[1]):
-                self._insert_entry(entry, level, t_now, set())
-        else:
-            self._shrink_root()
-            leaf_orphans: List[Entry] = []
-            for entry, level in orphans:
-                if level == 0:
-                    leaf_orphans.append(entry)
-                else:
-                    self._insert_entry(entry, level, t_now, set())
-            if (
-                self.use_kernels
-                and len(leaf_orphans) >= INSERT_BATCH_MIN
-                and self.height > 1
-            ):
-                self._install_batch(leaf_orphans, t_now)
-            else:
-                for entry in leaf_orphans:
-                    self._insert_entry(entry, 0, t_now, set())
-        self._shrink_root()
 
     def update(self, obj: MovingObject, t_now: float) -> MovingObject:
         """Replace an object's motion parameters (delete + insert)."""
@@ -468,75 +170,6 @@ class TPRTree:
                     results.append((entry.ref, interval))
                 else:
                     stack.append(entry.ref)
-
-    def search_batch(
-        self, regions: Sequence[KineticBox], t0: float, t1: float = INF
-    ) -> List[List[Tuple[int, TimeInterval]]]:
-        """Answer many probe regions in one shared descent.
-
-        Returns one ``(oid, interval)`` result list per region, equal
-        (as a set, per region) to ``self.search(region, t0, t1)``.  All
-        still-active probes test a visited node's entries in a single
-        ``batch_intersection_intervals`` grid call, so a node read and
-        its SoA packing are shared across the whole probe batch instead
-        of being repeated per probe; intervals are bit-identical to the
-        scalar path.  Falls back to per-region :meth:`search` when
-        kernels are off or there is nothing to share.
-        """
-        results: List[List[Tuple[int, TimeInterval]]] = [[] for _ in regions]
-        n = len(regions)
-        if n == 0:
-            return results
-        if not self.use_kernels or n == 1:
-            for j, region in enumerate(regions):
-                results[j] = self.search(region, t0, t1)
-            return results
-        np = kernels.np
-        qbatch = kernels.KineticBatch.from_boxes(regions)
-        tracker = self.storage.tracker
-        stack: List[Tuple[int, "np.ndarray"]] = [(self.root_id, np.arange(n))]
-        with tracker_span(tracker, "tpr.search_batch"):
-            while stack:
-                page_id, active = stack.pop()
-                node = self.read_node(page_id)
-                entries = node.entries
-                if not entries:
-                    continue
-                tracker.count_pair_tests(len(entries) * len(active))
-                if len(active) == 1 and len(entries) < kernels.PROBE_BATCH_MIN:
-                    # A lone probe over a small node: the scalar inner
-                    # loop beats packing a 1-column grid.
-                    j = int(active[0])
-                    region = regions[j]
-                    bucket = results[j]
-                    for entry in entries:
-                        interval = intersection_interval(
-                            entry.kbox, region, t0, t1
-                        )
-                        if interval is None:
-                            continue
-                        if node.is_leaf:
-                            bucket.append((entry.ref, interval))
-                        else:
-                            stack.append((entry.ref, active))
-                    continue
-                lo, hi, ok = kernels.batch_intersection_intervals(
-                    kernels.KineticBatch.from_entries(entries),
-                    qbatch.compress(active),
-                    t0,
-                    t1,
-                )
-                if node.is_leaf:
-                    for i, j in zip(*np.nonzero(ok)):
-                        results[int(active[j])].append(
-                            (entries[i].ref, TimeInterval(lo[i, j], hi[i, j]))
-                        )
-                else:
-                    for i, entry in enumerate(entries):
-                        child_active = active[ok[i]]
-                        if child_active.size:
-                            stack.append((entry.ref, child_active))
-        return results
 
     def all_objects(self) -> List[MovingObject]:
         """Stored versions of every object (table order)."""
@@ -740,18 +373,14 @@ class TPRTree:
         self._condense(path, t_now)
 
     def _find_leaf_path(
-        self, obj: MovingObject, t_now: float, read=None
+        self, obj: MovingObject, t_now: float
     ) -> Optional[List[Tuple[Node, Optional[int]]]]:
         """DFS guided by kinetic containment; returns the node path as
-        ``(node, child_idx)`` frames ending with ``(leaf, None)``.
-
-        ``read`` overrides the page loader (batch deletion passes a
-        per-batch cache so every page maps to one live instance)."""
+        ``(node, child_idx)`` frames ending with ``(leaf, None)``."""
         target = obj.kbox
-        read = self.read_node if read is None else read
 
         def descend(page_id: int) -> Optional[List[Tuple[Node, Optional[int]]]]:
-            node = read(page_id)
+            node = self.read_node(page_id)
             if node.is_leaf:
                 if node.find_ref(obj.oid) is not None:
                     return [(node, None)]
@@ -766,12 +395,10 @@ class TPRTree:
         return descend(self.root_id)
 
     def _find_leaf_path_exhaustive(
-        self, oid: int, read=None
+        self, oid: int
     ) -> Optional[List[Tuple[Node, Optional[int]]]]:
-        read = self.read_node if read is None else read
-
         def descend(page_id: int) -> Optional[List[Tuple[Node, Optional[int]]]]:
-            node = read(page_id)
+            node = self.read_node(page_id)
             if node.is_leaf:
                 if node.find_ref(oid) is not None:
                     return [(node, None)]

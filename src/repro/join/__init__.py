@@ -14,7 +14,7 @@
 
 from .brute import brute_force_join, brute_force_pairs_at
 from .improved import JoinTechniques, improved_join
-from .mtb_join import mtb_join, mtb_join_object, mtb_join_objects
+from .mtb_join import mtb_join, mtb_join_object
 from .naive import naive_join
 from .pbsm import pbsm_join
 from .tc import tc_join
@@ -32,7 +32,6 @@ __all__ = [
     "TPAnswer",
     "mtb_join",
     "mtb_join_object",
-    "mtb_join_objects",
     "pbsm_join",
     "brute_force_join",
     "brute_force_pairs_at",

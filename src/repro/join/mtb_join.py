@@ -19,7 +19,7 @@ Two entry points:
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional
 
 from ..geometry import KineticBox
 from ..index import MTBTree
@@ -29,7 +29,7 @@ from .improved import JoinTechniques, improved_join
 from .naive import naive_join
 from .types import JoinTriple
 
-__all__ = ["mtb_join_object", "mtb_join_objects", "mtb_join"]
+__all__ = ["mtb_join_object", "mtb_join"]
 
 
 def mtb_join_object(
@@ -57,39 +57,6 @@ def mtb_join_object(
                 continue
             for other_oid, interval in tree.search(kbox, t_now, horizon_end):
                 triples.append(JoinTriple(oid, other_oid, interval))
-    return triples
-
-
-def mtb_join_objects(
-    forest: MTBTree,
-    probes: Sequence[Tuple[int, KineticBox]],
-    t_now: float,
-    tracker: Optional[CostTracker] = None,
-) -> List[JoinTriple]:
-    """Join a batch of (just-updated) objects against an MTB forest.
-
-    The group-commit counterpart of :func:`mtb_join_object`: all probes
-    share one :meth:`~repro.index.tpr.TPRTree.search_batch` descent per
-    bucket tree, so node reads and SoA packing are amortized over the
-    batch.  The returned triples equal (as a set) the concatenation of
-    ``mtb_join_object(forest, kbox, oid, t_now)`` over the probes, with
-    bit-identical intervals.
-    """
-    if tracker is None:
-        tracker = forest.storage.tracker
-    triples: List[JoinTriple] = []
-    if not probes:
-        return triples
-    kboxes = [kbox for _oid, kbox in probes]
-    with tracker_span(tracker, "join.mtb.batch", n=len(probes)):
-        for _key, t_eb, tree in forest.trees():
-            horizon_end = t_eb + forest.t_m
-            if horizon_end <= t_now:
-                continue
-            found = tree.search_batch(kboxes, t_now, horizon_end)
-            for (oid, _kbox), hits in zip(probes, found):
-                for other_oid, interval in hits:
-                    triples.append(JoinTriple(oid, other_oid, interval))
     return triples
 
 

@@ -52,6 +52,27 @@ class TestDriver:
         assert amortized.pair_tests >= 0
         assert amortized.cpu_seconds >= 0
 
+    @pytest.mark.parametrize("algorithm", ["tc", "mtb"])
+    def test_driver_charges_per_update_costs(self, algorithm):
+        """The driver's recorded costs are the paper's per-update costs:
+        exactly what an explicit ``tick`` + ``apply_update`` loop charges
+        a twin engine, counter for counter."""
+        engine, driver = make_driver(algorithm, n=150)
+        twin, twin_driver = make_driver(algorithm, n=150)
+        stream = twin_driver.stream  # same scenario, same seed
+        for stats in driver.run(6):
+            before = twin.tracker.snapshot()
+            twin.tick(stats.timestamp)
+            current = {**twin.objects_a, **twin.objects_b}
+            for obj in stream.updates_for(stats.timestamp, current):
+                twin.apply_update(obj)
+            want = twin.tracker.snapshot() - before
+            for counter in ("page_reads", "page_writes", "pair_tests", "node_visits"):
+                assert getattr(stats.cost, counter) == getattr(want, counter), (
+                    counter, stats.timestamp,
+                )
+        assert driver.total_updates() > 0
+
 
 class TestMetrics:
     def test_snapshot_diff_and_scale(self):

@@ -178,8 +178,10 @@ def test_engines_agree_under_sanitizer(dist):
 @pytest.mark.parametrize("dist", DISTRIBUTIONS)
 @pytest.mark.parametrize("algorithm", ["naive", "tc", "mtb"])
 def test_group_commit_matches_per_update_loop(dist, algorithm):
-    """``apply_updates`` (batched index maintenance + one vectorized
-    probe pass) leaves a store bit-identical to the per-update loop."""
+    """Same-tick order independence, the property the columnar and
+    sharded group commits rest on: ``apply_updates`` fed the tick's
+    batch *reversed* leaves a store bit-identical to the in-order
+    ``apply_update`` loop."""
     scenario = make_workload(
         40, dist, max_speed=3.0, object_size_pct=0.8, t_m=8.0, seed=31
     )
@@ -193,17 +195,19 @@ def test_group_commit_matches_per_update_loop(dist, algorithm):
     serial.run_initial_join()
     batched.run_initial_join()
     stream = UpdateStream(scenario, seed=7)
-    nonempty = 0
+    nonempty = reordered = 0
     for t, batch in stream.by_timestamp(t_start=1.0, t_end=4.0):
         serial.tick(t)
         batched.tick(t)
         for obj in batch:
             serial.apply_update(obj)
-        batched.apply_updates(batch)
+        batched.apply_updates(batch[::-1])
         assert snapshot(serial._strategy.store) == \
             snapshot(batched._strategy.store), (algorithm, dist, t)
         nonempty += bool(serial.result_at(t))
+        reordered += len(batch) > 1
     assert nonempty > 0, "vacuous run: the answer was always empty"
+    assert reordered > 0, "vacuous run: no tick had two updates to reorder"
 
 
 @pytest.mark.parametrize("shards,workers", [(1, 0), (2, 0), (4, 0), (4, 2)])
