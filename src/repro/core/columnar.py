@@ -38,7 +38,7 @@ from typing import Iterable, Mapping, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
-from ..geometry.kernels import SWEEP_JOIN_CHUNK, KineticBatch, batch_sweep_join
+from ..geometry.kernels import KineticBatch, batch_sweep_join
 from ..metrics import CostSnapshot, CostTracker
 from ..obs import NULL_SPAN, ObsRecorder
 from ..objects import MovingObject
@@ -427,18 +427,17 @@ class ColumnarJoinEngine:
         t1: float,
         swap: bool,
     ) -> None:
-        counter = [0]
+        # Slot 0: 1-D sweep candidates (`pair_tests`, what the scalar
+        # sweep tests); slot 1: those that reached the exact kernel.
+        counter = [0, 0]
         idx_p, idx_o, lo, hi = batch_sweep_join(
-            batch_p,
-            batch_o,
-            t0,
-            t1,
-            counter=counter,
-            chunk=SWEEP_JOIN_CHUNK,
+            batch_p, batch_o, t0, t1, counter=counter
         )
         # Whole-batch counter attribution: one increment per sweep, not
         # one per candidate pair.
         self.tracker.count_pair_tests(counter[0])
+        if self.obs is not None:
+            self.obs.count("exact_tests", counter[1])
         if idx_p.shape[0] == 0:
             return
         a_oids = oids_p[idx_p]

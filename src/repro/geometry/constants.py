@@ -17,6 +17,18 @@ Constants
     rectangles touching at a single timestamp are reported despite
     floating-point rounding.  Used identically by the scalar
     ``intersection_interval`` (2-d and n-d) and every batch kernel.
+``SWEEP_FILTER_SLACK``
+    Slack of the sweep join's orthogonal-bound reject
+    (:func:`repro.geometry.kernels.batch_sweep_join`), *relative* to the
+    coordinate magnitude: a 1-D sweep candidate is dropped before the
+    exact pair test only when the two objects' swept ranges on the other
+    axis are more than ``SWEEP_FILTER_SLACK * max(1, magnitude)`` apart.
+    It must dominate ``PAIR_TEST_EPS`` (a gap the exact test forgives)
+    plus the rounding by which ``mbr + vbr * (t - t_ref)`` (the swept
+    bounds) and ``(lo - v * t_ref) + v * t`` (the exact constraints) can
+    disagree — a few ``2**-53`` of the magnitude — so the reject never
+    drops a pair the exact test accepts.  Six orders of magnitude of
+    headroom cost the filter nothing measurable in selectivity.
 ``MERGE_TOL``
     Gap below which two closed time intervals are coalesced by
     :func:`repro.geometry.interval.merge_intervals` and the result
@@ -31,10 +43,13 @@ Constants
 
 from __future__ import annotations
 
-__all__ = ["PAIR_TEST_EPS", "MERGE_TOL", "CONTAIN_EPS"]
+__all__ = ["PAIR_TEST_EPS", "SWEEP_FILTER_SLACK", "MERGE_TOL", "CONTAIN_EPS"]
 
 #: Pair-test constraint tolerance (scalar and kernel paths alike).
 PAIR_TEST_EPS = 1e-12
+
+#: Sweep-join orthogonal-bound reject slack, relative to coordinate magnitude.
+SWEEP_FILTER_SLACK = 1e-9
 
 #: Interval-merge gap tolerance.
 MERGE_TOL = 1e-9

@@ -22,6 +22,28 @@ The kernels are *bit-identical* to the scalar path, not merely close:
   exact and order-independent, so the sequential scalar clamps and the
   broadcast kernel clamps agree to the last bit.
 
+* the sweep join's orthogonal-bound reject only removes pairs the exact
+  test would reject anyway, so it changes which pairs are *tested*, never
+  which are *returned*.  The argument: a pair the exact test accepts has
+  a finite ``t*`` in ``[t0, t1]`` (its window start) at which every
+  constraint ``c + m*t <= 0`` holds up to ``PAIR_TEST_EPS`` plus the
+  rounding of ``c``, ``m`` and the root ``-c/m`` (a flat constraint
+  accepts ``c <= PAIR_TEST_EPS``; a root that overflows to ``+inf`` on
+  the window start is rejected by both paths).  On the orthogonal axis
+  that reads ``a.lo(t*) <= b.hi(t*) + eps'`` and ``b.lo(t*) <= a.hi(t*)
+  + eps'``; bounds are linear in ``t``, so the swept ``lb = min(lo(t0),
+  lo(t1))`` and ``ub = max(hi(t0), hi(t1))`` bracket them and ``lb_a <=
+  ub_b + eps''``, ``lb_b <= ub_a + eps''`` — where ``eps''`` adds the
+  rounding between ``mbr + vbr * (t - t_ref)`` and ``(mbr - vbr * t_ref)
+  + vbr * t``.  Every such rounding is a few ``2**-53`` of the largest
+  intermediate, ``|mbr| + |vbr| * (|t_ref| + |t|)``, and the reject
+  fires only beyond ``SWEEP_FILTER_SLACK`` (``1e-9``) times that
+  magnitude (at least 1), which dominates ``PAIR_TEST_EPS`` plus all of
+  them by six orders.  With ``t1 = inf`` an outward bound is ``±inf``
+  and passes.  The *sweep* axis keeps zero tolerance — its candidate
+  set, order and count are the scalar sweep's — so rows, row order and
+  ``counter[0]`` are unchanged.
+
 The scalar implementations stay in place as the reference the parity
 suites compare against; these kernels are the only production path, and
 consumers choose between the two by input size alone.
@@ -35,6 +57,7 @@ import numpy as np
 
 from .box import NDIMS
 from .constants import PAIR_TEST_EPS as _EPS
+from .constants import SWEEP_FILTER_SLACK as _FILTER_SLACK
 from .interval import INF, TimeInterval
 from .kinetic import KineticBox
 
@@ -331,15 +354,39 @@ def batch_select_sweep_dimension(batch_a: KineticBatch, batch_b: KineticBatch) -
     return int(np.argmin(totals))
 
 
-#: Default flush threshold (candidate pairs) for the chunked sweep join.
-#: Bounds peak memory at roughly ``chunk * 8 doubles`` regardless of how
-#: many candidates the sweep produces in total.  Results are
-#: chunk-invariant (the window math is elementwise); the value only
-#: trades gather-temporary size against dispatch count.  64k keeps the
-#: per-flush working set (~a few MiB) inside cache, which measures both
-#: *faster* and an order of magnitude lighter than multi-million-row
-#: flushes at the 100k-per-side scale.
+#: Default flush threshold (1-D sweep candidates) for the chunked sweep
+#: join.  Per candidate a chunk holds its position in the sorted other
+#: side, the two orthogonal bounds gathered from there, the pivot's two
+#: padded bounds and the reject mask — ~42 bytes, so ~2.7 MiB at 64k;
+#: the few percent that survive the filter queue up to the same count
+#: before the pair-window kernel spends its ~30 doubles per pair on
+#: them.  Results are chunk-invariant (filter and window math are
+#: elementwise); the value only trades temporary size against dispatch
+#: count.  On the 20k-per-side benchmark workload 64k measures level
+#: with 32k and ahead of 128k, whose temporaries spill the cache.
 SWEEP_JOIN_CHUNK = 65_536
+
+
+def _filter_slack(
+    batch_a: KineticBatch, batch_b: KineticBatch, dim: int, t0: float, t1: float
+) -> float:
+    """Absolute slack of the orthogonal-bound reject along ``dim``.
+
+    ``SWEEP_FILTER_SLACK`` times the largest magnitude any intermediate
+    of the bound or constraint arithmetic can reach on this axis:
+    ``|mbr| + |vbr| * (|t_ref| + |t|)`` dominates ``mbr``, ``vbr *
+    t_ref``, the shifted ``slo``/``shi``, ``vbr * (t - t_ref)`` and the
+    bounds themselves, so every rounding error involved is at most a few
+    ``2**-53`` of it.  An overflowing magnitude gives an infinite slack,
+    which rejects nothing.
+    """
+    horizon = max(abs(t0), abs(t1) if t1 < INF else 0.0)
+    mag = 0.0
+    for batch in (batch_a, batch_b):
+        pos = max(np.abs(batch.mlo[dim]).max(), np.abs(batch.mhi[dim]).max())
+        vel = max(np.abs(batch.vlo[dim]).max(), np.abs(batch.vhi[dim]).max())
+        mag = max(mag, float(pos + vel * (np.abs(batch.tref).max() + horizon)))
+    return _FILTER_SLACK * max(1.0, mag)
 
 
 def batch_sweep_join(
@@ -357,10 +404,18 @@ def batch_sweep_join(
     result left in columnar form: returns ``(idx_a, idx_b, lo, hi)``
     arrays of the surviving pairs, in sweep order — ``batch_a[idx_a[k]]``
     intersects ``batch_b[idx_b[k]]`` exactly during ``[lo[k], hi[k]]``,
-    bit-identical to the scalar ``intersection_interval``.  Candidate
-    segments are flushed through the pair-window kernel every ``chunk``
-    pairs, so peak memory stays bounded for dataset-scale sweeps
-    (100k × 100k) where materializing all candidates at once would not.
+    bit-identical to the scalar ``intersection_interval``.
+
+    Candidates pass two stages.  The 1-D sweep on ``dim`` enumerates
+    every pair whose swept ranges meet there (what the scalar sweep
+    tests; ``counter[0]`` counts these).  Each is then compared on the
+    *other* axis's swept bounds and dropped when those are separated by
+    more than the filter slack (see the module docstring); only the
+    survivors run the exact pair-window kernel, and a second
+    ``counter`` slot, when given, counts them.  Candidates are flushed
+    every ``chunk`` pairs, so peak memory stays bounded for
+    dataset-scale sweeps (100k × 100k) where materializing all
+    candidates at once would not.
     """
     if t1 < t0:
         raise ValueError("t_end must be >= t_start")
@@ -392,63 +447,95 @@ def batch_sweep_join(
     stops_a = np.searchsorted(lbb, uba, side="right")
     starts_b = np.searchsorted(lba, lbb, side="right")
     stops_b = np.searchsorted(lba, ubb, side="right")
-    # Merged pivot order = the scalar sweep's processing order: both lb
-    # arrays are sorted, so one stable argsort of their concatenation
-    # interleaves them and keeps side a first on ties.
-    merged = np.argsort(np.concatenate([lba, lbb]), kind="stable")
-    counts = np.maximum(
-        np.concatenate([stops_a - starts_a, stops_b - starts_b]), 0
-    )[merged]
-    seg_start = np.concatenate([starts_a, starts_b])[merged]
-    piv_val = np.concatenate([order_a, order_b])[merged]
-    piv_is_b = merged >= m
+    # The starts are also each pivot's count of opposing pivots the
+    # scalar sweep processes first, so own position + start is its rank
+    # in the merged processing order (side a first on lb ties) and the
+    # per-pivot columns scatter straight into that order.
+    rank_a = np.arange(m) + starts_a
+    rank_b = np.arange(n) + starts_b
+
+    def merged(col_a, col_b):
+        out = np.empty(m + n, dtype=col_a.dtype)
+        out[rank_a] = col_a
+        out[rank_b] = col_b
+        return out
+
+    counts = np.maximum(merged(stops_a - starts_a, stops_b - starts_b), 0)
     cum = np.cumsum(counts)
-    total = int(cum[-1]) if counts.size else 0
+    total = int(cum[-1])
+    if counter is not None:
+        counter[0] += total
     if total == 0:
         return empty
     seg_off = cum - counts
-    out_a: List = []
-    out_b: List = []
-    out_lo: List = []
-    out_hi: List = []
-    n_seg = int(counts.size)
+    # Orthogonal swept bounds, permuted into sweep order so a segment
+    # reads them near-sequentially.  Both sorted sides share one
+    # position space, b's run then a's: an a-pivot's segment starts at
+    # `starts_a`, a b-pivot's at `n + starts_b`, and a position >= n
+    # says the candidate is an a row (its pivot a b row).
+    orth = 1 - dim
+    slack = _filter_slack(batch_a, batch_b, orth, t0, t1)
+    olb_a, oub_a = batch_sweep_bounds(batch_a, orth, t0, t1)
+    olb_b, oub_b = batch_sweep_bounds(batch_b, orth, t0, t1)
+    olba, ouba = olb_a[order_a], oub_a[order_a]
+    olbb, oubb = olb_b[order_b], oub_b[order_b]
+    lb_at = np.concatenate([olbb, olba])
+    ub_at = np.concatenate([oubb, ouba])
+    row_at = np.concatenate([order_b, order_a])
+    piv_row = merged(order_a, order_b)
+    piv_lo = merged(olba, olbb) - slack
+    piv_hi = merged(ouba, oubb) + slack
+    # Sweep candidate g of segment s sits at position `g + shift[s]`.
+    shift = merged(starts_a, starts_b + n) - seg_off
+    pend: List = []
+    pending = 0
+    tested = 0
+    out: List = []
+    n_seg = m + n
     seg = 0
     while seg < n_seg:
         # Largest block of whole segments near the chunk budget (always
         # at least one, so a single oversized segment still flushes).
-        end = int(np.searchsorted(cum, int(seg_off[seg]) + chunk, side="left"))
+        base = int(seg_off[seg])
+        end = int(np.searchsorted(cum, base + chunk, side="left"))
         end = max(min(end + 1, n_seg), seg + 1)
-        cnt = counts[seg:end]
-        t = int(cum[end - 1] - seg_off[seg])
-        if t == 0:
-            seg = end
-            continue
-        base = np.cumsum(cnt) - cnt
-        within = np.arange(t, dtype=np.int64) - np.repeat(base, cnt)
-        pos = np.repeat(seg_start[seg:end], cnt) + within
-        pivot = np.repeat(piv_val[seg:end], cnt)
-        from_b = np.repeat(piv_is_b[seg:end], cnt)
-        # A pivot pairs with the *other* side's sorted run; gather both
-        # (clipped in-bounds) and select per row.
-        idx_a = np.where(from_b, order_a[np.minimum(pos, m - 1)], pivot)
-        idx_b = np.where(from_b, pivot, order_b[np.minimum(pos, n - 1)])
-        lo, hi, ok = _pair_windows(batch_a, idx_a, batch_b, idx_b, t0, t1)
-        sel = np.nonzero(ok)[0]
-        out_a.append(idx_a[sel])
-        out_b.append(idx_b[sel])
-        out_lo.append(lo[sel])
-        out_hi.append(hi[sel])
+        block = slice(seg, end)
         seg = end
-    if counter is not None:
-        counter[0] += total
-    if not out_a:
+        t = int(cum[end - 1]) - base
+        if t:
+            cnt = counts[block]
+            pos = np.repeat(shift[block], cnt) + np.arange(base, base + t)
+            # Negated so an unordered comparison (NaN) passes to the
+            # exact kernel instead of being dropped here.
+            reject = lb_at[pos] > np.repeat(piv_hi[block], cnt)
+            reject |= ub_at[pos] < np.repeat(piv_lo[block], cnt)
+            keep = np.flatnonzero(~reject)
+            # Only the survivors are mapped back to row indices; the
+            # segment of sweep candidate g is the first whose cumulative
+            # count exceeds g.
+            pivot = piv_row[np.searchsorted(cum, keep + base, side="right")]
+            pos = pos[keep]
+            other = row_at[pos]
+            from_b = pos >= n
+            pend.append(
+                (np.where(from_b, other, pivot), np.where(from_b, pivot, other))
+            )
+            pending += keep.shape[0]
+        # Survivors are a few percent of a block, so they queue until
+        # they fill a chunk of their own for the exact kernel.
+        if pending and (pending >= chunk or seg == n_seg):
+            idx_a, idx_b = (np.concatenate(col) for col in zip(*pend))
+            lo, hi, ok = _pair_windows(batch_a, idx_a, batch_b, idx_b, t0, t1)
+            sel = np.flatnonzero(ok)
+            out.append((idx_a[sel], idx_b[sel], lo[sel], hi[sel]))
+            tested += pending
+            pending = 0
+            pend.clear()
+    if counter is not None and len(counter) > 1:
+        counter[1] += tested
+    if not out:
         return empty
-    return (
-        np.concatenate(out_a),
-        np.concatenate(out_b),
-        np.concatenate(out_lo),
-        np.concatenate(out_hi),
-    )
+    return tuple(np.concatenate(col) for col in zip(*out))
 
 
 def batch_ps_intersection(

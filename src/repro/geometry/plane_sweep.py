@@ -90,8 +90,9 @@ def ps_intersection(
     Returns ``(i, j, interval)`` triples where ``boxes_a[i]`` overlaps
     ``boxes_b[j]`` during ``interval ⊆ [t0, t1]``.  ``dim`` forces a
     sweep dimension (``None`` applies dimension selection).  When
-    ``counter`` is given, ``counter[0]`` is incremented once per exact
-    pair test performed — benchmarks use this to report CPU work.
+    ``counter`` is given, ``counter[0]`` is incremented once per 1-D
+    sweep candidate — each of which the scalar path tests exactly —
+    which benchmarks use to report CPU work.
 
     ``use_kernels`` picks the implementation: ``True`` (default) routes
     through the vectorized :mod:`repro.geometry.kernels` batch sweep,

@@ -36,6 +36,10 @@ from repro.geometry import (
     sweep_bounds,
 )
 
+from repro.geometry import kernels
+from repro.geometry.constants import PAIR_TEST_EPS
+from repro.geometry.kernels import batch_sweep_join
+
 from ..conftest import random_kbox
 
 # Finite values spanning magnitudes down to subnormals — the regime
@@ -260,6 +264,180 @@ class TestSweepParity:
         assert ps_intersection(boxes, [], 0, 10, use_kernels=True) == []
         assert ps_intersection([], boxes, 0, 10, use_kernels=True) == []
         assert all_pairs_intersection([], boxes, 0, 10, use_kernels=True) == []
+
+
+# ----------------------------------------------------------------------
+# The sweep join's orthogonal-bound reject never drops an accepted pair
+# ----------------------------------------------------------------------
+#: Coordinate scales: the unit space, the 1M-object space (side
+#: 1000 * sqrt(1e6 / 1000)) and far beyond it.
+SCALES = (1.0, 31_623.0, 1e7)
+SUBNORMAL = 5e-324
+
+
+def ulps(x, k):
+    """``x`` moved ``k`` representable doubles up (down for negative k)."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.inf if k > 0 else -math.inf)
+    return x
+
+
+def aimed_pair(axis, scale, offset, width, v, dv, t_ref, t_contact, gap, gap_ulps):
+    """Two boxes whose ``axis`` ranges meet, give or take ``gap``, at ``t_contact``.
+
+    ``b`` sits above ``a`` on ``axis`` with relative velocity ``dv`` and
+    is placed so that ``b.lo(t_contact) = a.hi(t_contact) + gap`` (then
+    nudged ``gap_ulps`` doubles); on the other axis both span the same
+    generous range, so the pair is a 1-D candidate when that one sweeps.
+    """
+    a_lo = offset * scale
+    a_hi = a_lo + width * scale
+    b_lo = ulps(a_hi - dv * (t_contact - t_ref) + gap, gap_ulps)
+    b_hi = b_lo + width * scale
+    span = (0.0, 10.0 * scale)
+
+    def kbox(lo, hi, vel):
+        pos = (lo, hi, *span) if axis == 0 else (*span, lo, hi)
+        vbr = (vel, vel, 0.0, 0.0) if axis == 0 else (0.0, 0.0, vel, vel)
+        return KineticBox(Box(*pos), Box(*vbr), t_ref)
+
+    return kbox(a_lo, a_hi, v), kbox(b_lo, b_hi, v + dv)
+
+
+@st.composite
+def filter_cases(draw):
+    """Box sets aimed at the reject's decision boundary, plus a window."""
+    scale = draw(st.sampled_from(SCALES))
+    axis = draw(st.sampled_from([0, 1]))
+    t0 = draw(st.sampled_from([0.0, 3.0, 7.25]))
+    t1 = draw(st.sampled_from([t0, t0 + 12.0, t0 + 60.0, INF]))
+    boxes_a, boxes_b = [], []
+    for k in range(draw(st.integers(min_value=1, max_value=6))):
+        # Equal velocities (the flat-slope `c <= EPS` accept), a
+        # subnormal relative velocity (the overflow-to-inf guard), or an
+        # ordinary closing/opening speed with contact at a window end.
+        dv = draw(st.sampled_from([0.0, SUBNORMAL, -SUBNORMAL, 1.5, -1.5, 1e-3]))
+        a, b = aimed_pair(
+            axis,
+            scale,
+            offset=k * 40.0,
+            width=draw(st.sampled_from([0.0, 1.0, 3.7])),
+            v=draw(st.sampled_from([0.0, 2.0, -1.3, 0.1])),
+            dv=dv,
+            t_ref=draw(st.sampled_from([0.0, t0, -4.5, 2.75])),
+            t_contact=draw(st.sampled_from([t0, t0 if t1 == INF else t1])),
+            gap=draw(st.sampled_from([0.0, PAIR_TEST_EPS, -PAIR_TEST_EPS])),
+            gap_ulps=draw(st.sampled_from([0, 1, -1])),
+        )
+        if draw(st.booleans()):
+            a, b = b, a
+        boxes_a.append(a)
+        boxes_b.append(b)
+    return boxes_a, boxes_b, t0, t1
+
+
+def assert_sweep_join_matches(boxes_a, boxes_b, t0, t1):
+    """Rows, row order, windows and ``counter[0]`` equal the scalar sweep's."""
+    batch_a, batch_b = batch_of(boxes_a), batch_of(boxes_b)
+    for dim in (0, 1):
+        cs = [0]
+        scalar = [
+            (i, j, iv.start, iv.end)
+            for i, j, iv in ps_intersection(
+                boxes_a, boxes_b, t0, t1, dim=dim, counter=cs, use_kernels=False
+            )
+        ]
+        for chunk in (1, 7, 65_536):
+            ck = [0, 0]
+            idx_a, idx_b, lo, hi = batch_sweep_join(
+                batch_a, batch_b, t0, t1, dim=dim, counter=ck, chunk=chunk
+            )
+            rows = list(zip(idx_a.tolist(), idx_b.tolist(), lo.tolist(), hi.tolist()))
+            assert rows == scalar, (dim, chunk)
+            assert ck[0] == cs[0], (dim, chunk)
+            assert len(rows) <= ck[1] <= ck[0], (dim, chunk)
+
+
+class TestSweepFilterConservative:
+    @given(filter_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_aimed_cases_exact(self, case):
+        assert_sweep_join_matches(*case)
+
+    @given(st.lists(kboxes(), min_size=1, max_size=12),
+           st.lists(kboxes(), min_size=1, max_size=12), windows())
+    @settings(max_examples=100, deadline=None)
+    def test_arbitrary_boxes_exact(self, boxes_a, boxes_b, window):
+        assert_sweep_join_matches(boxes_a, boxes_b, *window)
+        assert_sweep_join_matches(boxes_a, boxes_b, window[0], INF)
+
+    @pytest.mark.parametrize("scale", SCALES)
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("t1", [0.0, 12.0, INF])
+    @pytest.mark.parametrize("dv", [0.0, SUBNORMAL, -SUBNORMAL, 1.5, -1.5])
+    def test_pinned_boundary_cases(self, scale, axis, t1, dv):
+        boxes_a, boxes_b = [], []
+        k = 0
+        for t_contact in {0.0, 0.0 if t1 == INF else t1}:
+            for gap in (0.0, PAIR_TEST_EPS, -PAIR_TEST_EPS):
+                for gap_ulps in (0, 1, -1):
+                    a, b = aimed_pair(
+                        axis, scale, k * 40.0, 1.0, 0.75, dv, -4.5, t_contact, gap, gap_ulps
+                    )
+                    boxes_a.append(a)
+                    boxes_b.append(b)
+                    k += 1
+        assert_sweep_join_matches(boxes_a, boxes_b, 0.0, t1)
+
+    # Found by random search over the `filter_cases` space: the exact
+    # test accepts, yet the swept bounds as computed are separated — by
+    # one or two ulps of the coordinate, far more than PAIR_TEST_EPS at
+    # these scales.  An absolute slack would drop them; a relative one
+    # must not.  (scale, axis, t, aimed_pair arguments)
+    ROUNDING_AT_SCALE = [
+        (31_623.0, 0, 7.25, (13.7, 3.7, -1.3, 1e-3, -4.5, 7.25, -PAIR_TEST_EPS, 0)),
+        (1e7, 1, 3.0, (80.0, 1.0, 0.1, 1e-3, -4.5, 3.0, PAIR_TEST_EPS, 1)),
+    ]
+
+    @pytest.mark.parametrize("scale, axis, t, args", ROUNDING_AT_SCALE)
+    def test_pinned_rounding_at_scale(self, scale, axis, t, args):
+        a, b = aimed_pair(axis, scale, *args)
+        assert intersection_interval(a, b, t, t) is not None
+        lb_a, ub_a = batch_sweep_bounds(batch_of([a]), axis, t, t)
+        lb_b, ub_b = batch_sweep_bounds(batch_of([b]), axis, t, t)
+        separation = max(float(lb_a[0] - ub_b[0]), float(lb_b[0] - ub_a[0]))
+        assert separation > 10 * PAIR_TEST_EPS  # not vacuous
+        assert_sweep_join_matches([a], [b], t, t)
+
+    def _forgiven_gap(self):
+        # Equal velocities, orthogonal gap of EPS/2: separated swept
+        # ranges, yet the exact test's flat-slope rule accepts the pair.
+        return aimed_pair(1, 1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, PAIR_TEST_EPS / 2, 0)
+
+    def test_forgiven_gap_is_kept(self):
+        a, b = self._forgiven_gap()
+        assert intersection_interval(a, b, 0.0, 10.0) is not None
+        assert_sweep_join_matches([a], [b], 0.0, 10.0)
+
+    def test_forgiven_gap_needs_the_slack(self, monkeypatch):
+        """The pinned case bites: with no slack the filter drops the pair."""
+        a, b = self._forgiven_gap()
+        monkeypatch.setattr(kernels, "_FILTER_SLACK", 0.0)
+        idx_a, _, _, _ = batch_sweep_join(batch_of([a]), batch_of([b]), 0.0, 10.0, dim=0)
+        assert idx_a.shape[0] == 0
+
+    def test_second_counter_slot_counts_exact_tests(self):
+        rng = random.Random(5)
+        boxes_a = [random_kbox(rng) for _ in range(60)]
+        boxes_b = [random_kbox(rng) for _ in range(60)]
+        counter = [0, 0]
+        idx_a, _, _, _ = batch_sweep_join(
+            batch_of(boxes_a), batch_of(boxes_b), 0.0, 12.0, counter=counter
+        )
+        assert 0 < idx_a.shape[0] <= counter[1] < counter[0]
+        one_slot = [0]
+        batch_sweep_join(batch_of(boxes_a), batch_of(boxes_b), 0.0, 12.0, counter=one_slot)
+        assert one_slot == [counter[0]]
 
 
 class TestDimensionSelection:

@@ -108,3 +108,39 @@ def test_export_writes_json(tmp_path):
     path = tmp_path / "columnar.json"
     engine.export_obs(path)
     assert path.exists() and path.stat().st_size > 0
+
+
+def test_filter_selectivity_rides_the_phase_spans(monkeypatch):
+    """pairs added <= ``exact_tests`` <= ``pair_tests`` on every phase span.
+
+    ``pair_tests`` keeps its meaning (what the scalar sweep tests); the
+    orthogonal-bound filter's survivors are filed as ``exact_tests`` on
+    the phase span that ran the sweep.
+    """
+    from repro.core import columnar
+
+    engine, arr = build(obs=True)
+    sweep = columnar.batch_sweep_join
+
+    def counting_sweep(*args, **kwargs):
+        rows = sweep(*args, **kwargs)
+        engine.obs.count("pairs_out", len(rows[0]))  # files on the open span
+        return rows
+
+    monkeypatch.setattr(columnar, "batch_sweep_join", counting_sweep)
+    drive(engine, arr)
+    phases = engine.obs.find("engine.initial_join") + engine.obs.find(
+        "engine.update_batch"
+    )
+    assert len(phases) == 9
+    for span in phases:
+        counts = span.counts
+        assert (
+            counts.get("pairs_out", 0)
+            <= counts.get("exact_tests", 0)
+            <= counts.get("pair_tests", 0)
+        )
+    totals = engine.obs.root_totals()
+    assert totals["exact_tests"] == sum(s.counts.get("exact_tests", 0) for s in phases)
+    # At n=64 the filter must actually prune, not merely not grow.
+    assert 0 < totals["pairs_out"] <= totals["exact_tests"] < totals["pair_tests"]
