@@ -6,13 +6,20 @@ and reports
 
 * **overhead** — wall-clock ratio of the deltas-on run over the
   deltas-off run.  The write path is one plain-scalar append per store
-  transition, so the ratio must stay under ``OVERHEAD_FLOOR``;
+  transition under the serial engine and one handed-over plane set per
+  store mutation under the columnar one, so the ratio must stay under
+  ``OVERHEAD_FLOOR``;
 * **enumeration rate** — events per second when re-enumerating every
-  tick's netted stream ``REREAD_ROUNDS`` times.  Events materialize
-  once per tick and are memoized, so re-enumeration is constant-delay
-  tuple iteration and must clear ``ENUM_FLOOR_EVS``;
+  tick's netted stream ``REREAD_ROUNDS`` times.  Events are netted and
+  materialized once per tick, on first read, and memoized, so
+  re-enumeration is constant-delay tuple iteration and must clear
+  ``ENUM_FLOOR_EVS``;
 * a fold-throughput figure (events applied per second rebuilding the
   store via :func:`repro.deltas.fold_events`) for context, unfloored.
+
+This is the small cell (n=400 per side, ~240 events per tick): it
+cannot see a cost that grows with the store.  ``bench_scale.py`` runs
+the same on/off comparison at 100k per side.
 
 Results go to ``BENCH_deltas.json`` at the repo root; the script exits
 non-zero when a floor is missed.  ``REPRO_DELTAS_SMOKE=1`` runs the

@@ -14,6 +14,19 @@ in one process the largest cell would mask all the others).  Cells also
 report ``store_mb``, the result store's own resident bytes via
 ``approx_bytes()`` — the column the ColumnResultStore exists to shrink.
 
+At n=100k (and at n=10k under ``REPRO_SCALE_SMOKE``) a *deltas-on*
+cell repeats the columnar cell with ``JoinConfig(deltas=True)`` and
+reads ``deltas(t)`` every tick, so the delta ledger's cost and the
+per-event delay are measured at a result size of ~260k rows rather
+than the few thousand of ``bench_deltas.py``.  Before reporting it
+asserts that folding the ledger reproduces the store and that it ends
+on the deltas-off cell's ``final_pairs``.  Its ``deltas_overhead`` is
+the deltas-on mean tick over the deltas-off one; at n=100k, where that
+ratio is gated, both cells are run ``DELTAS_REPEATS`` times,
+alternating, and each side enters with its best run — a cell's mean
+tick moves ±15% with the neighbours on a shared host, which only ever
+adds time (the best-of ``bench_deltas.py`` already takes).
+
 At the sizes where the serial seed engine is still practical (1k, 10k)
 the same pre-materialized update batches are replayed through the
 tree engine (:class:`~repro.core.engine.ContinuousJoinEngine`, one
@@ -34,6 +47,15 @@ Acceptance floors (the script exits non-zero when missed):
   repeats exactly and gates CI where a clock on a shared runner cannot;
 - a serial columnar row and a sharded row at the same ``n`` agree on
   ``initial_pairs`` and on ``final_pairs``;
+- at n=100k the deltas-on tick costs at most ``DELTAS_OVERHEAD_CEIL``x
+  the deltas-off tick, and the first ``deltas()`` after the initial
+  join (flush + netting + materializing every initial row) returns
+  within ``FIRST_DELTAS_CEIL_100K_S`` seconds;
+- wherever the deltas-on cell runs, the store flush merges at most
+  ``ROWS_MERGED_PER_EVENT_CEIL`` rows per netted event
+  (``rows_merged_per_tick`` over ``events_per_tick``): flush work
+  tracks the change, not the store — a count, so it repeats exactly
+  and gates the CI smoke cell;
 - at n=100k the columnar cell's peak RSS stays under
   ``RSS_FLOOR_100K_MB`` MiB;
 - at n=100k the 4-shard in-process engine sustains >=
@@ -48,8 +70,9 @@ RPROCOL3 slab image and reloads it through ``map_columns`` — measuring
 that a million objects come back without full deserialization.  The
 full 1M *join* cell stays best-effort behind ``REPRO_SCALE_1M=1``,
 recorded but never gated.  ``REPRO_SCALE_SMOKE=1`` runs the n=10k
-cells (columnar, seed baseline, and a 2-shard columnar-worker cell
-with ``workers=2``) plus a smoke RSS floor — the CI ``scale`` job.
+cells (columnar, deltas-on, seed baseline, and a 2-shard
+columnar-worker cell with ``workers=2``) plus a smoke RSS floor — the
+CI ``scale`` job.
 
 Run with::
 
@@ -68,6 +91,7 @@ import tempfile
 from pathlib import Path
 
 from repro.core import ColumnarJoinEngine, ContinuousJoinEngine, JoinConfig
+from repro.deltas import fold_events
 from repro.metrics import monotonic_clock
 from repro.workloads import VectorUpdateStream, make_workload_arrays
 
@@ -89,6 +113,10 @@ EXACT_TESTS_PER_PAIR_CEIL = 15.0  # exact tests per initial pair at n=10k
 RSS_FLOOR_100K_MB = 450.0  # per-cell peak RSS ceiling at n=100k
 RSS_FLOOR_SMOKE_MB = 300.0  # per-cell peak RSS ceiling at n=10k (CI smoke)
 SHARDED_FLOOR = 0.6  # x serial columnar tick throughput at n=100k (overhead bound)
+DELTAS_OVERHEAD_CEIL = 1.5  # deltas-on tick / deltas-off tick at n=100k
+FIRST_DELTAS_CEIL_100K_S = 2.0  # first deltas() after the initial join at n=100k
+ROWS_MERGED_PER_EVENT_CEIL = 2.0  # flush rows merged per netted event (a count)
+DELTAS_REPEATS = 3  # best-of runs per side behind the gated overhead ratio
 
 
 def space_for(n: int) -> float:
@@ -116,7 +144,7 @@ def peak_rss_mb() -> float:
 def _cell_child(fn, args, conn):
     try:
         result = fn(*args)
-        result["peak_rss_mb"] = round(peak_rss_mb(), 1)
+        result.setdefault("peak_rss_mb", round(peak_rss_mb(), 1))
         conn.send(("ok", result))
     except BaseException as exc:  # report, don't hang the parent
         conn.send(("err", f"{type(exc).__name__}: {exc}"))
@@ -188,6 +216,57 @@ def run_columnar(n: int, steps: int) -> dict:
         "ticks_per_s": round(steps / tick_s, 3),
         "updates_per_s": round(engine.update_count / tick_s, 1),
         "store_mb": store_mb(engine.store),
+    }
+
+
+def run_columnar_deltas(n: int, steps: int) -> dict:
+    """The columnar cell with the delta ledger armed and read every tick."""
+    arrays = workload(n)
+    engine = ColumnarJoinEngine(
+        arrays.columns_a(),
+        arrays.columns_b(),
+        algorithm=ALGORITHM,
+        config=JoinConfig(t_m=T_M, deltas=True),
+    )
+    engine.run_initial_join()
+    t0 = monotonic_clock()
+    engine.deltas()  # flushes the initial join and nets every row of it
+    first_deltas_s = monotonic_clock() - t0
+    merged_before = engine.store.rows_merged
+    stream = VectorUpdateStream(arrays, seed=SEED + 1)
+    events, us_per_event = [], []
+    t0 = monotonic_clock()
+    for step in range(1, steps + 1):
+        t = float(step)
+        engine.tick(t)
+        upd_a, upd_b = stream.updates_at(t)
+        engine.apply_update_columns(upd_a, upd_b)
+        read0 = monotonic_clock()
+        tick_events = engine.deltas(t)  # this tick's flush, netting and tuples
+        read_s = monotonic_clock() - read0
+        engine.result_at(t)
+        events.append(len(tick_events))
+        us_per_event.append(read_s * 1e6 / max(len(tick_events), 1))
+    tick_s = monotonic_clock() - t0
+    rss_mb = round(peak_rss_mb(), 1)  # before the check below builds its view
+    if fold_events(engine.ledger).rows() != engine.store.interval_rows():
+        raise AssertionError("folded delta ledger diverges from the store")
+    return {
+        "n_per_side": n,
+        "engine": "columnar+deltas",
+        "steps": steps,
+        "updates": engine.update_count,
+        "final_pairs": len(engine.store),
+        "first_deltas_s": round(first_deltas_s, 4),
+        "tick_loop_s": round(tick_s, 4),
+        "tick_mean_s": round(tick_s / steps, 4),
+        "us_per_event_p50": round(sorted(us_per_event)[steps // 2], 2),
+        "events_per_tick": round(sum(events) / steps, 1),
+        "rows_merged_per_tick": round(
+            (engine.store.rows_merged - merged_before) / steps, 1
+        ),
+        "store_mb": store_mb(engine.store),
+        "peak_rss_mb": rss_mb,
     }
 
 
@@ -376,6 +455,30 @@ def main() -> int:
                 f"store {base['store_mb']:.1f} MiB) "
                 f"-> columnar {speedup:.1f}x"
             )
+        if n == 100_000 or smoke:
+            off_ticks, ons = [row["tick_mean_s"]], []
+            for repeat in range(1 if smoke else DELTAS_REPEATS):
+                if repeat:
+                    off_ticks.append(run_cell(run_columnar, n, STEPS)["tick_mean_s"])
+                ons.append(run_cell(run_columnar_deltas, n, STEPS))
+            on = min(ons, key=lambda cell: cell["tick_mean_s"])
+            if on["final_pairs"] != row["final_pairs"]:
+                raise AssertionError(
+                    f"deltas-on cell ends on {on['final_pairs']} pairs, "
+                    f"deltas-off on {row['final_pairs']}"
+                )
+            rows.append(on)
+            on["first_deltas_s"] = min(cell["first_deltas_s"] for cell in ons)
+            on["tick_mean_off_s"] = min(off_ticks)
+            on["deltas_overhead"] = round(on["tick_mean_s"] / min(off_ticks), 2)
+            print(
+                f"  deltas:   first read {on['first_deltas_s']:.2f}s, "
+                f"tick {on['tick_mean_s']:.3f}s ({on['deltas_overhead']:.2f}x off), "
+                f"{on['events_per_tick']:.0f} events/tick at "
+                f"{on['us_per_event_p50']:.2f} us each, "
+                f"{on['rows_merged_per_tick']:.0f} rows merged/tick, "
+                f"rss {on['peak_rss_mb']:.0f} MiB"
+            )
         if n == 100_000 and not smoke:
             sharded = run_cell(run_sharded_columnar, n, STEPS, 4, 0)
             rows.append(sharded)
@@ -453,6 +556,28 @@ def main() -> int:
                 f"peak RSS {cell_100k['peak_rss_mb']:.0f} MiB at n=100k "
                 f"> {RSS_FLOOR_100K_MB:.0f} MiB floor"
             )
+    cell_deltas = by_cell.get((100_000, "columnar+deltas"))
+    if cell_deltas is not None:
+        if cell_deltas["deltas_overhead"] > DELTAS_OVERHEAD_CEIL:
+            failures.append(
+                f"deltas-on tick {cell_deltas['deltas_overhead']:.2f}x deltas-off "
+                f"at n=100k > {DELTAS_OVERHEAD_CEIL}x ceiling"
+            )
+        if cell_deltas["first_deltas_s"] > FIRST_DELTAS_CEIL_100K_S:
+            failures.append(
+                f"first deltas() {cell_deltas['first_deltas_s']:.2f}s at n=100k "
+                f"> {FIRST_DELTAS_CEIL_100K_S}s ceiling"
+            )
+    for on in rows:
+        if on["engine"] != "columnar+deltas":
+            continue
+        ceiling = ROWS_MERGED_PER_EVENT_CEIL * on["events_per_tick"]
+        if on["rows_merged_per_tick"] > ceiling:
+            failures.append(
+                f"{on['rows_merged_per_tick']:.0f} rows merged per tick at "
+                f"n={on['n_per_side']} > {ROWS_MERGED_PER_EVENT_CEIL} x "
+                f"{on['events_per_tick']:.0f} events"
+            )
     cell_sharded = by_cell.get((100_000, "sharded-columnar/4x0"))
     if cell_sharded is not None:
         if cell_sharded["speedup_vs_serial"] < SHARDED_FLOOR:
@@ -495,6 +620,9 @@ def main() -> int:
                     "peak_rss_mb_100k": RSS_FLOOR_100K_MB,
                     "peak_rss_mb_smoke": RSS_FLOOR_SMOKE_MB,
                     "sharded_vs_serial_100k": SHARDED_FLOOR,
+                    "deltas_overhead_100k": DELTAS_OVERHEAD_CEIL,
+                    "first_deltas_s_100k": FIRST_DELTAS_CEIL_100K_S,
+                    "rows_merged_per_event": ROWS_MERGED_PER_EVENT_CEIL,
                 },
                 "peak_rss_mb_100k": (
                     None if cell_100k is None else cell_100k["peak_rss_mb"]

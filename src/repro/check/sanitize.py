@@ -662,7 +662,7 @@ def check_column_result_store(
     * **SC802** — the searchsorted inverted index agrees with the
       planes: the cached pair-run boundaries equal a fresh recompute,
       and the lazy ``b``-side ordering, when built, actually sorts the
-      ``b`` plane.
+      ``b`` plane and its cached sorted copy equals ``b[order]``.
     * **SC803** — bookkeeping is coherent after a flush: no pending
       batches or dead rows survive, the pair count matches the run
       boundaries, and every row is a valid interval (finite start,
@@ -743,6 +743,12 @@ def check_column_result_store(
         ):
             findings.append(Finding(
                 "SC802", "b-side inverted index does not sort the b plane", label
+            ))
+        elif not np.array_equal(store._b_sorted, b[order]):
+            findings.append(Finding(
+                "SC802",
+                "cached sorted b plane diverges from the b plane in index order",
+                label,
             ))
 
     # SC803: flush left coherent bookkeeping and valid rows.

@@ -108,8 +108,8 @@ class ColumnarJoinEngine:
         #: The maintained answer, as sorted ``(a, b, lo, hi)`` planes.
         self.store = ColumnResultStore()
         #: Attached :class:`~repro.deltas.DeltaLedger` when
-        #: ``config.deltas`` is on; delta extraction rides the store's
-        #: ``add_batch`` hot loop as plain scalar records.
+        #: ``config.deltas`` is on; the store hands it whole planes
+        #: (dead rows, re-merged rows), no per-row records.
         self.ledger = None
         if self.config.deltas:
             from ..deltas import DeltaLedger

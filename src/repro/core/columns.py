@@ -39,9 +39,29 @@ __all__ = [
     "columns_from_objects",
     "pack_updates",
     "merge_interval_planes",
+    "pair_keys",
 ]
 
 _MIN_CAPACITY = 8
+
+#: Two oids in ``[0, 2**_PACK_BITS)`` pack into one int64 pair key.
+_PACK_BITS = 31
+#: Pair key of everything else: compares field by field, ``a`` major.
+_WIDE_KEY = np.dtype([("a", np.int64), ("b", np.int64)])
+
+
+def run_heads(*planes: np.ndarray) -> np.ndarray:
+    """Mask of the rows that open a run of equal rows in sorted planes.
+
+    ``planes`` are parallel arrays sorted so that equal rows are
+    adjacent; a row opens a run when any plane differs from the row
+    before it (the first row always does).
+    """
+    head = np.zeros(planes[0].shape[0], dtype=bool)
+    head[:1] = True
+    for plane in planes:
+        head[1:] |= plane[1:] != plane[:-1]
+    return head
 
 
 def pair_run_starts(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -51,13 +71,32 @@ def pair_run_starts(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     (rows of one pair contiguous); the returned indices are the pair
     boundaries — the inverted index the columnar result store keeps.
     """
-    n = a.shape[0]
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
-    new_pair = np.empty(n, dtype=bool)
-    new_pair[0] = True
-    np.logical_or(a[1:] != a[:-1], b[1:] != b[:-1], out=new_pair[1:])
-    return np.nonzero(new_pair)[0]
+    return np.flatnonzero(run_heads(a, b))
+
+
+def pair_keys(*sides: Tuple[np.ndarray, np.ndarray]) -> List[np.ndarray]:
+    """One sortable key per row for each ``(a, b)`` plane pair.
+
+    All returned arrays share one key space, so keys of different sides
+    compare, sort and ``searchsorted`` against each other exactly like
+    the ``(a, b)`` tuples they stand for.  When every oid of every side
+    lies in ``[0, 2**31)`` the key is the packed int64 ``(a << 31) | b``
+    (one machine compare per probe); a single negative or wider oid
+    anywhere switches *all* sides to a two-field structured key that
+    NumPy compares lexicographically — slower per compare, same order,
+    same callers: nothing downstream branches on which one it got.
+    """
+    bits = 0
+    for a, b in sides:
+        bits |= int(np.bitwise_or.reduce(a)) | int(np.bitwise_or.reduce(b))
+    if bits >> _PACK_BITS == 0:
+        return [(a << np.int64(_PACK_BITS)) | b for a, b in sides]
+    keys = []
+    for a, b in sides:
+        key = np.empty(a.shape[0], dtype=_WIDE_KEY)
+        key["a"], key["b"] = a, b
+        keys.append(key)
+    return keys
 
 
 def _segmented_prefix_max(values: np.ndarray, run: np.ndarray) -> np.ndarray:
@@ -105,9 +144,7 @@ def merge_interval_planes(
     n = a.shape[0]
     if n == 0:
         return a, b, lo, hi, np.empty(0, dtype=np.int64)
-    new_pair = np.empty(n, dtype=bool)
-    new_pair[0] = True
-    np.logical_or(a[1:] != a[:-1], b[1:] != b[:-1], out=new_pair[1:])
+    new_pair = run_heads(a, b)
     run = np.cumsum(new_pair)
     reach = _segmented_prefix_max(hi, run)
     # A row opens a new merged segment when it opens a new pair, or when

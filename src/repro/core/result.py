@@ -23,7 +23,7 @@ import numpy as np
 from ..geometry import TimeInterval, merge_intervals
 from ..geometry.constants import MERGE_TOL as _MERGE_TOL
 from ..join import JoinTriple
-from .columns import merge_interval_planes, pair_run_starts
+from .columns import merge_interval_planes, pair_keys, pair_run_starts, run_heads
 
 __all__ = ["JoinResultStore", "ColumnResultStore"]
 
@@ -34,6 +34,25 @@ def _as_list(values) -> List:
     """Sequence → plain list (``ndarray.tolist`` yields Python scalars)."""
     tolist = getattr(values, "tolist", None)
     return tolist() if tolist is not None else list(values)
+
+
+def _empty_planes():
+    """Zero-row ``(a, b, lo, hi)`` planes."""
+    return (
+        np.empty(0, dtype=np.int64),
+        np.empty(0, dtype=np.int64),
+        np.empty(0),
+        np.empty(0),
+    )
+
+
+def _concat_planes(batches):
+    """Plane-wise concatenation of ``(a, b, lo, hi)`` batches."""
+    if len(batches) == 1:
+        return batches[0]
+    if not batches:
+        return _empty_planes()
+    return tuple(np.concatenate(planes) for planes in zip(*batches))
 
 
 def _record_merge_diff(ledger, key: "PairKey", old_rows, merged) -> None:
@@ -355,22 +374,27 @@ class ColumnResultStore:
     megabytes of contiguous arrays.
 
     Mutations are deferred: :meth:`add_batch` appends to a pending
-    buffer, removals mark rows dead, and :meth:`flush` canonicalizes —
-    one ``lexsort`` plus the vectorized
-    :func:`~repro.core.columns.merge_interval_planes` pass per tick
-    rather than per-row Python work.  Every query (and any ledger read)
-    forces a flush first, so deferral is never observable.
+    buffer, removals mark rows dead, and :meth:`flush` splices the
+    change into the sorted planes — only the pair runs the pending rows
+    name are re-merged (:func:`~repro.core.columns.
+    merge_interval_planes`), every other live row is moved as it is, so
+    a flush costs the change plus one copy of the planes, not a sort of
+    the store.  Every query (and any ledger read) forces a flush first,
+    so deferral is never observable.
 
     The inverted index is *searchsorted*: pair lookups binary-search the
     ``a`` plane (rows of one pair are contiguous), and a lazily built
-    ``argsort`` of the ``b`` plane serves ``b``-side object lookups.
+    ``argsort`` of the ``b`` plane, kept with the plane in that order,
+    serves ``b``-side object lookups.
 
-    An attached delta ledger is fed straight from the array diffs:
-    removals record their dead rows, and each flush records the exact
-    per-pair set difference between the pre-merge and post-merge rows —
-    netted per tick this is the same event stream the list store emits
-    (both equal the store's state diff at the tick boundary), which the
-    ``SC701``–``SC703`` reconciliation checks verify.
+    An attached delta ledger is fed whole planes, never a row at a
+    time: removals hand over their dead rows, and each flush hands over
+    the live rows of the runs it re-merged (``-1``) and the merged rows
+    (``+1``).  A row the merge left unchanged cancels in the ledger's
+    per-tick netting, so the netted stream is the same one the list
+    store emits (both equal the store's state diff at the tick
+    boundary), which the ``SC701``–``SC703`` reconciliation checks
+    verify.
     """
 
     __slots__ = (
@@ -385,14 +409,13 @@ class ColumnResultStore:
         "_run_starts",
         "_n_pairs",
         "_b_order",
+        "_b_sorted",
         "_ledger",
+        "rows_merged",
     )
 
     def __init__(self) -> None:
-        self._a = np.empty(0, dtype=np.int64)
-        self._b = np.empty(0, dtype=np.int64)
-        self._lo = np.empty(0)
-        self._hi = np.empty(0)
+        self._a, self._b, self._lo, self._hi = _empty_planes()
         #: live row count of the planes (dead rows included until flush).
         self._n = 0
         self._live = np.empty(0, dtype=bool)
@@ -403,9 +426,15 @@ class ColumnResultStore:
         #: pair-run boundaries of the canonical planes (searchsorted index).
         self._run_starts = np.empty(0, dtype=np.int64)
         self._n_pairs = 0
-        #: lazy stable argsort of the ``b`` plane (b-side inverted index).
+        #: lazy stable argsort of the ``b`` plane (b-side inverted index)
+        #: and the ``b`` plane in that order — built and dropped together.
         self._b_order: "np.ndarray | None" = None
+        self._b_sorted: "np.ndarray | None" = None
         self._ledger = None
+        #: cumulative rows handed to ``merge_interval_planes``: a flush
+        #: of k pending rows touching r live rows adds exactly k + r,
+        #: whatever the store holds.
+        self.rows_merged = 0
 
     # ------------------------------------------------------------------
     # Ledger
@@ -477,11 +506,7 @@ class ColumnResultStore:
         if n == 0:
             return 0
         rows_a = np.arange(*self._a_run(oid), dtype=np.int64)
-        border = self._border()
-        b_sorted = self._b[border]
-        k0 = int(np.searchsorted(b_sorted, oid, side="left"))
-        k1 = int(np.searchsorted(b_sorted, oid, side="right"))
-        rows = np.unique(np.concatenate([rows_a, border[k0:k1]]))
+        rows = np.unique(np.concatenate([rows_a, self._b_rows(oid)]))
         return self._kill_rows(rows[self._live[rows]])
 
     def remove_objects(self, oids) -> int:
@@ -508,14 +533,8 @@ class ColumnResultStore:
         if k == 0:
             return 0
         a, b = self._a[rows], self._b[rows]
-        ledger = self._ledger
-        if ledger is not None:
-            record = ledger.record
-            for ra, rb, rlo, rhi in zip(
-                a.tolist(), b.tolist(),
-                self._lo[rows].tolist(), self._hi[rows].tolist(),
-            ):
-                record(-1, ra, rb, rlo, rhi)
+        if self._ledger is not None:
+            self._ledger.record_planes(-1, a, b, self._lo[rows], self._hi[rows])
         dropped = int(np.count_nonzero((a[1:] != a[:-1]) | (b[1:] != b[:-1]))) + 1
         self._live[rows] = False
         self._dead += k
@@ -533,14 +552,10 @@ class ColumnResultStore:
         if k == 0:
             return 0
         rows = np.nonzero(dead)[0]
-        ledger = self._ledger
-        if ledger is not None:
-            record = ledger.record
-            for ra, rb, rlo, rhi in zip(
-                self._a[rows].tolist(), self._b[rows].tolist(),
-                self._lo[rows].tolist(), self._hi[rows].tolist(),
-            ):
-                record(-1, ra, rb, rlo, rhi)
+        if self._ledger is not None:
+            self._ledger.record_planes(
+                -1, self._a[rows], self._b[rows], self._lo[rows], self._hi[rows]
+            )
         # A pair drops when *all* of its rows expired.
         run = np.zeros(n, dtype=np.int64)
         run[self._run_starts] = 1
@@ -555,22 +570,10 @@ class ColumnResultStore:
 
     def clear(self) -> None:
         self.flush()
-        n = self._n
-        ledger = self._ledger
-        if ledger is not None:
-            record = ledger.record
-            for ra, rb, rlo, rhi in zip(
-                self._a[:n].tolist(), self._b[:n].tolist(),
-                self._lo[:n].tolist(), self._hi[:n].tolist(),
-            ):
-                record(-1, ra, rb, rlo, rhi)
-        self._adopt(
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.int64),
-            np.empty(0),
-            np.empty(0),
-            np.empty(0, dtype=np.int64),
-        )
+        if self._ledger is not None:
+            # The planes are replaced below, never written: hand them over.
+            self._ledger.record_planes(-1, self._a, self._b, self._lo, self._hi)
+        self._adopt(*_empty_planes(), np.empty(0, dtype=np.int64))
 
     # ------------------------------------------------------------------
     # Flush: canonicalize the planes
@@ -578,9 +581,11 @@ class ColumnResultStore:
     def flush(self) -> None:
         """Apply deferred mutations: drop dead rows, merge pending adds.
 
-        Engines must call this before reading the attached ledger (or
-        advancing its clock) so every event lands in the tick that
-        caused it; queries call it implicitly.
+        Work is proportional to the pending rows and the pair runs they
+        touch (:attr:`rows_merged` counts exactly those), plus one copy
+        of the planes.  Engines must call this before reading the
+        attached ledger (or advancing its clock) so every event lands
+        in the tick that caused it; queries call it implicitly.
         """
         if self._pend or self._dead:
             self._rebuild()
@@ -591,59 +596,73 @@ class ColumnResultStore:
             self._rebuild()
 
     def _rebuild(self) -> None:
+        """Splice the pending rows into the sorted planes.
+
+        Only the pair runs the pending rows name are re-merged: their
+        live rows are gathered, merged with the pending rows, and
+        scattered back between the untouched live rows.  An untouched
+        run is already canonical and the per-pair merge leaves canonical
+        rows as they are, so the result is bit-identical to sorting and
+        merging every live row — at the cost of the change plus one
+        mask and one copy of the planes.  The ledger gets the gathered
+        rows as one ``-1`` plane and the merged rows as one ``+1``
+        plane; a row the merge left unchanged nets out at read time.
+        """
         n = self._n
-        live = self._live[:n]
-        if self._dead:
-            base = (
-                self._a[:n][live],
-                self._b[:n][live],
-                self._lo[:n][live],
-                self._hi[:n][live],
-            )
-        else:
-            base = (self._a[:n], self._b[:n], self._lo[:n], self._hi[:n])
-        if not self._pend:
-            # Dead-only flush: compaction preserves the (a, b, lo) sort
-            # and cannot create new overlaps (per-pair rows stay
-            # disjoint when some are removed), so skip sort and merge;
-            # the -1 events were already recorded by `_kill_rows`.
-            a, b, lo, hi = (np.ascontiguousarray(p) for p in base)
-            self._adopt(a, b, lo, hi, pair_run_starts(a, b))
-            return
-        ledger = self._ledger
-        affected = None
-        old_rows = None
-        if ledger is not None and self._pend:
-            affected = set()
-            for pa, pb, _, _ in self._pend:
-                affected.update(zip(pa.tolist(), pb.tolist()))
-            old_rows = {key: self._pair_rows(key) for key in affected}
-        parts = [base] + self._pend
-        a = np.concatenate([p[0] for p in parts])
-        b = np.concatenate([p[1] for p in parts])
-        lo = np.concatenate([p[2] for p in parts])
-        hi = np.concatenate([p[3] for p in parts])
-        if a.size and a.min() >= 0 and b.min() >= 0 and (
-            a.max() < (1 << 31) and b.max() < (1 << 31)
-        ):
-            # Common case: both oids fit 31 bits, so the (a, b) pair
-            # packs into one int64 sort key — one fewer stable pass
-            # than the three-key lexsort, same order.
-            order = np.lexsort((lo, (a << np.int64(31)) | b))
-        else:
-            order = np.lexsort((lo, b, a))
-        a, b, lo, hi, starts = merge_interval_planes(
+        live = self._live
+        bounds = np.append(self._run_starts, n)  # run r = bounds[r]:bounds[r+1]
+        pend = _concat_planes(self._pend)
+        pkey, rkey = pair_keys(
+            pend[:2], (self._a[self._run_starts], self._b[self._run_starts])
+        )
+        # Distinct pending pairs (sort + run heads: `np.unique` is ~20x
+        # slower), the base row each one's run starts (or would start)
+        # at, and the rows of the runs that do exist.
+        ukey = np.sort(pkey)
+        ukey = ukey[run_heads(ukey)]
+        at = bounds[np.searchsorted(rkey, ukey, side="left")]
+        lens = bounds[np.searchsorted(rkey, ukey, side="right")] - at
+        touched = np.repeat(at - (np.cumsum(lens) - lens), lens)
+        touched += np.arange(touched.shape[0])
+        alive = live[touched]
+        old = tuple(p[touched[alive]] for p in self._planes())
+        # Merge (touched live rows, then pending in arrival order): the
+        # stable sort keeps that order among equal starts, as the
+        # whole-store sort did.
+        a, b, lo, hi = (np.concatenate(p) for p in zip(old, pend))
+        key = np.concatenate([np.repeat(ukey, lens)[alive], pkey])
+        order = np.lexsort((lo, key))
+        self.rows_merged += order.shape[0]
+        *new, new_starts = merge_interval_planes(
             a[order], b[order], lo[order], hi[order], _MERGE_TOL
         )
-        self._adopt(a, b, lo, hi, starts)
-        if affected is not None:
-            for key in affected:
-                old = old_rows[key]
-                new = self._pair_rows(key)
-                for start, end in old - new:
-                    ledger.record(-1, key[0], key[1], start, end)
-                for start, end in new - old:
-                    ledger.record(1, key[0], key[1], start, end)
+        m = new[0].shape[0]
+        # Untouched live rows keep their order; merged run j (the j-th
+        # distinct pending pair) lands after those that precede `at[j]`.
+        keep = live.copy()
+        keep[touched] = False
+        kept = np.flatnonzero(keep)
+        dest = np.repeat(
+            np.searchsorted(kept, at), np.diff(np.append(new_starts, m))
+        )
+        dest += np.arange(m)
+        size = kept.shape[0] + m
+        fresh = np.zeros(size, dtype=bool)
+        fresh[dest] = True
+        src = np.empty(size, dtype=np.int64)  # row of (base ++ merged) per slot
+        src[dest] = np.arange(n, n + m)
+        src[~fresh] = kept
+        planes = [
+            np.concatenate(both).take(src) for both in zip(self._planes(), new)
+        ]
+        self._adopt(*planes, pair_run_starts(planes[0], planes[1]))
+        if self._ledger is not None:
+            self._ledger.record_planes(-1, *old)
+            self._ledger.record_planes(1, *new)
+
+    def _planes(self):
+        """The planes as they stand (dead rows included; no flush)."""
+        return self._a, self._b, self._lo, self._hi
 
     def _adopt(self, a, b, lo, hi, starts) -> None:
         self._a, self._b, self._lo, self._hi = a, b, lo, hi
@@ -653,7 +672,7 @@ class ColumnResultStore:
         self._pend = []
         self._run_starts = starts
         self._n_pairs = starts.shape[0]
-        self._b_order = None
+        self._b_order = self._b_sorted = None
 
     # ------------------------------------------------------------------
     # Searchsorted inverted index
@@ -673,21 +692,18 @@ class ColumnResultStore:
         j1 = i0 + int(np.searchsorted(seg, int(key[1]), side="right"))
         return j0, j1
 
-    def _pair_rows(self, key: PairKey) -> Set[Tuple[float, float]]:
-        """Current live ``(start, end)`` rows of one pair, as a set."""
-        j0, j1 = self._pair_span(key)
-        if j0 == j1:
-            return set()
-        rows = np.arange(j0, j1, dtype=np.int64)
-        if self._dead:
-            rows = rows[self._live[rows]]
-        return set(zip(self._lo[rows].tolist(), self._hi[rows].tolist()))
+    def _b_rows(self, oid: int) -> np.ndarray:
+        """Rows whose ``b`` plane equals ``oid``, via the lazy b-side index.
 
-    def _border(self) -> np.ndarray:
-        """Stable argsort of the ``b`` plane (built lazily per flush)."""
-        if self._b_order is None or self._b_order.shape[0] != self._n:
-            self._b_order = np.argsort(self._b[: self._n], kind="stable")
-        return self._b_order
+        The stable argsort of the ``b`` plane and the plane in that
+        order are built once per flush and searched per lookup.
+        """
+        if self._b_order is None:
+            self._b_order = np.argsort(self._b, kind="stable")
+            self._b_sorted = self._b[self._b_order]
+        k0 = int(np.searchsorted(self._b_sorted, oid, side="left"))
+        k1 = int(np.searchsorted(self._b_sorted, oid, side="right"))
+        return self._b_order[k0:k1]
 
     # ------------------------------------------------------------------
     # Queries (every query sees the canonical planes)
@@ -716,13 +732,9 @@ class ColumnResultStore:
         found: Set[PairKey] = {
             (oid, int(x)) for x in np.unique(self._b[i0:i1]).tolist()
         }
-        border = self._border()
-        b_sorted = self._b[border]
-        k0 = int(np.searchsorted(b_sorted, oid, side="left"))
-        k1 = int(np.searchsorted(b_sorted, oid, side="right"))
-        rows = border[k0:k1]
         found.update(
-            (int(x), oid) for x in np.unique(self._a[rows]).tolist()
+            (int(x), oid)
+            for x in np.unique(self._a[self._b_rows(oid)]).tolist()
         )
         return found
 
@@ -784,7 +796,7 @@ class ColumnResultStore:
             + self._run_starts.nbytes
         )
         if self._b_order is not None:
-            total += self._b_order.nbytes
+            total += self._b_order.nbytes + self._b_sorted.nbytes
         for batch in self._pend:
             total += sum(arr.nbytes for arr in batch)
         return total

@@ -12,6 +12,15 @@ not operations: a store mutation that rewrites a pair's interval list
 insert/remove — no merge logic, no order sensitivity — and
 reconstructs the store bit-for-bit (:class:`DeltaView`).
 
+Raw record
+----------
+A store reports either one scalar :meth:`DeltaLedger.record` per row
+(the dict store) or whole ``(a, b, lo, hi)`` planes under one sign
+through :meth:`DeltaLedger.record_planes` (the columnar store, which
+hands over the rows it re-merged and the rows that came out, changed
+or not).  The ledger keeps both as they arrive; only the netted stream
+below is the contract.
+
 Netting
 -------
 Within one tick a row may bounce (removed by invalidation, re-added by
@@ -21,7 +30,9 @@ the netted per-tick stream is *engine independent* — serial, columnar
 and sharded runs over the same workload emit identical netted streams.
 Events come back canonically ordered (removals first, then by pair and
 interval), as an already-materialized tuple: iteration is
-constant-delay per event with no recomputation.
+constant-delay per event with no recomputation.  Netting is one
+vectorized sort-and-sum over the tick's raw planes, and no
+:class:`DeltaEvent` exists before a reader asks for the tick.
 
 A ledger may carry a *baseline*: the store rows at the moment the
 ledger was (re)armed.  A fresh engine has an empty baseline; a shard
@@ -33,7 +44,13 @@ reconciliation invariant ``baseline ⊕ events == store`` (sanitizer code
 from __future__ import annotations
 
 from bisect import bisect_left
+from functools import partial
+from itertools import repeat
 from typing import Dict, Iterator, List, Mapping, NamedTuple, Optional, Tuple
+
+import numpy as np
+
+from ..core.columns import pair_keys, run_heads
 
 __all__ = [
     "DeltaEvent",
@@ -74,6 +91,10 @@ class DeltaEvent(NamedTuple):
         return (self.start, self.end)
 
 
+#: ``DeltaEvent._make`` without its Python-level frame (one per event).
+_make_event = partial(tuple.__new__, DeltaEvent)
+
+
 class DeltaReplayError(ValueError):
     """An event stream violated exactly-once folding.
 
@@ -86,11 +107,15 @@ class DeltaReplayError(ValueError):
 class DeltaLedger:
     """Append-only per-engine event log with per-tick netting.
 
-    The write path is deliberately cheap — :meth:`record` appends one
-    plain scalar tuple, no object construction — so it can sit inside
-    the columnar engine's ``add_batch`` hot loop.  Netting and
-    :class:`DeltaEvent` materialization happen lazily in
-    :meth:`events_at`, memoized per tick until new raw records arrive.
+    The write path stores what it is given and nothing else: a tick's
+    raw record is a list of *chunks* in arrival order, each either a
+    run of scalar :meth:`record` tuples (the dict store's per-row
+    entry point) or one ``(sign, a, b, lo, hi)`` plane set handed over
+    whole by :meth:`record_planes` (the columnar store's).  Netting is
+    one vectorized pass over the tick's chunks and :class:`DeltaEvent`
+    objects exist only once :meth:`events_at` is called — memoized per
+    tick until new raw records arrive — so a tick nobody reads costs
+    no tuple at all.
     """
 
     __slots__ = ("_now", "_ticks", "_raw", "_baseline", "_cache", "_flush")
@@ -111,7 +136,10 @@ class DeltaLedger:
         #: Every tick with at least one raw record, in recording order
         #: (monotone by construction: records land at the current clock).
         self._ticks: List[float] = []
-        self._raw: Dict[float, List[Tuple[int, int, int, float, float]]] = {}
+        #: tick → chunks in arrival order; a chunk is a ``list`` of
+        #: scalar ``(sign, a, b, start, end)`` records or a
+        #: ``(sign, a, b, lo, hi)`` tuple of one sign and four planes.
+        self._raw: Dict[float, list] = {}
         self._baseline: Dict[PairKey, Tuple[Row, ...]] = (
             {key: tuple(rows) for key, rows in baseline.items()}
             if baseline
@@ -132,14 +160,33 @@ class DeltaLedger:
             self._flush()
         self._now = float(t)
 
+    def _chunks(self) -> list:
+        """The current tick's chunk list (opened on first use)."""
+        t = self._now
+        chunks = self._raw.get(t)
+        if chunks is None:
+            chunks = self._raw[t] = []
+            self._ticks.append(t)
+        return chunks
+
     def record(self, sign: int, a_oid: int, b_oid: int, start: float, end: float) -> None:
         """Append one raw transition at the current tick."""
-        t = self._now
-        bucket = self._raw.get(t)
-        if bucket is None:
-            bucket = self._raw[t] = []
-            self._ticks.append(t)
-        bucket.append((sign, a_oid, b_oid, start, end))
+        chunks = self._chunks()
+        if not chunks or type(chunks[-1]) is not list:
+            chunks.append([])
+        chunks[-1].append((sign, a_oid, b_oid, start, end))
+
+    def record_planes(self, sign: int, a, b, lo, hi) -> None:
+        """Append one raw transition per row of four parallel planes.
+
+        All rows carry the same ``sign``.  The ledger takes ownership
+        of the arrays — it keeps them as they are, no copy — so the
+        caller must never write them afterwards (the columnar store
+        only ever replaces its planes, it does not write them in
+        place).  Empty planes leave no trace.
+        """
+        if a.shape[0]:
+            self._chunks().append((sign, a, b, lo, hi))
 
     def ticks(self) -> Tuple[float, ...]:
         """Every tick that recorded at least one raw transition."""
@@ -155,14 +202,15 @@ class DeltaLedger:
         """
         if self._flush is not None:
             self._flush()
-        raw = self._raw.get(t)
-        if raw is None:
+        chunks = self._raw.get(t)
+        if chunks is None:
             return ()
+        size = _raw_size(chunks)
         cached = self._cache.get(t)
-        if cached is not None and cached[0] == len(raw):
+        if cached is not None and cached[0] == size:
             return cached[1]
-        events = _net_events(t, raw)
-        self._cache[t] = (len(raw), events)
+        events = _net_events(t, chunks)
+        self._cache[t] = (size, events)
         return events
 
     def events(self) -> Iterator[DeltaEvent]:
@@ -176,7 +224,7 @@ class DeltaLedger:
 
     def __len__(self) -> int:
         """Total raw records (diagnostics; netted streams may be shorter)."""
-        return sum(len(bucket) for bucket in self._raw.values())
+        return sum(_raw_size(chunks) for chunks in self._raw.values())
 
     def __repr__(self) -> str:
         return (
@@ -185,28 +233,64 @@ class DeltaLedger:
         )
 
 
-def _net_events(
-    t: float, raw: List[Tuple[int, int, int, float, float]]
-) -> Tuple[DeltaEvent, ...]:
-    """Net one tick's raw records into canonical state-diff events.
+def _raw_size(chunks: list) -> int:
+    """Raw records in one tick's chunks, scalar and plane rows alike."""
+    return sum(
+        len(chunk) if type(chunk) is list else chunk[1].shape[0]
+        for chunk in chunks
+    )
 
-    A well-formed record stream alternates presence per row, so the
-    signed count nets to -1/0/+1.  A count beyond ±1 (a double add or
-    double removal — a store-hook bug) is preserved as repeated events
-    so the :class:`DeltaView` fold, and hence the ``SC703`` sanitizer,
-    still sees it instead of it vanishing in the netting.
+
+def _chunk_planes(chunk):
+    """One chunk as ``(sign, a, b, lo, hi)`` planes, one sign per row."""
+    if type(chunk) is list:
+        sign, a, b, lo, hi = zip(*chunk)
+        return (
+            np.array(sign, dtype=np.int64),
+            np.array(a, dtype=np.int64),
+            np.array(b, dtype=np.int64),
+            np.array(lo, dtype=np.float64),
+            np.array(hi, dtype=np.float64),
+        )
+    sign, a, b, lo, hi = chunk
+    return np.full(a.shape[0], sign, dtype=np.int64), a, b, lo, hi
+
+
+def _net_events(t: float, chunks: list) -> Tuple[DeltaEvent, ...]:
+    """Net one tick's raw chunks into canonical state-diff events.
+
+    A stable sort on ``(pair, start, end)`` brings equal rows together
+    in arrival order; the signed count of each run is its net.  A
+    well-formed record stream alternates presence per row, so the net
+    is -1/0/+1.  A count beyond ±1 (a double add or double removal — a
+    store-hook bug) is preserved as repeated events so the
+    :class:`DeltaView` fold, and hence the ``SC703`` sanitizer, still
+    sees it instead of it vanishing in the netting.  Each surviving row
+    is reported as first recorded (``-0.0`` and ``0.0`` are one row).
     """
-    counts: Dict[Tuple[int, int, float, float], int] = {}
-    for sign, a, b, start, end in raw:
-        row = (a, b, start, end)
-        counts[row] = counts.get(row, 0) + sign
-    events = [
-        DeltaEvent(t, 1 if net > 0 else -1, a, b, start, end)
-        for (a, b, start, end), net in counts.items()
-        for _ in range(abs(net))
-    ]
-    events.sort(key=lambda ev: (ev.sign, ev.a_oid, ev.b_oid, ev.start, ev.end))
-    return tuple(events)
+    sign, a, b, lo, hi = (
+        np.concatenate(planes)
+        for planes in zip(*(_chunk_planes(chunk) for chunk in chunks))
+    )
+    (key,) = pair_keys((a, b))
+    order = np.lexsort((hi, lo, key))
+    first = np.flatnonzero(run_heads(key[order], lo[order], hi[order]))
+    net = np.add.reduceat(sign[order], first)
+    rows = order[first]  # each distinct row, as first recorded
+    # Removals first, then by pair and interval: the runs are already in
+    # (pair, start, end) order, so a partition by sign is all it takes.
+    gone, come = net < 0, net > 0
+    rows = np.concatenate(
+        [np.repeat(rows[gone], -net[gone]), np.repeat(rows[come], net[come])]
+    )
+    signs = [-1] * int(-net[gone].sum()) + [1] * int(net[come].sum())
+    return tuple(map(
+        _make_event,
+        zip(
+            repeat(t), signs, a[rows].tolist(), b[rows].tolist(),
+            lo[rows].tolist(), hi[rows].tolist(),
+        ),
+    ))
 
 
 class DeltaView:

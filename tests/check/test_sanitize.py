@@ -457,7 +457,7 @@ class TestDeltaLedger:
     def test_backdated_tick_is_sc702(self):
         store, ledger = self.build()
         ledger._ticks.append(0.5)  # corrupt: records landed out of order
-        ledger._raw[0.5] = [(1, 7, 8, 0.0, 1.0)]
+        ledger._raw[0.5] = [[(1, 7, 8, 0.0, 1.0)]]  # one scalar chunk
         assert codes(self.check(store, ledger)) == {"SC702"}
 
     def test_duplicated_emission_is_sc703(self):
@@ -548,6 +548,18 @@ class TestColumnResultStore:
         store._a[1] = 1
         found = self.check(store)
         assert "SC802" in codes(found)
+
+    def test_stale_sorted_b_plane_is_sc802(self):
+        """The cached sorted ``b`` plane must equal ``b[order]``: point
+        lookups binary-search it instead of gathering the plane."""
+        store = self.build()
+        store.pairs_for_object(2)  # force the lazy b-side index
+        assert self.check(store) == []
+        store._b_sorted = store._b_sorted.copy()
+        store._b_sorted[0] = 3  # still sorted, no longer the b plane
+        found = self.check(store)
+        assert codes(found) == {"SC802"}
+        assert "sorted b plane" in found[0].message
 
     def test_pair_count_mismatch_is_sc803(self):
         store = self.build()

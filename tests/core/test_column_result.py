@@ -12,7 +12,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.check.sanitize import check_column_result_store
 from repro.core import (
     COLUMNAR_ALGORITHMS,
     ColumnarJoinEngine,
@@ -22,6 +25,7 @@ from repro.core import (
 from repro.core.result import ColumnResultStore, JoinResultStore
 from repro.deltas import DeltaLedger, fold_events
 from repro.geometry import TimeInterval
+from repro.geometry.constants import MERGE_TOL
 from repro.join import JoinTriple
 from repro.workloads import VectorUpdateStream, make_workload_arrays
 
@@ -65,6 +69,44 @@ def drive(algorithm, *, engine_cls, sanitize=False, deltas=False, seed=31):
 
 def pairs_store(tree_engine):
     return tree_engine._strategy.store
+
+
+def assert_stores_agree(ref, col, oids=()):
+    """Every read of the planes store equals the dict-of-lists oracle,
+    and the planes pass their own invariant audit (SC801-SC803)."""
+    rows = ref.interval_rows()
+    keys = sorted(rows)
+    assert col.interval_rows() == rows
+    assert col.pair_keys() == keys
+    assert len(col) == len(ref) == len(keys)
+    a, b, lo, hi = col.planes()
+    assert list(zip(a.tolist(), b.tolist(), lo.tolist(), hi.tolist())) == [
+        (*key, start, end) for key in keys for start, end in rows[key]
+    ]
+    for oid in oids:
+        assert col.pairs_for_object(oid) == ref.pairs_for_object(oid), oid
+    assert check_column_result_store(col) == []
+
+
+def ledgered_pair():
+    """A dict store and a planes store, each with its own ledger."""
+    ref, col = JoinResultStore(), ColumnResultStore()
+    ref.attach_ledger(DeltaLedger())
+    col.attach_ledger(DeltaLedger())
+    return ref, col
+
+
+def assert_tick_agrees(ref, col):
+    """The open tick nets identically and both folds land on the store.
+
+    ``ticks()`` is not compared: it lists ticks with *raw* records, and
+    the planes store records a re-merged row it left unchanged as a
+    ``-1``/``+1`` pair that nets to nothing where the dict store records
+    nothing at all.
+    """
+    led_ref, led_col = ref._ledger, col._ledger
+    assert led_col.events_at(led_col.now) == led_ref.events_at(led_ref.now)
+    assert fold_events(led_col).rows() == col.interval_rows()
 
 
 # ----------------------------------------------------------------------
@@ -145,6 +187,58 @@ class TestStoreOracle:
             assert some in col
             assert ref.pairs_for_object(some[0]) == col.pairs_for_object(some[0])
 
+    #: Oids on both sides of the packed-key range ``[0, 2**31)``.
+    WIDE_OIDS = (-5, 0, 2**31 - 1, 2**31, 2**40)
+
+    @pytest.mark.parametrize("seed", [3, 17])
+    def test_wide_oids_match_the_dict_store(self, seed):
+        """Negative and >= 2**31 oids take the structured pair key; the
+        planes, reads and netted events must not notice."""
+        rng = np.random.default_rng(seed)
+        oids = np.array(self.WIDE_OIDS)
+        ref, col = ledgered_pair()
+        for t in range(1, 40):
+            k = int(rng.integers(1, 6))
+            a, b = rng.choice(oids, size=k), rng.choice(oids, size=k)
+            lo = np.round(rng.uniform(0, 30, size=k), 1)
+            hi = lo + np.round(rng.uniform(0.1, 8, size=k), 1)
+            ref.add_batch(a, b, lo, hi)
+            col.add_batch(a, b, lo, hi)
+            if t % 3 == 0:
+                oid = int(rng.choice(oids))
+                assert ref.remove_object(oid) == col.remove_object(oid)
+            if t % 4 == 0:
+                gone = rng.choice(oids, size=2)
+                assert ref.remove_objects(gone) == col.remove_objects(gone)
+            if t % 5 == 0:
+                assert ref.prune_expired(float(t)) == col.prune_expired(float(t))
+            assert_stores_agree(ref, col, self.WIDE_OIDS)
+            assert_tick_agrees(ref, col)
+            ref._ledger.advance(float(t))
+            col._ledger.advance(float(t))
+        assert len(col) > 0  # the comparison is not vacuous
+        assert {int(x) for x in col.planes()[0]} > {0}
+
+    def test_wide_oid_arriving_in_a_packed_store(self):
+        """One wide oid in the pending rows switches the key space of
+        base lookup and pending sort together, and back once it is gone."""
+        ref, col = ledgered_pair()
+        for store in (ref, col):
+            store.add_batch([1, 1, 7], [2, 9, 8], [0.0, 0.0, 0.0], [1.0, 1.0, 1.0])
+        assert_stores_agree(ref, col, (1, 7))
+        for store in (ref, col):  # lands between, before and after the runs
+            store.add_batch(
+                [1, -5, 2**40, 1], [2**31, 3, 2, 2], [4.0, 0.0, 0.0, 0.5], [5.0, 1.0, 1.0, 2.0]
+            )
+        assert_stores_agree(ref, col, (1, 2, -5, 2**31, 2**40))
+        assert_tick_agrees(ref, col)
+        for store in (ref, col):
+            store.remove_objects([-5, 2**31, 2**40])
+            store.add_batch([1], [2], [8.0], [9.0])
+        assert_stores_agree(ref, col, (1, 2, -5, 2**31, 2**40))
+        assert_tick_agrees(ref, col)
+        assert col.planes()[1].max() < 2**31
+
     def test_ledger_events_net_identically(self):
         """Flush-time array diffs must produce the same netted event
         stream as the seed store's incremental records."""
@@ -212,3 +306,201 @@ class TestStoreOracle:
         col.add_batch(a, a + 1000, np.zeros(100), np.ones(100))
         col.flush()
         assert col.approx_bytes() > base
+
+
+# ----------------------------------------------------------------------
+# The flush splice: touched runs re-merged, everything else moved as is
+# ----------------------------------------------------------------------
+def both(ref, col, op, *args):
+    """Apply one mutation to both stores; their return values agree."""
+    out_ref, out_col = getattr(ref, op)(*args), getattr(col, op)(*args)
+    assert out_ref == out_col, (op, args)
+
+
+class TestSpliceEdges:
+    """Pinned cases, one per edge of the splice."""
+
+    def seeded(self, rows):
+        ref, col = ledgered_pair()
+        both(ref, col, "add_batch", *zip(*rows))
+        assert_stores_agree(ref, col)
+        for store in (ref, col):
+            store._ledger.advance(1.0)
+        return ref, col
+
+    def events(self, col):
+        return [(ev.sign, ev.pair, ev.interval) for ev in col._ledger.events_at(1.0)]
+
+    def test_adds_before_between_and_after_untouched_runs(self):
+        ref, col = self.seeded([(2, 12, 0.0, 1.0), (4, 14, 0.0, 1.0)])
+        merged = col.rows_merged
+        both(ref, col, "add_batch", [5, 1, 3], [15, 11, 13], [0.0] * 3, [1.0] * 3)
+        assert_stores_agree(ref, col, (1, 2, 3, 4, 5))
+        assert_tick_agrees(ref, col)
+        assert col.rows_merged - merged == 3  # no stored row was re-merged
+
+    def test_add_into_a_partly_dead_run(self):
+        ref, col = self.seeded(
+            [(1, 2, 0.0, 1.0), (1, 2, 5.0, 6.0), (1, 2, 10.0, 11.0), (3, 4, 0.0, 9.0)]
+        )
+        both(ref, col, "prune_expired", 2.0)  # kills (1, 2)'s first row only
+        both(ref, col, "add_batch", [1], [2], [5.5], [7.0])
+        assert_stores_agree(ref, col, (1, 2, 3, 4))
+        assert_tick_agrees(ref, col)
+        assert col.interval_rows()[(1, 2)] == ((5.0, 7.0), (10.0, 11.0))
+        assert self.events(col) == [
+            (-1, (1, 2), (0.0, 1.0)), (-1, (1, 2), (5.0, 6.0)), (1, (1, 2), (5.0, 7.0)),
+        ]
+
+    def test_add_into_a_wholly_dead_run(self):
+        ref, col = self.seeded([(1, 2, 0.0, 1.0), (1, 2, 5.0, 6.0), (3, 4, 0.0, 9.0)])
+        both(ref, col, "remove_object", 1)
+        both(ref, col, "add_batch", [1, 1], [2, 2], [5.0, 20.0], [6.0, 21.0])
+        assert_stores_agree(ref, col, (1, 2, 3, 4))
+        assert_tick_agrees(ref, col)
+        # (5, 6) bounced (killed, re-added): it nets to nothing.
+        assert self.events(col) == [
+            (-1, (1, 2), (0.0, 1.0)), (1, (1, 2), (20.0, 21.0)),
+        ]
+
+    def test_pending_row_bridges_two_stored_rows(self):
+        """3 -> 1: the bridge is within MERGE_TOL of both neighbours."""
+        ref, col = self.seeded([(1, 2, 0.0, 1.0), (1, 2, 2.0, 3.0), (1, 3, 0.0, 1.0)])
+        merged = col.rows_merged
+        both(
+            ref, col, "add_batch",
+            [1], [2], [1.0 + MERGE_TOL / 2], [2.0 - MERGE_TOL / 2],
+        )
+        assert_stores_agree(ref, col, (1, 2, 3))
+        assert_tick_agrees(ref, col)
+        assert col.rows_merged - merged == 3  # 1 pending + 2 touched
+        assert self.events(col) == [
+            (-1, (1, 2), (0.0, 1.0)), (-1, (1, 2), (2.0, 3.0)), (1, (1, 2), (0.0, 3.0)),
+        ]
+
+    def test_duplicates_within_and_across_pending_batches(self):
+        ref, col = self.seeded([(1, 2, 0.0, 1.0)])
+        both(ref, col, "add_batch", [1, 1, 5, 5], [2, 2, 6, 6], [0.0, 0.0, 3.0, 3.0], [1.0, 1.0, 4.0, 4.0])
+        both(ref, col, "add_batch", [5, 1], [6, 2], [3.0, 0.0], [4.0, 1.0])
+        assert_stores_agree(ref, col, (1, 2, 5, 6))
+        assert_tick_agrees(ref, col)
+        assert self.events(col) == [(1, (5, 6), (3.0, 4.0))]
+
+    def test_equal_starts_keep_the_stored_row_first(self):
+        """``-0.0 == 0.0``: among equal starts the stored row sorts
+        before the pending ones (and those in arrival order), so the
+        merged row starts with the stored row's bits, as in the dict
+        store and in a stable sort of the whole store."""
+        ref, col = self.seeded([(1, 2, 0.0, 1.0), (3, 4, -0.0, 1.0)])
+        both(ref, col, "add_batch", [1, 3, 5, 5], [2, 4, 6, 6], [-0.0, 0.0, -0.0, 0.0], [2.0] * 4)
+        assert_stores_agree(ref, col)
+        assert repr(col.interval_rows()) == repr(ref.interval_rows())
+        assert repr(col.interval_rows()) == repr(
+            {(1, 2): ((0.0, 2.0),), (3, 4): ((-0.0, 2.0),), (5, 6): ((-0.0, 2.0),)}
+        )
+
+    def test_emptied_and_refilled(self):
+        ref, col = self.seeded([(1, 2, 0.0, 1.0), (3, 4, 0.0, 1.0)])
+        both(ref, col, "clear")
+        assert_stores_agree(ref, col, (1, 2, 3, 4))
+        both(ref, col, "add_batch", [3, 0], [4, 9], [0.0, 0.0], [1.0, 2.0])
+        assert_stores_agree(ref, col, (0, 3, 4, 9))
+        assert_tick_agrees(ref, col)
+        assert self.events(col) == [(-1, (1, 2), (0.0, 1.0)), (1, (0, 9), (0.0, 2.0))]
+
+    def test_flush_with_only_dead_rows(self):
+        ref, col = self.seeded([(1, 2, 0.0, 1.0), (1, 5, 0.0, 1.0), (3, 4, 0.0, 1.0)])
+        merged = col.rows_merged
+        both(ref, col, "remove_object", 1)
+        col.flush()
+        assert col.rows_merged == merged  # nothing to merge, only to drop
+        assert_stores_agree(ref, col, (1, 2, 3, 4, 5))
+        assert_tick_agrees(ref, col)
+
+    def test_rows_merged_counts_the_change_not_the_store(self):
+        """A flush of k pending rows touching r live rows of an N-row
+        store hands exactly k + r rows to the merge."""
+        n = 50_000
+        col = ColumnResultStore()
+        a = np.arange(n) // 2
+        col.add_batch(a, a + n, np.arange(n) % 2 * 10.0, np.arange(n) % 2 * 10.0 + 1.0)
+        col.flush()
+        assert col.rows_merged == n and len(col.planes()[0]) == n
+        # 10 pending rows: 7 new pairs, 3 into pairs (7, n+7), (7, n+7) and
+        # (9000, n+9000) — two stored rows each, so 2 distinct runs = 4 live
+        # rows, one of which a prune has killed: 3 live rows are touched.
+        col.prune_expired(0.5)  # nothing expires (every end is >= 1.0)
+        col._live[np.searchsorted(col._a, 9000)] = False  # kill one row by hand
+        col._dead += 1
+        col.add_batch(
+            [n] * 7 + [7, 7, 9000],
+            list(range(7)) + [n + 7, n + 7, n + 9000],
+            [0.0] * 7 + [3.0, 4.0, 10.5],
+            [1.0] * 7 + [3.5, 4.5, 12.0],
+        )
+        col.flush()
+        assert col.rows_merged == n + 13
+        assert check_column_result_store(col) == []
+        assert col.interval_rows()[(7, n + 7)] == (
+            (0.0, 1.0), (3.0, 3.5), (4.0, 4.5), (10.0, 11.0),
+        )
+        assert col.interval_rows()[(9000, n + 9000)] == ((10.0, 12.0),)
+
+
+A_OIDS = (0, 1, 2, 3)
+B_OIDS = (2, 3, 4, 5)  # overlaps A: one oid may sit on both sides
+#: Same stream with every oid mapped off the packed-key range.
+WIDEN = {0: -5, 1: 0, 2: 2**31 - 1, 3: 2**31, 4: 2**40, 5: 7}
+
+starts = st.builds(
+    lambda base, nudge: base + nudge,
+    st.sampled_from([0.0, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0]),
+    # Gaps of exactly, just under and just over the merge tolerance.
+    st.sampled_from([0.0, -0.0, MERGE_TOL / 2, -MERGE_TOL / 2, 2 * MERGE_TOL]),
+)
+store_rows = st.builds(
+    lambda a, b, lo, length: (a, b, lo, lo + length),
+    st.sampled_from(A_OIDS),
+    st.sampled_from(B_OIDS),
+    starts,
+    st.sampled_from([0.0, 0.5, 1.0, 2.0, 5.0]),
+)
+any_oid = st.sampled_from(sorted(set(A_OIDS) | set(B_OIDS)))
+mutations = st.one_of(
+    st.tuples(st.just("add_batch"), st.lists(store_rows, min_size=1, max_size=6)),
+    st.tuples(st.just("add_batch"), st.lists(store_rows, min_size=1, max_size=6)),
+    st.tuples(st.just("remove_object"), any_oid),
+    st.tuples(st.just("remove_objects"), st.lists(any_oid, min_size=1, max_size=3)),
+    st.tuples(st.just("prune_expired"), st.sampled_from([0.5, 2.5, 4.5, 7.0])),
+    st.tuples(st.just("clear")),
+    st.tuples(st.just("flush")),
+)
+#: A round is a few mutations with no read in between, so the flush at
+#: its end sees dead rows and pending rows together.
+rounds = st.lists(st.lists(mutations, min_size=1, max_size=4), min_size=1, max_size=8)
+
+
+@settings(max_examples=150, deadline=None)
+@given(script=rounds, wide=st.booleans())
+def test_splice_matches_the_dict_store_under_interleavings(script, wide):
+    """Planes, reads, invariants and netted events equal the dict
+    store's after every round of deferred mutations."""
+    name = WIDEN.__getitem__ if wide else int
+    oids = [name(oid) for oid in sorted(set(A_OIDS) | set(B_OIDS))]
+    ref, col = ledgered_pair()
+    for tick, mutations_ in enumerate(script, start=1):
+        for op, *args in mutations_:
+            if op == "add_batch":
+                a, b, lo, hi = zip(*args[0])
+                args = ([name(x) for x in a], [name(x) for x in b], lo, hi)
+            elif op == "remove_object":
+                args = (name(args[0]),)
+            elif op == "remove_objects":
+                args = ([name(x) for x in args[0]],)
+            both(ref, col, op, *args)
+        assert_stores_agree(ref, col, oids)
+        assert_tick_agrees(ref, col)
+        ref._ledger.advance(float(tick))
+        col._ledger.advance(float(tick))
+    for t in sorted(set(ref._ledger.ticks()) | set(col._ledger.ticks())):
+        assert col._ledger.events_at(t) == ref._ledger.events_at(t), t

@@ -11,11 +11,12 @@ rather than a 60-object scenario.
 
 from __future__ import annotations
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import ContinuousJoinEngine, JoinConfig
-from repro.deltas import DeltaLedger, DeltaView, fold_events
+from repro.deltas import DeltaEvent, DeltaLedger, DeltaView, fold_events
 
 from .conftest import T_M, delta_batches, delta_workload
 
@@ -139,3 +140,98 @@ def test_fold_is_exact_multiset_bookkeeping(added, removed_count):
     assert view.rows() == {
         key: tuple(sorted(vals)) for key, vals in survivors.items()
     }
+
+
+# ----------------------------------------------------------------------
+# Netting oracle: the dict-based reference the vectorized body replaced
+# ----------------------------------------------------------------------
+def net_events_reference(t, raw):
+    """Net ``(sign, a, b, start, end)`` records one at a time.
+
+    The ledger's original netting, kept here as the oracle: a dict of
+    signed counts keyed by row (so ``-0.0`` and ``0.0`` are one row and
+    the first-recorded key survives), a count beyond +-1 repeated, then
+    a stable sort with removals first.
+    """
+    counts = {}
+    for sign, a, b, start, end in raw:
+        row = (a, b, start, end)
+        counts[row] = counts.get(row, 0) + sign
+    events = [
+        DeltaEvent(t, 1 if net > 0 else -1, a, b, start, end)
+        for (a, b, start, end), net in counts.items()
+        for _ in range(abs(net))
+    ]
+    events.sort(key=lambda ev: (ev.sign, ev.a_oid, ev.b_oid, ev.start, ev.end))
+    return tuple(events)
+
+
+INF = float("inf")
+#: Few distinct rows, so bounces, double adds and double removals are
+#: the common case; oids on both sides of the packed-key range.
+net_rows = st.tuples(
+    st.sampled_from([0, 1, 2]),
+    st.sampled_from([0, 1, 2]),
+    st.sampled_from([0.0, -0.0, 1.0]),
+    st.sampled_from([1.0, 2.5, INF]),
+)
+wide_rows = st.tuples(
+    st.sampled_from([-5, 0, 2**31 - 1, 2**31, 2**40]),
+    st.sampled_from([-5, 0, 2**31 - 1, 2**31, 2**40]),
+    st.sampled_from([0.0, -0.0, 1.0]),
+    st.sampled_from([1.0, INF]),
+)
+signs = st.sampled_from([1, -1])
+
+
+def chunks_of(row_strategy):
+    return st.lists(
+        st.one_of(
+            st.tuples(st.just("scalar"), signs, row_strategy),
+            st.tuples(st.just("planes"), signs, st.lists(row_strategy, max_size=5)),
+        ),
+        max_size=10,
+    )
+
+
+def exact(events):
+    """Events with the sign of zero and the field types made visible."""
+    return [tuple((type(x).__name__, repr(x)) for x in ev) for ev in events]
+
+
+@settings(max_examples=300, deadline=None)
+@given(script=st.one_of(chunks_of(net_rows), chunks_of(wide_rows)))
+def test_vectorized_netting_equals_the_reference(script):
+    """Scalar records and plane chunks, interleaved in one tick, net to
+    exactly the reference's tuple: same events, same order, same
+    representative row, plain ``int``/``float`` fields."""
+    ledger = DeltaLedger(2.0)
+    raw = []
+    for kind, sign, payload in script:
+        if kind == "scalar":
+            ledger.record(sign, *payload)
+            raw.append((sign, *payload))
+        else:
+            a, b, lo, hi = zip(*payload) if payload else ((), (), (), ())
+            ledger.record_planes(
+                sign, np.array(a, dtype=np.int64), np.array(b, dtype=np.int64),
+                np.array(lo, dtype=np.float64), np.array(hi, dtype=np.float64),
+            )
+            raw.extend((sign, *row) for row in payload)
+    assert len(ledger) == len(raw)  # raw records, planes included
+    want = net_events_reference(2.0, raw)
+    got = ledger.events_at(2.0)
+    assert got == want
+    assert exact(got) == exact(want)
+    for ev in got:
+        assert type(ev) is DeltaEvent
+        assert (type(ev.sign), type(ev.a_oid), type(ev.b_oid)) == (int, int, int)
+        assert (type(ev.start), type(ev.end)) == (float, float)
+    # Memoized until a record arrives, a new tuple after.
+    assert ledger.events_at(2.0) is got
+    ledger.record_planes(
+        1, np.array([99]), np.array([99]), np.array([0.0]), np.array([1.0])
+    )
+    again = ledger.events_at(2.0)
+    assert again is not got and ledger.events_at(2.0) is again
+    assert again == net_events_reference(2.0, raw + [(1, 99, 99, 0.0, 1.0)])
