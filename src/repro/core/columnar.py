@@ -24,10 +24,12 @@ windows are what carry the paper's theorems:
   ``[t0, min(t_eb_a, t_eb_b) + T_M]`` per bucket pair).
 
 The columnar engine therefore reproduces the tree-backed engines' stores
-bit-for-bit by sweeping the *whole dataset* (grouped by bucket for MTB)
+bit-for-bit by joining the *whole dataset* (grouped by bucket for MTB)
 over exactly those windows with :func:`~repro.geometry.kernels.
-batch_sweep_join`, whose surviving windows are bit-identical to the
-scalar ``intersection_interval``.  The differential suite
+batch_sweep_join` — a per-call grid over the swept boxes finds the
+candidates, and the rows, their order and their windows are the scalar
+plane sweep's and the scalar ``intersection_interval``'s, bit for bit.
+The differential suite
 (``tests/core/test_columnar.py``) asserts store identity against the
 seed engine across the full maintenance matrix.
 """
@@ -427,8 +429,8 @@ class ColumnarJoinEngine:
         t1: float,
         swap: bool,
     ) -> None:
-        # Slot 0: 1-D sweep candidates (`pair_tests`, what the scalar
-        # sweep tests); slot 1: those that reached the exact kernel.
+        # Slot 0: stage-one candidates the join's grid enumerated, booked
+        # as `pair_tests`; slot 1: those that reached the exact kernel.
         counter = [0, 0]
         idx_p, idx_o, lo, hi = batch_sweep_join(
             batch_p, batch_o, t0, t1, counter=counter

@@ -29,6 +29,15 @@ Constants
     disagree — a few ``2**-53`` of the magnitude — so the reject never
     drops a pair the exact test accepts.  Six orders of magnitude of
     headroom cost the filter nothing measurable in selectivity.
+``SWEEP_GRID_PAD``
+    Pad on the sweep join's grid reach ``W`` (the widest binned swept
+    box on an axis), *relative* to the same coordinate magnitude as
+    ``SWEEP_FILTER_SLACK``.  A row visits the cells from ``lo - W`` up,
+    and a partner it must meet satisfies ``lo_p >= lo - (hi_p - lo_p)``
+    only in exact arithmetic: ``hi_p - lo_p`` and ``lo - W`` each round
+    by up to ``2**-53`` of their operands, all bounded by the magnitude,
+    so the pad must exceed a few ``2**-53`` (``1.1e-16``) of it and
+    nothing more — it costs selectivity nothing at four orders above.
 ``MERGE_TOL``
     Gap below which two closed time intervals are coalesced by
     :func:`repro.geometry.interval.merge_intervals` and the result
@@ -43,13 +52,22 @@ Constants
 
 from __future__ import annotations
 
-__all__ = ["PAIR_TEST_EPS", "SWEEP_FILTER_SLACK", "MERGE_TOL", "CONTAIN_EPS"]
+__all__ = [
+    "PAIR_TEST_EPS",
+    "SWEEP_FILTER_SLACK",
+    "SWEEP_GRID_PAD",
+    "MERGE_TOL",
+    "CONTAIN_EPS",
+]
 
 #: Pair-test constraint tolerance (scalar and kernel paths alike).
 PAIR_TEST_EPS = 1e-12
 
 #: Sweep-join orthogonal-bound reject slack, relative to coordinate magnitude.
 SWEEP_FILTER_SLACK = 1e-9
+
+#: Sweep-join grid reach pad, relative to coordinate magnitude.
+SWEEP_GRID_PAD = 1e-12
 
 #: Interval-merge gap tolerance.
 MERGE_TOL = 1e-9

@@ -29,9 +29,9 @@ The kernels are *bit-identical* to the scalar path, not merely close:
   constraint ``c + m*t <= 0`` holds up to ``PAIR_TEST_EPS`` plus the
   rounding of ``c``, ``m`` and the root ``-c/m`` (a flat constraint
   accepts ``c <= PAIR_TEST_EPS``; a root that overflows to ``+inf`` on
-  the window start is rejected by both paths).  On the orthogonal axis
-  that reads ``a.lo(t*) <= b.hi(t*) + eps'`` and ``b.lo(t*) <= a.hi(t*)
-  + eps'``; bounds are linear in ``t``, so the swept ``lb = min(lo(t0),
+  the window start is rejected by both paths).  On either axis that
+  reads ``a.lo(t*) <= b.hi(t*) + eps'`` and ``b.lo(t*) <= a.hi(t*) +
+  eps'``; bounds are linear in ``t``, so the swept ``lb = min(lo(t0),
   lo(t1))`` and ``ub = max(hi(t0), hi(t1))`` bracket them and ``lb_a <=
   ub_b + eps''``, ``lb_b <= ub_a + eps''`` — where ``eps''`` adds the
   rounding between ``mbr + vbr * (t - t_ref)`` and ``(mbr - vbr * t_ref)
@@ -40,9 +40,40 @@ The kernels are *bit-identical* to the scalar path, not merely close:
   fires only beyond ``SWEEP_FILTER_SLACK`` (``1e-9``) times that
   magnitude (at least 1), which dominates ``PAIR_TEST_EPS`` plus all of
   them by six orders.  With ``t1 = inf`` an outward bound is ``±inf``
-  and passes.  The *sweep* axis keeps zero tolerance — its candidate
-  set, order and count are the scalar sweep's — so rows, row order and
-  ``counter[0]`` are unchanged.
+  and passes.  The *sweep* axis keeps zero tolerance: there a candidate
+  must pass the scalar sweep's own rule (the box with the lower ``lb``
+  pivots, side a on ties, and takes partners with ``lb <= ub_pivot``).
+
+* the sweep join's grid (stage one) only skips pairs whose slack-padded
+  swept boxes are apart on some axis — pairs the exact test rejects, by
+  the argument above (it holds on either axis) — so it changes how many
+  candidates are *enumerated*, never which rows are *returned*.  One
+  side's boxes, padded by the slack on both axes to ``[lo, hi]``, are
+  binned by the cell of ``lo``; a row of the other side with swept
+  range ``[lb, ub]`` visits, per axis, the cells from ``cell(lb - W)``
+  to ``cell(ub)``.  Take a pair with ``lo <= ub`` and ``lb <= hi`` on
+  both axes, as computed floats.  The cell index — ``floor(clip((x -
+  origin) * inv))``, every step monotone non-decreasing under IEEE
+  rounding — is monotone in the coordinate, so ``lo <= ub`` puts the
+  binned cell at or below ``cell(ub)``; and ``lo = hi - (hi - lo) >= lb
+  - W`` puts it at or above ``cell(lb - W)`` provided ``W`` is at least
+  every binned ``hi - lo`` *as a real number* and ``lb - W`` does not
+  round upward past ``lo``.  ``W`` is the largest computed ``hi - lo``
+  plus ``SWEEP_GRID_PAD`` (``1e-12``) times the axis magnitude above:
+  the computed width and the computed ``lb - W`` are each off by at
+  most ``2**-53`` of an operand no larger than twice that magnitude,
+  four orders below the pad.  Rows the grid cannot place — non-finite
+  boxes (``t1 = inf``), boxes wider than a few mean widths — go to an
+  overflow cell that every row visits, and a non-finite visiting row
+  scans the whole binned side, so nothing is lost there either.  For
+  proper boxes (``lb <= ub``) the zero-tolerance sweep test and the
+  orthogonal reject each imply those two inequalities on their axis, so
+  the pairs that reach the exact kernel are also exactly those an
+  exhaustive enumeration would send.  The hits are then sorted by the
+  scalar sweep's total order (pivot ``lb``, side a first, pivot row,
+  partner ``lb``, partner row — its two stable sorts and its merge),
+  which no two pairs share, so rows and row order are the scalar
+  sweep's however the grid enumerated them.
 
 The scalar implementations stay in place as the reference the parity
 suites compare against; these kernels are the only production path, and
@@ -58,6 +89,7 @@ import numpy as np
 from .box import NDIMS
 from .constants import PAIR_TEST_EPS as _EPS
 from .constants import SWEEP_FILTER_SLACK as _FILTER_SLACK
+from .constants import SWEEP_GRID_PAD as _GRID_PAD
 from .interval import INF, TimeInterval
 from .kinetic import KineticBox
 
@@ -330,16 +362,24 @@ def batch_sweep_bounds(
     scalar per-box computation (including the degenerate ``t1 = inf``
     case, where outward velocities yield infinite bounds).
     """
-    dt0 = t0 - batch.tref
-    lo_t0 = batch.mlo[dim] + batch.vlo[dim] * dt0
-    hi_t0 = batch.mhi[dim] + batch.vhi[dim] * dt0
+    # In-place accumulation: `vbr * dt + mbr` is the same IEEE sum as
+    # `mbr + vbr * dt`, in a third of the temporaries.
+    dt = t0 - batch.tref
+    lb = batch.vlo[dim] * dt
+    lb += batch.mlo[dim]
+    ub = batch.vhi[dim] * dt
+    ub += batch.mhi[dim]
     if t1 == INF:
-        lb = np.where(batch.vlo[dim] >= 0, lo_t0, -INF)
-        ub = np.where(batch.vhi[dim] <= 0, hi_t0, INF)
+        lb[~(batch.vlo[dim] >= 0)] = -INF
+        ub[~(batch.vhi[dim] <= 0)] = INF
         return lb, ub
-    dt1 = t1 - batch.tref
-    lb = np.minimum(lo_t0, batch.mlo[dim] + batch.vlo[dim] * dt1)
-    ub = np.maximum(hi_t0, batch.mhi[dim] + batch.vhi[dim] * dt1)
+    np.subtract(t1, batch.tref, out=dt)
+    end = batch.vlo[dim] * dt
+    end += batch.mlo[dim]
+    np.minimum(lb, end, out=lb)
+    np.multiply(batch.vhi[dim], dt, out=end)
+    end += batch.mhi[dim]
+    np.maximum(ub, end, out=ub)
     return lb, ub
 
 
@@ -354,39 +394,316 @@ def batch_select_sweep_dimension(batch_a: KineticBatch, batch_b: KineticBatch) -
     return int(np.argmin(totals))
 
 
-#: Default flush threshold (1-D sweep candidates) for the chunked sweep
-#: join.  Per candidate a chunk holds its position in the sorted other
-#: side, the two orthogonal bounds gathered from there, the pivot's two
-#: padded bounds and the reject mask — ~42 bytes, so ~2.7 MiB at 64k;
-#: the few percent that survive the filter queue up to the same count
-#: before the pair-window kernel spends its ~30 doubles per pair on
-#: them.  Results are chunk-invariant (filter and window math are
-#: elementwise); the value only trades temporary size against dispatch
-#: count.  On the 20k-per-side benchmark workload 64k measures level
-#: with 32k and ahead of 128k, whose temporaries spill the cache.
+#: Default flush threshold (stage-one candidates) for the chunked sweep
+#: join.  The smaller side is walked in row blocks whose cell-column
+#: segments plus grid candidates stay within this count, so no temporary
+#: outgrows it: per candidate a block holds its position in the binned
+#: order, its row on the visiting side, four gathered bounds and the
+#: reject mask — ~50 bytes, so ~3 MiB at 64k; the ~15 % that pass both
+#: range tests queue up to the same count before the pair-window kernel
+#: spends its ~30 doubles per pair on them.  Results are chunk-invariant
+#: (every predicate is elementwise and the hits are sorted at the end);
+#: the value only trades temporary size against dispatch count.  On the
+#: 20k-per-side benchmark workload 64k measures level with 32k and ahead
+#: of 128k, whose temporaries spill the cache.
 SWEEP_JOIN_CHUNK = 65_536
 
+#: Most cells the sweep join's grid takes per axis: 181**2 = 32 761 cells
+#: plus the overflow cell number within ``int16``, and NumPy's stable
+#: ``argsort`` of a 16-bit key is a radix sort — 0.14 ms for 20 000 rows
+#: against 1.7 ms for the float ``argsort`` of the 1-D sweep it replaced.
+SWEEP_GRID_MAX_AXIS = 181
 
-def _filter_slack(
-    batch_a: KineticBatch, batch_b: KineticBatch, dim: int, t0: float, t1: float
+#: Cells per *span* of extent on each axis, a span being what a visiting
+#: row scans beyond its own box: mean binned width + widest binned width
+#: ``W``.  Finer cells cut the candidates (a row scans ``(width + W +
+#: cell)**2`` of area) but add cell-column segments (``(width + W) /
+#: cell + 1`` per row).  Candidates per 20k-per-side tick call (m ~ 340):
+#: 26.3k / 21.4k / 16.9k / 15.4k at 1.5 / 2 / 3 / 4 — past 3 each step
+#: saves under a tenth while the segments keep growing — and the call
+#: itself is flat within this host's noise from 2 to 6 (2.2-2.5 ms).
+SWEEP_GRID_CELLS_PER_SPAN = 3.0
+
+#: Fewest binned rows per cell on average: below it the cell table costs
+#: more than the candidates it saves.  Same call: 16.9k candidates at 1
+#: and 2 (the span rule binds), 18.3k at 4, 22.8k at 8; 2.1-2.3 ms.
+SWEEP_GRID_ROWS_PER_CELL = 2.0
+
+#: Largest ``m * n`` joined as one cell — all pairs, nothing binned or
+#: sorted.  Building and walking a grid costs ~0.1 ms whatever the
+#: input; testing a pair's swept ranges ~20 ns.  128 x 128 measures level
+#: either way on the benchmark inputs, 64 x 64 is 0.1 ms faster without
+#: a grid and 256 x 256 is 2 ms slower, so every node-scale batch of the
+#: tree engines (<= ~50 entries a side) takes this path.
+SWEEP_GRID_MIN_PAIRS = 16_384
+
+#: A binned row wider than this multiple of the mean binned width on
+#: either axis leaves the grid for the overflow cell, which every row
+#: visits, so one outlier cannot stretch every row's reach ``W``.
+#: Uniform speeds put the widest swept box at ~3x the mean: nothing
+#: overflows on the benchmark workloads.
+SWEEP_GRID_OVERSIZE = 4.0
+
+_EMPTY_JOIN = (
+    np.empty(0, dtype=np.int64),
+    np.empty(0, dtype=np.int64),
+    np.empty(0),
+    np.empty(0),
+)
+
+
+def _abs_max(arr) -> float:
+    return max(-float(arr.min()), float(arr.max()))
+
+
+def _axis_magnitude(
+    batch_a: KineticBatch, batch_b: KineticBatch, axis: int, t0: float, t1: float
 ) -> float:
-    """Absolute slack of the orthogonal-bound reject along ``dim``.
+    """Largest magnitude (at least 1) the bound arithmetic reaches on ``axis``.
 
-    ``SWEEP_FILTER_SLACK`` times the largest magnitude any intermediate
-    of the bound or constraint arithmetic can reach on this axis:
     ``|mbr| + |vbr| * (|t_ref| + |t|)`` dominates ``mbr``, ``vbr *
     t_ref``, the shifted ``slo``/``shi``, ``vbr * (t - t_ref)`` and the
-    bounds themselves, so every rounding error involved is at most a few
-    ``2**-53`` of it.  An overflowing magnitude gives an infinite slack,
-    which rejects nothing.
+    swept bounds themselves, so every rounding error involved is at most
+    a few ``2**-53`` of it.  The orthogonal reject's slack and the grid's
+    reach pad are both relative to it; an overflowing magnitude makes
+    them infinite, which rejects nothing and bins nothing.
     """
     horizon = max(abs(t0), abs(t1) if t1 < INF else 0.0)
-    mag = 0.0
+    mag = 1.0
     for batch in (batch_a, batch_b):
-        pos = max(np.abs(batch.mlo[dim]).max(), np.abs(batch.mhi[dim]).max())
-        vel = max(np.abs(batch.vlo[dim]).max(), np.abs(batch.vhi[dim]).max())
-        mag = max(mag, float(pos + vel * (np.abs(batch.tref).max() + horizon)))
-    return _FILTER_SLACK * max(1.0, mag)
+        pos = max(_abs_max(batch.mlo[axis]), _abs_max(batch.mhi[axis]))
+        vel = max(_abs_max(batch.vlo[axis]), _abs_max(batch.vhi[axis]))
+        mag = max(mag, pos + vel * (_abs_max(batch.tref) + horizon))
+    return mag
+
+
+def _grid_shape(extent: Sequence[float], span: Sequence[float], rows: int) -> List[int]:
+    """Cells per axis for ``rows`` binned boxes.
+
+    ``SWEEP_GRID_CELLS_PER_SPAN`` cells per span of extent on each axis,
+    at most ``SWEEP_GRID_MAX_AXIS``, then both axes scaled back (keeping
+    the aspect, so a 4:1 stripe gets 4:1 cells) until a cell averages
+    ``SWEEP_GRID_ROWS_PER_CELL`` rows.  ``span`` is positive — it
+    includes the reach pad — so the quotient is finite.
+    """
+    want = [
+        min(
+            max(SWEEP_GRID_CELLS_PER_SPAN * extent[axis] / span[axis], 1.0),
+            float(SWEEP_GRID_MAX_AXIS),
+        )
+        for axis in range(NDIMS)
+    ]
+    budget = max(rows / SWEEP_GRID_ROWS_PER_CELL, 1.0)
+    if want[0] * want[1] > budget:
+        scale = (budget / (want[0] * want[1])) ** 0.5
+        thin = 0 if want[0] <= want[1] else 1
+        if want[thin] * scale < 1.0:
+            # The thin axis keeps its one cell; the other takes the budget.
+            want[thin], want[1 - thin] = 1.0, min(want[1 - thin], budget)
+        else:
+            want = [w * scale for w in want]
+    return [int(w) for w in want]
+
+
+class _SweepGrid:
+    """Uniform grid over one side's padded 2-D swept boxes, built per call.
+
+    Bins each row by the lower corner ``lo`` of its box: ``order`` lists
+    the rows cell by cell and ``cell_start`` each cell's run in it (cell
+    id = ``cx * ny + cy``, so a column of cells is one contiguous run).
+    Rows that are non-finite, or wider than ``SWEEP_GRID_OVERSIZE`` mean
+    widths, go to an overflow cell after the last.  A one-cell grid
+    keeps every row in place: ``order`` is ``None``, nothing is sorted.
+    """
+
+    __slots__ = ("rows", "shape", "origin", "inv", "reach", "order", "cell_start", "_sat")
+
+    def __init__(self, lo, hi, pad: Sequence[float]):
+        self._set_one_cell(lo[0].shape[0])
+        with np.errstate(invalid="ignore"):
+            width = [hi[axis] - lo[axis] for axis in range(NDIMS)]
+        regular = None  # every row, until one turns out irregular
+        stats = [self._axis_stats(lo[axis], width[axis]) for axis in range(NDIMS)]
+        if not all(self._all_regular(*s) for s in stats):
+            with np.errstate(invalid="ignore"):
+                # `inf - inf` and any infinite corner poison the sum.
+                regular = np.isfinite(lo[0] + lo[1] + width[0] + width[1])
+            if regular.any():
+                means = [float(w[regular].mean()) for w in width]
+                for axis in range(NDIMS):
+                    regular &= width[axis] <= SWEEP_GRID_OVERSIZE * max(means[axis], 0.0)
+            lo = [x[regular] for x in lo]
+            if not lo[0].shape[0]:
+                return
+            width = [w[regular] for w in width]
+            stats = [self._axis_stats(lo[axis], width[axis]) for axis in range(NDIMS)]
+        extent, span = [], []
+        for axis, (lo_min, lo_max, w_max, w_mean) in enumerate(stats):
+            self.origin[axis] = lo_min
+            extent.append(lo_max - lo_min)
+            # W: no binned box is wider; the pad absorbs the rounding of
+            # `hi - lo` and of a visiting row's `lo - W`.
+            self.reach[axis] = max(w_max, 0.0) + pad[axis]
+            span.append(max(w_mean, 0.0) + self.reach[axis])
+        if not np.isfinite(extent[0] + extent[1]):
+            # Finite corners at both ends of the doubles: no cell size.
+            return
+        nx, ny = _grid_shape(extent, span, lo[0].shape[0])
+        cells = nx * ny
+        if cells == 1:
+            # Everyone shares the one cell, irregular rows included.
+            return
+        self.shape = [nx, ny]
+        self.inv = [
+            self.shape[axis] / extent[axis] if self.shape[axis] > 1 else 0.0
+            for axis in range(NDIMS)
+        ]
+        cell = self.cells(lo[0], 0, 0, nx - 1)
+        cell *= ny
+        cell += self.cells(lo[1], 1, 0, ny - 1)
+        if regular is not None:
+            binned, cell = cell, np.full(self.rows, cells, dtype=np.intp)
+            cell[regular] = binned
+        # 16-bit keys: the stable argsort is a radix sort.
+        self.order = np.argsort(cell.astype(np.int16), kind="stable")
+        count = np.bincount(cell, minlength=cells + 1)
+        self.cell_start = np.concatenate([[0], np.cumsum(count)])
+        # Summed-area table: the rows binned in any cell rectangle, O(1).
+        self._sat = np.zeros((nx + 1, ny + 1), dtype=np.intp)
+        np.cumsum(
+            np.cumsum(count[:cells].reshape(nx, ny), axis=0),
+            axis=1,
+            out=self._sat[1:, 1:],
+        )
+
+    @classmethod
+    def one_cell(cls, rows: int) -> "_SweepGrid":
+        """The grid of a batch too small to bin: all pairs."""
+        grid = cls.__new__(cls)
+        grid._set_one_cell(rows)
+        return grid
+
+    def _set_one_cell(self, rows: int) -> None:
+        self.rows = rows
+        self.shape = [1, 1]
+        self.origin = [0.0, 0.0]
+        self.inv = [0.0, 0.0]
+        self.reach = [0.0, 0.0]
+        self.order = None
+        self.cell_start = np.array([0, rows], dtype=np.intp)
+        self._sat = None
+
+    @staticmethod
+    def _axis_stats(lo, width) -> Tuple[float, float, float, float]:
+        return (
+            float(lo.min()),
+            float(lo.max()),
+            float(width.max()),
+            float(width.sum()) / lo.shape[0],
+        )
+
+    @staticmethod
+    def _all_regular(lo_min, lo_max, w_max, w_mean) -> bool:
+        """No row is non-finite or oversize, judged from the axis extremes.
+
+        NaN and infinities propagate through ``min``/``max``/``sum``, so
+        finite extremes mean finite rows.
+        """
+        return bool(
+            np.isfinite(lo_min + lo_max + w_mean)
+            and w_max <= SWEEP_GRID_OVERSIZE * max(w_mean, 0.0)
+        )
+
+    def cells(self, x, axis: int, lowest: int, highest: int):
+        """Cell of coordinate ``x`` along ``axis``, clipped to ``[lowest, highest]``.
+
+        Every step (``x - origin``, ``* inv``, clip, floor) is monotone
+        non-decreasing in ``x`` under IEEE rounding, so ``x <= y`` gives
+        ``cells(x) <= cells(y)`` — all the conservativeness argument
+        (module docstring) asks of it.
+        """
+        if self.shape[axis] == 1:
+            # No arithmetic: `inf * 0` must not reach the integer cast.
+            return np.zeros(x.shape, dtype=np.intp)
+        scaled = x - self.origin[axis]
+        scaled *= self.inv[axis]
+        np.clip(scaled, lowest, highest, out=scaled)
+        return np.floor(scaled, out=scaled).astype(np.intp)
+
+    def _visits(self, lb, ub):
+        """What each visiting row must scan: a cell rectangle and an extra run.
+
+        Returns ``(x0, columns, y0, y1, extra, count)`` per row: the
+        binned partners of a finite row lie in cells ``x0 .. x0 +
+        columns - 1`` by ``y0 .. y1`` (``columns = 0`` when it can have
+        none there) or in the overflow cell, the run ``extra .. n`` of
+        the binned order; a non-finite row, and every row of a one-cell
+        grid, scans no rectangle and ``extra = 0``: the whole side.
+        ``count`` is the rows those runs hold.
+        """
+        n = self.rows
+        if self.order is None:
+            none = np.zeros(lb[0].shape[0], dtype=np.intp)
+            return none, none, none, none, none, none + n
+        nx, ny = self.shape
+        with np.errstate(invalid="ignore"):
+            finite = np.isfinite(lb[0] + lb[1] + ub[0] + ub[1])
+        if not finite.all():
+            lb = [np.where(finite, x, 0.0) for x in lb]
+            ub = [np.where(finite, x, 0.0) for x in ub]
+        x0 = self.cells(lb[0] - self.reach[0], 0, 0, nx)
+        x1 = self.cells(ub[0], 0, -1, nx - 1)
+        y0 = self.cells(lb[1] - self.reach[1], 1, 0, ny)
+        y1 = self.cells(ub[1], 1, -1, ny - 1)
+        # One empty axis empties the rectangle; so does a non-finite row.
+        x1 = np.where((y1 < y0) | (x1 < x0) | ~finite, x0 - 1, x1)
+        sat = self._sat
+        count = sat[x1 + 1, y1 + 1] - sat[x0, y1 + 1] - sat[x1 + 1, y0] + sat[x0, y0]
+        extra = np.where(finite, self.cell_start[nx * ny], 0)
+        return x0, x1 - x0 + 1, y0, y1, extra, count + (n - extra)
+
+    def candidates(self, lb, ub, chunk: int):
+        """Stage one: yield ``(pos, row)`` candidate arrays, block by block.
+
+        ``row`` indexes the visiting side, whose swept bounds are ``lb``
+        / ``ub`` per axis; ``pos`` is a position in the binned order
+        (``order[pos]`` is the binned row; the row itself when ``order``
+        is ``None``).  The visiting side is walked in blocks of whole
+        rows holding at most ``chunk`` segments plus candidates (always
+        at least one row, so a single oversized row still goes through):
+        no table here outgrows ``chunk``.
+        """
+        n = self.rows
+        ny = self.shape[1]
+        cell_start = self.cell_start
+        x0, columns, y0, y1, extra, count = self._visits(lb, ub)
+        with_extra = bool((extra < n).any())
+        cum = np.cumsum(columns + with_extra + count)
+        m = cum.shape[0]
+        row = 0
+        while row < m:
+            base = int(cum[row - 1]) if row else 0
+            end = max(int(np.searchsorted(cum, base + chunk, side="right")), row + 1)
+            rows = np.arange(row, end)
+            row = end
+            # One segment per visited cell column: the run of the binned
+            # order from cell (cx, y0) through cell (cx, y1).
+            k = columns[rows]
+            seg_row = np.repeat(rows, k)
+            cx = x0[seg_row] + np.arange(seg_row.shape[0]) - np.repeat(np.cumsum(k) - k, k)
+            cx *= ny
+            start = cell_start[cx + y0[seg_row]]
+            stop = cell_start[cx + y1[seg_row] + 1]
+            if with_extra:
+                seg_row = np.concatenate([seg_row, rows])
+                start = np.concatenate([start, extra[rows]])
+                stop = np.concatenate([stop, np.full(rows.shape[0], n)])
+            cnt = stop - start
+            total = int(cnt.sum())
+            if total:
+                pos = np.repeat(start - (np.cumsum(cnt) - cnt), cnt)
+                pos += np.arange(total)
+                yield pos, np.repeat(seg_row, cnt)
 
 
 def batch_sweep_join(
@@ -400,142 +717,157 @@ def batch_sweep_join(
 ) -> Tuple["np.ndarray", "np.ndarray", "np.ndarray", "np.ndarray"]:
     """Arrays-out plane-sweep join: the whole-dataset probe primitive.
 
-    The candidate generation of :func:`batch_ps_intersection` with the
-    result left in columnar form: returns ``(idx_a, idx_b, lo, hi)``
-    arrays of the surviving pairs, in sweep order — ``batch_a[idx_a[k]]``
-    intersects ``batch_b[idx_b[k]]`` exactly during ``[lo[k], hi[k]]``,
-    bit-identical to the scalar ``intersection_interval``.
+    Returns ``(idx_a, idx_b, lo, hi)`` arrays of the intersecting pairs
+    in the scalar sweep's order — ``batch_a[idx_a[k]]`` intersects
+    ``batch_b[idx_b[k]]`` exactly during ``[lo[k], hi[k]]``: rows, row
+    order and windows are those of ``ps_intersection(use_kernels=False)``
+    on ``dim``, bit for bit.
 
-    Candidates pass two stages.  The 1-D sweep on ``dim`` enumerates
-    every pair whose swept ranges meet there (what the scalar sweep
-    tests; ``counter[0]`` counts these).  Each is then compared on the
-    *other* axis's swept bounds and dropped when those are separated by
-    more than the filter slack (see the module docstring); only the
-    survivors run the exact pair-window kernel, and a second
-    ``counter`` slot, when given, counts them.  Candidates are flushed
-    every ``chunk`` pairs, so peak memory stays bounded for
-    dataset-scale sweeps (100k × 100k) where materializing all
-    candidates at once would not.
+    Stage one is a uniform grid over the 2-D swept boxes, built for this
+    call and dropped with it (:class:`_SweepGrid`).  The larger side is
+    binned once, one cell per row, by the lower corner of its
+    slack-padded swept box; each row of the smaller side visits the
+    cells from ``lo - W`` to ``hi`` per axis (``W``: the widest binned
+    box, padded), one contiguous run of the binned order per cell
+    column.  Binned rows that are oversize or non-finite (``t1 = inf``)
+    sit in an overflow cell every row visits, a non-finite visiting row
+    takes the whole binned side, and a batch of at most
+    ``SWEEP_GRID_MIN_PAIRS`` pairs gets a single cell: all pairs,
+    nothing sorted.  ``counter[0]`` counts the candidates so enumerated
+    — the same number whichever ``dim`` sweeps.
+
+    Each candidate then runs the scalar sweep's own predicate chain: the
+    slack-padded reject on the axis orthogonal to ``dim``, the
+    zero-tolerance swept-range test on ``dim`` (exactly the scalar
+    sweep's candidate rule, side a pivoting first on ties), and for the
+    survivors — ``counter[1]`` counts them — the exact pair-window
+    kernel.  The hits are finally sorted into sweep order.  Candidates
+    arrive in blocks of at most ``chunk`` and survivors queue up to the
+    same count before the exact kernel runs, so the temporaries stay
+    bounded for dataset-scale joins (100k × 100k).
     """
     if t1 < t0:
         raise ValueError("t_end must be >= t_start")
-    empty = (
-        np.empty(0, dtype=np.int64),
-        np.empty(0, dtype=np.int64),
-        np.empty(0),
-        np.empty(0),
-    )
     if batch_a.n == 0 or batch_b.n == 0:
-        return empty
+        return _EMPTY_JOIN
     if dim is None:
         dim = batch_select_sweep_dimension(batch_a, batch_b)
-    lb_a, ub_a = batch_sweep_bounds(batch_a, dim, t0, t1)
-    lb_b, ub_b = batch_sweep_bounds(batch_b, dim, t0, t1)
-    order_a = np.argsort(lb_a, kind="stable")
-    order_b = np.argsort(lb_b, kind="stable")
-    lba, uba = lb_a[order_a], ub_a[order_a]
-    lbb, ubb = lb_b[order_b], ub_b[order_b]
-    m, n = batch_a.n, batch_b.n
-    # Each pivot's candidate segment on the other (sorted) side is a
-    # contiguous range, both ends from one binary search: the start is
-    # the scalar sweep's pointer position when the pivot is processed
-    # (the count of opposing lbs strictly before it — `<=` for b-side
-    # pivots, since lb ties process side a first), the stop is the
-    # first position whose lb exceeds the pivot's ub.  This replaces
-    # the per-pivot python merge loop with O(segments) array work.
-    starts_a = np.searchsorted(lbb, lba, side="left")
-    stops_a = np.searchsorted(lbb, uba, side="right")
-    starts_b = np.searchsorted(lba, lbb, side="right")
-    stops_b = np.searchsorted(lba, ubb, side="right")
-    # The starts are also each pivot's count of opposing pivots the
-    # scalar sweep processes first, so own position + start is its rank
-    # in the merged processing order (side a first on lb ties) and the
-    # per-pivot columns scatter straight into that order.
-    rank_a = np.arange(m) + starts_a
-    rank_b = np.arange(n) + starts_b
-
-    def merged(col_a, col_b):
-        out = np.empty(m + n, dtype=col_a.dtype)
-        out[rank_a] = col_a
-        out[rank_b] = col_b
-        return out
-
-    counts = np.maximum(merged(stops_a - starts_a, stops_b - starts_b), 0)
-    cum = np.cumsum(counts)
-    total = int(cum[-1])
-    if counter is not None:
-        counter[0] += total
-    if total == 0:
-        return empty
-    seg_off = cum - counts
-    # Orthogonal swept bounds, permuted into sweep order so a segment
-    # reads them near-sequentially.  Both sorted sides share one
-    # position space, b's run then a's: an a-pivot's segment starts at
-    # `starts_a`, a b-pivot's at `n + starts_b`, and a position >= n
-    # says the candidate is an a row (its pivot a b row).
     orth = 1 - dim
-    slack = _filter_slack(batch_a, batch_b, orth, t0, t1)
-    olb_a, oub_a = batch_sweep_bounds(batch_a, orth, t0, t1)
-    olb_b, oub_b = batch_sweep_bounds(batch_b, orth, t0, t1)
-    olba, ouba = olb_a[order_a], oub_a[order_a]
-    olbb, oubb = olb_b[order_b], oub_b[order_b]
-    lb_at = np.concatenate([olbb, olba])
-    ub_at = np.concatenate([oubb, ouba])
-    row_at = np.concatenate([order_b, order_a])
-    piv_row = merged(order_a, order_b)
-    piv_lo = merged(olba, olbb) - slack
-    piv_hi = merged(ouba, oubb) + slack
-    # Sweep candidate g of segment s sits at position `g + shift[s]`.
-    shift = merged(starts_a, starts_b + n) - seg_off
+    # The larger side is binned ("p"), the smaller visits ("q").
+    flip = batch_a.n > batch_b.n
+    batch_q, batch_p = (batch_b, batch_a) if flip else (batch_a, batch_b)
+    lb_q, ub_q = zip(*(batch_sweep_bounds(batch_q, axis, t0, t1) for axis in range(NDIMS)))
+    lb_p, ub_p = zip(*(batch_sweep_bounds(batch_p, axis, t0, t1) for axis in range(NDIMS)))
+    # Slack-padded binned boxes: the orthogonal axis's for the reject,
+    # both axes' for the grid.
+    gridded = batch_q.n * batch_p.n > SWEEP_GRID_MIN_PAIRS
+    lo_p, hi_p, pad = [None] * NDIMS, [None] * NDIMS, [0.0] * NDIMS
+    for axis in range(NDIMS) if gridded else (orth,):
+        mag = _axis_magnitude(batch_a, batch_b, axis, t0, t1)
+        lo_p[axis] = lb_p[axis] - _FILTER_SLACK * mag
+        hi_p[axis] = ub_p[axis] + _FILTER_SLACK * mag
+        pad[axis] = _GRID_PAD * mag
+    grid = _SweepGrid(lo_p, hi_p, pad) if gridded else _SweepGrid.one_cell(batch_p.n)
+    # Binned-side columns in binned order, so a run reads sequentially;
+    # the visiting side's are read by row.
+    order = grid.order
+    p_lb, p_ub, p_lo, p_hi = (
+        col if order is None else col.take(order)
+        for col in (lb_p[dim], ub_p[dim], lo_p[orth], hi_p[orth])
+    )
+    q_lb, q_ub, q_olb, q_oub = lb_q[dim], ub_q[dim], lb_q[orth], ub_q[orth]
     pend: List = []
-    pending = 0
-    tested = 0
     out: List = []
-    n_seg = m + n
-    seg = 0
-    while seg < n_seg:
-        # Largest block of whole segments near the chunk budget (always
-        # at least one, so a single oversized segment still flushes).
-        base = int(seg_off[seg])
-        end = int(np.searchsorted(cum, base + chunk, side="left"))
-        end = max(min(end + 1, n_seg), seg + 1)
-        block = slice(seg, end)
-        seg = end
-        t = int(cum[end - 1]) - base
-        if t:
-            cnt = counts[block]
-            pos = np.repeat(shift[block], cnt) + np.arange(base, base + t)
-            # Negated so an unordered comparison (NaN) passes to the
-            # exact kernel instead of being dropped here.
-            reject = lb_at[pos] > np.repeat(piv_hi[block], cnt)
-            reject |= ub_at[pos] < np.repeat(piv_lo[block], cnt)
-            keep = np.flatnonzero(~reject)
-            # Only the survivors are mapped back to row indices; the
-            # segment of sweep candidate g is the first whose cumulative
-            # count exceeds g.
-            pivot = piv_row[np.searchsorted(cum, keep + base, side="right")]
-            pos = pos[keep]
-            other = row_at[pos]
-            from_b = pos >= n
-            pend.append(
-                (np.where(from_b, other, pivot), np.where(from_b, pivot, other))
-            )
-            pending += keep.shape[0]
-        # Survivors are a few percent of a block, so they queue until
-        # they fill a chunk of their own for the exact kernel.
-        if pending and (pending >= chunk or seg == n_seg):
-            idx_a, idx_b = (np.concatenate(col) for col in zip(*pend))
-            lo, hi, ok = _pair_windows(batch_a, idx_a, batch_b, idx_b, t0, t1)
-            sel = np.flatnonzero(ok)
-            out.append((idx_a[sel], idx_b[sel], lo[sel], hi[sel]))
-            tested += pending
+
+    def run_exact() -> int:
+        idx_a, idx_b = (np.concatenate(col) for col in zip(*pend))
+        pend.clear()
+        lo, hi, ok = _pair_windows(batch_a, idx_a, batch_b, idx_b, t0, t1)
+        sel = np.flatnonzero(ok)
+        out.append((idx_a[sel], idx_b[sel], lo[sel], hi[sel]))
+        return idx_a.shape[0]
+
+    enumerated = pending = tested = 0
+    for pos, qrow in grid.candidates(lb_q, ub_q, chunk):
+        enumerated += pos.shape[0]
+        # Negated so an unordered comparison (NaN) passes to the exact
+        # kernel instead of being dropped here.
+        reject = p_lo[pos] > q_oub[qrow]
+        reject |= p_hi[pos] < q_olb[qrow]
+        keep = np.flatnonzero(~reject)
+        pos, qrow = pos[keep], qrow[keep]
+        # The scalar sweep's rule: whichever row has the lower `lb`
+        # pivots (side a on ties) and takes the partners whose `lb` its
+        # `ub` reaches.
+        lb_pos, lb_row = p_lb[pos], q_lb[qrow]
+        q_pivots = lb_row < lb_pos if flip else lb_row <= lb_pos
+        swept = np.where(q_pivots, lb_pos <= q_ub[qrow], lb_row <= p_ub[pos])
+        keep = np.flatnonzero(swept)
+        pos, qrow = pos[keep], qrow[keep]
+        prow = pos if order is None else order[pos]
+        pend.append((prow, qrow) if flip else (qrow, prow))
+        pending += keep.shape[0]
+        # Survivors are a fraction of a block, so they queue until they
+        # fill a chunk of their own for the exact kernel.
+        if pending >= chunk:
+            tested += run_exact()
             pending = 0
-            pend.clear()
-    if counter is not None and len(counter) > 1:
-        counter[1] += tested
+    if pending:
+        tested += run_exact()
+    if counter is not None:
+        counter[0] += enumerated
+        if len(counter) > 1:
+            counter[1] += tested
     if not out:
-        return empty
-    return tuple(np.concatenate(col) for col in zip(*out))
+        return _EMPTY_JOIN
+    idx_a, idx_b, lo, hi = (np.concatenate(col) for col in zip(*out))
+    out.clear()
+    # Sweep order: pivots by (lb, side a first, row), each pivot's
+    # partners by (lb, row) — the scalar sweep's two stable sorts.
+    lb_a, lb_b = (lb_p, lb_q) if flip else (lb_q, lb_p)
+    key_a, key_b = lb_a[dim][idx_a], lb_b[dim][idx_b]
+    a_pivots = key_a <= key_b
+    rows = max(batch_a.n, batch_b.n)
+    sweep_order = np.lexsort((
+        *_radix_digits(np.where(a_pivots, idx_b, idx_a), rows),
+        np.where(a_pivots, key_b, key_a),
+        *_radix_digits(np.where(a_pivots, idx_a, idx_b), rows),
+        ~a_pivots,
+        np.where(a_pivots, key_a, key_b),
+    ))
+    return idx_a[sweep_order], idx_b[sweep_order], lo[sweep_order], hi[sweep_order]
+
+
+def _radix_digits(idx, limit: int) -> List["np.ndarray"]:
+    """``idx < limit`` as base-65 536 digits, least significant first.
+
+    ``lexsort`` keys: it radix-sorts a 16-bit key where it merge-sorts a
+    wider one, which takes a third off ordering the 260k hits of a
+    100k-per-side join (137 -> 89 ms).
+    """
+    digits = [(idx & 0xFFFF).astype(np.uint16)]
+    top = (limit - 1) >> 16
+    while top:
+        idx = idx >> 16
+        digits.append((idx & 0xFFFF).astype(np.uint16))
+        top >>= 16
+    return digits
+
+
+def _scalar_sweep_tests(lb_a, ub_a, lb_b, ub_b) -> int:
+    """How many pairs the scalar sweep tests, from the sweep bounds alone.
+
+    Whichever box has the lower ``lb`` pivots (side a on ties) and tests
+    the opposing boxes whose ``lb`` lies between its own ``lb`` and
+    ``ub``; in ``lb`` order those are one contiguous range per pivot.
+    """
+    sorted_a, sorted_b = np.sort(lb_a), np.sort(lb_b)
+    by_a = np.searchsorted(sorted_b, ub_a, side="right")
+    by_a -= np.searchsorted(sorted_b, lb_a, side="left")
+    by_b = np.searchsorted(sorted_a, ub_b, side="right")
+    by_b -= np.searchsorted(sorted_a, lb_b, side="right")
+    # An inverted swept box (ub < lb) pivots over an empty range.
+    return int(np.maximum(by_a, 0).sum() + np.maximum(by_b, 0).sum())
 
 
 def batch_ps_intersection(
@@ -549,18 +881,23 @@ def batch_ps_intersection(
     """Plane sweep with vectorized candidate testing.
 
     Same contract as :func:`~repro.geometry.plane_sweep.ps_intersection`
-    — ``(i, j, interval)`` triples in sweep order.  The sweep itself is
-    restructured for batching: every pivot's candidate range comes from
-    one vectorized binary search over the sorted sweep bounds, the
-    cheap merge loop only *collects* (pivot, candidates) index segments,
-    and all collected pairs are then tested by a gather kernel — a
-    handful of NumPy dispatches for the whole sweep instead of one per
-    pivot.  This is a thin triple-building wrapper over
-    :func:`batch_sweep_join`, which keeps the result in arrays.
+    — ``(i, j, interval)`` triples in sweep order, and ``counter[0]``
+    grows by the pairs the *scalar* sweep tests on ``dim`` (the tree
+    engines report it as ``pair_tests``), counted here from the sweep
+    bounds because :func:`batch_sweep_join`, which does the work and
+    keeps the result in arrays, enumerates a different candidate set.
+    This is a thin triple-building wrapper over it.
     """
-    idx_a, idx_b, lo, hi = batch_sweep_join(
-        batch_a, batch_b, t0, t1, dim=dim, counter=counter
-    )
+    if t1 < t0:
+        raise ValueError("t_end must be >= t_start")
+    if dim is None and batch_a.n and batch_b.n:
+        dim = batch_select_sweep_dimension(batch_a, batch_b)
+    if counter is not None and batch_a.n and batch_b.n:
+        counter[0] += _scalar_sweep_tests(
+            *batch_sweep_bounds(batch_a, dim, t0, t1),
+            *batch_sweep_bounds(batch_b, dim, t0, t1),
+        )
+    idx_a, idx_b, lo, hi = batch_sweep_join(batch_a, batch_b, t0, t1, dim=dim)
     return [
         (int(i), int(j), TimeInterval(s, e))
         for i, j, s, e in zip(

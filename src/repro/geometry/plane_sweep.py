@@ -92,7 +92,9 @@ def ps_intersection(
     sweep dimension (``None`` applies dimension selection).  When
     ``counter`` is given, ``counter[0]`` is incremented once per 1-D
     sweep candidate — each of which the scalar path tests exactly —
-    which benchmarks use to report CPU work.
+    which benchmarks use to report CPU work.  The kernel path reports
+    the same number, counted from the sweep bounds, although it finds
+    its candidates with a grid and tests far fewer.
 
     ``use_kernels`` picks the implementation: ``True`` (default) routes
     through the vectorized :mod:`repro.geometry.kernels` batch sweep,

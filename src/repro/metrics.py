@@ -108,8 +108,12 @@ class CostTracker:
 
     * ``page_reads`` / ``page_writes`` — buffer-pool misses, the honest
       disk I/O count of the simulated disk substrate;
-    * ``pair_tests`` — exact moving-rectangle intersection tests, the
-      dominant CPU term;
+    * ``pair_tests`` — candidate pairs tested, the dominant CPU term.
+      The tree engines count what the scalar plane sweep tests exactly
+      (1-D sweep candidates per node pair, plus bound and filter tests);
+      the columnar engine counts the stage-one candidates its sweep
+      join's grid enumerates (``batch_sweep_join``'s ``counter[0]``),
+      of which the ``exact_tests`` obs count reached the exact kernel;
     * ``node_visits`` — index nodes visited by traversals;
     * a monotonic stopwatch accumulating time inside :meth:`timed`.
 

@@ -1,0 +1,180 @@
+"""The sweep join on the calls the columnar engines actually make.
+
+``tests/geometry/test_kernels.py`` aims boxes at the kernel's decision
+boundaries; this file replays what the two benchmarked engine shapes
+send it — the tc engine at the end-to-end benchmark's density (shrunk
+to tier-1 size) and the mtb engine with two live buckets, each with its
+initial join — and holds every call to the scalar sweep byte for byte.
+The number of pairs that reach the exact kernel is pinned per call to
+what the 1-D sweep enumerator this grid replaced sent there: the grid
+changes how candidates are found, not which are tested.
+
+It also bounds the join's temporaries: nothing in it may grow with the
+candidates or with the visiting side's cell-column segments.
+"""
+
+from __future__ import annotations
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from repro.core import ColumnarJoinEngine, JoinConfig
+from repro.core import columnar
+from repro.core.columns import ColumnStore
+from repro.geometry import ps_intersection
+from repro.geometry.kernels import (
+    SWEEP_GRID_MIN_PAIRS,
+    KineticBatch,
+    batch_select_sweep_dimension,
+    batch_sweep_join,
+)
+from repro.workloads import VectorUpdateStream, make_workload_arrays
+
+SEED = 20080407
+
+#: (algorithm, n per side, object size %, T_M, ticks)
+SHAPES = {
+    "tc": ("tc", 1_500, 0.1, 60.0, 12),
+    "mtb": ("mtb", 1_200, 0.5, 8.0, 8),
+}
+
+#: ``counter[1]`` of every captured call under the parent commit's 1-D
+#: sweep enumerator (recorded when this fixture was written).
+EXACT_TESTS = {
+    "tc": (
+        8795, 165, 190, 170, 145, 166, 131, 109, 151, 211, 133, 130, 141,
+        181, 148, 99, 186, 156, 204, 180, 198, 160, 229, 195, 197,
+    ),
+    "mtb": (
+        829, 94, 91, 94, 96, 74, 89, 66, 36, 81, 36, 56, 58, 71, 61, 27,
+        89, 45, 86, 22, 104, 23, 91, 8, 107, 75, 11, 81, 75,
+    ),
+}
+
+
+def scenario(n, object_size_pct, t_m):
+    return make_workload_arrays(
+        n,
+        "uniform",
+        space_size=1000.0 * math.sqrt(n / 1000.0),
+        max_speed=2.0,
+        object_size_pct=object_size_pct,
+        t_m=t_m,
+        seed=SEED,
+    )
+
+
+def captured_calls(shape, monkeypatch):
+    """Every ``(batch_a, batch_b, t0, t1)`` the engine hands the sweep join."""
+    algorithm, n, object_size_pct, t_m, ticks = SHAPES[shape]
+    arrays = scenario(n, object_size_pct, t_m)
+    calls = []
+
+    def frozen(batch):
+        # A whole-dataset batch is a view of columns the next commit overwrites.
+        planes = (batch.mlo, batch.mhi, batch.vlo, batch.vhi, batch.tref, batch.slo, batch.shi)
+        return KineticBatch(*(plane.copy() for plane in planes))
+
+    def recording(batch_a, batch_b, t0, t1, **kwargs):
+        calls.append((frozen(batch_a), frozen(batch_b), t0, t1))
+        return batch_sweep_join(batch_a, batch_b, t0, t1, **kwargs)
+
+    monkeypatch.setattr(columnar, "batch_sweep_join", recording)
+    engine = ColumnarJoinEngine(
+        arrays.columns_a(), arrays.columns_b(), algorithm, JoinConfig(t_m=t_m)
+    )
+    engine.run_initial_join()
+    stream = VectorUpdateStream(arrays, seed=SEED + 1)
+    for step in range(1, ticks + 1):
+        t = float(step)
+        engine.tick(t)
+        engine.apply_update_columns(*stream.updates_at(t))
+    return calls
+
+
+def scalar_planes(batch_a, batch_b, t0, t1, dim):
+    triples = ps_intersection(
+        [batch_a.box(i) for i in range(batch_a.n)],
+        [batch_b.box(j) for j in range(batch_b.n)],
+        t0,
+        t1,
+        dim=dim,
+        use_kernels=False,
+    )
+    return (
+        np.array([i for i, _, _ in triples], dtype=np.int64),
+        np.array([j for _, j, _ in triples], dtype=np.int64),
+        np.array([iv.start for _, _, iv in triples], dtype=np.float64),
+        np.array([iv.end for _, _, iv in triples], dtype=np.float64),
+    )
+
+
+class TestReplay:
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_engine_calls_equal_the_scalar_sweep(self, shape, monkeypatch):
+        calls = captured_calls(shape, monkeypatch)
+        assert len(calls) == len(EXACT_TESTS[shape])
+        gridded = 0
+        ends_at_last_tick = set()
+        for (batch_a, batch_b, t0, t1), exact_tests in zip(calls, EXACT_TESTS[shape]):
+            gridded += batch_a.n * batch_b.n > SWEEP_GRID_MIN_PAIRS
+            if t0 == calls[-1][2]:
+                ends_at_last_tick.add(t1)
+            dim = batch_select_sweep_dimension(batch_a, batch_b)
+            counter = [0, 0]
+            planes = batch_sweep_join(batch_a, batch_b, t0, t1, counter=counter)
+            for got, want in zip(planes, scalar_planes(batch_a, batch_b, t0, t1, dim)):
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes(), (shape, t0, t1)
+            assert counter[1] == exact_tests, (shape, t0, t1)
+            assert planes[0].shape[0] <= counter[1] <= counter[0]
+        # Not vacuous: the calls are gridded, the first is the initial
+        # join, and mtb ends with several buckets live (one window each).
+        assert gridded >= 0.9 * len(calls)
+        assert calls[0][0].n == SHAPES[shape][1] == calls[0][1].n
+        assert len(ends_at_last_tick) == (3 if shape == "mtb" else 1)
+
+    def test_replay_is_large_enough(self):
+        assert sum(len(counts) for counts in EXACT_TESTS.values()) >= 40
+
+
+class TestTemporaries:
+    """``tracemalloc`` peaks of whole-dataset joins at benchmark density."""
+
+    def _batches(self, n):
+        arrays = scenario(n, 0.1, 60.0)
+        return (
+            ColumnStore.from_columns(arrays.columns_a()).batch(),
+            ColumnStore.from_columns(arrays.columns_b()).batch(),
+        )
+
+    def _peak(self, n, **kwargs):
+        batch_a, batch_b = self._batches(n)
+        tracemalloc.start()
+        try:
+            planes = batch_sweep_join(batch_a, batch_b, 0.0, 60.0, **kwargs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak, sum(plane.nbytes for plane in planes)
+
+    def test_initial_join_peak_at_default_chunk(self):
+        """The benchmark's 20 000 x 20 000 initial join: 17.1 MiB under the
+        1-D sweep enumerator, 22.2 MiB with unblocked segment tables."""
+        peak, _ = self._peak(20_000)
+        assert peak <= 18 * 2**20, peak
+
+    def test_only_per_row_planes_grow_with_the_input(self):
+        """At a fixed small chunk the peak, outputs excluded, is the per-row
+        planes (swept bounds, padded boxes, binned order, visit table: ~108
+        bytes a row) plus a chunk's worth (~290 bytes a candidate slot, most
+        of it the exact kernel's) — the same chunk's worth when both sides
+        double, though candidates and segments double with them.  Unblocked
+        segment tables alone would add ~160 bytes a row."""
+        chunk = 2_048
+        for n in (5_000, 10_000):
+            peak, out = self._peak(n, chunk=chunk)
+            assert peak - out <= 110 * 2 * n + 320 * chunk, (n, peak - out)

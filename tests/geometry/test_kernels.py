@@ -337,16 +337,24 @@ def filter_cases(draw):
 
 
 def assert_sweep_join_matches(boxes_a, boxes_b, t0, t1):
-    """Rows, row order, windows and ``counter[0]`` equal the scalar sweep's."""
+    """Rows, row order and windows equal the scalar sweep's on both axes.
+
+    The scalar sweep's candidate count is pinned where the tree engines
+    read it, on ``ps_intersection``; the join's own ``counter[0]`` is its
+    grid's stage-one work, the same whichever axis sweeps.
+    """
     batch_a, batch_b = batch_of(boxes_a), batch_of(boxes_b)
+    stage_one = set()
     for dim in (0, 1):
-        cs = [0]
+        cs, cp = [0], [0]
         scalar = [
             (i, j, iv.start, iv.end)
             for i, j, iv in ps_intersection(
                 boxes_a, boxes_b, t0, t1, dim=dim, counter=cs, use_kernels=False
             )
         ]
+        ps_intersection(boxes_a, boxes_b, t0, t1, dim=dim, counter=cp, use_kernels=True)
+        assert cp == cs, dim
         for chunk in (1, 7, 65_536):
             ck = [0, 0]
             idx_a, idx_b, lo, hi = batch_sweep_join(
@@ -354,8 +362,9 @@ def assert_sweep_join_matches(boxes_a, boxes_b, t0, t1):
             )
             rows = list(zip(idx_a.tolist(), idx_b.tolist(), lo.tolist(), hi.tolist()))
             assert rows == scalar, (dim, chunk)
-            assert ck[0] == cs[0], (dim, chunk)
             assert len(rows) <= ck[1] <= ck[0], (dim, chunk)
+            stage_one.add(ck[0])
+    assert len(stage_one) == 1, stage_one
 
 
 class TestSweepFilterConservative:
@@ -440,6 +449,17 @@ class TestSweepFilterConservative:
         assert one_slot == [counter[0]]
 
 
+def test_radix_digits_sort_like_the_index():
+    """The hit ordering's 16-bit keys, past one digit (> 65 536 rows a side)."""
+    import numpy as np
+
+    idx = np.random.default_rng(3).integers(0, 200_000, size=5_000)
+    for limit, width in ((200_000, 2), (65_536, 1), (65_537, 2), (1, 1)):
+        digits = kernels._radix_digits(idx % limit, limit)
+        assert len(digits) == width and all(d.dtype == np.uint16 for d in digits)
+        assert (np.lexsort(digits) == np.argsort(idx % limit, kind="stable")).all()
+
+
 class TestDimensionSelection:
     @pytest.mark.parametrize("seed", [11, 12, 13])
     def test_matches_scalar_choice(self, seed):
@@ -478,3 +498,339 @@ class TestKineticBatch:
         sub = batch.compress(mask)
         assert len(sub) == 3
         assert [sub.box(k) for k in range(3)] == [boxes[0], boxes[2], boxes[4]]
+
+
+# ----------------------------------------------------------------------
+# The sweep join's grid: multi-cell inputs against the scalar sweep
+# ----------------------------------------------------------------------
+def static_box(x, y, w, h):
+    return KineticBox.rigid(Box(x, x + w, y, y + h), 0.0, 0.0, 0.0)
+
+
+def on_axis(axis, lo, hi, across_lo, across_hi):
+    """A static box spanning exactly ``[lo, hi]`` on ``axis``."""
+    bounds = (lo, hi, across_lo, across_hi) if axis == 0 else (across_lo, across_hi, lo, hi)
+    return KineticBox.rigid(Box(*bounds), 0.0, 0.0, 0.0)
+
+
+def lattice(axis, scale=1.0, width=30.0, side=20, half=50.0):
+    """``side**2`` static squares, lower corners evenly over ``[-half, half]**2``."""
+    step = 2.0 * half / (side - 1)
+    corners = [(-half + k * step) * scale for k in range(side)]
+    width *= scale
+    return [on_axis(axis, x, x + width, y, y + width) for x in corners for y in corners]
+
+
+def binned_grid(batch_q, batch_p, t0, t1):
+    """The grid ``batch_sweep_join`` builds when it bins ``batch_p``.
+
+    Also returns the padded boxes and the visiting side's swept bounds;
+    callers tie this reconstruction to the kernel by comparing its
+    candidate count with ``counter[0]``.
+    """
+    from repro.geometry.constants import SWEEP_FILTER_SLACK, SWEEP_GRID_PAD
+
+    lo, hi, pad, lb_q, ub_q = [], [], [], [], []
+    for axis in (0, 1):
+        mag = kernels._axis_magnitude(batch_q, batch_p, axis, t0, t1)
+        lb, ub = batch_sweep_bounds(batch_p, axis, t0, t1)
+        lo.append(lb - SWEEP_FILTER_SLACK * mag)
+        hi.append(ub + SWEEP_FILTER_SLACK * mag)
+        pad.append(SWEEP_GRID_PAD * mag)
+        lb, ub = batch_sweep_bounds(batch_q, axis, t0, t1)
+        lb_q.append(lb)
+        ub_q.append(ub)
+    return kernels._SweepGrid(lo, hi, pad), lo, hi, lb_q, ub_q
+
+
+def cell_edge(grid, axis, k):
+    """Smallest double whose cell along ``axis`` is at least ``k`` (by bisection)."""
+    import numpy as np
+
+    def cell(x):
+        return int(grid.cells(np.array([x]), axis, 0, grid.shape[axis] - 1)[0])
+
+    below = grid.origin[axis]
+    above = below + (k + 1) / grid.inv[axis]
+    assert cell(below) < k <= cell(above)
+    while math.nextafter(below, math.inf) < above:
+        mid = below + (above - below) / 2.0
+        if cell(mid) >= k:
+            above = mid
+        else:
+            below = mid
+    return above
+
+
+def exact_tests_without_grid(batch_a, batch_b, t0, t1, dim, monkeypatch):
+    """``counter[1]`` of the same join enumerated exhaustively (one cell)."""
+    with monkeypatch.context() as patch:
+        patch.setattr(kernels, "SWEEP_GRID_MIN_PAIRS", batch_a.n * batch_b.n)
+        counter = [0, 0]
+        batch_sweep_join(batch_a, batch_b, t0, t1, dim=dim, counter=counter)
+    assert counter[0] == batch_a.n * batch_b.n
+    return counter[1]
+
+
+def assert_grid_join_matches(boxes_a, boxes_b, t0, t1, monkeypatch, cells=2):
+    """A gridded join equals the scalar sweep and tests what all-pairs would."""
+    assert_sweep_join_matches(boxes_a, boxes_b, t0, t1)
+    batch_a, batch_b = batch_of(boxes_a), batch_of(boxes_b)
+    small, large = sorted((batch_a, batch_b), key=len)
+    grid, _, _, lb_q, ub_q = binned_grid(small, large, t0, t1)
+    assert grid.shape[0] * grid.shape[1] >= cells, grid.shape
+    enumerated = sum(pos.shape[0] for pos, _ in grid.candidates(lb_q, ub_q, 65_536))
+    for dim in (0, 1):
+        counter = [0, 0]
+        batch_sweep_join(batch_a, batch_b, t0, t1, dim=dim, counter=counter)
+        # The grid rebuilt here is the one the kernel used.
+        assert counter[0] == enumerated, dim
+        assert counter[1] == exact_tests_without_grid(
+            batch_a, batch_b, t0, t1, dim, monkeypatch
+        ), dim
+    return grid
+
+
+class TestSweepGrid:
+    """Inputs large enough to be binned (the suites above are one cell)."""
+
+    def _uniform(self, seed, n_a, n_b, space=(400.0, 400.0)):
+        """Rigid movers like ``random_kbox``'s, over a rectangle."""
+        rng = random.Random(seed)
+
+        def box():
+            x, y = rng.uniform(0, space[0]), rng.uniform(0, space[1])
+            w, h = rng.uniform(0.1, 5.0), rng.uniform(0.1, 5.0)
+            return KineticBox.rigid(
+                Box(x, x + w, y, y + h),
+                rng.uniform(-2.0, 2.0),
+                rng.uniform(-2.0, 2.0),
+                rng.uniform(0.0, 2.0),
+            )
+
+        return [box() for _ in range(n_a)], [box() for _ in range(n_b)]
+
+    def test_uniform_many_cells(self, monkeypatch):
+        boxes_a, boxes_b = self._uniform(11, 300, 3_000)
+        grid = assert_grid_join_matches(boxes_a, boxes_b, 1.0, 13.0, monkeypatch, cells=100)
+        assert min(grid.shape) >= 4
+        # The larger side is binned whichever argument it is.
+        assert_sweep_join_matches(boxes_b[:600], boxes_a[:40], 1.0, 13.0)
+
+    def test_stage_one_count_ignores_the_sweep_axis(self):
+        """Same grid for either ``dim``: uniform, and a 4:1 stripe like a shard's."""
+        for space in ((400.0, 400.0), (800.0, 200.0)):
+            boxes_a, boxes_b = self._uniform(12, 200, 2_000, space)
+            batch_a, batch_b = batch_of(boxes_a), batch_of(boxes_b)
+            counts = []
+            for dim in (0, 1):
+                counter = [0, 0]
+                batch_sweep_join(batch_a, batch_b, 0.0, 20.0, dim=dim, counter=counter)
+                counts.append(counter[0])
+            assert counts[0] == counts[1] < 200 * 2_000 // 4, (space, counts)
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("scale", [1.0, 1e7])
+    def test_partners_across_a_cell_edge(self, axis, scale, monkeypatch):
+        """``aimed_pair`` contacts straddling a cell boundary on either axis."""
+        boxes_p = lattice(axis, scale)
+        fill = [
+            on_axis(axis, 7.0 * k * scale, (7.0 * k + 1.0) * scale, -60.0 * scale, -59.0 * scale)
+            for k in range(45)
+        ]
+        grid, *_ = binned_grid(batch_of(fill), batch_of(boxes_p), 0.0, 12.0)
+        assert grid.shape[axis] >= 2
+        edge = cell_edge(grid, axis, 1)
+        boxes_a, boxes_b = list(fill), list(boxes_p)
+        for gap in (0.0, PAIR_TEST_EPS, -PAIR_TEST_EPS):
+            for gap_ulps in (0, 1, -1):
+                # a's upper bound sits on the edge, b's lower corner
+                # across it, give or take the gap.
+                a, b = aimed_pair(
+                    axis, 1.0, edge - 3.0 * scale, 3.0 * scale, 0.0, 0.0, 0.0, 0.0, gap, gap_ulps
+                )
+                boxes_a.append(a)
+                boxes_b.append(b)
+        assert_grid_join_matches(boxes_a, boxes_b, 0.0, 12.0, monkeypatch)
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_lower_corner_exactly_on_a_cell_edge(self, axis, monkeypatch):
+        """A binned corner on the edge itself and one double below it, each
+        touched exactly by a visiting row's upper bound."""
+        from repro.geometry.constants import SWEEP_FILTER_SLACK
+
+        boxes_p = lattice(axis)
+        fill = [on_axis(axis, 7.0 * k, 7.0 * k + 1.0, -60.0, -59.0) for k in range(45)]
+        batch_fill = batch_of(fill)
+        grid, *_ = binned_grid(batch_fill, batch_of(boxes_p), 0.0, 12.0)
+        slack = SWEEP_FILTER_SLACK * kernels._axis_magnitude(
+            batch_fill, batch_of(boxes_p), axis, 0.0, 12.0
+        )
+        edge = cell_edge(grid, axis, grid.shape[axis] // 2)
+        boxes_a, boxes_b = list(fill), list(boxes_p)
+        for corner in (edge, math.nextafter(edge, -math.inf)):
+            raw = corner + slack
+            while raw - slack > corner:
+                raw = math.nextafter(raw, -math.inf)
+            padded = raw - slack
+            boxes_b.append(on_axis(axis, raw, raw + 30.0, 0.0, 30.0))
+            # Upper bound == the padded corner: the reject's `lo > ub` is false.
+            boxes_a.append(on_axis(axis, padded - 2.0, padded, 0.0, 2.0))
+        grid = assert_grid_join_matches(boxes_a, boxes_b, 0.0, 12.0, monkeypatch)
+        cells = [
+            int(grid.cells(batch_sweep_bounds(batch_of([kb]), axis, 0.0, 12.0)[0] - slack,
+                           axis, 0, grid.shape[axis] - 1)[0])
+            for kb in boxes_b[-2:]
+        ]
+        assert cells[0] == cells[1] + 1  # the two corners straddle the edge
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_reach_needs_its_pad(self, axis, monkeypatch):
+        """The widest binned box, its width rounded *down*, touched at its far end.
+
+        The visiting row starts at ``hi`` exactly, so it passes the
+        reject, and ``hi - W`` lands above the binned corner — in the
+        next cell, because the corner sits just below a cell edge.  Only
+        the pad on ``W`` keeps the pair among the exact tests.
+        """
+        import numpy as np
+
+        from repro.geometry.constants import SWEEP_FILTER_SLACK
+
+        def inputs(raw_lo, raw_hi):
+            return lattice(axis) + [on_axis(axis, raw_lo, raw_hi, 0.0, 30.0)]
+
+        fill = [on_axis(axis, 95.0, 96.0, -60.0 + k, -59.0 + k) for k in range(45)]
+        batch_fill = batch_of(fill)
+        boxes_p = inputs(0.0, 40.0)
+        grid, *_ = binned_grid(batch_fill, batch_of(boxes_p), 0.0, 12.0)
+        slack = SWEEP_FILTER_SLACK * kernels._axis_magnitude(
+            batch_fill, batch_of(boxes_p), axis, 0.0, 12.0
+        )
+        edge = min(
+            (cell_edge(grid, axis, k) for k in range(1, grid.shape[axis])), key=abs
+        )
+        assert abs(edge) < 1e-6  # an edge at the lattice's centre, a slack off zero
+        # Padded corner: the largest reachable double below the edge.
+        raw_lo = edge + slack
+        while raw_lo - slack >= edge:
+            raw_lo = math.nextafter(raw_lo, -math.inf)
+        lo = raw_lo - slack
+        # Far ends over the binades between the lattice's width and the
+        # oversize limit, until one makes `hi - lo` round down far enough
+        # that the unpadded reach `hi - (hi - lo)` starts at the edge.
+        hazard = None
+        for raw_hi in (31.0 + 0.5 * k for k in range(170)):
+            hi = raw_hi + slack
+            if hi - (hi - lo) >= edge:
+                hazard = (raw_hi, hi)
+                break
+        assert hazard is not None
+        raw_hi, hi = hazard
+        boxes_p = inputs(raw_lo, raw_hi)
+        boxes_q = fill + [on_axis(axis, hi, hi + 5.0, 0.0, 30.0)]
+        batch_q, batch_p = batch_of(boxes_q), batch_of(boxes_p)
+        grid, lo_p, hi_p, lb_q, _ = binned_grid(batch_q, batch_p, 0.0, 12.0)
+        # Not vacuous: the pair passes the reject on `axis`, the widest
+        # computed width is this box's, and without the pad the visit
+        # would start one cell past the binned corner.
+        assert lb_q[axis][-1] == hi_p[axis][-1] == hi and lo_p[axis][-1] == lo
+        width = hi_p[axis] - lo_p[axis]
+        assert width[-1] == width.max()
+        first = lambda x: int(grid.cells(np.array([x]), axis, 0, grid.shape[axis])[0])
+        assert first(hi - width[-1]) == first(lo) + 1
+        assert first(hi - grid.reach[axis]) <= first(lo)
+        assert_grid_join_matches(boxes_q, boxes_p, 0.0, 12.0, monkeypatch)
+
+    def test_oversize_rows_leave_the_grid(self, monkeypatch):
+        boxes_a, boxes_b = self._uniform(13, 120, 1_500)
+        rng = random.Random(14)
+        for boxes in (boxes_a, boxes_b):
+            for _ in range(5):  # ~10x the mean swept width, on each side
+                x, y = rng.uniform(0, 100), rng.uniform(0, 100)
+                boxes.append(static_box(x, y, 300.0, 280.0))
+        grid = assert_grid_join_matches(boxes_a, boxes_b, 0.0, 12.0, monkeypatch, cells=16)
+        # The wide rows sit in the overflow cell, not in the reach.
+        assert grid.rows - int(grid.cell_start[-2]) == 5
+        assert max(grid.reach) < 100.0
+
+    def test_unbounded_rows_among_finite_ones(self, monkeypatch):
+        """``t1 = inf``: movers sweep to infinity, static rows stay binned."""
+        boxes_a, boxes_b = self._uniform(15, 150, 900)
+        rng = random.Random(16)
+        for boxes in (boxes_a, boxes_b):
+            for k in range(0, len(boxes), 3):
+                x, y = rng.uniform(0, 400), rng.uniform(0, 400)
+                boxes[k] = static_box(x, y, 6.0, 6.0)
+        grid = assert_grid_join_matches(boxes_a, boxes_b, 2.0, INF, monkeypatch, cells=4)
+        assert 0 < int(grid.cell_start[-2]) < grid.rows  # both kinds present
+
+    def test_inverted_swept_boxes(self):
+        """Expanding boxes read before ``t_ref`` are inverted over the window."""
+        boxes_a, boxes_b = self._uniform(17, 150, 900)
+        for boxes in (boxes_a, boxes_b):
+            for k in range(0, len(boxes), 4):
+                kb = boxes[k]
+                boxes[k] = KineticBox(kb.mbr, Box(-1.5, 1.5, -0.5, 2.5), 30.0)
+        lb, ub = batch_sweep_bounds(batch_of(boxes_b), 0, 0.0, 12.0)
+        assert (ub < lb).any()
+        assert_sweep_join_matches(boxes_a, boxes_b, 0.0, 12.0)
+        # Every binned row inverted: no width is positive.
+        inverted = [kb for kb in boxes_b if kb.t_ref == 30.0]
+        assert_sweep_join_matches(boxes_a, inverted, 0.0, 12.0)
+
+    def test_all_rows_at_one_point(self):
+        """Zero extent on both axes, zero width: one cell, every pair."""
+        points_a = [static_box(5.0, 7.0, 0.0, 0.0) for _ in range(130)]
+        points_b = [static_box(5.0, 7.0, 0.0, 0.0) for _ in range(140)]
+        assert_sweep_join_matches(points_a, points_b, 0.0, 12.0)
+        counter = [0, 0]
+        rows = batch_sweep_join(batch_of(points_a), batch_of(points_b), 0.0, 12.0, counter=counter)
+        assert rows[0].shape[0] == counter[0] == 130 * 140
+
+    def test_zero_width_points_over_an_extent(self, monkeypatch):
+        """Pinned crash: point boxes made ``extent / span`` overflow ``int()``."""
+        rng = random.Random(18)
+        points_a = [static_box(rng.uniform(0, 50), rng.uniform(0, 50), 0.0, 0.0) for _ in range(130)]
+        points_b = [static_box(rng.uniform(0, 50), rng.uniform(0, 50), 0.0, 0.0) for _ in range(400)]
+        points_b += points_a[:20]  # some coincide
+        assert_grid_join_matches(points_a, points_b, 0.0, 12.0, monkeypatch, cells=100)
+        # Without the slack the widths are exactly zero: the reach is its pad.
+        monkeypatch.setattr(kernels, "_FILTER_SLACK", 0.0)
+        assert_sweep_join_matches(points_a, points_b, 0.0, 12.0)
+
+    def test_one_cell_axis_with_unbounded_rows(self):
+        """Pinned crash: ``inf * 0 = NaN`` reached the cell-index cast."""
+        rng = random.Random(19)
+        boxes_a, boxes_b = [], []
+        for boxes, n in ((boxes_a, 130), (boxes_b, 400)):
+            for k in range(n):
+                # One row of boxes: no extent across, so one cell there.
+                kb = static_box(rng.uniform(0, 900), 3.0, 4.0, 4.0)
+                if k % 5 == 0:
+                    kb = KineticBox(kb.mbr, Box(-1.0, 1.0, -1.0, 1.0), 0.0)
+                boxes.append(kb)
+        small, large = batch_of(boxes_a), batch_of(boxes_b)
+        grid = binned_grid(small, large, 0.0, INF)[0]
+        assert grid.shape[0] > 1 and grid.shape[1] == 1
+        assert_sweep_join_matches(boxes_a, boxes_b, 0.0, INF)
+
+    def test_no_regular_row_at_all(self):
+        """Pinned crash: nothing to bin (one inverted box; all rows unbounded)."""
+        import numpy as np
+
+        grid = kernels._SweepGrid(
+            [np.array([3.0]), np.array([1.0])], [np.array([2.0]), np.array([0.5])], [1e-12, 1e-12]
+        )
+        assert grid.order is None and grid.shape == [1, 1]
+        boxes_a, boxes_b = self._uniform(20, 130, 140)
+        grid = binned_grid(batch_of(boxes_a), batch_of(boxes_b), 0.0, INF)[0]
+        assert grid.order is None
+        assert_sweep_join_matches(boxes_a, boxes_b, 0.0, INF)
+
+    def test_extent_beyond_the_float_range(self):
+        """Corners at both ends of the doubles: the extent overflows, one cell."""
+        boxes_a = [static_box(k, 0.0, 1.0, 1.0) for k in range(130)]
+        boxes_b = [static_box(k, 0.0, 1.0, 1.0) for k in range(138)]
+        boxes_b += [static_box(-1e308, 0.0, 1.0, 1.0), static_box(1e308, 0.0, 0.0, 1.0)]
+        assert_sweep_join_matches(boxes_a, boxes_b, 0.0, 12.0)
