@@ -1,12 +1,21 @@
 """Scaling study: the columnar engine from 1k to 100k objects per side.
 
 Standalone script (not a pytest-benchmark figure).  For each dataset
-size ``n`` it builds a constant-density uniform workload (space side
-grows as ``1000 * sqrt(n/1000)``, so the expected join selectivity per
-object is size-invariant), runs the columnar engine through a fixed
-number of maintenance ticks fed by the vectorized update stream, and
-records build / initial-join / tick throughput to ``BENCH_scale.json``
-at the repo root.
+size ``n`` it builds a uniform workload with a constant number of
+objects per unit area (space side ``S = 1000 * sqrt(n/1000)``), runs
+the columnar engine through a fixed number of maintenance ticks fed by
+the vectorized update stream, and records build / initial-join / tick
+throughput to ``BENCH_scale.json`` at the repo root.
+
+What it measures: objects are ``OBJECT_SIZE_PCT`` percent of ``S`` on a
+side, so they grow with the space and the *coverage* — the summed
+object area over the space's, ``n * (pct/100)**2`` — grows linearly
+with ``n``: 0.001 / 0.01 / 0.1 / 1.0 at 1k / 10k / 100k / 1M per side.
+The partners an object meets grow with it, so a cell 10x larger holds
+more than 10x the result: every join row reports ``rows_per_object``
+(stored result rows over ``n``: 0.23 / 0.72 / 2.6 / 11 at those sizes)
+beside its times, and a tick that costs 13x at 10x the objects is the
+workload's doing before it is the engine's.
 
 Every cell runs in its own forked child process, so ``peak_rss_mb`` is
 a *per-cell* measurement (``ru_maxrss`` is monotone within a process;
@@ -14,19 +23,29 @@ in one process the largest cell would mask all the others).  Cells also
 report ``store_mb``, the result store's own resident bytes via
 ``approx_bytes()`` — the column the ColumnResultStore exists to shrink.
 
+The serial columnar cells read each tick's answer as arrays
+(``result_planes_at``: two oid planes, ~1 ms at 100k per side); the
+``set`` of tuples ``result_at`` builds from them is read once after the
+loop and reported as ``read_set_s`` (10-28 ms there), so the tick is
+the engine's and the cost of the Python set is its own column.  Every
+join row carries ``answer_pairs`` and ``answer_digest`` — size and
+SHA-256 of the last tick's ``(a, b)``-sorted answer, computed from the
+planes (from the sorted set where an engine has only the set) — and
+rows at the same ``n`` must agree on them.
+
 At n=100k (and at n=10k under ``REPRO_SCALE_SMOKE``) a *deltas-on*
 cell repeats the columnar cell with ``JoinConfig(deltas=True)`` and
 reads ``deltas(t)`` every tick, so the delta ledger's cost and the
-per-event delay are measured at a result size of ~260k rows rather
-than the few thousand of ``bench_deltas.py``.  Before reporting it
-asserts that folding the ledger reproduces the store and that it ends
-on the deltas-off cell's ``final_pairs``.  Its ``deltas_overhead_s`` is
-the deltas-on mean tick minus the deltas-off one (``deltas_overhead``,
-their ratio, is reported beside it); at n=100k, where that difference
-is gated, both cells are run ``DELTAS_REPEATS`` times, alternating, and
-each side enters with its best run — a cell's mean tick moves ±15% with
-the neighbours on a shared host, which only ever adds time (the best-of
-``bench_deltas.py`` already takes).
+per-event delay are measured at a result size of ~260k rows, ~18k
+events a tick (the dense e2e workloads cover 30k rows and 3.8k).
+Before reporting it asserts that folding the ledger reproduces the
+store and that it ends on the deltas-off cell's ``final_pairs``.  Its
+``deltas_overhead_s`` is the deltas-on mean tick minus the deltas-off
+one (``deltas_overhead``, their ratio, is reported beside it); at
+n=100k, where that difference is gated, both cells are run
+``DELTAS_REPEATS`` times, alternating, and each side enters with its
+best run — a cell's mean tick moves ±15% with the neighbours on a
+shared host, which only ever adds time.
 
 At the sizes where the serial seed engine is still practical (1k, 10k)
 the same pre-materialized update batches are replayed through the
@@ -50,7 +69,8 @@ Acceptance floors (the script exits non-zero when missed):
   counts, so they repeat exactly and gate CI where a clock on a shared
   runner cannot;
 - a serial columnar row and a sharded row at the same ``n`` agree on
-  ``initial_pairs`` and on ``final_pairs``;
+  ``initial_pairs``, ``final_pairs`` and the answer's size and digest
+  (so do the seed and the deltas-on rows on those they report);
 - at n=100k the deltas-on tick costs at most
   ``DELTAS_OVERHEAD_CEIL_100K_S`` seconds more than the deltas-off tick,
   and the first ``deltas()`` after the initial join (flush + netting +
@@ -65,7 +85,10 @@ Acceptance floors (the script exits non-zero when missed):
   ``RSS_FLOOR_100K_MB`` MiB;
 - at n=100k the 4-shard in-process engine's tick costs at most
   ``SHARDED_OVERHEAD_CEIL_100K_S`` seconds more than the serial
-  columnar tick.  With ``workers=0`` there is no CPU parallelism, and
+  columnar tick with the set read added (``tick_mean_s + read_set_s``:
+  the sharded engine has no plane read, and the gate bounds routing and
+  merging, not the Python set both would build).  With ``workers=0``
+  there is no CPU parallelism, and
   the sweep join's grid already spares the serial engine the candidates
   spatial tiling would cut, so this bounds routing + merge overhead
   rather than promising a speedup (``speedup_vs_serial`` is reported,
@@ -74,10 +97,13 @@ Acceptance floors (the script exits non-zero when missed):
 Both overheads are absolute on purpose.  They were ratios (sharded >=
 0.6x serial, deltas-on <= 1.5x deltas-off) until the grid halved the
 serial tick they divide by: the shards and the ledger got faster too,
-yet the ratios read worse.  The ceilings are the slack those ratios
-granted at the denominators they were written against (serial tick
-0.126 s: 0.126 / 0.6 - 0.126 = 0.084 s; deltas-off tick 0.116 s: 0.5 x
-0.116 = 0.06 s).
+yet the ratios read worse.  The sharded ceiling is the slack its ratio
+granted at the denominator it was written against (serial tick
+0.126 s: 0.126 / 0.6 - 0.126 = 0.084 s); the deltas ceilings started
+the same way (0.5 x 0.116 = 0.06 s; 2 s for the first read) and were
+tightened to the measurements once the ledger kept planes instead of
+tuples: 1.7 x an overhead of 0.021-0.029 s and 2 x a first read of
+0.42-0.51 s (two runs, the slower host state taken).
 
 A 1M-per-side *storage* cell always runs: it saves one side as an
 RPROCOL3 slab image and reloads it through ``map_columns`` — measuring
@@ -95,6 +121,7 @@ Run with::
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import multiprocessing
@@ -103,6 +130,8 @@ import resource
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 from repro.core import ColumnarJoinEngine, ContinuousJoinEngine, JoinConfig
 from repro.deltas import fold_events
@@ -128,8 +157,8 @@ STAGE_ONE_PER_PAIR_CEIL = 95.0  # grid candidates per initial pair at n=10k (1.5
 RSS_FLOOR_100K_MB = 450.0  # per-cell peak RSS ceiling at n=100k
 RSS_FLOOR_SMOKE_MB = 300.0  # per-cell peak RSS ceiling at n=10k (CI smoke)
 SHARDED_OVERHEAD_CEIL_100K_S = 0.084  # sharded tick - serial columnar tick at n=100k
-DELTAS_OVERHEAD_CEIL_100K_S = 0.06  # deltas-on tick - deltas-off tick at n=100k
-FIRST_DELTAS_CEIL_100K_S = 2.0  # first deltas() after the initial join at n=100k
+DELTAS_OVERHEAD_CEIL_100K_S = 0.05  # deltas-on tick - deltas-off tick at n=100k
+FIRST_DELTAS_CEIL_100K_S = 1.0  # first deltas() after the initial join at n=100k
 ROWS_MERGED_PER_EVENT_CEIL = 2.0  # flush rows merged per netted event (a count)
 DELTAS_REPEATS = 3  # best-of runs per side behind the gated overhead ratio
 
@@ -194,6 +223,23 @@ def store_mb(store) -> float:
     return round(store.approx_bytes() / (1024.0 * 1024.0), 1)
 
 
+def answer_fields(a, b) -> dict:
+    """Size and digest of one tick's answer, given as ``(a, b)``-sorted planes."""
+    digest = hashlib.sha256(a.astype("<i8").tobytes() + b.astype("<i8").tobytes())
+    return {"answer_pairs": int(a.shape[0]), "answer_digest": digest.hexdigest()[:16]}
+
+
+def answer_fields_of_set(pairs) -> dict:
+    """:func:`answer_fields` for an engine that answers with a set of tuples."""
+    planes = np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2)
+    return answer_fields(planes[:, 0], planes[:, 1])
+
+
+def rows_per_object(rows: int, n: int) -> float:
+    """Stored result rows over objects per side (what coverage does to a cell)."""
+    return round(rows / n, 2)
+
+
 def run_columnar(n: int, steps: int) -> dict:
     arrays = workload(n)
     t0 = monotonic_clock()
@@ -215,8 +261,13 @@ def run_columnar(n: int, steps: int) -> dict:
         engine.tick(t)
         upd_a, upd_b = stream.updates_at(t)
         engine.apply_update_columns(upd_a, upd_b)
-        engine.result_at(t)
+        answer = engine.result_planes_at(t)
     tick_s = monotonic_clock() - t0
+    t0 = monotonic_clock()
+    answer_set = engine.result_at(t)
+    read_set_s = monotonic_clock() - t0
+    if answer_fields_of_set(answer_set) != answer_fields(*answer):
+        raise AssertionError("result_at and result_planes_at disagree")
     return {
         "n_per_side": n,
         "engine": "columnar",
@@ -226,8 +277,11 @@ def run_columnar(n: int, steps: int) -> dict:
         "initial_join_s": round(initial_s, 4),
         "initial_pairs": initial_pairs,
         "final_pairs": len(engine.store),
+        "rows_per_object": rows_per_object(engine.store.planes()[0].shape[0], n),
+        **answer_fields(*answer),
         "tick_loop_s": round(tick_s, 4),
         "tick_mean_s": round(tick_s / steps, 4),
+        "read_set_s": round(read_set_s, 4),
         "ticks_per_s": round(steps / tick_s, 3),
         "updates_per_s": round(engine.update_count / tick_s, 1),
         "store_mb": store_mb(engine.store),
@@ -259,7 +313,7 @@ def run_columnar_deltas(n: int, steps: int) -> dict:
         read0 = monotonic_clock()
         tick_events = engine.deltas(t)  # this tick's flush, netting and tuples
         read_s = monotonic_clock() - read0
-        engine.result_at(t)
+        answer = engine.result_planes_at(t)
         events.append(len(tick_events))
         us_per_event.append(read_s * 1e6 / max(len(tick_events), 1))
     tick_s = monotonic_clock() - t0
@@ -272,6 +326,8 @@ def run_columnar_deltas(n: int, steps: int) -> dict:
         "steps": steps,
         "updates": engine.update_count,
         "final_pairs": len(engine.store),
+        "rows_per_object": rows_per_object(engine.store.planes()[0].shape[0], n),
+        **answer_fields(*answer),
         "first_deltas_s": round(first_deltas_s, 4),
         "tick_loop_s": round(tick_s, 4),
         "tick_mean_s": round(tick_s / steps, 4),
@@ -333,8 +389,9 @@ def run_seed_baseline(n: int, steps: int) -> dict:
     for t, batch in ticks:
         engine.tick(t)
         engine.apply_updates(batch)
-        engine.result_at(t)
+        answer_set = engine.result_at(t)
     tick_s = monotonic_clock() - t0
+    stored_rows = sum(map(len, engine._strategy.store.interval_rows().values()))
     return {
         "n_per_side": n,
         "engine": "seed",
@@ -344,6 +401,8 @@ def run_seed_baseline(n: int, steps: int) -> dict:
         "initial_join_s": round(initial_s, 4),
         "initial_pairs": initial_pairs,
         "final_pairs": len(engine._strategy.store),
+        "rows_per_object": rows_per_object(stored_rows, n),
+        **answer_fields_of_set(answer_set),
         "tick_loop_s": round(tick_s, 4),
         "tick_mean_s": round(tick_s / steps, 4),
         "ticks_per_s": round(steps / tick_s, 3),
@@ -382,7 +441,7 @@ def run_sharded_columnar(n: int, steps: int, shards: int, workers: int) -> dict:
         upd_a, upd_b = stream.updates_at(t)
         updates += len(upd_a) + len(upd_b)
         engine.apply_update_columns(upd_a, upd_b)
-        engine.result_at(t)
+        answer_set = engine.result_at(t)
     tick_s = monotonic_clock() - t0
     merged = engine.merged_store()
     row = {
@@ -396,6 +455,8 @@ def run_sharded_columnar(n: int, steps: int, shards: int, workers: int) -> dict:
         "initial_join_s": round(initial_s, 4),
         "initial_pairs": initial_pairs,
         "final_pairs": len(merged),
+        "rows_per_object": rows_per_object(merged.planes()[0].shape[0], n),
+        **answer_fields_of_set(answer_set),
         "tick_loop_s": round(tick_s, 4),
         "tick_mean_s": round(tick_s / steps, 4),
         "ticks_per_s": round(steps / tick_s, 3),
@@ -455,9 +516,11 @@ def main() -> int:
         print(
             f"  columnar: build {row['build_s']:.2f}s, "
             f"initial {row['initial_join_s']:.2f}s ({row['initial_pairs']} pairs, "
+            f"{row['rows_per_object']:.2f} rows/object, "
             f"{row['stage_one_candidates_per_pair']:.1f} candidates and "
             f"{row['exact_tests_per_pair']:.1f} exact tests each), "
-            f"tick {row['tick_mean_s']:.3f}s ({row['updates_per_s']:.0f} upd/s), "
+            f"tick {row['tick_mean_s']:.3f}s ({row['updates_per_s']:.0f} upd/s; "
+            f"{row['answer_pairs']} pairs as a set {row['read_set_s'] * 1e3:.1f} ms), "
             f"rss {row['peak_rss_mb']:.0f} MiB, store {row['store_mb']:.1f} MiB"
         )
         if n in SEED_BASELINE_SIZES:
@@ -480,11 +543,6 @@ def main() -> int:
                     off_ticks.append(run_cell(run_columnar, n, STEPS)["tick_mean_s"])
                 ons.append(run_cell(run_columnar_deltas, n, STEPS))
             on = min(ons, key=lambda cell: cell["tick_mean_s"])
-            if on["final_pairs"] != row["final_pairs"]:
-                raise AssertionError(
-                    f"deltas-on cell ends on {on['final_pairs']} pairs, "
-                    f"deltas-off on {row['final_pairs']}"
-                )
             rows.append(on)
             on["first_deltas_s"] = min(cell["first_deltas_s"] for cell in ons)
             on["tick_mean_off_s"] = min(off_ticks)
@@ -502,10 +560,13 @@ def main() -> int:
         if n == 100_000 and not smoke:
             sharded = run_cell(run_sharded_columnar, n, STEPS, 4, 0)
             rows.append(sharded)
-            sharded_speedup = row["tick_mean_s"] / sharded["tick_mean_s"]
+            # The sharded engine answers with a set of tuples: it is held
+            # against the serial tick with the same read, planes + set.
+            serial_tick = row["tick_mean_s"] + row["read_set_s"]
+            sharded_speedup = serial_tick / sharded["tick_mean_s"]
             sharded["speedup_vs_serial"] = round(sharded_speedup, 2)
             sharded["overhead_vs_serial_s"] = round(
-                sharded["tick_mean_s"] - row["tick_mean_s"], 4
+                sharded["tick_mean_s"] - serial_tick, 4
             )
             print(
                 f"  sharded:  4 shards, tick {sharded['tick_mean_s']:.3f}s "
@@ -615,15 +676,17 @@ def main() -> int:
                 f"serial at n=100k > {SHARDED_OVERHEAD_CEIL_100K_S}s ceiling"
             )
 
-    for sharded in rows:
-        if not sharded["engine"].startswith("sharded-columnar/"):
+    # Every join row agrees with the serial columnar row of its size on
+    # the pair counts and the answer it reports.
+    for other in rows:
+        serial = by_cell.get((other.get("n_per_side"), "columnar"))
+        if serial is None:
             continue
-        serial = by_cell[(sharded["n_per_side"], "columnar")]
-        for key in ("initial_pairs", "final_pairs"):
-            if sharded[key] != serial[key]:
+        for key in ("initial_pairs", "final_pairs", "answer_pairs", "answer_digest"):
+            if key in other and other[key] != serial[key]:
                 failures.append(
-                    f"{sharded['engine']} {key} {sharded[key]} != serial columnar "
-                    f"{serial[key]} at n={sharded['n_per_side']}"
+                    f"{other['engine']} {key} {other[key]} != serial columnar "
+                    f"{serial[key]} at n={other['n_per_side']}"
                 )
 
     out = Path(__file__).resolve().parent.parent / "BENCH_scale.json"

@@ -21,6 +21,8 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from ..geometry import INF
 from ..index import MTBTree, TPRStarTree, TreeStorage
 from ..join import (
@@ -314,9 +316,12 @@ class ContinuousJoinEngine:
     def deltas(self, t: Optional[float] = None):
         """The netted delta events at tick ``t`` (default: now).
 
-        Requires ``JoinConfig(deltas=True)``.  Returns an
-        already-materialized tuple of :class:`~repro.deltas.DeltaEvent`
-        — constant-delay iteration, no recomputation on re-enumeration.
+        Requires ``JoinConfig(deltas=True)``.  Returns a tuple of
+        :class:`~repro.deltas.DeltaEvent` built from the tick's netted
+        planes (memoized per tick) at a constant delay per event; the
+        tuple of the tick read last is kept, so reading it again is
+        free, and an older tick is rebuilt from its planes without
+        netting anything twice.
         """
         if self.ledger is None:
             raise RuntimeError(
@@ -350,14 +355,17 @@ class ContinuousJoinEngine:
             region_oids=self._region_oids,
         )
 
-    def _region_oids(self, region) -> Set[int]:
+    def _region_oids(self, region) -> np.ndarray:
         """Object ids whose bounding box intersects ``region`` right now."""
-        found: Set[int] = set()
-        for registry in (self.objects_a, self.objects_b):
-            for obj in registry.values():
-                if obj.mbr_at(self.now).intersects(region):
-                    found.add(obj.oid)
-        return found
+        return np.array(
+            [
+                obj.oid
+                for registry in (self.objects_a, self.objects_b)
+                for obj in registry.values()
+                if obj.mbr_at(self.now).intersects(region)
+            ],
+            dtype=np.int64,
+        )
 
     def _span(self, name: str, **tags):
         """A distinct phase span, or a no-op when recording is off."""

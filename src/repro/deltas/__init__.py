@@ -8,15 +8,19 @@ folding the event stream from ``t = 0`` reconstructs the store
 bit-for-bit (the replay-equivalence property pinned by
 ``tests/deltas/``).
 
-* :class:`DeltaLedger` — per-engine append-only event log with per-tick
-  netting and constant-delay enumeration (``engine.deltas(t)``).
+* :class:`DeltaLedger` — per-engine append-only event log, netted per
+  tick into memoized ``(sign, a, b, lo, hi)`` planes
+  (``ledger.planes_at(t)``); ``engine.deltas(t)`` builds the tick's
+  :class:`DeltaEvent` tuple from them at a constant delay per event and
+  keeps the tuple of the tick read last.
 * :class:`DeltaView` — the exact fold target: applies events by
   multiset insert/remove, raising :class:`DeltaReplayError` on a
   duplicate add or a phantom removal (the exactly-once teeth).
 * :class:`ShardDeltaMerger` — parent-side merge of per-shard ledgers in
   tick order, idempotent against supervisor checkpoint/replay.
 * :class:`DeltaSubscription` — ``engine.watch(oid=…)`` /
-  ``watch(region=…)`` filtered polling over any event source.
+  ``watch(region=…)`` filtered polling over any event source: masks
+  over the netted planes, events built for the matching rows only.
 """
 
 from .ledger import (

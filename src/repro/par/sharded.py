@@ -464,11 +464,12 @@ class ShardedJoinEngine:
         """Inverted-index lookup over the merged store (on demand)."""
         return self.merged_store().pairs_for_object(oid)
 
-    def _region_oids(self, region) -> Set[int]:
+    def _region_oids(self, region) -> np.ndarray:
         """Object ids whose bounding box intersects ``region`` right now."""
-        return set(self.columns_a.oids_in(region, self.now).tolist()) | set(
-            self.columns_b.oids_in(region, self.now).tolist()
-        )
+        return np.concatenate([
+            self.columns_a.oids_in(region, self.now),
+            self.columns_b.oids_in(region, self.now),
+        ])
 
     # ------------------------------------------------------------------
     # Rollups

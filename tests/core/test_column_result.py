@@ -309,6 +309,86 @@ class TestStoreOracle:
 
 
 # ----------------------------------------------------------------------
+# Point lookups and plane reads
+# ----------------------------------------------------------------------
+class TestReads:
+    I64 = np.iinfo(np.int64)
+
+    @pytest.mark.parametrize(
+        "b_oids",
+        [
+            [70_000, 3, 2**16, 3, 2**16 - 1, 70_000, 2**17],  # past one digit
+            [2**32, 5, 2**40, 2**32 - 1, 5, 2**40],  # past two
+            [-5, 0, -(2**33), 7, -5, -1],  # negative
+            [I64.min, I64.max, 0, I64.max, I64.min, -1],  # the whole span
+            [9] * 6,  # all equal
+            [],  # empty store
+        ],
+        ids=["ge-2**16", "ge-2**32", "negative", "int64-span", "all-equal", "empty"],
+    )
+    def test_b_index_is_the_stable_argsort(self, b_oids):
+        """The radix-built b-side index is ``argsort(b, kind="stable")``
+        row for row, whatever the oids, and serves the same lookups."""
+        ref, col = JoinResultStore(), ColumnResultStore()
+        k = len(b_oids)
+        for store in (ref, col):  # a sorts the rows, so b arrives shuffled
+            store.add_batch(np.arange(k) // 2, b_oids, np.zeros(k), np.ones(k))
+        a, b, _lo, _hi = col.planes()
+        assert col._b_rows(9).tolist() == np.flatnonzero(b == 9).tolist()
+        want = np.argsort(b, kind="stable")
+        assert col._b_order.dtype == want.dtype
+        assert col._b_order.tolist() == want.tolist()
+        assert col._b_sorted.tolist() == b[want].tolist()
+        for oid in {*b_oids, *a.tolist(), 12345}:
+            assert col.pairs_for_object(oid) == ref.pairs_for_object(oid), oid
+
+    def test_pairs_for_object_over_many_rows_and_both_sides(self):
+        """A pair holding several rows is reported once; an oid stored
+        on the a side of some pairs and the b side of others (and of
+        itself) gets all of them."""
+        rows = [
+            (1, 7, 0.0, 1.0), (1, 7, 2.0, 3.0), (1, 7, 4.0, 5.0),  # three rows
+            (7, 1, 0.0, 1.0), (7, 1, 6.0, 8.0),  # 7 on the a side
+            (7, 7, 0.0, 1.0), (7, 7, 3.0, 4.0),  # and paired with itself
+            (2, 7, 0.0, 1.0), (7, 9, 0.0, 1.0), (3, 4, 0.0, 1.0),
+        ]
+        ref, col = JoinResultStore(), ColumnResultStore()
+        both(ref, col, "add_batch", *zip(*rows))
+        assert len(col.planes()[0]) == len(rows)  # nothing merged away
+        assert col.pairs_for_object(7) == {(1, 7), (7, 1), (7, 7), (2, 7), (7, 9)}
+        for oid in (1, 2, 3, 4, 7, 9, 5):
+            assert col.pairs_for_object(oid) == ref.pairs_for_object(oid), oid
+        both(ref, col, "remove_object", 1)
+        assert col.pairs_for_object(7) == ref.pairs_for_object(7) == {(7, 7), (2, 7), (7, 9)}
+
+    def test_plane_reads_agree_with_the_set_at_touching_endpoints(self):
+        """Closed intervals: a pair holds at both of its endpoints, and
+        two rows of one pair a merge-tolerance apart never both do."""
+        gap = 2 * MERGE_TOL
+        rows = [
+            (1, 5, 0.0, 2.0), (1, 5, 2.0 + gap, 4.0),  # a hair apart
+            (1, 6, 2.0, 2.0),  # a single instant
+            (2, 5, 4.0, 6.0), (3, 5, 6.0, 7.0), (0, 9, 1.0, 3.0),
+        ]
+        ref, col = JoinResultStore(), ColumnResultStore()
+        both(ref, col, "add_batch", *zip(*rows))
+        for t in (-1.0, 0.0, 1.0, 2.0, 2.0 + gap / 2, 2.0 + gap, 3.0, 4.0, 6.0, 7.0, 7.5):
+            a, b = col.pairs_at_planes(t)
+            pairs = list(zip(a.tolist(), b.tolist()))
+            assert pairs == sorted(ref.pairs_at(t)), t  # (a, b)-sorted, no repeats
+            assert set(pairs) == col.pairs_at(t)
+            assert col.count_at(t) == len(pairs)
+            assert (a.dtype, b.dtype) == (np.int64, np.int64)
+        assert col.pairs_at(2.0) == {(0, 9), (1, 5), (1, 6)}
+        assert col.count_at(2.0 + gap / 2) == 1  # between (1, 5)'s two rows
+        # Reads see deferred mutations: a pending add and a removal.
+        both(ref, col, "remove_object", 9)
+        both(ref, col, "add_batch", [4], [5], [2.0], [2.5])
+        assert col.count_at(2.0) == len(ref.pairs_at(2.0)) == 3
+        assert col.pairs_at_planes(2.0)[0].tolist() == [1, 1, 4]
+
+
+# ----------------------------------------------------------------------
 # The flush splice: touched runs re-merged, everything else moved as is
 # ----------------------------------------------------------------------
 def both(ref, col, op, *args):

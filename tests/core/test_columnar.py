@@ -73,6 +73,9 @@ def drive_both(algorithm, config_seed, config_col, distribution="uniform", seed=
         col_engine.tick(t)
         col_engine.apply_updates(batch)
         assert seed_engine.result_at(t) == col_engine.result_at(t), f"t={t}"
+        a, b = col_engine.result_planes_at(t)
+        assert list(zip(a.tolist(), b.tolist())) == sorted(seed_engine.result_at(t))
+        assert col_engine.count_at(t) == a.shape[0]
     return seed_engine, col_engine
 
 
@@ -252,6 +255,18 @@ def test_constructor_rejects_hostile_dataset(case):
     for dataset in (bad, adopted):
         with pytest.raises(ValueError):
             ColumnarJoinEngine(dataset, scenario.set_b, "tc", JoinConfig(t_m=T_M))
+
+
+def test_plane_reads_answer_what_result_at_answers():
+    """Same clock rule, same default, same pairs at a look-ahead."""
+    _, engine = drive_both("mtb", JoinConfig(t_m=T_M), JoinConfig(t_m=T_M))
+    for t in (None, engine.now, engine.now + 2.5):
+        a, b = engine.result_planes_at(t)
+        assert set(zip(a.tolist(), b.tolist())) == engine.result_at(t)
+        assert engine.count_at(t) == len(engine.result_at(t)) > 0
+    for read in (engine.result_at, engine.result_planes_at, engine.count_at):
+        with pytest.raises(ValueError, match="present"):
+            read(engine.now - 1.0)
 
 
 def test_prune_expired_matches_store_semantics():

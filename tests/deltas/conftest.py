@@ -29,6 +29,11 @@ def delta_batches(scenario, seed: int = 8, t_end: float = T_END):
     return list(stream.by_timestamp(t_start=1.0, t_end=t_end))
 
 
+def plane_rows(planes):
+    """``(sign, a, b, lo, hi)`` planes as a list of plain-scalar rows."""
+    return list(zip(*(plane.tolist() for plane in planes)))
+
+
 def assert_busy(streams) -> None:
     """Guard against vacuous runs: both event signs must have fired.
 

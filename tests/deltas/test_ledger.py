@@ -11,8 +11,12 @@ dropped intervals *silently*, which an attached ledger now reports as
 
 from __future__ import annotations
 
+import gc
+import types
+
 import pytest
 
+from repro.core import ColumnarJoinEngine, JoinConfig
 from repro.core.result import JoinResultStore
 from repro.deltas import (
     DeltaEvent,
@@ -23,6 +27,8 @@ from repro.deltas import (
 )
 from repro.geometry import TimeInterval
 from repro.join import JoinTriple
+
+from .conftest import T_M, delta_batches, delta_workload
 
 
 def triple(a, b, start, end):
@@ -113,6 +119,56 @@ class TestLedger:
         ledger.record(-1, 1, 2, 0.0, 9.0)
         assert fold_events(ledger, upto=0.0).rows() == {(1, 2): ((0.0, 9.0),)}
         assert fold_events(ledger).rows() == {}
+
+
+def reachable_events(root):
+    """Every :class:`DeltaEvent` reachable from ``root`` by reference
+    (through data: classes, modules and function globals are not entered)."""
+    code = (type, types.ModuleType, types.FunctionType)
+    seen, stack, events = {id(root)}, [root], []
+    while stack:
+        obj = stack.pop()
+        if type(obj) is DeltaEvent:
+            events.append(obj)
+        for ref in gc.get_referents(obj):
+            if id(ref) not in seen and not isinstance(ref, code):
+                seen.add(id(ref))
+                stack.append(ref)
+    return events
+
+
+class TestRetention:
+    def test_only_the_last_read_tick_keeps_its_tuples(self):
+        """Planes are memoized per tick, event tuples for one tick: 50
+        ticks of ``deltas(t)`` and polls leave one tick's tuples behind,
+        and every tick still re-reads and folds exactly."""
+        scenario = delta_workload()
+        engine = ColumnarJoinEngine(
+            scenario.set_a, scenario.set_b, "mtb", JoinConfig(t_m=T_M, deltas=True)
+        )
+        engine.run_initial_join()
+        ledger = engine.ledger
+        watches = [engine.watch(), engine.watch(oid=scenario.set_a[0].oid)]
+        read = {0.0: engine.deltas(0.0)}
+        for t, batch in delta_batches(scenario, t_end=50.0):
+            engine.tick(t)
+            engine.apply_updates(batch)
+            read[t] = engine.deltas(t)
+            for watch in watches:
+                watch.poll()
+        assert len(read) == 51 and sum(map(len, read.values())) > 20 * len(read[50.0])
+        last = read[50.0]
+        del read[50.0]
+        held = reachable_events(ledger)
+        assert len(held) == len(last) > 0
+        assert {id(ev) for ev in held} == {id(ev) for ev in last}
+        assert ledger.events_at(50.0) is last  # still the memoized tuple
+        # An older tick is rebuilt from its planes: equal, not retained.
+        assert all(ledger.events_at(t) == events for t, events in read.items())
+        assert ledger.events_at(50.0) == last and ledger.events_at(50.0) is not last
+        assert len(reachable_events(ledger)) == len(last)
+        assert len(ledger._netted) == len(ledger.ticks())
+        assert fold_events(ledger).rows() == engine.store.interval_rows()
 
 
 # ----------------------------------------------------------------------

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from repro.core import ContinuousJoinEngine, JoinConfig
 from repro.deltas import DeltaEvent, DeltaLedger, DeltaView, fold_events
 
-from .conftest import T_M, delta_batches, delta_workload
+from .conftest import T_M, delta_batches, delta_workload, plane_rows
 
 # ----------------------------------------------------------------------
 # Engine level: few examples, whole runs
@@ -199,12 +199,8 @@ def exact(events):
     return [tuple((type(x).__name__, repr(x)) for x in ev) for ev in events]
 
 
-@settings(max_examples=300, deadline=None)
-@given(script=st.one_of(chunks_of(net_rows), chunks_of(wide_rows)))
-def test_vectorized_netting_equals_the_reference(script):
-    """Scalar records and plane chunks, interleaved in one tick, net to
-    exactly the reference's tuple: same events, same order, same
-    representative row, plain ``int``/``float`` fields."""
+def record_script(script):
+    """A ledger at tick 2.0 fed ``script``, and the raw records it got."""
     ledger = DeltaLedger(2.0)
     raw = []
     for kind, sign, payload in script:
@@ -219,6 +215,39 @@ def test_vectorized_netting_equals_the_reference(script):
             )
             raw.extend((sign, *row) for row in payload)
     assert len(ledger) == len(raw)  # raw records, planes included
+    return ledger, raw
+
+
+@settings(max_examples=300, deadline=None)
+@given(script=st.one_of(chunks_of(net_rows), chunks_of(wide_rows)))
+def test_netted_planes_are_the_columns_of_the_events(script):
+    """``planes_at(t)`` is ``events_at(t)`` column by column — and the
+    reference's: same rows, same order, ``-0.0`` kept, ``int64`` /
+    ``float64`` planes, memoized until a record arrives."""
+    ledger, raw = record_script(script)
+    planes = ledger.planes_at(2.0)
+    assert [p.dtype for p in planes] == [np.int64] * 3 + [np.float64] * 2
+    assert not any(p.flags.writeable for p in planes if p.size)
+    rows = plane_rows(planes)
+    for events in (ledger.events_at(2.0), net_events_reference(2.0, raw)):
+        assert exact(rows) == exact(ev[1:] for ev in events)
+    assert ledger.planes_at(2.0) is planes
+    assert all(p.size == 0 for p in ledger.planes_at(3.0))  # a quiet tick
+    ledger.record(1, 99, 99, 0.0, 1.0)
+    again = ledger.planes_at(2.0)
+    assert again is not planes and ledger.planes_at(2.0) is again
+    assert plane_rows(again) == [
+        ev[1:] for ev in net_events_reference(2.0, raw + [(1, 99, 99, 0.0, 1.0)])
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(script=st.one_of(chunks_of(net_rows), chunks_of(wide_rows)))
+def test_vectorized_netting_equals_the_reference(script):
+    """Scalar records and plane chunks, interleaved in one tick, net to
+    exactly the reference's tuple: same events, same order, same
+    representative row, plain ``int``/``float`` fields."""
+    ledger, raw = record_script(script)
     want = net_events_reference(2.0, raw)
     got = ledger.events_at(2.0)
     assert got == want

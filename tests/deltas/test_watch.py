@@ -9,14 +9,15 @@ index.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core import ColumnarJoinEngine, ContinuousJoinEngine, JoinConfig
-from repro.deltas import DeltaSubscription
+from repro.deltas import DeltaLedger, DeltaSubscription, ShardDeltaMerger
 from repro.geometry import Box
 from repro.par import ShardedJoinEngine
 
-from .conftest import T_M, delta_batches, delta_workload
+from .conftest import T_M, delta_batches, delta_workload, plane_rows
 
 EVERYWHERE = Box(-1e9, 1e9, -1e9, 1e9)
 
@@ -111,7 +112,7 @@ class TestFilters:
         sub = engine.watch(region=EVERYWHERE)
         run_ticks(scenario, engine)
         scoped = engine._region_oids(EVERYWHERE)
-        assert scoped  # everything is in the all-space region
+        assert scoped.size  # everything is in the all-space region
         assert sub.poll() == engine.watch().poll()
 
     def test_current_pairs_is_the_inverted_index(self):
@@ -125,6 +126,133 @@ class TestFilters:
         )
         union = engine.watch(region=EVERYWHERE).current_pairs()
         assert union == set(store.interval_rows())
+
+
+class LoopCursor:
+    """The per-event loop ``poll`` used to be, kept as its oracle: walk
+    every event of every newly closed tick, test it against a set."""
+
+    def __init__(self, source, scope_of):
+        self.source = source
+        self.scope_of = scope_of  # () -> set of oids, or None for all
+        self.cursor = 0
+
+    def poll(self, include_open=False):
+        ticks = self.source.ticks()
+        upto = len(ticks)
+        if not include_open:
+            while upto > self.cursor and ticks[upto - 1] >= self.source.now:
+                upto -= 1
+        scope = self.scope_of()
+        matched = [
+            event
+            for t in ticks[self.cursor:upto]
+            for event in self.source.events_at(t)
+            if scope is None or event.a_oid in scope or event.b_oid in scope
+        ]
+        self.cursor = upto
+        return matched
+
+
+class TestPollAgainstTheLoop:
+    """Mask-filtered polls over both sources deliver what the per-event
+    loop delivers: oid, region and unfiltered watches, single ticks and
+    backlogs, repeated polls, the open tick on request."""
+
+    REGION = Box(300.0, 700.0, 300.0, 700.0)
+
+    def engines(self):
+        scenario = delta_workload()
+        config = JoinConfig(t_m=T_M, deltas=True)
+        columnar = ColumnarJoinEngine(scenario.set_a, scenario.set_b, "mtb", config)
+        sharded = ShardedJoinEngine(scenario.set_a, scenario.set_b, "mtb", config, shards=2)
+        return scenario, [(columnar, columnar.ledger), (sharded, sharded._merger)]
+
+    def watches(self, engine, source, oids):
+        """(label, subscription, oracle) per filter."""
+        pairs = [
+            ("all", engine.watch(), LoopCursor(source, lambda: None)),
+            (
+                "region",
+                engine.watch(region=self.REGION),
+                LoopCursor(source, lambda: set(engine._region_oids(self.REGION).tolist())),
+            ),
+        ]
+        for oid in oids:
+            pairs.append((f"oid={oid}", engine.watch(oid=oid), LoopCursor(source, lambda oid=oid: {oid})))
+        return pairs
+
+    def test_every_poll_equals_the_loop(self):
+        scenario, engines = self.engines()
+        batches = delta_batches(scenario, t_end=8.0)
+        #: Ticks after which everyone polls: once, after a backlog of
+        #: three, twice in a row (the second must come back empty).
+        poll_after = {1.0: 1, 4.0: 1, 5.0: 2, 7.0: 1}
+        for engine, source in engines:
+            assert type(source) in (DeltaLedger, ShardDeltaMerger)
+            engine.run_initial_join()
+            # One id per side that the stream touches, one it never will.
+            initial = source.events_at(0.0)
+            oids = [initial[0].a_oid, initial[-1].b_oid, -1]
+            watches = self.watches(engine, source, oids)
+            seen = {label: [] for label, _, _ in watches}
+            for t, batch in batches:
+                engine.tick(t)
+                engine.apply_updates(batch)
+                for repeat in range(poll_after.get(t, 0)):
+                    for label, sub, oracle in watches:
+                        got = sub.poll()
+                        assert got == oracle.poll(), (label, t)
+                        assert not (repeat and got), (label, t)
+                        seen[label] += got
+            for label, sub, oracle in watches:
+                last = sub.poll(include_open=True)
+                assert last == oracle.poll(include_open=True), label
+                assert {ev.tick for ev in last} <= {7.0, 8.0}, label
+                assert sub.poll(include_open=True) == [], label
+                seen[label] += last
+            # Exactly once: the unfiltered watch saw the whole stream,
+            # each filtered one its share of it, nothing twice.
+            stream = list(source.events())
+            assert seen["all"] == stream
+            assert seen["region"] and len(seen["region"]) < len(stream)
+            for oid in oids[:2]:
+                assert seen[f"oid={oid}"] == [
+                    ev for ev in stream if oid in (ev.a_oid, ev.b_oid)
+                ]
+                assert seen[f"oid={oid}"]  # non-vacuous
+            assert seen["oid=-1"] == []
+        engines[1][0].close()
+
+    def test_merger_planes_are_its_events(self):
+        _scenario, engines = self.engines()
+        sharded, merger = engines[1]
+        sharded.run_initial_join()
+        events = merger.events_at(0.0)
+        planes = merger.planes_at(0.0)
+        assert events and plane_rows(planes) == [ev[1:] for ev in events]
+        assert [p.dtype for p in planes] == [np.int64] * 3 + [np.float64] * 2
+        assert all(p.size == 0 for p in merger.planes_at(99.0))
+        sharded.close()
+
+    def test_region_resolved_only_when_a_tick_closed(self):
+        """Resolving a region scans both datasets: a poll with nothing
+        new to filter must not pay for it."""
+        ledger = DeltaLedger(0.0)
+        calls = []
+
+        def resolver(region):
+            calls.append(region)
+            return np.array([1], dtype=np.int64)
+
+        sub = DeltaSubscription(ledger, region=EVERYWHERE, region_oids=resolver)
+        ledger.record(1, 1, 2, 0.0, 1.0)
+        assert sub.poll() == [] and calls == []  # tick 0 is still open
+        ledger.advance(1.0)
+        assert [ev.pair for ev in sub.poll()] == [(1, 2)] and len(calls) == 1
+        assert sub.poll() == [] and len(calls) == 1
+        ledger.record(1, 3, 4, 1.0, 2.0)  # touches nothing in scope
+        assert sub.poll(include_open=True) == [] and len(calls) == 2
 
 
 class TestRegionResolvers:
@@ -172,9 +300,10 @@ class TestRegionResolvers:
             "everywhere": EVERYWHERE,
         }
         for name, region in regions.items():
-            want = tree._region_oids(region)
-            assert columnar._region_oids(region) == want, name
-            assert sharded._region_oids(region) == want, name
+            want = sorted(tree._region_oids(region).tolist())
+            assert len(set(want)) == len(want), name
+            assert sorted(columnar._region_oids(region).tolist()) == want, name
+            assert sorted(sharded._region_oids(region).tolist()) == want, name
             assert (probe.oid in want) == (not name.startswith(("off", "empty"))), name
         assert len(tree._region_oids(regions["straddling"])) > 1
         sharded.close()

@@ -460,6 +460,27 @@ def test_radix_digits_sort_like_the_index():
         assert (np.lexsort(digits) == np.argsort(idx % limit, kind="stable")).all()
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    values=st.lists(
+        st.one_of(
+            st.integers(-(2**63), 2**63 - 1),
+            st.sampled_from([0, 1, 2**16 - 1, 2**16, 2**32, -1, -(2**63), 2**63 - 1]),
+        ),
+        max_size=40,
+    )
+)
+def test_radix_argsort_is_the_stable_argsort(values):
+    """Any ``int64`` plane — negative, past 2**32, spanning all 64 bits,
+    repeated, empty — sorts to the merge sort's permutation."""
+    import numpy as np
+
+    plane = np.array(values, dtype=np.int64)
+    want = np.argsort(plane, kind="stable")
+    got = kernels.radix_argsort(plane)
+    assert got.dtype == want.dtype and got.tolist() == want.tolist()
+
+
 class TestDimensionSelection:
     @pytest.mark.parametrize("seed", [11, 12, 13])
     def test_matches_scalar_choice(self, seed):
