@@ -33,6 +33,19 @@ SHA-256 of the last tick's ``(a, b)``-sorted answer, computed from the
 planes (from the sorted set where an engine has only the set) — and
 rows at the same ``n`` must agree on them.
 
+Beside the ``tc`` row every size has a serial columnar ``mtb`` row
+(``columnar/mtb``).  With ``T_M = 60`` a bucket is 30 ticks long, so
+over ``STEPS`` ticks every row would sit in bucket 0 and every window
+would end together; the row therefore runs ``MTB_STEPS`` ticks, which
+leaves two buckets live and hands the sweep join two window ends per
+probe (``live_buckets``).  The answer at ``t`` does not depend on the
+windows, so its ``answer_pairs`` / ``answer_digest`` must equal those
+of a ``tc`` engine fed the same ``MTB_STEPS`` ticks — an extra cell
+whose tick is reported as ``tick_mean_tc_s`` on the ``mtb`` row and
+that is otherwise not recorded; the stored rows do depend on the
+windows, so the row's ``initial_pairs`` / ``final_pairs`` are reported
+and not compared.
+
 At n=100k (and at n=10k under ``REPRO_SCALE_SMOKE``) a *deltas-on*
 cell repeats the columnar cell with ``JoinConfig(deltas=True)`` and
 reads ``deltas(t)`` every tick, so the delta ledger's cost and the
@@ -71,6 +84,9 @@ Acceptance floors (the script exits non-zero when missed):
 - a serial columnar row and a sharded row at the same ``n`` agree on
   ``initial_pairs``, ``final_pairs`` and the answer's size and digest
   (so do the seed and the deltas-on rows on those they report);
+- the ``mtb`` row's answer has the size and digest of the ``tc``
+  engine's after the same ticks, and at n=100k it ends with at least
+  two buckets live;
 - at n=100k the deltas-on tick costs at most
   ``DELTAS_OVERHEAD_CEIL_100K_S`` seconds more than the deltas-off tick,
   and the first ``deltas()`` after the initial join (flush + netting +
@@ -142,6 +158,7 @@ SIZES = [1_000, 10_000, 100_000]
 SEED_BASELINE_SIZES = {1_000, 10_000}
 STEPS = 6
 STEPS_1M = 3
+MTB_STEPS = 36  # past one bucket (T_M / 2 = 30 ticks): two window ends per probe
 T_M = 60.0
 MAX_SPEED = 2.0
 OBJECT_SIZE_PCT = 0.1
@@ -240,14 +257,15 @@ def rows_per_object(rows: int, n: int) -> float:
     return round(rows / n, 2)
 
 
-def run_columnar(n: int, steps: int) -> dict:
+def run_columnar(n: int, steps: int, algorithm: str = ALGORITHM) -> dict:
     arrays = workload(n)
+    config = JoinConfig(t_m=T_M)
     t0 = monotonic_clock()
     engine = ColumnarJoinEngine(
         arrays.columns_a(),
         arrays.columns_b(),
-        algorithm=ALGORITHM,
-        config=JoinConfig(t_m=T_M),
+        algorithm=algorithm,
+        config=config,
     )
     build_s = monotonic_clock() - t0
     t0 = monotonic_clock()
@@ -268,9 +286,12 @@ def run_columnar(n: int, steps: int) -> dict:
     read_set_s = monotonic_clock() - t0
     if answer_fields_of_set(answer_set) != answer_fields(*answer):
         raise AssertionError("result_at and result_planes_at disagree")
+    buckets = np.concatenate(
+        [cols.bucket_keys(config.bucket_length) for cols in (engine.columns_a, engine.columns_b)]
+    )
     return {
         "n_per_side": n,
-        "engine": "columnar",
+        "engine": "columnar" if algorithm == ALGORITHM else f"columnar/{algorithm}",
         "steps": steps,
         "updates": engine.update_count,
         "build_s": round(build_s, 4),
@@ -278,6 +299,7 @@ def run_columnar(n: int, steps: int) -> dict:
         "initial_pairs": initial_pairs,
         "final_pairs": len(engine.store),
         "rows_per_object": rows_per_object(engine.store.planes()[0].shape[0], n),
+        "live_buckets": int(np.unique(buckets).shape[0]),
         **answer_fields(*answer),
         "tick_loop_s": round(tick_s, 4),
         "tick_mean_s": round(tick_s / steps, 4),
@@ -523,6 +545,21 @@ def main() -> int:
             f"{row['answer_pairs']} pairs as a set {row['read_set_s'] * 1e3:.1f} ms), "
             f"rss {row['peak_rss_mb']:.0f} MiB, store {row['store_mb']:.1f} MiB"
         )
+        mtb = run_cell(run_columnar, n, MTB_STEPS, "mtb")
+        rows.append(mtb)
+        same_ticks_tc = run_cell(run_columnar, n, MTB_STEPS)
+        mtb["tick_mean_tc_s"] = same_ticks_tc["tick_mean_s"]
+        mtb["answer_is_tc"] = all(
+            mtb[key] == same_ticks_tc[key] for key in ("answer_pairs", "answer_digest")
+        )
+        print(
+            f"  mtb:      {MTB_STEPS} ticks, {mtb['live_buckets']} buckets live, "
+            f"initial {mtb['initial_join_s']:.2f}s ({mtb['initial_pairs']} pairs), "
+            f"tick {mtb['tick_mean_s']:.3f}s (tc over the same ticks "
+            f"{mtb['tick_mean_tc_s']:.3f}s; {mtb['answer_pairs']} pairs, "
+            f"{'the same' if mtb['answer_is_tc'] else 'NOT the same'} answer), "
+            f"{mtb['final_pairs']} pairs stored, rss {mtb['peak_rss_mb']:.0f} MiB"
+        )
         if n in SEED_BASELINE_SIZES:
             base = run_cell(run_seed_baseline, n, STEPS)
             rows.append(base)
@@ -676,11 +713,23 @@ def main() -> int:
                 f"serial at n=100k > {SHARDED_OVERHEAD_CEIL_100K_S}s ceiling"
             )
 
+    for mtb in rows:
+        if mtb["engine"] != "columnar/mtb":
+            continue
+        if not mtb["answer_is_tc"]:
+            failures.append(
+                f"mtb answer after {MTB_STEPS} ticks at n={mtb['n_per_side']} "
+                f"is not the tc engine's"
+            )
+        if mtb["n_per_side"] == 100_000 and mtb["live_buckets"] < 2:
+            failures.append(f"mtb row at n=100k ends with {mtb['live_buckets']} live bucket")
+
     # Every join row agrees with the serial columnar row of its size on
-    # the pair counts and the answer it reports.
+    # the pair counts and the answer it reports — where it ran the same
+    # ticks under the same windows (the mtb row did neither).
     for other in rows:
         serial = by_cell.get((other.get("n_per_side"), "columnar"))
-        if serial is None:
+        if serial is None or other["engine"] == "columnar/mtb":
             continue
         for key in ("initial_pairs", "final_pairs", "answer_pairs", "answer_digest"):
             if key in other and other[key] != serial[key]:

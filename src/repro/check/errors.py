@@ -29,8 +29,8 @@ Sanitizer codes (``SCxxx``, checked at runtime against live structures):
 ``SC501``  supervisor op log exceeds the checkpoint interval
 ``SC502``  checkpoint epoch/clock disagrees with the shard's engine
 ``SC503``  shard commands addressed to a dead worker slot
-``SC601``  column-store id ↔ row map broken
-``SC602``  pre-shifted column bounds drifted from a fresh recompute
+``SC601``  column-store sorted-id index broken / duplicate id
+``SC602``  pre-shifted bounds drifted / magnitude bound below the columns
 ``SC603``  column reference time ahead of the clock / non-finite data
 ``SC701``  folded delta view diverges from the live result store
 ``SC702``  delta event stream not strictly tick-monotone

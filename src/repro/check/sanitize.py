@@ -524,13 +524,14 @@ def check_supervisor_state(
 def check_column_store(store, t_now: float, label: str = "columns") -> List[Finding]:
     """Invariants of one :class:`~repro.core.columns.ColumnStore` (SC601–SC603).
 
-    * **SC601** — the id ↔ row map is a bijection onto the dense live
-      prefix: every id files exactly one row in ``[0, n)``, every live
-      row's stored id points back at it.
+    * **SC601** — ids are unique, and the sorted-id index, when built,
+      is a bijection onto the dense live prefix: a permutation of
+      ``[0, n)`` listing the id column in strictly increasing order.
     * **SC602** — the incrementally maintained pre-shifted bounds are
       *bit-identical* to a fresh recompute (``slo = mlo - vlo * tref``);
       any drift here would silently break the kernels' exactness
-      contract.
+      contract.  The maintained magnitude bounds must dominate the live
+      columns: the sweep join's slack is sized by them.
     * **SC603** — reference times never run ahead of the engine clock
       and all live values are finite.
     """
@@ -538,22 +539,25 @@ def check_column_store(store, t_now: float, label: str = "columns") -> List[Find
 
     findings: List[Finding] = []
     n = store.n
-    row_of = store._row_of
-    if len(row_of) != n:
-        findings.append(Finding(
-            "SC601", f"row map holds {len(row_of)} ids for {n} live rows", label
-        ))
-    for oid, row in row_of.items():
-        if not 0 <= row < n:
+    ids = store.oid[:n]
+    if np.unique(ids).shape[0] != n:
+        findings.append(Finding("SC601", "an id is stored in two rows", label))
+    order, in_order = store._id_order, store._id_sorted
+    if order is not None:
+        if order.shape[0] != n or in_order.shape[0] != n:
             findings.append(Finding(
-                "SC601", f"id {oid} filed at row {row} outside [0, {n})", label
+                "SC601", f"id index holds {order.shape[0]} ids for {n} live rows", label
             ))
-        elif int(store.oid[row]) != oid:
+        elif not np.array_equal(np.sort(order), np.arange(n)):
             findings.append(Finding(
-                "SC601",
-                f"row {row} stores id {int(store.oid[row])}, map says {oid}",
-                label,
+                "SC601", f"id index is no permutation of the rows [0, {n})", label
             ))
+        elif not np.array_equal(ids[order], in_order):
+            findings.append(Finding(
+                "SC601", "id index files an id at a row storing another", label
+            ))
+        elif not (in_order[1:] > in_order[:-1]).all():
+            findings.append(Finding("SC601", "id index is not sorted by id", label))
     live = slice(0, n)
     # Exact equality on purpose: the incremental shift must be the very
     # bits a fresh pack would produce (see the kernels' exactness
@@ -567,6 +571,20 @@ def check_column_store(store, t_now: float, label: str = "columns") -> List[Find
     if not np.array_equal(store.shi[:, live], expect_shi):  # noqa: RC001
         findings.append(Finding(
             "SC602", "pre-shifted upper bounds drifted from recompute", label
+        ))
+    pos, vel, tref = store._abs_bounds
+    for name, bound, planes in (
+        ("|mbr|", pos, (store.mlo, store.mhi)),
+        ("|vbr|", vel, (store.vlo, store.vhi)),
+    ):
+        for plane in planes:
+            if (np.abs(plane[:, live]).max(axis=1, initial=0.0) > bound).any():
+                findings.append(Finding(
+                    "SC602", f"maintained {name} bound below the live columns", label
+                ))
+    if np.abs(store.tref[live]).max(initial=0.0) > tref:
+        findings.append(Finding(
+            "SC602", "maintained |t_ref| bound below the live column", label
         ))
     if n:
         if float(store.tref[live].max()) > t_now:

@@ -24,11 +24,16 @@ windows are what carry the paper's theorems:
   ``[t0, min(t_eb_a, t_eb_b) + T_M]`` per bucket pair).
 
 The columnar engine therefore reproduces the tree-backed engines' stores
-bit-for-bit by joining the *whole dataset* (grouped by bucket for MTB)
-over exactly those windows with :func:`~repro.geometry.kernels.
-batch_sweep_join` — a per-call grid over the swept boxes finds the
-candidates, and the rows, their order and their windows are the scalar
-plane sweep's and the scalar ``intersection_interval``'s, bit for bit.
+bit-for-bit by joining the *whole dataset* over exactly those windows
+with one :func:`~repro.geometry.kernels.batch_sweep_join` call per
+probe, whatever the algorithm: MTB hands it one window end per row
+(the row's bucket end plus ``T_M``), TC the one end ``t + T_M``.  A grid
+over the swept boxes, built for the call, finds the candidates, and the
+rows and their windows are the scalar plane sweep's and the scalar
+``intersection_interval``'s on every bucket (pair), bit for bit.  What a
+call needs to know about the whole other side beyond its swept boxes —
+how large its coordinates get — the column store keeps as it is
+written, so an update batch costs the rows it names plus that one pass.
 The differential suite
 (``tests/core/test_columnar.py``) asserts store identity against the
 seed engine across the full maintenance matrix.
@@ -40,7 +45,7 @@ from typing import Iterable, Mapping, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
-from ..geometry.kernels import KineticBatch, batch_sweep_join
+from ..geometry.kernels import batch_sweep_join
 from ..metrics import CostSnapshot, CostTracker
 from ..obs import NULL_SPAN, ObsRecorder
 from ..objects import MovingObject
@@ -50,6 +55,7 @@ from .columns import (
     UpdateColumns,
     check_planes,
     columns_from_objects,
+    has_duplicates,
     pack_updates,
 )
 from .config import JoinConfig
@@ -122,12 +128,10 @@ class ColumnarJoinEngine:
         with self.tracker.timed():
             self.columns_a = _as_store(objects_a)
             self.columns_b = _as_store(objects_b)
-        overlap = set(self.columns_a.oids.tolist()) & set(
-            self.columns_b.oids.tolist()
-        )
-        if overlap:
+        overlap = np.intersect1d(self.columns_a.oids, self.columns_b.oids)
+        if overlap.shape[0]:
             raise ValueError(
-                f"object ids shared across datasets: {sorted(overlap)[:5]}"
+                f"object ids shared across datasets: {overlap[:5].tolist()}"
             )
         if self.config.obs:
             self.obs = ObsRecorder(
@@ -162,7 +166,7 @@ class ColumnarJoinEngine:
         """Compute the initial answer; returns the cost of this phase."""
         before = self.tracker.snapshot()
         with self.tracker.timed(), self._span("engine.initial_join"):
-            self._initial_join(self.now)
+            self._sweep_into_store(self.columns_a, None, self.columns_b, self.now, swap=False)
         self.initial_join_cost = self.tracker.snapshot() - before
         self._sanitize()
         return self.initial_join_cost
@@ -226,8 +230,9 @@ class ColumnarJoinEngine:
         """Apply one same-timestamp batch as column writes plus sweeps.
 
         The group commit: evictions, column writes (the index
-        maintenance of this engine), store invalidation, then one probe
-        pass per changed side against the other dataset's *final* state.
+        maintenance of this engine), one store invalidation for every
+        evicted and updated id, then one sweep per changed side against
+        the other dataset's *final* state.
         The resulting store is bit-identical to the tree engine's
         per-update loop over the same objects in any order.  Probes only
         read the other dataset's index, so probing every changed object
@@ -235,42 +240,55 @@ class ColumnarJoinEngine:
         ends with; a pair updated from both sides gets the same interval
         from either probe (both windows start at ``t``), and re-adding
         an identical interval is a no-op merge.
+
+        The whole call is resolved before the first write — every row
+        referenced at the clock with finite ordered bounds, no id named
+        twice across the five arguments, updated and evicted ids known
+        (``KeyError``), admitted ids new to both datasets
+        (``ValueError``) — so a refused batch leaves the column stores,
+        the result store, the ledger and ``update_count`` as they were.
         """
         t = self.now
+        cols_a, cols_b = self.columns_a, self.columns_b
+        admit_a = admit_a if admit_a is not None else UpdateColumns.empty()
+        admit_b = admit_b if admit_b is not None else UpdateColumns.empty()
         # Strict same-tick contract: the order-independence argument
         # above needs every probe window to start at ``t``.
         for cols in (upd_a, upd_b, admit_a, admit_b):
-            if cols is not None:
-                cols.check_tick(t)
-        n_ops = (
-            len(upd_a)
-            + len(upd_b)
-            + (len(admit_a) if admit_a is not None else 0)
-            + (len(admit_b) if admit_b is not None else 0)
-            + len(evict)
-        )
+            cols.check_tick(t)
+        evict = np.asarray(evict, dtype=np.int64).reshape(-1)
+        changed = np.concatenate([upd_a.oid, upd_b.oid, evict])
+        admitted = np.concatenate([admit_a.oid, admit_b.oid])
+        if has_duplicates(np.concatenate([changed, admitted])):
+            raise ValueError("object id named twice in one update batch")
+        rows_a = cols_a.rows_of(upd_a.oid)
+        rows_b = cols_b.rows_of(upd_b.oid)
+        evict_a = cols_a.find(evict) >= 0
+        evict_b = cols_b.find(evict) >= 0
+        unknown = ~(evict_a | evict_b)
+        if unknown.any():
+            raise KeyError(f"unknown object id {int(evict[unknown.argmax()])}")
+        stored = (cols_a.find(admitted) >= 0) | (cols_b.find(admitted) >= 0)
+        if stored.any():
+            raise ValueError(f"object {int(admitted[stored.argmax()])} already stored")
+        # Nothing above wrote anything; nothing below can fail.
         self.update_count += len(upd_a) + len(upd_b)
+        n_ops = changed.shape[0] + admitted.shape[0]
         with self.tracker.timed(), self._span("engine.update_batch", t=t, n=n_ops):
-            for oid in evict:
-                oid = int(oid)
-                if oid in self.columns_a:
-                    self.columns_a.remove((oid,))
-                elif oid in self.columns_b:
-                    self.columns_b.remove((oid,))
-                else:
-                    raise KeyError(f"unknown object id {oid}")
-                self.store.remove_object(oid)
-            rows_a = self._commit(self.columns_a, upd_a, admit_a)
-            rows_b = self._commit(self.columns_b, upd_b, admit_b)
-            if len(upd_a) or len(upd_b):
-                # One vectorized membership scan invalidates both sides'
-                # stale pairs (equivalent to per-oid removal: the batch
-                # carries unique oids and removal is order-independent).
-                self.store.remove_objects(
-                    np.concatenate([upd_a.oid, upd_b.oid])
-                )
-            self._probe(self.columns_a, rows_a, self.columns_b, t, swap=False)
-            self._probe(self.columns_b, rows_b, self.columns_a, t, swap=True)
+            if evict.shape[0]:
+                cols_a.remove(evict[evict_a])
+                cols_b.remove(evict[evict_b])
+                # An eviction moves tail rows: look the updated ones up again.
+                rows_a = rows_b = None
+            rows_a = np.concatenate([cols_a.apply(upd_a, rows=rows_a), cols_a.add(admit_a)])
+            rows_b = np.concatenate([cols_b.apply(upd_b, rows=rows_b), cols_b.add(admit_b)])
+            if changed.shape[0]:
+                # One membership pass invalidates every stale pair
+                # (equivalent to per-oid removal: the ids are distinct
+                # and removal is order-independent).
+                self.store.remove_objects(changed)
+            self._sweep_into_store(cols_a, rows_a, cols_b, t, swap=False)
+            self._sweep_into_store(cols_b, rows_b, cols_a, t, swap=True)
         self._sanitize()
 
     # ------------------------------------------------------------------
@@ -357,103 +375,57 @@ class ColumnarJoinEngine:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _initial_join(self, t0: float) -> None:
-        cols_a, cols_b = self.columns_a, self.columns_b
-        if len(cols_a) == 0 or len(cols_b) == 0:
-            return
-        if self.algorithm == "tc":
-            self._sweep_into_store(
-                cols_a.batch(),
-                cols_a.oids,
-                cols_b.batch(),
-                cols_b.oids,
-                t0,
-                t0 + self.config.t_m,
-                swap=False,
-            )
-            return
-        length = self.config.bucket_length
-        t_m = self.config.t_m
-        keys_a = cols_a.bucket_keys(length)
-        keys_b = cols_b.bucket_keys(length)
-        for ka in np.unique(keys_a).tolist():
-            rows_a = np.nonzero(keys_a == ka)[0]
-            batch_a = cols_a.gather(rows_a)
-            oids_a = cols_a.oid[rows_a]
-            end_a = (ka + 1) * length
-            for kb in np.unique(keys_b).tolist():
-                horizon_end = min(end_a, (kb + 1) * length) + t_m
-                if horizon_end <= t0:
-                    continue
-                rows_b = np.nonzero(keys_b == kb)[0]
-                self._sweep_into_store(
-                    batch_a,
-                    oids_a,
-                    cols_b.gather(rows_b),
-                    cols_b.oid[rows_b],
-                    t0,
-                    horizon_end,
-                    swap=False,
-                )
+    def _window_ends(self, cols: ColumnStore) -> Optional[np.ndarray]:
+        """Where each row's probe windows end, ``None`` for ``t + T_M`` on all.
 
-    def _probe(
-        self,
-        probe_cols: ColumnStore,
-        probe_rows: np.ndarray,
-        other_cols: ColumnStore,
-        t: float,
-        swap: bool,
-    ) -> None:
-        """Join the changed rows of one side against the other dataset."""
-        if probe_rows.shape[0] == 0 or len(other_cols) == 0:
-            return
-        probe_batch = probe_cols.gather(probe_rows)
-        probe_oids = probe_cols.oid[probe_rows]
+        TC (Theorem 1): every window is ``[t, t + T_M]``.  MTB (Theorem
+        2): a row last updated in the bucket ending at ``t_eb`` is met
+        over ``[t, t_eb + T_M]`` — by then it has reported again.
+        """
         if self.algorithm == "tc":
-            self._sweep_into_store(
-                probe_batch,
-                probe_oids,
-                other_cols.batch(),
-                other_cols.oids,
-                t,
-                t + self.config.t_m,
-                swap=swap,
-            )
-            return
+            return None
         length = self.config.bucket_length
-        t_m = self.config.t_m
-        keys = other_cols.bucket_keys(length)
-        for key in np.unique(keys).tolist():
-            horizon_end = (key + 1) * length + t_m
-            if horizon_end <= t:
-                # Bucket fully drained by the T_M guarantee.
-                continue
-            rows = np.nonzero(keys == key)[0]
-            self._sweep_into_store(
-                probe_batch,
-                probe_oids,
-                other_cols.gather(rows),
-                other_cols.oid[rows],
-                t,
-                horizon_end,
-                swap=swap,
-            )
+        return (cols.bucket_keys(length) + 1) * length + self.config.t_m
 
     def _sweep_into_store(
         self,
-        batch_p: KineticBatch,
-        oids_p: np.ndarray,
-        batch_o: KineticBatch,
-        oids_o: np.ndarray,
+        cols_p: ColumnStore,
+        rows_p: Optional[np.ndarray],
+        cols_o: ColumnStore,
         t0: float,
-        t1: float,
         swap: bool,
     ) -> None:
+        """One sweep of ``cols_p`` against all of ``cols_o``, into the store.
+
+        ``rows_p`` are the rows of ``cols_p`` written at ``t0`` (theirs
+        is the latest bucket, so the other side's ends alone decide each
+        window), or ``None`` for all of them under their own window ends
+        (the initial join).
+        """
+        sides = []
+        for cols, rows in ((cols_p, rows_p), (cols_o, None)):
+            if rows is None:
+                batch, oids, ends = cols.batch(), cols.oids, self._window_ends(cols)
+            else:
+                batch, oids, ends = cols.gather(rows), cols.oid[rows], None
+            if ends is not None and batch.n and ends.min() <= t0:
+                # A bucket that ended ``T_M`` ago is drained by the
+                # ``T_M`` guarantee: a row still in it meets nobody.
+                due = np.flatnonzero(ends > t0)
+                batch, oids, ends = batch.compress(due), oids[due], ends[due]
+            if batch.n == 0:
+                return
+            sides.append((batch, oids, ends))
+        (batch_p, oids_p, ends_p), (batch_o, oids_o, ends_o) = sides
+        given = [ends for ends in (ends_p, ends_o) if ends is not None]
+        # No pair's window outlasts the side whose windows end first.
+        t1 = min(float(ends.max()) for ends in given) if given else t0 + self.config.t_m
         # Slot 0: stage-one candidates the join's grid enumerated, booked
         # as `pair_tests`; slot 1: those that reached the exact kernel.
         counter = [0, 0]
+        # The sweep axis only orders the rows, and the store sorts them.
         idx_p, idx_o, lo, hi = batch_sweep_join(
-            batch_p, batch_o, t0, t1, counter=counter
+            batch_p, batch_o, t0, t1, dim=0, counter=counter, ends=(ends_p, ends_o)
         )
         # Whole-batch counter attribution: one increment per sweep, not
         # one per candidate pair.
@@ -467,18 +439,6 @@ class ColumnarJoinEngine:
         if swap:
             a_oids, b_oids = b_oids, a_oids
         self.store.add_batch(a_oids, b_oids, lo, hi)
-
-    def _commit(
-        self,
-        cols: ColumnStore,
-        upd: UpdateColumns,
-        adm: Optional[UpdateColumns],
-    ) -> np.ndarray:
-        """Write a side's updates/admissions; returns the changed rows."""
-        rows = cols.apply(upd) if len(upd) else np.empty(0, dtype=np.int64)
-        if adm is not None and len(adm):
-            rows = np.concatenate([rows, cols.add(adm)])
-        return rows
 
     def _span(self, name: str, **tags):
         """A distinct phase span, or a no-op when recording is off.

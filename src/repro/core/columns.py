@@ -4,9 +4,9 @@ PR 1's :class:`~repro.geometry.kernels.KineticBatch` proved the
 structure-of-arrays shape at the tree leaves; this module extends it to
 a whole dataset.  A :class:`ColumnStore` holds every object of one
 dataset as contiguous NumPy columns — MBR bounds, velocity bounds,
-reference times, object ids — plus an id ↔ row map, and is the single
-source of truth the vectorized engine, the probe kernels and the
-benchmarks all share.  The per-tick hot path then never touches a
+reference times, object ids — plus a sorted-id index from ids to rows,
+and is the single source of truth the vectorized engine, the probe
+kernels and the benchmarks all share.  The per-tick hot path then never touches a
 Python object per moving object: updates land as array writes, probes
 run over zero-copy :class:`KineticBatch` views of the live columns.
 
@@ -23,12 +23,14 @@ columns is bit-identical to a batch packed fresh from the objects.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
+from typing import Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..geometry import NDIMS, Box, KineticBatch, KineticBox
+from ..geometry.kernels import radix_argsort
 from ..objects import MovingObject
 
 __all__ = [
@@ -62,6 +64,12 @@ def run_heads(*planes: np.ndarray) -> np.ndarray:
     for plane in planes:
         head[1:] |= plane[1:] != plane[:-1]
     return head
+
+
+def has_duplicates(ids: np.ndarray) -> bool:
+    """Whether any value occurs twice in an integer array."""
+    ids = np.sort(ids)
+    return bool((ids[1:] == ids[:-1]).any())
 
 
 def pair_run_starts(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -208,7 +216,7 @@ class UpdateColumns:
         check_planes(self)
         if not np.all(self.tref == t):  # noqa: RC001
             raise ValueError("columnar updates must carry t_ref == engine.now")
-        if np.unique(self.oid).shape[0] != len(self):
+        if has_duplicates(self.oid):
             raise ValueError("duplicate object ids in one update batch")
 
     def take(self, index: np.ndarray) -> "UpdateColumns":
@@ -286,20 +294,29 @@ def pack_updates(
 ) -> Tuple[UpdateColumns, UpdateColumns]:
     """Split an object batch by the dataset holding each id and pack
     both halves (batch order kept); an unknown id is a ``KeyError``."""
-    upd_a: List[MovingObject] = []
-    upd_b: List[MovingObject] = []
-    for obj in batch:
-        if obj.oid in columns_a:
-            upd_a.append(obj)
-        elif obj.oid in columns_b:
-            upd_b.append(obj)
-        else:
-            raise KeyError(f"unknown object id {obj.oid}")
-    return columns_from_objects(upd_a), columns_from_objects(upd_b)
+    batch = list(batch)
+    oids = np.fromiter((obj.oid for obj in batch), dtype=np.int64, count=len(batch))
+    in_a = columns_a.find(oids) >= 0
+    in_b = columns_b.find(oids) >= 0
+    unknown = ~(in_a | in_b)
+    if unknown.any():
+        raise KeyError(f"unknown object id {int(oids[unknown.argmax()])}")
+    return (
+        columns_from_objects([obj for obj, hit in zip(batch, in_a.tolist()) if hit]),
+        columns_from_objects([obj for obj, hit in zip(batch, (in_b & ~in_a).tolist()) if hit]),
+    )
 
 
 class ColumnStore:
-    """One dataset as contiguous columns with an id ↔ row map.
+    """One dataset as contiguous columns with a sorted-id index.
+
+    Ids resolve to rows through one stable argsort of the id column
+    (:meth:`find`), built on first use and dropped by :meth:`add` and
+    :meth:`remove` — updates move no row, so a steady update stream
+    never rebuilds it.  The store also keeps running upper bounds of
+    ``|mbr|`` and ``|vbr|`` per axis and of ``|t_ref|`` over everything
+    ever written to it, which its :class:`KineticBatch` views carry so
+    the sweep join's slack needs no pass over the columns.
 
     >>> from repro.geometry import Box
     >>> store = ColumnStore()
@@ -321,7 +338,9 @@ class ColumnStore:
         "oid",
         "slo",
         "shi",
-        "_row_of",
+        "_id_order",
+        "_id_sorted",
+        "_abs_bounds",
     )
 
     def __init__(self, capacity: int = _MIN_CAPACITY):
@@ -335,7 +354,17 @@ class ColumnStore:
         self.slo = np.zeros((NDIMS, cap))
         self.shi = np.zeros((NDIMS, cap))
         self.oid = np.zeros(cap, dtype=np.int64)
-        self._row_of: Dict[int, int] = {}
+        #: lazy stable argsort of the live ids and the ids in that order
+        #: — built and dropped together.
+        self._id_order: Optional[np.ndarray] = None
+        self._id_sorted: Optional[np.ndarray] = None
+        #: ``(|mbr| per axis, |vbr| per axis, |t_ref|)``: no value ever
+        #: written exceeds them (monotone; evictions do not lower them).
+        self._abs_bounds: Tuple[np.ndarray, np.ndarray, float] = (
+            np.zeros(NDIMS),
+            np.zeros(NDIMS),
+            0.0,
+        )
 
     # ------------------------------------------------------------------
     # Constructors
@@ -366,65 +395,104 @@ class ColumnStore:
         k = len(cols)
         if k == 0:
             return np.empty(0, dtype=np.int64)
+        # Named already: stored, or earlier in this batch (the stable
+        # order keeps a repeated id's occurrences in batch order).
+        order = radix_argsort(cols.oid)
+        ids = cols.oid[order]
+        named = self.find(cols.oid) >= 0
+        named[order[1:][ids[1:] == ids[:-1]]] = True
+        if named.any():
+            raise ValueError(f"object {int(cols.oid[named.argmax()])} already stored")
         self._ensure(k)
         rows = np.arange(self.n, self.n + k, dtype=np.int64)
-        row_of = self._row_of
-        base = self.n
-        for i, o in enumerate(cols.oid.tolist()):
-            if o in row_of:
-                raise ValueError(f"object {o} already stored")
-            row_of[o] = base + i
         self.oid[rows] = cols.oid
         self._write(rows, cols)
         self.n += k
+        self._id_order = self._id_sorted = None
         return rows
 
     def set_rows(self, rows: np.ndarray, cols: UpdateColumns) -> None:
         """Overwrite the state of existing rows (ids must not change)."""
         self._write(rows, cols)
 
-    def apply(self, cols: UpdateColumns) -> np.ndarray:
-        """Overwrite existing objects by id; returns their rows."""
-        rows = self.rows_of(cols.oid)
+    def apply(self, cols: UpdateColumns, rows: Optional[np.ndarray] = None) -> np.ndarray:
+        """Overwrite existing objects by id; returns their rows — which a
+        caller that already holds ``rows_of(cols.oid)`` may pass in."""
+        if rows is None:
+            rows = self.rows_of(cols.oid)
         self._write(rows, cols)
         return rows
 
     def remove(self, oids: Iterable[int]) -> None:
-        """Evict objects by id (swap-with-last keeps the prefix dense)."""
-        row_of = self._row_of
-        for o in oids:
-            o = int(o)
-            row = row_of.pop(o)
-            last = self.n - 1
-            if row != last:
-                for arr in (self.mlo, self.mhi, self.vlo, self.vhi, self.slo, self.shi):
-                    arr[:, row] = arr[:, last]
-                self.tref[row] = self.tref[last]
-                moved = int(self.oid[last])
-                self.oid[row] = moved
-                row_of[moved] = row
-            self.n = last
+        """Evict objects by id, keeping the live prefix dense.
+
+        The surviving rows at the tail move into the vacated slots
+        below it (one removal: swap-with-last); an unknown or repeated
+        id raises ``KeyError`` before anything moves.
+        """
+        oids = _id_array(oids)
+        rows = self.rows_of(oids)
+        if has_duplicates(rows):
+            raise KeyError("object id named twice in one removal")
+        n = self.n - rows.shape[0]
+        gone = np.zeros(self.n, dtype=bool)
+        gone[rows] = True
+        holes = np.flatnonzero(gone[:n])
+        movers = n + np.flatnonzero(~gone[n:])
+        for arr in (self.mlo, self.mhi, self.vlo, self.vhi, self.slo, self.shi):
+            arr[:, holes] = arr[:, movers]
+        self.tref[holes] = self.tref[movers]
+        self.oid[holes] = self.oid[movers]
+        self.n = n
+        self._id_order = self._id_sorted = None
 
     # ------------------------------------------------------------------
     # Lookup
     # ------------------------------------------------------------------
+    def find(self, oids: np.ndarray) -> np.ndarray:
+        """Row of every id of an ``int64`` array, ``-1`` where unknown.
+
+        One binary search per id in the sorted-id index; the index is
+        one radix argsort of the id column, rebuilt here after an
+        :meth:`add` or :meth:`remove` dropped it.
+        """
+        n = self.n
+        if n == 0 or oids.shape[0] == 0:
+            return np.full(oids.shape[0], -1, dtype=np.int64)
+        if self._id_order is None:
+            self._id_order = radix_argsort(self.oid[:n])
+            self._id_sorted = self.oid[:n][self._id_order]
+        at = self._id_sorted.searchsorted(oids)
+        at[at == n] = 0
+        return np.where(self._id_sorted[at] == oids, self._id_order[at], -1)
+
+    def _find_one(self, oid: object) -> int:
+        """:meth:`find` for one key of any type (``-1``: not an id here)."""
+        try:
+            key = operator.index(oid)
+        except TypeError:
+            return -1
+        if not -(2**63) <= key < 2**63:
+            return -1
+        return int(self.find(np.array([key], dtype=np.int64))[0])
+
     def row_of(self, oid: int) -> int:
         """Row index currently holding ``oid``."""
-        return self._row_of[oid]
+        row = self._find_one(oid)
+        if row < 0:
+            raise KeyError(oid)
+        return row
 
     def rows_of(self, oids: Iterable[int]) -> np.ndarray:
         """Row indices for a batch of ids (raises on unknown ids)."""
-        row_of = self._row_of
-        oid_list = oids.tolist() if isinstance(oids, np.ndarray) else list(oids)
-        try:
-            return np.fromiter(
-                (row_of[o] for o in oid_list), dtype=np.int64, count=len(oid_list)
-            )
-        except KeyError as exc:
-            raise KeyError(f"unknown object id {exc.args[0]}") from None
+        oids = _id_array(oids)
+        rows = self.find(oids)
+        if rows.shape[0] and rows.min() < 0:
+            raise KeyError(f"unknown object id {int(oids[(rows < 0).argmax()])}")
+        return rows
 
-    def __contains__(self, oid: int) -> bool:
-        return oid in self._row_of
+    def __contains__(self, oid: object) -> bool:
+        return self._find_one(oid) >= 0
 
     def __len__(self) -> int:
         return self.n
@@ -441,8 +509,9 @@ class ColumnStore:
         """Zero-copy :class:`KineticBatch` view of the live rows.
 
         The view aliases the live columns (including the incrementally
-        maintained pre-shifted bounds, so nothing is recomputed); it is
-        valid until the next mutation.
+        maintained pre-shifted bounds, so nothing is recomputed) and
+        carries the store's magnitude bounds; it is valid until the
+        next mutation.
         """
         n = self.n
         return KineticBatch(
@@ -453,10 +522,12 @@ class ColumnStore:
             self.tref[:n],
             self.slo[:, :n],
             self.shi[:, :n],
+            self._abs_bounds,
         )
 
     def gather(self, rows: np.ndarray) -> KineticBatch:
-        """A :class:`KineticBatch` of selected rows (fancy-index copy)."""
+        """A :class:`KineticBatch` of selected rows (fancy-index copy),
+        carrying the store's magnitude bounds like :meth:`batch`."""
         return KineticBatch(
             self.mlo[:, rows],
             self.mhi[:, rows],
@@ -465,6 +536,7 @@ class ColumnStore:
             self.tref[rows],
             self.slo[:, rows],
             self.shi[:, rows],
+            self._abs_bounds,
         )
 
     def columns(self) -> UpdateColumns:
@@ -530,7 +602,7 @@ class ColumnStore:
 
     def get(self, oid: int) -> MovingObject:
         """Reconstruct the object stored under ``oid``."""
-        return self.object_at(self._row_of[oid])
+        return self.object_at(self.row_of(oid))
 
     def kbox_at(self, row: int) -> KineticBox:
         """Reconstruct one row's kinetic box."""
@@ -557,6 +629,10 @@ class ColumnStore:
         # pack of the same boxes.
         self.slo[:, rows] = cols.mlo - cols.vlo * cols.tref
         self.shi[:, rows] = cols.mhi - cols.vhi * cols.tref
+        pos, vel, tref = self._abs_bounds
+        np.maximum(pos, _abs_rows(cols.mlo, cols.mhi), out=pos)
+        np.maximum(vel, _abs_rows(cols.vlo, cols.vhi), out=vel)
+        self._abs_bounds = (pos, vel, max(tref, float(np.abs(cols.tref).max(initial=0.0))))
 
     def _ensure(self, extra: int) -> None:
         cap = self.tref.shape[0]
@@ -578,6 +654,19 @@ class ColumnStore:
 
     def __repr__(self) -> str:
         return f"ColumnStore(n={self.n}, capacity={self.tref.shape[0]})"
+
+
+def _id_array(oids: Iterable[int]) -> np.ndarray:
+    """Ids as a flat ``int64`` array (an array passes through)."""
+    if isinstance(oids, np.ndarray):
+        return oids
+    return np.array([int(o) for o in oids], dtype=np.int64)
+
+
+def _abs_rows(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Largest ``|value|`` per axis of two ``(NDIMS, k)`` planes (0 for
+    no rows)."""
+    return np.maximum(np.abs(lo), np.abs(hi)).max(axis=1, initial=0.0)
 
 
 class ObjectsView(Mapping):

@@ -38,6 +38,34 @@ def _as_list(values) -> List:
     return tolist() if tolist is not None else list(values)
 
 
+def _member_mask(plane: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Which rows of a non-empty ``int64`` plane hold one of the sorted
+    distinct ``ids``, by a flag table over the plane's own span.
+
+    Only the ids inside ``[plane.min(), plane.max()]`` can match, and
+    the table spans just that range, so ids of another dataset cost
+    nothing — where NumPy's ``isin`` sizes its table by the span of the
+    *ids* and falls back to sorting the plane when the two datasets' id
+    ranges lie far apart.  A plane whose own span is too sparse for a
+    table (NumPy's rule: beyond six entries per element) is handed to it
+    with the clipped ids.
+    """
+    low, high = int(plane.min()), int(plane.max())
+    ids = ids[ids.searchsorted(low, "left") : ids.searchsorted(high, "right")]
+    if high - low >= 6 * (plane.shape[0] + ids.shape[0]):
+        return np.isin(plane, ids)
+    table = np.zeros(high - low + 1, dtype=bool)
+    table[ids - low] = True
+    return table[plane - low]
+
+
+def _run_rows(start: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """The rows of the runs ``start[i] .. start[i] + lens[i] - 1``, run by run."""
+    rows = np.repeat(start - (np.cumsum(lens) - lens), lens)
+    rows += np.arange(rows.shape[0])
+    return rows
+
+
 def _empty_planes():
     """Zero-row ``(a, b, lo, hi)`` planes."""
     return (
@@ -512,16 +540,26 @@ class ColumnResultStore:
         return self._kill_rows(rows[self._live[rows]])
 
     def remove_objects(self, oids) -> int:
-        """Batch :meth:`remove_object`: one vectorized membership scan."""
+        """Batch :meth:`remove_object`, sorting and hashing no plane.
+
+        The ``a`` plane is sorted, so an id's rows there are one binary
+        search away; the ``b`` plane is tested against a flag table over
+        its own id span, which only the ids inside the span enter (the
+        other dataset's ids usually lie outside it).  Needs no b-side
+        index, so a flush between calls costs nothing here.
+        """
         self._merge_pending()
-        oid_arr = np.unique(np.asarray(_as_list(oids), dtype=np.int64))
-        n = self._n
-        if n == 0 or oid_arr.shape[0] == 0:
+        ids = np.sort(np.asarray(oids, dtype=np.int64).reshape(-1))
+        ids = ids[run_heads(ids)]
+        if self._n == 0 or ids.shape[0] == 0:
             return 0
-        mask = np.isin(self._a[:n], oid_arr)
-        mask |= np.isin(self._b[:n], oid_arr)
-        mask &= self._live[:n]
-        return self._kill_rows(np.nonzero(mask)[0])
+        mask = _member_mask(self._b, ids)
+        a = self._a
+        start = a.searchsorted(ids, "left")
+        lens = a.searchsorted(ids, "right") - start
+        mask[_run_rows(start, lens)] = True
+        mask &= self._live
+        return self._kill_rows(np.flatnonzero(mask))
 
     def _kill_rows(self, rows: np.ndarray) -> int:
         """Mark live rows dead; returns the count of pairs fully dropped.
@@ -624,8 +662,7 @@ class ColumnResultStore:
         ukey = ukey[run_heads(ukey)]
         at = bounds[np.searchsorted(rkey, ukey, side="left")]
         lens = bounds[np.searchsorted(rkey, ukey, side="right")] - at
-        touched = np.repeat(at - (np.cumsum(lens) - lens), lens)
-        touched += np.arange(touched.shape[0])
+        touched = _run_rows(at, lens)
         alive = live[touched]
         old = tuple(p[touched[alive]] for p in self._planes())
         # Merge (touched live rows, then pending in arrival order): the

@@ -75,6 +75,31 @@ The kernels are *bit-identical* to the scalar path, not merely close:
   which no two pairs share, so rows and row order are the scalar
   sweep's however the grid enumerated them.
 
+* the magnitude both tolerances scale with enters the two arguments
+  above only as an upper bound on the intermediates: a larger one
+  widens the slack and the pad, so fewer pairs are rejected and none of
+  the accepted ones.  A batch may therefore carry bounds its owner
+  keeps as it writes the columns (:meth:`KineticBatch.abs_bounds`) in
+  place of the maxima of the rows it holds now.
+
+* per-row window ends (``ends`` of :func:`batch_sweep_join`: pair
+  ``(i, j)`` is joined over ``[t0, min(end_a[i], end_b[j])]``) return,
+  bit for bit, the rows of one call per pair of equal-end groups with
+  that minimum as its scalar ``t1``.  Every operation on a window end
+  — the swept bounds' ``t1 - t_ref``, the pair window's initial ``hi``
+  and its ``min`` clamps — is elementwise, so an array of ends computes
+  per element what the scalar computes for all.  Stage one (grid and
+  orthogonal reject) sees each row's swept box over ``[t0, its own
+  end]``; the accepted pair's ``t*`` lies in ``[t0, min(...)]``, inside
+  both rows' own windows, so the argument above holds unchanged, and a
+  swept range only grows with its window (``mbr + vbr * dt`` is
+  monotone in ``dt`` under IEEE rounding), so the zero-tolerance rule
+  on own-window ranges admits every pair it admits on the pair's
+  window.  Pairs whose two ends differ then meet the rule once more on
+  ranges re-evaluated over the pair's window — the same elementwise
+  expression on gathered rows — which is the test the group call
+  applies.
+
 The scalar implementations stay in place as the reference the parity
 suites compare against; these kernels are the only production path, and
 consumers choose between the two by input size alone.
@@ -82,7 +107,7 @@ consumers choose between the two by input size alone.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -139,9 +164,11 @@ class KineticBatch:
     1
     """
 
-    __slots__ = ("n", "mlo", "mhi", "vlo", "vhi", "tref", "slo", "shi", "_speed_sums")
+    __slots__ = (
+        "n", "mlo", "mhi", "vlo", "vhi", "tref", "slo", "shi", "_speed_sums", "_abs_bounds",
+    )
 
-    def __init__(self, mlo, mhi, vlo, vhi, tref, slo=None, shi=None):
+    def __init__(self, mlo, mhi, vlo, vhi, tref, slo=None, shi=None, abs_bounds=None):
         self.n = int(tref.shape[0])
         self.mlo = mlo
         self.mhi = mhi
@@ -151,6 +178,10 @@ class KineticBatch:
         self.slo = mlo - vlo * tref if slo is None else slo
         self.shi = mhi - vhi * tref if shi is None else shi
         self._speed_sums = None
+        #: ``(|mbr| per axis, |vbr| per axis, |t_ref|)`` upper bounds the
+        #: owner of the columns keeps (:class:`~repro.core.columns.
+        #: ColumnStore`), or ``None``: :meth:`abs_bounds` then scans.
+        self._abs_bounds = abs_bounds
 
     # ------------------------------------------------------------------
     # Constructors
@@ -196,8 +227,24 @@ class KineticBatch:
             )
         return self._speed_sums
 
+    def abs_bounds(self, axis: int) -> Tuple[float, float, float]:
+        """Upper bounds of ``|mbr|`` and ``|vbr|`` on ``axis`` and of ``|t_ref|``.
+
+        The bounds carried from the column store when there are any (no
+        pass over the rows; they may exceed the live maxima), else the
+        maxima themselves.
+        """
+        if self._abs_bounds is not None:
+            pos, vel, tref = self._abs_bounds
+            return float(pos[axis]), float(vel[axis]), tref
+        return (
+            max(_abs_max(self.mlo[axis]), _abs_max(self.mhi[axis])),
+            max(_abs_max(self.vlo[axis]), _abs_max(self.vhi[axis])),
+            _abs_max(self.tref),
+        )
+
     def compress(self, mask: "np.ndarray") -> "KineticBatch":
-        """Sub-batch of the rows where the boolean ``mask`` is true."""
+        """Sub-batch of the rows where ``mask`` (boolean or index) selects."""
         return KineticBatch(
             self.mlo[:, mask],
             self.mhi[:, mask],
@@ -206,6 +253,7 @@ class KineticBatch:
             self.tref[mask],
             self.slo[:, mask],
             self.shi[:, mask],
+            self._abs_bounds,
         )
 
     def box(self, i: int) -> KineticBox:
@@ -249,12 +297,15 @@ def _pair_windows(batch_a: KineticBatch, ia, batch_b: KineticBatch, jb, t0, t1):
     """Constraint windows of ``a[ia] x b[jb]`` under NumPy broadcasting.
 
     ``ia``/``jb`` may be ints, index arrays, slices, or ``None`` (for a
-    broadcast axis); the result shape is their broadcast.  Returns
-    ``(lo, hi, valid)``.
+    broadcast axis); the result shape is their broadcast.  ``t1`` is one
+    window end, or an array of that shape with one end per pair — the
+    clamps are elementwise, so a pair's window is the one a call with
+    its own end as the scalar computes.  Returns ``(lo, hi, valid)``.
     """
     shape = np.broadcast(batch_a.tref[ia], batch_b.tref[jb]).shape
     lo = np.full(shape, float(t0))
-    hi = np.full(shape, float(t1))
+    hi = np.empty(shape)
+    hi[...] = t1
     ok = np.ones(shape, dtype=bool)
     for d in range(NDIMS):
         a_slo, a_shi = batch_a.slo[d][ia], batch_a.shi[d][ia]
@@ -355,31 +406,43 @@ def batch_filter_against(
 # Plane-sweep kernels
 # ----------------------------------------------------------------------
 def batch_sweep_bounds(
-    batch: KineticBatch, dim: int, t0: float, t1: float
+    batch: KineticBatch,
+    dim: int,
+    t0: float,
+    t1: Union[float, "np.ndarray"],
+    rows: Optional["np.ndarray"] = None,
 ) -> Tuple["np.ndarray", "np.ndarray"]:
     """Vectorized :func:`~repro.geometry.plane_sweep.sweep_bounds`.
 
-    Returns ``(lb, ub)`` arrays over the batch, bit-identical to the
-    scalar per-box computation (including the degenerate ``t1 = inf``
-    case, where outward velocities yield infinite bounds).
+    Returns ``(lb, ub)`` arrays over the batch — over ``batch[rows]``
+    when an index array is given — bit-identical to the scalar per-box
+    computation (including the degenerate ``t1 = inf`` case, where
+    outward velocities yield infinite bounds).  ``t1`` may be an array
+    of finite ends, one per returned row: every operation is
+    elementwise, so a row's bounds are those a call with its own end as
+    the scalar returns.
     """
+    cols = (batch.tref, batch.mlo[dim], batch.mhi[dim], batch.vlo[dim], batch.vhi[dim])
+    if rows is not None:
+        cols = tuple(col[rows] for col in cols)
+    tref, mlo, mhi, vlo, vhi = cols
     # In-place accumulation: `vbr * dt + mbr` is the same IEEE sum as
     # `mbr + vbr * dt`, in a third of the temporaries.
-    dt = t0 - batch.tref
-    lb = batch.vlo[dim] * dt
-    lb += batch.mlo[dim]
-    ub = batch.vhi[dim] * dt
-    ub += batch.mhi[dim]
-    if t1 == INF:
-        lb[~(batch.vlo[dim] >= 0)] = -INF
-        ub[~(batch.vhi[dim] <= 0)] = INF
+    dt = t0 - tref
+    lb = vlo * dt
+    lb += mlo
+    ub = vhi * dt
+    ub += mhi
+    if not isinstance(t1, np.ndarray) and t1 == INF:
+        lb[~(vlo >= 0)] = -INF
+        ub[~(vhi <= 0)] = INF
         return lb, ub
-    np.subtract(t1, batch.tref, out=dt)
-    end = batch.vlo[dim] * dt
-    end += batch.mlo[dim]
+    np.subtract(t1, tref, out=dt)
+    end = vlo * dt
+    end += mlo
     np.minimum(lb, end, out=lb)
-    np.multiply(batch.vhi[dim], dt, out=end)
-    end += batch.mhi[dim]
+    np.multiply(vhi, dt, out=end)
+    end += mhi
     np.maximum(ub, end, out=ub)
     return lb, ub
 
@@ -467,14 +530,17 @@ def _axis_magnitude(
     swept bounds themselves, so every rounding error involved is at most
     a few ``2**-53`` of it.  The orthogonal reject's slack and the grid's
     reach pad are both relative to it; an overflowing magnitude makes
-    them infinite, which rejects nothing and bins nothing.
+    them infinite, which rejects nothing and bins nothing.  Both uses
+    need it only as an upper bound — a larger one widens the slack and
+    the pad, which rejects less — so the per-batch terms come from
+    :meth:`KineticBatch.abs_bounds`: the column store's running bounds
+    when the batch carries them, one pass over its columns otherwise.
     """
     horizon = max(abs(t0), abs(t1) if t1 < INF else 0.0)
     mag = 1.0
     for batch in (batch_a, batch_b):
-        pos = max(_abs_max(batch.mlo[axis]), _abs_max(batch.mhi[axis]))
-        vel = max(_abs_max(batch.vlo[axis]), _abs_max(batch.vhi[axis]))
-        mag = max(mag, pos + vel * (_abs_max(batch.tref) + horizon))
+        pos, vel, tref = batch.abs_bounds(axis)
+        mag = max(mag, pos + vel * (tref + horizon))
     return mag
 
 
@@ -707,6 +773,28 @@ class _SweepGrid:
                 yield pos, np.repeat(seg_row, cnt)
 
 
+def _row_ends(ends: Optional["np.ndarray"], rows: int, t0: float, t1: float):
+    """One side's window ends: ``t1``, or its per-row ends capped at ``t1``."""
+    if ends is None:
+        return t1
+    ends = np.asarray(ends, dtype=np.float64)
+    if ends.shape != (rows,):
+        raise ValueError(f"expected one window end per row, {rows} of them")
+    if not np.isfinite(ends).all() or (ends < t0).any():
+        raise ValueError("per-row window ends must be finite and >= t_start")
+    return np.minimum(ends, t1)
+
+
+def _sweep_partners(lb_p, ub_p, lb_q, ub_q, q_is_a: bool):
+    """The scalar sweep's candidate rule on paired swept ranges.
+
+    Whichever row has the lower ``lb`` pivots (side a on ties) and takes
+    the partners whose ``lb`` its ``ub`` reaches.
+    """
+    q_pivots = lb_q <= lb_p if q_is_a else lb_q < lb_p
+    return np.where(q_pivots, lb_p <= ub_q, lb_q <= ub_p)
+
+
 def batch_sweep_join(
     batch_a: KineticBatch,
     batch_b: KineticBatch,
@@ -715,6 +803,7 @@ def batch_sweep_join(
     dim: Optional[int] = None,
     counter: Optional[List[int]] = None,
     chunk: int = SWEEP_JOIN_CHUNK,
+    ends: Tuple[Optional["np.ndarray"], Optional["np.ndarray"]] = (None, None),
 ) -> Tuple["np.ndarray", "np.ndarray", "np.ndarray", "np.ndarray"]:
     """Arrays-out plane-sweep join: the whole-dataset probe primitive.
 
@@ -723,6 +812,17 @@ def batch_sweep_join(
     ``batch_b[idx_b[k]]`` exactly during ``[lo[k], hi[k]]``: rows, row
     order and windows are those of ``ps_intersection(use_kernels=False)``
     on ``dim``, bit for bit.
+
+    ``ends = (ends_a, ends_b)`` gives either side one finite window end
+    per row (MTB: a row's bucket end plus ``T_M``).  Pair ``(i, j)`` is
+    then joined over ``[t0, min(t1, ends_a[i], ends_b[j])]``, and the
+    rows returned — indices and windows, bit for bit — are the union of
+    the rows the call returns for each group of equal-end rows of ``a``
+    against each such group of ``b`` with that minimum as its ``t1``:
+    every stage-one filter works on a row's swept box over its *own*
+    window, which contains the pair's, and the survivors meet the sweep
+    rule and the exact kernel on the pair's window.  Their order is the
+    sweep order of the own-window boxes, no single scalar call's.
 
     Stage one is a uniform grid over the 2-D swept boxes, built for this
     call and dropped with it (:class:`_SweepGrid`).  The larger side is
@@ -749,6 +849,8 @@ def batch_sweep_join(
     """
     if t1 < t0:
         raise ValueError("t_end must be >= t_start")
+    end_a = _row_ends(ends[0], batch_a.n, t0, t1)
+    end_b = _row_ends(ends[1], batch_b.n, t0, t1)
     if batch_a.n == 0 or batch_b.n == 0:
         return _EMPTY_JOIN
     if dim is None:
@@ -757,14 +859,23 @@ def batch_sweep_join(
     # The larger side is binned ("p"), the smaller visits ("q").
     flip = batch_a.n > batch_b.n
     batch_q, batch_p = (batch_b, batch_a) if flip else (batch_a, batch_b)
-    lb_q, ub_q = zip(*(batch_sweep_bounds(batch_q, axis, t0, t1) for axis in range(NDIMS)))
-    lb_p, ub_p = zip(*(batch_sweep_bounds(batch_p, axis, t0, t1) for axis in range(NDIMS)))
+    end_q, end_p = (end_b, end_a) if flip else (end_a, end_b)
+    lb_q, ub_q = zip(*(batch_sweep_bounds(batch_q, axis, t0, end_q) for axis in range(NDIMS)))
+    lb_p, ub_p = zip(*(batch_sweep_bounds(batch_p, axis, t0, end_p) for axis in range(NDIMS)))
+    per_row = ends[0] is not None or ends[1] is not None
+    # The latest finite instant a bound above was evaluated at, if any.
+    far = t1
+    if per_row:
+        end_q = np.broadcast_to(end_q, (batch_q.n,))
+        end_p = np.broadcast_to(end_p, (batch_p.n,))
+        end_a, end_b = (end_p, end_q) if flip else (end_q, end_p)
+        far = max(float(end.max()) for end in (end_q, end_p) if end[0] < INF)
     # Slack-padded binned boxes: the orthogonal axis's for the reject,
     # both axes' for the grid.
     gridded = batch_q.n * batch_p.n > SWEEP_GRID_MIN_PAIRS
     lo_p, hi_p, pad = [None] * NDIMS, [None] * NDIMS, [0.0] * NDIMS
     for axis in range(NDIMS) if gridded else (orth,):
-        mag = _axis_magnitude(batch_a, batch_b, axis, t0, t1)
+        mag = _axis_magnitude(batch_a, batch_b, axis, t0, far)
         lo_p[axis] = lb_p[axis] - _FILTER_SLACK * mag
         hi_p[axis] = ub_p[axis] + _FILTER_SLACK * mag
         pad[axis] = _GRID_PAD * mag
@@ -783,7 +894,8 @@ def batch_sweep_join(
     def run_exact() -> int:
         idx_a, idx_b = (np.concatenate(col) for col in zip(*pend))
         pend.clear()
-        lo, hi, ok = _pair_windows(batch_a, idx_a, batch_b, idx_b, t0, t1)
+        until = np.minimum(end_a[idx_a], end_b[idx_b]) if per_row else t1
+        lo, hi, ok = _pair_windows(batch_a, idx_a, batch_b, idx_b, t0, until)
         sel = np.flatnonzero(ok)
         out.append((idx_a[sel], idx_b[sel], lo[sel], hi[sel]))
         return idx_a.shape[0]
@@ -797,17 +909,29 @@ def batch_sweep_join(
         reject |= p_hi[pos] < q_olb[qrow]
         keep = np.flatnonzero(~reject)
         pos, qrow = pos[keep], qrow[keep]
-        # The scalar sweep's rule: whichever row has the lower `lb`
-        # pivots (side a on ties) and takes the partners whose `lb` its
-        # `ub` reaches.
-        lb_pos, lb_row = p_lb[pos], q_lb[qrow]
-        q_pivots = lb_row < lb_pos if flip else lb_row <= lb_pos
-        swept = np.where(q_pivots, lb_pos <= q_ub[qrow], lb_row <= p_ub[pos])
-        keep = np.flatnonzero(swept)
+        keep = np.flatnonzero(
+            _sweep_partners(p_lb[pos], p_ub[pos], q_lb[qrow], q_ub[qrow], not flip)
+        )
         pos, qrow = pos[keep], qrow[keep]
         prow = pos if order is None else order[pos]
+        if per_row:
+            # Own-window ranges contain the pair's, so nothing the rule
+            # admits on the pair's window was dropped above; where the
+            # two rows' ends differ, apply it there as well, as the call
+            # on the pair's two end groups does.
+            until_p, until_q = end_p[prow], end_q[qrow]
+            uneven = np.flatnonzero(until_p != until_q)
+            until = np.minimum(until_p[uneven], until_q[uneven])
+            admitted = _sweep_partners(
+                *batch_sweep_bounds(batch_p, dim, t0, until, prow[uneven]),
+                *batch_sweep_bounds(batch_q, dim, t0, until, qrow[uneven]),
+                not flip,
+            )
+            if not admitted.all():
+                keep = np.delete(np.arange(prow.shape[0]), uneven[~admitted])
+                prow, qrow = prow[keep], qrow[keep]
         pend.append((prow, qrow) if flip else (qrow, prow))
-        pending += keep.shape[0]
+        pending += prow.shape[0]
         # Survivors are a fraction of a block, so they queue until they
         # fill a chunk of their own for the exact kernel.
         if pending >= chunk:

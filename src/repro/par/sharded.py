@@ -121,12 +121,10 @@ class ShardedJoinEngine:
         set_a, set_b = list(objects_a), list(objects_b)
         self.columns_a = ColumnStore.from_objects(set_a)
         self.columns_b = ColumnStore.from_objects(set_b)
-        overlap = set(self.columns_a.oids.tolist()) & set(
-            self.columns_b.oids.tolist()
-        )
-        if overlap:
+        overlap = np.intersect1d(self.columns_a.oids, self.columns_b.oids)
+        if overlap.shape[0]:
             raise ValueError(
-                f"object ids shared across datasets: {sorted(overlap)[:5]}"
+                f"object ids shared across datasets: {overlap[:5].tolist()}"
             )
         self.partition = StripePartition.fit(set_a + set_b, shards, axis)
         #: Per dataset: the registry plus the ``(first, last)`` stripe

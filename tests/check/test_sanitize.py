@@ -380,16 +380,51 @@ class TestColumnStore:
     def test_clean_store_has_no_findings(self):
         assert self.check(self.build_store()) == []
 
+    def test_clean_store_with_its_index_built_has_no_findings(self):
+        store = self.build_store()
+        assert int(store.oid[3]) in store  # builds the lazy index
+        assert store._id_order is not None
+        assert self.check(store) == []
+
     def test_dropped_row_map_entry_is_sc601(self):
         store = self.build_store()
-        store._row_of.pop(int(store.oid[0]))
+        store.find(store.oids)
+        store._id_order = store._id_order[1:]
+        store._id_sorted = store._id_sorted[1:]
         assert "SC601" in codes(self.check(store))
 
     def test_swapped_row_map_entries_are_sc601(self):
         store = self.build_store()
-        a, b = int(store.oid[0]), int(store.oid[1])
-        store._row_of[a], store._row_of[b] = store._row_of[b], store._row_of[a]
+        store.find(store.oids)
+        order = store._id_order.copy()
+        order[[0, 1]] = order[[1, 0]]
+        store._id_order = order
         assert "SC601" in codes(self.check(store))
+
+    def test_index_sorted_by_something_else_is_sc601(self):
+        store = self.build_store()
+        store.find(store.oids)
+        store._id_order = store._id_order[::-1].copy()
+        store._id_sorted = store._id_sorted[::-1].copy()
+        assert "SC601" in codes(self.check(store))
+
+    def test_id_stored_twice_is_sc601(self):
+        store = self.build_store()
+        store.oid[1] = store.oid[0]
+        assert "SC601" in codes(self.check(store))
+
+    def test_magnitude_bound_below_the_columns_is_sc602(self):
+        for corrupt in (
+            lambda s: s.mhi.__setitem__((0, 2), 5_000.0),
+            lambda s: s.vlo.__setitem__((1, 2), -50.0),
+            lambda s: s.tref.__setitem__(2, -9.0),
+        ):
+            store = self.build_store()
+            corrupt(store)
+            # Keep the shift planes honest: only the bound is stale.
+            store.slo[:, 2] = store.mlo[:, 2] - store.vlo[:, 2] * store.tref[2]
+            store.shi[:, 2] = store.mhi[:, 2] - store.vhi[:, 2] * store.tref[2]
+            assert codes(self.check(store)) == {"SC602"}
 
     def test_drifted_shifted_bound_is_sc602(self):
         store = self.build_store()

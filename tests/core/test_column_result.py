@@ -239,6 +239,80 @@ class TestStoreOracle:
         assert_tick_agrees(ref, col)
         assert col.planes()[1].max() < 2**31
 
+    def _disjoint_span_stores(self, seed=5):
+        """a-side ids in [10, 30), b-side ids a million above — the
+        benchmark's shape: neither plane's span holds the other's ids."""
+        rng = np.random.default_rng(seed)
+        ref, col = ledgered_pair()
+        k = 120
+        a = rng.integers(10, 30, size=k)
+        b = 1_000_000 + rng.integers(0, 25, size=k)
+        lo = np.round(rng.uniform(0, 40, size=k), 1)
+        hi = lo + np.round(rng.uniform(0.1, 6, size=k), 1)
+        for store in (ref, col):
+            store.add_batch(a, b, lo, hi)
+        return ref, col
+
+    @pytest.mark.parametrize("gone", [
+        [3, 9],  # below both planes' spans
+        [12, 29],  # inside the a plane's span
+        [1_000_003, 1_000_024],  # inside the b plane's
+        [2_000_000, 2**40],  # above both
+        [500_000],  # between the two
+        [11, 1_000_011, 17, 1_000_017],  # both sides at once
+        [-5, 2**31, 2**40],
+        [12, 12, 1_000_003, 12],  # repeated ids are one removal
+        [],
+    ])
+    def test_remove_objects_equals_the_dict_store(self, gone):
+        ref, col = self._disjoint_span_stores()
+        assert ref.remove_objects(list(gone)) == col.remove_objects(np.array(gone, dtype=np.int64))
+        assert_stores_agree(ref, col, (11, 12, 17, 1_000_003, 1_000_011))
+        assert_tick_agrees(ref, col)
+        # Again on the dead rows: nothing is killed or reported twice.
+        assert ref.remove_objects(list(gone)) == col.remove_objects(gone) == 0
+        assert_tick_agrees(ref, col)
+
+    def test_remove_objects_on_pending_adds_dead_rows_and_nothing(self):
+        ref, col = self._disjoint_span_stores()
+        assert ref.remove_objects([]) == col.remove_objects(np.empty(0, dtype=np.int64)) == 0
+        empty_ref, empty_col = ledgered_pair()
+        assert empty_ref.remove_objects([7, 2**40]) == empty_col.remove_objects([7, 2**40]) == 0
+        # Pending adds are merged before the membership test sees the planes.
+        for store in (ref, col):
+            store.add_batch([12, 40], [1_000_030, 1_000_003], [50.0, 50.0], [51.0, 51.0])
+        assert col._pend
+        assert ref.remove_objects([40, 1_000_030]) == col.remove_objects([40, 1_000_030]) == 2
+        assert_stores_agree(ref, col, (12, 40, 1_000_003, 1_000_030))
+        # Every row dead, no flush in between: the second call finds none.
+        everyone = np.concatenate([np.arange(10, 30), 1_000_000 + np.arange(25)])
+        assert ref.remove_objects(everyone.tolist()) == col.remove_objects(everyone)
+        assert col._dead == col._n > 0
+        assert col.remove_objects(everyone) == 0
+        assert_stores_agree(ref, col, (12,))
+        assert_tick_agrees(ref, col)
+        assert len(col) == 0
+
+    def test_sparse_b_plane_takes_the_clipped_isin(self, monkeypatch):
+        """A b plane whose own span is too wide for a flag table."""
+        from repro.core import result
+
+        calls = []
+        isin = np.isin
+        monkeypatch.setattr(
+            result.np, "isin", lambda plane, ids: calls.append(ids.copy()) or isin(plane, ids)
+        )
+        ref, col = ledgered_pair()
+        for store in (ref, col):
+            store.add_batch([1, 2, 3, 4], [7, 2**40, 9, 2**33], [0.0] * 4, [1.0] * 4)
+        gone = [2**33, 3, 2**50, 5]
+        assert ref.remove_objects(gone) == col.remove_objects(gone) == 2
+        assert [ids.tolist() for ids in calls] == [[2**33]]  # clipped to the b span
+        assert_stores_agree(ref, col, (1, 2, 3, 4, 7, 9))
+        ref, col = self._disjoint_span_stores()
+        assert ref.remove_objects([12, 1_000_003]) == col.remove_objects([12, 1_000_003])
+        assert len(calls) == 1  # a dense span never gets there
+
     def test_ledger_events_net_identically(self):
         """Flush-time array diffs must produce the same netted event
         stream as the seed store's incremental records."""

@@ -10,6 +10,9 @@ interval endpoints, never tolerance-based.
 
 from __future__ import annotations
 
+import hashlib
+
+import numpy as np
 import pytest
 
 from repro.core import (
@@ -164,6 +167,157 @@ def test_admissions_and_evictions_match_seed():
         victims = victims[1:]
         assert seed_engine.result_at(t) == col_engine.result_at(t)
     assert dump(seed_engine._strategy.store) == dump(col_engine.store)
+
+
+def engine_state(engine):
+    """Everything a refused batch must leave alone, plane for plane."""
+    return (
+        [
+            getattr(cols.columns(), plane).tobytes()
+            for cols in (engine.columns_a, engine.columns_b)
+            for plane in ("oid", "mlo", "mhi", "vlo", "vhi", "tref")
+        ],
+        [plane.tobytes() for plane in engine.store.planes()],
+        engine.update_count,
+        None if engine.ledger is None else (engine.ledger.ticks(), engine.deltas()),
+    )
+
+
+@pytest.mark.parametrize("algorithm", COLUMNAR_ALGORITHMS)
+def test_refused_batch_changes_nothing(algorithm):
+    """Known ids, no id twice across the five arguments, ``t_ref == t``:
+    all checked before the first write, as the sharded parent does."""
+    scenario = make_workload(N, "uniform", max_speed=3.0, object_size_pct=5.0, t_m=T_M, seed=31)
+    engine = ColumnarJoinEngine(
+        scenario.set_a[:50], scenario.set_b, algorithm, JoinConfig(t_m=T_M, deltas=True)
+    )
+    engine.run_initial_join()
+    t = 3.0
+    engine.tick(t)
+
+    def cols(objs, t_ref=t):
+        return columns_from_objects([obj.updated(t_ref, vx=1.0, vy=-1.0) for obj in objs])
+
+    def with_oid(batch, index, oid):
+        batch.oid[index] = oid
+        return batch
+
+    upd_a, upd_b = cols(scenario.set_a[:6]), cols(scenario.set_b[:6])
+    oid_a, oid_b = scenario.set_a[10].oid, scenario.set_b[10].oid
+    none = UpdateColumns.empty()
+    late = scenario.set_a[50:53]
+    refused = {
+        "unknown id in upd_b after a good upd_a":
+            (KeyError, (upd_a, with_oid(cols(scenario.set_b[:6]), 4, 987_654_321))),
+        "an a-side id in upd_b": (KeyError, (upd_a, with_oid(cols(scenario.set_b[:6]), 0, oid_a))),
+        "unknown id in evict after good evictions":
+            (KeyError, (upd_a, upd_b, None, None, [oid_a, oid_b, 987_654_321])),
+        "evicted and updated": (ValueError, (upd_a, upd_b, None, None, [upd_b.oid[2]])),
+        "evicted twice": (ValueError, (none, none, None, None, [oid_a, oid_b, oid_a])),
+        "updated on both sides' batches":
+            (ValueError, (upd_a, none, with_oid(cols(late), 1, upd_a.oid[0]), None)),
+        "admitted twice": (ValueError, (upd_a, upd_b, cols(late), cols(late[:1]))),
+        "admitted but stored on the other side":
+            (ValueError, (upd_a, upd_b, None, with_oid(cols(late), 2, oid_a))),
+        "admitted and evicted": (ValueError, (none, none, with_oid(cols(late), 0, oid_b), None, [oid_b])),
+        "stale admission": (ValueError, (upd_a, upd_b, cols(late, t_ref=2.0))),
+    }
+    # Something of this tick in the store and the ledger to leave alone.
+    engine.apply_update_columns(cols(scenario.set_a[20:24]), cols(scenario.set_b[20:24]))
+    before = engine_state(engine)
+    assert len(engine.store) > 20 and engine.deltas()
+    for why, (error, args) in refused.items():
+        with pytest.raises(error):
+            engine.apply_update_columns(*args)
+        assert engine_state(engine) == before, why
+    # ... and the same ids, arranged legally, go through in one call.
+    engine.apply_update_columns(upd_a, upd_b, cols(late), None, [oid_a, oid_b])
+    assert engine.update_count == 8 + 12
+    assert oid_a not in engine.columns_a and oid_b not in engine.columns_b
+    assert all(obj.oid in engine.columns_a for obj in late)
+    survivors = set(engine.columns_a.oids.tolist()) | set(engine.columns_b.oids.tolist())
+    assert all(a in survivors and b in survivors for a, b in engine.store.pair_keys())
+
+
+def test_many_evictions_in_one_call_match_the_seed_engine():
+    scenario = make_workload(N, "uniform", max_speed=3.0, object_size_pct=5.0, t_m=T_M, seed=31)
+    config = JoinConfig(t_m=T_M)
+    seed_engine = ContinuousJoinEngine.create(scenario.set_a, scenario.set_b, "mtb", config)
+    col_engine = ColumnarJoinEngine(scenario.set_a, scenario.set_b, "mtb", config)
+    for engine in (seed_engine, col_engine):
+        engine.run_initial_join()
+        engine.tick(2.0)
+    # Victims from both sides, head and tail rows, with updates of rows
+    # the evictions move in the same call.
+    victims = [o.oid for o in scenario.set_a[:4] + scenario.set_a[-3:] + scenario.set_b[5:9]]
+    batch = [o.updated(2.0, vx=0.5, vy=0.5) for o in scenario.set_a[-8:-3] + scenario.set_b[-4:]]
+    for engine in (seed_engine, col_engine):
+        engine.apply_updates(batch, evict=victims)
+    assert dump(seed_engine._strategy.store) == dump(col_engine.store)
+    assert len(col_engine.columns_a) == N - 7 and len(col_engine.columns_b) == N - 4
+    assert len(col_engine.store) > 10
+
+
+def test_lockstep_mtb_with_three_live_buckets():
+    """One sweep per probe, a window end per row: the store equals the
+    tree engine's after every tick, with three buckets live for most."""
+    scenario = make_workload(N, "uniform", max_speed=3.0, object_size_pct=5.0, t_m=T_M, seed=31)
+    config = JoinConfig(t_m=T_M)
+    seed_engine = ContinuousJoinEngine.create(scenario.set_a, scenario.set_b, "mtb", config)
+    col_engine = ColumnarJoinEngine(scenario.set_a, scenario.set_b, "mtb", config)
+    seed_engine.run_initial_join()
+    col_engine.run_initial_join()
+    assert dump(seed_engine._strategy.store) == dump(col_engine.store)
+    stream = UpdateStream(scenario, seed=36)
+    current = {**seed_engine.objects_a, **seed_engine.objects_b}
+    live_buckets = []
+    for step in range(1, 31):
+        t = float(step)
+        batch = stream.updates_for(t, current)
+        current.update((obj.oid, obj) for obj in batch)
+        for engine in (seed_engine, col_engine):
+            engine.tick(t)
+            engine.apply_updates(batch)
+        assert dump(seed_engine._strategy.store) == dump(col_engine.store), t
+        ends = col_engine._window_ends(col_engine.columns_b)
+        assert ends.min() > t  # nobody overdue: every row is probed
+        live_buckets.append(np.unique(ends).shape[0])
+    assert live_buckets.count(3) >= 15 and len(col_engine.store) > 30
+
+
+def test_overdue_row_drops_out_of_the_probes_with_its_bucket():
+    """A row that misses its ``T_M`` deadline stays probed until its
+    bucket's windows end, then meets nobody (``end <= t``) — exactly the
+    per-bucket loop's ``continue``: the digest is that loop's."""
+    scenario = make_workload(N, "uniform", max_speed=3.0, object_size_pct=5.0, t_m=T_M, seed=31)
+    engine = ColumnarJoinEngine(scenario.set_a, scenario.set_b, "mtb", JoinConfig(t_m=T_M))
+    engine.run_initial_join()
+    silent = scenario.set_b[2].oid
+    stream = UpdateStream(scenario, seed=36)
+    current = {**engine.objects_a, **engine.objects_b}
+    pairs_held = []
+    for step in range(1, 27):
+        t = float(step)
+        batch = [obj for obj in stream.updates_for(t, current) if obj.oid != silent]
+        current.update((obj.oid, obj) for obj in batch)
+        engine.tick(t)
+        engine.apply_updates(batch)
+        pairs_held.append(len(engine.store.pairs_for_object(silent)))
+    row = engine.columns_b.rows_of([silent])
+    # Its bucket [0, 6) was probed until 6 + T_M = 18, and it still would
+    # meet two objects of A if it were.
+    assert engine._window_ends(engine.columns_b)[row] == 18.0 < t
+    from repro.geometry.kernels import batch_sweep_join
+
+    would = batch_sweep_join(engine.columns_a.batch(), engine.columns_b.gather(row), t, t + T_M)
+    assert would[0].shape[0] == 2
+    assert pairs_held[:18] == [2] * 18 and pairs_held[-2:] == [0, 0]
+    digest = hashlib.sha256()
+    for plane in engine.store.planes():
+        digest.update(plane.tobytes())
+    assert digest.hexdigest() == (
+        "63d8c3716d80fd7a5cfd1615264965a9c430e99ffb4d7a35f62b2bc9c30ad58c"
+    )
 
 
 def test_simulation_driver_uses_columnar_fast_path():

@@ -140,3 +140,210 @@ class TestColumnStore:
         assert view[objs[3].oid].kbox.params() == objs[3].kbox.params()
         with pytest.raises(KeyError):
             view[999_999]
+
+
+def state_cols(oids, seed, t_ref=0.0, scale=100.0):
+    """Random object states for the given ids (``vlo == vhi``)."""
+    rng = np.random.default_rng(seed)
+    k = len(oids)
+    mlo = rng.uniform(-scale, scale, size=(2, k))
+    vel = rng.uniform(-3.0, 3.0, size=(2, k))
+    return UpdateColumns(
+        np.array(oids, dtype=np.int64),
+        mlo,
+        mlo + rng.uniform(0.0, 5.0, size=(2, k)),
+        vel,
+        vel.copy(),
+        np.full(k, float(t_ref)),
+    )
+
+
+class TestIdIndex:
+    """Ids resolve through one sorted-id index, whatever the ids are."""
+
+    #: Below zero, around the int32 edge, past 2**32, the int64 ends.
+    WIDE = [-(2**63), -7, -1, 0, 5, 2**31 - 1, 2**31, 2**32, 2**32 + 1, 2**40, 2**63 - 1]
+
+    def check(self, store, model):
+        """``model``: id -> the (mlo, tref) its row must hold."""
+        assert len(store) == len(model)
+        assert sorted(store.oids.tolist()) == sorted(model)
+        ids = np.array(sorted(model), dtype=np.int64)
+        rows = store.rows_of(ids)
+        assert sorted(rows.tolist()) == list(range(len(model)))
+        assert np.array_equal(store.oid[rows], ids)
+        assert np.array_equal(store.find(ids), rows)
+        for oid, row in zip(ids.tolist(), rows.tolist()):
+            assert oid in store and store.row_of(oid) == row
+            mlo, tref = model[oid]
+            assert store.mlo[:, row].tolist() == mlo and store.tref[row] == tref
+
+    def test_interleaved_add_remove_apply(self):
+        rng = np.random.default_rng(8)
+        store, model = ColumnStore(), {}
+        free = list(self.WIDE) + list(range(100, 160))
+        for step in range(120):
+            op = rng.integers(0, 3)
+            if op == 0 and free:
+                new = [free.pop(int(rng.integers(len(free)))) for _ in range(min(3, len(free)))]
+                cols = state_cols(new, seed=step, t_ref=step)
+                rows = store.add(cols)
+                assert rows.tolist() == list(range(len(model), len(model) + len(new)))
+            elif op == 1 and len(model) >= 2:
+                gone = [int(o) for o in rng.choice(sorted(model), size=2, replace=False)]
+                store.remove(gone if step % 2 else np.array(gone, dtype=np.int64))
+                for oid in gone:
+                    del model[oid]
+                    free.append(oid)
+                    assert oid not in store
+                continue
+            elif model:
+                some = rng.choice(sorted(model), size=min(4, len(model)), replace=False)
+                cols = state_cols(some.tolist(), seed=1000 + step, t_ref=step)
+                index_before = store._id_order
+                rows = store.apply(cols)
+                assert np.array_equal(store.oid[rows], cols.oid)
+                # Updates move no row: the index survives them.
+                assert store._id_order is index_before
+            else:
+                continue
+            for i, oid in enumerate(cols.oid.tolist()):
+                model[oid] = (cols.mlo[:, i].tolist(), cols.tref[i])
+            self.check(store, model)
+        assert len(model) > 10 and set(model) & set(self.WIDE)
+
+    def test_unknown_ids(self):
+        store = ColumnStore.from_columns(state_cols(self.WIDE, seed=1))
+        for missing in (3, -2, 2**32 + 2, 2**62):
+            assert missing not in store
+            assert store.find(np.array([missing, 5], dtype=np.int64)).tolist()[0] == -1
+            with pytest.raises(KeyError, match=f"unknown object id {missing}"):
+                store.rows_of(np.array([5, missing, 2**40], dtype=np.int64))
+            with pytest.raises(KeyError, match=f"unknown object id {missing}"):
+                store.rows_of([5, missing])
+            with pytest.raises(KeyError):
+                store.row_of(missing)
+            with pytest.raises(KeyError):
+                store.get(missing)
+            with pytest.raises(KeyError):
+                store.remove([5, missing])
+            with pytest.raises(KeyError):
+                store.apply(state_cols([missing], seed=2))
+        assert len(store) == len(self.WIDE) and 5 in store  # the refused removal moved nothing
+        # Not an id at all: no row, no error from `in`.
+        for key in ("5", 5.0, None, 2**63, -(2**63) - 1, (5,)):
+            assert key not in store
+            with pytest.raises(KeyError):
+                store.row_of(key)
+        assert np.int64(5) in store and np.int32(-7) in store
+        empty = ColumnStore()
+        assert 5 not in empty and empty.find(np.array([5], dtype=np.int64)).tolist() == [-1]
+        assert empty.rows_of([]).shape == (0,)
+
+    def test_duplicate_ids(self):
+        store = ColumnStore.from_columns(state_cols(self.WIDE, seed=1))
+        before = store.columns()
+        # Stored already, in batch order; then named twice in the batch.
+        with pytest.raises(ValueError, match=r"object 1099511627776 already stored"):
+            store.add(state_cols([77, 2**40, -7], seed=3))
+        with pytest.raises(ValueError, match=r"object 78 already stored"):
+            store.add(state_cols([77, 78, 79, 78, 77], seed=3))
+        with pytest.raises(KeyError):
+            store.remove([5, 5])
+        after = store.columns()
+        assert 77 not in store and len(store) == len(self.WIDE)
+        for name in ("oid", "mlo", "mhi", "vlo", "vhi", "tref"):
+            assert np.array_equal(getattr(after, name), getattr(before, name))
+        # `rows_of` answers a repeated id twice, as it always has.
+        assert store.rows_of([5, 5]).tolist() == [store.row_of(5)] * 2
+
+    def test_remove_many_keeps_the_prefix_dense(self):
+        ids = list(range(50, 90))
+        cols = state_cols(ids, seed=4)
+        store = ColumnStore.from_columns(cols)
+        gone = [50, 88, 89, 63, 70, 87]  # holes below and inside the tail
+        store.remove(gone)
+        model = {
+            oid: (cols.mlo[:, i].tolist(), cols.tref[i])
+            for i, oid in enumerate(ids) if oid not in gone
+        }
+        self.check(store, model)
+        store.remove(sorted(model))  # everything
+        assert len(store) == 0 and 51 not in store
+        store.add(cols)
+        assert store.row_of(50) == 0
+
+
+def fresh_bounds(store):
+    """What `_axis_magnitude` computes from the live columns alone."""
+    view = store.batch()
+    return KineticBatch(view.mlo, view.mhi, view.vlo, view.vhi, view.tref, view.slo, view.shi)
+
+
+class TestMagnitudeBounds:
+    def assert_dominates(self, store, other):
+        from repro.geometry import kernels
+
+        carried, fresh = store.batch(), fresh_bounds(store)
+        for axis in (0, 1):
+            for got, want in zip(carried.abs_bounds(axis), fresh.abs_bounds(axis)):
+                assert got >= want
+            for t0, t1 in ((0.0, 60.0), (45.0, 45.0), (3.0, float("inf"))):
+                assert kernels._axis_magnitude(
+                    carried, other, axis, t0, t1
+                ) >= kernels._axis_magnitude(fresh, other, axis, t0, t1)
+        assert store.gather(np.arange(len(store))[::2]).abs_bounds(0) == carried.abs_bounds(0)
+
+    def test_bound_dominates_the_live_columns_after_any_ops(self):
+        rng = np.random.default_rng(12)
+        other = ColumnStore.from_columns(state_cols(range(900, 905), seed=0, scale=1.0)).batch()
+        store = ColumnStore()
+        live, free = [], list(range(60))
+        for step in range(150):
+            op = rng.integers(0, 3)
+            scale = float(rng.choice([1.0, 50.0, 4_000.0]))
+            if op == 0 and free:
+                new = [free.pop() for _ in range(min(4, len(free)))]
+                store.add(state_cols(new, seed=step, t_ref=-step if step % 7 == 0 else step, scale=scale))
+                live += new
+            elif op == 1 and len(live) > 3:
+                gone = [live.pop(int(rng.integers(len(live)))) for _ in range(2)]
+                store.remove(gone)
+                free += gone
+            elif live:
+                some = rng.choice(live, size=min(3, len(live)), replace=False).tolist()
+                store.apply(state_cols(some, seed=step, t_ref=step, scale=scale))
+            if len(store):
+                self.assert_dominates(store, other)
+        assert len(store) > 5
+
+    def test_bounds_are_monotone_and_a_rebuilt_store_starts_over(self):
+        big = state_cols([1, 2], seed=5, scale=9_000.0, t_ref=40.0)
+        small = state_cols([3, 4, 5], seed=6, scale=2.0, t_ref=1.0)
+        store = ColumnStore.from_columns(small)
+        low = store.batch().abs_bounds(0)
+        store.add(big)
+        high = store.batch().abs_bounds(0)
+        assert high[0] > 1_000.0 > low[0] and high[2] == 40.0
+        store.remove([1, 2])
+        assert store.batch().abs_bounds(0) == high  # evictions do not lower it
+        rebuilt = ColumnStore.from_columns(store.columns())
+        assert rebuilt.batch().abs_bounds(0) == low  # the live rows' own maxima
+        # Either bound serves the same join: rows, order and windows.
+        other = ColumnStore.from_columns(state_cols(range(10, 400), seed=7, scale=2.0, t_ref=1.0))
+        from repro.geometry.kernels import batch_sweep_join
+
+        assert len(other) * len(store) <= 16_384 < len(other) * len(other)
+        for left in (store, other):
+            stale = batch_sweep_join(left.batch(), other.batch(), 1.0, 9.0)
+            exact = batch_sweep_join(fresh_bounds(left), fresh_bounds(other), 1.0, 9.0)
+            assert [p.tobytes() for p in stale] == [p.tobytes() for p in exact]
+            assert stale[0].shape[0] > 0
+
+    def test_empty_writes_leave_the_bounds(self):
+        store = ColumnStore.from_columns(state_cols([1, 2], seed=8))
+        before = store.batch().abs_bounds(1)
+        store.apply(UpdateColumns.empty())
+        store.add(UpdateColumns.empty())
+        assert store.batch().abs_bounds(1) == before
+        assert ColumnStore().batch().abs_bounds(0) == (0.0, 0.0, 0.0)

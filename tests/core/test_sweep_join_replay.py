@@ -3,11 +3,14 @@
 ``tests/geometry/test_kernels.py`` aims boxes at the kernel's decision
 boundaries; this file replays what the two benchmarked engine shapes
 send it — the tc engine at the end-to-end benchmark's density (shrunk
-to tier-1 size) and the mtb engine with two live buckets, each with its
-initial join — and holds every call to the scalar sweep byte for byte.
-The number of pairs that reach the exact kernel is pinned per call to
-what the 1-D sweep enumerator this grid replaced sent there: the grid
-changes how candidates are found, not which are tested.
+to tier-1 size) and the mtb engine with three live buckets, each with
+its initial join — and holds every call to the scalar sweep byte for
+byte: a tc call to the one scalar sweep over its window, an mtb call
+(one per probe, a window end per row) to the scalar sweeps the
+per-bucket loop it replaced ran, one per pair of end groups.  The
+number of pairs that reach the exact kernel is pinned per call — for tc
+to what the 1-D sweep enumerator this grid replaced sent there: the
+grid changes how candidates are found, not which are tested.
 
 It also bounds the join's temporaries: nothing in it may grow with the
 candidates or with the visiting side's cell-column segments.
@@ -41,16 +44,18 @@ SHAPES = {
     "mtb": ("mtb", 1_200, 0.5, 8.0, 8),
 }
 
-#: ``counter[1]`` of every captured call under the parent commit's 1-D
-#: sweep enumerator (recorded when this fixture was written).
+#: ``counter[1]`` of every captured call: for tc under the 1-D sweep
+#: enumerator the grid replaced (recorded when this fixture was
+#: written), for mtb as recorded when the per-bucket calls became one
+#: call per probe (never below what the bucket calls sent together).
 EXACT_TESTS = {
     "tc": (
         8795, 165, 190, 170, 145, 166, 131, 109, 151, 211, 133, 130, 141,
         181, 148, 99, 186, 156, 204, 180, 198, 160, 229, 195, 197,
     ),
     "mtb": (
-        829, 94, 91, 94, 96, 74, 89, 66, 36, 81, 36, 56, 58, 71, 61, 27,
-        89, 45, 86, 22, 104, 23, 91, 8, 107, 75, 11, 81, 75,
+        829, 94, 91, 94, 96, 74, 89, 115, 125, 123, 141, 121, 136, 132, 117,
+        212, 183,
     ),
 }
 
@@ -68,7 +73,7 @@ def scenario(n, object_size_pct, t_m):
 
 
 def captured_calls(shape, monkeypatch):
-    """Every ``(batch_a, batch_b, t0, t1)`` the engine hands the sweep join."""
+    """Every ``(batch_a, batch_b, t0, t1, kwargs)`` the engine hands the sweep join."""
     algorithm, n, object_size_pct, t_m, ticks = SHAPES[shape]
     arrays = scenario(n, object_size_pct, t_m)
     calls = []
@@ -79,7 +84,7 @@ def captured_calls(shape, monkeypatch):
         return KineticBatch(*(plane.copy() for plane in planes))
 
     def recording(batch_a, batch_b, t0, t1, **kwargs):
-        calls.append((frozen(batch_a), frozen(batch_b), t0, t1))
+        calls.append((frozen(batch_a), frozen(batch_b), t0, t1, kwargs))
         return batch_sweep_join(batch_a, batch_b, t0, t1, **kwargs)
 
     monkeypatch.setattr(columnar, "batch_sweep_join", recording)
@@ -112,30 +117,92 @@ def scalar_planes(batch_a, batch_b, t0, t1, dim):
     )
 
 
+def by_pair(planes):
+    """Join planes re-sorted by ``(i, j)``: a pair occurs once per call."""
+    order = np.lexsort((planes[1], planes[0]))
+    return tuple(plane[order] for plane in planes)
+
+
+def grouped_scalar_planes(batch_a, batch_b, t0, t1, ends, dim):
+    """The per-bucket loop as the oracle: one scalar sweep per pair of end
+    groups over ``[t0, min(t1, end_a, end_b)]``, rows sorted by ``(i, j)``;
+    also the pairs those sweeps sent to the exact test, summed."""
+    ends_a, ends_b = (
+        np.full(batch.n, t1) if side is None else side
+        for batch, side in zip((batch_a, batch_b), ends)
+    )
+    parts, exact_tests = [], 0
+    for end_a in np.unique(ends_a):
+        rows_a = np.flatnonzero(ends_a == end_a)
+        for end_b in np.unique(ends_b):
+            rows_b = np.flatnonzero(ends_b == end_b)
+            sub_a, sub_b = batch_a.compress(rows_a), batch_b.compress(rows_b)
+            until = min(t1, float(end_a), float(end_b))
+            idx_a, idx_b, lo, hi = scalar_planes(sub_a, sub_b, t0, until, dim)
+            parts.append((rows_a[idx_a], rows_b[idx_b], lo, hi))
+            counter = [0, 0]
+            batch_sweep_join(sub_a, sub_b, t0, until, dim=dim, counter=counter)
+            exact_tests += counter[1]
+    return by_pair(tuple(np.concatenate(col) for col in zip(*parts))), exact_tests
+
+
+def assert_same_planes(got, want, where):
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype
+        assert g.tobytes() == w.tobytes(), where
+
+
 class TestReplay:
     @pytest.mark.parametrize("shape", sorted(SHAPES))
     def test_engine_calls_equal_the_scalar_sweep(self, shape, monkeypatch):
         calls = captured_calls(shape, monkeypatch)
-        assert len(calls) == len(EXACT_TESTS[shape])
+        {"tc": self.check_tc_calls, "mtb": self.check_mtb_calls}[shape](calls)
+
+    def check_tc_calls(self, calls):
+        """Each call is the one scalar sweep over its window, order included."""
+        assert len(calls) == len(EXACT_TESTS["tc"])
         gridded = 0
-        ends_at_last_tick = set()
-        for (batch_a, batch_b, t0, t1), exact_tests in zip(calls, EXACT_TESTS[shape]):
+        for (batch_a, batch_b, t0, t1, kwargs), exact_tests in zip(calls, EXACT_TESTS["tc"]):
+            assert kwargs["ends"] == (None, None)
+            assert t1 == t0 + SHAPES["tc"][3]
             gridded += batch_a.n * batch_b.n > SWEEP_GRID_MIN_PAIRS
-            if t0 == calls[-1][2]:
-                ends_at_last_tick.add(t1)
             dim = batch_select_sweep_dimension(batch_a, batch_b)
             counter = [0, 0]
             planes = batch_sweep_join(batch_a, batch_b, t0, t1, counter=counter)
-            for got, want in zip(planes, scalar_planes(batch_a, batch_b, t0, t1, dim)):
-                assert got.dtype == want.dtype
-                assert got.tobytes() == want.tobytes(), (shape, t0, t1)
-            assert counter[1] == exact_tests, (shape, t0, t1)
+            assert_same_planes(planes, scalar_planes(batch_a, batch_b, t0, t1, dim), (t0, t1))
+            assert counter[1] == exact_tests, (t0, t1)
             assert planes[0].shape[0] <= counter[1] <= counter[0]
-        # Not vacuous: the calls are gridded, the first is the initial
-        # join, and mtb ends with several buckets live (one window each).
+            # The engine's fixed axis changes the order of the rows only.
+            fixed = batch_sweep_join(batch_a, batch_b, t0, t1, dim=kwargs["dim"])
+            assert_same_planes(by_pair(fixed), by_pair(planes), (t0, t1))
+        # Not vacuous: the calls are gridded and the first is the initial join.
         assert gridded >= 0.9 * len(calls)
-        assert calls[0][0].n == SHAPES[shape][1] == calls[0][1].n
-        assert len(ends_at_last_tick) == (3 if shape == "mtb" else 1)
+        assert calls[0][0].n == SHAPES["tc"][1] == calls[0][1].n
+
+    def check_mtb_calls(self, calls):
+        """Each call is the scalar sweeps of its end groups, taken together."""
+        n, ticks = SHAPES["mtb"][1], SHAPES["mtb"][4]
+        # One call for the initial join, one per probe and tick after.
+        assert len(calls) == len(EXACT_TESTS["mtb"]) == 1 + 2 * ticks
+        live_ends = []
+        for (batch_a, batch_b, t0, t1, kwargs), exact_tests in zip(calls, EXACT_TESTS["mtb"]):
+            ends, dim = kwargs["ends"], kwargs["dim"]
+            # The initial join gives both sides their ends, a probe the other side.
+            assert (ends[0] is None) == (t0 > 0.0) and ends[1] is not None
+            assert batch_a.n * batch_b.n > SWEEP_GRID_MIN_PAIRS
+            live_ends.append((t0, np.unique(ends[1])))
+            counter = [0, 0]
+            planes = batch_sweep_join(batch_a, batch_b, t0, t1, dim=dim, counter=counter, ends=ends)
+            want, grouped_tests = grouped_scalar_planes(batch_a, batch_b, t0, t1, ends, dim)
+            assert_same_planes(by_pair(planes), want, (t0, t1))
+            assert counter[1] == exact_tests, (t0, t1)
+            assert grouped_tests <= counter[1]
+            assert planes[0].shape[0] <= counter[1] <= counter[0]
+        assert calls[0][0].n == n == calls[0][1].n
+        # Not vacuous: the run ends with three buckets live, one window
+        # end each, every one of them met by the last probes.
+        for t0, distinct in live_ends[-2:]:
+            assert t0 == float(ticks) and distinct.shape[0] == 3
 
     def test_replay_is_large_enough(self):
         assert sum(len(counts) for counts in EXACT_TESTS.values()) >= 40

@@ -15,7 +15,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.geometry import (
@@ -447,6 +447,156 @@ class TestSweepFilterConservative:
         one_slot = [0]
         batch_sweep_join(batch_of(boxes_a), batch_of(boxes_b), 0.0, 12.0, counter=one_slot)
         assert one_slot == [counter[0]]
+
+
+# ----------------------------------------------------------------------
+# Per-row window ends: one call equals the calls on the end groups
+# ----------------------------------------------------------------------
+def grouped_scalar_rows(boxes_a, boxes_b, t0, t1, ends_a, ends_b, dim):
+    """What the per-bucket loop computed: one scalar sweep per pair of
+    end groups over ``[t0, min(t1, end_a, end_b)]``, rows as ``(i, j, lo,
+    hi)`` sorted by ``(i, j)``.  A side without ends is one group at ``t1``."""
+    ends_a = [t1] * len(boxes_a) if ends_a is None else ends_a
+    ends_b = [t1] * len(boxes_b) if ends_b is None else ends_b
+    rows = []
+    for end_a in sorted(set(ends_a)):
+        rows_a = [i for i, e in enumerate(ends_a) if e == end_a]
+        for end_b in sorted(set(ends_b)):
+            rows_b = [j for j, e in enumerate(ends_b) if e == end_b]
+            rows += [
+                (rows_a[i], rows_b[j], iv.start, iv.end)
+                for i, j, iv in ps_intersection(
+                    [boxes_a[i] for i in rows_a],
+                    [boxes_b[j] for j in rows_b],
+                    t0,
+                    min(t1, end_a, end_b),
+                    dim=dim,
+                    use_kernels=False,
+                )
+            ]
+    return sorted(rows)
+
+
+def row_bytes(rows):
+    """``(i, j, lo, hi)`` rows as bytes: ``-0.0`` and ``0.0`` differ."""
+    import numpy as np
+
+    return tuple(
+        np.array([row[k] for row in rows], dtype=dtype).tobytes()
+        for k, dtype in enumerate((np.int64, np.int64, np.float64, np.float64))
+    )
+
+
+def assert_per_row_join_matches(boxes_a, boxes_b, t0, t1, ends_a, ends_b):
+    import numpy as np
+
+    batch_a, batch_b = batch_of(boxes_a), batch_of(boxes_b)
+    ends = tuple(None if e is None else np.array(e, dtype=np.float64) for e in (ends_a, ends_b))
+    for dim in (0, 1):
+        want = grouped_scalar_rows(boxes_a, boxes_b, t0, t1, ends_a, ends_b, dim)
+        orders = set()
+        for chunk in (1, 7, 65_536):
+            counter = [0, 0]
+            planes = batch_sweep_join(
+                batch_a, batch_b, t0, t1, dim=dim, counter=counter, chunk=chunk, ends=ends
+            )
+            got = list(zip(*(plane.tolist() for plane in planes)))
+            assert row_bytes(sorted(got)) == row_bytes(want), (dim, chunk)
+            assert len(got) <= counter[1] <= counter[0]
+            orders.add(row_bytes(got))
+        assert len(orders) == 1, dim  # chunk-invariant, order included
+
+
+@st.composite
+def per_row_cases(draw):
+    boxes_a = draw(st.lists(kboxes(), min_size=1, max_size=7))
+    boxes_b = draw(st.lists(kboxes(), min_size=1, max_size=7))
+    # Past zero: a window end or contact at exactly t = 0 can come back
+    # as -0.0 from the kernels where the scalar path has 0.0 (NumPy's
+    # `minimum` keeps its second operand on a tie, Python's `min` its
+    # first) — equal windows, unequal bytes, with or without per-row ends.
+    t0 = draw(st.floats(min_value=0.5, max_value=20.0, allow_nan=False))
+    spans = st.floats(min_value=0.0, max_value=30.0, allow_nan=False)
+
+    def side_ends(n):
+        if draw(st.booleans()):
+            return None
+        distinct = [t0 + draw(spans) for _ in range(draw(st.integers(1, 4)))]
+        return [draw(st.sampled_from(distinct)) for _ in range(n)]
+
+    ends_a, ends_b = side_ends(len(boxes_a)), side_ends(len(boxes_b))
+    # The cap sits among the ends: above all, between, or below all.
+    t1 = t0 + draw(spans)
+    return boxes_a, boxes_b, t0, t1, ends_a, ends_b
+
+
+class TestPerRowEnds:
+    @given(per_row_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_rows_are_the_union_over_end_groups(self, case):
+        assert_per_row_join_matches(*case)
+
+    @given(filter_cases(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_aimed_contacts_with_a_longer_partner_window(self, case, data):
+        """Grazing pairs: the row that outlives the pair's window sweeps
+        further on its own, and must not bring the pair in on that."""
+        boxes_a, boxes_b, t0, t1 = case
+        assume(t0 > 0.0)  # see `per_row_cases` on signed zeros at t = 0
+        t1 = t0 + 12.0 if t1 == INF else t1  # contacts were aimed at t0 then
+        longer = st.sampled_from([t1, t1 + 1.0, t1 + 50.0])
+        ends_a = [data.draw(longer) for _ in boxes_a]
+        ends_b = [data.draw(longer) for _ in boxes_b]
+        assert_per_row_join_matches(boxes_a, boxes_b, t0, t1 + 50.0, ends_a, ends_b)
+
+    def test_gridded_with_three_ends_a_side(self):
+        boxes_a, boxes_b = TestSweepGrid()._uniform(21, 140, 900)
+        rng = random.Random(22)
+        ends_a = [rng.choice([9.0, 13.0, 17.0]) for _ in boxes_a]
+        ends_b = [rng.choice([8.0, 12.0, 16.0]) for _ in boxes_b]
+        assert len(boxes_a) * len(boxes_b) > kernels.SWEEP_GRID_MIN_PAIRS
+        assert_per_row_join_matches(boxes_a, boxes_b, 1.0, 20.0, ends_a, ends_b)
+        assert_per_row_join_matches(boxes_b, boxes_a, 1.0, 20.0, ends_b, None)
+        assert_per_row_join_matches(boxes_a, boxes_b, 1.0, 14.0, None, ends_b)
+
+    def test_equal_ends_are_the_float_call_in_rows_and_order(self):
+        import numpy as np
+
+        boxes_a, boxes_b = TestSweepGrid()._uniform(23, 120, 400)
+        batch_a, batch_b = batch_of(boxes_a), batch_of(boxes_b)
+        for dim in (0, 1):
+            want = batch_sweep_join(batch_a, batch_b, 1.0, 13.0, dim=dim)
+            scalar = ps_intersection(boxes_a, boxes_b, 1.0, 13.0, dim=dim, use_kernels=False)
+            assert row_bytes(list(zip(*(p.tolist() for p in want)))) == row_bytes(
+                [(i, j, iv.start, iv.end) for i, j, iv in scalar]
+            )
+            for ends in (
+                (np.full(120, 13.0), None),
+                (None, np.full(400, 13.0)),
+                (np.full(120, 13.0), np.full(400, 40.0)),
+            ):
+                got = batch_sweep_join(batch_a, batch_b, 1.0, 13.0, dim=dim, ends=ends)
+                assert [p.tobytes() for p in got] == [p.tobytes() for p in want]
+
+    def test_infinite_cap_leaves_the_per_row_ends(self):
+        boxes_a, boxes_b = TestSweepGrid()._uniform(24, 30, 700)
+        ends_b = [5.0 + (j % 3) for j in range(700)]
+        assert_per_row_join_matches(boxes_a, boxes_b, 1.0, INF, None, ends_b)
+
+    @pytest.mark.parametrize("bad", [INF, -INF, math.nan, 0.5])
+    def test_bad_per_row_end_is_refused(self, bad):
+        import numpy as np
+
+        boxes_a, boxes_b = TestSweepGrid()._uniform(25, 3, 4)
+        batch_a, batch_b = batch_of(boxes_a), batch_of(boxes_b)
+        for side in (0, 1):
+            ends = [None, None]
+            ends[side] = np.array([5.0] * (3 + side))
+            ends[side][1] = bad
+            with pytest.raises(ValueError, match="window ends"):
+                batch_sweep_join(batch_a, batch_b, 1.0, 9.0, ends=tuple(ends))
+        with pytest.raises(ValueError, match="one window end per row"):
+            batch_sweep_join(batch_a, batch_b, 1.0, 9.0, ends=(np.array([5.0] * 4), None))
 
 
 def test_radix_digits_sort_like_the_index():
