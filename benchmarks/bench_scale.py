@@ -21,7 +21,11 @@ Every cell runs in its own forked child process, so ``peak_rss_mb`` is
 a *per-cell* measurement (``ru_maxrss`` is monotone within a process;
 in one process the largest cell would mask all the others).  Cells also
 report ``store_mb``, the result store's own resident bytes via
-``approx_bytes()`` — the column the ColumnResultStore exists to shrink.
+``approx_bytes()``.  Every engine keeps a ``ColumnResultStore``, the
+seed (tree) engine included, so the seed row's ``store_mb`` measures
+planes like every other row's (the dict-of-lists store that engine
+kept until it moved to the tests read 5.4 MiB at 10k per side, where
+the planes read 0.3).
 
 The serial columnar cells read each tick's answer as arrays
 (``result_planes_at``: two oid planes, ~1 ms at 100k per side); the

@@ -33,7 +33,6 @@ from .symbols import SymbolTable
 from .sanitize import (
     check_index,
     check_mtb_forest,
-    check_result_store,
     check_sharded_state,
     check_supervisor_state,
     check_tpr_tree,
@@ -56,7 +55,6 @@ __all__ = [
     "lint_source",
     "check_tpr_tree",
     "check_mtb_forest",
-    "check_result_store",
     "check_sharded_state",
     "check_supervisor_state",
     "check_index",

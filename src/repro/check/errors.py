@@ -18,11 +18,7 @@ Sanitizer codes (``SCxxx``, checked at runtime against live structures):
 ``SC201``  object filed in an MTB bucket not matching its update time
 ``SC202``  MTB forest bookkeeping (tags/sizes/empty buckets) corrupt
 ``SC203``  MTB bucket newer than the current timestamp (lut monotone)
-``SC301``  result-store interval list not sorted
-``SC302``  result-store intervals not pairwise disjoint
 ``SC303``  stored interval exceeds the Theorem-1/2 TC bound
-``SC304``  result-store pair/oid inverted index inconsistent
-``SC305``  stored pair missing its live min-expiry frontier entry
 ``SC401``  stripe partition fails to cover the domain
 ``SC402``  shard residency disagrees with the swept ghost-halo rule
 ``SC403``  co-located pair copies diverge (or an endpoint is absent)
@@ -35,9 +31,9 @@ Sanitizer codes (``SCxxx``, checked at runtime against live structures):
 ``SC701``  folded delta view diverges from the live result store
 ``SC702``  delta event stream not strictly tick-monotone
 ``SC703``  ill-formed delta event (duplicate add / removal of absent row)
-``SC801``  columnar result planes out of order or not pairwise disjoint
-``SC802``  columnar result inverted index disagrees with the planes
-``SC803``  columnar result bookkeeping incoherent after a flush
+``SC801``  result-store planes out of order or not pairwise disjoint
+``SC802``  result-store inverted index disagrees with the planes
+``SC803``  result-store bookkeeping incoherent after a flush
 ========  ============================================================
 
 Lint codes (``RCxxx``, checked statically over source files):
@@ -91,7 +87,7 @@ __all__ = [
 SANITIZER_CODES = (
     "SC101", "SC102", "SC103", "SC104",
     "SC201", "SC202", "SC203",
-    "SC301", "SC302", "SC303", "SC304", "SC305",
+    "SC303",
     "SC401", "SC402", "SC403",
     "SC501", "SC502", "SC503",
     "SC601", "SC602", "SC603",
@@ -111,7 +107,10 @@ FLOW_CODES = (
 #: retired code for a new check — historical findings and docs keep
 #: their meaning.  Enforced statically by the flow lint (``RC211``).
 #: ``RC201``/``RC203``: compiled-kernel facade signature drift / wiring.
-RETIRED_CODES = ("RC201", "RC203")
+#: ``SC301``/``SC302``/``SC304``/``SC305``: the dict-of-lists result
+#: store's list order, disjointness, inverted index and expiry frontier
+#: (the plane store's SC801–SC803 hold the same invariants).
+RETIRED_CODES = ("RC201", "RC203", "SC301", "SC302", "SC304", "SC305")
 
 
 @dataclass(frozen=True)

@@ -10,15 +10,12 @@ The paper's correctness hangs on a handful of structural invariants:
 * **MTB-tree** (paper §IV-C): an object lives in exactly the bucket of
   its last update time, bucket keys never run ahead of the clock, and
   the per-bucket trees sum to the forest's object table.
-* **JoinResultStore** (Theorems 1–2): each pair's interval list is
-  sorted and pairwise disjoint, no stored interval reaches past the
-  TC bound ``max(lut_a, lut_b) + T_M`` (``lut`` widened to the bucket
-  end under MTB bucketing), and the lazy min-expiry frontier holds a
-  live entry for every stored pair.
-* **ColumnResultStore**: the SoA layout of the same answer — planes
-  sorted by ``(a, b, lo)`` with disjoint per-pair intervals, the
-  searchsorted inverted index agreeing with the planes, coherent
-  post-flush bookkeeping, and the identical Theorem-1/2 bound.
+* **ColumnResultStore** (Theorems 1–2): planes sorted by
+  ``(a, b, lo)`` with disjoint per-pair intervals, the searchsorted
+  inverted index agreeing with the planes, coherent post-flush
+  bookkeeping, and no stored interval reaching past the TC bound
+  ``max(lut_a, lut_b) + T_M`` (``lut`` widened to the bucket end under
+  MTB bucketing).
 * **Sharded engine** (:mod:`repro.par`): the stripe partition covers
   the whole domain, every object is resident in exactly the shards its
   swept ghost halo touches, and pairs co-located on several shards
@@ -54,7 +51,6 @@ from .errors import Finding, InvariantViolation
 __all__ = [
     "check_tpr_tree",
     "check_mtb_forest",
-    "check_result_store",
     "check_sharded_state",
     "check_supervisor_state",
     "check_column_store",
@@ -214,91 +210,6 @@ def check_mtb_forest(forest, t_now: float, label: str = "forest") -> List[Findin
             f"bucket trees hold {total} objects, forest table {len(forest.objects)}",
             label,
         ))
-    return findings
-
-
-# ----------------------------------------------------------------------
-# Join result store
-# ----------------------------------------------------------------------
-def check_result_store(
-    store,
-    t_m: Optional[float] = None,
-    anchors: Optional[Dict[int, float]] = None,
-    floor: Optional[float] = None,
-    label: str = "store",
-) -> List[Finding]:
-    """Result-store invariants (codes SC301–SC305).
-
-    ``anchors`` maps oid → the Theorem-1/2 window anchor for that
-    object (its last update time, widened to the bucket end under MTB
-    bucketing); with ``t_m`` given, every stored interval must end by
-    ``max(anchor_a, anchor_b, floor) + t_m``.  ``floor`` covers the
-    initial join, whose window is anchored at the build timestamp.
-    Pass ``t_m=None`` for strategies without a TC bound (NaiveJoin).
-
-    SC305 audits the lazy min-expiry frontier: a pair whose
-    ``(first interval end, key)`` entry is missing would be invisible
-    to :meth:`~repro.core.result.JoinResultStore.prune_expired`.
-    """
-    findings: List[Finding] = []
-    pairs = store._pairs
-    by_oid = store._by_oid
-    has_frontier = hasattr(store, "_frontier")
-    frontier = set(store._frontier) if has_frontier else set()
-    for key, intervals in pairs.items():
-        where = f"{label}/pair {key}"
-        if not intervals:
-            findings.append(Finding("SC304", "pair with no stored intervals", where))
-            continue
-        for prev, cur in zip(intervals, intervals[1:]):
-            if cur.start < prev.start:
-                findings.append(Finding(
-                    "SC301", f"intervals out of order: {cur} after {prev}", where
-                ))
-            elif cur.start <= prev.end + MERGE_TOL:
-                findings.append(Finding(
-                    "SC302", f"intervals not disjoint: {prev} then {cur}", where
-                ))
-        if t_m is not None and anchors is not None:
-            anchor = max(anchors.get(key[0], -INF), anchors.get(key[1], -INF))
-            if floor is not None:
-                anchor = max(anchor, floor)
-            if anchor > -INF:
-                bound = anchor + t_m + MERGE_TOL
-                for iv in intervals:
-                    if iv.end > bound:
-                        findings.append(Finding(
-                            "SC303",
-                            f"interval {iv} exceeds the TC bound "
-                            f"{anchor:g} + T_M = {anchor + t_m:g}",
-                            where,
-                        ))
-        for oid in key:
-            if key not in by_oid.get(oid, ()):
-                findings.append(Finding(
-                    "SC304", f"pair not registered under oid {oid}", where
-                ))
-        if has_frontier and (intervals[0].end, key) not in frontier:
-            findings.append(Finding(
-                "SC305",
-                f"no live frontier entry for first end {intervals[0].end:g}; "
-                "prune_expired would never visit this pair",
-                where,
-            ))
-    for oid, keys in by_oid.items():
-        for key in keys:
-            if key not in pairs:
-                findings.append(Finding(
-                    "SC304",
-                    f"oid {oid} references unknown pair {key}",
-                    f"{label}/oid {oid}",
-                ))
-            elif oid not in key:
-                findings.append(Finding(
-                    "SC304",
-                    f"oid {oid} indexed under foreign pair {key}",
-                    f"{label}/oid {oid}",
-                ))
     return findings
 
 
@@ -668,15 +579,14 @@ def check_column_result_store(
     floor: Optional[float] = None,
     label: str = "column-store",
 ) -> List[Finding]:
-    """Columnar result-store invariants (codes SC801–SC803, plus SC303).
+    """Result-store invariants (codes SC801–SC803 and SC303).
 
-    The SoA analogue of :func:`check_result_store`, audited directly on
-    the planes of a :class:`~repro.core.result.ColumnResultStore` (the
-    store is flushed first so the canonical layout is what's checked):
+    Audited directly on the planes of a
+    :class:`~repro.core.result.ColumnResultStore` (the store is flushed
+    first so the canonical layout is what's checked):
 
     * **SC801** — the planes are sorted by ``(a, b, lo)`` and each
-      pair's intervals are pairwise disjoint beyond the merge tolerance
-      (the columnar mirror of SC301/SC302).
+      pair's intervals are pairwise disjoint beyond the merge tolerance.
     * **SC802** — the searchsorted inverted index agrees with the
       planes: the cached pair-run boundaries equal a fresh recompute,
       and the lazy ``b``-side ordering, when built, actually sorts the
@@ -685,13 +595,16 @@ def check_column_result_store(
       batches or dead rows survive, the pair count matches the run
       boundaries, and every row is a valid interval (finite start,
       no NaN, ``lo <= hi``).
+    * **SC303** — the Theorem-1/2 window bound.  ``anchors`` maps oid →
+      the window anchor for that object (its last update time, widened
+      to the bucket end under MTB bucketing); with ``t_m`` given, every
+      stored interval must end by ``max(anchor_a, anchor_b, floor) +
+      t_m``.  ``floor`` covers the initial join, whose window is
+      anchored at the build timestamp.  Pass ``t_m=None`` for
+      strategies without a TC bound (NaiveJoin).
 
-    The Theorem-1/2 window bound is shared with the list store and
-    reported under the same **SC303** code (``anchors``/``floor``
-    semantics identical to :func:`check_result_store`).  Ledger
-    reconciliation stays with :func:`check_delta_ledger` — the SC701–703
-    fold works off ``interval_rows()`` and needs no layout-specific
-    twin.
+    Ledger reconciliation stays with :func:`check_delta_ledger`
+    (SC701–703), which folds against ``interval_rows()``.
     """
     import numpy as np
 
@@ -800,7 +713,7 @@ def check_column_result_store(
                 "SC803", f"empty interval [{lo[row]:g}, {hi[row]:g}]", label
             ))
 
-    # SC303: the shared Theorem-1/2 window bound, on the planes.
+    # SC303: the Theorem-1/2 window bound, on the planes.
     if t_m is not None and anchors is not None and n:
         anchor = np.full(n, -INF)
         if anchors:
@@ -915,7 +828,7 @@ def sanitize_engine(engine) -> List[Finding]:
     # Self-join engine: one forest, one canonical-pair store.
     if not hasattr(engine, "_strategy"):
         findings.extend(check_mtb_forest(engine.forest, t, label="forest"))
-        findings.extend(check_result_store(
+        findings.extend(check_column_result_store(
             engine.store,
             t_m=engine.config.t_m,
             anchors=_forest_anchors(engine.forest),
@@ -946,7 +859,7 @@ def sanitize_engine(engine) -> List[Finding]:
                 getattr(strategy, "forest_a", None),
                 getattr(strategy, "forest_b", None),
             )
-        findings.extend(check_result_store(
+        findings.extend(check_column_result_store(
             store, t_m=t_m, anchors=anchors,
             floor=getattr(engine, "start_time", None),
         ))

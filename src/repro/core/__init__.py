@@ -5,7 +5,6 @@ from .columns import ColumnStore, ObjectsView, UpdateColumns, columns_from_objec
 from .config import JoinConfig
 from .engine import ALGORITHMS, ContinuousJoinEngine
 from .events import ChangeMonitor, ResultDelta
-from .result import JoinResultStore
 from .selfjoin import ContinuousSelfJoinEngine
 from .simulation import SimulationDriver, StepStats
 
@@ -20,7 +19,6 @@ __all__ = [
     "columns_from_objects",
     "ALGORITHMS",
     "COLUMNAR_ALGORITHMS",
-    "JoinResultStore",
     "SimulationDriver",
     "StepStats",
     "ChangeMonitor",

@@ -41,8 +41,6 @@ class JoinConfig:
     #: off forces the scalar reference path the parity suites compare
     #: against.
     use_kernels: bool = True
-    #: Extra sanity checking inside the engine (slow; used by tests).
-    validate: bool = field(default=False, compare=False)
     #: Run the :mod:`repro.check` invariant sanitizer after every
     #: build/tick/update (slow; debugging and CI smoke tests).  Also
     #: forced on by the ``REPRO_SANITIZE=1`` environment variable.
@@ -56,7 +54,7 @@ class JoinConfig:
     #: store: every mutation records signed ``(tick, pair, ±interval)``
     #: events, exposed via ``engine.deltas(t)`` / ``engine.watch(...)``.
     #: Off by default — the store's hot paths then pay one ``None``
-    #: test per mutation.  Also forced on by ``REPRO_DELTAS=1``.
+    #: test per mutation.
     deltas: bool = field(default=False, compare=False)
     #: Supervised shard round-trip timeout in wall seconds
     #: (:class:`~repro.par.supervisor.ShardSupervisor`): a worker that
@@ -84,8 +82,6 @@ class JoinConfig:
             object.__setattr__(self, "sanitize", True)
         if not self.obs and os.environ.get("REPRO_OBS", "") not in ("", "0"):
             object.__setattr__(self, "obs", True)
-        if not self.deltas and os.environ.get("REPRO_DELTAS", "") not in ("", "0"):
-            object.__setattr__(self, "deltas", True)
         if self.space_size <= 0:
             raise ValueError("space_size must be positive")
         if self.t_m <= 0:

@@ -40,7 +40,7 @@ from ..obs import NULL_SPAN, ObsRecorder
 from ..objects import MovingObject
 from .columns import check_planes, columns_from_objects
 from .config import JoinConfig
-from .result import JoinResultStore
+from .result import ColumnResultStore
 
 __all__ = ["ContinuousJoinEngine", "ALGORITHMS"]
 
@@ -102,9 +102,9 @@ class ContinuousJoinEngine:
             self.obs.attach(self.tracker)
         self._strategy = _make_strategy(algorithm, self, techniques)
         #: Attached :class:`~repro.deltas.DeltaLedger` when
-        #: ``config.deltas`` is on (or ``REPRO_DELTAS=1``); ``None``
-        #: otherwise.  Armed before the build so the initial join's
-        #: additions are already part of the stream.
+        #: ``config.deltas`` is on; ``None`` otherwise.  Armed before
+        #: the build so the initial join's additions are already part of
+        #: the stream.
         self.ledger = None
         if self.config.deltas:
             store = getattr(self._strategy, "store", None)
@@ -429,7 +429,7 @@ class _IntervalStrategy:
 
     def __init__(self, engine: ContinuousJoinEngine):
         self.engine = engine
-        self.store = JoinResultStore()
+        self.store = ColumnResultStore()
 
     # Orientation helper: results are always keyed (a_oid, b_oid).
     def _oriented(

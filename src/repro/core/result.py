@@ -2,40 +2,37 @@
 
 The continuous query must present, at every timestamp, all currently
 intersecting pairs.  Algorithms that compute *intervals* (NaiveJoin,
-TC-Join, MTB-Join) feed this store: it maps pair → merged interval list
-and answers "which pairs hold at time t" by interval lookup.
+TC-Join, MTB-Join, the self-join and the window queries) feed this
+store: it maps pair → merged interval list and answers "which pairs
+hold at time t" by interval lookup.
 
 Maintenance contract (Theorems 1 & 2): when an object updates, every
 stored prediction involving it becomes stale from the update time on —
 :meth:`remove_object` drops them, after which the fresh per-object join
 re-adds the valid ones.  The store also supports :meth:`prune_expired`
 garbage collection of intervals wholly in the past.
+
+:class:`ColumnResultStore` is the only store an engine constructs.  The
+dict-of-lists store it replaced lives on as the oracle of the store
+suites (``tests/reference_store.py``).
 """
 
 from __future__ import annotations
 
-import heapq
-import sys
 from itertools import repeat
-from typing import Dict, Iterator, List, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Set, Tuple
 
 import numpy as np
 
-from ..geometry import TimeInterval, merge_intervals
+from ..geometry import TimeInterval
 from ..geometry.constants import MERGE_TOL as _MERGE_TOL
 from ..geometry.kernels import radix_argsort
 from ..join import JoinTriple
 from .columns import merge_interval_planes, pair_keys, pair_run_starts, run_heads
 
-__all__ = ["JoinResultStore", "ColumnResultStore"]
+__all__ = ["ColumnResultStore"]
 
 PairKey = Tuple[int, int]
-
-
-def _as_list(values) -> List:
-    """Sequence → plain list (``ndarray.tolist`` yields Python scalars)."""
-    tolist = getattr(values, "tolist", None)
-    return tolist() if tolist is not None else list(values)
 
 
 def _member_mask(plane: np.ndarray, ids: np.ndarray) -> np.ndarray:
@@ -85,323 +82,16 @@ def _concat_planes(batches):
     return tuple(np.concatenate(planes) for planes in zip(*batches))
 
 
-def _record_merge_diff(ledger, key: "PairKey", old_rows, merged) -> None:
-    """Report a re-merged pair's row transitions as the exact set diff.
-
-    ``old_rows`` is the pair's pre-mutation ``(start, end)`` list and
-    ``merged`` the post-merge :class:`TimeInterval` list.  Rows within a
-    pair are distinct (sorted, disjoint), so the symmetric set
-    difference is precisely the state transition — a merge that only
-    re-confirms an existing interval nets to no events at all.
-    """
-    old = set(old_rows)
-    new = {(iv.start, iv.end) for iv in merged}
-    for start, end in old - new:
-        ledger.record(-1, key[0], key[1], start, end)
-    for start, end in new - old:
-        ledger.record(1, key[0], key[1], start, end)
-
-
-class JoinResultStore:
-    """Pair → interval-list map with per-object invalidation.
-
-    A lazy min-expiry frontier (heap of ``(first interval end, key)``)
-    lets :meth:`prune_expired` touch only pairs that actually have an
-    expired interval — O(expired · log n) per call instead of a scan of
-    every stored pair.  Entries are pushed whenever a pair's *first*
-    interval end may have changed and validated on pop; removal paths
-    (:meth:`remove_object`, re-merges) simply leave stale entries behind
-    to be skipped later.
-    """
-
-    __slots__ = ("_pairs", "_by_oid", "_frontier", "_ledger")
-
-    def __init__(self) -> None:
-        self._pairs: Dict[PairKey, List[TimeInterval]] = {}
-        self._by_oid: Dict[int, Set[PairKey]] = {}
-        #: lazy min-heap over (intervals[0].end, key); may hold stale
-        #: entries, but always holds a live entry for every stored pair.
-        self._frontier: List[Tuple[float, PairKey]] = []
-        #: attached :class:`~repro.deltas.DeltaLedger` (``None`` = off).
-        #: Every mutation path below reports its exact row transitions
-        #: to it, so folding the ledger reconstructs the store.
-        self._ledger = None
-
-    def attach_ledger(self, ledger) -> None:
-        """Attach (or detach, with ``None``) a delta ledger.
-
-        Once attached, every mutation — :meth:`add`, :meth:`add_batch`,
-        :meth:`remove_object`, :meth:`prune_expired`, :meth:`clear` —
-        records the signed row transitions it causes.
-        """
-        self._ledger = ledger
-
-    # ------------------------------------------------------------------
-    # Mutation
-    # ------------------------------------------------------------------
-    def add(self, triple: JoinTriple) -> None:
-        """Record (or extend) a pair's intersection interval.
-
-        The stored list is kept sorted and disjoint (the
-        :func:`merge_intervals` invariant), so an interval that starts
-        after the stored tail ends — the common case during maintenance,
-        where each re-join appends a strictly later window — is a plain
-        append; only overlapping or out-of-order arrivals pay for a full
-        re-merge.
-        """
-        key = triple.key()
-        intervals = self._pairs.get(key)
-        ledger = self._ledger
-        if intervals is None:
-            self._pairs[key] = [triple.interval]
-            self._by_oid.setdefault(triple.a_oid, set()).add(key)
-            self._by_oid.setdefault(triple.b_oid, set()).add(key)
-            heapq.heappush(self._frontier, (triple.interval.end, key))
-            if ledger is not None:
-                ledger.record(
-                    1, key[0], key[1], triple.interval.start, triple.interval.end
-                )
-        elif triple.interval.start > intervals[-1].end + _MERGE_TOL:
-            # Appending after the tail leaves intervals[0] (and hence the
-            # pair's frontier entry) untouched.
-            intervals.append(triple.interval)
-            if ledger is not None:
-                ledger.record(
-                    1, key[0], key[1], triple.interval.start, triple.interval.end
-                )
-        else:
-            old = (
-                None
-                if ledger is None
-                else [(iv.start, iv.end) for iv in intervals]
-            )
-            intervals.append(triple.interval)
-            merged = merge_intervals(intervals)
-            self._pairs[key] = merged
-            heapq.heappush(self._frontier, (merged[0].end, key))
-            if ledger is not None:
-                _record_merge_diff(ledger, key, old, merged)
-
-    def add_all(self, triples: Iterator[JoinTriple]) -> None:
-        for triple in triples:
-            self.add(triple)
-
-    def add_batch(self, a_oids, b_oids, starts, ends) -> None:
-        """Columnar :meth:`add`: four parallel arrays, one tight loop.
-
-        ``a_oids``/``b_oids``/``starts``/``ends`` are parallel sequences
-        (NumPy arrays or lists) describing one triple per position.  The
-        effect is exactly ``add(JoinTriple(a, b, TimeInterval(s, e)))``
-        per position, in order, without constructing the triples — this
-        is the append path the vectorized engine feeds from its sweep
-        kernels, where per-pair attribute lookups would dominate.
-        """
-        pairs = self._pairs
-        by_oid = self._by_oid
-        frontier = self._frontier
-        push = heapq.heappush
-        ledger = self._ledger
-        # Hoisted bound method: delta extraction inside the vectorized
-        # append path is one plain-scalar call per row, no per-pair
-        # objects (the DeltaEvent materializes lazily at enumeration).
-        record = None if ledger is None else ledger.record
-        for a, b, s, e in zip(
-            _as_list(a_oids), _as_list(b_oids), _as_list(starts), _as_list(ends)
-        ):
-            key = (a, b)
-            intervals = pairs.get(key)
-            if intervals is None:
-                pairs[key] = [TimeInterval(s, e)]
-                by_oid.setdefault(a, set()).add(key)
-                by_oid.setdefault(b, set()).add(key)
-                push(frontier, (e, key))
-                if record is not None:
-                    record(1, a, b, s, e)
-            elif s > intervals[-1].end + _MERGE_TOL:
-                intervals.append(TimeInterval(s, e))
-                if record is not None:
-                    record(1, a, b, s, e)
-            else:
-                old = (
-                    None
-                    if ledger is None
-                    else [(iv.start, iv.end) for iv in intervals]
-                )
-                intervals.append(TimeInterval(s, e))
-                merged = merge_intervals(intervals)
-                pairs[key] = merged
-                push(frontier, (merged[0].end, key))
-                if ledger is not None:
-                    _record_merge_diff(ledger, key, old, merged)
-
-    def flush(self) -> None:
-        """No-op: the list store is always canonical.
-
-        API parity with :class:`ColumnResultStore`, whose deferred
-        merges must be forced before ledger reads or clock advances;
-        engine code can call ``store.flush()`` unconditionally.
-        """
-
-    def remove_objects(self, oids) -> int:
-        """Drop every pair involving any of ``oids``; returns how many.
-
-        A pair touching two removed objects is counted once (its first
-        removal already dropped it).
-        """
-        dropped = 0
-        for oid in _as_list(oids):
-            dropped += self.remove_object(oid)
-        return dropped
-
-    def remove_object(self, oid: int) -> int:
-        """Drop every pair involving ``oid``; returns how many."""
-        keys = self._by_oid.pop(oid, set())
-        ledger = self._ledger
-        for key in keys:
-            intervals = self._pairs.pop(key, None)
-            if ledger is not None and intervals is not None:
-                for iv in intervals:
-                    ledger.record(-1, key[0], key[1], iv.start, iv.end)
-            other = key[1] if key[0] == oid else key[0]
-            other_keys = self._by_oid.get(other)
-            if other_keys is not None:
-                other_keys.discard(key)
-                if not other_keys:
-                    del self._by_oid[other]
-        return len(keys)
-
-    def prune_expired(self, t: float) -> int:
-        """Discard intervals that ended before ``t``; returns pairs dropped.
-
-        Interval lists are sorted and disjoint, so a pair's earliest end
-        is ``intervals[0].end`` — exactly what the frontier heap orders
-        by.  Pairs whose earliest end is ``>= t`` have nothing expired
-        and are never touched.
-
-        Pruned rows are reported to the attached delta ledger like any
-        other removal — a delta consumer sees expirations as ``-1``
-        events, not as silent drift between the stream and the store.
-        """
-        frontier = self._frontier
-        ledger = self._ledger
-        dropped = 0
-        while frontier and frontier[0][0] < t:
-            end, key = heapq.heappop(frontier)
-            intervals = self._pairs.get(key)
-            # Exact identity on purpose: a frontier entry is live iff it
-            # still carries the stored first end bit-for-bit.
-            if intervals is None or intervals[0].end != end:  # noqa: RC001
-                continue  # stale entry: pair removed or re-merged since
-            k = 0
-            while k < len(intervals) and intervals[k].end < t:
-                k += 1
-            if ledger is not None:
-                for iv in intervals[:k]:
-                    ledger.record(-1, key[0], key[1], iv.start, iv.end)
-            if k == len(intervals):
-                del self._pairs[key]
-                for oid in key:
-                    keys = self._by_oid.get(oid)
-                    if keys is not None:
-                        keys.discard(key)
-                        if not keys:
-                            del self._by_oid[oid]
-                dropped += 1
-            else:
-                self._pairs[key] = intervals[k:]
-                heapq.heappush(frontier, (intervals[k].end, key))
-        return dropped
-
-    def clear(self) -> None:
-        ledger = self._ledger
-        if ledger is not None:
-            for key, intervals in self._pairs.items():
-                for iv in intervals:
-                    ledger.record(-1, key[0], key[1], iv.start, iv.end)
-        self._pairs.clear()
-        self._by_oid.clear()
-        self._frontier.clear()
-
-    # ------------------------------------------------------------------
-    # Queries
-    # ------------------------------------------------------------------
-    def pairs_at(self, t: float) -> Set[PairKey]:
-        """The continuous-join answer at timestamp ``t``."""
-        return {
-            key
-            for key, intervals in self._pairs.items()
-            if any(iv.contains(t) for iv in intervals)
-        }
-
-    def intervals_for(self, key: PairKey) -> List[TimeInterval]:
-        """Stored intervals for a pair (empty when unknown)."""
-        return list(self._pairs.get(key, []))
-
-    def pairs_for_object(self, oid: int) -> Set[PairKey]:
-        """Stored pairs involving ``oid`` (the inverted index, copied)."""
-        return set(self._by_oid.get(oid, ()))
-
-    def pair_keys(self) -> List[PairKey]:
-        """Every stored pair key, in deterministic (insertion) order."""
-        return list(self._pairs)
-
-    def approx_bytes(self) -> int:
-        """Approximate resident bytes of the store's own structures.
-
-        A shallow ``sys.getsizeof`` walk over the pair map, interval
-        objects, inverted index and frontier — the benchmark's
-        result-store memory column.  Interned keys/floats shared across
-        containers are counted once per reference, so this slightly
-        overstates; good enough for an order-of-magnitude comparison.
-        """
-        getsize = sys.getsizeof
-        total = (
-            getsize(self._pairs) + getsize(self._by_oid) + getsize(self._frontier)
-        )
-        for key, intervals in self._pairs.items():
-            total += getsize(key) + getsize(key[0]) + getsize(key[1])
-            total += getsize(intervals)
-            for iv in intervals:
-                total += getsize(iv) + getsize(iv.start) + getsize(iv.end)
-        for keys in self._by_oid.values():
-            total += getsize(keys)
-        for entry in self._frontier:
-            total += getsize(entry)
-        return total
-
-    def interval_rows(self) -> Dict[PairKey, Tuple[Tuple[float, float], ...]]:
-        """The whole store as exact ``pair → ((start, end), …)`` rows.
-
-        This is the bit-for-bit comparison form the delta machinery
-        folds against (ledger baselines, :class:`~repro.deltas.
-        DeltaView.rows`, checkpoint dumps).
-        """
-        return {
-            key: tuple((iv.start, iv.end) for iv in intervals)
-            for key, intervals in self._pairs.items()
-        }
-
-    def __len__(self) -> int:
-        """Number of distinct pairs with any stored interval."""
-        return len(self._pairs)
-
-    def __contains__(self, key: PairKey) -> bool:
-        return key in self._pairs
-
-    def __repr__(self) -> str:
-        return f"JoinResultStore(pairs={len(self._pairs)})"
-
-
 class ColumnResultStore:
     """The maintained answer as sorted interval planes (SoA layout).
 
-    Store-identical to :class:`JoinResultStore` — same mutation
-    semantics, same merge rule, same query answers bit-for-bit — but the
-    state is four parallel NumPy planes ``(a, b, lo, hi)`` sorted by
-    ``(a, b, lo)`` instead of a dict of per-pair ``TimeInterval`` lists.
-    At 100k objects per side the list store's ~260k pair lists dominate
-    the engine's memory; the planes hold the same rows in a few
-    megabytes of contiguous arrays.
+    Store-identical to the tests' reference ``JoinResultStore`` — same
+    mutation semantics, same merge rule, same query answers bit-for-bit
+    — but the state is four parallel NumPy planes ``(a, b, lo, hi)``
+    sorted by ``(a, b, lo)`` instead of a dict of per-pair
+    ``TimeInterval`` lists.  At 100k objects per side ~260k pair lists
+    would dominate the engine's memory; the planes hold the same rows in
+    a few megabytes of contiguous arrays.
 
     Mutations are deferred: :meth:`add_batch` appends to a pending
     buffer, removals mark rows dead, and :meth:`flush` splices the
@@ -421,9 +111,9 @@ class ColumnResultStore:
     time: removals hand over their dead rows, and each flush hands over
     the live rows of the runs it re-merged (``-1``) and the merged rows
     (``+1``).  A row the merge left unchanged cancels in the ledger's
-    per-tick netting, so the netted stream is the same one the list
-    store emits (both equal the store's state diff at the tick
-    boundary), which the ``SC701``–``SC703`` reconciliation checks
+    per-tick netting, so the netted stream is the same one the
+    reference store emits (both equal the store's state diff at the
+    tick boundary), which the ``SC701``–``SC703`` reconciliation checks
     verify.
     """
 
@@ -489,16 +179,17 @@ class ColumnResultStore:
     # ------------------------------------------------------------------
     def add(self, triple: JoinTriple) -> None:
         """Record (or extend) a pair's intersection interval."""
-        self.add_batch(
-            (triple.a_oid,),
-            (triple.b_oid,),
-            (triple.interval.start,),
-            (triple.interval.end,),
-        )
+        self.add_all((triple,))
 
-    def add_all(self, triples: Iterator[JoinTriple]) -> None:
+    def add_all(self, triples: Iterable[JoinTriple]) -> None:
+        """:meth:`add` for every triple, as one :meth:`add_batch` call."""
+        a, b, lo, hi = [], [], [], []
         for triple in triples:
-            self.add(triple)
+            a.append(triple.a_oid)
+            b.append(triple.b_oid)
+            lo.append(triple.interval.start)
+            hi.append(triple.interval.end)
+        self.add_batch(a, b, lo, hi)
 
     def add_batch(self, a_oids, b_oids, starts, ends) -> None:
         """Vectorized :meth:`add`: four parallel arrays, zero Python loops.
@@ -507,7 +198,7 @@ class ColumnResultStore:
         to the pending buffer; the actual sorted merge is deferred to
         the next :meth:`flush` (any query forces one).  The merged
         outcome is order-independent — the interval merge is confluent —
-        so deferral commutes with the list store's immediate merging.
+        so deferral commutes with merging each row as it arrives.
         """
         a = np.array(a_oids, dtype=np.int64, copy=True)
         b = np.array(b_oids, dtype=np.int64, copy=True)
@@ -530,23 +221,17 @@ class ColumnResultStore:
 
     def remove_object(self, oid: int) -> int:
         """Drop every pair involving ``oid``; returns how many."""
-        self._merge_pending()
-        oid = int(oid)
-        n = self._n
-        if n == 0:
-            return 0
-        rows_a = np.arange(*self._a_run(oid), dtype=np.int64)
-        rows = np.unique(np.concatenate([rows_a, self._b_rows(oid)]))
-        return self._kill_rows(rows[self._live[rows]])
+        return self.remove_objects((oid,))
 
     def remove_objects(self, oids) -> int:
-        """Batch :meth:`remove_object`, sorting and hashing no plane.
+        """Drop every pair involving any of ``oids``; returns how many.
 
-        The ``a`` plane is sorted, so an id's rows there are one binary
-        search away; the ``b`` plane is tested against a flag table over
-        its own id span, which only the ids inside the span enter (the
-        other dataset's ids usually lie outside it).  Needs no b-side
-        index, so a flush between calls costs nothing here.
+        Sorts and hashes no plane: the ``a`` plane is sorted, so an id's
+        rows there are one binary search away; the ``b`` plane is tested
+        against a flag table over its own id span, which only the ids
+        inside the span enter (the other dataset's ids usually lie
+        outside it).  Needs no b-side index, so a flush between calls
+        costs nothing here.
         """
         self._merge_pending()
         ids = np.sort(np.asarray(oids, dtype=np.int64).reshape(-1))
@@ -835,9 +520,9 @@ class ColumnResultStore:
     def _pairs(self) -> Dict[PairKey, List[TimeInterval]]:
         """Materialized ``pair → TimeInterval`` list view.
 
-        Compatibility with the list store's inspection surface (the
-        differential tests' ``dump`` helpers); built on demand, never
-        part of the maintained state.
+        The reference store's inspection surface (the differential
+        tests' ``dump`` helpers); built on demand, never part of the
+        maintained state.
         """
         return {
             key: [TimeInterval(start, end) for start, end in rows]

@@ -23,7 +23,7 @@ from ..metrics import CostSnapshot, CostTracker
 from ..obs import NULL_SPAN, ObsRecorder
 from ..objects import MovingObject
 from .config import JoinConfig
-from .result import JoinResultStore
+from .result import ColumnResultStore
 
 __all__ = ["ContinuousSelfJoinEngine"]
 
@@ -68,7 +68,7 @@ class ContinuousSelfJoinEngine:
                     raise ValueError(f"duplicate object id {obj.oid}")
                 self.objects[obj.oid] = obj
                 self.forest.insert(obj, self.now)
-        self.store = JoinResultStore()
+        self.store = ColumnResultStore()
         self.initial_join_cost: Optional[CostSnapshot] = None
         self._sanitize()
 

@@ -1,7 +1,7 @@
 """Delta streams over the maintained join result.
 
 The continuous join's answer is a materialized view (the
-:class:`~repro.core.result.JoinResultStore`).  This package maintains
+:class:`~repro.core.result.ColumnResultStore`).  This package maintains
 the *change* contract next to it: every store mutation is recorded in a
 :class:`DeltaLedger` as signed ``(tick, pair, ±interval)`` events, and
 folding the event stream from ``t = 0`` reconstructs the store

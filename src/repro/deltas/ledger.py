@@ -14,12 +14,11 @@ reconstructs the store bit-for-bit (:class:`DeltaView`).
 
 Raw record
 ----------
-A store reports either one scalar :meth:`DeltaLedger.record` per row
-(the dict store) or whole ``(a, b, lo, hi)`` planes under one sign
-through :meth:`DeltaLedger.record_planes` (the columnar store, which
-hands over the rows it re-merged and the rows that came out, changed
-or not).  The ledger keeps both as they arrive; only the netted stream
-below is the contract.
+A store reports whole ``(a, b, lo, hi)`` planes under one sign through
+:meth:`DeltaLedger.record_planes` (the result store hands over the rows
+it re-merged and the rows that came out, changed or not);
+:meth:`DeltaLedger.record` is its one-row form.  The ledger keeps the
+planes as they arrive; only the netted stream below is the contract.
 
 Netting
 -------
@@ -138,12 +137,11 @@ class DeltaLedger:
     """Append-only per-engine event log with per-tick netting.
 
     The write path stores what it is given and nothing else: a tick's
-    raw record is a list of *chunks* in arrival order, each either a
-    run of scalar :meth:`record` tuples (the dict store's per-row
-    entry point) or one ``(sign, a, b, lo, hi)`` plane set handed over
-    whole by :meth:`record_planes` (the columnar store's).  Netting is
-    one vectorized pass over the tick's chunks, memoized per tick as
-    planes (:meth:`planes_at`) until new raw records arrive;
+    raw record is a list of *chunks* in arrival order, each one
+    ``(sign, a, b, lo, hi)`` plane set handed over whole by
+    :meth:`record_planes`.  Netting is one vectorized pass over the
+    tick's chunks, memoized per tick as planes (:meth:`planes_at`)
+    until new raw records arrive;
     :class:`DeltaEvent` objects exist only once :meth:`events_at` is
     called, and only those of the tick it was last called for are kept.
     """
@@ -168,8 +166,7 @@ class DeltaLedger:
         #: Every tick with at least one raw record, in recording order
         #: (monotone by construction: records land at the current clock).
         self._ticks: List[float] = []
-        #: tick → chunks in arrival order; a chunk is a ``list`` of
-        #: scalar ``(sign, a, b, start, end)`` records or a
+        #: tick → chunks in arrival order; a chunk is a
         #: ``(sign, a, b, lo, hi)`` tuple of one sign and four planes.
         self._raw: Dict[float, list] = {}
         self._baseline: Dict[PairKey, Tuple[Row, ...]] = (
@@ -206,11 +203,14 @@ class DeltaLedger:
         return chunks
 
     def record(self, sign: int, a_oid: int, b_oid: int, start: float, end: float) -> None:
-        """Append one raw transition at the current tick."""
-        chunks = self._chunks()
-        if not chunks or type(chunks[-1]) is not list:
-            chunks.append([])
-        chunks[-1].append((sign, a_oid, b_oid, start, end))
+        """Append one raw transition: the one-row :meth:`record_planes`."""
+        self.record_planes(
+            sign,
+            np.array([a_oid], dtype=np.int64),
+            np.array([b_oid], dtype=np.int64),
+            np.array([start], dtype=np.float64),
+            np.array([end], dtype=np.float64),
+        )
 
     def record_planes(self, sign: int, a, b, lo, hi) -> None:
         """Append one raw transition per row of four parallel planes.
@@ -282,17 +282,12 @@ class DeltaLedger:
 
 
 def _raw_size(chunks: list) -> int:
-    """Raw records in one tick's chunks, scalar and plane rows alike."""
-    return sum(
-        len(chunk) if type(chunk) is list else chunk[1].shape[0]
-        for chunk in chunks
-    )
+    """Raw records in one tick's chunks."""
+    return sum(chunk[1].shape[0] for chunk in chunks)
 
 
 def _chunk_planes(chunk):
     """One chunk as ``(sign, a, b, lo, hi)`` planes, one sign per row."""
-    if type(chunk) is list:
-        return _as_planes(*zip(*chunk))
     sign, a, b, lo, hi = chunk
     return np.full(a.shape[0], sign, dtype=np.int64), a, b, lo, hi
 
@@ -343,8 +338,8 @@ class DeltaView:
     Applying a ``+1`` event inserts its row, a ``-1`` event removes it;
     both are exact-match operations that raise :class:`DeltaReplayError`
     when the stream and the claimed state disagree.  After folding a
-    ledger from its baseline, :meth:`rows` equals
-    ``JoinResultStore.interval_rows()`` bit-for-bit.
+    ledger from its baseline, :meth:`rows` equals the result store's
+    ``interval_rows()`` bit-for-bit.
     """
 
     __slots__ = ("_rows",)

@@ -23,9 +23,7 @@ Filters:
   through the engine's registries (and only when a tick closed since
   the last poll), and the matching pairs currently in the store come
   from the result store's inverted index (``pairs_for_object`` of the
-  engine's store: :class:`~repro.core.result.ColumnResultStore` under
-  the columnar and sharded engines, :class:`~repro.core.result.
-  JoinResultStore` under the tree engine).
+  engine's :class:`~repro.core.result.ColumnResultStore`).
 """
 
 from __future__ import annotations

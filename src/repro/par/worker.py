@@ -186,13 +186,17 @@ def _reseed_ledger(engine: ColumnarJoinEngine, seed) -> None:
     the first post-restore sanitize on.
     """
     from ..deltas import DeltaLedger, DeltaView
+    from ..deltas.ledger import planes_from_events
 
     view = DeltaView(engine.store.interval_rows())
     for sign, a, b, start, end in seed:
         view.apply_row(-sign, a, b, start, end)
     fresh = DeltaLedger(engine.now, baseline=view.rows())
-    for sign, a, b, start, end in seed:
-        fresh.record(sign, a, b, start, end)
+    # The seed rows are the open tick's events without their tick.
+    signs, *planes = planes_from_events([(engine.now, *row) for row in seed])
+    for sign in (-1, 1):
+        rows = signs == sign
+        fresh.record_planes(sign, *(plane[rows] for plane in planes))
     engine.ledger = fresh
     engine.store.attach_ledger(fresh)
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, Mapping, Optional, Set, Tuple
 
 from ..core.config import JoinConfig
-from ..core.result import JoinResultStore
+from ..core.result import ColumnResultStore
 from ..geometry import INF, KineticBox, intersection_interval
 from ..index import MTBTree, TreeStorage
 from ..join import JoinTriple
@@ -72,7 +72,7 @@ class ContinuousWindowEngine:
         )
         for obj in self.objects.values():
             self.forest.insert(obj, self.now)
-        self.store = JoinResultStore()
+        self.store = ColumnResultStore()
         self._evaluated = False
 
     # ------------------------------------------------------------------

@@ -10,13 +10,13 @@ import pytest
 from repro.check import (
     InvariantViolation,
     check_mtb_forest,
-    check_result_store,
     check_supervisor_state,
     check_tpr_tree,
 )
 from repro.check.cli import main
+from repro.check.sanitize import check_column_result_store
 from repro.core import ContinuousJoinEngine, ContinuousSelfJoinEngine, JoinConfig
-from repro.core.result import JoinResultStore
+from repro.core.result import ColumnResultStore
 from repro.geometry import Box, KineticBox, TimeInterval
 from repro.index import MTBTree, TPRStarTree, TreeStorage, save_forest, save_tree
 from repro.join import JoinTriple
@@ -123,59 +123,33 @@ class TestMTBForest:
 
 
 # ----------------------------------------------------------------------
-# Result-store corruption
+# Result store fed one triple at a time (the tree engines' traffic)
 # ----------------------------------------------------------------------
-def store_with(intervals) -> JoinResultStore:
-    store = JoinResultStore()
-    store.add(JoinTriple(1, 2, TimeInterval(0.0, 1.0)))
-    store._pairs[(1, 2)] = list(intervals)
-    # Keep the prune frontier consistent with the injected list so only
-    # the corruption under test is reported.
-    store._frontier = [(intervals[0].end, (1, 2))] if intervals else []
+def store_with(intervals) -> ColumnResultStore:
+    store = ColumnResultStore()
+    for interval in intervals:
+        store.add(JoinTriple(1, 2, interval))
     return store
 
 
 class TestResultStore:
     def test_clean_store_has_no_findings(self):
-        store = store_with([TimeInterval(0.0, 2.0), TimeInterval(5.0, 6.0)])
-        assert check_result_store(store) == []
-
-    def test_out_of_order_is_sc301(self):
         store = store_with([TimeInterval(5.0, 6.0), TimeInterval(0.0, 2.0)])
-        assert "SC301" in codes(check_result_store(store))
-
-    def test_overlapping_intervals_are_sc302(self):
-        store = store_with([TimeInterval(0.0, 5.0), TimeInterval(4.0, 8.0)])
-        assert "SC302" in codes(check_result_store(store))
+        assert check_column_result_store(store) == []
 
     def test_tc_bound_violation_is_sc303(self):
         store = store_with([TimeInterval(0.0, 100.0)])
-        findings = check_result_store(
+        findings = check_column_result_store(
             store, t_m=10.0, anchors={1: 0.0, 2: 0.0}, floor=0.0
         )
         assert "SC303" in codes(findings)
 
     def test_within_tc_bound_is_clean(self):
         store = store_with([TimeInterval(0.0, 9.5)])
-        findings = check_result_store(
+        findings = check_column_result_store(
             store, t_m=10.0, anchors={1: 0.0, 2: 0.0}, floor=0.0
         )
         assert findings == []
-
-    def test_unregistered_pair_is_sc304(self):
-        store = store_with([TimeInterval(0.0, 1.0)])
-        store._pairs[(3, 4)] = [TimeInterval(0.0, 1.0)]
-        assert "SC304" in codes(check_result_store(store))
-
-    def test_missing_frontier_entry_is_sc305(self):
-        store = store_with([TimeInterval(0.0, 2.0)])
-        store._frontier = []  # prune_expired would never see the pair
-        assert "SC305" in codes(check_result_store(store))
-
-    def test_stale_frontier_entries_are_tolerated(self):
-        store = store_with([TimeInterval(0.0, 2.0)])
-        store._frontier.append((0.5, (9, 9)))  # lazy leftovers are fine
-        assert check_result_store(store) == []
 
 
 # ----------------------------------------------------------------------
@@ -458,7 +432,7 @@ class TestDeltaLedger:
     def build(self):
         from repro.deltas import DeltaLedger
 
-        store = JoinResultStore()
+        store = ColumnResultStore()
         ledger = DeltaLedger(0.0)
         store.attach_ledger(ledger)
         store.add(JoinTriple(1, 2, TimeInterval(0.0, 3.0)))
@@ -484,7 +458,8 @@ class TestDeltaLedger:
 
     def test_drifted_interval_is_sc701(self):
         store, ledger = self.build()
-        store._pairs[(3, 4)][0] = TimeInterval(1.0, 9.5)
+        store.flush()
+        store._hi[0] = 9.5  # the (3, 4) row, behind the ledger's back
         found = self.check(store, ledger)
         assert codes(found) == {"SC701"}
         assert "drifted" in found[0].message
@@ -492,7 +467,6 @@ class TestDeltaLedger:
     def test_backdated_tick_is_sc702(self):
         store, ledger = self.build()
         ledger._ticks.append(0.5)  # corrupt: records landed out of order
-        ledger._raw[0.5] = [[(1, 7, 8, 0.0, 1.0)]]  # one scalar chunk
         assert codes(self.check(store, ledger)) == {"SC702"}
 
     def test_duplicated_emission_is_sc703(self):
@@ -534,16 +508,12 @@ class TestColumnResultStore:
     bookkeeping (SC803), and the shared TC bound (SC303)."""
 
     def build(self):
-        from repro.core.result import ColumnResultStore
-
         store = ColumnResultStore()
         store.add_batch((1, 1, 3), (2, 2, 4), (0.0, 5.0, 1.0), (1.0, 6.0, 9.0))
         store.flush()
         return store
 
     def check(self, store, **kw):
-        from repro.check.sanitize import check_column_result_store
-
         return check_column_result_store(store, **kw)
 
     def test_clean_store_has_no_findings(self):

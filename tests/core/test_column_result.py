@@ -22,12 +22,14 @@ from repro.core import (
     ContinuousJoinEngine,
     JoinConfig,
 )
-from repro.core.result import ColumnResultStore, JoinResultStore
+from repro.core.result import ColumnResultStore
 from repro.deltas import DeltaLedger, fold_events
 from repro.geometry import TimeInterval
 from repro.geometry.constants import MERGE_TOL
 from repro.join import JoinTriple
 from repro.workloads import VectorUpdateStream, make_workload_arrays
+
+from ..reference_store import JoinResultStore
 
 
 def triple(a, b, s, e):
@@ -46,9 +48,9 @@ def dump(store):
 
 
 def drive(algorithm, *, engine_cls, sanitize=False, deltas=False, seed=31):
-    """One engine over the workload; the tree engine is the pairs-store
-    side (it keeps a ``JoinResultStore``), the columnar engine the
-    planes side.  Both are fed the same object batches."""
+    """One engine over the workload; the tree engine feeds its store a
+    triple list per object, the columnar engine whole planes.  Both are
+    fed the same object batches."""
     config = JoinConfig(t_m=T_M, sanitize=sanitize, deltas=deltas)
     arr = make_workload_arrays(
         N, "uniform", max_speed=3.0, object_size_pct=1.5, t_m=T_M, seed=seed
@@ -118,7 +120,7 @@ class TestEngineIdentity:
     def test_store_identical_over_matrix(self, algorithm, sanitize):
         pairs = drive(algorithm, engine_cls=ContinuousJoinEngine, sanitize=sanitize)
         cols = drive(algorithm, engine_cls=ColumnarJoinEngine, sanitize=sanitize)
-        assert isinstance(pairs_store(pairs), JoinResultStore)
+        assert isinstance(pairs_store(pairs), ColumnResultStore)
         assert isinstance(cols.store, ColumnResultStore)
         assert dump(pairs_store(pairs)) == dump(cols.store)
         assert len(cols.store) > 0  # the identity is not vacuous
@@ -644,6 +646,9 @@ def test_splice_matches_the_dict_store_under_interleavings(script, wide):
     ref, col = ledgered_pair()
     for tick, mutations_ in enumerate(script, start=1):
         for op, *args in mutations_:
+            if op == "flush":  # the reference merges each row as it arrives
+                col.flush()
+                continue
             if op == "add_batch":
                 a, b, lo, hi = zip(*args[0])
                 args = ([name(x) for x in a], [name(x) for x in b], lo, hi)

@@ -1,9 +1,12 @@
 """Tests for JoinConfig validation and derived values."""
 
 import dataclasses
+import re
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.core import JoinConfig
 
 
@@ -54,4 +57,18 @@ class TestJoinConfig:
         plain = dataclasses.asdict(JoinConfig())
         monkeypatch.setenv("REPRO_COMPILE", "1")
         assert dataclasses.asdict(JoinConfig()) == plain
-        assert len(plain) == 17
+
+    def test_option_surface_is_pinned(self):
+        """Every ``JoinConfig`` field and every ``REPRO_*`` name read
+        under ``src/repro``: a new knob is an edit to this list."""
+        assert {f.name for f in dataclasses.fields(JoinConfig)} == {
+            "space_size", "t_m", "node_capacity", "page_size", "buffer_pages",
+            "buckets_per_tm", "horizon", "use_kernels", "sanitize", "obs",
+            "deltas", "shard_timeout", "shard_heartbeat",
+            "checkpoint_interval", "max_retries", "faults",
+        }
+        root = Path(repro.__file__).parent
+        named = set()
+        for path in root.rglob("*.py"):
+            named.update(re.findall(r"REPRO_[A-Z_]+", path.read_text()))
+        assert named == {"REPRO_SANITIZE", "REPRO_OBS", "REPRO_FAULTS"}

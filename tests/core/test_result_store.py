@@ -5,10 +5,11 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import JoinResultStore
 from repro.geometry import INF, TimeInterval
 from repro.geometry.constants import MERGE_TOL
 from repro.join import JoinTriple
+
+from ..reference_store import JoinResultStore
 
 
 def triple(a, b, s, e):

@@ -17,7 +17,6 @@ import types
 import pytest
 
 from repro.core import ColumnarJoinEngine, JoinConfig
-from repro.core.result import JoinResultStore
 from repro.deltas import (
     DeltaEvent,
     DeltaLedger,
@@ -28,6 +27,7 @@ from repro.deltas import (
 from repro.geometry import TimeInterval
 from repro.join import JoinTriple
 
+from ..reference_store import JoinResultStore
 from .conftest import T_M, delta_batches, delta_workload
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import ContinuousJoinEngine, JoinConfig, JoinResultStore
+from repro.core import ContinuousJoinEngine, JoinConfig
 from repro.index import MTBTree, TPRStarTree, TreeStorage
 from repro.par import ShardedJoinEngine
 from repro.join import (
@@ -32,6 +32,8 @@ from repro.join import (
     tp_join,
 )
 from repro.workloads import UpdateStream, make_workload
+
+from ..reference_store import JoinResultStore
 
 T_M = 30.0
 SIZES = (30, 60, 120)

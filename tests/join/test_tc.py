@@ -13,7 +13,6 @@ import random
 
 import pytest
 
-from repro.core import JoinResultStore
 from repro.index import MTBTree, TPRStarTree, TreeStorage
 from repro.join import (
     JoinTechniques,
@@ -26,6 +25,7 @@ from repro.join import (
 )
 
 from ..conftest import random_object, random_objects
+from ..reference_store import JoinResultStore
 
 
 def norm(triples):
