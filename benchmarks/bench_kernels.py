@@ -4,6 +4,9 @@ Standalone script (not a pytest-benchmark figure): times the three
 kernelized call sites — all-pairs constraint grid, plane sweep, and the
 IC entry filter — on seeded random box batches of growing size, and
 writes the measurements to ``BENCH_kernels.json`` at the repo root.
+The scalar side is the reference in :mod:`repro.geometry.plane_sweep`;
+the vectorized side packs its input with ``KineticBatch.from_boxes``
+inside the timed call, as a caller holding kinetic boxes must.
 
 Run with::
 
@@ -28,7 +31,9 @@ from repro.geometry import (
     KineticBatch,
     KineticBox,
     all_pairs_intersection,
+    batch_all_pairs_intersection,
     batch_filter_against,
+    batch_ps_intersection,
     intersection_interval,
     ps_intersection,
 )
@@ -64,17 +69,17 @@ def timed(fn, min_repeat: int = 3, min_time: float = 0.15) -> float:
     return best
 
 
-def bench_all_pairs(boxes_a, boxes_b):
-    t0, t1 = WINDOW
-    scalar = timed(lambda: all_pairs_intersection(boxes_a, boxes_b, t0, t1, use_kernels=False))
-    vector = timed(lambda: all_pairs_intersection(boxes_a, boxes_b, t0, t1, use_kernels=True))
-    return scalar, vector
+def packed(kernel):
+    """``kernel`` called on kinetic boxes, packing both sides per call."""
+    return lambda boxes_a, boxes_b, t0, t1: kernel(
+        KineticBatch.from_boxes(boxes_a), KineticBatch.from_boxes(boxes_b), t0, t1
+    )
 
 
-def bench_ps(boxes_a, boxes_b):
+def bench_pair(scalar_fn, vector_fn, boxes_a, boxes_b):
     t0, t1 = WINDOW
-    scalar = timed(lambda: ps_intersection(boxes_a, boxes_b, t0, t1, use_kernels=False))
-    vector = timed(lambda: ps_intersection(boxes_a, boxes_b, t0, t1, use_kernels=True))
+    scalar = timed(lambda: scalar_fn(boxes_a, boxes_b, t0, t1))
+    vector = timed(lambda: vector_fn(boxes_a, boxes_b, t0, t1))
     return scalar, vector
 
 
@@ -100,8 +105,13 @@ def main() -> int:
         boxes_a = make_boxes(rng, n)
         boxes_b = make_boxes(rng, n)
         for name, (scalar_s, vector_s) in {
-            "all_pairs": bench_all_pairs(boxes_a, boxes_b),
-            "plane_sweep": bench_ps(boxes_a, boxes_b),
+            "all_pairs": bench_pair(
+                all_pairs_intersection, packed(batch_all_pairs_intersection),
+                boxes_a, boxes_b,
+            ),
+            "plane_sweep": bench_pair(
+                ps_intersection, packed(batch_ps_intersection), boxes_a, boxes_b
+            ),
             "ic_filter": bench_filter(boxes_a, boxes_b[0]),
         }.items():
             speedup = scalar_s / vector_s if vector_s > 0 else float("inf")

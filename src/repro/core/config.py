@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Optional
@@ -36,11 +37,6 @@ class JoinConfig:
     buckets_per_tm: int = DEFAULT_BUCKETS_PER_TM
     #: TPR insertion horizon ``H``; ``None`` means ``t_m``.
     horizon: Optional[float] = None
-    #: Route pair tests through the vectorized NumPy kernels
-    #: (:mod:`repro.geometry.kernels`).  Identical results either way;
-    #: off forces the scalar reference path the parity suites compare
-    #: against.
-    use_kernels: bool = True
     #: Run the :mod:`repro.check` invariant sanitizer after every
     #: build/tick/update (slow; debugging and CI smoke tests).  Also
     #: forced on by the ``REPRO_SANITIZE=1`` environment variable.
@@ -82,18 +78,18 @@ class JoinConfig:
             object.__setattr__(self, "sanitize", True)
         if not self.obs and os.environ.get("REPRO_OBS", "") not in ("", "0"):
             object.__setattr__(self, "obs", True)
-        if self.space_size <= 0:
-            raise ValueError("space_size must be positive")
-        if self.t_m <= 0:
-            raise ValueError("t_m must be positive")
+        if not _finite_positive(self.space_size):
+            raise ValueError("space_size must be finite and positive")
+        if not _finite_positive(self.t_m):
+            raise ValueError("t_m must be finite and positive")
         if self.buckets_per_tm < 1:
             raise ValueError("buckets_per_tm must be >= 1")
-        if self.horizon is not None and self.horizon <= 0:
-            raise ValueError("horizon must be positive")
-        if self.shard_timeout is not None and self.shard_timeout <= 0:
-            raise ValueError("shard_timeout must be positive (or None)")
-        if self.shard_heartbeat <= 0:
-            raise ValueError("shard_heartbeat must be positive")
+        if self.horizon is not None and not _finite_positive(self.horizon):
+            raise ValueError("horizon must be finite and positive")
+        if self.shard_timeout is not None and not _finite_positive(self.shard_timeout):
+            raise ValueError("shard_timeout must be finite and positive (or None)")
+        if not _finite_positive(self.shard_heartbeat):
+            raise ValueError("shard_heartbeat must be finite and positive")
         if self.checkpoint_interval < 1:
             raise ValueError("checkpoint_interval must be >= 1")
         if self.max_retries < 0:
@@ -108,3 +104,7 @@ class JoinConfig:
     def bucket_length(self) -> float:
         """Length of one MTB time bucket."""
         return self.t_m / self.buckets_per_tm
+
+
+def _finite_positive(value: float) -> bool:
+    return math.isfinite(value) and value > 0

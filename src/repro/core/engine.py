@@ -409,7 +409,6 @@ def _new_tree(engine: ContinuousJoinEngine) -> TPRStarTree:
         storage=engine.storage,
         node_capacity=engine.config.node_capacity,
         horizon=engine.config.effective_horizon,
-        use_kernels=engine.config.use_kernels,
     )
 
 
@@ -420,7 +419,6 @@ def _new_forest(engine: ContinuousJoinEngine) -> MTBTree:
         storage=engine.storage,
         buckets_per_tm=engine.config.buckets_per_tm,
         node_capacity=engine.config.node_capacity,
-        use_kernels=engine.config.use_kernels,
     )
 
 
@@ -531,10 +529,7 @@ class _MTBStrategy(_IntervalStrategy):
         self, engine: ContinuousJoinEngine, techniques: Optional[JoinTechniques]
     ):
         super().__init__(engine)
-        if techniques is None:
-            techniques = JoinTechniques.all()
-            techniques.use_kernels = engine.config.use_kernels
-        self.techniques = techniques
+        self.techniques = techniques if techniques is not None else JoinTechniques.all()
 
     def build(self, t0: float) -> None:
         engine = self.engine

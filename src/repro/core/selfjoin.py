@@ -60,7 +60,6 @@ class ContinuousSelfJoinEngine:
             storage=self.storage,
             buckets_per_tm=self.config.buckets_per_tm,
             node_capacity=self.config.node_capacity,
-            use_kernels=self.config.use_kernels,
         )
         with self._span("engine.build"):
             for obj in objects:

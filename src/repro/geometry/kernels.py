@@ -100,9 +100,11 @@ The kernels are *bit-identical* to the scalar path, not merely close:
   expression on gathered rows — which is the test the group call
   applies.
 
-The scalar implementations stay in place as the reference the parity
-suites compare against; these kernels are the only production path, and
-consumers choose between the two by input size alone.
+The scalar implementations (:mod:`repro.geometry.plane_sweep`) stay in
+place as the oracle the tests call directly; these kernels are the only
+production path.  The one place a scalar loop still runs in production
+is a tree search visiting a node under :data:`PROBE_BATCH_MIN` entries,
+chosen by input size alone.
 """
 
 from __future__ import annotations
@@ -394,7 +396,7 @@ def batch_filter_against(
 ) -> "np.ndarray":
     """Boolean mask of batch rows intersecting ``other`` during the window.
 
-    This is the IC entry filter (`_filter_against`) as one kernel call:
+    This is ImprovedJoin's IC entry filter as one kernel call:
     ``mask[i]`` is true iff ``intersection_interval(batch[i], other, t0,
     t1)`` is not ``None``.
     """
@@ -810,8 +812,9 @@ def batch_sweep_join(
     Returns ``(idx_a, idx_b, lo, hi)`` arrays of the intersecting pairs
     in the scalar sweep's order — ``batch_a[idx_a[k]]`` intersects
     ``batch_b[idx_b[k]]`` exactly during ``[lo[k], hi[k]]``: rows, row
-    order and windows are those of ``ps_intersection(use_kernels=False)``
-    on ``dim``, bit for bit.
+    order and windows are those of the scalar reference
+    :func:`~repro.geometry.plane_sweep.ps_intersection` on ``dim``, bit
+    for bit.
 
     ``ends = (ends_a, ends_b)`` gives either side one finite window end
     per row (MTB: a row's bucket end plus ``T_M``).  Pair ``(i, j)`` is

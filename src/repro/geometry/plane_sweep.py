@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 from typing import List, Optional, Sequence, Tuple
 
-from . import kernels
 from .box import NDIMS
 from .intersection import intersection_interval
 from .interval import INF, TimeInterval
@@ -83,7 +82,6 @@ def ps_intersection(
     t1: float,
     dim: Optional[int] = None,
     counter: Optional[List[int]] = None,
-    use_kernels: bool = True,
 ) -> List[Tuple[int, int, TimeInterval]]:
     """All intersecting pairs between two sets of moving rectangles.
 
@@ -91,16 +89,12 @@ def ps_intersection(
     ``boxes_b[j]`` during ``interval ⊆ [t0, t1]``.  ``dim`` forces a
     sweep dimension (``None`` applies dimension selection).  When
     ``counter`` is given, ``counter[0]`` is incremented once per 1-D
-    sweep candidate — each of which the scalar path tests exactly —
-    which benchmarks use to report CPU work.  The kernel path reports
-    the same number, counted from the sweep bounds, although it finds
-    its candidates with a grid and tests far fewer.
+    sweep candidate, each of which is tested exactly.
 
-    ``use_kernels`` picks the implementation: ``True`` (default) routes
-    through the vectorized :mod:`repro.geometry.kernels` batch sweep,
-    ``False`` runs the scalar reference path.  Both paths return
-    identical triples (the kernels are bit-exact against the scalar
-    oracle).
+    This is the scalar reference: the engines run
+    :func:`~repro.geometry.kernels.batch_ps_intersection`, which the
+    tests pin against it bit for bit — same triples, same order, same
+    ``counter[0]``.
 
     The sweep runs both sorted sequences in ``lb`` order; for the item
     with the globally smallest ``lb`` it scans the other sequence while
@@ -109,15 +103,6 @@ def ps_intersection(
     """
     if t1 < t0:
         raise ValueError("t_end must be >= t_start")
-    if use_kernels:
-        return kernels.batch_ps_intersection(
-            kernels.KineticBatch.from_boxes(list(boxes_a)),
-            kernels.KineticBatch.from_boxes(list(boxes_b)),
-            t0,
-            t1,
-            dim=dim,
-            counter=counter,
-        )
     if dim is None:
         dim = select_sweep_dimension(boxes_a, boxes_b)
     seq_a = sorted(
@@ -163,24 +148,13 @@ def all_pairs_intersection(
     t0: float,
     t1: float = INF,
     counter: Optional[List[int]] = None,
-    use_kernels: bool = True,
 ) -> List[Tuple[int, int, TimeInterval]]:
     """Nested-loop reference: every pair tested exactly once.
 
-    Used where plane sweep cannot run (unbounded window) and as the
-    oracle against which :func:`ps_intersection` is verified.  With
-    ``use_kernels`` (the default) the full
-    ``M × N`` constraint grid is evaluated as one broadcast kernel call
-    instead of a Python double loop; results are identical either way.
+    The oracle against which :func:`ps_intersection` and
+    :func:`~repro.geometry.kernels.batch_all_pairs_intersection` (the
+    engines' one broadcast call over the ``M × N`` grid) are verified.
     """
-    if use_kernels:
-        return kernels.batch_all_pairs_intersection(
-            kernels.KineticBatch.from_boxes(list(boxes_a)),
-            kernels.KineticBatch.from_boxes(list(boxes_b)),
-            t0,
-            t1,
-            counter=counter,
-        )
     results: List[Tuple[int, int, TimeInterval]] = []
     for i, ka in enumerate(boxes_a):
         for j, kb in enumerate(boxes_b):

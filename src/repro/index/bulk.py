@@ -36,7 +36,6 @@ def bulk_load(
     horizon: float = 60.0,
     fill_factor: float = 0.82,
     tree_class: type = TPRStarTree,
-    use_kernels: bool = True,
 ) -> TPRTree:
     """Build a packed TPR*-tree over ``objects`` as of time ``t0``.
 
@@ -52,10 +51,7 @@ def bulk_load(
     """
     if not 0.1 < fill_factor <= 1.0:
         raise ValueError("fill_factor must be in (0.1, 1.0]")
-    tree = tree_class(
-        storage=storage, node_capacity=node_capacity, horizon=horizon,
-        use_kernels=use_kernels,
-    )
+    tree = tree_class(storage=storage, node_capacity=node_capacity, horizon=horizon)
     if not objects:
         return tree
     seen = set()

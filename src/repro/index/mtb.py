@@ -43,9 +43,6 @@ class MTBTree:
     tree_factory:
         Constructor for bucket trees (defaults to :class:`TPRStarTree`);
         swapped in ablation benchmarks.
-    use_kernels:
-        Forwarded to every bucket tree: vectorized search pair tests
-        (identical results, fewer Python-level calls).
     """
 
     def __init__(
@@ -55,7 +52,6 @@ class MTBTree:
         buckets_per_tm: int = DEFAULT_BUCKETS_PER_TM,
         node_capacity: int = DEFAULT_NODE_CAPACITY,
         tree_factory: Callable[..., TPRTree] = TPRStarTree,
-        use_kernels: bool = True,
     ):
         if t_m <= 0:
             raise ValueError("t_m must be positive")
@@ -65,7 +61,6 @@ class MTBTree:
         self.bucket_length = self.t_m / buckets_per_tm
         self.storage = storage if storage is not None else TreeStorage()
         self.node_capacity = node_capacity
-        self.use_kernels = use_kernels
         self._tree_factory = tree_factory
         self._trees: Dict[int, TPRTree] = {}
         self.objects = ObjectTable()
@@ -149,7 +144,6 @@ class MTBTree:
                 storage=self.storage,
                 node_capacity=self.node_capacity,
                 horizon=self.t_m,
-                use_kernels=self.use_kernels,
             )
             self._trees[key] = tree
         return tree

@@ -126,7 +126,6 @@ def load_tree(
     tree.node_capacity = capacity
     tree.horizon = horizon
     tree.min_fill = max(1, int(capacity * 0.4))
-    tree.use_kernels = True
     from .object_table import ObjectTable
 
     tree.objects = ObjectTable()

@@ -46,11 +46,6 @@ class TPRTree:
         natural choice is the maximum update interval ``T_M``.
     min_fill_ratio:
         Underflow threshold as a fraction of capacity.
-    use_kernels:
-        Route :meth:`search` pair tests through the vectorized NumPy
-        kernels (one call per node instead of one per entry).  Results
-        are identical to the scalar path; the off side is the
-        reference the parity suites compare against.
     """
 
     #: Subclasses may enable R*-style forced reinsertion.
@@ -62,7 +57,6 @@ class TPRTree:
         node_capacity: int = DEFAULT_NODE_CAPACITY,
         horizon: float = DEFAULT_HORIZON,
         min_fill_ratio: float = 0.4,
-        use_kernels: bool = True,
     ):
         self.storage = storage if storage is not None else TreeStorage()
         max_cap = self.storage.max_node_capacity()
@@ -78,7 +72,6 @@ class TPRTree:
             raise ValueError("horizon must be positive")
         self.node_capacity = node_capacity
         self.horizon = float(horizon)
-        self.use_kernels = bool(use_kernels)
         self.min_fill = max(1, int(node_capacity * min_fill_ratio))
         self.objects = ObjectTable()
         root = self.storage.new_node(level=0)
@@ -123,16 +116,16 @@ class TPRTree:
         """Objects whose MBR intersects a (moving) region during ``[t0, t1]``.
 
         Returns ``(oid, interval)`` pairs with the exact overlap interval
-        clipped to the window.  With ``use_kernels`` each visited node's
-        entries are tested against the region in a single vectorized
-        call; the answer is identical to the scalar per-entry loop.
+        clipped to the window.  A visited node of at least
+        ``kernels.PROBE_BATCH_MIN`` entries is tested against the region
+        in one vectorized call, a smaller one entry by entry; the two
+        agree bit for bit.
         """
         results: List[Tuple[int, TimeInterval]] = []
         stack = [self.root_id]
         tracker = self.storage.tracker
-        use_k = self.use_kernels
         with tracker_span(tracker, "tpr.search"):
-            self._search_into(stack, region, t0, t1, tracker, use_k, results)
+            self._search_into(stack, region, t0, t1, tracker, results)
         return results
 
     def _search_into(
@@ -142,13 +135,12 @@ class TPRTree:
         t0: float,
         t1: float,
         tracker,
-        use_k: bool,
         results: List[Tuple[int, TimeInterval]],
     ) -> None:
         while stack:
             node = self.read_node(stack.pop())
             entries = node.entries
-            if use_k and len(entries) >= kernels.PROBE_BATCH_MIN:
+            if len(entries) >= kernels.PROBE_BATCH_MIN:
                 tracker.count_pair_tests(len(entries))
                 lo, hi, ok = kernels.batch_probe_windows(
                     kernels.KineticBatch.from_entries(entries), region, t0, t1

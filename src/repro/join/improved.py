@@ -19,27 +19,19 @@ three techniques that *time-constrained processing enables* (§IV-D):
 Each technique can be toggled independently — the Figure 8 ablation
 runs None / IC / PS / DS+PS / IC+PS / ALL.
 
-Orthogonally to the paper's techniques, ``use_kernels`` routes the
-per-entry work (IC filtering, sweep bounds, exact pair tests) through
-the vectorized :mod:`repro.geometry.kernels` layer: a node's entries
+The per-entry work (IC filtering, sweep bounds, exact pair tests) runs
+in the vectorized :mod:`repro.geometry.kernels` layer: a node's entries
 are packed once per run into a :class:`~repro.geometry.KineticBatch`
-and every candidate set is tested in one NumPy call.  The kernels are
-bit-exact against the scalar path, so toggling the flag changes cost,
-never results.
+and every candidate set is tested in one NumPy call.  The scalar
+functions of :mod:`repro.geometry.plane_sweep` are the reference the
+kernels are pinned against bit for bit; the tests call them directly.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional
 
-from ..geometry import (
-    INF,
-    all_pairs_intersection,
-    intersection_interval,
-    kernels,
-    ps_intersection,
-    select_sweep_dimension,
-)
+from ..geometry import INF, intersection_interval, kernels
 from ..index import TPRTree
 from ..index.entry import Entry
 from ..index.node import Node
@@ -53,29 +45,18 @@ __all__ = ["improved_join", "JoinTechniques"]
 class JoinTechniques:
     """Which of the §IV-D techniques a run applies.
 
-    ``use_kernels`` additionally selects the vectorized NumPy pair-test
-    path (on by default; results are identical either way, so it is an
-    implementation ablation rather than a paper technique).
-
     >>> JoinTechniques.all()
-    JoinTechniques(ps=True, ds=True, ic=True, kernels=True)
+    JoinTechniques(ps=True, ds=True, ic=True)
     >>> JoinTechniques.none()
-    JoinTechniques(ps=False, ds=False, ic=False, kernels=True)
+    JoinTechniques(ps=False, ds=False, ic=False)
     """
 
-    __slots__ = ("use_ps", "use_ds", "use_ic", "use_kernels")
+    __slots__ = ("use_ps", "use_ds", "use_ic")
 
-    def __init__(
-        self,
-        use_ps: bool = True,
-        use_ds: bool = True,
-        use_ic: bool = True,
-        use_kernels: bool = True,
-    ):
+    def __init__(self, use_ps: bool = True, use_ds: bool = True, use_ic: bool = True):
         self.use_ps = use_ps
         self.use_ds = use_ds
         self.use_ic = use_ic
-        self.use_kernels = use_kernels
 
     @classmethod
     def all(cls) -> "JoinTechniques":
@@ -86,10 +67,7 @@ class JoinTechniques:
         return cls(False, False, False)
 
     def __repr__(self) -> str:
-        return (
-            f"JoinTechniques(ps={self.use_ps}, ds={self.use_ds}, "
-            f"ic={self.use_ic}, kernels={self.use_kernels})"
-        )
+        return f"JoinTechniques(ps={self.use_ps}, ds={self.use_ds}, ic={self.use_ic})"
 
 
 class _JoinContext:
@@ -103,11 +81,10 @@ class _JoinContext:
     only move forward in time.
     """
 
-    __slots__ = ("t_run", "use_kernels", "_bounds", "_batches")
+    __slots__ = ("t_run", "_bounds", "_batches")
 
-    def __init__(self, t_run: float, use_kernels: bool):
+    def __init__(self, t_run: float):
         self.t_run = t_run
-        self.use_kernels = use_kernels
         self._bounds: dict = {}
         self._batches: dict = {}
 
@@ -158,7 +135,7 @@ def improved_join(
         root_b = tree_b.root_node()
         if not root_a.entries or not root_b.entries:
             return results
-        ctx = _JoinContext(t_start, techniques.use_kernels)
+        ctx = _JoinContext(t_start)
         _join_nodes(
             tree_a, tree_b, root_a, root_b, t_start, t_end,
             techniques, tracker, results, ctx,
@@ -182,9 +159,8 @@ def _join_nodes(
     entries_b = node_b.entries
     if not entries_a or not entries_b:
         return
-    use_k = ctx.use_kernels
-    batch_a = ctx.batch(node_a, "a") if use_k else None
-    batch_b = ctx.batch(node_b, "b") if use_k else None
+    batch_a = ctx.batch(node_a, "a")
+    batch_b = ctx.batch(node_b, "b")
 
     if tech.use_ic:
         bound_a = ctx.bound(node_a, "a")
@@ -194,20 +170,10 @@ def _join_nodes(
         if window is None:
             return
         t0, t1 = window.start, window.end
-        if use_k:
-            entries_a, batch_a = _filter_batch(
-                entries_a, batch_a, bound_b, t0, t1, tracker
-            )
-            if not entries_a:
-                return
-            entries_b, batch_b = _filter_batch(
-                entries_b, batch_b, bound_a, t0, t1, tracker
-            )
-        else:
-            entries_a = _filter_against(entries_a, bound_b, t0, t1, tracker)
-            if not entries_a:
-                return
-            entries_b = _filter_against(entries_b, bound_a, t0, t1, tracker)
+        entries_a, batch_a = _filter_batch(entries_a, batch_a, bound_b, t0, t1, tracker)
+        if not entries_a:
+            return
+        entries_b, batch_b = _filter_batch(entries_b, batch_b, bound_a, t0, t1, tracker)
         if not entries_b:
             return
 
@@ -220,33 +186,17 @@ def _join_nodes(
         return
 
     counter = [0]
-    if use_k:
-        if tech.use_ps:
-            dim = (
-                kernels.batch_select_sweep_dimension(batch_a, batch_b)
-                if tech.use_ds
-                else 0
-            )
-            pairs = kernels.batch_ps_intersection(
-                batch_a, batch_b, t0, t1, dim=dim, counter=counter
-            )
-        else:
-            pairs = kernels.batch_all_pairs_intersection(
-                batch_a, batch_b, t0, t1, counter=counter
-            )
+    if tech.use_ps:
+        dim = 0
+        if tech.use_ds:
+            dim = kernels.batch_select_sweep_dimension(batch_a, batch_b)
+        pairs = kernels.batch_ps_intersection(
+            batch_a, batch_b, t0, t1, dim=dim, counter=counter
+        )
     else:
-        boxes_a = [e.kbox for e in entries_a]
-        boxes_b = [e.kbox for e in entries_b]
-        if tech.use_ps:
-            dim = select_sweep_dimension(boxes_a, boxes_b) if tech.use_ds else 0
-            pairs = ps_intersection(
-                boxes_a, boxes_b, t0, t1, dim=dim, counter=counter,
-                use_kernels=False,
-            )
-        else:
-            pairs = all_pairs_intersection(
-                boxes_a, boxes_b, t0, t1, counter=counter, use_kernels=False
-            )
+        pairs = kernels.batch_all_pairs_intersection(
+            batch_a, batch_b, t0, t1, counter=counter
+        )
     tracker.count_pair_tests(counter[0])
 
     if node_a.is_leaf:
@@ -271,22 +221,6 @@ def _join_nodes(
         )
 
 
-def _filter_against(
-    entries: List[Entry],
-    other_bound,
-    t0: float,
-    t1: float,
-    tracker: CostTracker,
-) -> List[Entry]:
-    """IC entry filter: keep entries touching the other node's bound."""
-    kept = []
-    for entry in entries:
-        tracker.count_pair_tests()
-        if intersection_interval(entry.kbox, other_bound, t0, t1) is not None:
-            kept.append(entry)
-    return kept
-
-
 def _filter_batch(
     entries: List[Entry],
     batch,
@@ -295,7 +229,8 @@ def _filter_batch(
     t1: float,
     tracker: CostTracker,
 ):
-    """IC entry filter over a whole node in one kernel call."""
+    """IC entry filter: keep the entries touching the other node's bound,
+    over a whole node in one kernel call."""
     tracker.count_pair_tests(len(entries))
     mask = kernels.batch_filter_against(batch, other_bound, t0, t1)
     if mask.all():
@@ -324,9 +259,7 @@ def _descend_single_side(
 ) -> None:
     if node_a.is_leaf:
         bound_a = ctx.bound(node_a, "a")
-        for eb, window in _entry_windows(
-            bound_a, entries_b, batch_b, t0, t1, tracker, bound_is_a=True
-        ):
+        for eb, window in _entry_windows(bound_a, entries_b, batch_b, t0, t1, tracker):
             child_b = tree_b.read_node(eb.ref)
             _join_nodes(
                 tree_a, tree_b, node_a, child_b,
@@ -334,9 +267,7 @@ def _descend_single_side(
             )
         return
     bound_b = ctx.bound(node_b, "b")
-    for ea, window in _entry_windows(
-        bound_b, entries_a, batch_a, t0, t1, tracker, bound_is_a=False
-    ):
+    for ea, window in _entry_windows(bound_b, entries_a, batch_a, t0, t1, tracker):
         child_a = tree_a.read_node(ea.ref)
         _join_nodes(
             tree_a, tree_b, child_a, node_b,
@@ -351,26 +282,14 @@ def _entry_windows(
     t0: float,
     t1: float,
     tracker: CostTracker,
-    bound_is_a: bool,
 ):
     """``(entry, (t_s, t_e))`` for entries intersecting a node bound.
 
-    ``bound_is_a`` keeps the A-before-B argument orientation of the
-    scalar calls; the probe kernel's windows are orientation-independent
-    (see :func:`~repro.geometry.kernels.batch_probe_windows`), so one
-    kernel serves both directions bit-exactly.
+    The probe kernel's windows are orientation-independent (see
+    :func:`~repro.geometry.kernels.batch_probe_windows`), so one call
+    serves a bound of either side bit-exactly.
     """
-    if batch is not None:
-        tracker.count_pair_tests(len(entries))
-        lo, hi, ok = kernels.batch_probe_windows(batch, bound, t0, t1)
-        for idx in kernels.np.nonzero(ok)[0].tolist():
-            yield entries[idx], (float(lo[idx]), float(hi[idx]))
-        return
-    for entry in entries:
-        tracker.count_pair_tests()
-        if bound_is_a:
-            window = intersection_interval(bound, entry.kbox, t0, t1)
-        else:
-            window = intersection_interval(entry.kbox, bound, t0, t1)
-        if window is not None:
-            yield entry, (window.start, window.end)
+    tracker.count_pair_tests(len(entries))
+    lo, hi, ok = kernels.batch_probe_windows(batch, bound, t0, t1)
+    for idx in kernels.np.nonzero(ok)[0].tolist():
+        yield entries[idx], (float(lo[idx]), float(hi[idx]))

@@ -103,7 +103,6 @@ class ContinuousKNNEngine:
             storage=self.storage,
             buckets_per_tm=self.config.buckets_per_tm,
             node_capacity=self.config.node_capacity,
-            use_kernels=self.config.use_kernels,
         )
         self.objects: Dict[int, MovingObject] = {}
         for obj in objects:

@@ -68,7 +68,6 @@ class ContinuousWindowEngine:
             storage=self.storage,
             buckets_per_tm=self.config.buckets_per_tm,
             node_capacity=self.config.node_capacity,
-            use_kernels=self.config.use_kernels,
         )
         for obj in self.objects.values():
             self.forest.insert(obj, self.now)

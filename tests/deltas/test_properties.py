@@ -1,8 +1,8 @@
 """Property suite: the delta contract under randomized workloads.
 
 Two layers.  The engine-level properties draw whole workloads (size,
-seeds, kernels on/off) and check the incremental-view identity the API
-promises subscribers: *applying ``deltas(t)`` to the previous
+seeds) and check the incremental-view identity the API promises
+subscribers: *applying ``deltas(t)`` to the previous
 materialized view yields the store at t* — plus append-only,
 tick-monotone streams.  The ledger-level properties draw raw record
 sequences directly, so shrinking lands on a minimal add/remove pattern
@@ -30,16 +30,15 @@ engine_runs = settings(max_examples=8, deadline=None)
 @given(
     n=st.sampled_from([30, 45, 60]),
     seed=st.integers(min_value=0, max_value=40),
-    use_kernels=st.booleans(),
 )
-def test_deltas_advance_the_previous_view_to_the_store(n, seed, use_kernels):
+def test_deltas_advance_the_previous_view_to_the_store(n, seed):
     """view(t-) ⊕ deltas(t) == store(t), at every tick of a random run."""
     scenario = delta_workload(n=n, seed=seed)
     engine = ContinuousJoinEngine(
         scenario.set_a,
         scenario.set_b,
         "mtb",
-        JoinConfig(t_m=T_M, node_capacity=8, deltas=True, use_kernels=use_kernels),
+        JoinConfig(t_m=T_M, node_capacity=8, deltas=True),
     )
     engine.run_initial_join()
     store = engine._strategy.store

@@ -22,7 +22,11 @@ from repro.geometry import (
     intersection_interval,
     merge_intervals,
 )
-from repro.geometry.kernels import KineticBatch, batch_filter_against
+from repro.geometry.kernels import (
+    KineticBatch,
+    batch_all_pairs_intersection,
+    batch_filter_against,
+)
 
 finite_t = st.floats(min_value=-50, max_value=50, allow_nan=False)
 end_t = st.one_of(finite_t, st.just(INF))
@@ -169,10 +173,9 @@ class TestSubnormalSlopeRegression:
         assert intersection_interval(self.A, self.B, 0.0, 1e12) is None
 
     def test_all_pairs_kernel(self):
-        for use_kernels in (False, True):
-            assert all_pairs_intersection(
-                [self.A], [self.B], 0.0, INF, use_kernels=use_kernels
-            ) == []
+        assert all_pairs_intersection([self.A], [self.B], 0.0, INF) == []
+        batch_a, batch_b = KineticBatch.from_boxes([self.A]), KineticBatch.from_boxes([self.B])
+        assert batch_all_pairs_intersection(batch_a, batch_b, 0.0, INF) == []
 
     def test_probe_kernel(self):
         batch = KineticBatch.from_boxes([self.B])

@@ -228,8 +228,8 @@ class TestSweepParity:
     def test_all_pairs_exact(self, seed):
         boxes_a, boxes_b = self._random_sets(seed, 40, 35)
         ca, ck = [0], [0]
-        scalar = all_pairs_intersection(boxes_a, boxes_b, 0, 30, ca, use_kernels=False)
-        vector = all_pairs_intersection(boxes_a, boxes_b, 0, 30, ck, use_kernels=True)
+        scalar = all_pairs_intersection(boxes_a, boxes_b, 0, 30, ca)
+        vector = batch_all_pairs_intersection(batch_of(boxes_a), batch_of(boxes_b), 0, 30, ck)
         assert ca == ck
         assert [(i, j, iv.start, iv.end) for i, j, iv in scalar] == [
             (i, j, iv.start, iv.end) for i, j, iv in vector
@@ -240,11 +240,9 @@ class TestSweepParity:
     def test_ps_exact(self, seed, dim):
         boxes_a, boxes_b = self._random_sets(seed, 45, 40)
         ca, ck = [0], [0]
-        scalar = ps_intersection(
-            boxes_a, boxes_b, 0, 12, dim=dim, counter=ca, use_kernels=False
-        )
-        vector = ps_intersection(
-            boxes_a, boxes_b, 0, 12, dim=dim, counter=ck, use_kernels=True
+        scalar = ps_intersection(boxes_a, boxes_b, 0, 12, dim=dim, counter=ca)
+        vector = batch_ps_intersection(
+            batch_of(boxes_a), batch_of(boxes_b), 0, 12, dim=dim, counter=ck
         )
         assert ca == ck, "candidate counts diverged"
         assert [(i, j, iv.start, iv.end) for i, j, iv in scalar] == [
@@ -253,17 +251,18 @@ class TestSweepParity:
 
     def test_ps_degenerate_window(self):
         boxes_a, boxes_b = self._random_sets(9, 30, 30)
-        scalar = ps_intersection(boxes_a, boxes_b, 5.0, 5.0, use_kernels=False)
-        vector = ps_intersection(boxes_a, boxes_b, 5.0, 5.0, use_kernels=True)
+        scalar = ps_intersection(boxes_a, boxes_b, 5.0, 5.0)
+        vector = batch_ps_intersection(batch_of(boxes_a), batch_of(boxes_b), 5.0, 5.0)
         assert [(i, j, iv.start, iv.end) for i, j, iv in scalar] == [
             (i, j, iv.start, iv.end) for i, j, iv in vector
         ]
 
     def test_empty_sides(self):
         boxes, _ = self._random_sets(3, 5, 0)
-        assert ps_intersection(boxes, [], 0, 10, use_kernels=True) == []
-        assert ps_intersection([], boxes, 0, 10, use_kernels=True) == []
-        assert all_pairs_intersection([], boxes, 0, 10, use_kernels=True) == []
+        batch, empty = batch_of(boxes), batch_of([])
+        assert batch_ps_intersection(batch, empty, 0, 10) == []
+        assert batch_ps_intersection(empty, batch, 0, 10) == []
+        assert batch_all_pairs_intersection(empty, batch, 0, 10) == []
 
 
 # ----------------------------------------------------------------------
@@ -349,11 +348,9 @@ def assert_sweep_join_matches(boxes_a, boxes_b, t0, t1):
         cs, cp = [0], [0]
         scalar = [
             (i, j, iv.start, iv.end)
-            for i, j, iv in ps_intersection(
-                boxes_a, boxes_b, t0, t1, dim=dim, counter=cs, use_kernels=False
-            )
+            for i, j, iv in ps_intersection(boxes_a, boxes_b, t0, t1, dim=dim, counter=cs)
         ]
-        ps_intersection(boxes_a, boxes_b, t0, t1, dim=dim, counter=cp, use_kernels=True)
+        batch_ps_intersection(batch_a, batch_b, t0, t1, dim=dim, counter=cp)
         assert cp == cs, dim
         for chunk in (1, 7, 65_536):
             ck = [0, 0]
@@ -471,7 +468,6 @@ def grouped_scalar_rows(boxes_a, boxes_b, t0, t1, ends_a, ends_b, dim):
                     t0,
                     min(t1, end_a, end_b),
                     dim=dim,
-                    use_kernels=False,
                 )
             ]
     return sorted(rows)
@@ -566,7 +562,7 @@ class TestPerRowEnds:
         batch_a, batch_b = batch_of(boxes_a), batch_of(boxes_b)
         for dim in (0, 1):
             want = batch_sweep_join(batch_a, batch_b, 1.0, 13.0, dim=dim)
-            scalar = ps_intersection(boxes_a, boxes_b, 1.0, 13.0, dim=dim, use_kernels=False)
+            scalar = ps_intersection(boxes_a, boxes_b, 1.0, 13.0, dim=dim)
             assert row_bytes(list(zip(*(p.tolist() for p in want)))) == row_bytes(
                 [(i, j, iv.start, iv.end) for i, j, iv in scalar]
             )

@@ -7,8 +7,9 @@ Three layers of agreement are required:
 * **Store level** — brute force, NaiveJoin and the improved TC join
   must populate bit-identical :class:`JoinResultStore` contents for the
   same window ``[0, T_M]``.
-* **Ablation level** — ``use_kernels`` on vs. off is bit-exact at the
-  triple level (floats compared with ``==``, no rounding).
+* **Triple level** — the kernel-batched improved join equals the
+  scalar brute-force oracle triple for triple (floats compared with
+  ``==``, no rounding), with every technique on and with none.
 * **Answer level** — all five algorithms (naive, improved, PBSM,
   MTB-join, TP-join) report the oracle's exact pair set at sampled
   timestamps, each over the window it guarantees.
@@ -107,14 +108,14 @@ def test_store_contents_identical_across_interval_joins(workloads, n, dist):
 
 @pytest.mark.parametrize("n,dist", GRID)
 def test_kernels_ablation_is_bit_exact(workloads, n, dist):
-    _scenario, tree_a, tree_b, _fa, _fb = workloads[(n, dist)]
+    """The kernel-batched traversal against the scalar oracle, triple by
+    triple: the brute-force join tests every pair with the scalar
+    ``intersection_interval``."""
+    scenario, tree_a, tree_b, _fa, _fb = workloads[(n, dist)]
+    oracle = exact(brute_force_join(scenario.set_a, scenario.set_b, 0.0, T_M))
+    assert oracle, "vacuous workload: no intersecting pairs"
     for techniques in (JoinTechniques.all(), JoinTechniques.none()):
-        on = JoinTechniques(techniques.use_ps, techniques.use_ds,
-                            techniques.use_ic, use_kernels=True)
-        off = JoinTechniques(techniques.use_ps, techniques.use_ds,
-                             techniques.use_ic, use_kernels=False)
-        assert exact(improved_join(tree_a, tree_b, 0.0, T_M, on)) == \
-            exact(improved_join(tree_a, tree_b, 0.0, T_M, off))
+        assert exact(improved_join(tree_a, tree_b, 0.0, T_M, techniques)) == oracle
 
 
 @pytest.mark.parametrize("n,dist", GRID)

@@ -129,24 +129,29 @@ class TestFileDiskChecksums:
         disk.close()
 
 
+def image(cols) -> bytes:
+    """The ``RPROCOL3`` image a page chain carries."""
+    return b"".join(column_pages._encode(cols))
+
+
 class TestColumnStreamChecksums:
     def test_truncated_stream_detected(self):
-        stream = column_pages._encode(some_columns(n=30))
+        stream = image(some_columns(n=30))
         with pytest.raises(CorruptPageError, match="truncated"):
-            column_pages._decode(stream[:-10])
+            column_pages.read_column_stream(stream[:-10])
 
     def test_payload_bit_flip_detected(self):
-        stream = bytearray(column_pages._encode(some_columns(n=30)))
-        stream[column_pages._HEAD_V2.size + 11] ^= 0x20
+        stream = bytearray(image(some_columns(n=30)))
+        stream[column_pages._V3_HEADER_SIZE + 11] ^= 0x20
         with pytest.raises(CorruptPageError, match="CRC32"):
-            column_pages._decode(bytes(stream))
+            column_pages.read_column_stream(bytes(stream))
 
     def test_unsupported_version_rejected(self):
         cols = some_columns(n=5)
-        stream = bytearray(column_pages._encode(cols))
+        stream = bytearray(image(cols))
         stream[8] = 9  # the version byte right after the magic
         with pytest.raises(ValueError, match="version"):
-            column_pages._decode(bytes(stream))
+            column_pages.read_column_stream(bytes(stream))
 
     def test_round_trip_on_checksummed_file(self, tmp_path):
         from repro.core import ColumnStore
@@ -161,7 +166,7 @@ class TestColumnStreamChecksums:
         disk.close()
 
     def test_chunking_respects_usable_page_size(self, tmp_path):
-        # v2 file pages lose 8 framing bytes; the chain must never ask
+        # File pages lose 8 framing bytes; the chain must never ask
         # a page to hold more than it can.
         disk = FileDiskManager(str(tmp_path / "tight.db"), page_size=64)
         cols = some_columns(n=40)

@@ -1,5 +1,5 @@
 """Memory-mapped column slabs: RPROCOL3 round trips, lazy integrity,
-and RPROCOL2 streams loading through the unified reader path."""
+and the one image shared by files and page chains."""
 
 from __future__ import annotations
 
@@ -9,12 +9,14 @@ import pytest
 from repro.core import columns_from_objects
 from repro.storage import (
     CorruptPageError,
+    DiskManager,
     MappedColumns,
     map_columns,
     read_column_stream,
+    save_columns,
     save_columns_file,
 )
-from repro.storage.column_pages import _N_SLABS, _V3_HEADER_SIZE, _encode
+from repro.storage.column_pages import _N_SLABS, _NEXT, _V3_HEADER_SIZE, _encode
 from repro.workloads import make_workload
 
 
@@ -109,6 +111,21 @@ class TestMappedColumns:
         save_columns_file(path, cols)
         assert_columns_equal(read_column_stream(path.read_bytes()), cols)
 
+    def test_page_chain_carries_the_file_image(self, tmp_path):
+        """One on-disk column format: the pages of a chain, next-page
+        ids stripped, are the bytes of the mapped file."""
+        cols = some_columns()
+        path = tmp_path / "cols.rcol3"
+        save_columns_file(path, cols)
+        disk = DiskManager(page_size=512)
+        pid, chain = save_columns(disk, cols), []
+        while pid != -1:
+            payload = disk.read_page(pid)
+            pid = _NEXT.unpack_from(payload, 0)[0]
+            chain.append(payload[_NEXT.size :])
+        assert len(chain) > 1
+        assert b"".join(chain) == path.read_bytes()
+
 
 # ----------------------------------------------------------------------
 # Integrity: corruption and truncation, caught per layer
@@ -149,11 +166,6 @@ class TestIntegrity:
         with pytest.raises(CorruptPageError, match="truncated"):
             map_columns(path)
 
-    def test_v2_truncation_caught(self):
-        stream = _encode(some_columns())
-        with pytest.raises(CorruptPageError, match="truncated"):
-            read_column_stream(stream[: len(stream) - 8])
-
     def test_unknown_magic_rejected(self, tmp_path):
         path = tmp_path / "bogus.rcol3"
         path.write_bytes(b"NOTMAGIC" + b"\x00" * 64)
@@ -164,26 +176,16 @@ class TestIntegrity:
 
     @pytest.mark.parametrize("reader", ["read_column_stream", "map_columns"])
     def test_v1_magic_refused(self, tmp_path, reader):
-        """The version-1 reader is gone: ``RPROCOLS`` in front of
-        otherwise well-formed column bytes is as unknown as any magic."""
-        stream = b"RPROCOLS" + _encode(some_columns())[8:]
-        with pytest.raises(ValueError, match="column-page stream"):
-            if reader == "map_columns":
-                path = tmp_path / "old.rcols"
-                path.write_bytes(stream)
-                map_columns(path)
-            else:
-                read_column_stream(stream)
+        """The version-1 and version-2 readers are gone: ``RPROCOLS`` or
+        ``RPROCOL2`` in front of otherwise well-formed column bytes is as
+        unknown as any magic."""
+        for magic in (b"RPROCOLS", b"RPROCOL2"):
+            stream = magic + b"".join(_encode(some_columns()))[8:]
+            with pytest.raises(ValueError, match="column-page stream"):
+                if reader == "map_columns":
+                    path = tmp_path / "old.rcols"
+                    path.write_bytes(stream)
+                    map_columns(path)
+                else:
+                    read_column_stream(stream)
 
-
-# ----------------------------------------------------------------------
-# Stream files through the mapped-file entry point
-# ----------------------------------------------------------------------
-class TestLegacyStreams:
-    def test_v2_file_materializes_via_map_columns(self, tmp_path):
-        cols = some_columns()
-        path = tmp_path / "legacy.rcol2"
-        path.write_bytes(_encode(cols))
-        back = map_columns(path)  # UpdateColumns, not MappedColumns
-        assert not isinstance(back, MappedColumns)
-        assert_columns_equal(back, cols)
