@@ -125,11 +125,8 @@ tightened to the measurements once the ledger kept planes instead of
 tuples: 1.7 x an overhead of 0.021-0.029 s and 2 x a first read of
 0.42-0.51 s (two runs, the slower host state taken).
 
-A 1M-per-side *storage* cell always runs: it saves one side as an
-RPROCOL3 slab image and reloads it through ``map_columns`` — measuring
-that a million objects come back without full deserialization.  The
-full 1M *join* cell stays best-effort behind ``REPRO_SCALE_1M=1``,
-recorded but never gated.  ``REPRO_SCALE_SMOKE=1`` runs the n=10k
+The 1M-per-side join cell stays best-effort behind
+``REPRO_SCALE_1M=1``, recorded but never gated.  ``REPRO_SCALE_SMOKE=1`` runs the n=10k
 cells (columnar, deltas-on, seed baseline, and a 2-shard
 columnar-worker cell with ``workers=2``) plus a smoke RSS floor — the
 CI ``scale`` job.
@@ -148,7 +145,6 @@ import multiprocessing
 import os
 import resource
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -493,41 +489,6 @@ def run_sharded_columnar(n: int, steps: int, shards: int, workers: int) -> dict:
     return row
 
 
-def run_mmap_1m() -> dict:
-    """Save one 1M-object side as an RPROCOL3 image and map it back.
-
-    The point of the format: a million objects reload as zero-copy
-    views plus lazily recomputed shift planes — no per-object
-    deserialization, no second resident copy of the slabs.
-    """
-    from repro.storage import map_columns, save_columns_file
-
-    arrays = workload(N_1M)
-    cols = arrays.columns_a()
-    n = len(cols)
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "side_a.rcol3"
-        t0 = monotonic_clock()
-        nbytes = save_columns_file(path, cols)
-        save_s = monotonic_clock() - t0
-        del cols, arrays
-        t0 = monotonic_clock()
-        mapped = map_columns(path)
-        map_s = monotonic_clock() - t0
-        t0 = monotonic_clock()
-        batch = mapped.batch()  # touches (and CRC-checks) every slab
-        touch_s = monotonic_clock() - t0
-        assert batch.n == n
-    return {
-        "n_objects": n,
-        "engine": "mmap-rprocol3",
-        "file_mb": round(nbytes / (1024.0 * 1024.0), 1),
-        "save_s": round(save_s, 4),
-        "map_open_s": round(map_s, 6),
-        "first_touch_s": round(touch_s, 4),
-    }
-
-
 def main() -> int:
     smoke = os.environ.get("REPRO_SCALE_SMOKE") == "1"
     with_1m = os.environ.get("REPRO_SCALE_1M") == "1"
@@ -623,16 +584,6 @@ def main() -> int:
                 f"tick {sharded['tick_mean_s']:.3f}s "
                 f"(rss {sharded['peak_rss_mb']:.0f} MiB)"
             )
-
-    print(f"== n = {N_1M:,} single side: RPROCOL3 mmap reload ==")
-    mmap_row = run_cell(run_mmap_1m)
-    rows.append(mmap_row)
-    print(
-        f"  save {mmap_row['save_s']:.2f}s ({mmap_row['file_mb']:.0f} MiB), "
-        f"open {mmap_row['map_open_s'] * 1000.0:.1f}ms, "
-        f"first touch {mmap_row['first_touch_s']:.2f}s, "
-        f"rss {mmap_row['peak_rss_mb']:.0f} MiB"
-    )
 
     if with_1m:
         print(f"== n = {N_1M:,} per side join (best effort) ==")

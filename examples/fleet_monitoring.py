@@ -11,24 +11,19 @@ Demonstrates:
 
 * :class:`repro.core.ContinuousSelfJoinEngine` (interest management on
   a single dataset);
-* delta-based alerting with :class:`repro.core.ChangeMonitor`-style
-  diffs (here hand-rolled over the self-join, which the monitor class
-  does for the two-set engine);
-* persistence: the final bucket trees are saved to real page files with
-  :func:`repro.index.save_tree` and read back.
+* delta-based alerting: two set differences between consecutive
+  answers give the pairs that entered and left;
+* per-bucket statistics of the MTB forest behind the self-join
+  (:func:`repro.index.collect_forest_stats`).
 
 Run:  python examples/fleet_monitoring.py
 """
 
-import os
-import tempfile
-
 import numpy as np
 
 from repro.core import ContinuousSelfJoinEngine, JoinConfig
-from repro.core.events import ResultDelta
 from repro.geometry import Box
-from repro.index import collect_forest_stats, load_tree, save_tree
+from repro.index import collect_forest_stats
 from repro.objects import MovingObject
 
 N_VEHICLES = 200
@@ -79,11 +74,11 @@ def main() -> None:
                     )
                 )
         current = engine.result_at()
-        delta = ResultDelta.between(last, current)
+        entered, left = current - last, last - current
         last = current
-        for pair in sorted(delta.entered):
+        for pair in sorted(entered):
             conflict_log.append((t, "CONFLICT", pair))
-        for pair in sorted(delta.left):
+        for pair in sorted(left):
             conflict_log.append((t, "clear", pair))
 
     print(f"{len(conflict_log)} alert events over {SIM_STEPS} timestamps; last 8:")
@@ -98,14 +93,7 @@ def main() -> None:
     print(f"\nbusiest vehicle: {busiest} "
           f"(conflicts with {sorted(engine.partners_of(busiest))})")
 
-    # Persist each bucket tree to a real page file and read it back.
-    out_dir = tempfile.mkdtemp()
-    for bucket, _end, tree in engine.forest.trees():
-        path = os.path.join(out_dir, f"fleet_bucket_{bucket}.db")
-        save_tree(tree, path)
-        reloaded = load_tree(path)
-        print(f"\nbucket {bucket}: saved {len(tree)} vehicles to {path}, "
-              f"reloaded {len(reloaded)} (height {reloaded.height})")
+    print()
     stats = collect_forest_stats(engine.forest, engine.now)
     for bucket, s in stats.items():
         print(f"bucket {bucket}: {s.object_count} vehicles, height {s.height}, "

@@ -6,7 +6,7 @@ Two layers guard the invariants the paper's correctness rests on
 * :mod:`repro.check.sanitize` — walks *live* structures (trees,
   forests, result stores) and reports ``SCxxx`` findings; wired into
   the engines via ``JoinConfig(sanitize=True)`` and into
-  ``python -m repro.check sanitize`` for persisted indexes.
+  ``python -m repro.check sanitize`` for exported sharded states.
 * :mod:`repro.check.lint` — per-file AST lint (``RC000``–``RC006``)
   over source files, run as ``python -m repro.check lint src/`` and as
   a blocking CI job.
@@ -31,7 +31,6 @@ from .flow import check_flow, flow_paths
 from .lint import lint_file, lint_paths, lint_source
 from .symbols import SymbolTable
 from .sanitize import (
-    check_index,
     check_mtb_forest,
     check_sharded_state,
     check_supervisor_state,
@@ -57,7 +56,6 @@ __all__ = [
     "check_mtb_forest",
     "check_sharded_state",
     "check_supervisor_state",
-    "check_index",
     "sanitize_engine",
     "raise_on_findings",
 ]

@@ -11,19 +11,15 @@ Subcommands
     source roots: shard-protocol completeness, kernel-triple parity,
     and error-code registry consistency.  Exits 1 on any finding.
 ``sanitize PATH...``
-    Audit persisted join state: a ``.db`` file saved with
-    :func:`repro.index.save_tree`, a directory holding a forest
-    saved with :func:`repro.index.save_forest`, or a ``.json``
-    sharded-engine snapshot written from
-    :meth:`repro.par.ShardedJoinEngine.export_state` (checked with the
-    SC401–SC403 shard invariants).  Prints SC-code findings; exits 1
+    Audit a ``.json`` sharded-engine snapshot written from
+    :meth:`repro.par.ShardedJoinEngine.export_state` with the
+    SC401–SC403 shard invariants.  Prints SC-code findings; exits 1
     when any invariant is violated.
 
 Examples::
 
     python -m repro.check lint src/
     python -m repro.check flow src/ --format json
-    python -m repro.check sanitize /tmp/tree.db --at 12.5
     python -m repro.check sanitize /tmp/sharded_state.json
 """
 
@@ -31,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 from typing import List, Optional, Sequence
@@ -39,7 +34,7 @@ from typing import List, Optional, Sequence
 from .errors import Finding
 from .flow import flow_paths
 from .lint import lint_paths
-from .sanitize import check_index, check_sharded_state
+from .sanitize import check_sharded_state
 
 __all__ = ["main", "build_parser"]
 
@@ -68,38 +63,16 @@ def build_parser() -> argparse.ArgumentParser:
                         help="output format (default: text)")
 
     p_san = sub.add_parser("sanitize",
-                           help="audit a persisted tree/forest or a sharded "
-                                "state snapshot (SC codes)")
+                           help="audit a sharded state snapshot (SC codes)")
     p_san.add_argument("paths", nargs="+", metavar="PATH",
-                       help="saved tree file, saved-forest directory, or "
-                            "sharded export_state() .json snapshot")
-    p_san.add_argument("--at", type=float, default=None,
-                       help="timestamp to check at (default: the index's "
-                            "latest object update time)")
+                       help="sharded export_state() .json snapshot")
     return parser
 
 
-def _load_index(path: str):
-    from ..index import load_forest, load_tree
-
-    if os.path.isdir(path):
-        return load_forest(path)
-    return load_tree(path)
-
-
-def _audit(path: str, at: Optional[float]) -> List[Finding]:
-    label = os.path.basename(path.rstrip("/")) or path
-    if path.endswith(".json"):
-        import json
-
-        with open(path, "r", encoding="utf-8") as fh:
-            state = json.load(fh)
-        return check_sharded_state(state, label=label)
-    index = _load_index(path)
-    if at is None:
-        luts = [obj.t_ref for obj in index.all_objects()]
-        at = max(luts) if luts else 0.0
-    return check_index(index, at, label=label)
+def _audit(path: str) -> List[Finding]:
+    with open(path, "r", encoding="utf-8") as fh:
+        state = json.load(fh)
+    return check_sharded_state(state, label=Path(path).name)
 
 
 def _report(findings: Sequence[Finding], out, what: str,
@@ -136,5 +109,5 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
                        args.format)
     findings: List[Finding] = []
     for path in args.paths:
-        findings.extend(_audit(path, args.at))
+        findings.extend(_audit(path))
     return _report(findings, out, "sanitizer")

@@ -33,8 +33,8 @@ packages delegate their ``validate()`` paths here without creating an
 import cycle.
 
 Enable continuous checking with ``JoinConfig(sanitize=True)`` (or the
-``REPRO_SANITIZE=1`` environment variable); audit a persisted index
-with ``python -m repro.check sanitize PATH``.
+``REPRO_SANITIZE=1`` environment variable); audit an exported sharded
+state with ``python -m repro.check sanitize PATH``.
 """
 
 from __future__ import annotations
@@ -56,7 +56,6 @@ __all__ = [
     "check_column_store",
     "check_column_result_store",
     "check_delta_ledger",
-    "check_index",
     "sanitize_engine",
     "sanitize_columnar_engine",
     "raise_on_findings",
@@ -785,13 +784,6 @@ def sanitize_columnar_engine(engine) -> List[Finding]:
 # ----------------------------------------------------------------------
 # Dispatchers
 # ----------------------------------------------------------------------
-def check_index(index, t_now: float, label: str = "index") -> List[Finding]:
-    """Audit one index — a TPR(*)-tree or an MTB forest."""
-    if hasattr(index, "trees"):
-        return check_mtb_forest(index, t_now, label=label)
-    return check_tpr_tree(index, t_now, label=label)
-
-
 def _tree_anchors(strategy) -> Dict[int, float]:
     """oid → last update time, from the strategy's single trees."""
     anchors: Dict[int, float] = {}

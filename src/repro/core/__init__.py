@@ -4,7 +4,6 @@ from .columnar import COLUMNAR_ALGORITHMS, ColumnarJoinEngine
 from .columns import ColumnStore, ObjectsView, UpdateColumns, columns_from_objects
 from .config import JoinConfig
 from .engine import ALGORITHMS, ContinuousJoinEngine
-from .events import ChangeMonitor, ResultDelta
 from .selfjoin import ContinuousSelfJoinEngine
 from .simulation import SimulationDriver, StepStats
 
@@ -21,6 +20,4 @@ __all__ = [
     "COLUMNAR_ALGORITHMS",
     "SimulationDriver",
     "StepStats",
-    "ChangeMonitor",
-    "ResultDelta",
 ]

@@ -6,7 +6,6 @@ from .entry import Entry
 from .mtb import DEFAULT_BUCKETS_PER_TM, MTBTree
 from .node import Node
 from .object_table import ObjectTable
-from .persistence import load_forest, load_tree, save_forest, save_tree
 from .stats import TreeStats, collect_forest_stats, collect_tree_stats
 from .store import TreeStorage
 from .tpr import DEFAULT_HORIZON, DEFAULT_NODE_CAPACITY, TPRTree
@@ -25,10 +24,6 @@ __all__ = [
     "TPRStarTree",
     "MTBTree",
     "bulk_load",
-    "save_tree",
-    "load_tree",
-    "save_forest",
-    "load_forest",
     "TreeStats",
     "collect_tree_stats",
     "collect_forest_stats",

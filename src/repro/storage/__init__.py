@@ -7,37 +7,14 @@ exact while the experiments stay laptop-fast.
 """
 
 from .buffer import DEFAULT_BUFFER_PAGES, BufferPool, PageCodec
-from .column_pages import (
-    MappedColumns,
-    free_columns,
-    load_column_store,
-    load_columns,
-    map_columns,
-    read_column_stream,
-    save_column_store,
-    save_columns,
-    save_columns_file,
-)
-from .disk import DEFAULT_PAGE_SIZE, CorruptPageError, DiskManager, PageError
-from .file_disk import FileDiskManager
+from .disk import DEFAULT_PAGE_SIZE, DiskManager, PageError
 from .serializer import BytesCodec, StructReader, StructWriter
 
 __all__ = [
     "DEFAULT_PAGE_SIZE",
     "DEFAULT_BUFFER_PAGES",
-    "CorruptPageError",
     "DiskManager",
-    "FileDiskManager",
     "PageError",
-    "save_columns",
-    "load_columns",
-    "free_columns",
-    "save_column_store",
-    "load_column_store",
-    "read_column_stream",
-    "save_columns_file",
-    "map_columns",
-    "MappedColumns",
     "BufferPool",
     "PageCodec",
     "BytesCodec",

@@ -19,24 +19,13 @@ from typing import Dict, List, Optional
 
 from ..metrics import CostTracker
 
-__all__ = ["DEFAULT_PAGE_SIZE", "CorruptPageError", "DiskManager", "PageError"]
+__all__ = ["DEFAULT_PAGE_SIZE", "DiskManager", "PageError"]
 
 DEFAULT_PAGE_SIZE = 4096
 
 
 class PageError(Exception):
     """Raised on invalid page ids or oversized payloads."""
-
-
-class CorruptPageError(PageError):
-    """Raised when persisted bytes fail their integrity checksum.
-
-    The file-backed substrates (:mod:`repro.storage.file_disk`,
-    :mod:`repro.storage.column_pages`) guard every payload with a CRC32
-    recorded at write time and verified on read; a mismatch — a
-    truncated file, a flipped bit, a short page — surfaces as this
-    error instead of silently decoding garbage.
-    """
 
 
 class DiskManager:
@@ -109,11 +98,6 @@ class DiskManager:
     def num_pages(self) -> int:
         """Number of currently allocated pages."""
         return len(self._pages)
-
-    @property
-    def usable_page_size(self) -> int:
-        """Payload bytes one page can hold (no framing overhead here)."""
-        return self.page_size
 
     def is_allocated(self, page_id: int) -> bool:
         return page_id in self._pages

@@ -4,6 +4,7 @@ and clean engines stay clean with ``sanitize=True``."""
 from __future__ import annotations
 
 import io
+import json
 
 import pytest
 
@@ -18,8 +19,10 @@ from repro.check.sanitize import check_column_result_store
 from repro.core import ContinuousJoinEngine, ContinuousSelfJoinEngine, JoinConfig
 from repro.core.result import ColumnResultStore
 from repro.geometry import Box, KineticBox, TimeInterval
-from repro.index import MTBTree, TPRStarTree, TreeStorage, save_forest, save_tree
+from repro.index import MTBTree, TPRStarTree, TreeStorage
 from repro.join import JoinTriple
+from repro.objects import MovingObject
+from repro.par import ShardedJoinEngine
 
 from ..conftest import random_objects
 
@@ -216,31 +219,40 @@ class TestEngineWiring:
 
 
 # ----------------------------------------------------------------------
-# CLI audit of persisted indexes
+# CLI audit of exported sharded states
 # ----------------------------------------------------------------------
+def write_state(path, corrupt: bool = False):
+    """Export a two-shard engine whose one pair is stored on both shards."""
+    a = [MovingObject(1, Box(9.0, 11.5, 0.0, 2.0), 0.0, 0.0, 0.0)]
+    b = [MovingObject(100, Box(9.5, 11.2, 1.0, 3.0), 0.0, 0.0, 0.0)]
+    engine = ShardedJoinEngine(a, b, "tc", JoinConfig(t_m=2.0), shards=2, axis=0)
+    engine.run_initial_join()
+    state = engine.export_state()
+    if corrupt:
+        state["cuts"] = [5.0, 5.0]
+    path.write_text(json.dumps(state))
+    return str(path)
+
+
 class TestSanitizeCLI:
-    def test_clean_tree_audits_clean(self, tmp_path):
-        path = tmp_path / "tree.db"
-        save_tree(build_tree(), str(path))
+    def test_clean_state_audits_clean(self, tmp_path):
         out = io.StringIO()
-        assert main(["sanitize", str(path)], out=out) == 0
+        assert main(["sanitize", write_state(tmp_path / "state.json")], out=out) == 0
         assert "clean" in out.getvalue()
 
-    def test_corrupted_tree_audit_fails(self, tmp_path):
-        tree = build_tree()
-        leaf = tree.read_node(tree.root_node().entries[0].ref)
-        leaf.entries[0].kbox = far_box(0.0)
-        tree.storage.write_node(leaf)
-        path = tmp_path / "tree.db"
-        save_tree(tree, str(path))
+    def test_corrupted_state_audit_fails(self, tmp_path):
         out = io.StringIO()
-        assert main(["sanitize", str(path)], out=out) == 1
-        assert "SC104" in out.getvalue()
+        path = write_state(tmp_path / "state.json", corrupt=True)
+        assert main(["sanitize", path], out=out) == 1
+        assert "SC401" in out.getvalue()
 
-    def test_forest_directory_audits_clean(self, tmp_path):
-        save_forest(build_forest(), str(tmp_path / "forest"))
+    def test_findings_name_their_file(self, tmp_path):
+        clean = write_state(tmp_path / "clean.json")
+        broken = write_state(tmp_path / "broken.json", corrupt=True)
         out = io.StringIO()
-        assert main(["sanitize", str(tmp_path / "forest")], out=out) == 0
+        assert main(["sanitize", clean, broken], out=out) == 1
+        assert "broken.json" in out.getvalue()
+        assert "clean.json" not in out.getvalue()
 
 
 def supervisor_state(shard=None, slot=None, **top):

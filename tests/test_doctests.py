@@ -18,7 +18,6 @@ import repro.metrics
 import repro.objects
 import repro.storage.buffer
 import repro.storage.disk
-import repro.storage.file_disk
 import repro.storage.serializer
 
 MODULES = [
@@ -31,7 +30,6 @@ MODULES = [
     repro.storage.disk,
     repro.storage.buffer,
     repro.storage.serializer,
-    repro.storage.file_disk,
     repro.index.bulk,
     repro.index.stats,
     repro.analysis,

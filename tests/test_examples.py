@@ -1,7 +1,7 @@
 """The example scripts must stay runnable.
 
-Every example is compiled; the two fastest are executed end-to-end
-(they assert internally against oracles).  The longer simulations are
+Every example is compiled; the three fastest are executed end-to-end
+(two assert internally against oracles).  The longer simulations are
 exercised by the benchmark suite instead.
 """
 
@@ -27,7 +27,9 @@ def test_examples_compile(path):
     py_compile.compile(str(path), doraise=True)
 
 
-@pytest.mark.parametrize("name", ["quickstart.py", "police_dispatch.py"])
+@pytest.mark.parametrize(
+    "name", ["quickstart.py", "police_dispatch.py", "fleet_monitoring.py"]
+)
 def test_fast_examples_run(name):
     result = subprocess.run(
         [sys.executable, str(EXAMPLES_DIR / name)],
