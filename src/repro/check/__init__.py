@@ -1,35 +1,22 @@
-"""Machine-checked correctness rules: runtime sanitizer + domain lint.
+"""Runtime invariant sanitizer.
 
-Two layers guard the invariants the paper's correctness rests on
-(Theorems 1–2, TPR-tree bounding, MTB bucketing):
+:mod:`repro.check.sanitize` walks *live* structures (trees, forests,
+column stores, result stores, delta ledgers, sharded engines) and
+compares them with an independent recomputation, reporting ``SCxxx``
+findings.  It guards the invariants the paper's correctness rests on
+(Theorems 1–2, TPR-tree bounding, MTB bucketing) and is wired into the
+engines via ``JoinConfig(sanitize=True)`` and into
+``python -m repro.check sanitize`` for exported sharded states.
 
-* :mod:`repro.check.sanitize` — walks *live* structures (trees,
-  forests, result stores) and reports ``SCxxx`` findings; wired into
-  the engines via ``JoinConfig(sanitize=True)`` and into
-  ``python -m repro.check sanitize`` for exported sharded states.
-* :mod:`repro.check.lint` — per-file AST lint (``RC000``–``RC006``)
-  over source files, run as ``python -m repro.check lint src/`` and as
-  a blocking CI job.
-* :mod:`repro.check.flow` — *cross-module* flow analysis
-  (``RC1xx``/``RC2xx``) over a package symbol table
-  (:mod:`repro.check.symbols`): shard-protocol completeness,
-  kernel-triple parity, and error-code registry consistency, run as
-  ``python -m repro.check flow src/`` and as a blocking CI job.
-
-See :mod:`repro.check.errors` for the full error-code registry.
+See :mod:`repro.check.errors` for the error-code registry.
 """
 
 from .errors import (
-    FLOW_CODES,
-    LINT_CODES,
     RETIRED_CODES,
     SANITIZER_CODES,
     Finding,
     InvariantViolation,
 )
-from .flow import check_flow, flow_paths
-from .lint import lint_file, lint_paths, lint_source
-from .symbols import SymbolTable
 from .sanitize import (
     check_mtb_forest,
     check_sharded_state,
@@ -42,16 +29,8 @@ from .sanitize import (
 __all__ = [
     "Finding",
     "InvariantViolation",
-    "LINT_CODES",
     "SANITIZER_CODES",
-    "FLOW_CODES",
     "RETIRED_CODES",
-    "SymbolTable",
-    "check_flow",
-    "flow_paths",
-    "lint_file",
-    "lint_paths",
-    "lint_source",
     "check_tpr_tree",
     "check_mtb_forest",
     "check_sharded_state",

@@ -1,10 +1,9 @@
-"""Finding and error types shared by the sanitizer and the linter.
+"""Finding and error types of the runtime sanitizer.
 
-Both layers of :mod:`repro.check` report problems as :class:`Finding`
-records — a stable machine-readable code, a human message, and a
-location.  The runtime sanitizer raises them bundled in an
-:class:`InvariantViolation`; the linter prints them and sets the exit
-code.
+:mod:`repro.check` reports problems as :class:`Finding` records — a
+stable machine-readable code, a human message, and a location.  The
+engines raise them bundled in an :class:`InvariantViolation`; the CLI
+prints them and sets the exit code.
 
 Error-code registry
 -------------------
@@ -36,38 +35,9 @@ Sanitizer codes (``SCxxx``, checked at runtime against live structures):
 ``SC803``  result-store bookkeeping incoherent after a flush
 ========  ============================================================
 
-Lint codes (``RCxxx``, checked statically over source files):
-
-========  ============================================================
-``RC000``  file does not parse (syntax error)
-``RC001``  raw float ``==``/``!=`` on time/coordinate values
-``RC002``  wall-clock call or import inside core/join/index
-``RC003``  mutable default argument
-``RC004``  bare ``except:``
-``RC005``  public ``geometry/`` function missing type annotations
-``RC006``  pair-test tolerance not sourced from ``geometry.constants``
-========  ============================================================
-
-Flow codes (``RC1xx``/``RC2xx``, checked statically *across* modules
-by :mod:`repro.check.flow`):
-
-========  ============================================================
-``RC101``  protocol/emitted op without a dispatch arm
-``RC102``  dispatch arm for an op missing from the protocol registry
-``RC103``  dispatch arm mutates state but its op is not ``mutating``
-``RC104``  checkpoint produced/consumed key mismatch
-``RC105``  fault spec names an unknown fault kind or command op
-``RC106``  bare op-name string literal outside ``par/protocol.py``
-``RC107``  worker dispatch present without a protocol module
-``RC202``  tolerance constant not sourced from ``geometry.constants``
-``RC211``  duplicate or retired-and-reused error code
-``RC212``  code raised in source but unregistered / undocumented
-``RC213``  registered code never referenced by a detection test
-========  ============================================================
-
-Codes are never recycled: a code that is dropped from a live registry
-moves to :data:`RETIRED_CODES` permanently, and the flow lint's
-``RC211`` enforces that it never reappears.
+Codes are never recycled: a code that is dropped from the registry
+moves to :data:`RETIRED_CODES` permanently, and
+``tests/check/test_registry.py`` checks that it never reappears.
 """
 
 from __future__ import annotations
@@ -79,8 +49,6 @@ __all__ = [
     "Finding",
     "InvariantViolation",
     "SANITIZER_CODES",
-    "LINT_CODES",
-    "FLOW_CODES",
     "RETIRED_CODES",
 ]
 
@@ -95,30 +63,28 @@ SANITIZER_CODES = (
     "SC801", "SC802", "SC803",
 )
 
-LINT_CODES = ("RC000", "RC001", "RC002", "RC003", "RC004", "RC005", "RC006")
-
-FLOW_CODES = (
-    "RC101", "RC102", "RC103", "RC104", "RC105", "RC106", "RC107",
-    "RC202",
-    "RC211", "RC212", "RC213",
-)
-
-#: Codes permanently removed from the live registries.  Never reuse a
-#: retired code for a new check — historical findings and docs keep
-#: their meaning.  Enforced statically by the flow lint (``RC211``).
-#: ``RC201``/``RC203``: compiled-kernel facade signature drift / wiring.
+#: Codes permanently removed from the registry.  Never reuse a retired
+#: code for a new check — historical findings and docs keep their
+#: meaning.
+#: ``RC000``–``RC006``, ``RC101``–``RC107``, ``RC201``–``RC203``,
+#: ``RC211``–``RC213``: the static source lint and cross-module flow
+#: lint, whose contracts behavioural tests hold (DESIGN §5.7).
 #: ``SC301``/``SC302``/``SC304``/``SC305``: the dict-of-lists result
 #: store's list order, disjointness, inverted index and expiry frontier
 #: (the plane store's SC801–SC803 hold the same invariants).
-RETIRED_CODES = ("RC201", "RC203", "SC301", "SC302", "SC304", "SC305")
+RETIRED_CODES = (
+    "RC000", "RC001", "RC002", "RC003", "RC004", "RC005", "RC006",
+    "RC101", "RC102", "RC103", "RC104", "RC105", "RC106", "RC107",
+    "RC201", "RC202", "RC203", "RC211", "RC212", "RC213",
+    "SC301", "SC302", "SC304", "SC305",
+)
 
 
 @dataclass(frozen=True)
 class Finding:
     """One detected violation: code, human message, and location.
 
-    ``location`` is ``path:line`` for lint findings and a structure
-    path (e.g. ``tree_a/node 7``) for sanitizer findings.
+    ``location`` is a structure path (e.g. ``tree_a/node 7``).
     """
 
     code: str

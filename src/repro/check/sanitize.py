@@ -474,11 +474,11 @@ def check_column_store(store, t_now: float, label: str = "columns") -> List[Find
     # contract).
     expect_slo = store.mlo[:, live] - store.vlo[:, live] * store.tref[live]
     expect_shi = store.mhi[:, live] - store.vhi[:, live] * store.tref[live]
-    if not np.array_equal(store.slo[:, live], expect_slo):  # noqa: RC001
+    if not np.array_equal(store.slo[:, live], expect_slo):
         findings.append(Finding(
             "SC602", "pre-shifted lower bounds drifted from recompute", label
         ))
-    if not np.array_equal(store.shi[:, live], expect_shi):  # noqa: RC001
+    if not np.array_equal(store.shi[:, live], expect_shi):
         findings.append(Finding(
             "SC602", "pre-shifted upper bounds drifted from recompute", label
         ))
@@ -554,12 +554,12 @@ def check_delta_ledger(store, source, label: str = "ledger") -> List[Finding]:
                 return findings
     folded = view.rows()
     live = store.interval_rows()
-    if folded != live:  # noqa: RC001 - bit-exact reconciliation on purpose
+    if folded != live:  # bit-exact reconciliation on purpose
         missing = sorted(set(live) - set(folded))[:3]
         extra = sorted(set(folded) - set(live))[:3]
         drifted = sorted(
             key for key in set(live) & set(folded)
-            if live[key] != folded[key]  # noqa: RC001
+            if live[key] != folded[key]
         )[:3]
         findings.append(Finding(
             "SC701",
@@ -659,7 +659,7 @@ def check_column_result_store(
         boundary[0] = True
         np.logical_or(a[1:] != a[:-1], b[1:] != b[:-1], out=boundary[1:])
         expect_runs = np.nonzero(boundary)[0]
-    if not np.array_equal(store._run_starts, expect_runs):  # noqa: RC001
+    if not np.array_equal(store._run_starts, expect_runs):
         findings.append(Finding(
             "SC802",
             f"cached pair-run boundaries ({store._run_starts.shape[0]}) "

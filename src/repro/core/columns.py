@@ -214,7 +214,7 @@ class UpdateColumns:
         if len(self) == 0:
             return
         check_planes(self)
-        if not np.all(self.tref == t):  # noqa: RC001
+        if not np.all(self.tref == t):
             raise ValueError("columnar updates must carry t_ref == engine.now")
         if has_duplicates(self.oid):
             raise ValueError("duplicate object ids in one update batch")

@@ -99,7 +99,7 @@ class ShardDeltaMerger:
         frozen = self._closed.get(t)
         if frozen is not None:
             return frozen
-        if self._open_tick is not None and t == self._open_tick:  # noqa: RC001
+        if self._open_tick is not None and t == self._open_tick:
             return self._merge_open()
         return ()
 

@@ -2,13 +2,13 @@
 
 Every tolerance that the scalar pair-test path, the vectorized kernels,
 and the index maintenance code share lives here, in one module, so the
-paths cannot drift apart silently.  The domain linter
-(:mod:`repro.check.lint`, rule ``RC006``) enforces that
-``geometry/intersection.py`` and ``geometry/kernels.py`` import their
-tolerances from this module instead of re-inlining the literals: the
-bit-exactness contract of the kernels (DESIGN.md §5.1) holds only while
-both paths evaluate the *same* constraint ``(lo - v_lo * t_ref) +
-(v_lo) * t`` with the *same* epsilon.
+paths cannot drift apart silently.  ``geometry/intersection.py`` and
+``geometry/kernels.py`` import their tolerances from this module
+instead of re-inlining the literals: the bit-exactness contract of the
+kernels (DESIGN.md §5.1) holds only while both paths evaluate the
+*same* constraint ``(lo - v_lo * t_ref) + (v_lo) * t`` with the *same*
+epsilon, and the kernel-vs-scalar byte-parity suites
+(``tests/geometry/test_kernels.py``) fail the moment they do not.
 
 Constants
 ---------

@@ -283,12 +283,21 @@ def _clamp_constraint(c, m, lo, hi, ok) -> None:
     the root; a negative slope raises ``lo`` to it.  Rejection is
     deferred to the final ``lo <= hi`` test, which is equivalent to the
     scalar early returns because ``lo``/``hi`` only move inward.
+
+    A bound moves only where the root is strictly inward: on a tie the
+    scalar ``min``/``max`` keep their first operand (the bound), where
+    ``np.minimum``/``np.maximum`` may keep the root — a ``-0.0`` root
+    would then replace a ``0.0`` bound and the bytes would differ.
     """
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         root = -c / m
     np.logical_and(ok, (m != 0.0) | (c <= _EPS), out=ok)
-    np.minimum(hi, root, out=hi, where=m > 0.0)
-    np.maximum(lo, root, out=lo, where=m < 0.0)
+    move = root < hi
+    move &= m > 0.0
+    np.copyto(hi, root, where=move)
+    np.greater(root, lo, out=move)
+    move &= m < 0.0
+    np.copyto(lo, root, where=move)
     # A subnormal slope can overflow the division to +inf; first contact
     # at the infinite timestamp means the pair never meets (the scalar
     # path rejects the same way).
@@ -352,10 +361,11 @@ def batch_probe_windows(
     floats (same ops as the batch pre-shift, so still bit-exact) —
     packing a one-box batch per call would cost more than the probe.
 
-    The result is independent of which side plays the "A" role: swapping
-    roles permutes the constraint *set* per dimension, and the reduction
-    below is order-independent, so callers may probe with either
-    orientation and still match the scalar bit-for-bit.
+    The batch plays the "A" role and matches the scalar byte-for-byte.
+    Swapping roles only permutes the constraints within a dimension, and
+    a min/max is order-independent in value, so callers may probe with
+    either orientation and get equal windows (a ``±0.0`` tie may then
+    keep the other sign, which no comparison can tell apart).
     """
     if t1 < t0:
         raise ValueError("t_end must be >= t_start")
@@ -378,10 +388,15 @@ def batch_probe_windows(
         root = -c / m
     pos = m > 0.0
     neg = m < 0.0
-    # min/max are exact and order-independent, so reducing over the
-    # constraint axis equals the scalar's sequential clamps bit-for-bit.
-    hi = np.minimum(np.where(pos, root, INF).min(axis=0), t1)
-    lo = np.maximum(np.where(neg, root, -INF).max(axis=0), t0)
+    # The scalar's sequential clamps, in its order and with its tie rule
+    # (see _clamp_constraint), so a signed zero comes back byte-equal.
+    caps = np.where(pos, root, INF)
+    floors = np.where(neg, root, -INF)
+    hi = np.full(batch.n, float(t1))
+    lo = np.full(batch.n, float(t0))
+    for k in range(2 * NDIMS):
+        np.copyto(hi, caps[k], where=caps[k] < hi)
+        np.copyto(lo, floors[k], where=floors[k] > lo)
     flat_reject = (~(pos | neg)) & (c > _EPS)
     ok = ~flat_reject.any(axis=0)
     ok &= lo <= hi

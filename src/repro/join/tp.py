@@ -65,7 +65,7 @@ class _TPState:
             self.events = [event]
         # Exact tie: simultaneous events share one expiry; a tolerance
         # here would wrongly batch merely-close events together.
-        elif time == self.min_inf and self.min_inf < INF:  # noqa: RC001
+        elif time == self.min_inf and self.min_inf < INF:
             self.events.append(event)
 
 

@@ -7,12 +7,13 @@ both metrics after a run.  Trackers nest: a tracker can snapshot and
 diff, which is how per-update maintenance costs are amortized.
 
 This module is also the package's **single sanctioned clock source**
-(the RC002 contract, mirroring how :mod:`repro.geometry.constants` is
-the single source of tolerances): every layer that needs a real-time
-reading imports :func:`monotonic_clock` from here instead of touching
-:mod:`time` itself.  The simulation-time layers (``core``, ``join``,
-``index``) never read the real clock at all — the domain lint
-(:mod:`repro.check.lint`) enforces both halves.
+(mirroring how :mod:`repro.geometry.constants` is the single source of
+tolerances): every layer that needs a real-time reading imports
+:func:`monotonic_clock` from here instead of touching :mod:`time`
+itself.  The simulation-time layers (``core``, ``join``, ``index``)
+never read the real clock at all, so an answer is a function of the
+inputs alone — the pinned answer digests of the end-to-end benchmark
+and ``tests/workloads/test_vector.py`` would move if one did.
 
 Phase-level *attribution* of these counters (which tick, which join,
 which tree descent an increment belongs to) lives in :mod:`repro.obs`:
@@ -32,7 +33,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (obs imports us)
 
 __all__ = ["CostTracker", "CostSnapshot", "COUNTER_KEYS", "monotonic_clock"]
 
-#: The one sanctioned monotonic clock of the package (RC002).  Everything
+#: The one sanctioned monotonic clock of the package.  Everything
 #: that measures elapsed real time — stopwatches, obs span timers,
 #: benchmarks — routes through this name.
 monotonic_clock = time.perf_counter

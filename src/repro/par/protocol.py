@@ -16,11 +16,6 @@ vocabulary is declared once, here, and everything else derives from it:
   hand-maintained lists.
 * :func:`known_fault_ops` — the op names a fault spec may filter on
   (every command op plus the parent-side :data:`REPLY_DROP_OP`).
-
-The flow analysis (:mod:`repro.check.flow`, codes ``RC101``–``RC107``)
-statically cross-checks this declaration against the real dispatch,
-emission, and op-log code, so an op added in one place but not the
-others fails CI instead of silently breaking recovery.
 """
 
 from __future__ import annotations
@@ -83,8 +78,9 @@ class CommandSpec:
 
 
 #: The whole vocabulary.  ``mutating`` flags here are the op log's
-#: ground truth; the flow analysis verifies them against what each
-#: dispatch arm actually does to the engine (RC103).
+#: ground truth; the chaos matrix (``tests/par/test_faults.py``) kills a
+#: worker at each mutating op a run issues (``initial_join``, ``tick``,
+#: ``ops``) and requires serial-identical answers after replay.
 COMMANDS = {
     OP_BUILD: CommandSpec(
         OP_BUILD, n_args=1, mutating=True,

@@ -67,7 +67,7 @@ class TestColumnStore:
         rows = store.apply(upd)
         assert rows.tolist() == list(range(10))
         assert len(store) == 10
-        assert np.all(store.tref[:10] == 2.0)  # noqa: RC001
+        assert np.all(store.tref[:10] == 2.0)
 
     def test_remove_swaps_with_last(self):
         objs = some_objects(6)

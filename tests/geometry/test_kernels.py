@@ -15,7 +15,7 @@ import math
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geometry import (
@@ -150,6 +150,20 @@ class TestPairWindowParity:
         a = KineticBox(Box(0, 1, 0, 0), Box(v, v, 0, 0), 1.0)
         b = KineticBox.rigid(Box(1, 1, 0, 0), 0.0, 0.0, 0.0)
         assert_grid_matches([a], [b], 0.0, 25.0)
+
+    def test_signed_zero_contact_at_t0(self):
+        # b.lo(t) - a.hi(t) = -0.0 - t gives a -0.0 root against the
+        # window start 0.0: the scalar `max` keeps the bound, and so must
+        # both kernels, sign of zero included.
+        import numpy as np
+
+        a = KineticBox.rigid(Box(-1.0, 0.0, 0.0, 1.0), 1.0, 0.0, 0.0)
+        b = KineticBox.rigid(Box(-0.0, 2.0, 0.0, 1.0), 0.0, 0.0, 0.0)
+        want = np.array(scalar_window(a, b, 0.0, 5.0)).tobytes()
+        lo, hi, ok = batch_intersection_intervals(batch_of([a]), batch_of([b]), 0.0, 5.0)
+        assert ok[0, 0] and np.array([lo[0, 0], hi[0, 0]]).tobytes() == want
+        lo, hi, ok = batch_probe_windows(batch_of([a]), b, 0.0, 5.0)
+        assert ok[0] and np.array([lo[0], hi[0]]).tobytes() == want
 
     @given(st.lists(kboxes(), min_size=0, max_size=7),
            st.lists(kboxes(), min_size=0, max_size=7), windows())
@@ -507,11 +521,9 @@ def assert_per_row_join_matches(boxes_a, boxes_b, t0, t1, ends_a, ends_b):
 def per_row_cases(draw):
     boxes_a = draw(st.lists(kboxes(), min_size=1, max_size=7))
     boxes_b = draw(st.lists(kboxes(), min_size=1, max_size=7))
-    # Past zero: a window end or contact at exactly t = 0 can come back
-    # as -0.0 from the kernels where the scalar path has 0.0 (NumPy's
-    # `minimum` keeps its second operand on a tie, Python's `min` its
-    # first) — equal windows, unequal bytes, with or without per-row ends.
-    t0 = draw(st.floats(min_value=0.5, max_value=20.0, allow_nan=False))
+    # From zero: a window bound or contact at exactly t = 0 must come back
+    # with the scalar path's sign of zero (compared as bytes).
+    t0 = draw(st.floats(min_value=0.0, max_value=20.0, allow_nan=False))
     spans = st.floats(min_value=0.0, max_value=30.0, allow_nan=False)
 
     def side_ends(n):
@@ -538,7 +550,6 @@ class TestPerRowEnds:
         """Grazing pairs: the row that outlives the pair's window sweeps
         further on its own, and must not bring the pair in on that."""
         boxes_a, boxes_b, t0, t1 = case
-        assume(t0 > 0.0)  # see `per_row_cases` on signed zeros at t = 0
         t1 = t0 + 12.0 if t1 == INF else t1  # contacts were aimed at t0 then
         longer = st.sampled_from([t1, t1 + 1.0, t1 + 50.0])
         ends_a = [data.draw(longer) for _ in boxes_a]

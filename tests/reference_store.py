@@ -229,7 +229,7 @@ class JoinResultStore:
             intervals = self._pairs.get(key)
             # Exact identity on purpose: a frontier entry is live iff it
             # still carries the stored first end bit-for-bit.
-            if intervals is None or intervals[0].end != end:  # noqa: RC001
+            if intervals is None or intervals[0].end != end:
                 continue  # stale entry: pair removed or re-merged since
             k = 0
             while k < len(intervals) and intervals[k].end < t:

@@ -144,7 +144,7 @@ def test_vector_stream_respects_t_m(distribution):
     for step in range(1, int(T_M) + 1):
         t = float(step)
         for cols in stream.updates_at(t):
-            assert np.all(cols.tref == t)  # noqa: RC001
+            assert np.all(cols.tref == t)
             for oid in cols.oid.tolist():
                 assert t - last[oid] <= T_M
                 last[oid] = t
