@@ -101,6 +101,15 @@ Acceptance floors (the script exits non-zero when missed):
   (``rows_merged_per_tick`` over ``events_per_tick``): flush work
   tracks the change, not the store — a count, so it repeats exactly
   and gates the CI smoke cell;
+- wherever the deltas-on cell runs, the ledger retains at most
+  ``LEDGER_BYTES_PER_EVENT_CEIL`` bytes per netted event
+  (``ledger_bytes_per_event``: ``DeltaLedger.approx_bytes()`` over the
+  events it holds, read once the clock has moved past the last timed
+  tick, so every tick is closed and packed) — a byte count, so it
+  repeats exactly and gates the CI smoke cell too.  The cell also
+  reports ``ledger_mb`` and ``gen2_collections``, the full garbage
+  collections over its timed ticks (from ``gc.get_stats()``, not
+  gated);
 - at n=100k the columnar cell's peak RSS stays under
   ``RSS_FLOOR_100K_MB`` MiB;
 - at n=100k the 4-shard in-process engine's tick costs at most
@@ -138,6 +147,7 @@ Run with::
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import math
@@ -177,6 +187,7 @@ SHARDED_OVERHEAD_CEIL_100K_S = 0.084  # sharded tick - serial columnar tick at n
 DELTAS_OVERHEAD_CEIL_100K_S = 0.05  # deltas-on tick - deltas-off tick at n=100k
 FIRST_DELTAS_CEIL_100K_S = 1.0  # first deltas() after the initial join at n=100k
 ROWS_MERGED_PER_EVENT_CEIL = 2.0  # flush rows merged per netted event (a count)
+LEDGER_BYTES_PER_EVENT_CEIL = 26.0  # ledger bytes retained per netted event
 DELTAS_REPEATS = 3  # best-of runs per side behind the gated overhead ratio
 
 
@@ -326,6 +337,7 @@ def run_columnar_deltas(n: int, steps: int) -> dict:
     merged_before = engine.store.rows_merged
     stream = VectorUpdateStream(arrays, seed=SEED + 1)
     events, us_per_event = [], []
+    gen2_before = gc.get_stats()[2]["collections"]
     t0 = monotonic_clock()
     for step in range(1, steps + 1):
         t = float(step)
@@ -339,8 +351,13 @@ def run_columnar_deltas(n: int, steps: int) -> dict:
         events.append(len(tick_events))
         us_per_event.append(read_s * 1e6 / max(len(tick_events), 1))
     tick_s = monotonic_clock() - t0
+    gen2 = gc.get_stats()[2]["collections"] - gen2_before
     rss_mb = round(peak_rss_mb(), 1)  # before the check below builds its view
-    if fold_events(engine.ledger).rows() != engine.store.interval_rows():
+    ledger = engine.ledger
+    engine.tick(float(steps + 1))  # closes the last timed tick
+    ledger_bytes = ledger.approx_bytes()
+    ledger_events = sum(ledger.planes_at(t)[0].shape[0] for t in ledger.ticks())
+    if fold_events(ledger).rows() != engine.store.interval_rows():
         raise AssertionError("folded delta ledger diverges from the store")
     return {
         "n_per_side": n,
@@ -359,6 +376,9 @@ def run_columnar_deltas(n: int, steps: int) -> dict:
             (engine.store.rows_merged - merged_before) / steps, 1
         ),
         "store_mb": store_mb(engine.store),
+        "ledger_mb": round(ledger_bytes / (1024.0 * 1024.0), 1),
+        "ledger_bytes_per_event": round(ledger_bytes / max(ledger_events, 1), 2),
+        "gen2_collections": gen2,
         "peak_rss_mb": rss_mb,
     }
 
@@ -557,6 +577,9 @@ def main() -> int:
                 f"{on['events_per_tick']:.0f} events/tick at "
                 f"{on['us_per_event_p50']:.2f} us each, "
                 f"{on['rows_merged_per_tick']:.0f} rows merged/tick, "
+                f"ledger {on['ledger_mb']:.1f} MiB "
+                f"({on['ledger_bytes_per_event']:.1f} B/event), "
+                f"{on['gen2_collections']} gen-2 collections, "
                 f"rss {on['peak_rss_mb']:.0f} MiB"
             )
         if n == 100_000 and not smoke:
@@ -660,6 +683,11 @@ def main() -> int:
                 f"n={on['n_per_side']} > {ROWS_MERGED_PER_EVENT_CEIL} x "
                 f"{on['events_per_tick']:.0f} events"
             )
+        if on["ledger_bytes_per_event"] > LEDGER_BYTES_PER_EVENT_CEIL:
+            failures.append(
+                f"ledger keeps {on['ledger_bytes_per_event']:.1f} B per event at "
+                f"n={on['n_per_side']} > {LEDGER_BYTES_PER_EVENT_CEIL} B ceiling"
+            )
     cell_sharded = by_cell.get((100_000, "sharded-columnar/4x0"))
     if cell_sharded is not None:
         if cell_sharded["overhead_vs_serial_s"] > SHARDED_OVERHEAD_CEIL_100K_S:
@@ -720,6 +748,7 @@ def main() -> int:
                     "deltas_overhead_s_100k": DELTAS_OVERHEAD_CEIL_100K_S,
                     "first_deltas_s_100k": FIRST_DELTAS_CEIL_100K_S,
                     "rows_merged_per_event": ROWS_MERGED_PER_EVENT_CEIL,
+                    "ledger_bytes_per_event": LEDGER_BYTES_PER_EVENT_CEIL,
                 },
                 "peak_rss_mb_100k": (
                     None if cell_100k is None else cell_100k["peak_rss_mb"]

@@ -42,6 +42,7 @@ __all__ = [
     "pack_updates",
     "merge_interval_planes",
     "pair_keys",
+    "unpack_pair_keys",
 ]
 
 _MIN_CAPACITY = 8
@@ -105,6 +106,13 @@ def pair_keys(*sides: Tuple[np.ndarray, np.ndarray]) -> List[np.ndarray]:
         key["a"], key["b"] = a, b
         keys.append(key)
     return keys
+
+
+def unpack_pair_keys(key: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The ``(a, b)`` ``int64`` planes a :func:`pair_keys` array packs."""
+    if key.dtype == _WIDE_KEY:
+        return key["a"].copy(), key["b"].copy()
+    return key >> np.int64(_PACK_BITS), key & np.int64((1 << _PACK_BITS) - 1)
 
 
 def _segmented_prefix_max(values: np.ndarray, run: np.ndarray) -> np.ndarray:

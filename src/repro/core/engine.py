@@ -318,10 +318,8 @@ class ContinuousJoinEngine:
 
         Requires ``JoinConfig(deltas=True)``.  Returns a tuple of
         :class:`~repro.deltas.DeltaEvent` built from the tick's netted
-        planes (memoized per tick) at a constant delay per event; the
-        tuple of the tick read last is kept, so reading it again is
-        free, and an older tick is rebuilt from its planes without
-        netting anything twice.
+        planes at a constant delay per event, as a new tuple on every
+        call (the ledger keeps none); no tick is netted twice.
         """
         if self.ledger is None:
             raise RuntimeError(

@@ -9,10 +9,11 @@ bit-for-bit (the replay-equivalence property pinned by
 ``tests/deltas/``).
 
 * :class:`DeltaLedger` — per-engine append-only event log, netted per
-  tick into memoized ``(sign, a, b, lo, hi)`` planes
-  (``ledger.planes_at(t)``); ``engine.deltas(t)`` builds the tick's
-  :class:`DeltaEvent` tuple from them at a constant delay per event and
-  keeps the tuple of the tick read last.
+  tick into read-only ``(sign, a, b, lo, hi)`` planes
+  (``ledger.planes_at(t)``): memoized while the tick is open, packed to
+  ~24 B per event once the clock moves past it.  ``engine.deltas(t)``
+  builds the tick's :class:`DeltaEvent` tuple from them at a constant
+  delay per event, fresh on every call; the ledger keeps no tuple.
 * :class:`DeltaView` — the exact fold target: applies events by
   multiset insert/remove, raising :class:`DeltaReplayError` on a
   duplicate add or a phantom removal (the exactly-once teeth).

@@ -18,7 +18,8 @@ A store reports whole ``(a, b, lo, hi)`` planes under one sign through
 :meth:`DeltaLedger.record_planes` (the result store hands over the rows
 it re-merged and the rows that came out, changed or not);
 :meth:`DeltaLedger.record` is its one-row form.  The ledger keeps the
-planes as they arrive; only the netted stream below is the contract.
+open tick's planes as they arrive; only the netted stream below is the
+contract.
 
 Netting
 -------
@@ -29,14 +30,19 @@ the netted per-tick stream is *engine independent* — serial, columnar
 and sharded runs over the same workload emit identical netted streams.
 Netting is one vectorized sort-and-sum over the tick's raw planes; its
 result — the tick's netted ``(sign, a, b, lo, hi)`` planes, canonically
-ordered (removals first, then by pair and interval) — is what the
-ledger memoizes per tick and what :meth:`DeltaLedger.planes_at` hands
-to array readers (watches filter it with masks).
-:meth:`DeltaLedger.events_at` builds :class:`DeltaEvent` tuples from
-those planes at a constant delay per event (~0.45 us, no netting
-redone) and keeps them for the tick read last only: re-reading that
-tick returns the same tuple, re-reading an older one builds it again,
-and no tick's tuples stay pinned for the life of the engine.
+ordered (removals first, then by pair and interval) — is what
+:meth:`DeltaLedger.planes_at` hands to array readers (watches filter it
+with masks).  The open tick's netted planes are memoized until a new
+raw record arrives.  When the clock moves on, the tick it leaves is
+*closed*: netted then unless a read already built the memo, and kept as
+``(removal count, packed pair key, lo, hi)`` — ~24 B per event (32 B
+when an oid needs the wide key), the sign plane implied by the
+removals-first order — while its raw chunks and memo are freed.
+:meth:`DeltaLedger.planes_at` unpacks a closed tick into the same
+read-only planes on each call.  :meth:`DeltaLedger.events_at` builds a
+fresh :class:`DeltaEvent` tuple from the planes on every call, at a
+constant delay per event (~0.45 us, no netting redone); the ledger
+keeps no tuple, so no event outlives its reader.
 
 A ledger may carry a *baseline*: the store rows at the moment the
 ledger was (re)armed.  A fresh engine has an empty baseline; a shard
@@ -54,7 +60,7 @@ from typing import Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from ..core.columns import pair_keys, run_heads
+from ..core.columns import pair_keys, run_heads, unpack_pair_keys
 
 __all__ = [
     "DeltaEvent",
@@ -70,6 +76,9 @@ PairKey = Tuple[int, int]
 Row = Tuple[float, float]
 #: One tick's netted ``(sign, a, b, lo, hi)`` planes.
 Planes = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+#: The same planes packed: ``(removals, pair key, lo, hi)`` — the sign
+#: follows from the removals-first order, ``a``/``b`` from the key.
+Packed = Tuple[int, np.ndarray, np.ndarray, np.ndarray]
 
 
 class DeltaEvent(NamedTuple):
@@ -136,18 +145,19 @@ class DeltaReplayError(ValueError):
 class DeltaLedger:
     """Append-only per-engine event log with per-tick netting.
 
-    The write path stores what it is given and nothing else: a tick's
-    raw record is a list of *chunks* in arrival order, each one
+    The write path stores what it is given and nothing else: the open
+    tick's raw record is a list of *chunks* in arrival order, each one
     ``(sign, a, b, lo, hi)`` plane set handed over whole by
     :meth:`record_planes`.  Netting is one vectorized pass over the
-    tick's chunks, memoized per tick as planes (:meth:`planes_at`)
-    until new raw records arrive;
-    :class:`DeltaEvent` objects exist only once :meth:`events_at` is
-    called, and only those of the tick it was last called for are kept.
+    tick's chunks, memoized as planes (:meth:`planes_at`) until new raw
+    records arrive; :meth:`advance` packs the tick it leaves into its
+    netted form and drops the chunks.  :class:`DeltaEvent` objects exist
+    only while the caller of :meth:`events_at` holds them.
     """
 
     __slots__ = (
-        "_now", "_ticks", "_raw", "_baseline", "_netted", "_latest", "_flush"
+        "_now", "_ticks", "_open", "_open_net", "_closed", "_records",
+        "_baseline", "_flush",
     )
 
     def __init__(
@@ -166,19 +176,21 @@ class DeltaLedger:
         #: Every tick with at least one raw record, in recording order
         #: (monotone by construction: records land at the current clock).
         self._ticks: List[float] = []
-        #: tick → chunks in arrival order; a chunk is a
+        #: The open tick's chunks in arrival order; a chunk is a
         #: ``(sign, a, b, lo, hi)`` tuple of one sign and four planes.
-        self._raw: Dict[float, list] = {}
+        self._open: list = []
+        #: (raw size netted, packed form, netted planes) of the open
+        #: tick: its read memo, and what closing it keeps.
+        self._open_net: Optional[Tuple[int, Packed, Planes]] = None
+        #: closed tick → its netted planes, packed.
+        self._closed: Dict[float, Packed] = {}
+        #: Raw records taken since the ledger was armed.
+        self._records = 0
         self._baseline: Dict[PairKey, Tuple[Row, ...]] = (
             {key: tuple(rows) for key, rows in baseline.items()}
             if baseline
             else {}
         )
-        #: tick → (raw size netted, netted planes): the per-tick memo.
-        self._netted: Dict[float, Tuple[int, Planes]] = {}
-        #: (netted planes, their events) of the tick ``events_at`` built
-        #: last — one slot, so tuples of older ticks are not retained.
-        self._latest: Tuple[Planes, Tuple[DeltaEvent, ...]] = (_NO_PLANES, ())
 
     @property
     def now(self) -> float:
@@ -186,21 +198,20 @@ class DeltaLedger:
         return self._now
 
     def advance(self, t: float) -> None:
-        """Move the ledger clock forward (monotone non-decreasing)."""
+        """Move the ledger clock forward (monotone non-decreasing).
+
+        Moving past the open tick closes it: its netted planes are
+        packed and its raw chunks freed.
+        """
         if t < self._now:
             raise ValueError(f"time went backwards: {t} < {self._now}")
         if self._flush is not None:
             self._flush()
+        if t > self._now and self._open:
+            self._net_open()
+            self._closed[self._now] = self._open_net[1]
+            self._open, self._open_net = [], None
         self._now = float(t)
-
-    def _chunks(self) -> list:
-        """The current tick's chunk list (opened on first use)."""
-        t = self._now
-        chunks = self._raw.get(t)
-        if chunks is None:
-            chunks = self._raw[t] = []
-            self._ticks.append(t)
-        return chunks
 
     def record(self, sign: int, a_oid: int, b_oid: int, start: float, end: float) -> None:
         """Append one raw transition: the one-row :meth:`record_planes`."""
@@ -222,7 +233,10 @@ class DeltaLedger:
         place).  Empty planes leave no trace.
         """
         if a.shape[0]:
-            self._chunks().append((sign, a, b, lo, hi))
+            if not self._open:
+                self._ticks.append(self._now)
+            self._open.append((sign, a, b, lo, hi))
+            self._records += a.shape[0]
 
     def ticks(self) -> Tuple[float, ...]:
         """Every tick that recorded at least one raw transition."""
@@ -234,32 +248,35 @@ class DeltaLedger:
         """The netted ``(sign, a, b, lo, hi)`` planes of tick ``t``.
 
         Row ``i`` is event ``i`` of :meth:`events_at`: same values, same
-        canonical order.  Netted once per (tick, raw record count) and
-        handed out as-is afterwards — the arrays are shared and
-        read-only.  A quiet tick has empty planes.
+        canonical order.  The open tick is netted once per raw record
+        count and its planes handed out as-is afterwards; a closed tick
+        is unpacked from its packed form on each call.  Either way the
+        arrays are read-only.  A quiet tick has empty planes.
         """
         if self._flush is not None:
             self._flush()
-        chunks = self._raw.get(t)
-        if chunks is None:
+        if t == self._now:
+            return self._net_open()
+        closed = self._closed.get(t)
+        return _NO_PLANES if closed is None else _unpack(closed)
+
+    def _net_open(self) -> Planes:
+        """The open tick's netted planes, memoized per raw record count."""
+        if not self._open:
             return _NO_PLANES
-        size = _raw_size(chunks)
-        cached = self._netted.get(t)
-        if cached is None or cached[0] != size:
-            cached = self._netted[t] = (size, _net_planes(chunks))
-        return cached[1]
+        size = _raw_size(self._open)
+        if self._open_net is None or self._open_net[0] != size:
+            self._open_net = (size, *_net_planes(self._open))
+        return self._open_net[2]
 
     def events_at(self, t: float) -> Tuple[DeltaEvent, ...]:
         """The netted events of tick ``t`` (empty for a quiet tick).
 
-        Built from :meth:`planes_at` at a constant delay per event; the
-        tuple of the tick read last is kept, so re-reading it returns
-        the same object until new raw records arrive.
+        Built from :meth:`planes_at` at a constant delay per event, as
+        a new tuple on every call: re-reads are equal, not identical,
+        and the ledger keeps none of them.
         """
-        planes = self.planes_at(t)
-        if self._latest[0] is not planes:
-            self._latest = (planes, events_from_planes(t, planes))
-        return self._latest[1]
+        return events_from_planes(t, self.planes_at(t))
 
     def events(self) -> Iterator[DeltaEvent]:
         """All netted events, in tick order."""
@@ -270,9 +287,23 @@ class DeltaLedger:
         """The store rows the ledger was armed against (usually empty)."""
         return dict(self._baseline)
 
+    def approx_bytes(self) -> int:
+        """Resident bytes of the retained planes (the benchmark memory column)."""
+        total = sum(plane.nbytes for chunk in self._open for plane in chunk[1:])
+        if self._open_net is not None:
+            _size, (_removals, key, _lo, _hi), planes = self._open_net
+            total += key.nbytes + sum(plane.nbytes for plane in planes)
+        for _removals, key, lo, hi in self._closed.values():
+            total += key.nbytes + lo.nbytes + hi.nbytes
+        return total
+
     def __len__(self) -> int:
-        """Total raw records (diagnostics; netted streams may be shorter)."""
-        return sum(_raw_size(chunks) for chunks in self._raw.values())
+        """Total raw records (diagnostics; netted streams may be shorter).
+
+        A running count kept at record time, so it still counts the
+        closed ticks whose raw chunks are gone.
+        """
+        return self._records
 
     def __repr__(self) -> str:
         return (
@@ -292,7 +323,7 @@ def _chunk_planes(chunk):
     return np.full(a.shape[0], sign, dtype=np.int64), a, b, lo, hi
 
 
-def _net_planes(chunks: list) -> Planes:
+def _net_planes(chunks: list) -> Tuple[Packed, Planes]:
     """Net one tick's raw chunks into canonical state-diff planes.
 
     A stable sort on ``(pair, start, end)`` brings equal rows together
@@ -303,6 +334,7 @@ def _net_planes(chunks: list) -> Planes:
     :class:`DeltaView` fold, and hence the ``SC703`` sanitizer, still
     sees it instead of it vanishing in the netting.  Each surviving row
     is reported as first recorded (``-0.0`` and ``0.0`` are one row).
+    Returns the packed form and the planes, which share ``lo``/``hi``.
     """
     sign, a, b, lo, hi = (
         np.concatenate(planes)
@@ -319,13 +351,26 @@ def _net_planes(chunks: list) -> Planes:
     rows = np.concatenate(
         [np.repeat(rows[gone], -net[gone]), np.repeat(rows[come], net[come])]
     )
+    removals = int(-net[gone].sum())
     signs = np.repeat(
-        np.array([-1, 1], dtype=np.int64), [-net[gone].sum(), net[come].sum()]
+        np.array([-1, 1], dtype=np.int64), [removals, rows.shape[0] - removals]
     )
-    planes = (signs, a[rows], b[rows], lo[rows], hi[rows])
+    packed = (removals, key[rows], lo[rows], hi[rows])
+    planes = (signs, a[rows], b[rows], *packed[2:])
     for plane in planes:
         plane.flags.writeable = False  # memoized and shared with readers
-    return planes
+    return packed, planes
+
+
+def _unpack(packed: Packed) -> Planes:
+    """The read-only netted planes of a closed tick's packed form."""
+    removals, key, lo, hi = packed
+    a, b = unpack_pair_keys(key)
+    sign = np.ones(key.shape[0], dtype=np.int64)
+    sign[:removals] = -1
+    for plane in (sign, a, b):
+        plane.flags.writeable = False
+    return sign, a, b, lo, hi
 
 
 #: What a tick with no raw record nets to.

@@ -2,7 +2,8 @@
 
 ``test_replay_equivalence.py`` proves the end-to-end property; this
 suite pins the pieces it stands on — per-tick netting and canonical
-ordering, clock monotonicity, memoized (constant-delay) enumeration,
+ordering, clock monotonicity, fresh (constant-delay) enumeration, the
+packed retention of closed ticks,
 the exact-fold error grammar of :class:`DeltaView`, and the
 satellite-6 regression: ``JoinResultStore.prune_expired`` historically
 dropped intervals *silently*, which an attached ledger now reports as
@@ -84,14 +85,18 @@ class TestLedger:
         assert ledger.ticks() == (0.0, 2.0)
         assert ledger.events_at(1.0) == ()
 
-    def test_enumeration_is_memoized_until_new_records(self):
+    def test_rereads_are_equal_not_identical(self):
+        """Every read builds a fresh tuple; only new records change it."""
         ledger = DeltaLedger(0.0)
         ledger.record(1, 1, 2, 0.0, 1.0)
         first = ledger.events_at(0.0)
-        assert ledger.events_at(0.0) is first  # constant-delay re-read
+        again = ledger.events_at(0.0)
+        assert again == first and again is not first and again[0] is not first[0]
         ledger.record(1, 3, 4, 0.0, 1.0)
         second = ledger.events_at(0.0)
-        assert second is not first and len(second) == 2
+        assert second != first and len(second) == 2
+        ledger.advance(1.0)  # closed: same events, unpacked per read
+        assert ledger.events_at(0.0) == second and ledger.events_at(0.0) is not second
 
     def test_events_walks_ticks_in_order(self):
         ledger = DeltaLedger(0.0)
@@ -138,10 +143,11 @@ def reachable_events(root):
 
 
 class TestRetention:
-    def test_only_the_last_read_tick_keeps_its_tuples(self):
-        """Planes are memoized per tick, event tuples for one tick: 50
-        ticks of ``deltas(t)`` and polls leave one tick's tuples behind,
-        and every tick still re-reads and folds exactly."""
+    def test_no_tick_keeps_its_tuples(self):
+        """The ledger holds no event tuple: after 50 ticks of
+        ``deltas(t)`` and polls it retains no :class:`DeltaEvent` once
+        the caller drops its tuples, every closed tick is packed, and
+        every tick still re-reads and folds exactly."""
         scenario = delta_workload()
         engine = ColumnarJoinEngine(
             scenario.set_a, scenario.set_b, "mtb", JoinConfig(t_m=T_M, deltas=True)
@@ -158,16 +164,37 @@ class TestRetention:
                 watch.poll()
         assert len(read) == 51 and sum(map(len, read.values())) > 20 * len(read[50.0])
         last = read[50.0]
-        del read[50.0]
-        held = reachable_events(ledger)
-        assert len(held) == len(last) > 0
-        assert {id(ev) for ev in held} == {id(ev) for ev in last}
-        assert ledger.events_at(50.0) is last  # still the memoized tuple
-        # An older tick is rebuilt from its planes: equal, not retained.
+        assert len(last) > 0 and reachable_events(ledger) == []
+        # Every tick is rebuilt from its planes: equal, not retained.
         assert all(ledger.events_at(t) == events for t, events in read.items())
         assert ledger.events_at(50.0) == last and ledger.events_at(50.0) is not last
-        assert len(reachable_events(ledger)) == len(last)
-        assert len(ledger._netted) == len(ledger.ticks())
+        del read, last
+        assert reachable_events(ledger) == []
+        # Only the open tick has raw chunks; every other one is packed.
+        *closed, now = ledger.ticks()
+        assert now == ledger.now and set(ledger._closed) == set(closed)
+        assert fold_events(ledger).rows() == engine.store.interval_rows()
+
+    def test_retained_bytes_per_event(self):
+        """Over 200 ticks the ledger keeps ~24 B per netted event: a
+        packed pair key, ``lo`` and ``hi``, plus per-tick slack — not the
+        raw chunks and netted planes of every tick (~70 B per event)."""
+        scenario = delta_workload(n=200)
+        engine = ColumnarJoinEngine(
+            scenario.set_a, scenario.set_b, "mtb", JoinConfig(t_m=T_M, deltas=True)
+        )
+        engine.run_initial_join()
+        watch = engine.watch()
+        for t, batch in delta_batches(scenario, t_end=200.0):
+            engine.tick(t)
+            engine.apply_updates(batch)
+            engine.deltas(t)
+            watch.poll()
+        ledger = engine.ledger
+        events = sum(1 for _ in ledger.events())
+        closed = len(ledger.ticks()) - 1
+        assert closed >= 200 and events > 50 * closed  # the bound has teeth
+        assert ledger.approx_bytes() <= 24 * events + 1024 * closed
         assert fold_events(ledger).rows() == engine.store.interval_rows()
 
 

@@ -12,7 +12,7 @@ rather than a 60-object scenario.
 from __future__ import annotations
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import ContinuousJoinEngine, JoinConfig
@@ -240,6 +240,37 @@ def test_netted_planes_are_the_columns_of_the_events(script):
     ]
 
 
+def plane_bytes(planes):
+    """Each plane's dtype and bytes: equality down to the sign of zero."""
+    return [(plane.dtype, plane.tobytes()) for plane in planes]
+
+
+@settings(max_examples=300, deadline=None)
+@given(script=st.one_of(chunks_of(net_rows), chunks_of(wide_rows)))
+@example(
+    script=[
+        ("scalar", 1, (2**40, 2**31, -0.0, INF)),
+        ("planes", 1, [(2**40, 2**31, 0.0, INF), (0, 2**31 - 1, 1.0, 1.0)]),
+        ("planes", -1, [(-5, 0, -0.0, 1.0)] * 3),
+    ]
+)
+def test_a_closed_tick_reads_back_its_open_planes(script):
+    """Moving the clock past a tick packs its netted planes; ``planes_at``
+    then rebuilds the planes read while it was open — dtype for dtype,
+    byte for byte, ``-0.0``, wide oids and ±k repeats included — whether
+    or not a read built them before the close, and they stay read-only."""
+    read, raw = record_script(script)
+    unread, _ = record_script(script)
+    want = plane_bytes(read.planes_at(2.0))
+    for ledger in (read, unread):
+        ledger.advance(3.0)
+        got = ledger.planes_at(2.0)
+        assert plane_bytes(got) == want
+        assert not any(p.flags.writeable for p in got if p.size)
+        assert len(ledger) == len(raw)
+        assert ledger.events_at(2.0) == net_events_reference(2.0, raw)
+
+
 @settings(max_examples=300, deadline=None)
 @given(script=st.one_of(chunks_of(net_rows), chunks_of(wide_rows)))
 def test_vectorized_netting_equals_the_reference(script):
@@ -255,11 +286,12 @@ def test_vectorized_netting_equals_the_reference(script):
         assert type(ev) is DeltaEvent
         assert (type(ev.sign), type(ev.a_oid), type(ev.b_oid)) == (int, int, int)
         assert (type(ev.start), type(ev.end)) == (float, float)
-    # Memoized until a record arrives, a new tuple after.
-    assert ledger.events_at(2.0) is got
+    # A fresh tuple on every read, equal until a record arrives.
+    reread = ledger.events_at(2.0)
+    assert reread == got and all(x is not y for x, y in zip(reread, got))
     ledger.record_planes(
         1, np.array([99]), np.array([99]), np.array([0.0]), np.array([1.0])
     )
     again = ledger.events_at(2.0)
-    assert again is not got and ledger.events_at(2.0) is again
+    assert ledger.events_at(2.0) == again and ledger.events_at(2.0)[0] is not again[0]
     assert again == net_events_reference(2.0, raw + [(1, 99, 99, 0.0, 1.0)])
