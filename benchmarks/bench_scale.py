@@ -30,12 +30,21 @@ the planes read 0.3).
 The serial columnar cells read each tick's answer as arrays
 (``result_planes_at``: two oid planes, ~1 ms at 100k per side); the
 ``set`` of tuples ``result_at`` builds from them is read once after the
-loop and reported as ``read_set_s`` (10-28 ms there), so the tick is
-the engine's and the cost of the Python set is its own column.  Every
-join row carries ``answer_pairs`` and ``answer_digest`` — size and
-SHA-256 of the last tick's ``(a, b)``-sorted answer, computed from the
-planes (from the sorted set where an engine has only the set) — and
-rows at the same ``n`` must agree on them.
+loop and reported as ``read_set_s``, so the tick is the engine's and
+the cost of the Python set is its own column.  The ``tc`` cells at 10k
+and 100k also read ``result_at(t)`` after the planes every tick, timed
+apart from the tick: ``plane_read_ms_p50`` and ``set_read_ms_p50`` are
+the two reads' medians (not gated).  The store keeps the answer at the
+clock between set reads and builds tuples only for the pairs that
+entered or left (``pairs_entered_per_tick`` / ``pairs_left_per_tick``,
+over the ticks after the first), so there the first read builds the
+whole set and later ones the change, and ``read_set_s`` — a read of an
+unchanged answer — is a copy of the kept set; where no set was read per
+tick it is the whole build (10-28 ms at 100k).  Every join row carries
+``answer_pairs`` and ``answer_digest`` — size and SHA-256 of the last
+tick's ``(a, b)``-sorted answer, computed from the planes (from the
+sorted set where an engine has only the set) — and rows at the same
+``n`` must agree on them.
 
 Beside the ``tc`` row every size has a serial columnar ``mtb`` row
 (``columnar/mtb``).  With ``T_M = 60`` a bucket is 30 ticks long, so
@@ -116,8 +125,10 @@ Acceptance floors (the script exits non-zero when missed):
   ``SHARDED_OVERHEAD_CEIL_100K_S`` seconds more than the serial
   columnar tick with the set read added (``tick_mean_s + read_set_s``:
   the sharded engine has no plane read, and the gate bounds routing and
-  merging, not the Python set both would build).  With ``workers=0``
-  there is no CPU parallelism, and
+  merging, not the Python set both would build; since the stores keep
+  the answer at the clock, that read is the serial cell's copy of its
+  kept set, as each shard's per-tick read is of its own).  With
+  ``workers=0`` there is no CPU parallelism, and
   the sweep join's grid already spares the serial engine the candidates
   spatial tiling would cut, so this bounds routing + merge overhead
   rather than promising a speedup (``speedup_vs_serial`` is reported,
@@ -268,7 +279,7 @@ def rows_per_object(rows: int, n: int) -> float:
     return round(rows / n, 2)
 
 
-def run_columnar(n: int, steps: int, algorithm: str = ALGORITHM) -> dict:
+def run_columnar(n: int, steps: int, algorithm: str = ALGORITHM, set_reads: bool = False) -> dict:
     arrays = workload(n)
     config = JoinConfig(t_m=T_M)
     t0 = monotonic_clock()
@@ -284,14 +295,25 @@ def run_columnar(n: int, steps: int, algorithm: str = ALGORITHM) -> dict:
     initial_s = monotonic_clock() - t0
     initial_pairs = len(engine.store)
     stream = VectorUpdateStream(arrays, seed=SEED + 1)
+    plane_reads, set_reads_s = [], []
     t0 = monotonic_clock()
     for step in range(1, steps + 1):
         t = float(step)
         engine.tick(t)
         upd_a, upd_b = stream.updates_at(t)
         engine.apply_update_columns(upd_a, upd_b)
+        read = monotonic_clock()
         answer = engine.result_planes_at(t)
-    tick_s = monotonic_clock() - t0
+        plane_reads.append(monotonic_clock() - read)
+        if set_reads:
+            read = monotonic_clock()
+            engine.result_at(t)
+            set_reads_s.append(monotonic_clock() - read)
+            if step == 1:
+                # The first read enters the whole answer; count from here.
+                changed_from = (engine.store.pairs_entered, engine.store.pairs_left)
+    # The set reads are reported, not part of the tick.
+    tick_s = monotonic_clock() - t0 - sum(set_reads_s)
     t0 = monotonic_clock()
     answer_set = engine.result_at(t)
     read_set_s = monotonic_clock() - t0
@@ -300,6 +322,18 @@ def run_columnar(n: int, steps: int, algorithm: str = ALGORITHM) -> dict:
     buckets = np.concatenate(
         [cols.bucket_keys(config.bucket_length) for cols in (engine.columns_a, engine.columns_b)]
     )
+    reads = {}
+    if set_reads:
+        reads = {
+            "plane_read_ms_p50": round(float(np.median(plane_reads)) * 1e3, 3),
+            "set_read_ms_p50": round(float(np.median(set_reads_s)) * 1e3, 3),
+            "pairs_entered_per_tick": round(
+                (engine.store.pairs_entered - changed_from[0]) / (steps - 1), 1
+            ),
+            "pairs_left_per_tick": round(
+                (engine.store.pairs_left - changed_from[1]) / (steps - 1), 1
+            ),
+        }
     return {
         "n_per_side": n,
         "engine": "columnar" if algorithm == ALGORITHM else f"columnar/{algorithm}",
@@ -315,6 +349,7 @@ def run_columnar(n: int, steps: int, algorithm: str = ALGORITHM) -> dict:
         "tick_loop_s": round(tick_s, 4),
         "tick_mean_s": round(tick_s / steps, 4),
         "read_set_s": round(read_set_s, 4),
+        **reads,
         "ticks_per_s": round(steps / tick_s, 3),
         "updates_per_s": round(engine.update_count / tick_s, 1),
         "store_mb": store_mb(engine.store),
@@ -517,7 +552,7 @@ def main() -> int:
     rows = []
     for n in sizes:
         print(f"== n = {n:,} per side (space {space_for(n):.0f}) ==")
-        row = run_cell(run_columnar, n, STEPS)
+        row = run_cell(run_columnar, n, STEPS, ALGORITHM, n >= 10_000)
         rows.append(row)
         row.update(run_cell(sweep_selectivity, n))
         print(
@@ -527,7 +562,13 @@ def main() -> int:
             f"{row['stage_one_candidates_per_pair']:.1f} candidates and "
             f"{row['exact_tests_per_pair']:.1f} exact tests each), "
             f"tick {row['tick_mean_s']:.3f}s ({row['updates_per_s']:.0f} upd/s; "
-            f"{row['answer_pairs']} pairs as a set {row['read_set_s'] * 1e3:.1f} ms), "
+            f"{row['answer_pairs']} pairs as a set {row['read_set_s'] * 1e3:.1f} ms"
+            + (
+                f", per tick: planes {row['plane_read_ms_p50']:.2f} ms, "
+                f"set {row['set_read_ms_p50']:.2f} ms"
+                if "set_read_ms_p50" in row else ""
+            )
+            + "), "
             f"rss {row['peak_rss_mb']:.0f} MiB, store {row['store_mb']:.1f} MiB"
         )
         mtb = run_cell(run_columnar, n, MTB_STEPS, "mtb")

@@ -426,6 +426,7 @@ class _IntervalStrategy:
     def __init__(self, engine: ContinuousJoinEngine):
         self.engine = engine
         self.store = ColumnResultStore()
+        self.store.clock = engine.now
 
     # Orientation helper: results are always keyed (a_oid, b_oid).
     def _oriented(
@@ -436,7 +437,8 @@ class _IntervalStrategy:
         return (JoinTriple(t.b_oid, t.a_oid, t.interval) for t in triples)
 
     def on_tick(self, t: float) -> None:
-        """Interval stores need no event processing."""
+        """Interval stores need no event processing; the store learns the clock."""
+        self.store.clock = t
 
     def result_at(self, t: float) -> Set[PairKey]:
         return self.store.pairs_at(t)

@@ -28,7 +28,13 @@ from ..geometry import TimeInterval
 from ..geometry.constants import MERGE_TOL as _MERGE_TOL
 from ..geometry.kernels import radix_argsort
 from ..join import JoinTriple
-from .columns import merge_interval_planes, pair_keys, pair_run_starts, run_heads
+from .columns import (
+    merge_interval_planes,
+    pair_keys,
+    pair_run_starts,
+    run_heads,
+    unpack_pair_keys,
+)
 
 __all__ = ["ColumnResultStore"]
 
@@ -61,6 +67,23 @@ def _run_rows(start: np.ndarray, lens: np.ndarray) -> np.ndarray:
     rows = np.repeat(start - (np.cumsum(lens) - lens), lens)
     rows += np.arange(rows.shape[0])
     return rows
+
+
+def _sorted_diff(new: np.ndarray, old: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(entered, left)`` masks of two sorted unique key planes.
+
+    ``entered`` marks the keys of ``new`` missing from ``old``, ``left``
+    those of ``old`` missing from ``new``: one binary search of ``old``
+    per new key, whose hits also strike the matched keys off ``old``.
+    """
+    left = np.ones(old.shape[0], dtype=bool)
+    if old.shape[0] == 0:
+        return np.ones(new.shape[0], dtype=bool), left
+    at = old.searchsorted(new)
+    np.minimum(at, old.shape[0] - 1, out=at)
+    found = old[at] == new
+    left[at[found]] = False
+    return ~found, left
 
 
 def _empty_planes():
@@ -115,6 +138,14 @@ class ColumnResultStore:
     reference store emits (both equal the store's state diff at the
     tick boundary), which the ``SC701``–``SC703`` reconciliation checks
     verify.
+
+    The answer at the owning engine's clock (:attr:`clock`, which the
+    engine sets) is kept between :meth:`pairs_at` reads as its sorted
+    pair keys and the set of tuples built from them.  A read at the
+    clock still masks the planes; it then builds or drops tuples only
+    for the pairs that entered or left since the last such read.  The
+    kept set is the base of a diff, never an answer on its own, so no
+    mutation has to invalidate it.
     """
 
     __slots__ = (
@@ -131,7 +162,13 @@ class ColumnResultStore:
         "_b_order",
         "_b_sorted",
         "_ledger",
+        "_now_keys",
+        "_now_set",
+        "clock",
         "rows_merged",
+        "pairs_entered",
+        "pairs_left",
+        "answer_rebuilds",
     )
 
     def __init__(self) -> None:
@@ -155,6 +192,19 @@ class ColumnResultStore:
         #: of k pending rows touching r live rows adds exactly k + r,
         #: whatever the store holds.
         self.rows_merged = 0
+        #: the owning engine's clock: :meth:`pairs_at` reads at this
+        #: time keep their answer as the base of the next one's diff.
+        self.clock: "float | None" = None
+        #: the answer of the last read at the clock, as sorted unique
+        #: pair keys and as the set of tuples it was returned as.
+        self._now_keys = pair_keys(_empty_planes()[:2])[0]
+        self._now_set: Set[PairKey] = set()
+        #: cumulative pairs that entered and left the answer between
+        #: consecutive reads at the clock, and the reads that rebuilt
+        #: the kept set whole (a change at least the answer's size).
+        self.pairs_entered = 0
+        self.pairs_left = 0
+        self.answer_rebuilds = 0
 
     # ------------------------------------------------------------------
     # Ledger
@@ -447,8 +497,8 @@ class ColumnResultStore:
 
         Sorted by ``(a, b)`` and duplicate-free: a pair's intervals are
         disjoint, so at most one of its rows holds ``t``.  The form for
-        consumers that stay in arrays — :meth:`pairs_at` spends most of
-        its time turning these planes into a set of tuples.
+        consumers that stay in arrays — :meth:`pairs_at` turns these
+        planes into a set of tuples (at the clock, only the change).
         """
         rows = np.flatnonzero(self._mask_at(t))
         return self._a[rows], self._b[rows]
@@ -458,9 +508,49 @@ class ColumnResultStore:
         return int(np.count_nonzero(self._mask_at(t)))
 
     def pairs_at(self, t: float) -> Set[PairKey]:
-        """The continuous-join answer at timestamp ``t``."""
+        """The continuous-join answer at timestamp ``t``, a set the caller owns.
+
+        At :attr:`clock` the tuples come from the kept answer, brought
+        to this read's planes (:meth:`_clock_answer`); at any other time
+        they are built from the planes.
+        """
         a, b = self.pairs_at_planes(t)
-        return set(zip(a.tolist(), b.tolist()))
+        if t != self.clock:
+            return set(zip(a.tolist(), b.tolist()))
+        return set(self._clock_answer(a, b))
+
+    def _clock_answer(self, a: np.ndarray, b: np.ndarray) -> Set[PairKey]:
+        """The kept clock answer, moved to the ``(a, b)``-sorted answer planes.
+
+        Diffs the planes' pair keys against the kept ones (both sorted
+        and unique: one binary search per new key) and creates or
+        discards tuples only for the pairs that entered or left — or
+        builds the set anew when that change is at least the answer's
+        size.  Counts the change in :attr:`pairs_entered` /
+        :attr:`pairs_left`.
+        """
+        old = self._now_keys
+        (new,) = pair_keys((a, b))
+        if new.dtype != old.dtype:
+            # A wide oid arrived or left: compare in one key space.
+            new, old = pair_keys((a, b), unpack_pair_keys(old))
+        entered, left = _sorted_diff(new, old)
+        entered, left = np.flatnonzero(entered), old[left]
+        n_in, n_out = entered.shape[0], left.shape[0]
+        self.pairs_entered += n_in
+        self.pairs_left += n_out
+        kept = self._now_set
+        if n_in + n_out and n_in + n_out >= new.shape[0]:
+            kept = set(zip(a.tolist(), b.tolist()))
+            self.answer_rebuilds += 1
+        else:
+            if n_out:
+                gone_a, gone_b = unpack_pair_keys(left)
+                kept.difference_update(zip(gone_a.tolist(), gone_b.tolist()))
+            if n_in:
+                kept.update(zip(a[entered].tolist(), b[entered].tolist()))
+        self._now_keys, self._now_set = new, kept
+        return kept
 
     def intervals_for(self, key: PairKey) -> List[TimeInterval]:
         """Stored intervals for a pair (empty when unknown)."""
@@ -530,7 +620,8 @@ class ColumnResultStore:
         }
 
     def approx_bytes(self) -> int:
-        """Resident bytes of the planes (the benchmark memory column)."""
+        """Resident bytes of the planes and the kept clock keys (the
+        benchmark memory column; the kept tuples are not counted)."""
         total = (
             self._a.nbytes
             + self._b.nbytes
@@ -538,6 +629,7 @@ class ColumnResultStore:
             + self._hi.nbytes
             + self._live.nbytes
             + self._run_starts.nbytes
+            + self._now_keys.nbytes
         )
         if self._b_order is not None:
             total += self._b_order.nbytes + self._b_sorted.nbytes

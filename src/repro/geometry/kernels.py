@@ -69,11 +69,14 @@ The kernels are *bit-identical* to the scalar path, not merely close:
   proper boxes (``lb <= ub``) the zero-tolerance sweep test and the
   orthogonal reject each imply those two inequalities on their axis, so
   the pairs that reach the exact kernel are also exactly those an
-  exhaustive enumeration would send.  The hits are then sorted by the
-  scalar sweep's total order (pivot ``lb``, side a first, pivot row,
-  partner ``lb``, partner row — its two stable sorts and its merge),
-  which no two pairs share, so rows and row order are the scalar
-  sweep's however the grid enumerated them.
+  exhaustive enumeration would send, and the rows returned are the
+  scalar sweep's.  Their order is the grid's enumeration order, which
+  is deterministic but no scalar call's: the result store sorts what it
+  is given, so only :func:`batch_ps_intersection` — the tree engines'
+  call, which promises ``ps_intersection``'s order — sorts its hits by
+  the scalar sweep's total order (pivot ``lb``, side a first, pivot
+  row, partner ``lb``, partner row — its two stable sorts and its
+  merge), which no two pairs share.
 
 * the magnitude both tolerances scale with enters the two arguments
   above only as an upper bound on the intermediates: a larger one
@@ -825,11 +828,13 @@ def batch_sweep_join(
     """Arrays-out plane-sweep join: the whole-dataset probe primitive.
 
     Returns ``(idx_a, idx_b, lo, hi)`` arrays of the intersecting pairs
-    in the scalar sweep's order — ``batch_a[idx_a[k]]`` intersects
-    ``batch_b[idx_b[k]]`` exactly during ``[lo[k], hi[k]]``: rows, row
-    order and windows are those of the scalar reference
-    :func:`~repro.geometry.plane_sweep.ps_intersection` on ``dim``, bit
-    for bit.
+    — ``batch_a[idx_a[k]]`` intersects ``batch_b[idx_b[k]]`` exactly
+    during ``[lo[k], hi[k]]``: rows and windows are those of the scalar
+    reference :func:`~repro.geometry.plane_sweep.ps_intersection` on
+    ``dim``, bit for bit.  The rows come in the grid's deterministic
+    enumeration order, not the sweep's: every store-side consumer sorts
+    them, and :func:`batch_ps_intersection` sorts them into sweep order
+    for the callers that need it.
 
     ``ends = (ends_a, ends_b)`` gives either side one finite window end
     per row (MTB: a row's bucket end plus ``T_M``).  Pair ``(i, j)`` is
@@ -839,8 +844,7 @@ def batch_sweep_join(
     against each such group of ``b`` with that minimum as its ``t1``:
     every stage-one filter works on a row's swept box over its *own*
     window, which contains the pair's, and the survivors meet the sweep
-    rule and the exact kernel on the pair's window.  Their order is the
-    sweep order of the own-window boxes, no single scalar call's.
+    rule and the exact kernel on the pair's window.
 
     Stage one is a uniform grid over the 2-D swept boxes, built for this
     call and dropped with it (:class:`_SweepGrid`).  The larger side is
@@ -860,10 +864,10 @@ def batch_sweep_join(
     zero-tolerance swept-range test on ``dim`` (exactly the scalar
     sweep's candidate rule, side a pivoting first on ties), and for the
     survivors — ``counter[1]`` counts them — the exact pair-window
-    kernel.  The hits are finally sorted into sweep order.  Candidates
-    arrive in blocks of at most ``chunk`` and survivors queue up to the
-    same count before the exact kernel runs, so the temporaries stay
-    bounded for dataset-scale joins (100k × 100k).
+    kernel.  Candidates arrive in blocks of at most ``chunk`` and
+    survivors queue up to the same count before the exact kernel runs,
+    so the temporaries stay bounded for dataset-scale joins (100k ×
+    100k).
     """
     if t1 < t0:
         raise ValueError("t_end must be >= t_start")
@@ -963,22 +967,27 @@ def batch_sweep_join(
             counter[1] += tested
     if not out:
         return _EMPTY_JOIN
-    idx_a, idx_b, lo, hi = (np.concatenate(col) for col in zip(*out))
-    out.clear()
-    # Sweep order: pivots by (lb, side a first, row), each pivot's
-    # partners by (lb, row) — the scalar sweep's two stable sorts.
-    lb_a, lb_b = (lb_p, lb_q) if flip else (lb_q, lb_p)
-    key_a, key_b = lb_a[dim][idx_a], lb_b[dim][idx_b]
+    return tuple(np.concatenate(col) for col in zip(*out))
+
+
+def _sweep_order(lb_a, lb_b, idx_a, idx_b) -> "np.ndarray":
+    """The permutation putting join hits into the scalar sweep's order.
+
+    Pivots by (``lb``, side a first, row), each pivot's partners by
+    (``lb``, row) — the scalar sweep's two stable sorts and its merge.
+    ``lb_a`` / ``lb_b`` are the sides' swept lower bounds on the sweep
+    axis; no two hits share the key, so the order is total.
+    """
+    key_a, key_b = lb_a[idx_a], lb_b[idx_b]
     a_pivots = key_a <= key_b
-    rows = max(batch_a.n, batch_b.n)
-    sweep_order = np.lexsort((
+    rows = max(lb_a.shape[0], lb_b.shape[0])
+    return np.lexsort((
         *_radix_digits(np.where(a_pivots, idx_b, idx_a), rows),
         np.where(a_pivots, key_b, key_a),
         *_radix_digits(np.where(a_pivots, idx_a, idx_b), rows),
         ~a_pivots,
         np.where(a_pivots, key_a, key_b),
     ))
-    return idx_a[sweep_order], idx_b[sweep_order], lo[sweep_order], hi[sweep_order]
 
 
 def _radix_digits(idx, limit: int) -> List["np.ndarray"]:
@@ -1046,23 +1055,24 @@ def batch_ps_intersection(
     engines report it as ``pair_tests``), counted here from the sweep
     bounds because :func:`batch_sweep_join`, which does the work and
     keeps the result in arrays, enumerates a different candidate set.
-    This is a thin triple-building wrapper over it.
+    A thin wrapper over it that sorts its hits into the scalar sweep's
+    order (:func:`_sweep_order`) and builds the triples.
     """
     if t1 < t0:
         raise ValueError("t_end must be >= t_start")
-    if dim is None and batch_a.n and batch_b.n:
+    if batch_a.n == 0 or batch_b.n == 0:
+        return []
+    if dim is None:
         dim = batch_select_sweep_dimension(batch_a, batch_b)
-    if counter is not None and batch_a.n and batch_b.n:
-        counter[0] += _scalar_sweep_tests(
-            *batch_sweep_bounds(batch_a, dim, t0, t1),
-            *batch_sweep_bounds(batch_b, dim, t0, t1),
-        )
-    idx_a, idx_b, lo, hi = batch_sweep_join(batch_a, batch_b, t0, t1, dim=dim)
+    lb_a, ub_a = batch_sweep_bounds(batch_a, dim, t0, t1)
+    lb_b, ub_b = batch_sweep_bounds(batch_b, dim, t0, t1)
+    if counter is not None:
+        counter[0] += _scalar_sweep_tests(lb_a, ub_a, lb_b, ub_b)
+    planes = batch_sweep_join(batch_a, batch_b, t0, t1, dim=dim)
+    order = _sweep_order(lb_a, lb_b, planes[0], planes[1])
+    idx_a, idx_b, lo, hi = (plane[order].tolist() for plane in planes)
     return [
-        (int(i), int(j), TimeInterval(s, e))
-        for i, j, s, e in zip(
-            idx_a.tolist(), idx_b.tolist(), lo.tolist(), hi.tolist()
-        )
+        (i, j, TimeInterval(s, e)) for i, j, s, e in zip(idx_a, idx_b, lo, hi)
     ]
 
 

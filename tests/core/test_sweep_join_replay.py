@@ -5,9 +5,11 @@ boundaries; this file replays what the two benchmarked engine shapes
 send it — the tc engine at the end-to-end benchmark's density (shrunk
 to tier-1 size) and the mtb engine with three live buckets, each with
 its initial join — and holds every call to the scalar sweep byte for
-byte: a tc call to the one scalar sweep over its window, an mtb call
-(one per probe, a window end per row) to the scalar sweeps the
-per-bucket loop it replaced ran, one per pair of end groups.  The
+byte, rows compared in ``(i, j)`` order (the join returns them in its
+grid's order; only ``batch_ps_intersection`` restores the sweep's): a
+tc call to the one scalar sweep over its window, an mtb call (one per
+probe, a window end per row) to the scalar sweeps the per-bucket loop
+it replaced ran, one per pair of end groups.  The
 number of pairs that reach the exact kernel is pinned per call — for tc
 to what the 1-D sweep enumerator this grid replaced sent there: the
 grid changes how candidates are found, not which are tested.
@@ -158,7 +160,7 @@ class TestReplay:
         {"tc": self.check_tc_calls, "mtb": self.check_mtb_calls}[shape](calls)
 
     def check_tc_calls(self, calls):
-        """Each call is the one scalar sweep over its window, order included."""
+        """Each call is the one scalar sweep over its window, row for row."""
         assert len(calls) == len(EXACT_TESTS["tc"])
         gridded = 0
         for (batch_a, batch_b, t0, t1, kwargs), exact_tests in zip(calls, EXACT_TESTS["tc"]):
@@ -168,10 +170,11 @@ class TestReplay:
             dim = batch_select_sweep_dimension(batch_a, batch_b)
             counter = [0, 0]
             planes = batch_sweep_join(batch_a, batch_b, t0, t1, counter=counter)
-            assert_same_planes(planes, scalar_planes(batch_a, batch_b, t0, t1, dim), (t0, t1))
+            want = scalar_planes(batch_a, batch_b, t0, t1, dim)
+            assert_same_planes(by_pair(planes), by_pair(want), (t0, t1))
             assert counter[1] == exact_tests, (t0, t1)
             assert planes[0].shape[0] <= counter[1] <= counter[0]
-            # The engine's fixed axis changes the order of the rows only.
+            # The engine's fixed axis returns the same rows.
             fixed = batch_sweep_join(batch_a, batch_b, t0, t1, dim=kwargs["dim"])
             assert_same_planes(by_pair(fixed), by_pair(planes), (t0, t1))
         # Not vacuous: the calls are gridded and the first is the initial join.
