@@ -4,9 +4,10 @@
 column stores, result stores, delta ledgers, sharded engines) and
 compares them with an independent recomputation, reporting ``SCxxx``
 findings.  It guards the invariants the paper's correctness rests on
-(Theorems 1–2, TPR-tree bounding, MTB bucketing) and is wired into the
-engines via ``JoinConfig(sanitize=True)`` and into
-``python -m repro.check sanitize`` for exported sharded states.
+(Theorems 1–2, TPR-tree bounding, MTB bucketing).  It runs only when
+called: :func:`sanitize_engine` on a live engine, the trees' and the
+sharded engine's ``validate()``, and ``python -m repro.check sanitize``
+for exported sharded states.
 
 See :mod:`repro.check.errors` for the error-code registry.
 """

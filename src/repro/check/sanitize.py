@@ -32,9 +32,11 @@ callers can aggregate, report, or raise.  The checkers are duck-typed
 packages delegate their ``validate()`` paths here without creating an
 import cycle.
 
-Enable continuous checking with ``JoinConfig(sanitize=True)`` (or the
-``REPRO_SANITIZE=1`` environment variable); audit an exported sharded
-state with ``python -m repro.check sanitize PATH``.
+There is no switch that runs them inside an engine: call
+:func:`sanitize_engine` on a tree, columnar, self-join, window-query or
+sharded engine (the tests' stateful model does after every step), a
+tree's or the sharded engine's ``validate()``, or audit an exported
+sharded state with ``python -m repro.check sanitize PATH``.
 """
 
 from __future__ import annotations
@@ -58,6 +60,7 @@ __all__ = [
     "check_delta_ledger",
     "sanitize_engine",
     "sanitize_columnar_engine",
+    "sanitize_sharded_engine",
     "raise_on_findings",
 ]
 
@@ -807,27 +810,30 @@ def _forest_anchors(*forests) -> Dict[int, float]:
 
 
 def sanitize_engine(engine) -> List[Finding]:
-    """Check every structure a continuous-join engine maintains.
+    """Check every structure an engine maintains; return the findings.
 
-    Accepts both :class:`~repro.core.engine.ContinuousJoinEngine`
-    (whatever its strategy) and
-    :class:`~repro.core.selfjoin.ContinuousSelfJoinEngine`; the
-    structures present are discovered by attribute.
+    Accepts :class:`~repro.core.engine.ContinuousJoinEngine` (whatever
+    its strategy), :class:`~repro.core.columnar.ColumnarJoinEngine`,
+    :class:`~repro.core.selfjoin.ContinuousSelfJoinEngine`,
+    :class:`~repro.queries.ContinuousWindowEngine` and
+    :class:`~repro.par.ShardedJoinEngine`; the kind is told by
+    attribute, since this module imports none of those packages.
     """
+    if hasattr(engine, "export_state"):
+        return sanitize_sharded_engine(engine)
+    if hasattr(engine, "columns_a"):
+        return sanitize_columnar_engine(engine)
+    if hasattr(engine, "forest") and hasattr(engine, "store"):
+        return _sanitize_forest_engine(engine)
+    if hasattr(engine, "_strategy"):
+        return _sanitize_tree_engine(engine)
+    raise TypeError(f"no sanitizer for {type(engine).__name__}")
+
+
+def _sanitize_tree_engine(engine) -> List[Finding]:
+    """The strategy's trees or forests and its interval store."""
     t = engine.now
     findings: List[Finding] = []
-
-    # Self-join engine: one forest, one canonical-pair store.
-    if not hasattr(engine, "_strategy"):
-        findings.extend(check_mtb_forest(engine.forest, t, label="forest"))
-        findings.extend(check_column_result_store(
-            engine.store,
-            t_m=engine.config.t_m,
-            anchors=_forest_anchors(engine.forest),
-            floor=getattr(engine, "start_time", None),
-        ))
-        return findings
-
     strategy = engine._strategy
     for name in ("tree_a", "tree_b"):
         tree = getattr(strategy, name, None)
@@ -858,4 +864,33 @@ def sanitize_engine(engine) -> List[Finding]:
         ledger = getattr(engine, "ledger", None)
         if ledger is not None:
             findings.extend(check_delta_ledger(store, ledger))
+    return findings
+
+
+def _sanitize_forest_engine(engine) -> List[Finding]:
+    """One forest and one store: the self-join engine, and the window
+    query engine (whose windows are unbounded unless time-constrained)."""
+    findings = check_mtb_forest(engine.forest, engine.now, label="forest")
+    bounded = getattr(engine, "time_constrained", True)
+    findings.extend(check_column_result_store(
+        engine.store,
+        t_m=engine.config.t_m if bounded else None,
+        anchors=_forest_anchors(engine.forest),
+        floor=getattr(engine, "start_time", None),
+    ))
+    return findings
+
+
+def sanitize_sharded_engine(engine) -> List[Finding]:
+    """The SC401–SC403 shard invariants over the engine's export, plus
+    SC501–SC503 when supervised and the SC701–SC703 reconciliation of
+    the merged delta stream when delta streams are on."""
+    state = engine.export_state()
+    findings = check_sharded_state(state)
+    if state.get("supervisor") is not None:
+        findings.extend(check_supervisor_state(state["supervisor"]))
+    if engine._merger is not None:
+        findings.extend(check_delta_ledger(
+            engine.merged_store(), engine._merger, label="sharded-deltas"
+        ))
     return findings

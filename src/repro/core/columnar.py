@@ -45,6 +45,7 @@ from typing import Iterable, Mapping, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
+from ..geometry.interval import INF, check_clock
 from ..geometry.kernels import batch_sweep_join
 from ..metrics import CostSnapshot, CostTracker
 from ..obs import NULL_SPAN, ObsRecorder
@@ -110,6 +111,7 @@ class ColumnarJoinEngine:
             )
         self.config = config if config is not None else JoinConfig()
         self.algorithm = algorithm
+        check_clock(-INF, start_time)
         self.now = float(start_time)
         self.start_time = float(start_time)
         self.tracker = CostTracker()
@@ -149,7 +151,6 @@ class ColumnarJoinEngine:
         self.build_cost: CostSnapshot = self.tracker.snapshot()
         self.initial_join_cost: Optional[CostSnapshot] = None
         self.update_count = 0
-        self._sanitize()
 
     # ------------------------------------------------------------------
     # Object-engine-compatible surface
@@ -170,20 +171,17 @@ class ColumnarJoinEngine:
         with self.tracker.timed(), self._span("engine.initial_join"):
             self._sweep_into_store(self.columns_a, None, self.columns_b, self.now, swap=False)
         self.initial_join_cost = self.tracker.snapshot() - before
-        self._sanitize()
         return self.initial_join_cost
 
     def tick(self, t: float) -> None:
         """Advance the clock to ``t`` (monotone non-decreasing)."""
-        if t < self.now:
-            raise ValueError(f"time went backwards: {t} < {self.now}")
+        check_clock(self.now, t)
         # Canonicalize deferred store mutations before the ledger clock
         # moves, so every delta event lands in the tick that caused it.
         self.store.flush()
         self.now = self.store.clock = t
         if self.ledger is not None:
             self.ledger.advance(t)
-        self._sanitize()
 
     def apply_update(self, obj: MovingObject) -> None:
         """Process one object update at the current timestamp."""
@@ -291,7 +289,6 @@ class ColumnarJoinEngine:
                 self.store.remove_objects(changed)
             self._sweep_into_store(cols_a, rows_a, cols_b, t, swap=False)
             self._sweep_into_store(cols_b, rows_b, cols_a, t, swap=True)
-        self._sanitize()
 
     # ------------------------------------------------------------------
     # Queries
@@ -459,13 +456,6 @@ class ColumnarJoinEngine:
         if self.obs is None:
             return NULL_SPAN
         return self.obs.span(name, **tags)
-
-    def _sanitize(self) -> None:
-        if not self.config.sanitize:
-            return
-        from ..check.sanitize import raise_on_findings, sanitize_columnar_engine
-
-        raise_on_findings(sanitize_columnar_engine(self))
 
     def __repr__(self) -> str:
         return (

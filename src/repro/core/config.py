@@ -37,10 +37,6 @@ class JoinConfig:
     buckets_per_tm: int = DEFAULT_BUCKETS_PER_TM
     #: TPR insertion horizon ``H``; ``None`` means ``t_m``.
     horizon: Optional[float] = None
-    #: Run the :mod:`repro.check` invariant sanitizer after every
-    #: build/tick/update (slow; debugging and CI smoke tests).  Also
-    #: forced on by the ``REPRO_SANITIZE=1`` environment variable.
-    sanitize: bool = field(default=False, compare=False)
     #: Record phase-attributed cost spans (:mod:`repro.obs`).  Off by
     #: default — the engine then skips recorder creation entirely and
     #: each counter increment pays one attribute test.  Also forced on
@@ -74,8 +70,6 @@ class JoinConfig:
     faults: Optional[str] = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
-        if not self.sanitize and os.environ.get("REPRO_SANITIZE", "") not in ("", "0"):
-            object.__setattr__(self, "sanitize", True)
         if not self.obs and os.environ.get("REPRO_OBS", "") not in ("", "0"):
             object.__setattr__(self, "obs", True)
         if not _finite_positive(self.space_size):

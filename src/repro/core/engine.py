@@ -24,6 +24,7 @@ from typing import Dict, Iterable, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from ..geometry import INF
+from ..geometry.interval import check_clock
 from ..index import MTBTree, TPRStarTree, TreeStorage
 from ..join import (
     JoinTechniques,
@@ -72,6 +73,7 @@ class ContinuousJoinEngine:
             raise ValueError(f"unknown algorithm {algorithm!r}; pick from {ALGORITHMS}")
         self.config = config if config is not None else JoinConfig()
         self.algorithm = algorithm
+        check_clock(-INF, start_time)
         self.now = float(start_time)
         self.start_time = float(start_time)
         self.objects_a: Dict[int, MovingObject] = {o.oid: o for o in objects_a}
@@ -122,7 +124,6 @@ class ContinuousJoinEngine:
         self.build_cost: CostSnapshot = self.tracker.snapshot()
         self.initial_join_cost: Optional[CostSnapshot] = None
         self.update_count = 0
-        self._sanitize()
 
     # ------------------------------------------------------------------
     # Convenience constructor
@@ -149,19 +150,16 @@ class ContinuousJoinEngine:
         with self.tracker.timed(), self._span("engine.initial_join"):
             self._strategy.initial_join(self.now)
         self.initial_join_cost = self.tracker.snapshot() - before
-        self._sanitize()
         return self.initial_join_cost
 
     def tick(self, t: float) -> None:
         """Advance the clock to ``t`` (monotone non-decreasing)."""
-        if t < self.now:
-            raise ValueError(f"time went backwards: {t} < {self.now}")
+        check_clock(self.now, t)
         self.now = t
         if self.ledger is not None:
             self.ledger.advance(t)
         with self.tracker.timed(), self._span("engine.tick", t=t):
             self._strategy.on_tick(t)
-        self._sanitize()
 
     def apply_update(self, obj: MovingObject) -> None:
         """Process one object update at the current timestamp.
@@ -173,7 +171,6 @@ class ContinuousJoinEngine:
         """
         _check_objects([obj])
         self._update(obj, self._dataset_of(obj.oid))
-        self._sanitize()
 
     def apply_updates(
         self,
@@ -225,7 +222,6 @@ class ContinuousJoinEngine:
             self._update(obj, dataset)
         for obj, dataset in admissions:
             self._admit(obj, dataset)
-        self._sanitize()
 
     def admit_object(self, obj: MovingObject, dataset: str) -> None:
         """Add a brand-new object to dataset ``"a"`` or ``"b"``.
@@ -237,7 +233,6 @@ class ContinuousJoinEngine:
         _check_objects([obj])
         self._check_admission(obj, dataset)
         self._admit(obj, dataset)
-        self._sanitize()
 
     def evict_object(self, oid: int) -> None:
         """Remove an object entirely (index entry and stored pairs).
@@ -247,7 +242,6 @@ class ContinuousJoinEngine:
         """
         self._require_hook("on_evict")
         self._evict(oid, self._dataset_of(oid))
-        self._sanitize()
 
     # -- resolution (reads only), then the three per-object writes -----
     def _dataset_of(self, oid: int) -> str:
@@ -376,18 +370,6 @@ class ContinuousJoinEngine:
         if self.obs is None:
             raise RuntimeError("observability is off; build with JoinConfig(obs=True)")
         return self.obs.export_json(path, meta)
-
-    def _sanitize(self) -> None:
-        """Run the invariant sanitizer when ``JoinConfig.sanitize`` is on.
-
-        Raises :class:`repro.check.InvariantViolation` (an
-        ``AssertionError``) listing every violated invariant.
-        """
-        if not self.config.sanitize:
-            return
-        from ..check.sanitize import raise_on_findings, sanitize_engine
-
-        raise_on_findings(sanitize_engine(self))
 
     # ------------------------------------------------------------------
     def __repr__(self) -> str:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Optional, Set, Tuple
 
+from ..geometry.interval import INF, check_clock
 from ..index import MTBTree, TreeStorage
 from ..join import JoinTriple, mtb_join_object, naive_join
 from ..metrics import CostSnapshot, CostTracker
@@ -40,6 +41,7 @@ class ContinuousSelfJoinEngine:
         start_time: float = 0.0,
     ):
         self.config = config if config is not None else JoinConfig()
+        check_clock(-INF, start_time)
         self.now = float(start_time)
         self.start_time = float(start_time)
         self.objects: Dict[int, MovingObject] = {}
@@ -69,7 +71,6 @@ class ContinuousSelfJoinEngine:
                 self.forest.insert(obj, self.now)
         self.store = ColumnResultStore()
         self.initial_join_cost: Optional[CostSnapshot] = None
-        self._sanitize()
 
     # ------------------------------------------------------------------
     def run_initial_join(self) -> CostSnapshot:
@@ -88,13 +89,11 @@ class ContinuousSelfJoinEngine:
                     ):
                         self._add(triple.a_oid, triple.b_oid, triple)
         self.initial_join_cost = self.tracker.snapshot() - before
-        self._sanitize()
         return self.initial_join_cost
 
     def tick(self, t: float) -> None:
         """Advance the engine clock (monotone)."""
-        if t < self.now:
-            raise ValueError("time went backwards")
+        check_clock(self.now, t)
         self.now = t
 
     def apply_update(self, obj: MovingObject) -> None:
@@ -108,7 +107,6 @@ class ContinuousSelfJoinEngine:
             self.store.remove_object(obj.oid)
             for triple in mtb_join_object(self.forest, obj.kbox, obj.oid, t):
                 self._add(obj.oid, triple.b_oid, triple)
-        self._sanitize()
 
     def result_at(self, t: Optional[float] = None) -> Set[PairKey]:
         """All intersecting unordered pairs ``(lo_oid, hi_oid)`` at ``t``."""
@@ -133,14 +131,6 @@ class ContinuousSelfJoinEngine:
         if self.obs is None:
             raise RuntimeError("observability is off; build with JoinConfig(obs=True)")
         return self.obs.export_json(path, meta)
-
-    def _sanitize(self) -> None:
-        """Run the invariant sanitizer when ``JoinConfig.sanitize`` is on."""
-        if not self.config.sanitize:
-            return
-        from ..check.sanitize import raise_on_findings, sanitize_engine
-
-        raise_on_findings(sanitize_engine(self))
 
     def _add(self, a_oid: int, b_oid: int, triple: JoinTriple) -> None:
         if a_oid == b_oid:

@@ -61,6 +61,7 @@ from typing import Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence
 import numpy as np
 
 from ..core.columns import pair_keys, run_heads, unpack_pair_keys
+from ..geometry.interval import check_clock
 
 __all__ = [
     "DeltaEvent",
@@ -203,8 +204,7 @@ class DeltaLedger:
         Moving past the open tick closes it: its netted planes are
         packed and its raw chunks freed.
         """
-        if t < self._now:
-            raise ValueError(f"time went backwards: {t} < {self._now}")
+        check_clock(self._now, t)
         if self._flush is not None:
             self._flush()
         if t > self._now and self._open:

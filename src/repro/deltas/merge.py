@@ -26,6 +26,8 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
+from ..geometry.interval import check_clock
+
 from .ledger import DeltaEvent, Planes, planes_from_events
 
 __all__ = ["ShardDeltaMerger"]
@@ -60,8 +62,7 @@ class ShardDeltaMerger:
 
     def advance(self, t: float) -> None:
         """Move the merge clock forward, closing any older open tick."""
-        if t < self._now:
-            raise ValueError(f"time went backwards: {t} < {self._now}")
+        check_clock(self._now, t)
         if self._open_tick is not None and t > self._open_tick:
             self._close_open()
         self._now = float(t)

@@ -20,9 +20,23 @@ from typing import Iterable, Iterator, List, Optional, Sequence
 
 from .constants import MERGE_TOL as _EPS
 
-__all__ = ["INF", "TimeInterval", "merge_intervals"]
+__all__ = ["INF", "TimeInterval", "check_clock", "merge_intervals"]
 
 INF = math.inf
+
+
+def check_clock(now: float, t: float) -> None:
+    """Refuse a clock move from ``now`` to ``t`` unless ``t`` is finite
+    and no earlier than ``now``.
+
+    Written as ``if t < now: raise``, the test lets NaN through (every
+    comparison with NaN is false), and a NaN clock lets the next tick
+    run backwards.  Pass ``now = -INF`` to vet a start time.
+    """
+    if not (now <= t and math.isfinite(t)):
+        raise ValueError(
+            f"time went backwards (before the present {now}) or is not finite: {t}"
+        )
 
 
 class TimeInterval:

@@ -49,6 +49,7 @@ from ..core.columns import ColumnStore, ObjectsView, UpdateColumns, pack_updates
 from ..core.config import JoinConfig
 from ..core.result import ColumnResultStore
 from ..deltas import ShardDeltaMerger
+from ..geometry.interval import INF, check_clock
 from ..metrics import CostSnapshot
 from ..objects import MovingObject
 from . import worker
@@ -115,6 +116,7 @@ class ShardedJoinEngine:
             )
         self.config = config if config is not None else JoinConfig()
         self.algorithm = algorithm
+        check_clock(-INF, start_time)
         self.now = float(start_time)
         self.start_time = float(start_time)
         self.workers = int(workers)
@@ -229,13 +231,10 @@ class ShardedJoinEngine:
         results = self._backend.run(cmds)
         self.initial_join_cost = _sum_costs(res[0] for res in results.values())
         self._ingest_deltas(results)
-        if self.config.sanitize:
-            self.validate()
         return self.initial_join_cost
 
     def tick(self, t: float) -> None:
-        if t < self.now:
-            raise ValueError(f"time went backwards: {t} < {self.now}")
+        check_clock(self.now, t)
         self.now = t
         if self._merger is not None:
             self._merger.advance(t)
@@ -275,8 +274,6 @@ class ShardedJoinEngine:
         if cmds:
             results = self._backend.run(cmds)
             self._ingest_deltas(results)
-        if self.config.sanitize:
-            self.validate()
 
     def step(self, t: float, batch: Iterable[MovingObject]) -> Set[PairKey]:
         """One fused tick: advance clocks, group-commit, answer.
@@ -287,8 +284,7 @@ class ShardedJoinEngine:
         backend pays a single submit/result round trip per shard per
         tick instead of three.
         """
-        if t < self.now:
-            raise ValueError(f"time went backwards: {t} < {self.now}")
+        check_clock(self.now, t)
         payloads = self._route(
             *pack_updates(batch, self.columns_a, self.columns_b), t
         )
@@ -306,8 +302,6 @@ class ShardedJoinEngine:
             cmds[sid] = shard_cmds
         results = self._backend.run(cmds)
         self._ingest_deltas(results)
-        if self.config.sanitize:
-            self.validate()
         # The pairs answer sits last, unless the delta pull rode behind it.
         answer_idx = -1 if self._merger is None else -2
         answer: Set[PairKey] = set()
@@ -603,22 +597,9 @@ class ShardedJoinEngine:
         supervisor invariants when supervised, and the SC701–SC703
         delta reconciliation when delta streams are on); raise on any
         finding."""
-        from ..check.sanitize import (
-            check_delta_ledger,
-            check_sharded_state,
-            check_supervisor_state,
-            raise_on_findings,
-        )
+        from ..check.sanitize import raise_on_findings, sanitize_sharded_engine
 
-        state = self.export_state()
-        findings = check_sharded_state(state)
-        if state.get("supervisor") is not None:
-            findings = findings + check_supervisor_state(state["supervisor"])
-        if self._merger is not None:
-            findings = findings + check_delta_ledger(
-                self.merged_store(), self._merger, label="sharded-deltas"
-            )
-        raise_on_findings(findings)
+        raise_on_findings(sanitize_sharded_engine(self))
 
     # ------------------------------------------------------------------
     # Plumbing

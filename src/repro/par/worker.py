@@ -169,7 +169,6 @@ def restore_engine(blob: Dict) -> ColumnarJoinEngine:
     if engine.ledger is not None:
         _reseed_ledger(engine, blob["delta_seed"])
     engine.update_count = blob["update_count"]
-    engine._sanitize()
     return engine
 
 
@@ -183,7 +182,7 @@ def _reseed_ledger(engine: ColumnarJoinEngine, seed) -> None:
     ``events_at(open tick)`` equal the original net-from-tick-start, so
     replayed rounds extend the net instead of restarting it and the
     ``SC701`` reconciliation (baseline ⊕ events == store) holds from
-    the first post-restore sanitize on.
+    the first post-restore check on.
     """
     from ..deltas import DeltaLedger, DeltaView
     from ..deltas.ledger import planes_from_events

@@ -28,6 +28,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from ..core.config import JoinConfig
 from ..geometry import Box, KineticBox
+from ..geometry.interval import INF, check_clock
 from ..index import MTBTree, TPRTree, TreeStorage
 from ..objects import MovingObject
 
@@ -94,6 +95,7 @@ class ContinuousKNNEngine:
         self.k = k
         self.query = query
         self.max_speed = float(max_speed)
+        check_clock(-INF, start_time)
         self.now = float(start_time)
         self.storage = TreeStorage(
             page_size=self.config.page_size, buffer_pages=self.config.buffer_pages
@@ -117,8 +119,7 @@ class ContinuousKNNEngine:
     # ------------------------------------------------------------------
     def tick(self, t: float) -> None:
         """Advance the clock, renewing the candidate window if expired."""
-        if t < self.now:
-            raise ValueError("time went backwards")
+        check_clock(self.now, t)
         self.now = t
         if t >= self._window_end:
             self._refresh_candidates(t)
@@ -144,8 +145,7 @@ class ContinuousKNNEngine:
         if t is None:
             t = self.now
         if not self.now <= t < self._window_end:
-            if t < self.now:
-                raise ValueError("kNN snapshots only answer the present")
+            check_clock(self.now, t)
             self._refresh_candidates(t)
         qx, qy = self.query.at(t).center
         point = Box.point(qx, qy)

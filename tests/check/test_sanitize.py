@@ -1,5 +1,5 @@
 """Runtime sanitizer: each corruption is caught with the right SC code,
-and clean engines stay clean with ``sanitize=True``."""
+and ``sanitize_engine`` finds nothing on clean engines of every kind."""
 
 from __future__ import annotations
 
@@ -13,10 +13,16 @@ from repro.check import (
     check_mtb_forest,
     check_supervisor_state,
     check_tpr_tree,
+    sanitize_engine,
 )
 from repro.check.cli import main
 from repro.check.sanitize import check_column_result_store
-from repro.core import ContinuousJoinEngine, ContinuousSelfJoinEngine, JoinConfig
+from repro.core import (
+    ColumnarJoinEngine,
+    ContinuousJoinEngine,
+    ContinuousSelfJoinEngine,
+    JoinConfig,
+)
 from repro.core.result import ColumnResultStore
 from repro.geometry import Box, KineticBox, TimeInterval
 from repro.index import MTBTree, TPRStarTree, TreeStorage
@@ -154,24 +160,30 @@ class TestResultStore:
 
 
 # ----------------------------------------------------------------------
-# Engine wiring: JoinConfig.sanitize catches corruption mid-run
+# sanitize_engine: every engine kind, clean and with one corruption
 # ----------------------------------------------------------------------
-def build_engine(algorithm: str, sanitize: bool = True) -> ContinuousJoinEngine:
-    config = JoinConfig(t_m=20.0, node_capacity=8, sanitize=sanitize)
-    engine = ContinuousJoinEngine(
+def two_set_engine(engine_cls, *args, config=None, **kwargs):
+    """An engine over two small random sets, initial join done."""
+    engine = engine_cls(
         random_objects(3, 30, space=200.0),
         random_objects(4, 30, id_offset=100, space=200.0),
-        algorithm,
-        config,
+        *args,
+        config=config or JoinConfig(t_m=20.0, node_capacity=8),
+        **kwargs,
     )
     engine.run_initial_join()
     return engine
 
 
-class TestEngineWiring:
+class TestSanitizeEngine:
+    """``sanitize_engine`` is the only way the oracle runs on an engine:
+    no engine calls it by itself, and it returns (never raises) the
+    findings for the tree, columnar, self-join and sharded engines."""
+
     @pytest.mark.parametrize("algorithm", ["naive", "etp", "tc", "mtb"])
-    def test_clean_run_with_sanitize_on(self, algorithm):
-        engine = build_engine(algorithm)
+    def test_tree_engine_stays_clean(self, algorithm):
+        engine = two_set_engine(ContinuousJoinEngine, algorithm)
+        assert sanitize_engine(engine) == []
         for step in range(1, 6):
             t = float(step)
             engine.tick(t)
@@ -179,43 +191,61 @@ class TestEngineWiring:
                 engine.apply_update(
                     (engine.objects_a.get(oid) or engine.objects_b[oid]).updated(t)
                 )
+            assert sanitize_engine(engine) == [], t
 
-    def test_tick_raises_on_corrupted_tree(self):
-        engine = build_engine("tc")
+    def test_corrupted_tree_is_sc104_and_nothing_raises(self):
+        engine = two_set_engine(ContinuousJoinEngine, "tc")
         tree = engine._strategy.tree_a
         leaf = tree.read_node(tree.root_node().entries[0].ref)
         leaf.entries[0].kbox = far_box(0.0)
         tree.storage.write_node(leaf)
-        with pytest.raises(InvariantViolation) as excinfo:
-            engine.tick(1.0)
-        assert "SC104" in {f.code for f in excinfo.value.findings}
+        engine.tick(1.0)  # no engine runs the sanitizer by itself
+        assert "SC104" in codes(sanitize_engine(engine))
 
-    def test_sanitize_off_skips_checks(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
-        engine = build_engine("tc", sanitize=False)
-        tree = engine._strategy.tree_a
-        leaf = tree.read_node(tree.root_node().entries[0].ref)
-        leaf.entries[0].kbox = far_box(0.0)
-        tree.storage.write_node(leaf)
-        engine.tick(1.0)  # corruption goes unnoticed by design
+    def test_ledger_behind_the_store_is_sc701(self):
+        engine = two_set_engine(
+            ContinuousJoinEngine, "mtb", config=JoinConfig(t_m=10.0, deltas=True)
+        )
+        assert sanitize_engine(engine) == []
+        engine._strategy.store.attach_ledger(None)
+        engine._strategy.store.clear()
+        assert "SC701" in codes(sanitize_engine(engine))
 
-    def test_selfjoin_clean_run(self, sanitized):
+    def test_columnar_stale_run_boundaries_are_sc802(self):
+        engine = two_set_engine(ColumnarJoinEngine, "tc", config=JoinConfig(t_m=10.0))
+        assert sanitize_engine(engine) == []
+        engine.store.flush()
+        engine.store._run_starts = engine.store._run_starts[:-1]
+        assert "SC802" in codes(sanitize_engine(engine))
+
+    def test_selfjoin_wrong_bucket_tag_is_sc202(self):
         engine = ContinuousSelfJoinEngine(
             random_objects(5, 40, space=200.0),
             JoinConfig(t_m=20.0, node_capacity=8),
         )
-        assert engine.config.sanitize  # flipped on by the fixture's env var
         engine.run_initial_join()
         for step in range(1, 6):
             t = float(step)
             engine.tick(t)
             engine.apply_update(engine.objects[step].updated(t))
+            assert sanitize_engine(engine) == [], t
+        forest = engine.forest
+        obj = forest.objects.get(1)
+        forest.objects.put(obj, forest.bucket_key(obj.t_ref) + 5)
+        assert "SC202" in codes(sanitize_engine(engine))
 
-    def test_env_var_opt_in(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SANITIZE", "1")
-        assert JoinConfig().sanitize
-        monkeypatch.setenv("REPRO_SANITIZE", "0")
-        assert not JoinConfig().sanitize
+    def test_sharded_misplaced_ghost_is_sc402(self):
+        with two_set_engine(ShardedJoinEngine, "tc", shards=2, axis=0) as engine:
+            assert sanitize_engine(engine) == []
+            _cols, first, last = engine._sides["a"]
+            first[0] = last[0] = (last[0] + 1) % engine.n_shards
+            assert "SC402" in codes(sanitize_engine(engine))
+            with pytest.raises(InvariantViolation):
+                engine.validate()
+
+    def test_unknown_engine_kind_is_refused(self):
+        with pytest.raises(TypeError, match="no sanitizer"):
+            sanitize_engine(object())
 
 
 # ----------------------------------------------------------------------
@@ -491,23 +521,6 @@ class TestDeltaLedger:
         ledger.record(-1, 9, 9, 0.0, 1.0)  # row was never added
         assert codes(self.check(store, ledger)) == {"SC703"}
 
-    def test_sanitize_flag_runs_the_reconciliation(self):
-        """``sanitize=True`` + ``deltas=True`` wires SC70x into the
-        engine's validate path end to end."""
-        engine = ContinuousJoinEngine(
-            random_objects(3, 12, t_ref=0.0, space=200.0),
-            random_objects(4, 12, id_offset=100, t_ref=0.0, space=200.0),
-            "mtb",
-            JoinConfig(t_m=10.0, sanitize=True, deltas=True),
-        )
-        engine.run_initial_join()
-        engine._sanitize()
-        engine._strategy.store.attach_ledger(None)
-        engine._strategy.store.clear()
-        with pytest.raises(InvariantViolation) as err:
-            engine._sanitize()
-        assert any(f.code == "SC701" for f in err.value.findings)
-
 
 # ----------------------------------------------------------------------
 # Columnar result store (SC801-SC803)
@@ -605,20 +618,3 @@ class TestColumnResultStore:
         )
         assert codes(found) == {"SC303"}
 
-    def test_sanitize_flag_wires_sc80x_into_the_columnar_engine(self):
-        """``sanitize=True`` on a columnar engine audits the plane
-        store end to end."""
-        from repro.core.columnar import ColumnarJoinEngine
-
-        engine = ColumnarJoinEngine(
-            random_objects(5, 12, t_ref=0.0, space=200.0),
-            random_objects(6, 12, id_offset=100, t_ref=0.0, space=200.0),
-            "tc",
-            JoinConfig(t_m=10.0, sanitize=True),
-        )
-        engine.run_initial_join()
-        engine._sanitize()
-        engine.store._run_starts = engine.store._run_starts[:-1]
-        with pytest.raises(InvariantViolation) as err:
-            engine._sanitize()
-        assert any(f.code == "SC802" for f in err.value.findings)

@@ -6,9 +6,15 @@ import random
 from typing import List
 
 import pytest
+from hypothesis import settings
 
+from repro.check import sanitize_engine
 from repro.geometry import Box, KineticBox
 from repro.objects import MovingObject
+
+#: ``pytest --hypothesis-profile=ci``: ten times hypothesis's default
+#: example count (the CI ``tests`` job runs the stateful model with it).
+settings.register_profile("ci", max_examples=1_000)
 
 
 def random_kbox(
@@ -64,15 +70,16 @@ def rng() -> random.Random:
     return random.Random(0xC0FFEE)
 
 
-@pytest.fixture
-def sanitized(monkeypatch: pytest.MonkeyPatch) -> None:
-    """Force the invariant sanitizer on for every engine built in a test.
+def assert_sanitized(*engines) -> None:
+    """Run the :mod:`repro.check` sanitizer on each engine; no findings.
 
-    Sets ``REPRO_SANITIZE=1`` so any :class:`repro.core.JoinConfig`
-    constructed inside the test runs the :mod:`repro.check` sanitizer
-    after every build/tick/update.
+    A sharded engine's in-process shards (``workers=0``) are columnar
+    engines of their own and are sanitized too.
     """
-    monkeypatch.setenv("REPRO_SANITIZE", "1")
+    for engine in engines:
+        assert sanitize_engine(engine) == [], engine
+        for shard in getattr(getattr(engine, "_backend", None), "engines", {}).values():
+            assert sanitize_engine(shard) == [], shard
 
 
 def _nan_position(cols, row: int) -> None:

@@ -16,18 +16,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.check.sanitize import check_column_result_store
-from repro.core import (
-    COLUMNAR_ALGORITHMS,
-    ColumnarJoinEngine,
-    ContinuousJoinEngine,
-    JoinConfig,
-)
+from repro.core import ColumnarJoinEngine, JoinConfig
 from repro.core.result import ColumnResultStore
 from repro.deltas import DeltaLedger, fold_events
 from repro.geometry import TimeInterval
 from repro.geometry.constants import MERGE_TOL
 from repro.join import JoinTriple
-from repro.workloads import VectorUpdateStream, make_workload_arrays
+from repro.workloads import make_workload_arrays
 
 from ..reference_store import JoinResultStore
 
@@ -36,8 +31,6 @@ def triple(a, b, s, e):
     return JoinTriple(a, b, TimeInterval(s, e))
 
 T_M = 12.0
-N = 60
-STEPS = 12
 
 
 def dump(store):
@@ -45,32 +38,6 @@ def dump(store):
         (key, tuple((iv.start, iv.end) for iv in intervals))
         for key, intervals in store._pairs.items()
     )
-
-
-def drive(algorithm, *, engine_cls, sanitize=False, deltas=False, seed=31):
-    """One engine over the workload; the tree engine feeds its store a
-    triple list per object, the columnar engine whole planes.  Both are
-    fed the same object batches."""
-    config = JoinConfig(t_m=T_M, sanitize=sanitize, deltas=deltas)
-    arr = make_workload_arrays(
-        N, "uniform", max_speed=3.0, object_size_pct=1.5, t_m=T_M, seed=seed
-    )
-    scenario = arr.to_scenario()
-    engine = engine_cls(
-        scenario.set_a, scenario.set_b, algorithm=algorithm, config=config
-    )
-    engine.run_initial_join()
-    stream = VectorUpdateStream(arr, seed=seed + 5)
-    for step in range(1, STEPS + 1):
-        t = float(step)
-        engine.tick(t)
-        upd_a, upd_b = stream.updates_at(t)
-        engine.apply_updates(upd_a.objects() + upd_b.objects())
-    return engine
-
-
-def pairs_store(tree_engine):
-    return tree_engine._strategy.store
 
 
 def assert_stores_agree(ref, col, oids=()):
@@ -115,24 +82,9 @@ def assert_tick_agrees(ref, col):
 # Engine-level identity: columns store vs pairs store
 # ----------------------------------------------------------------------
 class TestEngineIdentity:
-    @pytest.mark.parametrize("algorithm", COLUMNAR_ALGORITHMS)
-    @pytest.mark.parametrize("sanitize", [False, True])
-    def test_store_identical_over_matrix(self, algorithm, sanitize):
-        pairs = drive(algorithm, engine_cls=ContinuousJoinEngine, sanitize=sanitize)
-        cols = drive(algorithm, engine_cls=ColumnarJoinEngine, sanitize=sanitize)
-        assert isinstance(pairs_store(pairs), ColumnResultStore)
-        assert isinstance(cols.store, ColumnResultStore)
-        assert dump(pairs_store(pairs)) == dump(cols.store)
-        assert len(cols.store) > 0  # the identity is not vacuous
-
-    @pytest.mark.parametrize("algorithm", COLUMNAR_ALGORITHMS)
-    def test_delta_streams_identical(self, algorithm):
-        pairs = drive(algorithm, engine_cls=ContinuousJoinEngine, deltas=True)
-        cols = drive(algorithm, engine_cls=ColumnarJoinEngine, deltas=True)
-        assert pairs.ledger.ticks() == cols.ledger.ticks()
-        for t in pairs.ledger.ticks():
-            assert pairs.ledger.events_at(t) == cols.ledger.events_at(t), t
-        assert fold_events(cols.ledger).rows() == cols.store.interval_rows()
+    """Which store an engine builds.  That the tree and columnar engines
+    store bit-identical rows and net identical delta streams is an
+    invariant of the stateful model (``tests/test_model.py``)."""
 
     def test_default_config_uses_the_column_store(self):
         arr = make_workload_arrays(20, "uniform", t_m=T_M, seed=1)

@@ -29,7 +29,7 @@ from repro.workloads import (
     make_workload_arrays,
 )
 
-from ..conftest import HOSTILE_COLUMN_EDITS
+from ..conftest import HOSTILE_COLUMN_EDITS, assert_sanitized
 
 T_M = 12.0
 N = 60
@@ -51,7 +51,7 @@ def scenario_pair(seed=31, n=N, distribution="uniform"):
     return scenario
 
 
-def drive_both(algorithm, config, distribution="uniform", seed=31):
+def drive_both(algorithm, config, distribution="uniform", seed=31, sanitize=False):
     """Run seed and columnar engines in lockstep off one update stream."""
     scenario = scenario_pair(seed=seed, distribution=distribution)
     seed_engine = ContinuousJoinEngine.create(
@@ -78,6 +78,8 @@ def drive_both(algorithm, config, distribution="uniform", seed=31):
         a, b = col_engine.result_planes_at(t)
         assert list(zip(a.tolist(), b.tolist())) == sorted(seed_engine.result_at(t))
         assert col_engine.count_at(t) == a.shape[0]
+        if sanitize:
+            assert_sanitized(seed_engine, col_engine)
     return seed_engine, col_engine
 
 
@@ -85,7 +87,7 @@ def drive_both(algorithm, config, distribution="uniform", seed=31):
 @pytest.mark.parametrize("sanitize", [False, True])
 def test_store_identical_to_seed_engine(algorithm, sanitize):
     seed_engine, col_engine = drive_both(
-        algorithm, JoinConfig(t_m=T_M, sanitize=sanitize)
+        algorithm, JoinConfig(t_m=T_M), sanitize=sanitize
     )
     assert dump(seed_engine._strategy.store) == dump(col_engine.store)
     assert len(col_engine.store) > 0  # the identity is not vacuous

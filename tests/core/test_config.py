@@ -78,7 +78,7 @@ class TestJoinConfig:
         under ``src/repro``: a new knob is an edit to this list."""
         assert {f.name for f in dataclasses.fields(JoinConfig)} == {
             "space_size", "t_m", "node_capacity", "page_size", "buffer_pages",
-            "buckets_per_tm", "horizon", "sanitize", "obs",
+            "buckets_per_tm", "horizon", "obs",
             "deltas", "shard_timeout", "shard_heartbeat",
             "checkpoint_interval", "max_retries", "faults",
         }
@@ -86,4 +86,4 @@ class TestJoinConfig:
         named = set()
         for path in root.rglob("*.py"):
             named.update(re.findall(r"REPRO_[A-Z_]+", path.read_text()))
-        assert named == {"REPRO_SANITIZE", "REPRO_OBS", "REPRO_FAULTS"}
+        assert named == {"REPRO_OBS", "REPRO_FAULTS"}

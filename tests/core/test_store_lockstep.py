@@ -1,83 +1,31 @@
-"""Lockstep: the store traffic of every tree engine, replayed into the
-reference store.
+"""Lockstep: the store traffic of the self-join and window engines,
+replayed into the reference store.
 
-The tree engines, the self-join and the window queries feed
-:class:`~repro.core.result.ColumnResultStore` shapes the columnar engine
-never sends it: one-triple ``add`` calls, a triple list per updated
-object, NaiveJoin's ``end = inf`` rows, and a per-object
-``remove_object`` between flushes.  Each run below stands a
-:class:`Lockstep` proxy in for the engine's store, so every mutation the
-engine makes also lands in the dict-of-lists reference; the two must
-return the same values and answer every read alike at every tick.
+Those engines feed :class:`~repro.core.result.ColumnResultStore` shapes
+the columnar engine never sends it: one-triple ``add`` calls, windows
+that outlive every Theorem-1 bound, and a per-object ``remove_object``
+between flushes.  Each run below stands a :class:`Lockstep` proxy in for
+the engine's store, so every mutation the engine makes also lands in the
+dict-of-lists reference; the two must return the same values, answer
+every read alike, and pass the sanitizer at every tick.  The two-set
+join engines' store traffic is checked the same way by the stateful
+model in ``tests/test_model.py``.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-
 import pytest
 
-from repro.core import ContinuousJoinEngine, ContinuousSelfJoinEngine, JoinConfig
-from repro.core.result import ColumnResultStore
-from repro.deltas import DeltaLedger
-from repro.geometry import INF, Box, KineticBox
-from repro.objects import MovingObject
+from repro.check import sanitize_engine
+from repro.core import ContinuousSelfJoinEngine, JoinConfig
+from repro.geometry import Box, KineticBox
 from repro.queries import ContinuousWindowEngine
 from repro.workloads import UpdateStream, make_workload
 
-from ..reference_store import JoinResultStore
+from ..reference_store import Lockstep
 
 T_M = 8.0
 TICKS = 14
-
-
-class Lockstep:
-    """An engine's store and the reference behind one mutation surface.
-
-    Mutations go to both and must return the same value; everything else
-    (reads, the sanitizer's plane audit) reaches the engine's own store.
-    """
-
-    def __init__(self, col: ColumnResultStore):
-        assert isinstance(col, ColumnResultStore)
-        self.col = col
-        self.ref = JoinResultStore()
-        self.seen: Counter = Counter()
-        self.dropped = 0
-
-    def _both(self, op, *args):
-        got, want = getattr(self.col, op)(*args), getattr(self.ref, op)(*args)
-        assert got == want, (op, args, got, want)
-        self.seen[op] += 1
-        return got
-
-    def add(self, triple):
-        self._both("add", triple)
-
-    def add_all(self, triples):
-        self._both("add_all", list(triples))
-
-    def remove_object(self, oid):
-        dropped = self._both("remove_object", oid)
-        self.dropped += dropped
-        return dropped
-
-    def prune_expired(self, t):
-        return self._both("prune_expired", t)
-
-    def clear(self):
-        self._both("clear")
-
-    def __getattr__(self, name):
-        return getattr(self.col, name)
-
-    def agree(self, t, oids):
-        col, ref = self.col, self.ref
-        assert col.interval_rows() == ref.interval_rows(), t
-        assert col.pairs_at(t) == ref.pairs_at(t), t
-        assert len(col) == len(ref), t
-        for oid in oids:
-            assert col.pairs_for_object(oid) == ref.pairs_for_object(oid), (t, oid)
 
 
 def workload():
@@ -109,46 +57,6 @@ def finish(lock, t, oids):
     assert len(lock.col) == 0
 
 
-@pytest.mark.parametrize("algorithm", ["naive", "tc", "mtb"])
-def test_join_engine_store_and_delta_stream(algorithm):
-    scenario = workload()
-    set_a, set_b = list(scenario.set_a), list(scenario.set_b)
-    if algorithm == "naive":
-        # Two objects that never part (and never update): ``end = inf``.
-        box = Box(10.0, 20.0, 10.0, 20.0)
-        set_a.append(MovingObject(7_000_000, box, 1.0, 1.0, 0.0))
-        set_b.append(MovingObject(7_000_001, box, 1.0, 1.0, 0.0))
-    engine = ContinuousJoinEngine(
-        set_a, set_b, algorithm, JoinConfig(t_m=T_M, deltas=True)
-    )
-    lock = engine._strategy.store = Lockstep(engine._strategy.store)
-    ref_ledger = DeltaLedger(engine.now)
-    lock.ref.attach_ledger(ref_ledger)
-    engine.run_initial_join()
-    oids = sorted({**engine.objects_a, **engine.objects_b})
-    lock.agree(0.0, oids)
-    assert engine.deltas(0.0) == ref_ledger.events_at(0.0)
-    stream = UpdateStream(scenario, seed=8)
-    events = 0
-    for step in range(1, TICKS + 1):
-        t = float(step)
-        engine.tick(t)
-        ref_ledger.advance(t)
-        engine.apply_updates(
-            stream.updates_for(t, {**engine.objects_a, **engine.objects_b})
-        )
-        if step % 5 == 0:
-            engine.prune_expired()
-        lock.agree(t, oids)
-        assert engine.deltas(t) == ref_ledger.events_at(t), t
-        events += len(engine.deltas(t))
-    assert events > 0 and lock.seen["add_all"] > 1 and lock.seen["prune_expired"]
-    if algorithm == "naive":
-        assert lock.col.interval_rows()[(7_000_000, 7_000_001)] == ((0.0, INF),)
-    finish(lock, float(TICKS), oids)
-    assert engine.deltas(float(TICKS)) == ref_ledger.events_at(float(TICKS))
-
-
 def test_selfjoin_engine_store():
     scenario = workload()
     engine = ContinuousSelfJoinEngine(scenario.set_a, JoinConfig(t_m=T_M))
@@ -164,6 +72,7 @@ def test_selfjoin_engine_store():
         for obj in own_updates(stream, t, engine, shadow):
             engine.apply_update(obj)
         lock.agree(t, oids)
+        assert sanitize_engine(engine) == [], t
     assert lock.seen["add"] > 1  # one triple at a time
     finish(lock, float(TICKS), oids)
 
@@ -201,6 +110,7 @@ def test_window_engine_store(time_constrained):
         if step == 9:
             engine.remove_window(9_000_000)
         lock.agree(t, oids)
+        assert sanitize_engine(engine) == [], t
     assert lock.seen["add"] > 1
     if not time_constrained:  # some window outlives every Theorem-1 bound
         assert lock.col.planes()[3].max() > TICKS + T_M

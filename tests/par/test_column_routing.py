@@ -19,6 +19,8 @@ from repro.geometry import INF
 from repro.par import ShardedJoinEngine, StripePartition
 from repro.workloads import VectorUpdateStream, make_workload_arrays
 
+from ..conftest import assert_sanitized
+
 T_M = 10.0
 N = 80
 
@@ -193,7 +195,7 @@ def test_column_path_with_sanitizer():
     scenario = arr.to_scenario()
     engine = ShardedJoinEngine(
         scenario.set_a, scenario.set_b, algorithm="mtb",
-        config=JoinConfig(t_m=T_M, sanitize=True), shards=3,
+        config=JoinConfig(t_m=T_M), shards=3,
     )
     engine.run_initial_join()
     stream = VectorUpdateStream(arr, seed=5)
@@ -202,5 +204,6 @@ def test_column_path_with_sanitizer():
         engine.tick(t)
         upd_a, upd_b = stream.updates_at(t)
         engine.apply_update_columns(upd_a, upd_b)
+        assert_sanitized(engine)
     assert len(engine.merged_store()) > 0
     engine.close()

@@ -22,10 +22,13 @@ from repro.par import ShardedJoinEngine
 from repro.par import worker
 from repro.workloads import UpdateStream
 
+from ..conftest import assert_sanitized
 from .test_sharded import STEPS, T_M, scenario_for, snapshot
 
 
-def drive_both(shards, workers, seed=19, faults=None, **config_kwargs):
+def drive_both(
+    shards, workers, seed=19, faults=None, sanitize=False, **config_kwargs
+):
     """Serial engine vs columnar-worker sharded engine off one feed."""
     scenario = scenario_for(seed)
     serial = ContinuousJoinEngine(
@@ -56,6 +59,8 @@ def drive_both(shards, workers, seed=19, faults=None, **config_kwargs):
         assert snapshot(serial._strategy.store) == snapshot(
             sharded.merged_store()
         ), (shards, workers, t)
+        if sanitize:
+            assert_sanitized(sharded)
         pair_ticks += bool(want)
     assert pair_ticks > 0, "vacuous run: the answer was always empty"
     sharded.validate()
@@ -81,7 +86,7 @@ class TestBitExactness:
         sharded.close()
 
     def test_sanitized_columnar_run_stays_clean(self):
-        """SC8xx checks run inside every shard worker."""
+        """The SC8xx checks pass on every in-process shard, every tick."""
         sharded = drive_both(shards=2, workers=0, sanitize=True)
         sharded.close()
 

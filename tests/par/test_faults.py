@@ -273,7 +273,9 @@ class TestFaultPlan:
 # ----------------------------------------------------------------------
 # Delta streams under chaos: exactly-once emission across recovery
 # ----------------------------------------------------------------------
-def drive_delta_chaos(faults, shards=4, workers=2, seed=7, **config_kwargs):
+def drive_delta_chaos(
+    faults, shards=4, workers=2, seed=7, validate=False, **config_kwargs
+):
     """Serial vs fault-armed sharded run with ``deltas=True``.
 
     Beyond the answer/store equalities of :func:`drive_chaos`, every
@@ -317,6 +319,8 @@ def drive_delta_chaos(faults, shards=4, workers=2, seed=7, **config_kwargs):
         assert tuple(sharded.deltas(t)) == serial.deltas(t), (faults, t)
         folded = fold_events(sharded._merger, upto=t).rows()
         assert folded == sharded.merged_store().interval_rows(), (faults, t)
+        if validate:
+            sharded.validate()
         signs |= {ev.sign for ev in sharded.deltas(t)}
     assert signs == {1, -1}, "chaos run never exercised both event signs"
     sharded.validate()
@@ -336,7 +340,7 @@ class TestDeltaChaos:
         ledger is re-armed from the checkpoint baseline, so the open
         tick re-reports its net and closed history is never re-sent."""
         stats = drive_delta_chaos(
-            "kill:op=tick,nth=3", checkpoint_interval=2, sanitize=True
+            "kill:op=tick,nth=3", checkpoint_interval=2, validate=True
         )
         assert stats.worker_deaths >= 1
         assert stats.checkpoints >= 1

@@ -27,7 +27,7 @@ from repro.workloads import (
     make_workload_arrays,
 )
 
-from ..conftest import HOSTILE_COLUMN_EDITS
+from ..conftest import HOSTILE_COLUMN_EDITS, assert_sanitized
 
 T_M = 8.0
 STEPS = 5
@@ -56,7 +56,7 @@ def drive_both(algorithm, shards, workers, seed=19, sanitize=False):
     actually exercised cross-boundary movement.
     """
     scenario = scenario_for(seed)
-    config = JoinConfig(t_m=T_M, node_capacity=8, sanitize=sanitize)
+    config = JoinConfig(t_m=T_M, node_capacity=8)
     serial = ContinuousJoinEngine(
         scenario.set_a, scenario.set_b, algorithm, config
     )
@@ -86,6 +86,8 @@ def drive_both(algorithm, shards, workers, seed=19, sanitize=False):
         assert snapshot(serial._strategy.store) == snapshot(
             sharded.merged_store()
         ), (algorithm, shards, workers, t)
+        if sanitize:
+            assert_sanitized(serial, sharded)
         pair_ticks += bool(want)
     assert pair_ticks > 0, "vacuous run: the answer was always empty"
     sharded.close()

@@ -9,19 +9,24 @@ the plane store's mutations, query answers and netted delta stream are
 all checked against it.  Moved here from ``repro.core.result`` as it
 stood; it feeds an attached ledger one row at a time through
 :meth:`repro.deltas.DeltaLedger.record`.
+
+:class:`Lockstep` stands in for an engine's own store so that every
+mutation the engine makes also lands in the reference.
 """
 
 from __future__ import annotations
 
 import heapq
 import sys
+from collections import Counter
 from typing import Dict, Iterator, List, Set, Tuple
 
+from repro.core.result import ColumnResultStore
 from repro.geometry import TimeInterval, merge_intervals
 from repro.geometry.constants import MERGE_TOL as _MERGE_TOL
 from repro.join import JoinTriple
 
-__all__ = ["JoinResultStore"]
+__all__ = ["JoinResultStore", "Lockstep"]
 
 PairKey = Tuple[int, int]
 
@@ -329,3 +334,64 @@ class JoinResultStore:
 
     def __repr__(self) -> str:
         return f"JoinResultStore(pairs={len(self._pairs)})"
+
+
+class Lockstep:
+    """An engine's store and the reference behind one mutation surface.
+
+    Install it in the engine's place (``engine._strategy.store =
+    Lockstep(engine._strategy.store)``).  Mutations go to both stores
+    and must return the same value; every other read or write (reads,
+    ``clock``, the sanitizer's plane audit) reaches the engine's own
+    store.
+    """
+
+    _OWN = ("col", "ref", "seen", "dropped")
+
+    def __init__(self, col: ColumnResultStore):
+        assert isinstance(col, ColumnResultStore)
+        self.col = col
+        self.ref = JoinResultStore()
+        self.seen: Counter = Counter()
+        self.dropped = 0
+
+    def _both(self, op, *args):
+        got, want = getattr(self.col, op)(*args), getattr(self.ref, op)(*args)
+        assert got == want, (op, args, got, want)
+        self.seen[op] += 1
+        return got
+
+    def add(self, triple):
+        self._both("add", triple)
+
+    def add_all(self, triples):
+        self._both("add_all", list(triples))
+
+    def remove_object(self, oid):
+        dropped = self._both("remove_object", oid)
+        self.dropped += dropped
+        return dropped
+
+    def prune_expired(self, t):
+        return self._both("prune_expired", t)
+
+    def clear(self):
+        self._both("clear")
+
+    def __getattr__(self, name):
+        return getattr(self.col, name)
+
+    def __setattr__(self, name, value):
+        if name in self._OWN:
+            object.__setattr__(self, name, value)
+        else:
+            setattr(self.col, name, value)
+
+    def agree(self, t, oids):
+        """Both stores hold the same rows and answer every read alike."""
+        col, ref = self.col, self.ref
+        assert col.interval_rows() == ref.interval_rows(), t
+        assert col.pairs_at(t) == ref.pairs_at(t), t
+        assert len(col) == len(ref), t
+        for oid in oids:
+            assert col.pairs_for_object(oid) == ref.pairs_for_object(oid), (t, oid)

@@ -7,7 +7,6 @@ import pytest
 MODULES = [
     "repro",
     "repro.geometry",
-    "repro.geometry.nd",
     "repro.storage",
     "repro.index",
     "repro.join",

@@ -1,0 +1,120 @@
+"""Every engine's clock refuses NaN, ±inf and backwards moves.
+
+A clock check written ``if t < now: raise`` lets NaN through (every
+comparison with NaN is false), and a NaN clock lets the next tick run
+backwards.  Each engine here ticks to 5, is refused a NaN, an infinite
+and a backwards tick, and must keep its clock, its ledger clock and its
+answer; a constructor refuses a non-finite start time.
+"""
+
+from __future__ import annotations
+
+import math
+
+import pytest
+
+from repro.core import (
+    ALGORITHMS,
+    ColumnarJoinEngine,
+    ContinuousJoinEngine,
+    ContinuousSelfJoinEngine,
+    JoinConfig,
+)
+from repro.deltas import DeltaLedger, ShardDeltaMerger
+from repro.geometry import Box, KineticBox
+from repro.par import ShardedJoinEngine
+from repro.queries import ContinuousKNNEngine, ContinuousWindowEngine
+from repro.workloads import make_workload
+
+T_M = 10.0
+REFUSED = (math.nan, math.inf, -math.inf, 1.0)
+
+
+def config(deltas=True):
+    return JoinConfig(t_m=T_M, deltas=deltas)
+
+
+def build(name, start_time=0.0):
+    """One engine of the named kind over one 80-object scenario."""
+    scenario = make_workload(80, "uniform", t_m=T_M, seed=1, object_size_pct=4)
+    a, b, at = scenario.set_a, scenario.set_b, {"start_time": start_time}
+    kind, _, algorithm = name.partition("-")
+    if kind == "tree":
+        return ContinuousJoinEngine(a, b, algorithm, config(algorithm != "etp"), **at)
+    if kind == "columnar":
+        return ColumnarJoinEngine(a, b, algorithm, config(), **at)
+    if kind == "sharded":
+        return ShardedJoinEngine(a, b, "mtb", config(), shards=2, **at)
+    if kind == "selfjoin":
+        return ContinuousSelfJoinEngine(a, config(False), **at)
+    if kind == "window":
+        windows = {
+            90_000 + i: KineticBox.rigid(Box(x, x + 400, 200, 600), 1.0, 0.5, 0.0)
+            for i, x in enumerate((100, 500))
+        }
+        return ContinuousWindowEngine(a, windows, config(False), **at)
+    query = KineticBox.rigid(Box.point(500, 500), 1.0, -1.0, 0.0)
+    return ContinuousKNNEngine(a, query, k=5, config=config(False), **at)
+
+
+NAMES = [
+    *(f"tree-{algorithm}" for algorithm in ALGORITHMS),
+    "columnar-tc", "columnar-mtb", "sharded", "selfjoin", "window", "knn",
+]
+
+
+def answer(engine):
+    """The engine's answer at its clock."""
+    return engine.knn() if isinstance(engine, ContinuousKNNEngine) else engine.result_at()
+
+
+def start(name):
+    engine = build(name)
+    for initial in ("run_initial_join", "evaluate_initial"):
+        if hasattr(engine, initial):
+            getattr(engine, initial)()
+    engine.tick(5.0)
+    return engine
+
+
+def clocks(engine):
+    ledger = getattr(engine, "ledger", None) or getattr(engine, "_merger", None)
+    return engine.now, None if ledger is None else ledger.now
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_refused_tick_changes_nothing(name):
+    engine = start(name)
+    before, want = clocks(engine), answer(engine)
+    assert want, "vacuous: the answer at t=5 is empty"
+    for t in REFUSED:
+        with pytest.raises(ValueError, match="backwards"):
+            engine.tick(t)
+        if isinstance(engine, ShardedJoinEngine):
+            with pytest.raises(ValueError, match="backwards"):
+                engine.step(t, [])
+        assert clocks(engine) == before, (name, t)
+        assert answer(engine) == want, (name, t)
+    if isinstance(engine, ContinuousKNNEngine):
+        for t in REFUSED:
+            with pytest.raises(ValueError):
+                engine.knn(t)
+        assert answer(engine) == want
+    if hasattr(engine, "close"):
+        engine.close()
+
+
+@pytest.mark.parametrize("source", [DeltaLedger, ShardDeltaMerger])
+def test_delta_clocks_refuse_what_the_engines_refuse(source):
+    clock = source(5.0)
+    for t in REFUSED:
+        with pytest.raises(ValueError, match="backwards"):
+            clock.advance(t)
+        assert clock.now == 5.0
+
+
+@pytest.mark.parametrize("name", NAMES)
+@pytest.mark.parametrize("start_time", [math.nan, math.inf, -math.inf])
+def test_non_finite_start_time_is_refused(name, start_time):
+    with pytest.raises(ValueError, match="not finite"):
+        build(name, start_time)

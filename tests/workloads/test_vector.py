@@ -35,6 +35,8 @@ from repro.workloads import (
     make_workload_arrays,
 )
 
+from ..conftest import assert_sanitized
+
 N, T_M, SCENARIO_SEED, STREAM_SEED = 48, 20.0, 7, 9
 
 # sha256 (first 16 hex) over repr((oid,) + kbox.params()) per object,
@@ -161,7 +163,7 @@ def test_vector_stream_drives_engine_cleanly():
         arrays.columns_a(),
         arrays.columns_b(),
         algorithm="mtb",
-        config=JoinConfig(t_m=12.0, sanitize=True),
+        config=JoinConfig(t_m=12.0),
     )
     engine.run_initial_join()
     stream = VectorUpdateStream(arrays, seed=STREAM_SEED)
@@ -171,6 +173,7 @@ def test_vector_stream_drives_engine_cleanly():
         engine.tick(t)
         upd_a, upd_b = stream.updates_at(t)
         engine.apply_update_columns(upd_a, upd_b)
+        assert_sanitized(engine)
         applied += len(upd_a) + len(upd_b)
     assert applied == engine.update_count > 0
 
