@@ -45,7 +45,7 @@ from typing import Iterable, Mapping, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
-from ..geometry.interval import INF, check_clock
+from ..geometry.interval import INF, check_clock, check_read
 from ..geometry.kernels import batch_sweep_join
 from ..metrics import CostSnapshot, CostTracker
 from ..obs import NULL_SPAN, ObsRecorder
@@ -322,8 +322,7 @@ class ColumnarJoinEngine:
         """The timestamp a read answers: ``t``, by default the clock's."""
         if t is None:
             return self.now
-        if not self.now <= t:
-            raise ValueError("result_at only answers the present of the engine clock")
+        check_read(self.now, t)
         return t
 
     def prune_expired(self) -> int:

@@ -29,7 +29,7 @@ from typing import Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..geometry import NDIMS, Box, KineticBatch, KineticBox
+from ..geometry import NDIMS, Box, KineticBatch
 from ..geometry.kernels import radix_argsort
 from ..objects import MovingObject
 
@@ -612,18 +612,10 @@ class ColumnStore:
         """Reconstruct the object stored under ``oid``."""
         return self.object_at(self.row_of(oid))
 
-    def kbox_at(self, row: int) -> KineticBox:
-        """Reconstruct one row's kinetic box."""
-        return self.object_at(row).kbox
-
     def objects(self) -> Iterator[MovingObject]:
         """Iterate every live row as a :class:`MovingObject`."""
         for row in range(self.n):
             yield self.object_at(row)
-
-    def as_mapping(self) -> Mapping[int, MovingObject]:
-        """A live read-only ``oid -> MovingObject`` mapping view."""
-        return ObjectsView(self)
 
     # ------------------------------------------------------------------
     def _write(self, rows: np.ndarray, cols: UpdateColumns) -> None:

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..index import DEFAULT_BUCKETS_PER_TM, DEFAULT_NODE_CAPACITY
-from ..storage import DEFAULT_BUFFER_PAGES, DEFAULT_PAGE_SIZE
+from ..storage import DEFAULT_BUFFER_PAGES
 
 __all__ = ["JoinConfig"]
 
@@ -17,26 +17,22 @@ __all__ = ["JoinConfig"]
 class JoinConfig:
     """Parameters shared by engine, indexes and workloads.
 
-    Defaults follow the paper's Table I (bold values): 1000×1000 space
-    domain, node capacity 30, maximum update interval ``T_M = 60``
-    timestamps, 4 KiB pages behind a 50-page LRU buffer, and MTB time
-    buckets of length ``T_M / 2``.
+    Defaults follow the paper's Table I (bold values): node capacity
+    30, maximum update interval ``T_M = 60`` timestamps, a 50-page LRU
+    buffer in front of the simulated disk's 4 KiB pages, and MTB time
+    buckets of length ``T_M / 2``.  The TPR*-trees insert with horizon
+    ``T_M``; the space domain belongs to the workload
+    (:func:`~repro.workloads.make_workload`).
     """
 
-    #: Side length of the square space domain.
-    space_size: float = 1000.0
     #: Maximum update interval ``T_M`` (timestamps).
     t_m: float = 60.0
     #: Maximum entries per tree node.
     node_capacity: int = DEFAULT_NODE_CAPACITY
-    #: Simulated disk page size in bytes.
-    page_size: int = DEFAULT_PAGE_SIZE
     #: LRU buffer capacity in pages (shared by all trees).
     buffer_pages: int = DEFAULT_BUFFER_PAGES
     #: MTB bucket granularity ``m`` — bucket length is ``t_m / m``.
     buckets_per_tm: int = DEFAULT_BUCKETS_PER_TM
-    #: TPR insertion horizon ``H``; ``None`` means ``t_m``.
-    horizon: Optional[float] = None
     #: Record phase-attributed cost spans (:mod:`repro.obs`).  Off by
     #: default — the engine then skips recorder creation entirely and
     #: each counter increment pays one attribute test.  Also forced on
@@ -72,14 +68,10 @@ class JoinConfig:
     def __post_init__(self) -> None:
         if not self.obs and os.environ.get("REPRO_OBS", "") not in ("", "0"):
             object.__setattr__(self, "obs", True)
-        if not _finite_positive(self.space_size):
-            raise ValueError("space_size must be finite and positive")
         if not _finite_positive(self.t_m):
             raise ValueError("t_m must be finite and positive")
         if self.buckets_per_tm < 1:
             raise ValueError("buckets_per_tm must be >= 1")
-        if self.horizon is not None and not _finite_positive(self.horizon):
-            raise ValueError("horizon must be finite and positive")
         if self.shard_timeout is not None and not _finite_positive(self.shard_timeout):
             raise ValueError("shard_timeout must be finite and positive (or None)")
         if not _finite_positive(self.shard_heartbeat):
@@ -88,11 +80,6 @@ class JoinConfig:
             raise ValueError("checkpoint_interval must be >= 1")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
-
-    @property
-    def effective_horizon(self) -> float:
-        """The TPR insertion horizon actually used."""
-        return self.horizon if self.horizon is not None else self.t_m
 
     @property
     def bucket_length(self) -> float:

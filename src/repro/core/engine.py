@@ -24,7 +24,7 @@ from typing import Dict, Iterable, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from ..geometry import INF
-from ..geometry.interval import check_clock
+from ..geometry.interval import check_clock, check_read
 from ..index import MTBTree, TPRStarTree, TreeStorage
 from ..join import (
     JoinTechniques,
@@ -83,10 +83,7 @@ class ContinuousJoinEngine:
             raise ValueError(f"object ids shared across datasets: {sorted(overlap)[:5]}")
         _check_objects(list(self.objects_a.values()))
         _check_objects(list(self.objects_b.values()))
-        self.storage = TreeStorage(
-            page_size=self.config.page_size,
-            buffer_pages=self.config.buffer_pages,
-        )
+        self.storage = TreeStorage(buffer_pages=self.config.buffer_pages)
         self.tracker: CostTracker = self.storage.tracker
         #: Attached :class:`~repro.obs.ObsRecorder` when ``config.obs``
         #: is on (or ``REPRO_OBS=1``); ``None`` otherwise.
@@ -286,8 +283,7 @@ class ContinuousJoinEngine:
         """Currently intersecting ``(a_oid, b_oid)`` pairs at time ``t``."""
         if t is None:
             t = self.now
-        if not self.now <= t:
-            raise ValueError("result_at only answers the present of the engine clock")
+        check_read(self.now, t)
         return self._strategy.result_at(t)
 
     def prune_expired(self) -> int:
@@ -388,7 +384,7 @@ def _new_tree(engine: ContinuousJoinEngine) -> TPRStarTree:
     return TPRStarTree(
         storage=engine.storage,
         node_capacity=engine.config.node_capacity,
-        horizon=engine.config.effective_horizon,
+        horizon=engine.config.t_m,
     )
 
 

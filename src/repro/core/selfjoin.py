@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Optional, Set, Tuple
 
-from ..geometry.interval import INF, check_clock
+from ..geometry.interval import INF, check_clock, check_read
 from ..index import MTBTree, TreeStorage
 from ..join import JoinTriple, mtb_join_object, naive_join
 from ..metrics import CostSnapshot, CostTracker
@@ -45,9 +45,7 @@ class ContinuousSelfJoinEngine:
         self.now = float(start_time)
         self.start_time = float(start_time)
         self.objects: Dict[int, MovingObject] = {}
-        self.storage = TreeStorage(
-            page_size=self.config.page_size, buffer_pages=self.config.buffer_pages
-        )
+        self.storage = TreeStorage(buffer_pages=self.config.buffer_pages)
         self.tracker: CostTracker = self.storage.tracker
         #: Attached :class:`~repro.obs.ObsRecorder` when ``config.obs``
         #: is on (or ``REPRO_OBS=1``); ``None`` otherwise.
@@ -112,6 +110,7 @@ class ContinuousSelfJoinEngine:
         """All intersecting unordered pairs ``(lo_oid, hi_oid)`` at ``t``."""
         if t is None:
             t = self.now
+        check_read(self.now, t)
         return self.store.pairs_at(t)
 
     def partners_of(self, oid: int, t: Optional[float] = None) -> Set[int]:

@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, List, Optional, Sequence
 
 from .constants import MERGE_TOL as _EPS
 
-__all__ = ["INF", "TimeInterval", "check_clock", "merge_intervals"]
+__all__ = ["INF", "TimeInterval", "check_clock", "check_read", "merge_intervals"]
 
 INF = math.inf
 
@@ -36,6 +36,20 @@ def check_clock(now: float, t: float) -> None:
     if not (now <= t and math.isfinite(t)):
         raise ValueError(
             f"time went backwards (before the present {now}) or is not finite: {t}"
+        )
+
+
+def check_read(now: float, t: float) -> None:
+    """Refuse an answer read at ``t`` unless ``now <= t``.
+
+    An update drops the updated object's stored intervals, past ones
+    included, so an engine's answer before its clock is silently wrong;
+    it answers the present and, by extrapolation, the future only.
+    Written as ``now <= t``, the test also refuses NaN.
+    """
+    if not now <= t:
+        raise ValueError(
+            f"a read only answers the present of the engine clock ({now}) or later: {t}"
         )
 
 

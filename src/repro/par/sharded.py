@@ -49,7 +49,7 @@ from ..core.columns import ColumnStore, ObjectsView, UpdateColumns, pack_updates
 from ..core.config import JoinConfig
 from ..core.result import ColumnResultStore
 from ..deltas import ShardDeltaMerger
-from ..geometry.interval import INF, check_clock
+from ..geometry.interval import INF, check_clock, check_read
 from ..metrics import CostSnapshot
 from ..objects import MovingObject
 from . import worker
@@ -381,10 +381,7 @@ class ShardedJoinEngine:
         """Union of the shard answers (each shard reports exact pairs)."""
         if t is None:
             t = self.now
-        if not self.now <= t:
-            raise ValueError(
-                "result_at only answers the present of the engine clock"
-            )
+        check_read(self.now, t)
         answer: Set[PairKey] = set()
         for pairs in self._fan_all(OP_PAIRS_AT, t).values():
             answer |= pairs

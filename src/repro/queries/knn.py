@@ -97,9 +97,7 @@ class ContinuousKNNEngine:
         self.max_speed = float(max_speed)
         check_clock(-INF, start_time)
         self.now = float(start_time)
-        self.storage = TreeStorage(
-            page_size=self.config.page_size, buffer_pages=self.config.buffer_pages
-        )
+        self.storage = TreeStorage(buffer_pages=self.config.buffer_pages)
         self.forest = MTBTree(
             t_m=self.config.t_m,
             storage=self.storage,

@@ -24,7 +24,7 @@ from typing import Dict, Iterable, Mapping, Optional, Set, Tuple
 from ..core.config import JoinConfig
 from ..core.result import ColumnResultStore
 from ..geometry import INF, KineticBox, intersection_interval
-from ..geometry.interval import check_clock
+from ..geometry.interval import check_clock, check_read
 from ..index import MTBTree, TreeStorage
 from ..join import JoinTriple
 from ..metrics import CostTracker
@@ -61,9 +61,7 @@ class ContinuousWindowEngine:
         clash = self.windows.keys() & self.objects.keys()
         if clash:
             raise ValueError(f"query ids collide with object ids: {sorted(clash)[:5]}")
-        self.storage = TreeStorage(
-            page_size=self.config.page_size, buffer_pages=self.config.buffer_pages
-        )
+        self.storage = TreeStorage(buffer_pages=self.config.buffer_pages)
         self.tracker: CostTracker = self.storage.tracker
         self.forest = MTBTree(
             t_m=self.config.t_m,
@@ -134,10 +132,9 @@ class ContinuousWindowEngine:
         """All ``(query_id, oid)`` pairs intersecting at time ``t``."""
         if t is None:
             t = self.now
+        check_read(self.now, t)
         return self.store.pairs_at(t)
 
     def result_for(self, qid: int, t: Optional[float] = None) -> Set[int]:
         """Objects currently inside one query window."""
-        if t is None:
-            t = self.now
-        return {b for (a, b) in self.store.pairs_at(t) if a == qid}
+        return {b for (a, b) in self.result_at(t) if a == qid}

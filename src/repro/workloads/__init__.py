@@ -11,7 +11,6 @@ from .generator import (
     road_network_workload,
     uniform_workload,
 )
-from .io import load_scenario, save_scenario, scenario_from_dict, scenario_to_dict
 from .updates import UpdateStream, VectorUpdateStream
 
 __all__ = [
@@ -26,8 +25,4 @@ __all__ = [
     "battlefield_workload",
     "road_network_workload",
     "UpdateStream",
-    "save_scenario",
-    "load_scenario",
-    "scenario_to_dict",
-    "scenario_from_dict",
 ]

@@ -81,54 +81,12 @@ def make_workload(
 
     ``object_size_pct`` is the object side length as a percentage of the
     space side (Table I: 0.05%–0.8%, default 0.1% → side 1.0 in the
-    default 1000-unit domain).
+    default 1000-unit domain).  The objects are
+    :func:`make_workload_arrays`' draws, materialized.
     """
-    if distribution not in DISTRIBUTIONS:
-        raise ValueError(f"unknown distribution {distribution!r}")
-    if n_objects <= 0:
-        raise ValueError("n_objects must be positive")
-    if not 0 < object_size_pct < 100:
-        raise ValueError("object_size_pct must be in (0, 100)")
-    rng = np.random.default_rng(seed)
-    side = space_size * object_size_pct / 100.0
-    if distribution == "uniform":
-        positions_a = _uniform_positions(rng, n_objects, space_size, side)
-        positions_b = _uniform_positions(rng, n_objects, space_size, side)
-        velocities_a = _random_velocities(rng, n_objects, max_speed)
-        velocities_b = _random_velocities(rng, n_objects, max_speed)
-    elif distribution == "gaussian":
-        positions_a = _gaussian_positions(rng, n_objects, space_size, side)
-        positions_b = _gaussian_positions(rng, n_objects, space_size, side)
-        velocities_a = _random_velocities(rng, n_objects, max_speed)
-        velocities_b = _random_velocities(rng, n_objects, max_speed)
-    elif distribution == "battlefield":
-        positions_a = _battlefield_positions(rng, n_objects, space_size, side, left=True)
-        positions_b = _battlefield_positions(rng, n_objects, space_size, side, left=False)
-        velocities_a = _homing_velocities(rng, n_objects, max_speed, toward_positive_x=True)
-        velocities_b = _homing_velocities(rng, n_objects, max_speed, toward_positive_x=False)
-    else:  # road network
-        positions_a, velocities_a = _road_placement(rng, n_objects, space_size, side, max_speed)
-        positions_b, velocities_b = _road_placement(rng, n_objects, space_size, side, max_speed)
-
-    set_a = [
-        _make_object(i, positions_a[i], velocities_a[i], side)
-        for i in range(n_objects)
-    ]
-    set_b = [
-        _make_object(_B_ID_OFFSET + i, positions_b[i], velocities_b[i], side)
-        for i in range(n_objects)
-    ]
-    return Scenario(
-        set_a=set_a,
-        set_b=set_b,
-        distribution=distribution,
-        space_size=space_size,
-        max_speed=max_speed,
-        object_side=side,
-        t_m=t_m,
-        seed=seed,
-        rng=rng,
-    )
+    return make_workload_arrays(
+        n_objects, distribution, space_size, max_speed, object_size_pct, t_m, seed
+    ).to_scenario()
 
 
 @dataclass
@@ -139,10 +97,8 @@ class ArrayScenario:
     velocities stay as the ``(2, n)`` arrays the samplers drew, so a
     1M-object workload generates in seconds and feeds the columnar
     engine without ever materializing a :class:`MovingObject` per row.
-    For the bulk distributions (everything except ``road``) the arrays
-    are *bit-identical* to the objects :func:`make_workload` builds from
-    the same seed — :meth:`to_scenario` materializes them and is pinned
-    against the legacy generator by a regression fixture.
+    :func:`make_workload` is :meth:`to_scenario` of these arrays, so
+    both forms of a seed hold the same objects, ``road`` included.
     """
 
     oid_a: np.ndarray
@@ -187,7 +143,8 @@ class ArrayScenario:
         )
 
     def to_scenario(self) -> Scenario:
-        """Materialize per-object :class:`Scenario` (tests, small n)."""
+        """Materialize the per-object :class:`Scenario` (what
+        :func:`make_workload` returns)."""
         side = self.object_side
         set_a = [
             _make_object(int(self.oid_a[i]), self.pos_a[:, i], self.vel_a[:, i], side)
@@ -221,13 +178,10 @@ def make_workload_arrays(
 ) -> ArrayScenario:
     """Generate two datasets of ``n_objects`` each, as arrays.
 
-    Same parameters, same seeded RNG and the *same draw order* as
-    :func:`make_workload`, but the per-object materialization loop is
-    gone — the samplers' bulk draws are returned directly (transposed to
-    the ``(2, n)`` column layout).  The positions and velocities are
-    therefore bit-identical to the legacy generator's objects; only the
-    ``road`` distribution still pays a per-object sampling loop (its
-    draws are inherently sequential).
+    The samplers' bulk draws, transposed to the ``(2, n)`` column
+    layout; only the ``road`` distribution pays a per-object sampling
+    loop (its draws are inherently sequential).  Parameters as for
+    :func:`make_workload`.
     """
     if distribution not in DISTRIBUTIONS:
         raise ValueError(f"unknown distribution {distribution!r}")

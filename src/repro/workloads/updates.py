@@ -75,12 +75,20 @@ def _road_motion(
     return x, y, 0.0, direction * speed
 
 
+def _check_t_m(t_m: float) -> float:
+    """The stream's ``T_M``: due dates are whole timestamps drawn from
+    ``[1, int(T_M)]``, so an update stream needs ``T_M >= 1``."""
+    if not (math.isfinite(t_m) and t_m >= 1):
+        raise ValueError(f"an update stream needs a finite t_m >= 1, got t_m={t_m}")
+    return t_m
+
+
 class UpdateStream:
     """Deterministic per-timestamp update batches for a scenario."""
 
     def __init__(self, scenario: Scenario, seed: int = 1):
         self.scenario = scenario
-        self.t_m = scenario.t_m
+        self.t_m = _check_t_m(scenario.t_m)
         self.space = scenario.space_size
         self.side = scenario.object_side
         self.max_speed = scenario.max_speed
@@ -222,7 +230,7 @@ class VectorUpdateStream:
 
     def __init__(self, scenario: ArrayScenario, seed: int = 1):
         self.scenario = scenario
-        self.t_m = scenario.t_m
+        self.t_m = _check_t_m(scenario.t_m)
         self.space = scenario.space_size
         self.side = scenario.object_side
         self.max_speed = scenario.max_speed

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import ColumnStore, UpdateColumns, columns_from_objects
+from repro.core import ColumnStore, ObjectsView, UpdateColumns, columns_from_objects
 from repro.geometry.kernels import KineticBatch
 from repro.workloads import make_workload
 
@@ -134,7 +134,7 @@ class TestColumnStore:
     def test_objects_view_mapping(self):
         objs = some_objects(8)
         store = ColumnStore.from_objects(objs)
-        view = store.as_mapping()
+        view = ObjectsView(store)
         assert len(view) == 8
         assert set(view) == {o.oid for o in objs}
         assert view[objs[3].oid].kbox.params() == objs[3].kbox.params()

@@ -14,16 +14,10 @@ from repro.core import JoinConfig
 class TestJoinConfig:
     def test_defaults_match_table_i(self):
         config = JoinConfig()
-        assert config.space_size == 1000.0
         assert config.t_m == 60.0
         assert config.node_capacity == 30
-        assert config.page_size == 4096
         assert config.buffer_pages == 50
         assert config.buckets_per_tm == 2
-
-    def test_effective_horizon_defaults_to_tm(self):
-        assert JoinConfig(t_m=120.0).effective_horizon == 120.0
-        assert JoinConfig(t_m=120.0, horizon=40.0).effective_horizon == 40.0
 
     def test_bucket_length(self):
         assert JoinConfig(t_m=60.0, buckets_per_tm=2).bucket_length == 30.0
@@ -37,11 +31,11 @@ class TestJoinConfig:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"space_size": 0},
+            {"checkpoint_interval": 0},
             {"t_m": 0},
             {"t_m": -5},
             {"buckets_per_tm": 0},
-            {"horizon": 0.0},
+            {"max_retries": -1},
         ],
     )
     def test_invalid_rejected(self, kwargs):
@@ -49,7 +43,7 @@ class TestJoinConfig:
             JoinConfig(**kwargs)
 
     @pytest.mark.parametrize(
-        "name", ["space_size", "t_m", "horizon", "shard_timeout", "shard_heartbeat"]
+        "name", ["t_m", "shard_timeout", "shard_heartbeat"]
     )
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_rejected(self, name, value):
@@ -69,6 +63,11 @@ class TestJoinConfig:
         # nothing that still uses it.
         with pytest.raises(TypeError):
             JoinConfig(**{"use_" + "kernels": True})
+        # Fields nobody set: the space domain is the workload's, the
+        # trees insert with horizon t_m on the storage's default pages.
+        for name in ("space_size", "page_size", "horizon"):
+            with pytest.raises(TypeError):
+                JoinConfig(**{name: 1000.0})
         plain = dataclasses.asdict(JoinConfig())
         monkeypatch.setenv("REPRO_COMPILE", "1")
         assert dataclasses.asdict(JoinConfig()) == plain
@@ -77,8 +76,7 @@ class TestJoinConfig:
         """Every ``JoinConfig`` field and every ``REPRO_*`` name read
         under ``src/repro``: a new knob is an edit to this list."""
         assert {f.name for f in dataclasses.fields(JoinConfig)} == {
-            "space_size", "t_m", "node_capacity", "page_size", "buffer_pages",
-            "buckets_per_tm", "horizon", "obs",
+            "t_m", "node_capacity", "buffer_pages", "buckets_per_tm", "obs",
             "deltas", "shard_timeout", "shard_heartbeat",
             "checkpoint_interval", "max_retries", "faults",
         }

@@ -19,8 +19,6 @@ MODULES = [
     "repro.analysis",
     "repro.metrics",
     "repro.objects",
-    "repro.viz",
-    "repro.cli",
 ]
 
 

@@ -4,7 +4,9 @@ A clock check written ``if t < now: raise`` lets NaN through (every
 comparison with NaN is false), and a NaN clock lets the next tick run
 backwards.  Each engine here ticks to 5, is refused a NaN, an infinite
 and a backwards tick, and must keep its clock, its ledger clock and its
-answer; a constructor refuses a non-finite start time.
+answer; a constructor refuses a non-finite start time.  Every read
+refuses a time before the clock and NaN: an update drops its object's
+past intervals, so such an answer would be silently wrong.
 """
 
 from __future__ import annotations
@@ -100,6 +102,31 @@ def test_refused_tick_changes_nothing(name):
             with pytest.raises(ValueError):
                 engine.knn(t)
         assert answer(engine) == want
+    if hasattr(engine, "close"):
+        engine.close()
+
+
+def reads(engine, t):
+    """Every answer read the engine offers, at ``t``."""
+    if isinstance(engine, ContinuousKNNEngine):
+        return [lambda: engine.knn(t)]
+    calls = [lambda: engine.result_at(t)]
+    if isinstance(engine, ContinuousSelfJoinEngine):
+        calls.append(lambda: engine.partners_of(0, t))
+    if isinstance(engine, ContinuousWindowEngine):
+        calls.append(lambda: engine.result_for(90_000, t))
+    return calls
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_reads_before_the_clock_are_refused(name):
+    engine = start(name)
+    want = answer(engine)
+    for t in (4.0, math.nan):
+        for read in reads(engine, t):
+            with pytest.raises(ValueError, match="present"):
+                read()
+    assert answer(engine) == want
     if hasattr(engine, "close"):
         engine.close()
 

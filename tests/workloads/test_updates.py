@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import JoinConfig
 from repro.workloads import UpdateStream, battlefield_workload, uniform_workload
 
 
@@ -26,6 +27,15 @@ class TestTMContract:
         current, last_update = drive(scenario, stream, steps)
         for oid, last in last_update.items():
             assert steps - last <= 12.0, oid
+
+    def test_t_m_below_one_is_refused(self):
+        """Due dates are whole timestamps in ``[1, T_M]``: below 1 there
+        are none.  The stream says so instead of failing inside NumPy;
+        the engines keep accepting any finite positive ``T_M``."""
+        scenario = uniform_workload(10, seed=1, t_m=0.5)
+        with pytest.raises(ValueError, match="t_m=0.5"):
+            UpdateStream(scenario)
+        assert JoinConfig(t_m=0.5).t_m == 0.5
 
     def test_average_interval_near_half_tm(self):
         """Uniform rescheduling gives ~T_M/2 expected update spacing."""

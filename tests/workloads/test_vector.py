@@ -9,9 +9,8 @@ Two contracts are pinned here:
    reference them by seed).  The digests below were captured before the
    vectorization refactor; any drift fails loudly.
 2. **Exact equivalence of the array generator.**
-   ``make_workload_arrays(...).to_scenario()`` must reproduce
-   ``make_workload(...)`` object-for-object — same oids, same kinetic
-   parameters, same RNG advancement.
+   ``make_workload(...)`` is ``make_workload_arrays(...).to_scenario()``,
+   so the scenario digests pin the array generator's draws as well.
 
 ``VectorUpdateStream`` is deterministic per seed but intentionally *not*
 draw-compatible with the scalar stream (it bulk-draws per tick); its
@@ -152,6 +151,12 @@ def test_vector_stream_respects_t_m(distribution):
                 last[oid] = t
                 seen.add(oid)
     assert seen == set(last)  # everyone updated at least once within T_M
+
+
+def test_vector_stream_refuses_t_m_below_one():
+    arrays = make_workload_arrays(N, "uniform", t_m=0.5, seed=SCENARIO_SEED)
+    with pytest.raises(ValueError, match="t_m=0.5"):
+        VectorUpdateStream(arrays)
 
 
 def test_vector_stream_drives_engine_cleanly():
