@@ -65,7 +65,13 @@ reads ``deltas(t)`` every tick, so the delta ledger's cost and the
 per-event delay are measured at a result size of ~260k rows, ~18k
 events a tick (the dense e2e workloads cover 30k rows and 3.8k).
 Before reporting it asserts that folding the ledger reproduces the
-store and that it ends on the deltas-off cell's ``final_pairs``.  Its
+store and that it ends on the deltas-off cell's ``final_pairs``.  The
+smoke cell also reads the answer 1, 5 and 30 ticks ahead and polls 32
+oid watches every tick, timed apart from the tick, and reports their
+per-tick medians (``lookahead_read_ms_per_tick``,
+``oid_polls_ms_per_tick``; not gated): the store keeps each offset's
+answer between ticks and the ledger one oid index per closed tick, so
+these are the repeated reads' cost of their change.  Its
 ``deltas_overhead_s`` is the deltas-on mean tick minus the deltas-off
 one (``deltas_overhead``, their ratio, is reported beside it); at
 n=100k, where that difference is gated, both cells are run
@@ -198,6 +204,8 @@ SHARDED_OVERHEAD_CEIL_100K_S = 0.084  # sharded tick - serial columnar tick at n
 DELTAS_OVERHEAD_CEIL_100K_S = 0.05  # deltas-on tick - deltas-off tick at n=100k
 FIRST_DELTAS_CEIL_100K_S = 1.0  # first deltas() after the initial join at n=100k
 ROWS_MERGED_PER_EVENT_CEIL = 2.0  # flush rows merged per netted event (a count)
+LOOKAHEAD_OFFSETS = (1.0, 5.0, 30.0)  # smoke deltas-on cell: set reads ahead of the clock
+OID_WATCHES = 32  # smoke deltas-on cell: oid watches polled every tick
 LEDGER_BYTES_PER_EVENT_CEIL = 26.0  # ledger bytes retained per netted event
 DELTAS_REPEATS = 3  # best-of runs per side behind the gated overhead ratio
 
@@ -356,8 +364,14 @@ def run_columnar(n: int, steps: int, algorithm: str = ALGORITHM, set_reads: bool
     }
 
 
-def run_columnar_deltas(n: int, steps: int) -> dict:
-    """The columnar cell with the delta ledger armed and read every tick."""
+def run_columnar_deltas(n: int, steps: int, fan_reads: bool = False) -> dict:
+    """The columnar cell with the delta ledger armed and read every tick.
+
+    With ``fan_reads`` every tick also reads the answer at
+    ``LOOKAHEAD_OFFSETS`` ticks ahead and polls ``OID_WATCHES`` oid
+    watches — repeated reads, each kept by the store or the ledger
+    between ticks — timed apart from the tick and reported per tick.
+    """
     arrays = workload(n)
     engine = ColumnarJoinEngine(
         arrays.columns_a(),
@@ -371,7 +385,15 @@ def run_columnar_deltas(n: int, steps: int) -> dict:
     first_deltas_s = monotonic_clock() - t0
     merged_before = engine.store.rows_merged
     stream = VectorUpdateStream(arrays, seed=SEED + 1)
-    events, us_per_event = [], []
+    watches = []
+    if fan_reads:
+        oids = np.concatenate([arrays.oid_a, arrays.oid_b])
+        watches = [
+            engine.watch(oid=int(oid))
+            for oid in np.random.default_rng(SEED).choice(oids, OID_WATCHES, replace=False)
+        ]
+    events, us_per_event, lookahead_ms, polls_ms = [], [], [], []
+    fan_s = 0.0  # the fan reads' time, kept out of the tick's
     gen2_before = gc.get_stats()[2]["collections"]
     t0 = monotonic_clock()
     for step in range(1, steps + 1):
@@ -385,7 +407,18 @@ def run_columnar_deltas(n: int, steps: int) -> dict:
         answer = engine.result_planes_at(t)
         events.append(len(tick_events))
         us_per_event.append(read_s * 1e6 / max(len(tick_events), 1))
-    tick_s = monotonic_clock() - t0
+        if fan_reads:
+            fan0 = monotonic_clock()
+            for h in LOOKAHEAD_OFFSETS:
+                engine.result_at(t + h)
+            fan1 = monotonic_clock()
+            for watch in watches:
+                watch.poll()
+            fan2 = monotonic_clock()
+            lookahead_ms.append((fan1 - fan0) * 1e3)
+            polls_ms.append((fan2 - fan1) * 1e3)
+            fan_s += fan2 - fan0
+    tick_s = monotonic_clock() - t0 - fan_s
     gen2 = gc.get_stats()[2]["collections"] - gen2_before
     rss_mb = round(peak_rss_mb(), 1)  # before the check below builds its view
     ledger = engine.ledger
@@ -394,7 +427,7 @@ def run_columnar_deltas(n: int, steps: int) -> dict:
     ledger_events = sum(ledger.planes_at(t)[0].shape[0] for t in ledger.ticks())
     if fold_events(ledger).rows() != engine.store.interval_rows():
         raise AssertionError("folded delta ledger diverges from the store")
-    return {
+    row = {
         "n_per_side": n,
         "engine": "columnar+deltas",
         "steps": steps,
@@ -416,6 +449,10 @@ def run_columnar_deltas(n: int, steps: int) -> dict:
         "gen2_collections": gen2,
         "peak_rss_mb": rss_mb,
     }
+    if fan_reads:
+        row["lookahead_read_ms_per_tick"] = round(float(np.median(lookahead_ms)), 3)
+        row["oid_polls_ms_per_tick"] = round(float(np.median(polls_ms)), 3)
+    return row
 
 
 def sweep_selectivity(n: int) -> dict:
@@ -604,7 +641,7 @@ def main() -> int:
             for repeat in range(1 if smoke else DELTAS_REPEATS):
                 if repeat:
                     off_ticks.append(run_cell(run_columnar, n, STEPS)["tick_mean_s"])
-                ons.append(run_cell(run_columnar_deltas, n, STEPS))
+                ons.append(run_cell(run_columnar_deltas, n, STEPS, smoke))
             on = min(ons, key=lambda cell: cell["tick_mean_s"])
             rows.append(on)
             on["first_deltas_s"] = min(cell["first_deltas_s"] for cell in ons)
@@ -623,6 +660,12 @@ def main() -> int:
                 f"{on['gen2_collections']} gen-2 collections, "
                 f"rss {on['peak_rss_mb']:.0f} MiB"
             )
+            if "lookahead_read_ms_per_tick" in on:
+                print(
+                    f"  reads:    {on['lookahead_read_ms_per_tick']:.2f} ms/tick at "
+                    f"offsets {', '.join(f'{h:g}' for h in LOOKAHEAD_OFFSETS)}, "
+                    f"{on['oid_polls_ms_per_tick']:.2f} ms/tick for {OID_WATCHES} oid polls"
+                )
         if n == 100_000 and not smoke:
             sharded = run_cell(run_sharded_columnar, n, STEPS, 4, 0)
             rows.append(sharded)

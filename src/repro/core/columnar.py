@@ -148,6 +148,14 @@ class ColumnarJoinEngine:
                 },
             )
             self.obs.attach(self.tracker)
+        #: MTB: the window end of every row of ``columns_a`` and of
+        #: ``columns_b``, kept in row order and written with the rows
+        #: (:meth:`_keep_ends`); ``None`` under TC.
+        self._ends = (
+            None
+            if algorithm == "tc"
+            else [self._row_ends(self.columns_a), self._row_ends(self.columns_b)]
+        )
         self.build_cost: CostSnapshot = self.tracker.snapshot()
         self.initial_join_cost: Optional[CostSnapshot] = None
         self.update_count = 0
@@ -282,6 +290,7 @@ class ColumnarJoinEngine:
                 rows_a = rows_b = None
             rows_a = np.concatenate([cols_a.apply(upd_a, rows=rows_a), cols_a.add(admit_a)])
             rows_b = np.concatenate([cols_b.apply(upd_b, rows=rows_b), cols_b.add(admit_b)])
+            self._keep_ends(rows_a, rows_b, moved=bool(evict.shape[0] or admitted.shape[0]))
             if changed.shape[0]:
                 # One membership pass invalidates every stale pair
                 # (equivalent to per-oid removal: the ids are distinct
@@ -384,12 +393,30 @@ class ColumnarJoinEngine:
 
         TC (Theorem 1): every window is ``[t, t + T_M]``.  MTB (Theorem
         2): a row last updated in the bucket ending at ``t_eb`` is met
-        over ``[t, t_eb + T_M]`` — by then it has reported again.
+        over ``[t, t_eb + T_M]`` — by then it has reported again.  The
+        ends are kept per side (:meth:`_keep_ends`), not recomputed per
+        probe: only the rows written at a tick change bucket.
         """
-        if self.algorithm == "tc":
+        if self._ends is None:
             return None
+        return self._ends[0 if cols is self.columns_a else 1]
+
+    def _row_ends(self, cols: ColumnStore, rows: Optional[np.ndarray] = None) -> np.ndarray:
+        """The MTB window end of ``rows`` of ``cols`` (default: every live row)."""
         length = self.config.bucket_length
-        return (cols.bucket_keys(length) + 1) * length + self.config.t_m
+        return (cols.bucket_keys(length, rows) + 1) * length + self.config.t_m
+
+    def _keep_ends(self, rows_a: np.ndarray, rows_b: np.ndarray, moved: bool) -> None:
+        """Bring the kept window ends to the columns after a commit wrote
+        ``rows_a`` / ``rows_b``: those rows' ends only, or every row's
+        when an eviction or admission ``moved`` rows."""
+        if self._ends is None:
+            return
+        for side, (cols, rows) in enumerate(((self.columns_a, rows_a), (self.columns_b, rows_b))):
+            if moved:
+                self._ends[side] = self._row_ends(cols)
+            elif rows.shape[0]:
+                self._ends[side][rows] = self._row_ends(cols, rows)
 
     def _sweep_into_store(
         self,

@@ -42,6 +42,7 @@ __all__ = [
     "pack_updates",
     "merge_interval_planes",
     "pair_keys",
+    "pair_lexsort",
     "unpack_pair_keys",
 ]
 
@@ -65,6 +66,42 @@ def run_heads(*planes: np.ndarray) -> np.ndarray:
     for plane in planes:
         head[1:] |= plane[1:] != plane[:-1]
     return head
+
+
+def pair_lexsort(key: np.ndarray, *rows: np.ndarray) -> np.ndarray:
+    """``np.lexsort((*reversed(rows), key))``, bit for bit, without a
+    float sort of every row.
+
+    Orders by the pair ``key``, then by ``rows`` (major first), ties in
+    index order.  A stable argsort of the key comes first — a timsort,
+    cheap on the concatenated already-sorted chunks the store and the
+    ledger hand in — and only the key groups whose rows it left out of
+    order are lexsorted again.  ``-0.0`` and ``0.0`` tie, as in
+    ``lexsort``; a NaN anywhere falls back to ``lexsort`` itself.
+    """
+    if any(np.isnan(plane).any() for plane in rows):
+        return np.lexsort((*reversed(rows), key))
+    order = np.argsort(key, kind="stable")
+    k = key[order]
+    ordered = [plane[order] for plane in rows]
+    # Adjacent rows of one key group where the later one sorts first.
+    later, tie = np.zeros(max(k.shape[0] - 1, 0), dtype=bool), None
+    for plane in ordered:
+        below = plane[1:] < plane[:-1]
+        later |= below if tie is None else tie & below
+        same = plane[1:] == plane[:-1]
+        tie = same if tie is None else tie & same
+    later &= k[1:] == k[:-1]
+    if not later.any():
+        return order
+    # Re-sort the rows of every disordered group, group by group.
+    group = np.cumsum(run_heads(k))
+    bad = np.zeros(int(group[-1]) + 1, dtype=bool)
+    bad[group[1:][later]] = True
+    at = np.flatnonzero(bad[group])
+    sub = np.lexsort((*(plane[at] for plane in reversed(ordered)), group[at]))
+    order[at] = order[at[sub]]
+    return order
 
 
 def has_duplicates(ids: np.ndarray) -> bool:
@@ -582,13 +619,15 @@ class ColumnStore:
             hit &= region.lo(d) <= self.mhi[d, :n] + self.vhi[d, :n] * dt
         return self.oid[:n][hit]
 
-    def bucket_keys(self, bucket_length: float) -> np.ndarray:
-        """MTB bucket key of every live row (``floor(tref / length)``).
+    def bucket_keys(self, bucket_length: float, rows: Optional[np.ndarray] = None) -> np.ndarray:
+        """MTB bucket key of ``rows`` (default: every live row), which
+        is ``floor(tref / length)``.
 
         Matches :meth:`repro.index.mtb.MTBTree.bucket_key` elementwise
         for the non-negative timestamps the simulation produces.
         """
-        return np.floor_divide(self.tref[: self.n], bucket_length).astype(np.int64)
+        tref = self.tref[: self.n] if rows is None else self.tref[rows]
+        return np.floor_divide(tref, bucket_length).astype(np.int64)
 
     # ------------------------------------------------------------------
     # Object materialization (tests, compat shims — not the hot path)

@@ -31,6 +31,7 @@ from ..join import JoinTriple
 from .columns import (
     merge_interval_planes,
     pair_keys,
+    pair_lexsort,
     pair_run_starts,
     run_heads,
     unpack_pair_keys,
@@ -96,6 +97,10 @@ def _empty_planes():
     )
 
 
+#: The pair keys of an empty answer.
+_NO_KEYS = np.empty(0, dtype=np.int64)
+
+
 def _concat_planes(batches):
     """Plane-wise concatenation of ``(a, b, lo, hi)`` batches."""
     if len(batches) == 1:
@@ -139,13 +144,16 @@ class ColumnResultStore:
     tick boundary), which the ``SC701``–``SC703`` reconciliation checks
     verify.
 
-    The answer at the owning engine's clock (:attr:`clock`, which the
-    engine sets) is kept between :meth:`pairs_at` reads as its sorted
-    pair keys and the set of tuples built from them.  A read at the
-    clock still masks the planes; it then builds or drops tuples only
-    for the pairs that entered or left since the last such read.  The
-    kept set is the base of a diff, never an answer on its own, so no
-    mutation has to invalidate it.
+    Set reads keep their answer per look-ahead offset ``h = t - clock``
+    (:attr:`clock` is the owning engine's, which it sets): a
+    :meth:`pairs_at` read keeps its answer as sorted pair keys and the
+    set of tuples built from them, and the next read at the same offset
+    — usually a tick later — still masks the planes but builds or drops
+    tuples only for the pairs that entered or left.  The answer at the
+    clock is offset 0.  A kept answer is the base of a diff, never an
+    answer on its own, so no mutation has to invalidate it; when the
+    clock moves, the answers not read since its previous move are
+    dropped, so a reader polling K offsets every tick keeps K of them.
     """
 
     __slots__ = (
@@ -162,9 +170,9 @@ class ColumnResultStore:
         "_b_order",
         "_b_sorted",
         "_ledger",
-        "_now_keys",
-        "_now_set",
-        "clock",
+        "_answers",
+        "_read",
+        "_clock",
         "rows_merged",
         "pairs_entered",
         "pairs_left",
@@ -192,19 +200,34 @@ class ColumnResultStore:
         #: of k pending rows touching r live rows adds exactly k + r,
         #: whatever the store holds.
         self.rows_merged = 0
-        #: the owning engine's clock: :meth:`pairs_at` reads at this
-        #: time keep their answer as the base of the next one's diff.
-        self.clock: "float | None" = None
-        #: the answer of the last read at the clock, as sorted unique
-        #: pair keys and as the set of tuples it was returned as.
-        self._now_keys = pair_keys(_empty_planes()[:2])[0]
-        self._now_set: Set[PairKey] = set()
-        #: cumulative pairs that entered and left the answer between
-        #: consecutive reads at the clock, and the reads that rebuilt
-        #: the kept set whole (a change at least the answer's size).
+        self._clock: "float | None" = None
+        #: offset ``t - clock`` -> the answer of the last :meth:`pairs_at`
+        #: read there, as sorted unique pair keys and as the set of
+        #: tuples it was returned as.
+        self._answers: Dict[float, Tuple[np.ndarray, Set[PairKey]]] = {}
+        #: offsets read since the clock last moved (they keep their answer).
+        self._read: Set[float] = set()
+        #: cumulative pairs that entered and left the answer at the
+        #: clock (offset 0) between consecutive reads there, and the
+        #: reads that rebuilt its kept set whole (a change at least the
+        #: answer's size; a read with no kept answer enters it whole).
         self.pairs_entered = 0
         self.pairs_left = 0
         self.answer_rebuilds = 0
+
+    @property
+    def clock(self) -> "float | None":
+        """The owning engine's clock: :meth:`pairs_at` keeps its answers
+        by offset from it (``None``: no engine, nothing kept)."""
+        return self._clock
+
+    @clock.setter
+    def clock(self, t: "float | None") -> None:
+        if t != self._clock:
+            # Only the offsets read since the previous move stay kept.
+            self._answers = {h: kept for h, kept in self._answers.items() if h in self._read}
+            self._read = set()
+        self._clock = t
 
     # ------------------------------------------------------------------
     # Ledger
@@ -405,7 +428,7 @@ class ColumnResultStore:
         # whole-store sort did.
         a, b, lo, hi = (np.concatenate(p) for p in zip(old, pend))
         key = np.concatenate([np.repeat(ukey, lens)[alive], pkey])
-        order = np.lexsort((lo, key))
+        order = pair_lexsort(key, lo)
         self.rows_merged += order.shape[0]
         *new, new_starts = merge_interval_planes(
             a[order], b[order], lo[order], hi[order], _MERGE_TOL
@@ -510,26 +533,28 @@ class ColumnResultStore:
     def pairs_at(self, t: float) -> Set[PairKey]:
         """The continuous-join answer at timestamp ``t``, a set the caller owns.
 
-        At :attr:`clock` the tuples come from the kept answer, brought
-        to this read's planes (:meth:`_clock_answer`); at any other time
-        they are built from the planes.
+        With a :attr:`clock` the tuples come from the answer kept at
+        offset ``t - clock``, brought to this read's planes
+        (:meth:`_kept_answer`); without one they are built from the
+        planes.
         """
         a, b = self.pairs_at_planes(t)
-        if t != self.clock:
+        if self._clock is None:
             return set(zip(a.tolist(), b.tolist()))
-        return set(self._clock_answer(a, b))
+        return set(self._kept_answer(t - self._clock, a, b))
 
-    def _clock_answer(self, a: np.ndarray, b: np.ndarray) -> Set[PairKey]:
-        """The kept clock answer, moved to the ``(a, b)``-sorted answer planes.
+    def _kept_answer(self, h: float, a: np.ndarray, b: np.ndarray) -> Set[PairKey]:
+        """The answer kept at offset ``h``, moved to the ``(a, b)``-sorted
+        answer planes of a read there.
 
         Diffs the planes' pair keys against the kept ones (both sorted
         and unique: one binary search per new key) and creates or
         discards tuples only for the pairs that entered or left — or
         builds the set anew when that change is at least the answer's
-        size.  Counts the change in :attr:`pairs_entered` /
-        :attr:`pairs_left`.
+        size, as it is where nothing was kept.  At offset 0 the change
+        is counted in :attr:`pairs_entered` / :attr:`pairs_left`.
         """
-        old = self._now_keys
+        old, kept = self._answers.get(h) or (_NO_KEYS, set())
         (new,) = pair_keys((a, b))
         if new.dtype != old.dtype:
             # A wide oid arrived or left: compare in one key space.
@@ -537,19 +562,21 @@ class ColumnResultStore:
         entered, left = _sorted_diff(new, old)
         entered, left = np.flatnonzero(entered), old[left]
         n_in, n_out = entered.shape[0], left.shape[0]
-        self.pairs_entered += n_in
-        self.pairs_left += n_out
-        kept = self._now_set
-        if n_in + n_out and n_in + n_out >= new.shape[0]:
+        rebuild = 0 < n_in + n_out >= new.shape[0]
+        if rebuild:
             kept = set(zip(a.tolist(), b.tolist()))
-            self.answer_rebuilds += 1
         else:
             if n_out:
                 gone_a, gone_b = unpack_pair_keys(left)
                 kept.difference_update(zip(gone_a.tolist(), gone_b.tolist()))
             if n_in:
                 kept.update(zip(a[entered].tolist(), b[entered].tolist()))
-        self._now_keys, self._now_set = new, kept
+        if h == 0:
+            self.pairs_entered += n_in
+            self.pairs_left += n_out
+            self.answer_rebuilds += rebuild
+        self._answers[h] = (new, kept)
+        self._read.add(h)
         return kept
 
     def intervals_for(self, key: PairKey) -> List[TimeInterval]:
@@ -620,8 +647,8 @@ class ColumnResultStore:
         }
 
     def approx_bytes(self) -> int:
-        """Resident bytes of the planes and the kept clock keys (the
-        benchmark memory column; the kept tuples are not counted)."""
+        """Resident bytes of the planes and of every kept answer's keys
+        (the benchmark memory column; the kept tuples are not counted)."""
         total = (
             self._a.nbytes
             + self._b.nbytes
@@ -629,7 +656,7 @@ class ColumnResultStore:
             + self._hi.nbytes
             + self._live.nbytes
             + self._run_starts.nbytes
-            + self._now_keys.nbytes
+            + sum(keys.nbytes for keys, _pairs in self._answers.values())
         )
         if self._b_order is not None:
             total += self._b_order.nbytes + self._b_sorted.nbytes

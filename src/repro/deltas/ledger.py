@@ -39,7 +39,11 @@ raw record arrives.  When the clock moves on, the tick it leaves is
 when an oid needs the wide key), the sign plane implied by the
 removals-first order — while its raw chunks and memo are freed.
 :meth:`DeltaLedger.planes_at` unpacks a closed tick into the same
-read-only planes on each call.  :meth:`DeltaLedger.events_at` builds a
+read-only planes, and keeps the last closed tick it unpacked until the
+clock moves, so the watches polling one tick share one unpack.  Planes
+are handed out as :class:`NettedPlanes`, which build an oid → rows
+index on their first oid-filtered read (:meth:`NettedPlanes.oid_rows`)
+and share it with every later one.  :meth:`DeltaLedger.events_at` builds a
 fresh :class:`DeltaEvent` tuple from the planes on every call, at a
 constant delay per event (~0.45 us, no netting redone); the ledger
 keeps no tuple, so no event outlives its reader.
@@ -60,14 +64,16 @@ from typing import Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from ..core.columns import pair_keys, run_heads, unpack_pair_keys
+from ..core.columns import pair_keys, pair_lexsort, run_heads, unpack_pair_keys
 from ..geometry.interval import check_clock
+from ..geometry.kernels import radix_argsort
 
 __all__ = [
     "DeltaEvent",
     "DeltaLedger",
     "DeltaReplayError",
     "DeltaView",
+    "NettedPlanes",
     "events_from_planes",
     "fold_events",
     "planes_from_events",
@@ -113,23 +119,59 @@ class DeltaEvent(NamedTuple):
 _make_event = partial(tuple.__new__, DeltaEvent)
 
 
+class NettedPlanes(tuple):
+    """One tick's read-only netted ``(sign, a, b, lo, hi)`` planes.
+
+    A tuple of the five planes, which also carries an oid → rows index
+    built on the first :meth:`oid_rows` call: every oid watch reading
+    the same planes object shares one index build, and a lookup is two
+    binary searches.  The index lives and dies with its planes, so a
+    re-netted tick (a new planes object) can never serve a stale one.
+    """
+
+    def __new__(cls, planes) -> "NettedPlanes":
+        self = super().__new__(cls, planes)
+        #: ``(oids, rows)``: every ``(oid, row)`` of the ``a`` and ``b``
+        #: planes once, sorted by oid, then by row.
+        self._by_oid = None
+        return self
+
+    def oid_rows(self, oid: int) -> np.ndarray:
+        """The rows whose pair holds ``oid``, ascending (read-only)."""
+        if self._by_oid is None:
+            _sign, a, b, _lo, _hi = self
+            oids = np.column_stack((a, b)).reshape(-1)  # row-major: a, b per row
+            rows = np.arange(oids.shape[0]) >> 1
+            if (a == b).any():  # a pair of one oid with itself is one row
+                keep = np.ones(oids.shape[0], dtype=bool)
+                keep[1::2] = a != b
+                oids, rows = oids[keep], rows[keep]
+            # Stable: the rows of one oid keep their ascending order.
+            order = radix_argsort(oids)
+            oids, rows = oids[order], rows[order]
+            oids.flags.writeable = rows.flags.writeable = False
+            self._by_oid = (oids, rows)
+        oids, rows = self._by_oid
+        return rows[oids.searchsorted(oid, "left") : oids.searchsorted(oid, "right")]
+
+
 def events_from_planes(t: float, planes: Planes) -> Tuple[DeltaEvent, ...]:
     """The :class:`DeltaEvent` per row of ``(sign, a, b, lo, hi)`` planes."""
     return tuple(map(_make_event, zip(repeat(t), *(p.tolist() for p in planes))))
 
 
-def _as_planes(sign=(), a=(), b=(), lo=(), hi=()) -> Planes:
+def _as_planes(sign=(), a=(), b=(), lo=(), hi=()) -> NettedPlanes:
     """Five column sequences as ``int64`` / ``float64`` planes."""
-    return (
+    return NettedPlanes((
         np.array(sign, dtype=np.int64),
         np.array(a, dtype=np.int64),
         np.array(b, dtype=np.int64),
         np.array(lo, dtype=np.float64),
         np.array(hi, dtype=np.float64),
-    )
+    ))
 
 
-def planes_from_events(events: Sequence[DeltaEvent]) -> Planes:
+def planes_from_events(events: Sequence[DeltaEvent]) -> NettedPlanes:
     """The ``(sign, a, b, lo, hi)`` planes of an event sequence, in order."""
     return _as_planes(*list(zip(*events))[1:])
 
@@ -152,13 +194,15 @@ class DeltaLedger:
     :meth:`record_planes`.  Netting is one vectorized pass over the
     tick's chunks, memoized as planes (:meth:`planes_at`) until new raw
     records arrive; :meth:`advance` packs the tick it leaves into its
-    netted form and drops the chunks.  :class:`DeltaEvent` objects exist
-    only while the caller of :meth:`events_at` holds them.
+    netted form and drops the chunks.  The last closed tick read is kept
+    unpacked until another closed tick is read or the clock moves.
+    :class:`DeltaEvent` objects exist only while the caller of
+    :meth:`events_at` holds them.
     """
 
     __slots__ = (
-        "_now", "_ticks", "_open", "_open_net", "_closed", "_records",
-        "_baseline", "_flush",
+        "_now", "_ticks", "_open", "_open_net", "_closed", "_last_closed",
+        "_records", "_baseline", "_flush",
     )
 
     def __init__(
@@ -182,9 +226,11 @@ class DeltaLedger:
         self._open: list = []
         #: (raw size netted, packed form, netted planes) of the open
         #: tick: its read memo, and what closing it keeps.
-        self._open_net: Optional[Tuple[int, Packed, Planes]] = None
+        self._open_net: Optional[Tuple[int, Packed, NettedPlanes]] = None
         #: closed tick → its netted planes, packed.
         self._closed: Dict[float, Packed] = {}
+        #: (tick, planes) of the last closed tick :meth:`planes_at` unpacked.
+        self._last_closed: Optional[Tuple[float, NettedPlanes]] = None
         #: Raw records taken since the ledger was armed.
         self._records = 0
         self._baseline: Dict[PairKey, Tuple[Row, ...]] = (
@@ -202,15 +248,19 @@ class DeltaLedger:
         """Move the ledger clock forward (monotone non-decreasing).
 
         Moving past the open tick closes it: its netted planes are
-        packed and its raw chunks freed.
+        packed and its raw chunks freed.  Any move also frees the closed
+        tick kept unpacked, so between ticks the ledger holds packed
+        ticks only.
         """
         check_clock(self._now, t)
         if self._flush is not None:
             self._flush()
-        if t > self._now and self._open:
-            self._net_open()
-            self._closed[self._now] = self._open_net[1]
-            self._open, self._open_net = [], None
+        if t > self._now:
+            self._last_closed = None
+            if self._open:
+                self._net_open()
+                self._closed[self._now] = self._open_net[1]
+                self._open, self._open_net = [], None
         self._now = float(t)
 
     def record(self, sign: int, a_oid: int, b_oid: int, start: float, end: float) -> None:
@@ -250,15 +300,23 @@ class DeltaLedger:
         Row ``i`` is event ``i`` of :meth:`events_at`: same values, same
         canonical order.  The open tick is netted once per raw record
         count and its planes handed out as-is afterwards; a closed tick
-        is unpacked from its packed form on each call.  Either way the
-        arrays are read-only.  A quiet tick has empty planes.
+        is unpacked from its packed form once, and handed out as-is
+        until another closed tick is read or the clock moves.  Either
+        way the arrays are read-only.  A quiet tick has empty planes.
         """
         if self._flush is not None:
             self._flush()
         if t == self._now:
             return self._net_open()
+        last = self._last_closed
+        if last is not None and last[0] == t:
+            return last[1]
         closed = self._closed.get(t)
-        return _NO_PLANES if closed is None else _unpack(closed)
+        if closed is None:
+            return _NO_PLANES
+        planes = _unpack(closed)
+        self._last_closed = (t, planes)
+        return planes
 
     def _net_open(self) -> Planes:
         """The open tick's netted planes, memoized per raw record count."""
@@ -288,11 +346,17 @@ class DeltaLedger:
         return dict(self._baseline)
 
     def approx_bytes(self) -> int:
-        """Resident bytes of the retained planes (the benchmark memory column)."""
+        """Resident bytes of the retained planes and their oid indexes
+        (the benchmark memory column)."""
         total = sum(plane.nbytes for chunk in self._open for plane in chunk[1:])
         if self._open_net is not None:
             _size, (_removals, key, _lo, _hi), planes = self._open_net
             total += key.nbytes + sum(plane.nbytes for plane in planes)
+            total += _index_bytes(planes)
+        if self._last_closed is not None:
+            # Its ``lo``/``hi`` are the packed tick's own arrays.
+            planes = self._last_closed[1]
+            total += sum(plane.nbytes for plane in planes[:3]) + _index_bytes(planes)
         for _removals, key, lo, hi in self._closed.values():
             total += key.nbytes + lo.nbytes + hi.nbytes
         return total
@@ -312,6 +376,11 @@ class DeltaLedger:
         )
 
 
+def _index_bytes(planes: NettedPlanes) -> int:
+    """Bytes of a planes object's oid index (0 until it is built)."""
+    return 0 if planes._by_oid is None else sum(arr.nbytes for arr in planes._by_oid)
+
+
 def _raw_size(chunks: list) -> int:
     """Raw records in one tick's chunks."""
     return sum(chunk[1].shape[0] for chunk in chunks)
@@ -323,7 +392,7 @@ def _chunk_planes(chunk):
     return np.full(a.shape[0], sign, dtype=np.int64), a, b, lo, hi
 
 
-def _net_planes(chunks: list) -> Tuple[Packed, Planes]:
+def _net_planes(chunks: list) -> Tuple[Packed, NettedPlanes]:
     """Net one tick's raw chunks into canonical state-diff planes.
 
     A stable sort on ``(pair, start, end)`` brings equal rows together
@@ -341,7 +410,7 @@ def _net_planes(chunks: list) -> Tuple[Packed, Planes]:
         for planes in zip(*(_chunk_planes(chunk) for chunk in chunks))
     )
     (key,) = pair_keys((a, b))
-    order = np.lexsort((hi, lo, key))
+    order = pair_lexsort(key, lo, hi)
     first = np.flatnonzero(run_heads(key[order], lo[order], hi[order]))
     net = np.add.reduceat(sign[order], first)
     rows = order[first]  # each distinct row, as first recorded
@@ -359,10 +428,10 @@ def _net_planes(chunks: list) -> Tuple[Packed, Planes]:
     planes = (signs, a[rows], b[rows], *packed[2:])
     for plane in planes:
         plane.flags.writeable = False  # memoized and shared with readers
-    return packed, planes
+    return packed, NettedPlanes(planes)
 
 
-def _unpack(packed: Packed) -> Planes:
+def _unpack(packed: Packed) -> NettedPlanes:
     """The read-only netted planes of a closed tick's packed form."""
     removals, key, lo, hi = packed
     a, b = unpack_pair_keys(key)
@@ -370,11 +439,11 @@ def _unpack(packed: Packed) -> Planes:
     sign[:removals] = -1
     for plane in (sign, a, b):
         plane.flags.writeable = False
-    return sign, a, b, lo, hi
+    return NettedPlanes((sign, a, b, lo, hi))
 
 
 #: What a tick with no raw record nets to.
-_NO_PLANES: Planes = _as_planes()
+_NO_PLANES = _as_planes()
 
 
 class DeltaView:

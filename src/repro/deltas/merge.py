@@ -28,7 +28,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from ..geometry.interval import check_clock
 
-from .ledger import DeltaEvent, Planes, planes_from_events
+from .ledger import DeltaEvent, NettedPlanes, planes_from_events
 
 __all__ = ["ShardDeltaMerger"]
 
@@ -104,12 +104,13 @@ class ShardDeltaMerger:
             return self._merge_open()
         return ()
 
-    def planes_at(self, t: float) -> Planes:
+    def planes_at(self, t: float) -> NettedPlanes:
         """:meth:`events_at` as ``(sign, a, b, lo, hi)`` planes, row for event.
 
         The merge works on event tuples (holder sets per row), so the
         planes are packed from them per call — the read surface
-        subscriptions filter, not a faster path.
+        subscriptions filter (oid watches through the planes' own
+        index, as on a ledger), not a faster path.
         """
         return planes_from_events(self.events_at(t))
 

@@ -9,11 +9,14 @@ subscriber sees every transition exactly once; pass
 ``include_open=True`` on the last poll of a run to flush the still-open
 tick.
 
-A poll filters the source's netted planes (``planes_at``) with array
-masks and builds :class:`~repro.deltas.ledger.DeltaEvent` tuples for
-the matching rows only, so it costs two comparisons over the tick's
-planes plus the events it returns — not a Python visit of every event
-of the tick.
+A poll reads the source's netted planes (``planes_at``) and builds
+:class:`~repro.deltas.ledger.DeltaEvent` tuples for the matching rows
+only — never a Python visit of every event of the tick.  An oid watch
+finds its rows in the planes' oid index
+(:meth:`~repro.deltas.ledger.NettedPlanes.oid_rows`): built on the
+first oid-filtered read of a planes object and shared by every watch
+polling the same tick, so N watches of one tick cost one index build
+and two binary searches each.  A region watch masks the planes.
 
 Filters:
 
@@ -114,12 +117,14 @@ class DeltaSubscription:
                 planes = source.planes_at(t)
                 _sign, a, b, _lo, _hi = planes
                 if oid is not None:
-                    rows = np.flatnonzero((a == oid) | (b == oid))
+                    rows = planes.oid_rows(oid)
                 elif scope is not None:
                     rows = np.flatnonzero(_member(a, scope) | _member(b, scope))
                 else:
                     rows = None
                 if rows is not None:
+                    if not rows.shape[0]:
+                        continue
                     planes = [plane[rows] for plane in planes]
                 matched.extend(events_from_planes(t, planes))
             self._cursor = upto

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from repro.core import ColumnStore, ObjectsView, UpdateColumns, columns_from_objects
+from repro.core.columns import pair_keys, pair_lexsort
 from repro.geometry.kernels import KineticBatch
 from repro.workloads import make_workload
 
@@ -347,3 +350,40 @@ class TestMagnitudeBounds:
         store.add(UpdateColumns.empty())
         assert store.batch().abs_bounds(1) == before
         assert ColumnStore().batch().abs_bounds(0) == (0.0, 0.0, 0.0)
+
+
+#: Few distinct values: repeated keys, equal rows and ``-0.0`` next to
+#: ``0.0`` are the common case; a NaN takes ``lexsort``'s own path.
+sort_oids = st.sampled_from([0, 1, 2, 2**31 - 1])
+wide_oids = st.sampled_from([-5, 0, 2, 2**31, 2**40])
+sort_ends = st.sampled_from([0.0, -0.0, 0.5, 1.0, float("inf"), float("-inf")])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rows=st.one_of(
+        st.lists(st.tuples(sort_oids, sort_oids, sort_ends, sort_ends), max_size=40),
+        st.lists(st.tuples(wide_oids, wide_oids, sort_ends, sort_ends), max_size=40),
+        st.lists(
+            st.tuples(sort_oids, sort_oids, st.sampled_from([0.0, float("nan")]), sort_ends),
+            max_size=8,
+        ),
+    ),
+    sorted_runs=st.integers(0, 3),
+)
+def test_pair_lexsort_is_lexsort(rows, sorted_runs):
+    """The key-first sort returns ``np.lexsort``'s permutation exactly,
+    with the packed and the wide (structured) pair key, on random rows
+    and on concatenations of already-sorted runs (the store's and the
+    ledger's input)."""
+    a, b, lo, hi = (np.array(col, dtype=dtype) for col, dtype in zip(
+        zip(*rows) if rows else ((), (), (), ()), (np.int64, np.int64, float, float)
+    ))
+    if sorted_runs:
+        runs = np.array_split(np.arange(a.shape[0]), sorted_runs)
+        order = np.concatenate([run[np.lexsort((hi[run], lo[run], b[run], a[run]))] for run in runs])
+        a, b, lo, hi = a[order], b[order], lo[order], hi[order]
+    (key,) = pair_keys((a, b))
+    assert pair_lexsort(key, lo, hi).tolist() == np.lexsort((hi, lo, key)).tolist()
+    assert pair_lexsort(key, lo).tolist() == np.lexsort((lo, key)).tolist()
+    assert pair_lexsort(key).tolist() == np.lexsort((key,)).tolist()

@@ -86,7 +86,9 @@ def captured_calls(shape, monkeypatch):
         return KineticBatch(*(plane.copy() for plane in planes))
 
     def recording(batch_a, batch_b, t0, t1, **kwargs):
-        calls.append((frozen(batch_a), frozen(batch_b), t0, t1, kwargs))
+        # So are the window ends the engine keeps per row.
+        ends = tuple(None if side is None else side.copy() for side in kwargs["ends"])
+        calls.append((frozen(batch_a), frozen(batch_b), t0, t1, {**kwargs, "ends": ends}))
         return batch_sweep_join(batch_a, batch_b, t0, t1, **kwargs)
 
     monkeypatch.setattr(columnar, "batch_sweep_join", recording)

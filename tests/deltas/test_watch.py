@@ -9,11 +9,14 @@ index.
 
 from __future__ import annotations
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from repro.core import ColumnarJoinEngine, ContinuousJoinEngine, JoinConfig
 from repro.deltas import DeltaLedger, DeltaSubscription, ShardDeltaMerger
+from repro.deltas.ledger import events_from_planes
 from repro.geometry import Box
 from repro.par import ShardedJoinEngine
 
@@ -253,6 +256,69 @@ class TestPollAgainstTheLoop:
         assert sub.poll() == [] and len(calls) == 1
         ledger.record(1, 3, 4, 1.0, 2.0)  # touches nothing in scope
         assert sub.poll(include_open=True) == [] and len(calls) == 2
+
+
+def scan_poll(source, oid, cursor, include_open):
+    """What an oid poll from tick index ``cursor`` must deliver: the
+    scan filter (one mask over each tick's planes), and the new cursor."""
+    ticks = source.ticks()
+    upto = len(ticks)
+    if not include_open:
+        while upto > cursor and ticks[upto - 1] >= source.now:
+            upto -= 1
+    matched = []
+    for t in ticks[cursor:upto]:
+        planes = source.planes_at(t)
+        rows = np.flatnonzero((planes[1] == oid) | (planes[2] == oid))
+        matched.extend(events_from_planes(t, [plane[rows] for plane in planes]))
+    return matched, upto
+
+
+#: Oids of both key widths, few enough that rows share them (and that a
+#: row pairs an oid with itself).
+watch_oids = st.sampled_from([0, 1, 2, 2**40])
+watch_rows = st.tuples(
+    watch_oids, watch_oids, st.sampled_from([0.0, -0.0, 1.0]), st.sampled_from([1.0, 2.0])
+)
+watch_script = st.lists(
+    st.one_of(
+        st.tuples(st.just("record"), st.sampled_from([1, -1]), st.lists(watch_rows, max_size=4)),
+        st.tuples(st.just("advance"), st.sampled_from([0.0, 1.0]), st.just(None)),
+        st.tuples(st.just("watch"), watch_oids, st.just(None)),
+        st.tuples(st.just("poll"), st.integers(0, 7), st.booleans()),
+    ),
+    max_size=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(script=watch_script)
+def test_oid_watches_return_the_scan(script):
+    """K oid watches over one ledger — created at any point, polled in
+    any order, the open tick included on request, records arriving
+    between polls of one open tick — each return exactly what the scan
+    filter over the tick's planes returns, from the planes' shared oid
+    index."""
+    ledger = DeltaLedger(0.0)
+    watches = []  # (subscription, oid, oracle cursor)
+    for op, arg, extra in script:
+        if op == "record":
+            a, b, lo, hi = zip(*extra) if extra else ((), (), (), ())
+            ledger.record_planes(
+                arg, np.array(a, dtype=np.int64), np.array(b, dtype=np.int64),
+                np.array(lo, dtype=np.float64), np.array(hi, dtype=np.float64),
+            )
+        elif op == "advance":
+            ledger.advance(ledger.now + arg)
+        elif op == "watch":
+            watches.append([DeltaSubscription(ledger, oid=arg), arg, 0])
+        elif watches:
+            watch = watches[arg % len(watches)]
+            want, watch[2] = scan_poll(ledger, watch[1], watch[2], extra)
+            assert watch[0].poll(include_open=extra) == want
+    for watch in watches:
+        want, _ = scan_poll(ledger, watch[1], watch[2], True)
+        assert watch[0].poll(include_open=True) == want
 
 
 class TestRegionResolvers:

@@ -118,6 +118,9 @@ class JoinModel(RuleBasedStateMachine):
         #: per engine: the previous clock answer and the store's
         #: ``(pairs_entered, pairs_left)`` after it.
         self.previous = {name: (set(), (0, 0)) for name in ENGINES}
+        #: look-ahead offsets read before and since the last clock move;
+        #: the clock (offset 0) is read after every rule.
+        self.read_before, self.read_since = set(), set()
 
     # ------------------------------------------------------------------
     # Model helpers
@@ -167,6 +170,8 @@ class JoinModel(RuleBasedStateMachine):
             engine.tick(t)
             if name in self.locks:
                 self.locks[name].ref._ledger.advance(t)
+        if t != self.now:
+            self.read_before, self.read_since = self.read_since, set()
         self.now = t
 
     @rule(
@@ -208,10 +213,17 @@ class JoinModel(RuleBasedStateMachine):
                 store = self.stores[name]
                 kept = (store.pairs_entered, store.pairs_left, store.answer_rebuilds)
                 got = self.engines[name].result_at(t)
-                assert got == planes_set(store.pairs_at_planes(t)), (name, t)
-                # Off the clock: the kept answer is neither read nor moved.
+                want = planes_set(store.pairs_at_planes(t))
+                assert got == want, (name, t)
+                # Off the clock: the clock's counters do not move.
                 assert (store.pairs_entered, store.pairs_left, store.answer_rebuilds) == kept
-                answers.append(got)
+                # The caller owns the set: spoiling it spoils no kept answer.
+                spoiled = set(got)
+                got.add((-1, -1))
+                got.discard(next(iter(want), None))
+                assert self.engines[name].result_at(t) == want, (name, t)
+                answers.append(spoiled)
+            self.read_since.add(h)
             assert all(got == answers[0] for got in answers), (group, t)
             # NaiveJoin's windows are unbounded: exact at any horizon.
             if exact or group == ("naive",):
@@ -267,6 +279,21 @@ class JoinModel(RuleBasedStateMachine):
             assert engine.result_at() == first
             assert (store.pairs_entered, store.pairs_left) == counts
             self.previous[name] = (first, counts)
+
+    @invariant()
+    def kept_answers_are_the_offsets_read(self):
+        """A clock move drops every kept answer not read since the
+        previous move; the window ends MTB keeps are the columns' own."""
+        # Offset 0: ``answers_equal_the_oracle`` (invariants run by name)
+        # has read the clock after every rule.
+        want = {0.0} | self.read_before | self.read_since
+        for name, engine in self.engines.items():
+            assert set(self.stores[name]._answers) == want, name
+            if name == "columnar-mtb":
+                length = engine.config.bucket_length
+                for cols in (engine.columns_a, engine.columns_b):
+                    fresh = (cols.bucket_keys(length) + 1) * length + T_M
+                    assert engine._window_ends(cols).tobytes() == fresh.tobytes(), name
 
     @invariant()
     def stores_agree(self):
