@@ -123,8 +123,11 @@ Acceptance floors (the script exits non-zero when missed):
   tick, so every tick is closed and packed) — a byte count, so it
   repeats exactly and gates the CI smoke cell too.  The cell also
   reports ``ledger_mb`` and ``gen2_collections``, the full garbage
-  collections over its timed ticks (from ``gc.get_stats()``, not
-  gated);
+  collections over its timed ticks (from ``gc.get_stats()``), and
+  beside them what a ``gc.callbacks`` probe counts over the same ticks:
+  ``gc_gen0_per_tick`` / ``gc_gen1_per_tick`` / ``gc_gen2_per_tick``,
+  the collector's passes per tick by generation, and
+  ``gc_ms_per_tick``, its time per tick (none of them gated);
 - at n=100k the columnar cell's peak RSS stays under
   ``RSS_FLOOR_100K_MB`` MiB;
 - at n=100k the 4-shard in-process engine's tick costs at most
@@ -208,6 +211,36 @@ LOOKAHEAD_OFFSETS = (1.0, 5.0, 30.0)  # smoke deltas-on cell: set reads ahead of
 OID_WATCHES = 32  # smoke deltas-on cell: oid watches polled every tick
 LEDGER_BYTES_PER_EVENT_CEIL = 26.0  # ledger bytes retained per netted event
 DELTAS_REPEATS = 3  # best-of runs per side behind the gated overhead ratio
+
+
+class CollectorProbe:
+    """Automatic garbage-collector passes by generation and their time,
+    counted from ``gc.callbacks`` while the probe is entered."""
+
+    def __init__(self) -> None:
+        self.passes = [0, 0, 0]
+        self.seconds = 0.0
+        self._start = 0.0
+
+    def __call__(self, phase: str, info: dict) -> None:
+        if phase == "start":
+            self.passes[info["generation"]] += 1
+            self._start = monotonic_clock()
+        else:
+            self.seconds += monotonic_clock() - self._start
+
+    def __enter__(self) -> "CollectorProbe":
+        gc.callbacks.append(self)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        gc.callbacks.remove(self)
+
+    def per_tick(self, ticks: int) -> dict:
+        return {
+            **{f"gc_gen{g}_per_tick": round(n / ticks, 2) for g, n in enumerate(self.passes)},
+            "gc_ms_per_tick": round(self.seconds * 1e3 / ticks, 3),
+        }
 
 
 def space_for(n: int) -> float:
@@ -395,30 +428,31 @@ def run_columnar_deltas(n: int, steps: int, fan_reads: bool = False) -> dict:
     events, us_per_event, lookahead_ms, polls_ms = [], [], [], []
     fan_s = 0.0  # the fan reads' time, kept out of the tick's
     gen2_before = gc.get_stats()[2]["collections"]
-    t0 = monotonic_clock()
-    for step in range(1, steps + 1):
-        t = float(step)
-        engine.tick(t)
-        upd_a, upd_b = stream.updates_at(t)
-        engine.apply_update_columns(upd_a, upd_b)
-        read0 = monotonic_clock()
-        tick_events = engine.deltas(t)  # this tick's flush, netting and tuples
-        read_s = monotonic_clock() - read0
-        answer = engine.result_planes_at(t)
-        events.append(len(tick_events))
-        us_per_event.append(read_s * 1e6 / max(len(tick_events), 1))
-        if fan_reads:
-            fan0 = monotonic_clock()
-            for h in LOOKAHEAD_OFFSETS:
-                engine.result_at(t + h)
-            fan1 = monotonic_clock()
-            for watch in watches:
-                watch.poll()
-            fan2 = monotonic_clock()
-            lookahead_ms.append((fan1 - fan0) * 1e3)
-            polls_ms.append((fan2 - fan1) * 1e3)
-            fan_s += fan2 - fan0
-    tick_s = monotonic_clock() - t0 - fan_s
+    with CollectorProbe() as collector:  # the timed ticks only
+        t0 = monotonic_clock()
+        for step in range(1, steps + 1):
+            t = float(step)
+            engine.tick(t)
+            upd_a, upd_b = stream.updates_at(t)
+            engine.apply_update_columns(upd_a, upd_b)
+            read0 = monotonic_clock()
+            tick_events = engine.deltas(t)  # this tick's flush, netting and tuples
+            read_s = monotonic_clock() - read0
+            answer = engine.result_planes_at(t)
+            events.append(len(tick_events))
+            us_per_event.append(read_s * 1e6 / max(len(tick_events), 1))
+            if fan_reads:
+                fan0 = monotonic_clock()
+                for h in LOOKAHEAD_OFFSETS:
+                    engine.result_at(t + h)
+                fan1 = monotonic_clock()
+                for watch in watches:
+                    watch.poll()
+                fan2 = monotonic_clock()
+                lookahead_ms.append((fan1 - fan0) * 1e3)
+                polls_ms.append((fan2 - fan1) * 1e3)
+                fan_s += fan2 - fan0
+        tick_s = monotonic_clock() - t0 - fan_s
     gen2 = gc.get_stats()[2]["collections"] - gen2_before
     rss_mb = round(peak_rss_mb(), 1)  # before the check below builds its view
     ledger = engine.ledger
@@ -447,6 +481,7 @@ def run_columnar_deltas(n: int, steps: int, fan_reads: bool = False) -> dict:
         "ledger_mb": round(ledger_bytes / (1024.0 * 1024.0), 1),
         "ledger_bytes_per_event": round(ledger_bytes / max(ledger_events, 1), 2),
         "gen2_collections": gen2,
+        **collector.per_tick(steps),
         "peak_rss_mb": rss_mb,
     }
     if fan_reads:
@@ -658,6 +693,9 @@ def main() -> int:
                 f"ledger {on['ledger_mb']:.1f} MiB "
                 f"({on['ledger_bytes_per_event']:.1f} B/event), "
                 f"{on['gen2_collections']} gen-2 collections, "
+                f"collector {on['gc_gen0_per_tick']:.1f}/{on['gc_gen1_per_tick']:.1f}/"
+                f"{on['gc_gen2_per_tick']:.1f} passes (gen 0/1/2) and "
+                f"{on['gc_ms_per_tick']:.2f} ms per tick, "
                 f"rss {on['peak_rss_mb']:.0f} MiB"
             )
             if "lookahead_read_ms_per_tick" in on:

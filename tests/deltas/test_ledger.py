@@ -3,7 +3,8 @@
 ``test_replay_equivalence.py`` proves the end-to-end property; this
 suite pins the pieces it stands on — per-tick netting and canonical
 ordering, clock monotonicity, fresh (constant-delay) enumeration, the
-packed retention of closed ticks,
+event build's pause of the garbage collector, the packed retention of
+closed ticks,
 the exact-fold error grammar of :class:`DeltaView`, and the
 satellite-6 regression: ``JoinResultStore.prune_expired`` historically
 dropped intervals *silently*, which an attached ledger now reports as
@@ -13,8 +14,11 @@ dropped intervals *silently*, which an attached ledger now reports as
 from __future__ import annotations
 
 import gc
+import sys
 import types
+from contextlib import contextmanager
 
+import numpy as np
 import pytest
 
 from repro.core import ColumnarJoinEngine, JoinConfig
@@ -25,6 +29,7 @@ from repro.deltas import (
     DeltaView,
     fold_events,
 )
+from repro.deltas.ledger import events_from_planes
 from repro.geometry import TimeInterval
 from repro.join import JoinTriple
 
@@ -196,6 +201,107 @@ class TestRetention:
         assert closed >= 200 and events > 50 * closed  # the bound has teeth
         assert ledger.approx_bytes() <= 24 * events + 1024 * closed
         assert fold_events(ledger).rows() == engine.store.interval_rows()
+
+
+# ----------------------------------------------------------------------
+# The garbage collector around the event build
+# ----------------------------------------------------------------------
+@contextmanager
+def collector(enabled: bool):
+    """Run the body with automatic collection on or off, then restore it."""
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        yield
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+@contextmanager
+def builds_collected(build=events_from_planes):
+    """Yield a list that gains one entry per collection which starts
+    inside ``build`` (a ``gc.callbacks`` probe)."""
+    code = build.__code__
+    inside = []
+
+    def probe(phase, info):
+        if phase != "start":
+            return
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code is not code:
+            frame = frame.f_back
+        if frame is not None:
+            inside.append(info["generation"])
+
+    gc.callbacks.append(probe)
+    try:
+        yield inside
+    finally:
+        gc.callbacks.remove(probe)
+
+
+def busy_engine():
+    """A columnar engine whose first ``deltas()`` and first closed tick
+    each hold ~5.6k events: eight times the collector's young threshold."""
+    scenario = delta_workload(n=900)
+    engine = ColumnarJoinEngine(
+        scenario.set_a, scenario.set_b, "mtb", JoinConfig(t_m=T_M, deltas=True)
+    )
+    engine.run_initial_join()
+    return engine
+
+
+class TestCollector:
+    """:func:`events_from_planes` builds with automatic collection
+    paused and hands the collector back in the state it found it."""
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_reads_restore_the_collector(self, enabled):
+        engine = busy_engine()
+        watch = engine.watch()
+        with collector(enabled):
+            assert len(engine.deltas(0.0)) >= 4000
+            assert gc.isenabled() is enabled
+            engine.tick(1.0)
+            assert len(watch.poll()) >= 4000
+            assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_a_build_that_raises_restores_the_collector(self, enabled):
+        def planes():
+            yield np.array([1], dtype=np.int64)
+            yield np.array([2], dtype=np.int64)
+            raise RuntimeError("plane source failed")
+
+        with collector(enabled):
+            with pytest.raises(RuntimeError, match="plane source failed"):
+                events_from_planes(0.0, planes())
+            assert gc.isenabled() is enabled
+
+    def test_no_collection_inside_the_build(self):
+        """Thousands of events would cross the young threshold several
+        times; with the pause not one collection starts in the build,
+        neither for ``deltas(t)`` nor for an unfiltered poll."""
+        engine = busy_engine()
+        watch = engine.watch()
+        with collector(True), builds_collected() as inside:
+            events = engine.deltas(0.0)
+            engine.tick(1.0)
+            polled = watch.poll()
+        assert len(events) >= 4000 and polled == list(events)
+        assert inside == []
+
+    def test_the_probe_sees_an_unpaused_build(self):
+        """The probe has teeth: the same build without the pause is
+        collected inside, once per ~700 new events."""
+
+        def unpaused(t, planes):
+            return tuple(DeltaEvent(t, *row) for row in zip(*(p.tolist() for p in planes)))
+
+        planes = busy_engine().ledger.planes_at(0.0)
+        with collector(True), builds_collected(unpaused) as inside:
+            events = unpaused(0.0, planes)
+        assert len(events) >= 4000 and len(inside) >= 4
 
 
 # ----------------------------------------------------------------------
