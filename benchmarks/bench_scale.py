@@ -154,11 +154,22 @@ tightened to the measurements once the ledger kept planes instead of
 tuples: 1.7 x an overhead of 0.021-0.029 s and 2 x a first read of
 0.42-0.51 s (two runs, the slower host state taken).
 
-The 1M-per-side join cell stays best-effort behind
-``REPRO_SCALE_1M=1``, recorded but never gated.  ``REPRO_SCALE_SMOKE=1`` runs the n=10k
-cells (columnar, deltas-on, seed baseline, and a 2-shard
-columnar-worker cell with ``workers=2``) plus a smoke RSS floor — the
-CI ``scale`` job.
+Every serial columnar row records time to first answer in three
+parts: ``build_s`` (the engine's constructor over the generated
+columns), ``initial_join_s`` and ``first_read_s``, the first
+``result_planes_at`` after the initial join, which flushes its rows
+into the store (so tick 1 no longer pays that flush).
+
+``REPRO_SCALE_1M=1`` adds the 1M-per-side cell, forked like every
+other.  Its objects shrink to ``fixed_coverage_pct(n)`` = 0.1 *
+sqrt(100k / n) percent of the side, so coverage and rows per object
+stay at the 100k cell's (~2.6), and its last answer is checked against
+a sampled brute-force oracle (:func:`sampled_oracle`: seeded random A
+objects against all of B) once its peak RSS is read; a disagreement is
+a failure, its times are recorded and not gated.
+``REPRO_SCALE_SMOKE=1`` runs the n=10k cells (columnar, deltas-on,
+seed baseline, and a 2-shard columnar-worker cell with ``workers=2``)
+plus a smoke RSS floor.  The CI ``scale`` job sets both.
 
 Run with::
 
@@ -211,6 +222,8 @@ LOOKAHEAD_OFFSETS = (1.0, 5.0, 30.0)  # smoke deltas-on cell: set reads ahead of
 OID_WATCHES = 32  # smoke deltas-on cell: oid watches polled every tick
 LEDGER_BYTES_PER_EVENT_CEIL = 26.0  # ledger bytes retained per netted event
 DELTAS_REPEATS = 3  # best-of runs per side behind the gated overhead ratio
+ORACLE_SAMPLE = 256  # 1M cell: A objects re-joined by brute force against all of B
+TOUCH_MARGIN = 1e-6  # overlap depth within which the oracle accepts either answer
 
 
 class CollectorProbe:
@@ -248,13 +261,18 @@ def space_for(n: int) -> float:
     return 1000.0 * math.sqrt(n / 1000.0)
 
 
-def workload(n: int):
+def fixed_coverage_pct(n: int) -> float:
+    """Object size (percent of the side) that keeps coverage at 100k's."""
+    return OBJECT_SIZE_PCT * math.sqrt(100_000 / n)
+
+
+def workload(n: int, object_size_pct: float = OBJECT_SIZE_PCT):
     return make_workload_arrays(
         n,
         "uniform",
         space_size=space_for(n),
         max_speed=MAX_SPEED,
-        object_size_pct=OBJECT_SIZE_PCT,
+        object_size_pct=object_size_pct,
         t_m=T_M,
         seed=SEED,
     )
@@ -320,8 +338,64 @@ def rows_per_object(rows: int, n: int) -> float:
     return round(rows / n, 2)
 
 
-def run_columnar(n: int, steps: int, algorithm: str = ALGORITHM, set_reads: bool = False) -> dict:
-    arrays = workload(n)
+def sampled_oracle(arrays, batches, t: float, a: np.ndarray, b: np.ndarray) -> tuple:
+    """Problems with the answer planes ``(a, b)`` at ``t`` (empty: agrees),
+    and how many pairs the oracle required.
+
+    Brute force for ``ORACLE_SAMPLE`` seeded random A objects against
+    every B object, one A object at a time over the whole B side, on
+    positions mirrored from the generated arrays and the update
+    ``batches`` the cell applied — never read from the engine.  Equal
+    squares overlap by ``side - max |lo_a - lo_b|``; a pair within
+    ``TOUCH_MARGIN`` of touching may go either way.
+    """
+    state = {}
+    for name, oids, pos, vel in (
+        ("a", arrays.oid_a, arrays.pos_a, arrays.vel_a),
+        ("b", arrays.oid_b, arrays.pos_b, arrays.vel_b),
+    ):
+        state[name] = (oids, pos.copy(), vel.copy(), np.zeros(oids.shape[0]))
+    for batch in batches:
+        for (oids, pos, vel, tref), upd in zip(state.values(), batch):
+            rows = np.searchsorted(oids, upd.oid)
+            pos[:, rows] = upd.mlo
+            vel[:, rows] = upd.vlo
+            tref[rows] = upd.tref
+
+    def lo_at(name, rows=slice(None)):
+        _, pos, vel, tref = state[name]
+        return pos[:, rows] + vel[:, rows] * (t - tref[rows])
+
+    lo_b, oid_b = lo_at("b"), arrays.oid_b
+    rng = np.random.default_rng(SEED + 2)
+    n = arrays.oid_a.shape[0]
+    problems, pairs = [], 0
+    for row in np.sort(rng.choice(n, size=min(ORACLE_SAMPLE, n), replace=False)).tolist():
+        oid = int(arrays.oid_a[row])
+        depth = arrays.object_side - np.abs(lo_at("a", [row]) - lo_b).max(axis=0)
+        got = b[a.searchsorted(oid) : a.searchsorted(oid, side="right")]
+        must = oid_b[depth > TOUCH_MARGIN]
+        pairs += must.shape[0]
+        missing = np.setdiff1d(must, got)
+        spurious = np.setdiff1d(got, oid_b[depth >= -TOUCH_MARGIN])
+        if missing.shape[0] or spurious.shape[0]:
+            problems.append(
+                f"object {oid}: {missing.shape[0]} missing, {spurious.shape[0]} spurious"
+            )
+    return problems, pairs
+
+
+def run_columnar(
+    n: int,
+    steps: int,
+    algorithm: str = ALGORITHM,
+    set_reads: bool = False,
+    object_size_pct: float = OBJECT_SIZE_PCT,
+    oracle: bool = False,
+) -> dict:
+    """One serial columnar cell; with ``oracle`` its last answer is
+    checked by :func:`sampled_oracle` once its peak RSS is read."""
+    arrays = workload(n, object_size_pct)
     config = JoinConfig(t_m=T_M)
     t0 = monotonic_clock()
     engine = ColumnarJoinEngine(
@@ -334,15 +408,20 @@ def run_columnar(n: int, steps: int, algorithm: str = ALGORITHM, set_reads: bool
     t0 = monotonic_clock()
     engine.run_initial_join()
     initial_s = monotonic_clock() - t0
+    t0 = monotonic_clock()
+    engine.result_planes_at()  # the first answer: flushes the initial join's rows
+    first_read_s = monotonic_clock() - t0
     initial_pairs = len(engine.store)
     stream = VectorUpdateStream(arrays, seed=SEED + 1)
-    plane_reads, set_reads_s = [], []
+    plane_reads, set_reads_s, batches = [], [], []
     t0 = monotonic_clock()
     for step in range(1, steps + 1):
         t = float(step)
         engine.tick(t)
         upd_a, upd_b = stream.updates_at(t)
         engine.apply_update_columns(upd_a, upd_b)
+        if oracle:
+            batches.append((upd_a, upd_b))
         read = monotonic_clock()
         answer = engine.result_planes_at(t)
         plane_reads.append(monotonic_clock() - read)
@@ -375,6 +454,16 @@ def run_columnar(n: int, steps: int, algorithm: str = ALGORITHM, set_reads: bool
                 (engine.store.pairs_left - changed_from[1]) / (steps - 1), 1
             ),
         }
+    if oracle:
+        rss_mb = round(peak_rss_mb(), 1)  # before the oracle's copies
+        problems, pairs = sampled_oracle(arrays, batches, t, *answer)
+        checked = {
+            "peak_rss_mb": rss_mb,
+            "object_size_pct": round(object_size_pct, 5),
+            "oracle_sample": ORACLE_SAMPLE,
+            "oracle_pairs": pairs,
+            "oracle_problems": problems,
+        }
     return {
         "n_per_side": n,
         "engine": "columnar" if algorithm == ALGORITHM else f"columnar/{algorithm}",
@@ -382,6 +471,7 @@ def run_columnar(n: int, steps: int, algorithm: str = ALGORITHM, set_reads: bool
         "updates": engine.update_count,
         "build_s": round(build_s, 4),
         "initial_join_s": round(initial_s, 4),
+        "first_read_s": round(first_read_s, 4),
         "initial_pairs": initial_pairs,
         "final_pairs": len(engine.store),
         "rows_per_object": rows_per_object(engine.store.planes()[0].shape[0], n),
@@ -394,6 +484,7 @@ def run_columnar(n: int, steps: int, algorithm: str = ALGORITHM, set_reads: bool
         "ticks_per_s": round(steps / tick_s, 3),
         "updates_per_s": round(engine.update_count / tick_s, 1),
         "store_mb": store_mb(engine.store),
+        **(checked if oracle else {}),
     }
 
 
@@ -621,7 +712,7 @@ def main() -> int:
     with_1m = os.environ.get("REPRO_SCALE_1M") == "1"
     sizes = [10_000] if smoke else list(SIZES)
 
-    rows = []
+    rows, failures = [], []
     for n in sizes:
         print(f"== n = {n:,} per side (space {space_for(n):.0f}) ==")
         row = run_cell(run_columnar, n, STEPS, ALGORITHM, n >= 10_000)
@@ -633,6 +724,7 @@ def main() -> int:
             f"{row['rows_per_object']:.2f} rows/object, "
             f"{row['stage_one_candidates_per_pair']:.1f} candidates and "
             f"{row['exact_tests_per_pair']:.1f} exact tests each), "
+            f"first read {row['first_read_s']:.3f}s, "
             f"tick {row['tick_mean_s']:.3f}s ({row['updates_per_s']:.0f} upd/s; "
             f"{row['answer_pairs']} pairs as a set {row['read_set_s'] * 1e3:.1f} ms"
             + (
@@ -731,16 +823,22 @@ def main() -> int:
             )
 
     if with_1m:
-        print(f"== n = {N_1M:,} per side join (best effort) ==")
-        row = run_cell(run_columnar, N_1M, STEPS_1M)
-        row["best_effort"] = True
+        pct = fixed_coverage_pct(N_1M)
+        print(f"== n = {N_1M:,} per side, objects {pct:.4f}% (100k's coverage) ==")
+        row = run_cell(run_columnar, N_1M, STEPS_1M, ALGORITHM, False, pct, True)
         rows.append(row)
         print(
-            f"  columnar: tick {row['tick_mean_s']:.3f}s, "
-            f"rss {row['peak_rss_mb']:.0f} MiB"
+            f"  columnar: build {row['build_s']:.2f}s, initial {row['initial_join_s']:.2f}s "
+            f"({row['initial_pairs']} pairs, {row['rows_per_object']:.2f} rows/object), "
+            f"first read {row['first_read_s']:.2f}s, tick {row['tick_mean_s']:.3f}s, "
+            f"rss {row['peak_rss_mb']:.0f} MiB, oracle on {row['oracle_sample']} "
+            f"A objects ({row['oracle_pairs']} pairs): {len(row['oracle_problems'])} problems"
         )
+        for problem in row["oracle_problems"]:
+            failures.append(f"1M answer disagrees with brute force: {problem}")
+        if not row["oracle_pairs"]:
+            failures.append("1M oracle sample holds no pair: the check is vacuous")
 
-    failures = []
     by_cell = {(r.get("n_per_side"), r["engine"]): r for r in rows}
     cell_10k = by_cell.get((10_000, "columnar"))
     if cell_10k is not None and "speedup_vs_seed" in cell_10k:

@@ -132,8 +132,11 @@ class ColumnarJoinEngine:
         with self.tracker.timed():
             self.columns_a = _as_store(objects_a)
             self.columns_b = _as_store(objects_b)
-        overlap = np.intersect1d(self.columns_a.oids, self.columns_b.oids)
-        if overlap.shape[0]:
+        # Neither side repeats an id (each store refused that), so a
+        # repeat in the two sides together is an id they share: one sort,
+        # and the shared ids are named only when there are some.
+        if has_duplicates(np.concatenate([self.columns_a.oids, self.columns_b.oids])):
+            overlap = np.intersect1d(self.columns_a.oids, self.columns_b.oids)
             raise ValueError(
                 f"object ids shared across datasets: {overlap[:5].tolist()}"
             )

@@ -449,12 +449,13 @@ class ColumnStore:
         if named.any():
             raise ValueError(f"object {int(cols.oid[named.argmax()])} already stored")
         self._ensure(k)
-        rows = np.arange(self.n, self.n + k, dtype=np.int64)
-        self.oid[rows] = cols.oid
-        self._write(rows, cols)
+        # The new rows are one contiguous span: written by slice.
+        span = slice(self.n, self.n + k)
+        self.oid[span] = cols.oid
+        self._write(span, cols)
         self.n += k
         self._id_order = self._id_sorted = None
-        return rows
+        return np.arange(span.start, span.stop, dtype=np.int64)
 
     def set_rows(self, rows: np.ndarray, cols: UpdateColumns) -> None:
         """Overwrite the state of existing rows (ids must not change)."""
@@ -657,7 +658,8 @@ class ColumnStore:
             yield self.object_at(row)
 
     # ------------------------------------------------------------------
-    def _write(self, rows: np.ndarray, cols: UpdateColumns) -> None:
+    def _write(self, rows, cols: UpdateColumns) -> None:
+        """Write ``cols`` into ``rows``: an index array, or a slice."""
         self.mlo[:, rows] = cols.mlo
         self.mhi[:, rows] = cols.mhi
         self.vlo[:, rows] = cols.vlo

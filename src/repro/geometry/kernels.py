@@ -483,13 +483,19 @@ def batch_select_sweep_dimension(batch_a: KineticBatch, batch_b: KineticBatch) -
 #: segments plus grid candidates stay within this count, so no temporary
 #: outgrows it: per candidate a block holds its position in the binned
 #: order, its row on the visiting side, four gathered bounds and the
-#: reject mask — ~50 bytes, so ~3 MiB at 64k; the ~15 % that pass both
-#: range tests queue up to the same count before the pair-window kernel
-#: spends its ~30 doubles per pair on them.  Results are chunk-invariant
-#: (every predicate is elementwise and the hits are sorted at the end);
-#: the value only trades temporary size against dispatch count.  On the
-#: 20k-per-side benchmark workload 64k measures level with 32k and ahead
-#: of 128k, whose temporaries spill the cache.
+#: reject mask — ~50 bytes, so ~3 MiB at 64k.  The ~15 % that pass both
+#: range tests queue for the pair-window kernel, which spends ~30
+#: doubles (~240 bytes) per pair, so the queue drains at a quarter of
+#: this count: ~4 MiB of kernel temporaries, where a full 64k queue
+#: (~15 MiB) spilled the cache — 153 -> 106 ns a pair on the
+#: 20k-per-side benchmark's initial-join pairs (2-vCPU host), and an
+#: eighth (114 ns) is no better.  A benchmark tick's calls queue 2-3.5k
+#: pairs each, below either threshold.  The rows returned are
+#: chunk-invariant (every predicate is elementwise, and where the queue
+#: drains moves none of them); the value only trades temporary size
+#: against dispatch count.  On the 20k-per-side benchmark workload 64k
+#: measures level with 32k and ahead of 128k, whose temporaries spill
+#: the cache.
 SWEEP_JOIN_CHUNK = 65_536
 
 #: Most cells the sweep join's grid takes per axis: 181**2 = 32 761 cells
@@ -865,9 +871,10 @@ def batch_sweep_join(
     sweep's candidate rule, side a pivoting first on ties), and for the
     survivors — ``counter[1]`` counts them — the exact pair-window
     kernel.  Candidates arrive in blocks of at most ``chunk`` and
-    survivors queue up to the same count before the exact kernel runs,
-    so the temporaries stay bounded for dataset-scale joins (100k ×
-    100k).
+    survivors queue up to a quarter of that count before the exact
+    kernel runs (it holds ~5x a candidate's bytes per pair), so the
+    temporaries stay bounded, and cache-sized, for dataset-scale joins
+    (100k × 100k).
     """
     if t1 < t0:
         raise ValueError("t_end must be >= t_start")
@@ -922,6 +929,7 @@ def batch_sweep_join(
         out.append((idx_a[sel], idx_b[sel], lo[sel], hi[sel]))
         return idx_a.shape[0]
 
+    drain = max(chunk // 4, 1)
     enumerated = pending = tested = 0
     for pos, qrow in grid.candidates(lb_q, ub_q, chunk):
         enumerated += pos.shape[0]
@@ -954,9 +962,10 @@ def batch_sweep_join(
                 prow, qrow = prow[keep], qrow[keep]
         pend.append((prow, qrow) if flip else (qrow, prow))
         pending += prow.shape[0]
-        # Survivors are a fraction of a block, so they queue until they
-        # fill a chunk of their own for the exact kernel.
-        if pending >= chunk:
+        # Survivors are a fraction of a block, so they queue for the
+        # exact kernel; at ~5x a candidate's bytes per pair, the queue
+        # drains at a quarter chunk to stay cache-sized.
+        if pending >= drain:
             tested += run_exact()
             pending = 0
     if pending:

@@ -10,6 +10,7 @@ below is exact equality on interval endpoints, never tolerance-based.
 from __future__ import annotations
 
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -404,6 +405,48 @@ def test_constructor_rejects_hostile_dataset(case):
     for dataset in (bad, adopted):
         with pytest.raises(ValueError):
             ColumnarJoinEngine(dataset, scenario.set_b, "tc", JoinConfig(t_m=T_M))
+
+
+def shared_id_datasets():
+    """Two datasets sharing seven ids, and the five a refusal names.
+
+    Side a is shuffled and side b holds the shared ids in descending
+    order, so neither side's row order lists them ascending, and side
+    a's first row is not shared.
+    """
+    scenario = scenario_pair()
+    a = columns_from_objects(scenario.set_a)
+    a = a.take(np.random.default_rng(5).permutation(len(a)))
+    b = columns_from_objects(scenario.set_b)
+    shared = a.oid[[41, 3, 50, 17, 29, 8, 33]]
+    b.oid[10 : 10 + shared.shape[0]] = np.sort(shared)[::-1]
+    assert a.oid[0] not in shared
+    assert [s for s in a.oid.tolist() if s in shared][:5] != sorted(shared.tolist())[:5]
+    return a, b, sorted(shared.tolist())[:5]
+
+
+@pytest.mark.parametrize("form", ["columns", "store", "objects", "tree"])
+def test_shared_ids_refused_naming_the_first_five(form):
+    a, b, first_five = shared_id_datasets()
+    message = re.escape(f"object ids shared across datasets: {first_five}")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        if form == "tree":
+            ContinuousJoinEngine(a.objects(), b.objects(), "tc", JoinConfig(t_m=T_M))
+        else:
+            convert = {
+                "columns": lambda cols: cols,
+                "store": ColumnStore.from_columns,
+                "objects": UpdateColumns.objects,
+            }[form]
+            ColumnarJoinEngine(convert(a), convert(b), "tc", JoinConfig(t_m=T_M))
+
+
+def test_id_repeated_within_one_side_refused():
+    scenario = scenario_pair()
+    a = columns_from_objects(scenario.set_a)
+    a.oid[7] = a.oid[3]
+    with pytest.raises(ValueError, match=f"^object {int(a.oid[3])} already stored$"):
+        ColumnarJoinEngine(a, scenario.set_b, "tc", JoinConfig(t_m=T_M))
 
 
 def test_plane_reads_answer_what_result_at_answers():

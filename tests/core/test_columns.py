@@ -50,6 +50,29 @@ class TestColumnStore:
         with pytest.raises(ValueError, match="already stored"):
             store.add(columns_from_objects(objs[:1]))
 
+    def test_from_columns_equals_two_adds_and_from_objects(self):
+        """Plane for plane, with the rows each ``add`` returned and the
+        running magnitude bounds: one span written whole, two spans
+        across a growth, and the object path."""
+        objs = some_objects(50)
+        cols = columns_from_objects(objs)
+        whole = ColumnStore.from_columns(cols)
+        halves = ColumnStore(capacity=8)
+        first = halves.add(cols.take(np.arange(20)))
+        second = halves.add(cols.take(np.arange(20, 50)))
+        assert first.tolist() == list(range(20)) and second.tolist() == list(range(20, 50))
+        def planes(store):
+            view = store.batch()
+            return [store.oids.tobytes()] + [
+                getattr(view, name).tobytes()
+                for name in ("mlo", "mhi", "vlo", "vhi", "tref", "slo", "shi")
+            ] + [view.abs_bounds(axis) for axis in (0, 1)]
+
+        for store in (halves, ColumnStore.from_objects(objs)):
+            assert len(store) == len(whole) == 50
+            assert planes(store) == planes(whole)
+            assert store.find(cols.oid).tolist() == list(range(50))
+
     def test_growth_preserves_contents(self):
         objs = some_objects(100)
         store = ColumnStore(capacity=8)  # forces several doublings

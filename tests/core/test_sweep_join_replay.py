@@ -233,19 +233,21 @@ class TestTemporaries:
         return peak, sum(plane.nbytes for plane in planes)
 
     def test_initial_join_peak_at_default_chunk(self):
-        """The benchmark's 20 000 x 20 000 initial join: 17.1 MiB under the
-        1-D sweep enumerator, 22.2 MiB with unblocked segment tables."""
+        """The benchmark's 20 000 x 20 000 initial join: 7.55 MiB, with the
+        exact kernel's queue drained at a quarter chunk (13.71 MiB when it
+        drained at the full chunk); the bound is that plus ~15 %."""
         peak, _ = self._peak(20_000)
-        assert peak <= 18 * 2**20, peak
+        assert peak <= 8.7 * 2**20, peak
 
     def test_only_per_row_planes_grow_with_the_input(self):
         """At a fixed small chunk the peak, outputs excluded, is the per-row
-        planes (swept bounds, padded boxes, binned order, visit table: ~108
-        bytes a row) plus a chunk's worth (~290 bytes a candidate slot, most
-        of it the exact kernel's) — the same chunk's worth when both sides
-        double, though candidates and segments double with them.  Unblocked
-        segment tables alone would add ~160 bytes a row."""
+        planes (swept bounds, padded boxes, binned order, visit table: ~100
+        bytes a row) plus a chunk's worth: ~50 bytes a candidate slot, and
+        the exact kernel's ~240 bytes a pair over the quarter chunk its
+        queue holds — the same chunk's worth when both sides double, though
+        candidates and segments double with them.  Unblocked segment tables
+        alone would add ~160 bytes a row."""
         chunk = 2_048
         for n in (5_000, 10_000):
             peak, out = self._peak(n, chunk=chunk)
-            assert peak - out <= 110 * 2 * n + 320 * chunk, (n, peak - out)
+            assert peak - out <= 105 * 2 * n + 120 * chunk, (n, peak - out)
