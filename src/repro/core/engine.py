@@ -220,26 +220,6 @@ class ContinuousJoinEngine:
         for obj, dataset in admissions:
             self._admit(obj, dataset)
 
-    def admit_object(self, obj: MovingObject, dataset: str) -> None:
-        """Add a brand-new object to dataset ``"a"`` or ``"b"``.
-
-        Unlike :meth:`apply_update` the object has no stored pairs to
-        invalidate — the index insert plus one probe suffices.  The
-        per-object reference for the columnar engine's ghost admissions.
-        """
-        _check_objects([obj])
-        self._check_admission(obj, dataset)
-        self._admit(obj, dataset)
-
-    def evict_object(self, oid: int) -> None:
-        """Remove an object entirely (index entry and stored pairs).
-
-        The per-object reference for the columnar engine's ghost
-        evictions.
-        """
-        self._require_hook("on_evict")
-        self._evict(oid, self._dataset_of(oid))
-
     # -- resolution (reads only), then the three per-object writes -----
     def _dataset_of(self, oid: int) -> str:
         if oid in self.objects_a:

@@ -146,7 +146,7 @@ def test_hostile_object_rejected_state_unchanged(case):
         engine.apply_update(update)
     assert state(engine) == before
     with pytest.raises(ValueError):
-        engine.admit_object(newcomer, "a")
+        engine.apply_updates((), admit=[(newcomer, "a")])
     assert state(engine) == before
     for side in ("set_a", "set_b"):
         datasets = {"set_a": list(scenario.set_a), "set_b": list(scenario.set_b)}
