@@ -24,18 +24,11 @@ PINNED = [
     or (cell.figure == "fig13" and (cell.x < 1000 or cell.series == paper.MTB))
 ]
 RECORDED = paper.recorded(paper.load(), "small")
-_fresh = {}
-
-
-def fresh(cell):
-    if cell.key not in _fresh:
-        _fresh[cell.key] = cell.run()
-    return _fresh[cell.key]
 
 
 @pytest.mark.parametrize("cell", PINNED, ids=lambda c: f"{c.figure}-{c.series}-{c.x}")
 def test_cell_counts_match_the_record(cell):
-    counts = fresh(cell)
+    counts = cell.run()  # measured once per session, kept by the writer
     assert {k: counts[k] for k in paper.COUNTS} == {
         k: RECORDED[cell.key][k] for k in paper.COUNTS
     }
@@ -43,7 +36,7 @@ def test_cell_counts_match_the_record(cell):
 
 @pytest.mark.parametrize("figure", ["fig07", "fig13"])
 def test_figure_claims(figure):
-    counts = {**RECORDED, **{c.key: fresh(c) for c in PINNED if c.figure == figure}}
+    counts = {**RECORDED, **{c.key: c.run() for c in PINNED if c.figure == figure}}
     report = paper.check_claims(counts, [figure])
     assert report
     assert [verdict for _claim, ok, verdict in report if not ok] == []
