@@ -1,9 +1,9 @@
 """Scalar vs. vectorized pair-test throughput (the kernels PR criterion).
 
-Standalone script (not a pytest-benchmark figure): times the three
-kernelized call sites — all-pairs constraint grid, plane sweep, and the
-IC entry filter — on seeded random box batches of growing size, and
-writes the measurements to ``BENCH_kernels.json`` at the repo root.
+Standalone script: times the three kernelized call sites — all-pairs
+constraint grid, plane sweep, and the IC entry filter — on seeded
+random box batches of growing size, and writes the measurements to
+``BENCH_kernels.json`` at the repo root.
 The scalar side is the reference in :mod:`repro.geometry.plane_sweep`;
 the vectorized side packs its input with ``KineticBatch.from_boxes``
 inside the timed call, as a caller holding kinetic boxes must.
@@ -14,7 +14,7 @@ Run with::
 
 The acceptance bar is a >= 3x speedup for the vectorized path on
 batches of 64 boxes and up; the script exits non-zero if any such
-configuration misses it.
+configuration misses it.  CI's ``scale`` job runs it.
 """
 
 from __future__ import annotations

@@ -1,11 +1,11 @@
 """Scaling study: the columnar engine from 1k to 100k objects per side.
 
-Standalone script (not a pytest-benchmark figure).  For each dataset
-size ``n`` it builds a uniform workload with a constant number of
-objects per unit area (space side ``S = 1000 * sqrt(n/1000)``), runs
-the columnar engine through a fixed number of maintenance ticks fed by
-the vectorized update stream, and records build / initial-join / tick
-throughput to ``BENCH_scale.json`` at the repo root.
+Standalone script.  For each dataset size ``n`` it builds a uniform
+workload with a constant number of objects per unit area (space side
+``S = 1000 * sqrt(n/1000)``), runs the columnar engine through a fixed
+number of maintenance ticks fed by the vectorized update stream, and
+records build / initial-join / tick throughput to ``BENCH_scale.json``
+at the repo root.
 
 What it measures: objects are ``OBJECT_SIZE_PCT`` percent of ``S`` on a
 side, so they grow with the space and the *coverage* — the summed

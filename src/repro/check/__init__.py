@@ -5,9 +5,8 @@ column stores, result stores, delta ledgers, sharded engines) and
 compares them with an independent recomputation, reporting ``SCxxx``
 findings.  It guards the invariants the paper's correctness rests on
 (Theorems 1–2, TPR-tree bounding, MTB bucketing).  It runs only when
-called: :func:`sanitize_engine` on a live engine, the trees' and the
-sharded engine's ``validate()``, and ``python -m repro.check sanitize``
-for exported sharded states.
+called: :func:`sanitize_engine` on a live engine, and the trees' and
+the sharded engine's ``validate()``.
 
 See :mod:`repro.check.errors` for the error-code registry.
 """

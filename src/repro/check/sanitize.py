@@ -34,9 +34,8 @@ import cycle.
 
 There is no switch that runs them inside an engine: call
 :func:`sanitize_engine` on a tree, columnar, self-join, window-query or
-sharded engine (the tests' stateful model does after every step), a
-tree's or the sharded engine's ``validate()``, or audit an exported
-sharded state with ``python -m repro.check sanitize PATH``.
+sharded engine (the tests' stateful model does after every step), or
+a tree's or the sharded engine's ``validate()``.
 """
 
 from __future__ import annotations

@@ -33,7 +33,7 @@ class SimulationDriver:
     Each step's due updates go to the engine's ``apply_updates``: the
     tree engine applies them one object at a time (the paper's
     per-update maintenance, so the recorded costs are per-update costs);
-    the columnar and sharded engines group-commit the tick.
+    the columnar engine group-commits the tick.
     """
 
     def __init__(self, engine: ContinuousJoinEngine, stream: UpdateStream):
@@ -47,27 +47,13 @@ class SimulationDriver:
         t = engine.now + 1.0
         before = engine.tracker.snapshot()
         engine.tick(t)
-        if self._columnar_fast_path():
-            # Array fast path: the stream hands over column batches and
-            # the engine consumes them without materializing objects.
-            upd_a, upd_b = self.stream.updates_at(t)
-            n_updates = len(upd_a) + len(upd_b)
-            engine.apply_update_columns(upd_a, upd_b)
-        else:
-            current = {**engine.objects_a, **engine.objects_b}
-            updates = self.stream.updates_for(t, current)
-            n_updates = len(updates)
-            engine.apply_updates(updates)
+        current = {**engine.objects_a, **engine.objects_b}
+        updates = self.stream.updates_for(t, current)
+        engine.apply_updates(updates)
         cost = engine.tracker.snapshot() - before
-        stats = StepStats(t, n_updates, cost, len(engine.result_at(t)))
+        stats = StepStats(t, len(updates), cost, len(engine.result_at(t)))
         self.history.append(stats)
         return stats
-
-    def _columnar_fast_path(self) -> bool:
-        """Stream emits column batches and the engine accepts them."""
-        return hasattr(self.stream, "updates_at") and hasattr(
-            self.engine, "apply_update_columns"
-        )
 
     def run(
         self,

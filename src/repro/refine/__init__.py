@@ -1,6 +1,5 @@
 """Exact-shape refinement step for filter-step join results."""
 
-from .continuous import TwoStepJoinEngine
 from .shapes import Circle, ConvexPolygon, Sector, Shape, refine_pairs
 
 __all__ = [
@@ -9,5 +8,4 @@ __all__ = [
     "ConvexPolygon",
     "Sector",
     "refine_pairs",
-    "TwoStepJoinEngine",
 ]

@@ -3,9 +3,6 @@ and ``sanitize_engine`` finds nothing on clean engines of every kind."""
 
 from __future__ import annotations
 
-import io
-import json
-
 import pytest
 
 from repro.check import (
@@ -15,7 +12,6 @@ from repro.check import (
     check_tpr_tree,
     sanitize_engine,
 )
-from repro.check.cli import main
 from repro.check.sanitize import check_column_result_store
 from repro.core import (
     ColumnarJoinEngine,
@@ -27,7 +23,6 @@ from repro.core.result import ColumnResultStore
 from repro.geometry import Box, KineticBox, TimeInterval
 from repro.index import MTBTree, TPRStarTree, TreeStorage
 from repro.join import JoinTriple
-from repro.objects import MovingObject
 from repro.par import ShardedJoinEngine
 
 from ..conftest import random_objects
@@ -246,43 +241,6 @@ class TestSanitizeEngine:
     def test_unknown_engine_kind_is_refused(self):
         with pytest.raises(TypeError, match="no sanitizer"):
             sanitize_engine(object())
-
-
-# ----------------------------------------------------------------------
-# CLI audit of exported sharded states
-# ----------------------------------------------------------------------
-def write_state(path, corrupt: bool = False):
-    """Export a two-shard engine whose one pair is stored on both shards."""
-    a = [MovingObject(1, Box(9.0, 11.5, 0.0, 2.0), 0.0, 0.0, 0.0)]
-    b = [MovingObject(100, Box(9.5, 11.2, 1.0, 3.0), 0.0, 0.0, 0.0)]
-    engine = ShardedJoinEngine(a, b, "tc", JoinConfig(t_m=2.0), shards=2, axis=0)
-    engine.run_initial_join()
-    state = engine.export_state()
-    if corrupt:
-        state["cuts"] = [5.0, 5.0]
-    path.write_text(json.dumps(state))
-    return str(path)
-
-
-class TestSanitizeCLI:
-    def test_clean_state_audits_clean(self, tmp_path):
-        out = io.StringIO()
-        assert main(["sanitize", write_state(tmp_path / "state.json")], out=out) == 0
-        assert "clean" in out.getvalue()
-
-    def test_corrupted_state_audit_fails(self, tmp_path):
-        out = io.StringIO()
-        path = write_state(tmp_path / "state.json", corrupt=True)
-        assert main(["sanitize", path], out=out) == 1
-        assert "SC401" in out.getvalue()
-
-    def test_findings_name_their_file(self, tmp_path):
-        clean = write_state(tmp_path / "clean.json")
-        broken = write_state(tmp_path / "broken.json", corrupt=True)
-        out = io.StringIO()
-        assert main(["sanitize", clean, broken], out=out) == 1
-        assert "broken.json" in out.getvalue()
-        assert "clean.json" not in out.getvalue()
 
 
 def supervisor_state(shard=None, slot=None, **top):

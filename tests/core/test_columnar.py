@@ -20,7 +20,6 @@ from repro.core import (
     ColumnarJoinEngine,
     ContinuousJoinEngine,
     JoinConfig,
-    SimulationDriver,
 )
 from repro.core.columns import ColumnStore, UpdateColumns, columns_from_objects
 from repro.workloads import (
@@ -314,39 +313,6 @@ def test_overdue_row_drops_out_of_the_probes_with_its_bucket():
     assert digest.hexdigest() == (
         "63d8c3716d80fd7a5cfd1615264965a9c430e99ffb4d7a35f62b2bc9c30ad58c"
     )
-
-
-def test_simulation_driver_uses_columnar_fast_path():
-    arr = make_workload_arrays(
-        N, "uniform", max_speed=3.0, object_size_pct=1.5, t_m=T_M, seed=31
-    )
-    config = JoinConfig(t_m=T_M)
-    engine = ColumnarJoinEngine(
-        arr.columns_a(), arr.columns_b(), algorithm="mtb", config=config
-    )
-    engine.run_initial_join()
-    driver = SimulationDriver(engine, VectorUpdateStream(arr, seed=36))
-    assert driver._columnar_fast_path()
-    stats = driver.run(STEPS)
-    assert len(stats) == STEPS
-    assert driver.total_updates() == engine.update_count
-    # Same end state as the manual tick/apply loop.
-    manual = ColumnarJoinEngine(
-        arr.columns_a(), arr.columns_b(), algorithm="mtb", config=config
-    )
-    manual.run_initial_join()
-    stream = VectorUpdateStream(
-        make_workload_arrays(
-            N, "uniform", max_speed=3.0, object_size_pct=1.5, t_m=T_M, seed=31
-        ),
-        seed=36,
-    )
-    for step in range(1, STEPS + 1):
-        t = float(step)
-        manual.tick(t)
-        upd_a, upd_b = stream.updates_at(t)
-        manual.apply_update_columns(upd_a, upd_b)
-    assert dump(manual.store) == dump(engine.store)
 
 
 def test_historical_batch_rejected():

@@ -16,7 +16,6 @@ MODULES = [
     "repro.workloads",
     "repro.queries",
     "repro.refine",
-    "repro.analysis",
     "repro.metrics",
     "repro.objects",
 ]

@@ -7,7 +7,6 @@ import doctest
 
 import pytest
 
-import repro.analysis
 import repro.geometry.box
 import repro.geometry.interval
 import repro.geometry.intersection
@@ -32,7 +31,6 @@ MODULES = [
     repro.storage.serializer,
     repro.index.bulk,
     repro.index.stats,
-    repro.analysis,
 ]
 
 
