@@ -117,11 +117,20 @@ Acceptance floors (the script exits non-zero when missed):
   tracks the change, not the store — a count, so it repeats exactly
   and gates the CI smoke cell;
 - wherever the deltas-on cell runs, the ledger retains at most
-  ``LEDGER_BYTES_PER_EVENT_CEIL`` bytes per netted event
+  ``LEDGER_BYTES_PER_EVENT_CEIL`` bytes per netted event it holds
   (``ledger_bytes_per_event``: ``DeltaLedger.approx_bytes()`` over the
-  events it holds, read once the clock has moved past the last timed
-  tick, so every tick is closed and packed) — a byte count, so it
-  repeats exactly and gates the CI smoke cell too.  The cell also
+  events of its retained ticks, read once the clock has moved past the
+  last tick, so every tick is closed and packed) — a byte count, so it
+  repeats exactly and gates the CI smoke cell too;
+- wherever the deltas-on cell runs, the ledger stays flat: after
+  ``LEDGER_TICKS`` ticks (the timed ones, then untimed ones with the
+  same reads) it holds at most ``LEDGER_BYTES_PER_ROW_CEIL`` bytes per
+  store row plus the newest closed and the open tick at 24 B per event
+  (``ledger_flat_ceiling_bytes``).  The ledger folds the ticks every
+  watch has passed into its oldest retained tick once they hold twice
+  its events, so it keeps at most three times the store's rows plus
+  those two ticks; a ledger that kept every tick would pass the ceiling
+  after about 30 ticks at either size.  The cell also
   reports ``ledger_mb`` and ``gen2_collections``, the full garbage
   collections over its timed ticks (from ``gc.get_stats()``), and
   beside them what a ``gc.callbacks`` probe counts over the same ticks:
@@ -220,7 +229,9 @@ FIRST_DELTAS_CEIL_100K_S = 1.0  # first deltas() after the initial join at n=100
 ROWS_MERGED_PER_EVENT_CEIL = 2.0  # flush rows merged per netted event (a count)
 LOOKAHEAD_OFFSETS = (1.0, 5.0, 30.0)  # smoke deltas-on cell: set reads ahead of the clock
 OID_WATCHES = 32  # smoke deltas-on cell: oid watches polled every tick
-LEDGER_BYTES_PER_EVENT_CEIL = 26.0  # ledger bytes retained per netted event
+LEDGER_BYTES_PER_EVENT_CEIL = 26.0  # ledger bytes retained per netted event it holds
+LEDGER_BYTES_PER_ROW_CEIL = 3 * 24.0  # ledger bytes per store row, beyond its two newest ticks
+LEDGER_TICKS = 40  # ticks the deltas-on cell runs before the ledger is weighed
 DELTAS_REPEATS = 3  # best-of runs per side behind the gated overhead ratio
 ORACLE_SAMPLE = 256  # 1M cell: A objects re-joined by brute force against all of B
 TOUCH_MARGIN = 1e-6  # overlap depth within which the oracle accepts either answer
@@ -546,31 +557,59 @@ def run_columnar_deltas(n: int, steps: int, fan_reads: bool = False) -> dict:
         tick_s = monotonic_clock() - t0 - fan_s
     gen2 = gc.get_stats()[2]["collections"] - gen2_before
     rss_mb = round(peak_rss_mb(), 1)  # before the check below builds its view
+    timed = {
+        "updates": engine.update_count,
+        "final_pairs": len(engine.store),
+        "rows_per_object": rows_per_object(engine.store.planes()[0].shape[0], n),
+        "rows_merged_per_tick": round(
+            (engine.store.rows_merged - merged_before) / steps, 1
+        ),
+        "store_mb": store_mb(engine.store),
+    }
+    # Untimed ticks with the same reads, until the ledger has run long
+    # enough that keeping every tick would show.
+    for step in range(steps + 1, LEDGER_TICKS + 1):
+        t = float(step)
+        engine.tick(t)
+        engine.apply_update_columns(*stream.updates_at(t))
+        engine.deltas(t)
+        for watch in watches:
+            watch.poll()
     ledger = engine.ledger
-    engine.tick(float(steps + 1))  # closes the last timed tick
+    engine.tick(float(max(steps, LEDGER_TICKS) + 1))  # closes the last tick
     ledger_bytes = ledger.approx_bytes()
-    ledger_events = sum(ledger.planes_at(t)[0].shape[0] for t in ledger.ticks())
+    held = {t: ledger.planes_at(t)[0].shape[0] for t in ledger.ticks()}
+    ledger_events = sum(held.values())
+    newest_closed = max(t for t in held if t < ledger.now)
+    edge_events = sum(count for t, count in held.items() if t >= newest_closed)
+    store_rows = engine.store.planes()[0].shape[0]
     if fold_events(ledger).rows() != engine.store.interval_rows():
         raise AssertionError("folded delta ledger diverges from the store")
     row = {
         "n_per_side": n,
         "engine": "columnar+deltas",
         "steps": steps,
-        "updates": engine.update_count,
-        "final_pairs": len(engine.store),
-        "rows_per_object": rows_per_object(engine.store.planes()[0].shape[0], n),
+        "updates": timed["updates"],
+        "final_pairs": timed["final_pairs"],
+        "rows_per_object": timed["rows_per_object"],
         **answer_fields(*answer),
         "first_deltas_s": round(first_deltas_s, 4),
         "tick_loop_s": round(tick_s, 4),
         "tick_mean_s": round(tick_s / steps, 4),
         "us_per_event_p50": round(sorted(us_per_event)[steps // 2], 2),
         "events_per_tick": round(sum(events) / steps, 1),
-        "rows_merged_per_tick": round(
-            (engine.store.rows_merged - merged_before) / steps, 1
-        ),
-        "store_mb": store_mb(engine.store),
+        "rows_merged_per_tick": timed["rows_merged_per_tick"],
+        "store_mb": timed["store_mb"],
         "ledger_mb": round(ledger_bytes / (1024.0 * 1024.0), 1),
         "ledger_bytes_per_event": round(ledger_bytes / max(ledger_events, 1), 2),
+        "ledger_ticks": max(steps, LEDGER_TICKS),
+        "ledger_bytes": ledger_bytes,
+        "ledger_retained_ticks": len(held),
+        "ledger_retained_events": ledger_events,
+        "ledger_store_rows": int(store_rows),
+        "ledger_flat_ceiling_bytes": int(
+            LEDGER_BYTES_PER_ROW_CEIL * store_rows + 24 * edge_events
+        ),
         "gen2_collections": gen2,
         **collector.per_tick(steps),
         "peak_rss_mb": rss_mb,
@@ -783,7 +822,9 @@ def main() -> int:
                 f"{on['us_per_event_p50']:.2f} us each, "
                 f"{on['rows_merged_per_tick']:.0f} rows merged/tick, "
                 f"ledger {on['ledger_mb']:.1f} MiB "
-                f"({on['ledger_bytes_per_event']:.1f} B/event), "
+                f"({on['ledger_bytes_per_event']:.1f} B/event, "
+                f"{on['ledger_retained_ticks']} ticks held after {on['ledger_ticks']}, "
+                f"ceiling {on['ledger_flat_ceiling_bytes'] / 2**20:.1f} MiB), "
                 f"{on['gen2_collections']} gen-2 collections, "
                 f"collector {on['gc_gen0_per_tick']:.1f}/{on['gc_gen1_per_tick']:.1f}/"
                 f"{on['gc_gen2_per_tick']:.1f} passes (gen 0/1/2) and "
@@ -908,6 +949,13 @@ def main() -> int:
                 f"ledger keeps {on['ledger_bytes_per_event']:.1f} B per event at "
                 f"n={on['n_per_side']} > {LEDGER_BYTES_PER_EVENT_CEIL} B ceiling"
             )
+        if on["ledger_bytes"] > on["ledger_flat_ceiling_bytes"]:
+            failures.append(
+                f"ledger holds {on['ledger_bytes']} B after {on['ledger_ticks']} ticks "
+                f"at n={on['n_per_side']} > {on['ledger_flat_ceiling_bytes']} B "
+                f"({LEDGER_BYTES_PER_ROW_CEIL:g} B x {on['ledger_store_rows']} store rows "
+                f"+ its two newest ticks)"
+            )
     cell_sharded = by_cell.get((100_000, "sharded-columnar/4x0"))
     if cell_sharded is not None:
         if cell_sharded["overhead_vs_serial_s"] > SHARDED_OVERHEAD_CEIL_100K_S:
@@ -969,6 +1017,7 @@ def main() -> int:
                     "first_deltas_s_100k": FIRST_DELTAS_CEIL_100K_S,
                     "rows_merged_per_event": ROWS_MERGED_PER_EVENT_CEIL,
                     "ledger_bytes_per_event": LEDGER_BYTES_PER_EVENT_CEIL,
+                    "ledger_bytes_per_store_row": LEDGER_BYTES_PER_ROW_CEIL,
                 },
                 "peak_rss_mb_100k": (
                     None if cell_100k is None else cell_100k["peak_rss_mb"]

@@ -347,7 +347,10 @@ class ColumnarJoinEngine:
 
         Identical stream to the serial engine's over the same workload
         — the netted per-tick events are the store's state diff, and
-        the stores are maintained bit-identically.
+        the stores are maintained bit-identically.  Retention is the
+        serial engine's too: a tick older than ``ledger.retained_from``
+        was folded into that tick and raises
+        :class:`~repro.deltas.DeltaRetentionError`.
         """
         if self.ledger is None:
             raise RuntimeError(
@@ -360,7 +363,8 @@ class ColumnarJoinEngine:
             return self.ledger.events_at(t)
 
     def watch(self, *, oid: Optional[int] = None, region=None):
-        """Subscribe to the delta stream (see the serial engine)."""
+        """Subscribe to the delta stream (see the serial engine); the
+        ledger folds no tick the watch has not polled past."""
         if self.ledger is None:
             raise RuntimeError(
                 "delta streams are off; build with JoinConfig(deltas=True)"

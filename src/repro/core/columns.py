@@ -76,8 +76,9 @@ def pair_lexsort(key: np.ndarray, *rows: np.ndarray) -> np.ndarray:
     index order.  A stable argsort of the key comes first — a timsort,
     cheap on the concatenated already-sorted chunks the store and the
     ledger hand in — and only the key groups whose rows it left out of
-    order are lexsorted again.  ``-0.0`` and ``0.0`` tie, as in
-    ``lexsort``; a NaN anywhere falls back to ``lexsort`` itself.
+    order are sorted again (:func:`_ranked_lexsort`).  ``-0.0`` and
+    ``0.0`` tie, as in ``lexsort``; a NaN anywhere falls back to
+    ``lexsort`` itself.
     """
     if any(np.isnan(plane).any() for plane in rows):
         return np.lexsort((*reversed(rows), key))
@@ -94,14 +95,43 @@ def pair_lexsort(key: np.ndarray, *rows: np.ndarray) -> np.ndarray:
     later &= k[1:] == k[:-1]
     if not later.any():
         return order
-    # Re-sort the rows of every disordered group, group by group.
-    group = np.cumsum(run_heads(k))
-    bad = np.zeros(int(group[-1]) + 1, dtype=bool)
-    bad[group[1:][later]] = True
-    at = np.flatnonzero(bad[group])
-    sub = np.lexsort((*(plane[at] for plane in reversed(ordered)), group[at]))
+    # Re-sort the rows of every disordered group, group by group; the
+    # groups are found by binary search, so only their rows are visited.
+    keys = k[1:][later]
+    keys = keys[run_heads(keys)]
+    start = np.searchsorted(k, keys, "left")
+    size = np.searchsorted(k, keys, "right") - start
+    group = np.repeat(np.arange(keys.shape[0]), size)
+    at = np.arange(group.shape[0]) + np.repeat(start - (np.cumsum(size) - size), size)
+    sub = _ranked_lexsort(group, [plane[at] for plane in ordered])
     order[at] = order[at[sub]]
     return order
+
+
+def _ranked_lexsort(group: np.ndarray, planes) -> np.ndarray:
+    """``np.lexsort((*reversed(planes), group))`` of NaN-free planes and
+    ascending non-negative ``group`` ids, as one integer quicksort.
+
+    Each plane is replaced by its dense rank (a quicksort and a scan:
+    equal values, ``-0.0`` and ``0.0`` among them, share a rank), and the
+    group id, the ranks and the row's position are packed, major first,
+    into one ``int64`` that orders like the tuple it packs.  Every packed
+    value is distinct, so the unstable sort returns ``lexsort``'s
+    permutation; ``lexsort`` itself runs when the fields need more than
+    63 bits.
+    """
+    n = group.shape[0]
+    widths = [max(int(group[-1]).bit_length(), 1)] + [n.bit_length()] * (len(planes) + 1)
+    if sum(widths) > 63:
+        return np.lexsort((*reversed(planes), group))
+    packed = group.astype(np.int64)
+    for plane, width in zip(planes, widths[1:]):
+        order = np.argsort(plane)
+        rank = np.empty(n, dtype=np.int64)
+        rank[order] = np.cumsum(run_heads(plane[order])) - 1
+        packed = (packed << width) | rank
+    packed = (packed << widths[-1]) | np.arange(n)
+    return np.argsort(packed)
 
 
 def has_duplicates(ids: np.ndarray) -> bool:

@@ -290,6 +290,13 @@ class ContinuousJoinEngine:
         :class:`~repro.deltas.DeltaEvent` built from the tick's netted
         planes at a constant delay per event, as a new tuple on every
         call (the ledger keeps none); no tick is netted twice.
+
+        The ledger folds the closed ticks every open watch has polled
+        past into its oldest retained tick (``ledger.retained_from``),
+        whose events then take the store from its baseline to the end
+        of that tick.  A ``t`` older than that tick raises
+        :class:`~repro.deltas.DeltaRetentionError`; the newest closed
+        tick and the open one are never folded.
         """
         if self.ledger is None:
             raise RuntimeError(
@@ -308,6 +315,11 @@ class ContinuousJoinEngine:
         touching any object currently inside the region.  Both resolve
         their current-state queries against the result store's inverted
         index; see :class:`~repro.deltas.DeltaSubscription`.
+
+        The watch's first poll starts at the ledger's oldest retained
+        tick, which nets every tick before it; while the watch lives,
+        the ledger folds no tick it has not polled past, so one that
+        stops polling holds every later tick until it is dropped.
         """
         if self.ledger is None:
             raise RuntimeError(

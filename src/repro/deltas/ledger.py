@@ -55,12 +55,41 @@ ledger was (re)armed.  A fresh engine has an empty baseline; a shard
 restored from a checkpoint is re-armed with the tick-start rows so the
 reconciliation invariant ``baseline ⊕ events == store`` (sanitizer code
 ``SC701``) holds across recovery without re-emitting history.
+
+Retention
+---------
+The ledger is compacted like a log.  Every open subscription
+(:class:`~repro.deltas.watch.DeltaSubscription`) registers weakly with
+its ledger (:meth:`DeltaLedger.subscribe`) and exposes a tick-valued
+cursor, the newest tick it has consumed.  When the clock moves, the
+closed ticks that every live cursor has passed — except the newest
+closed tick, which stays as it is — may be *folded* into the oldest
+retained tick: their packed planes and the oldest tick's are netted
+together in one pass over the already-sorted planes, and the result
+is kept under the newest folded tick.  So the *oldest retained tick*
+stands for every tick up to and including it: its events take the
+store from the baseline to its state at the end of that tick, and
+``fold_events``, the signed sum and ``SC701``–``SC703`` hold unchanged
+over the retained stream.  Netting keeps a count beyond ±1 as repeated
+rows, so a duplicate add or a phantom removal survives a fold and
+``SC703`` still sees it.  A read of a tick older than the oldest
+retained one (:attr:`DeltaLedger.retained_from`) raises
+:class:`DeltaRetentionError` instead of answering with an empty tick.
+
+Folds are rare: one runs only once the foldable ticks hold
+``_FOLD_RATIO`` times the oldest tick's events.  The oldest tick is
+about the store's rows, so the ledger retains at most ``1 +
+_FOLD_RATIO`` times the store's rows plus the newest closed and the
+open tick, whatever the run's length, and a subscription that stops
+polling pins every tick after its cursor until it is dropped.
 """
 
 from __future__ import annotations
 
 import gc
-from bisect import bisect_left
+import math
+import weakref
+from bisect import bisect_left, bisect_right
 from functools import partial
 from itertools import repeat
 from typing import Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
@@ -75,6 +104,7 @@ __all__ = [
     "DeltaEvent",
     "DeltaLedger",
     "DeltaReplayError",
+    "DeltaRetentionError",
     "DeltaView",
     "NettedPlanes",
     "events_from_planes",
@@ -89,6 +119,16 @@ Planes = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 #: The same planes packed: ``(removals, pair key, lo, hi)`` — the sign
 #: follows from the removals-first order, ``a``/``b`` from the key.
 Packed = Tuple[int, np.ndarray, np.ndarray, np.ndarray]
+
+#: Fold once the foldable ticks hold this many times the oldest retained
+#: tick's events.  A fold rewrites the oldest tick (about the store's
+#: ``R`` rows) and the tail, ``(1 + ratio) R`` rows, once every ``ratio
+#: R / e`` ticks at ``e`` events a tick: 1.5 e rows a tick at 2 against
+#: 2 e at 1, while retention stays within ``(1 + ratio) R``.  On the
+#: dense workloads (``R / e`` about 8) 2 folds on one tick in sixteen,
+#: under the tenth a 90th-percentile step time reads; 1 folded on one in
+#: eight and moved it.
+_FOLD_RATIO = 2
 
 
 class DeltaEvent(NamedTuple):
@@ -203,8 +243,17 @@ class DeltaReplayError(ValueError):
     """
 
 
+class DeltaRetentionError(LookupError):
+    """A read asked for a tick the ledger has folded away.
+
+    Raised for any tick older than the oldest retained one
+    (:attr:`DeltaLedger.retained_from`): its events now live, netted,
+    in that tick's, so answering with an empty tick would be a lie.
+    """
+
+
 class DeltaLedger:
-    """Append-only per-engine event log with per-tick netting.
+    """Per-engine event log with per-tick netting, compacted behind its readers.
 
     The write path stores what it is given and nothing else: the open
     tick's raw record is a list of *chunks* in arrival order, each one
@@ -212,15 +261,17 @@ class DeltaLedger:
     :meth:`record_planes`.  Netting is one vectorized pass over the
     tick's chunks, memoized as planes (:meth:`planes_at`) until new raw
     records arrive; :meth:`advance` packs the tick it leaves into its
-    netted form and drops the chunks.  The last closed tick read is kept
-    unpacked until another closed tick is read or the clock moves.
-    :class:`DeltaEvent` objects exist only while the caller of
-    :meth:`events_at` holds them.
+    netted form and drops the chunks, then folds the closed ticks every
+    subscription has passed into the oldest retained one once they have
+    grown large enough (see the module's "Retention").  The last closed
+    tick read is kept unpacked until another closed tick is read or the
+    clock moves.  :class:`DeltaEvent` objects exist only while the
+    caller of :meth:`events_at` holds them.
     """
 
     __slots__ = (
         "_now", "_ticks", "_open", "_open_net", "_closed", "_last_closed",
-        "_records", "_baseline", "_flush",
+        "_records", "_baseline", "_flush", "_subscribers", "_retained_from",
     )
 
     def __init__(
@@ -236,8 +287,9 @@ class DeltaLedger:
         #: reading the ledger directly — not only through the engine —
         #: always sees the canonicalized stream.
         self._flush: Optional[callable] = None
-        #: Every tick with at least one raw record, in recording order
-        #: (monotone by construction: records land at the current clock).
+        #: Every retained tick with at least one raw record, in recording
+        #: order (monotone by construction: records land at the current
+        #: clock); folding drops a prefix after the first entry.
         self._ticks: List[float] = []
         #: The open tick's chunks in arrival order; a chunk is a
         #: ``(sign, a, b, lo, hi)`` tuple of one sign and four planes.
@@ -251,6 +303,11 @@ class DeltaLedger:
         self._last_closed: Optional[Tuple[float, NettedPlanes]] = None
         #: Raw records taken since the ledger was armed.
         self._records = 0
+        #: The live subscriptions whose cursors hold retention back.
+        self._subscribers = weakref.WeakSet()
+        #: The oldest tick a read may ask for: ``-inf`` until the first
+        #: fold, then the oldest retained tick.
+        self._retained_from = -math.inf
         self._baseline: Dict[PairKey, Tuple[Row, ...]] = (
             {key: tuple(rows) for key, rows in baseline.items()}
             if baseline
@@ -262,13 +319,32 @@ class DeltaLedger:
         """The tick new records are attributed to."""
         return self._now
 
+    @property
+    def retained_from(self) -> float:
+        """The oldest tick a read may ask for (``-inf`` until a fold).
+
+        After a fold it is the oldest retained tick, whose events net
+        every tick up to it; reading an older tick raises
+        :class:`DeltaRetentionError`.
+        """
+        return self._retained_from
+
+    def subscribe(self, subscription) -> None:
+        """Hold retention behind ``subscription.cursor`` while it lives.
+
+        The ledger keeps a weak reference only: a dropped subscription
+        stops pinning ticks at the next clock move.
+        """
+        self._subscribers.add(subscription)
+
     def advance(self, t: float) -> None:
         """Move the ledger clock forward (monotone non-decreasing).
 
         Moving past the open tick closes it: its netted planes are
-        packed and its raw chunks freed.  Any move also frees the closed
-        tick kept unpacked, so between ticks the ledger holds packed
-        ticks only.
+        packed and its raw chunks freed, and the ticks every
+        subscription has passed may fold into the oldest retained one.
+        Any move also frees the closed tick kept unpacked, so between
+        ticks the ledger holds packed ticks only.
         """
         check_clock(self._now, t)
         if self._flush is not None:
@@ -279,7 +355,32 @@ class DeltaLedger:
                 self._net_open()
                 self._closed[self._now] = self._open_net[1]
                 self._open, self._open_net = [], None
+            self._compact()
         self._now = float(t)
+
+    def _compact(self) -> None:
+        """Fold the passed closed ticks into the oldest retained one,
+        once they hold ``_FOLD_RATIO`` times its events.
+
+        Called when the clock moves, so every retained tick is closed;
+        the newest one is never folded, and neither is a tick some live
+        subscription has not polled past.
+        """
+        ticks = self._ticks
+        cursor = min((sub.cursor for sub in self._subscribers), default=math.inf)
+        # Index of the newest foldable tick: passed by every cursor, and
+        # not the newest closed tick.
+        last = min(bisect_right(ticks, cursor), len(ticks) - 1) - 1
+        if last < 1:
+            return
+        closed = self._closed
+        tail = sum(closed[t][1].shape[0] for t in ticks[1 : last + 1])
+        if tail < _FOLD_RATIO * closed[ticks[0]][1].shape[0]:
+            return
+        folded = ticks[: last + 1]
+        closed[folded[-1]] = _fold_packed([closed.pop(t) for t in folded])
+        del ticks[:last]
+        self._retained_from = folded[-1]
 
     def record(self, sign: int, a_oid: int, b_oid: int, start: float, end: float) -> None:
         """Append one raw transition: the one-row :meth:`record_planes`."""
@@ -307,7 +408,11 @@ class DeltaLedger:
             self._records += a.shape[0]
 
     def ticks(self) -> Tuple[float, ...]:
-        """Every tick that recorded at least one raw transition."""
+        """Every retained tick that recorded at least one raw transition.
+
+        The first one nets every tick folded into it (see
+        :attr:`retained_from`).
+        """
         if self._flush is not None:
             self._flush()
         return tuple(self._ticks)
@@ -320,8 +425,15 @@ class DeltaLedger:
         count and its planes handed out as-is afterwards; a closed tick
         is unpacked from its packed form once, and handed out as-is
         until another closed tick is read or the clock moves.  Either
-        way the arrays are read-only.  A quiet tick has empty planes.
+        way the arrays are read-only.  A quiet tick has empty planes; a
+        tick older than :attr:`retained_from` raises
+        :class:`DeltaRetentionError`.
         """
+        if t < self._retained_from:
+            raise DeltaRetentionError(
+                f"tick {t:g} was folded into tick {self._retained_from:g}, "
+                "the oldest one this ledger retains"
+            )
         if self._flush is not None:
             self._flush()
         if t == self._now:
@@ -355,7 +467,7 @@ class DeltaLedger:
         return events_from_planes(t, self.planes_at(t))
 
     def events(self) -> Iterator[DeltaEvent]:
-        """All netted events, in tick order."""
+        """All retained netted events, in tick order."""
         for t in self._ticks:
             yield from self.events_at(t)
 
@@ -390,7 +502,7 @@ class DeltaLedger:
     def __repr__(self) -> str:
         return (
             f"DeltaLedger(now={self._now:g}, ticks={len(self._ticks)}, "
-            f"records={len(self)})"
+            f"retained_from={self._retained_from:g}, records={len(self)})"
         )
 
 
@@ -410,24 +522,22 @@ def _chunk_planes(chunk):
     return np.full(a.shape[0], sign, dtype=np.int64), a, b, lo, hi
 
 
-def _net_planes(chunks: list) -> Tuple[Packed, NettedPlanes]:
-    """Net one tick's raw chunks into canonical state-diff planes.
+def _net_rows(sign, key, lo, hi) -> Tuple[int, np.ndarray]:
+    """Net signed rows: ``(removals, rows)``, the surviving row indexes.
 
     A stable sort on ``(pair, start, end)`` brings equal rows together
-    in arrival order; the signed count of each run is its net.  A
+    in input order; the signed count of each run is its net.  A
     well-formed record stream alternates presence per row, so the net
     is -1/0/+1.  A count beyond ±1 (a double add or double removal — a
     store-hook bug) is preserved as repeated rows so the
     :class:`DeltaView` fold, and hence the ``SC703`` sanitizer, still
     sees it instead of it vanishing in the netting.  Each surviving row
-    is reported as first recorded (``-0.0`` and ``0.0`` are one row).
-    Returns the packed form and the planes, which share ``lo``/``hi``.
+    is the first of its run (``-0.0`` and ``0.0`` are one row).  The
+    sort is a stable argsort of the key — a timsort, which merges the
+    already-sorted chunks and ticks it is handed instead of sorting them
+    afresh (:func:`~repro.core.columns.pair_lexsort`).  ``rows`` lists
+    the removals first, then the additions, each by pair and interval.
     """
-    sign, a, b, lo, hi = (
-        np.concatenate(planes)
-        for planes in zip(*(_chunk_planes(chunk) for chunk in chunks))
-    )
-    (key,) = pair_keys((a, b))
     order = pair_lexsort(key, lo, hi)
     first = np.flatnonzero(run_heads(key[order], lo[order], hi[order]))
     net = np.add.reduceat(sign[order], first)
@@ -435,18 +545,60 @@ def _net_planes(chunks: list) -> Tuple[Packed, NettedPlanes]:
     # Removals first, then by pair and interval: the runs are already in
     # (pair, start, end) order, so a partition by sign is all it takes.
     gone, come = net < 0, net > 0
+    if np.abs(net).max(initial=0) <= 1:  # a well-formed stream
+        return int(gone.sum()), np.concatenate([rows[gone], rows[come]])
     rows = np.concatenate(
         [np.repeat(rows[gone], -net[gone]), np.repeat(rows[come], net[come])]
     )
-    removals = int(-net[gone].sum())
-    signs = np.repeat(
-        np.array([-1, 1], dtype=np.int64), [removals, rows.shape[0] - removals]
+    return int(-net[gone].sum()), rows
+
+
+def _signs(removals: int, n: int) -> np.ndarray:
+    """The sign plane of ``n`` canonical rows, ``removals`` of them first."""
+    return np.repeat(np.array([-1, 1], dtype=np.int64), [removals, n - removals])
+
+
+def _net_planes(chunks: list) -> Tuple[Packed, NettedPlanes]:
+    """Net one tick's raw chunks into canonical state-diff planes
+    (:func:`_net_rows`).
+
+    Returns the packed form and the planes, which share ``lo``/``hi``.
+    """
+    sign, a, b, lo, hi = (
+        np.concatenate(planes)
+        for planes in zip(*(_chunk_planes(chunk) for chunk in chunks))
     )
+    (key,) = pair_keys((a, b))
+    removals, rows = _net_rows(sign, key, lo, hi)
     packed = (removals, key[rows], lo[rows], hi[rows])
-    planes = (signs, a[rows], b[rows], *packed[2:])
+    planes = (_signs(removals, rows.shape[0]), a[rows], b[rows], *packed[2:])
     for plane in planes:
         plane.flags.writeable = False  # memoized and shared with readers
     return packed, NettedPlanes(planes)
+
+
+def _fold_packed(ticks: List[Packed]) -> Packed:
+    """Net consecutive closed ticks into one packed tick (:func:`_net_rows`).
+
+    The ticks' packed planes are concatenated in tick order — each one
+    canonical, so the key sort merges sorted runs — and netted without
+    unpacking a key.  The result is the state diff across all of them:
+    a row added in one tick and removed in a later one is gone, and a
+    count beyond ±1 stays repeated rows.
+    """
+    keys = [key for _removals, key, _lo, _hi in ticks]
+    if len({key.dtype for key in keys}) > 1:  # a wide key among packed ones
+        keys = pair_keys(*map(unpack_pair_keys, keys))
+    key = np.concatenate(keys)
+    lo = np.concatenate([packed[2] for packed in ticks])
+    hi = np.concatenate([packed[3] for packed in ticks])
+    if not key.shape[0]:
+        return 0, key, lo, hi
+    sign = np.concatenate([_signs(packed[0], packed[1].shape[0]) for packed in ticks])
+    removals, rows = _net_rows(sign, key, lo, hi)
+    lo, hi = lo[rows], hi[rows]
+    lo.flags.writeable = hi.flags.writeable = False  # shared by unpacked planes
+    return removals, key[rows], lo, hi
 
 
 def _unpack(packed: Packed) -> NettedPlanes:
@@ -531,8 +683,15 @@ def fold_events(source, upto: Optional[float] = None) -> DeltaView:
     ``source`` needs ``ticks()`` / ``events_at(t)``; a ``baseline_rows``
     attribute, when present, seeds the view (restored shards).  Ticks
     strictly after ``upto`` are skipped, so sampling the view at every
-    tick of a run is one fold per sample over an already-netted stream.
+    retained tick of a run is one fold per sample over an already-netted
+    stream; an ``upto`` older than the source's ``retained_from`` raises
+    :class:`DeltaRetentionError`, as that state was folded away.
     """
+    if upto is not None and upto < getattr(source, "retained_from", -math.inf):
+        raise DeltaRetentionError(
+            f"cannot fold up to tick {upto:g}: the oldest retained tick is "
+            f"{source.retained_from:g}"
+        )
     baseline = getattr(source, "baseline_rows", None)
     view = DeltaView(baseline() if baseline is not None else None)
     for t in source.ticks():

@@ -9,6 +9,15 @@ subscriber sees every transition exactly once; pass
 ``include_open=True`` on the last poll of a run to flush the still-open
 tick.
 
+The cursor is a tick, the newest one the subscription has consumed
+(``-inf`` before its first poll), so a poll reads only the ticks after
+it.  A subscription registers weakly with a ledger
+(:meth:`~repro.deltas.ledger.DeltaLedger.subscribe`), which folds a
+closed tick into its oldest retained tick only once every live cursor
+has passed it: a subscription that stops polling pins the ticks after
+its cursor until it is dropped, and one opened late starts at the
+oldest retained tick, which nets everything before it.
+
 A poll reads the source's netted planes (``planes_at``) and builds
 :class:`~repro.deltas.ledger.DeltaEvent` tuples for the matching rows
 only — never a Python visit of every event of the tick.  An oid watch
@@ -31,6 +40,8 @@ Filters:
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from typing import Callable, FrozenSet, List, Optional, Set, Tuple
 
 import numpy as np
@@ -66,7 +77,9 @@ class DeltaSubscription:
     object ids inside it at the current clock.
     """
 
-    __slots__ = ("_source", "_oid", "_region", "_index", "_region_oids", "_cursor")
+    __slots__ = (
+        "_source", "_oid", "_region", "_index", "_region_oids", "_cursor", "__weakref__",
+    )
 
     def __init__(
         self,
@@ -86,8 +99,17 @@ class DeltaSubscription:
         self._region = region
         self._index = index
         self._region_oids = region_oids
-        #: Number of source ticks already consumed (ticks are append-only).
-        self._cursor = 0
+        #: The newest source tick already consumed.
+        self._cursor = -math.inf
+        subscribe = getattr(source, "subscribe", None)
+        if subscribe is not None:
+            subscribe(self)
+
+    @property
+    def cursor(self) -> float:
+        """The newest tick this subscription has consumed (``-inf``
+        before its first poll); its ledger retains every tick after it."""
+        return self._cursor
 
     def poll(self, include_open: bool = False) -> List[DeltaEvent]:
         """Matching events of every tick closed since the last poll.
@@ -99,12 +121,13 @@ class DeltaSubscription:
         source = self._source
         ticks = source.ticks()
         now = source.now
+        start = bisect_right(ticks, self._cursor)
         upto = len(ticks)
         if not include_open:
-            while upto > self._cursor and ticks[upto - 1] >= now:
+            while upto > start and ticks[upto - 1] >= now:
                 upto -= 1
         matched: List[DeltaEvent] = []
-        if upto > self._cursor:
+        if upto > start:
             # The filter is resolved once per poll, and only when there
             # is a tick to apply it to (a region costs two column scans).
             oid = self._oid
@@ -113,7 +136,7 @@ class DeltaSubscription:
                 if self._region is None
                 else np.sort(self._region_oids(self._region))
             )
-            for t in ticks[self._cursor:upto]:
+            for t in ticks[start:upto]:
                 planes = source.planes_at(t)
                 _sign, a, b, _lo, _hi = planes
                 if oid is not None:
@@ -127,7 +150,7 @@ class DeltaSubscription:
                         continue
                     planes = [plane[rows] for plane in planes]
                 matched.extend(events_from_planes(t, planes))
-            self._cursor = upto
+            self._cursor = ticks[upto - 1]
         return matched
 
     def current_pairs(self) -> Set[PairKey]:
@@ -152,4 +175,4 @@ class DeltaSubscription:
             what = f"region={self._region!r}"
         else:
             what = "all"
-        return f"DeltaSubscription({what}, consumed={self._cursor})"
+        return f"DeltaSubscription({what}, cursor={self._cursor:g})"

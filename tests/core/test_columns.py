@@ -410,3 +410,19 @@ def test_pair_lexsort_is_lexsort(rows, sorted_runs):
     assert pair_lexsort(key, lo, hi).tolist() == np.lexsort((hi, lo, key)).tolist()
     assert pair_lexsort(key, lo).tolist() == np.lexsort((lo, key)).tolist()
     assert pair_lexsort(key).tolist() == np.lexsort((key,)).tolist()
+
+
+@pytest.mark.parametrize("rows", [3_000, 120_000])
+def test_pair_lexsort_of_many_disordered_groups(rows):
+    """Sorted runs whose key groups interleave out of order: the groups
+    are re-sorted by one packed integer sort, or by ``lexsort`` once the
+    packed fields pass 63 bits; both give ``lexsort``'s permutation."""
+    rng = np.random.default_rng(rows)
+    a, b = rng.integers(0, rows // 8, rows), rng.integers(0, 4, rows)
+    lo = rng.choice([0.0, -0.0, 0.5, 1.0, 2.5], rows)
+    hi = rng.choice([1.0, 2.0, float("inf")], rows)
+    runs = np.array_split(np.arange(rows), 5)
+    order = np.concatenate([run[np.lexsort((hi[run], lo[run], b[run], a[run]))] for run in runs])
+    (key,) = pair_keys((a[order], b[order]))
+    lo, hi = lo[order], hi[order]
+    assert pair_lexsort(key, lo, hi).tolist() == np.lexsort((hi, lo, key)).tolist()

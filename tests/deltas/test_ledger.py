@@ -21,11 +21,13 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+from repro.check.sanitize import check_delta_ledger
 from repro.core import ColumnarJoinEngine, JoinConfig
 from repro.deltas import (
     DeltaEvent,
     DeltaLedger,
     DeltaReplayError,
+    DeltaRetentionError,
     DeltaView,
     fold_events,
 )
@@ -151,8 +153,9 @@ class TestRetention:
     def test_no_tick_keeps_its_tuples(self):
         """The ledger holds no event tuple: after 50 ticks of
         ``deltas(t)`` and polls it retains no :class:`DeltaEvent` once
-        the caller drops its tuples, every closed tick is packed, and
-        every tick still re-reads and folds exactly."""
+        the caller drops its tuples, every closed tick is packed, every
+        retained tick after the oldest re-reads equal, the oldest nets
+        every tick folded into it, and the whole fold is exact."""
         scenario = delta_workload()
         engine = ColumnarJoinEngine(
             scenario.set_a, scenario.set_b, "mtb", JoinConfig(t_m=T_M, deltas=True)
@@ -170,9 +173,20 @@ class TestRetention:
         assert len(read) == 51 and sum(map(len, read.values())) > 20 * len(read[50.0])
         last = read[50.0]
         assert len(last) > 0 and reachable_events(ledger) == []
-        # Every tick is rebuilt from its planes: equal, not retained.
-        assert all(ledger.events_at(t) == events for t, events in read.items())
+        oldest, *later = ledger.ticks()
+        assert 0.0 < oldest == ledger.retained_from  # folds ran
+        # Every later tick is rebuilt from its planes: equal, not retained.
+        assert all(ledger.events_at(t) == read[t] for t in later)
         assert ledger.events_at(50.0) == last and ledger.events_at(50.0) is not last
+        # The oldest retained tick is the net of every tick up to it.
+        folded = DeltaView()
+        for t in sorted(read):
+            if t <= oldest:
+                for event in read[t]:
+                    folded.apply(event)
+        assert fold_events(ledger, upto=oldest).rows() == folded.rows()
+        with pytest.raises(DeltaRetentionError, match="folded"):
+            engine.deltas(0.0)
         del read, last
         assert reachable_events(ledger) == []
         # Only the open tick has raw chunks; every other one is packed.
@@ -181,26 +195,167 @@ class TestRetention:
         assert fold_events(ledger).rows() == engine.store.interval_rows()
 
     def test_retained_bytes_per_event(self):
-        """Over 200 ticks the ledger keeps ~24 B per netted event: a
-        packed pair key, ``lo`` and ``hi``, plus per-tick slack — not the
-        raw chunks and netted planes of every tick (~70 B per event)."""
+        """Over 200 ticks the ledger keeps ~24 B per retained netted
+        event — a packed pair key, ``lo`` and ``hi``, plus per-tick slack
+        — and retains at most three times the store's rows plus the
+        newest closed and the open tick, not every tick it ever saw."""
         scenario = delta_workload(n=200)
         engine = ColumnarJoinEngine(
             scenario.set_a, scenario.set_b, "mtb", JoinConfig(t_m=T_M, deltas=True)
         )
         engine.run_initial_join()
         watch = engine.watch()
+        emitted = len(engine.deltas())
         for t, batch in delta_batches(scenario, t_end=200.0):
             engine.tick(t)
             engine.apply_updates(batch)
-            engine.deltas(t)
+            emitted += len(engine.deltas(t))
             watch.poll()
         ledger = engine.ledger
+        engine.tick(201.0)  # every recorded tick closed and packed
+        retained = ledger.approx_bytes()
         events = sum(1 for _ in ledger.events())
-        closed = len(ledger.ticks()) - 1
-        assert closed >= 200 and events > 50 * closed  # the bound has teeth
-        assert ledger.approx_bytes() <= 24 * events + 1024 * closed
+        rows = len(engine.store.planes()[0])
+        edge = len(ledger.events_at(ledger.ticks()[-1]))
+        assert emitted > 10 * events  # the bound has teeth
+        assert events <= 3 * rows + edge
+        assert retained <= 24 * events + 1024 * len(ledger.ticks())
         assert fold_events(ledger).rows() == engine.store.interval_rows()
+
+
+def small_engine(n=60):
+    """A columnar mtb engine with its ledger armed, initial join run."""
+    scenario = delta_workload(n=n)
+    engine = ColumnarJoinEngine(
+        scenario.set_a, scenario.set_b, "mtb", JoinConfig(t_m=T_M, deltas=True)
+    )
+    engine.run_initial_join()
+    return scenario, engine
+
+
+def retained_events(ledger):
+    return sum(ledger.planes_at(t)[0].shape[0] for t in ledger.ticks())
+
+
+class TestCompaction:
+    """Closed ticks fold into the oldest retained one once every cursor
+    has passed them: memory follows the store, not the run's length."""
+
+    def test_ledger_bytes_stay_flat_over_500_ticks(self):
+        scenario, engine = small_engine()
+        ledger = engine.ledger
+        sizes, rows = [], 0
+        for t, batch in delta_batches(scenario, t_end=500.0):
+            engine.tick(t)
+            engine.apply_updates(batch)
+            engine.deltas(t)
+            # The oldest tick holds the store's rows as of its own tick,
+            # and the foldable ticks fold before they hold twice that.
+            rows = max(rows, len(engine.store.planes()[0]))
+            ticks = ledger.ticks()
+            edge = sum(ledger.planes_at(u)[0].shape[0] for u in ticks[-2:])
+            assert retained_events(ledger) <= 3 * rows + edge, t
+            sizes.append(ledger.approx_bytes())
+        assert len(sizes) == 500 and len(ledger.ticks()) < 100
+        # Flat: the second half never outgrows the first.  Keeping every
+        # tick would double it.
+        assert max(sizes[250:]) <= 1.5 * max(sizes[:250])
+        assert fold_events(ledger).rows() == engine.store.interval_rows()
+
+    def test_an_idle_subscription_pins_and_dropping_it_releases(self):
+        scenario, engine = small_engine()
+        ledger = engine.ledger
+        batches = delta_batches(scenario, t_end=120.0)
+        idle = engine.watch()
+        for t, batch in batches[:60]:
+            engine.tick(t)
+            engine.apply_updates(batch)
+            if t == 5.0:
+                idle.poll()
+        assert idle.cursor == 4.0
+        # Every tick after the cursor is still there: nothing passed it.
+        assert ledger.ticks()[0] <= 4.0 and set(range(5, 60)) <= set(ledger.ticks())
+        pinned = ledger.approx_bytes()
+        del idle
+        for t, batch in batches[60:70]:
+            engine.tick(t)
+            engine.apply_updates(batch)
+        assert ledger.retained_from > 60.0 and len(ledger.ticks()) < 20
+        assert ledger.approx_bytes() < pinned / 2
+        assert fold_events(ledger).rows() == engine.store.interval_rows()
+
+    def test_reading_a_folded_tick_raises(self):
+        ledger = DeltaLedger(0.0)
+        ledger.record(1, 1, 2, 0.0, 9.0)
+        for t in (1.0, 2.0, 3.0):
+            ledger.advance(t)
+            ledger.record(1, int(t) + 10, 2, t, 9.0)
+        assert ledger.ticks() == (0.0, 1.0, 2.0, 3.0)  # 3.0 is open
+        ledger.advance(4.0)  # ticks 1 and 2 hold 2x tick 0: they fold
+        assert ledger.ticks() == (2.0, 3.0) and ledger.retained_from == 2.0
+        for t in (0.0, 1.0, 1.5):
+            with pytest.raises(DeltaRetentionError, match=f"tick {t:g} was folded"):
+                ledger.events_at(t)
+            with pytest.raises(LookupError):
+                fold_events(ledger, upto=t)
+        assert [(ev.tick, ev.a_oid) for ev in ledger.events_at(2.0)] == [
+            (2.0, 1), (2.0, 11), (2.0, 12)
+        ]
+        assert fold_events(ledger, upto=2.0).rows() == {
+            (1, 2): ((0.0, 9.0),), (11, 2): ((1.0, 9.0),), (12, 2): ((2.0, 9.0),)
+        }
+        assert ledger.events_at(3.0) == (DeltaEvent(3.0, 1, 13, 2, 3.0, 9.0),)
+
+    def test_engine_deltas_of_a_folded_tick_raise(self):
+        scenario, engine = small_engine()
+        for t, batch in delta_batches(scenario, t_end=40.0):
+            engine.tick(t)
+            engine.apply_updates(batch)
+        oldest = engine.ledger.retained_from
+        assert oldest > 1.0
+        with pytest.raises(DeltaRetentionError):
+            engine.deltas(oldest - 1.0)
+        assert engine.deltas(oldest)  # the oldest retained tick answers
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_sc703_sees_a_bad_record_after_its_tick_folds(self, sign):
+        """A double add (or a phantom removal) of a row the store never
+        touches stays a count beyond the store's state through any fold."""
+        scenario, engine = small_engine()
+        ledger = engine.ledger
+        bad = (2**40, -3, 1.0, 2.0)  # a wide key among packed ones
+        for t, batch in delta_batches(scenario, t_end=40.0):
+            engine.tick(t)
+            engine.apply_updates(batch)
+            if t == 3.0:
+                for _ in range(2 if sign > 0 else 1):
+                    ledger.record(sign, *bad)
+        assert ledger.retained_from > 3.0  # the bad tick was folded
+        findings = check_delta_ledger(engine.store, ledger)
+        assert [f.code for f in findings] == ["SC703"]
+        assert ("duplicate add" if sign > 0 else "absent") in findings[0].message
+
+    def test_a_poll_reads_only_the_ticks_after_its_cursor(self, monkeypatch):
+        scenario, engine = small_engine()
+        ledger = engine.ledger
+        read = []
+        planes_at = DeltaLedger.planes_at
+
+        def spy(self, t):
+            read.append(t)
+            return planes_at(self, t)
+
+        sub = engine.watch()
+        monkeypatch.setattr(DeltaLedger, "planes_at", spy)
+        for t, batch in delta_batches(scenario, t_end=60.0):
+            engine.tick(t)
+            engine.apply_updates(batch)
+            before = sub.cursor
+            read.clear()
+            sub.poll()
+            assert read == [u for u in ledger.ticks() if before < u < t], t
+            assert sub.cursor == t - 1.0
+        assert ledger.retained_from > 1.0  # folds ran behind the cursor
 
 
 # ----------------------------------------------------------------------

@@ -12,11 +12,19 @@ rather than a 60-object scenario.
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import ContinuousJoinEngine, JoinConfig
-from repro.deltas import DeltaEvent, DeltaLedger, DeltaView, fold_events
+from repro.deltas import (
+    DeltaEvent,
+    DeltaLedger,
+    DeltaRetentionError,
+    DeltaSubscription,
+    DeltaView,
+    fold_events,
+)
 
 from .conftest import T_M, delta_batches, delta_workload, plane_rows
 
@@ -58,8 +66,11 @@ def test_deltas_advance_the_previous_view_to_the_store(n, seed):
 @engine_runs
 @given(seed=st.integers(min_value=0, max_value=40))
 def test_stream_is_append_only_and_tick_monotone(seed):
-    """Earlier ticks never change and never reorder: each mutation may
-    only extend the tick sequence and rewrite the open tick's net."""
+    """Retained ticks never change and never reorder: each mutation may
+    only extend the tick sequence and rewrite the open tick's net.  A
+    clock move may also fold a prefix of closed ticks into the oldest
+    retained one: its events then net every folded tick, and reading a
+    folded tick raises."""
     scenario = delta_workload(n=40, seed=seed)
     engine = ContinuousJoinEngine(
         scenario.set_a,
@@ -68,19 +79,39 @@ def test_stream_is_append_only_and_tick_monotone(seed):
         JoinConfig(t_m=T_M, node_capacity=8, deltas=True),
     )
     engine.run_initial_join()
-    seen_ticks = engine.ledger.ticks()
-    closed = {}
-    for t, batch in delta_batches(scenario, seed=seed + 1):
+    ledger = engine.ledger
+    seen_ticks = ledger.ticks()
+    history = {}  # every closed tick's events, as read before any fold
+    for t, batch in delta_batches(scenario, seed=seed + 1, t_end=24.0):
         engine.tick(t)
-        closed = {u: engine.deltas(u) for u in seen_ticks}
+        oldest = ledger.retained_from
+        kept = tuple(u for u in seen_ticks if u >= oldest)
+        assert ledger.ticks()[: len(kept)] == kept  # only a prefix went
+        for u in seen_ticks:
+            if u < oldest:
+                with pytest.raises(DeltaRetentionError):
+                    engine.deltas(u)
+        # The oldest retained tick is the net of everything up to it.
+        view = DeltaView()
+        for u in sorted(history):
+            if u <= oldest:
+                for event in history[u]:
+                    view.apply(event)
+        if oldest in history:
+            assert fold_events(ledger, upto=oldest).rows() == view.rows(), (oldest, t)
+        seen_ticks = ledger.ticks()
+        closed = {u: engine.deltas(u) for u in seen_ticks if u < t}
+        for u, events in closed.items():
+            history.setdefault(u, events)
         for obj in batch:
             engine.apply_update(obj)
-            ticks = engine.ledger.ticks()
+            ticks = ledger.ticks()
             assert ticks[: len(seen_ticks)] == seen_ticks  # append-only
             assert all(a < b for a, b in zip(ticks, ticks[1:]))  # monotone
             seen_ticks = ticks
         for u, events in closed.items():
             assert engine.deltas(u) == events, (u, t)  # closed ticks frozen
+    assert ledger.retained_from > 0.0  # the run folded
 
 
 # ----------------------------------------------------------------------
@@ -295,3 +326,74 @@ def test_vectorized_netting_equals_the_reference(script):
     again = ledger.events_at(2.0)
     assert ledger.events_at(2.0) == again and ledger.events_at(2.0)[0] is not again[0]
     assert again == net_events_reference(2.0, raw + [(1, 99, 99, 0.0, 1.0)])
+
+
+# ----------------------------------------------------------------------
+# Folding: closed ticks net into the oldest retained one
+# ----------------------------------------------------------------------
+fold_script = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("record"),
+            signs,
+            st.lists(st.one_of(net_rows, wide_rows), min_size=1, max_size=4),
+        ),
+        st.tuples(st.just("advance"), st.just(None), st.just(None)),
+        st.tuples(st.just("poll"), st.just(None), st.just(None)),
+    ),
+    max_size=40,
+)
+
+
+def signed_counts(events):
+    """Row -> summed sign, zero sums dropped (``-0.0`` is ``0.0``)."""
+    counts = {}
+    for event in events:
+        row = (event.a_oid, event.b_oid, event.start, event.end)
+        counts[row] = counts.get(row, 0) + event.sign
+    return {row: count for row, count in counts.items() if count}
+
+
+@settings(max_examples=300, deadline=None)
+@given(script=fold_script, watched=st.booleans())
+@example(  # ticks 1 and 2 would fold past the watch's cursor at tick 0
+    script=[
+        ("record", 1, [(0, 0, 0.0, 1.0)]),
+        ("advance", None, None),
+        ("poll", None, None),
+        ("record", 1, [(1, 1, 0.0, 1.0), (2, 2, 0.0, 1.0)]),
+        ("advance", None, None),
+        ("record", -1, [(1, 1, 0.0, 1.0)]),
+        ("advance", None, None),
+    ],
+    watched=True,
+)
+def test_folded_ticks_net_like_the_reference(script, watched):
+    """However the clock moves and a watch polls, the oldest retained
+    tick is the reference netting of every raw record up to it (double
+    adds and phantom removals included), each later tick is its own,
+    and the watch's deliveries sum to the retained stream: retention
+    never passed its cursor."""
+    ledger = DeltaLedger(0.0)
+    sub = DeltaSubscription(ledger) if watched else None
+    raw, delivered = {}, []
+    for op, sign, rows in script:
+        if op == "record":
+            for row in rows:
+                ledger.record(sign, *row)
+                raw.setdefault(ledger.now, []).append((sign, *row))
+        elif op == "advance":
+            ledger.advance(ledger.now + 1.0)
+        elif sub is not None:
+            delivered += sub.poll()
+    ledger.advance(ledger.now + 1.0)
+    ticks = ledger.ticks()
+    assert ticks == tuple(t for t in sorted(raw) if t >= ledger.retained_from)
+    if ticks:
+        head = [record for t in sorted(raw) if t <= ticks[0] for record in raw[t]]
+        assert ledger.events_at(ticks[0]) == net_events_reference(ticks[0], head)
+    for t in ticks[1:]:
+        assert ledger.events_at(t) == net_events_reference(t, raw[t])
+    if sub is not None:
+        delivered += sub.poll()
+        assert signed_counts(delivered) == signed_counts(ledger.events())

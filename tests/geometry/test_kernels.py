@@ -229,6 +229,11 @@ class TestFilterParity:
                 intersection_interval(kb, other, t0, t1) is not None
             ), (i, kb, other)
 
+    def test_rejects_inverted_window(self):
+        batch = batch_of([random_kbox(random.Random(0))])
+        with pytest.raises(ValueError):
+            batch_filter_against(batch, batch.box(0), 5.0, 4.0)
+
 
 class TestSweepParity:
     """ps/all-pairs kernels return the *same triples in the same order*."""
@@ -349,6 +354,20 @@ def filter_cases(draw):
         boxes_a.append(a)
         boxes_b.append(b)
     return boxes_a, boxes_b, t0, t1
+
+
+class TestFilterAtTheBoundary:
+    @given(filter_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_mask_is_the_probe_windows_ok_at_the_boundary(self, case):
+        """Contact at a window end, equal or subnormal relative speeds,
+        gaps of one ulp: the mask-only reduction decides every row as
+        the byte-exact sequential clamps do."""
+        boxes_a, boxes_b, t0, t1 = case
+        batch = batch_of(boxes_a)
+        for other in boxes_b:
+            want = batch_probe_windows(batch, other, t0, t1)[2]
+            assert batch_filter_against(batch, other, t0, t1).tolist() == want.tolist()
 
 
 def assert_sweep_join_matches(boxes_a, boxes_b, t0, t1):

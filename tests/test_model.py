@@ -6,7 +6,8 @@ equals the join over the current motions.  One hypothesis state machine
 drives every serial engine that keeps a result store in lockstep, and
 after every rule holds each to :func:`repro.join.brute_force_pairs_at`
 over the model's objects, to the engines that must store the very same
-rows, to its delta ledger, to the reference store and to the sanitizer.
+rows, to its delta ledger and the watches on it, to the reference store
+and to the sanitizer.
 
 Coordinates, sides, speeds and tick lengths are multiples of 1/4 within
 small bounds, so every position the oracle computes is exact and every
@@ -30,7 +31,7 @@ import pytest
 
 from repro.check import sanitize_engine
 from repro.core import ColumnarJoinEngine, ContinuousJoinEngine, JoinConfig
-from repro.deltas import DeltaLedger, fold_events
+from repro.deltas import DeltaLedger, DeltaView, fold_events
 from repro.geometry import Box
 from repro.join import brute_force_pairs_at
 from repro.objects import MovingObject
@@ -121,6 +122,13 @@ class JoinModel(RuleBasedStateMachine):
         #: look-ahead offsets read before and since the last clock move;
         #: the clock (offset 0) is read after every rule.
         self.read_before, self.read_since = set(), set()
+        #: per engine: a whole-stream watch opened at build and polled
+        #: after every rule, and the view its deliveries fold into; and
+        #: one polled only by its own rule, which ticks fold behind.
+        self.watches, self.lagging = (
+            {name: (engine.watch(), DeltaView()) for name, engine in self.engines.items()}
+            for _ in range(2)
+        )
 
     # ------------------------------------------------------------------
     # Model helpers
@@ -242,6 +250,12 @@ class JoinModel(RuleBasedStateMachine):
                 streams.append(first)
             assert all(stream == streams[0] for stream in streams), group
 
+    @rule()
+    def poll_lagging_watches(self):
+        for watch, view in self.lagging.values():
+            for event in watch.poll():
+                view.apply(event)
+
     @rule(bad=st.sampled_from(["nan", "inf", "-inf", "backwards"]))
     def refused_tick(self, bad):
         t = self.now - 0.25 if bad == "backwards" else float(bad)
@@ -312,6 +326,26 @@ class JoinModel(RuleBasedStateMachine):
             store = self.stores[name]
             store.flush()  # pending rows reach the ledger at a flush
             assert fold_events(engine.ledger).rows() == store.interval_rows(), name
+
+    @invariant()
+    def watches_fold_onto_stores(self):
+        """What a watch delivered, plus every retained tick after its
+        cursor, folds onto the store: retention never passed a cursor (a
+        folded tick it had read would come back inside the oldest
+        retained one)."""
+        for name, engine in self.engines.items():
+            store = self.stores[name]
+            store.flush()
+            watch, view = self.watches[name]
+            for event in watch.poll():
+                view.apply(event)
+            for watch, view in (self.watches[name], self.lagging[name]):
+                now = DeltaView(view.rows())
+                for t in engine.ledger.ticks():
+                    if t > watch.cursor:
+                        for event in engine.ledger.events_at(t):
+                            now.apply(event)
+                assert now.rows() == store.interval_rows(), name
 
     @invariant()
     def sanitizer_is_clean(self):
