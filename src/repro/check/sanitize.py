@@ -514,26 +514,23 @@ def check_column_store(store, t_now: float, label: str = "columns") -> List[Find
     return findings
 
 
-def check_delta_ledger(store, source, label: str = "ledger") -> List[Finding]:
-    """Reconcile a delta event source against its live store (SC701–SC703).
-
-    ``source`` is anything with the ledger read surface — a
-    :class:`~repro.deltas.DeltaLedger` (per-engine, possibly carrying a
-    restore baseline) or a :class:`~repro.deltas.ShardDeltaMerger` (the
-    sharded parent).  Three invariants:
+def check_delta_ledger(store, ledger, label: str = "ledger") -> List[Finding]:
+    """Reconcile a :class:`~repro.deltas.DeltaLedger` against its live
+    store (SC701–SC703).  Three invariants:
 
     * **SC702** — the tick sequence is strictly increasing (events are
       appended in clock order, never back-dated).
     * **SC703** — the netted stream is well-formed: folding it never
       adds a row twice nor removes an absent one (the exactly-once
       grammar; a duplicated or lost emission surfaces here).
-    * **SC701** — the fold lands exactly on the store: baseline ⊕
-      events equals the live interval rows bit-for-bit.
+    * **SC701** — the fold lands exactly on the store: the events,
+      folded from an empty store, equal the live interval rows
+      bit-for-bit.
     """
     from ..deltas import DeltaReplayError, DeltaView
 
     findings: List[Finding] = []
-    ticks = source.ticks()
+    ticks = ledger.ticks()
     for i in range(1, len(ticks)):
         if not ticks[i - 1] < ticks[i]:
             findings.append(Finding(
@@ -543,10 +540,9 @@ def check_delta_ledger(store, source, label: str = "ledger") -> List[Finding]:
                 f"{label}/tick {i}",
             ))
             return findings
-    baseline = getattr(source, "baseline_rows", None)
-    view = DeltaView(baseline() if baseline is not None else None)
+    view = DeltaView()
     for t in ticks:
-        for event in source.events_at(t):
+        for event in ledger.events_at(t):
             try:
                 view.apply(event)
             except DeltaReplayError as exc:
@@ -882,14 +878,9 @@ def _sanitize_forest_engine(engine) -> List[Finding]:
 
 def sanitize_sharded_engine(engine) -> List[Finding]:
     """The SC401–SC403 shard invariants over the engine's export, plus
-    SC501–SC503 when supervised and the SC701–SC703 reconciliation of
-    the merged delta stream when delta streams are on."""
+    SC501–SC503 when supervised."""
     state = engine.export_state()
     findings = check_sharded_state(state)
     if state.get("supervisor") is not None:
         findings.extend(check_supervisor_state(state["supervisor"]))
-    if engine._merger is not None:
-        findings.extend(check_delta_ledger(
-            engine.merged_store(), engine._merger, label="sharded-deltas"
-        ))
     return findings

@@ -350,7 +350,8 @@ class ColumnarJoinEngine:
         the stores are maintained bit-identically.  Retention is the
         serial engine's too: a tick older than ``ledger.retained_from``
         was folded into that tick and raises
-        :class:`~repro.deltas.DeltaRetentionError`.
+        :class:`~repro.deltas.DeltaRetentionError`, and a tick after
+        the clock raises :class:`ValueError`.
         """
         if self.ledger is None:
             raise RuntimeError(

@@ -41,8 +41,9 @@ class JoinConfig:
     #: Maintain a :class:`~repro.deltas.DeltaLedger` next to the result
     #: store: every mutation records signed ``(tick, pair, ±interval)``
     #: events, exposed via ``engine.deltas(t)`` / ``engine.watch(...)``.
-    #: Off by default — the store's hot paths then pay one ``None``
-    #: test per mutation.
+    #: The tree and columnar engines keep one; the sharded engine and
+    #: the store-less ``etp`` refuse it.  Off by default — the store's
+    #: hot paths then pay one ``None`` test per mutation.
     deltas: bool = field(default=False, compare=False)
     #: Supervised shard round-trip timeout in wall seconds
     #: (:class:`~repro.par.supervisor.ShardSupervisor`): a worker that

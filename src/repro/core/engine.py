@@ -293,10 +293,11 @@ class ContinuousJoinEngine:
 
         The ledger folds the closed ticks every open watch has polled
         past into its oldest retained tick (``ledger.retained_from``),
-        whose events then take the store from its baseline to the end
-        of that tick.  A ``t`` older than that tick raises
-        :class:`~repro.deltas.DeltaRetentionError`; the newest closed
-        tick and the open one are never folded.
+        whose events then take the store from empty to the end of that
+        tick.  A ``t`` older than that tick raises
+        :class:`~repro.deltas.DeltaRetentionError`, and a ``t`` after
+        the clock raises :class:`ValueError`; the newest closed tick and
+        the open one are never folded.
         """
         if self.ledger is None:
             raise RuntimeError(

@@ -237,7 +237,7 @@ class ColumnResultStore:
 
         Pending mutations are flushed *before* the swap so rows added
         while detached are never retroactively reported to the new
-        ledger (the checkpoint-restore re-add path relies on this).
+        ledger.
         The ledger gets this store's ``flush`` as its drain hook, so
         reading it directly (not through the engine) still sees every
         deferred mutation of the tick.

@@ -4,7 +4,7 @@ The continuous join's answer is a materialized view (the
 :class:`~repro.core.result.ColumnResultStore`).  This package maintains
 the *change* contract next to it: every store mutation is recorded in a
 :class:`DeltaLedger` as signed ``(tick, pair, ±interval)`` events, and
-folding the retained event stream from its baseline reconstructs the
+folding the retained event stream from an empty store reconstructs the
 store bit-for-bit (the replay-equivalence property pinned by
 ``tests/deltas/``).
 
@@ -20,10 +20,8 @@ store bit-for-bit (the replay-equivalence property pinned by
 * :class:`DeltaView` — the exact fold target: applies events by
   multiset insert/remove, raising :class:`DeltaReplayError` on a
   duplicate add or a phantom removal (the exactly-once teeth).
-* :class:`ShardDeltaMerger` — parent-side merge of per-shard ledgers in
-  tick order, idempotent against supervisor checkpoint/replay.
 * :class:`DeltaSubscription` — ``engine.watch(oid=…)`` /
-  ``watch(region=…)`` filtered polling over any event source: masks
+  ``watch(region=…)`` filtered polling over one ledger: masks
   over the netted planes, events built for the matching rows only.
 """
 
@@ -35,7 +33,6 @@ from .ledger import (
     DeltaView,
     fold_events,
 )
-from .merge import ShardDeltaMerger
 from .watch import DeltaSubscription
 
 __all__ = [
@@ -45,6 +42,5 @@ __all__ = [
     "DeltaRetentionError",
     "DeltaView",
     "fold_events",
-    "ShardDeltaMerger",
     "DeltaSubscription",
 ]

@@ -26,8 +26,8 @@ Netting
 Within one tick a row may bounce (removed by invalidation, re-added by
 the re-probe).  :meth:`DeltaLedger.events_at` nets the raw record: the
 returned events are exactly the store's state diff across the tick, so
-the netted per-tick stream is *engine independent* — serial, columnar
-and sharded runs over the same workload emit identical netted streams.
+the netted per-tick stream is *engine independent* — the tree and
+columnar engines over the same workload emit identical netted streams.
 Netting is one vectorized sort-and-sum over the tick's raw planes; its
 result — the tick's netted ``(sign, a, b, lo, hi)`` planes, canonically
 ordered (removals first, then by pair and interval) — is what
@@ -50,11 +50,11 @@ netting redone, and no garbage collection inside the build:
 :func:`events_from_planes`); the ledger
 keeps no tuple, so no event outlives its reader.
 
-A ledger may carry a *baseline*: the store rows at the moment the
-ledger was (re)armed.  A fresh engine has an empty baseline; a shard
-restored from a checkpoint is re-armed with the tick-start rows so the
-reconciliation invariant ``baseline ⊕ events == store`` (sanitizer code
-``SC701``) holds across recovery without re-emitting history.
+A ledger is armed next to an empty store, so the reconciliation
+invariant is ``fold(events) == store`` (sanitizer code ``SC701``).
+A tick is read only once it has begun: asking for a tick after the
+clock raises :class:`ValueError` rather than answering with an empty
+tick that would fill later.
 
 Retention
 ---------
@@ -68,7 +68,7 @@ retained tick: their packed planes and the oldest tick's are netted
 together in one pass over the already-sorted planes, and the result
 is kept under the newest folded tick.  So the *oldest retained tick*
 stands for every tick up to and including it: its events take the
-store from the baseline to its state at the end of that tick, and
+store from empty to its state at the end of that tick, and
 ``fold_events``, the signed sum and ``SC701``–``SC703`` hold unchanged
 over the retained stream.  Netting keeps a count beyond ±1 as repeated
 rows, so a duplicate add or a phantom removal survives a fold and
@@ -92,7 +92,7 @@ import weakref
 from bisect import bisect_left, bisect_right
 from functools import partial
 from itertools import repeat
-from typing import Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -109,7 +109,6 @@ __all__ = [
     "NettedPlanes",
     "events_from_planes",
     "fold_events",
-    "planes_from_events",
 ]
 
 PairKey = Tuple[int, int]
@@ -229,11 +228,6 @@ def _as_planes(sign=(), a=(), b=(), lo=(), hi=()) -> NettedPlanes:
     ))
 
 
-def planes_from_events(events: Sequence[DeltaEvent]) -> NettedPlanes:
-    """The ``(sign, a, b, lo, hi)`` planes of an event sequence, in order."""
-    return _as_planes(*list(zip(*events))[1:])
-
-
 class DeltaReplayError(ValueError):
     """An event stream violated exactly-once folding.
 
@@ -271,14 +265,10 @@ class DeltaLedger:
 
     __slots__ = (
         "_now", "_ticks", "_open", "_open_net", "_closed", "_last_closed",
-        "_records", "_baseline", "_flush", "_subscribers", "_retained_from",
+        "_records", "_flush", "_subscribers", "_retained_from",
     )
 
-    def __init__(
-        self,
-        start_time: float = 0.0,
-        baseline: Optional[Mapping[PairKey, Tuple[Row, ...]]] = None,
-    ) -> None:
+    def __init__(self, start_time: float = 0.0) -> None:
         self._now = float(start_time)
         #: Optional callback draining deferred store mutations into the
         #: raw record before any read or clock move.  A store with a
@@ -308,11 +298,6 @@ class DeltaLedger:
         #: The oldest tick a read may ask for: ``-inf`` until the first
         #: fold, then the oldest retained tick.
         self._retained_from = -math.inf
-        self._baseline: Dict[PairKey, Tuple[Row, ...]] = (
-            {key: tuple(rows) for key, rows in baseline.items()}
-            if baseline
-            else {}
-        )
 
     @property
     def now(self) -> float:
@@ -427,8 +412,15 @@ class DeltaLedger:
         until another closed tick is read or the clock moves.  Either
         way the arrays are read-only.  A quiet tick has empty planes; a
         tick older than :attr:`retained_from` raises
-        :class:`DeltaRetentionError`.
+        :class:`DeltaRetentionError`, and a tick after the clock (or
+        NaN) raises :class:`ValueError`: it has not begun, so an empty
+        answer now could differ from the answer once it has.
         """
+        if not t <= self._now:
+            raise ValueError(
+                f"tick {t:g} is after the ledger clock {self._now:g}: "
+                "it has not begun"
+            )
         if t < self._retained_from:
             raise DeltaRetentionError(
                 f"tick {t:g} was folded into tick {self._retained_from:g}, "
@@ -467,13 +459,13 @@ class DeltaLedger:
         return events_from_planes(t, self.planes_at(t))
 
     def events(self) -> Iterator[DeltaEvent]:
-        """All retained netted events, in tick order."""
-        for t in self._ticks:
-            yield from self.events_at(t)
+        """All retained netted events, in tick order.
 
-    def baseline_rows(self) -> Dict[PairKey, Tuple[Row, ...]]:
-        """The store rows the ledger was armed against (usually empty)."""
-        return dict(self._baseline)
+        Lists the ticks through :meth:`ticks`, so mutations the store
+        still holds deferred are drained first.
+        """
+        for t in self.ticks():
+            yield from self.events_at(t)
 
     def approx_bytes(self) -> int:
         """Resident bytes of the retained planes and their oid indexes
@@ -622,8 +614,9 @@ class DeltaView:
     Applying a ``+1`` event inserts its row, a ``-1`` event removes it;
     both are exact-match operations that raise :class:`DeltaReplayError`
     when the stream and the claimed state disagree.  After folding a
-    ledger from its baseline, :meth:`rows` equals the result store's
-    ``interval_rows()`` bit-for-bit.
+    ledger from an empty view, :meth:`rows` equals the result store's
+    ``interval_rows()`` bit-for-bit; a view seeded with ``rows`` folds
+    later events onto that state.
     """
 
     __slots__ = ("_rows",)
@@ -677,26 +670,24 @@ class DeltaView:
         return f"DeltaView(pairs={len(self._rows)})"
 
 
-def fold_events(source, upto: Optional[float] = None) -> DeltaView:
-    """Fold an event source (ledger or merger) into a :class:`DeltaView`.
+def fold_events(ledger: DeltaLedger, upto: Optional[float] = None) -> DeltaView:
+    """Fold a ledger's retained events into a :class:`DeltaView`.
 
-    ``source`` needs ``ticks()`` / ``events_at(t)``; a ``baseline_rows``
-    attribute, when present, seeds the view (restored shards).  Ticks
-    strictly after ``upto`` are skipped, so sampling the view at every
-    retained tick of a run is one fold per sample over an already-netted
-    stream; an ``upto`` older than the source's ``retained_from`` raises
+    Ticks strictly after ``upto`` are skipped, so sampling the view at
+    every retained tick of a run is one fold per sample over an
+    already-netted stream; an ``upto`` older than the ledger's
+    :attr:`~DeltaLedger.retained_from` raises
     :class:`DeltaRetentionError`, as that state was folded away.
     """
-    if upto is not None and upto < getattr(source, "retained_from", -math.inf):
+    if upto is not None and upto < ledger.retained_from:
         raise DeltaRetentionError(
             f"cannot fold up to tick {upto:g}: the oldest retained tick is "
-            f"{source.retained_from:g}"
+            f"{ledger.retained_from:g}"
         )
-    baseline = getattr(source, "baseline_rows", None)
-    view = DeltaView(baseline() if baseline is not None else None)
-    for t in source.ticks():
+    view = DeltaView()
+    for t in ledger.ticks():
         if upto is not None and t > upto:
             break
-        for event in source.events_at(t):
+        for event in ledger.events_at(t):
             view.apply(event)
     return view

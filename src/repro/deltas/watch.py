@@ -1,10 +1,9 @@
 """Subscriptions over a delta stream: ``watch(oid=…)`` / ``watch(region=…)``.
 
-A subscription is a poll-cursor over any event source with the ledger
-read surface (:class:`~repro.deltas.ledger.DeltaLedger` or
-:class:`~repro.deltas.merge.ShardDeltaMerger`): each :meth:`poll`
-returns the matching events of every tick that *closed* since the last
-poll, in tick order.  Closed ticks are final (netting is frozen), so a
+A subscription is a poll-cursor over one engine's
+:class:`~repro.deltas.ledger.DeltaLedger`: each :meth:`poll` returns
+the matching events of every tick that *closed* since the last poll,
+in tick order.  Closed ticks are final (netting is frozen), so a
 subscriber sees every transition exactly once; pass
 ``include_open=True`` on the last poll of a run to flush the still-open
 tick.
@@ -18,7 +17,7 @@ has passed it: a subscription that stops polling pins the ticks after
 its cursor until it is dropped, and one opened late starts at the
 oldest retained tick, which nets everything before it.
 
-A poll reads the source's netted planes (``planes_at``) and builds
+A poll reads the ledger's netted planes (``planes_at``) and builds
 :class:`~repro.deltas.ledger.DeltaEvent` tuples for the matching rows
 only — never a Python visit of every event of the tick.  An oid watch
 finds its rows in the planes' oid index
@@ -68,22 +67,22 @@ def _member(oids: np.ndarray, scope: np.ndarray) -> np.ndarray:
 
 
 class DeltaSubscription:
-    """One filtered poll-cursor over a delta event source.
+    """One filtered poll-cursor over a delta ledger.
 
-    Built by ``engine.watch(...)`` — ``source`` is the engine's ledger
-    (or the sharded merger), ``index`` resolves an oid to its currently
-    stored pairs through the store's inverted index, and
-    ``region_oids`` resolves a region to an ``int64`` array of the
+    Built by ``engine.watch(...)`` — ``ledger`` is the engine's
+    :class:`~repro.deltas.ledger.DeltaLedger`, ``index`` resolves an oid
+    to its currently stored pairs through the store's inverted index,
+    and ``region_oids`` resolves a region to an ``int64`` array of the
     object ids inside it at the current clock.
     """
 
     __slots__ = (
-        "_source", "_oid", "_region", "_index", "_region_oids", "_cursor", "__weakref__",
+        "_ledger", "_oid", "_region", "_index", "_region_oids", "_cursor", "__weakref__",
     )
 
     def __init__(
         self,
-        source,
+        ledger,
         *,
         oid: Optional[int] = None,
         region=None,
@@ -94,16 +93,14 @@ class DeltaSubscription:
             raise ValueError("watch one of oid= or region=, not both")
         if region is not None and region_oids is None:
             raise ValueError("region watches need a region_oids resolver")
-        self._source = source
+        self._ledger = ledger
         self._oid = oid
         self._region = region
         self._index = index
         self._region_oids = region_oids
-        #: The newest source tick already consumed.
+        #: The newest ledger tick already consumed.
         self._cursor = -math.inf
-        subscribe = getattr(source, "subscribe", None)
-        if subscribe is not None:
-            subscribe(self)
+        ledger.subscribe(self)
 
     @property
     def cursor(self) -> float:
@@ -114,13 +111,13 @@ class DeltaSubscription:
     def poll(self, include_open: bool = False) -> List[DeltaEvent]:
         """Matching events of every tick closed since the last poll.
 
-        The open tick (``source.now``) is withheld unless
+        The open tick (``ledger.now``) is withheld unless
         ``include_open`` — its net can still change — so repeated polls
         deliver each event exactly once.
         """
-        source = self._source
-        ticks = source.ticks()
-        now = source.now
+        ledger = self._ledger
+        ticks = ledger.ticks()
+        now = ledger.now
         start = bisect_right(ticks, self._cursor)
         upto = len(ticks)
         if not include_open:
@@ -137,7 +134,7 @@ class DeltaSubscription:
                 else np.sort(self._region_oids(self._region))
             )
             for t in ticks[start:upto]:
-                planes = source.planes_at(t)
+                planes = ledger.planes_at(t)
                 _sign, a, b, _lo, _hi = planes
                 if oid is not None:
                     rows = planes.oid_rows(oid)

@@ -42,7 +42,6 @@ __all__ = [
     "OP_COST",
     "OP_OBS",
     "OP_CHECKPOINT",
-    "OP_DELTAS",
 ]
 
 # -- command ops -------------------------------------------------------
@@ -58,7 +57,6 @@ OP_PRUNE = "prune"
 OP_COST = "cost"
 OP_OBS = "obs"
 OP_CHECKPOINT = "checkpoint"
-OP_DELTAS = "deltas"
 
 
 @dataclass(frozen=True)
@@ -129,10 +127,6 @@ COMMANDS = {
     OP_CHECKPOINT: CommandSpec(
         OP_CHECKPOINT, n_args=0, mutating=False,
         doc="serialize the engine into a recovery blob",
-    ),
-    OP_DELTAS: CommandSpec(
-        OP_DELTAS, n_args=1, mutating=False,
-        doc="enumerate the shard's netted delta events at a tick",
     ),
 }
 

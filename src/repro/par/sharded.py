@@ -48,7 +48,6 @@ import numpy as np
 from ..core.columns import ColumnStore, ObjectsView, UpdateColumns, pack_updates
 from ..core.config import JoinConfig
 from ..core.result import ColumnResultStore
-from ..deltas import ShardDeltaMerger
 from ..geometry.interval import INF, check_clock, check_read
 from ..metrics import CostSnapshot
 from ..objects import MovingObject
@@ -57,7 +56,6 @@ from .partition import StripePartition
 from .protocol import (
     OP_BUILD,
     OP_COST,
-    OP_DELTAS,
     OP_INITIAL_JOIN,
     OP_OBJECTS,
     OP_OBS,
@@ -96,7 +94,12 @@ class _SerialBackend:
 
 
 class ShardedJoinEngine:
-    """K-way sharded, optionally multi-process, continuous join."""
+    """K-way sharded, optionally multi-process, continuous join.
+
+    It keeps no delta stream: ``config.deltas`` is refused before any
+    worker process starts.  Delta streams live on the tree and columnar
+    engines, one ledger beside one result store.
+    """
 
     def __init__(
         self,
@@ -115,6 +118,11 @@ class ShardedJoinEngine:
                 f"{SHARDABLE_ALGORITHMS}"
             )
         self.config = config if config is not None else JoinConfig()
+        if self.config.deltas:
+            raise ValueError(
+                "the sharded engine keeps no delta stream; use the tree or "
+                "columnar engine with JoinConfig(deltas=True)"
+            )
         self.algorithm = algorithm
         check_clock(-INF, start_time)
         self.now = float(start_time)
@@ -138,14 +146,6 @@ class ShardedJoinEngine:
         }
         self.update_count = 0
         self.initial_join_cost: Optional[CostSnapshot] = None
-        #: Parent-side merge of the per-shard delta ledgers (``None``
-        #: unless ``config.deltas``).  Shard ledgers are pulled after
-        #: every mutation round and merged in tick order; holder-set
-        #: refcounting cancels replica churn, replacement ingestion
-        #: absorbs supervisor checkpoint/replay re-deliveries.
-        self._merger: Optional[ShardDeltaMerger] = (
-            ShardDeltaMerger(self.start_time) if self.config.deltas else None
-        )
 
         shard_ids = list(range(self.partition.n_shards))
         if self.workers > 0:
@@ -223,22 +223,13 @@ class ShardedJoinEngine:
     # Engine API (mirrors ContinuousJoinEngine)
     # ------------------------------------------------------------------
     def run_initial_join(self) -> CostSnapshot:
-        cmds: "OrderedDict[int, List[Tuple]]" = OrderedDict()
-        for sid in range(self.n_shards):
-            cmds[sid] = [(OP_INITIAL_JOIN, sid)]
-            if self._merger is not None:
-                cmds[sid].append((OP_DELTAS, sid, self.now))
-        results = self._backend.run(cmds)
-        self.initial_join_cost = _sum_costs(res[0] for res in results.values())
-        self._ingest_deltas(results)
+        self.initial_join_cost = _sum_costs(self._fan_all(OP_INITIAL_JOIN).values())
         return self.initial_join_cost
 
     def tick(self, t: float) -> None:
         check_clock(self.now, t)
         self.now = t
-        if self._merger is not None:
-            self._merger.advance(t)
-        self._run_everywhere((OP_TICK, None, t))
+        self._fan_all(OP_TICK, t)
 
     def apply_update(self, obj: MovingObject) -> None:
         self.apply_updates([obj])
@@ -261,19 +252,11 @@ class ShardedJoinEngine:
         engine's same-tick rule, checked here for the whole batch
         before anything changes.
         """
-        self._commit_ops(self._route(upd_a, upd_b, self.now))
-
-    def _commit_ops(self, payloads: "OrderedDict[int, Tuple]") -> None:
-        """Ship routed per-shard payloads; pull deltas in the same trip."""
-        cmds = OrderedDict(
-            (sid, [(OP_OPS, sid, payload)]) for sid, payload in payloads.items()
-        )
-        if self._merger is not None:
-            for sid, shard_cmds in cmds.items():
-                shard_cmds.append((OP_DELTAS, sid, self.now))
-        if cmds:
-            results = self._backend.run(cmds)
-            self._ingest_deltas(results)
+        payloads = self._route(upd_a, upd_b, self.now)
+        if payloads:
+            self._backend.run(OrderedDict(
+                (sid, [(OP_OPS, sid, payload)]) for sid, payload in payloads.items()
+            ))
 
     def step(self, t: float, batch: Iterable[MovingObject]) -> Set[PairKey]:
         """One fused tick: advance clocks, group-commit, answer.
@@ -289,24 +272,16 @@ class ShardedJoinEngine:
             *pack_updates(batch, self.columns_a, self.columns_b), t
         )
         self.now = t
-        if self._merger is not None:
-            self._merger.advance(t)
         cmds: "OrderedDict[int, List[Tuple]]" = OrderedDict()
         for sid in range(self.n_shards):
             shard_cmds: List[Tuple] = [(OP_TICK, sid, t)]
             if sid in payloads:
                 shard_cmds.append((OP_OPS, sid, payloads[sid]))
             shard_cmds.append((OP_PAIRS_AT, sid, t))
-            if self._merger is not None:
-                shard_cmds.append((OP_DELTAS, sid, t))
             cmds[sid] = shard_cmds
-        results = self._backend.run(cmds)
-        self._ingest_deltas(results)
-        # The pairs answer sits last, unless the delta pull rode behind it.
-        answer_idx = -1 if self._merger is None else -2
         answer: Set[PairKey] = set()
-        for res in results.values():
-            answer |= res[answer_idx]
+        for res in self._backend.run(cmds).values():
+            answer |= res[-1]
         return answer
 
     def _route(
@@ -389,76 +364,10 @@ class ShardedJoinEngine:
 
     def prune_expired(self) -> int:
         """Prune every shard store; returns distinct pairs fully dropped."""
-        cmds: "OrderedDict[int, List[Tuple]]" = OrderedDict()
-        for sid in range(self.n_shards):
-            cmds[sid] = [(OP_PRUNE, sid)]
-            if self._merger is not None:
-                cmds[sid].append((OP_DELTAS, sid, self.now))
-        results = self._backend.run(cmds)
-        self._ingest_deltas(results)
         dropped: Set[PairKey] = set()
-        for res in results.values():
-            dropped.update(res[0])
+        for pairs in self._fan_all(OP_PRUNE).values():
+            dropped.update(pairs)
         return len(dropped)
-
-    # ------------------------------------------------------------------
-    # Delta streams
-    # ------------------------------------------------------------------
-    def _ingest_deltas(self, results: Dict[int, List]) -> None:
-        """Fold one round's per-shard delta pulls into the merger.
-
-        Callers append the ``OP_DELTAS`` pull *last* to each shard's
-        command list, so the contribution is ``res[-1]``.  Ingestion is
-        replacement per shard and tick: a re-issued batch after a crash
-        (whose restored shard re-reports its whole open tick) lands on
-        the same slot instead of double-counting.
-        """
-        if self._merger is None:
-            return
-        for sid, res in results.items():
-            self._merger.ingest(sid, self.now, res[-1])
-
-    def deltas(self, t: Optional[float] = None):
-        """The merged netted delta events at tick ``t`` (default: now).
-
-        Same stream as the unsharded engines over the same workload:
-        per-shard ledgers are merged in tick order with replica churn
-        (ghost admissions/evictions) cancelled by holder-set counting.
-        """
-        if self._merger is None:
-            raise RuntimeError(
-                "delta streams are off; build with JoinConfig(deltas=True)"
-            )
-        if t is None:
-            t = self.now
-        return self._merger.events_at(t)
-
-    def watch(self, *, oid: Optional[int] = None, region=None):
-        """Subscribe to the merged delta stream (see the serial engine)."""
-        from ..deltas import DeltaSubscription
-
-        if self._merger is None:
-            raise RuntimeError(
-                "delta streams are off; build with JoinConfig(deltas=True)"
-            )
-        return DeltaSubscription(
-            self._merger,
-            oid=oid,
-            region=region,
-            index=self._pairs_index,
-            region_oids=self._region_oids,
-        )
-
-    def _pairs_index(self, oid: int) -> Set[PairKey]:
-        """Inverted-index lookup over the merged store (on demand)."""
-        return self.merged_store().pairs_for_object(oid)
-
-    def _region_oids(self, region) -> np.ndarray:
-        """Object ids whose bounding box intersects ``region`` right now."""
-        return np.concatenate([
-            self.columns_a.oids_in(region, self.now),
-            self.columns_b.oids_in(region, self.now),
-        ])
 
     # ------------------------------------------------------------------
     # Rollups
@@ -591,9 +500,7 @@ class ShardedJoinEngine:
 
     def validate(self) -> None:
         """Run the SC401–SC403 shard invariants (plus the SC501–SC503
-        supervisor invariants when supervised, and the SC701–SC703
-        delta reconciliation when delta streams are on); raise on any
-        finding."""
+        supervisor invariants when supervised); raise on any finding."""
         from ..check.sanitize import raise_on_findings, sanitize_sharded_engine
 
         raise_on_findings(sanitize_sharded_engine(self))
@@ -606,10 +513,6 @@ class ShardedJoinEngine:
             (sid, [(op, sid) + args]) for sid in range(self.n_shards)
         )
         return {sid: res[0] for sid, res in self._backend.run(cmds).items()}
-
-    def _run_everywhere(self, template: Tuple) -> None:
-        op, _sid, *args = template
-        self._fan_all(op, *args)
 
     def close(self) -> None:
         """Shut down pool workers (no-op when serial or already closed)."""

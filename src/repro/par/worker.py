@@ -31,7 +31,6 @@ from .protocol import (
     OP_BUILD,
     OP_CHECKPOINT,
     OP_COST,
-    OP_DELTAS,
     OP_INITIAL_JOIN,
     OP_OBJECTS,
     OP_OBS,
@@ -76,45 +75,15 @@ def build_spec(
     return (columns_a, columns_b, algorithm, config, start_time)
 
 
-def _pull_deltas(engine: ColumnarJoinEngine, t: float) -> Tuple:
-    """The shard's cumulative netted delta events at tick ``t``.
-
-    Non-mutating and therefore never op-logged: the parent may re-pull
-    after any failure and the reply always carries the *whole* net for
-    the tick (the merge layer ingests it with replacement semantics).
-    Empty when the shard keeps no ledger (``config.deltas`` off).
-    """
-    if engine.ledger is None:
-        return ()
-    return tuple(engine.deltas(t))
-
-
-def _open_delta_events(engine: ColumnarJoinEngine) -> Tuple:
-    """Plain-tuple ``(sign, a, b, start, end)`` rows of the open tick.
-
-    Checkpoint payload: a checkpoint can land mid-tick (between
-    mutation rounds), and replay alone would only reconstruct the
-    rounds *after* it — seeding the restored ledger with these rows
-    makes its open-tick net equal the original net-from-tick-start.
-    """
-    if engine.ledger is None:
-        return ()
-    return tuple(
-        (ev.sign, ev.a_oid, ev.b_oid, ev.start, ev.end)
-        for ev in engine.ledger.events_at(engine.now)
-    )
-
-
 def make_checkpoint(engine: ColumnarJoinEngine) -> Dict:
     """Serialize a shard engine into a picklable recovery blob.
 
     Nothing but arrays and scalars: both datasets' live column planes
     in row order as a build spec referenced at ``engine.now``, the
-    result store's canonical interval planes, the update counter and
-    the open tick's delta rows.  A fresh engine built from the spec is
-    plane-identical to this one and re-adding the store planes
-    reproduces the store bit-for-bit, so checkpoint + op-log replay
-    lands on the exact pre-crash state.
+    result store's canonical interval planes and the update counter.
+    A fresh engine built from the spec is plane-identical to this one
+    and re-adding the store planes reproduces the store bit-for-bit, so
+    checkpoint + op-log replay lands on the exact pre-crash state.
     """
     return {
         "format": CHECKPOINT_FORMAT,
@@ -127,7 +96,6 @@ def make_checkpoint(engine: ColumnarJoinEngine) -> Dict:
         ),
         "store": engine.store.planes(),
         "update_count": engine.update_count,
-        "delta_seed": _open_delta_events(engine),
     }
 
 
@@ -150,7 +118,9 @@ def restore_engine(blob: Dict) -> ColumnarJoinEngine:
     :meth:`~repro.core.result.ColumnResultStore.add_batch` over the
     dumped planes — already canonical (sorted, merged, disjoint), so
     the flush lands on the exact pre-checkpoint planes while every row
-    still passes the store's own validation.
+    still passes the store's own validation.  A shard keeps no delta
+    ledger (the sharded engine refuses ``config.deltas``), so there is
+    no event history to carry across.
     """
     blob = _checked_blob(blob)
     columns_a, columns_b, algorithm, config, start_time = blob["spec"]
@@ -161,43 +131,9 @@ def restore_engine(blob: Dict) -> ColumnarJoinEngine:
         config=config,
         start_time=start_time,
     )
-    # Detach any fresh ledger while the dump is re-added: re-adding
-    # history must not re-emit it as delta events.
-    if engine.ledger is not None:
-        engine.store.attach_ledger(None)
     engine.store.add_batch(*blob["store"])
-    if engine.ledger is not None:
-        _reseed_ledger(engine, blob["delta_seed"])
     engine.update_count = blob["update_count"]
     return engine
-
-
-def _reseed_ledger(engine: ColumnarJoinEngine, seed) -> None:
-    """Re-arm a restored engine's delta ledger, exactly-once.
-
-    The restored store is the store *at checkpoint time* = the
-    tick-start state plus the seeded open-tick events.  Inverting the
-    seed against its rows recovers the tick-start state, which becomes
-    the fresh ledger's baseline; re-recording the seed then makes
-    ``events_at(open tick)`` equal the original net-from-tick-start, so
-    replayed rounds extend the net instead of restarting it and the
-    ``SC701`` reconciliation (baseline ⊕ events == store) holds from
-    the first post-restore check on.
-    """
-    from ..deltas import DeltaLedger, DeltaView
-    from ..deltas.ledger import planes_from_events
-
-    view = DeltaView(engine.store.interval_rows())
-    for sign, a, b, start, end in seed:
-        view.apply_row(-sign, a, b, start, end)
-    fresh = DeltaLedger(engine.now, baseline=view.rows())
-    # The seed rows are the open tick's events without their tick.
-    signs, *planes = planes_from_events([(engine.now, *row) for row in seed])
-    for sign in (-1, 1):
-        rows = signs == sign
-        fresh.record_planes(sign, *(plane[rows] for plane in planes))
-    engine.ledger = fresh
-    engine.store.attach_ledger(fresh)
 
 
 def _prune(engine: ColumnarJoinEngine) -> List[Tuple[int, int]]:
@@ -274,8 +210,6 @@ def execute(
             out.append(None if engine.obs is None else engine.obs.to_dict())
         elif op == OP_CHECKPOINT:
             out.append(make_checkpoint(engine))
-        elif op == OP_DELTAS:
-            out.append(_pull_deltas(engine, cmd[2]))
         else:
             raise ValueError(f"unknown shard command {op!r}")
     return out

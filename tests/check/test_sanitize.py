@@ -423,7 +423,7 @@ class TestColumnStore:
 # Delta ledger reconciliation (SC701-SC703)
 # ----------------------------------------------------------------------
 class TestDeltaLedger:
-    """``check_delta_ledger`` reconciles an event source against its
+    """``check_delta_ledger`` reconciles a ledger against its
     live store: fold lands on the store (SC701), ticks strictly
     increase (SC702), and the stream is well-formed (SC703)."""
 

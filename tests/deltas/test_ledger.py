@@ -1,8 +1,9 @@
 """Unit contract of the ledger layer: netting, folding, prune events.
 
-``test_replay_equivalence.py`` proves the end-to-end property; this
-suite pins the pieces it stands on — per-tick netting and canonical
-ordering, clock monotonicity, fresh (constant-delay) enumeration, the
+The stateful model (``tests/test_model.py``) proves the end-to-end
+property; this suite pins the pieces it stands on — per-tick netting
+and canonical ordering, clock monotonicity and the refusal of a tick
+not yet begun, fresh (constant-delay) enumeration, the
 event build's pause of the garbage collector, the packed retention of
 closed ticks,
 the exact-fold error grammar of :class:`DeltaView`, and the
@@ -115,14 +116,36 @@ class TestLedger:
             (1.0, -1),
         ]
 
-    def test_baseline_seeds_the_fold(self):
-        """A re-armed ledger (restored shard) folds baseline ⊕ events."""
-        baseline = {(1, 2): ((0.0, 3.0),)}
-        ledger = DeltaLedger(5.0, baseline=baseline)
-        ledger.record(-1, 1, 2, 0.0, 3.0)
-        ledger.record(1, 3, 4, 5.0, 7.0)
-        assert ledger.baseline_rows() == baseline
-        assert fold_events(ledger).rows() == {(3, 4): ((5.0, 7.0),)}
+    def test_events_drains_the_deferred_store_rows(self):
+        """Right after the initial join the columnar store still holds
+        its rows deferred; ``events()`` must drain them into the ledger
+        before it lists the ticks, as ``ticks()`` does."""
+        scenario = delta_workload(n=150)
+        engine = ColumnarJoinEngine(
+            scenario.set_a, scenario.set_b, "tc", JoinConfig(t_m=T_M, deltas=True)
+        )
+        engine.run_initial_join()
+        events = list(engine.ledger.events())
+        rows = engine.store.interval_rows()
+        assert sum(map(len, rows.values())) > 50  # non-vacuous
+        assert len(events) == sum(map(len, rows.values()))
+        view = DeltaView()
+        for event in events:
+            view.apply(event)
+        assert view.rows() == rows
+
+    def test_future_tick_is_refused(self):
+        """A tick after the clock has not begun: reading it raises
+        instead of answering with an empty tick that fills later."""
+        ledger = DeltaLedger(0.0)
+        ledger.record(1, 1, 2, 0.0, 9.0)
+        for t in (1.0, float("inf"), float("nan")):
+            for read in (ledger.planes_at, ledger.events_at):
+                with pytest.raises(ValueError, match="not begun"):
+                    read(t)
+        ledger.advance(1.0)
+        assert ledger.events_at(1.0) == ()
+        assert [ev.pair for ev in ledger.events_at(0.0)] == [(1, 2)]
 
     def test_fold_upto_stops_at_the_sample_tick(self):
         ledger = DeltaLedger(0.0)

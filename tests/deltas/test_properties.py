@@ -262,7 +262,7 @@ def test_netted_planes_are_the_columns_of_the_events(script):
     for events in (ledger.events_at(2.0), net_events_reference(2.0, raw)):
         assert exact(rows) == exact(ev[1:] for ev in events)
     assert ledger.planes_at(2.0) is planes
-    assert all(p.size == 0 for p in ledger.planes_at(3.0))  # a quiet tick
+    assert all(p.size == 0 for p in ledger.planes_at(1.0))  # a quiet tick
     ledger.record(1, 99, 99, 0.0, 1.0)
     again = ledger.planes_at(2.0)
     assert again is not planes and ledger.planes_at(2.0) is again

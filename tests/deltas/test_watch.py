@@ -15,18 +15,11 @@ import pytest
 from hypothesis import given, settings
 
 from repro.core import ColumnarJoinEngine, ContinuousJoinEngine, JoinConfig
-from repro.deltas import (
-    DeltaLedger,
-    DeltaSubscription,
-    DeltaView,
-    ShardDeltaMerger,
-    fold_events,
-)
+from repro.deltas import DeltaLedger, DeltaSubscription, DeltaView, fold_events
 from repro.deltas.ledger import events_from_planes
 from repro.geometry import Box
-from repro.par import ShardedJoinEngine
 
-from .conftest import T_M, delta_batches, delta_workload, plane_rows
+from .conftest import T_M, delta_batches, delta_workload
 
 EVERYWHERE = Box(-1e9, 1e9, -1e9, 1e9)
 
@@ -165,18 +158,19 @@ class LoopCursor:
 
 
 class TestPollAgainstTheLoop:
-    """Mask-filtered polls over both sources deliver what the per-event
-    loop delivers: oid, region and unfiltered watches, single ticks and
-    backlogs, repeated polls, the open tick on request."""
+    """Mask-filtered polls over the columnar and tree engines' ledgers
+    deliver what the per-event loop delivers: oid, region and
+    unfiltered watches, single ticks and backlogs, repeated polls, the
+    open tick on request."""
 
     REGION = Box(300.0, 700.0, 300.0, 700.0)
 
     def engines(self):
         scenario = delta_workload()
-        config = JoinConfig(t_m=T_M, deltas=True)
+        config = JoinConfig(t_m=T_M, node_capacity=8, deltas=True)
         columnar = ColumnarJoinEngine(scenario.set_a, scenario.set_b, "mtb", config)
-        sharded = ShardedJoinEngine(scenario.set_a, scenario.set_b, "mtb", config, shards=2)
-        return scenario, [(columnar, columnar.ledger), (sharded, sharded._merger)]
+        tree = ContinuousJoinEngine(scenario.set_a, scenario.set_b, "mtb", config)
+        return scenario, [(columnar, columnar.ledger), (tree, tree.ledger)]
 
     def watches(self, engine, source, oids):
         """(label, subscription, oracle) per filter."""
@@ -199,7 +193,7 @@ class TestPollAgainstTheLoop:
         #: three, twice in a row (the second must come back empty).
         poll_after = {1.0: 1, 4.0: 1, 5.0: 2, 7.0: 1}
         for engine, source in engines:
-            assert type(source) in (DeltaLedger, ShardDeltaMerger)
+            assert type(source) is DeltaLedger
             engine.run_initial_join()
             # One id per side that the stream touches, one it never will.
             initial = source.events_at(0.0)
@@ -222,17 +216,14 @@ class TestPollAgainstTheLoop:
                 assert sub.poll(include_open=True) == [], label
                 seen[label] += last
             # Exactly once: the unfiltered watch saw a stream that folds
-            # onto the store (the source may have folded its own), each
-            # filtered one its share of it, nothing twice.
+            # onto the store (the ledger folded its own behind the
+            # cursors), each filtered one its share of it, nothing twice.
             stream = seen["all"]
             view = DeltaView()
             for event in stream:
                 view.apply(event)
-            if isinstance(source, DeltaLedger):
-                assert source.retained_from > 0.0  # it folded behind the cursors
-                store = engine.store
-            else:
-                store = engine.merged_store()
+            assert source.retained_from > 0.0
+            store = getattr(engine, "_strategy", engine).store
             assert view.rows() == fold_events(source).rows() == store.interval_rows()
             assert seen["region"] and len(seen["region"]) < len(stream)
             for oid in oids[:2]:
@@ -241,18 +232,6 @@ class TestPollAgainstTheLoop:
                 ]
                 assert seen[f"oid={oid}"]  # non-vacuous
             assert seen["oid=-1"] == []
-        engines[1][0].close()
-
-    def test_merger_planes_are_its_events(self):
-        _scenario, engines = self.engines()
-        sharded, merger = engines[1]
-        sharded.run_initial_join()
-        events = merger.events_at(0.0)
-        planes = merger.planes_at(0.0)
-        assert events and plane_rows(planes) == [ev[1:] for ev in events]
-        assert [p.dtype for p in planes] == [np.int64] * 3 + [np.float64] * 2
-        assert all(p.size == 0 for p in merger.planes_at(99.0))
-        sharded.close()
 
     def test_region_resolved_only_when_a_tick_closed(self):
         """Resolving a region scans both datasets: a poll with nothing
@@ -337,8 +316,8 @@ def test_oid_watches_return_the_scan(script):
 
 
 class TestRegionResolvers:
-    """The columnar and sharded engines resolve a region through one
-    vectorized ``ColumnStore.oids_in``; the tree engine's per-object
+    """The columnar engine resolves a region through one vectorized
+    ``ColumnStore.oids_in``; the tree engine's per-object
     ``mbr_at(now).intersects(region)`` loop is the reference."""
 
     def engines(self):
@@ -347,7 +326,6 @@ class TestRegionResolvers:
         engines = [
             ContinuousJoinEngine(scenario.set_a, scenario.set_b, "mtb", config),
             ColumnarJoinEngine(scenario.set_a, scenario.set_b, "mtb", config),
-            ShardedJoinEngine(scenario.set_a, scenario.set_b, "mtb", config, shards=2),
         ]
         for engine in engines:
             engine.run_initial_join()
@@ -358,7 +336,7 @@ class TestRegionResolvers:
         return engines
 
     def test_touching_straddling_and_empty_regions_agree(self):
-        tree, columnar, sharded = self.engines()
+        tree, columnar = self.engines()
         now = tree.now
         # A moved object, so `lo + v * (now - tref)` has rounding to match.
         probe = next(
@@ -384,10 +362,8 @@ class TestRegionResolvers:
             want = sorted(tree._region_oids(region).tolist())
             assert len(set(want)) == len(want), name
             assert sorted(columnar._region_oids(region).tolist()) == want, name
-            assert sorted(sharded._region_oids(region).tolist()) == want, name
             assert (probe.oid in want) == (not name.startswith(("off", "empty"))), name
         assert len(tree._region_oids(regions["straddling"])) > 1
-        sharded.close()
 
 
 class TestApiEdges:

@@ -90,26 +90,6 @@ class TestBitExactness:
         sharded = drive_both(shards=2, workers=0, sanitize=True)
         sharded.close()
 
-    def test_deltas_flow_from_columnar_shards(self):
-        scenario = scenario_for(23)
-        config = JoinConfig(t_m=T_M, node_capacity=8, deltas=True)
-        serial = ColumnarJoinEngine(
-            scenario.set_a, scenario.set_b, algorithm="mtb",
-            config=config,
-        )
-        serial.run_initial_join()
-        sharded = ShardedJoinEngine(
-            scenario.set_a, scenario.set_b, "mtb", config, shards=2
-        )
-        sharded.run_initial_join()
-        stream = UpdateStream(scenario, seed=24)
-        for t, batch in stream.by_timestamp(t_start=1.0, t_end=float(STEPS)):
-            serial.tick(t)
-            serial.apply_updates(batch)
-            sharded.step(t, batch)
-            assert tuple(sharded.deltas(t)) == serial.deltas(t), t
-        sharded.close()
-
 
 class TestFaultRecovery:
     def test_killed_columnar_worker_recovers_exactly(self):
@@ -127,10 +107,10 @@ class TestFaultRecovery:
 
 
 class TestCheckpointBlob:
-    def build(self, deltas=False):
+    def build(self):
         # Dense enough that the store under checkpoint is non-empty.
         scenario = scenario_for(11, n=24, object_size_pct=3.0)
-        config = JoinConfig(t_m=T_M, node_capacity=8, deltas=deltas)
+        config = JoinConfig(t_m=T_M, node_capacity=8)
         registry = {}
         spec = worker.build_spec(
             scenario.set_a, scenario.set_b, "mtb", config, 0.0
@@ -151,11 +131,9 @@ class TestCheckpointBlob:
 
     def test_blob_leaves_are_arrays_and_scalars(self):
         """No ``MovingObject``, ``TimeInterval`` or per-pair dict: a
-        checkpoint is planes, scalars, the config and delta-seed rows."""
-        registry = self.build(deltas=True)
+        checkpoint is planes, scalars and the config."""
+        registry = self.build()
         blob = worker.make_checkpoint(registry[0])
-        # Mid-tick checkpoint: the initial join's adds are the open net.
-        assert blob["delta_seed"]
 
         def leaves(value):
             if dataclasses.is_dataclass(value) and not isinstance(value, JoinConfig):

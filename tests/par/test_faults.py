@@ -269,85 +269,3 @@ class TestFaultPlan:
         with pytest.raises(TypeError):
             pickle.dumps(Unpicklable())
 
-
-# ----------------------------------------------------------------------
-# Delta streams under chaos: exactly-once emission across recovery
-# ----------------------------------------------------------------------
-def drive_delta_chaos(
-    faults, shards=4, workers=2, seed=7, validate=False, **config_kwargs
-):
-    """Serial vs fault-armed sharded run with ``deltas=True``.
-
-    Beyond the answer/store equalities of :func:`drive_chaos`, every
-    tick must emit an *identical netted delta stream* from both
-    engines, and folding the sharded stream from t=0 must land on the
-    merged store bit-for-bit — a shard respawn that re-emitted (or
-    swallowed) events would break one of the two.
-    """
-    from repro.deltas import fold_events
-
-    # Denser than the answer-equality matrix: the delta assertions are
-    # vacuous unless ticks actually net both event signs.
-    scenario = make_workload(
-        60, "uniform", max_speed=5.0, object_size_pct=3.0, t_m=T_M, seed=seed
-    )
-    serial = ContinuousJoinEngine(
-        scenario.set_a, scenario.set_b, "mtb",
-        JoinConfig(t_m=T_M, node_capacity=8, deltas=True),
-    )
-    serial.run_initial_join()
-    config_kwargs.setdefault("shard_timeout", 10.0)
-    config_kwargs.setdefault("shard_heartbeat", 0.01)
-    config = JoinConfig(
-        t_m=T_M, node_capacity=8, deltas=True, faults=faults, **config_kwargs
-    )
-    sharded = ShardedJoinEngine(
-        scenario.set_a, scenario.set_b, "mtb", config,
-        shards=shards, workers=workers,
-    )
-    sharded.run_initial_join()
-    assert tuple(sharded.deltas()) == serial.deltas()
-    signs = set()
-    stream = UpdateStream(scenario, seed=seed + 1)
-    for t, batch in stream.by_timestamp(t_start=1.0, t_end=float(STEPS)):
-        serial.tick(t)
-        for obj in batch:
-            serial.apply_update(obj)
-        assert sharded.step(t, batch) == serial.result_at(t), (faults, t)
-        # Exactly-once: identical netted stream, and the fold from t=0
-        # reconstructs the merged store with no duplicate/phantom rows.
-        assert tuple(sharded.deltas(t)) == serial.deltas(t), (faults, t)
-        folded = fold_events(sharded._merger, upto=t).rows()
-        assert folded == sharded.merged_store().interval_rows(), (faults, t)
-        if validate:
-            sharded.validate()
-        signs |= {ev.sign for ev in sharded.deltas(t)}
-    assert signs == {1, -1}, "chaos run never exercised both event signs"
-    sharded.validate()
-    stats = sharded.fault_stats()
-    sharded.close()
-    return stats
-
-
-class TestDeltaChaos:
-    def test_kill_replays_deltas_exactly_once(self):
-        stats = drive_delta_chaos("kill:op=ops")
-        assert stats.worker_deaths >= 1
-        assert stats.recoveries >= 1
-
-    def test_kill_after_checkpoint_reemits_nothing(self):
-        """Recovery goes through restore + replay: the restored shard's
-        ledger is re-armed from the checkpoint baseline, so the open
-        tick re-reports its net and closed history is never re-sent."""
-        stats = drive_delta_chaos(
-            "kill:op=tick,nth=3", checkpoint_interval=2, validate=True
-        )
-        assert stats.worker_deaths >= 1
-        assert stats.checkpoints >= 1
-
-    def test_killed_delta_pull_is_retried(self):
-        """Dying *during* the delta pull itself: the re-issued pull
-        supersedes the lost one (replacement ingestion)."""
-        stats = drive_delta_chaos("kill:op=deltas", shards=2)
-        assert stats.worker_deaths >= 1
-        assert stats.recoveries >= 1

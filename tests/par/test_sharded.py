@@ -9,6 +9,7 @@ boundaries and get admitted to / evicted from shards mid-run.
 from __future__ import annotations
 
 import json
+import multiprocessing
 import pickle
 
 import numpy as np
@@ -185,6 +186,19 @@ class TestConstruction:
         with pytest.raises(ValueError):
             ShardedJoinEngine(objs, list(objs), "tc")
 
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_delta_streams_refused(self, workers):
+        """The sharded engine keeps no delta stream: ``deltas=True`` is
+        refused before any worker process starts."""
+        scenario = scenario_for(5, n=6)
+        before = set(multiprocessing.active_children())
+        with pytest.raises(ValueError, match="no delta stream"):
+            ShardedJoinEngine(
+                scenario.set_a, scenario.set_b, "tc",
+                JoinConfig(t_m=T_M, deltas=True), shards=2, workers=workers,
+            )
+        assert set(multiprocessing.active_children()) == before
+
     def test_unknown_update_rejected(self):
         scenario = scenario_for(4, n=6)
         engine = ShardedJoinEngine(scenario.set_a, scenario.set_b, "tc")
@@ -286,7 +300,7 @@ class TestRejectedBatch:
 
 class TestNoObjectsOnTheTickPath:
     """The sharded tick path is arrays end to end: no ``MovingObject``
-    is constructed routing, shipping, checkpointing, merging or polling."""
+    is constructed routing, shipping, checkpointing or merging."""
 
     @pytest.fixture()
     def constructions(self, monkeypatch):
@@ -307,10 +321,9 @@ class TestNoObjectsOnTheTickPath:
         scenario = arr.to_scenario()
         engine = ShardedJoinEngine(
             scenario.set_a, scenario.set_b, "mtb",
-            JoinConfig(t_m=T_M, deltas=True), shards=2, workers=0,
+            JoinConfig(t_m=T_M), shards=2, workers=0,
         )
         engine.run_initial_join()
-        watch = engine.watch(region=Box(0.0, 600.0, 0.0, 600.0))
         stream = VectorUpdateStream(arr, seed=21)
         del constructions[:]  # building the scenario made objects; ticks must not
         for step in (1.0, 2.0, 3.0):
@@ -325,7 +338,6 @@ class TestNoObjectsOnTheTickPath:
             assert restored.store.interval_rows() == shard.store.interval_rows()
         assert constructions == []
         assert len(engine.merged_store()) > 0
-        assert watch.poll()
         assert constructions == []
         engine.close()
 

@@ -210,9 +210,7 @@ class TestCheckpointBlob:
     def test_blob_keys_match_declared_format(self):
         blob = worker.make_checkpoint(self.build_registry()[0])
         assert blob["format"] == worker.CHECKPOINT_FORMAT
-        assert set(blob) == {
-            "format", "spec", "store", "update_count", "delta_seed",
-        }
+        assert set(blob) == {"format", "spec", "store", "update_count"}
 
 
 class TestShutdown:

@@ -22,7 +22,7 @@ from repro.core import (
     ContinuousSelfJoinEngine,
     JoinConfig,
 )
-from repro.deltas import DeltaLedger, ShardDeltaMerger
+from repro.deltas import DeltaLedger
 from repro.geometry import Box, KineticBox
 from repro.par import ShardedJoinEngine
 from repro.queries import ContinuousKNNEngine, ContinuousWindowEngine
@@ -46,7 +46,7 @@ def build(name, start_time=0.0):
     if kind == "columnar":
         return ColumnarJoinEngine(a, b, algorithm, config(), **at)
     if kind == "sharded":
-        return ShardedJoinEngine(a, b, "mtb", config(), shards=2, **at)
+        return ShardedJoinEngine(a, b, "mtb", config(False), shards=2, **at)
     if kind == "selfjoin":
         return ContinuousSelfJoinEngine(a, config(False), **at)
     if kind == "window":
@@ -80,7 +80,7 @@ def start(name):
 
 
 def clocks(engine):
-    ledger = getattr(engine, "ledger", None) or getattr(engine, "_merger", None)
+    ledger = getattr(engine, "ledger", None)
     return engine.now, None if ledger is None else ledger.now
 
 
@@ -131,7 +131,7 @@ def test_reads_before_the_clock_are_refused(name):
         engine.close()
 
 
-@pytest.mark.parametrize("source", [DeltaLedger, ShardDeltaMerger])
+@pytest.mark.parametrize("source", [DeltaLedger])
 def test_delta_clocks_refuse_what_the_engines_refuse(source):
     clock = source(5.0)
     for t in REFUSED:

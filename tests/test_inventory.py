@@ -1,9 +1,10 @@
 """The module inventories in DESIGN.md and PAPER.md match the tree.
 
-DESIGN §5.10 lists every module under ``src/repro`` with what reads it;
-DESIGN §2 and PAPER.md name the module behind each system.  These tests
-check existence only — a row per module, a module per row, a file per
-named path — not the line counts or the readers the rows state.
+DESIGN §5.10 lists every module under ``src/repro`` with its line
+count and what reads it; DESIGN §2 and PAPER.md name the module behind
+each system.  These tests check a row per module, a module per row, the
+line count each row states (``wc -l``) and a file per named path — not
+the readers the rows state.
 """
 
 import re
@@ -15,12 +16,18 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "repro"
 
 
-def inventory_rows() -> list:
-    """Module column of every DESIGN §5.10 table row, in order."""
+def inventory_table() -> list:
+    """``(module, lines)`` of every DESIGN §5.10 table row, in order."""
     design = (ROOT / "DESIGN.md").read_text(encoding="utf-8")
     start = design.index("\n## 5.10 What reads each module\n")
     body = design[start:design.index("\n## ", start + 1)]
-    return re.findall(r"^\| `([^`]+)` \| \d+ \|", body, flags=re.MULTILINE)
+    rows = re.findall(r"^\| `([^`]+)` \| (\d+) \|", body, flags=re.MULTILINE)
+    return [(module, int(lines)) for module, lines in rows]
+
+
+def inventory_rows() -> list:
+    """Module column of every DESIGN §5.10 table row, in order."""
+    return [module for module, _lines in inventory_table()]
 
 
 def test_every_module_has_exactly_one_row():
@@ -35,6 +42,20 @@ def test_every_module_has_exactly_one_row():
 def test_every_row_names_an_existing_module():
     gone = [r for r in inventory_rows() if not (SRC / r).is_file()]
     assert not gone, f"DESIGN §5.10 rows for missing modules: {gone}"
+
+
+def line_count(module: str) -> int:
+    """What ``wc -l`` prints for a module: its newline characters."""
+    return (SRC / module).read_bytes().count(b"\n")
+
+
+def test_every_row_states_the_line_count():
+    drifted = [
+        f"{module}: {lines} stated, {line_count(module)} in the file"
+        for module, lines in inventory_table()
+        if (SRC / module).is_file() and line_count(module) != lines
+    ]
+    assert not drifted, f"DESIGN §5.10 line counts that drifted: {drifted}"
 
 
 @pytest.mark.parametrize("doc", ["DESIGN.md", "PAPER.md"])
