@@ -91,6 +91,13 @@ def main() -> None:
                         t_ref=float(t),
                     )
                 )
+        # Communities stand still, but the T_M contract binds them too:
+        # each re-reports its unchanged box once T_M has passed.
+        for community in list(engine.objects_b.values()):
+            if t - community.t_ref >= T_M:
+                engine.apply_update(
+                    MovingObject(community.oid, community.mbr_at(float(t)), 0.0, 0.0, t_ref=float(t))
+                )
 
         mbr_pairs = engine.result_at()
         exact_pairs = refine_pairs(

@@ -1,7 +1,13 @@
 """The continuous-join core: engine, result store, clock, config."""
 
 from .columnar import COLUMNAR_ALGORITHMS, ColumnarJoinEngine
-from .columns import ColumnStore, ObjectsView, UpdateColumns, columns_from_objects
+from .columns import (
+    ColumnStore,
+    LateObjectError,
+    ObjectsView,
+    UpdateColumns,
+    columns_from_objects,
+)
 from .config import JoinConfig
 from .engine import ALGORITHMS, ContinuousJoinEngine
 from .selfjoin import ContinuousSelfJoinEngine
@@ -16,6 +22,7 @@ __all__ = [
     "UpdateColumns",
     "ObjectsView",
     "columns_from_objects",
+    "LateObjectError",
     "ALGORITHMS",
     "COLUMNAR_ALGORITHMS",
     "SimulationDriver",

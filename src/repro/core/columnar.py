@@ -48,19 +48,20 @@ import numpy as np
 from ..geometry.interval import INF, check_clock, check_read
 from ..geometry.kernels import batch_sweep_join
 from ..metrics import CostSnapshot, CostTracker
-from ..obs import NULL_SPAN, ObsRecorder
+from ..obs.recorder import Recorded
 from ..objects import MovingObject
 from .columns import (
     ColumnStore,
     ObjectsView,
     UpdateColumns,
+    check_deadlines,
     check_planes,
     columns_from_objects,
     has_duplicates,
     pack_updates,
 )
 from .config import JoinConfig
-from .result import ColumnResultStore
+from .result import ColumnResultStore, DeltaSource
 
 __all__ = ["ColumnarJoinEngine", "COLUMNAR_ALGORITHMS"]
 
@@ -82,7 +83,7 @@ def _as_store(objects: Dataset) -> ColumnStore:
     return ColumnStore.from_objects(objects)
 
 
-class ColumnarJoinEngine:
+class ColumnarJoinEngine(Recorded, DeltaSource):
     """Continuous intersection join over two columnar datasets.
 
     Accepts each dataset as an iterable of
@@ -128,7 +129,6 @@ class ColumnarJoinEngine:
 
             self.ledger = DeltaLedger(self.now)
             self.store.attach_ledger(self.ledger)
-        self.obs: Optional[ObsRecorder] = None
         with self.tracker.timed():
             self.columns_a = _as_store(objects_a)
             self.columns_b = _as_store(objects_b)
@@ -140,17 +140,13 @@ class ColumnarJoinEngine:
             raise ValueError(
                 f"object ids shared across datasets: {overlap[:5].tolist()}"
             )
-        if self.config.obs:
-            self.obs = ObsRecorder(
-                "columnar-engine",
-                meta={
-                    "algorithm": algorithm,
-                    "n_a": len(self.columns_a),
-                    "n_b": len(self.columns_b),
-                    "t_m": self.config.t_m,
-                },
-            )
-            self.obs.attach(self.tracker)
+        self._record(
+            "columnar-engine",
+            algorithm=algorithm,
+            n_a=len(self.columns_a),
+            n_b=len(self.columns_b),
+            t_m=self.config.t_m,
+        )
         #: MTB: the window end of every row of ``columns_a`` and of
         #: ``columns_b``, kept in row order and written with the rows
         #: (:meth:`_keep_ends`); ``None`` under TC.
@@ -185,8 +181,18 @@ class ColumnarJoinEngine:
         return self.initial_join_cost
 
     def tick(self, t: float) -> None:
-        """Advance the clock to ``t`` (monotone non-decreasing)."""
+        """Advance the clock to ``t`` (monotone non-decreasing).
+
+        A tick past some object's deadline ``t_ref + T_M`` raises
+        :class:`~repro.core.columns.LateObjectError` naming the late
+        objects and changes nothing; re-report them to go on.
+        """
         check_clock(self.now, t)
+        check_deadlines(
+            t,
+            self.config.t_m,
+            *((cols.tref[: cols.n], cols.oids) for cols in (self.columns_a, self.columns_b)),
+        )
         # Canonicalize deferred store mutations before the ledger clock
         # moves, so every delta event lands in the tick that caused it.
         self.store.flush()
@@ -337,61 +343,12 @@ class ColumnarJoinEngine:
         check_read(self.now, t)
         return t
 
-    def prune_expired(self) -> int:
-        """Garbage-collect result intervals wholly in the past."""
-        with self._span("engine.expire", t=self.now):
-            return self.store.prune_expired(self.now)
-
-    def deltas(self, t: Optional[float] = None):
-        """The netted delta events at tick ``t`` (default: now).
-
-        Identical stream to the serial engine's over the same workload
-        — the netted per-tick events are the store's state diff, and
-        the stores are maintained bit-identically.  Retention is the
-        serial engine's too: a tick older than ``ledger.retained_from``
-        was folded into that tick and raises
-        :class:`~repro.deltas.DeltaRetentionError`, and a tick after
-        the clock raises :class:`ValueError`.
-        """
-        if self.ledger is None:
-            raise RuntimeError(
-                "delta streams are off; build with JoinConfig(deltas=True)"
-            )
-        if t is None:
-            t = self.now
-        with self._span("engine.deltas", t=t):
-            self.store.flush()
-            return self.ledger.events_at(t)
-
-    def watch(self, *, oid: Optional[int] = None, region=None):
-        """Subscribe to the delta stream (see the serial engine); the
-        ledger folds no tick the watch has not polled past."""
-        if self.ledger is None:
-            raise RuntimeError(
-                "delta streams are off; build with JoinConfig(deltas=True)"
-            )
-        from ..deltas import DeltaSubscription
-
-        return DeltaSubscription(
-            self.ledger,
-            oid=oid,
-            region=region,
-            index=self.store.pairs_for_object,
-            region_oids=self._region_oids,
-        )
-
     def _region_oids(self, region) -> np.ndarray:
         """Object ids whose bounding box intersects ``region`` right now."""
         return np.concatenate([
             self.columns_a.oids_in(region, self.now),
             self.columns_b.oids_in(region, self.now),
         ])
-
-    def export_obs(self, path, meta=None):
-        """Export the recording to JSON; requires ``config.obs``."""
-        if self.obs is None:
-            raise RuntimeError("observability is off; build with JoinConfig(obs=True)")
-        return self.obs.export_json(path, meta)
 
     # ------------------------------------------------------------------
     # Internals
@@ -479,17 +436,6 @@ class ColumnarJoinEngine:
         if swap:
             a_oids, b_oids = b_oids, a_oids
         self.store.add_batch(a_oids, b_oids, lo, hi)
-
-    def _span(self, name: str, **tags):
-        """A distinct phase span, or a no-op when recording is off.
-
-        The guard keeps obs-off ticks entirely span-free: no tag dicts,
-        no span objects, one attribute test per phase — measured zero
-        overhead at n=100k (see the obs regression tests).
-        """
-        if self.obs is None:
-            return NULL_SPAN
-        return self.obs.span(name, **tags)
 
     def __repr__(self) -> str:
         return (

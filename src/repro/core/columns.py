@@ -37,6 +37,8 @@ __all__ = [
     "ColumnStore",
     "UpdateColumns",
     "ObjectsView",
+    "LateObjectError",
+    "check_deadlines",
     "check_planes",
     "columns_from_objects",
     "pack_updates",
@@ -339,6 +341,43 @@ def check_planes(cols) -> None:
             raise ValueError(f"non-finite value in column {name!r}")
     if (cols.mlo > cols.mhi).any() or (cols.vlo > cols.vhi).any():
         raise ValueError("inverted bounds: lower bound above upper bound")
+
+
+class LateObjectError(ValueError):
+    """A tick past some live object's deadline ``t_ref + T_M``.
+
+    Theorems 1 and 2 hold only while every object reports within
+    ``T_M``.  ``oids`` names the late objects in ascending order.  The
+    engine that raised is as it was; re-reporting those objects at its
+    clock lets the tick go ahead.
+    """
+
+    def __init__(self, t: float, oids: Sequence[int]):
+        self.oids = tuple(oids)
+        super().__init__(
+            f"{len(self.oids)} object(s) passed their deadline t_ref + T_M "
+            f"before tick {t:g}; re-report them first: {list(self.oids[:5])}"
+        )
+
+
+def check_deadlines(t: float, t_m: float, *sides: Tuple[np.ndarray, np.ndarray]) -> None:
+    """Raise :class:`LateObjectError` when a tick to ``t`` passes some
+    object's deadline, ``t_ref + t_m < t``.
+
+    ``sides`` are ``(tref, oid)`` plane pairs: one ``min`` a side
+    decides, and the late ids are gathered only for a refusal.
+    """
+    if not any(tref.shape[0] and tref.min() + t_m < t for tref, _oid in sides):
+        return
+    late = np.concatenate([oid[tref + t_m < t] for tref, oid in sides])
+    raise LateObjectError(t, np.sort(late).tolist())
+
+
+def deadline_planes(registry: Mapping[int, MovingObject]) -> Tuple[np.ndarray, np.ndarray]:
+    """The ``(tref, oid)`` planes of an ``oid -> MovingObject`` registry,
+    the tree-side engines' input to :func:`check_deadlines`."""
+    tref = np.array([obj.t_ref for obj in registry.values()], dtype=np.float64)
+    return tref, np.fromiter(registry, dtype=np.int64, count=len(registry))
 
 
 def columns_from_objects(objs: Sequence[MovingObject]) -> UpdateColumns:

@@ -37,11 +37,11 @@ from ..join import (
     tp_join,
 )
 from ..metrics import CostSnapshot, CostTracker
-from ..obs import NULL_SPAN, ObsRecorder
+from ..obs.recorder import Recorded
 from ..objects import MovingObject
-from .columns import check_planes, columns_from_objects
+from .columns import check_deadlines, check_planes, columns_from_objects, deadline_planes
 from .config import JoinConfig
-from .result import ColumnResultStore
+from .result import ColumnResultStore, DeltaSource
 
 __all__ = ["ContinuousJoinEngine", "ALGORITHMS"]
 
@@ -57,7 +57,7 @@ def _check_objects(objs: Sequence[MovingObject]) -> None:
     check_planes(columns_from_objects(objs))
 
 
-class ContinuousJoinEngine:
+class ContinuousJoinEngine(Recorded, DeltaSource):
     """Continuous intersection join over two moving-object sets."""
 
     def __init__(
@@ -85,20 +85,13 @@ class ContinuousJoinEngine:
         _check_objects(list(self.objects_b.values()))
         self.storage = TreeStorage(buffer_pages=self.config.buffer_pages)
         self.tracker: CostTracker = self.storage.tracker
-        #: Attached :class:`~repro.obs.ObsRecorder` when ``config.obs``
-        #: is on (or ``REPRO_OBS=1``); ``None`` otherwise.
-        self.obs: Optional[ObsRecorder] = None
-        if self.config.obs:
-            self.obs = ObsRecorder(
-                "engine",
-                meta={
-                    "algorithm": algorithm,
-                    "n_a": len(self.objects_a),
-                    "n_b": len(self.objects_b),
-                    "t_m": self.config.t_m,
-                },
-            )
-            self.obs.attach(self.tracker)
+        self._record(
+            "engine",
+            algorithm=algorithm,
+            n_a=len(self.objects_a),
+            n_b=len(self.objects_b),
+            t_m=self.config.t_m,
+        )
         self._strategy = _make_strategy(algorithm, self, techniques)
         #: Attached :class:`~repro.deltas.DeltaLedger` when
         #: ``config.deltas`` is on; ``None`` otherwise.  Armed before
@@ -106,7 +99,7 @@ class ContinuousJoinEngine:
         #: the stream.
         self.ledger = None
         if self.config.deltas:
-            store = getattr(self._strategy, "store", None)
+            store = self.store
             if store is None:
                 raise ValueError(
                     f"algorithm {algorithm!r} keeps no interval store; "
@@ -150,8 +143,19 @@ class ContinuousJoinEngine:
         return self.initial_join_cost
 
     def tick(self, t: float) -> None:
-        """Advance the clock to ``t`` (monotone non-decreasing)."""
+        """Advance the clock to ``t`` (monotone non-decreasing).
+
+        A tick past some object's deadline ``t_ref + T_M`` raises
+        :class:`~repro.core.columns.LateObjectError` naming the late
+        objects and changes nothing; re-report them to go on.
+        """
         check_clock(self.now, t)
+        check_deadlines(
+            t,
+            self.config.t_m,
+            deadline_planes(self.objects_a),
+            deadline_planes(self.objects_b),
+        )
         self.now = t
         if self.ledger is not None:
             self.ledger.advance(t)
@@ -266,75 +270,11 @@ class ContinuousJoinEngine:
         check_read(self.now, t)
         return self._strategy.result_at(t)
 
-    def prune_expired(self) -> int:
-        """Garbage-collect result intervals wholly in the past.
-
-        Long-running simulations accumulate intervals that ended before
-        the current timestamp; pruning them bounds the result store.
-        Returns the number of pairs dropped (0 for the ETP strategy,
-        which keeps no intervals).
-        """
-        store = getattr(self._strategy, "store", None)
-        if store is None:
-            return 0
-        with self._span("engine.expire", t=self.now):
-            return store.prune_expired(self.now)
-
-    # ------------------------------------------------------------------
-    # Delta streams
-    # ------------------------------------------------------------------
-    def deltas(self, t: Optional[float] = None):
-        """The netted delta events at tick ``t`` (default: now).
-
-        Requires ``JoinConfig(deltas=True)``.  Returns a tuple of
-        :class:`~repro.deltas.DeltaEvent` built from the tick's netted
-        planes at a constant delay per event, as a new tuple on every
-        call (the ledger keeps none); no tick is netted twice.
-
-        The ledger folds the closed ticks every open watch has polled
-        past into its oldest retained tick (``ledger.retained_from``),
-        whose events then take the store from empty to the end of that
-        tick.  A ``t`` older than that tick raises
-        :class:`~repro.deltas.DeltaRetentionError`, and a ``t`` after
-        the clock raises :class:`ValueError`; the newest closed tick and
-        the open one are never folded.
-        """
-        if self.ledger is None:
-            raise RuntimeError(
-                "delta streams are off; build with JoinConfig(deltas=True)"
-            )
-        if t is None:
-            t = self.now
-        with self._span("engine.deltas", t=t):
-            return self.ledger.events_at(t)
-
-    def watch(self, *, oid: Optional[int] = None, region=None):
-        """Subscribe to the delta stream, optionally filtered.
-
-        ``oid=`` matches events whose pair contains the object id;
-        ``region=`` (a :class:`~repro.geometry.Box`) matches events
-        touching any object currently inside the region.  Both resolve
-        their current-state queries against the result store's inverted
-        index; see :class:`~repro.deltas.DeltaSubscription`.
-
-        The watch's first poll starts at the ledger's oldest retained
-        tick, which nets every tick before it; while the watch lives,
-        the ledger folds no tick it has not polled past, so one that
-        stops polling holds every later tick until it is dropped.
-        """
-        if self.ledger is None:
-            raise RuntimeError(
-                "delta streams are off; build with JoinConfig(deltas=True)"
-            )
-        from ..deltas import DeltaSubscription
-
-        return DeltaSubscription(
-            self.ledger,
-            oid=oid,
-            region=region,
-            index=self._strategy.store.pairs_for_object,
-            region_oids=self._region_oids,
-        )
+    @property
+    def store(self) -> Optional[ColumnResultStore]:
+        """The strategy's result store (``None`` under ``etp``, which
+        keeps none)."""
+        return getattr(self._strategy, "store", None)
 
     def _region_oids(self, region) -> np.ndarray:
         """Object ids whose bounding box intersects ``region`` right now."""
@@ -347,18 +287,6 @@ class ContinuousJoinEngine:
             ],
             dtype=np.int64,
         )
-
-    def _span(self, name: str, **tags):
-        """A distinct phase span, or a no-op when recording is off."""
-        if self.obs is None:
-            return NULL_SPAN
-        return self.obs.span(name, **tags)
-
-    def export_obs(self, path, meta=None):
-        """Export the recording to JSON; requires ``config.obs``."""
-        if self.obs is None:
-            raise RuntimeError("observability is off; build with JoinConfig(obs=True)")
-        return self.obs.export_json(path, meta)
 
     # ------------------------------------------------------------------
     def __repr__(self) -> str:

@@ -9,8 +9,10 @@ hold at time t" by interval lookup.
 Maintenance contract (Theorems 1 & 2): when an object updates, every
 stored prediction involving it becomes stale from the update time on —
 :meth:`remove_object` drops them, after which the fresh per-object join
-re-adds the valid ones.  The store also supports :meth:`prune_expired`
-garbage collection of intervals wholly in the past.
+re-adds the valid ones.  Engines refuse a tick past any object's
+deadline (:class:`~repro.core.columns.LateObjectError`), so every pair
+is invalidated by its next report before its rows could age out: the
+store keeps no expiry pass.
 
 :class:`ColumnResultStore` is the only store an engine constructs.  The
 dict-of-lists store it replaced lives on as the oracle of the store
@@ -37,7 +39,7 @@ from .columns import (
     unpack_pair_keys,
 )
 
-__all__ = ["ColumnResultStore"]
+__all__ = ["ColumnResultStore", "DeltaSource"]
 
 PairKey = Tuple[int, int]
 
@@ -334,33 +336,6 @@ class ColumnResultStore:
         if self._ledger is not None:
             self._ledger.record_planes(-1, a, b, self._lo[rows], self._hi[rows])
         dropped = int(np.count_nonzero((a[1:] != a[:-1]) | (b[1:] != b[:-1]))) + 1
-        self._live[rows] = False
-        self._dead += k
-        self._n_pairs -= dropped
-        return dropped
-
-    def prune_expired(self, t: float) -> int:
-        """Discard intervals that ended before ``t``; returns pairs dropped."""
-        self.flush()
-        n = self._n
-        if n == 0:
-            return 0
-        dead = self._hi[:n] < t
-        k = int(np.count_nonzero(dead))
-        if k == 0:
-            return 0
-        rows = np.nonzero(dead)[0]
-        if self._ledger is not None:
-            self._ledger.record_planes(
-                -1, self._a[rows], self._b[rows], self._lo[rows], self._hi[rows]
-            )
-        # A pair drops when *all* of its rows expired.
-        run = np.zeros(n, dtype=np.int64)
-        run[self._run_starts] = 1
-        run = np.cumsum(run) - 1
-        sizes = np.bincount(run, minlength=self._n_pairs)
-        expired = np.bincount(run[rows], minlength=self._n_pairs)
-        dropped = int(np.count_nonzero(expired == sizes))
         self._live[rows] = False
         self._dead += k
         self._n_pairs -= dropped
@@ -676,3 +651,63 @@ class ColumnResultStore:
 
     def __repr__(self) -> str:
         return f"ColumnResultStore(pairs={len(self)}, rows={self._n})"
+
+
+class DeltaSource:
+    """The delta-stream reads of the tree and columnar engines.
+
+    The engine provides ``ledger`` (``None`` unless ``config.deltas``),
+    ``now``, ``store``, ``_span`` and ``_region_oids(region)``, the ids
+    of the objects whose bounding box meets ``region`` at the clock.
+    """
+
+    def deltas(self, t: "float | None" = None):
+        """The netted delta events at tick ``t`` (default: now).
+
+        Requires ``JoinConfig(deltas=True)``.  Returns a tuple of
+        :class:`~repro.deltas.DeltaEvent` built from the tick's netted
+        planes at a constant delay per event, as a new tuple on every
+        call (the ledger keeps none); no tick is netted twice.  The
+        tree and columnar engines maintain their stores bit-identically,
+        so their streams are identical too.
+
+        The ledger folds the closed ticks every open watch has polled
+        past into its oldest retained tick (``ledger.retained_from``),
+        whose events then take the store from empty to the end of that
+        tick.  A ``t`` older than that tick raises
+        :class:`~repro.deltas.DeltaRetentionError`, and a ``t`` after
+        the clock raises :class:`ValueError`; the newest closed tick and
+        the open one are never folded.
+        """
+        ledger = self._delta_ledger()
+        if t is None:
+            t = self.now
+        with self._span("engine.deltas", t=t):
+            self.store.flush()
+            return ledger.events_at(t)
+
+    def watch(self, *, oid: "int | None" = None, region=None):
+        """Subscribe to the delta stream, optionally filtered.
+
+        ``oid=`` matches events whose pair contains the object id;
+        ``region=`` (a :class:`~repro.geometry.Box`) matches events
+        touching any object inside the region at poll time; see
+        :class:`~repro.deltas.DeltaSubscription`.
+
+        The watch's first poll starts at the ledger's oldest retained
+        tick, which nets every tick before it; while the watch lives,
+        the ledger folds no tick it has not polled past, so one that
+        stops polling holds every later tick until it is dropped.
+        """
+        from ..deltas import DeltaSubscription
+
+        return DeltaSubscription(
+            self._delta_ledger(), oid=oid, region=region, region_oids=self._region_oids
+        )
+
+    def _delta_ledger(self):
+        if self.ledger is None:
+            raise RuntimeError(
+                "delta streams are off; build with JoinConfig(deltas=True)"
+            )
+        return self.ledger

@@ -21,8 +21,9 @@ from ..geometry.interval import INF, check_clock, check_read
 from ..index import MTBTree, TreeStorage
 from ..join import JoinTriple, mtb_join_object, naive_join
 from ..metrics import CostSnapshot, CostTracker
-from ..obs import NULL_SPAN, ObsRecorder
+from ..obs.recorder import Recorded
 from ..objects import MovingObject
+from .columns import check_deadlines, deadline_planes
 from .config import JoinConfig
 from .result import ColumnResultStore
 
@@ -31,7 +32,7 @@ __all__ = ["ContinuousSelfJoinEngine"]
 PairKey = Tuple[int, int]
 
 
-class ContinuousSelfJoinEngine:
+class ContinuousSelfJoinEngine(Recorded):
     """Continuously maintained intersection pairs within one dataset."""
 
     def __init__(
@@ -47,14 +48,7 @@ class ContinuousSelfJoinEngine:
         self.objects: Dict[int, MovingObject] = {}
         self.storage = TreeStorage(buffer_pages=self.config.buffer_pages)
         self.tracker: CostTracker = self.storage.tracker
-        #: Attached :class:`~repro.obs.ObsRecorder` when ``config.obs``
-        #: is on (or ``REPRO_OBS=1``); ``None`` otherwise.
-        self.obs: Optional[ObsRecorder] = None
-        if self.config.obs:
-            self.obs = ObsRecorder(
-                "selfjoin", meta={"t_m": self.config.t_m}
-            )
-            self.obs.attach(self.tracker)
+        self._record("selfjoin", t_m=self.config.t_m)
         self.forest = MTBTree(
             t_m=self.config.t_m,
             storage=self.storage,
@@ -90,8 +84,14 @@ class ContinuousSelfJoinEngine:
         return self.initial_join_cost
 
     def tick(self, t: float) -> None:
-        """Advance the engine clock (monotone)."""
+        """Advance the engine clock (monotone).
+
+        A tick past some object's deadline ``t_ref + T_M`` raises
+        :class:`~repro.core.columns.LateObjectError` and changes
+        nothing, as on the two-set engines.
+        """
         check_clock(self.now, t)
+        check_deadlines(t, self.config.t_m, deadline_planes(self.objects))
         self.now = t
 
     def apply_update(self, obj: MovingObject) -> None:
@@ -119,18 +119,6 @@ class ContinuousSelfJoinEngine:
         return {b if a == oid else a for a, b in pairs if oid in (a, b)}
 
     # ------------------------------------------------------------------
-    def _span(self, name: str, **tags):
-        """A distinct phase span, or a no-op when recording is off."""
-        if self.obs is None:
-            return NULL_SPAN
-        return self.obs.span(name, **tags)
-
-    def export_obs(self, path, meta=None):
-        """Export the recording to JSON; requires ``config.obs``."""
-        if self.obs is None:
-            raise RuntimeError("observability is off; build with JoinConfig(obs=True)")
-        return self.obs.export_json(path, meta)
-
     def _add(self, a_oid: int, b_oid: int, triple: JoinTriple) -> None:
         if a_oid == b_oid:
             return

@@ -4,9 +4,8 @@ A subscription is a poll-cursor over one engine's
 :class:`~repro.deltas.ledger.DeltaLedger`: each :meth:`poll` returns
 the matching events of every tick that *closed* since the last poll,
 in tick order.  Closed ticks are final (netting is frozen), so a
-subscriber sees every transition exactly once; pass
-``include_open=True`` on the last poll of a run to flush the still-open
-tick.
+subscriber sees every transition exactly once; the open tick reaches it
+once the clock moves past it.
 
 The cursor is a tick, the newest one the subscription has consumed
 (``-inf`` before its first poll), so a poll reads only the ticks after
@@ -32,24 +31,20 @@ Filters:
 * ``region`` — events touching any object whose current bounding box
   intersects the region; the object set is resolved *at poll time*
   through the engine's registries (and only when a tick closed since
-  the last poll), and the matching pairs currently in the store come
-  from the result store's inverted index (``pairs_for_object`` of the
-  engine's :class:`~repro.core.result.ColumnResultStore`).
+  the last poll).
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from typing import Callable, FrozenSet, List, Optional, Set, Tuple
+from typing import Callable, List, Optional
 
 import numpy as np
 
 from .ledger import DeltaEvent, events_from_planes
 
 __all__ = ["DeltaSubscription"]
-
-PairKey = Tuple[int, int]
 
 
 def _member(oids: np.ndarray, scope: np.ndarray) -> np.ndarray:
@@ -70,15 +65,12 @@ class DeltaSubscription:
     """One filtered poll-cursor over a delta ledger.
 
     Built by ``engine.watch(...)`` — ``ledger`` is the engine's
-    :class:`~repro.deltas.ledger.DeltaLedger`, ``index`` resolves an oid
-    to its currently stored pairs through the store's inverted index,
-    and ``region_oids`` resolves a region to an ``int64`` array of the
-    object ids inside it at the current clock.
+    :class:`~repro.deltas.ledger.DeltaLedger`, and ``region_oids``
+    resolves a region to an ``int64`` array of the object ids inside it
+    at the current clock.
     """
 
-    __slots__ = (
-        "_ledger", "_oid", "_region", "_index", "_region_oids", "_cursor", "__weakref__",
-    )
+    __slots__ = ("_ledger", "_oid", "_region", "_region_oids", "_cursor", "__weakref__")
 
     def __init__(
         self,
@@ -86,7 +78,6 @@ class DeltaSubscription:
         *,
         oid: Optional[int] = None,
         region=None,
-        index: Optional[Callable[[int], FrozenSet[PairKey]]] = None,
         region_oids: Optional[Callable[[object], np.ndarray]] = None,
     ) -> None:
         if oid is not None and region is not None:
@@ -96,7 +87,6 @@ class DeltaSubscription:
         self._ledger = ledger
         self._oid = oid
         self._region = region
-        self._index = index
         self._region_oids = region_oids
         #: The newest ledger tick already consumed.
         self._cursor = -math.inf
@@ -108,21 +98,19 @@ class DeltaSubscription:
         before its first poll); its ledger retains every tick after it."""
         return self._cursor
 
-    def poll(self, include_open: bool = False) -> List[DeltaEvent]:
+    def poll(self) -> List[DeltaEvent]:
         """Matching events of every tick closed since the last poll.
 
-        The open tick (``ledger.now``) is withheld unless
-        ``include_open`` — its net can still change — so repeated polls
-        deliver each event exactly once.
+        The open tick (``ledger.now``) is withheld — its net can still
+        change — so repeated polls deliver each event exactly once.
         """
         ledger = self._ledger
         ticks = ledger.ticks()
         now = ledger.now
         start = bisect_right(ticks, self._cursor)
         upto = len(ticks)
-        if not include_open:
-            while upto > start and ticks[upto - 1] >= now:
-                upto -= 1
+        while upto > start and ticks[upto - 1] >= now:
+            upto -= 1
         matched: List[DeltaEvent] = []
         if upto > start:
             # The filter is resolved once per poll, and only when there
@@ -149,21 +137,6 @@ class DeltaSubscription:
                 matched.extend(events_from_planes(t, planes))
             self._cursor = ticks[upto - 1]
         return matched
-
-    def current_pairs(self) -> Set[PairKey]:
-        """Pairs currently stored for the watched scope (inverted index)."""
-        if self._index is None:
-            raise RuntimeError("this subscription has no store index attached")
-        if self._oid is not None:
-            scope = [self._oid]
-        elif self._region is not None:
-            scope = self._region_oids(self._region).tolist()
-        else:
-            raise RuntimeError("current_pairs needs an oid= or region= filter")
-        pairs: Set[PairKey] = set()
-        for oid in scope:
-            pairs |= self._index(oid)
-        return pairs
 
     def __repr__(self) -> str:
         if self._oid is not None:

@@ -13,7 +13,7 @@ A *fault plan* is a semicolon-separated spec string, each entry
     kill:op=tick,nth=2          die on the 2nd tick command
     hang:op=ops                 sleep "forever" before the 1st ops command
     delay:op=tick,seconds=0.5   stall half a second, then proceed
-    error:op=prune              raise inside command dispatch
+    error:op=pairs_at           raise inside command dispatch
     badresult:op=store_dump     return an unpicklable result
     drop:nth=1                  parent side: discard one good reply
 

@@ -65,13 +65,6 @@ class Box:
         return cls(*bounds)
 
     @classmethod
-    def from_center(cls, cx: float, cy: float, width: float, height: float) -> "Box":
-        """Build from a center point and full side lengths."""
-        if width < 0 or height < 0:
-            raise ValueError("width/height must be non-negative")
-        return cls(cx - width / 2, cx + width / 2, cy - height / 2, cy + height / 2)
-
-    @classmethod
     def point(cls, x: float, y: float) -> "Box":
         """A degenerate box representing a single point."""
         return cls(x, x, y, y)
@@ -173,10 +166,6 @@ class Box:
         """Whether ``other`` lies entirely inside this box."""
         a, b = self._b, other._b
         return a[0] <= b[0] and b[1] <= a[1] and a[2] <= b[2] and b[3] <= a[3]
-
-    def contains_point(self, x: float, y: float) -> bool:
-        a = self._b
-        return a[0] <= x <= a[1] and a[2] <= y <= a[3]
 
     def enlargement(self, other: "Box") -> float:
         """Area growth needed for this box to also cover ``other``."""

@@ -90,11 +90,6 @@ class TimeInterval:
     # Basic predicates
     # ------------------------------------------------------------------
     @property
-    def is_unbounded(self) -> bool:
-        """True when the interval extends to the infinite timestamp."""
-        return self.end == INF
-
-    @property
     def duration(self) -> float:
         """Length of the interval (``inf`` when unbounded)."""
         return self.end - self.start

@@ -20,7 +20,6 @@ from __future__ import annotations
 from typing import Iterable, Tuple
 
 from .box import NDIMS, Box
-from .interval import INF
 
 __all__ = ["KineticBox"]
 
@@ -122,46 +121,12 @@ class KineticBox:
         return KineticBox(self.at(t_ref), self.vbr, t_ref)
 
     # ------------------------------------------------------------------
-    # Relations
-    # ------------------------------------------------------------------
-    def contains_at(self, other: "KineticBox", t: float) -> bool:
-        """Whether this rectangle contains ``other`` at time ``t``."""
-        return self.at(t).contains(other.at(t))
-
-    def bounds_over(self, other: "KineticBox", t0: float, t1: float) -> bool:
-        """Whether this box contains ``other`` at *every* ``t`` in ``[t0, t1]``.
-
-        Because all bounds are linear in ``t``, containment over a closed
-        interval holds iff it holds at both endpoints.
-        """
-        if t1 == INF:
-            # Containment at infinity reduces to velocity dominance.
-            return (
-                self.contains_at(other, t0)
-                and self.vbr.lo(0) <= other.vbr.lo(0)
-                and self.vbr.hi(0) >= other.vbr.hi(0)
-                and self.vbr.lo(1) <= other.vbr.lo(1)
-                and self.vbr.hi(1) >= other.vbr.hi(1)
-            )
-        return self.contains_at(other, t0) and self.contains_at(other, t1)
-
-    def intersects_at(self, other: "KineticBox", t: float) -> bool:
-        """Whether the two rectangles overlap at time ``t``."""
-        return self.at(t).intersects(other.at(t))
-
-    # ------------------------------------------------------------------
     # Metrics (used by TPR-tree insertion heuristics)
     # ------------------------------------------------------------------
     def extent(self, dim: int, t: float) -> float:
         """Side length along ``dim`` at time ``t`` (may be negative
         before ``t_ref`` for conservative bounds)."""
         return self.hi(dim, t) - self.lo(dim, t)
-
-    def area_at(self, t: float) -> float:
-        """Area at time ``t`` with negative extents clamped to zero."""
-        w = max(self.extent(0, t), 0.0)
-        h = max(self.extent(1, t), 0.0)
-        return w * h
 
     def integrated_area(self, t0: float, t1: float) -> float:
         """Exact integral of the (clamped) area over ``[t0, t1]``.

@@ -34,10 +34,6 @@ class TreeStats:
     #: Sum of bound areas per level at ``t_eval``.
     area_by_level: Dict[int, float]
 
-    @property
-    def avg_fanout(self) -> float:
-        return self.entry_count / self.node_count if self.node_count else 0.0
-
 
 def collect_tree_stats(tree: TPRTree, t_eval: float) -> TreeStats:
     """Walk ``tree`` and compute :class:`TreeStats` at time ``t_eval``.

@@ -34,14 +34,13 @@ no recorder is attached.
 
 from __future__ import annotations
 
-import csv
 import json
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
-from ..metrics import COUNTER_KEYS, CostTracker, monotonic_clock
+from ..metrics import CostTracker, monotonic_clock
 
-__all__ = ["Span", "ObsRecorder", "tracker_span", "NULL_SPAN"]
+__all__ = ["Span", "ObsRecorder", "Recorded", "tracker_span", "NULL_SPAN"]
 
 #: Current on-disk format tag of exported recordings.
 FORMAT = "repro.obs/1"
@@ -318,35 +317,42 @@ class ObsRecorder:
         path.write_text(json.dumps(self.to_dict(meta), indent=1, sort_keys=True))
         return path
 
-    def export_csv(self, path: Union[str, Path]) -> Path:
-        """Write one row per span (flat, parent ids) to ``path`` as CSV."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        data = self.to_dict()
-        keys = sorted(
-            {key for span in data["spans"] for key in span["total"]}
-            | set(COUNTER_KEYS)
-        )
-        with path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["id", "parent", "name", "tags", "calls", "seconds"]
-                + [f"self_{k}" for k in keys] + [f"total_{k}" for k in keys]
-            )
-            for span in data["spans"]:
-                writer.writerow(
-                    [
-                        span["id"], span["parent"], span["name"],
-                        json.dumps(span["tags"], sort_keys=True),
-                        span["calls"], f"{span['seconds']:.6f}",
-                    ]
-                    + [span["self"].get(k, 0) for k in keys]
-                    + [span["total"].get(k, 0) for k in keys]
-                )
-        return path
-
     def __repr__(self) -> str:
         return (
             f"ObsRecorder(spans={self._next_sid}, "
             f"open={[s.name for s in self._stack]})"
         )
+
+
+class Recorded:
+    """An engine's optional recording: with ``config.obs`` on, an
+    :class:`ObsRecorder` attached to the engine's ``tracker``.
+
+    The tree, columnar and self-join engines share it; each calls
+    :meth:`_record` once its ``config`` and ``tracker`` exist.
+    """
+
+    #: The attached recorder when ``config.obs`` is on; ``None`` otherwise.
+    obs: Optional[ObsRecorder] = None
+
+    def _record(self, kind: str, **meta: Any) -> None:
+        """Attach a ``kind`` recorder carrying ``meta`` when ``config.obs`` is on."""
+        if self.config.obs:
+            self.obs = ObsRecorder(kind, meta=meta)
+            self.obs.attach(self.tracker)
+
+    def _span(self, name: str, **tags: Any):
+        """A distinct phase span, or a no-op when recording is off.
+
+        The guard keeps obs-off ticks entirely span-free: no tag dicts,
+        no span objects, one attribute test per phase.
+        """
+        if self.obs is None:
+            return NULL_SPAN
+        return self.obs.span(name, **tags)
+
+    def export_obs(self, path: Union[str, Path], meta: Optional[Dict[str, Any]] = None) -> Path:
+        """Export the recording to JSON; requires ``config.obs``."""
+        if self.obs is None:
+            raise RuntimeError("observability is off; build with JoinConfig(obs=True)")
+        return self.obs.export_json(path, meta)

@@ -5,7 +5,7 @@ export_json`.  Four views:
 
 * **phases** — the root span's direct children aggregated by name
   (``engine.build`` / ``engine.initial_join`` / ``engine.tick`` /
-  ``engine.update`` / ``engine.expire``), plus an amortized per-update
+  ``engine.update``), plus an amortized per-update
   maintenance row — the paper's Figure 13 metric;
 * **components** — every span name aggregated over the whole tree using
   *exclusive* counters and seconds (additive under nesting): where
@@ -98,7 +98,7 @@ def phase_rows(data: Dict[str, Any]) -> List[Dict[str, Any]]:
     """Top-level phases aggregated by name, in first-seen order.
 
     Appends a synthetic ``maintenance (per update)`` row amortizing the
-    tick/update/expire phases over the number of update calls, when any
+    tick and update phases over the number of update calls, when any
     updates were recorded.
     """
     groups: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
@@ -125,7 +125,7 @@ def phase_rows(data: Dict[str, Any]) -> List[Dict[str, Any]]:
             "seconds": 0.0, **{key: 0 for key in COUNTER_KEYS},
         }
         for row in rows:
-            if row["phase"].rsplit(".", 1)[-1] in ("tick", "update", "expire"):
+            if row["phase"].rsplit(".", 1)[-1] in ("tick", "update"):
                 maintenance["seconds"] += row["seconds"]
                 for key in COUNTER_KEYS:
                     maintenance[key] += row[key]

@@ -18,7 +18,7 @@ contained in at least one shard.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -138,13 +138,6 @@ class StripePartition:
         return cls(cuts, axis)
 
     # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[str, object]:
-        return {"cuts": list(self.cuts), "axis": self.axis}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "StripePartition":
-        return cls(data["cuts"], data["axis"])  # type: ignore[arg-type]
-
     def __reduce__(self):
         return (StripePartition, (self.cuts, self.axis))
 

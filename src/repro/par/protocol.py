@@ -38,9 +38,7 @@ __all__ = [
     "OP_PAIRS_AT",
     "OP_STORE_DUMP",
     "OP_OBJECTS",
-    "OP_PRUNE",
     "OP_COST",
-    "OP_OBS",
     "OP_CHECKPOINT",
 ]
 
@@ -53,9 +51,7 @@ OP_OPS = "ops"
 OP_PAIRS_AT = "pairs_at"
 OP_STORE_DUMP = "store_dump"
 OP_OBJECTS = "objects"
-OP_PRUNE = "prune"
 OP_COST = "cost"
-OP_OBS = "obs"
 OP_CHECKPOINT = "checkpoint"
 
 
@@ -112,17 +108,9 @@ COMMANDS = {
         OP_OBJECTS, n_args=0, mutating=False,
         doc="list the resident object ids of both datasets",
     ),
-    OP_PRUNE: CommandSpec(
-        OP_PRUNE, n_args=0, mutating=True,
-        doc="drop expired intervals from the result store",
-    ),
     OP_COST: CommandSpec(
         OP_COST, n_args=0, mutating=False,
         doc="snapshot the cumulative cost counters",
-    ),
-    OP_OBS: CommandSpec(
-        OP_OBS, n_args=0, mutating=False,
-        doc="export the observability recording",
     ),
     OP_CHECKPOINT: CommandSpec(
         OP_CHECKPOINT, n_args=0, mutating=False,

@@ -45,7 +45,13 @@ from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 import numpy as np
 
-from ..core.columns import ColumnStore, ObjectsView, UpdateColumns, pack_updates
+from ..core.columns import (
+    ColumnStore,
+    ObjectsView,
+    UpdateColumns,
+    check_deadlines,
+    pack_updates,
+)
 from ..core.config import JoinConfig
 from ..core.result import ColumnResultStore
 from ..geometry.interval import INF, check_clock, check_read
@@ -58,10 +64,8 @@ from .protocol import (
     OP_COST,
     OP_INITIAL_JOIN,
     OP_OBJECTS,
-    OP_OBS,
     OP_OPS,
     OP_PAIRS_AT,
-    OP_PRUNE,
     OP_STORE_DUMP,
     OP_TICK,
 )
@@ -177,7 +181,12 @@ class ShardedJoinEngine:
                 *subsets, algorithm, self.config, self.start_time
             )
             builds[sid] = [(OP_BUILD, sid, spec)]
-        built = self._backend.run(builds)
+        try:
+            built = self._backend.run(builds)
+        except BaseException:
+            # The caller never gets an engine to close: stop the workers here.
+            self.close()
+            raise
         self.build_cost = _sum_costs(res[0] for res in built.values())
 
     # ------------------------------------------------------------------
@@ -227,7 +236,10 @@ class ShardedJoinEngine:
         return self.initial_join_cost
 
     def tick(self, t: float) -> None:
-        check_clock(self.now, t)
+        """Advance every shard's clock to ``t``; a tick past some
+        object's deadline raises :class:`~repro.core.columns.
+        LateObjectError` before any shard moves."""
+        self._check_tick(t)
         self.now = t
         self._fan_all(OP_TICK, t)
 
@@ -267,7 +279,7 @@ class ShardedJoinEngine:
         backend pays a single submit/result round trip per shard per
         tick instead of three.
         """
-        check_clock(self.now, t)
+        self._check_tick(t)
         payloads = self._route(
             *pack_updates(batch, self.columns_a, self.columns_b), t
         )
@@ -283,6 +295,16 @@ class ShardedJoinEngine:
         for res in self._backend.run(cmds).values():
             answer |= res[-1]
         return answer
+
+    def _check_tick(self, t: float) -> None:
+        """The serial engines' clock and deadline rules, on the parent's
+        registries: a refused tick reaches no shard."""
+        check_clock(self.now, t)
+        check_deadlines(
+            t,
+            self.config.t_m,
+            *((cols.tref[: cols.n], cols.oids) for cols in (self.columns_a, self.columns_b)),
+        )
 
     def _route(
         self, upd_a: UpdateColumns, upd_b: UpdateColumns, t: float
@@ -362,13 +384,6 @@ class ShardedJoinEngine:
             answer |= pairs
         return answer
 
-    def prune_expired(self) -> int:
-        """Prune every shard store; returns distinct pairs fully dropped."""
-        dropped: Set[PairKey] = set()
-        for pairs in self._fan_all(OP_PRUNE).values():
-            dropped.update(pairs)
-        return len(dropped)
-
     # ------------------------------------------------------------------
     # Rollups
     # ------------------------------------------------------------------
@@ -392,15 +407,6 @@ class ShardedJoinEngine:
         planes = zip(*self._fan_all(OP_STORE_DUMP).values())
         return _store_of(np.concatenate(plane) for plane in planes)
 
-    def cost_rollup(self) -> CostSnapshot:
-        """Sum of the per-shard cumulative cost counters.
-
-        After a crash recovery the affected shards' counters restart
-        from the checkpoint rebuild — supervision trades exact cost
-        continuity for state continuity (the result store *is* exact).
-        """
-        return _sum_costs(self._fan_all(OP_COST).values())
-
     def shard_costs(self) -> Dict[int, CostSnapshot]:
         return self._fan_all(OP_COST)
 
@@ -409,39 +415,6 @@ class ShardedJoinEngine:
         if self.supervisor is None:
             return None
         return self.supervisor.stats
-
-    def obs_rollup(self) -> Optional[Dict[str, object]]:
-        """Merged per-shard obs recordings (``None`` unless config.obs).
-
-        The rollup keeps each shard's full span tree under ``shards``
-        and sums their counter totals, so phase attribution survives
-        the fan-out.
-        """
-        if not self.config.obs:
-            return None
-        recordings = self._fan_all(OP_OBS)
-        totals: Dict[str, float] = {}
-        shards = []
-        for sid in sorted(recordings):
-            recording = recordings[sid]
-            if recording is None:
-                continue
-            shards.append({"shard": sid, "recording": recording})
-            for name, value in recording.get("totals", {}).items():
-                totals[name] = totals.get(name, 0) + value
-        meta: Dict[str, object] = {
-            "algorithm": self.algorithm,
-            "shards": self.n_shards,
-            "workers": self.workers,
-        }
-        if self.supervisor is not None:
-            meta["supervisor"] = self.supervisor.stats.as_dict()
-        return {
-            "format": "repro.obs/rollup",
-            "meta": meta,
-            "totals": totals,
-            "shards": shards,
-        }
 
     # ------------------------------------------------------------------
     # Invariants / export

@@ -88,7 +88,7 @@ class ShardCommandError(RuntimeError):
 
 @dataclass
 class SupervisorStats:
-    """Cumulative supervision counters (exposed via obs rollups)."""
+    """Cumulative supervision counters (read through ``fault_stats()``)."""
 
     timeouts: int = 0
     worker_deaths: int = 0

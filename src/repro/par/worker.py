@@ -33,10 +33,8 @@ from .protocol import (
     OP_COST,
     OP_INITIAL_JOIN,
     OP_OBJECTS,
-    OP_OBS,
     OP_OPS,
     OP_PAIRS_AT,
-    OP_PRUNE,
     OP_RESTORE,
     OP_STORE_DUMP,
     OP_TICK,
@@ -136,15 +134,6 @@ def restore_engine(blob: Dict) -> ColumnarJoinEngine:
     return engine
 
 
-def _prune(engine: ColumnarJoinEngine) -> List[Tuple[int, int]]:
-    """Prune expired intervals; returns the pair keys fully dropped."""
-    store = engine.store
-    before = store.pair_keys()
-    engine.prune_expired()
-    after = set(store.pair_keys())
-    return [key for key in before if key not in after]
-
-
 def execute(
     engines: Dict[int, ColumnarJoinEngine], cmds: Sequence[Tuple]
 ) -> List[Any]:
@@ -202,12 +191,8 @@ def execute(
                     sorted(engine.columns_b.oids.tolist()),
                 )
             )
-        elif op == OP_PRUNE:
-            out.append(_prune(engine))
         elif op == OP_COST:
             out.append(engine.tracker.snapshot())
-        elif op == OP_OBS:
-            out.append(None if engine.obs is None else engine.obs.to_dict())
         elif op == OP_CHECKPOINT:
             out.append(make_checkpoint(engine))
         else:

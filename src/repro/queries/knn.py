@@ -26,6 +26,7 @@ import heapq
 import math
 from typing import Dict, List, Optional, Set, Tuple
 
+from ..core.columns import check_deadlines, deadline_planes
 from ..core.config import JoinConfig
 from ..geometry import Box, KineticBox
 from ..geometry.interval import INF, check_clock
@@ -116,8 +117,14 @@ class ContinuousKNNEngine:
     # Maintenance
     # ------------------------------------------------------------------
     def tick(self, t: float) -> None:
-        """Advance the clock, renewing the candidate window if expired."""
+        """Advance the clock, renewing the candidate window if expired.
+
+        A tick past some object's deadline ``t_ref + T_M`` raises
+        :class:`~repro.core.columns.LateObjectError` and changes
+        nothing, as on the join engines.
+        """
         check_clock(self.now, t)
+        check_deadlines(t, self.config.t_m, deadline_planes(self.objects))
         self.now = t
         if t >= self._window_end:
             self._refresh_candidates(t)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Mapping, Optional, Set, Tuple
 
+from ..core.columns import check_deadlines, deadline_planes
 from ..core.config import JoinConfig
 from ..core.result import ColumnResultStore
 from ..geometry import INF, KineticBox, intersection_interval
@@ -88,8 +89,14 @@ class ContinuousWindowEngine:
         self._evaluated = True
 
     def tick(self, t: float) -> None:
-        """Advance the engine clock (monotone)."""
+        """Advance the engine clock (monotone).
+
+        A tick past some object's deadline ``t_ref + T_M`` raises
+        :class:`~repro.core.columns.LateObjectError` and changes
+        nothing, as on the join engines.
+        """
         check_clock(self.now, t)
+        check_deadlines(t, self.config.t_m, deadline_planes(self.objects))
         self.now = t
 
     def apply_update(self, obj: MovingObject) -> None:

@@ -8,7 +8,7 @@ exact while the experiments stay laptop-fast.
 
 from .buffer import DEFAULT_BUFFER_PAGES, BufferPool, PageCodec
 from .disk import DEFAULT_PAGE_SIZE, DiskManager, PageError
-from .serializer import BytesCodec, StructReader, StructWriter
+from .serializer import StructReader, StructWriter
 
 __all__ = [
     "DEFAULT_PAGE_SIZE",
@@ -17,7 +17,6 @@ __all__ = [
     "PageError",
     "BufferPool",
     "PageCodec",
-    "BytesCodec",
     "StructReader",
     "StructWriter",
 ]

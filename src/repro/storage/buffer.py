@@ -47,9 +47,11 @@ class _Frame(Generic[T]):
 class BufferPool(Generic[T]):
     """LRU cache of decoded pages with write-back eviction.
 
-    >>> from repro.storage.serializer import BytesCodec
+    >>> class Raw:  # pages whose objects already are bytes
+    ...     def encode(self, obj): return bytes(obj)
+    ...     def decode(self, data): return bytes(data)
     >>> disk = DiskManager()
-    >>> pool = BufferPool(disk, BytesCodec(), capacity=2)
+    >>> pool = BufferPool(disk, Raw(), capacity=2)
     >>> pid = disk.allocate()
     >>> pool.put(pid, b"x")         # dirty in buffer, no I/O yet
     >>> pool.get(pid)               # hit, still no read I/O
@@ -102,14 +104,6 @@ class BufferPool(Generic[T]):
             return
         self._admit(page_id, _Frame(obj, dirty=True))
 
-    def mark_dirty(self, page_id: int) -> None:
-        """Flag an already-buffered page as modified in place."""
-        frame = self._frames.get(page_id)
-        if frame is None:
-            raise KeyError(f"page {page_id} is not buffered")
-        frame.dirty = True
-        self._frames.move_to_end(page_id)
-
     def discard(self, page_id: int) -> None:
         """Drop a page from the buffer without writing it back.
 
@@ -134,10 +128,6 @@ class BufferPool(Generic[T]):
         """Flush then empty the buffer (e.g. between experiments)."""
         self.flush()
         self._frames.clear()
-
-    def reset_stats(self) -> None:
-        self.hits = 0
-        self.misses = 0
 
     # ------------------------------------------------------------------
     @property

@@ -12,7 +12,7 @@ from __future__ import annotations
 import struct
 from typing import List, Sequence
 
-__all__ = ["StructWriter", "StructReader", "BytesCodec"]
+__all__ = ["StructWriter", "StructReader"]
 
 _F64 = struct.Struct("<d")
 _I64 = struct.Struct("<q")
@@ -85,16 +85,3 @@ class StructReader:
     @property
     def remaining(self) -> int:
         return len(self._data) - self._pos
-
-
-class BytesCodec:
-    """Identity codec: pages whose objects already are ``bytes``.
-
-    Handy for storage-layer tests that don't involve index nodes.
-    """
-
-    def encode(self, obj: bytes) -> bytes:
-        return bytes(obj)
-
-    def decode(self, data: bytes) -> bytes:
-        return bytes(data)

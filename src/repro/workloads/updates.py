@@ -152,10 +152,6 @@ class UpdateStream:
             yield t, batch
             t += step
 
-    def due_counts(self, t: float) -> int:
-        """How many updates :meth:`updates_for` would emit at ``t``."""
-        return sum(1 for due in self._due.values() if due <= t)
-
     # ------------------------------------------------------------------
     def _reissue(self, obj: MovingObject, t: float) -> MovingObject:
         """New motion parameters reported from the extrapolated position."""
@@ -246,10 +242,6 @@ class VectorUpdateStream:
         self._road = scenario.distribution == "road"
 
     # ------------------------------------------------------------------
-    def due_counts(self, t: float) -> int:
-        """How many updates :meth:`updates_at` would emit at ``t``."""
-        return int(np.count_nonzero(self._due <= t))
-
     def updates_at(self, t: float):
         """Column batches ``(upd_a, upd_b)`` due at timestamp ``t``.
 

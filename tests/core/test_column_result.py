@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from repro.check.sanitize import check_column_result_store
 from repro.core import ColumnarJoinEngine, JoinConfig
 from repro.core.result import ColumnResultStore
-from repro.deltas import DeltaLedger, fold_events
+from repro.deltas import DeltaLedger, DeltaSubscription, fold_events
 from repro.geometry import TimeInterval
 from repro.geometry.constants import MERGE_TOL
 from repro.join import JoinTriple
@@ -106,7 +106,7 @@ class TestEngineIdentity:
 class TestStoreOracle:
     def test_randomized_mutation_stream(self):
         """Every public observable matches the dict-of-lists oracle under
-        a random interleaving of adds, removals, prunes, and clears."""
+        a random interleaving of adds, removals and reads."""
         rng = np.random.default_rng(7)
         ref, col = JoinResultStore(), ColumnResultStore()
         for trial in range(250):
@@ -125,9 +125,6 @@ class TestStoreOracle:
             elif op == 7:
                 oids = rng.integers(100, 112, size=3)
                 assert ref.remove_objects(oids) == col.remove_objects(oids)
-            elif op == 8:
-                t = float(rng.uniform(0, 60))
-                assert ref.prune_expired(t) == col.prune_expired(t)
             else:
                 t = float(rng.uniform(0, 60))
                 assert ref.pairs_at(t) == col.pairs_at(t)
@@ -164,8 +161,6 @@ class TestStoreOracle:
             if t % 4 == 0:
                 gone = rng.choice(oids, size=2)
                 assert ref.remove_objects(gone) == col.remove_objects(gone)
-            if t % 5 == 0:
-                assert ref.prune_expired(float(t)) == col.prune_expired(float(t))
             assert_stores_agree(ref, col, self.WIDE_OIDS)
             assert_tick_agrees(ref, col)
             ref._ledger.advance(float(t))
@@ -287,9 +282,6 @@ class TestStoreOracle:
                 oid = int(rng.integers(0, 8))
                 ref.remove_object(oid)
                 col.remove_object(oid)
-            if t % 5 == 0:
-                ref.prune_expired(float(t))
-                col.prune_expired(float(t))
             led_ref.advance(float(t))
             led_col.advance(float(t))
         assert led_ref.ticks() == led_col.ticks()
@@ -447,19 +439,6 @@ class TestSpliceEdges:
         assert_tick_agrees(ref, col)
         assert col.rows_merged - merged == 3  # no stored row was re-merged
 
-    def test_add_into_a_partly_dead_run(self):
-        ref, col = self.seeded(
-            [(1, 2, 0.0, 1.0), (1, 2, 5.0, 6.0), (1, 2, 10.0, 11.0), (3, 4, 0.0, 9.0)]
-        )
-        both(ref, col, "prune_expired", 2.0)  # kills (1, 2)'s first row only
-        both(ref, col, "add_batch", [1], [2], [5.5], [7.0])
-        assert_stores_agree(ref, col, (1, 2, 3, 4))
-        assert_tick_agrees(ref, col)
-        assert col.interval_rows()[(1, 2)] == ((5.0, 7.0), (10.0, 11.0))
-        assert self.events(col) == [
-            (-1, (1, 2), (0.0, 1.0)), (-1, (1, 2), (5.0, 6.0)), (1, (1, 2), (5.0, 7.0)),
-        ]
-
     def test_add_into_a_wholly_dead_run(self):
         ref, col = self.seeded([(1, 2, 0.0, 1.0), (1, 2, 5.0, 6.0), (3, 4, 0.0, 9.0)])
         both(ref, col, "remove_object", 1)
@@ -536,8 +515,7 @@ class TestSpliceEdges:
         assert col.rows_merged == n and len(col.planes()[0]) == n
         # 10 pending rows: 7 new pairs, 3 into pairs (7, n+7), (7, n+7) and
         # (9000, n+9000) — two stored rows each, so 2 distinct runs = 4 live
-        # rows, one of which a prune has killed: 3 live rows are touched.
-        col.prune_expired(0.5)  # nothing expires (every end is >= 1.0)
+        # rows, one of which is killed by hand: 3 live rows are touched.
         col._live[np.searchsorted(col._a, 9000)] = False  # kill one row by hand
         col._dead += 1
         col.add_batch(
@@ -579,7 +557,6 @@ mutations = st.one_of(
     st.tuples(st.just("add_batch"), st.lists(store_rows, min_size=1, max_size=6)),
     st.tuples(st.just("remove_object"), any_oid),
     st.tuples(st.just("remove_objects"), st.lists(any_oid, min_size=1, max_size=3)),
-    st.tuples(st.just("prune_expired"), st.sampled_from([0.5, 2.5, 4.5, 7.0])),
     st.tuples(st.just("clear")),
     st.tuples(st.just("flush")),
 )
@@ -596,6 +573,10 @@ def test_splice_matches_the_dict_store_under_interleavings(script, wide):
     name = WIDEN.__getitem__ if wide else int
     oids = [name(oid) for oid in sorted(set(A_OIDS) | set(B_OIDS))]
     ref, col = ledgered_pair()
+    # The last loop reads every tick, so a watch that never polls pins
+    # retention: the planes store records ticks that net to nothing,
+    # and the two ledgers would otherwise fold on different clock moves.
+    pins = [DeltaSubscription(store._ledger) for store in (ref, col)]
     for tick, mutations_ in enumerate(script, start=1):
         for op, *args in mutations_:
             if op == "flush":  # the reference merges each row as it arrives
@@ -615,3 +596,4 @@ def test_splice_matches_the_dict_store_under_interleavings(script, wide):
         col._ledger.advance(float(tick))
     for t in sorted(set(ref._ledger.ticks()) | set(col._ledger.ticks())):
         assert col._ledger.events_at(t) == ref._ledger.events_at(t), t
+    assert all(pin.cursor == -float("inf") for pin in pins)  # never polled

@@ -20,8 +20,11 @@ from repro.core import (
     ColumnarJoinEngine,
     ContinuousJoinEngine,
     JoinConfig,
+    LateObjectError,
 )
 from repro.core.columns import ColumnStore, UpdateColumns, columns_from_objects
+from repro.join import brute_force_pairs_at
+from repro.objects import MovingObject
 from repro.workloads import (
     UpdateStream,
     VectorUpdateStream,
@@ -280,39 +283,45 @@ def test_lockstep_mtb_with_three_live_buckets():
     assert live_buckets.count(3) >= 15 and len(col_engine.store) > 30
 
 
-def test_overdue_row_drops_out_of_the_probes_with_its_bucket():
-    """A row that misses its ``T_M`` deadline stays probed until its
-    bucket's windows end, then meets nobody (``end <= t``) — exactly the
-    per-bucket loop's ``continue``: the digest is that loop's."""
+def test_overdue_row_refuses_the_tick_past_its_deadline():
+    """A row that misses its ``T_M`` deadline refuses the tick past it,
+    naming the row and leaving clock, columns, store and ledger as they
+    were; re-reported at the clock, it lets the tick go ahead."""
     scenario = make_workload(N, "uniform", max_speed=3.0, object_size_pct=5.0, t_m=T_M, seed=31)
-    engine = ColumnarJoinEngine(scenario.set_a, scenario.set_b, "mtb", JoinConfig(t_m=T_M))
+    engine = ColumnarJoinEngine(
+        scenario.set_a, scenario.set_b, "mtb", JoinConfig(t_m=T_M, deltas=True)
+    )
     engine.run_initial_join()
     silent = scenario.set_b[2].oid
     stream = UpdateStream(scenario, seed=36)
     current = {**engine.objects_a, **engine.objects_b}
-    pairs_held = []
-    for step in range(1, 27):
-        t = float(step)
+    t = 1.0
+    while t <= T_M:  # every other object reports within T_M
         batch = [obj for obj in stream.updates_for(t, current) if obj.oid != silent]
         current.update((obj.oid, obj) for obj in batch)
         engine.tick(t)
         engine.apply_updates(batch)
-        pairs_held.append(len(engine.store.pairs_for_object(silent)))
-    row = engine.columns_b.rows_of([silent])
-    # Its bucket [0, 6) was probed until 6 + T_M = 18, and it still would
-    # meet two objects of A if it were.
-    assert engine._window_ends(engine.columns_b)[row] == 18.0 < t
-    from repro.geometry.kernels import batch_sweep_join
+        t += 1.0
 
-    would = batch_sweep_join(engine.columns_a.batch(), engine.columns_b.gather(row), t, t + T_M)
-    assert would[0].shape[0] == 2
-    assert pairs_held[:18] == [2] * 18 and pairs_held[-2:] == [0, 0]
-    digest = hashlib.sha256()
-    for plane in engine.store.planes():
-        digest.update(plane.tobytes())
-    assert digest.hexdigest() == (
-        "63d8c3716d80fd7a5cfd1615264965a9c430e99ffb4d7a35f62b2bc9c30ad58c"
+    def state():
+        digest = hashlib.sha256()
+        for plane in (*engine.store.planes(), engine.columns_a.tref, engine.columns_b.tref):
+            digest.update(plane.tobytes())
+        return engine.now, engine.ledger.now, engine.ledger.ticks(), digest.hexdigest()
+
+    kept = state()
+    with pytest.raises(LateObjectError, match="deadline") as refused:
+        engine.tick(t)
+    assert refused.value.oids == (silent,)
+    assert state() == kept
+    late = current[silent]
+    vx, vy = late.velocity
+    engine.apply_updates(
+        [MovingObject(silent, late.mbr_at(engine.now), vx, vy, t_ref=engine.now)]
     )
+    engine.tick(t)
+    want = brute_force_pairs_at(engine.objects_a.values(), engine.objects_b.values(), t)
+    assert engine.result_at() == want
 
 
 def test_historical_batch_rejected():
@@ -426,11 +435,3 @@ def test_plane_reads_answer_what_result_at_answers():
         with pytest.raises(ValueError, match="present"):
             read(engine.now - 1.0)
 
-
-def test_prune_expired_matches_store_semantics():
-    _, engine = drive_both("tc", JoinConfig(t_m=T_M))
-    before = len(engine.store)
-    engine.tick(1000.0)
-    dropped = engine.prune_expired()
-    assert dropped == before
-    assert len(engine.store) == 0

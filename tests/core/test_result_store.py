@@ -79,73 +79,6 @@ class TestInvalidation:
         store.add(triple(1, 10, 4, 6))
         assert store.intervals_for((1, 10)) == [TimeInterval(4, 6)]
 
-    def test_prune_expired(self):
-        store = JoinResultStore()
-        store.add(triple(1, 10, 0, 3))
-        store.add(triple(2, 10, 0, 20))
-        assert store.prune_expired(10.0) == 1
-        assert (1, 10) not in store
-        assert store.pairs_at(15) == {(2, 10)}
-
-    def test_prune_keeps_live_intervals_of_mixed_pairs(self):
-        store = JoinResultStore()
-        store.add(triple(1, 10, 0, 3))
-        store.add(triple(1, 10, 8, 12))
-        store.prune_expired(5.0)
-        assert store.intervals_for((1, 10)) == [TimeInterval(8, 12)]
-
-
-class TestPruneFrontierTrace:
-    """Hand-computed trace of the lazy min-expiry heap.
-
-    Exercises every frontier transition: push on new pair, silent tail
-    append, re-push on merge, re-push on partial trim, and stale-entry
-    skips for both re-merged and removed pairs.
-    """
-
-    def test_hand_computed_heap_trace(self):
-        store = JoinResultStore()
-        store.add(triple(1, 10, 0, 4))    # push (4, (1,10))
-        store.add(triple(1, 10, 10, 12))  # tail append: no push
-        store.add(triple(2, 10, 0, 6))    # push (6, (2,10))
-        store.add(triple(3, 10, 5, 9))    # push (9, (3,10))
-        store.add(triple(2, 10, 5.5, 7))  # overlap → merge [0,7], push (7,(2,10))
-        assert sorted(store._frontier) == [
-            (4.0, (1, 10)),
-            (6.0, (2, 10)),   # stale: (2,10) re-merged to first end 7
-            (7.0, (2, 10)),
-            (9.0, (3, 10)),
-        ]
-        store.remove_object(3)  # leaves (9,(3,10)) behind as stale
-
-        # t=5: pops (4,(1,10)) — live, trims [0,4] off, re-pushes
-        # (12,(1,10)); next top is 6 ≥ 5 so the stale entry stays put.
-        assert store.prune_expired(5.0) == 0
-        assert store.intervals_for((1, 10)) == [TimeInterval(10, 12)]
-        assert store.intervals_for((2, 10)) == [TimeInterval(0, 7)]
-        assert sorted(store._frontier) == [
-            (6.0, (2, 10)),
-            (7.0, (2, 10)),
-            (9.0, (3, 10)),
-            (12.0, (1, 10)),
-        ]
-
-        # t=8: pops (6,(2,10)) — stale (stored first end is 7), skipped;
-        # pops (7,(2,10)) — live and fully expired, pair dropped;
-        # stops at (9,(3,10)) since 9 ≥ 8.
-        assert store.prune_expired(8.0) == 1
-        assert (2, 10) not in store
-        assert store.pairs_at(11) == {(1, 10)}
-        assert sorted(store._frontier) == [(9.0, (3, 10)), (12.0, (1, 10))]
-        assert store._by_oid == {1: {(1, 10)}, 10: {(1, 10)}}
-
-        # t=20: (9,(3,10)) is stale (pair removed earlier), skipped
-        # without counting; (12,(1,10)) expires for real.
-        assert store.prune_expired(20.0) == 1
-        assert len(store) == 0
-        assert store._frontier == []
-        assert store._by_oid == {}
-
 
 class TestAgainstReferenceModel:
     @given(

@@ -48,8 +48,7 @@ def own_updates(stream, t, engine, shadow):
 
 
 def finish(lock, t, oids):
-    """Expiry and a full clear, then the traffic must not have been vacuous."""
-    lock.prune_expired(t)
+    """A full clear, after traffic that must not have been vacuous."""
     lock.agree(t, oids)
     assert lock.dropped > 0 and len(lock.col) > 0
     lock.clear()

@@ -1,15 +1,11 @@
-"""Unit contract of the ledger layer: netting, folding, prune events.
+"""Unit contract of the ledger layer: netting, folding, retention.
 
 The stateful model (``tests/test_model.py``) proves the end-to-end
 property; this suite pins the pieces it stands on — per-tick netting
 and canonical ordering, clock monotonicity and the refusal of a tick
 not yet begun, fresh (constant-delay) enumeration, the
 event build's pause of the garbage collector, the packed retention of
-closed ticks,
-the exact-fold error grammar of :class:`DeltaView`, and the
-satellite-6 regression: ``JoinResultStore.prune_expired`` historically
-dropped intervals *silently*, which an attached ledger now reports as
-``-1`` events.
+closed ticks, and the exact-fold error grammar of :class:`DeltaView`.
 """
 
 from __future__ import annotations
@@ -565,35 +561,3 @@ class TestStoreHooks:
         ledger.advance(4.0)
         store.clear()
         assert fold_events(ledger).rows() == {}
-
-    def test_prune_emits_removal_events(self):
-        """The satellite fix: expiration is a visible ``-1`` event."""
-        store, ledger = self.build()
-        ledger.advance(4.0)
-        dropped = store.prune_expired(4.0)
-        assert dropped == 0  # (1,2) keeps (5,8); (3,4) keeps (1,9)
-        pruned = ledger.events_at(4.0)
-        assert [(ev.sign, ev.pair, ev.interval) for ev in pruned] == [
-            (-1, (1, 2), (0.0, 3.0))
-        ]
-        assert fold_events(ledger).rows() == store.interval_rows()
-
-    def test_prune_without_ledger_is_the_old_silent_bug(self):
-        """Regression pin for the pre-ledger behavior: a prune the
-        ledger does not see leaves the stream claiming rows the store
-        has dropped — exactly the silent drift the sanitizer's SC701
-        reconciliation now rejects."""
-        from repro.check.sanitize import check_delta_ledger
-
-        store, ledger = self.build()
-        ledger.advance(4.0)
-        store.attach_ledger(None)  # re-create the old silent prune
-        store.prune_expired(4.0)
-        assert (1, 2) in store  # pair survives with its later interval
-        found = check_delta_ledger(store, ledger)
-        assert [f.code for f in found] == ["SC701"]
-        # With the ledger attached (the fix), the same prune reconciles.
-        store2, ledger2 = self.build()
-        ledger2.advance(4.0)
-        store2.prune_expired(4.0)
-        assert check_delta_ledger(store2, ledger2) == []

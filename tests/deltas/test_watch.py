@@ -2,9 +2,8 @@
 
 ``engine.watch()`` hands out poll-cursors; the contract under test is
 exactly-once delivery of *closed* ticks (the open tick's net can still
-change, so it is withheld unless flushed), oid/region filtering, and
-the current-state queries answered through the result store's inverted
-index.
+change, so it is withheld until the clock moves past it) and oid/region
+filtering.
 """
 
 from __future__ import annotations
@@ -55,15 +54,6 @@ class TestPolling:
             ev for t in (0.0, 1.0) for ev in engine.deltas(t)
         ]
         assert sub.poll() == []  # nothing new: exactly-once
-
-    def test_open_tick_flushes_on_request(self):
-        scenario, engine = build()
-        sub = engine.watch()
-        run_ticks(scenario, engine)
-        sub.poll()
-        flushed = sub.poll(include_open=True)
-        assert flushed == list(engine.deltas(engine.now))
-        assert {ev.tick for ev in flushed} == {engine.now}
 
     def test_open_tick_delivered_once_closed(self):
         scenario, engine = build()
@@ -118,19 +108,6 @@ class TestFilters:
         assert scoped.size  # everything is in the all-space region
         assert sub.poll() == engine.watch().poll()
 
-    def test_current_pairs_is_the_inverted_index(self):
-        scenario, engine = build()
-        run_ticks(scenario, engine)
-        store = engine._strategy.store
-        some_pair = next(iter(store.interval_rows()))
-        oid = some_pair[0]
-        assert engine.watch(oid=oid).current_pairs() == store.pairs_for_object(
-            oid
-        )
-        union = engine.watch(region=EVERYWHERE).current_pairs()
-        assert union == set(store.interval_rows())
-
-
 class LoopCursor:
     """The per-event loop ``poll`` used to be, kept as its oracle: walk
     every event of every tick closed after the cursor tick, test it
@@ -141,10 +118,8 @@ class LoopCursor:
         self.scope_of = scope_of  # () -> set of oids, or None for all
         self.cursor = -float("inf")
 
-    def poll(self, include_open=False):
-        ticks = [t for t in self.source.ticks() if t > self.cursor]
-        if not include_open:
-            ticks = [t for t in ticks if t < self.source.now]
+    def poll(self):
+        ticks = [t for t in self.source.ticks() if t > self.cursor and t < self.source.now]
         scope = self.scope_of()
         matched = [
             event
@@ -161,7 +136,7 @@ class TestPollAgainstTheLoop:
     """Mask-filtered polls over the columnar and tree engines' ledgers
     deliver what the per-event loop delivers: oid, region and
     unfiltered watches, single ticks and backlogs, repeated polls, the
-    open tick on request."""
+    last tick once the clock has moved past it."""
 
     REGION = Box(300.0, 700.0, 300.0, 700.0)
 
@@ -209,11 +184,12 @@ class TestPollAgainstTheLoop:
                         assert got == oracle.poll(), (label, t)
                         assert not (repeat and got), (label, t)
                         seen[label] += got
+            engine.tick(t + 1.0)  # closes the last tick of the stream
             for label, sub, oracle in watches:
-                last = sub.poll(include_open=True)
-                assert last == oracle.poll(include_open=True), label
+                last = sub.poll()
+                assert last == oracle.poll(), label
                 assert {ev.tick for ev in last} <= {7.0, 8.0}, label
-                assert sub.poll(include_open=True) == [], label
+                assert sub.poll() == [], label
                 seen[label] += last
             # Exactly once: the unfiltered watch saw a stream that folds
             # onto the store (the ledger folded its own behind the
@@ -250,16 +226,15 @@ class TestPollAgainstTheLoop:
         assert [ev.pair for ev in sub.poll()] == [(1, 2)] and len(calls) == 1
         assert sub.poll() == [] and len(calls) == 1
         ledger.record(1, 3, 4, 1.0, 2.0)  # touches nothing in scope
-        assert sub.poll(include_open=True) == [] and len(calls) == 2
+        ledger.advance(2.0)
+        assert sub.poll() == [] and len(calls) == 2
 
 
-def scan_poll(source, oid, cursor, include_open):
+def scan_poll(source, oid, cursor):
     """What an oid poll from cursor tick ``cursor`` must deliver: the
-    scan filter (one mask over each later tick's planes), and the new
-    cursor."""
-    ticks = [t for t in source.ticks() if t > cursor]
-    if not include_open:
-        ticks = [t for t in ticks if t < source.now]
+    scan filter (one mask over each later closed tick's planes), and the
+    new cursor."""
+    ticks = [t for t in source.ticks() if t > cursor and t < source.now]
     matched = []
     for t in ticks:
         planes = source.planes_at(t)
@@ -279,7 +254,7 @@ watch_script = st.lists(
         st.tuples(st.just("record"), st.sampled_from([1, -1]), st.lists(watch_rows, max_size=4)),
         st.tuples(st.just("advance"), st.sampled_from([0.0, 1.0]), st.just(None)),
         st.tuples(st.just("watch"), watch_oids, st.just(None)),
-        st.tuples(st.just("poll"), st.integers(0, 7), st.booleans()),
+        st.tuples(st.just("poll"), st.integers(0, 7), st.just(None)),
     ),
     max_size=30,
 )
@@ -289,10 +264,9 @@ watch_script = st.lists(
 @given(script=watch_script)
 def test_oid_watches_return_the_scan(script):
     """K oid watches over one ledger — created at any point, polled in
-    any order, the open tick included on request, records arriving
-    between polls of one open tick — each return exactly what the scan
-    filter over the tick's planes returns, from the planes' shared oid
-    index."""
+    any order, records arriving between polls of one open tick — each
+    return exactly what the scan filter over the closed ticks' planes
+    returns, from the planes' shared oid index."""
     ledger = DeltaLedger(0.0)
     watches = []  # (subscription, oid, oracle cursor)
     for op, arg, extra in script:
@@ -308,11 +282,12 @@ def test_oid_watches_return_the_scan(script):
             watches.append([DeltaSubscription(ledger, oid=arg), arg, -float("inf")])
         elif watches:
             watch = watches[arg % len(watches)]
-            want, watch[2] = scan_poll(ledger, watch[1], watch[2], extra)
-            assert watch[0].poll(include_open=extra) == want
+            want, watch[2] = scan_poll(ledger, watch[1], watch[2])
+            assert watch[0].poll() == want
+    ledger.advance(ledger.now + 1.0)  # closes the open tick
     for watch in watches:
-        want, _ = scan_poll(ledger, watch[1], watch[2], True)
-        assert watch[0].poll(include_open=True) == want
+        want, _ = scan_poll(ledger, watch[1], watch[2])
+        assert watch[0].poll() == want
 
 
 class TestRegionResolvers:
@@ -375,8 +350,3 @@ class TestApiEdges:
     def test_region_without_resolver_rejected(self):
         with pytest.raises(ValueError, match="resolver"):
             DeltaSubscription(object(), region=EVERYWHERE)
-
-    def test_unfiltered_current_pairs_rejected(self):
-        _scenario, engine = build()
-        with pytest.raises(RuntimeError, match="oid= or region="):
-            engine.watch().current_pairs()

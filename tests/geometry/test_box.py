@@ -36,15 +36,7 @@ class TestConstruction:
     def test_degenerate_point(self):
         p = Box.point(3, 4)
         assert p.area == 0
-        assert p.contains_point(3, 4)
-
-    def test_from_center(self):
-        b = Box.from_center(5, 5, 2, 4)
-        assert b == Box(4, 6, 3, 7)
-
-    def test_from_center_negative_rejected(self):
-        with pytest.raises(ValueError):
-            Box.from_center(0, 0, -1, 1)
+        assert Box(0, 5, 0, 5).contains(p)
 
     def test_from_bounds(self):
         assert Box.from_bounds((0, 1, 2, 3)) == Box(0, 1, 2, 3)

@@ -35,7 +35,6 @@ class TestConstruction:
 
     def test_unbounded(self):
         iv = TimeInterval(0.0, INF)
-        assert iv.is_unbounded
         assert iv.duration == INF
         assert iv.contains(1e18)
 

@@ -32,7 +32,6 @@ def drive(engine, scenario, ticks=8, seed=3):
             current[obj.oid] = obj
             engine.apply_update(obj)
         engine.result_at(t)
-    engine.prune_expired()
 
 
 def counter_dict(tracker):
@@ -88,7 +87,7 @@ def test_phases_and_hot_spans_are_present():
     drive(engine, scenario, ticks=4)
     names = {span.name for span in engine.obs.root.walk()}
     assert {"engine.build", "engine.initial_join", "engine.tick",
-            "engine.update", "engine.expire"} <= names
+            "engine.update"} <= names
     assert "join.mtb" in names and "join.mtb.object" in names
     assert "tpr.insert" in names and "tpr.search" in names
     # One distinct tick span per timestamp forms the timeline.

@@ -46,7 +46,6 @@ def drive(engine, arr, ticks=8, seed=3):
         upd_a, upd_b = stream.updates_at(t)
         engine.apply_update_columns(upd_a, upd_b)
         engine.result_at(t)
-    engine.prune_expired()
 
 
 def counter_dict(tracker):
@@ -79,7 +78,7 @@ def test_phase_timeline_present():
     engine, arr = build(obs=True)
     drive(engine, arr, ticks=4)
     names = {span.name for span in engine.obs.root.walk()}
-    assert {"engine.initial_join", "engine.update_batch", "engine.expire"} <= names
+    assert {"engine.initial_join", "engine.update_batch"} <= names
     batches = engine.obs.find("engine.update_batch")
     assert [span.tags["t"] for span in batches] == [1.0, 2.0, 3.0, 4.0]
     # Whole-batch op counts ride on the span tags.

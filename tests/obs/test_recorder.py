@@ -6,7 +6,7 @@ import csv
 import json
 
 from repro.metrics import COUNTER_KEYS, CostTracker
-from repro.obs import NULL_SPAN, ObsRecorder, tracker_span
+from repro.obs import NULL_SPAN, ObsRecorder, tracker_span, write_csv
 from repro.obs.recorder import FORMAT
 
 
@@ -192,7 +192,7 @@ class TestExport:
 
     def test_csv_has_row_per_span(self, tmp_path):
         rec = self._small_recording()
-        path = rec.export_csv(tmp_path / "run.csv")
+        path = write_csv(rec.to_dict(), tmp_path / "run.csv")
         with path.open() as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 3

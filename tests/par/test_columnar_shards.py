@@ -174,7 +174,7 @@ class TestCheckpointBlob:
         twin = {0: worker.restore_engine(worker.make_checkpoint(registry[0]))}
         for step in (1.0, 2.0):
             for reg in (registry, twin):
-                worker.execute(reg, [("tick", 0, step), ("prune", 0)])
+                worker.execute(reg, [("tick", 0, step)])
             assert twin[0].store.interval_rows() == registry[0].store.interval_rows()
 
     def test_shard_engine_knob_validated(self):

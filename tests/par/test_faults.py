@@ -9,6 +9,7 @@ A watchdog alarm backs the suite: a hang is a failure, not a stall.
 
 from __future__ import annotations
 
+import multiprocessing
 import pickle
 import signal
 
@@ -172,24 +173,18 @@ class TestChaosMatrix:
         sharded.merged_store()  # framing survived; pipe still usable
         sharded.close()
 
-    def test_supervisor_counters_reach_the_obs_rollup(self):
+    def test_failed_build_stops_its_workers(self):
+        """A build fan-out that fails leaves no worker process behind."""
         scenario = make_workload(
             30, "uniform", max_speed=3.0, object_size_pct=0.8, t_m=T_M, seed=5
         )
         config = JoinConfig(
-            t_m=T_M, node_capacity=8, obs=True, faults="kill:op=tick,nth=1",
-            shard_timeout=10.0, shard_heartbeat=0.01,
+            t_m=T_M, faults="error:op=build", shard_timeout=10.0, shard_heartbeat=0.01,
         )
-        sharded = ShardedJoinEngine(
-            scenario.set_a, scenario.set_b, "mtb", config,
-            shards=2, workers=2,
-        )
-        sharded.run_initial_join()
-        sharded.step(1.0, [])
-        rollup = sharded.obs_rollup()
-        meta = rollup["meta"]["supervisor"]
-        assert meta["worker_deaths"] >= 1
-        sharded.close()
+        before = set(multiprocessing.active_children())
+        with pytest.raises(ShardCommandError):
+            ShardedJoinEngine(scenario.set_a, scenario.set_b, "tc", config, shards=2, workers=2)
+        assert set(multiprocessing.active_children()) == before
 
 
 class TestFaultPlan:
@@ -245,10 +240,10 @@ class TestFaultPlan:
         assert Fault("delay", seconds=1.5).stall == 1.5
 
     def test_before_command_raises_injected_error(self):
-        plan = FaultPlan.parse("error:op=prune")
+        plan = FaultPlan.parse("error:op=pairs_at")
         plan.before_command(("tick", 0, 1.0))  # non-matching: silent
         with pytest.raises(FaultInjected):
-            plan.before_command(("prune", 0))
+            plan.before_command(("pairs_at", 0, 1.0))
 
     def test_poison_results_replaces_matching_result(self):
         plan = FaultPlan.parse("badresult:op=store_dump")

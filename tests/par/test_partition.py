@@ -93,11 +93,6 @@ class TestFit:
 
 
 class TestRoundTrips:
-    def test_dict_round_trip(self):
-        p = StripePartition((3.0, 9.0), axis=1)
-        q = StripePartition.from_dict(p.to_dict())
-        assert q.cuts == p.cuts and q.axis == p.axis
-
     def test_pickle_round_trip(self):
         p = StripePartition((3.0, 9.0), axis=1)
         q = pickle.loads(pickle.dumps(p))

@@ -1,4 +1,4 @@
-"""ShardedJoinEngine: bit-exactness, ghost membership, and rollups.
+"""ShardedJoinEngine: bit-exactness, ghost membership and shard costs.
 
 The sharded engine must be an *implementation detail*: for every shard
 count and worker count its merged result store is bit-identical to the
@@ -153,25 +153,6 @@ class TestBitExactness:
             engine.step(2.0, [])
             with pytest.raises(ValueError):
                 engine.step(1.0, [])
-
-    def test_prune_drops_the_same_pairs_as_serial(self):
-        scenario = scenario_for(29)
-        config = JoinConfig(t_m=T_M, node_capacity=8)
-        serial = ContinuousJoinEngine(
-            scenario.set_a, scenario.set_b, "tc", config
-        )
-        serial.run_initial_join()
-        with ShardedJoinEngine(
-            scenario.set_a, scenario.set_b, "tc", config, shards=3
-        ) as sharded:
-            sharded.run_initial_join()
-            assert len(sharded.merged_store()) > 0
-            serial.tick(T_M / 2)
-            sharded.tick(T_M / 2)
-            assert serial.prune_expired() == sharded.prune_expired()
-            assert snapshot(serial._strategy.store) == snapshot(
-                sharded.merged_store()
-            )
 
 
 class TestConstruction:
@@ -342,39 +323,16 @@ class TestNoObjectsOnTheTickPath:
         engine.close()
 
 
-class TestRollups:
-    def test_cost_rollup_sums_shard_costs(self):
+class TestShardCosts:
+    def test_shard_costs_add_up_to_build_and_initial_join(self):
         scenario = scenario_for(7)
         engine = ShardedJoinEngine(scenario.set_a, scenario.set_b, "mtb",
                                    JoinConfig(t_m=T_M), shards=3)
-        engine.run_initial_join()
-        total = engine.cost_rollup()
+        initial = engine.run_initial_join()
         per_shard = engine.shard_costs()
-        assert len(per_shard) == 3
-        assert total.pair_tests == sum(
-            s.pair_tests for s in per_shard.values()
-        )
-        assert total.pair_tests > 0
-
-    def test_obs_rollup_merges_shard_recordings(self):
-        scenario = scenario_for(8)
-        engine = ShardedJoinEngine(scenario.set_a, scenario.set_b, "mtb",
-                                   JoinConfig(t_m=T_M, obs=True), shards=2)
-        engine.run_initial_join()
-        rollup = engine.obs_rollup()
-        assert rollup["format"] == "repro.obs/rollup"
-        assert rollup["meta"]["shards"] == 2
-        assert len(rollup["shards"]) == 2
-        for name, value in rollup["totals"].items():
-            assert value == sum(
-                s["recording"]["totals"].get(name, 0)
-                for s in rollup["shards"]
-            ), name
-
-    def test_obs_rollup_is_none_without_obs(self):
-        scenario = scenario_for(8, n=6)
-        engine = ShardedJoinEngine(scenario.set_a, scenario.set_b, "tc")
-        assert engine.obs_rollup() is None
+        assert sorted(per_shard) == [0, 1, 2]
+        total = sum(cost.pair_tests for cost in per_shard.values())
+        assert total == engine.build_cost.pair_tests + initial.pair_tests > 0
 
 
 class TestExportAndSanitizer:

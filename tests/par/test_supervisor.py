@@ -181,7 +181,7 @@ class TestCheckpointBlob:
         twin = {0: worker.restore_engine(blob)}
         for step in (1.0, 2.0):
             for reg in (registry, twin):
-                worker.execute(reg, [("tick", 0, step), ("prune", 0)])
+                worker.execute(reg, [("tick", 0, step)])
             assert same_planes(
                 worker.execute(twin, [("store_dump", 0)])[0],
                 worker.execute(registry, [("store_dump", 0)])[0],

@@ -1,7 +1,7 @@
 """The reference result store the tests compare against.
 
 The dict-of-lists ``JoinResultStore`` (pair → merged ``TimeInterval``
-list, per-object inverted index, lazy min-expiry heap) is the oracle of
+list, per-object inverted index) is the oracle of
 the store suites: no engine constructs it — every engine in ``src/``
 keeps its answer in :class:`repro.core.result.ColumnResultStore` — but
 its row-at-a-time merging is simple enough to read off Theorems 1–2, so
@@ -16,7 +16,6 @@ mutation the engine makes also lands in the reference.
 
 from __future__ import annotations
 
-import heapq
 import sys
 from collections import Counter
 from typing import Dict, Iterator, List, Set, Tuple
@@ -55,25 +54,13 @@ def _record_merge_diff(ledger, key: "PairKey", old_rows, merged) -> None:
 
 
 class JoinResultStore:
-    """Pair → interval-list map with per-object invalidation.
+    """Pair → interval-list map with per-object invalidation."""
 
-    A lazy min-expiry frontier (heap of ``(first interval end, key)``)
-    lets :meth:`prune_expired` touch only pairs that actually have an
-    expired interval — O(expired · log n) per call instead of a scan of
-    every stored pair.  Entries are pushed whenever a pair's *first*
-    interval end may have changed and validated on pop; removal paths
-    (:meth:`remove_object`, re-merges) simply leave stale entries behind
-    to be skipped later.
-    """
-
-    __slots__ = ("_pairs", "_by_oid", "_frontier", "_ledger")
+    __slots__ = ("_pairs", "_by_oid", "_ledger")
 
     def __init__(self) -> None:
         self._pairs: Dict[PairKey, List[TimeInterval]] = {}
         self._by_oid: Dict[int, Set[PairKey]] = {}
-        #: lazy min-heap over (intervals[0].end, key); may hold stale
-        #: entries, but always holds a live entry for every stored pair.
-        self._frontier: List[Tuple[float, PairKey]] = []
         #: attached :class:`~repro.deltas.DeltaLedger` (``None`` = off).
         #: Every mutation path below reports its exact row transitions
         #: to it, so folding the ledger reconstructs the store.
@@ -83,7 +70,7 @@ class JoinResultStore:
         """Attach (or detach, with ``None``) a delta ledger.
 
         Once attached, every mutation — :meth:`add`, :meth:`add_batch`,
-        :meth:`remove_object`, :meth:`prune_expired`, :meth:`clear` —
+        :meth:`remove_object`, :meth:`clear` —
         records the signed row transitions it causes.
         """
         self._ledger = ledger
@@ -108,14 +95,11 @@ class JoinResultStore:
             self._pairs[key] = [triple.interval]
             self._by_oid.setdefault(triple.a_oid, set()).add(key)
             self._by_oid.setdefault(triple.b_oid, set()).add(key)
-            heapq.heappush(self._frontier, (triple.interval.end, key))
             if ledger is not None:
                 ledger.record(
                     1, key[0], key[1], triple.interval.start, triple.interval.end
                 )
         elif triple.interval.start > intervals[-1].end + _MERGE_TOL:
-            # Appending after the tail leaves intervals[0] (and hence the
-            # pair's frontier entry) untouched.
             intervals.append(triple.interval)
             if ledger is not None:
                 ledger.record(
@@ -130,7 +114,6 @@ class JoinResultStore:
             intervals.append(triple.interval)
             merged = merge_intervals(intervals)
             self._pairs[key] = merged
-            heapq.heappush(self._frontier, (merged[0].end, key))
             if ledger is not None:
                 _record_merge_diff(ledger, key, old, merged)
 
@@ -150,8 +133,6 @@ class JoinResultStore:
         """
         pairs = self._pairs
         by_oid = self._by_oid
-        frontier = self._frontier
-        push = heapq.heappush
         ledger = self._ledger
         # Hoisted bound method: delta extraction inside the vectorized
         # append path is one plain-scalar call per row, no per-pair
@@ -166,7 +147,6 @@ class JoinResultStore:
                 pairs[key] = [TimeInterval(s, e)]
                 by_oid.setdefault(a, set()).add(key)
                 by_oid.setdefault(b, set()).add(key)
-                push(frontier, (e, key))
                 if record is not None:
                     record(1, a, b, s, e)
             elif s > intervals[-1].end + _MERGE_TOL:
@@ -182,7 +162,6 @@ class JoinResultStore:
                 intervals.append(TimeInterval(s, e))
                 merged = merge_intervals(intervals)
                 pairs[key] = merged
-                push(frontier, (merged[0].end, key))
                 if ledger is not None:
                     _record_merge_diff(ledger, key, old, merged)
 
@@ -214,48 +193,6 @@ class JoinResultStore:
                     del self._by_oid[other]
         return len(keys)
 
-    def prune_expired(self, t: float) -> int:
-        """Discard intervals that ended before ``t``; returns pairs dropped.
-
-        Interval lists are sorted and disjoint, so a pair's earliest end
-        is ``intervals[0].end`` — exactly what the frontier heap orders
-        by.  Pairs whose earliest end is ``>= t`` have nothing expired
-        and are never touched.
-
-        Pruned rows are reported to the attached delta ledger like any
-        other removal — a delta consumer sees expirations as ``-1``
-        events, not as silent drift between the stream and the store.
-        """
-        frontier = self._frontier
-        ledger = self._ledger
-        dropped = 0
-        while frontier and frontier[0][0] < t:
-            end, key = heapq.heappop(frontier)
-            intervals = self._pairs.get(key)
-            # Exact identity on purpose: a frontier entry is live iff it
-            # still carries the stored first end bit-for-bit.
-            if intervals is None or intervals[0].end != end:
-                continue  # stale entry: pair removed or re-merged since
-            k = 0
-            while k < len(intervals) and intervals[k].end < t:
-                k += 1
-            if ledger is not None:
-                for iv in intervals[:k]:
-                    ledger.record(-1, key[0], key[1], iv.start, iv.end)
-            if k == len(intervals):
-                del self._pairs[key]
-                for oid in key:
-                    keys = self._by_oid.get(oid)
-                    if keys is not None:
-                        keys.discard(key)
-                        if not keys:
-                            del self._by_oid[oid]
-                dropped += 1
-            else:
-                self._pairs[key] = intervals[k:]
-                heapq.heappush(frontier, (intervals[k].end, key))
-        return dropped
-
     def clear(self) -> None:
         ledger = self._ledger
         if ledger is not None:
@@ -264,7 +201,6 @@ class JoinResultStore:
                     ledger.record(-1, key[0], key[1], iv.start, iv.end)
         self._pairs.clear()
         self._by_oid.clear()
-        self._frontier.clear()
 
     # ------------------------------------------------------------------
     # Queries
@@ -293,15 +229,13 @@ class JoinResultStore:
         """Approximate resident bytes of the store's own structures.
 
         A shallow ``sys.getsizeof`` walk over the pair map, interval
-        objects, inverted index and frontier — the benchmark's
+        objects and inverted index — the benchmark's
         result-store memory column.  Interned keys/floats shared across
         containers are counted once per reference, so this slightly
         overstates; good enough for an order-of-magnitude comparison.
         """
         getsize = sys.getsizeof
-        total = (
-            getsize(self._pairs) + getsize(self._by_oid) + getsize(self._frontier)
-        )
+        total = getsize(self._pairs) + getsize(self._by_oid)
         for key, intervals in self._pairs.items():
             total += getsize(key) + getsize(key[0]) + getsize(key[1])
             total += getsize(intervals)
@@ -309,8 +243,6 @@ class JoinResultStore:
                 total += getsize(iv) + getsize(iv.start) + getsize(iv.end)
         for keys in self._by_oid.values():
             total += getsize(keys)
-        for entry in self._frontier:
-            total += getsize(entry)
         return total
 
     def interval_rows(self) -> Dict[PairKey, Tuple[Tuple[float, float], ...]]:
@@ -371,9 +303,6 @@ class Lockstep:
         dropped = self._both("remove_object", oid)
         self.dropped += dropped
         return dropped
-
-    def prune_expired(self, t):
-        return self._both("prune_expired", t)
 
     def clear(self):
         self._both("clear")

@@ -11,12 +11,14 @@ on the span that was open when the traffic happened.
 from __future__ import annotations
 
 from repro.obs import ObsRecorder
-from repro.storage import BufferPool, BytesCodec, DiskManager
+from repro.storage import BufferPool, DiskManager
+
+from . import RawCodec
 
 
 def make_pool(capacity, n_pages, recorder=None):
     disk = DiskManager()
-    pool = BufferPool(disk, BytesCodec(), capacity=capacity)
+    pool = BufferPool(disk, RawCodec(), capacity=capacity)
     pids = [disk.allocate() for _ in range(n_pages)]
     for pid in pids:
         disk.write_page(pid, bytes([pid % 256]))

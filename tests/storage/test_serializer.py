@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.storage import BytesCodec, StructReader, StructWriter
+from repro.storage import StructReader, StructWriter
 
 f64s = st.floats(allow_nan=False, width=64)
 i64s = st.integers(min_value=-(2**63), max_value=2**63 - 1)
@@ -52,16 +52,3 @@ class TestRoundTrips:
         w = StructWriter()
         w.write_f64(float("inf"))
         assert StructReader(w.getvalue()).read_f64() == float("inf")
-
-
-class TestBytesCodec:
-    def test_identity(self):
-        codec = BytesCodec()
-        assert codec.decode(codec.encode(b"abc")) == b"abc"
-
-    def test_copies(self):
-        codec = BytesCodec()
-        data = bytearray(b"xyz")
-        encoded = codec.encode(bytes(data))
-        data[0] = ord("q")
-        assert encoded == b"xyz"

@@ -1,12 +1,13 @@
-"""Every engine's clock refuses NaN, ±inf and backwards moves.
+"""Every engine's clock refuses NaN, ±inf, backwards and late moves.
 
 A clock check written ``if t < now: raise`` lets NaN through (every
 comparison with NaN is false), and a NaN clock lets the next tick run
 backwards.  Each engine here ticks to 5, is refused a NaN, an infinite
-and a backwards tick, and must keep its clock, its ledger clock and its
-answer; a constructor refuses a non-finite start time.  Every read
-refuses a time before the clock and NaN: an update drops its object's
-past intervals, so such an answer would be silently wrong.
+and a backwards tick and a tick past every object's ``t_ref + T_M``
+deadline, and must keep its clock, its ledger clock and its answer; a
+constructor refuses a non-finite start time.  Every read refuses a time
+before the clock and NaN: an update drops its object's past intervals,
+so such an answer would be silently wrong.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from repro.core import (
     ContinuousJoinEngine,
     ContinuousSelfJoinEngine,
     JoinConfig,
+    LateObjectError,
 )
 from repro.deltas import DeltaLedger
 from repro.geometry import Box, KineticBox
@@ -97,6 +99,16 @@ def test_refused_tick_changes_nothing(name):
                 engine.step(t, [])
         assert clocks(engine) == before, (name, t)
         assert answer(engine) == want, (name, t)
+    late = T_M + 0.5  # nobody has reported since t = 0
+    ticks = [engine.tick]
+    if isinstance(engine, ShardedJoinEngine):
+        ticks.append(lambda t: engine.step(t, []))
+    for tick in ticks:
+        with pytest.raises(LateObjectError) as refused:
+            tick(late)
+        assert refused.value.oids, name
+        assert clocks(engine) == before, name
+        assert answer(engine) == want, name
     if isinstance(engine, ContinuousKNNEngine):
         for t in REFUSED:
             with pytest.raises(ValueError):

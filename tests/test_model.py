@@ -1,8 +1,9 @@
 """The serial engines against a brute-force model, under any order of updates.
 
 Theorems 1-2: under the ``T_M`` contract, after any sequence of ticks,
-update batches, admissions, evictions and prunes, the maintained answer
-equals the join over the current motions.  One hypothesis state machine
+update batches, admissions and evictions, the maintained answer equals
+the join over the current motions, and every engine refuses a tick that
+would break the contract, changing nothing.  One hypothesis state machine
 drives every serial engine that keeps a result store in lockstep, and
 after every rule holds each to :func:`repro.join.brute_force_pairs_at`
 over the model's objects, to the engines that must store the very same
@@ -30,7 +31,7 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, ru
 import pytest
 
 from repro.check import sanitize_engine
-from repro.core import ColumnarJoinEngine, ContinuousJoinEngine, JoinConfig
+from repro.core import ColumnarJoinEngine, ContinuousJoinEngine, JoinConfig, LateObjectError
 from repro.deltas import DeltaLedger, DeltaView, fold_events
 from repro.geometry import Box
 from repro.join import brute_force_pairs_at
@@ -205,11 +206,20 @@ class JoinModel(RuleBasedStateMachine):
         updates = [mover(oid, motion, self.now) for oid, motion in updated.items()]
         self.apply(updates, admit, evict)
 
-    @rule()
-    def prune(self):
-        dropped = {name: engine.prune_expired() for name, engine in self.engines.items()}
-        for group in GROUPS:
-            assert len({dropped[name] for name in group}) == 1, dropped
+    @rule(dt=st.sampled_from([0.25, 1.0]))
+    def late(self, dt):
+        """A tick past some object's deadline is refused whole."""
+        objects = [*self.model["a"].values(), *self.model["b"].values()]
+        t = self.exact_until() + dt
+        want = tuple(sorted(obj.oid for obj in objects if obj.t_ref + T_M < t))
+        for name, engine in self.engines.items():
+            store = self.stores[name]
+            kept = (store.interval_rows(), engine.ledger.ticks(), engine.deltas())
+            with pytest.raises(LateObjectError) as refused:
+                engine.tick(t)
+            assert refused.value.oids == want, name
+            assert engine.now == engine.ledger.now == store.clock == self.now, name
+            assert (store.interval_rows(), engine.ledger.ticks(), engine.deltas()) == kept, name
 
     @rule(h=st.sampled_from([0.25, 1.0, 2.5, 4.0, 6.0]))
     def read_ahead(self, h):

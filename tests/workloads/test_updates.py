@@ -94,11 +94,15 @@ class TestBattlefieldHoming:
                 if obj.oid not in a_ids and x > scenario.space_size * 0.4:
                     assert vx < 0
 
-    def test_due_counts(self):
+    def test_everyone_reports_by_t_m(self):
         scenario = uniform_workload(30, seed=1, t_m=5.0)
         stream = UpdateStream(scenario, seed=1)
-        assert stream.due_counts(0.0) == 0
-        assert stream.due_counts(5.0) == 60  # everyone due by T_M
+        current = {o.oid: o for o in scenario.set_a + scenario.set_b}
+        assert stream.updates_for(0.0, current) == []
+        reported = set()
+        for step in range(1, 6):
+            reported.update(obj.oid for obj in stream.updates_for(float(step), current))
+        assert reported == set(current)  # everyone reports by T_M
 
 
 class TestByTimestamp:
