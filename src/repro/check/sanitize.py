@@ -2,7 +2,7 @@
 
 The paper's correctness hangs on a handful of structural invariants:
 
-* **TPR/TPR*-tree** (Šaltenis et al.): every parent entry's kinetic
+* **TPR*-tree** (Šaltenis et al.; Tao et al.): every parent entry's kinetic
   bound conservatively contains its child subtree at the current
   timestamp *and* for the whole horizon; occupancy stays within
   ``[min_fill, capacity]``; the leaf entries and the object table agree
@@ -71,7 +71,7 @@ def raise_on_findings(findings: Sequence[Finding]) -> None:
 
 
 # ----------------------------------------------------------------------
-# TPR / TPR*-tree structure
+# TPR*-tree structure
 # ----------------------------------------------------------------------
 def check_tpr_tree(
     tree,
@@ -79,7 +79,7 @@ def check_tpr_tree(
     check_times: Optional[Sequence[float]] = None,
     label: str = "tree",
 ) -> List[Finding]:
-    """Structural invariants of one TPR(*)-tree (codes SC101–SC104).
+    """Structural invariants of one TPR*-tree (codes SC101–SC104).
 
     ``check_times`` are the timestamps at which parent-child kinetic
     containment is verified; the default is the reference time and the

@@ -319,6 +319,20 @@ def _new_forest(engine: ContinuousJoinEngine) -> MTBTree:
     )
 
 
+def _build_indexes(engine: ContinuousJoinEngine, new_index, t0: float):
+    """One index per dataset from ``new_index(engine)``, filled by
+    insertion as of ``t0``.  Both are allocated before the first insert,
+    then every ``a`` object is inserted before every ``b`` object: page
+    ids, and so the paper figures' I/O counts, follow this order."""
+    index_a = new_index(engine)
+    index_b = new_index(engine)
+    for obj in engine.objects_a.values():
+        index_a.insert(obj, t0)
+    for obj in engine.objects_b.values():
+        index_b.insert(obj, t0)
+    return index_a, index_b
+
+
 class _IntervalStrategy:
     """Shared plumbing for strategies that maintain interval results."""
 
@@ -359,54 +373,35 @@ class _IntervalStrategy:
         self.store.remove_object(oid)
 
 
-class _NaiveStrategy(_IntervalStrategy):
-    """Per-update joins over the unbounded window (paper §II-C)."""
+class _TreeStrategy(_IntervalStrategy):
+    """Per-update probes of the other dataset's TPR*-tree.
 
-    def build(self, t0: float) -> None:
-        engine = self.engine
-        self.tree_a = _new_tree(engine)
-        self.tree_b = _new_tree(engine)
-        for obj in engine.objects_a.values():
-            self.tree_a.insert(obj, t0)
-        for obj in engine.objects_b.values():
-            self.tree_b.insert(obj, t0)
-
-    def initial_join(self, t0: float) -> None:
-        self.store.add_all(iter(naive_join(self.tree_a, self.tree_b, t0, INF)))
-
-    def _index(self, dataset: str):
-        return self.tree_a if dataset == "a" else self.tree_b
-
-    def _probe(self, obj: MovingObject, dataset: str, t: float):
-        other = self.tree_b if dataset == "a" else self.tree_a
-        return [
-            JoinTriple(obj.oid, other_oid, interval)
-            for other_oid, interval in other.search(obj.kbox, t, INF)
-        ]
-
-
-class _TCStrategy(_IntervalStrategy):
-    """Theorem-1 windows on single TPR*-trees (§IV-B)."""
+    ``naive`` probes over the unbounded window ``[t, ∞)`` (§II-C);
+    ``tc`` cuts it at the Theorem-1 bound ``t + T_M`` (§IV-B) and runs
+    its initial join through :func:`~repro.join.tc_join`.
+    """
 
     def __init__(
-        self, engine: ContinuousJoinEngine, techniques: Optional[JoinTechniques]
+        self,
+        engine: ContinuousJoinEngine,
+        techniques: Optional[JoinTechniques],
+        window: float,
     ):
         super().__init__(engine)
         self.techniques = techniques
+        #: Probe window length: ``INF`` under naive, ``T_M`` under tc.
+        self.window = window
 
     def build(self, t0: float) -> None:
-        engine = self.engine
-        self.tree_a = _new_tree(engine)
-        self.tree_b = _new_tree(engine)
-        for obj in engine.objects_a.values():
-            self.tree_a.insert(obj, t0)
-        for obj in engine.objects_b.values():
-            self.tree_b.insert(obj, t0)
+        self.tree_a, self.tree_b = _build_indexes(self.engine, _new_tree, t0)
 
     def initial_join(self, t0: float) -> None:
-        triples = tc_join(
-            self.tree_a, self.tree_b, t0, self.engine.config.t_m, self.techniques
-        )
+        if self.window == INF:
+            triples = naive_join(self.tree_a, self.tree_b, t0, INF)
+        else:
+            triples = tc_join(
+                self.tree_a, self.tree_b, t0, self.window, self.techniques
+            )
         self.store.add_all(iter(triples))
 
     def _index(self, dataset: str):
@@ -414,10 +409,9 @@ class _TCStrategy(_IntervalStrategy):
 
     def _probe(self, obj: MovingObject, dataset: str, t: float):
         other = self.tree_b if dataset == "a" else self.tree_a
-        t_end = t + self.engine.config.t_m
         return [
             JoinTriple(obj.oid, other_oid, interval)
-            for other_oid, interval in other.search(obj.kbox, t, t_end)
+            for other_oid, interval in other.search(obj.kbox, t, t + self.window)
         ]
 
 
@@ -431,13 +425,7 @@ class _MTBStrategy(_IntervalStrategy):
         self.techniques = techniques if techniques is not None else JoinTechniques.all()
 
     def build(self, t0: float) -> None:
-        engine = self.engine
-        self.forest_a = _new_forest(engine)
-        self.forest_b = _new_forest(engine)
-        for obj in engine.objects_a.values():
-            self.forest_a.insert(obj, t0)
-        for obj in engine.objects_b.values():
-            self.forest_b.insert(obj, t0)
+        self.forest_a, self.forest_b = _build_indexes(self.engine, _new_forest, t0)
 
     def initial_join(self, t0: float) -> None:
         triples = mtb_join(self.forest_a, self.forest_b, t0, self.techniques)
@@ -462,13 +450,7 @@ class _ETPStrategy:
         self.tp_runs = 0
 
     def build(self, t0: float) -> None:
-        engine = self.engine
-        self.tree_a = _new_tree(engine)
-        self.tree_b = _new_tree(engine)
-        for obj in engine.objects_a.values():
-            self.tree_a.insert(obj, t0)
-        for obj in engine.objects_b.values():
-            self.tree_b.insert(obj, t0)
+        self.tree_a, self.tree_b = _build_indexes(self.engine, _new_tree, t0)
 
     def initial_join(self, t0: float) -> None:
         self._refresh(t0)
@@ -516,9 +498,9 @@ def _make_strategy(
     techniques: Optional[JoinTechniques],
 ):
     if algorithm == "naive":
-        return _NaiveStrategy(engine)
+        return _TreeStrategy(engine, techniques, INF)
     if algorithm == "etp":
         return _ETPStrategy(engine)
     if algorithm == "tc":
-        return _TCStrategy(engine, techniques)
+        return _TreeStrategy(engine, techniques, engine.config.t_m)
     return _MTBStrategy(engine, techniques)

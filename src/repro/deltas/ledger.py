@@ -16,10 +16,9 @@ Raw record
 ----------
 A store reports whole ``(a, b, lo, hi)`` planes under one sign through
 :meth:`DeltaLedger.record_planes` (the result store hands over the rows
-it re-merged and the rows that came out, changed or not);
-:meth:`DeltaLedger.record` is its one-row form.  The ledger keeps the
-open tick's planes as they arrive; only the netted stream below is the
-contract.
+it re-merged and the rows that came out, changed or not).  The ledger
+keeps the open tick's planes as they arrive; only the netted stream
+below is the contract.
 
 Netting
 -------
@@ -366,16 +365,6 @@ class DeltaLedger:
         closed[folded[-1]] = _fold_packed([closed.pop(t) for t in folded])
         del ticks[:last]
         self._retained_from = folded[-1]
-
-    def record(self, sign: int, a_oid: int, b_oid: int, start: float, end: float) -> None:
-        """Append one raw transition: the one-row :meth:`record_planes`."""
-        self.record_planes(
-            sign,
-            np.array([a_oid], dtype=np.int64),
-            np.array([b_oid], dtype=np.int64),
-            np.array([start], dtype=np.float64),
-            np.array([end], dtype=np.float64),
-        )
 
     def record_planes(self, sign: int, a, b, lo, hi) -> None:
         """Append one raw transition per row of four parallel planes.

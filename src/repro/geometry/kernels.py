@@ -105,9 +105,11 @@ The kernels are *bit-identical* to the scalar path, not merely close:
 
 The scalar implementations (:mod:`repro.geometry.plane_sweep`) stay in
 place as the oracle the tests call directly; these kernels are the only
-production path.  The one place a scalar loop still runs in production
-is a tree search visiting a node under :data:`PROBE_BATCH_MIN` entries,
-chosen by input size alone.
+path the joins take.  A TPR*-tree search (:mod:`repro.index.tpr`) tests
+a node's entries one by one with the scalar
+:func:`~repro.geometry.intersection.intersection_interval`: its nodes
+hold 30 entries (Table I), about the size at which a vectorized probe
+that packs each visited node fresh starts to beat that loop.
 """
 
 from __future__ import annotations
@@ -124,7 +126,6 @@ from .interval import INF, TimeInterval
 from .kinetic import KineticBox
 
 __all__ = [
-    "PROBE_BATCH_MIN",
     "KineticBatch",
     "batch_intersection_intervals",
     "batch_probe_windows",
@@ -139,15 +140,6 @@ __all__ = [
 
 #: Flat ``KineticBox.params()`` layout: 4 MBR + 4 VBR bounds + t_ref.
 _N_PARAMS = 4 * NDIMS + 1
-
-#: Minimum batch size for a 1-vs-N probe to beat the scalar loop when
-#: the :class:`KineticBatch` must be packed fresh for the call (as in
-#: tree search, where nodes are visited once per query).  Measured
-#: crossover is ~n=30 pack-included and ~n=16 with a cached pack;
-#: consumers that cannot amortize the pack should take the scalar path
-#: below this size.  Grid kernels (N x M pairs) win from ~16x16 and are
-#: not gated.
-PROBE_BATCH_MIN = 32
 
 
 class KineticBatch:

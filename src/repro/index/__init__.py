@@ -1,4 +1,4 @@
-"""Moving-object indexes: TPR-tree, TPR*-tree and the MTB-tree forest."""
+"""Moving-object indexes: the TPR*-tree and the MTB-tree forest."""
 
 from .bulk import bulk_load
 from .codec import ENTRY_BYTES, HEADER_BYTES, NodeCodec, max_entries_for_page
@@ -8,8 +8,7 @@ from .node import Node
 from .object_table import ObjectTable
 from .stats import TreeStats, collect_forest_stats, collect_tree_stats
 from .store import TreeStorage
-from .tpr import DEFAULT_HORIZON, DEFAULT_NODE_CAPACITY, TPRTree
-from .tprstar import TPRStarTree
+from .tpr import DEFAULT_HORIZON, DEFAULT_NODE_CAPACITY, TPRStarTree
 
 __all__ = [
     "Entry",
@@ -20,7 +19,6 @@ __all__ = [
     "max_entries_for_page",
     "ObjectTable",
     "TreeStorage",
-    "TPRTree",
     "TPRStarTree",
     "MTBTree",
     "bulk_load",

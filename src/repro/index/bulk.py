@@ -1,4 +1,4 @@
-"""Bulk loading of TPR-trees: sort-tile-recursive (STR) packing.
+"""Bulk loading of TPR*-trees: sort-tile-recursive (STR) packing.
 
 Building a tree by one-at-a-time insertion costs O(n log n) node
 touches with large constants (choose-subtree integrates areas at every
@@ -9,9 +9,9 @@ of magnitude and produces well-packed leaves.
 The classic STR recipe is adapted to moving objects: objects are tiled
 by their *mid-horizon* positions (position at ``t0 + H/2``), which
 spreads velocity through the tiling the same way the TPR insertion
-heuristics spread it through integrated areas.  Nodes are packed to a
-configurable fill factor (default ~82%, leaving headroom for the first
-updates, standard bulk-load practice).
+heuristics spread it through integrated areas.  Nodes are packed to
+82% of their capacity, leaving headroom for the first updates,
+standard bulk-load practice.
 """
 
 from __future__ import annotations
@@ -21,11 +21,13 @@ from typing import List, Optional, Sequence
 
 from ..objects import MovingObject
 from .entry import Entry
-from .tpr import TPRTree
-from .tprstar import TPRStarTree
 from .store import TreeStorage
+from .tpr import TPRStarTree
 
 __all__ = ["bulk_load"]
+
+# Share of a node's capacity that packing fills.
+_FILL_FACTOR = 0.82
 
 
 def bulk_load(
@@ -34,14 +36,11 @@ def bulk_load(
     storage: Optional[TreeStorage] = None,
     node_capacity: int = 30,
     horizon: float = 60.0,
-    fill_factor: float = 0.82,
-    tree_class: type = TPRStarTree,
-) -> TPRTree:
+) -> TPRStarTree:
     """Build a packed TPR*-tree over ``objects`` as of time ``t0``.
 
     Returns a tree indistinguishable (API- and invariant-wise) from one
-    built by repeated insertion.  ``fill_factor`` controls how full the
-    packed nodes are.
+    built by repeated insertion.
 
     >>> from repro.workloads import uniform_workload
     >>> scenario = uniform_workload(100, seed=1)
@@ -49,9 +48,7 @@ def bulk_load(
     >>> len(tree)
     100
     """
-    if not 0.1 < fill_factor <= 1.0:
-        raise ValueError("fill_factor must be in (0.1, 1.0]")
-    tree = tree_class(storage=storage, node_capacity=node_capacity, horizon=horizon)
+    tree = TPRStarTree(storage=storage, node_capacity=node_capacity, horizon=horizon)
     if not objects:
         return tree
     seen = set()
@@ -60,7 +57,7 @@ def bulk_load(
             raise ValueError(f"duplicate object id {obj.oid}")
         seen.add(obj.oid)
 
-    per_node = max(2, int(node_capacity * fill_factor))
+    per_node = max(2, int(node_capacity * _FILL_FACTOR))
     t_mid = t0 + horizon / 2
 
     entries = [Entry(obj.kbox, obj.oid) for obj in objects]
@@ -94,7 +91,7 @@ def bulk_load(
 
 
 def _pack_level(
-    tree: TPRTree,
+    tree: TPRStarTree,
     entries: List[Entry],
     level: int,
     per_node: int,

@@ -1,6 +1,6 @@
 """Binary page codec for tree nodes.
 
-Layout (little endian)::
+Layout (little endian, no padding)::
 
     u8   level
     i64  page_id
@@ -17,15 +17,18 @@ tree constructor checks.
 
 from __future__ import annotations
 
+import struct
+
 from ..geometry import KineticBox
-from ..storage import StructReader, StructWriter
 from .entry import Entry
 from .node import Node
 
 __all__ = ["NodeCodec", "ENTRY_BYTES", "HEADER_BYTES", "max_entries_for_page"]
 
-ENTRY_BYTES = 8 + 9 * 8
-HEADER_BYTES = 1 + 8 + 8
+_HEADER = struct.Struct("<Bqq")
+_ENTRY = struct.Struct("<q9d")
+ENTRY_BYTES = _ENTRY.size
+HEADER_BYTES = _HEADER.size
 
 
 def max_entries_for_page(page_size: int) -> int:
@@ -37,23 +40,17 @@ class NodeCodec:
     """Serializes :class:`~repro.index.node.Node` objects to page bytes."""
 
     def encode(self, node: Node) -> bytes:
-        writer = StructWriter()
-        writer.write_u8(node.level)
-        writer.write_i64(node.page_id)
-        writer.write_i64(len(node.entries))
-        for entry in node.entries:
-            writer.write_i64(entry.ref)
-            writer.write_f64s(entry.kbox.params())
-        return writer.getvalue()
+        parts = [_HEADER.pack(node.level, node.page_id, len(node.entries))]
+        parts.extend(
+            _ENTRY.pack(entry.ref, *entry.kbox.params()) for entry in node.entries
+        )
+        return b"".join(parts)
 
     def decode(self, data: bytes) -> Node:
-        reader = StructReader(data)
-        level = reader.read_u8()
-        page_id = reader.read_i64()
-        count = reader.read_i64()
-        entries = []
-        for _ in range(count):
-            ref = reader.read_i64()
-            params = tuple(reader.read_f64s(9))
-            entries.append(Entry(KineticBox.from_params(params), ref))
+        level, page_id, count = _HEADER.unpack_from(data)
+        body = memoryview(data)[HEADER_BYTES : HEADER_BYTES + count * ENTRY_BYTES]
+        entries = [
+            Entry(KineticBox.from_params(record[1:]), record[0])
+            for record in _ENTRY.iter_unpack(body)
+        ]
         return Node(page_id, level, entries)

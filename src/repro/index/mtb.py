@@ -17,14 +17,13 @@ within ``T_M``, so trees older than that drain and are dropped.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..obs import tracker_span
 from ..objects import MovingObject
 from .object_table import ObjectTable
 from .store import TreeStorage
-from .tpr import DEFAULT_NODE_CAPACITY, TPRTree
-from .tprstar import TPRStarTree
+from .tpr import DEFAULT_NODE_CAPACITY, TPRStarTree
 
 __all__ = ["MTBTree", "DEFAULT_BUCKETS_PER_TM"]
 
@@ -40,9 +39,6 @@ class MTBTree:
         Maximum update interval ``T_M``.
     buckets_per_tm:
         ``m`` — how many buckets per ``T_M``; bucket length is ``T_M/m``.
-    tree_factory:
-        Constructor for bucket trees (defaults to :class:`TPRStarTree`);
-        swapped in ablation benchmarks.
     """
 
     def __init__(
@@ -51,7 +47,6 @@ class MTBTree:
         storage: Optional[TreeStorage] = None,
         buckets_per_tm: int = DEFAULT_BUCKETS_PER_TM,
         node_capacity: int = DEFAULT_NODE_CAPACITY,
-        tree_factory: Callable[..., TPRTree] = TPRStarTree,
     ):
         if t_m <= 0:
             raise ValueError("t_m must be positive")
@@ -61,8 +56,7 @@ class MTBTree:
         self.bucket_length = self.t_m / buckets_per_tm
         self.storage = storage if storage is not None else TreeStorage()
         self.node_capacity = node_capacity
-        self._tree_factory = tree_factory
-        self._trees: Dict[int, TPRTree] = {}
+        self._trees: Dict[int, TPRStarTree] = {}
         self.objects = ObjectTable()
 
     # ------------------------------------------------------------------
@@ -117,7 +111,7 @@ class MTBTree:
         """Number of currently populated bucket trees."""
         return len(self._trees)
 
-    def trees(self) -> Iterator[Tuple[int, float, TPRTree]]:
+    def trees(self) -> Iterator[Tuple[int, float, TPRStarTree]]:
         """``(bucket key, bucket end t_eb, tree)`` in bucket order."""
         for key in sorted(self._trees):
             yield key, self.bucket_end(key), self._trees[key]
@@ -137,10 +131,10 @@ class MTBTree:
         raise_on_findings(check_mtb_forest(self, t_now))
 
     # ------------------------------------------------------------------
-    def _tree_for(self, key: int) -> TPRTree:
+    def _tree_for(self, key: int) -> TPRStarTree:
         tree = self._trees.get(key)
         if tree is None:
-            tree = self._tree_factory(
+            tree = TPRStarTree(
                 storage=self.storage,
                 node_capacity=self.node_capacity,
                 horizon=self.t_m,

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from .mtb import MTBTree
-from .tpr import TPRTree
+from .tpr import TPRStarTree
 
 __all__ = ["TreeStats", "collect_tree_stats", "collect_forest_stats"]
 
@@ -35,7 +35,7 @@ class TreeStats:
     area_by_level: Dict[int, float]
 
 
-def collect_tree_stats(tree: TPRTree, t_eval: float) -> TreeStats:
+def collect_tree_stats(tree: TPRStarTree, t_eval: float) -> TreeStats:
     """Walk ``tree`` and compute :class:`TreeStats` at time ``t_eval``.
 
     >>> from repro.workloads import uniform_workload

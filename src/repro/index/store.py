@@ -24,27 +24,23 @@ __all__ = ["TreeStorage"]
 
 
 class TreeStorage:
-    """One simulated disk + LRU buffer + cost tracker for node pages."""
+    """One simulated disk of 4 KiB pages + LRU buffer + cost tracker for
+    node pages."""
 
     def __init__(
         self,
-        page_size: int = DEFAULT_PAGE_SIZE,
         buffer_pages: int = DEFAULT_BUFFER_PAGES,
         tracker: Optional[CostTracker] = None,
     ):
         self.tracker = tracker if tracker is not None else CostTracker()
-        self.disk = DiskManager(page_size, self.tracker)
+        self.disk = DiskManager(DEFAULT_PAGE_SIZE, self.tracker)
         self.buffer: BufferPool[Node] = BufferPool(
             self.disk, NodeCodec(), buffer_pages
         )
 
-    @property
-    def page_size(self) -> int:
-        return self.disk.page_size
-
     def max_node_capacity(self) -> int:
         """Largest node fan-out that still fits one page."""
-        return max_entries_for_page(self.page_size)
+        return max_entries_for_page(self.disk.page_size)
 
     def read_node(self, page_id: int) -> Node:
         """Fetch a node (through the buffer) and count the visit."""

@@ -32,7 +32,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from ..geometry import INF, intersection_interval, kernels
-from ..index import TPRTree
+from ..index import TPRStarTree
 from ..index.entry import Entry
 from ..index.node import Node
 from ..metrics import CostTracker
@@ -106,8 +106,8 @@ class _JoinContext:
 
 
 def improved_join(
-    tree_a: TPRTree,
-    tree_b: TPRTree,
+    tree_a: TPRStarTree,
+    tree_b: TPRStarTree,
     t_start: float,
     t_end: float,
     techniques: Optional[JoinTechniques] = None,
@@ -144,8 +144,8 @@ def improved_join(
 
 
 def _join_nodes(
-    tree_a: TPRTree,
-    tree_b: TPRTree,
+    tree_a: TPRStarTree,
+    tree_b: TPRStarTree,
     node_a: Node,
     node_b: Node,
     t0: float,
@@ -242,8 +242,8 @@ def _filter_batch(
 
 
 def _descend_single_side(
-    tree_a: TPRTree,
-    tree_b: TPRTree,
+    tree_a: TPRStarTree,
+    tree_b: TPRStarTree,
     node_a: Node,
     node_b: Node,
     entries_a: List[Entry],

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from ..geometry import INF, intersection_interval
-from ..index import TPRTree
+from ..index import TPRStarTree
 from ..index.node import Node
 from ..metrics import CostTracker
 from ..obs import tracker_span
@@ -28,8 +28,8 @@ __all__ = ["naive_join"]
 
 
 def naive_join(
-    tree_a: TPRTree,
-    tree_b: TPRTree,
+    tree_a: TPRStarTree,
+    tree_b: TPRStarTree,
     t_start: float,
     t_end: float = INF,
     tracker: Optional[CostTracker] = None,
@@ -52,8 +52,8 @@ def naive_join(
 
 
 def _join_nodes(
-    tree_a: TPRTree,
-    tree_b: TPRTree,
+    tree_a: TPRStarTree,
+    tree_b: TPRStarTree,
     node_a: Node,
     node_b: Node,
     t0: float,

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from ..index import TPRTree
+from ..index import TPRStarTree
 from ..metrics import CostTracker
 from ..obs import tracker_span
 from .improved import JoinTechniques, improved_join
@@ -27,8 +27,8 @@ __all__ = ["tc_join"]
 
 
 def tc_join(
-    tree_a: TPRTree,
-    tree_b: TPRTree,
+    tree_a: TPRStarTree,
+    tree_b: TPRStarTree,
     t_now: float,
     t_m: float,
     techniques: Optional[JoinTechniques] = None,

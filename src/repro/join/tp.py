@@ -31,7 +31,7 @@ from __future__ import annotations
 from typing import List, NamedTuple, Optional, Set, Tuple
 
 from ..geometry import INF, KineticBox, intersection_interval
-from ..index import TPRTree
+from ..index import TPRStarTree
 from ..index.node import Node
 from ..metrics import CostTracker
 from ..obs import tracker_span
@@ -70,8 +70,8 @@ class _TPState:
 
 
 def tp_join(
-    tree_a: TPRTree,
-    tree_b: TPRTree,
+    tree_a: TPRStarTree,
+    tree_b: TPRStarTree,
     t_now: float,
     tracker: Optional[CostTracker] = None,
 ) -> TPAnswer:
@@ -89,8 +89,8 @@ def tp_join(
 
 
 def _tp_nodes(
-    tree_a: TPRTree,
-    tree_b: TPRTree,
+    tree_a: TPRStarTree,
+    tree_b: TPRStarTree,
     node_a: Node,
     node_b: Node,
     t_now: float,
@@ -144,8 +144,8 @@ def _tp_nodes(
 
 
 def _tp_single_side(
-    tree_a: TPRTree,
-    tree_b: TPRTree,
+    tree_a: TPRStarTree,
+    tree_b: TPRStarTree,
     node_a: Node,
     node_b: Node,
     t_now: float,
@@ -179,7 +179,7 @@ def _tp_single_side(
 
 
 def influence_scan(
-    tree: TPRTree,
+    tree: TPRStarTree,
     kbox: KineticBox,
     t_now: float,
     tracker: Optional[CostTracker] = None,

@@ -26,7 +26,7 @@ span.  With no recorder attached the counters behave exactly as before
 from __future__ import annotations
 
 import time
-from typing import Dict, Optional, TYPE_CHECKING
+from typing import Optional, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (obs imports us)
     from .obs.recorder import ObsRecorder
@@ -86,16 +86,6 @@ class CostSnapshot:
             int(self.node_visits / divisor),
             self.cpu_seconds / divisor,
         )
-
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "page_reads": self.page_reads,
-            "page_writes": self.page_writes,
-            "io_total": self.io_total,
-            "pair_tests": self.pair_tests,
-            "node_visits": self.node_visits,
-            "cpu_seconds": self.cpu_seconds,
-        }
 
     def __repr__(self) -> str:
         return (

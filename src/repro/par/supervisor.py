@@ -39,7 +39,7 @@ parent-side plan to drop replies.
 from __future__ import annotations
 
 import multiprocessing
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..faults import FaultPlan
@@ -99,9 +99,6 @@ class SupervisorStats:
     dropped_replies: int = 0
     degraded_slots: int = 0
     recovery_seconds: float = 0.0
-
-    def as_dict(self) -> Dict[str, float]:
-        return asdict(self)
 
 
 class _Slot:

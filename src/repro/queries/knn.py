@@ -30,14 +30,14 @@ from ..core.columns import check_deadlines, deadline_planes
 from ..core.config import JoinConfig
 from ..geometry import Box, KineticBox
 from ..geometry.interval import INF, check_clock
-from ..index import MTBTree, TPRTree, TreeStorage
+from ..index import MTBTree, TPRStarTree, TreeStorage
 from ..objects import MovingObject
 
 __all__ = ["knn_at", "ContinuousKNNEngine"]
 
 
 def knn_at(
-    tree: TPRTree, qx: float, qy: float, k: int, t: float
+    tree: TPRStarTree, qx: float, qy: float, k: int, t: float
 ) -> List[Tuple[float, int]]:
     """Exact ``k`` nearest objects to point ``(qx, qy)`` at time ``t``.
 

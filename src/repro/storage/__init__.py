@@ -8,7 +8,6 @@ exact while the experiments stay laptop-fast.
 
 from .buffer import DEFAULT_BUFFER_PAGES, BufferPool, PageCodec
 from .disk import DEFAULT_PAGE_SIZE, DiskManager, PageError
-from .serializer import StructReader, StructWriter
 
 __all__ = [
     "DEFAULT_PAGE_SIZE",
@@ -17,6 +16,4 @@ __all__ = [
     "PageError",
     "BufferPool",
     "PageCodec",
-    "StructReader",
-    "StructWriter",
 ]

@@ -124,9 +124,9 @@ class UpdateStream:
         t_start: float = 1.0,
         t_end: Optional[float] = None,
         current: Optional[Mapping[int, MovingObject]] = None,
-        step: float = 1.0,
     ) -> Iterator[Tuple[float, List[MovingObject]]]:
-        """Yield ``(t, batch)`` same-tick update groups, one per timestamp.
+        """Yield ``(t, batch)`` same-tick update groups, one per whole
+        timestamp ``t_start, t_start + 1, …``.
 
         This is the group-commit feed: each batch holds every update due
         at that timestamp (possibly empty), with ``t_ref == t``, exactly
@@ -150,7 +150,7 @@ class UpdateStream:
             for obj in batch:
                 state[obj.oid] = obj
             yield t, batch
-            t += step
+            t += 1.0
 
     # ------------------------------------------------------------------
     def _reissue(self, obj: MovingObject, t: float) -> MovingObject:

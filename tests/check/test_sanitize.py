@@ -26,6 +26,7 @@ from repro.join import JoinTriple
 from repro.par import ShardedJoinEngine
 
 from ..conftest import random_objects
+from ..reference_store import record_row
 
 
 def codes(findings) -> set:
@@ -470,13 +471,13 @@ class TestDeltaLedger:
     def test_duplicated_emission_is_sc703(self):
         store, ledger = self.build()
         ledger.advance(2.0)
-        ledger.record(1, 3, 4, 1.0, 9.0)  # row is already present
+        record_row(ledger, 1, 3, 4, 1.0, 9.0)  # row is already present
         assert codes(self.check(store, ledger)) == {"SC703"}
 
     def test_lost_emission_is_sc703(self):
         store, ledger = self.build()
         ledger.advance(2.0)
-        ledger.record(-1, 9, 9, 0.0, 1.0)  # row was never added
+        record_row(ledger, -1, 9, 9, 0.0, 1.0)  # row was never added
         assert codes(self.check(store, ledger)) == {"SC703"}
 
 

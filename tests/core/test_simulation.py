@@ -107,10 +107,3 @@ class TestMetrics:
         tracker.count_node_visit(3)
         tracker.reset()
         assert tracker.snapshot().node_visits == 0
-
-    def test_as_dict(self):
-        snap = CostSnapshot(1, 2, 3, 4, 5.0)
-        d = snap.as_dict()
-        assert d["io_total"] == 3
-        assert d["pair_tests"] == 3
-        assert d["cpu_seconds"] == 5.0

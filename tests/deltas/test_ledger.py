@@ -32,7 +32,7 @@ from repro.deltas.ledger import events_from_planes
 from repro.geometry import TimeInterval
 from repro.join import JoinTriple
 
-from ..reference_store import JoinResultStore
+from ..reference_store import JoinResultStore, record_row
 from .conftest import T_M, delta_batches, delta_workload
 
 
@@ -48,17 +48,17 @@ class TestLedger:
         """Within one tick, remove-then-re-add of the same row is the
         invalidation/re-probe bounce — the net state diff is empty."""
         ledger = DeltaLedger(1.0)
-        ledger.record(-1, 1, 2, 0.0, 3.0)
-        ledger.record(1, 1, 2, 0.0, 3.0)
+        record_row(ledger, -1, 1, 2, 0.0, 3.0)
+        record_row(ledger, 1, 1, 2, 0.0, 3.0)
         assert ledger.events_at(1.0) == ()
         assert len(ledger) == 2  # raw records are kept for diagnostics
 
     def test_canonical_order_removals_first(self):
         ledger = DeltaLedger(2.0)
-        ledger.record(1, 9, 9, 0.0, 1.0)
-        ledger.record(-1, 1, 2, 0.0, 1.0)
-        ledger.record(1, 1, 3, 0.0, 1.0)
-        ledger.record(-1, 5, 6, 0.0, 1.0)
+        record_row(ledger, 1, 9, 9, 0.0, 1.0)
+        record_row(ledger, -1, 1, 2, 0.0, 1.0)
+        record_row(ledger, 1, 1, 3, 0.0, 1.0)
+        record_row(ledger, -1, 5, 6, 0.0, 1.0)
         events = ledger.events_at(2.0)
         assert [ev.sign for ev in events] == [-1, -1, 1, 1]
         assert [ev.pair for ev in events] == [(1, 2), (5, 6), (1, 3), (9, 9)]
@@ -67,8 +67,8 @@ class TestLedger:
         """A double add (store-hook bug) must reach the fold as two
         events so SC703 can catch it, not vanish in the netting."""
         ledger = DeltaLedger(0.0)
-        ledger.record(1, 1, 2, 0.0, 3.0)
-        ledger.record(1, 1, 2, 0.0, 3.0)
+        record_row(ledger, 1, 1, 2, 0.0, 3.0)
+        record_row(ledger, 1, 1, 2, 0.0, 3.0)
         events = ledger.events_at(0.0)
         assert len(events) == 2
         with pytest.raises(DeltaReplayError, match="duplicate add"):
@@ -82,21 +82,21 @@ class TestLedger:
 
     def test_quiet_ticks_leave_no_trace(self):
         ledger = DeltaLedger(0.0)
-        ledger.record(1, 1, 2, 0.0, 1.0)
+        record_row(ledger, 1, 1, 2, 0.0, 1.0)
         ledger.advance(1.0)  # nothing recorded at t=1
         ledger.advance(2.0)
-        ledger.record(1, 3, 4, 2.0, 5.0)
+        record_row(ledger, 1, 3, 4, 2.0, 5.0)
         assert ledger.ticks() == (0.0, 2.0)
         assert ledger.events_at(1.0) == ()
 
     def test_rereads_are_equal_not_identical(self):
         """Every read builds a fresh tuple; only new records change it."""
         ledger = DeltaLedger(0.0)
-        ledger.record(1, 1, 2, 0.0, 1.0)
+        record_row(ledger, 1, 1, 2, 0.0, 1.0)
         first = ledger.events_at(0.0)
         again = ledger.events_at(0.0)
         assert again == first and again is not first and again[0] is not first[0]
-        ledger.record(1, 3, 4, 0.0, 1.0)
+        record_row(ledger, 1, 3, 4, 0.0, 1.0)
         second = ledger.events_at(0.0)
         assert second != first and len(second) == 2
         ledger.advance(1.0)  # closed: same events, unpacked per read
@@ -104,9 +104,9 @@ class TestLedger:
 
     def test_events_walks_ticks_in_order(self):
         ledger = DeltaLedger(0.0)
-        ledger.record(1, 1, 2, 0.0, 9.0)
+        record_row(ledger, 1, 1, 2, 0.0, 9.0)
         ledger.advance(1.0)
-        ledger.record(-1, 1, 2, 0.0, 9.0)
+        record_row(ledger, -1, 1, 2, 0.0, 9.0)
         assert [(ev.tick, ev.sign) for ev in ledger.events()] == [
             (0.0, 1),
             (1.0, -1),
@@ -134,7 +134,7 @@ class TestLedger:
         """A tick after the clock has not begun: reading it raises
         instead of answering with an empty tick that fills later."""
         ledger = DeltaLedger(0.0)
-        ledger.record(1, 1, 2, 0.0, 9.0)
+        record_row(ledger, 1, 1, 2, 0.0, 9.0)
         for t in (1.0, float("inf"), float("nan")):
             for read in (ledger.planes_at, ledger.events_at):
                 with pytest.raises(ValueError, match="not begun"):
@@ -145,9 +145,9 @@ class TestLedger:
 
     def test_fold_upto_stops_at_the_sample_tick(self):
         ledger = DeltaLedger(0.0)
-        ledger.record(1, 1, 2, 0.0, 9.0)
+        record_row(ledger, 1, 1, 2, 0.0, 9.0)
         ledger.advance(1.0)
-        ledger.record(-1, 1, 2, 0.0, 9.0)
+        record_row(ledger, -1, 1, 2, 0.0, 9.0)
         assert fold_events(ledger, upto=0.0).rows() == {(1, 2): ((0.0, 9.0),)}
         assert fold_events(ledger).rows() == {}
 
@@ -305,10 +305,10 @@ class TestCompaction:
 
     def test_reading_a_folded_tick_raises(self):
         ledger = DeltaLedger(0.0)
-        ledger.record(1, 1, 2, 0.0, 9.0)
+        record_row(ledger, 1, 1, 2, 0.0, 9.0)
         for t in (1.0, 2.0, 3.0):
             ledger.advance(t)
-            ledger.record(1, int(t) + 10, 2, t, 9.0)
+            record_row(ledger, 1, int(t) + 10, 2, t, 9.0)
         assert ledger.ticks() == (0.0, 1.0, 2.0, 3.0)  # 3.0 is open
         ledger.advance(4.0)  # ticks 1 and 2 hold 2x tick 0: they fold
         assert ledger.ticks() == (2.0, 3.0) and ledger.retained_from == 2.0
@@ -348,7 +348,7 @@ class TestCompaction:
             engine.apply_updates(batch)
             if t == 3.0:
                 for _ in range(2 if sign > 0 else 1):
-                    ledger.record(sign, *bad)
+                    record_row(ledger, sign, *bad)
         assert ledger.retained_from > 3.0  # the bad tick was folded
         findings = check_delta_ledger(engine.store, ledger)
         assert [f.code for f in findings] == ["SC703"]

@@ -26,6 +26,7 @@ from repro.deltas import (
     fold_events,
 )
 
+from ..reference_store import record_row
 from .conftest import T_M, delta_batches, delta_workload, plane_rows
 
 # ----------------------------------------------------------------------
@@ -141,7 +142,7 @@ def test_netting_equals_the_state_diff(script):
         present = row in expected and expected[row]
         for _ in range(bounces):
             present = not present
-            ledger.record(1 if present else -1, *row)
+            record_row(ledger, 1 if present else -1, *row)
         expected[row] = present
     netted = ledger.events_at(1.0)
     flipped = sorted(row for row, present in expected.items() if present)
@@ -158,11 +159,11 @@ def test_fold_is_exact_multiset_bookkeeping(added, removed_count):
     ledger = DeltaLedger(0.0)
     ordered = sorted(added)
     for row in ordered:
-        ledger.record(1, *row)
+        record_row(ledger, 1, *row)
     ledger.advance(1.0)
     removed = ordered[: min(removed_count, len(ordered))]
     for row in removed:
-        ledger.record(-1, *row)
+        record_row(ledger, -1, *row)
     view = fold_events(ledger)
     survivors = {}
     for a, b, s, e in ordered[len(removed):]:
@@ -235,7 +236,7 @@ def record_script(script):
     raw = []
     for kind, sign, payload in script:
         if kind == "scalar":
-            ledger.record(sign, *payload)
+            record_row(ledger, sign, *payload)
             raw.append((sign, *payload))
         else:
             a, b, lo, hi = zip(*payload) if payload else ((), (), (), ())
@@ -263,7 +264,7 @@ def test_netted_planes_are_the_columns_of_the_events(script):
         assert exact(rows) == exact(ev[1:] for ev in events)
     assert ledger.planes_at(2.0) is planes
     assert all(p.size == 0 for p in ledger.planes_at(1.0))  # a quiet tick
-    ledger.record(1, 99, 99, 0.0, 1.0)
+    record_row(ledger, 1, 99, 99, 0.0, 1.0)
     again = ledger.planes_at(2.0)
     assert again is not planes and ledger.planes_at(2.0) is again
     assert plane_rows(again) == [
@@ -380,7 +381,7 @@ def test_folded_ticks_net_like_the_reference(script, watched):
     for op, sign, rows in script:
         if op == "record":
             for row in rows:
-                ledger.record(sign, *row)
+                record_row(ledger, sign, *row)
                 raw.setdefault(ledger.now, []).append((sign, *row))
         elif op == "advance":
             ledger.advance(ledger.now + 1.0)

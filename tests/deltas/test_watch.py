@@ -18,6 +18,7 @@ from repro.deltas import DeltaLedger, DeltaSubscription, DeltaView, fold_events
 from repro.deltas.ledger import events_from_planes
 from repro.geometry import Box
 
+from ..reference_store import record_row
 from .conftest import T_M, delta_batches, delta_workload
 
 EVERYWHERE = Box(-1e9, 1e9, -1e9, 1e9)
@@ -220,12 +221,12 @@ class TestPollAgainstTheLoop:
             return np.array([1], dtype=np.int64)
 
         sub = DeltaSubscription(ledger, region=EVERYWHERE, region_oids=resolver)
-        ledger.record(1, 1, 2, 0.0, 1.0)
+        record_row(ledger, 1, 1, 2, 0.0, 1.0)
         assert sub.poll() == [] and calls == []  # tick 0 is still open
         ledger.advance(1.0)
         assert [ev.pair for ev in sub.poll()] == [(1, 2)] and len(calls) == 1
         assert sub.poll() == [] and len(calls) == 1
-        ledger.record(1, 3, 4, 1.0, 2.0)  # touches nothing in scope
+        record_row(ledger, 1, 3, 4, 1.0, 2.0)  # touches nothing in scope
         ledger.advance(2.0)
         assert sub.poll() == [] and len(calls) == 2
 

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.geometry import Box, KineticBox, intersection_interval
-from repro.index import TPRTree, TPRStarTree, bulk_load, collect_tree_stats
+from repro.index import TPRStarTree, bulk_load, collect_tree_stats
 from repro.workloads import uniform_workload
 
 from ..conftest import random_objects
@@ -36,10 +36,6 @@ class TestBulkLoad:
         with pytest.raises(ValueError):
             bulk_load(objs + [objs[0]], t0=0.0)
 
-    def test_fill_factor_validation(self):
-        with pytest.raises(ValueError):
-            bulk_load(random_objects(4, 10), t0=0.0, fill_factor=0.05)
-
     def test_search_equivalent_to_insert_built(self):
         objs = random_objects(5, 600)
         packed = bulk_load(objs, t0=0.0)
@@ -69,14 +65,9 @@ class TestBulkLoad:
     def test_packing_quality(self):
         """STR packing should fill leaves near the fill factor."""
         scenario = uniform_workload(1000, seed=8)
-        tree = bulk_load(scenario.set_a, t0=0.0, fill_factor=0.8)
+        tree = bulk_load(scenario.set_a, t0=0.0)
         stats = collect_tree_stats(tree, 0.0)
         assert stats.avg_leaf_fill > 0.6
-
-    def test_custom_tree_class(self):
-        tree = bulk_load(random_objects(7, 50), t0=0.0, tree_class=TPRTree)
-        assert type(tree) is TPRTree
-        tree.validate(0.0)
 
     def test_bounds_valid_into_future(self):
         objs = random_objects(9, 400, max_speed=5.0)

@@ -1,5 +1,6 @@
 """Tests for node serialization and page-capacity arithmetic."""
 
+import hashlib
 import random
 
 from repro.geometry import Box, KineticBox
@@ -62,6 +63,47 @@ class TestRoundTrip:
         capacity = max_entries_for_page(DEFAULT_PAGE_SIZE)
         node = Node(0, 2, [Entry(random_kbox(rng), i) for i in range(capacity)])
         assert len(codec.encode(node)) <= DEFAULT_PAGE_SIZE
+
+
+class TestPinnedBytes:
+    """The page layout is fixed: a change to field order, widths,
+    endianness or the sign of zero moves these digests."""
+
+    LEAF = Node(2**40 + 7, 0, [
+        Entry(KineticBox.from_params(
+            (-12.5, -0.0, 1e-3, 3.25, -0.0, 0.75, -1.5, -0.0, -0.125)), 2**33 + 1),
+        Entry(KineticBox.from_params(
+            (0.1, 0.2, -7.0, -6.9, -2.5, 2.5, 0.0, 0.0, 12.0625)), 2**63 - 1),
+        Entry(KineticBox.from_params(
+            (-1e300, 1e-300, -0.3, 0.3, -1.0 / 3, 1.0 / 3, -5.0, -4.0, 60.0)), 5),
+    ])
+    INNER = Node(3, 2, [
+        Entry(KineticBox.from_params(
+            (-0.0, 0.0, -0.0, 0.0, -3.5, 3.5, -0.0, 2.2, 7.7)), 2**32),
+        Entry(KineticBox.from_params(
+            (123.456, 789.012, -345.678, -12.5, -9.75, -0.5, 0.5, 9.75, -1.0)),
+            -(2**35)),
+    ])
+
+    def test_leaf_digest(self):
+        data = NodeCodec().encode(self.LEAF)
+        assert len(data) == HEADER_BYTES + 3 * ENTRY_BYTES
+        assert hashlib.sha256(data).hexdigest() == (
+            "ca7744a6eeb18e9e46db3f2786a0d451e004165d7eaaea66a9af980908bdd00a"
+        )
+
+    def test_inner_digest(self):
+        data = NodeCodec().encode(self.INNER)
+        assert len(data) == HEADER_BYTES + 2 * ENTRY_BYTES
+        assert hashlib.sha256(data).hexdigest() == (
+            "06dc891713b63301c099e135664d4a6793ca4bb22e24b203ae2c53fb696ac72d"
+        )
+
+    def test_decode_inverts_encode_bit_for_bit(self):
+        codec = NodeCodec()
+        for node in (self.LEAF, self.INNER):
+            data = codec.encode(node)
+            assert codec.encode(codec.decode(data)) == data
 
 
 class TestNode:

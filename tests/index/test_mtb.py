@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.index import MTBTree, TPRTree, TreeStorage
+from repro.index import MTBTree, TreeStorage
 from repro.objects import MovingObject
 from repro.geometry import Box
 
@@ -109,12 +109,6 @@ class TestMaintenance:
 
 
 class TestTreeFactory:
-    def test_custom_factory_used(self):
-        forest = MTBTree(t_m=60.0, tree_factory=TPRTree)
-        forest.insert(MovingObject(1, Box(0, 1, 0, 1), 0, 0, 0.0), 0.0)
-        _key, _end, tree = next(forest.trees())
-        assert type(tree) is TPRTree
-
     def test_trees_sorted_by_bucket(self):
         forest = fresh_forest(t_m=60.0, m=2)
         forest.insert(MovingObject(1, Box(0, 1, 0, 1), 0, 0, t_ref=40.0), 40.0)

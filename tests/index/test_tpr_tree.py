@@ -1,16 +1,17 @@
-"""Structural and behavioural tests for the TPR-tree (and TPR*)."""
+"""Structural and behavioural tests for the TPR*-tree."""
 
 import random
 
 import pytest
 
 from repro.geometry import Box, INF, KineticBox, intersection_interval
-from repro.index import TPRStarTree, TPRTree, TreeStorage
+from repro.index import TPRStarTree, TreeStorage, bulk_load, max_entries_for_page
 from repro.objects import MovingObject
+from repro.storage import DEFAULT_PAGE_SIZE
 
-from ..conftest import random_object
+from ..conftest import random_object, random_objects
 
-TREES = [TPRTree, TPRStarTree]
+TREES = [TPRStarTree]
 
 
 def build_tree(cls, n, seed=0, t=0.0, **kwargs):
@@ -26,7 +27,7 @@ def build_tree(cls, n, seed=0, t=0.0, **kwargs):
 
 class TestConstruction:
     def test_empty_tree(self):
-        tree = TPRTree()
+        tree = TPRStarTree()
         assert len(tree) == 0
         assert tree.height == 1
         assert tree.search(
@@ -35,16 +36,14 @@ class TestConstruction:
 
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
-            TPRTree(node_capacity=3)
+            TPRStarTree(node_capacity=3)
         with pytest.raises(ValueError):
-            TPRTree(node_capacity=1000)  # exceeds 4 KiB page
+            TPRStarTree(node_capacity=1000)  # exceeds 4 KiB page
         with pytest.raises(ValueError):
-            TPRTree(horizon=0)
-        with pytest.raises(ValueError):
-            TPRTree(min_fill_ratio=0.9)
+            TPRStarTree(horizon=0)
 
     def test_duplicate_insert_rejected(self):
-        tree = TPRTree()
+        tree = TPRStarTree()
         obj = MovingObject(1, Box(0, 1, 0, 1), 0, 0, 0.0)
         tree.insert(obj, 0.0)
         with pytest.raises(ValueError):
@@ -90,7 +89,7 @@ class TestInvariants:
         assert tree.height == 1
 
     def test_delete_missing_raises(self):
-        tree = TPRTree()
+        tree = TPRStarTree()
         with pytest.raises(KeyError):
             tree.delete(1, 0.0)
 
@@ -116,6 +115,33 @@ class TestSearch:
                 if iv is not None:
                     want.append((oid, round(iv.start, 6)))
             assert got == sorted(want), trial
+
+    def test_search_at_page_capacity(self):
+        """Nodes as wide as a 4 KiB page allows answer with exactly the
+        ``(oid, interval)`` set a scan of every object gives, bounded and
+        unbounded windows alike.  Packing 1 400 objects at 50 entries a
+        node puts leaves of up to 41 entries under a 36-entry root."""
+        capacity = max_entries_for_page(DEFAULT_PAGE_SIZE)
+        objects = random_objects(6, 1400)
+        tree = bulk_load(objects, t0=0.0, node_capacity=capacity)
+        assert tree.node_capacity == 50
+        assert tree.height == 2 and len(tree.root_node().entries) > 32
+        rng = random.Random(6)
+        for trial in range(12):
+            x, y = rng.uniform(0, 900), rng.uniform(0, 900)
+            region = KineticBox.rigid(
+                Box(x, x + rng.uniform(1, 150), y, y + rng.uniform(1, 150)),
+                rng.uniform(-3, 3), rng.uniform(-3, 3), rng.uniform(0, 2),
+            )
+            t0 = rng.uniform(0, 5)
+            t1 = INF if trial % 3 == 0 else t0 + rng.uniform(0, 40)
+            got = set(tree.search(region, t0, t1))
+            want = set()
+            for obj in objects:
+                iv = intersection_interval(obj.kbox, region, t0, t1)
+                if iv is not None:
+                    want.add((obj.oid, iv))
+            assert got and got == want, trial
 
     def test_search_unbounded_window(self):
         tree, objects, _ = build_tree(TPRStarTree, 100, seed=4)

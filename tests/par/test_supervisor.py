@@ -21,7 +21,6 @@ from repro.par import (
     ShardSupervisor,
     ShardTimeoutError,
     ShardWorkerDied,
-    SupervisorStats,
 )
 from repro.par import worker
 from repro.workloads import make_workload
@@ -234,23 +233,6 @@ class TestShutdown:
 
 
 class TestStats:
-    def test_as_dict_round_trip(self):
-        stats = SupervisorStats(timeouts=2, respawns=1)
-        d = stats.as_dict()
-        assert d["timeouts"] == 2
-        assert d["respawns"] == 1
-        assert set(d) == {
-            "timeouts",
-            "worker_deaths",
-            "respawns",
-            "recoveries",
-            "replayed_commands",
-            "checkpoints",
-            "dropped_replies",
-            "degraded_slots",
-            "recovery_seconds",
-        }
-
     def test_validation_rejects_bad_knobs(self):
         with pytest.raises(ValueError):
             ShardSupervisor(1, [0], timeout=-1.0)

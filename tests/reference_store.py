@@ -8,7 +8,7 @@ its row-at-a-time merging is simple enough to read off Theorems 1–2, so
 the plane store's mutations, query answers and netted delta stream are
 all checked against it.  Moved here from ``repro.core.result`` as it
 stood; it feeds an attached ledger one row at a time through
-:meth:`repro.deltas.DeltaLedger.record`.
+:func:`record_row`.
 
 :class:`Lockstep` stands in for an engine's own store so that every
 mutation the engine makes also lands in the reference.
@@ -20,12 +20,14 @@ import sys
 from collections import Counter
 from typing import Dict, Iterator, List, Set, Tuple
 
+import numpy as np
+
 from repro.core.result import ColumnResultStore
 from repro.geometry import TimeInterval, merge_intervals
 from repro.geometry.constants import MERGE_TOL as _MERGE_TOL
 from repro.join import JoinTriple
 
-__all__ = ["JoinResultStore", "Lockstep"]
+__all__ = ["JoinResultStore", "Lockstep", "record_row"]
 
 PairKey = Tuple[int, int]
 
@@ -34,6 +36,17 @@ def _as_list(values) -> List:
     """Sequence → plain list (``ndarray.tolist`` yields Python scalars)."""
     tolist = getattr(values, "tolist", None)
     return tolist() if tolist is not None else list(values)
+
+
+def record_row(ledger, sign: int, a_oid: int, b_oid: int, start, end) -> None:
+    """Hand ``ledger`` one raw transition as one-row planes."""
+    ledger.record_planes(
+        sign,
+        np.array([a_oid], dtype=np.int64),
+        np.array([b_oid], dtype=np.int64),
+        np.array([start], dtype=np.float64),
+        np.array([end], dtype=np.float64),
+    )
 
 
 def _record_merge_diff(ledger, key: "PairKey", old_rows, merged) -> None:
@@ -48,9 +61,9 @@ def _record_merge_diff(ledger, key: "PairKey", old_rows, merged) -> None:
     old = set(old_rows)
     new = {(iv.start, iv.end) for iv in merged}
     for start, end in old - new:
-        ledger.record(-1, key[0], key[1], start, end)
+        record_row(ledger, -1, key[0], key[1], start, end)
     for start, end in new - old:
-        ledger.record(1, key[0], key[1], start, end)
+        record_row(ledger, 1, key[0], key[1], start, end)
 
 
 class JoinResultStore:
@@ -96,15 +109,11 @@ class JoinResultStore:
             self._by_oid.setdefault(triple.a_oid, set()).add(key)
             self._by_oid.setdefault(triple.b_oid, set()).add(key)
             if ledger is not None:
-                ledger.record(
-                    1, key[0], key[1], triple.interval.start, triple.interval.end
-                )
+                record_row(ledger, 1, *key, triple.interval.start, triple.interval.end)
         elif triple.interval.start > intervals[-1].end + _MERGE_TOL:
             intervals.append(triple.interval)
             if ledger is not None:
-                ledger.record(
-                    1, key[0], key[1], triple.interval.start, triple.interval.end
-                )
+                record_row(ledger, 1, *key, triple.interval.start, triple.interval.end)
         else:
             old = (
                 None
@@ -134,10 +143,6 @@ class JoinResultStore:
         pairs = self._pairs
         by_oid = self._by_oid
         ledger = self._ledger
-        # Hoisted bound method: delta extraction inside the vectorized
-        # append path is one plain-scalar call per row, no per-pair
-        # objects (the DeltaEvent materializes lazily at enumeration).
-        record = None if ledger is None else ledger.record
         for a, b, s, e in zip(
             _as_list(a_oids), _as_list(b_oids), _as_list(starts), _as_list(ends)
         ):
@@ -147,12 +152,12 @@ class JoinResultStore:
                 pairs[key] = [TimeInterval(s, e)]
                 by_oid.setdefault(a, set()).add(key)
                 by_oid.setdefault(b, set()).add(key)
-                if record is not None:
-                    record(1, a, b, s, e)
+                if ledger is not None:
+                    record_row(ledger, 1, a, b, s, e)
             elif s > intervals[-1].end + _MERGE_TOL:
                 intervals.append(TimeInterval(s, e))
-                if record is not None:
-                    record(1, a, b, s, e)
+                if ledger is not None:
+                    record_row(ledger, 1, a, b, s, e)
             else:
                 old = (
                     None
@@ -184,7 +189,7 @@ class JoinResultStore:
             intervals = self._pairs.pop(key, None)
             if ledger is not None and intervals is not None:
                 for iv in intervals:
-                    ledger.record(-1, key[0], key[1], iv.start, iv.end)
+                    record_row(ledger, -1, key[0], key[1], iv.start, iv.end)
             other = key[1] if key[0] == oid else key[0]
             other_keys = self._by_oid.get(other)
             if other_keys is not None:
@@ -198,7 +203,7 @@ class JoinResultStore:
         if ledger is not None:
             for key, intervals in self._pairs.items():
                 for iv in intervals:
-                    ledger.record(-1, key[0], key[1], iv.start, iv.end)
+                    record_row(ledger, -1, key[0], key[1], iv.start, iv.end)
         self._pairs.clear()
         self._by_oid.clear()
 

@@ -17,7 +17,6 @@ import repro.metrics
 import repro.objects
 import repro.storage.buffer
 import repro.storage.disk
-import repro.storage.serializer
 
 MODULES = [
     repro.geometry.interval,
@@ -28,7 +27,6 @@ MODULES = [
     repro.metrics,
     repro.storage.disk,
     repro.storage.buffer,
-    repro.storage.serializer,
     repro.index.bulk,
     repro.index.stats,
 ]
