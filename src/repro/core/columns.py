@@ -641,16 +641,16 @@ class ColumnStore:
         )
 
     def gather(self, rows: np.ndarray) -> KineticBatch:
-        """A :class:`KineticBatch` of selected rows (fancy-index copy),
+        """A :class:`KineticBatch` of selected rows (row-major copies),
         carrying the store's magnitude bounds like :meth:`batch`."""
         return KineticBatch(
-            self.mlo[:, rows],
-            self.mhi[:, rows],
-            self.vlo[:, rows],
-            self.vhi[:, rows],
+            self.mlo.take(rows, axis=1),
+            self.mhi.take(rows, axis=1),
+            self.vlo.take(rows, axis=1),
+            self.vhi.take(rows, axis=1),
             self.tref[rows],
-            self.slo[:, rows],
-            self.shi[:, rows],
+            self.slo.take(rows, axis=1),
+            self.shi.take(rows, axis=1),
             self._abs_bounds,
         )
 

@@ -8,8 +8,6 @@ for the whole system, §VI-A).
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..metrics import CostTracker
 from ..storage import (
     DEFAULT_BUFFER_PAGES,
@@ -27,12 +25,8 @@ class TreeStorage:
     """One simulated disk of 4 KiB pages + LRU buffer + cost tracker for
     node pages."""
 
-    def __init__(
-        self,
-        buffer_pages: int = DEFAULT_BUFFER_PAGES,
-        tracker: Optional[CostTracker] = None,
-    ):
-        self.tracker = tracker if tracker is not None else CostTracker()
+    def __init__(self, buffer_pages: int = DEFAULT_BUFFER_PAGES):
+        self.tracker = CostTracker()
         self.disk = DiskManager(DEFAULT_PAGE_SIZE, self.tracker)
         self.buffer: BufferPool[Node] = BufferPool(
             self.disk, NodeCodec(), buffer_pages

@@ -12,7 +12,9 @@ probe, a window end per row) to the scalar sweeps the per-bucket loop
 it replaced ran, one per pair of end groups.  The
 number of pairs that reach the exact kernel is pinned per call — for tc
 to what the 1-D sweep enumerator this grid replaced sent there: the
-grid changes how candidates are found, not which are tested.
+grid changes how candidates are found, not which are tested.  Every
+call is also held to the NumPy oracle (``tests/geometry/sweep_oracle.py``)
+in the join's own order, both counters included.
 
 It also bounds the join's temporaries: nothing in it may grow with the
 candidates or with the visiting side's cell-column segments.
@@ -37,6 +39,8 @@ from repro.geometry.kernels import (
     batch_sweep_join,
 )
 from repro.workloads import VectorUpdateStream, make_workload_arrays
+
+from ..geometry.sweep_oracle import oracle_sweep_join
 
 SEED = 20080407
 
@@ -155,6 +159,14 @@ def assert_same_planes(got, want, where):
         assert g.tobytes() == w.tobytes(), where
 
 
+def assert_oracle_order(planes, counter, batch_a, batch_b, t0, t1, **kwargs):
+    """The rows in the order returned, and both counters, are the oracle's."""
+    want_counter = [0, 0]
+    want = oracle_sweep_join(batch_a, batch_b, t0, t1, counter=want_counter, **kwargs)
+    assert_same_planes(planes, want, (t0, t1))
+    assert counter == want_counter, (t0, t1)
+
+
 class TestReplay:
     @pytest.mark.parametrize("shape", sorted(SHAPES))
     def test_engine_calls_equal_the_scalar_sweep(self, shape, monkeypatch):
@@ -176,6 +188,7 @@ class TestReplay:
             assert_same_planes(by_pair(planes), by_pair(want), (t0, t1))
             assert counter[1] == exact_tests, (t0, t1)
             assert planes[0].shape[0] <= counter[1] <= counter[0]
+            assert_oracle_order(planes, counter, batch_a, batch_b, t0, t1)
             # The engine's fixed axis returns the same rows.
             fixed = batch_sweep_join(batch_a, batch_b, t0, t1, dim=kwargs["dim"])
             assert_same_planes(by_pair(fixed), by_pair(planes), (t0, t1))
@@ -202,6 +215,7 @@ class TestReplay:
             assert counter[1] == exact_tests, (t0, t1)
             assert grouped_tests <= counter[1]
             assert planes[0].shape[0] <= counter[1] <= counter[0]
+            assert_oracle_order(planes, counter, batch_a, batch_b, t0, t1, dim=dim, ends=ends)
         assert calls[0][0].n == n == calls[0][1].n
         # Not vacuous: the run ends with three buckets live, one window
         # end each, every one of them met by the last probes.
@@ -233,21 +247,24 @@ class TestTemporaries:
         return peak, sum(plane.nbytes for plane in planes)
 
     def test_initial_join_peak_at_default_chunk(self):
-        """The benchmark's 20 000 x 20 000 initial join: 7.55 MiB, with the
-        exact kernel's queue drained at a quarter chunk (13.71 MiB when it
-        drained at the full chunk); the bound is that plus ~15 %."""
+        """The benchmark's 20 000 x 20 000 initial join: 4.47 MiB — the
+        call's one buffer (workspace and a first output of a slot per
+        binned row), a second output (its 21 448 hits outgrow the first)
+        and the exact-size copies; the bound is that plus ~15 % (the
+        NumPy join it replaced peaked at 7.55 MiB).  The floor is the
+        workspace's doubles alone, 80 bytes a binned row: a workspace
+        tracemalloc cannot see (a pool outside NumPy) reads below it."""
         peak, _ = self._peak(20_000)
-        assert peak <= 8.7 * 2**20, peak
+        assert 80 * 20_000 <= peak <= 5.15 * 2**20, peak
 
     def test_only_per_row_planes_grow_with_the_input(self):
-        """At a fixed small chunk the peak, outputs excluded, is the per-row
-        planes (swept bounds, padded boxes, binned order, visit table: ~100
-        bytes a row) plus a chunk's worth: ~50 bytes a candidate slot, and
-        the exact kernel's ~240 bytes a pair over the quarter chunk its
-        queue holds — the same chunk's worth when both sides double, though
-        candidates and segments double with them.  Unblocked segment tables
-        alone would add ~160 bytes a row."""
-        chunk = 2_048
+        """The peak, outputs excluded, is the call's buffer — 136 bytes a
+        binned row: 80 of packed rows, 16 of sort indices, at most 8 of
+        cell table and 32 of first output — plus any later outputs, which
+        double from there (under two hits' worth together), so it grows
+        with the rows and the hits, never with the candidates or the
+        cell-column segments, which double with the sides here as well.
+        The floor keeps the workspace where tracemalloc sees it."""
         for n in (5_000, 10_000):
-            peak, out = self._peak(n, chunk=chunk)
-            assert peak - out <= 105 * 2 * n + 120 * chunk, (n, peak - out)
+            peak, out = self._peak(n)
+            assert 80 * n <= peak - out <= 136 * n + 2 * out + 4096, (n, peak - out)

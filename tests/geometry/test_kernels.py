@@ -5,7 +5,8 @@ bit-identical results to the scalar path — not approximately equal,
 *equal*: same intervals to the last bit, same candidate pairs, same
 ordering (``batch_sweep_join`` excepted: its rows come in grid order
 and are compared sorted by pair; ``batch_ps_intersection`` restores the
-sweep's).  These tests enforce that promise with hypothesis-generated
+sweep's).  The compiled ``batch_sweep_join`` is also held, byte for
+byte and in its own order, to its NumPy oracle (``sweep_oracle.py``).  These tests enforce that promise with hypothesis-generated
 boxes (including subnormal velocities and exact-tangency contacts) and
 handcrafted degenerate cases: zero-length windows (``t0 == t1``),
 touching boundaries, zero velocities, and infinite windows.
@@ -43,6 +44,7 @@ from repro.geometry.constants import PAIR_TEST_EPS
 from repro.geometry.kernels import batch_sweep_join
 
 from ..conftest import random_kbox
+from .sweep_oracle import _grid_shape, _SweepGrid, oracle_sweep_join
 
 # Finite values spanning magnitudes down to subnormals — the regime
 # where different float associations actually diverge.
@@ -370,6 +372,16 @@ class TestFilterAtTheBoundary:
             assert batch_filter_against(batch, other, t0, t1).tolist() == want.tolist()
 
 
+def assert_oracle_matches(planes, counter, batch_a, batch_b, t0, t1, **kwargs):
+    """The compiled join's rows, in its order, and both counters are the
+    NumPy oracle's, called with ``kwargs``."""
+    want_counter = [0, 0]
+    want = oracle_sweep_join(batch_a, batch_b, t0, t1, counter=want_counter, **kwargs)
+    assert [p.dtype for p in planes] == [w.dtype for w in want]
+    assert [p.tobytes() for p in planes] == [w.tobytes() for w in want], kwargs
+    assert counter == want_counter, kwargs
+
+
 def assert_sweep_join_matches(boxes_a, boxes_b, t0, t1):
     """Rows and windows equal the scalar sweep's on both axes, as bytes.
 
@@ -378,7 +390,8 @@ def assert_sweep_join_matches(boxes_a, boxes_b, t0, t1):
     sweep's order, and its candidate count, are pinned where the tree
     engines read them, on ``batch_ps_intersection``.  The join's own
     ``counter[0]`` is its grid's stage-one work, the same whichever
-    axis sweeps.
+    axis sweeps.  The NumPy oracle returns the same bytes in the same
+    order, with the same counters.
     """
     batch_a, batch_b = batch_of(boxes_a), batch_of(boxes_b)
     stage_one = set()
@@ -394,15 +407,13 @@ def assert_sweep_join_matches(boxes_a, boxes_b, t0, t1):
         ]
         assert cp == cs, dim
         assert row_bytes(swept) == row_bytes(scalar), dim  # in sweep order
-        for chunk in (1, 7, 65_536):
-            ck = [0, 0]
-            idx_a, idx_b, lo, hi = batch_sweep_join(
-                batch_a, batch_b, t0, t1, dim=dim, counter=ck, chunk=chunk
-            )
-            rows = list(zip(idx_a.tolist(), idx_b.tolist(), lo.tolist(), hi.tolist()))
-            assert row_bytes(sorted(rows)) == row_bytes(sorted(scalar)), (dim, chunk)
-            assert len(rows) <= ck[1] <= ck[0], (dim, chunk)
-            stage_one.add(ck[0])
+        ck = [0, 0]
+        planes = batch_sweep_join(batch_a, batch_b, t0, t1, dim=dim, counter=ck)
+        rows = list(zip(*(plane.tolist() for plane in planes)))
+        assert row_bytes(sorted(rows)) == row_bytes(sorted(scalar)), dim
+        assert len(rows) <= ck[1] <= ck[0], dim
+        stage_one.add(ck[0])
+        assert_oracle_matches(planes, ck, batch_a, batch_b, t0, t1, dim=dim)
     assert len(stage_one) == 1, stage_one
 
 
@@ -532,19 +543,15 @@ def assert_per_row_join_matches(boxes_a, boxes_b, t0, t1, ends_a, ends_b):
     ends = tuple(None if e is None else np.array(e, dtype=np.float64) for e in (ends_a, ends_b))
     for dim in (0, 1):
         want = grouped_scalar_rows(boxes_a, boxes_b, t0, t1, ends_a, ends_b, dim)
-        for chunk in (1, 7, 65_536):
-            counter = [0, 0]
-            planes = batch_sweep_join(
-                batch_a, batch_b, t0, t1, dim=dim, counter=counter, chunk=chunk, ends=ends
-            )
-            got = list(zip(*(plane.tolist() for plane in planes)))
-            assert row_bytes(sorted(got)) == row_bytes(want), (dim, chunk)
-            assert len(got) <= counter[1] <= counter[0]
-            again = batch_sweep_join(
-                batch_a, batch_b, t0, t1, dim=dim, chunk=chunk, ends=ends
-            )
-            # The grid's order is deterministic.
-            assert [p.tobytes() for p in again] == [p.tobytes() for p in planes]
+        counter = [0, 0]
+        planes = batch_sweep_join(batch_a, batch_b, t0, t1, dim=dim, counter=counter, ends=ends)
+        got = list(zip(*(plane.tolist() for plane in planes)))
+        assert row_bytes(sorted(got)) == row_bytes(want), dim
+        assert len(got) <= counter[1] <= counter[0]
+        again = batch_sweep_join(batch_a, batch_b, t0, t1, dim=dim, ends=ends)
+        # The grid's order is deterministic.
+        assert [p.tobytes() for p in again] == [p.tobytes() for p in planes]
+        assert_oracle_matches(planes, counter, batch_a, batch_b, t0, t1, dim=dim, ends=ends)
 
 
 @st.composite
@@ -730,7 +737,7 @@ def lattice(axis, scale=1.0, width=30.0, side=20, half=50.0):
 
 
 def binned_grid(batch_q, batch_p, t0, t1):
-    """The grid ``batch_sweep_join`` builds when it bins ``batch_p``.
+    """The oracle's grid: the one ``batch_sweep_join`` builds when it bins ``batch_p``.
 
     Also returns the padded boxes and the visiting side's swept bounds;
     callers tie this reconstruction to the kernel by comparing its
@@ -748,7 +755,7 @@ def binned_grid(batch_q, batch_p, t0, t1):
         lb, ub = batch_sweep_bounds(batch_q, axis, t0, t1)
         lb_q.append(lb)
         ub_q.append(ub)
-    return kernels._SweepGrid(lo, hi, pad), lo, hi, lb_q, ub_q
+    return _SweepGrid(lo, hi, pad), lo, hi, lb_q, ub_q
 
 
 def cell_edge(grid, axis, k):
@@ -1027,7 +1034,7 @@ class TestSweepGrid:
         """Pinned crash: nothing to bin (one inverted box; all rows unbounded)."""
         import numpy as np
 
-        grid = kernels._SweepGrid(
+        grid = _SweepGrid(
             [np.array([3.0]), np.array([1.0])], [np.array([2.0]), np.array([0.5])], [1e-12, 1e-12]
         )
         assert grid.order is None and grid.shape == [1, 1]
@@ -1042,3 +1049,190 @@ class TestSweepGrid:
         boxes_b = [static_box(k, 0.0, 1.0, 1.0) for k in range(138)]
         boxes_b += [static_box(-1e308, 0.0, 1.0, 1.0), static_box(1e308, 0.0, 0.0, 1.0)]
         assert_sweep_join_matches(boxes_a, boxes_b, 0.0, 12.0)
+
+    @pytest.mark.parametrize(
+        "last, cells, in_order", [(91.35750400786331, 35, 36), (91.35750400786333, 36, 36)]
+    )
+    def test_mean_width_is_summed_pairwise(self, last, cells, in_order):
+        """The grid's shape follows the mean binned width as NumPy sums it,
+        pairwise, to the ulp.  The last row's corner is one of the two
+        doubles either side of the 35/36 x-cell edge, and on the first a
+        left-to-right sum, an ulp off, lands on the other side."""
+        import functools
+        import operator
+
+        rng = random.Random(1)
+        widths = [rng.uniform(0.1, 5.0) for _ in range(999)]
+        corners = [rng.uniform(0.0, 90.0) for _ in range(999)]
+        large = [static_box(x, 0.0, w, 1.0) for x, w in zip(corners, widths)]
+        large.append(static_box(last, 0.0, 2.0, 1.0))
+        # The far box fixes the magnitude, so the slack and the pad.
+        small = [static_box(1000.0, 0.0, 1.0, 1.0)]
+        small += [static_box(5.0 * k, 0.0, 1.0, 1.0) for k in range(19)]
+        grid, lo, hi, _, _ = binned_grid(batch_of(small), batch_of(large), 0.0, 1.0)
+        extent = [float(x.max()) - float(x.min()) for x in lo]
+        by_sum = {}
+        for name, total in (
+            ("pairwise", lambda w: float(w.sum())),
+            ("in order", lambda w: functools.reduce(operator.add, w.tolist(), 0.0)),
+        ):
+            span = [
+                max(total(hi[axis] - lo[axis]) / len(large), 0.0) + grid.reach[axis]
+                for axis in (0, 1)
+            ]
+            by_sum[name] = _grid_shape(extent, span, len(large))
+        assert grid.shape == by_sum["pairwise"] == [cells, 1]
+        assert by_sum["in order"] == [in_order, 1]
+        assert_sweep_join_matches(small, large, 0.0, 1.0)
+
+
+# ----------------------------------------------------------------------
+# The compiled join against its oracles, case by case
+# ----------------------------------------------------------------------
+def signed_zero_pairs(k):
+    """``k`` pairs whose window closes at ``-0.0`` from ``t0 = 0``: a
+    moving left, b static, touching at x = 1 — the root of ``b.lo - a.hi``
+    is ``-0.0 / 1``."""
+    pairs = []
+    for i in range(k):
+        y = 3.0 * i
+        pairs.append((
+            KineticBox.rigid(Box(0.0, 1.0, y, y + 1.0), -1.0, 0.0, 0.0),
+            KineticBox.rigid(Box(1.0, 2.0, y, y + 1.0), 0.0, 0.0, 0.0),
+        ))
+    return pairs
+
+
+class TestCompiledAgainstOracle:
+    """Every shape of input the join treats differently, with either side
+    the larger (the larger is binned): rows as bytes in the order returned
+    and both counters against the NumPy oracle, rows sorted by pair
+    against the scalar ``ps_intersection`` (or its per-end-group calls)."""
+
+    @pytest.fixture(params=["a_smaller", "a_larger"])
+    def flip(self, request):
+        return request.param == "a_larger"
+
+    def sides(self, small, large, flip):
+        return (large, small) if flip else (small, large)
+
+    def test_tc_gridded(self, flip):
+        small, large = TestSweepGrid()._uniform(31, 150, 900)
+        assert len(small) * len(large) > kernels.SWEEP_GRID_MIN_PAIRS
+        assert_sweep_join_matches(*self.sides(small, large, flip), 1.0, 13.0)
+
+    def test_per_row_ends(self, flip):
+        small, large = TestSweepGrid()._uniform(32, 120, 700)
+        rng = random.Random(33)
+        ends_small = [rng.choice([6.0, 9.0]) for _ in small]
+        ends_large = [rng.choice([5.0, 8.0, 11.0]) for _ in large]
+        boxes_a, boxes_b = self.sides(small, large, flip)
+        ends_a, ends_b = self.sides(ends_small, ends_large, flip)
+        assert_per_row_join_matches(boxes_a, boxes_b, 1.0, 10.0, ends_a, ends_b)
+        assert_per_row_join_matches(boxes_a, boxes_b, 1.0, INF, None, ends_b)
+        assert_per_row_join_matches(boxes_a, boxes_b, 1.0, 10.0, ends_a, None)
+
+    def test_unbounded_window(self, flip):
+        small, large = TestSweepGrid()._uniform(34, 130, 800)
+        rng = random.Random(35)
+        for boxes in (small, large):
+            for k in range(0, len(boxes), 4):
+                boxes[k] = static_box(rng.uniform(0, 400), rng.uniform(0, 400), 5.0, 5.0)
+        assert_sweep_join_matches(*self.sides(small, large, flip), 2.0, INF)
+
+    def test_oversize_rows(self, flip):
+        small, large = TestSweepGrid()._uniform(36, 120, 1_000)
+        rng = random.Random(37)
+        for boxes in (small, large):
+            for _ in range(4):
+                boxes.append(static_box(rng.uniform(0, 100), rng.uniform(0, 100), 250.0, 300.0))
+        assert_sweep_join_matches(*self.sides(small, large, flip), 0.0, 12.0)
+
+    @pytest.mark.parametrize("gridded", [False, True])
+    def test_signed_zero_contact_at_t0(self, flip, gridded):
+        import numpy as np
+
+        pairs = signed_zero_pairs(6)
+        small = [a for a, _ in pairs]
+        large = [b for _, b in pairs]
+        if gridded:
+            extra_small, extra_large = TestSweepGrid()._uniform(38, 120, 600)
+            small, large = small + extra_small, large + extra_large
+        assert (len(small) * len(large) > kernels.SWEEP_GRID_MIN_PAIRS) == gridded
+        boxes_a, boxes_b = self.sides(small, large, flip)
+        assert_sweep_join_matches(boxes_a, boxes_b, 0.0, 5.0)
+        # Not vacuous: the six contacts come back closing at -0.0.
+        planes = batch_sweep_join(batch_of(boxes_a), batch_of(boxes_b), 0.0, 5.0)
+        closing = planes[3][(planes[2] == 0.0) & (planes[3] == 0.0)]
+        assert closing.shape[0] >= 6 and np.signbit(closing).all()
+
+    def test_one_cell_batches(self, flip):
+        rng = random.Random(39)
+        small = [random_kbox(rng) for _ in range(9)]
+        large = [random_kbox(rng) for _ in range(40)]
+        assert_sweep_join_matches(*self.sides(small, large, flip), 0.0, 12.0)
+        # Enough pairs for a grid, yet every row in one cell: no extent.
+        points_small = [static_box(5.0, 7.0, 1.0, 1.0) for _ in range(120)]
+        points_large = [static_box(5.0, 7.0, 1.0, 1.0) for _ in range(150)]
+        assert_sweep_join_matches(*self.sides(points_small, points_large, flip), 0.0, 12.0)
+
+    def test_tie_with_an_inverted_swept_box(self, flip):
+        """Equal swept ``lb`` on the sweep axis, side a's box inverted over
+        the window: side a pivots on the tie and takes nobody, so the pair
+        never reaches the exact test, whichever side is binned."""
+        inverted = KineticBox(Box(10.0, 12.0, 0.0, 1.0), Box(-1.5, 1.5, 0.0, 0.0), 30.0)
+        lb, ub = batch_sweep_bounds(batch_of([inverted]), 0, 0.0, 12.0)
+        assert ub[0] < lb[0] == 37.0
+        boxes_a, boxes_b = [inverted], [static_box(37.0, 0.0, 3.0, 1.0)]
+        (boxes_a if flip else boxes_b).extend(
+            static_box(200.0 + 9.0 * k, 0.0, 1.0, 1.0) for k in range(5)
+        )
+        counter = [0, 0]
+        batch_sweep_join(batch_of(boxes_a), batch_of(boxes_b), 0.0, 12.0, dim=0, counter=counter)
+        assert counter[1] == 0
+        assert_sweep_join_matches(boxes_a, boxes_b, 0.0, 12.0)
+
+    def test_outputs_that_outgrow_the_first_buffer(self, flip):
+        """Every pair meets: the hits overflow the first output many times
+        over, and the resumed calls lose and repeat nothing."""
+        small = [static_box(0.0, 0.0, 1.0, 1.0) for _ in range(20)]
+        large = [static_box(0.5, 0.5, 1.0, 1.0) for _ in range(300)]
+        boxes_a, boxes_b = self.sides(small, large, flip)
+        counter = [0, 0]
+        planes = batch_sweep_join(batch_of(boxes_a), batch_of(boxes_b), 0.0, 3.0, counter=counter)
+        assert planes[0].shape[0] == counter[1] == counter[0] == 20 * 300
+        assert_sweep_join_matches(boxes_a, boxes_b, 0.0, 3.0)
+
+    @pytest.mark.parametrize("chunk", [1, 7])
+    def test_oracle_is_chunk_invariant(self, chunk):
+        """The oracle walks the visiting rows in blocks of at most ``chunk``
+        candidates (a chunk of 1 visits a row at a time); no block size
+        moves a row or a count."""
+        import numpy as np
+
+        small, large = TestSweepGrid()._uniform(40, 120, 700)
+        rng = random.Random(41)
+        ends = (np.array([rng.choice([6.0, 9.0]) for _ in small]), None)
+        batch_a, batch_b = batch_of(small), batch_of(large)
+        for kwargs in ({}, {"ends": ends}):
+            counter = [0, 0]
+            planes = batch_sweep_join(batch_a, batch_b, 1.0, 10.0, counter=counter, **kwargs)
+            assert_oracle_matches(
+                planes, counter, batch_a, batch_b, 1.0, 10.0, chunk=chunk, **kwargs
+            )
+
+    def test_the_sweep_axis_is_0_or_1(self):
+        batch = batch_of([static_box(0.0, 0.0, 1.0, 1.0)])
+        for dim in (-1, 2):
+            with pytest.raises(ValueError, match="sweep axis"):
+                batch_sweep_join(batch, batch, 0.0, 1.0, dim=dim)
+
+    def test_planes_shorter_than_the_batch_are_refused(self):
+        """The compiled join reads ``n`` values from every plane: a plane
+        that holds fewer is refused before any pointer is passed."""
+        batch = batch_of([static_box(0.0, 0.0, 1.0, 1.0), static_box(2.0, 0.0, 1.0, 1.0)])
+        short = KineticBatch(
+            batch.mlo[:, :1], batch.mhi, batch.vlo, batch.vhi, batch.tref, batch.slo, batch.shi
+        )
+        with pytest.raises(ValueError, match="plane"):
+            batch_sweep_join(short, batch, 0.0, 1.0, dim=0)
