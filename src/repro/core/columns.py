@@ -19,6 +19,10 @@ pre-shifted bounds ``slo = mlo - vlo * tref`` / ``shi = mhi - vhi *
 tref`` are maintained *incrementally* on every write with the same
 elementwise expression :class:`KineticBatch` uses, so a view of the
 columns is bit-identical to a batch packed fresh from the objects.
+Every float column is a view of one plane stack
+(:func:`~repro.geometry.kernels.stack_planes`), whose address the store
+keeps from one reallocation to the next: the sweep join reads a view
+of it, or a gathered stack, without asking NumPy where a column is.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from typing import Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from ..geometry import NDIMS, Box, KineticBatch
-from ..geometry.kernels import radix_argsort
+from ..geometry.kernels import STACK_ROWS, radix_argsort, stack_planes
 from ..objects import MovingObject
 
 __all__ = [
@@ -452,6 +456,8 @@ class ColumnStore:
         "oid",
         "slo",
         "shi",
+        "_stack",
+        "_stack_address",
         "_id_order",
         "_id_sorted",
         "_abs_bounds",
@@ -460,13 +466,7 @@ class ColumnStore:
     def __init__(self, capacity: int = _MIN_CAPACITY):
         cap = max(int(capacity), _MIN_CAPACITY)
         self.n = 0
-        self.mlo = np.zeros((NDIMS, cap))
-        self.mhi = np.zeros((NDIMS, cap))
-        self.vlo = np.zeros((NDIMS, cap))
-        self.vhi = np.zeros((NDIMS, cap))
-        self.tref = np.zeros(cap)
-        self.slo = np.zeros((NDIMS, cap))
-        self.shi = np.zeros((NDIMS, cap))
+        self._adopt(np.zeros((STACK_ROWS, cap)))
         self.oid = np.zeros(cap, dtype=np.int64)
         #: lazy stable argsort of the live ids and the ids in that order
         #: — built and dropped together.
@@ -554,9 +554,7 @@ class ColumnStore:
         gone[rows] = True
         holes = np.flatnonzero(gone[:n])
         movers = n + np.flatnonzero(~gone[n:])
-        for arr in (self.mlo, self.mhi, self.vlo, self.vhi, self.slo, self.shi):
-            arr[:, holes] = arr[:, movers]
-        self.tref[holes] = self.tref[movers]
+        self._stack[:, holes] = self._stack[:, movers]
         self.oid[holes] = self.oid[movers]
         self.n = n
         self._id_order = self._id_sorted = None
@@ -625,34 +623,16 @@ class ColumnStore:
 
         The view aliases the live columns (including the incrementally
         maintained pre-shifted bounds, so nothing is recomputed) and
-        carries the store's magnitude bounds; it is valid until the
-        next mutation.
+        carries the store's magnitude bounds and its plane stack with the
+        kept address; it is valid until the next mutation.
         """
-        n = self.n
-        return KineticBatch(
-            self.mlo[:, :n],
-            self.mhi[:, :n],
-            self.vlo[:, :n],
-            self.vhi[:, :n],
-            self.tref[:n],
-            self.slo[:, :n],
-            self.shi[:, :n],
-            self._abs_bounds,
-        )
+        return KineticBatch.from_stack(self._stack, self.n, self._stack_address, self._abs_bounds)
 
     def gather(self, rows: np.ndarray) -> KineticBatch:
-        """A :class:`KineticBatch` of selected rows (row-major copies),
-        carrying the store's magnitude bounds like :meth:`batch`."""
-        return KineticBatch(
-            self.mlo.take(rows, axis=1),
-            self.mhi.take(rows, axis=1),
-            self.vlo.take(rows, axis=1),
-            self.vhi.take(rows, axis=1),
-            self.tref[rows],
-            self.slo.take(rows, axis=1),
-            self.shi.take(rows, axis=1),
-            self._abs_bounds,
-        )
+        """A :class:`KineticBatch` of selected rows (one plane stack taken
+        from the store's), carrying the store's magnitude bounds like
+        :meth:`batch`."""
+        return KineticBatch.from_stack(self._stack.take(rows, axis=1), abs_bounds=self._abs_bounds)
 
     def columns(self) -> UpdateColumns:
         """The live rows, in row order, as an owned column batch.
@@ -750,17 +730,25 @@ class ColumnStore:
         if need <= cap:
             return
         new_cap = max(cap * 2, need)
-        for name in ("mlo", "mhi", "vlo", "vhi", "slo", "shi"):
-            old = getattr(self, name)
-            grown = np.zeros((NDIMS, new_cap))
-            grown[:, : self.n] = old[:, : self.n]
-            setattr(self, name, grown)
-        tref = np.zeros(new_cap)
-        tref[: self.n] = self.tref[: self.n]
-        self.tref = tref
+        stack = np.zeros((STACK_ROWS, new_cap))
+        stack[:, : self.n] = self._stack[:, : self.n]
+        self._adopt(stack)
         oid = np.zeros(new_cap, dtype=np.int64)
         oid[: self.n] = self.oid[: self.n]
         self.oid = oid
+
+    def _adopt(self, stack: np.ndarray) -> None:
+        """Make ``stack`` the float columns: the named planes become views
+        of it, and its address is kept for the views :meth:`batch` makes."""
+        self._stack = stack
+        self._stack_address = stack.ctypes.data
+        self.mlo, self.mhi, self.vlo, self.vhi, self.tref, self.slo, self.shi = stack_planes(stack)
+
+    def __reduce__(self):
+        # A copy rebuilt from the live rows: copied field by field, the
+        # views would part from the stack and the kept address would
+        # still be this store's.
+        return ColumnStore.from_columns, (self.columns(),)
 
     def __repr__(self) -> str:
         return f"ColumnStore(n={self.n}, capacity={self.tref.shape[0]})"

@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, List, Optional, Sequence
 
 from .constants import MERGE_TOL as _EPS
 
-__all__ = ["INF", "TimeInterval", "check_clock", "check_read", "merge_intervals"]
+__all__ = ["INF", "TimeInterval", "check_clock", "check_read", "check_window", "merge_intervals"]
 
 INF = math.inf
 
@@ -37,6 +37,17 @@ def check_clock(now: float, t: float) -> None:
         raise ValueError(
             f"time went backwards (before the present {now}) or is not finite: {t}"
         )
+
+
+def check_window(t0: float, t1: float) -> None:
+    """Refuse a pair window ``[t0, t1]`` unless ``t0`` is finite and no
+    later than ``t1`` (which may be ``inf``).
+
+    Written as ``if t1 < t0: raise``, the test lets a NaN end through,
+    and the joins then return no rows instead of an error.
+    """
+    if not (t0 <= t1 and math.isfinite(t0)):
+        raise ValueError(f"t_end must be >= t_start, and t_start finite: [{t0}, {t1}]")
 
 
 def check_read(now: float, t: float) -> None:

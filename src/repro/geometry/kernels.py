@@ -141,7 +141,7 @@ from .box import NDIMS
 from .constants import PAIR_TEST_EPS as _EPS
 from .constants import SWEEP_FILTER_SLACK as _FILTER_SLACK
 from .constants import SWEEP_GRID_PAD as _GRID_PAD
-from .interval import INF, TimeInterval
+from .interval import INF, TimeInterval, check_window
 from .kinetic import KineticBox
 
 __all__ = [
@@ -159,6 +159,24 @@ __all__ = [
 
 #: Flat ``KineticBox.params()`` layout: 4 MBR + 4 VBR bounds + t_ref.
 _N_PARAMS = 4 * NDIMS + 1
+
+#: Rows of a plane stack (:func:`stack_planes`): the six ``[axis, row]``
+#: planes, one row per axis, then ``t_ref``.
+STACK_ROWS = 6 * NDIMS + 1
+
+
+def stack_planes(stack: "np.ndarray") -> Tuple["np.ndarray", ...]:
+    """Views ``(mlo, mhi, vlo, vhi, tref, slo, shi)`` of a plane stack.
+
+    A stack is one ``(STACK_ROWS, stride)`` array holding a batch's
+    columns in the order ``sweep.c`` reads them — per axis the MBR lows,
+    then the MBR highs, the VBR lows and highs, the shifted lows and
+    highs, then ``t_ref`` — so the compiled join finds every column from
+    the stack's address and stride alone.
+    """
+    rows = [stack[k:k + NDIMS] for k in range(0, 6 * NDIMS, NDIMS)]
+    mlo, mhi, vlo, vhi, slo, shi = rows
+    return mlo, mhi, vlo, vhi, stack[6 * NDIMS], slo, shi
 
 
 class KineticBatch:
@@ -182,6 +200,7 @@ class KineticBatch:
 
     __slots__ = (
         "n", "mlo", "mhi", "vlo", "vhi", "tref", "slo", "shi", "_speed_sums", "_abs_bounds",
+        "stack",
     )
 
     def __init__(self, mlo, mhi, vlo, vhi, tref, slo=None, shi=None, abs_bounds=None):
@@ -198,10 +217,31 @@ class KineticBatch:
         #: owner of the columns keeps (:class:`~repro.core.columns.
         #: ColumnStore`), or ``None``: :meth:`abs_bounds` then scans.
         self._abs_bounds = abs_bounds
+        #: ``(stack, address)``: the plane stack whose first ``n`` columns
+        #: are this batch's planes, and where it starts when its owner keeps
+        #: that (else ``None``, looked up by :meth:`stacked`); ``None`` when
+        #: the planes are separate arrays.
+        self.stack = None
 
     # ------------------------------------------------------------------
     # Constructors
     # ------------------------------------------------------------------
+    @classmethod
+    def from_stack(
+        cls,
+        stack: "np.ndarray",
+        n: Optional[int] = None,
+        address: Optional[int] = None,
+        abs_bounds=None,
+    ) -> "KineticBatch":
+        """A batch over the first ``n`` columns (default: all) of a
+        C-contiguous plane stack (:func:`stack_planes`), its planes views
+        of it.  ``address`` is the stack's, when its owner keeps it."""
+        n = stack.shape[1] if n is None else n
+        batch = cls(*stack_planes(stack[:, :n]), abs_bounds=abs_bounds)
+        batch.stack = (stack, address)
+        return batch
+
     @classmethod
     def from_boxes(cls, boxes: Sequence[KineticBox]) -> "KineticBatch":
         """Pack a sequence of kinetic boxes into one SoA batch."""
@@ -260,22 +300,28 @@ class KineticBatch:
         )
 
     def compress(self, mask: "np.ndarray") -> "KineticBatch":
-        """Sub-batch of the rows where ``mask`` (boolean or index) selects.
-
-        The planes are taken row-major (``plane[:, rows]`` would lay them
-        out column-major), so the compiled join reads them in place.
-        """
+        """Sub-batch of the rows where ``mask`` (boolean or index) selects,
+        as a new plane stack."""
         rows = np.flatnonzero(mask) if mask.dtype == bool else mask
-        return KineticBatch(
-            self.mlo.take(rows, axis=1),
-            self.mhi.take(rows, axis=1),
-            self.vlo.take(rows, axis=1),
-            self.vhi.take(rows, axis=1),
-            self.tref[rows],
-            self.slo.take(rows, axis=1),
-            self.shi.take(rows, axis=1),
-            self._abs_bounds,
-        )
+        stack = self.stacked()[0].take(rows, axis=1)
+        return KineticBatch.from_stack(stack, abs_bounds=self._abs_bounds)
+
+    def stacked(self) -> Tuple["np.ndarray", int]:
+        """``(stack, address)``: the plane stack this batch is a view of,
+        or a copy of its planes stacked here."""
+        if self.stack is not None:
+            stack, address = self.stack
+            return stack, stack.ctypes.data if address is None else address
+        stack = np.empty((STACK_ROWS, self.n))
+        for plane, into in zip(
+            (self.mlo, self.mhi, self.vlo, self.vhi, self.tref, self.slo, self.shi),
+            stack_planes(stack),
+        ):
+            # A plane shorter than the batch would broadcast.
+            if plane.shape != into.shape:
+                raise ValueError(f"a batch plane is {plane.shape}, not {into.shape}")
+            into[...] = plane
+        return stack, stack.ctypes.data
 
     def box(self, i: int) -> KineticBox:
         """Reconstruct row ``i`` as a :class:`KineticBox` (diagnostics)."""
@@ -655,7 +701,7 @@ def _load_sweep():
         raise ImportError(f"cannot load {lib}: {exc}") from exc
     entry = compiled.sweep_join
     entry.restype = ctypes.c_int64
-    entry.argtypes = [ctypes.c_void_p] * 6 + [ctypes.c_int64]
+    entry.argtypes = [ctypes.c_void_p] * 7 + [ctypes.c_int64]
     compiled.sweep_layout.restype = None
     compiled.sweep_layout.argtypes = [ctypes.c_void_p]
     layout = (ctypes.c_int64 * 8)()
@@ -668,35 +714,11 @@ def _load_sweep():
 _SWEEP_BUILD = ("cc", "-O2", "-fPIC", "-shared", "-ffp-contract=off")
 _SWEEP_SOURCE = Path(__file__).with_name("sweep.c")
 _sweep_join, _layout = _load_sweep()
-#: ``sweep_join``'s state slots read here, where its int64 and double
-#: workspaces start, the fewest output slots it works with and the
-#: doubles a binned row takes (``sweep_layout`` in ``sweep.c``).
-_PHASE, _ENUMERATED, _TESTED, _DONE, _INT_WORK, _FLOAT_WORK, _ROOM, _ROW_SLOTS = _layout
-
-
-def _column_addresses(batch: KineticBatch, keep: List) -> List[int]:
-    """The addresses of the 13 column rows ``sweep.c`` reads.
-
-    Each ``[axis, row]`` plane gives its two rows, which must each be
-    contiguous (a live-column view is, with its capacity as the row
-    stride); anything else is copied, and ``keep`` holds the copies
-    alive for the call.
-    """
-    addresses = []
-    for plane in (batch.mlo, batch.mhi, batch.vlo, batch.vhi, batch.slo, batch.shi):
-        if plane.shape != (NDIMS, batch.n):
-            raise ValueError(f"a batch plane is {plane.shape}, not {(NDIMS, batch.n)}")
-        if plane.dtype != np.float64 or plane.strides[1] != 8:
-            plane = np.ascontiguousarray(plane, dtype=np.float64)
-            keep.append(plane)
-        base = plane.ctypes.data
-        addresses += (base, base + plane.strides[0])
-    tref = batch.tref
-    if tref.dtype != np.float64 or tref.strides[0] != 8:
-        tref = np.ascontiguousarray(tref, dtype=np.float64)
-        keep.append(tref)
-    addresses.append(tref.ctypes.data)
-    return addresses
+#: ``sweep_join``'s state slots read here, the int64 and double slots its
+#: buffers take besides the binned rows', the fewest output slots it
+#: works with and the doubles a binned row takes (``sweep_layout`` in
+#: ``sweep.c``).
+_PHASE, _ENUMERATED, _TESTED, _DONE, _INT_FIXED, _FLOAT_FIXED, _ROOM, _ROW_DOUBLES = _layout
 
 
 def batch_sweep_join(
@@ -743,17 +765,31 @@ def batch_sweep_join(
     pairs, nothing sorted.  ``counter[0]`` counts the candidates so
     enumerated — the same number whichever ``dim`` sweeps.
 
+    The binned side is built the same way for every call shape (a
+    scalar ``t1``, finite or not, per-row ends, oversize or non-finite
+    rows): one pass over its columns writes each row's swept bounds to
+    four planes and folds the extremes of its padded box; the mean
+    widths are NumPy's pairwise sums over those planes; one pass puts
+    each row's cell id (int32) in a plane of its own and counts the
+    cells; one pass packs each row, as a 32-byte record, into its cell's
+    run and its index into a plane beside them.  A side comes as a plane
+    stack (:func:`stack_planes`) — a column store's own, with the address
+    the store keeps, or one stacked here — so the call hands ``sweep.c``
+    two addresses and builds no pointer table.
+
     Each candidate then runs the scalar sweep's own predicate chain: the
     slack-padded reject on the axis orthogonal to ``dim``, the
     zero-tolerance swept-range test on ``dim`` (exactly the scalar
     sweep's candidate rule, side a pivoting first on ties), and for the
     survivors — ``counter[1]`` counts them — the exact pair window.
     Workspaces and outputs are arrays allocated for the call: O(rows)
-    of workspace, never O(candidates); an output that fills up is
-    continued in a larger one from where the enumeration stopped.
+    of workspace, never O(candidates) — per binned row 32 bytes of bound
+    planes, a 32-byte packed row, and with a grid 8 bytes of cell id and
+    index and at most 2 of cell table, then the first output's 32 (106
+    in all); an output that fills up is continued in a larger one from
+    where the enumeration stopped.
     """
-    if t1 < t0:
-        raise ValueError("t_end must be >= t_start")
+    check_window(t0, t1)
     end_a = _row_ends(ends[0], batch_a.n, t0, t1)
     end_b = _row_ends(ends[1], batch_b.n, t0, t1)
     if batch_a.n == 0 or batch_b.n == 0:
@@ -770,22 +806,28 @@ def batch_sweep_join(
             for end in (end_a, end_b)
             if isinstance(end, np.ndarray) or end < INF
         )
+    # Each side's columns as one plane stack: the store's own, kept with
+    # its address, for the engines' calls.
+    stack_a, stack_b = batch_a.stacked(), batch_b.stacked()
     n_p = max(batch_a.n, batch_b.n)
     gridded = batch_a.n * batch_b.n > SWEEP_GRID_MIN_PAIRS
     # A grid never has more cells than half its binned rows plus one.
     max_cells = min(SWEEP_GRID_MAX_AXIS ** 2, n_p // 2 + 1) if gridded else 0
     # One buffer for the call (see ``sweep.c``): parameters, state and
-    # workspace as int64 (a grid's sort indices, regular rows, cell runs
-    # and their cursors), the same as doubles (the binned rows in row
-    # order and, with a grid, in binned order), then a first output of a
-    # slot per binned row, at least ``_ROOM``.  Should the hits outgrow
-    # it, each further output gets a buffer of its own.
-    n_int = _INT_WORK + (2 * n_p + 2 * max_cells + 3 if gridded else 0)
-    n_float = _FLOAT_WORK + (2 if gridded else 1) * _ROW_SLOTS * n_p
+    # workspace as int64 (with a grid, its cell table, then a cell id
+    # and an index per binned row, all int32), the same as doubles (the
+    # binned side's bound planes and its packed rows), then a first
+    # output of a slot per binned row, at least ``_ROOM``.  Should the
+    # hits outgrow it, each further output gets a buffer of its own.
+    n_int = _INT_FIXED + ((max_cells + 3 + 2 * n_p + 1) // 2 if gridded else 0)
+    n_float = _FLOAT_FIXED + _ROW_DOUBLES * n_p
     cap = max(n_p, _ROOM)
     buffer = np.empty(n_int + n_float + 4 * cap)
     ints, floats = buffer[:n_int].view(np.int64), buffer[n_int:n_int + n_float]
-    ints[:6] = (batch_a.n, batch_b.n, dim, gridded, max_cells, 0)
+    ints[:8] = (
+        batch_a.n, batch_b.n, stack_a[0].shape[1], stack_b[0].shape[1], dim, gridded,
+        max_cells, 0,
+    )
     floats[:11] = (
         t0, t1, 0.0, 0.0, 0.0, 0.0, _EPS, SWEEP_GRID_CELLS_PER_SPAN,
         SWEEP_GRID_ROWS_PER_CELL, SWEEP_GRID_OVERSIZE, SWEEP_GRID_MAX_AXIS,
@@ -796,13 +838,10 @@ def batch_sweep_join(
         mag = _axis_magnitude(batch_a, batch_b, axis, t0, far)
         floats[2 + axis] = _FILTER_SLACK * mag
         floats[4 + axis] = _GRID_PAD * mag
-    keep: List = []
-    columns = (ctypes.c_void_p * 26)(
-        *_column_addresses(batch_a, keep), *_column_addresses(batch_b, keep)
-    )
     base = buffer.ctypes.data
     args = (
-        columns,
+        stack_a[1],
+        stack_b[1],
         None if ends[0] is None else end_a.ctypes.data,
         None if ends[1] is None else end_b.ctypes.data,
         base,
@@ -810,9 +849,10 @@ def batch_sweep_join(
     )
     chunks: List = []
     out, at = buffer, n_int + n_float
+    address = base + 8 * at
     while True:
         # `cap` slots each of idx_a, idx_b, lo and hi.
-        got = _sweep_join(*args, out.ctypes.data + 8 * at, cap)
+        got = _sweep_join(*args, address, cap)
         if got < 0:
             raise RuntimeError("the sweep join's grid outgrew its cell table")
         planes = out[at:at + 4 * cap]
@@ -826,6 +866,7 @@ def batch_sweep_join(
             break
         cap *= 2
         out, at = np.empty(4 * cap), 0
+        address = out.ctypes.data
     if counter is not None:
         counter[0] += int(ints[_ENUMERATED])
         if len(counter) > 1:
@@ -922,8 +963,7 @@ def batch_ps_intersection(
     A thin wrapper over it that sorts its hits into the scalar sweep's
     order (:func:`_sweep_order`) and builds the triples.
     """
-    if t1 < t0:
-        raise ValueError("t_end must be >= t_start")
+    check_window(t0, t1)
     if batch_a.n == 0 or batch_b.n == 0:
         return []
     if dim is None:
@@ -952,6 +992,7 @@ def batch_all_pairs_intersection(
     Same contract (and result order) as
     :func:`~repro.geometry.plane_sweep.all_pairs_intersection`.
     """
+    check_window(t0, t1)
     if batch_a.n == 0 or batch_b.n == 0:
         return []
     lo, hi, ok = batch_intersection_intervals(batch_a, batch_b, t0, t1)

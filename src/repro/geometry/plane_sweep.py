@@ -24,7 +24,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .box import NDIMS
 from .intersection import intersection_interval
-from .interval import INF, TimeInterval
+from .interval import INF, TimeInterval, check_window
 from .kinetic import KineticBox
 
 __all__ = [
@@ -101,8 +101,7 @@ def ps_intersection(
     sweep ranges overlap, delegating the exact (two-dimensional, timed)
     test to :func:`intersection_interval`.
     """
-    if t1 < t0:
-        raise ValueError("t_end must be >= t_start")
+    check_window(t0, t1)
     if dim is None:
         dim = select_sweep_dimension(boxes_a, boxes_b)
     seq_a = sorted(
@@ -155,6 +154,7 @@ def all_pairs_intersection(
     :func:`~repro.geometry.kernels.batch_all_pairs_intersection` (the
     engines' one broadcast call over the ``M × N`` grid) are verified.
     """
+    check_window(t0, t1)
     results: List[Tuple[int, int, TimeInterval]] = []
     for i, ka in enumerate(boxes_a):
         for j, kb in enumerate(boxes_b):

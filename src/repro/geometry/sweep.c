@@ -23,9 +23,10 @@
 
 typedef int64_t i64;
 
-/* One side's columns: the per-axis planes of the MBR and VBR, the MBR
- * pre-shifted to reference time 0, and t_ref. */
-enum { MLO = 0, MHI = 2, VLO = 4, VHI = 6, SLO = 8, SHI = 10, TREF = 12 };
+/* One side's columns, stacked in one array at a fixed stride: per axis
+ * the MBR and VBR bounds, the MBR pre-shifted to reference time 0, then
+ * t_ref (kernels.stack_planes names the same rows). */
+enum { MLO = 0, MHI = 2, VLO = 4, VHI = 6, SLO = 8, SHI = 10, TREF = 12, COLUMNS = 13 };
 
 /* Candidates are filtered BLOCK at a time, without a branch on each
  * outcome, and the pairs that pass every filter queue up to QUEUE at a
@@ -38,10 +39,14 @@ enum { MLO = 0, MHI = 2, VLO = 4, VHI = 6, SLO = 8, SHI = 10, TREF = 12 };
  * 5.57 ms, and the block without the queue sits between the two
  * (DESIGN section 5.1). */
 enum { QUEUE = 32, BLOCK = 256, ROOM = QUEUE + BLOCK };
+/* The pack fetches the slot of the row PACK_AHEAD ahead for writing
+ * (without it the scattered slots cost a tick twice the time); the
+ * packed rows start on a LINE-byte boundary, two to a line. */
+enum { PACK_AHEAD = 16, LINE = 64 };
 
 /* The int64 buffer: parameters, then state, then the exact-test queue
  * (QUEUE p rows, then their QUEUE q rows), then the workspace. */
-enum { I_NA, I_NB, I_DIM, I_GRIDDED, I_MAX_CELLS,
+enum { I_NA, I_NB, I_STRIDE_A, I_STRIDE_B, I_DIM, I_GRIDDED, I_MAX_CELLS,
        S_PHASE, S_Q, S_SEG, S_POS, S_ENUMERATED, S_TESTED, S_NX, S_NY, S_QUEUED,
        I_QUEUE, I_WORK = I_QUEUE + 2 * QUEUE };
 /* The double buffer: parameters, then state, then the workspace. */
@@ -133,71 +138,60 @@ static inline int pair_window(const double *const *a, i64 i, const double *const
 }
 
 /* A binned row as the candidate loop reads it: lb and ub on the sweep
- * axis, the slack-padded lo and hi across it, and the row's index. */
-typedef struct { double lb, ub, olo, ohi; i64 row; } binned;
+ * axis and the slack-padded lo and hi across it, two to a cache line
+ * (the rows' indices are a plane of their own). */
+typedef struct { double lb, ub, olo, ohi; } binned;
 
-/* How to read a row's padded box on either axis: across the sweep axis
- * it is stored, along it the slack is applied to lb and ub again (the
- * same two operations, so the same doubles). */
-typedef struct { int dim; double slack; } fields;
+/* The binned side's swept bounds in planes, row order, per axis: lb[a]
+ * and ub[a].  Padded by the axis's slack they are the box the grid bins
+ * (corner lb - slack, width (ub + slack) - (lb - slack)); the pack pads
+ * the bounds across the sweep axis for the reject. */
+typedef struct { double *lb[2], *ub[2]; const double *slack; } planes;
 
-static inline double corner(const binned *row, const fields *f, int axis)
+/* A swept range [lb, ub] padded by slack: its lower corner and width. */
+static inline double padded_lo(double lb, double slack) { return lb - slack; }
+static inline double padded_width(double lb, double ub, double slack)
 {
-    return axis == f->dim ? row->lb - f->slack : row->olo;
+    return (ub + slack) - (lb - slack);
 }
 
-static inline double width(const binned *row, const fields *f, int axis)
+static inline double corner(const planes *b, int a, i64 r) { return padded_lo(b->lb[a][r], b->slack[a]); }
+static inline double width(const planes *b, int a, i64 r)
 {
-    if (axis == f->dim) return (row->ub + f->slack) - (row->lb - f->slack);
-    return row->ohi - row->olo;
+    return padded_width(b->lb[a][r], b->ub[a][r], b->slack[a]);
 }
 
 /*
- * np.add.reduce of both axes' padded widths: 0.0 plus NumPy's pairwise
- * sum (8 accumulators, blocks of 128), one traversal for the two axes.
- * Record k is rec[k], or rec[idx[k]] when idx is not NULL; the two are
- * written out separately so the common dense case has no per-element
- * test.
+ * np.add.reduce of axis a's padded widths over rows 0 .. n - 1: NumPy's
+ * pairwise sum (8 accumulators, blocks of 128), in its block order.
  */
-#define WIDTH_SUMS(NAME, ROW)                                                          \
-    static void NAME(const binned *rec, const fields *f, const i64 *idx, i64 n,        \
-                     double *sum)                                                      \
-    {                                                                                  \
-        if (n < 8) {                                                                   \
-            double res[2] = {0.0, 0.0};                                                \
-            for (i64 k = 0; k < n; k++)                                                \
-                for (int a = 0; a < 2; a++) res[a] += width(rec + ROW(k), f, a);      \
-            sum[0] = res[0], sum[1] = res[1];                                          \
-            return;                                                                    \
-        }                                                                              \
-        if (n <= 128) {                                                                \
-            for (int a = 0; a < 2; a++) {                                              \
-                double r[8];                                                           \
-                i64 k;                                                                 \
-                for (int j = 0; j < 8; j++) r[j] = width(rec + ROW(j), f, a);          \
-                for (k = 8; k < n - (n % 8); k += 8)                                   \
-                    for (int j = 0; j < 8; j++) r[j] += width(rec + ROW(k + j), f, a); \
-                double res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7])); \
-                for (; k < n; k++) res += width(rec + ROW(k), f, a);                   \
-                sum[a] = res;                                                          \
-            }                                                                          \
-            return;                                                                    \
-        }                                                                              \
-        i64 n2 = n / 2;                                                                \
-        n2 -= n2 % 8;                                                                  \
-        double left[2], right[2];                                                      \
-        NAME(rec, f, idx, n2, left);                                                   \
-        NAME(idx ? rec : rec + n2, f, idx ? idx + n2 : NULL, n - n2, right);           \
-        sum[0] = left[0] + right[0], sum[1] = left[1] + right[1];                      \
+static double width_sum(const planes *b, int a, i64 from, i64 n)
+{
+    if (n < 8) {
+        double res = 0.0;
+        for (i64 k = from; k < from + n; k++) res += width(b, a, k);
+        return res;
     }
-#define DENSE(k) (k)
-#define GATHERED(k) (idx[k])
-WIDTH_SUMS(width_sums_dense, DENSE)
-WIDTH_SUMS(width_sums_gathered, GATHERED)
+    if (n <= 128) {
+        double r[8];
+        i64 k;
+        for (int j = 0; j < 8; j++) r[j] = width(b, a, from + j);
+        for (k = 8; k < n - (n % 8); k += 8)
+            for (int j = 0; j < 8; j++) r[j] += width(b, a, from + k + j);
+        double res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; k < n; k++) res += width(b, a, from + k);
+        return res;
+    }
+    i64 n2 = n / 2;
+    n2 -= n2 % 8;
+    return width_sum(b, a, from, n2) + width_sum(b, a, from + n2, n - n2);
+}
 
-/* Per axis: the extremes of the padded lower corners and widths (NaN
- * wins, as in np.min/np.max; the sign of a zero extreme changes no
- * decision) and the mean width, as np.mean computes it. */
+/* Per axis: the extremes of the padded lower corners and widths and the
+ * mean width, as np.mean computes it.  The extremes skip NaN: a NaN
+ * corner makes its width NaN, and a NaN width the mean, which alone
+ * takes the build off the all-rows path (the sign of a zero extreme
+ * changes no decision). */
 typedef struct { double lo_min[2], lo_max[2], w_max[2], w_mean[2]; } grid_stats;
 
 static void stats_init(grid_stats *s)
@@ -208,31 +202,51 @@ static void stats_init(grid_stats *s)
     }
 }
 
-static inline void stats_add(grid_stats *s, const binned *row, const fields *f, int *nan)
+static inline void stats_add(grid_stats *s, int a, double lo, double w)
 {
-    for (int a = 0; a < 2; a++) {
-        double lo = corner(row, f, a), w = width(row, f, a);
-        nan[a] |= lo != lo;
-        nan[2 + a] |= w != w;
-        s->lo_min[a] = lo < s->lo_min[a] ? lo : s->lo_min[a];
-        s->lo_max[a] = lo > s->lo_max[a] ? lo : s->lo_max[a];
-        s->w_max[a] = w > s->w_max[a] ? w : s->w_max[a];
-    }
+    s->lo_min[a] = lo < s->lo_min[a] ? lo : s->lo_min[a];
+    s->lo_max[a] = lo > s->lo_max[a] ? lo : s->lo_max[a];
+    s->w_max[a] = w > s->w_max[a] ? w : s->w_max[a];
 }
 
-static void stats_finish(grid_stats *s, const int *nan, const binned *rec, const fields *f,
-                         const i64 *idx, i64 n)
+static void stats_mean(grid_stats *s, const planes *b, i64 n)
 {
-    double sum[2];
-    if (idx)
-        width_sums_gathered(rec, f, idx, n, sum);
-    else
-        width_sums_dense(rec, f, NULL, n, sum);
-    for (int a = 0; a < 2; a++) {
-        if (nan[a]) s->lo_min[a] = s->lo_max[a] = NAN;
-        if (nan[2 + a]) s->w_max[a] = NAN;
-        s->w_mean[a] = (0.0 + sum[a]) / (double)n;
+    for (int a = 0; a < 2; a++) s->w_mean[a] = (0.0 + width_sum(b, a, 0, n)) / (double)n;
+}
+
+/* Whether a row's padded box is finite: the irregular path's first
+ * filter, and with the width limit the test of a row the grid places. */
+static inline int finite_row(const planes *b, i64 r)
+{
+    return isfinite(corner(b, 0, r) + corner(b, 1, r) + width(b, 0, r) + width(b, 1, r));
+}
+
+/*
+ * The build's one pass over the binned side's columns: each row's swept
+ * bounds on both axes into the planes, and the extremes of its padded
+ * box into s.
+ */
+static void bound_rows(const double *const *P, const double *ends, double t0, double t1, i64 n,
+                       const planes *b, grid_stats *s)
+{
+    const double *tref = P[TREF];
+    const double *mlo0 = P[MLO], *mhi0 = P[MHI], *vlo0 = P[VLO], *vhi0 = P[VHI];
+    const double *mlo1 = P[MLO + 1], *mhi1 = P[MHI + 1], *vlo1 = P[VLO + 1], *vhi1 = P[VHI + 1];
+    double *lb0 = b->lb[0], *ub0 = b->ub[0], *lb1 = b->lb[1], *ub1 = b->ub[1];
+    const double s0 = b->slack[0], s1 = b->slack[1];
+    /* Folded in a local, which the compiler keeps in registers: s could
+     * alias the planes. */
+    grid_stats acc;
+    stats_init(&acc);
+    for (i64 r = 0; r < n; r++) {
+        double end = ends ? ends[r] : t1, l0, u0, l1, u1;
+        swept(tref[r], mlo0[r], mhi0[r], vlo0[r], vhi0[r], t0, end, &l0, &u0);
+        swept(tref[r], mlo1[r], mhi1[r], vlo1[r], vhi1[r], t0, end, &l1, &u1);
+        lb0[r] = l0, ub0[r] = u0, lb1[r] = l1, ub1[r] = u1;
+        stats_add(&acc, 0, padded_lo(l0, s0), padded_width(l0, u0, s0));
+        stats_add(&acc, 1, padded_lo(l1, s1), padded_width(l1, u1, s1));
     }
+    *s = acc;
 }
 
 /* Cell of x along one axis, clipped to [lowest, highest]: every step is
@@ -272,54 +286,63 @@ static void grid_shape(const double *extent, const double *span, i64 rows, const
     shape[1] = (i64)want[1];
 }
 
-/*
- * Bin the p side's n records, whose all-row statistics s holds: a
- * uniform grid over the slack-padded swept boxes, rows sorted (stably)
- * by the cell of their lower corner, non-finite or oversize rows in an
- * overflow cell after the last.  Writes nx/ny (left 0 for the one-cell
- * case: nothing binned, nothing sorted), origin, inv and reach into the
- * state, and order, cell_start and the binned rows in binned order
- * into the workspace.  Returns -1 if the grid needs more cells than the
- * caller provided for.
- */
-static int build_grid(i64 n, binned *rec, const fields *f, grid_stats s, i64 *ip,
-                      double *fp, binned *packed)
+/* Copies the rows of src the grid can place to the front of dst, in
+ * order: without a limit the finite rows, with one those no wider than
+ * it on either axis.  Returns how many it copied. */
+static i64 compact(const planes *dst, const planes *src, i64 n, const double *limit)
 {
-    i64 max_cells = ip[I_MAX_CELLS];
-    i64 *regular = ip + I_WORK, *order = regular + n, *cell_start = order + n;
-    i64 *next = cell_start + max_cells + 2;
-    const i64 *idx = NULL; /* every row, until one turns out irregular */
+    i64 kept = 0;
+    for (i64 r = 0; r < n; r++) {
+        if (limit ? !(width(src, 0, r) <= limit[0] && width(src, 1, r) <= limit[1])
+                  : !finite_row(src, r))
+            continue;
+        for (int a = 0; a < 2; a++) {
+            dst->lb[a][kept] = src->lb[a][r];
+            dst->ub[a][kept] = src->ub[a][r];
+        }
+        kept++;
+    }
+    return kept;
+}
+
+/*
+ * The grid over the n rows of b, whose all-row extremes s holds: a
+ * uniform grid over the slack-padded swept boxes, each row's cell by
+ * its lower corner, non-finite or oversize rows in an overflow cell
+ * after the last.  Writes nx/ny (left 0 for the one-cell case: nothing
+ * binned, nothing sorted), origin, inv and reach into the state, each
+ * row's cell into cell and the cells' runs into cell_start (cell c's
+ * run starts at cell_start[c + 1]: the pack advances it to the next
+ * run's start).  scratch holds 4 doubles a row for the rows the grid
+ * can place, when some cannot.  Returns -1 if the grid needs more cells
+ * than the caller provided for.
+ */
+static int build_grid(i64 n, const planes *b, grid_stats s, i64 *ip, double *fp,
+                      double *scratch, int32_t *cell, int32_t *cell_start)
+{
+    double limit[2] = {INFINITY, INFINITY};
     i64 rows = n;
+    stats_mean(&s, b, n);
     int all_regular = 1;
     for (int a = 0; a < 2; a++)
         all_regular &= isfinite(s.lo_min[a] + s.lo_max[a] + s.w_mean[a])
                        && s.w_max[a] <= fp[F_OVERSIZE] * py_max(s.w_mean[a], 0.0);
     if (!all_regular) {
-        rows = 0;
-        for (i64 r = 0; r < n; r++) {
-            const binned *row = rec + r;
-            if (isfinite(corner(row, f, 0) + corner(row, f, 1) + width(row, f, 0) + width(row, f, 1)))
-                regular[rows++] = r;
-        }
+        /* The statistics again over the rows the grid can place, copied
+         * into scratch planes: the finite rows, then of those the ones
+         * no wider than a few of their mean widths. */
+        planes g = {{scratch, scratch + n}, {scratch + 2 * n, scratch + 3 * n}, b->slack};
+        rows = compact(&g, b, n, NULL);
         if (rows) {
-            double sum[2], limit[2];
-            width_sums_gathered(rec, f, regular, rows, sum);
             for (int a = 0; a < 2; a++)
-                limit[a] = fp[F_OVERSIZE] * py_max((0.0 + sum[a]) / (double)rows, 0.0);
-            i64 kept = 0;
-            for (i64 k = 0; k < rows; k++) {
-                const binned *row = rec + regular[k];
-                if (width(row, f, 0) <= limit[0] && width(row, f, 1) <= limit[1])
-                    regular[kept++] = regular[k];
-            }
-            rows = kept;
+                limit[a] = fp[F_OVERSIZE] * py_max((0.0 + width_sum(&g, a, 0, rows)) / (double)rows, 0.0);
+            rows = compact(&g, &g, rows, limit);
         }
         if (!rows) return 0;
-        idx = regular;
-        int nan[4] = {0, 0, 0, 0};
         stats_init(&s);
-        for (i64 k = 0; k < rows; k++) stats_add(&s, rec + idx[k], f, nan);
-        stats_finish(&s, nan, rec, f, idx, rows);
+        for (i64 k = 0; k < rows; k++)
+            for (int a = 0; a < 2; a++) stats_add(&s, a, corner(&g, a, k), width(&g, a, k));
+        stats_mean(&s, &g, rows);
     }
     double extent[2], span[2];
     for (int a = 0; a < 2; a++) {
@@ -336,33 +359,22 @@ static int build_grid(i64 n, binned *rec, const fields *f, grid_stats s, i64 *ip
     grid_shape(extent, span, rows, fp, shape);
     i64 nx = shape[0], ny = shape[1], cells = nx * ny;
     if (cells == 1) return 0;
-    if (cells > max_cells) return -1;
+    if (cells > ip[I_MAX_CELLS]) return -1;
     for (int a = 0; a < 2; a++)
         fp[G_INV + a] = shape[a] > 1 ? (double)shape[a] / extent[a] : 0.0;
-    /* Stable counting sort by cell; cell_start[c] opens cell c's run.
-     * Until the rows are packed, a record's `row` holds its cell. */
-    for (i64 c = 0; c <= cells + 1; c++) cell_start[c] = 0;
-    if (idx)
-        for (i64 r = 0; r < n; r++) rec[r].row = cells;
-    for (i64 k = 0; k < rows; k++) {
-        binned *row = rec + (idx ? idx[k] : k);
-        row->row = cell_of(corner(row, f, 0), fp[G_ORIGIN], fp[G_INV], nx, 0, nx - 1) * ny
-                   + cell_of(corner(row, f, 1), fp[G_ORIGIN + 1], fp[G_INV + 1], ny, 0, ny - 1);
-        if (!idx) cell_start[row->row + 1]++;
+    /* A counting sort by cell: the counts go to cell_start[c + 2], so
+     * that their running sum leaves cell c's start in cell_start[c + 1]. */
+    for (i64 c = 0; c <= cells + 2; c++) cell_start[c] = 0;
+    for (i64 r = 0; r < n; r++) {
+        i64 c = cells;
+        if (all_regular || (finite_row(b, r) && width(b, 0, r) <= limit[0]
+                            && width(b, 1, r) <= limit[1]))
+            c = cell_of(corner(b, 0, r), fp[G_ORIGIN], fp[G_INV], nx, 0, nx - 1) * ny
+                + cell_of(corner(b, 1, r), fp[G_ORIGIN + 1], fp[G_INV + 1], ny, 0, ny - 1);
+        cell[r] = (int32_t)c;
+        cell_start[c + 2]++;
     }
-    if (idx)
-        for (i64 r = 0; r < n; r++) cell_start[rec[r].row + 1]++;
-    for (i64 c = 0; c <= cells; c++) {
-        cell_start[c + 1] += cell_start[c];
-        next[c] = cell_start[c];
-    }
-    /* Sorted indices first, then the rows gathered in that order: the
-     * packed rows are written in sequence, not scattered. */
-    for (i64 r = 0; r < n; r++) order[next[rec[r].row]++] = r;
-    for (i64 k = 0; k < n; k++) {
-        packed[k] = rec[order[k]];
-        packed[k].row = order[k];
-    }
+    for (i64 c = 2; c <= cells + 2; c++) cell_start[c] += cell_start[c - 1];
     ip[S_NX] = nx;
     ip[S_NY] = ny;
     return 0;
@@ -395,26 +407,33 @@ static i64 run_queue(i64 *ip, const double *const *cols_a, const double *const *
 }
 
 /*
- * The join.  cols: 13 column pointers for side a (see the enum at the
- * top), then 13 for side b; ends_a / ends_b: a window end per row, or
- * NULL for the scalar t1.  The smaller side ("q", side b on a tie)
- * visits the larger ("p"), which is binned.
+ * The join.  stack_a / stack_b: each side's 13 columns, stacked (see
+ * the enum at the top) at a stride of ip[I_STRIDE_A] / ip[I_STRIDE_B]
+ * doubles; ends_a / ends_b: a window end per row, or NULL for the
+ * scalar t1.  The smaller side ("q", side b on a tie) visits the larger
+ * ("p"), which is binned.
  *
  * ip and fp hold the parameters and state (the enums at the top), then
- * the workspace: 2 int64 per p row plus 2 * max_cells + 3 in ip, two
- * `binned` rows per p row in fp (none and one without a grid).  out
- * holds cap >= ROOM slots each of idx_a, idx_b (int64), lo and hi
- * (double), in that order; the return value is how many hits were
- * written.  A call stops early when the output lacks room for another
- * block; the state then keeps where the enumeration stopped and what it
- * queued, and a call with the same arguments, ip and fp and a fresh
- * output carries on from there.  ip[S_PHASE] is DONE once every pair is
- * tested.  Returns -1 if the grid outgrew max_cells.
+ * the workspace.  In fp, for every p row: its swept bounds, four planes
+ * of doubles, then (from the next LINE boundary) its `binned` row.  In
+ * ip, with a grid, all int32: the cell table, max_cells + 3 slots, then
+ * a cell id per p row, then a row index per binned slot.  out holds cap
+ * >= ROOM slots each of idx_a, idx_b (int64), lo and hi (double), in
+ * that order; the return value is how many hits were written.  A call
+ * stops early when the output lacks room for another block; the state
+ * then keeps where the enumeration stopped and what it queued, and a
+ * call with the same arguments, ip and fp and a fresh output carries on
+ * from there.  ip[S_PHASE] is DONE once every pair is tested.  Returns
+ * -1 if the grid outgrew max_cells.
  */
-i64 sweep_join(const double *const *cols, const double *ends_a, const double *ends_b, i64 *ip,
-               double *fp, void *out, i64 cap)
+i64 sweep_join(const double *stack_a, const double *stack_b, const double *ends_a,
+               const double *ends_b, i64 *ip, double *fp, void *out, i64 cap)
 {
-    const double *const *cols_a = cols, *const *cols_b = cols + 13;
+    const double *cols_a[COLUMNS], *cols_b[COLUMNS];
+    for (int c = 0; c < COLUMNS; c++) {
+        cols_a[c] = stack_a + c * ip[I_STRIDE_A];
+        cols_b[c] = stack_b + c * ip[I_STRIDE_B];
+    }
     const double t0 = fp[F_T0], t1 = fp[F_T1];
     const int dim = (int)ip[I_DIM], orth = 1 - dim;
     const int q_is_a = !(ip[I_NA] > ip[I_NB]);
@@ -426,44 +445,47 @@ i64 sweep_join(const double *const *cols, const double *ends_a, const double *en
     const int gridded = (int)ip[I_GRIDDED];
     i64 *out_a = out, *out_b = out_a + cap;
     double *out_lo = (double *)(out_b + cap), *out_hi = out_lo + cap;
-    /* The binned side's rows in binned order. */
-    binned *packed = (binned *)(fp + F_WORK);
-    const i64 *cell_start = gridded ? ip + I_WORK + 2 * np : NULL;
+    /* The binned side's rows in binned order, after its bound planes
+     * (on a cache-line boundary, which the record size divides), and
+     * with a grid, the row each slot holds (order). */
+    const uintptr_t after = (uintptr_t)(fp + F_WORK + 4 * np);
+    binned *packed = (binned *)((after + LINE - 1) & ~(uintptr_t)(LINE - 1));
+    int32_t *cell_start = gridded ? (int32_t *)(ip + I_WORK) : NULL;
+    int32_t *cell = gridded ? cell_start + ip[I_MAX_CELLS] + 3 : NULL;
+    int32_t *order = gridded ? cell + np : NULL;
     i64 *queue_p = ip + I_QUEUE, *queue_q = queue_p + QUEUE;
 
     if (ip[S_PHASE] == FRESH) {
-        /* Without a grid the rows are packed in row order directly;
-         * with one, in row order next to it, then binned. */
-        binned *rec = gridded ? packed + np : packed;
-        const fields f = {dim, fp[F_SLACK + dim]};
+        double *bounds = fp + F_WORK;
+        const planes b = {{bounds, bounds + 2 * np}, {bounds + np, bounds + 3 * np}, fp + F_SLACK};
         grid_stats s;
-        int nan[4] = {0, 0, 0, 0};
-        stats_init(&s);
-        /* The hottest loop: the columns by name, sweep axis (d) and across
-         * (o), so nothing is indexed by `dim` per row. */
-        const double *tref = P[TREF], *dmlo = P[MLO + dim], *dmhi = P[MHI + dim];
-        const double *dvlo = P[VLO + dim], *dvhi = P[VHI + dim], *omlo = P[MLO + orth];
-        const double *omhi = P[MHI + orth], *ovlo = P[VLO + orth], *ovhi = P[VHI + orth];
-        const double slack_o = fp[F_SLACK + orth];
-        for (i64 r = 0; r < np; r++) {
-            double end = ends_p ? ends_p[r] : t1, lb, ub, olb, oub;
-            swept(tref[r], dmlo[r], dmhi[r], dvlo[r], dvhi[r], t0, end, &lb, &ub);
-            swept(tref[r], omlo[r], omhi[r], ovlo[r], ovhi[r], t0, end, &olb, &oub);
-            rec[r] = (binned){lb, ub, olb - slack_o, oub + slack_o, r};
-            if (gridded) stats_add(&s, rec + r, &f, nan);
-        }
+        bound_rows(P, ends_p, t0, t1, np, &b, &s);
         ip[S_NX] = ip[S_NY] = 0;
-        if (gridded) {
-            stats_finish(&s, nan, rec, &f, NULL, np);
-            if (build_grid(np, rec, &f, s, ip, fp, packed) < 0) return -1;
-            if (!ip[S_NX])
-                for (i64 r = 0; r < np; r++) packed[r] = rec[r];
+        if (gridded && build_grid(np, &b, s, ip, fp, (double *)packed, cell, cell_start) < 0)
+            return -1;
+        /* The pack, in one pass: each row to the next slot of its cell's
+         * run (with no grid, to its own). */
+        const double *lb = b.lb[dim], *ub = b.ub[dim], *olb = b.lb[orth], *oub = b.ub[orth];
+        const double slack_o = fp[F_SLACK + orth];
+        const int binning = ip[S_NX] != 0;
+        for (i64 r = 0; r < np; r++) {
+            /* The slot a row a little ahead goes to, fetched for writing
+             * in time: the rows of a cell are few, the slots scattered. */
+            if (binning && r + PACK_AHEAD < np)
+                __builtin_prefetch(packed + cell_start[cell[r + PACK_AHEAD] + 1], 1);
+            i64 k = r;
+            if (binning) {
+                k = cell_start[cell[r] + 1]++;
+                order[k] = (int32_t)r;
+            }
+            packed[k] = (binned){lb[r], ub[r], olb[r] - slack_o, oub[r] + slack_o};
         }
         ip[S_Q] = ip[S_SEG] = ip[S_ENUMERATED] = ip[S_TESTED] = ip[S_QUEUED] = 0;
         ip[S_POS] = -1;
         ip[S_PHASE] = BUILT;
     }
     const i64 nx = ip[S_NX], ny = ip[S_NY];
+    if (!nx) order = NULL;
     /* A resumed call first tests what the last one queued: cap holds it. */
     i64 written = run_queue(ip, cols_a, cols_b, ends_a, ends_b, fp, out_a, out_b, out_lo, out_hi, 0);
     const i64 q_from = ip[S_Q];
@@ -521,7 +543,7 @@ i64 sweep_join(const double *const *cols, const double *ends_a, const double *en
                                 & sweep_partners(pk->lb, pk->ub, q_lb, q_ub, q_is_a);
                 }
                 for (i64 i = 0; i < n_passed; i++) {
-                    i64 p = packed[passed[i]].row;
+                    i64 p = order ? order[passed[i]] : passed[i];
                     double end_p = ends_p ? ends_p[p] : t1;
                     if (per_row && end_p != end_q) {
                         /* Own-window ranges contain the pair's; where the
@@ -553,12 +575,15 @@ i64 sweep_join(const double *const *cols, const double *ends_a, const double *en
 }
 
 /* The slots and sizes the caller needs: the state it reads (phase,
- * enumerated, tested and the DONE phase), where the two workspaces
- * start, the fewest output slots a call works with, and the doubles a
- * binned row takes. */
+ * enumerated, tested and the DONE phase), the int64 slots before the
+ * workspace, the doubles outside the rows' (the slots before the
+ * workspace and the pad that aligns the packed rows), the fewest output
+ * slots a call works with, and the doubles a binned row takes: four
+ * bounds and its packed row. */
 void sweep_layout(i64 *out)
 {
-    const i64 layout[] = {S_PHASE, S_ENUMERATED, S_TESTED, DONE, I_WORK, F_WORK, ROOM,
-                          sizeof(binned) / sizeof(double)};
+    const i64 layout[] = {S_PHASE, S_ENUMERATED, S_TESTED, DONE, I_WORK,
+                          F_WORK + LINE / sizeof(double) - 1, ROOM,
+                          4 + sizeof(binned) / sizeof(double)};
     for (size_t k = 0; k < sizeof(layout) / sizeof(layout[0]); k++) out[k] = layout[k];
 }

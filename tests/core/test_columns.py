@@ -123,10 +123,24 @@ class TestColumnStore:
         store = ColumnStore.from_objects(objs)
         view = store.batch()
         fresh = KineticBatch.from_boxes([o.kbox for o in objs])
-        for name in ("mlo", "mhi", "vlo", "vhi", "slo", "shi"):
+        for name in ("mlo", "mhi", "vlo", "vhi", "slo", "shi", "tref"):
             assert np.array_equal(getattr(view, name), getattr(fresh, name)), name
-            assert getattr(view, name).base is getattr(store, name)
-        assert np.array_equal(view.tref, fresh.tref)
+            # Every column, the store's and the view's, is a view of one stack.
+            assert getattr(view, name).base is store._stack is getattr(store, name).base
+
+    def test_a_copy_has_its_own_stack_and_address(self):
+        """Copied or pickled, a store is rebuilt from its live rows: the
+        copy's kept address is its own stack's, never the original's."""
+        import copy
+        import pickle
+
+        store = ColumnStore.from_objects(some_objects(12))
+        store.remove([store.oids[3]])
+        for twin in (copy.copy(store), copy.deepcopy(store), pickle.loads(pickle.dumps(store))):
+            assert twin._stack_address == twin._stack.ctypes.data != store._stack_address
+            got, want = twin.columns(), store.columns()
+            for name in ("oid", "mlo", "mhi", "vlo", "vhi", "tref"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
     def test_shift_maintained_incrementally(self):
         objs = some_objects(12)

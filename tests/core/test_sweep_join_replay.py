@@ -247,24 +247,81 @@ class TestTemporaries:
         return peak, sum(plane.nbytes for plane in planes)
 
     def test_initial_join_peak_at_default_chunk(self):
-        """The benchmark's 20 000 x 20 000 initial join: 4.47 MiB — the
+        """The benchmark's 20 000 x 20 000 initial join: 3.90 MiB — the
         call's one buffer (workspace and a first output of a slot per
         binned row), a second output (its 21 448 hits outgrow the first)
-        and the exact-size copies; the bound is that plus ~15 % (the
-        NumPy join it replaced peaked at 7.55 MiB).  The floor is the
-        workspace's doubles alone, 80 bytes a binned row: a workspace
-        tracemalloc cannot see (a pool outside NumPy) reads below it."""
+        and the exact-size copies; the bound is what the build before the
+        bound planes read (4.47 MiB) plus ~15 % (the NumPy join it
+        replaced peaked at 7.55 MiB).  The floor, 80 bytes a binned row,
+        is below the workspace's doubles and the first output (96): a
+        workspace tracemalloc cannot see (a pool outside NumPy) reads
+        below it."""
         peak, _ = self._peak(20_000)
         assert 80 * 20_000 <= peak <= 5.15 * 2**20, peak
 
     def test_only_per_row_planes_grow_with_the_input(self):
-        """The peak, outputs excluded, is the call's buffer — 136 bytes a
-        binned row: 80 of packed rows, 16 of sort indices, at most 8 of
-        cell table and 32 of first output — plus any later outputs, which
-        double from there (under two hits' worth together), so it grows
-        with the rows and the hits, never with the candidates or the
-        cell-column segments, which double with the sides here as well.
-        The floor keeps the workspace where tracemalloc sees it."""
+        """The peak, outputs excluded, is the call's buffer — 106 bytes a
+        binned row: 32 of bound planes, 32 of packed rows, 8 of cell ids
+        and indices, at most 2 of cell table and 32 of first output — plus
+        any later outputs, which double from there (under two hits' worth
+        together), so it grows with the rows and the hits, never with the
+        candidates or the cell-column segments, which double with the
+        sides here as well.  The bound is 136 bytes a row, what the build
+        before the bound planes took.  The floor keeps the workspace where
+        tracemalloc sees it."""
         for n in (5_000, 10_000):
             peak, out = self._peak(n)
             assert 80 * n <= peak - out <= 136 * n + 2 * out + 4096, (n, peak - out)
+
+
+class TestKeptAddresses:
+    """A :class:`ColumnStore` keeps its plane stack's address for the
+    sweep join and renews it when it reallocates.  Probes on either side
+    of a growth and of an eviction — the store binned whole, a few of its
+    rows gathered to visit — equal the oracle in bytes and in both
+    counters: a stale address would read freed or moved rows."""
+
+    T0, T1 = 2.0, 62.0
+
+    def probes(self, store_a, store_b):
+        """Probe each store's first rows against the other store whole."""
+        for visitors, binned in ((store_a, store_b), (store_b, store_a)):
+            rows = np.arange(0, len(visitors), 7)
+            batch_q, batch_p = visitors.gather(rows), binned.batch()
+            # The view carries the kept address, and it is the stack's own.
+            assert batch_p.stack[1] == binned._stack_address == binned._stack.ctypes.data
+            assert batch_q.n * batch_p.n > SWEEP_GRID_MIN_PAIRS
+            counter = [0, 0]
+            planes = batch_sweep_join(batch_q, batch_p, self.T0, self.T1, dim=0, counter=counter)
+            assert planes[0].shape[0] > 0 and counter[1] > 0
+            assert_oracle_order(planes, counter, batch_q, batch_p, self.T0, self.T1, dim=0)
+
+    def stores(self):
+        arrays = scenario(2_000, 0.5, 60.0)
+        cols_a = arrays.columns_a()
+        half = np.arange(len(cols_a)) < 1_000
+        return (
+            ColumnStore.from_columns(cols_a.take(half)),
+            ColumnStore.from_columns(arrays.columns_b()),
+            cols_a.take(~half),
+        )
+
+    def test_growth_between_probes(self):
+        store_a, store_b, rest = self.stores()
+        self.probes(store_a, store_b)
+        stack, address = store_a._stack, store_a._stack_address
+        store_a.add(rest)
+        # Not vacuous: the add reallocated the columns.
+        assert store_a._stack is not stack and store_a._stack_address != address
+        del stack
+        self.probes(store_a, store_b)
+
+    def test_removal_between_probes(self):
+        store_a, store_b, _ = self.stores()
+        self.probes(store_a, store_b)
+        address = store_a._stack_address
+        store_b.remove(store_b.oids[::3].copy())
+        store_a.remove(store_a.oids[:100].copy())
+        # Rows moved within the columns, which stayed where they were.
+        assert store_a._stack_address == address
+        self.probes(store_a, store_b)

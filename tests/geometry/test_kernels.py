@@ -288,6 +288,52 @@ class TestSweepParity:
         assert batch_all_pairs_intersection(empty, batch, 0, 10) == []
 
 
+#: Windows no pair join takes: a NaN end or start (every comparison
+#: with NaN is false, so ``t1 < t0`` lets them through) and an infinite
+#: start.
+BAD_WINDOWS = [(math.nan, 5.0), (0.0, math.nan), (math.nan, math.nan), (INF, INF), (-INF, 5.0)]
+
+
+class TestWindowRefusal:
+    """Every pair-window entry point refuses a bad window with
+    ``ValueError`` — on two boxes that intersect, so a join that ran
+    would return a row rather than raise."""
+
+    boxes = [KineticBox.rigid(Box(0.0, 1.0, 0.0, 1.0), 0.0, 0.0, 0.0)]
+
+    def refuses(self, join, t0, t1):
+        with pytest.raises(ValueError, match="t_end must be >= t_start"):
+            join(t0, t1)
+
+    @pytest.mark.parametrize("t0, t1", BAD_WINDOWS)
+    def test_ps_intersection(self, t0, t1):
+        self.refuses(lambda t0, t1: ps_intersection(self.boxes, self.boxes, t0, t1), t0, t1)
+
+    @pytest.mark.parametrize("t0, t1", BAD_WINDOWS)
+    def test_all_pairs_intersection(self, t0, t1):
+        self.refuses(lambda t0, t1: all_pairs_intersection(self.boxes, self.boxes, t0, t1), t0, t1)
+
+    @pytest.mark.parametrize("t0, t1", BAD_WINDOWS)
+    def test_batch_ps_intersection(self, t0, t1):
+        batch = batch_of(self.boxes)
+        self.refuses(lambda t0, t1: batch_ps_intersection(batch, batch, t0, t1), t0, t1)
+
+    @pytest.mark.parametrize("t0, t1", BAD_WINDOWS)
+    def test_batch_all_pairs_intersection(self, t0, t1):
+        batch = batch_of(self.boxes)
+        self.refuses(lambda t0, t1: batch_all_pairs_intersection(batch, batch, t0, t1), t0, t1)
+
+    @pytest.mark.parametrize("t0, t1", BAD_WINDOWS)
+    def test_batch_sweep_join(self, t0, t1):
+        batch = batch_of(self.boxes)
+        self.refuses(lambda t0, t1: batch_sweep_join(batch, batch, t0, t1), t0, t1)
+
+    def test_the_boxes_intersect(self):
+        batch = batch_of(self.boxes)
+        assert len(ps_intersection(self.boxes, self.boxes, 0.0, 5.0)) == 1
+        assert batch_sweep_join(batch, batch, 0.0, 5.0)[0].tolist() == [0]
+
+
 # ----------------------------------------------------------------------
 # The sweep join's orthogonal-bound reject never drops an accepted pair
 # ----------------------------------------------------------------------

@@ -78,7 +78,7 @@ def test_an_artefact_of_other_source_is_not_loaded(tmp_path):
     source = root / "repro" / "geometry" / "sweep.c"
     original = source.read_text()
     # Other source bytes whose object fails every join.
-    entry = "    const double *const *cols_a = cols, *const *cols_b = cols + 13;\n"
+    entry = "    const double t0 = fp[F_T0], t1 = fp[F_T1];\n"
     assert entry in original
     source.write_text(original.replace(entry, "    return -1;\n" + entry))
     broken = run(root, JOIN)
