@@ -1,19 +1,20 @@
-"""Scalar vs. vectorized pair-test throughput (the kernels PR criterion).
+"""Scalar vs. compiled pair-test throughput: the one vectorized join left.
 
-Standalone script: times the three kernelized call sites — all-pairs
-constraint grid, plane sweep, and the IC entry filter — on seeded
+Standalone script: times the columnar engine's pair test, the compiled
+``batch_sweep_join``, against the scalar plane sweep it reproduces,
+``ps_intersection`` (the tree engines' PSIntersection), on seeded
 random box batches of growing size, and writes the measurements to
-``BENCH_kernels.json`` at the repo root.
-The scalar side is the reference in :mod:`repro.geometry.plane_sweep`;
-the vectorized side packs its input with ``KineticBatch.from_boxes``
-inside the timed call, as a caller holding kinetic boxes must.
+``BENCH_kernels.json`` at the repo root.  Both sweep axis 0, as the
+columnar engine does.  The compiled side packs its input with
+``KineticBatch.from_boxes`` inside the timed call, as a caller holding
+kinetic boxes must.
 
 Run with::
 
     PYTHONPATH=src python benchmarks/bench_kernels.py
 
-The acceptance bar is a >= 3x speedup for the vectorized path on
-batches of 64 boxes and up; the script exits non-zero if any such
+The acceptance bar is a >= 3x speedup for the compiled join on batches
+of 64 boxes a side and up; the script exits non-zero if any such
 configuration misses it.  CI's ``scale`` job runs it.
 """
 
@@ -24,19 +25,9 @@ import random
 import sys
 from pathlib import Path
 
+from repro.geometry import Box, KineticBatch, KineticBox, ps_intersection
+from repro.geometry.kernels import batch_sweep_join
 from repro.metrics import monotonic_clock
-
-from repro.geometry import (
-    Box,
-    KineticBatch,
-    KineticBox,
-    all_pairs_intersection,
-    batch_all_pairs_intersection,
-    batch_filter_against,
-    batch_ps_intersection,
-    intersection_interval,
-    ps_intersection,
-)
 
 SIZES = [16, 64, 128, 256, 512]
 WINDOW = (0.0, 20.0)
@@ -69,32 +60,15 @@ def timed(fn, min_repeat: int = 3, min_time: float = 0.15) -> float:
     return best
 
 
-def packed(kernel):
-    """``kernel`` called on kinetic boxes, packing both sides per call."""
-    return lambda boxes_a, boxes_b, t0, t1: kernel(
-        KineticBatch.from_boxes(boxes_a), KineticBatch.from_boxes(boxes_b), t0, t1
+def compiled(boxes_a, boxes_b, t0, t1):
+    """The compiled join on kinetic boxes, packing both sides per call."""
+    return batch_sweep_join(
+        KineticBatch.from_boxes(boxes_a), KineticBatch.from_boxes(boxes_b), t0, t1, dim=0
     )
 
 
-def bench_pair(scalar_fn, vector_fn, boxes_a, boxes_b):
-    t0, t1 = WINDOW
-    scalar = timed(lambda: scalar_fn(boxes_a, boxes_b, t0, t1))
-    vector = timed(lambda: vector_fn(boxes_a, boxes_b, t0, t1))
-    return scalar, vector
-
-
-def bench_filter(boxes, probe):
-    t0, t1 = WINDOW
-
-    def scalar_filter():
-        return [kb for kb in boxes if intersection_interval(kb, probe, t0, t1) is not None]
-
-    batch = KineticBatch.from_boxes(boxes)
-
-    def vector_filter():
-        return batch_filter_against(batch, probe, t0, t1)
-
-    return timed(scalar_filter), timed(vector_filter)
+def scalar(boxes_a, boxes_b, t0, t1):
+    return ps_intersection(boxes_a, boxes_b, t0, t1, dim=0)
 
 
 def main() -> int:
@@ -104,44 +78,32 @@ def main() -> int:
     for n in SIZES:
         boxes_a = make_boxes(rng, n)
         boxes_b = make_boxes(rng, n)
-        for name, (scalar_s, vector_s) in {
-            "all_pairs": bench_pair(
-                all_pairs_intersection, packed(batch_all_pairs_intersection),
-                boxes_a, boxes_b,
-            ),
-            "plane_sweep": bench_pair(
-                ps_intersection, packed(batch_ps_intersection), boxes_a, boxes_b
-            ),
-            "ic_filter": bench_filter(boxes_a, boxes_b[0]),
-        }.items():
-            speedup = scalar_s / vector_s if vector_s > 0 else float("inf")
-            rows.append(
-                {
-                    "kernel": name,
-                    "batch_size": n,
-                    "scalar_s": scalar_s,
-                    "vectorized_s": vector_s,
-                    "speedup": round(speedup, 2),
-                    "scalar_pairs_per_s": round(n * n / scalar_s)
-                    if name != "ic_filter"
-                    else round(n / scalar_s),
-                    "vectorized_pairs_per_s": round(n * n / vector_s)
-                    if name != "ic_filter"
-                    else round(n / vector_s),
-                }
-            )
-            print(
-                f"{name:12s} n={n:4d}  scalar {scalar_s * 1e3:8.3f} ms  "
-                f"vector {vector_s * 1e3:8.3f} ms  speedup {speedup:6.1f}x"
-            )
-            if n >= FLOOR_FROM and speedup < SPEEDUP_FLOOR:
-                failures.append((name, n, speedup))
+        scalar_s = timed(lambda: scalar(boxes_a, boxes_b, *WINDOW))
+        compiled_s = timed(lambda: compiled(boxes_a, boxes_b, *WINDOW))
+        speedup = scalar_s / compiled_s if compiled_s > 0 else float("inf")
+        rows.append(
+            {
+                "kernel": "sweep_join",
+                "batch_size": n,
+                "scalar_s": scalar_s,
+                "compiled_s": compiled_s,
+                "speedup": round(speedup, 2),
+                "scalar_pairs_per_s": round(n * n / scalar_s),
+                "compiled_pairs_per_s": round(n * n / compiled_s),
+            }
+        )
+        print(
+            f"sweep_join n={n:4d}  scalar {scalar_s * 1e3:8.3f} ms  "
+            f"compiled {compiled_s * 1e3:8.3f} ms  speedup {speedup:6.1f}x"
+        )
+        if n >= FLOOR_FROM and speedup < SPEEDUP_FLOOR:
+            failures.append((n, speedup))
 
     out = Path(__file__).resolve().parent.parent / "BENCH_kernels.json"
     out.write_text(
         json.dumps(
             {
-                "description": "scalar vs vectorized pair-test throughput",
+                "description": "scalar ps_intersection vs compiled batch_sweep_join",
                 "window": list(WINDOW),
                 "speedup_floor": SPEEDUP_FLOOR,
                 "floor_applies_from_batch_size": FLOOR_FROM,
@@ -153,8 +115,8 @@ def main() -> int:
     )
     print(f"\nwrote {out}")
     if failures:
-        for name, n, speedup in failures:
-            print(f"FAIL: {name} n={n} speedup {speedup:.1f}x < {SPEEDUP_FLOOR}x")
+        for n, speedup in failures:
+            print(f"FAIL: sweep_join n={n} speedup {speedup:.1f}x < {SPEEDUP_FLOOR}x")
         return 1
     print(f"all batches >= {FLOOR_FROM} boxes beat the {SPEEDUP_FLOOR}x floor")
     return 0

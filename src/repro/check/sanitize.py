@@ -441,7 +441,7 @@ def check_column_store(store, t_now: float, label: str = "columns") -> List[Find
       ``[0, n)`` listing the id column in strictly increasing order.
     * **SC602** — the incrementally maintained pre-shifted bounds are
       *bit-identical* to a fresh recompute (``slo = mlo - vlo * tref``);
-      any drift here would silently break the kernels' exactness
+      any drift here would silently break the sweep join's exactness
       contract.  The maintained magnitude bounds must dominate the live
       columns: the sweep join's slack is sized by them.
     * **SC603** — reference times never run ahead of the engine clock
@@ -472,7 +472,7 @@ def check_column_store(store, t_now: float, label: str = "columns") -> List[Find
             findings.append(Finding("SC601", "id index is not sorted by id", label))
     live = slice(0, n)
     # Exact equality on purpose: the incremental shift must be the very
-    # bits a fresh pack would produce (see the kernels' exactness
+    # bits a fresh pack would produce (see the sweep join's exactness
     # contract).
     expect_slo = store.mlo[:, live] - store.vlo[:, live] * store.tref[live]
     expect_shi = store.mhi[:, live] - store.vhi[:, live] * store.tref[live]

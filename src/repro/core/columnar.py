@@ -3,9 +3,10 @@
 :class:`ColumnarJoinEngine` maintains the same continuous intersection
 join as :class:`~repro.core.engine.ContinuousJoinEngine` — bit-identical
 result store, same public surface — but keeps each dataset in a
-:class:`~repro.core.columns.ColumnStore` and drives every phase with the
-batch kernels of :mod:`repro.geometry.kernels`, so the per-tick cost has
-no Python-per-object term.  This is the scaling path: at n=10k/side it
+:class:`~repro.core.columns.ColumnStore` and drives every phase with
+array operations — its pair test is the compiled sweep join of
+:mod:`repro.geometry.kernels` — so the per-tick cost has no
+Python-per-object term.  This is the scaling path: at n=10k/side it
 sustains well over the 3x throughput floor against the serial seed
 engine, and it is the only path that completes the 100k and 1M cells of
 ``benchmarks/bench_scale.py``.
@@ -407,8 +408,9 @@ class ColumnarJoinEngine(Recorded, DeltaSource):
             if ends is not None and batch.n and ends.min() <= t0:
                 # A bucket that ended ``T_M`` ago is drained by the
                 # ``T_M`` guarantee: a row still in it meets nobody.
+                # Only a whole side carries ends, so ``due`` are rows of ``cols``.
                 due = np.flatnonzero(ends > t0)
-                batch, oids, ends = batch.compress(due), oids[due], ends[due]
+                batch, oids, ends = cols.gather(due), oids[due], ends[due]
             if batch.n == 0:
                 return
             sides.append((batch, oids, ends))

@@ -12,16 +12,7 @@ from .intersection import (
     intersects_during,
 )
 from .kinetic import KineticBox
-from .kernels import (
-    KineticBatch,
-    batch_all_pairs_intersection,
-    batch_filter_against,
-    batch_probe_windows,
-    batch_intersection_intervals,
-    batch_ps_intersection,
-    batch_select_sweep_dimension,
-    batch_sweep_bounds,
-)
+from .kernels import KineticBatch
 from .plane_sweep import (
     all_pairs_intersection,
     ps_intersection,
@@ -44,11 +35,4 @@ __all__ = [
     "select_sweep_dimension",
     "sweep_bounds",
     "KineticBatch",
-    "batch_intersection_intervals",
-    "batch_filter_against",
-    "batch_probe_windows",
-    "batch_sweep_bounds",
-    "batch_select_sweep_dimension",
-    "batch_ps_intersection",
-    "batch_all_pairs_intersection",
 ]

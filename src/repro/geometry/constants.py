@@ -1,13 +1,13 @@
 """Shared numeric tolerances and the pre-shifted-constant contract.
 
-Every tolerance that the scalar pair-test path, the vectorized kernels,
-and the index maintenance code share lives here, in one module, so the
-paths cannot drift apart silently.  ``geometry/intersection.py`` and
-``geometry/kernels.py`` import their tolerances from this module
+Every tolerance that the scalar pair-test path, the compiled sweep
+join, and the index maintenance code share lives here, in one module,
+so the paths cannot drift apart silently.  ``geometry/intersection.py``
+and ``geometry/kernels.py`` import their tolerances from this module
 instead of re-inlining the literals: the bit-exactness contract of the
-kernels (DESIGN.md §5.1) holds only while both paths evaluate the
+sweep join (DESIGN.md §5.1) holds only while both paths evaluate the
 *same* constraint ``(lo - v_lo * t_ref) + (v_lo) * t`` with the *same*
-epsilon, and the kernel-vs-scalar byte-parity suites
+epsilon, and the join-vs-scalar byte-parity suites
 (``tests/geometry/test_kernels.py``) fail the moment they do not.
 
 Constants
@@ -16,7 +16,7 @@ Constants
     Tolerance applied to pair-test constraint boundaries so that two
     rectangles touching at a single timestamp are reported despite
     floating-point rounding.  Used identically by the scalar
-    ``intersection_interval`` (2-d and n-d) and every batch kernel.
+    ``intersection_interval`` (2-d and n-d) and the compiled sweep join.
 ``SWEEP_FILTER_SLACK``
     Slack of the sweep join's orthogonal-bound reject
     (:func:`repro.geometry.kernels.batch_sweep_join`), *relative* to the
@@ -60,7 +60,7 @@ __all__ = [
     "CONTAIN_EPS",
 ]
 
-#: Pair-test constraint tolerance (scalar and kernel paths alike).
+#: Pair-test constraint tolerance (scalar path and sweep join alike).
 PAIR_TEST_EPS = 1e-12
 
 #: Sweep-join orthogonal-bound reject slack, relative to coordinate magnitude.

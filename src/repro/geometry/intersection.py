@@ -25,7 +25,7 @@ from typing import Optional, Tuple
 
 from .box import NDIMS
 from .constants import PAIR_TEST_EPS as _EPS
-from .interval import INF, TimeInterval
+from .interval import INF, TimeInterval, check_window
 from .kinetic import KineticBox
 
 __all__ = ["intersection_interval", "intersects_during", "first_contact_time"]
@@ -71,14 +71,13 @@ def intersection_interval(
     >>> intersection_interval(a, b, 0.0)
     TimeInterval(3, 5)
     """
-    if t_end < t_start:
-        raise ValueError("t_end must be >= t_start")
+    check_window(t_start, t_end)
     lo, hi = t_start, t_end
     for dim in range(NDIMS):
         # Each bound re-expressed at reference time 0: lo(t) = slo + v*t.
-        # The (x - v * t_ref) association is shared with the vectorized
-        # kernels (repro.geometry.kernels), which pre-shift their columns
-        # the same way — keeping the two paths bit-identical.
+        # The (x - v * t_ref) association is shared with the compiled
+        # sweep join (repro.geometry.kernels), whose batches pre-shift
+        # their columns the same way — keeping the two paths bit-identical.
         a_slo = a.mbr.lo(dim) - a.vbr.lo(dim) * a.t_ref
         a_shi = a.mbr.hi(dim) - a.vbr.hi(dim) * a.t_ref
         b_slo = b.mbr.lo(dim) - b.vbr.lo(dim) * b.t_ref

@@ -1,27 +1,26 @@
-"""Batched kernels for the pair-test hot path.
+"""The columnar engine's pair test: one compiled plane-sweep join.
 
-Every join strategy bottoms out in
-:func:`~repro.geometry.intersection.intersection_interval`, called once
-per candidate pair from the plane sweep, the IC entry filter and the
-TPR-tree search.  This module batches those calls: a
-:class:`KineticBatch` holds a whole node's (or dataset's) kinetic boxes
-as structure-of-arrays columns, and the ``batch_*`` kernels evaluate all
-pair constraints with NumPy broadcasting instead of per-pair Python —
-except :func:`batch_sweep_join`, the whole-dataset plane sweep, which is
-one C function (``sweep.c``, compiled on first import and called through
-``ctypes``).
+The tree engines test their pairs with the paper's scalar primitives —
+:func:`~repro.geometry.intersection.intersection_interval` and the
+plane sweep of :mod:`repro.geometry.plane_sweep` — one call per pair.
+The columnar engine joins whole datasets instead: a
+:class:`KineticBatch` holds a dataset's (or a gathered probe's) kinetic
+boxes as structure-of-arrays planes, and :func:`batch_sweep_join` joins
+two of them in one C function (``sweep.c``, compiled on first import
+and called through ``ctypes``).  :func:`radix_argsort` sorts the id
+planes of the column store, the result store and the delta ledger.
 
 Exactness contract
 ------------------
-The kernels are *bit-identical* to the scalar path, not merely close.
-The compiled join is bit-identical to the NumPy formulation of the same
-join, which the tests keep as its oracle: the same IEEE-754 double
-operations, in the same order and association, with no contraction
-(``-ffp-contract=off``, no fused multiply-add, no ``-ffast-math``, no
-``-march``), and NumPy's own semantics wherever C's differ — the NaN and
-tie rules of ``np.minimum``/``np.maximum``, the pairwise summation of a
-reduction, Python's ``max``/``min`` and float power.  Every argument
-below is about those operations, so it holds for either:
+The compiled join is *bit-identical* to the scalar path, not merely
+close, and to the NumPy formulation of the same join, which the tests
+keep as its oracle: the same IEEE-754 double operations, in the same
+order and association, with no contraction (``-ffp-contract=off``, no
+fused multiply-add, no ``-ffast-math``, no ``-march``), and NumPy's own
+semantics wherever C's differ — the NaN and tie rules of
+``np.minimum``/``np.maximum``, the pairwise summation of a reduction,
+Python's ``max``/``min`` and float power.  Every argument below is
+about those operations, so it holds for either:
 
 * the constraint coefficients are pre-shifted to reference time 0
   (``lo - v_lo * t_ref``), and the scalar ``intersection_interval`` is
@@ -29,9 +28,10 @@ below is about those operations, so it holds for either:
   IEEE-754 operations per constraint;
 * sweep bounds evaluate ``mbr + vbr * (t - t_ref)`` elementwise, the
   exact expression :meth:`KineticBox.lo` / :meth:`~KineticBox.hi` use;
-* window clamping is a chain of ``min``/``max`` accumulations, which are
-  exact and order-independent, so the sequential scalar clamps and the
-  broadcast kernel clamps agree to the last bit.
+* window clamping is a chain of ``min``/``max`` accumulations in the
+  scalar's order, a bound moving only where the root is strictly inward
+  (the scalar's tie rule), so the clamps agree to the last bit, the
+  sign of a zero included.
 
 * the sweep join's orthogonal-bound reject only removes pairs the exact
   test would reject anyway, so it changes which pairs are *tested*, never
@@ -83,11 +83,7 @@ below is about those operations, so it holds for either:
   exhaustive enumeration would send, and the rows returned are the
   scalar sweep's.  Their order is the grid's enumeration order, which
   is deterministic but no scalar call's: the result store sorts what it
-  is given, so only :func:`batch_ps_intersection` — the tree engines'
-  call, which promises ``ps_intersection``'s order — sorts its hits by
-  the scalar sweep's total order (pivot ``lb``, side a first, pivot
-  row, partner ``lb``, partner row — its two stable sorts and its
-  merge), which no two pairs share.
+  is given.
 
 * the magnitude both tolerances scale with enters the two arguments
   above only as an upper bound on the intermediates: a larger one
@@ -114,14 +110,11 @@ below is about those operations, so it holds for either:
   expression on gathered rows — which is the test the group call
   applies.
 
-The scalar implementations (:mod:`repro.geometry.plane_sweep`) stay in
-place as the oracle the tests call directly, as does the NumPy sweep
-join (``tests/geometry/sweep_oracle.py``); these kernels are the only
-path the joins take.  A TPR*-tree search (:mod:`repro.index.tpr`) tests
-a node's entries one by one with the scalar
-:func:`~repro.geometry.intersection.intersection_interval`: its nodes
-hold 30 entries (Table I), about the size at which a vectorized probe
-that packs each visited node fresh starts to beat that loop.
+The scalar implementations (:mod:`repro.geometry.plane_sweep`) are the
+tree engines' pair tests and the oracle the tests hold this join to, as
+is the NumPy sweep join (``tests/geometry/sweep_oracle.py``).  A tree
+node holds 30 entries (Table I), too few for packing a batch per node
+pair to pay for itself.
 """
 
 from __future__ import annotations
@@ -133,7 +126,7 @@ import platform
 import sysconfig
 import tempfile
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -141,19 +134,12 @@ from .box import NDIMS
 from .constants import PAIR_TEST_EPS as _EPS
 from .constants import SWEEP_FILTER_SLACK as _FILTER_SLACK
 from .constants import SWEEP_GRID_PAD as _GRID_PAD
-from .interval import INF, TimeInterval, check_window
+from .interval import INF, check_window
 from .kinetic import KineticBox
 
 __all__ = [
     "KineticBatch",
-    "batch_intersection_intervals",
-    "batch_probe_windows",
-    "batch_filter_against",
-    "batch_sweep_bounds",
-    "batch_select_sweep_dimension",
-    "batch_ps_intersection",
     "batch_sweep_join",
-    "batch_all_pairs_intersection",
     "radix_argsort",
 ]
 
@@ -180,15 +166,17 @@ def stack_planes(stack: "np.ndarray") -> Tuple["np.ndarray", ...]:
 
 
 class KineticBatch:
-    """Structure-of-arrays view of a sequence of kinetic boxes.
+    """Structure-of-arrays view of a plane stack of kinetic boxes.
 
-    Arrays are indexed ``[dim, i]``; ``slo``/``shi`` are the MBR bounds
-    pre-shifted to reference time 0 (``mbr - vbr * t_ref``), so a bound
-    at time ``t`` is simply ``slo + vlo * t`` and the per-pair ``t_ref``
-    arithmetic of the scalar path vanishes from the kernels.  The raw
-    ``mlo``/``mhi``/``tref`` columns are kept as well because the sweep
-    bounds must evaluate ``mbr + vbr * (t - t_ref)`` to stay bit-exact
-    with :func:`~repro.geometry.plane_sweep.sweep_bounds`.
+    The planes are views of one stack (:func:`stack_planes`), indexed
+    ``[dim, i]``; ``slo``/``shi`` are the MBR bounds pre-shifted to
+    reference time 0 (``mbr - vbr * t_ref``), so a bound at time ``t`` is
+    ``slo + vlo * t`` with no per-pair ``t_ref`` arithmetic.  The raw
+    ``mlo``/``mhi``/``tref`` planes are kept as well because the swept
+    bounds evaluate ``mbr + vbr * (t - t_ref)``, the expression of
+    :func:`~repro.geometry.plane_sweep.sweep_bounds`.  The stack is a
+    column store's own, a gathered one, or one packed by
+    :meth:`from_boxes`.
 
     >>> from repro.geometry import Box
     >>> batch = KineticBatch.from_boxes(
@@ -198,34 +186,8 @@ class KineticBatch:
     1
     """
 
-    __slots__ = (
-        "n", "mlo", "mhi", "vlo", "vhi", "tref", "slo", "shi", "_speed_sums", "_abs_bounds",
-        "stack",
-    )
+    __slots__ = ("n", "mlo", "mhi", "vlo", "vhi", "tref", "slo", "shi", "_abs_bounds", "stack")
 
-    def __init__(self, mlo, mhi, vlo, vhi, tref, slo=None, shi=None, abs_bounds=None):
-        self.n = int(tref.shape[0])
-        self.mlo = mlo
-        self.mhi = mhi
-        self.vlo = vlo
-        self.vhi = vhi
-        self.tref = tref
-        self.slo = mlo - vlo * tref if slo is None else slo
-        self.shi = mhi - vhi * tref if shi is None else shi
-        self._speed_sums = None
-        #: ``(|mbr| per axis, |vbr| per axis, |t_ref|)`` upper bounds the
-        #: owner of the columns keeps (:class:`~repro.core.columns.
-        #: ColumnStore`), or ``None``: :meth:`abs_bounds` then scans.
-        self._abs_bounds = abs_bounds
-        #: ``(stack, address)``: the plane stack whose first ``n`` columns
-        #: are this batch's planes, and where it starts when its owner keeps
-        #: that (else ``None``, looked up by :meth:`stacked`); ``None`` when
-        #: the planes are separate arrays.
-        self.stack = None
-
-    # ------------------------------------------------------------------
-    # Constructors
-    # ------------------------------------------------------------------
     @classmethod
     def from_stack(
         cls,
@@ -236,52 +198,53 @@ class KineticBatch:
     ) -> "KineticBatch":
         """A batch over the first ``n`` columns (default: all) of a
         C-contiguous plane stack (:func:`stack_planes`), its planes views
-        of it.  ``address`` is the stack's, when its owner keeps it."""
-        n = stack.shape[1] if n is None else n
-        batch = cls(*stack_planes(stack[:, :n]), abs_bounds=abs_bounds)
+        of it.  ``address`` is the stack's, when its owner keeps it.  The
+        compiled join reads ``n`` doubles from every row of the stack, at
+        its address and row stride, so anything else is refused."""
+        batch = cls.__new__(cls)
+        batch.n = stack.shape[1] if n is None else n
+        if not (
+            stack.dtype == np.float64
+            and stack.flags.c_contiguous
+            and stack.shape[0] == STACK_ROWS
+            and batch.n <= stack.shape[1]
+        ):
+            raise ValueError(
+                f"{batch.n} rows over a plane stack {stack.shape} of {stack.dtype}"
+                f" (C-contiguous: {stack.flags.c_contiguous})"
+            )
+        (
+            batch.mlo, batch.mhi, batch.vlo, batch.vhi, batch.tref, batch.slo, batch.shi
+        ) = stack_planes(stack[:, :batch.n])
+        #: ``(stack, address)``: the plane stack whose first ``n`` columns
+        #: are this batch's planes, and where it starts when its owner
+        #: keeps that (else ``None``, looked up by :meth:`stacked`).
         batch.stack = (stack, address)
+        #: ``(|mbr| per axis, |vbr| per axis, |t_ref|)`` upper bounds the
+        #: owner of the columns keeps (:class:`~repro.core.columns.
+        #: ColumnStore`), or ``None``: :meth:`abs_bounds` then scans.
+        batch._abs_bounds = abs_bounds
         return batch
 
     @classmethod
     def from_boxes(cls, boxes: Sequence[KineticBox]) -> "KineticBatch":
-        """Pack a sequence of kinetic boxes into one SoA batch."""
+        """Pack a sequence of kinetic boxes into a new plane stack."""
         params = np.array([kb.params() for kb in boxes], dtype=np.float64)
         params = params.reshape(-1, _N_PARAMS)
-        lo_cols = [2 * d for d in range(NDIMS)]
-        hi_cols = [2 * d + 1 for d in range(NDIMS)]
-        v_off = 2 * NDIMS
-        return cls(
-            np.ascontiguousarray(params[:, lo_cols].T),
-            np.ascontiguousarray(params[:, hi_cols].T),
-            np.ascontiguousarray(params[:, [v_off + c for c in lo_cols]].T),
-            np.ascontiguousarray(params[:, [v_off + c for c in hi_cols]].T),
-            np.ascontiguousarray(params[:, 4 * NDIMS]),
-        )
+        stack = np.empty((STACK_ROWS, params.shape[0]))
+        mlo, mhi, vlo, vhi, tref, slo, shi = stack_planes(stack)
+        # Per box: the MBR's (lo, hi) per axis, the VBR's, then t_ref.
+        mlo[...] = params[:, 0:2 * NDIMS:2].T
+        mhi[...] = params[:, 1:2 * NDIMS:2].T
+        vlo[...] = params[:, 2 * NDIMS:4 * NDIMS:2].T
+        vhi[...] = params[:, 2 * NDIMS + 1:4 * NDIMS:2].T
+        tref[...] = params[:, 4 * NDIMS]
+        np.subtract(mlo, vlo * tref, out=slo)
+        np.subtract(mhi, vhi * tref, out=shi)
+        return cls.from_stack(stack)
 
-    @classmethod
-    def from_entries(cls, entries: Sequence) -> "KineticBatch":
-        """Pack the ``kbox`` of each index entry (leaf or internal)."""
-        return cls.from_boxes([e.kbox for e in entries])
-
-    # ------------------------------------------------------------------
-    # Introspection / slicing
-    # ------------------------------------------------------------------
     def __len__(self) -> int:
         return self.n
-
-    @property
-    def speed_sums(self):
-        """Per-dimension total of ``|v_lo| + |v_hi|`` over the batch.
-
-        Computed once and cached — this is the §IV-D.2 dimension
-        selection statistic, which the scalar path re-sums per node
-        pair.
-        """
-        if self._speed_sums is None:
-            self._speed_sums = np.abs(self.vlo).sum(axis=1) + np.abs(self.vhi).sum(
-                axis=1
-            )
-        return self._speed_sums
 
     def abs_bounds(self, axis: int) -> Tuple[float, float, float]:
         """Upper bounds of ``|mbr|`` and ``|vbr|`` on ``axis`` and of ``|t_ref|``.
@@ -299,269 +262,13 @@ class KineticBatch:
             _abs_max(self.tref),
         )
 
-    def compress(self, mask: "np.ndarray") -> "KineticBatch":
-        """Sub-batch of the rows where ``mask`` (boolean or index) selects,
-        as a new plane stack."""
-        rows = np.flatnonzero(mask) if mask.dtype == bool else mask
-        stack = self.stacked()[0].take(rows, axis=1)
-        return KineticBatch.from_stack(stack, abs_bounds=self._abs_bounds)
-
     def stacked(self) -> Tuple["np.ndarray", int]:
-        """``(stack, address)``: the plane stack this batch is a view of,
-        or a copy of its planes stacked here."""
-        if self.stack is not None:
-            stack, address = self.stack
-            return stack, stack.ctypes.data if address is None else address
-        stack = np.empty((STACK_ROWS, self.n))
-        for plane, into in zip(
-            (self.mlo, self.mhi, self.vlo, self.vhi, self.tref, self.slo, self.shi),
-            stack_planes(stack),
-        ):
-            # A plane shorter than the batch would broadcast.
-            if plane.shape != into.shape:
-                raise ValueError(f"a batch plane is {plane.shape}, not {into.shape}")
-            into[...] = plane
-        return stack, stack.ctypes.data
-
-    def box(self, i: int) -> KineticBox:
-        """Reconstruct row ``i`` as a :class:`KineticBox` (diagnostics)."""
-        flat: List[float] = []
-        for arr_lo, arr_hi in ((self.mlo, self.mhi), (self.vlo, self.vhi)):
-            for d in range(NDIMS):
-                flat.append(float(arr_lo[d, i]))
-                flat.append(float(arr_hi[d, i]))
-        flat.append(float(self.tref[i]))
-        return KineticBox.from_params(tuple(flat))
+        """``(stack, address)``: the plane stack this batch is a view of."""
+        stack, address = self.stack
+        return stack, stack.ctypes.data if address is None else address
 
     def __repr__(self) -> str:
         return f"KineticBatch(n={self.n})"
-
-
-# ----------------------------------------------------------------------
-# Core window kernel
-# ----------------------------------------------------------------------
-def _clamp_constraint(c, m, lo, hi, ok) -> None:
-    """Tighten the windows ``[lo, hi]`` with ``c + m*t <= 0`` in place.
-
-    Mirrors :func:`repro.geometry.intersection._le_zero_window`: a zero
-    slope rejects wherever ``c > _EPS``; a positive slope caps ``hi`` at
-    the root; a negative slope raises ``lo`` to it.  Rejection is
-    deferred to the final ``lo <= hi`` test, which is equivalent to the
-    scalar early returns because ``lo``/``hi`` only move inward.
-
-    A bound moves only where the root is strictly inward: on a tie the
-    scalar ``min``/``max`` keep their first operand (the bound), where
-    ``np.minimum``/``np.maximum`` may keep the root — a ``-0.0`` root
-    would then replace a ``0.0`` bound and the bytes would differ.
-    """
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        root = -c / m
-    np.logical_and(ok, (m != 0.0) | (c <= _EPS), out=ok)
-    move = root < hi
-    move &= m > 0.0
-    np.copyto(hi, root, where=move)
-    np.greater(root, lo, out=move)
-    move &= m < 0.0
-    np.copyto(lo, root, where=move)
-    # A subnormal slope can overflow the division to +inf; first contact
-    # at the infinite timestamp means the pair never meets (the scalar
-    # path rejects the same way).
-    np.logical_and(ok, lo < INF, out=ok)
-
-
-def _pair_windows(batch_a: KineticBatch, ia, batch_b: KineticBatch, jb, t0, t1):
-    """Constraint windows of ``a[ia] x b[jb]`` under NumPy broadcasting.
-
-    ``ia``/``jb`` may be ints, index arrays, slices, or ``None`` (for a
-    broadcast axis); the result shape is their broadcast.  ``t1`` is one
-    window end, or an array of that shape with one end per pair — the
-    clamps are elementwise, so a pair's window is the one a call with
-    its own end as the scalar computes.  Returns ``(lo, hi, valid)``.
-    """
-    shape = np.broadcast(batch_a.tref[ia], batch_b.tref[jb]).shape
-    lo = np.full(shape, float(t0))
-    hi = np.empty(shape)
-    hi[...] = t1
-    ok = np.ones(shape, dtype=bool)
-    for d in range(NDIMS):
-        a_slo, a_shi = batch_a.slo[d][ia], batch_a.shi[d][ia]
-        a_vlo, a_vhi = batch_a.vlo[d][ia], batch_a.vhi[d][ia]
-        b_slo, b_shi = batch_b.slo[d][jb], batch_b.shi[d][jb]
-        b_vlo, b_vhi = batch_b.vlo[d][jb], batch_b.vhi[d][jb]
-        # Constraint 1: a.lo(t) - b.hi(t) <= 0.
-        _clamp_constraint(a_slo - b_shi, a_vlo - b_vhi, lo, hi, ok)
-        # Constraint 2: b.lo(t) - a.hi(t) <= 0.
-        _clamp_constraint(b_slo - a_shi, b_vlo - a_vhi, lo, hi, ok)
-    np.logical_and(ok, lo <= hi, out=ok)
-    return lo, hi, ok
-
-
-def batch_intersection_intervals(
-    batch_a: KineticBatch, batch_b: KineticBatch, t0: float, t1: float = INF
-) -> Tuple["np.ndarray", "np.ndarray", "np.ndarray"]:
-    """All-pairs constraint windows between two batches.
-
-    Returns ``(lo, hi, valid)`` arrays of shape ``(len(a), len(b))``:
-    where ``valid[i, j]`` is true, ``a[i]`` and ``b[j]`` overlap exactly
-    during ``[lo[i, j], hi[i, j]]`` — the same interval the scalar
-    ``intersection_interval(a[i], b[j], t0, t1)`` returns; where false,
-    the scalar returns ``None``.  ``t1`` may be ``inf``.
-    """
-    if t1 < t0:
-        raise ValueError("t_end must be >= t_start")
-    return _pair_windows(
-        batch_a, (slice(None), None), batch_b, (None, slice(None)), t0, t1
-    )
-
-
-def batch_probe_windows(
-    batch: KineticBatch, other: KineticBox, t0: float, t1: float = INF
-) -> Tuple["np.ndarray", "np.ndarray", "np.ndarray"]:
-    """Constraint windows of every batch row against one probe box.
-
-    The 1-vs-N case (tree search, single-side descent, IC filter) as a
-    single stacked pass: returns 1-D ``(lo, hi, ok)`` where row ``i``
-    equals ``intersection_interval(batch[i], other, t0, t1)`` (``None``
-    ⇔ ``not ok[i]``).  The probe's shifted coefficients are plain Python
-    floats (same ops as the batch pre-shift, so still bit-exact) —
-    packing a one-box batch per call would cost more than the probe.
-
-    The batch plays the "A" role and matches the scalar byte-for-byte.
-    Swapping roles only permutes the constraints within a dimension, and
-    a min/max is order-independent in value, so callers may probe with
-    either orientation and get equal windows (a ``±0.0`` tie may then
-    keep the other sign, which no comparison can tell apart).
-    """
-    if t1 < t0:
-        raise ValueError("t_end must be >= t_start")
-    o_vlo = [other.vbr.lo(d) for d in range(NDIMS)]
-    o_vhi = [other.vbr.hi(d) for d in range(NDIMS)]
-    o_slo = [other.mbr.lo(d) - o_vlo[d] * other.t_ref for d in range(NDIMS)]
-    o_shi = [other.mbr.hi(d) - o_vhi[d] * other.t_ref for d in range(NDIMS)]
-    # All 2*NDIMS constraints ``c + m*t <= 0`` stacked into one pass:
-    # rows alternate constraint 1 (batch.lo(t) <= other.hi(t)) and
-    # constraint 2 (other.lo(t) <= batch.hi(t)) per dimension.
-    c = np.stack(
-        [arr for d in range(NDIMS)
-         for arr in (batch.slo[d] - o_shi[d], o_slo[d] - batch.shi[d])]
-    )
-    m = np.stack(
-        [arr for d in range(NDIMS)
-         for arr in (batch.vlo[d] - o_vhi[d], o_vlo[d] - batch.vhi[d])]
-    )
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        root = -c / m
-    pos = m > 0.0
-    neg = m < 0.0
-    # The scalar's sequential clamps, in its order and with its tie rule
-    # (see _clamp_constraint), so a signed zero comes back byte-equal.
-    caps = np.where(pos, root, INF)
-    floors = np.where(neg, root, -INF)
-    hi = np.full(batch.n, float(t1))
-    lo = np.full(batch.n, float(t0))
-    for k in range(2 * NDIMS):
-        np.copyto(hi, caps[k], where=caps[k] < hi)
-        np.copyto(lo, floors[k], where=floors[k] > lo)
-    flat_reject = (~(pos | neg)) & (c > _EPS)
-    ok = ~flat_reject.any(axis=0)
-    ok &= lo <= hi
-    # Same overflow guard as _clamp_constraint: a +inf contact time is
-    # "never meets", matching the scalar rejection.
-    ok &= lo < INF
-    return lo, hi, ok
-
-
-def batch_filter_against(
-    batch: KineticBatch, other: KineticBox, t0: float, t1: float = INF
-) -> "np.ndarray":
-    """Boolean mask of batch rows intersecting ``other`` during the window.
-
-    This is ImprovedJoin's IC entry filter as one kernel call:
-    ``mask[i]`` is true iff ``intersection_interval(batch[i], other, t0,
-    t1)`` is not ``None``.  Only the mask is built: each row's latest
-    lower and earliest upper clamp come from one reduction each over
-    both axes' constraints, not the byte-exact window planes of
-    :func:`batch_probe_windows` (a maximum or minimum has one value in
-    any order, and a comparison cannot tell a signed zero apart), so a
-    call makes about half as many array passes.
-    """
-    if t1 < t0:
-        raise ValueError("t_end must be >= t_start")
-    o_vlo = np.array([[other.vbr.lo(d)] for d in range(NDIMS)])
-    o_vhi = np.array([[other.vbr.hi(d)] for d in range(NDIMS)])
-    o_slo = np.array([[other.mbr.lo(d)] for d in range(NDIMS)]) - o_vlo * other.t_ref
-    o_shi = np.array([[other.mbr.hi(d)] for d in range(NDIMS)]) - o_vhi * other.t_ref
-    # The constraints ``c + m*t <= 0`` of batch_probe_windows, both axes
-    # at once: batch.lo(t) <= other.hi(t), then other.lo(t) <= batch.hi(t).
-    c = np.concatenate((batch.slo - o_shi, o_slo - batch.shi))
-    m = np.concatenate((batch.vlo - o_vhi, o_vlo - batch.vhi))
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        root = -c / m
-    pos = m > 0.0
-    neg = m < 0.0
-    # fmax/fmin skip a NaN root as the sequential clamps' comparisons do.
-    lo = np.fmax(np.fmax.reduce(np.where(neg, root, -INF), axis=0), t0)
-    hi = np.fmin(np.fmin.reduce(np.where(pos, root, INF), axis=0), t1)
-    ok = lo <= hi
-    ok &= lo < INF
-    ok &= ~((~(pos | neg)) & (c > _EPS)).any(axis=0)
-    return ok
-
-
-# ----------------------------------------------------------------------
-# Plane-sweep kernels
-# ----------------------------------------------------------------------
-def batch_sweep_bounds(
-    batch: KineticBatch,
-    dim: int,
-    t0: float,
-    t1: Union[float, "np.ndarray"],
-    rows: Optional["np.ndarray"] = None,
-) -> Tuple["np.ndarray", "np.ndarray"]:
-    """Vectorized :func:`~repro.geometry.plane_sweep.sweep_bounds`.
-
-    Returns ``(lb, ub)`` arrays over the batch — over ``batch[rows]``
-    when an index array is given — bit-identical to the scalar per-box
-    computation (including the degenerate ``t1 = inf`` case, where
-    outward velocities yield infinite bounds).  ``t1`` may be an array
-    of finite ends, one per returned row: every operation is
-    elementwise, so a row's bounds are those a call with its own end as
-    the scalar returns.
-    """
-    cols = (batch.tref, batch.mlo[dim], batch.mhi[dim], batch.vlo[dim], batch.vhi[dim])
-    if rows is not None:
-        cols = tuple(col[rows] for col in cols)
-    tref, mlo, mhi, vlo, vhi = cols
-    # In-place accumulation: `vbr * dt + mbr` is the same IEEE sum as
-    # `mbr + vbr * dt`, in a third of the temporaries.
-    dt = t0 - tref
-    lb = vlo * dt
-    lb += mlo
-    ub = vhi * dt
-    ub += mhi
-    if not isinstance(t1, np.ndarray) and t1 == INF:
-        lb[~(vlo >= 0)] = -INF
-        ub[~(vhi <= 0)] = INF
-        return lb, ub
-    np.subtract(t1, tref, out=dt)
-    end = vlo * dt
-    end += mlo
-    np.minimum(lb, end, out=lb)
-    np.multiply(vhi, dt, out=end)
-    end += mhi
-    np.maximum(ub, end, out=ub)
-    return lb, ub
-
-
-def batch_select_sweep_dimension(batch_a: KineticBatch, batch_b: KineticBatch) -> int:
-    """Dimension-selection (§IV-D.2) from the cached per-batch speed sums.
-
-    The scalar heuristic re-sums every entry's ``speed_sum`` per node
-    pair; here the totals are computed once per batch and reused, so
-    selection is O(NDIMS) after the first call.
-    """
-    totals = batch_a.speed_sums + batch_b.speed_sums
-    return int(np.argmin(totals))
 
 
 # The grid constants below were tuned on the sweep join's NumPy
@@ -591,8 +298,7 @@ SWEEP_GRID_ROWS_PER_CELL = 2.0
 #: sorted.  Building and walking a grid costs ~0.1 ms whatever the
 #: input; testing a pair's swept ranges ~20 ns.  128 x 128 measures level
 #: either way on the benchmark inputs, 64 x 64 is 0.1 ms faster without
-#: a grid and 256 x 256 is 2 ms slower, so every node-scale batch of the
-#: tree engines (<= ~50 entries a side) takes this path.
+#: a grid and 256 x 256 is 2 ms slower.
 SWEEP_GRID_MIN_PAIRS = 16_384
 
 #: A binned row wider than this multiple of the mean binned width on
@@ -726,7 +432,7 @@ def batch_sweep_join(
     batch_b: KineticBatch,
     t0: float,
     t1: float,
-    dim: Optional[int] = None,
+    dim: int,
     counter: Optional[List[int]] = None,
     ends: Tuple[Optional["np.ndarray"], Optional["np.ndarray"]] = (None, None),
 ) -> Tuple["np.ndarray", "np.ndarray", "np.ndarray", "np.ndarray"]:
@@ -736,11 +442,9 @@ def batch_sweep_join(
     — ``batch_a[idx_a[k]]`` intersects ``batch_b[idx_b[k]]`` exactly
     during ``[lo[k], hi[k]]``: rows and windows are those of the scalar
     reference :func:`~repro.geometry.plane_sweep.ps_intersection` on
-    ``dim``, bit for bit.  The rows come in the grid's deterministic
-    enumeration order (visiting row by visiting row), not the sweep's:
-    every store-side consumer sorts them, and
-    :func:`batch_ps_intersection` sorts them into sweep order for the
-    callers that need it.
+    ``dim`` (0 or 1: the caller picks the sweep axis), bit for bit.  The
+    rows come in the grid's deterministic enumeration order (visiting
+    row by visiting row), not the sweep's: the result store sorts them.
 
     ``ends = (ends_a, ends_b)`` gives either side one finite window end
     per row (MTB: a row's bucket end plus ``T_M``).  Pair ``(i, j)`` is
@@ -774,8 +478,8 @@ def batch_sweep_join(
     cells; one pass packs each row, as a 32-byte record, into its cell's
     run and its index into a plane beside them.  A side comes as a plane
     stack (:func:`stack_planes`) — a column store's own, with the address
-    the store keeps, or one stacked here — so the call hands ``sweep.c``
-    two addresses and builds no pointer table.
+    the store keeps, a gathered one or a packed one — so the call hands
+    ``sweep.c`` two addresses and builds no pointer table.
 
     Each candidate then runs the scalar sweep's own predicate chain: the
     slack-padded reject on the axis orthogonal to ``dim``, the
@@ -794,9 +498,7 @@ def batch_sweep_join(
     end_b = _row_ends(ends[1], batch_b.n, t0, t1)
     if batch_a.n == 0 or batch_b.n == 0:
         return _EMPTY_JOIN
-    if dim is None:
-        dim = batch_select_sweep_dimension(batch_a, batch_b)
-    elif dim not in (0, 1):
+    if dim not in (0, 1):
         raise ValueError(f"the sweep axis is 0 or 1, not {dim!r}")
     # The latest finite instant a swept bound is evaluated at, if any.
     far = t1
@@ -875,32 +577,11 @@ def batch_sweep_join(
     return tuple(np.concatenate(col) for col in zip(*chunks))
 
 
-def _sweep_order(lb_a, lb_b, idx_a, idx_b) -> "np.ndarray":
-    """The permutation putting join hits into the scalar sweep's order.
-
-    Pivots by (``lb``, side a first, row), each pivot's partners by
-    (``lb``, row) — the scalar sweep's two stable sorts and its merge.
-    ``lb_a`` / ``lb_b`` are the sides' swept lower bounds on the sweep
-    axis; no two hits share the key, so the order is total.
-    """
-    key_a, key_b = lb_a[idx_a], lb_b[idx_b]
-    a_pivots = key_a <= key_b
-    rows = max(lb_a.shape[0], lb_b.shape[0])
-    return np.lexsort((
-        *_radix_digits(np.where(a_pivots, idx_b, idx_a), rows),
-        np.where(a_pivots, key_b, key_a),
-        *_radix_digits(np.where(a_pivots, idx_a, idx_b), rows),
-        ~a_pivots,
-        np.where(a_pivots, key_a, key_b),
-    ))
-
-
 def _radix_digits(idx, limit: int) -> List["np.ndarray"]:
     """``idx < limit`` as base-65 536 digits, least significant first.
 
     ``lexsort`` keys: it radix-sorts a 16-bit key where it merge-sorts a
-    wider one, which takes a third off ordering the 260k hits of a
-    100k-per-side join (137 -> 89 ms).
+    wider one.
     """
     digits = [(idx & 0xFFFF).astype(np.uint16)]
     top = (limit - 1) >> 16
@@ -926,82 +607,3 @@ def radix_argsort(plane: "np.ndarray") -> "np.ndarray":
     low, high = int(plane.min()), int(plane.max())
     offset = plane.view(np.uint64) - np.uint64(low % 2**64)
     return np.lexsort(_radix_digits(offset, high - low + 1))
-
-
-def _scalar_sweep_tests(lb_a, ub_a, lb_b, ub_b) -> int:
-    """How many pairs the scalar sweep tests, from the sweep bounds alone.
-
-    Whichever box has the lower ``lb`` pivots (side a on ties) and tests
-    the opposing boxes whose ``lb`` lies between its own ``lb`` and
-    ``ub``; in ``lb`` order those are one contiguous range per pivot.
-    """
-    sorted_a, sorted_b = np.sort(lb_a), np.sort(lb_b)
-    by_a = np.searchsorted(sorted_b, ub_a, side="right")
-    by_a -= np.searchsorted(sorted_b, lb_a, side="left")
-    by_b = np.searchsorted(sorted_a, ub_b, side="right")
-    by_b -= np.searchsorted(sorted_a, lb_b, side="right")
-    # An inverted swept box (ub < lb) pivots over an empty range.
-    return int(np.maximum(by_a, 0).sum() + np.maximum(by_b, 0).sum())
-
-
-def batch_ps_intersection(
-    batch_a: KineticBatch,
-    batch_b: KineticBatch,
-    t0: float,
-    t1: float,
-    dim: Optional[int] = None,
-    counter: Optional[List[int]] = None,
-) -> List[Tuple[int, int, TimeInterval]]:
-    """Plane sweep with vectorized candidate testing.
-
-    Same contract as :func:`~repro.geometry.plane_sweep.ps_intersection`
-    — ``(i, j, interval)`` triples in sweep order, and ``counter[0]``
-    grows by the pairs the *scalar* sweep tests on ``dim`` (the tree
-    engines report it as ``pair_tests``), counted here from the sweep
-    bounds because :func:`batch_sweep_join`, which does the work and
-    keeps the result in arrays, enumerates a different candidate set.
-    A thin wrapper over it that sorts its hits into the scalar sweep's
-    order (:func:`_sweep_order`) and builds the triples.
-    """
-    check_window(t0, t1)
-    if batch_a.n == 0 or batch_b.n == 0:
-        return []
-    if dim is None:
-        dim = batch_select_sweep_dimension(batch_a, batch_b)
-    lb_a, ub_a = batch_sweep_bounds(batch_a, dim, t0, t1)
-    lb_b, ub_b = batch_sweep_bounds(batch_b, dim, t0, t1)
-    if counter is not None:
-        counter[0] += _scalar_sweep_tests(lb_a, ub_a, lb_b, ub_b)
-    planes = batch_sweep_join(batch_a, batch_b, t0, t1, dim=dim)
-    order = _sweep_order(lb_a, lb_b, planes[0], planes[1])
-    idx_a, idx_b, lo, hi = (plane[order].tolist() for plane in planes)
-    return [
-        (i, j, TimeInterval(s, e)) for i, j, s, e in zip(idx_a, idx_b, lo, hi)
-    ]
-
-
-def batch_all_pairs_intersection(
-    batch_a: KineticBatch,
-    batch_b: KineticBatch,
-    t0: float,
-    t1: float = INF,
-    counter: Optional[List[int]] = None,
-) -> List[Tuple[int, int, TimeInterval]]:
-    """Nested-loop reference as one broadcast kernel call.
-
-    Same contract (and result order) as
-    :func:`~repro.geometry.plane_sweep.all_pairs_intersection`.
-    """
-    check_window(t0, t1)
-    if batch_a.n == 0 or batch_b.n == 0:
-        return []
-    lo, hi, ok = batch_intersection_intervals(batch_a, batch_b, t0, t1)
-    if counter is not None:
-        counter[0] += batch_a.n * batch_b.n
-    ii, jj = np.nonzero(ok)
-    starts = lo[ii, jj].tolist()
-    ends = hi[ii, jj].tolist()
-    return [
-        (int(i), int(j), TimeInterval(s, e))
-        for i, j, s, e in zip(ii.tolist(), jj.tolist(), starts, ends)
-    ]

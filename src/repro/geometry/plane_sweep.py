@@ -91,10 +91,9 @@ def ps_intersection(
     ``counter`` is given, ``counter[0]`` is incremented once per 1-D
     sweep candidate, each of which is tested exactly.
 
-    This is the scalar reference: the engines run
-    :func:`~repro.geometry.kernels.batch_ps_intersection`, which the
-    tests pin against it bit for bit — same triples, same order, same
-    ``counter[0]``.
+    The tree engines' plane sweep (ImprovedJoin's PS), and the
+    reference the columnar engine's compiled
+    :func:`~repro.geometry.kernels.batch_sweep_join` is held to.
 
     The sweep runs both sorted sequences in ``lb`` order; for the item
     with the globally smallest ``lb`` it scans the other sequence while
@@ -148,11 +147,10 @@ def all_pairs_intersection(
     t1: float = INF,
     counter: Optional[List[int]] = None,
 ) -> List[Tuple[int, int, TimeInterval]]:
-    """Nested-loop reference: every pair tested exactly once.
+    """Nested loop: every pair tested exactly once.
 
-    The oracle against which :func:`ps_intersection` and
-    :func:`~repro.geometry.kernels.batch_all_pairs_intersection` (the
-    engines' one broadcast call over the ``M × N`` grid) are verified.
+    ImprovedJoin's pair test without PS, and the oracle against which
+    :func:`ps_intersection` is verified.
     """
     check_window(t0, t1)
     results: List[Tuple[int, int, TimeInterval]] = []

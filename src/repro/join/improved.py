@@ -19,19 +19,28 @@ three techniques that *time-constrained processing enables* (§IV-D):
 Each technique can be toggled independently — the Figure 8 ablation
 runs None / IC / PS / DS+PS / IC+PS / ALL.
 
-The per-entry work (IC filtering, sweep bounds, exact pair tests) runs
-in the vectorized :mod:`repro.geometry.kernels` layer: a node's entries
-are packed once per run into a :class:`~repro.geometry.KineticBatch`
-and every candidate set is tested in one NumPy call.  The scalar
-functions of :mod:`repro.geometry.plane_sweep` are the reference the
-kernels are pinned against bit for bit; the tests call them directly.
+Every pair test is the paper's scalar primitive: the plane sweep is
+:func:`~repro.geometry.plane_sweep.ps_intersection` (PSIntersection),
+the "None" configuration's node-pair test
+:func:`~repro.geometry.plane_sweep.all_pairs_intersection`, and the IC
+filter and the single-side descent call
+:func:`~repro.geometry.intersection.intersection_interval` per entry,
+as NaiveJoin and the TPR*-tree search do.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional
 
-from ..geometry import INF, intersection_interval, kernels
+from ..geometry import (
+    INF,
+    KineticBox,
+    all_pairs_intersection,
+    intersection_interval,
+    ps_intersection,
+    select_sweep_dimension,
+)
+from ..geometry.interval import check_window
 from ..index import TPRStarTree
 from ..index.entry import Entry
 from ..index.node import Node
@@ -71,38 +80,28 @@ class JoinTechniques:
 
 
 class _JoinContext:
-    """Per-run caches shared across the recursion.
+    """Per-run cache shared across the recursion.
 
-    A node joins against many partner nodes; its kinetic bound and its
-    SoA batch are each computed once, keyed by (side, page id) — the two
-    trees may live on separate storages whose page ids collide.  Bounds
-    are referenced at the run's start time, which stays a valid
-    (conservative) bound inside every descendant window, since windows
-    only move forward in time.
+    A node joins against many partner nodes; its kinetic bound is
+    computed once, keyed by (side, page id) — the two trees may live on
+    separate storages whose page ids collide.  Bounds are referenced at
+    the run's start time, which stays a valid (conservative) bound inside
+    every descendant window, since windows only move forward in time.
     """
 
-    __slots__ = ("t_run", "_bounds", "_batches")
+    __slots__ = ("t_run", "_bounds")
 
     def __init__(self, t_run: float):
         self.t_run = t_run
         self._bounds: dict = {}
-        self._batches: dict = {}
 
-    def bound(self, node: Node, side: str):
+    def bound(self, node: Node, side: str) -> KineticBox:
         key = (side, node.page_id)
         bound = self._bounds.get(key)
         if bound is None:
             bound = node.bound_at(self.t_run)
             self._bounds[key] = bound
         return bound
-
-    def batch(self, node: Node, side: str):
-        key = (side, node.page_id)
-        batch = self._batches.get(key)
-        if batch is None:
-            batch = kernels.KineticBatch.from_entries(node.entries)
-            self._batches[key] = batch
-        return batch
 
 
 def improved_join(
@@ -120,6 +119,7 @@ def improved_join(
     paper's central point.  Use :func:`repro.join.naive.naive_join` for
     unconstrained runs.
     """
+    check_window(t_start, t_end)
     if t_end == INF:
         raise ValueError(
             "improved_join requires a finite window; TC processing is what "
@@ -159,8 +159,6 @@ def _join_nodes(
     entries_b = node_b.entries
     if not entries_a or not entries_b:
         return
-    batch_a = ctx.batch(node_a, "a")
-    batch_b = ctx.batch(node_b, "b")
 
     if tech.use_ic:
         bound_a = ctx.bound(node_a, "a")
@@ -170,10 +168,10 @@ def _join_nodes(
         if window is None:
             return
         t0, t1 = window.start, window.end
-        entries_a, batch_a = _filter_batch(entries_a, batch_a, bound_b, t0, t1, tracker)
+        entries_a = _filter_entries(entries_a, bound_b, t0, t1, tracker)
         if not entries_a:
             return
-        entries_b, batch_b = _filter_batch(entries_b, batch_b, bound_a, t0, t1, tracker)
+        entries_b = _filter_entries(entries_b, bound_a, t0, t1, tracker)
         if not entries_b:
             return
 
@@ -181,22 +179,18 @@ def _join_nodes(
     if node_a.is_leaf != node_b.is_leaf:
         _descend_single_side(
             tree_a, tree_b, node_a, node_b, entries_a, entries_b,
-            batch_a, batch_b, t0, t1, tech, tracker, out, ctx,
+            t0, t1, tech, tracker, out, ctx,
         )
         return
 
+    boxes_a = [e.kbox for e in entries_a]
+    boxes_b = [e.kbox for e in entries_b]
     counter = [0]
     if tech.use_ps:
-        dim = 0
-        if tech.use_ds:
-            dim = kernels.batch_select_sweep_dimension(batch_a, batch_b)
-        pairs = kernels.batch_ps_intersection(
-            batch_a, batch_b, t0, t1, dim=dim, counter=counter
-        )
+        dim = select_sweep_dimension(boxes_a, boxes_b) if tech.use_ds else 0
+        pairs = ps_intersection(boxes_a, boxes_b, t0, t1, dim=dim, counter=counter)
     else:
-        pairs = kernels.batch_all_pairs_intersection(
-            batch_a, batch_b, t0, t1, counter=counter
-        )
+        pairs = all_pairs_intersection(boxes_a, boxes_b, t0, t1, counter=counter)
     tracker.count_pair_tests(counter[0])
 
     if node_a.is_leaf:
@@ -221,24 +215,19 @@ def _join_nodes(
         )
 
 
-def _filter_batch(
+def _filter_entries(
     entries: List[Entry],
-    batch,
-    other_bound,
+    other_bound: KineticBox,
     t0: float,
     t1: float,
     tracker: CostTracker,
-):
-    """IC entry filter: keep the entries touching the other node's bound,
-    over a whole node in one kernel call."""
+) -> List[Entry]:
+    """IC entry filter: keep the entries touching the other node's bound."""
     tracker.count_pair_tests(len(entries))
-    mask = kernels.batch_filter_against(batch, other_bound, t0, t1)
-    if mask.all():
-        return entries, batch
-    kept = [e for e, keep in zip(entries, mask.tolist()) if keep]
-    if not kept:
-        return kept, None
-    return kept, batch.compress(mask)
+    return [
+        e for e in entries
+        if intersection_interval(e.kbox, other_bound, t0, t1) is not None
+    ]
 
 
 def _descend_single_side(
@@ -248,8 +237,6 @@ def _descend_single_side(
     node_b: Node,
     entries_a: List[Entry],
     entries_b: List[Entry],
-    batch_a,
-    batch_b,
     t0: float,
     t1: float,
     tech: JoinTechniques,
@@ -259,37 +246,32 @@ def _descend_single_side(
 ) -> None:
     if node_a.is_leaf:
         bound_a = ctx.bound(node_a, "a")
-        for eb, window in _entry_windows(bound_a, entries_b, batch_b, t0, t1, tracker):
+        for eb, window in _entry_windows(bound_a, entries_b, t0, t1, tracker):
             child_b = tree_b.read_node(eb.ref)
             _join_nodes(
                 tree_a, tree_b, node_a, child_b,
-                window[0], window[1], tech, tracker, out, ctx,
+                window.start, window.end, tech, tracker, out, ctx,
             )
         return
     bound_b = ctx.bound(node_b, "b")
-    for ea, window in _entry_windows(bound_b, entries_a, batch_a, t0, t1, tracker):
+    for ea, window in _entry_windows(bound_b, entries_a, t0, t1, tracker):
         child_a = tree_a.read_node(ea.ref)
         _join_nodes(
             tree_a, tree_b, child_a, node_b,
-            window[0], window[1], tech, tracker, out, ctx,
+            window.start, window.end, tech, tracker, out, ctx,
         )
 
 
 def _entry_windows(
-    bound,
+    bound: KineticBox,
     entries: List[Entry],
-    batch,
     t0: float,
     t1: float,
     tracker: CostTracker,
 ):
-    """``(entry, (t_s, t_e))`` for entries intersecting a node bound.
-
-    The probe kernel's windows are orientation-independent (see
-    :func:`~repro.geometry.kernels.batch_probe_windows`), so one call
-    serves a bound of either side bit-exactly.
-    """
+    """``(entry, window)`` for entries intersecting a node bound."""
     tracker.count_pair_tests(len(entries))
-    lo, hi, ok = kernels.batch_probe_windows(batch, bound, t0, t1)
-    for idx in kernels.np.nonzero(ok)[0].tolist():
-        yield entries[idx], (float(lo[idx]), float(hi[idx]))
+    for entry in entries:
+        window = intersection_interval(entry.kbox, bound, t0, t1)
+        if window is not None:
+            yield entry, window

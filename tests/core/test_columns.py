@@ -316,8 +316,7 @@ class TestIdIndex:
 
 def fresh_bounds(store):
     """What `_axis_magnitude` computes from the live columns alone."""
-    view = store.batch()
-    return KineticBatch(view.mlo, view.mhi, view.vlo, view.vhi, view.tref, view.slo, view.shi)
+    return KineticBatch.from_stack(store._stack, len(store))
 
 
 class TestMagnitudeBounds:
@@ -375,8 +374,8 @@ class TestMagnitudeBounds:
 
         assert len(other) * len(store) <= 16_384 < len(other) * len(other)
         for left in (store, other):
-            stale = batch_sweep_join(left.batch(), other.batch(), 1.0, 9.0)
-            exact = batch_sweep_join(fresh_bounds(left), fresh_bounds(other), 1.0, 9.0)
+            stale = batch_sweep_join(left.batch(), other.batch(), 1.0, 9.0, dim=0)
+            exact = batch_sweep_join(fresh_bounds(left), fresh_bounds(other), 1.0, 9.0, dim=0)
             assert [p.tobytes() for p in stale] == [p.tobytes() for p in exact]
             assert stale[0].shape[0] > 0
 

@@ -6,7 +6,7 @@ send it — the tc engine at the end-to-end benchmark's density (shrunk
 to tier-1 size) and the mtb engine with three live buckets, each with
 its initial join — and holds every call to the scalar sweep byte for
 byte, rows compared in ``(i, j)`` order (the join returns them in its
-grid's order; only ``batch_ps_intersection`` restores the sweep's): a
+grid's order): a
 tc call to the one scalar sweep over its window, an mtb call (one per
 probe, a window end per row) to the scalar sweeps the per-bucket loop
 it replaced ran, one per pair of end groups.  The
@@ -32,15 +32,10 @@ from repro.core import ColumnarJoinEngine, JoinConfig
 from repro.core import columnar
 from repro.core.columns import ColumnStore
 from repro.geometry import ps_intersection
-from repro.geometry.kernels import (
-    SWEEP_GRID_MIN_PAIRS,
-    KineticBatch,
-    batch_select_sweep_dimension,
-    batch_sweep_join,
-)
+from repro.geometry.kernels import SWEEP_GRID_MIN_PAIRS, KineticBatch, batch_sweep_join
 from repro.workloads import VectorUpdateStream, make_workload_arrays
 
-from ..geometry.sweep_oracle import oracle_sweep_join
+from ..geometry.sweep_oracle import batch_boxes, batch_select_sweep_dimension, oracle_sweep_join
 
 SEED = 20080407
 
@@ -86,8 +81,7 @@ def captured_calls(shape, monkeypatch):
 
     def frozen(batch):
         # A whole-dataset batch is a view of columns the next commit overwrites.
-        planes = (batch.mlo, batch.mhi, batch.vlo, batch.vhi, batch.tref, batch.slo, batch.shi)
-        return KineticBatch(*(plane.copy() for plane in planes))
+        return KineticBatch.from_stack(batch.stacked()[0][:, :batch.n].copy())
 
     def recording(batch_a, batch_b, t0, t1, **kwargs):
         # So are the window ends the engine keeps per row.
@@ -110,8 +104,8 @@ def captured_calls(shape, monkeypatch):
 
 def scalar_planes(batch_a, batch_b, t0, t1, dim):
     triples = ps_intersection(
-        [batch_a.box(i) for i in range(batch_a.n)],
-        [batch_b.box(j) for j in range(batch_b.n)],
+        batch_boxes(batch_a),
+        batch_boxes(batch_b),
         t0,
         t1,
         dim=dim,
@@ -130,6 +124,11 @@ def by_pair(planes):
     return tuple(plane[order] for plane in planes)
 
 
+def gathered(batch, rows):
+    """The batch's ``rows`` as a batch of their own."""
+    return KineticBatch.from_stack(batch.stacked()[0].take(rows, axis=1))
+
+
 def grouped_scalar_planes(batch_a, batch_b, t0, t1, ends, dim):
     """The per-bucket loop as the oracle: one scalar sweep per pair of end
     groups over ``[t0, min(t1, end_a, end_b)]``, rows sorted by ``(i, j)``;
@@ -143,7 +142,7 @@ def grouped_scalar_planes(batch_a, batch_b, t0, t1, ends, dim):
         rows_a = np.flatnonzero(ends_a == end_a)
         for end_b in np.unique(ends_b):
             rows_b = np.flatnonzero(ends_b == end_b)
-            sub_a, sub_b = batch_a.compress(rows_a), batch_b.compress(rows_b)
+            sub_a, sub_b = gathered(batch_a, rows_a), gathered(batch_b, rows_b)
             until = min(t1, float(end_a), float(end_b))
             idx_a, idx_b, lo, hi = scalar_planes(sub_a, sub_b, t0, until, dim)
             parts.append((rows_a[idx_a], rows_b[idx_b], lo, hi))
@@ -183,12 +182,12 @@ class TestReplay:
             gridded += batch_a.n * batch_b.n > SWEEP_GRID_MIN_PAIRS
             dim = batch_select_sweep_dimension(batch_a, batch_b)
             counter = [0, 0]
-            planes = batch_sweep_join(batch_a, batch_b, t0, t1, counter=counter)
+            planes = batch_sweep_join(batch_a, batch_b, t0, t1, dim, counter=counter)
             want = scalar_planes(batch_a, batch_b, t0, t1, dim)
             assert_same_planes(by_pair(planes), by_pair(want), (t0, t1))
             assert counter[1] == exact_tests, (t0, t1)
             assert planes[0].shape[0] <= counter[1] <= counter[0]
-            assert_oracle_order(planes, counter, batch_a, batch_b, t0, t1)
+            assert_oracle_order(planes, counter, batch_a, batch_b, t0, t1, dim=dim)
             # The engine's fixed axis returns the same rows.
             fixed = batch_sweep_join(batch_a, batch_b, t0, t1, dim=kwargs["dim"])
             assert_same_planes(by_pair(fixed), by_pair(planes), (t0, t1))
@@ -240,7 +239,7 @@ class TestTemporaries:
         batch_a, batch_b = self._batches(n)
         tracemalloc.start()
         try:
-            planes = batch_sweep_join(batch_a, batch_b, 0.0, 60.0, **kwargs)
+            planes = batch_sweep_join(batch_a, batch_b, 0.0, 60.0, dim=0, **kwargs)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -8,7 +8,11 @@ and compare bytes.  Stage one is a :class:`_SweepGrid` over the larger
 side, walked in blocks of whole visiting rows of at most ``chunk``
 segments plus candidates; each visiting row takes its cell columns in
 order and then the overflow run, so the rows come back in one order
-whatever the ``chunk`` — the compiled join's order.
+whatever the ``chunk`` — the compiled join's order.  Its swept bounds
+(:func:`batch_sweep_bounds`) and exact pair windows
+(:func:`_pair_windows`) are NumPy twins of
+:func:`~repro.geometry.plane_sweep.sweep_bounds` and
+:func:`~repro.geometry.intersection.intersection_interval`, bit for bit.
 
 The tolerances and grid constants are read from
 :mod:`repro.geometry.kernels` at call time, so a test that patches one
@@ -17,22 +21,16 @@ there patches both joins.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.geometry import kernels
 from repro.geometry.box import NDIMS
+from repro.geometry.constants import PAIR_TEST_EPS as _EPS
 from repro.geometry.interval import INF
-from repro.geometry.kernels import (
-    KineticBatch,
-    _EMPTY_JOIN,
-    _axis_magnitude,
-    _pair_windows,
-    _row_ends,
-    batch_select_sweep_dimension,
-    batch_sweep_bounds,
-)
+from repro.geometry.kernels import KineticBatch, _EMPTY_JOIN, _axis_magnitude, _row_ends
+from repro.geometry.kinetic import KineticBox
 
 #: Default flush threshold (stage-one candidates) for the chunked sweep
 #: join.  The smaller side is walked in row blocks whose cell-column
@@ -53,6 +51,126 @@ from repro.geometry.kernels import (
 #: measures level with 32k and ahead of 128k, whose temporaries spill
 #: the cache.
 SWEEP_JOIN_CHUNK = 65_536
+
+
+def _clamp_constraint(c, m, lo, hi, ok) -> None:
+    """Tighten the windows ``[lo, hi]`` with ``c + m*t <= 0`` in place.
+
+    Mirrors :func:`repro.geometry.intersection._le_zero_window`: a zero
+    slope rejects wherever ``c > _EPS``; a positive slope caps ``hi`` at
+    the root; a negative slope raises ``lo`` to it.  Rejection is
+    deferred to the final ``lo <= hi`` test, which is equivalent to the
+    scalar early returns because ``lo``/``hi`` only move inward.
+
+    A bound moves only where the root is strictly inward: on a tie the
+    scalar ``min``/``max`` keep their first operand (the bound), where
+    ``np.minimum``/``np.maximum`` may keep the root — a ``-0.0`` root
+    would then replace a ``0.0`` bound and the bytes would differ.
+    """
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        root = -c / m
+    np.logical_and(ok, (m != 0.0) | (c <= _EPS), out=ok)
+    move = root < hi
+    move &= m > 0.0
+    np.copyto(hi, root, where=move)
+    np.greater(root, lo, out=move)
+    move &= m < 0.0
+    np.copyto(lo, root, where=move)
+    # A subnormal slope can overflow the division to +inf; first contact
+    # at the infinite timestamp means the pair never meets (the scalar
+    # path rejects the same way).
+    np.logical_and(ok, lo < INF, out=ok)
+
+
+def _pair_windows(batch_a: KineticBatch, ia, batch_b: KineticBatch, jb, t0, t1):
+    """Constraint windows of ``a[ia] x b[jb]`` under NumPy broadcasting.
+
+    ``ia``/``jb`` are index arrays that broadcast together.  ``t1`` is
+    one window end, or an array of their shape with one end per pair — the clamps
+    are elementwise, so a pair's window is the one a call with its own
+    end as the scalar computes.  Returns ``(lo, hi, valid)``.
+    """
+    shape = np.broadcast(batch_a.tref[ia], batch_b.tref[jb]).shape
+    lo = np.full(shape, float(t0))
+    hi = np.empty(shape)
+    hi[...] = t1
+    ok = np.ones(shape, dtype=bool)
+    for d in range(NDIMS):
+        a_slo, a_shi = batch_a.slo[d][ia], batch_a.shi[d][ia]
+        a_vlo, a_vhi = batch_a.vlo[d][ia], batch_a.vhi[d][ia]
+        b_slo, b_shi = batch_b.slo[d][jb], batch_b.shi[d][jb]
+        b_vlo, b_vhi = batch_b.vlo[d][jb], batch_b.vhi[d][jb]
+        # Constraint 1: a.lo(t) - b.hi(t) <= 0.
+        _clamp_constraint(a_slo - b_shi, a_vlo - b_vhi, lo, hi, ok)
+        # Constraint 2: b.lo(t) - a.hi(t) <= 0.
+        _clamp_constraint(b_slo - a_shi, b_vlo - a_vhi, lo, hi, ok)
+    np.logical_and(ok, lo <= hi, out=ok)
+    return lo, hi, ok
+
+
+def batch_sweep_bounds(
+    batch: KineticBatch,
+    dim: int,
+    t0: float,
+    t1: Union[float, "np.ndarray"],
+    rows: Optional["np.ndarray"] = None,
+) -> Tuple["np.ndarray", "np.ndarray"]:
+    """Vectorized :func:`~repro.geometry.plane_sweep.sweep_bounds`.
+
+    Returns ``(lb, ub)`` arrays over the batch — over ``batch[rows]``
+    when an index array is given — bit-identical to the scalar per-box
+    computation (including the degenerate ``t1 = inf`` case, where
+    outward velocities yield infinite bounds).  ``t1`` may be an array
+    of finite ends, one per returned row: every operation is
+    elementwise, so a row's bounds are those a call with its own end as
+    the scalar returns.
+    """
+    cols = (batch.tref, batch.mlo[dim], batch.mhi[dim], batch.vlo[dim], batch.vhi[dim])
+    if rows is not None:
+        cols = tuple(col[rows] for col in cols)
+    tref, mlo, mhi, vlo, vhi = cols
+    # In-place accumulation: `vbr * dt + mbr` is the same IEEE sum as
+    # `mbr + vbr * dt`, in a third of the temporaries.
+    dt = t0 - tref
+    lb = vlo * dt
+    lb += mlo
+    ub = vhi * dt
+    ub += mhi
+    if not isinstance(t1, np.ndarray) and t1 == INF:
+        lb[~(vlo >= 0)] = -INF
+        ub[~(vhi <= 0)] = INF
+        return lb, ub
+    np.subtract(t1, tref, out=dt)
+    end = vlo * dt
+    end += mlo
+    np.minimum(lb, end, out=lb)
+    np.multiply(vhi, dt, out=end)
+    end += mhi
+    np.maximum(ub, end, out=ub)
+    return lb, ub
+
+
+def batch_boxes(batch: KineticBatch) -> List[KineticBox]:
+    """The batch's rows as kinetic boxes, for the scalar path."""
+    columns = [
+        plane[d]
+        for lo, hi in ((batch.mlo, batch.mhi), (batch.vlo, batch.vhi))
+        for d in range(NDIMS)
+        for plane in (lo, hi)
+    ]
+    params = np.stack([*columns, batch.tref], axis=1).tolist()
+    return [KineticBox.from_params(tuple(row)) for row in params]
+
+
+def batch_select_sweep_dimension(batch_a: KineticBatch, batch_b: KineticBatch) -> int:
+    """Dimension selection (§IV-D.2) over two batches: the axis with the
+    smallest total of ``|v_lo| + |v_hi|``, as
+    :func:`~repro.geometry.plane_sweep.select_sweep_dimension` picks it."""
+    totals = [
+        np.abs(batch.vlo).sum(axis=1) + np.abs(batch.vhi).sum(axis=1)
+        for batch in (batch_a, batch_b)
+    ]
+    return int(np.argmin(totals[0] + totals[1]))
 
 
 def _grid_shape(extent: Sequence[float], span: Sequence[float], rows: int) -> List[int]:
@@ -301,7 +419,7 @@ def oracle_sweep_join(
     batch_b: KineticBatch,
     t0: float,
     t1: float,
-    dim: Optional[int] = None,
+    dim: int,
     counter: Optional[List[int]] = None,
     chunk: int = SWEEP_JOIN_CHUNK,
     ends: Tuple[Optional["np.ndarray"], Optional["np.ndarray"]] = (None, None),
@@ -313,9 +431,7 @@ def oracle_sweep_join(
     during ``[lo[k], hi[k]]``: rows and windows are those of the scalar
     reference :func:`~repro.geometry.plane_sweep.ps_intersection` on
     ``dim``, bit for bit.  The rows come in the grid's deterministic
-    enumeration order, not the sweep's: every store-side consumer sorts
-    them, and :func:`batch_ps_intersection` sorts them into sweep order
-    for the callers that need it.
+    enumeration order, not the sweep's.
 
     ``ends = (ends_a, ends_b)`` gives either side one finite window end
     per row (MTB: a row's bucket end plus ``T_M``).  Pair ``(i, j)`` is
@@ -357,8 +473,6 @@ def oracle_sweep_join(
     end_b = _row_ends(ends[1], batch_b.n, t0, t1)
     if batch_a.n == 0 or batch_b.n == 0:
         return _EMPTY_JOIN
-    if dim is None:
-        dim = batch_select_sweep_dimension(batch_a, batch_b)
     orth = 1 - dim
     # The larger side is binned ("p"), the smaller visits ("q").
     flip = batch_a.n > batch_b.n

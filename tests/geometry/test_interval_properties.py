@@ -22,11 +22,7 @@ from repro.geometry import (
     intersection_interval,
     merge_intervals,
 )
-from repro.geometry.kernels import (
-    KineticBatch,
-    batch_all_pairs_intersection,
-    batch_filter_against,
-)
+from repro.geometry.kernels import KineticBatch, batch_sweep_join
 
 finite_t = st.floats(min_value=-50, max_value=50, allow_nan=False)
 end_t = st.one_of(finite_t, st.just(INF))
@@ -161,7 +157,7 @@ class TestSubnormalSlopeRegression:
     ``_le_zero_window`` return a window starting at ``+inf``, which
     :class:`TimeInterval` rejects with ``ValueError``.  The separating
     gap can never close at that closing speed, so the primitive must
-    report no intersection — in the scalar path and both kernel paths.
+    report no intersection — in the scalar path and the compiled join.
     """
 
     A = KineticBox(Box(10.0, 11.0, 0.0, 1.0), Box(0.0, 0.0, 0.0, 0.0), 0.0)
@@ -175,9 +171,15 @@ class TestSubnormalSlopeRegression:
     def test_all_pairs_kernel(self):
         assert all_pairs_intersection([self.A], [self.B], 0.0, INF) == []
         batch_a, batch_b = KineticBatch.from_boxes([self.A]), KineticBatch.from_boxes([self.B])
-        assert batch_all_pairs_intersection(batch_a, batch_b, 0.0, INF) == []
+        for dim in (0, 1):
+            assert batch_sweep_join(batch_a, batch_b, 0.0, INF, dim)[0].shape == (0,)
 
     def test_probe_kernel(self):
-        batch = KineticBatch.from_boxes([self.B])
-        mask = batch_filter_against(batch, self.A, 0.0, INF)
-        assert not mask.any()
+        """``B`` probed by ``A`` among other rows, and the other way round."""
+        others = [
+            KineticBox.rigid(Box(50.0 + k, 51.0 + k, 0.0, 1.0), 0.0, 0.0, 0.0) for k in range(4)
+        ]
+        batch = KineticBatch.from_boxes([self.B, *others])
+        probe = KineticBatch.from_boxes([self.A])
+        for sides in ((batch, probe), (probe, batch)):
+            assert batch_sweep_join(*sides, 0.0, INF, 0)[0].shape == (0,)

@@ -1,13 +1,13 @@
-"""Batch kernels agree EXACTLY with the scalar geometry oracle.
+"""The compiled sweep join agrees EXACTLY with the scalar geometry oracle.
 
-The vectorized kernels (:mod:`repro.geometry.kernels`) promise
-bit-identical results to the scalar path — not approximately equal,
-*equal*: same intervals to the last bit, same candidate pairs, same
-ordering (``batch_sweep_join`` excepted: its rows come in grid order
-and are compared sorted by pair; ``batch_ps_intersection`` restores the
-sweep's).  The compiled ``batch_sweep_join`` is also held, byte for
-byte and in its own order, to its NumPy oracle (``sweep_oracle.py``).  These tests enforce that promise with hypothesis-generated
-boxes (including subnormal velocities and exact-tangency contacts) and
+The columnar engine's pair test, :func:`~repro.geometry.kernels.
+batch_sweep_join`, promises bit-identical results to the scalar path —
+not approximately equal, *equal*: the same rows with the same windows
+to the last bit, the sign of a zero included.  Its rows come in grid
+order, so they are compared sorted by pair.  It is also held, byte for
+byte and in its own order, to its NumPy oracle (``sweep_oracle.py``).
+These tests enforce that promise with hypothesis-generated boxes
+(including subnormal velocities and exact-tangency contacts) and
 handcrafted degenerate cases: zero-length windows (``t0 == t1``),
 touching boundaries, zero velocities, and infinite windows.
 """
@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,24 +28,29 @@ from repro.geometry import (
     KineticBatch,
     KineticBox,
     all_pairs_intersection,
-    batch_all_pairs_intersection,
-    batch_filter_against,
-    batch_intersection_intervals,
-    batch_probe_windows,
-    batch_ps_intersection,
-    batch_select_sweep_dimension,
-    batch_sweep_bounds,
     intersection_interval,
     ps_intersection,
+    select_sweep_dimension,
     sweep_bounds,
 )
 
 from repro.geometry import kernels
 from repro.geometry.constants import PAIR_TEST_EPS
 from repro.geometry.kernels import batch_sweep_join
+from repro.index import TPRStarTree, TreeStorage
+from repro.join import JoinTechniques, improved_join, naive_join
+from repro.objects import MovingObject
 
 from ..conftest import random_kbox
-from .sweep_oracle import _grid_shape, _SweepGrid, oracle_sweep_join
+from .sweep_oracle import (
+    _grid_shape,
+    _SweepGrid,
+    batch_boxes,
+    batch_select_sweep_dimension,
+    batch_sweep_bounds,
+    _pair_windows,
+    oracle_sweep_join,
+)
 
 # Finite values spanning magnitudes down to subnormals — the regime
 # where different float associations actually diverge.
@@ -89,22 +95,45 @@ def scalar_window(a, b, t0, t1):
     return None if iv is None else (iv.start, iv.end)
 
 
+def row_bytes(rows):
+    """``(i, j, lo, hi)`` rows as bytes: ``-0.0`` and ``0.0`` differ."""
+    return tuple(
+        np.array([row[k] for row in rows], dtype=dtype).tobytes()
+        for k, dtype in enumerate((np.int64, np.int64, np.float64, np.float64))
+    )
+
+
+def joined(boxes_a, boxes_b, t0, t1, dim, counter=None):
+    """The compiled join's ``(i, j, lo, hi)`` rows, sorted by pair; its
+    rows in the order returned and both counters are the oracle's."""
+    batch_a, batch_b = batch_of(boxes_a), batch_of(boxes_b)
+    counter = [0, 0] if counter is None else counter
+    planes = batch_sweep_join(batch_a, batch_b, t0, t1, dim=dim, counter=counter)
+    assert_oracle_matches(planes, counter, batch_a, batch_b, t0, t1, dim=dim)
+    return sorted(zip(*(plane.tolist() for plane in planes)))
+
+
+def scalar_rows(triples):
+    return [(i, j, iv.start, iv.end) for i, j, iv in triples]
+
+
 def assert_grid_matches(boxes_a, boxes_b, t0, t1):
-    """The (lo, hi, ok) grid must equal per-pair scalar calls bit-for-bit."""
-    lo, hi, ok = batch_intersection_intervals(
-        batch_of(boxes_a), batch_of(boxes_b), t0, t1
+    """The oracle's exact pair windows over the whole grid equal per-pair
+    scalar calls, as bytes; the compiled join returns the scalar sweep's
+    rows on either axis, and the oracle's."""
+    lo, hi, ok = _pair_windows(
+        batch_of(boxes_a), np.arange(len(boxes_a))[:, None],
+        batch_of(boxes_b), np.arange(len(boxes_b))[None, :],
+        t0, t1,
     )
     for i, a in enumerate(boxes_a):
         for j, b in enumerate(boxes_b):
             expect = scalar_window(a, b, t0, t1)
-            if expect is None:
-                assert not ok[i, j], (i, j, a, b)
-            else:
-                assert ok[i, j], (i, j, a, b)
-                # Exact equality — the whole point of the shared
-                # pre-shifted association.
-                assert float(lo[i, j]) == expect[0], (i, j, a, b)
-                assert float(hi[i, j]) == expect[1], (i, j, a, b)
+            assert bool(ok[i, j]) == (expect is not None), (i, j, a, b)
+            if expect is not None:
+                got = np.array([lo[i, j], hi[i, j]])
+                assert got.tobytes() == np.array(expect).tobytes(), (i, j, a, b)
+    assert_sweep_join_matches(boxes_a, boxes_b, t0, t1)
 
 
 class TestPairWindowParity:
@@ -125,11 +154,12 @@ class TestPairWindowParity:
         assert_grid_matches([a], [b], t, t)
 
     def test_rejects_inverted_window(self):
-        batch = batch_of([random_kbox(random.Random(0))])
+        kb = random_kbox(random.Random(0))
+        batch = batch_of([kb])
         with pytest.raises(ValueError):
-            batch_intersection_intervals(batch, batch, 5.0, 4.0)
+            batch_sweep_join(batch, batch, 5.0, 4.0, dim=0)
         with pytest.raises(ValueError):
-            intersection_interval(batch.box(0), batch.box(0), 5.0, 4.0)
+            intersection_interval(kb, kb, 5.0, 4.0)
 
     def test_touching_boundaries(self):
         # Two static boxes sharing exactly the x = 1 edge: closed-box
@@ -137,14 +167,14 @@ class TestPairWindowParity:
         a = KineticBox.rigid(Box(0, 1, 0, 1), 0.0, 0.0, 0.0)
         b = KineticBox.rigid(Box(1, 2, 0, 1), 0.0, 0.0, 0.0)
         assert_grid_matches([a], [b], 0.0, 10.0)
-        lo, hi, ok = batch_intersection_intervals(batch_of([a]), batch_of([b]), 0, 10)
-        assert ok[0, 0] and float(lo[0, 0]) == 0.0 and float(hi[0, 0]) == 10.0
+        for dim in (0, 1):
+            assert joined([a], [b], 0, 10, dim) == [(0, 0, 0.0, 10.0)]
 
     def test_zero_velocities_disjoint(self):
         a = KineticBox.rigid(Box(0, 1, 0, 1), 0.0, 0.0, 0.0)
         b = KineticBox.rigid(Box(3, 4, 0, 1), 0.0, 0.0, 0.0)
-        _lo, _hi, ok = batch_intersection_intervals(batch_of([a]), batch_of([b]), 0, 10)
-        assert not ok[0, 0]
+        for dim in (0, 1):
+            assert joined([a], [b], 0, 10, dim) == []
         assert_grid_matches([a], [b], 0.0, 10.0)
 
     def test_grazing_contact_subnormal_velocity(self):
@@ -158,16 +188,13 @@ class TestPairWindowParity:
     def test_signed_zero_contact_at_t0(self):
         # b.lo(t) - a.hi(t) = -0.0 - t gives a -0.0 root against the
         # window start 0.0: the scalar `max` keeps the bound, and so must
-        # both kernels, sign of zero included.
-        import numpy as np
-
+        # the oracle's pair windows and the compiled join, sign of zero
+        # included.
         a = KineticBox.rigid(Box(-1.0, 0.0, 0.0, 1.0), 1.0, 0.0, 0.0)
         b = KineticBox.rigid(Box(-0.0, 2.0, 0.0, 1.0), 0.0, 0.0, 0.0)
-        want = np.array(scalar_window(a, b, 0.0, 5.0)).tobytes()
-        lo, hi, ok = batch_intersection_intervals(batch_of([a]), batch_of([b]), 0.0, 5.0)
-        assert ok[0, 0] and np.array([lo[0, 0], hi[0, 0]]).tobytes() == want
-        lo, hi, ok = batch_probe_windows(batch_of([a]), b, 0.0, 5.0)
-        assert ok[0] and np.array([lo[0], hi[0]]).tobytes() == want
+        assert_grid_matches([a], [b], 0.0, 5.0)
+        want = row_bytes([(0, 0, *scalar_window(a, b, 0.0, 5.0))])
+        assert row_bytes(joined([a], [b], 0.0, 5.0, dim=0)) == want
 
     @given(st.lists(kboxes(), min_size=0, max_size=7),
            st.lists(kboxes(), min_size=0, max_size=7), windows())
@@ -179,6 +206,8 @@ class TestPairWindowParity:
 
 
 class TestSweepBoundsParity:
+    """The oracle's swept bounds are the scalar ``sweep_bounds``."""
+
     @given(kboxes(), windows(), st.integers(min_value=0, max_value=1))
     @settings(max_examples=200, deadline=None)
     def test_finite_window(self, kb, window, dim):
@@ -197,48 +226,26 @@ class TestSweepBoundsParity:
 
 
 class TestProbeParity:
-    """The 1-vs-N probe kernel is exact in *both* role orientations."""
+    """A one-row side — a 1-vs-N probe — is exact in *both* roles: the
+    larger side is binned whichever argument it is."""
 
     @given(st.lists(kboxes(), min_size=1, max_size=8), kboxes(), windows())
     @settings(max_examples=100, deadline=None)
     def test_windows_exact_both_orientations(self, boxes, other, window):
-        t0, t1 = window
-        lo, hi, ok = batch_probe_windows(batch_of(boxes), other, t0, t1)
-        for i, kb in enumerate(boxes):
-            for a, b in ((kb, other), (other, kb)):
-                expect = scalar_window(a, b, t0, t1)
-                if expect is None:
-                    assert not ok[i], (i, a, b)
-                else:
-                    assert ok[i], (i, a, b)
-                    assert float(lo[i]) == expect[0], (i, a, b)
-                    assert float(hi[i]) == expect[1], (i, a, b)
+        assert_sweep_join_matches(boxes, [other], *window)
+        assert_sweep_join_matches([other], boxes, *window)
 
     def test_rejects_inverted_window(self):
         batch = batch_of([random_kbox(random.Random(0))])
-        with pytest.raises(ValueError):
-            batch_probe_windows(batch, batch.box(0), 5.0, 4.0)
-
-
-class TestFilterParity:
-    @given(st.lists(kboxes(), min_size=1, max_size=10), kboxes(), windows())
-    @settings(max_examples=100, deadline=None)
-    def test_mask_matches_scalar(self, boxes, other, window):
-        t0, t1 = window
-        mask = batch_filter_against(batch_of(boxes), other, t0, t1)
-        for i, kb in enumerate(boxes):
-            assert bool(mask[i]) == (
-                intersection_interval(kb, other, t0, t1) is not None
-            ), (i, kb, other)
-
-    def test_rejects_inverted_window(self):
-        batch = batch_of([random_kbox(random.Random(0))])
-        with pytest.raises(ValueError):
-            batch_filter_against(batch, batch.box(0), 5.0, 4.0)
+        many = batch_of([random_kbox(random.Random(1)) for _ in range(5)])
+        for sides in ((batch, many), (many, batch)):
+            with pytest.raises(ValueError):
+                batch_sweep_join(*sides, 5.0, 4.0, dim=0)
 
 
 class TestSweepParity:
-    """ps/all-pairs kernels return the *same triples in the same order*."""
+    """The compiled join returns the scalar sweep's and the nested loop's
+    rows, and sends no more pairs to the exact test than the sweep."""
 
     def _random_sets(self, seed, n_a, n_b):
         rng = random.Random(seed)
@@ -250,42 +257,37 @@ class TestSweepParity:
     @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
     def test_all_pairs_exact(self, seed):
         boxes_a, boxes_b = self._random_sets(seed, 40, 35)
-        ca, ck = [0], [0]
+        ca, ck = [0], [0, 0]
         scalar = all_pairs_intersection(boxes_a, boxes_b, 0, 30, ca)
-        vector = batch_all_pairs_intersection(batch_of(boxes_a), batch_of(boxes_b), 0, 30, ck)
-        assert ca == ck
-        assert [(i, j, iv.start, iv.end) for i, j, iv in scalar] == [
-            (i, j, iv.start, iv.end) for i, j, iv in vector
-        ]
+        # A one-cell join enumerates every pair, as the nested loop tests
+        # it; and no random pair grazes within PAIR_TEST_EPS on the sweep
+        # axis, where the sweep's zero tolerance would drop it.
+        assert row_bytes(joined(boxes_a, boxes_b, 0, 30, 0, ck)) == row_bytes(scalar_rows(scalar))
+        assert ca == ck[:1] == [40 * 35]
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("dim", [None, 0, 1])
     def test_ps_exact(self, seed, dim):
         boxes_a, boxes_b = self._random_sets(seed, 45, 40)
-        ca, ck = [0], [0]
-        scalar = ps_intersection(boxes_a, boxes_b, 0, 12, dim=dim, counter=ca)
-        vector = batch_ps_intersection(
-            batch_of(boxes_a), batch_of(boxes_b), 0, 12, dim=dim, counter=ck
-        )
-        assert ca == ck, "candidate counts diverged"
-        assert [(i, j, iv.start, iv.end) for i, j, iv in scalar] == [
-            (i, j, iv.start, iv.end) for i, j, iv in vector
-        ]
+        if dim is None:
+            dim = select_sweep_dimension(boxes_a, boxes_b)
+        ca, ck = [0], [0, 0]
+        scalar = scalar_rows(ps_intersection(boxes_a, boxes_b, 0, 12, dim=dim, counter=ca))
+        rows = joined(boxes_a, boxes_b, 0, 12, dim, ck)
+        assert row_bytes(rows) == row_bytes(sorted(scalar))
+        assert len(rows) <= ck[1] <= ca[0], "exact tests beyond the sweep's"
 
     def test_ps_degenerate_window(self):
         boxes_a, boxes_b = self._random_sets(9, 30, 30)
-        scalar = ps_intersection(boxes_a, boxes_b, 5.0, 5.0)
-        vector = batch_ps_intersection(batch_of(boxes_a), batch_of(boxes_b), 5.0, 5.0)
-        assert [(i, j, iv.start, iv.end) for i, j, iv in scalar] == [
-            (i, j, iv.start, iv.end) for i, j, iv in vector
-        ]
+        scalar = scalar_rows(ps_intersection(boxes_a, boxes_b, 5.0, 5.0))
+        assert row_bytes(joined(boxes_a, boxes_b, 5.0, 5.0, 0)) == row_bytes(sorted(scalar))
 
     def test_empty_sides(self):
         boxes, _ = self._random_sets(3, 5, 0)
-        batch, empty = batch_of(boxes), batch_of([])
-        assert batch_ps_intersection(batch, empty, 0, 10) == []
-        assert batch_ps_intersection(empty, batch, 0, 10) == []
-        assert batch_all_pairs_intersection(empty, batch, 0, 10) == []
+        for sides in ((boxes, []), ([], boxes)):
+            assert joined(*sides, 0, 10, 0) == []
+            assert ps_intersection(*sides, 0, 10) == []
+            assert all_pairs_intersection(*sides, 0, 10) == []
 
 
 #: Windows no pair join takes: a NaN end or start (every comparison
@@ -305,6 +307,18 @@ class TestWindowRefusal:
         with pytest.raises(ValueError, match="t_end must be >= t_start"):
             join(t0, t1)
 
+    def trees(self):
+        """One tree a side, each holding one object over the boxes."""
+        storage = TreeStorage()
+        trees = (TPRStarTree(storage=storage), TPRStarTree(storage=storage))
+        for oid, tree in enumerate(trees):
+            tree.insert(MovingObject(oid, Box(0.0, 1.0, 0.0, 1.0), 0.0, 0.0, 0.0), 0.0)
+        return trees
+
+    @pytest.mark.parametrize("t0, t1", BAD_WINDOWS)
+    def test_intersection_interval(self, t0, t1):
+        self.refuses(lambda t0, t1: intersection_interval(*self.boxes * 2, t0, t1), t0, t1)
+
     @pytest.mark.parametrize("t0, t1", BAD_WINDOWS)
     def test_ps_intersection(self, t0, t1):
         self.refuses(lambda t0, t1: ps_intersection(self.boxes, self.boxes, t0, t1), t0, t1)
@@ -314,24 +328,31 @@ class TestWindowRefusal:
         self.refuses(lambda t0, t1: all_pairs_intersection(self.boxes, self.boxes, t0, t1), t0, t1)
 
     @pytest.mark.parametrize("t0, t1", BAD_WINDOWS)
-    def test_batch_ps_intersection(self, t0, t1):
-        batch = batch_of(self.boxes)
-        self.refuses(lambda t0, t1: batch_ps_intersection(batch, batch, t0, t1), t0, t1)
+    def test_naive_join(self, t0, t1):
+        tree_a, tree_b = self.trees()
+        self.refuses(lambda t0, t1: naive_join(tree_a, tree_b, t0, t1), t0, t1)
 
+    @pytest.mark.parametrize("techniques", ["all", "none"])
     @pytest.mark.parametrize("t0, t1", BAD_WINDOWS)
-    def test_batch_all_pairs_intersection(self, t0, t1):
-        batch = batch_of(self.boxes)
-        self.refuses(lambda t0, t1: batch_all_pairs_intersection(batch, batch, t0, t1), t0, t1)
+    def test_improved_join(self, t0, t1, techniques):
+        tree_a, tree_b = self.trees()
+        tech = getattr(JoinTechniques, techniques)()
+        self.refuses(lambda t0, t1: improved_join(tree_a, tree_b, t0, t1, tech), t0, t1)
 
     @pytest.mark.parametrize("t0, t1", BAD_WINDOWS)
     def test_batch_sweep_join(self, t0, t1):
         batch = batch_of(self.boxes)
-        self.refuses(lambda t0, t1: batch_sweep_join(batch, batch, t0, t1), t0, t1)
+        self.refuses(lambda t0, t1: batch_sweep_join(batch, batch, t0, t1, dim=0), t0, t1)
 
     def test_the_boxes_intersect(self):
         batch = batch_of(self.boxes)
+        assert intersection_interval(*self.boxes * 2, 0.0, 5.0).duration == 5.0
         assert len(ps_intersection(self.boxes, self.boxes, 0.0, 5.0)) == 1
-        assert batch_sweep_join(batch, batch, 0.0, 5.0)[0].tolist() == [0]
+        assert batch_sweep_join(batch, batch, 0.0, 5.0, dim=0)[0].tolist() == [0]
+        tree_a, tree_b = self.trees()
+        assert len(naive_join(tree_a, tree_b, 0.0, 5.0)) == 1
+        for tech in (JoinTechniques.all(), JoinTechniques.none()):
+            assert len(improved_join(tree_a, tree_b, 0.0, 5.0, tech)) == 1
 
 
 # ----------------------------------------------------------------------
@@ -404,20 +425,6 @@ def filter_cases(draw):
     return boxes_a, boxes_b, t0, t1
 
 
-class TestFilterAtTheBoundary:
-    @given(filter_cases())
-    @settings(max_examples=200, deadline=None)
-    def test_mask_is_the_probe_windows_ok_at_the_boundary(self, case):
-        """Contact at a window end, equal or subnormal relative speeds,
-        gaps of one ulp: the mask-only reduction decides every row as
-        the byte-exact sequential clamps do."""
-        boxes_a, boxes_b, t0, t1 = case
-        batch = batch_of(boxes_a)
-        for other in boxes_b:
-            want = batch_probe_windows(batch, other, t0, t1)[2]
-            assert batch_filter_against(batch, other, t0, t1).tolist() == want.tolist()
-
-
 def assert_oracle_matches(planes, counter, batch_a, batch_b, t0, t1, **kwargs):
     """The compiled join's rows, in its order, and both counters are the
     NumPy oracle's, called with ``kwargs``."""
@@ -432,32 +439,22 @@ def assert_sweep_join_matches(boxes_a, boxes_b, t0, t1):
     """Rows and windows equal the scalar sweep's on both axes, as bytes.
 
     The join returns its rows in the grid's order, so they are compared
-    sorted by ``(i, j)`` (a pair occurs once per call); the scalar
-    sweep's order, and its candidate count, are pinned where the tree
-    engines read them, on ``batch_ps_intersection``.  The join's own
-    ``counter[0]`` is its grid's stage-one work, the same whichever
-    axis sweeps.  The NumPy oracle returns the same bytes in the same
-    order, with the same counters.
+    sorted by ``(i, j)`` (a pair occurs once per call).  The pairs that
+    reach its exact test (``counter[1]``) are at most those the scalar
+    sweep tests; its ``counter[0]`` is its grid's stage-one work, the
+    same whichever axis sweeps.  The NumPy oracle returns the same bytes
+    in the same order, with the same counters.
     """
     batch_a, batch_b = batch_of(boxes_a), batch_of(boxes_b)
     stage_one = set()
     for dim in (0, 1):
-        cs, cp = [0], [0]
-        scalar = [
-            (i, j, iv.start, iv.end)
-            for i, j, iv in ps_intersection(boxes_a, boxes_b, t0, t1, dim=dim, counter=cs)
-        ]
-        swept = [
-            (i, j, iv.start, iv.end)
-            for i, j, iv in batch_ps_intersection(batch_a, batch_b, t0, t1, dim=dim, counter=cp)
-        ]
-        assert cp == cs, dim
-        assert row_bytes(swept) == row_bytes(scalar), dim  # in sweep order
+        cs = [0]
+        scalar = scalar_rows(ps_intersection(boxes_a, boxes_b, t0, t1, dim=dim, counter=cs))
         ck = [0, 0]
         planes = batch_sweep_join(batch_a, batch_b, t0, t1, dim=dim, counter=ck)
         rows = list(zip(*(plane.tolist() for plane in planes)))
         assert row_bytes(sorted(rows)) == row_bytes(sorted(scalar)), dim
-        assert len(rows) <= ck[1] <= ck[0], dim
+        assert len(rows) <= ck[1] <= min(ck[0], cs[0]), dim
         stage_one.add(ck[0])
         assert_oracle_matches(planes, ck, batch_a, batch_b, t0, t1, dim=dim)
     assert len(stage_one) == 1, stage_one
@@ -537,11 +534,11 @@ class TestSweepFilterConservative:
         boxes_b = [random_kbox(rng) for _ in range(60)]
         counter = [0, 0]
         idx_a, _, _, _ = batch_sweep_join(
-            batch_of(boxes_a), batch_of(boxes_b), 0.0, 12.0, counter=counter
+            batch_of(boxes_a), batch_of(boxes_b), 0.0, 12.0, dim=0, counter=counter
         )
         assert 0 < idx_a.shape[0] <= counter[1] < counter[0]
         one_slot = [0]
-        batch_sweep_join(batch_of(boxes_a), batch_of(boxes_b), 0.0, 12.0, counter=one_slot)
+        batch_sweep_join(batch_of(boxes_a), batch_of(boxes_b), 0.0, 12.0, dim=0, counter=one_slot)
         assert one_slot == [counter[0]]
 
 
@@ -572,19 +569,7 @@ def grouped_scalar_rows(boxes_a, boxes_b, t0, t1, ends_a, ends_b, dim):
     return sorted(rows)
 
 
-def row_bytes(rows):
-    """``(i, j, lo, hi)`` rows as bytes: ``-0.0`` and ``0.0`` differ."""
-    import numpy as np
-
-    return tuple(
-        np.array([row[k] for row in rows], dtype=dtype).tobytes()
-        for k, dtype in enumerate((np.int64, np.int64, np.float64, np.float64))
-    )
-
-
 def assert_per_row_join_matches(boxes_a, boxes_b, t0, t1, ends_a, ends_b):
-    import numpy as np
-
     batch_a, batch_b = batch_of(boxes_a), batch_of(boxes_b)
     ends = tuple(None if e is None else np.array(e, dtype=np.float64) for e in (ends_a, ends_b))
     for dim in (0, 1):
@@ -650,8 +635,6 @@ class TestPerRowEnds:
         assert_per_row_join_matches(boxes_a, boxes_b, 1.0, 14.0, None, ends_b)
 
     def test_equal_ends_are_the_float_call_in_rows_and_order(self):
-        import numpy as np
-
         boxes_a, boxes_b = TestSweepGrid()._uniform(23, 120, 400)
         batch_a, batch_b = batch_of(boxes_a), batch_of(boxes_b)
         for dim in (0, 1):
@@ -675,8 +658,6 @@ class TestPerRowEnds:
 
     @pytest.mark.parametrize("bad", [INF, -INF, math.nan, 0.5])
     def test_bad_per_row_end_is_refused(self, bad):
-        import numpy as np
-
         boxes_a, boxes_b = TestSweepGrid()._uniform(25, 3, 4)
         batch_a, batch_b = batch_of(boxes_a), batch_of(boxes_b)
         for side in (0, 1):
@@ -684,15 +665,15 @@ class TestPerRowEnds:
             ends[side] = np.array([5.0] * (3 + side))
             ends[side][1] = bad
             with pytest.raises(ValueError, match="window ends"):
-                batch_sweep_join(batch_a, batch_b, 1.0, 9.0, ends=tuple(ends))
+                batch_sweep_join(batch_a, batch_b, 1.0, 9.0, dim=0, ends=tuple(ends))
         with pytest.raises(ValueError, match="one window end per row"):
-            batch_sweep_join(batch_a, batch_b, 1.0, 9.0, ends=(np.array([5.0] * 4), None))
+            batch_sweep_join(
+                batch_a, batch_b, 1.0, 9.0, dim=0, ends=(np.array([5.0] * 4), None)
+            )
 
 
 def test_radix_digits_sort_like_the_index():
     """The hit ordering's 16-bit keys, past one digit (> 65 536 rows a side)."""
-    import numpy as np
-
     idx = np.random.default_rng(3).integers(0, 200_000, size=5_000)
     for limit, width in ((200_000, 2), (65_536, 1), (65_537, 2), (1, 1)):
         digits = kernels._radix_digits(idx % limit, limit)
@@ -713,8 +694,6 @@ def test_radix_digits_sort_like_the_index():
 def test_radix_argsort_is_the_stable_argsort(values):
     """Any ``int64`` plane — negative, past 2**32, spanning all 64 bits,
     repeated, empty — sorts to the merge sort's permutation."""
-    import numpy as np
-
     plane = np.array(values, dtype=np.int64)
     want = np.argsort(plane, kind="stable")
     got = kernels.radix_argsort(plane)
@@ -724,8 +703,6 @@ def test_radix_argsort_is_the_stable_argsort(values):
 class TestDimensionSelection:
     @pytest.mark.parametrize("seed", [11, 12, 13])
     def test_matches_scalar_choice(self, seed):
-        from repro.geometry import select_sweep_dimension
-
         boxes_a, boxes_b = (
             [random_kbox(random.Random(seed)) for _ in range(20)],
             [random_kbox(random.Random(seed + 100)) for _ in range(20)],
@@ -734,31 +711,22 @@ class TestDimensionSelection:
         vector = batch_select_sweep_dimension(batch_of(boxes_a), batch_of(boxes_b))
         assert scalar == vector
 
-    def test_speed_sums_cached(self):
-        batch = batch_of([random_kbox(random.Random(0)) for _ in range(8)])
-        first = batch.speed_sums
-        assert batch.speed_sums is first  # computed once, reused
-
 
 class TestKineticBatch:
     def test_round_trip(self):
+        """Packed boxes come back whole, from planes that are all views
+        of the batch's one plane stack, pre-shifted as the scalar is."""
         rng = random.Random(42)
         boxes = [random_kbox(rng) for _ in range(10)]
         batch = batch_of(boxes)
         assert len(batch) == 10
-        for i, kb in enumerate(boxes):
-            assert batch.box(i) == kb
-
-    def test_compress(self):
-        rng = random.Random(7)
-        boxes = [random_kbox(rng) for _ in range(6)]
-        batch = batch_of(boxes)
-        import numpy as np
-
-        mask = np.array([True, False, True, False, True, False])
-        sub = batch.compress(mask)
-        assert len(sub) == 3
-        assert [sub.box(k) for k in range(3)] == [boxes[0], boxes[2], boxes[4]]
+        assert batch_boxes(batch) == boxes
+        stack, address = batch.stacked()
+        assert address == stack.ctypes.data
+        planes = (batch.mlo, batch.mhi, batch.vlo, batch.vhi, batch.tref, batch.slo, batch.shi)
+        assert all(plane.base is stack for plane in planes)
+        assert batch.slo.tobytes() == (batch.mlo - batch.vlo * batch.tref).tobytes()
+        assert batch.shi.tobytes() == (batch.mhi - batch.vhi * batch.tref).tobytes()
 
 
 # ----------------------------------------------------------------------
@@ -806,8 +774,6 @@ def binned_grid(batch_q, batch_p, t0, t1):
 
 def cell_edge(grid, axis, k):
     """Smallest double whose cell along ``axis`` is at least ``k`` (by bisection)."""
-    import numpy as np
-
     def cell(x):
         return int(grid.cells(np.array([x]), axis, 0, grid.shape[axis] - 1)[0])
 
@@ -954,8 +920,6 @@ class TestSweepGrid:
         next cell, because the corner sits just below a cell edge.  Only
         the pad on ``W`` keeps the pair among the exact tests.
         """
-        import numpy as np
-
         from repro.geometry.constants import SWEEP_FILTER_SLACK
 
         def inputs(raw_lo, raw_hi):
@@ -1046,7 +1010,9 @@ class TestSweepGrid:
         points_b = [static_box(5.0, 7.0, 0.0, 0.0) for _ in range(140)]
         assert_sweep_join_matches(points_a, points_b, 0.0, 12.0)
         counter = [0, 0]
-        rows = batch_sweep_join(batch_of(points_a), batch_of(points_b), 0.0, 12.0, counter=counter)
+        rows = batch_sweep_join(
+            batch_of(points_a), batch_of(points_b), 0.0, 12.0, dim=0, counter=counter
+        )
         assert rows[0].shape[0] == counter[0] == 130 * 140
 
     def test_zero_width_points_over_an_extent(self, monkeypatch):
@@ -1078,8 +1044,6 @@ class TestSweepGrid:
 
     def test_no_regular_row_at_all(self):
         """Pinned crash: nothing to bin (one inverted box; all rows unbounded)."""
-        import numpy as np
-
         grid = _SweepGrid(
             [np.array([3.0]), np.array([1.0])], [np.array([2.0]), np.array([0.5])], [1e-12, 1e-12]
         )
@@ -1196,8 +1160,6 @@ class TestCompiledAgainstOracle:
 
     @pytest.mark.parametrize("gridded", [False, True])
     def test_signed_zero_contact_at_t0(self, flip, gridded):
-        import numpy as np
-
         pairs = signed_zero_pairs(6)
         small = [a for a, _ in pairs]
         large = [b for _, b in pairs]
@@ -1208,7 +1170,7 @@ class TestCompiledAgainstOracle:
         boxes_a, boxes_b = self.sides(small, large, flip)
         assert_sweep_join_matches(boxes_a, boxes_b, 0.0, 5.0)
         # Not vacuous: the six contacts come back closing at -0.0.
-        planes = batch_sweep_join(batch_of(boxes_a), batch_of(boxes_b), 0.0, 5.0)
+        planes = batch_sweep_join(batch_of(boxes_a), batch_of(boxes_b), 0.0, 5.0, dim=0)
         closing = planes[3][(planes[2] == 0.0) & (planes[3] == 0.0)]
         assert closing.shape[0] >= 6 and np.signbit(closing).all()
 
@@ -1245,7 +1207,9 @@ class TestCompiledAgainstOracle:
         large = [static_box(0.5, 0.5, 1.0, 1.0) for _ in range(300)]
         boxes_a, boxes_b = self.sides(small, large, flip)
         counter = [0, 0]
-        planes = batch_sweep_join(batch_of(boxes_a), batch_of(boxes_b), 0.0, 3.0, counter=counter)
+        planes = batch_sweep_join(
+            batch_of(boxes_a), batch_of(boxes_b), 0.0, 3.0, dim=0, counter=counter
+        )
         assert planes[0].shape[0] == counter[1] == counter[0] == 20 * 300
         assert_sweep_join_matches(boxes_a, boxes_b, 0.0, 3.0)
 
@@ -1254,17 +1218,17 @@ class TestCompiledAgainstOracle:
         """The oracle walks the visiting rows in blocks of at most ``chunk``
         candidates (a chunk of 1 visits a row at a time); no block size
         moves a row or a count."""
-        import numpy as np
-
         small, large = TestSweepGrid()._uniform(40, 120, 700)
         rng = random.Random(41)
         ends = (np.array([rng.choice([6.0, 9.0]) for _ in small]), None)
         batch_a, batch_b = batch_of(small), batch_of(large)
         for kwargs in ({}, {"ends": ends}):
             counter = [0, 0]
-            planes = batch_sweep_join(batch_a, batch_b, 1.0, 10.0, counter=counter, **kwargs)
+            planes = batch_sweep_join(
+                batch_a, batch_b, 1.0, 10.0, dim=0, counter=counter, **kwargs
+            )
             assert_oracle_matches(
-                planes, counter, batch_a, batch_b, 1.0, 10.0, chunk=chunk, **kwargs
+                planes, counter, batch_a, batch_b, 1.0, 10.0, dim=0, chunk=chunk, **kwargs
             )
 
     def test_the_sweep_axis_is_0_or_1(self):
@@ -1274,11 +1238,14 @@ class TestCompiledAgainstOracle:
                 batch_sweep_join(batch, batch, 0.0, 1.0, dim=dim)
 
     def test_planes_shorter_than_the_batch_are_refused(self):
-        """The compiled join reads ``n`` values from every plane: a plane
-        that holds fewer is refused before any pointer is passed."""
+        """The compiled join reads ``n`` doubles from every row of a
+        C-contiguous plane stack: a batch of more rows than its stack
+        holds, or over a stack of another layout, is refused before any
+        pointer is passed."""
         batch = batch_of([static_box(0.0, 0.0, 1.0, 1.0), static_box(2.0, 0.0, 1.0, 1.0)])
-        short = KineticBatch(
-            batch.mlo[:, :1], batch.mhi, batch.vlo, batch.vhi, batch.tref, batch.slo, batch.shi
-        )
-        with pytest.raises(ValueError, match="plane"):
-            batch_sweep_join(short, batch, 0.0, 1.0, dim=0)
+        stack = batch.stacked()[0]
+        short = np.ascontiguousarray(stack[:, :1])
+        for bad, n in ((short, 2), (stack[:, ::-1], 2), (stack.astype(np.float32), 2),
+                       (stack[:-1].copy(), 2)):
+            with pytest.raises(ValueError, match="plane stack"):
+                batch_sweep_join(KineticBatch.from_stack(bad, n), batch, 0.0, 1.0, dim=0)

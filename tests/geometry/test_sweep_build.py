@@ -21,7 +21,7 @@ from repro.geometry import Box, KineticBatch, KineticBox
 from repro.geometry.kernels import batch_sweep_join
 
 batch = KineticBatch.from_boxes([KineticBox.rigid(Box(0, 1, 0, 1), 0.0, 0.0, 0.0)])
-print(batch_sweep_join(batch, batch, 0.0, 1.0)[0].tolist())
+print(batch_sweep_join(batch, batch, 0.0, 1.0, dim=0)[0].tolist())
 """
 
 

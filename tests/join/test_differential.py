@@ -7,7 +7,7 @@ Three layers of agreement are required:
 * **Store level** — brute force, NaiveJoin and the improved TC join
   must populate bit-identical :class:`JoinResultStore` contents for the
   same window ``[0, T_M]``.
-* **Triple level** — the kernel-batched improved join equals the
+* **Triple level** — the improved join equals the
   scalar brute-force oracle triple for triple (floats compared with
   ``==``, no rounding), with every technique on and with none.
 * **Answer level** — all five algorithms (naive, improved, PBSM,
@@ -112,9 +112,9 @@ def test_store_contents_identical_across_interval_joins(workloads, n, dist):
 
 @pytest.mark.parametrize("n,dist", GRID)
 def test_kernels_ablation_is_bit_exact(workloads, n, dist):
-    """The kernel-batched traversal against the scalar oracle, triple by
-    triple: the brute-force join tests every pair with the scalar
-    ``intersection_interval``."""
+    """The improved traversal with and without its techniques against the
+    scalar oracle, triple by triple: the brute-force join tests every
+    pair with the scalar ``intersection_interval``."""
     scenario, tree_a, tree_b, _fa, _fb = workloads[(n, dist)]
     oracle = exact(brute_force_join(scenario.set_a, scenario.set_b, 0.0, T_M))
     assert oracle, "vacuous workload: no intersecting pairs"

@@ -1,4 +1,4 @@
-"""The paper's Figs. 7 and 13, pinned: recompute their ``small`` cells
+"""The paper's Figs. 7, 8 and 13, pinned: recompute their ``small`` cells
 with the writer's own table (``benchmarks/paper.py``) and compare every
 count exactly with ``BENCH_paper.json``, then evaluate the figures'
 claims on the counts.
@@ -20,7 +20,7 @@ _spec.loader.exec_module(paper)
 
 PINNED = [
     cell for cell in paper.cells("small")
-    if cell.figure == "fig07"
+    if cell.figure in ("fig07", "fig08")
     or (cell.figure == "fig13" and (cell.x < 1000 or cell.series == paper.MTB))
 ]
 RECORDED = paper.recorded(paper.load(), "small")
@@ -34,7 +34,7 @@ def test_cell_counts_match_the_record(cell):
     }
 
 
-@pytest.mark.parametrize("figure", ["fig07", "fig13"])
+@pytest.mark.parametrize("figure", ["fig07", "fig08", "fig13"])
 def test_figure_claims(figure):
     counts = {**RECORDED, **{c.key: c.run() for c in PINNED if c.figure == figure}}
     report = paper.check_claims(counts, [figure])
