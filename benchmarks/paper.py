@@ -6,7 +6,8 @@ starts the section from the same state every time (cold buffer, zeroed
 tracker) and records ``COUNTS``, which repeat exactly (``pages``: tree
 pages allocated when the section ends; ``answer_pairs``: the size of the
 join's answer, or of the engine's at its clock), and ``cpu_s``, which is
-never compared.  Maintenance cells record the cost per update, as Fig. 13
+never compared (Figs. 7 and 8 keep the least of three runs, whose counts
+must agree).  Maintenance cells record the cost per update, as Fig. 13
 does.  Cells that repeat a section, workload and arguments share one run.
 
     PYTHONPATH=src python benchmarks/paper.py            # re-run, compare, check
@@ -144,18 +145,32 @@ def _once(sc, key, make):
     return _HELD[2]
 
 
+#: Figs. 7 and 8 rank their series by CPU as well: each cell keeps the
+#: least ``cpu_s`` of this many runs of its section.
+TREE_JOIN_RUNS = 3
+
+
 def tree_join(sc, algorithm, t_m=None, techniques=None, obs=None) -> Counts:
     """Figs. 7 and 8: one join of the engine's trees from a cold buffer,
     TC-Join over the Theorem-1 window ``[0, t_m]`` (ImprovedJoin with
     ``techniques``), or NaiveJoin over ``[0, ∞)`` with ``t_m=None``.  The
-    build is not measured; the cells of one workload and algorithm share it."""
+    build is not measured; the cells of one workload and algorithm share it.
+    The join runs ``TREE_JOIN_RUNS`` times, each from a cold buffer: every
+    count must repeat, and the least ``cpu_s`` is kept (the first run is
+    the recorded one under ``REPRO_OBS``)."""
     engine = _once(sc, algorithm, lambda: _engine(sc, algorithm))
     tree_a, tree_b = engine._strategy.tree_a, engine._strategy.tree_b
-    tracker = _cold(engine.storage)
-    with _obs_recording(tracker, obs), tracker.timed():
-        result = (naive_join(tree_a, tree_b, 0.0, INF, tracker) if t_m is None
-                  else tc_join(tree_a, tree_b, 0.0, t_m, techniques, tracker))
-    return _counts(tracker, engine.storage, len(result))
+    runs = []
+    for _ in range(TREE_JOIN_RUNS):
+        tracker = _cold(engine.storage)
+        with _obs_recording(tracker, None if runs else obs), tracker.timed():
+            result = (naive_join(tree_a, tree_b, 0.0, INF, tracker) if t_m is None
+                      else tc_join(tree_a, tree_b, 0.0, t_m, techniques, tracker))
+        runs.append(_counts(tracker, engine.storage, len(result)))
+    counts = [{k: run[k] for k in COUNTS} for run in runs]
+    if any(c != counts[0] for c in counts):
+        raise AssertionError(f"tree_join counts differ between runs: {counts}")
+    return {**runs[0], "cpu_s": min(run["cpu_s"] for run in runs)}
 
 
 def initial_join(sc, algorithm) -> Counts:

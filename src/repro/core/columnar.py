@@ -56,6 +56,7 @@ from .columns import (
     ObjectsView,
     UpdateColumns,
     check_deadlines,
+    check_not_ahead,
     check_planes,
     columns_from_objects,
     has_duplicates,
@@ -133,6 +134,10 @@ class ColumnarJoinEngine(Recorded, DeltaSource):
         with self.tracker.timed():
             self.columns_a = _as_store(objects_a)
             self.columns_b = _as_store(objects_b)
+        check_not_ahead(
+            self.now,
+            *((cols.tref[: cols.n], cols.oids) for cols in (self.columns_a, self.columns_b)),
+        )
         # Neither side repeats an id (each store refused that), so a
         # repeat in the two sides together is an id they share: one sort,
         # and the shared ids are named only when there are some.

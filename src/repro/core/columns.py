@@ -43,6 +43,8 @@ __all__ = [
     "ObjectsView",
     "LateObjectError",
     "check_deadlines",
+    "check_not_ahead",
+    "check_objects",
     "check_planes",
     "columns_from_objects",
     "pack_updates",
@@ -375,6 +377,35 @@ def check_deadlines(t: float, t_m: float, *sides: Tuple[np.ndarray, np.ndarray])
         return
     late = np.concatenate([oid[tref + t_m < t] for tref, oid in sides])
     raise LateObjectError(t, np.sort(late).tolist())
+
+
+def check_not_ahead(now: float, *sides: Tuple[np.ndarray, np.ndarray]) -> None:
+    """Raise ``ValueError`` when some object reports from after the
+    clock, ``t_ref > now``.
+
+    Such an object's deadline ``t_ref + T_M`` lies past every Theorem-1
+    window ``[now, now + T_M]`` the engine opens, so
+    :class:`LateObjectError` would never name it and TC would drop its
+    pairs.  ``sides`` are ``(tref, oid)`` plane pairs: one ``max`` a
+    side decides, and the ids are gathered only for a refusal.
+    """
+    if not any(tref.shape[0] and tref.max() > now for tref, _oid in sides):
+        return
+    ahead = np.sort(np.concatenate([oid[tref > now] for tref, oid in sides]))
+    raise ValueError(
+        f"{ahead.shape[0]} object(s) report t_ref after the clock "
+        f"t={now:g}: {ahead[:5].tolist()}"
+    )
+
+
+def check_objects(objs: Sequence[MovingObject], now: float) -> None:
+    """The object engines' ingest gate, before any write: a NaN/inf
+    MBR, velocity or ``t_ref`` or inverted bounds (:func:`check_planes`,
+    the columnar engine's rule) and a report from after the clock
+    ``now`` (:func:`check_not_ahead`) raise ``ValueError``."""
+    cols = columns_from_objects(objs)
+    check_planes(cols)
+    check_not_ahead(now, (cols.tref, cols.oid))
 
 
 def deadline_planes(registry: Mapping[int, MovingObject]) -> Tuple[np.ndarray, np.ndarray]:

@@ -39,7 +39,7 @@ from ..join import (
 from ..metrics import CostSnapshot, CostTracker
 from ..obs.recorder import Recorded
 from ..objects import MovingObject
-from .columns import check_deadlines, check_planes, columns_from_objects, deadline_planes
+from .columns import check_deadlines, check_objects, deadline_planes
 from .config import JoinConfig
 from .result import ColumnResultStore, DeltaSource
 
@@ -48,13 +48,6 @@ __all__ = ["ContinuousJoinEngine", "ALGORITHMS"]
 PairKey = Tuple[int, int]
 
 ALGORITHMS = ("naive", "etp", "tc", "mtb")
-
-
-def _check_objects(objs: Sequence[MovingObject]) -> None:
-    """The tree engine's ingest gate: refuse a NaN/inf MBR, velocity or
-    ``t_ref`` (and inverted bounds) with ``ValueError`` before any write
-    — the columnar engine's rule, :func:`~.columns.check_planes`."""
-    check_planes(columns_from_objects(objs))
 
 
 class ContinuousJoinEngine(Recorded, DeltaSource):
@@ -81,8 +74,8 @@ class ContinuousJoinEngine(Recorded, DeltaSource):
         overlap = self.objects_a.keys() & self.objects_b.keys()
         if overlap:
             raise ValueError(f"object ids shared across datasets: {sorted(overlap)[:5]}")
-        _check_objects(list(self.objects_a.values()))
-        _check_objects(list(self.objects_b.values()))
+        check_objects(list(self.objects_a.values()), self.now)
+        check_objects(list(self.objects_b.values()), self.now)
         self.storage = TreeStorage(buffer_pages=self.config.buffer_pages)
         self.tracker: CostTracker = self.storage.tracker
         self._record(
@@ -167,10 +160,10 @@ class ContinuousJoinEngine(Recorded, DeltaSource):
 
         The object's dataset is inferred from its id; its stored motion
         is replaced and the maintained answer repaired.  An unknown id
-        (``KeyError``) or a NaN/inf/inverted motion (``ValueError``) is
-        refused before anything is written.
+        (``KeyError``), a NaN/inf/inverted motion or a ``t_ref`` after
+        the clock (``ValueError``) is refused before anything is written.
         """
-        _check_objects([obj])
+        check_objects([obj], self.now)
         self._update(obj, self._dataset_of(obj.oid))
 
     def apply_updates(
@@ -192,9 +185,9 @@ class ContinuousJoinEngine(Recorded, DeltaSource):
         The whole batch is resolved before the first write: an unknown
         or twice-evicted id (``KeyError``), an already-present or
         twice-admitted object, an id both evicted and updated/admitted,
-        or a NaN/inf/inverted motion (``ValueError``) refuses the batch
-        and leaves object tables, indexes, store and ``update_count``
-        untouched.
+        a NaN/inf/inverted motion or a ``t_ref`` after the clock
+        (``ValueError``) refuses the batch and leaves object tables,
+        indexes, store and ``update_count`` untouched.
         """
         updates = list(batch)
         admissions = list(admit)
@@ -206,7 +199,7 @@ class ContinuousJoinEngine(Recorded, DeltaSource):
             raise ValueError(
                 f"objects both evicted and updated/admitted: {sorted(clashes)[:5]}"
             )
-        _check_objects(updates + newcomers)
+        check_objects(updates + newcomers, self.now)
         if len(set(evictions)) != len(evictions):
             raise KeyError("object id evicted twice in one batch")
         if len(set(admitted)) != len(admitted):

@@ -23,7 +23,7 @@ from ..join import JoinTriple, mtb_join_object, naive_join
 from ..metrics import CostSnapshot, CostTracker
 from ..obs.recorder import Recorded
 from ..objects import MovingObject
-from .columns import check_deadlines, deadline_planes
+from .columns import check_deadlines, check_objects, deadline_planes
 from .config import JoinConfig
 from .result import ColumnResultStore
 
@@ -45,6 +45,8 @@ class ContinuousSelfJoinEngine(Recorded):
         check_clock(-INF, start_time)
         self.now = float(start_time)
         self.start_time = float(start_time)
+        objects = list(objects)
+        check_objects(objects, self.now)
         self.objects: Dict[int, MovingObject] = {}
         self.storage = TreeStorage(buffer_pages=self.config.buffer_pages)
         self.tracker: CostTracker = self.storage.tracker
@@ -95,7 +97,13 @@ class ContinuousSelfJoinEngine(Recorded):
         self.now = t
 
     def apply_update(self, obj: MovingObject) -> None:
-        """Replace one object's motion and repair the answer."""
+        """Replace one object's motion and repair the answer.
+
+        An unknown id (``KeyError``), a NaN/inf/inverted motion or a
+        ``t_ref`` after the clock (``ValueError``) is refused before
+        anything is written, as on the tree engine.
+        """
+        check_objects([obj], self.now)
         if obj.oid not in self.objects:
             raise KeyError(f"unknown object {obj.oid}")
         self.objects[obj.oid] = obj

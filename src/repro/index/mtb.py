@@ -119,17 +119,6 @@ class MTBTree:
     def all_objects(self) -> List[MovingObject]:
         return list(self.objects.objects())
 
-    def validate(self, t_now: float) -> None:
-        """Check every bucket tree plus forest-level bookkeeping.
-
-        Delegates to :func:`repro.check.sanitize.check_mtb_forest` and
-        raises :class:`~repro.check.errors.InvariantViolation` (an
-        ``AssertionError`` carrying SC-coded findings) on corruption.
-        """
-        from ..check.sanitize import check_mtb_forest, raise_on_findings
-
-        raise_on_findings(check_mtb_forest(self, t_now))
-
     # ------------------------------------------------------------------
     def _tree_for(self, key: int) -> TPRStarTree:
         tree = self._trees.get(key)

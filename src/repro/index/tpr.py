@@ -442,24 +442,6 @@ class TPRStarTree:
         if not root.is_leaf and not root.entries:
             raise AssertionError("internal root lost all entries")
 
-    # ------------------------------------------------------------------
-    # Invariant checking (tests)
-    # ------------------------------------------------------------------
-    def validate(self, t_now: float, check_times: Optional[Sequence[float]] = None) -> None:
-        """Raise ``AssertionError`` on any violated structural invariant.
-
-        Delegates to :func:`repro.check.sanitize.check_tpr_tree` (level
-        consistency, occupancy limits, parent bounds containing children
-        at ``t_now`` and each time in ``check_times``, object-table/leaf
-        agreement) and raises
-        :class:`~repro.check.errors.InvariantViolation` — an
-        ``AssertionError`` carrying SC-coded findings — when any check
-        fails.
-        """
-        from ..check.sanitize import check_tpr_tree, raise_on_findings
-
-        raise_on_findings(check_tpr_tree(self, t_now, check_times))
-
     def __repr__(self) -> str:
         return (
             f"{type(self).__name__}(n={len(self)}, height={self.height}, "

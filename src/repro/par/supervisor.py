@@ -446,7 +446,8 @@ class ShardSupervisor:
     # Introspection
     # ------------------------------------------------------------------
     def export_state(self, now: Optional[float] = None) -> Dict[str, object]:
-        """A JSON-safe snapshot for the SC501–SC503 sanitizer."""
+        """A JSON-safe snapshot of op logs, checkpoints and slots (what
+        the tests' SC501–SC503 audit reads)."""
         return {
             "format": "repro.par.supervisor/1",
             "now": now,

@@ -26,7 +26,7 @@ import heapq
 import math
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..core.columns import check_deadlines, deadline_planes
+from ..core.columns import check_deadlines, check_objects, deadline_planes
 from ..core.config import JoinConfig
 from ..geometry import Box, KineticBox
 from ..geometry.interval import INF, check_clock
@@ -98,6 +98,7 @@ class ContinuousKNNEngine:
         self.max_speed = float(max_speed)
         check_clock(-INF, start_time)
         self.now = float(start_time)
+        check_objects(objects, self.now)
         self.storage = TreeStorage(buffer_pages=self.config.buffer_pages)
         self.forest = MTBTree(
             t_m=self.config.t_m,
@@ -130,7 +131,13 @@ class ContinuousKNNEngine:
             self._refresh_candidates(t)
 
     def apply_update(self, obj: MovingObject) -> None:
-        """Process an object update at the current timestamp."""
+        """Process an object update at the current timestamp.
+
+        An unknown id (``KeyError``), a NaN/inf/inverted motion or a
+        ``t_ref`` after the clock (``ValueError``) is refused before
+        anything is written.
+        """
+        check_objects([obj], self.now)
         if obj.oid not in self.objects:
             raise KeyError(f"unknown object {obj.oid}")
         self.objects[obj.oid] = obj

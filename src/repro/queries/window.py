@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Mapping, Optional, Set, Tuple
 
-from ..core.columns import check_deadlines, deadline_planes
+from ..core.columns import check_deadlines, check_objects, deadline_planes
 from ..core.config import JoinConfig
 from ..core.result import ColumnResultStore
 from ..geometry import INF, KineticBox, intersection_interval
@@ -59,6 +59,7 @@ class ContinuousWindowEngine:
         self.time_constrained = time_constrained
         self.windows: Dict[int, KineticBox] = dict(windows)
         self.objects: Dict[int, MovingObject] = {o.oid: o for o in objects}
+        check_objects(list(self.objects.values()), self.now)
         clash = self.windows.keys() & self.objects.keys()
         if clash:
             raise ValueError(f"query ids collide with object ids: {sorted(clash)[:5]}")
@@ -103,8 +104,11 @@ class ContinuousWindowEngine:
         """Process one object update at the current timestamp.
 
         Theorem 1: re-evaluate the object against every window over
-        ``[t, t + T_M]`` only.
+        ``[t, t + T_M]`` only.  An unknown id (``KeyError``), a
+        NaN/inf/inverted motion or a ``t_ref`` after the clock
+        (``ValueError``) is refused before anything is written.
         """
+        check_objects([obj], self.now)
         if obj.oid not in self.objects:
             raise KeyError(f"unknown object {obj.oid}")
         self.objects[obj.oid] = obj

@@ -1,18 +1,10 @@
-"""Runtime sanitizer: each corruption is caught with the right SC code,
+"""The sanitizer: each corruption is caught with the right SC code,
 and ``sanitize_engine`` finds nothing on clean engines of every kind."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.check import (
-    InvariantViolation,
-    check_mtb_forest,
-    check_supervisor_state,
-    check_tpr_tree,
-    sanitize_engine,
-)
-from repro.check.sanitize import check_column_result_store
 from repro.core import (
     ColumnarJoinEngine,
     ContinuousJoinEngine,
@@ -27,6 +19,17 @@ from repro.par import ShardedJoinEngine
 
 from ..conftest import random_objects
 from ..reference_store import record_row
+from .errors import InvariantViolation
+from .sanitize import (
+    check_column_result_store,
+    check_column_store,
+    check_delta_ledger,
+    check_mtb_forest,
+    check_supervisor_state,
+    check_tpr_tree,
+    raise_on_findings,
+    sanitize_engine,
+)
 
 
 def codes(findings) -> set:
@@ -237,7 +240,7 @@ class TestSanitizeEngine:
             first[0] = last[0] = (last[0] + 1) % engine.n_shards
             assert "SC402" in codes(sanitize_engine(engine))
             with pytest.raises(InvariantViolation):
-                engine.validate()
+                raise_on_findings(sanitize_engine(engine))
 
     def test_unknown_engine_kind_is_refused(self):
         with pytest.raises(TypeError, match="no sanitizer"):
@@ -346,8 +349,6 @@ class TestColumnStore:
         )
 
     def check(self, store, t_now: float = 0.0):
-        from repro.check.sanitize import check_column_store
-
         return check_column_store(store, t_now)
 
     def test_clean_store_has_no_findings(self):
@@ -441,8 +442,6 @@ class TestDeltaLedger:
         return store, ledger
 
     def check(self, store, ledger):
-        from repro.check.sanitize import check_delta_ledger
-
         return check_delta_ledger(store, ledger)
 
     def test_clean_ledger_has_no_findings(self):

@@ -8,9 +8,11 @@ from typing import List
 import pytest
 from hypothesis import settings
 
-from repro.check import sanitize_engine
+from repro.core.columns import columns_from_objects
 from repro.geometry import Box, KineticBox
 from repro.objects import MovingObject
+
+from .check.sanitize import sanitize_engine
 
 #: ``pytest --hypothesis-profile=ci``: ten times hypothesis's default
 #: example count (the CI ``tests`` job runs the stateful model with it).
@@ -71,7 +73,7 @@ def rng() -> random.Random:
 
 
 def assert_sanitized(*engines) -> None:
-    """Run the :mod:`repro.check` sanitizer on each engine; no findings.
+    """Run the :mod:`tests.check.sanitize` sanitizer on each engine; no findings.
 
     A sharded engine's in-process shards (``workers=0``) are columnar
     engines of their own and are sanitized too.
@@ -106,3 +108,23 @@ HOSTILE_COLUMN_EDITS = {
     "nan-tref": _nan_tref,
     "inverted-box": _inverted_box,
 }
+
+
+def _raw_box(x_lo, x_hi, y_lo, y_hi) -> Box:
+    """A Box built around its constructor's ``lo <= hi`` check."""
+    box = Box(0, 0, 0, 0)
+    object.__setattr__(box, "_b", (x_lo, x_hi, y_lo, y_hi))
+    return box
+
+
+def hostile_object(obj: MovingObject, case: str) -> MovingObject:
+    """``obj`` with one ``HOSTILE_COLUMN_EDITS`` edit applied."""
+    cols = columns_from_objects([obj])
+    HOSTILE_COLUMN_EDITS[case](cols, 0)
+    bad = MovingObject(obj.oid, Box(0, 0, 0, 0), 0.0, 0.0, 0.0)
+    bad.kbox = KineticBox(
+        _raw_box(cols.mlo[0, 0], cols.mhi[0, 0], cols.mlo[1, 0], cols.mhi[1, 0]),
+        _raw_box(cols.vlo[0, 0], cols.vhi[0, 0], cols.vlo[1, 0], cols.vhi[1, 0]),
+        cols.tref[0],
+    )
+    return bad

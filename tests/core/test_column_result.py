@@ -15,7 +15,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.check.sanitize import check_column_result_store
 from repro.core import ColumnarJoinEngine, JoinConfig
 from repro.core.result import ColumnResultStore
 from repro.deltas import DeltaLedger, DeltaSubscription, fold_events
@@ -24,6 +23,7 @@ from repro.geometry.constants import MERGE_TOL
 from repro.join import JoinTriple
 from repro.workloads import make_workload_arrays
 
+from ..check.sanitize import check_column_result_store
 from ..reference_store import JoinResultStore
 
 

@@ -1,21 +1,23 @@
-"""The tree engine's ingest boundary: a refused update, batch, admission
-or dataset leaves the engine exactly as it was.
+"""The object engines' ingest boundary: a refused update, batch,
+admission or dataset leaves the engine exactly as it was.
 
 Two rules, both checked before the first write: every oid of a batch
 resolves (known / not already present / no evict-vs-update clash), and
 no object carries a NaN/inf/inverted motion — the same gate the
-columnar engine applies through ``check_planes``.
+columnar engine applies through ``check_planes``.  The tree engine and
+the self-join, window and kNN engines share the gate
+(``repro.core.columns.check_objects``).
 """
 
 import pytest
 
-from repro.core import ContinuousJoinEngine, JoinConfig
-from repro.core.columns import columns_from_objects
+from repro.core import ContinuousJoinEngine, ContinuousSelfJoinEngine, JoinConfig
 from repro.geometry import Box, KineticBox
 from repro.objects import MovingObject
+from repro.queries import ContinuousKNNEngine, ContinuousWindowEngine
 from repro.workloads import UpdateStream, make_workload
 
-from ..conftest import HOSTILE_COLUMN_EDITS
+from ..conftest import HOSTILE_COLUMN_EDITS, hostile_object
 
 T_M = 8.0
 ALGOS = ["naive", "etp", "tc", "mtb"]
@@ -61,26 +63,6 @@ def state(engine):
     )
 
 
-def raw_box(x_lo, x_hi, y_lo, y_hi):
-    """A Box built around its constructor's ``lo <= hi`` check."""
-    box = Box(0, 0, 0, 0)
-    object.__setattr__(box, "_b", (x_lo, x_hi, y_lo, y_hi))
-    return box
-
-
-def hostile(obj, case):
-    """``obj`` with one ``HOSTILE_COLUMN_EDITS`` edit applied."""
-    cols = columns_from_objects([obj])
-    HOSTILE_COLUMN_EDITS[case](cols, 0)
-    bad = MovingObject(obj.oid, Box(0, 0, 0, 0), 0.0, 0.0, 0.0)
-    bad.kbox = KineticBox(
-        raw_box(cols.mlo[0, 0], cols.mhi[0, 0], cols.mlo[1, 0], cols.mhi[1, 0]),
-        raw_box(cols.vlo[0, 0], cols.vhi[0, 0], cols.vlo[1, 0], cols.vhi[1, 0]),
-        cols.tref[0],
-    )
-    return bad
-
-
 @pytest.mark.parametrize("algorithm", ALGOS)
 def test_rejected_batch_changes_nothing(algorithm):
     scenario, engine = warmed_engine(algorithm)
@@ -95,7 +77,7 @@ def test_rejected_batch_changes_nothing(algorithm):
         engine.apply_updates([good, ghost])
     assert state(engine) == before
     with pytest.raises(ValueError):
-        engine.apply_updates([good, hostile(other, "nan-position")])
+        engine.apply_updates([good, hostile_object(other, "nan-position")])
     assert state(engine) == before
     if algorithm == "etp":
         # No admit/evict hooks: refused, again before the update lands.
@@ -112,7 +94,7 @@ def test_rejected_batch_changes_nothing(algorithm):
         (ValueError, dict(admit=[(other, "b")])),  # already present
         (ValueError, dict(admit=[(ghost, "a"), (ghost, "a")])),
         (ValueError, dict(admit=[(ghost, "c")])),
-        (ValueError, dict(admit=[(hostile(ghost, "inf-velocity"), "a")])),
+        (ValueError, dict(admit=[(hostile_object(ghost, "inf-velocity"), "a")])),
     ]
     for error, extra in refusals:
         with pytest.raises(error):
@@ -140,8 +122,8 @@ def test_hostile_object_rejected_state_unchanged(case):
     scenario, engine = warmed_engine("tc")
     t = engine.now
     before = state(engine)
-    update = hostile(scenario.set_a[3].updated(t, vx=1.0, vy=-1.0), case)
-    newcomer = hostile(MovingObject(GHOST_OID, Box(0, 1, 0, 1), 0.0, 0.0, t), case)
+    update = hostile_object(scenario.set_a[3].updated(t, vx=1.0, vy=-1.0), case)
+    newcomer = hostile_object(MovingObject(GHOST_OID, Box(0, 1, 0, 1), 0.0, 0.0, t), case)
     with pytest.raises(ValueError):
         engine.apply_update(update)
     assert state(engine) == before
@@ -150,8 +132,52 @@ def test_hostile_object_rejected_state_unchanged(case):
     assert state(engine) == before
     for side in ("set_a", "set_b"):
         datasets = {"set_a": list(scenario.set_a), "set_b": list(scenario.set_b)}
-        datasets[side][5] = hostile(datasets[side][5], case)
+        datasets[side][5] = hostile_object(datasets[side][5], case)
         with pytest.raises(ValueError, match="non-finite|inverted"):
             ContinuousJoinEngine(
                 datasets["set_a"], datasets["set_b"], "tc", JoinConfig(t_m=T_M)
             )
+
+
+def extension_engine(name, objects):
+    """A self-join, window or kNN engine over ``objects``."""
+    config = JoinConfig(t_m=T_M)
+    if name == "selfjoin":
+        return ContinuousSelfJoinEngine(objects, config)
+    if name == "window":
+        windows = {90_000: KineticBox.rigid(Box(100, 600, 100, 600), 1.0, 0.5, 0.0)}
+        return ContinuousWindowEngine(objects, windows, config)
+    query = KineticBox.rigid(Box.point(500, 500), 1.0, -1.0, 0.0)
+    return ContinuousKNNEngine(objects, query, k=5, config=config)
+
+
+def extension_state(engine):
+    answer = engine.knn() if isinstance(engine, ContinuousKNNEngine) else engine.result_at()
+    stored = sorted(engine.forest.all_objects(), key=lambda o: o.oid)
+    return dict(engine.objects), stored, answer
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE_COLUMN_EDITS))
+@pytest.mark.parametrize("name", ["selfjoin", "window", "knn"])
+def test_extension_engines_refuse_hostile_objects(name, case):
+    """The tree engine's gate, at build and on update: a NaN position
+    would otherwise join as if it were somewhere."""
+    scenario = make_workload(
+        40, "uniform", max_speed=3.0, object_size_pct=3.0, t_m=T_M, seed=31
+    )
+    objects = list(scenario.set_a)
+    dataset = list(objects)
+    dataset[5] = hostile_object(dataset[5], case)
+    with pytest.raises(ValueError, match="non-finite|inverted"):
+        extension_engine(name, dataset)
+    engine = extension_engine(name, objects)
+    for initial in ("run_initial_join", "evaluate_initial"):
+        if hasattr(engine, initial):
+            getattr(engine, initial)()
+    engine.tick(1.0)
+    before = extension_state(engine)
+    assert before[2], "vacuous: the answer is empty"
+    update = hostile_object(objects[3].updated(1.0, vx=1.0, vy=-1.0), case)
+    with pytest.raises(ValueError, match="non-finite|inverted"):
+        engine.apply_update(update)
+    assert extension_state(engine) == before

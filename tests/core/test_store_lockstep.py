@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.check import sanitize_engine
 from repro.core import ContinuousSelfJoinEngine, JoinConfig
 from repro.geometry import Box, KineticBox
 from repro.queries import ContinuousWindowEngine
 from repro.workloads import UpdateStream, make_workload
 
+from ..check.sanitize import sanitize_engine
 from ..reference_store import Lockstep
 
 T_M = 8.0

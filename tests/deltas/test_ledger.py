@@ -18,7 +18,6 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from repro.check.sanitize import check_delta_ledger
 from repro.core import ColumnarJoinEngine, JoinConfig
 from repro.deltas import (
     DeltaEvent,
@@ -32,6 +31,7 @@ from repro.deltas.ledger import events_from_planes
 from repro.geometry import TimeInterval
 from repro.join import JoinTriple
 
+from ..check.sanitize import check_delta_ledger
 from ..reference_store import JoinResultStore, record_row
 from .conftest import T_M, delta_batches, delta_workload
 

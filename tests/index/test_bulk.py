@@ -8,6 +8,7 @@ from repro.geometry import Box, KineticBox, intersection_interval
 from repro.index import TPRStarTree, bulk_load, collect_tree_stats
 from repro.workloads import uniform_workload
 
+from ..check.sanitize import check_tpr_tree, raise_on_findings
 from ..conftest import random_objects
 
 
@@ -22,14 +23,14 @@ class TestBulkLoad:
         tree = bulk_load(objs, t0=0.0)
         assert len(tree) == 10
         assert tree.height == 1
-        tree.validate(0.0)
+        raise_on_findings(check_tpr_tree(tree, 0.0))
 
     @pytest.mark.parametrize("n", [31, 100, 500, 2000])
     def test_invariants_at_scale(self, n):
         objs = random_objects(2, n)
         tree = bulk_load(objs, t0=0.0)
         assert len(tree) == n
-        tree.validate(0.0)
+        raise_on_findings(check_tpr_tree(tree, 0.0))
 
     def test_duplicate_ids_rejected(self):
         objs = random_objects(3, 5)
@@ -59,7 +60,7 @@ class TestBulkLoad:
         for oid in rng.sample(sorted(by_id), 50):
             tree.delete(oid, 6.0)
             del by_id[oid]
-        tree.validate(6.0)
+        raise_on_findings(check_tpr_tree(tree, 6.0))
         assert len(tree) == 250
 
     def test_packing_quality(self):

@@ -8,6 +8,7 @@ from repro.index import MTBTree, TreeStorage
 from repro.objects import MovingObject
 from repro.geometry import Box
 
+from ..check.sanitize import check_mtb_forest, raise_on_findings
 from ..conftest import random_object
 
 
@@ -90,14 +91,14 @@ class TestMaintenance:
                     next_due[oid] = t + rng.uniform(1, 20)
             if t > 20:
                 assert forest.num_buckets <= 3, (t, forest.num_buckets)
-        forest.validate(t)
+        raise_on_findings(check_mtb_forest(forest, t))
 
     def test_forest_validate_checks_membership(self):
         forest = fresh_forest()
         rng = random.Random(2)
         for oid in range(100):
             forest.insert(random_object(rng, oid), 0.0)
-        forest.validate(0.0)
+        raise_on_findings(check_mtb_forest(forest, 0.0))
 
     def test_delete_returns_stored_version(self):
         forest = fresh_forest()

@@ -9,6 +9,7 @@ from repro.index import TPRStarTree, TreeStorage, bulk_load, max_entries_for_pag
 from repro.objects import MovingObject
 from repro.storage import DEFAULT_PAGE_SIZE
 
+from ..check.sanitize import check_tpr_tree, raise_on_findings
 from ..conftest import random_object, random_objects
 
 TREES = [TPRStarTree]
@@ -53,14 +54,14 @@ class TestConstruction:
     def test_height_grows(self, cls):
         tree, _objects, _ = build_tree(cls, 400, node_capacity=10)
         assert tree.height >= 3
-        tree.validate(0.0)
+        raise_on_findings(check_tpr_tree(tree, 0.0))
 
 
 class TestInvariants:
     @pytest.mark.parametrize("cls", TREES)
     def test_validate_after_bulk_insert(self, cls):
         tree, _objects, _ = build_tree(cls, 500)
-        tree.validate(0.0)
+        raise_on_findings(check_tpr_tree(tree, 0.0))
         assert len(tree) == 500
 
     @pytest.mark.parametrize("cls", TREES)
@@ -73,7 +74,7 @@ class TestInvariants:
                 obj = random_object(rng, oid, t_ref=t)
                 tree.update(obj, t)
                 objects[oid] = obj
-            tree.validate(t)
+            raise_on_findings(check_tpr_tree(tree, t))
         assert tree.guided_delete_misses == 0
 
     @pytest.mark.parametrize("cls", TREES)
@@ -84,7 +85,7 @@ class TestInvariants:
         for i, oid in enumerate(oids):
             tree.delete(oid, 1.0)
             if i % 50 == 0:
-                tree.validate(1.0)
+                raise_on_findings(check_tpr_tree(tree, 1.0))
         assert len(tree) == 0
         assert tree.height == 1
 
@@ -179,7 +180,7 @@ class TestStorageBehaviour:
             obj = random_object(rng, oid)
             tree.insert(obj, 0.0)
             objects[oid] = obj
-        tree.validate(0.0)
+        raise_on_findings(check_tpr_tree(tree, 0.0))
         assert sorted(o.oid for o in tree.all_objects()) == sorted(objects)
 
     def test_node_visits_counted(self):
@@ -192,7 +193,7 @@ class TestStorageBehaviour:
 class TestHorizonSensitivity:
     def test_small_horizon_still_correct(self):
         tree, objects, _ = build_tree(TPRStarTree, 150, horizon=5.0)
-        tree.validate(0.0)
+        raise_on_findings(check_tpr_tree(tree, 0.0))
         region = KineticBox.rigid(Box(100, 400, 100, 400), 0, 0, 0.0)
         got = {oid for oid, _ in tree.search(region, 0.0, 100.0)}
         want = {

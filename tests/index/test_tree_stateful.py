@@ -19,6 +19,8 @@ from repro.geometry import Box, KineticBox, intersection_interval
 from repro.index import TPRStarTree
 from repro.objects import MovingObject
 
+from ..check.sanitize import check_tpr_tree, raise_on_findings
+
 coords = st.floats(min_value=0.0, max_value=500.0, allow_nan=False)
 sides = st.floats(min_value=0.5, max_value=20.0, allow_nan=False)
 speeds = st.floats(min_value=-4.0, max_value=4.0, allow_nan=False)
@@ -85,7 +87,7 @@ class TPRTreeMachine(RuleBasedStateMachine):
     @invariant()
     def structure_valid(self):
         if hasattr(self, "tree") and len(self.model) > 0:
-            self.tree.validate(self.clock)
+            raise_on_findings(check_tpr_tree(self.tree, self.clock))
 
     @invariant()
     def guided_deletes_never_miss(self):

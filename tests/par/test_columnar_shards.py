@@ -22,6 +22,7 @@ from repro.par import ShardedJoinEngine
 from repro.par import worker
 from repro.workloads import UpdateStream
 
+from ..check.sanitize import raise_on_findings, sanitize_sharded_engine
 from ..conftest import assert_sanitized
 from .test_sharded import STEPS, T_M, scenario_for, snapshot
 
@@ -63,7 +64,7 @@ def drive_both(
             assert_sanitized(sharded)
         pair_ticks += bool(want)
     assert pair_ticks > 0, "vacuous run: the answer was always empty"
-    sharded.validate()
+    raise_on_findings(sanitize_sharded_engine(sharded))
     return sharded
 
 

@@ -25,6 +25,8 @@ from repro.faults import (
 from repro.par import ShardCommandError, ShardedJoinEngine
 from repro.workloads import UpdateStream, make_workload
 
+from ..check.sanitize import raise_on_findings, sanitize_sharded_engine
+
 T_M = 8.0
 STEPS = 4
 
@@ -73,7 +75,7 @@ def drive_chaos(faults, shards=4, workers=2, seed=19, **config_kwargs):
         assert snapshot(serial._strategy.store) == snapshot(
             sharded.merged_store()
         ), (faults, t)
-    sharded.validate()
+    raise_on_findings(sanitize_sharded_engine(sharded))
     stats = sharded.fault_stats()
     sharded.close()
     return stats

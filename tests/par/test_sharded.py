@@ -15,7 +15,6 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.check import InvariantViolation, check_sharded_state
 from repro.core import ContinuousJoinEngine, JoinConfig
 from repro.core.columns import UpdateColumns, columns_from_objects
 from repro.geometry import Box
@@ -28,6 +27,8 @@ from repro.workloads import (
     make_workload_arrays,
 )
 
+from ..check.errors import InvariantViolation
+from ..check.sanitize import check_sharded_state, raise_on_findings, sanitize_sharded_engine
 from ..conftest import HOSTILE_COLUMN_EDITS, assert_sanitized
 
 T_M = 8.0
@@ -262,7 +263,7 @@ class TestRejectedBatch:
             # The engine still works, and the accepted batch does land.
             engine.apply_updates([known, other])
             assert engine.update_count == before[4] + 2
-            engine.validate()
+            raise_on_findings(sanitize_sharded_engine(engine))
 
 
     @pytest.mark.parametrize("hostile", [
@@ -391,4 +392,4 @@ class TestExportAndSanitizer:
         _cols, _first, last = colocated._sides["a"]
         last[0] = 0  # object 1's halo now claims to stop at stripe 0
         with pytest.raises(InvariantViolation):
-            colocated.validate()
+            raise_on_findings(sanitize_sharded_engine(colocated))

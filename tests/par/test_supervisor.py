@@ -13,7 +13,6 @@ import signal
 import numpy as np
 import pytest
 
-from repro.check import check_supervisor_state
 from repro.core import JoinConfig
 from repro.core.columns import UpdateColumns
 from repro.par import (
@@ -24,6 +23,8 @@ from repro.par import (
 )
 from repro.par import worker
 from repro.workloads import make_workload
+
+from ..check.sanitize import check_supervisor_state
 
 T_M = 8.0
 #: An ``OP_OPS`` payload that changes nothing (still op-logged).

@@ -11,7 +11,6 @@ MODULES = [
     "repro.index",
     "repro.join",
     "repro.core",
-    "repro.check",
     "repro.par",
     "repro.workloads",
     "repro.queries",

@@ -1,4 +1,5 @@
-"""Every engine's clock refuses NaN, ±inf, backwards and late moves.
+"""Every engine's clock refuses NaN, ±inf, backwards and late moves,
+and every engine refuses a report from after its clock.
 
 A clock check written ``if t < now: raise`` lets NaN through (every
 comparison with NaN is false), and a NaN clock lets the next tick run
@@ -8,11 +9,17 @@ deadline, and must keep its clock, its ledger clock and its answer; a
 constructor refuses a non-finite start time.  Every read refuses a time
 before the clock and NaN: an update drops its object's past intervals,
 so such an answer would be silently wrong.
+
+An object whose ``t_ref`` is after the clock has its deadline ``t_ref +
+T_M`` past every Theorem-1 window ``[now, now + T_M]``: no tick would
+ever find it late, and TC would drop its pairs once the window it was
+joined over ran out.  Every constructor and every update refuses it.
 """
 
 from __future__ import annotations
 
 import math
+import multiprocessing
 
 import pytest
 
@@ -32,16 +39,25 @@ from repro.workloads import make_workload
 
 T_M = 10.0
 REFUSED = (math.nan, math.inf, -math.inf, 1.0)
+#: A reference time after every clock these tests set.
+AHEAD = 30.0
 
 
 def config(deltas=True):
     return JoinConfig(t_m=T_M, deltas=deltas)
 
 
-def build(name, start_time=0.0):
-    """One engine of the named kind over one 80-object scenario."""
-    scenario = make_workload(80, "uniform", t_m=T_M, seed=1, object_size_pct=4)
-    a, b, at = scenario.set_a, scenario.set_b, {"start_time": start_time}
+def scenario():
+    return make_workload(80, "uniform", t_m=T_M, seed=1, object_size_pct=4)
+
+
+def build(name, start_time=0.0, first_report=None):
+    """One engine of the named kind over one 80-object scenario; with
+    ``first_report``, the first A object reports at that time instead."""
+    made = scenario()
+    a, b, at = list(made.set_a), made.set_b, {"start_time": start_time}
+    if first_report is not None:
+        a[0] = a[0].updated(first_report)
     kind, _, algorithm = name.partition("-")
     if kind == "tree":
         return ContinuousJoinEngine(a, b, algorithm, config(algorithm != "etp"), **at)
@@ -157,3 +173,41 @@ def test_delta_clocks_refuse_what_the_engines_refuse(source):
 def test_non_finite_start_time_is_refused(name, start_time):
     with pytest.raises(ValueError, match="not finite"):
         build(name, start_time)
+
+
+def registry(engine):
+    """Every object the engine holds, as ``oid -> MovingObject``."""
+    if hasattr(engine, "objects_a"):
+        return {**engine.objects_a, **engine.objects_b}
+    return dict(engine.objects)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_report_after_the_clock_is_refused_at_build(name):
+    with pytest.raises(ValueError, match="after the clock"):
+        build(name, first_report=AHEAD)
+
+
+def test_sharded_refuses_a_report_after_the_clock_before_any_worker_starts():
+    made = scenario()
+    a = [made.set_a[0].updated(AHEAD), *made.set_a[1:]]
+    before = multiprocessing.active_children()
+    with pytest.raises(ValueError, match="after the clock"):
+        ShardedJoinEngine(a, made.set_b, "mtb", config(False), shards=2, workers=1)
+    assert multiprocessing.active_children() == before
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_report_after_the_clock_is_refused_on_update(name):
+    engine = start(name)
+    objects, want = registry(engine), answer(engine)
+    count = getattr(engine, "update_count", None)
+    first = min(objects)
+    vx, vy = objects[first].velocity
+    with pytest.raises(ValueError):
+        engine.apply_update(objects[first].updated(engine.now + 1.0, vx=vx + 1.0))
+    assert registry(engine) == objects, name
+    assert answer(engine) == want, name
+    assert getattr(engine, "update_count", None) == count, name
+    if hasattr(engine, "close"):
+        engine.close()

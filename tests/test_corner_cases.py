@@ -9,6 +9,8 @@ from repro.index import TPRStarTree
 from repro.join import brute_force_join, brute_force_pairs_at, naive_join, tc_join
 from repro.objects import MovingObject
 
+from .check.sanitize import check_tpr_tree, raise_on_findings
+
 
 class TestStaticWorlds:
     """Zero velocity everywhere: the join degenerates to the static case."""
@@ -68,7 +70,7 @@ class TestStackedObjects:
             storage_tree.insert(o, 0.0)
         for o in objs_b:
             tree_b.insert(o, 0.0)
-        storage_tree.validate(0.0)
+        raise_on_findings(check_tpr_tree(storage_tree, 0.0))
         triples = tc_join(storage_tree, tree_b, 0.0, 30.0)
         assert len(triples) == 80 * 80  # everyone overlaps everyone
 
@@ -155,7 +157,7 @@ class TestPointObjects:
             )
             objs_b.append(obj)
             tree_b.insert(obj, 0.0)
-        tree_a.validate(0.0)
+        raise_on_findings(check_tpr_tree(tree_a, 0.0))
         got = sorted((t.a_oid, t.b_oid) for t in tc_join(tree_a, tree_b, 0.0, 20.0))
         want = sorted(
             (t.a_oid, t.b_oid) for t in brute_force_join(objs_a, objs_b, 0.0, 20.0)
@@ -189,6 +191,6 @@ class TestExtremeParameters:
             )
             objs.append(obj)
             tree.insert(obj, 0.0)
-        tree.validate(0.0)
+        raise_on_findings(check_tpr_tree(tree, 0.0))
         hits = {oid for oid, _ in tree.search(q, 0.0, 1.0)}
         assert hits == {o.oid for o in objs}

@@ -2,8 +2,8 @@
 
 Theorems 1-2: under the ``T_M`` contract, after any sequence of ticks,
 update batches, admissions and evictions, the maintained answer equals
-the join over the current motions, and every engine refuses a tick that
-would break the contract, changing nothing.  One hypothesis state machine
+the join over the current motions, and every engine refuses a tick or a
+report that would break the contract, changing nothing.  One hypothesis state machine
 drives every serial engine that keeps a result store in lockstep, and
 after every rule holds each to :func:`repro.join.brute_force_pairs_at`
 over the model's objects, to the engines that must store the very same
@@ -30,13 +30,13 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, ru
 
 import pytest
 
-from repro.check import sanitize_engine
 from repro.core import ColumnarJoinEngine, ContinuousJoinEngine, JoinConfig, LateObjectError
 from repro.deltas import DeltaLedger, DeltaView, fold_events
 from repro.geometry import Box
 from repro.join import brute_force_pairs_at
 from repro.objects import MovingObject
 
+from .check.sanitize import sanitize_engine
 from .reference_store import Lockstep
 
 T_M = 4.0
@@ -145,6 +145,14 @@ class JoinModel(RuleBasedStateMachine):
     def oids(self):
         return sorted(self.model["a"]) + sorted(self.model["b"])
 
+    def state(self, name):
+        """What a refused update must leave alone in one engine."""
+        engine, store = self.engines[name], self.stores[name]
+        return (
+            dict(engine.objects_a), dict(engine.objects_b), engine.update_count,
+            store.interval_rows(), engine.ledger.ticks(), engine.deltas(),
+        )
+
     def apply(self, updates, admit, evict):
         for name, engine in self.engines.items():
             if name == "tc-reversed":
@@ -220,6 +228,28 @@ class JoinModel(RuleBasedStateMachine):
             assert refused.value.oids == want, name
             assert engine.now == engine.ledger.now == store.clock == self.now, name
             assert (store.interval_rows(), engine.ledger.ticks(), engine.deltas()) == kept, name
+
+    @rule(
+        dt=st.sampled_from([0.25, 1.0, 2 * T_M]),
+        pick=st.integers(0),
+        admit=st.booleans(),
+    )
+    def future(self, dt, pick, admit):
+        """A report from after the clock (an update or an admission)
+        is refused whole: its deadline lies past every window."""
+        oids = self.oids()
+        oid = oids[pick % len(oids)]
+        side = "a" if oid in self.model["a"] else "b"
+        if admit:
+            newcomer = mover(self.next_oid[side], (0, 0, 1, 1, 0, 0), self.now + dt)
+            batch = dict(batch=[], admit=[(newcomer, side)])
+        else:
+            batch = dict(batch=[re_reported(self.model[side][oid], self.now + dt)])
+        for name, engine in self.engines.items():
+            kept = self.state(name)
+            with pytest.raises(ValueError):
+                engine.apply_updates(**batch)
+            assert self.state(name) == kept, name
 
     @rule(h=st.sampled_from([0.25, 1.0, 2.5, 4.0, 6.0]))
     def read_ahead(self, h):
