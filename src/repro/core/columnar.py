@@ -56,16 +56,15 @@ from .columns import (
     ObjectsView,
     UpdateColumns,
     check_deadlines,
-    check_not_ahead,
-    check_planes,
+    check_ingest,
     columns_from_objects,
-    has_duplicates,
+    pack_admissions,
     pack_updates,
 )
 from .config import JoinConfig
 from .result import ColumnResultStore, DeltaSource
 
-__all__ = ["ColumnarJoinEngine", "COLUMNAR_ALGORITHMS"]
+__all__ = ["ColumnarJoinEngine", "COLUMNAR_ALGORITHMS", "check_same_tick"]
 
 PairKey = Tuple[int, int]
 
@@ -76,13 +75,22 @@ COLUMNAR_ALGORITHMS = ("tc", "mtb")
 Dataset = Union[ColumnStore, UpdateColumns, Iterable[MovingObject]]
 
 
-def _as_store(objects: Dataset) -> ColumnStore:
+def _as_columns(objects: Dataset) -> UpdateColumns:
+    """A dataset as the column batch the ingest gate reads."""
     if isinstance(objects, ColumnStore):
-        check_planes(objects.batch())
-        return objects
+        return objects.columns()
     if isinstance(objects, UpdateColumns):
-        return ColumnStore.from_columns(objects)
-    return ColumnStore.from_objects(objects)
+        return objects
+    return columns_from_objects(list(objects))
+
+
+def check_same_tick(t: float, *batches: UpdateColumns) -> None:
+    """The group commit's precondition, not an ingest rule: every row
+    referenced at ``t``, so every probe window starts at ``t`` (the
+    order-independence argument of :meth:`ColumnarJoinEngine.
+    apply_update_columns`)."""
+    if any((cols.tref != t).any() for cols in batches):
+        raise ValueError("columnar updates must carry t_ref == engine.now")
 
 
 class ColumnarJoinEngine(Recorded, DeltaSource):
@@ -131,20 +139,14 @@ class ColumnarJoinEngine(Recorded, DeltaSource):
 
             self.ledger = DeltaLedger(self.now)
             self.store.attach_ledger(self.ledger)
+        given = (objects_a, objects_b)
         with self.tracker.timed():
-            self.columns_a = _as_store(objects_a)
-            self.columns_b = _as_store(objects_b)
-        check_not_ahead(
-            self.now,
-            *((cols.tref[: cols.n], cols.oids) for cols in (self.columns_a, self.columns_b)),
-        )
-        # Neither side repeats an id (each store refused that), so a
-        # repeat in the two sides together is an id they share: one sort,
-        # and the shared ids are named only when there are some.
-        if has_duplicates(np.concatenate([self.columns_a.oids, self.columns_b.oids])):
-            overlap = np.intersect1d(self.columns_a.oids, self.columns_b.oids)
-            raise ValueError(
-                f"object ids shared across datasets: {overlap[:5].tolist()}"
+            cols_a, cols_b = (_as_columns(objects) for objects in given)
+            check_ingest(self.now, admit=(cols_a, cols_b))
+            # An adopted store is kept, not copied.
+            self.columns_a, self.columns_b = (
+                objects if isinstance(objects, ColumnStore) else ColumnStore.from_columns(cols)
+                for objects, cols in zip(given, (cols_a, cols_b))
             )
         self._record(
             "columnar-engine",
@@ -225,17 +227,9 @@ class ColumnarJoinEngine(Recorded, DeltaSource):
         strictly same-tick; feed historical batches to the object
         engine instead).
         """
-        upd_a, upd_b = pack_updates(batch, self.columns_a, self.columns_b)
-        admissions = list(admit)
-        adm_a = [o for o, ds in admissions if ds == "a"]
-        adm_b = [o for o, ds in admissions if ds == "b"]
-        if len(adm_a) + len(adm_b) != len(admissions):
-            raise ValueError("admission datasets must be 'a' or 'b'")
         self.apply_update_columns(
-            upd_a,
-            upd_b,
-            admit_a=columns_from_objects(adm_a) if adm_a else None,
-            admit_b=columns_from_objects(adm_b) if adm_b else None,
+            *pack_updates(batch, self.columns_a.find),
+            *pack_admissions(list(admit)),
             evict=evict,
         )
 
@@ -264,39 +258,26 @@ class ColumnarJoinEngine(Recorded, DeltaSource):
         from either probe (both windows start at ``t``), and re-adding
         an identical interval is a no-op merge.
 
-        The whole call is resolved before the first write — every row
-        referenced at the clock with finite ordered bounds, no id named
-        twice across the five arguments, updated and evicted ids known
-        (``KeyError``), admitted ids new to both datasets
-        (``ValueError``) — so a refused batch leaves the column stores,
-        the result store, the ledger and ``update_count`` as they were.
+        The whole call passes the ingest gate
+        (:func:`~repro.core.columns.check_ingest`) and the precondition
+        above (:func:`check_same_tick`) before the first write, so a
+        refused batch leaves the column stores, the result store, the
+        ledger and ``update_count`` as they were.
         """
         t = self.now
         cols_a, cols_b = self.columns_a, self.columns_b
         admit_a = admit_a if admit_a is not None else UpdateColumns.empty()
         admit_b = admit_b if admit_b is not None else UpdateColumns.empty()
-        # Strict same-tick contract: the order-independence argument
-        # above needs every probe window to start at ``t``.
-        for cols in (upd_a, upd_b, admit_a, admit_b):
-            cols.check_tick(t)
         evict = np.asarray(evict, dtype=np.int64).reshape(-1)
-        changed = np.concatenate([upd_a.oid, upd_b.oid, evict])
-        admitted = np.concatenate([admit_a.oid, admit_b.oid])
-        if has_duplicates(np.concatenate([changed, admitted])):
-            raise ValueError("object id named twice in one update batch")
-        rows_a = cols_a.rows_of(upd_a.oid)
-        rows_b = cols_b.rows_of(upd_b.oid)
-        evict_a = cols_a.find(evict) >= 0
-        evict_b = cols_b.find(evict) >= 0
-        unknown = ~(evict_a | evict_b)
-        if unknown.any():
-            raise KeyError(f"unknown object id {int(evict[unknown.argmax()])}")
-        stored = (cols_a.find(admitted) >= 0) | (cols_b.find(admitted) >= 0)
-        if stored.any():
-            raise ValueError(f"object {int(admitted[stored.argmax()])} already stored")
+        (rows_a, rows_b), (evict_a, evict_b) = check_ingest(
+            t, (cols_a.find, cols_b.find), (upd_a, upd_b), (admit_a, admit_b), evict
+        )
+        check_same_tick(t, upd_a, upd_b, admit_a, admit_b)
         # Nothing above wrote anything; nothing below can fail.
         self.update_count += len(upd_a) + len(upd_b)
-        n_ops = changed.shape[0] + admitted.shape[0]
+        changed = np.concatenate([upd_a.oid, upd_b.oid, evict])
+        admitted = len(admit_a) + len(admit_b)
+        n_ops = changed.shape[0] + admitted
         with self.tracker.timed(), self._span("engine.update_batch", t=t, n=n_ops):
             if evict.shape[0]:
                 cols_a.remove(evict[evict_a])
@@ -305,7 +286,7 @@ class ColumnarJoinEngine(Recorded, DeltaSource):
                 rows_a = rows_b = None
             rows_a = np.concatenate([cols_a.apply(upd_a, rows=rows_a), cols_a.add(admit_a)])
             rows_b = np.concatenate([cols_b.apply(upd_b, rows=rows_b), cols_b.add(admit_b)])
-            self._keep_ends(rows_a, rows_b, moved=bool(evict.shape[0] or admitted.shape[0]))
+            self._keep_ends(rows_a, rows_b, moved=bool(evict.shape[0] or admitted))
             if changed.shape[0]:
                 # One membership pass invalidates every stale pair
                 # (equivalent to per-oid removal: the ids are distinct

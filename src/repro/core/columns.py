@@ -29,11 +29,12 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Callable, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..geometry import NDIMS, Box, KineticBatch
+from ..geometry import NDIMS, Box, KineticBatch, KineticBox
 from ..geometry.kernels import STACK_ROWS, radix_argsort, stack_planes
 from ..objects import MovingObject
 
@@ -43,11 +44,13 @@ __all__ = [
     "ObjectsView",
     "LateObjectError",
     "check_deadlines",
-    "check_not_ahead",
-    "check_objects",
+    "check_ingest",
     "check_planes",
+    "columns_from_boxes",
     "columns_from_objects",
+    "pack_admissions",
     "pack_updates",
+    "registry_find",
     "merge_interval_planes",
     "pair_keys",
     "pair_lexsort",
@@ -55,6 +58,14 @@ __all__ = [
 ]
 
 _MIN_CAPACITY = 8
+
+#: No object ids, and none held: empty planes, never written.
+_NO_IDS = np.empty(0, dtype=np.int64)
+_NO_HITS = np.empty(0, dtype=bool)
+
+#: :meth:`KineticBox.params` fields (``x_lo, x_hi, y_lo, y_hi``, the
+#: velocity bounds alike, ``t_ref``) in ``mlo, mhi, vlo, vhi, tref`` order.
+_PLANE_ROWS = np.array([0, 2, 1, 3, 4, 6, 5, 7, 8])
 
 #: Two oids in ``[0, 2**_PACK_BITS)`` pack into one int64 pair key.
 _PACK_BITS = 31
@@ -146,6 +157,16 @@ def has_duplicates(ids: np.ndarray) -> bool:
     """Whether any value occurs twice in an integer array."""
     ids = np.sort(ids)
     return bool((ids[1:] == ids[:-1]).any())
+
+
+def later_copies(ids: np.ndarray) -> np.ndarray:
+    """Mask of every occurrence of a value after its first, in array order
+    (the stable order keeps a repeated value's occurrences in it)."""
+    order = radix_argsort(ids)
+    ranked = ids[order]
+    later = np.zeros(ids.shape[0], dtype=bool)
+    later[order[1:][ranked[1:] == ranked[:-1]]] = True
+    return later
 
 
 def pair_run_starts(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -276,31 +297,7 @@ class UpdateColumns:
     @classmethod
     def empty(cls) -> "UpdateColumns":
         """A zero-length batch."""
-        return cls(
-            np.empty(0, dtype=np.int64),
-            np.empty((NDIMS, 0)),
-            np.empty((NDIMS, 0)),
-            np.empty((NDIMS, 0)),
-            np.empty((NDIMS, 0)),
-            np.empty(0),
-        )
-
-    @classmethod
-    def from_objects(cls, objs: Sequence[MovingObject]) -> "UpdateColumns":
-        """Pack a sequence of objects (order preserved)."""
-        return columns_from_objects(objs)
-
-    def check_tick(self, t: float) -> None:
-        """Raise unless this is a valid same-tick group-commit batch:
-        finite ordered bounds (:func:`check_planes`), every row
-        referenced at ``t`` and no object id twice."""
-        if len(self) == 0:
-            return
-        check_planes(self)
-        if not np.all(self.tref == t):
-            raise ValueError("columnar updates must carry t_ref == engine.now")
-        if has_duplicates(self.oid):
-            raise ValueError("duplicate object ids in one update batch")
+        return columns_from_boxes([], [])
 
     def take(self, index: np.ndarray) -> "UpdateColumns":
         """The rows selected by a boolean mask or index array (copied)."""
@@ -315,21 +312,7 @@ class UpdateColumns:
 
     def objects(self) -> List[MovingObject]:
         """Materialize the batch as :class:`MovingObject` instances."""
-        return [
-            MovingObject(
-                int(self.oid[i]),
-                Box(
-                    float(self.mlo[0, i]),
-                    float(self.mhi[0, i]),
-                    float(self.mlo[1, i]),
-                    float(self.mhi[1, i]),
-                ),
-                float(self.vlo[0, i]),
-                float(self.vlo[1, i]),
-                t_ref=float(self.tref[i]),
-            )
-            for i in range(len(self))
-        ]
+        return [_object_at(self, i) for i in range(len(self))]
 
 
 def check_planes(cols) -> None:
@@ -337,15 +320,19 @@ def check_planes(cols) -> None:
     of ``cols`` (an :class:`UpdateColumns` or a :class:`KineticBatch`
     view) is finite and no lower bound exceeds its upper bound.
 
-    The ingest gate of the columnar path: a NaN or infinity would flow
+    The plane rule of :func:`check_ingest`: a NaN or infinity would flow
     into the sweep's ``argsort``/``searchsorted`` and yield an arbitrary
     answer instead of an error (:class:`~repro.geometry.Box` rejects
     inverted bounds on the object path but lets non-finite ones pass).
     """
-    for name in ("mlo", "mhi", "vlo", "vhi", "tref"):
-        if not np.isfinite(getattr(cols, name)).all():
-            raise ValueError(f"non-finite value in column {name!r}")
-    if (cols.mlo > cols.mhi).any() or (cols.vlo > cols.vhi).any():
+    # One stacked array: a one-object batch pays for few NumPy calls.
+    bounds = np.array((cols.mlo, cols.vlo, cols.mhi, cols.vhi))
+    finite = np.count_nonzero(np.isfinite(bounds)) + np.count_nonzero(np.isfinite(cols.tref))
+    if finite != bounds.size + cols.tref.size:
+        for name in ("mlo", "mhi", "vlo", "vhi", "tref"):
+            if not np.isfinite(getattr(cols, name)).all():
+                raise ValueError(f"non-finite value in column {name!r}")
+    if np.count_nonzero(bounds[:2] > bounds[2:]):
         raise ValueError("inverted bounds: lower bound above upper bound")
 
 
@@ -379,35 +366,6 @@ def check_deadlines(t: float, t_m: float, *sides: Tuple[np.ndarray, np.ndarray])
     raise LateObjectError(t, np.sort(late).tolist())
 
 
-def check_not_ahead(now: float, *sides: Tuple[np.ndarray, np.ndarray]) -> None:
-    """Raise ``ValueError`` when some object reports from after the
-    clock, ``t_ref > now``.
-
-    Such an object's deadline ``t_ref + T_M`` lies past every Theorem-1
-    window ``[now, now + T_M]`` the engine opens, so
-    :class:`LateObjectError` would never name it and TC would drop its
-    pairs.  ``sides`` are ``(tref, oid)`` plane pairs: one ``max`` a
-    side decides, and the ids are gathered only for a refusal.
-    """
-    if not any(tref.shape[0] and tref.max() > now for tref, _oid in sides):
-        return
-    ahead = np.sort(np.concatenate([oid[tref > now] for tref, oid in sides]))
-    raise ValueError(
-        f"{ahead.shape[0]} object(s) report t_ref after the clock "
-        f"t={now:g}: {ahead[:5].tolist()}"
-    )
-
-
-def check_objects(objs: Sequence[MovingObject], now: float) -> None:
-    """The object engines' ingest gate, before any write: a NaN/inf
-    MBR, velocity or ``t_ref`` or inverted bounds (:func:`check_planes`,
-    the columnar engine's rule) and a report from after the clock
-    ``now`` (:func:`check_not_ahead`) raise ``ValueError``."""
-    cols = columns_from_objects(objs)
-    check_planes(cols)
-    check_not_ahead(now, (cols.tref, cols.oid))
-
-
 def deadline_planes(registry: Mapping[int, MovingObject]) -> Tuple[np.ndarray, np.ndarray]:
     """The ``(tref, oid)`` planes of an ``oid -> MovingObject`` registry,
     the tree-side engines' input to :func:`check_deadlines`."""
@@ -415,45 +373,117 @@ def deadline_planes(registry: Mapping[int, MovingObject]) -> Tuple[np.ndarray, n
     return tref, np.fromiter(registry, dtype=np.int64, count=len(registry))
 
 
+def check_ingest(
+    now: float,
+    find: Sequence[Callable[[np.ndarray], np.ndarray]] = (),
+    update: Sequence[UpdateColumns] = (),
+    admit: Sequence[UpdateColumns] = (),
+    evict: np.ndarray = _NO_IDS,
+) -> Tuple[List[np.ndarray], List[np.ndarray]]:
+    """Every engine's ingest gate: refuse a build, an update batch, an
+    admission or an eviction before anything is written (Theorems 1 and
+    2 hold only while every object has one motion and reports in time).
+
+    ``find[i]`` gives the row of each id dataset ``i`` holds, ``-1``
+    elsewhere (:meth:`ColumnStore.find`, :func:`registry_find`).
+    ``update[i]`` are new states of ids dataset ``i`` holds, ``admit[i]``
+    new objects joining it, ``evict`` ids some dataset holds; a build
+    admits whole datasets into empty ones.  ``ValueError``: a NaN/inf or
+    inverted bound (:func:`check_planes`), a ``t_ref`` after ``now``, an
+    id named twice anywhere in the call or held by a dataset it joins.
+    ``KeyError``: an updated or evicted id its dataset does not hold.
+    Returns per dataset the rows of its updates and the mask of ``evict``.
+    """
+    oids, named = [], evict.shape[0]
+    for cols in (*update, *admit):
+        if len(cols):
+            check_planes(cols)
+            if np.count_nonzero(cols.tref > now):
+                ahead = np.sort(cols.oid[cols.tref > now])
+                raise ValueError(
+                    f"{ahead.shape[0]} object(s) report t_ref after the clock "
+                    f"t={now:g}: {ahead[:5].tolist()}"
+                )
+            oids.append(cols.oid)
+            named += len(cols)
+    if named > 1 and has_duplicates(np.concatenate([*oids, evict])):
+        raise ValueError(_named_twice(admit, np.concatenate([*oids, evict])))
+    rows = [lookup(cols.oid) if len(cols) else _NO_IDS for lookup, cols in zip(find, update)]
+    for cols, found in zip(update, rows):
+        if np.count_nonzero(found < 0):
+            raise KeyError(f"unknown object id {int(cols.oid[(found < 0).argmax()])}")
+    held = [lookup(evict) >= 0 if evict.shape[0] else _NO_HITS for lookup in find]
+    if evict.shape[0] and not np.logical_or.reduce(held).all():
+        unknown = ~np.logical_or.reduce(held)
+        raise KeyError(f"unknown object id {int(evict[unknown.argmax()])}")
+    admitted = [cols.oid for cols in admit if len(cols)]
+    if admitted and find:
+        admitted = np.concatenate(admitted)
+        stored = np.logical_or.reduce([lookup(admitted) >= 0 for lookup in find])
+        if stored.any():
+            raise ValueError(f"object {int(admitted[stored.argmax()])} already stored")
+    return rows, held
+
+
+def _named_twice(admit: Sequence[UpdateColumns], ids: np.ndarray) -> str:
+    """Why :func:`check_ingest` refuses ``ids``, which repeat a value: an
+    id repeated in one dataset's admissions (its first later copy), or
+    the first five ids shared across datasets or named twice in the call."""
+    for cols in admit:
+        later = later_copies(cols.oid)
+        if later.any():
+            return f"object {int(cols.oid[later.argmax()])} already stored"
+    admitted = np.concatenate([_NO_IDS, *(cols.oid for cols in admit)])
+    for pool, where in ((admitted, "shared across datasets"), (ids, "named twice in one batch")):
+        pool = np.sort(pool)
+        repeats = np.unique(pool[1:][pool[1:] == pool[:-1]])
+        if repeats.shape[0]:
+            return f"object ids {where}: {repeats[:5].tolist()}"
+
+
+def registry_find(*registries: Mapping[int, object]) -> Callable[[np.ndarray], np.ndarray]:
+    """:meth:`ColumnStore.find` over ``oid -> object`` registries, for
+    :func:`check_ingest`: ``0`` where one holds the id, ``-1`` elsewhere."""
+    return lambda oids: np.array(
+        [0 if any(oid in held for held in registries) else -1 for oid in oids.tolist()],
+        dtype=np.int64,
+    )
+
+
+def columns_from_boxes(oids: Sequence[int], boxes: Sequence[KineticBox]) -> UpdateColumns:
+    """Pack parallel ids and kinetic boxes into an :class:`UpdateColumns`
+    batch (order preserved)."""
+    params = chain.from_iterable(map(KineticBox.params, boxes))
+    # One C-ordered (9, k) array whose row pairs are the planes.
+    p = np.fromiter(params, np.float64, 9 * len(oids)).reshape(-1, 9).T.take(_PLANE_ROWS, 0)
+    return UpdateColumns(np.array(oids, dtype=np.int64), p[0:2], p[2:4], p[4:6], p[6:8], p[8])
+
+
 def columns_from_objects(objs: Sequence[MovingObject]) -> UpdateColumns:
     """Pack moving objects into an :class:`UpdateColumns` batch."""
-    k = len(objs)
-    out = UpdateColumns(
-        np.empty(k, dtype=np.int64),
-        np.empty((NDIMS, k)),
-        np.empty((NDIMS, k)),
-        np.empty((NDIMS, k)),
-        np.empty((NDIMS, k)),
-        np.empty(k),
-    )
-    for i, obj in enumerate(objs):
-        kb = obj.kbox
-        out.oid[i] = obj.oid
-        out.tref[i] = kb.t_ref
-        for d in range(NDIMS):
-            out.mlo[d, i] = kb.mbr.lo(d)
-            out.mhi[d, i] = kb.mbr.hi(d)
-            out.vlo[d, i] = kb.vbr.lo(d)
-            out.vhi[d, i] = kb.vbr.hi(d)
-    return out
+    return columns_from_boxes([obj.oid for obj in objs], [obj.kbox for obj in objs])
 
 
 def pack_updates(
-    batch: Iterable[MovingObject], columns_a: "ColumnStore", columns_b: "ColumnStore"
+    batch: Iterable[MovingObject], find_a: Callable[[np.ndarray], np.ndarray]
 ) -> Tuple[UpdateColumns, UpdateColumns]:
-    """Split an object batch by the dataset holding each id and pack
-    both halves (batch order kept); an unknown id is a ``KeyError``."""
+    """Pack an object batch as the ids dataset A holds (``find_a``, a
+    :func:`check_ingest` lookup) and the rest, batch order kept."""
     batch = list(batch)
-    oids = np.fromiter((obj.oid for obj in batch), dtype=np.int64, count=len(batch))
-    in_a = columns_a.find(oids) >= 0
-    in_b = columns_b.find(oids) >= 0
-    unknown = ~(in_a | in_b)
-    if unknown.any():
-        raise KeyError(f"unknown object id {int(oids[unknown.argmax()])}")
+    in_a = (find_a(np.array([obj.oid for obj in batch], dtype=np.int64)) >= 0).tolist()
     return (
-        columns_from_objects([obj for obj, hit in zip(batch, in_a.tolist()) if hit]),
-        columns_from_objects([obj for obj, hit in zip(batch, (in_b & ~in_a).tolist()) if hit]),
+        columns_from_objects([obj for obj, hit in zip(batch, in_a) if hit]),
+        columns_from_objects([obj for obj, hit in zip(batch, in_a) if not hit]),
     )
+
+
+def pack_admissions(admit: Sequence[Tuple[MovingObject, str]]) -> Tuple[UpdateColumns, ...]:
+    """Pack ``(object, "a" | "b")`` admissions as dataset A's and B's,
+    order kept, or as nothing when there are none."""
+    if any(dataset not in ("a", "b") for _obj, dataset in admit):
+        raise ValueError("admission datasets must be 'a' or 'b'")
+    sides = ([obj for obj, dataset in admit if dataset == side] for side in "ab")
+    return tuple(map(columns_from_objects, sides)) if admit else ()
 
 
 class ColumnStore:
@@ -521,9 +551,7 @@ class ColumnStore:
 
     @classmethod
     def from_columns(cls, cols: UpdateColumns) -> "ColumnStore":
-        """Build a store from a pre-packed column batch (refused by
-        :func:`check_planes` when non-finite or inverted)."""
-        check_planes(cols)
+        """Build a store from a pre-packed column batch."""
         store = cls(capacity=len(cols))
         store.add(cols)
         return store
@@ -540,12 +568,8 @@ class ColumnStore:
         k = len(cols)
         if k == 0:
             return np.empty(0, dtype=np.int64)
-        # Named already: stored, or earlier in this batch (the stable
-        # order keeps a repeated id's occurrences in batch order).
-        order = radix_argsort(cols.oid)
-        ids = cols.oid[order]
-        named = self.find(cols.oid) >= 0
-        named[order[1:][ids[1:] == ids[:-1]]] = True
+        # Named already: stored, or earlier in this batch.
+        named = (self.find(cols.oid) >= 0) | later_copies(cols.oid)
         if named.any():
             raise ValueError(f"object {int(cols.oid[named.argmax()])} already stored")
         self._ensure(k)
@@ -715,18 +739,7 @@ class ColumnStore:
     # ------------------------------------------------------------------
     def object_at(self, row: int) -> MovingObject:
         """Reconstruct one row as a :class:`MovingObject`."""
-        return MovingObject(
-            int(self.oid[row]),
-            Box(
-                float(self.mlo[0, row]),
-                float(self.mhi[0, row]),
-                float(self.mlo[1, row]),
-                float(self.mhi[1, row]),
-            ),
-            float(self.vlo[0, row]),
-            float(self.vlo[1, row]),
-            t_ref=float(self.tref[row]),
-        )
+        return _object_at(self, row)
 
     def get(self, oid: int) -> MovingObject:
         """Reconstruct the object stored under ``oid``."""
@@ -783,6 +796,15 @@ class ColumnStore:
 
     def __repr__(self) -> str:
         return f"ColumnStore(n={self.n}, capacity={self.tref.shape[0]})"
+
+
+def _object_at(cols, i: int) -> MovingObject:
+    """Row ``i`` of an :class:`UpdateColumns` or a :class:`ColumnStore`
+    as a :class:`MovingObject` (rigid: the lower velocity bounds)."""
+    box = Box(*(float(bound[d, i]) for d in range(NDIMS) for bound in (cols.mlo, cols.mhi)))
+    return MovingObject(
+        int(cols.oid[i]), box, float(cols.vlo[0, i]), float(cols.vlo[1, i]), float(cols.tref[i])
+    )
 
 
 def _id_array(oids: Iterable[int]) -> np.ndarray:

@@ -39,7 +39,14 @@ from ..join import (
 from ..metrics import CostSnapshot, CostTracker
 from ..obs.recorder import Recorded
 from ..objects import MovingObject
-from .columns import check_deadlines, check_objects, deadline_planes
+from .columns import (
+    check_deadlines,
+    check_ingest,
+    columns_from_objects,
+    deadline_planes,
+    pack_admissions,
+    registry_find,
+)
 from .config import JoinConfig
 from .result import ColumnResultStore, DeltaSource
 
@@ -69,13 +76,14 @@ class ContinuousJoinEngine(Recorded, DeltaSource):
         check_clock(-INF, start_time)
         self.now = float(start_time)
         self.start_time = float(start_time)
-        self.objects_a: Dict[int, MovingObject] = {o.oid: o for o in objects_a}
-        self.objects_b: Dict[int, MovingObject] = {o.oid: o for o in objects_b}
-        overlap = self.objects_a.keys() & self.objects_b.keys()
-        if overlap:
-            raise ValueError(f"object ids shared across datasets: {sorted(overlap)[:5]}")
-        check_objects(list(self.objects_a.values()), self.now)
-        check_objects(list(self.objects_b.values()), self.now)
+        set_a, set_b = list(objects_a), list(objects_b)
+        check_ingest(self.now, admit=(columns_from_objects(set_a), columns_from_objects(set_b)))
+        # The gate refused any repeated id: no registry collapses one.
+        self.objects_a: Dict[int, MovingObject] = {o.oid: o for o in set_a}
+        self.objects_b: Dict[int, MovingObject] = {o.oid: o for o in set_b}
+        # One update stream over both datasets: an id's dataset is the
+        # one holding it, so the gate gets one lookup for the two.
+        self._find = registry_find(self.objects_a, self.objects_b)
         self.storage = TreeStorage(buffer_pages=self.config.buffer_pages)
         self.tracker: CostTracker = self.storage.tracker
         self._record(
@@ -159,11 +167,11 @@ class ContinuousJoinEngine(Recorded, DeltaSource):
         """Process one object update at the current timestamp.
 
         The object's dataset is inferred from its id; its stored motion
-        is replaced and the maintained answer repaired.  An unknown id
-        (``KeyError``), a NaN/inf/inverted motion or a ``t_ref`` after
-        the clock (``ValueError``) is refused before anything is written.
+        is replaced and the maintained answer repaired.  The ingest gate
+        (:func:`~repro.core.columns.check_ingest`) refuses it before
+        anything is written.
         """
-        check_objects([obj], self.now)
+        check_ingest(self.now, (self._find,), (columns_from_objects([obj]),))
         self._update(obj, self._dataset_of(obj.oid))
 
     def apply_updates(
@@ -176,66 +184,40 @@ class ContinuousJoinEngine(Recorded, DeltaSource):
         """Apply a batch of object updates, one object at a time.
 
         Evictions run first, then one update per object of ``batch`` in
-        order (an oid may repeat), then the admissions — the paper's
-        per-update maintenance (§IV), so every index access is charged
-        exactly as an explicit :meth:`apply_update` loop charges it.
-        ``admit`` adds brand-new ``(object, dataset)`` members and
-        ``evict`` removes objects entirely (index + result store).
+        order, then the admissions — the paper's per-update maintenance
+        (§IV), so every index access is charged exactly as an explicit
+        :meth:`apply_update` loop charges it.  ``admit`` adds brand-new
+        ``(object, dataset)`` members and ``evict`` removes objects
+        entirely (index + result store).
 
-        The whole batch is resolved before the first write: an unknown
-        or twice-evicted id (``KeyError``), an already-present or
-        twice-admitted object, an id both evicted and updated/admitted,
-        a NaN/inf/inverted motion or a ``t_ref`` after the clock
-        (``ValueError``) refuses the batch and leaves object tables,
-        indexes, store and ``update_count`` untouched.
+        The whole batch passes the ingest gate
+        (:func:`~repro.core.columns.check_ingest`) before the first
+        write, so a refused batch (an id named twice among them) leaves
+        object tables, indexes, store and ``update_count`` untouched.
         """
-        updates = list(batch)
-        admissions = list(admit)
-        evictions = list(evict)
-        newcomers = [obj for obj, _ds in admissions]
-        admitted = [obj.oid for obj in newcomers]
-        clashes = set(evictions) & ({obj.oid for obj in updates} | set(admitted))
-        if clashes:
-            raise ValueError(
-                f"objects both evicted and updated/admitted: {sorted(clashes)[:5]}"
-            )
-        check_objects(updates + newcomers, self.now)
-        if len(set(evictions)) != len(evictions):
-            raise KeyError("object id evicted twice in one batch")
-        if len(set(admitted)) != len(admitted):
-            raise ValueError("object admitted twice in one batch")
-        if evictions:
+        updates, admissions = list(batch), list(admit)
+        evictions = np.array(evict, dtype=np.int64).reshape(-1)
+        if evictions.shape[0]:
             self._require_hook("on_evict")
-        evicted = [(oid, self._dataset_of(oid)) for oid in evictions]
-        updated = [(obj, self._dataset_of(obj.oid)) for obj in updates]
-        for obj, dataset in admissions:
-            self._check_admission(obj, dataset)
-        for oid, dataset in evicted:
-            self._evict(oid, dataset)
-        for obj, dataset in updated:
-            self._update(obj, dataset)
+        if admissions:
+            self._require_hook("on_admit")
+        packed = (columns_from_objects(updates),)
+        check_ingest(self.now, (self._find,), packed, pack_admissions(admissions), evictions)
+        for oid in evictions.tolist():
+            self._evict(oid, self._dataset_of(oid))
+        for obj in updates:
+            self._update(obj, self._dataset_of(obj.oid))
         for obj, dataset in admissions:
             self._admit(obj, dataset)
 
-    # -- resolution (reads only), then the three per-object writes -----
+    # -- the three per-object writes, of ids the gate resolved -----------
     def _dataset_of(self, oid: int) -> str:
-        if oid in self.objects_a:
-            return "a"
-        if oid in self.objects_b:
-            return "b"
-        raise KeyError(f"unknown object id {oid}")
+        return "a" if oid in self.objects_a else "b"
 
     def _require_hook(self, name: str) -> None:
         """ETP keeps no interval store and has no admit/evict hooks."""
         if not hasattr(self._strategy, name):
             raise ValueError(f"algorithm {self.algorithm!r} does not support {name}")
-
-    def _check_admission(self, obj: MovingObject, dataset: str) -> None:
-        if dataset not in ("a", "b"):
-            raise ValueError(f"unknown dataset {dataset!r}")
-        if obj.oid in self.objects_a or obj.oid in self.objects_b:
-            raise ValueError(f"object {obj.oid} already present")
-        self._require_hook("on_admit")
 
     def _registry(self, dataset: str) -> Dict[int, MovingObject]:
         return self.objects_a if dataset == "a" else self.objects_b

@@ -23,7 +23,13 @@ from ..join import JoinTriple, mtb_join_object, naive_join
 from ..metrics import CostSnapshot, CostTracker
 from ..obs.recorder import Recorded
 from ..objects import MovingObject
-from .columns import check_deadlines, check_objects, deadline_planes
+from .columns import (
+    check_deadlines,
+    check_ingest,
+    columns_from_objects,
+    deadline_planes,
+    registry_find,
+)
 from .config import JoinConfig
 from .result import ColumnResultStore
 
@@ -46,8 +52,8 @@ class ContinuousSelfJoinEngine(Recorded):
         self.now = float(start_time)
         self.start_time = float(start_time)
         objects = list(objects)
-        check_objects(objects, self.now)
-        self.objects: Dict[int, MovingObject] = {}
+        check_ingest(self.now, admit=(columns_from_objects(objects),))
+        self.objects: Dict[int, MovingObject] = {obj.oid: obj for obj in objects}
         self.storage = TreeStorage(buffer_pages=self.config.buffer_pages)
         self.tracker: CostTracker = self.storage.tracker
         self._record("selfjoin", t_m=self.config.t_m)
@@ -59,9 +65,6 @@ class ContinuousSelfJoinEngine(Recorded):
         )
         with self._span("engine.build"):
             for obj in objects:
-                if obj.oid in self.objects:
-                    raise ValueError(f"duplicate object id {obj.oid}")
-                self.objects[obj.oid] = obj
                 self.forest.insert(obj, self.now)
         self.store = ColumnResultStore()
         self.initial_join_cost: Optional[CostSnapshot] = None
@@ -99,13 +102,10 @@ class ContinuousSelfJoinEngine(Recorded):
     def apply_update(self, obj: MovingObject) -> None:
         """Replace one object's motion and repair the answer.
 
-        An unknown id (``KeyError``), a NaN/inf/inverted motion or a
-        ``t_ref`` after the clock (``ValueError``) is refused before
-        anything is written, as on the tree engine.
+        The ingest gate (:func:`~repro.core.columns.check_ingest`)
+        refuses it before anything is written, as on the tree engine.
         """
-        check_objects([obj], self.now)
-        if obj.oid not in self.objects:
-            raise KeyError(f"unknown object {obj.oid}")
+        check_ingest(self.now, (registry_find(self.objects),), (columns_from_objects([obj]),))
         self.objects[obj.oid] = obj
         t = self.now
         with self.tracker.timed(), self._span("engine.update", t=t):

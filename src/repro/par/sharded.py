@@ -45,12 +45,14 @@ from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 import numpy as np
 
+from ..core.columnar import check_same_tick
 from ..core.columns import (
     ColumnStore,
     ObjectsView,
     UpdateColumns,
     check_deadlines,
-    check_not_ahead,
+    check_ingest,
+    columns_from_objects,
     pack_updates,
 )
 from ..core.config import JoinConfig
@@ -134,17 +136,9 @@ class ShardedJoinEngine:
         self.start_time = float(start_time)
         self.workers = int(workers)
         set_a, set_b = list(objects_a), list(objects_b)
-        self.columns_a = ColumnStore.from_objects(set_a)
-        self.columns_b = ColumnStore.from_objects(set_b)
-        check_not_ahead(
-            self.now,
-            *((cols.tref[: cols.n], cols.oids) for cols in (self.columns_a, self.columns_b)),
-        )
-        overlap = np.intersect1d(self.columns_a.oids, self.columns_b.oids)
-        if overlap.shape[0]:
-            raise ValueError(
-                f"object ids shared across datasets: {overlap[:5].tolist()}"
-            )
+        packed = (columns_from_objects(set_a), columns_from_objects(set_b))
+        check_ingest(self.now, admit=packed)
+        self.columns_a, self.columns_b = map(ColumnStore.from_columns, packed)
         self.partition = StripePartition.fit(set_a + set_b, shards, axis)
         #: Per dataset: the registry plus the ``(first, last)`` stripe
         #: of every row's halo (row-aligned; the parent never removes a
@@ -174,8 +168,10 @@ class ShardedJoinEngine:
             self._backend = _SerialBackend()
         self._closed = False
         builds: "OrderedDict[int, List[Tuple]]" = OrderedDict()
+        # The registries hold the packed rows in order: ship those.
         whole = [
-            (cols.columns(), first, last) for cols, first, last in self._sides.values()
+            (cols, first, last)
+            for cols, (_store, first, last) in zip(packed, self._sides.values())
         ]
         for sid in shard_ids:
             subsets = [
@@ -253,9 +249,7 @@ class ShardedJoinEngine:
 
     def apply_updates(self, batch: Iterable[MovingObject]) -> None:
         """Object-batch shim over :meth:`apply_update_columns`."""
-        self.apply_update_columns(
-            *pack_updates(batch, self.columns_a, self.columns_b)
-        )
+        self.apply_update_columns(*pack_updates(batch, self.columns_a.find))
 
     def apply_update_columns(
         self, upd_a: UpdateColumns, upd_b: UpdateColumns
@@ -285,9 +279,7 @@ class ShardedJoinEngine:
         tick instead of three.
         """
         self._check_tick(t)
-        payloads = self._route(
-            *pack_updates(batch, self.columns_a, self.columns_b), t
-        )
+        payloads = self._route(*pack_updates(batch, self.columns_a.find), t)
         self.now = t
         cmds: "OrderedDict[int, List[Tuple]]" = OrderedDict()
         for sid in range(self.n_shards):
@@ -327,14 +319,17 @@ class ShardedJoinEngine:
         engine's ``apply_update_columns``, rows in batch order; shards
         the batch does not touch get none.
 
-        The whole batch is validated (known ids, unique ids, ``tref ==
-        t``) and routed before any state is written, so a rejected
-        batch leaves parent and shards exactly as they were.
+        The whole batch passes the ingest gate
+        (:func:`~repro.core.columns.check_ingest`) and the group
+        commit's ``t_ref == t`` precondition, and is routed, before any
+        state is written, so a rejected batch leaves parent and shards
+        exactly as they were.
         """
+        finds = [cols.find for cols, _first, _last in self._sides.values()]
+        found, _ = check_ingest(t, finds, (upd_a, upd_b))
+        check_same_tick(t, upd_a, upd_b)
         routed = []
-        for upd, (cols, first, last) in zip((upd_a, upd_b), self._sides.values()):
-            upd.check_tick(t)
-            rows = cols.rows_of(upd.oid)
+        for upd, rows, (_cols, first, last) in zip((upd_a, upd_b), found, self._sides.values()):
             routed.append(
                 (upd, rows, (first[rows], last[rows]), self._route_columns(upd))
             )

@@ -26,7 +26,15 @@ import heapq
 import math
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..core.columns import check_deadlines, check_objects, deadline_planes
+from ..core.columns import (
+    check_deadlines,
+    check_ingest,
+    check_planes,
+    columns_from_boxes,
+    columns_from_objects,
+    deadline_planes,
+    registry_find,
+)
 from ..core.config import JoinConfig
 from ..geometry import Box, KineticBox
 from ..geometry.interval import INF, check_clock
@@ -90,6 +98,7 @@ class ContinuousKNNEngine:
     ):
         if k <= 0:
             raise ValueError("k must be positive")
+        check_planes(columns_from_boxes([0], [query]))
         if query.mbr.area != 0.0:
             raise ValueError("query must be a moving point (zero extent)")
         self.config = config if config is not None else JoinConfig()
@@ -98,7 +107,7 @@ class ContinuousKNNEngine:
         self.max_speed = float(max_speed)
         check_clock(-INF, start_time)
         self.now = float(start_time)
-        check_objects(objects, self.now)
+        check_ingest(self.now, admit=(columns_from_objects(objects),))
         self.storage = TreeStorage(buffer_pages=self.config.buffer_pages)
         self.forest = MTBTree(
             t_m=self.config.t_m,
@@ -106,9 +115,8 @@ class ContinuousKNNEngine:
             buckets_per_tm=self.config.buckets_per_tm,
             node_capacity=self.config.node_capacity,
         )
-        self.objects: Dict[int, MovingObject] = {}
+        self.objects: Dict[int, MovingObject] = {obj.oid: obj for obj in objects}
         for obj in objects:
-            self.objects[obj.oid] = obj
             self.forest.insert(obj, self.now)
         self._candidates: Set[int] = set()
         self._window_end = self.now
@@ -133,13 +141,10 @@ class ContinuousKNNEngine:
     def apply_update(self, obj: MovingObject) -> None:
         """Process an object update at the current timestamp.
 
-        An unknown id (``KeyError``), a NaN/inf/inverted motion or a
-        ``t_ref`` after the clock (``ValueError``) is refused before
-        anything is written.
+        The ingest gate (:func:`~repro.core.columns.check_ingest`)
+        refuses it before anything is written.
         """
-        check_objects([obj], self.now)
-        if obj.oid not in self.objects:
-            raise KeyError(f"unknown object {obj.oid}")
+        check_ingest(self.now, (registry_find(self.objects),), (columns_from_objects([obj]),))
         self.objects[obj.oid] = obj
         self.forest.update(obj, self.now)
         # Cheap incremental repair: the updated object may enter or

@@ -21,7 +21,15 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Mapping, Optional, Set, Tuple
 
-from ..core.columns import check_deadlines, check_objects, deadline_planes
+from ..core.columns import (
+    UpdateColumns,
+    check_deadlines,
+    check_ingest,
+    columns_from_boxes,
+    columns_from_objects,
+    deadline_planes,
+    registry_find,
+)
 from ..core.config import JoinConfig
 from ..core.result import ColumnResultStore
 from ..geometry import INF, KineticBox, intersection_interval
@@ -38,8 +46,10 @@ class ContinuousWindowEngine:
     """Maintains the answers of many continuous window queries at once.
 
     ``windows`` maps query id → kinetic box (static windows are kinetic
-    boxes with zero velocity).  Query ids and object ids must be
-    disjoint.  Results are ``(query_id, oid)`` pairs.
+    boxes with zero velocity).  The windows are the engine's second
+    dataset: they pass the ingest gate as the objects do, so a query id
+    equal to an object id, or a non-finite, inverted or after-the-clock
+    window, is refused.  Results are ``(query_id, oid)`` pairs.
     """
 
     def __init__(
@@ -57,12 +67,11 @@ class ContinuousWindowEngine:
         #: used by the extension benchmark; answers are identical, cost
         #: is not.
         self.time_constrained = time_constrained
-        self.windows: Dict[int, KineticBox] = dict(windows)
+        objects, windows = list(objects), dict(windows)
+        queries = columns_from_boxes(list(windows), list(windows.values()))
+        check_ingest(self.now, admit=(columns_from_objects(objects), queries))
+        self.windows: Dict[int, KineticBox] = windows
         self.objects: Dict[int, MovingObject] = {o.oid: o for o in objects}
-        check_objects(list(self.objects.values()), self.now)
-        clash = self.windows.keys() & self.objects.keys()
-        if clash:
-            raise ValueError(f"query ids collide with object ids: {sorted(clash)[:5]}")
         self.storage = TreeStorage(buffer_pages=self.config.buffer_pages)
         self.tracker: CostTracker = self.storage.tracker
         self.forest = MTBTree(
@@ -104,13 +113,11 @@ class ContinuousWindowEngine:
         """Process one object update at the current timestamp.
 
         Theorem 1: re-evaluate the object against every window over
-        ``[t, t + T_M]`` only.  An unknown id (``KeyError``), a
-        NaN/inf/inverted motion or a ``t_ref`` after the clock
-        (``ValueError``) is refused before anything is written.
+        ``[t, t + T_M]`` only.  The ingest gate
+        (:func:`~repro.core.columns.check_ingest`) refuses it before
+        anything is written.
         """
-        check_objects([obj], self.now)
-        if obj.oid not in self.objects:
-            raise KeyError(f"unknown object {obj.oid}")
+        check_ingest(self.now, (registry_find(self.objects),), (columns_from_objects([obj]),))
         self.objects[obj.oid] = obj
         t = self.now
         self.forest.update(obj, t)
@@ -123,9 +130,11 @@ class ContinuousWindowEngine:
                 self.store.add(JoinTriple(qid, obj.oid, interval))
 
     def add_window(self, qid: int, window: KineticBox) -> None:
-        """Register a new continuous window query at the current time."""
-        if qid in self.windows or qid in self.objects:
-            raise ValueError(f"id {qid} already in use")
+        """Register a new continuous window query at the current time:
+        admitted to the windows through the ingest gate."""
+        finds = (registry_find(self.objects), registry_find(self.windows))
+        query = columns_from_boxes([qid], [window])
+        check_ingest(self.now, finds, admit=(UpdateColumns.empty(), query))
         self.windows[qid] = window
         if self._evaluated:
             for _key, t_eb, tree in self.forest.trees():

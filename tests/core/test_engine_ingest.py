@@ -1,12 +1,15 @@
 """The object engines' ingest boundary: a refused update, batch,
 admission or dataset leaves the engine exactly as it was.
 
-Two rules, both checked before the first write: every oid of a batch
-resolves (known / not already present / no evict-vs-update clash), and
-no object carries a NaN/inf/inverted motion — the same gate the
-columnar engine applies through ``check_planes``.  The tree engine and
-the self-join, window and kNN engines share the gate
-(``repro.core.columns.check_objects``).
+Every engine passes its input through one gate,
+``repro.core.columns.check_ingest``, before the first write: no object
+carries a NaN/inf/inverted motion or a ``t_ref`` after the clock, no id
+is named twice in one call (a repeated update, eviction or admission, or
+an id both evicted and updated), updated and evicted ids are known
+(``KeyError``) and admitted ids are new.  This file holds the tree
+engine and the self-join, window and kNN engines to the cases a tree
+engine batch can express; ``tests/test_clock.py`` holds every engine to
+every refusal.
 """
 
 import pytest
@@ -89,7 +92,7 @@ def test_rejected_batch_changes_nothing(algorithm):
         return
     refusals = [
         (KeyError, dict(evict=[ghost.oid])),
-        (KeyError, dict(evict=[other.oid, other.oid])),
+        (ValueError, dict(evict=[other.oid, other.oid])),
         (ValueError, dict(evict=[good.oid])),  # evicted and updated
         (ValueError, dict(admit=[(other, "b")])),  # already present
         (ValueError, dict(admit=[(ghost, "a"), (ghost, "a")])),
@@ -102,17 +105,21 @@ def test_rejected_batch_changes_nothing(algorithm):
         assert state(engine) == before, extra
 
 
-def test_repeated_oid_applies_in_order():
-    scenario, engine = warmed_engine("mtb")
-    _scenario, twin = warmed_engine("mtb")
+@pytest.mark.parametrize("algorithm", ALGOS)
+def test_repeated_oid_in_one_batch_is_refused(algorithm):
+    """An id updated twice in one batch is named twice: refused whole,
+    where two ``apply_update`` calls apply both motions in order."""
+    scenario, engine = warmed_engine(algorithm)
     t = engine.now
     first = scenario.set_a[0].updated(t, vx=1.0, vy=-1.0)
     second = scenario.set_a[0].updated(t, vx=-2.0, vy=0.5)
-    engine.apply_updates([first, second])
-    twin.apply_update(first)
-    twin.apply_update(second)
+    before = state(engine)
+    with pytest.raises(ValueError, match=rf"object ids named twice in one batch: \[{first.oid}\]"):
+        engine.apply_updates([first, second])
+    assert state(engine) == before
+    engine.apply_update(first)
+    engine.apply_update(second)
     assert engine.objects_a[first.oid] is second
-    assert state(engine)[2:5] == state(twin)[2:5]
 
 
 @pytest.mark.parametrize("case", sorted(HOSTILE_COLUMN_EDITS))
@@ -181,3 +188,26 @@ def test_extension_engines_refuse_hostile_objects(name, case):
     with pytest.raises(ValueError, match="non-finite|inverted"):
         engine.apply_update(update)
     assert extension_state(engine) == before
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE_COLUMN_EDITS))
+def test_query_boxes_pass_the_plane_rule(case):
+    """A NaN/inf or inverted query window or kNN query is refused: a
+    NaN window would otherwise answer as if it met nothing."""
+    scenario = make_workload(
+        40, "uniform", max_speed=3.0, object_size_pct=3.0, t_m=T_M, seed=31
+    )
+    objects, config = list(scenario.set_a), JoinConfig(t_m=T_M)
+    query = MovingObject(90_000, Box.point(500, 500), 1.0, -1.0, 0.0)
+    bad = hostile_object(query, case).kbox
+    with pytest.raises(ValueError, match="non-finite|inverted"):
+        ContinuousWindowEngine(objects, {90_000: bad}, config)
+    with pytest.raises(ValueError, match="non-finite|inverted"):
+        ContinuousKNNEngine(objects, bad, k=1, config=config)
+    engine = extension_engine("window", objects)
+    engine.evaluate_initial()
+    before = dict(engine.windows), extension_state(engine)
+    assert before[1][2], "vacuous: the answer is empty"
+    with pytest.raises(ValueError, match="non-finite|inverted"):
+        engine.add_window(90_001, bad)
+    assert (dict(engine.windows), extension_state(engine)) == before

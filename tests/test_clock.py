@@ -14,6 +14,10 @@ An object whose ``t_ref`` is after the clock has its deadline ``t_ref +
 T_M`` past every Theorem-1 window ``[now, now + T_M]``: no tick would
 ever find it late, and TC would drop its pairs once the window it was
 joined over ran out.  Every constructor and every update refuses it.
+
+The same engines meet every other ingest refusal too (DESIGN §5.5):
+NaN/inf or inverted motion, unknown ids, and an id named twice within a
+dataset, across datasets or in one call.  A refused call changes nothing.
 """
 
 from __future__ import annotations
@@ -33,9 +37,12 @@ from repro.core import (
 )
 from repro.deltas import DeltaLedger
 from repro.geometry import Box, KineticBox
+from repro.objects import MovingObject
 from repro.par import ShardedJoinEngine
 from repro.queries import ContinuousKNNEngine, ContinuousWindowEngine
 from repro.workloads import make_workload
+
+from .conftest import hostile_object
 
 T_M = 10.0
 REFUSED = (math.nan, math.inf, -math.inf, 1.0)
@@ -51,13 +58,17 @@ def scenario():
     return make_workload(80, "uniform", t_m=T_M, seed=1, object_size_pct=4)
 
 
-def build(name, start_time=0.0, first_report=None):
-    """One engine of the named kind over one 80-object scenario; with
-    ``first_report``, the first A object reports at that time instead."""
+def build(name, start_time=0.0, edit=None):
+    """One engine of the named kind over one 80-object scenario;
+    ``edit(a, b, windows)`` may change the datasets and windows first."""
     made = scenario()
-    a, b, at = list(made.set_a), made.set_b, {"start_time": start_time}
-    if first_report is not None:
-        a[0] = a[0].updated(first_report)
+    a, b, at = list(made.set_a), list(made.set_b), {"start_time": start_time}
+    windows = {
+        90_000 + i: KineticBox.rigid(Box(x, x + 400, 200, 600), 1.0, 0.5, 0.0)
+        for i, x in enumerate((100, 500))
+    }
+    if edit is not None:
+        edit(a, b, windows)
     kind, _, algorithm = name.partition("-")
     if kind == "tree":
         return ContinuousJoinEngine(a, b, algorithm, config(algorithm != "etp"), **at)
@@ -68,10 +79,6 @@ def build(name, start_time=0.0, first_report=None):
     if kind == "selfjoin":
         return ContinuousSelfJoinEngine(a, config(False), **at)
     if kind == "window":
-        windows = {
-            90_000 + i: KineticBox.rigid(Box(x, x + 400, 200, 600), 1.0, 0.5, 0.0)
-            for i, x in enumerate((100, 500))
-        }
         return ContinuousWindowEngine(a, windows, config(False), **at)
     query = KineticBox.rigid(Box.point(500, 500), 1.0, -1.0, 0.0)
     return ContinuousKNNEngine(a, query, k=5, config=config(False), **at)
@@ -185,7 +192,7 @@ def registry(engine):
 @pytest.mark.parametrize("name", NAMES)
 def test_report_after_the_clock_is_refused_at_build(name):
     with pytest.raises(ValueError, match="after the clock"):
-        build(name, first_report=AHEAD)
+        build(name, edit=lambda a, b, windows: a.__setitem__(0, a[0].updated(AHEAD)))
 
 
 def test_sharded_refuses_a_report_after_the_clock_before_any_worker_starts():
@@ -209,5 +216,115 @@ def test_report_after_the_clock_is_refused_on_update(name):
     assert registry(engine) == objects, name
     assert answer(engine) == want, name
     assert getattr(engine, "update_count", None) == count, name
+    if hasattr(engine, "close"):
+        engine.close()
+
+
+GHOST = 777_777  # in no dataset and no window
+
+
+def renamed(obj, oid):
+    """``obj``'s motion under another id."""
+    return MovingObject(oid, obj.kbox.mbr, *obj.velocity, t_ref=obj.t_ref)
+
+
+def replace(dataset, index, make):
+    dataset[index] = make(dataset[index])
+
+
+#: Refused builds: ``(error, edit of (a, b, windows), engines)``; an
+#: engine list of ``None`` means every engine.
+BUILD_REFUSALS = {
+    "non-finite": (ValueError, lambda a, b, w: replace(
+        a, 3, lambda obj: hostile_object(obj, "nan-position")), None),
+    "inverted": (ValueError, lambda a, b, w: replace(
+        a, 3, lambda obj: hostile_object(obj, "inverted-box")), None),
+    "after the clock": (ValueError, lambda a, b, w: replace(
+        a, 3, lambda obj: obj.updated(AHEAD)), None),
+    "id twice in a dataset": (ValueError, lambda a, b, w: replace(
+        a, 1, lambda obj: renamed(obj, a[0].oid)), None),
+    # Two datasets: A and B, or the window engine's objects and windows.
+    "id in two datasets": (
+        ValueError,
+        lambda a, b, w: (replace(b, 0, lambda obj: renamed(obj, a[0].oid)),
+                         w.__setitem__(a[0].oid, w.pop(90_001))),
+        [n for n in NAMES if n not in ("selfjoin", "knn")],
+    ),
+}
+
+#: Engines whose update entry takes a batch, and those that also admit
+#: and evict (ETP has no admit/evict hooks and refuses both outright).
+BATCHED = [n for n in NAMES if n.startswith(("tree", "columnar", "sharded"))]
+MEMBERS = [n for n in BATCHED if n not in ("tree-etp", "sharded")]
+
+#: Refused calls on a running engine: ``(error, call(engine, x, now),
+#: engines)`` where ``x`` is a stored A object reporting at the clock.
+CALL_REFUSALS = {
+    "non-finite": (ValueError, lambda e, x, now: e.apply_update(
+        hostile_object(x, "inf-velocity")), None),
+    "inverted": (ValueError, lambda e, x, now: e.apply_update(
+        hostile_object(x, "inverted-box")), None),
+    "after the clock": (ValueError, lambda e, x, now: e.apply_update(
+        x.updated(now + 1.0)), None),
+    "unknown id": (KeyError, lambda e, x, now: e.apply_update(renamed(x, GHOST)), None),
+    "id updated twice": (ValueError, lambda e, x, now: e.apply_updates(
+        [x, x.updated(now, vx=-2.0)]), BATCHED),
+    "unknown eviction": (KeyError, lambda e, x, now: e.apply_updates(
+        [], evict=[GHOST]), MEMBERS),
+    "id evicted twice": (ValueError, lambda e, x, now: e.apply_updates(
+        [], evict=[x.oid, x.oid]), MEMBERS),
+    "id evicted and updated": (ValueError, lambda e, x, now: e.apply_updates(
+        [x], evict=[x.oid]), MEMBERS),
+    "stored id admitted": (ValueError, lambda e, x, now: e.apply_updates(
+        [], admit=[(x, "b")]), MEMBERS),
+    "id admitted twice": (ValueError, lambda e, x, now: e.apply_updates(
+        [], admit=[(renamed(x, GHOST), "a")] * 2), MEMBERS),
+    "id admitted to both datasets": (ValueError, lambda e, x, now: e.apply_updates(
+        [], admit=[(renamed(x, GHOST), "a"), (renamed(x, GHOST), "b")]), MEMBERS),
+    "object id as a window id": (ValueError, lambda e, x, now: e.add_window(
+        x.oid, KineticBox.rigid(Box(0, 1, 0, 1), 0.0, 0.0, now)), ["window"]),
+    "window id twice": (ValueError, lambda e, x, now: e.add_window(
+        90_000, KineticBox.rigid(Box(0, 1, 0, 1), 0.0, 0.0, now)), ["window"]),
+}
+
+
+def cases(table):
+    return [
+        pytest.param(name, case, id=f"{name}:{case}")
+        for case, (_error, _do, names) in table.items()
+        for name in (NAMES if names is None else names)
+    ]
+
+
+@pytest.mark.parametrize("name, case", cases(BUILD_REFUSALS))
+def test_every_engine_refuses_every_ingest_fault_at_build(name, case):
+    error, edit, _names = BUILD_REFUSALS[case]
+    with pytest.raises(error):
+        engine = build(name, edit=edit)
+        if hasattr(engine, "close"):
+            engine.close()
+
+
+def ingest_state(engine):
+    """What a refused call must leave alone."""
+    return (
+        registry(engine),
+        dict(getattr(engine, "windows", {})),
+        answer(engine),
+        getattr(engine, "update_count", None),
+        clocks(engine),
+    )
+
+
+@pytest.mark.parametrize("name, case", cases(CALL_REFUSALS))
+def test_every_engine_refuses_every_ingest_fault_on_a_call(name, case):
+    error, call, _names = CALL_REFUSALS[case]
+    engine = start(name)
+    before = ingest_state(engine)
+    assert before[2], "vacuous: the answer at t=5 is empty"
+    stored = before[0][min(before[0])]
+    with pytest.raises(error):
+        call(engine, stored.updated(engine.now, vx=1.0, vy=-1.0), engine.now)
+    assert ingest_state(engine) == before, (name, case)
     if hasattr(engine, "close"):
         engine.close()

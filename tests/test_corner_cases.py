@@ -1,9 +1,12 @@
 """Corner cases across the stack: degenerate workloads that historically
 break spatial index implementations."""
 
+import math
+import random
+
 import pytest
 
-from repro.core import ContinuousJoinEngine, JoinConfig
+from repro.core import ColumnarJoinEngine, ContinuousJoinEngine, JoinConfig
 from repro.geometry import Box, INF, KineticBox
 from repro.index import TPRStarTree
 from repro.join import brute_force_join, brute_force_pairs_at, naive_join, tc_join
@@ -194,3 +197,70 @@ class TestExtremeParameters:
         raise_on_findings(check_tpr_tree(tree, 0.0))
         hits = {oid for oid, _ in tree.search(q, 0.0, 1.0)}
         assert hits == {o.oid for o in objs}
+
+
+class TestGrazingAtTheFarCorner:
+    """Contacts that last an instant or slide along an edge, at the far
+    corner of the space of 1M objects a side (side ``1000 * sqrt(1000)``,
+    ``benchmarks/bench_scale.py``'s constant density).  Finite motions
+    are accepted as given (DESIGN §5.5), so coordinates this large must
+    round alike in every engine: each answers the same at every tick."""
+
+    SIDE = 1000.0 * math.sqrt(1000.0)
+    T_M = 10.0
+
+    def touching_pairs(self, seed, n=40):
+        """``n`` A/B pairs that touch at an integer tick: corner to corner
+        for one instant, or edge to edge while sliding past."""
+        rng = random.Random(seed)
+        objs_a, objs_b = [], []
+        for i in range(n):
+            side = rng.uniform(0.5, 3.0)
+            tau = float(rng.randint(1, 9))
+            x, y = (rng.uniform(self.SIDE - 200.0, self.SIDE - 2 * side) for _ in "xy")
+            va = (rng.uniform(-3, 3), rng.uniform(-3, 3))
+            if i % 2:
+                # B's lower-left corner meets A's upper-right one at tau,
+                # closing in x and parting in y: one instant of contact.
+                vb = (va[0] - rng.uniform(0.1, 2), va[1] + rng.uniform(0.1, 2))
+                at_tau = (x + side, y + side)
+            else:
+                # B's left edge lies on A's right edge, sliding in y.
+                vb = (va[0], va[1] + rng.uniform(-2, 2))
+                at_tau = (x + side, y + rng.uniform(-side, side))
+            objs_a.append(self.mover(i, (x, y), side, va, tau))
+            objs_b.append(self.mover(100_000 + i, at_tau, side, vb, tau))
+        return objs_a, objs_b
+
+    @staticmethod
+    def mover(oid, at_tau, side, velocity, tau):
+        """A square with its lower-left corner at ``at_tau`` at ``tau``,
+        reported at 0."""
+        x, y = (p - v * tau for p, v in zip(at_tau, velocity))
+        return MovingObject(oid, Box(x, x + side, y, y + side), *velocity, 0.0)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_every_engine_answers_alike(self, seed):
+        objs_a, objs_b = self.touching_pairs(seed)
+        config = JoinConfig(t_m=self.T_M)
+        engines = {
+            f"tree-{algorithm}": ContinuousJoinEngine(objs_a, objs_b, algorithm, config)
+            for algorithm in ("naive", "tc", "mtb")
+        }
+        for algorithm in ("tc", "mtb"):
+            engines[f"columnar-{algorithm}"] = ColumnarJoinEngine(
+                objs_a, objs_b, algorithm, config
+            )
+        seen = set()
+        for engine in engines.values():
+            engine.run_initial_join()
+        for step in range(10):
+            t = float(step)
+            answers = {}
+            for name, engine in engines.items():
+                engine.tick(t)
+                answers[name] = engine.result_at(t)
+            want = answers["tree-naive"]
+            assert all(got == want for got in answers.values()), (t, answers)
+            seen |= want
+        assert seen, "vacuous: no contact at any tick"
