@@ -202,6 +202,7 @@ import numpy as np
 from repro.core import ColumnarJoinEngine, ContinuousJoinEngine, JoinConfig
 from repro.deltas import fold_events
 from repro.metrics import monotonic_clock
+from repro.obs import ObsRecorder
 from repro.workloads import VectorUpdateStream, make_workload_arrays
 
 SIZES = [1_000, 10_000, 100_000]
@@ -632,10 +633,12 @@ def sweep_selectivity(n: int) -> dict:
         arrays.columns_a(),
         arrays.columns_b(),
         algorithm=ALGORITHM,
-        config=JoinConfig(t_m=T_M, obs=True),
+        config=JoinConfig(t_m=T_M),
     )
+    recorder = ObsRecorder()
+    recorder.attach(engine.tracker)
     engine.run_initial_join()
-    (span,) = engine.obs.find("engine.initial_join")
+    (span,) = recorder.find("engine.initial_join")
     pairs = max(len(engine.store), 1)
     return {
         "stage_one_candidates_per_pair": round(span.counts["pair_tests"] / pairs, 2),

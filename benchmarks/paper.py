@@ -17,8 +17,8 @@ does.  Cells that repeat a section, workload and arguments share one run.
 The default mode exits 1 when a count differs from ``BENCH_paper.json``,
 when a table of EXPERIMENTS.md (between ``<!-- paper:ID -->`` markers)
 differs from its render of the JSON, or when a claim fails; a known
-deviation must keep failing.  With ``REPRO_OBS`` set, Fig. 7's cells are
-recorded span by span and Fig. 13 exports its engines' timelines into
+deviation must keep failing.  With ``--obs``, Fig. 7's cells are recorded
+span by span and Fig. 13 exports its engines' timelines into
 ``benchmarks/out/obs`` (``python -m repro.obs report benchmarks/out/obs``).
 """
 
@@ -113,24 +113,27 @@ def _cold(storage: TreeStorage) -> CostTracker:
     return storage.tracker
 
 
+#: A section's recording under ``--obs``: its file name under ``OBS_DIR``
+#: and the metadata the file carries.
+Recording = Optional[Tuple[str, dict]]
+
+
 @contextmanager
-def _obs_recording(tracker: CostTracker, meta: Optional[dict]):
-    """Record the enclosed section into one JSON file when ``REPRO_OBS``
-    is set.  A fresh recorder displaces the engine's own for the section,
-    so the exported totals are exactly the cell's counters."""
-    if meta is None or os.environ.get("REPRO_OBS", "") in ("", "0"):
+def _obs_recording(tracker: CostTracker, recording: Recording, label: str = "bench"):
+    """Record the enclosed section into one JSON file, given a
+    ``recording``.  The recorder is attached for the section alone, so
+    the exported totals are exactly the section's counters."""
+    if recording is None:
         yield
         return
-    recorder, previous = ObsRecorder("bench", meta=meta), tracker.obs
+    name, meta = recording
+    recorder = ObsRecorder(label, meta=meta)
     recorder.attach(tracker)
     try:
         yield
     finally:
         recorder.detach()
-        tracker.attach_obs(previous)
-        name = "_".join(str(meta[k]) for k in ("figure", "series", "x"))
-        name = re.sub(r"[^A-Za-z0-9._-]+", "_", name).strip("_")
-        recorder.export_json(OBS_DIR / f"{name}.json")
+        recorder.export_json(OBS_DIR / name)
 
 
 # -- the measured sections ---------------------------------------------
@@ -150,20 +153,20 @@ def _once(sc, key, make):
 TREE_JOIN_RUNS = 3
 
 
-def tree_join(sc, algorithm, t_m=None, techniques=None, obs=None) -> Counts:
+def tree_join(sc, algorithm, t_m=None, techniques=None, recording: Recording = None) -> Counts:
     """Figs. 7 and 8: one join of the engine's trees from a cold buffer,
     TC-Join over the Theorem-1 window ``[0, t_m]`` (ImprovedJoin with
     ``techniques``), or NaiveJoin over ``[0, ∞)`` with ``t_m=None``.  The
     build is not measured; the cells of one workload and algorithm share it.
     The join runs ``TREE_JOIN_RUNS`` times, each from a cold buffer: every
     count must repeat, and the least ``cpu_s`` is kept (the first run is
-    the recorded one under ``REPRO_OBS``)."""
+    the recorded one under ``--obs``)."""
     engine = _once(sc, algorithm, lambda: _engine(sc, algorithm))
     tree_a, tree_b = engine._strategy.tree_a, engine._strategy.tree_b
     runs = []
     for _ in range(TREE_JOIN_RUNS):
         tracker = _cold(engine.storage)
-        with _obs_recording(tracker, None if runs else obs), tracker.timed():
+        with _obs_recording(tracker, None if runs else recording), tracker.timed():
             result = (naive_join(tree_a, tree_b, 0.0, INF, tracker) if t_m is None
                       else tc_join(tree_a, tree_b, 0.0, t_m, techniques, tracker))
         runs.append(_counts(tracker, engine.storage, len(result)))
@@ -181,18 +184,18 @@ def initial_join(sc, algorithm) -> Counts:
     return _counts(engine.tracker.snapshot(), engine.storage, len(engine.result_at(engine.now)))
 
 
-def maintenance(sc, algorithm, steps, timeline=None,
+def maintenance(sc, algorithm, steps, recording: Recording = None,
                 buckets_per_tm=JoinConfig.buckets_per_tm,
                 buffer_pages=JoinConfig.buffer_pages) -> Counts:
     """Fig. 13, the sweeps, the bucket and buffer ablations: the initial
-    join, then ``steps`` timestamps of per-object updates, per update."""
+    join, then ``steps`` timestamps of per-object updates, per update.
+    The ``recording`` is the engine's timeline from its initial join on."""
     engine = _engine(sc, algorithm, buckets_per_tm=buckets_per_tm, buffer_pages=buffer_pages)
-    engine.run_initial_join()
-    engine.tracker.reset()
-    driver = SimulationDriver(engine, UpdateStream(sc, seed=SEED + 1))
-    driver.run(steps)
-    if timeline is not None and engine.obs is not None:
-        engine.export_obs(OBS_DIR / timeline[0], meta=timeline[1])
+    with _obs_recording(engine.tracker, recording, label="engine"):
+        engine.run_initial_join()
+        engine.tracker.reset()
+        driver = SimulationDriver(engine, UpdateStream(sc, seed=SEED + 1))
+        driver.run(steps)
     return _counts(driver.amortized_cost(), engine.storage, len(engine.result_at(engine.now)))
 
 
@@ -288,13 +291,14 @@ class Cell(NamedTuple):
 
 
 def _bound(fn, kwargs) -> tuple:
-    """``kwargs`` bound to ``fn``, defaults filled in, less the recording-only args."""
+    """``kwargs`` bound to ``fn``, defaults filled in, less the recording."""
     bound = inspect.signature(fn).bind_partial(**kwargs)
     bound.apply_defaults()
-    return tuple((k, v) for k, v in bound.arguments.items() if k not in ("obs", "timeline"))
+    return tuple((k, v) for k, v in bound.arguments.items() if k != "recording")
 
 
-def cells(profile: str = "small") -> List[Cell]:
+def cells(profile: str = "small", record: bool = False) -> List[Cell]:
+    """The profile's cells; with ``record``, Figs. 7 and 13 carry recordings."""
     p = PROFILES[profile]
     n0, steps = p["default_n"], p["maintenance_steps"]
     table: List[Cell] = []
@@ -302,11 +306,14 @@ def cells(profile: str = "small") -> List[Cell]:
     def add(figure, series, x, section, workload, **args):
         table.append(Cell(figure, series, x, section, workload, args))
 
+    def recording(name, figure, series, x) -> Recording:
+        return (f"{name}.json", {"figure": figure, "series": series, "x": x}) if record else None
+
     fig07 = "Figure 7: TC vs non-TC initial join (no improvement techniques)"
     for n in p["naive_sizes"]:
-        for t_m, series in ((None, NON_TC), (T_M, TC)):
+        for t_m, series, name in ((None, NON_TC, "nontc"), (T_M, TC, "tc")):
             add("fig07", series, n, tree_join, {"n": n}, algorithm="naive", t_m=t_m,
-                obs={"figure": fig07, "series": series, "x": n})
+                recording=recording(f"fig07_{name}_{n}", fig07, series, n))
     for label, techniques in TECHNIQUES.items():
         add("fig08", label, n0, tree_join, {"n": n0}, algorithm="tc", t_m=T_M,
             techniques=techniques)
@@ -316,9 +323,9 @@ def cells(profile: str = "small") -> List[Cell]:
     fig13 = "Figure 13: maintenance cost per update vs dataset size"
     for algorithm in ("etp", "mtb"):
         for n in p["sizes"]:
-            meta = {"bench": fig13, "series": SERIES[algorithm], "x": n}
             add("fig13", SERIES[algorithm], n, maintenance, {"n": n}, algorithm=algorithm,
-                steps=steps, timeline=(f"fig13_timeline_{algorithm}_{n}.json", meta))
+                steps=steps, recording=recording(f"fig13_timeline_{algorithm}_{n}", fig13,
+                                                 SERIES[algorithm], n))
     n_sweep = max(200, n0 // 2)
     speeds, sizes = (1.0, 2.0, 3.0, 4.0, 5.0), (0.05, 0.1, 0.2, 0.4, 0.8)
     grids = {  # figure: (section, n, [(x, scenario parameters)])
@@ -512,6 +519,8 @@ def main(argv=None) -> int:
     parser.add_argument("--write", action="store_true", help="record, regenerate tables")
     parser.add_argument("--profile", choices=sorted(PROFILES), default="small")
     parser.add_argument("--only", default="", help="comma-separated: " + ",".join(FIGURES))
+    parser.add_argument("--obs", action="store_true",
+                        help=f"record Fig. 7's cells and Fig. 13's timelines into {OBS_DIR}")
     args = parser.parse_args(argv)
     figures = [f for f in args.only.split(",") if f] or list(FIGURES)
     if set(figures) - set(FIGURES):
@@ -525,7 +534,7 @@ def main(argv=None) -> int:
     failures = 0
     fresh: Dict[Key, Counts] = {}
     start = monotonic_clock()
-    for cell in (c for c in cells(args.profile) if c.figure in figures):
+    for cell in (c for c in cells(args.profile, record=args.obs) if c.figure in figures):
         fresh[cell.key] = counts = cell.run()
         old = pinned.get(cell.key)
         diff = [k for k in COUNTS if old is None or old[k] != counts[k]]

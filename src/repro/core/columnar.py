@@ -49,7 +49,7 @@ import numpy as np
 from ..geometry.interval import INF, check_clock, check_read
 from ..geometry.kernels import batch_sweep_join
 from ..metrics import CostSnapshot, CostTracker
-from ..obs.recorder import Recorded
+from ..obs import tracker_span
 from ..objects import MovingObject
 from .columns import (
     ColumnStore,
@@ -93,7 +93,7 @@ def check_same_tick(t: float, *batches: UpdateColumns) -> None:
         raise ValueError("columnar updates must carry t_ref == engine.now")
 
 
-class ColumnarJoinEngine(Recorded, DeltaSource):
+class ColumnarJoinEngine(DeltaSource):
     """Continuous intersection join over two columnar datasets.
 
     Accepts each dataset as an iterable of
@@ -148,13 +148,6 @@ class ColumnarJoinEngine(Recorded, DeltaSource):
                 objects if isinstance(objects, ColumnStore) else ColumnStore.from_columns(cols)
                 for objects, cols in zip(given, (cols_a, cols_b))
             )
-        self._record(
-            "columnar-engine",
-            algorithm=algorithm,
-            n_a=len(self.columns_a),
-            n_b=len(self.columns_b),
-            t_m=self.config.t_m,
-        )
         #: MTB: the window end of every row of ``columns_a`` and of
         #: ``columns_b``, kept in row order and written with the rows
         #: (:meth:`_keep_ends`); ``None`` under TC.
@@ -183,7 +176,7 @@ class ColumnarJoinEngine(Recorded, DeltaSource):
     def run_initial_join(self) -> CostSnapshot:
         """Compute the initial answer; returns the cost of this phase."""
         before = self.tracker.snapshot()
-        with self.tracker.timed(), self._span("engine.initial_join"):
+        with self.tracker.timed(), tracker_span(self.tracker, "engine.initial_join"):
             self._sweep_into_store(self.columns_a, None, self.columns_b, self.now, swap=False)
         self.initial_join_cost = self.tracker.snapshot() - before
         return self.initial_join_cost
@@ -278,7 +271,7 @@ class ColumnarJoinEngine(Recorded, DeltaSource):
         changed = np.concatenate([upd_a.oid, upd_b.oid, evict])
         admitted = len(admit_a) + len(admit_b)
         n_ops = changed.shape[0] + admitted
-        with self.tracker.timed(), self._span("engine.update_batch", t=t, n=n_ops):
+        with self.tracker.timed(), tracker_span(self.tracker, "engine.update_batch", t=t, n=n_ops):
             if evict.shape[0]:
                 cols_a.remove(evict[evict_a])
                 cols_b.remove(evict[evict_b])
@@ -415,8 +408,9 @@ class ColumnarJoinEngine(Recorded, DeltaSource):
         # Whole-batch counter attribution: one increment per sweep, not
         # one per candidate pair.
         self.tracker.count_pair_tests(counter[0])
-        if self.obs is not None:
-            self.obs.count("exact_tests", counter[1])
+        obs = self.tracker.obs
+        if obs is not None:
+            obs.count("exact_tests", counter[1])
         if idx_p.shape[0] == 0:
             return
         a_oids = oids_p[idx_p]

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -33,11 +32,6 @@ class JoinConfig:
     buffer_pages: int = DEFAULT_BUFFER_PAGES
     #: MTB bucket granularity ``m`` — bucket length is ``t_m / m``.
     buckets_per_tm: int = DEFAULT_BUCKETS_PER_TM
-    #: Record phase-attributed cost spans (:mod:`repro.obs`).  Off by
-    #: default — the engine then skips recorder creation entirely and
-    #: each counter increment pays one attribute test.  Also forced on
-    #: by the ``REPRO_OBS=1`` environment variable.
-    obs: bool = field(default=False, compare=False)
     #: Maintain a :class:`~repro.deltas.DeltaLedger` next to the result
     #: store: every mutation records signed ``(tick, pair, ±interval)``
     #: events, exposed via ``engine.deltas(t)`` / ``engine.watch(...)``.
@@ -67,8 +61,6 @@ class JoinConfig:
     faults: Optional[str] = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
-        if not self.obs and os.environ.get("REPRO_OBS", "") not in ("", "0"):
-            object.__setattr__(self, "obs", True)
         if not _finite_positive(self.t_m):
             raise ValueError("t_m must be finite and positive")
         if self.buckets_per_tm < 1:

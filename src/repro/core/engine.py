@@ -37,7 +37,7 @@ from ..join import (
     tp_join,
 )
 from ..metrics import CostSnapshot, CostTracker
-from ..obs.recorder import Recorded
+from ..obs import tracker_span
 from ..objects import MovingObject
 from .columns import (
     check_deadlines,
@@ -57,7 +57,7 @@ PairKey = Tuple[int, int]
 ALGORITHMS = ("naive", "etp", "tc", "mtb")
 
 
-class ContinuousJoinEngine(Recorded, DeltaSource):
+class ContinuousJoinEngine(DeltaSource):
     """Continuous intersection join over two moving-object sets."""
 
     def __init__(
@@ -86,13 +86,6 @@ class ContinuousJoinEngine(Recorded, DeltaSource):
         self._find = registry_find(self.objects_a, self.objects_b)
         self.storage = TreeStorage(buffer_pages=self.config.buffer_pages)
         self.tracker: CostTracker = self.storage.tracker
-        self._record(
-            "engine",
-            algorithm=algorithm,
-            n_a=len(self.objects_a),
-            n_b=len(self.objects_b),
-            t_m=self.config.t_m,
-        )
         self._strategy = _make_strategy(algorithm, self, techniques)
         #: Attached :class:`~repro.deltas.DeltaLedger` when
         #: ``config.deltas`` is on; ``None`` otherwise.  Armed before
@@ -110,7 +103,7 @@ class ContinuousJoinEngine(Recorded, DeltaSource):
 
             self.ledger = DeltaLedger(self.now)
             store.attach_ledger(self.ledger)
-        with self.tracker.timed(), self._span("engine.build"):
+        with self.tracker.timed():
             self._strategy.build(self.now)
         self.build_cost: CostSnapshot = self.tracker.snapshot()
         self.initial_join_cost: Optional[CostSnapshot] = None
@@ -138,7 +131,7 @@ class ContinuousJoinEngine(Recorded, DeltaSource):
     def run_initial_join(self) -> CostSnapshot:
         """Compute the initial answer; returns the cost of this phase."""
         before = self.tracker.snapshot()
-        with self.tracker.timed(), self._span("engine.initial_join"):
+        with self.tracker.timed(), tracker_span(self.tracker, "engine.initial_join"):
             self._strategy.initial_join(self.now)
         self.initial_join_cost = self.tracker.snapshot() - before
         return self.initial_join_cost
@@ -160,7 +153,7 @@ class ContinuousJoinEngine(Recorded, DeltaSource):
         self.now = t
         if self.ledger is not None:
             self.ledger.advance(t)
-        with self.tracker.timed(), self._span("engine.tick", t=t):
+        with self.tracker.timed(), tracker_span(self.tracker, "engine.tick", t=t):
             self._strategy.on_tick(t)
 
     def apply_update(self, obj: MovingObject) -> None:
@@ -225,17 +218,17 @@ class ContinuousJoinEngine(Recorded, DeltaSource):
     def _update(self, obj: MovingObject, dataset: str) -> None:
         self._registry(dataset)[obj.oid] = obj
         self.update_count += 1
-        with self.tracker.timed(), self._span("engine.update", t=self.now):
+        with self.tracker.timed(), tracker_span(self.tracker, "engine.update", t=self.now):
             self._strategy.on_update(obj, dataset, self.now)
 
     def _admit(self, obj: MovingObject, dataset: str) -> None:
         self._registry(dataset)[obj.oid] = obj
-        with self.tracker.timed(), self._span("engine.admit", t=self.now):
+        with self.tracker.timed(), tracker_span(self.tracker, "engine.admit", t=self.now):
             self._strategy.on_admit(obj, dataset, self.now)
 
     def _evict(self, oid: int, dataset: str) -> None:
         del self._registry(dataset)[oid]
-        with self.tracker.timed(), self._span("engine.evict", t=self.now):
+        with self.tracker.timed(), tracker_span(self.tracker, "engine.evict", t=self.now):
             self._strategy.on_evict(oid, dataset, self.now)
 
     def result_at(self, t: Optional[float] = None) -> Set[PairKey]:

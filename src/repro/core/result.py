@@ -30,6 +30,7 @@ from ..geometry import TimeInterval
 from ..geometry.constants import MERGE_TOL as _MERGE_TOL
 from ..geometry.kernels import radix_argsort
 from ..join import JoinTriple
+from ..obs import tracker_span
 from .columns import (
     merge_interval_planes,
     pair_keys,
@@ -657,7 +658,7 @@ class DeltaSource:
     """The delta-stream reads of the tree and columnar engines.
 
     The engine provides ``ledger`` (``None`` unless ``config.deltas``),
-    ``now``, ``store``, ``_span`` and ``_region_oids(region)``, the ids
+    ``now``, ``store``, ``tracker`` and ``_region_oids(region)``, the ids
     of the objects whose bounding box meets ``region`` at the clock.
     """
 
@@ -682,7 +683,7 @@ class DeltaSource:
         ledger = self._delta_ledger()
         if t is None:
             t = self.now
-        with self._span("engine.deltas", t=t):
+        with tracker_span(self.tracker, "engine.deltas", t=t):
             self.store.flush()
             return ledger.events_at(t)
 

@@ -21,7 +21,7 @@ from ..geometry.interval import INF, check_clock, check_read
 from ..index import MTBTree, TreeStorage
 from ..join import JoinTriple, mtb_join_object, naive_join
 from ..metrics import CostSnapshot, CostTracker
-from ..obs.recorder import Recorded
+from ..obs import tracker_span
 from ..objects import MovingObject
 from .columns import (
     check_deadlines,
@@ -38,7 +38,7 @@ __all__ = ["ContinuousSelfJoinEngine"]
 PairKey = Tuple[int, int]
 
 
-class ContinuousSelfJoinEngine(Recorded):
+class ContinuousSelfJoinEngine:
     """Continuously maintained intersection pairs within one dataset."""
 
     def __init__(
@@ -56,16 +56,14 @@ class ContinuousSelfJoinEngine(Recorded):
         self.objects: Dict[int, MovingObject] = {obj.oid: obj for obj in objects}
         self.storage = TreeStorage(buffer_pages=self.config.buffer_pages)
         self.tracker: CostTracker = self.storage.tracker
-        self._record("selfjoin", t_m=self.config.t_m)
         self.forest = MTBTree(
             t_m=self.config.t_m,
             storage=self.storage,
             buckets_per_tm=self.config.buckets_per_tm,
             node_capacity=self.config.node_capacity,
         )
-        with self._span("engine.build"):
-            for obj in objects:
-                self.forest.insert(obj, self.now)
+        for obj in objects:
+            self.forest.insert(obj, self.now)
         self.store = ColumnResultStore()
         self.initial_join_cost: Optional[CostSnapshot] = None
 
@@ -73,7 +71,7 @@ class ContinuousSelfJoinEngine(Recorded):
     def run_initial_join(self) -> CostSnapshot:
         """Compute all intra-set pairs valid over the Theorem-2 windows."""
         before = self.tracker.snapshot()
-        with self.tracker.timed(), self._span("engine.initial_join"):
+        with self.tracker.timed(), tracker_span(self.tracker, "engine.initial_join"):
             t_m = self.config.t_m
             buckets = list(self.forest.trees())
             for i, (_ka, end_a, tree_a) in enumerate(buckets):
@@ -108,7 +106,7 @@ class ContinuousSelfJoinEngine(Recorded):
         check_ingest(self.now, (registry_find(self.objects),), (columns_from_objects([obj]),))
         self.objects[obj.oid] = obj
         t = self.now
-        with self.tracker.timed(), self._span("engine.update", t=t):
+        with self.tracker.timed(), tracker_span(self.tracker, "engine.update", t=t):
             self.forest.update(obj, t)
             self.store.remove_object(obj.oid)
             for triple in mtb_join_object(self.forest, obj.kbox, obj.oid, t):

@@ -9,23 +9,23 @@ and node visit is *attributed* to the innermost open span — phases like
 tracker's global totals stay untouched.  Span rollups are bit-exact
 against those totals by construction.
 
-Recording is opt-in (``JoinConfig(obs=True)`` or ``REPRO_OBS=1``); when
-off, the instrumentation reduces to one attribute test per increment.
+A recording is a recorder attached to an engine's ``tracker``
+(``ObsRecorder().attach(engine.tracker)``); it records from then on.
+With none attached, the instrumentation reduces to one attribute test
+per increment and per span.
 
-Exports land as JSON/CSV; ``python -m repro.obs report <files>`` renders
-paper-style phase, component, timeline and figure tables from them.
+Exports land as JSON; ``python -m repro.obs report <files>`` renders
+phase, component and timeline tables from them.
 """
 
 from .recorder import NULL_SPAN, ObsRecorder, Span, tracker_span
 from .report import (
     component_rows,
-    figure_tables,
     iter_recordings,
     load_recording,
     phase_rows,
     render_report,
     timeline_rows,
-    write_csv,
 )
 
 __all__ = [
@@ -38,7 +38,5 @@ __all__ = [
     "phase_rows",
     "component_rows",
     "timeline_rows",
-    "figure_tables",
     "render_report",
-    "write_csv",
 ]

@@ -1,22 +1,17 @@
 """``python -m repro.obs`` — render recorded observability runs.
 
-Subcommands
------------
+Subcommand
+----------
 
 ``report PATH...``
     Load one or more recording JSON files (directories are expanded to
-    their ``*.json`` members) and print paper-style tables: figure
-    tables across recordings (series / x / I/O / pair tests / CPU —
-    the EXPERIMENTS.md columns), then per-recording phase, component
-    and per-tick timeline breakdowns.
-``csv SRC DST``
-    Convert one recording JSON file to a flat per-span CSV.
+    their ``*.json`` members) and print, per recording, its phase,
+    component and per-tick timeline breakdowns.
 
 Examples::
 
     python -m repro.obs report benchmarks/out/obs/
     python -m repro.obs report run.json --sections phases,timeline
-    python -m repro.obs csv run.json run.csv
 """
 
 from __future__ import annotations
@@ -25,11 +20,9 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from .report import iter_recordings, load_recording, render_report, write_csv
+from .report import SECTIONS, iter_recordings, render_report
 
 __all__ = ["main", "build_parser"]
-
-_SECTIONS = ("figures", "phases", "components", "timeline")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -45,13 +38,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_report.add_argument("paths", nargs="+", metavar="PATH",
                           help="recording JSON files or directories of them")
     p_report.add_argument(
-        "--sections", default=",".join(_SECTIONS), metavar="LIST",
-        help="comma-separated subset of: " + ", ".join(_SECTIONS),
+        "--sections", default=",".join(SECTIONS), metavar="LIST",
+        help="comma-separated subset of: " + ", ".join(SECTIONS),
     )
-
-    p_csv = sub.add_parser("csv", help="convert a recording JSON to CSV")
-    p_csv.add_argument("src", help="recording JSON file")
-    p_csv.add_argument("dst", help="output CSV path")
     return parser
 
 
@@ -60,12 +49,8 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     if out is None:
         out = sys.stdout
     args = build_parser().parse_args(argv)
-    if args.command == "csv":
-        write_csv(load_recording(args.src), args.dst)
-        out.write(f"wrote {args.dst}\n")
-        return 0
     sections = tuple(s.strip() for s in args.sections.split(",") if s.strip())
-    unknown = [s for s in sections if s not in _SECTIONS]
+    unknown = [s for s in sections if s not in SECTIONS]
     if unknown:
         out.write(f"unknown section(s): {', '.join(unknown)}\n")
         return 2

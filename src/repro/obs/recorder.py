@@ -17,17 +17,14 @@ bucket scans.  :class:`ObsRecorder` makes that attribution first-class:
   monotonic_clock`), giving inclusive seconds per span and exclusive
   seconds after subtracting child time.
 
-Two kinds of spans keep recordings compact:
+A recording starts when the caller attaches it; an engine owns none.
+There is one kind of span: all activations with the same name and tags
+under the same parent accumulate into one span with a call count.
+Phases tagged with their timestamp (``engine.tick``, ``t=...``) thus
+form a per-tick timeline, and hot call sites (tree descents, join runs)
+stay one span however often they run.
 
-* :meth:`ObsRecorder.span` opens a **distinct** child per call — used
-  for phases (``engine.tick`` tagged with its timestamp forms the
-  per-tick timeline);
-* :meth:`ObsRecorder.aspan` opens an **aggregated** child: all calls
-  with the same name and tags under the same parent accumulate into one
-  span with a call count — used for hot call sites (tree descents, join
-  runs) where one span per call would dwarf the recording.
-
-The disabled path stays free: code instruments itself through
+The detached path stays free: code instruments itself through
 :func:`tracker_span`, which returns a shared no-op context manager when
 no recorder is attached.
 """
@@ -40,7 +37,7 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from ..metrics import CostTracker, monotonic_clock
 
-__all__ = ["Span", "ObsRecorder", "Recorded", "tracker_span", "NULL_SPAN"]
+__all__ = ["Span", "ObsRecorder", "tracker_span", "NULL_SPAN"]
 
 #: Current on-disk format tag of exported recordings.
 FORMAT = "repro.obs/1"
@@ -77,6 +74,8 @@ class Span:
         self.calls = 0
         self._t0 = 0.0
         self._open = 0
+        #: Children by ``(name, tags)``, made on the first child.
+        self._agg: Optional[Dict[Any, "Span"]] = None
 
     def count(self, key: str, n: Union[int, float] = 1) -> None:
         """Add ``n`` to this span's exclusive counter ``key``."""
@@ -111,9 +110,8 @@ class Span:
 class _SpanContext:
     """Reusable enter/exit plumbing for one span activation.
 
-    Nest-safe for aggregated spans: if the span is already open
-    (recursion through the same call site), only the outermost
-    activation accumulates elapsed time.
+    Nest-safe: if the span is already open (recursion through the same
+    call site), only the outermost activation accumulates elapsed time.
     """
 
     __slots__ = ("_recorder", "_span")
@@ -159,9 +157,9 @@ NULL_SPAN = _NullSpan()
 
 
 def tracker_span(tracker: CostTracker, name: str, **tags: Any):
-    """An aggregated span on ``tracker``'s recorder, or a no-op.
+    """A span on ``tracker``'s recorder, or a no-op.
 
-    The instrumentation idiom for hot call sites::
+    The instrumentation idiom of phases and hot call sites alike::
 
         with tracker_span(tracker, "tpr.search"):
             ...
@@ -171,7 +169,7 @@ def tracker_span(tracker: CostTracker, name: str, **tags: Any):
     obs = tracker.obs
     if obs is None:
         return NULL_SPAN
-    return obs.aspan(name, **tags)
+    return obs.span(name, **tags)
 
 
 class ObsRecorder:
@@ -217,21 +215,14 @@ class ObsRecorder:
         counts[key] = counts.get(key, 0) + n
 
     def span(self, name: str, **tags: Any) -> _SpanContext:
-        """Open a new, distinct child span of the innermost open span."""
-        parent = self._stack[-1]
-        span = self._new_span(name, parent, tags or None)
-        parent.children.append(span)
-        return _SpanContext(self, span)
-
-    def aspan(self, name: str, **tags: Any) -> _SpanContext:
-        """Open an aggregated child span (per parent, name and tags).
+        """Open a child span of the innermost open span (per name and tags).
 
         Repeated calls under the same parent accumulate into one span
         whose ``calls`` counts the activations.
         """
         parent = self._stack[-1]
         key = (name, tuple(sorted(tags.items()))) if tags else name
-        agg = getattr(parent, "_agg", None)
+        agg = parent._agg
         if agg is None:
             agg = parent._agg = {}
         span = agg.get(key)
@@ -245,7 +236,6 @@ class ObsRecorder:
         self, name: str, parent: Optional[Span], tags: Optional[Dict[str, Any]]
     ) -> Span:
         span = Span(self._next_sid, name, parent, tags)
-        span._agg = None
         self._next_sid += 1
         return span
 
@@ -260,9 +250,9 @@ class ObsRecorder:
     def root_totals(self) -> Dict[str, Union[int, float]]:
         """Rolled-up counters of the whole recording.
 
-        While attached from the start of a run, these are bit-exact
-        equal to the tracker's global counters (the attribution contract
-        tested by ``tests/obs/test_attribution.py``).
+        These are bit-exact equal to the tracker's counter deltas since
+        :meth:`attach` (the attribution contract tested by
+        ``tests/obs/test_attribution.py``).
         """
         return self.root.total()
 
@@ -323,36 +313,3 @@ class ObsRecorder:
             f"open={[s.name for s in self._stack]})"
         )
 
-
-class Recorded:
-    """An engine's optional recording: with ``config.obs`` on, an
-    :class:`ObsRecorder` attached to the engine's ``tracker``.
-
-    The tree, columnar and self-join engines share it; each calls
-    :meth:`_record` once its ``config`` and ``tracker`` exist.
-    """
-
-    #: The attached recorder when ``config.obs`` is on; ``None`` otherwise.
-    obs: Optional[ObsRecorder] = None
-
-    def _record(self, kind: str, **meta: Any) -> None:
-        """Attach a ``kind`` recorder carrying ``meta`` when ``config.obs`` is on."""
-        if self.config.obs:
-            self.obs = ObsRecorder(kind, meta=meta)
-            self.obs.attach(self.tracker)
-
-    def _span(self, name: str, **tags: Any):
-        """A distinct phase span, or a no-op when recording is off.
-
-        The guard keeps obs-off ticks entirely span-free: no tag dicts,
-        no span objects, one attribute test per phase.
-        """
-        if self.obs is None:
-            return NULL_SPAN
-        return self.obs.span(name, **tags)
-
-    def export_obs(self, path: Union[str, Path], meta: Optional[Dict[str, Any]] = None) -> Path:
-        """Export the recording to JSON; requires ``config.obs``."""
-        if self.obs is None:
-            raise RuntimeError("observability is off; build with JoinConfig(obs=True)")
-        return self.obs.export_json(path, meta)

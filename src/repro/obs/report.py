@@ -1,27 +1,23 @@
 """Render recorded observability runs as paper-style tables.
 
 Works on the JSON files written by :meth:`~repro.obs.ObsRecorder.
-export_json`.  Four views:
+export_json`.  Three views, each per recording (the figure tables
+across recordings are ``benchmarks/paper.py``'s):
 
 * **phases** — the root span's direct children aggregated by name
-  (``engine.build`` / ``engine.initial_join`` / ``engine.tick`` /
-  ``engine.update``), plus an amortized per-update
-  maintenance row — the paper's Figure 13 metric;
+  (``engine.initial_join`` / ``engine.tick`` / ``engine.update``), plus
+  an amortized per-update maintenance row — the paper's Figure 13
+  metric;
 * **components** — every span name aggregated over the whole tree using
   *exclusive* counters and seconds (additive under nesting): where
   inside a tick the cost went — TPR descent vs. exact pair tests vs.
   MTB bucket scans vs. buffer traffic;
 * **timeline** — per-tick rows from the phase spans tagged with their
-  timestamp ``t``;
-* **figures** — across many recordings whose ``meta`` carries
-  ``figure``/``series``/``x``: the I/O and pair-test columns of the
-  EXPERIMENTS.md tables, regenerated from recordings instead of ad-hoc
-  snapshot diffs.
+  timestamp ``t``.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 from collections import OrderedDict
 from pathlib import Path
@@ -36,10 +32,11 @@ __all__ = [
     "phase_rows",
     "component_rows",
     "timeline_rows",
-    "figure_tables",
     "render_report",
-    "write_csv",
 ]
+
+#: The report's sections, in print order.
+SECTIONS = ("phases", "components", "timeline")
 
 Write = Callable[[str], Any]
 
@@ -187,35 +184,6 @@ def timeline_rows(data: Dict[str, Any]) -> List[Dict[str, Any]]:
     return rows
 
 
-def figure_tables(
-    recordings: Sequence[Tuple[Path, Dict[str, Any]]]
-) -> "OrderedDict[str, List[Dict[str, Any]]]":
-    """Group recordings carrying figure metadata into table rows."""
-    tables: "OrderedDict[str, List[Dict[str, Any]]]" = OrderedDict()
-    for _path, data in recordings:
-        meta = data.get("meta", {})
-        if "figure" not in meta:
-            continue
-        totals = data.get("totals", {})
-        tables.setdefault(str(meta["figure"]), []).append({
-            "series": str(meta.get("series", "?")),
-            "x": meta.get("x", "?"),
-            "io": _io(totals),
-            "pair_tests": int(totals.get("pair_tests", 0)),
-            "seconds": float(data.get("seconds", 0.0)),
-        })
-    for rows in tables.values():
-        rows.sort(key=lambda row: (row["series"], _x_key(row["x"])))
-    return tables
-
-
-def _x_key(x: Any) -> Tuple[int, Any]:
-    """Sort numeric x-values numerically, everything else lexically."""
-    if isinstance(x, (int, float)) and not isinstance(x, bool):
-        return (0, x)
-    return (1, str(x))
-
-
 # ----------------------------------------------------------------------
 # Rendering
 # ----------------------------------------------------------------------
@@ -237,24 +205,9 @@ def _render_table(
 def render_report(
     recordings: Sequence[Tuple[Path, Dict[str, Any]]],
     write: Write,
-    sections: Sequence[str] = ("figures", "phases", "components", "timeline"),
+    sections: Sequence[str] = SECTIONS,
 ) -> None:
     """Print the selected sections for the loaded recordings."""
-    if "figures" in sections:
-        for figure, rows in figure_tables(recordings).items():
-            _render_table(
-                write, figure,
-                ["series", "x", "I/O", "pair tests", "CPU (s)"],
-                [
-                    [r["series"], r["x"], r["io"], r["pair_tests"],
-                     f"{r['seconds']:.3f}"]
-                    for r in rows
-                ],
-                [24, 12, 10, 12, 10],
-            )
-    per_file = [s for s in sections if s in ("phases", "components", "timeline")]
-    if not per_file:
-        return
     for path, data in recordings:
         write("")
         write(f"=== {path} ===")
@@ -268,7 +221,7 @@ def render_report(
             f"node_visits={int(totals.get('node_visits', 0))} "
             f"seconds={float(data.get('seconds', 0.0)):.3f}"
         )
-        if "phases" in per_file:
+        if "phases" in sections:
             _render_table(
                 write, "phases",
                 ["phase", "calls", "I/O", "pair tests", "node visits", "CPU (s)"],
@@ -279,7 +232,7 @@ def render_report(
                 ],
                 [26, 8, 10, 12, 12, 10],
             )
-        if "components" in per_file:
+        if "components" in sections:
             _render_table(
                 write, "components (exclusive)",
                 ["component", "calls", "I/O", "pair tests", "node visits",
@@ -291,7 +244,7 @@ def render_report(
                 ],
                 [26, 8, 10, 12, 12, 12],
             )
-        if "timeline" in per_file:
+        if "timeline" in sections:
             rows = timeline_rows(data)
             if rows:
                 _render_table(
@@ -306,29 +259,3 @@ def render_report(
                     [10, 8, 10, 12, 12, 10],
                 )
 
-
-def write_csv(data: Dict[str, Any], path: "str | Path") -> Path:
-    """Flatten one loaded recording's spans to CSV (one row per span)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    keys = sorted(
-        {key for span in data["spans"] for key in span["total"]}
-        | set(COUNTER_KEYS)
-    )
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["id", "parent", "name", "tags", "calls", "seconds"]
-            + [f"self_{k}" for k in keys] + [f"total_{k}" for k in keys]
-        )
-        for span in data["spans"]:
-            writer.writerow(
-                [
-                    span["id"], span["parent"], span["name"],
-                    json.dumps(span["tags"], sort_keys=True),
-                    span["calls"], f"{span['seconds']:.6f}",
-                ]
-                + [span["self"].get(k, 0) for k in keys]
-                + [span["total"].get(k, 0) for k in keys]
-            )
-    return path

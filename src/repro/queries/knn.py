@@ -99,8 +99,9 @@ class ContinuousKNNEngine:
         if k <= 0:
             raise ValueError("k must be positive")
         check_planes(columns_from_boxes([0], [query]))
-        if query.mbr.area != 0.0:
-            raise ValueError("query must be a moving point (zero extent)")
+        # A moving point: zero width and height, one velocity per axis.
+        if any(query.mbr.side(d) or query.vbr.side(d) for d in (0, 1)):
+            raise ValueError("query must be a moving point (zero extent, one velocity)")
         self.config = config if config is not None else JoinConfig()
         self.k = k
         self.query = query

@@ -54,9 +54,12 @@ class TestJoinConfig:
 
     def test_removed_knobs_are_gone(self, monkeypatch):
         """No option or environment variable selects a kernel backend,
-        an update loop or the scalar pair tests any more."""
+        an update loop, the scalar pair tests or a recording any more: a
+        recording is a recorder attached to an engine's tracker."""
         with pytest.raises(TypeError):
             JoinConfig(compile_kernels=True)
+        with pytest.raises(TypeError):
+            JoinConfig(obs=True)
         with pytest.raises(TypeError):
             JoinConfig(batch_updates=False)
         # Split so that grepping the tree for the retired flag finds
@@ -70,18 +73,19 @@ class TestJoinConfig:
                 JoinConfig(**{name: 1000.0})
         plain = dataclasses.asdict(JoinConfig())
         monkeypatch.setenv("REPRO_COMPILE", "1")
+        monkeypatch.setenv("REPRO_OBS", "1")
         assert dataclasses.asdict(JoinConfig()) == plain
 
     def test_option_surface_is_pinned(self):
         """Every ``JoinConfig`` field and every ``REPRO_*`` name read
         under ``src/repro``: a new knob is an edit to this list."""
         assert {f.name for f in dataclasses.fields(JoinConfig)} == {
-            "t_m", "node_capacity", "buffer_pages", "buckets_per_tm", "obs",
-            "deltas", "shard_timeout", "shard_heartbeat",
-            "checkpoint_interval", "max_retries", "faults",
+            "t_m", "node_capacity", "buffer_pages", "buckets_per_tm", "deltas",
+            "shard_timeout", "shard_heartbeat", "checkpoint_interval",
+            "max_retries", "faults",
         }
         root = Path(repro.__file__).parent
         named = set()
         for path in root.rglob("*.py"):
             named.update(re.findall(r"REPRO_[A-Z_]+", path.read_text()))
-        assert named == {"REPRO_OBS", "REPRO_FAULTS"}
+        assert named == {"REPRO_FAULTS"}

@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-import csv
 import json
 
-from repro.metrics import COUNTER_KEYS, CostTracker
-from repro.obs import NULL_SPAN, ObsRecorder, tracker_span, write_csv
+from repro.metrics import CostTracker
+from repro.obs import NULL_SPAN, ObsRecorder, tracker_span
 from repro.obs.recorder import FORMAT
 
 
@@ -38,6 +37,7 @@ class TestSpanFiling:
         assert a.total() == {"page_reads": 3}
 
     def test_distinct_spans_per_call(self):
+        """Calls with different tags are different spans: the timeline."""
         rec = ObsRecorder()
         for t in (1.0, 2.0):
             with rec.span("engine.tick", t=t):
@@ -50,7 +50,7 @@ class TestSpanFiling:
         rec = ObsRecorder()
         with rec.span("phase"):
             for n in (1, 2, 3):
-                with rec.aspan("tpr.search"):
+                with rec.span("tpr.search"):
                     rec.count("node_visits", n)
         (agg,) = rec.find("tpr.search")
         assert agg.calls == 3
@@ -59,12 +59,12 @@ class TestSpanFiling:
     def test_aggregation_is_per_parent_and_tags(self):
         rec = ObsRecorder()
         with rec.span("p1"):
-            with rec.aspan("s"):
+            with rec.span("s"):
                 pass
-            with rec.aspan("s", side="a"):
+            with rec.span("s", side="a"):
                 pass
         with rec.span("p2"):
-            with rec.aspan("s"):
+            with rec.span("s"):
                 pass
         assert len(rec.find("s")) == 3
 
@@ -73,9 +73,9 @@ class TestSpanFiling:
         # site while it is open files the inner activation as a child,
         # so exclusive times and counts stay additive under recursion.
         rec = ObsRecorder()
-        with rec.aspan("recursive") as outer:
+        with rec.span("recursive") as outer:
             rec.count("pair_tests", 1)
-            with rec.aspan("recursive") as inner:
+            with rec.span("recursive") as inner:
                 assert inner is not outer
                 assert inner.parent is outer
                 rec.count("pair_tests", 2)
@@ -189,18 +189,6 @@ class TestExport:
         data = json.loads(path.read_text())
         assert data["format"] == FORMAT
         assert data["totals"] == {"pair_tests": 3, "node_visits": 2}
-
-    def test_csv_has_row_per_span(self, tmp_path):
-        rec = self._small_recording()
-        path = write_csv(rec.to_dict(), tmp_path / "run.csv")
-        with path.open() as fh:
-            rows = list(csv.DictReader(fh))
-        assert len(rows) == 3
-        by_name = {row["name"]: row for row in rows}
-        assert by_name["tpr.search"]["self_pair_tests"] == "3"
-        assert by_name["run"]["total_node_visits"] == "2"
-        for key in COUNTER_KEYS:
-            assert f"self_{key}" in rows[0] and f"total_{key}" in rows[0]
 
     def test_export_leaves_recording_usable(self):
         rec = self._small_recording()

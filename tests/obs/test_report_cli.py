@@ -1,10 +1,11 @@
 """``python -m repro.obs report``: tables from recorded engine runs.
 
 Builds a miniature Figure-7-style experiment (TC-constrained vs.
-unconstrained initial join at two sizes), exports one recording per
-cell, and checks the rendered figure table carries exactly the tracker's
-I/O and pair-test numbers — the report is derived from recordings, not
-from separate bookkeeping.
+unconstrained initial join at two sizes), records each cell's initial
+join with a recorder attached after construction, and checks the
+rendered totals carry exactly the tracker's I/O and pair-test numbers
+for the join — the report is derived from recordings, not from separate
+bookkeeping.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import json
 import pytest
 
 from repro.core import ContinuousJoinEngine, JoinConfig
-from repro.obs import load_recording, phase_rows, timeline_rows
+from repro.obs import ObsRecorder, load_recording, phase_rows, timeline_rows
 from repro.obs.cli import main
 from repro.workloads import make_workload
 
@@ -24,13 +25,12 @@ def record_initial_join(tmp_path, algorithm, series, n, seed=17):
     scenario = make_workload(n, seed=seed)
     engine = ContinuousJoinEngine(
         scenario.set_a, scenario.set_b, algorithm=algorithm,
-        config=JoinConfig(obs=True, buffer_pages=8),
+        config=JoinConfig(buffer_pages=8),
     )
+    recorder = ObsRecorder(meta={"figure": "Fig 7 (mini)", "series": series, "x": n})
+    recorder.attach(engine.tracker)
     cost = engine.run_initial_join()
-    path = engine.export_obs(
-        tmp_path / f"{series}_{n}.json",
-        meta={"figure": "Fig 7 (mini)", "series": series, "x": n},
-    )
+    path = recorder.export_json(tmp_path / f"{series}_{n}.json")
     return path, engine, cost
 
 
@@ -40,45 +40,41 @@ def recordings(tmp_path_factory):
     cells = {}
     for series, algorithm in (("TC", "tc"), ("non-TC", "naive")):
         for n in (30, 60):
-            path, engine, _cost = record_initial_join(
-                tmp_path, algorithm, series, n
-            )
-            cells[(series, n)] = (path, engine)
+            cells[(series, n)] = record_initial_join(tmp_path, algorithm, series, n)
     return tmp_path, cells
 
 
 def test_report_reproduces_tracker_columns(recordings):
     tmp_path, cells = recordings
     out = io.StringIO()
-    assert main(["report", str(tmp_path), "--sections", "figures"], out=out) == 0
-    lines = out.getvalue().splitlines()
-    assert any("Fig 7 (mini)" in line for line in lines)
-    for (series, n), (_path, engine) in cells.items():
-        io_total = engine.tracker.page_reads + engine.tracker.page_writes
-        row = next(
-            line for line in lines
-            if line.split()[:2] == [series, str(n)]
-        )
-        cols = row.split()
-        assert cols[2] == str(io_total)
-        assert cols[3] == str(engine.tracker.pair_tests)
+    assert main(["report", str(tmp_path), "--sections", "phases"], out=out) == 0
+    text = out.getvalue()
+    assert "Fig 7 (mini)" in text
+    for (series, n), (path, _engine, cost) in cells.items():
+        block = text.split(f"=== {path} ===", 1)[1]
+        totals = next(line for line in block.splitlines() if line.startswith("totals:"))
+        fields = dict(item.split("=") for item in totals.split()[1:])
+        assert fields["io"] == str(cost.page_reads + cost.page_writes)
+        assert fields["pair_tests"] == str(cost.pair_tests)
 
 
 def test_phase_rows_split_build_from_initial_join(recordings):
+    """The build runs before a recorder can be attached: its cost is the
+    engine's ``build_cost``, and the recording holds the initial join."""
     _tmp_path, cells = recordings
-    path, engine = cells[("TC", 60)]
+    path, engine, _cost = cells[("TC", 60)]
     data = load_recording(path)
     rows = {row["phase"]: row for row in phase_rows(data)}
-    assert set(rows) == {"engine.build", "engine.initial_join"}
+    assert set(rows) == {"engine.initial_join"}
     total = engine.tracker.pair_tests
-    assert (rows["engine.build"]["pair_tests"]
+    assert (engine.build_cost.pair_tests
             + rows["engine.initial_join"]["pair_tests"]) == total
     assert rows["engine.initial_join"]["pair_tests"] > 0
 
 
 def test_timeline_requires_tick_tags(recordings):
     _tmp_path, cells = recordings
-    path, _engine = cells[("TC", 30)]
+    path, _engine, _cost = cells[("TC", 30)]
     # No ticks were run: the recording has no t-tagged phases.
     assert timeline_rows(load_recording(path)) == []
 
@@ -86,30 +82,21 @@ def test_timeline_requires_tick_tags(recordings):
 def test_report_renders_per_tick_timeline(tmp_path):
     scenario = make_workload(30, seed=23)
     engine = ContinuousJoinEngine(
-        scenario.set_a, scenario.set_b, algorithm="mtb",
-        config=JoinConfig(obs=True),
+        scenario.set_a, scenario.set_b, algorithm="mtb", config=JoinConfig(),
     )
+    recorder = ObsRecorder()
+    recorder.attach(engine.tracker)
     engine.run_initial_join()
     for step in (1.0, 2.0):
         engine.tick(step)
         engine.apply_update(next(iter(engine.objects_a.values())))
-    path = engine.export_obs(tmp_path / "run.json")
+    path = recorder.export_json(tmp_path / "run.json")
     rows = timeline_rows(load_recording(path))
     assert [row["t"] for row in rows] == [1.0, 2.0]
     assert all(row["updates"] == 1 for row in rows)
     out = io.StringIO()
     assert main(["report", str(path), "--sections", "timeline"], out=out) == 0
     assert "timeline" in out.getvalue()
-
-
-def test_csv_subcommand(tmp_path, recordings):
-    _src_dir, cells = recordings
-    path, _engine = cells[("non-TC", 30)]
-    dst = tmp_path / "out.csv"
-    out = io.StringIO()
-    assert main(["csv", str(path), str(dst)], out=out) == 0
-    header = dst.read_text().splitlines()[0]
-    assert header.startswith("id,parent,name,tags,calls,seconds")
 
 
 def test_cli_error_paths(tmp_path):

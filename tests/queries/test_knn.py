@@ -5,6 +5,7 @@ import pytest
 from repro.core import JoinConfig
 from repro.geometry import Box, KineticBox
 from repro.index import TPRStarTree
+from repro.objects import MovingObject
 from repro.queries import ContinuousKNNEngine, knn_at
 from repro.workloads import UpdateStream, uniform_workload
 
@@ -91,6 +92,26 @@ class TestContinuousKNNEngine:
         point = KineticBox.moving_point(0, 0, 0, 0, 0.0)
         with pytest.raises(ValueError):
             ContinuousKNNEngine(scenario.set_a, point, k=0)
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            # Zero area, but a segment: its answer would be its centre's.
+            KineticBox(Box(0, 100, 5, 5), Box(0, 0, 0, 0), 0.0),
+            KineticBox(Box(5, 5, 0, 100), Box(0, 0, 0, 0), 0.0),
+            # A point whose velocity is a range, not one motion.
+            KineticBox(Box(5, 5, 5, 5), Box(-1, 1, 0, 0), 0.0),
+            KineticBox(Box(5, 5, 5, 5), Box(0, 0, 2, 3), 0.0),
+        ],
+        ids=["x-segment", "y-segment", "x-velocity-range", "y-velocity-range"],
+    )
+    def test_query_must_be_a_moving_point(self, query):
+        objects = [
+            MovingObject(1, Box(0, 1, 0, 1), 0.0, 0.0, 0.0),
+            MovingObject(2, Box(98, 99, 4, 5), 0.0, 0.0, 0.0),
+        ]
+        with pytest.raises(ValueError, match="moving point"):
+            ContinuousKNNEngine(objects, query, k=1)
 
     def test_unknown_update_rejected(self):
         scenario, engine = self.make()
