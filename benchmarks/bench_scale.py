@@ -203,7 +203,7 @@ from repro.core import ColumnarJoinEngine, ContinuousJoinEngine, JoinConfig
 from repro.deltas import fold_events
 from repro.metrics import monotonic_clock
 from repro.obs import ObsRecorder
-from repro.workloads import VectorUpdateStream, make_workload_arrays
+from repro.workloads import UpdateStream, make_workload
 
 SIZES = [1_000, 10_000, 100_000]
 SEED_BASELINE_SIZES = {1_000, 10_000}
@@ -279,7 +279,7 @@ def fixed_coverage_pct(n: int) -> float:
 
 
 def workload(n: int, object_size_pct: float = OBJECT_SIZE_PCT):
-    return make_workload_arrays(
+    return make_workload(
         n,
         "uniform",
         space_size=space_for(n),
@@ -424,7 +424,7 @@ def run_columnar(
     engine.result_planes_at()  # the first answer: flushes the initial join's rows
     first_read_s = monotonic_clock() - t0
     initial_pairs = len(engine.store)
-    stream = VectorUpdateStream(arrays, seed=SEED + 1)
+    stream = UpdateStream(arrays, seed=SEED + 1)
     plane_reads, set_reads_s, batches = [], [], []
     t0 = monotonic_clock()
     for step in range(1, steps + 1):
@@ -520,7 +520,7 @@ def run_columnar_deltas(n: int, steps: int, fan_reads: bool = False) -> dict:
     engine.deltas()  # flushes the initial join and nets every row of it
     first_deltas_s = monotonic_clock() - t0
     merged_before = engine.store.rows_merged
-    stream = VectorUpdateStream(arrays, seed=SEED + 1)
+    stream = UpdateStream(arrays, seed=SEED + 1)
     watches = []
     if fan_reads:
         oids = np.concatenate([arrays.oid_a, arrays.oid_b])
@@ -649,16 +649,12 @@ def sweep_selectivity(n: int) -> dict:
 def run_seed_baseline(n: int, steps: int) -> dict:
     """The tree engine's per-update loop replaying the *same* update batches."""
     arrays = workload(n)
-    scenario = arrays.to_scenario()
-    stream = VectorUpdateStream(arrays, seed=SEED + 1)
-    ticks = []
-    for step in range(1, steps + 1):
-        upd_a, upd_b = stream.updates_at(float(step))
-        ticks.append((float(step), upd_a.objects() + upd_b.objects()))
+    set_a, set_b = arrays.set_a, arrays.set_b
+    ticks = list(UpdateStream(arrays, seed=SEED + 1).by_timestamp(1.0, float(steps)))
     t0 = monotonic_clock()
     engine = ContinuousJoinEngine.create(
-        scenario.set_a,
-        scenario.set_b,
+        set_a,
+        set_b,
         algorithm=ALGORITHM,
         config=JoinConfig(t_m=T_M),
     )
@@ -698,12 +694,12 @@ def run_sharded_columnar(n: int, steps: int, shards: int, workers: int) -> dict:
     from repro.par import ShardedJoinEngine
 
     arrays = workload(n)
-    scenario = arrays.to_scenario()
+    set_a, set_b = arrays.set_a, arrays.set_b
     config = JoinConfig(t_m=T_M)
     t0 = monotonic_clock()
     engine = ShardedJoinEngine(
-        scenario.set_a,
-        scenario.set_b,
+        set_a,
+        set_b,
         algorithm=ALGORITHM,
         config=config,
         shards=shards,
@@ -714,7 +710,7 @@ def run_sharded_columnar(n: int, steps: int, shards: int, workers: int) -> dict:
     engine.run_initial_join()
     initial_s = monotonic_clock() - t0
     initial_pairs = len(engine.merged_store())
-    stream = VectorUpdateStream(arrays, seed=SEED + 1)
+    stream = UpdateStream(arrays, seed=SEED + 1)
     t0 = monotonic_clock()
     updates = 0
     for step in range(1, steps + 1):

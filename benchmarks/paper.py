@@ -201,18 +201,13 @@ def maintenance(sc, algorithm, steps, recording: Recording = None,
 
 def _drive(engine, sc, seed, steps) -> int:
     """Feed set A's updates to a one-set engine; B's only advance."""
-    stream = UpdateStream(sc, seed=seed)
-    shadow_b = {o.oid: o for o in sc.set_b}
     updates = 0
-    for step in range(1, steps + 1):
-        t = float(step)
+    for t, batch in UpdateStream(sc, seed=seed).by_timestamp(1.0, float(steps)):
         engine.tick(t)
-        for obj in stream.updates_for(t, {**engine.objects, **shadow_b}):
+        for obj in batch:
             if obj.oid in engine.objects:
                 engine.apply_update(obj)
                 updates += 1
-            else:
-                shadow_b[obj.oid] = obj
     return updates
 
 

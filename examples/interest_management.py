@@ -66,22 +66,17 @@ def main() -> None:
         config=config,
         max_speed=scenario.max_speed,
     )
-    stream = UpdateStream(scenario, seed=4)
-    objects = {o.oid: o for o in scenario.set_a}
-    shadow = {o.oid: o for o in scenario.set_b}
-    for t in range(1, 11):
-        keng.tick(float(t))
-        weng.tick(float(t))
-        for obj in stream.updates_for(float(t), {**objects, **shadow}):
-            if obj.oid in objects:
-                objects[obj.oid] = obj
+    faction_a = set(scenario.oid_a.tolist())
+    for t, batch in UpdateStream(scenario, seed=4).by_timestamp(1.0, 10.0):
+        keng.tick(t)
+        weng.tick(t)
+        for obj in batch:
+            if obj.oid in faction_a:
                 keng.apply_update(obj)
                 weng.apply_update(obj)
-            else:
-                shadow[obj.oid] = obj
         if t % 5 == 0:
             nn = ", ".join(f"{oid}@{d:.1f}" for d, oid in keng.knn())
-            print(f"  t={t:2d}: 5-NN = [{nn}]  "
+            print(f"  t={t:2g}: 5-NN = [{nn}]  "
                   f"(candidates tracked: {keng.candidate_count}); "
                   f"sector holds {len(weng.result_for(9_000_000))} entities")
 

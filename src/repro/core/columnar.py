@@ -102,9 +102,9 @@ class ColumnarJoinEngine(DeltaSource):
     :class:`~repro.core.columns.ColumnStore` (adopted, not copied).
 
     The update entry points mirror the object engine:
-    :meth:`apply_updates` takes objects (compat shim for the scalar
-    stream and the differential tests); :meth:`apply_update_columns` is
-    the array-native group commit the vectorized stream feeds.
+    :meth:`apply_updates` takes objects (the differential tests'
+    shim); :meth:`apply_update_columns` is the array-native group
+    commit that the update stream's columns feed.
     """
 
     def __init__(

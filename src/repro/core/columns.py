@@ -823,10 +823,10 @@ def _abs_rows(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 class ObjectsView(Mapping):
     """Read-only ``oid -> MovingObject`` mapping over a :class:`ColumnStore`.
 
-    Reconstructs objects lazily on access, so legacy object-path
-    consumers (the scalar :class:`~repro.workloads.UpdateStream`, the
-    differential tests) can read a columnar engine's state without the
-    engine materializing a Python object per row per tick.
+    Reconstructs objects lazily on access, so object-path consumers
+    (the differential tests, the sanitizer) can read a columnar engine's
+    state without the engine materializing a Python object per row per
+    tick.
     """
 
     __slots__ = ("_store",)

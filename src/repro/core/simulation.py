@@ -2,18 +2,18 @@
 
 :class:`SimulationDriver` advances discrete timestamps, pulls the due
 updates from an :class:`~repro.workloads.UpdateStream`, feeds them to a
-:class:`~repro.core.engine.ContinuousJoinEngine`, and records per-step
-costs.  The maintenance experiments (paper §VI-D.2) are this loop,
+join engine, and records per-step costs.  The maintenance experiments (paper §VI-D.2) are this loop,
 amortized over the number of updates.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, NamedTuple, Optional
+from typing import TYPE_CHECKING, Callable, List, NamedTuple, Optional
 
 from ..metrics import CostSnapshot
-from ..workloads import UpdateStream
-from .engine import ContinuousJoinEngine
+
+if TYPE_CHECKING:  # repro.workloads imports repro.core at load time
+    from ..workloads import UpdateStream
 
 __all__ = ["StepStats", "SimulationDriver"]
 
@@ -30,13 +30,15 @@ class StepStats(NamedTuple):
 class SimulationDriver:
     """Runs a continuous join forward in time, one timestamp per step.
 
-    Each step's due updates go to the engine's ``apply_updates``: the
-    tree engine applies them one object at a time (the paper's
-    per-update maintenance, so the recorded costs are per-update costs);
-    the columnar engine group-commits the tick.
+    Each step's due updates go to the engine as the stream's columns
+    when it has ``apply_update_columns`` (the columnar and sharded
+    engines group-commit the tick), and otherwise as objects to
+    ``apply_updates``: the tree engine applies them one object at a time
+    (the paper's per-update maintenance, so the recorded costs are
+    per-update costs).
     """
 
-    def __init__(self, engine: ContinuousJoinEngine, stream: UpdateStream):
+    def __init__(self, engine, stream: "UpdateStream"):
         self.engine = engine
         self.stream = stream
         self.history: List[StepStats] = []
@@ -47,11 +49,13 @@ class SimulationDriver:
         t = engine.now + 1.0
         before = engine.tracker.snapshot()
         engine.tick(t)
-        current = {**engine.objects_a, **engine.objects_b}
-        updates = self.stream.updates_for(t, current)
-        engine.apply_updates(updates)
+        upd_a, upd_b = self.stream.updates_at(t)
+        if hasattr(engine, "apply_update_columns"):
+            engine.apply_update_columns(upd_a, upd_b)
+        else:
+            engine.apply_updates(upd_a.objects() + upd_b.objects())
         cost = engine.tracker.snapshot() - before
-        stats = StepStats(t, len(updates), cost, len(engine.result_at(t)))
+        stats = StepStats(t, len(upd_a) + len(upd_b), cost, len(engine.result_at(t)))
         self.history.append(stats)
         return stats
 

@@ -204,9 +204,11 @@ class ObsRecorder:
             self.trackers.append(tracker)
 
     def detach(self) -> None:
-        """Stop receiving increments from every attached tracker."""
+        """Stop receiving increments from every attached tracker; a
+        tracker another recorder has taken over since keeps that one."""
         for tracker in self.trackers:
-            tracker.attach_obs(None)
+            if tracker.obs is self:
+                tracker.attach_obs(None)
         self.trackers.clear()
 
     def count(self, key: str, n: Union[int, float] = 1) -> None:

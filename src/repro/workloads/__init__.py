@@ -2,7 +2,6 @@
 
 from .generator import (
     DISTRIBUTIONS,
-    ArrayScenario,
     Scenario,
     battlefield_workload,
     gaussian_workload,
@@ -16,13 +15,12 @@ from .updates import UpdateStream, VectorUpdateStream
 __all__ = [
     "DISTRIBUTIONS",
     "Scenario",
-    "ArrayScenario",
     "make_workload",
-    "make_workload_arrays",
-    "VectorUpdateStream",
     "uniform_workload",
     "gaussian_workload",
     "battlefield_workload",
     "road_network_workload",
     "UpdateStream",
+    "make_workload_arrays",
+    "VectorUpdateStream",
 ]

@@ -17,17 +17,17 @@ per scenario, so every experiment is reproducible bit-for-bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Tuple
 
 import numpy as np
 
+from ..core.columns import UpdateColumns
 from ..geometry import Box
 from ..objects import MovingObject
 
 __all__ = [
     "Scenario",
-    "ArrayScenario",
     "make_workload",
     "make_workload_arrays",
     "uniform_workload",
@@ -46,26 +46,81 @@ ROAD_GRID = 10
 _B_ID_OFFSET = 1_000_000
 
 
-@dataclass
+@dataclass(eq=False)  # its fields are arrays: a scenario is equal only to itself
 class Scenario:
-    """A generated pair of datasets plus the parameters that shaped it."""
+    """A generated pair of datasets plus the parameters that shaped it.
 
-    set_a: List[MovingObject]
-    set_b: List[MovingObject]
+    Positions and velocities stay as the ``(2, n)`` arrays the samplers
+    drew, so a 1M-object workload generates in seconds and feeds the
+    columnar engine (:meth:`columns_a`, :meth:`columns_b`) without a
+    Python object per row.  :attr:`set_a` and :attr:`set_b` build the
+    object engines' :class:`~repro.objects.MovingObject` lists on each
+    access; the scenario keeps none of them.
+    """
+
+    oid_a: np.ndarray
+    pos_a: np.ndarray
+    vel_a: np.ndarray
+    oid_b: np.ndarray
+    pos_b: np.ndarray
+    vel_b: np.ndarray
     distribution: str
     space_size: float
     max_speed: float
     object_side: float
     t_m: float
     seed: int
-    #: RNG to be used for the scenario's update stream (already advanced
-    #: past dataset generation).
-    rng: np.random.Generator = field(repr=False)
 
     @property
     def n_objects(self) -> int:
         """Cardinality of each dataset."""
-        return len(self.set_a)
+        return int(self.oid_a.shape[0])
+
+    @property
+    def set_a(self) -> List[MovingObject]:
+        """Dataset A as a new list of objects (``t_ref = 0``)."""
+        return self._objects(self.oid_a, self.pos_a, self.vel_a)
+
+    @property
+    def set_b(self) -> List[MovingObject]:
+        """Dataset B as a new list of objects (``t_ref = 0``)."""
+        return self._objects(self.oid_b, self.pos_b, self.vel_b)
+
+    def _objects(self, oids, pos, vel) -> List[MovingObject]:
+        # Row by row: bulk ``tolist()`` copies leave less free heap for
+        # forked shard workers to grow into (+1.5 MiB peak RSS at 20k).
+        side = self.object_side
+        objects = []
+        for i in range(oids.shape[0]):
+            x, y = float(pos[0, i]), float(pos[1, i])
+            box = Box(x, x + side, y, y + side)
+            objects.append(
+                MovingObject(int(oids[i]), box, float(vel[0, i]), float(vel[1, i]), 0.0)
+            )
+        return objects
+
+    def columns_a(self) -> UpdateColumns:
+        """Dataset A as :class:`~repro.core.columns.UpdateColumns`."""
+        return self._columns(self.oid_a, self.pos_a, self.vel_a)
+
+    def columns_b(self) -> UpdateColumns:
+        """Dataset B as :class:`~repro.core.columns.UpdateColumns`."""
+        return self._columns(self.oid_b, self.pos_b, self.vel_b)
+
+    def _columns(self, oids, pos, vel) -> UpdateColumns:
+        return UpdateColumns(
+            oid=oids,
+            mlo=pos,
+            mhi=pos + self.object_side,
+            vlo=vel,
+            vhi=vel,
+            tref=np.zeros(pos.shape[1]),
+        )
+
+    def to_scenario(self) -> "Scenario":
+        """The scenario itself: an alias the end-to-end benchmark calls,
+        to go once the benchmark stops calling it."""
+        return self
 
 
 def make_workload(
@@ -81,107 +136,9 @@ def make_workload(
 
     ``object_size_pct`` is the object side length as a percentage of the
     space side (Table I: 0.05%–0.8%, default 0.1% → side 1.0 in the
-    default 1000-unit domain).  The objects are
-    :func:`make_workload_arrays`' draws, materialized.
-    """
-    return make_workload_arrays(
-        n_objects, distribution, space_size, max_speed, object_size_pct, t_m, seed
-    ).to_scenario()
-
-
-@dataclass
-class ArrayScenario:
-    """A generated dataset pair kept as arrays (no per-object Python).
-
-    The columnar counterpart of :class:`Scenario`: positions and
-    velocities stay as the ``(2, n)`` arrays the samplers drew, so a
-    1M-object workload generates in seconds and feeds the columnar
-    engine without ever materializing a :class:`MovingObject` per row.
-    :func:`make_workload` is :meth:`to_scenario` of these arrays, so
-    both forms of a seed hold the same objects, ``road`` included.
-    """
-
-    oid_a: np.ndarray
-    pos_a: np.ndarray
-    vel_a: np.ndarray
-    oid_b: np.ndarray
-    pos_b: np.ndarray
-    vel_b: np.ndarray
-    distribution: str
-    space_size: float
-    max_speed: float
-    object_side: float
-    t_m: float
-    seed: int
-    #: RNG for the scenario's update stream (advanced past generation).
-    rng: np.random.Generator = field(repr=False)
-
-    @property
-    def n_objects(self) -> int:
-        """Cardinality of each dataset."""
-        return int(self.oid_a.shape[0])
-
-    def columns_a(self):
-        """Dataset A as :class:`~repro.core.columns.UpdateColumns`."""
-        return self._columns(self.oid_a, self.pos_a, self.vel_a)
-
-    def columns_b(self):
-        """Dataset B as :class:`~repro.core.columns.UpdateColumns`."""
-        return self._columns(self.oid_b, self.pos_b, self.vel_b)
-
-    def _columns(self, oids, pos, vel):
-        # Late import: repro.core imports this package at load time.
-        from ..core.columns import UpdateColumns
-
-        return UpdateColumns(
-            oid=oids,
-            mlo=pos,
-            mhi=pos + self.object_side,
-            vlo=vel,
-            vhi=vel,
-            tref=np.zeros(pos.shape[1]),
-        )
-
-    def to_scenario(self) -> Scenario:
-        """Materialize the per-object :class:`Scenario` (what
-        :func:`make_workload` returns)."""
-        side = self.object_side
-        set_a = [
-            _make_object(int(self.oid_a[i]), self.pos_a[:, i], self.vel_a[:, i], side)
-            for i in range(self.n_objects)
-        ]
-        set_b = [
-            _make_object(int(self.oid_b[i]), self.pos_b[:, i], self.vel_b[:, i], side)
-            for i in range(self.n_objects)
-        ]
-        return Scenario(
-            set_a=set_a,
-            set_b=set_b,
-            distribution=self.distribution,
-            space_size=self.space_size,
-            max_speed=self.max_speed,
-            object_side=side,
-            t_m=self.t_m,
-            seed=self.seed,
-            rng=self.rng,
-        )
-
-
-def make_workload_arrays(
-    n_objects: int,
-    distribution: str = "uniform",
-    space_size: float = 1000.0,
-    max_speed: float = 2.0,
-    object_size_pct: float = 0.1,
-    t_m: float = 60.0,
-    seed: int = 0,
-) -> ArrayScenario:
-    """Generate two datasets of ``n_objects`` each, as arrays.
-
-    The samplers' bulk draws, transposed to the ``(2, n)`` column
-    layout; only the ``road`` distribution pays a per-object sampling
-    loop (its draws are inherently sequential).  Parameters as for
-    :func:`make_workload`.
+    default 1000-unit domain).  The samplers draw in bulk; only the
+    ``road`` distribution pays a per-object sampling loop (its draws are
+    inherently sequential).
     """
     if distribution not in DISTRIBUTIONS:
         raise ValueError(f"unknown distribution {distribution!r}")
@@ -209,7 +166,7 @@ def make_workload_arrays(
     else:  # road network
         positions_a, velocities_a = _road_placement(rng, n_objects, space_size, side, max_speed)
         positions_b, velocities_b = _road_placement(rng, n_objects, space_size, side, max_speed)
-    return ArrayScenario(
+    return Scenario(
         oid_a=np.arange(n_objects, dtype=np.int64),
         pos_a=np.ascontiguousarray(positions_a.T),
         vel_a=np.ascontiguousarray(velocities_a.T),
@@ -224,8 +181,11 @@ def make_workload_arrays(
         object_side=side,
         t_m=t_m,
         seed=seed,
-        rng=rng,
     )
+
+
+#: The end-to-end benchmark's name for :func:`make_workload`.
+make_workload_arrays = make_workload
 
 
 def uniform_workload(n_objects: int, seed: int = 0, **kwargs) -> Scenario:
@@ -327,15 +287,3 @@ def _road_placement(
             velocities[i] = (0.0, direction * speed)
     return positions, velocities
 
-
-def _make_object(
-    oid: int, position: np.ndarray, velocity: np.ndarray, side: float
-) -> MovingObject:
-    x, y = float(position[0]), float(position[1])
-    return MovingObject(
-        oid,
-        Box(x, x + side, y, y + side),
-        float(velocity[0]),
-        float(velocity[1]),
-        t_ref=0.0,
-    )

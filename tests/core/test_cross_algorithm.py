@@ -19,23 +19,18 @@ def run_lockstep(distribution, n=90, t_m=10.0, steps=22, seed=31):
     )
     config = JoinConfig(t_m=t_m)
     engines = {}
-    streams = {}
     for algorithm in ALGORITHMS:
         engines[algorithm] = ContinuousJoinEngine.create(
             scenario.set_a, scenario.set_b, algorithm=algorithm, config=config
         )
         engines[algorithm].run_initial_join()
-        # Identical seed → identical update stream per engine.
-        streams[algorithm] = UpdateStream(scenario, seed=seed + 5)
     snapshots = []
-    for step in range(1, steps + 1):
-        t = float(step)
+    stream = UpdateStream(scenario, seed=seed + 5)
+    for t, batch in stream.by_timestamp(1.0, float(steps)):
         answers = {}
-        for algorithm in ALGORITHMS:
-            engine = engines[algorithm]
+        for algorithm, engine in engines.items():
             engine.tick(t)
-            current = {**engine.objects_a, **engine.objects_b}
-            for obj in streams[algorithm].updates_for(t, current):
+            for obj in batch:
                 engine.apply_update(obj)
             answers[algorithm] = engine.result_at(t)
         snapshots.append((t, answers))

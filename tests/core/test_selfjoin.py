@@ -40,16 +40,11 @@ class TestSelfJoin:
 
     def test_continuous_correctness_under_updates(self):
         scenario, engine = build()
-        stream = UpdateStream(scenario, seed=3)
-        shadow_b = {o.oid: o for o in scenario.set_b}
-        for step in range(1, 30):
-            t = float(step)
+        for t, batch in UpdateStream(scenario, seed=3).by_timestamp(1.0, 29.0):
             engine.tick(t)
-            for obj in stream.updates_for(t, {**engine.objects, **shadow_b}):
+            for obj in batch:
                 if obj.oid in engine.objects:
                     engine.apply_update(obj)
-                else:
-                    shadow_b[obj.oid] = obj
             assert engine.result_at() == oracle_pairs(engine.objects, t), t
 
     def test_partners_of(self):

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.core import ContinuousJoinEngine, JoinConfig, SimulationDriver
+from repro.core import ColumnarJoinEngine, ContinuousJoinEngine, JoinConfig, SimulationDriver
 from repro.metrics import CostSnapshot, CostTracker
+from repro.objects import MovingObject
 from repro.workloads import UpdateStream, uniform_workload
 
 
@@ -59,18 +60,42 @@ class TestDriver:
         a twin engine, counter for counter."""
         engine, driver = make_driver(algorithm, n=150)
         twin, twin_driver = make_driver(algorithm, n=150)
-        stream = twin_driver.stream  # same scenario, same seed
-        for stats in driver.run(6):
+        batches = twin_driver.stream.by_timestamp()  # same scenario, same seed
+        for stats, (t, batch) in zip(driver.run(6), batches):
             before = twin.tracker.snapshot()
-            twin.tick(stats.timestamp)
-            current = {**twin.objects_a, **twin.objects_b}
-            for obj in stream.updates_for(stats.timestamp, current):
+            twin.tick(t)
+            for obj in batch:
                 twin.apply_update(obj)
             want = twin.tracker.snapshot() - before
             for counter in ("page_reads", "page_writes", "pair_tests", "node_visits"):
                 assert getattr(stats.cost, counter) == getattr(want, counter), (
                     counter, stats.timestamp,
                 )
+        assert driver.total_updates() > 0
+
+    def test_columnar_engine_gets_columns(self, monkeypatch):
+        """A columnar engine's steps take the stream's columns whole: no
+        object is built per update, and the answers are the tree
+        engine's on the same stream."""
+        tree, tree_driver = make_driver("mtb", n=150)
+        scenario = uniform_workload(150, seed=1, t_m=10.0, object_size_pct=1.0)
+        engine = ColumnarJoinEngine(
+            scenario.columns_a(), scenario.columns_b(), "mtb", JoinConfig(t_m=10.0)
+        )
+        engine.run_initial_join()
+        driver = SimulationDriver(engine, UpdateStream(scenario, seed=10))
+        built = []
+        init = MovingObject.__init__
+        monkeypatch.setattr(
+            MovingObject, "__init__", lambda obj, *args: built.append(1) or init(obj, *args)
+        )
+        for _ in range(6):
+            del built[:]
+            stats = driver.step()
+            assert not built
+            want = tree_driver.step()
+            assert stats.n_updates == want.n_updates
+            assert engine.result_at(stats.timestamp) == tree.result_at(want.timestamp)
         assert driver.total_updates() > 0
 
 

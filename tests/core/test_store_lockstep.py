@@ -35,16 +35,11 @@ def workload():
     )
 
 
-def own_updates(stream, t, engine, shadow):
-    """The stream's updates at ``t`` for the set ``engine`` indexes; the
-    scenario's other set is only tracked in ``shadow``."""
-    mine = []
-    for obj in stream.updates_for(t, {**engine.objects, **shadow}):
-        if obj.oid in engine.objects:
-            mine.append(obj)
-        else:
-            shadow[obj.oid] = obj
-    return mine
+def own_updates(scenario, engine):
+    """``(t, batch)`` per tick: the stream's updates for the set
+    ``engine`` indexes (the scenario's other set only advances)."""
+    for t, batch in UpdateStream(scenario, seed=8).by_timestamp(1.0, float(TICKS)):
+        yield t, [obj for obj in batch if obj.oid in engine.objects]
 
 
 def finish(lock, t, oids):
@@ -63,12 +58,9 @@ def test_selfjoin_engine_store():
     engine.run_initial_join()
     oids = sorted(engine.objects)
     lock.agree(0.0, oids)
-    stream = UpdateStream(scenario, seed=8)
-    shadow = {obj.oid: obj for obj in scenario.set_b}
-    for step in range(1, TICKS + 1):
-        t = float(step)
+    for t, batch in own_updates(scenario, engine):
         engine.tick(t)
-        for obj in own_updates(stream, t, engine, shadow):
+        for obj in batch:
             engine.apply_update(obj)
         lock.agree(t, oids)
         assert sanitize_engine(engine) == [], t
@@ -95,18 +87,15 @@ def test_window_engine_store(time_constrained):
     engine.evaluate_initial()
     oids = sorted(engine.objects) + sorted(windows) + [9_000_009]
     lock.agree(0.0, oids)
-    stream = UpdateStream(scenario, seed=8)
-    shadow = {obj.oid: obj for obj in scenario.set_b}
-    for step in range(1, TICKS + 1):
-        t = float(step)
+    for t, batch in own_updates(scenario, engine):
         engine.tick(t)
-        for obj in own_updates(stream, t, engine, shadow):
+        for obj in batch:
             engine.apply_update(obj)
-        if step == 5:
+        if t == 5:
             engine.add_window(
                 9_000_009, KineticBox.rigid(Box(300, 700, 300, 700), 0.5, -0.5, t)
             )
-        if step == 9:
+        if t == 9:
             engine.remove_window(9_000_000)
         lock.agree(t, oids)
         assert sanitize_engine(engine) == [], t

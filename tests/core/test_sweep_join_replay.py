@@ -33,7 +33,7 @@ from repro.core import columnar
 from repro.core.columns import ColumnStore
 from repro.geometry import ps_intersection
 from repro.geometry.kernels import SWEEP_GRID_MIN_PAIRS, KineticBatch, batch_sweep_join
-from repro.workloads import VectorUpdateStream, make_workload_arrays
+from repro.workloads import UpdateStream, make_workload
 
 from ..geometry.sweep_oracle import batch_boxes, batch_select_sweep_dimension, oracle_sweep_join
 
@@ -62,7 +62,7 @@ EXACT_TESTS = {
 
 
 def scenario(n, object_size_pct, t_m):
-    return make_workload_arrays(
+    return make_workload(
         n,
         "uniform",
         space_size=1000.0 * math.sqrt(n / 1000.0),
@@ -94,7 +94,7 @@ def captured_calls(shape, monkeypatch):
         arrays.columns_a(), arrays.columns_b(), algorithm, JoinConfig(t_m=t_m)
     )
     engine.run_initial_join()
-    stream = VectorUpdateStream(arrays, seed=SEED + 1)
+    stream = UpdateStream(arrays, seed=SEED + 1)
     for step in range(1, ticks + 1):
         t = float(step)
         engine.tick(t)

@@ -151,7 +151,7 @@ def test_sharded_engine_matches_serial(shards, workers):
     """Merged shard stores equal the unsharded engine's store at every
     sampled timestamp, including objects that cross stripe boundaries."""
     scenario = make_workload(
-        40, "uniform", max_speed=3.0, object_size_pct=0.8, t_m=8.0, seed=37
+        40, "uniform", max_speed=3.0, object_size_pct=2.0, t_m=8.0, seed=37
     )
     config = JoinConfig(t_m=8.0, node_capacity=8)
     serial = ContinuousJoinEngine(

@@ -25,12 +25,7 @@ from repro.core import (
 )
 from repro.metrics import COUNTER_KEYS
 from repro.obs import NULL_SPAN, ObsRecorder, tracker_span
-from repro.workloads import (
-    UpdateStream,
-    VectorUpdateStream,
-    make_workload,
-    make_workload_arrays,
-)
+from repro.workloads import UpdateStream, make_workload
 
 ALGORITHMS = ("naive", "etp", "tc", "mtb")
 TICKS = 8
@@ -42,25 +37,20 @@ def drive(engine, scenario, ticks=TICKS, seed=3):
     Returns the ``apply_update`` calls made per tick.
     """
     engine.run_initial_join()
-    stream = UpdateStream(scenario, seed=seed)
-    current = dict(engine.objects_a)
-    current.update(engine.objects_b)
     calls = Counter()
-    for step in range(1, ticks + 1):
-        t = float(step)
+    for t, batch in UpdateStream(scenario, seed=seed).by_timestamp(1.0, float(ticks)):
         engine.tick(t)
-        for obj in stream.updates_for(t, current):
-            current[obj.oid] = obj
+        for obj in batch:
             engine.apply_update(obj)
             calls[t] += 1
         engine.result_at(t)
     return calls
 
 
-def drive_columnar(engine, arrays, ticks=TICKS, seed=3):
+def drive_columnar(engine, scenario, ticks=TICKS, seed=3):
     """Initial join then one ``apply_update_columns`` per tick."""
     engine.run_initial_join()
-    stream = VectorUpdateStream(arrays, seed=seed)
+    stream = UpdateStream(scenario, seed=seed)
     calls = Counter()
     for step in range(1, ticks + 1):
         t = float(step)
@@ -73,18 +63,13 @@ def drive_columnar(engine, arrays, ticks=TICKS, seed=3):
 
 def drive_selfjoin(engine, scenario, ticks=TICKS, seed=2):
     """The stream schedules both scenario sets; the self-join engine
-    only manages set A, so B-updates are extrapolated but not applied."""
+    only manages set A, so B-updates are drawn but not applied."""
     engine.run_initial_join()
-    stream = UpdateStream(scenario, seed=seed)
-    current = {obj.oid: obj for obj in scenario.set_b}
-    current.update(engine.objects)
     calls = Counter()
-    for step in range(1, ticks + 1):
-        t = float(step)
+    for t, batch in UpdateStream(scenario, seed=seed).by_timestamp(1.0, float(ticks)):
         engine.tick(t)
-        for obj in stream.updates_for(t, current):
+        for obj in batch:
             if obj.oid in engine.objects:
-                current[obj.oid] = obj
                 engine.apply_update(obj)
                 calls[t] += 1
     return calls
@@ -103,14 +88,14 @@ def tree_case(algorithm):
 
 def columnar_case(algorithm):
     def run():
-        arrays = make_workload_arrays(
+        scenario = make_workload(
             64, "uniform", max_speed=3.0, object_size_pct=1.5, t_m=10.0, seed=17
         )
         engine = ColumnarJoinEngine(
-            arrays.columns_a(), arrays.columns_b(), algorithm=algorithm,
+            scenario.columns_a(), scenario.columns_b(), algorithm=algorithm,
             config=JoinConfig(t_m=10.0),
         )
-        return engine, lambda: drive_columnar(engine, arrays), "engine.update_batch"
+        return engine, lambda: drive_columnar(engine, scenario), "engine.update_batch"
     return run
 
 

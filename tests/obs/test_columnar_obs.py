@@ -13,13 +13,13 @@ from __future__ import annotations
 from repro.core import ColumnarJoinEngine, JoinConfig
 from repro.metrics import COUNTER_KEYS
 from repro.obs import NULL_SPAN, ObsRecorder, tracker_span
-from repro.workloads import VectorUpdateStream, make_workload_arrays
+from repro.workloads import UpdateStream, make_workload
 
 T_M = 10.0
 
 
 def arrays(seed=17):
-    return make_workload_arrays(
+    return make_workload(
         64, "uniform", max_speed=3.0, object_size_pct=1.5, t_m=T_M, seed=seed
     )
 
@@ -44,7 +44,7 @@ def build_recorded():
 
 def drive(engine, arr, ticks=8, seed=3):
     engine.run_initial_join()
-    stream = VectorUpdateStream(arr, seed=seed)
+    stream = UpdateStream(arr, seed=seed)
     for step in range(1, ticks + 1):
         t = float(step)
         engine.tick(t)

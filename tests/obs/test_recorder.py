@@ -126,6 +126,19 @@ class TestTrackerIntegration:
         assert rec.root_totals() == {"page_reads": 1}
         assert tracker.page_reads == 2
 
+    def test_detach_leaves_a_tracker_another_recorder_took_over(self):
+        tracker = CostTracker()
+        first, second = ObsRecorder(), ObsRecorder()
+        first.attach(tracker)
+        second.attach(tracker)
+        first.detach()
+        assert tracker.obs is second
+        tracker.count_read()
+        assert second.root_totals() == {"page_reads": 1}
+        assert first.root_totals() == {}
+        second.detach()
+        assert tracker.obs is None
+
     def test_tracker_span_is_noop_without_recorder(self):
         tracker = CostTracker()
         assert tracker_span(tracker, "anything") is NULL_SPAN

@@ -17,7 +17,7 @@ from repro.core import JoinConfig
 from repro.core.columns import UpdateColumns
 from repro.geometry import INF
 from repro.par import ShardedJoinEngine, StripePartition
-from repro.workloads import VectorUpdateStream, make_workload_arrays
+from repro.workloads import UpdateStream, make_workload
 
 from ..conftest import assert_sanitized
 
@@ -25,8 +25,8 @@ T_M = 10.0
 N = 80
 
 
-def arrays(seed=13):
-    return make_workload_arrays(
+def workload(seed=13):
+    return make_workload(
         N, "uniform", max_speed=3.0, object_size_pct=1.5, t_m=T_M, seed=seed
     )
 
@@ -76,8 +76,7 @@ class TestSpansToShards:
 @pytest.mark.parametrize("algorithm", ["tc", "mtb"])
 def test_column_path_matches_object_path_per_shard(algorithm):
     """Drive twin sharded engines, one per update path; compare shards."""
-    arr = arrays()
-    scenario = arr.to_scenario()
+    scenario = workload()
     config = JoinConfig(t_m=T_M)
 
     def build():
@@ -92,7 +91,7 @@ def test_column_path_matches_object_path_per_shard(algorithm):
         return engine
 
     col_engine, obj_engine = build(), build()
-    stream = VectorUpdateStream(arr, seed=21)
+    stream = UpdateStream(scenario, seed=21)
     for step in range(1, 11):
         t = float(step)
         col_engine.tick(t)
@@ -121,8 +120,7 @@ def test_ops_payload_is_column_slices(monkeypatch):
     """Every ``OP_OPS`` command carries the argument tuple of the shard
     engine's ``apply_update_columns``: four ``UpdateColumns`` slices and
     an int64 eviction array that partition the batch by halo change."""
-    arr = arrays()
-    scenario = arr.to_scenario()
+    scenario = workload()
     engine = ShardedJoinEngine(
         scenario.set_a, scenario.set_b, algorithm="tc",
         config=JoinConfig(t_m=T_M), shards=4,
@@ -136,7 +134,7 @@ def test_ops_payload_is_column_slices(monkeypatch):
         return run(cmds_by_shard)
 
     monkeypatch.setattr(engine._backend, "run", spy)
-    stream = VectorUpdateStream(arr, seed=21)
+    stream = UpdateStream(scenario, seed=21)
     kinds = [0, 0, 0]  # rows shipped as update / admission / eviction
     for step in range(1, 11):
         t = float(step)
@@ -173,15 +171,14 @@ def test_ops_payload_is_column_slices(monkeypatch):
 
 
 def test_column_path_unknown_oid_rejected():
-    arr = arrays()
-    scenario = arr.to_scenario()
+    scenario = workload()
     engine = ShardedJoinEngine(
         scenario.set_a, scenario.set_b, algorithm="mtb",
         config=JoinConfig(t_m=T_M), shards=2,
     )
     engine.run_initial_join()
     engine.tick(1.0)
-    stream = VectorUpdateStream(arr, seed=21)
+    stream = UpdateStream(scenario, seed=21)
     upd_a, upd_b = stream.updates_at(1.0)
     upd_a.oid[0] = 424242
     with pytest.raises(KeyError, match="424242"):
@@ -191,14 +188,13 @@ def test_column_path_unknown_oid_rejected():
 
 def test_column_path_with_sanitizer():
     """The per-shard validators accept column-routed state every tick."""
-    arr = arrays(seed=29)
-    scenario = arr.to_scenario()
+    scenario = workload(seed=29)
     engine = ShardedJoinEngine(
         scenario.set_a, scenario.set_b, algorithm="mtb",
         config=JoinConfig(t_m=T_M), shards=3,
     )
     engine.run_initial_join()
-    stream = VectorUpdateStream(arr, seed=5)
+    stream = UpdateStream(scenario, seed=5)
     for step in range(1, 7):
         t = float(step)
         engine.tick(t)

@@ -20,12 +20,7 @@ from repro.core.columns import UpdateColumns, columns_from_objects
 from repro.geometry import Box
 from repro.objects import MovingObject
 from repro.par import SHARDABLE_ALGORITHMS, ShardedJoinEngine, worker
-from repro.workloads import (
-    UpdateStream,
-    VectorUpdateStream,
-    make_workload,
-    make_workload_arrays,
-)
+from repro.workloads import UpdateStream, make_workload
 
 from ..check.errors import InvariantViolation
 from ..check.sanitize import check_sharded_state, raise_on_findings, sanitize_sharded_engine
@@ -50,14 +45,14 @@ def scenario_for(seed: int, n: int = 40, object_size_pct: float = 0.8):
     )
 
 
-def drive_both(algorithm, shards, workers, seed=19, sanitize=False):
+def drive_both(algorithm, shards, workers, seed=19, sanitize=False, object_size_pct=0.8):
     """Run serial and sharded engines tick-by-tick off one update feed.
 
     Returns per-tick (answer, merged snapshot) agreement evidence plus
     the count of membership changes seen, so callers can assert the run
     actually exercised cross-boundary movement.
     """
-    scenario = scenario_for(seed)
+    scenario = scenario_for(seed, object_size_pct=object_size_pct)
     config = JoinConfig(t_m=T_M, node_capacity=8)
     serial = ContinuousJoinEngine(
         scenario.set_a, scenario.set_b, algorithm, config
@@ -104,8 +99,9 @@ class TestBitExactness:
 
     @pytest.mark.parametrize("algorithm", SHARDABLE_ALGORITHMS)
     def test_boundary_crossers_keep_exactness(self, algorithm):
-        """The run must include genuine shard-membership changes."""
-        changes = drive_both(algorithm, shards=4, workers=0, seed=37)
+        """The run must include genuine shard-membership changes (and
+        pairs: objects of 2 % of the side keep the answer non-empty)."""
+        changes = drive_both(algorithm, shards=4, workers=0, seed=37, object_size_pct=2.0)
         assert changes > 0, "no object ever crossed a stripe boundary"
 
     def test_sanitized_run_stays_clean(self):
@@ -297,16 +293,15 @@ class TestNoObjectsOnTheTickPath:
         return calls
 
     def test_zero_constructions(self, constructions):
-        arr = make_workload_arrays(
+        scenario = make_workload(
             60, "uniform", max_speed=3.0, object_size_pct=3.0, t_m=T_M, seed=13
         )
-        scenario = arr.to_scenario()
         engine = ShardedJoinEngine(
             scenario.set_a, scenario.set_b, "mtb",
             JoinConfig(t_m=T_M), shards=2, workers=0,
         )
         engine.run_initial_join()
-        stream = VectorUpdateStream(arr, seed=21)
+        stream = UpdateStream(scenario, seed=21)
         del constructions[:]  # building the scenario made objects; ticks must not
         for step in (1.0, 2.0, 3.0):
             upd_a, upd_b = stream.updates_at(step)

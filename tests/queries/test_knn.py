@@ -63,16 +63,11 @@ class TestContinuousKNNEngine:
 
     def test_continuous_correctness_under_updates(self):
         scenario, engine = self.make()
-        stream = UpdateStream(scenario, seed=12)
-        shadow_b = {o.oid: o for o in scenario.set_b}
-        for step in range(1, 35):
-            t = float(step)
+        for t, batch in UpdateStream(scenario, seed=12).by_timestamp(1.0, 34.0):
             engine.tick(t)
-            for obj in stream.updates_for(t, {**engine.objects, **shadow_b}):
+            for obj in batch:
                 if obj.oid in engine.objects:
                     engine.apply_update(obj)
-                else:
-                    shadow_b[obj.oid] = obj
             qx, qy = engine.query.at(t).center
             got = [oid for _, oid in engine.knn()]
             want = [

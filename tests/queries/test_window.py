@@ -40,16 +40,11 @@ class TestContinuousWindow:
 
     def test_continuous_correctness_under_updates(self):
         scenario, windows, engine = build()
-        stream = UpdateStream(scenario, seed=10)
-        shadow_b = {o.oid: o for o in scenario.set_b}
-        for step in range(1, 35):
-            t = float(step)
+        for t, batch in UpdateStream(scenario, seed=10).by_timestamp(1.0, 34.0):
             engine.tick(t)
-            for obj in stream.updates_for(t, {**engine.objects, **shadow_b}):
+            for obj in batch:
                 if obj.oid in engine.objects:
                     engine.apply_update(obj)
-                else:
-                    shadow_b[obj.oid] = obj
             assert engine.result_at() == oracle(windows, engine.objects, t), t
 
     def test_result_for_single_window(self):
@@ -107,19 +102,12 @@ class TestContinuousWindow:
         )
         tc.evaluate_initial()
         naive.evaluate_initial()
-        streams = [UpdateStream(scenario, seed=7), UpdateStream(scenario, seed=7)]
-        shadows = [dict(), dict()]
-        for i, (eng, stream) in enumerate(zip((tc, naive), streams)):
-            shadows[i] = {o.oid: o for o in scenario.set_b}
-        for step in range(1, 25):
-            t = float(step)
-            for i, (eng, stream) in enumerate(zip((tc, naive), streams)):
+        for t, batch in UpdateStream(scenario, seed=7).by_timestamp(1.0, 24.0):
+            for eng in (tc, naive):
                 eng.tick(t)
-                for obj in stream.updates_for(t, {**eng.objects, **shadows[i]}):
+                for obj in batch:
                     if obj.oid in eng.objects:
                         eng.apply_update(obj)
-                    else:
-                        shadows[i][obj.oid] = obj
             assert tc.result_at() == naive.result_at(), t
 
 

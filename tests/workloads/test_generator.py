@@ -29,6 +29,12 @@ class TestBasics:
         s3 = make_workload(50, "uniform", seed=10)
         assert s1.set_a != s3.set_a
 
+    def test_scenarios_compare_by_identity(self):
+        """Array fields make field-wise ``==`` ambiguous; a scenario
+        equals itself only, and comparing never raises."""
+        s1, s2 = make_workload(20, seed=1), make_workload(20, seed=1)
+        assert s1 == s1 and s1 != s2
+
     def test_object_size(self):
         sc = make_workload(20, "uniform", object_size_pct=0.5, space_size=1000.0)
         assert sc.object_side == pytest.approx(5.0)

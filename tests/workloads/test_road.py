@@ -35,16 +35,13 @@ class TestRoadPlacement:
 class TestRoadUpdates:
     def test_updates_stay_on_roads_and_axis_aligned(self):
         sc = road_network_workload(80, seed=5, t_m=8.0, max_speed=3.0)
-        stream = UpdateStream(sc, seed=6)
-        current = {o.oid: o for o in sc.set_a + sc.set_b}
         spacing = sc.space_size / ROAD_GRID
         centers = [
             min(r * spacing + spacing / 2, sc.space_size - sc.object_side)
             for r in range(ROAD_GRID)
         ]
-        for step in range(1, 30):
-            for obj in stream.updates_for(float(step), current):
-                current[obj.oid] = obj
+        for _t, batch in UpdateStream(sc, seed=6).by_timestamp(1.0, 29.0):
+            for obj in batch:
                 vx, vy = obj.velocity
                 assert vx == 0.0 or vy == 0.0
                 x, y = obj.kbox.mbr.x_lo, obj.kbox.mbr.y_lo

@@ -1,21 +1,21 @@
-"""Vectorized workloads: array generator equivalence and stream fixtures.
+"""Seeded workload pins: the generator's and the stream's draws.
 
 Two contracts are pinned here:
 
-1. **Byte-identity of the seeded legacy streams.**  Vectorizing the
-   generator must not move a single random draw: ``make_workload`` and
+1. **Byte-identity of the seeded workloads.**  ``make_workload`` and
    ``UpdateStream`` outputs for a fixed seed are part of the repo's
    reproducibility surface (benchmark cells and differential fixtures
-   reference them by seed).  The digests below were captured before the
-   vectorization refactor; any drift fails loudly.
-2. **Exact equivalence of the array generator.**
-   ``make_workload(...)`` is ``make_workload_arrays(...).to_scenario()``,
-   so the scenario digests pin the array generator's draws as well.
+   reference them by seed); any drift fails loudly.  The scenario
+   digests predate the array generator, and the stream digests were
+   captured from the column stream before the object stream was folded
+   into it.
+2. **The end-to-end benchmark's names are the one workload model.**
+   ``make_workload_arrays``, ``Scenario.to_scenario`` and
+   ``VectorUpdateStream`` are aliases the benchmark calls: the same
+   draws, the same objects, the same columns.
 
-``VectorUpdateStream`` is deterministic per seed but intentionally *not*
-draw-compatible with the scalar stream (it bulk-draws per tick); its
-contract is the ``T_M`` guarantee plus engine-visible validity, tested
-against the sanitizer.
+The stream's behaviour (the ``T_M`` bound, the domain, determinism,
+homing, the two views of a batch) is tested in ``test_updates.py``.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.core import ColumnarJoinEngine, JoinConfig
 from repro.workloads import (
     DISTRIBUTIONS,
     UpdateStream,
@@ -33,8 +32,6 @@ from repro.workloads import (
     make_workload,
     make_workload_arrays,
 )
-
-from ..conftest import assert_sanitized
 
 N, T_M, SCENARIO_SEED, STREAM_SEED = 48, 20.0, 7, 9
 
@@ -50,10 +47,10 @@ SCENARIO_DIGESTS = {
 # sha256 (first 16 hex) over repr((t, oid) + kbox.params()) per emitted
 # update, for UpdateStream(scenario, seed=9).by_timestamp(1.0, 12.0).
 STREAM_DIGESTS = {
-    "uniform": "3e2529b8b8f6c478",
-    "gaussian": "ec1ede16ee6edbb9",
-    "battlefield": "6d7b1d384ed0a81b",
-    "road": "4eb4e84e6491ada4",
+    "uniform": "708be2abf6aa9dfb",
+    "gaussian": "87540f2d0c8175d5",
+    "battlefield": "f2efe739ed2aeb61",
+    "road": "10795e0bd59861ec",
 }
 
 
@@ -87,26 +84,25 @@ def test_seeded_streams_are_byte_stable(distribution):
 
 @pytest.mark.parametrize("distribution", DISTRIBUTIONS)
 def test_array_generator_reproduces_object_generator(distribution):
-    arrays = make_workload_arrays(N, distribution, t_m=T_M, seed=SCENARIO_SEED)
-    legacy = make_workload(N, distribution, t_m=T_M, seed=SCENARIO_SEED)
-    rebuilt = arrays.to_scenario()
-    for built, want in (
-        (rebuilt.set_a, legacy.set_a),
-        (rebuilt.set_b, legacy.set_b),
-    ):
-        assert [o.oid for o in built] == [o.oid for o in want]
-        for x, y in zip(built, want):
-            assert x.kbox.params() == y.kbox.params()
-    # Identical RNG advancement too: the digests transfer as-is.
+    """The benchmark's ``make_workload_arrays(...).to_scenario()`` holds
+    ``make_workload``'s objects, and its ``VectorUpdateStream`` draws the
+    one stream."""
+    rebuilt = make_workload_arrays(N, distribution, t_m=T_M, seed=SCENARIO_SEED).to_scenario()
+    want = make_workload(N, distribution, t_m=T_M, seed=SCENARIO_SEED)
+    assert rebuilt.set_a == want.set_a and rebuilt.set_b == want.set_b
     assert scenario_digest(rebuilt) == SCENARIO_DIGESTS[distribution]
+    columns = VectorUpdateStream(rebuilt, seed=STREAM_SEED)
+    for t, batch in UpdateStream(want, seed=STREAM_SEED).by_timestamp(1.0, 12.0):
+        upd_a, upd_b = columns.updates_at(t)
+        assert batch == upd_a.objects() + upd_b.objects()
 
 
 def test_array_scenario_columns_match_objects():
-    arrays = make_workload_arrays(N, "uniform", t_m=T_M, seed=SCENARIO_SEED)
-    scenario = arrays.to_scenario()
+    """``set_a``/``set_b`` are the scenario's columns as objects."""
+    scenario = make_workload(N, "uniform", t_m=T_M, seed=SCENARIO_SEED)
     for cols, objs in (
-        (arrays.columns_a(), scenario.set_a),
-        (arrays.columns_b(), scenario.set_b),
+        (scenario.columns_a(), scenario.set_a),
+        (scenario.columns_b(), scenario.set_b),
     ):
         assert cols.oid.tolist() == [o.oid for o in objs]
         for i, o in enumerate(objs):
@@ -117,77 +113,3 @@ def test_array_scenario_columns_match_objects():
             )
             assert params == o.kbox.params()
         assert np.array_equal(cols.vlo, cols.vhi)  # rigid objects
-
-
-def test_vector_stream_is_deterministic_per_seed():
-    def emitted(seed):
-        arrays = make_workload_arrays(N, "uniform", t_m=T_M, seed=SCENARIO_SEED)
-        stream = VectorUpdateStream(arrays, seed=seed)
-        out = []
-        for step in range(1, 13):
-            for cols in stream.updates_at(float(step)):
-                out.append(
-                    (cols.oid.tobytes(), cols.mlo.tobytes(), cols.vlo.tobytes())
-                )
-        return out
-
-    assert emitted(4) == emitted(4)
-    assert emitted(4) != emitted(5)
-
-
-@pytest.mark.parametrize("distribution", ["uniform", "battlefield", "road"])
-def test_vector_stream_respects_t_m(distribution):
-    """Every object updates within T_M of its previous reference time."""
-    arrays = make_workload_arrays(N, distribution, t_m=T_M, seed=SCENARIO_SEED)
-    stream = VectorUpdateStream(arrays, seed=STREAM_SEED)
-    last = {int(oid): 0.0 for oid in arrays.oid_a.tolist() + arrays.oid_b.tolist()}
-    seen = set()
-    for step in range(1, int(T_M) + 1):
-        t = float(step)
-        for cols in stream.updates_at(t):
-            assert np.all(cols.tref == t)
-            for oid in cols.oid.tolist():
-                assert t - last[oid] <= T_M
-                last[oid] = t
-                seen.add(oid)
-    assert seen == set(last)  # everyone updated at least once within T_M
-
-
-def test_vector_stream_refuses_t_m_below_one():
-    arrays = make_workload_arrays(N, "uniform", t_m=0.5, seed=SCENARIO_SEED)
-    with pytest.raises(ValueError, match="t_m=0.5"):
-        VectorUpdateStream(arrays)
-
-
-def test_vector_stream_drives_engine_cleanly():
-    """Sanitized engine accepts the stream's batches for a full window."""
-    arrays = make_workload_arrays(
-        N, "battlefield", t_m=12.0, max_speed=3.0, seed=SCENARIO_SEED
-    )
-    engine = ColumnarJoinEngine(
-        arrays.columns_a(),
-        arrays.columns_b(),
-        algorithm="mtb",
-        config=JoinConfig(t_m=12.0),
-    )
-    engine.run_initial_join()
-    stream = VectorUpdateStream(arrays, seed=STREAM_SEED)
-    applied = 0
-    for step in range(1, 13):
-        t = float(step)
-        engine.tick(t)
-        upd_a, upd_b = stream.updates_at(t)
-        engine.apply_update_columns(upd_a, upd_b)
-        assert_sanitized(engine)
-        applied += len(upd_a) + len(upd_b)
-    assert applied == engine.update_count > 0
-
-
-def test_vector_stream_positions_stay_in_space():
-    arrays = make_workload_arrays(N, "road", t_m=T_M, seed=SCENARIO_SEED)
-    stream = VectorUpdateStream(arrays, seed=STREAM_SEED)
-    hi = arrays.space_size - arrays.object_side
-    for step in range(1, 25):
-        for cols in stream.updates_at(float(step)):
-            assert np.all(cols.mlo >= 0.0)
-            assert np.all(cols.mlo <= hi)
