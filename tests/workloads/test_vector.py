@@ -14,8 +14,10 @@ Two contracts are pinned here:
    ``VectorUpdateStream`` are aliases the benchmark calls: the same
    draws, the same objects, the same columns.
 
-The stream's behaviour (the ``T_M`` bound, the domain, determinism,
-homing, the two views of a batch) is tested in ``test_updates.py``.
+The ``test_vector_stream_*`` tests check the stream's column view,
+``updates_at``, tick by tick: determinism per seed, the ``T_M`` bound,
+the ``t_m < 1`` refusal and the domain.  The object view, homing and
+the engine feed are tested in ``test_updates.py``.
 """
 
 from __future__ import annotations
@@ -113,3 +115,51 @@ def test_array_scenario_columns_match_objects():
             )
             assert params == o.kbox.params()
         assert np.array_equal(cols.vlo, cols.vhi)  # rigid objects
+
+
+def test_vector_stream_is_deterministic_per_seed():
+    def emitted(seed):
+        scenario = make_workload(N, "uniform", t_m=T_M, seed=SCENARIO_SEED)
+        stream = UpdateStream(scenario, seed=seed)
+        out = []
+        for step in range(1, 13):
+            for cols in stream.updates_at(float(step)):
+                out.append((cols.oid.tobytes(), cols.mlo.tobytes(), cols.vlo.tobytes()))
+        return out
+
+    assert emitted(4) == emitted(4)
+    assert emitted(4) != emitted(5)
+
+
+@pytest.mark.parametrize("distribution", ["uniform", "battlefield", "road"])
+def test_vector_stream_respects_t_m(distribution):
+    """Every object updates within T_M of its previous reference time."""
+    scenario = make_workload(N, distribution, t_m=T_M, seed=SCENARIO_SEED)
+    stream = UpdateStream(scenario, seed=STREAM_SEED)
+    last = {int(oid): 0.0 for oid in scenario.oid_a.tolist() + scenario.oid_b.tolist()}
+    seen = set()
+    for step in range(1, int(T_M) + 1):
+        t = float(step)
+        for cols in stream.updates_at(t):
+            assert np.all(cols.tref == t)
+            for oid in cols.oid.tolist():
+                assert t - last[oid] <= T_M
+                last[oid] = t
+                seen.add(oid)
+    assert seen == set(last)  # everyone updated at least once within T_M
+
+
+def test_vector_stream_refuses_t_m_below_one():
+    scenario = make_workload(N, "uniform", t_m=0.5, seed=SCENARIO_SEED)
+    with pytest.raises(ValueError, match="t_m=0.5"):
+        UpdateStream(scenario)
+
+
+def test_vector_stream_positions_stay_in_space():
+    scenario = make_workload(N, "road", t_m=T_M, seed=SCENARIO_SEED)
+    stream = UpdateStream(scenario, seed=STREAM_SEED)
+    hi = scenario.space_size - scenario.object_side
+    for step in range(1, 25):
+        for cols in stream.updates_at(float(step)):
+            assert np.all(cols.mlo >= 0.0)
+            assert np.all(cols.mlo <= hi)
